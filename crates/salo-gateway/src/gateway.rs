@@ -1,5 +1,6 @@
-//! The gateway runtime: acceptor, per-connection readers, and a
-//! deficit-round-robin dispatcher in front of a [`SaloServer`].
+//! The gateway runtime: acceptor, per-connection readers, a
+//! deficit-round-robin dispatcher that submits without waiting, and a
+//! completion path that answers, in front of a [`SaloServer`].
 //!
 //! Threading model (std-only, no async runtime):
 //!
@@ -8,33 +9,63 @@
 //! * each **reader** owns its socket's read half: it frames, decodes,
 //!   and *admits* requests — the only unbounded thing a client controls
 //!   is how fast it sends, and admission turns that into typed
-//!   `Overloaded` rejections the moment its tenant queue (or the global
-//!   backlog) is full. Replies are written by whoever produced them,
-//!   under the connection's write-half mutex;
-//! * one **dispatcher** drains the admitted queues in deficit round
-//!   robin across tenants and executes against the server. It is the
-//!   server's sole layer-submission client, so `submit` → `recv` pairs
-//!   without response routing; decode sessions use their own per-session
-//!   event channels.
+//!   `Overloaded` rejections the moment its tenant (or the gateway as a
+//!   whole) has its quota of requests *outstanding*: queued or in
+//!   flight, released when the reply is decided. A queue the dispatcher
+//!   drains instantly therefore still counts against its tenant;
+//! * one **dispatcher** is the submit half. It pops the admitted queues
+//!   in deficit round robin across tenants and hands each request to the
+//!   server (`submit_for` / `open_session_into` / `step_session` /
+//!   `close_session`) without waiting for it, recording who is owed the
+//!   reply in the in-flight table. It submits only while what is in
+//!   flight holds less than a *window* of slots — [`in_flight_window`],
+//!   derived from the serve options; a session request holds one slot, a
+//!   layer request a whole round's share ([`slots`]) — so the server's
+//!   own ingress and batcher never hold more than a window and a tenant
+//!   arriving late waits for at most that much foreign work: four
+//!   rounds of decode steps, or one round of layers. It is also the
+//!   timer: it sleeps until the earliest outstanding deadline and answers
+//!   whatever outlived `service_timeout` with a typed `TimedOut` frame;
+//! * two **completion** threads are the other half. One blocks on
+//!   `server.recv()` and routes each layer response by its serve request
+//!   id; the other blocks on the one `Receiver<SessionEvent>` every
+//!   gateway-opened session reports into and routes by session id: a
+//!   session's replies leave in step order because its waiters form a
+//!   FIFO, the wire session id is assigned when `Opened` arrives, and a
+//!   `Close` is answered by the `Closed` event. A completion whose
+//!   waiter already timed out is dropped without a second frame.
 //!
-//! Fairness lives entirely in the admission + dispatch pair: a tenant
-//! flooding 10× faster than its quota drains gains nothing — its excess
-//! is rejected at admission, and what *is* admitted is interleaved with
-//! other tenants' work a quantum at a time.
+//! Every table — admission queues, outstanding counters, in-flight
+//! waiters, sessions — lives under one lock, and the dispatcher calls
+//! into the server *while holding it*, so a completion can never
+//! outrun the registration of the request it answers. The calls are
+//! non-blocking: validation plus a channel send, a few microseconds. An
+//! `Open` also clips its pattern to its causal view, which is linear in
+//! the sequence length — at `n = 100 000`, 0.3 ms for a window/global
+//! pattern and 1.5 ms for one with block-sparse terms (EXPERIMENTS.md) —
+//! and readers' admissions and both completion threads wait that long.
+//! Socket writes always happen outside the lock.
+//!
+//! Admission and fairness live in the gateway alone: the quota bounds
+//! what a tenant may have outstanding, DRR interleaves what is admitted
+//! a quantum at a time, and the window makes the server's ingress a
+//! staging hop rather than a second queue.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use salo_serve::{
-    DecodeSessionHandle, SaloServer, ServeError, ServeOptions, ServeReport, ServeRequest,
-    SessionEvent, SessionRequest,
+    SaloServer, ServeError, ServeOptions, ServeReport, ServeRequest, ServeResponse, SessionEvent,
+    SessionRequest,
 };
 use salo_sim::AcceleratorConfig;
+use salo_trace::LogHistogram;
 
 use crate::wire::{
     self, encode_response, ErrorCode, ErrorFrame, Header, PrefillHead, Request, Response,
@@ -48,11 +79,12 @@ pub struct GatewayOptions {
     /// Options for the [`SaloServer`] the gateway runs in front of.
     pub serve: ServeOptions,
     /// Per-tenant admission bound: a tenant with this many requests
-    /// already queued sees `Overloaded` instead of deeper queues.
+    /// outstanding — queued or in flight, not yet answered — sees
+    /// `Overloaded` instead of deeper queues.
     pub tenant_quota: usize,
-    /// Global admission bound across all tenants.
+    /// Global admission bound on outstanding requests across all tenants.
     pub global_queue: usize,
-    /// Deficit-round-robin quantum: requests a tenant may run per
+    /// Deficit-round-robin quantum: requests a tenant may submit per
     /// dispatch visit before the dispatcher moves to the next tenant.
     pub tenant_quantum: usize,
     /// Per-connection socket read deadline. A connection idle past it is
@@ -102,13 +134,48 @@ pub struct GatewayReport {
     pub rejected_overloaded: u64,
     /// Requests refused (or abandoned at the deadline) with `Draining`.
     pub rejected_draining: u64,
-    /// Requests failed with `TimedOut` (queue wait or session wait past
-    /// the service deadline).
+    /// Requests failed with `TimedOut` (queued or in flight past the
+    /// service deadline).
     pub timed_out: u64,
     /// Whether the drain completed inside
     /// [`GatewayOptions::drain_deadline`].
     pub drained_in_deadline: bool,
 }
+
+/// Rounds of the serve dispatcher's own drain limit
+/// (`workers × max_batch`) the in-flight window covers. Swept on the
+/// socket benchmark with decode steps (EXPERIMENTS.md, "In-flight
+/// window"): a worker's tick fuses the steps of several rounds.
+const WINDOW_ROUNDS: usize = 4;
+
+/// How many slots of work the dispatcher keeps submitted and unanswered
+/// at once: enough that the worker pool, the same-plan batcher and the
+/// fused decode tick see several wire requests together, small enough
+/// that a tenant arriving late waits for at most this much foreign work.
+fn in_flight_window(serve: &ServeOptions) -> usize {
+    serve.workers.max(1) * serve.max_batch.max(1) * WINDOW_ROUNDS
+}
+
+/// Window slots `request` holds while in flight. A layer request holds a
+/// whole round's share: nothing fuses layers across rounds, so more than
+/// one round of them (`workers × max_batch`, what the batcher can take)
+/// would only queue in the server's ingress — milliseconds each — ahead
+/// of whoever arrives next. Session requests hold one.
+fn slots(request: &Request) -> usize {
+    if matches!(request, Request::Prefill { .. }) {
+        WINDOW_ROUNDS
+    } else {
+        1
+    }
+}
+
+/// Capacity of a connection's read buffer: a pipelined burst of small
+/// frames arrives in one `read`; payloads larger than this bypass it.
+const READ_BUFFER: usize = 16 * 1024;
+
+/// Bytes of consecutive replies to one connection the session completion
+/// thread gathers into a single write.
+const WRITE_GATHER: usize = 64 * 1024;
 
 /// One admitted, not-yet-dispatched request.
 struct Pending {
@@ -116,48 +183,348 @@ struct Pending {
     request: Request,
     conn: Arc<ConnShared>,
     enqueued: Instant,
+    /// `enqueued + service_timeout`. Stamped under the state lock, so
+    /// deadlines never decrease in admission order.
+    deadline: Instant,
 }
 
-/// Out-of-band notices readers push to the dispatcher.
-enum Control {
-    /// The connection's reader exited; its decode sessions are orphans.
-    ConnClosed { conn_id: u64 },
+/// One tenant's admission state.
+struct Tenant {
+    queue: VecDeque<Pending>,
+    /// Admitted and not yet answered — queued plus in flight. This, not
+    /// the queue's length, is what `tenant_quota` bounds.
+    outstanding: usize,
+    /// Unspent deficit of the current dispatch visit; nonzero between
+    /// visits only when the in-flight window cut the visit short.
+    deficit: usize,
+    /// `gateway.tenant.{id}.queue_wait_ns`, resolved once per tenant.
+    queue_wait: Arc<LogHistogram>,
 }
 
-/// Admission queues plus the dispatcher's round state, under one lock.
-/// Readers only touch it to admit (bounded work); the dispatcher holds
-/// it only to pop a quantum — execution happens outside.
+/// Who is owed the reply to a request the server is working on.
+struct Waiter {
+    conn: Arc<ConnShared>,
+    header: Header,
+    deadline: Instant,
+    /// Window slots held until the completion arrives ([`slots`]).
+    slots: usize,
+    /// The deadline passed and the `TimedOut` frame went out; the waiter
+    /// stays (and keeps its window slot) until the completion arrives,
+    /// so completions and waiters stay paired, then is dropped silently.
+    answered: bool,
+}
+
+/// A decode session the gateway opened, keyed by its serve session id.
+struct SessionEntry {
+    conn: Arc<ConnShared>,
+    opened_by: Header,
+    /// Assigned when the `Opened` event arrives.
+    wire_id: Option<u64>,
+    /// A close has been submitted: the session takes no further requests
+    /// and disappears with its `Closed` event.
+    closing: bool,
+    /// The open, then every step (and at most one close) submitted and
+    /// not yet completed, oldest first — the order their events arrive.
+    waiters: VecDeque<Waiter>,
+}
+
+/// A reply decided under the lock, written after it is released.
+struct Reply {
+    conn: Arc<ConnShared>,
+    header: Header,
+    response: Response,
+}
+
+/// Everything the gateway's threads share, under one lock: admission
+/// queues and counters, the dispatcher's round, and the in-flight table.
+/// Readers hold it to admit, the dispatcher to pop a quantum and submit
+/// it, completions to find who is owed a reply; nobody writes to a socket
+/// while holding it.
 #[derive(Default)]
-struct QueueState {
-    /// Per-tenant FIFO of admitted requests.
-    queues: BTreeMap<u64, VecDeque<Pending>>,
-    /// Total admitted across all tenants (the global bound's counter).
+struct State {
+    tenants: BTreeMap<u64, Tenant>,
+    /// Requests waiting in tenant queues.
     queued_total: usize,
+    /// Admitted and not yet answered across all tenants (the global
+    /// bound's counter).
+    outstanding_total: usize,
     /// Tenants with queued work, in round-robin visit order.
     round: VecDeque<u64>,
-    /// Unspent deficit per tenant in `round`.
-    deficits: HashMap<u64, usize>,
-    /// Reader → dispatcher notices.
-    controls: Vec<Control>,
-    /// Tells the dispatcher to wind down once the queues are empty.
+    /// Slots held by the waiters in `layers` and `sessions`: what the
+    /// window bounds.
+    in_flight: usize,
+    /// Layer requests in flight, by serve request id.
+    layers: HashMap<u64, Waiter>,
+    /// Sessions opened (or opening), by serve session id.
+    sessions: HashMap<u64, SessionEntry>,
+    /// Wire session id → serve session id.
+    wire_sessions: HashMap<u64, u64>,
+    last_wire_session: u64,
+    /// A lower bound on the earliest deadline among unanswered requests;
+    /// `None` when the last scan found none. Deadlines never decrease in
+    /// admission order, so a new admission can only leave it unchanged.
+    next_expiry: Option<Instant>,
+    /// Shutdown: the dispatcher closes the live sessions and exits, the
+    /// layer completion thread exits once nothing is in flight.
     stop: bool,
 }
 
+/// One of `tenant`'s admitted requests is answered: its admission slot
+/// is free again.
+fn release(tenants: &mut BTreeMap<u64, Tenant>, outstanding_total: &mut usize, tenant: u64) {
+    if let Some(tenant) = tenants.get_mut(&tenant) {
+        tenant.outstanding -= 1;
+    }
+    *outstanding_total -= 1;
+}
+
+fn earliest(current: Option<Instant>, deadline: Instant) -> Option<Instant> {
+    Some(current.map_or(deadline, |at| at.min(deadline)))
+}
+
+fn error(code: ErrorCode, message: &str) -> Response {
+    Response::Error(ErrorFrame { code, message: message.to_owned(), retry_after_ms: None })
+}
+
+fn serve_error(e: &ServeError) -> Response {
+    let code = match e {
+        ServeError::InvalidRequest { .. } => ErrorCode::Invalid,
+        ServeError::UnknownSession { .. } => ErrorCode::UnknownSession,
+        ServeError::Draining => ErrorCode::Draining,
+        _ => ErrorCode::Internal,
+    };
+    error(code, &e.to_string())
+}
+
+impl State {
+    /// Admits `pending` unless its tenant or the gateway already has its
+    /// quota outstanding; a refusal returns the depth it ran into.
+    /// `queue_wait` resolves a new tenant's histogram.
+    fn admit(
+        &mut self,
+        pending: Pending,
+        options: &GatewayOptions,
+        queue_wait: impl FnOnce() -> Arc<LogHistogram>,
+    ) -> Result<(), usize> {
+        let id = pending.header.tenant;
+        let outstanding = self.tenants.get(&id).map_or(0, |t| t.outstanding);
+        if outstanding >= options.tenant_quota || self.outstanding_total >= options.global_queue {
+            return Err(self.outstanding_total.max(outstanding));
+        }
+        let tenant = self.tenants.entry(id).or_insert_with(|| Tenant {
+            queue: VecDeque::new(),
+            outstanding: 0,
+            deficit: 0,
+            queue_wait: queue_wait(),
+        });
+        if tenant.queue.is_empty() && !self.round.contains(&id) {
+            self.round.push_back(id);
+        }
+        self.next_expiry = self.next_expiry.or(Some(pending.deadline));
+        tenant.queue.push_back(pending);
+        tenant.outstanding += 1;
+        self.queued_total += 1;
+        self.outstanding_total += 1;
+        Ok(())
+    }
+
+    fn release(&mut self, tenant: u64) {
+        release(&mut self.tenants, &mut self.outstanding_total, tenant);
+    }
+
+    /// Pops requests from the tenant at the head of the round while
+    /// `room` window slots are left, within its deficit: a visit starts
+    /// with `quantum`, and a tenant that spends it with work left rotates
+    /// to the back. A visit the window cuts short (`room` ran out first)
+    /// resumes with what is left of its deficit, so the window never
+    /// costs a tenant its turn. The last request popped may need more
+    /// slots than were left: the window is overshot by less than one
+    /// request's slots rather than blocking on the head of a queue.
+    /// Tenants whose queues empty leave the round and forfeit their
+    /// deficit. Each popped request records its queue wait.
+    fn pop_quantum(&mut self, quantum: usize, room: usize) -> Vec<Pending> {
+        let mut batch = Vec::new();
+        let mut taken = 0;
+        while let Some(&id) = self.round.front() {
+            let Some(tenant) = self.tenants.get_mut(&id).filter(|t| !t.queue.is_empty()) else {
+                self.round.pop_front();
+                continue;
+            };
+            if tenant.deficit == 0 {
+                tenant.deficit = quantum.max(1);
+            }
+            while tenant.deficit > 0 && taken < room {
+                let Some(pending) = tenant.queue.pop_front() else { break };
+                tenant.deficit -= 1;
+                taken += slots(&pending.request);
+                self.queued_total -= 1;
+                salo_trace::record_since(
+                    "gateway.tenant_queue_wait",
+                    "gateway",
+                    pending.enqueued,
+                    id,
+                );
+                let waited = pending.enqueued.elapsed().as_nanos();
+                tenant.queue_wait.record(waited.min(u128::from(u64::MAX)) as u64);
+                batch.push(pending);
+            }
+            if tenant.queue.is_empty() {
+                tenant.deficit = 0;
+                self.round.pop_front();
+            } else if tenant.deficit == 0 {
+                self.round.rotate_left(1);
+            }
+            break;
+        }
+        batch
+    }
+
+    /// The serve session behind `wire_id`, if it is open on `conn` and
+    /// still taking requests.
+    fn live_session(
+        &mut self,
+        wire_id: u64,
+        conn: &ConnShared,
+    ) -> Option<(u64, &mut SessionEntry)> {
+        let serve_id = *self.wire_sessions.get(&wire_id)?;
+        let entry = self.sessions.get_mut(&serve_id)?;
+        (entry.conn.id == conn.id && !entry.closing).then_some((serve_id, entry))
+    }
+
+    /// A completion arrived for `waiter`: its window slot is free, and so
+    /// is its admission slot unless the deadline already answered it.
+    /// Returns who to answer.
+    fn settle(&mut self, waiter: Waiter) -> Option<(Arc<ConnShared>, Header)> {
+        self.in_flight -= waiter.slots;
+        if waiter.answered {
+            return None;
+        }
+        self.release(waiter.header.tenant);
+        Some((waiter.conn, waiter.header))
+    }
+
+    /// Answers every request past its deadline with a `TimedOut` reply in
+    /// `out` and returns how many there were. A queued request leaves its
+    /// queue; one in flight stays as an answered waiter until its
+    /// completion arrives. A timed-out open also closes its session: the
+    /// client never learns the id it would need to do so itself.
+    fn expire(&mut self, now: Instant, server: &SaloServer, out: &mut Vec<Reply>) -> u64 {
+        if self.next_expiry.is_none_or(|at| at > now) {
+            return 0;
+        }
+        let before = out.len();
+        let mut next = None;
+        let State { tenants, queued_total, outstanding_total, layers, sessions, .. } = &mut *self;
+        for tenant in tenants.values_mut() {
+            while let Some(front) = tenant.queue.front() {
+                if front.deadline > now {
+                    next = earliest(next, front.deadline);
+                    break;
+                }
+                let Pending { conn, header, .. } = tenant.queue.pop_front().expect("front exists");
+                tenant.outstanding -= 1;
+                *queued_total -= 1;
+                *outstanding_total -= 1;
+                let response = error(
+                    ErrorCode::TimedOut,
+                    "request spent its service deadline in the dispatch queue",
+                );
+                out.push(Reply { conn, header, response });
+            }
+        }
+        let mut overdue = |waiter: &mut Waiter| {
+            if waiter.answered {
+                return false;
+            }
+            if waiter.deadline > now {
+                next = earliest(next, waiter.deadline);
+                return false;
+            }
+            waiter.answered = true;
+            release(tenants, outstanding_total, waiter.header.tenant);
+            let response = error(ErrorCode::TimedOut, "request outlived its service deadline");
+            out.push(Reply { conn: Arc::clone(&waiter.conn), header: waiter.header, response });
+            true
+        };
+        layers.values_mut().for_each(|waiter| {
+            overdue(waiter);
+        });
+        for (&serve_id, entry) in sessions.iter_mut() {
+            // Not opened and not closing: the open's waiter is in front.
+            let opening = entry.wire_id.is_none() && !entry.closing;
+            for (at, waiter) in entry.waiters.iter_mut().enumerate() {
+                if overdue(waiter) && at == 0 && opening {
+                    entry.closing = true;
+                    let _ = server.close_session(serve_id);
+                }
+            }
+        }
+        self.next_expiry = next;
+        (out.len() - before) as u64
+    }
+
+    /// `conn` is gone: submits a close for each of its sessions, without
+    /// waiting. Each disappears with its `Closed` event, which has nobody
+    /// left to be written to.
+    fn close_sessions_of(&mut self, conn: &ConnShared, server: &SaloServer) {
+        let orphans = self.sessions.iter_mut().filter(|(_, e)| e.conn.id == conn.id && !e.closing);
+        for (&serve_id, entry) in orphans {
+            entry.closing = true;
+            let _ = server.close_session(serve_id);
+        }
+    }
+
+    /// Submits a close for every session still taking requests — the
+    /// drain. An opened session's terminal `Closed` frame answers its
+    /// open request, so it waits in the session's FIFO like a close the
+    /// client had asked for; a session still opening has its open
+    /// answered instead.
+    fn close_all_sessions(&mut self, server: &SaloServer) {
+        let State { tenants, outstanding_total, in_flight, sessions, .. } = self;
+        for (&serve_id, entry) in sessions.iter_mut().filter(|(_, entry)| !entry.closing) {
+            entry.closing = true;
+            if server.close_session(serve_id).is_err() || entry.wire_id.is_none() {
+                continue;
+            }
+            entry.waiters.push_back(Waiter {
+                conn: Arc::clone(&entry.conn),
+                header: entry.opened_by,
+                deadline: Instant::now(),
+                slots: 1,
+                answered: false,
+            });
+            *in_flight += 1;
+            if let Some(tenant) = tenants.get_mut(&entry.opened_by.tenant) {
+                tenant.outstanding += 1;
+            }
+            *outstanding_total += 1;
+        }
+    }
+}
+
 /// The per-connection state shared between its reader (framing, inline
-/// replies) and the dispatcher (request replies, terminal closes). The
-/// stream mutex serializes writers; the read half is the reader's own
-/// clone and is never locked.
+/// replies) and whoever answers its requests. The stream mutex serializes
+/// writers; the read half is the reader's own clone and is never locked.
 struct ConnShared {
     id: u64,
     stream: Mutex<TcpStream>,
+    /// The write half works. Cleared by a failed write and by nothing
+    /// else: a reader that has left (EOF, or the drain's read-shutdown)
+    /// says nothing about whether replies can still be delivered.
     alive: AtomicBool,
 }
 
+/// The gateway's own shared state. The server is not part of it: the
+/// session completion thread has to outlive the server's shutdown, which
+/// needs every other reference to the server gone.
 struct Inner {
     options: GatewayOptions,
-    server: Arc<SaloServer>,
-    state: Mutex<QueueState>,
+    state: Mutex<State>,
+    /// The dispatcher's reasons to run: queued work with room in the
+    /// window, an expired deadline, `stop`.
     work_ready: Condvar,
+    /// The layer completion thread's: a layer request in flight, `stop`.
+    layer_ready: Condvar,
     /// Set by shutdown: readers reject new work as `Draining`, the
     /// acceptor stops accepting.
     draining: AtomicBool,
@@ -177,6 +544,51 @@ struct Inner {
     shutdown_signal: Condvar,
 }
 
+impl Inner {
+    fn new(options: GatewayOptions) -> Self {
+        Inner {
+            options,
+            state: Mutex::new(State::default()),
+            work_ready: Condvar::new(),
+            layer_ready: Condvar::new(),
+            draining: AtomicBool::new(false),
+            next_conn_id: AtomicU64::new(1),
+            connections: Mutex::new(HashMap::new()),
+            reader_threads: Mutex::new(Vec::new()),
+            connections_total: AtomicU64::new(0),
+            frames_read: AtomicU64::new(0),
+            frames_written: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            rejected_overloaded: AtomicU64::new(0),
+            rejected_draining: AtomicU64::new(0),
+            timed_out: AtomicU64::new(0),
+            shutdown_request: Mutex::new(None),
+            shutdown_signal: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("gateway state poisoned")
+    }
+
+    /// [`State::settle`], waking the dispatcher when the freed window
+    /// slot has queued work to take it.
+    fn settle(&self, state: &mut State, waiter: Waiter) -> Option<(Arc<ConnShared>, Header)> {
+        let target = state.settle(waiter);
+        if state.queued_total > 0 {
+            self.work_ready.notify_one();
+        }
+        target
+    }
+
+    /// `enqueued + service_timeout`; a timeout too large to add means no
+    /// deadline in practice.
+    fn deadline(&self, enqueued: Instant) -> Instant {
+        const NEVER: Duration = Duration::from_secs(100 * 365 * 24 * 60 * 60);
+        enqueued.checked_add(self.options.service_timeout).unwrap_or_else(|| enqueued + NEVER)
+    }
+}
+
 /// The network front door: a TCP listener mapping wire frames onto a
 /// [`SaloServer`] it owns. See the [crate docs](crate) for the protocol
 /// and fairness model.
@@ -186,6 +598,12 @@ pub struct Gateway {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
+    layer_completion: Option<JoinHandle<()>>,
+    session_completion: Option<JoinHandle<()>>,
+}
+
+fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new().name(name.into()).spawn(body).expect("spawn gateway thread")
 }
 
 impl Gateway {
@@ -205,38 +623,24 @@ impl Gateway {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let server = Arc::new(SaloServer::start(config, options.serve));
-        let inner = Arc::new(Inner {
-            options,
-            server: Arc::clone(&server),
-            state: Mutex::new(QueueState::default()),
-            work_ready: Condvar::new(),
-            draining: AtomicBool::new(false),
-            next_conn_id: AtomicU64::new(1),
-            connections: Mutex::new(HashMap::new()),
-            reader_threads: Mutex::new(Vec::new()),
-            connections_total: AtomicU64::new(0),
-            frames_read: AtomicU64::new(0),
-            frames_written: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            shutdown_request: Mutex::new(None),
-            shutdown_signal: Condvar::new(),
-        });
+        let inner = Arc::new(Inner::new(options));
+        // Every gateway-opened session reports into this one channel.
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
         let acceptor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gateway-accept".into())
-                .spawn(move || accept_loop(&inner, listener))
-                .expect("spawn acceptor")
+            let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
+            spawn("gateway-accept", move || accept_loop(&inner, &server, listener))
         };
         let dispatcher = {
+            let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
+            spawn("gateway-dispatch", move || dispatch_loop(&inner, &server, &events_tx))
+        };
+        let layer_completion = {
+            let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
+            spawn("gateway-layers", move || layer_completion_loop(&inner, &server))
+        };
+        let session_completion = {
             let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gateway-dispatch".into())
-                .spawn(move || dispatch_loop(&inner))
-                .expect("spawn dispatcher")
+            spawn("gateway-sessions", move || session_completion_loop(&inner, &events_rx))
         };
         Ok(Gateway {
             inner,
@@ -244,6 +648,8 @@ impl Gateway {
             addr: local,
             acceptor: Some(acceptor),
             dispatcher: Some(dispatcher),
+            layer_completion: Some(layer_completion),
+            session_completion: Some(session_completion),
         })
     }
 
@@ -265,18 +671,108 @@ impl Gateway {
     /// 1. stop accepting connections; readers reject new work with
     ///    typed `Draining` frames;
     /// 2. wait — up to [`GatewayOptions::drain_deadline`] — for admitted
-    ///    work to finish; whatever is still queued past the deadline is
-    ///    failed with `Draining` frames instead of executed;
-    /// 3. the dispatcher closes every live wire session, sending each
-    ///    connection a terminal `Closed` frame;
+    ///    work to be answered; whatever is still queued past the
+    ///    deadline is failed with `Draining` frames instead of executed
+    ///    (what is already in flight completes);
+    /// 3. the dispatcher submits a close for every live wire session; the
+    ///    completion path sends each connection a terminal `Closed`
+    ///    frame as the sessions end;
     /// 4. reader sockets are read-shutdown (write halves stay open for
-    ///    any final frame), all threads joined, and the server drained
-    ///    and shut down.
+    ///    the final frames), the server is drained and shut down, and
+    ///    all threads are joined.
     pub fn shutdown(mut self) -> GatewayReport {
-        let report = shutdown_impl(&self.inner, self.acceptor.take(), self.dispatcher.take());
-        drop(self.inner);
-        let server = Arc::into_inner(self.server).expect("gateway threads joined");
-        GatewayReport { serve: server.shutdown(), ..report }
+        let drained_in_deadline = self.drain();
+        let server = Arc::into_inner(self.server).expect("server users joined");
+        let serve = server.shutdown();
+        // The server's threads held the last senders of the session
+        // event channel: with them gone, the session completion thread
+        // answers what is left and runs out of events.
+        if let Some(handle) = self.session_completion.take() {
+            handle.join().expect("session completion panicked");
+        }
+        let inner = &self.inner;
+        GatewayReport {
+            serve,
+            connections: inner.connections_total.load(Ordering::Relaxed),
+            frames_read: inner.frames_read.load(Ordering::Relaxed),
+            frames_written: inner.frames_written.load(Ordering::Relaxed),
+            admitted: inner.admitted.load(Ordering::Relaxed),
+            rejected_overloaded: inner.rejected_overloaded.load(Ordering::Relaxed),
+            rejected_draining: inner.rejected_draining.load(Ordering::Relaxed),
+            timed_out: inner.timed_out.load(Ordering::Relaxed),
+            drained_in_deadline,
+        }
+    }
+
+    /// Steps 1–3 of [`shutdown`](Self::shutdown), up to and including the
+    /// server's drain: afterwards only the session completion thread is
+    /// left. Returns whether the admitted work finished in the deadline.
+    fn drain(&mut self) -> bool {
+        let inner = &self.inner;
+        let deadline = inner.options.drain_deadline;
+        let start = Instant::now();
+        inner.draining.store(true, Ordering::Release);
+
+        // Let admitted work finish under the deadline.
+        let drained_in_deadline = loop {
+            if inner.lock().outstanding_total == 0 {
+                break true;
+            }
+            if start.elapsed() >= deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+
+        // Fail whatever is still queued, then stop the dispatcher.
+        let leftovers: Vec<Pending> = {
+            let mut state = inner.lock();
+            let state = &mut *state;
+            let leftovers: Vec<Pending> =
+                state.tenants.values_mut().flat_map(|t| t.queue.drain(..)).collect();
+            leftovers.iter().for_each(|pending| state.release(pending.header.tenant));
+            state.queued_total = 0;
+            state.round.clear();
+            state.stop = true;
+            inner.work_ready.notify_one();
+            inner.layer_ready.notify_all();
+            leftovers
+        };
+        for pending in leftovers {
+            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            let response = error(
+                ErrorCode::Draining,
+                "gateway drain deadline expired before this request ran",
+            );
+            send_response(inner, &pending.conn, pending.header, &response);
+        }
+
+        for handle in [self.acceptor.take(), self.dispatcher.take()].into_iter().flatten() {
+            handle.join().expect("gateway thread panicked");
+        }
+
+        // Unblock the readers: read halves close, write halves stay usable
+        // for terminal `Closed` frames and the shutdown requester's
+        // final Report frame.
+        {
+            let connections = inner.connections.lock().expect("connections poisoned");
+            for conn in connections.values() {
+                if let Ok(stream) = conn.stream.lock() {
+                    let _ = stream.shutdown(Shutdown::Read);
+                }
+            }
+        }
+        let readers = std::mem::take(&mut *inner.reader_threads.lock().expect("readers poisoned"));
+        for handle in readers {
+            handle.join().expect("reader panicked");
+        }
+
+        let remaining = deadline.saturating_sub(start.elapsed());
+        self.server.drain(remaining.max(Duration::from_millis(100)));
+        if let Some(handle) = self.layer_completion.take() {
+            handle.join().expect("layer completion panicked");
+        }
+        drained_in_deadline
     }
 
     /// Serves until a client sends the wire `Shutdown` opcode, then
@@ -303,96 +799,11 @@ impl Gateway {
     }
 }
 
-fn shutdown_impl(
-    inner: &Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
-) -> GatewayReport {
-    let options = inner.options.clone();
-    let start = Instant::now();
-    inner.draining.store(true, Ordering::Release);
-
-    // Let admitted work finish under the deadline.
-    let drained_in_deadline = loop {
-        let queued = inner.state.lock().expect("gateway state poisoned").queued_total;
-        if queued == 0 {
-            break true;
-        }
-        if start.elapsed() >= options.drain_deadline {
-            break false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    };
-
-    // Fail whatever outlived the deadline, then stop the dispatcher.
-    let leftovers = {
-        let mut state = inner.state.lock().expect("gateway state poisoned");
-        let mut leftovers = Vec::new();
-        for (_, queue) in std::mem::take(&mut state.queues) {
-            leftovers.extend(queue);
-        }
-        state.queued_total = 0;
-        state.round.clear();
-        state.deficits.clear();
-        state.stop = true;
-        inner.work_ready.notify_all();
-        leftovers
-    };
-    for pending in leftovers {
-        inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
-        send_error(
-            inner,
-            &pending.conn,
-            pending.header,
-            ErrorCode::Draining,
-            "gateway drain deadline expired before this request ran",
-            None,
-        );
-    }
-
-    if let Some(handle) = acceptor {
-        handle.join().expect("acceptor panicked");
-    }
-    if let Some(handle) = dispatcher {
-        handle.join().expect("dispatcher panicked");
-    }
-
-    // Unblock the readers: read halves close, write halves stay usable
-    // for the shutdown requester's final Report frame.
-    {
-        let connections = inner.connections.lock().expect("connections poisoned");
-        for conn in connections.values() {
-            if let Ok(stream) = conn.stream.lock() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
-        }
-    }
-    let readers = std::mem::take(&mut *inner.reader_threads.lock().expect("readers poisoned"));
-    for handle in readers {
-        handle.join().expect("reader panicked");
-    }
-
-    let remaining = options.drain_deadline.saturating_sub(start.elapsed());
-    inner.server.drain(remaining.max(Duration::from_millis(100)));
-
-    GatewayReport {
-        serve: ServeReport::default(),
-        connections: inner.connections_total.load(Ordering::Relaxed),
-        frames_read: inner.frames_read.load(Ordering::Relaxed),
-        frames_written: inner.frames_written.load(Ordering::Relaxed),
-        admitted: inner.admitted.load(Ordering::Relaxed),
-        rejected_overloaded: inner.rejected_overloaded.load(Ordering::Relaxed),
-        rejected_draining: inner.rejected_draining.load(Ordering::Relaxed),
-        timed_out: inner.timed_out.load(Ordering::Relaxed),
-        drained_in_deadline,
-    }
-}
-
 // ---------------------------------------------------------------------
 // acceptor
 // ---------------------------------------------------------------------
 
-fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
+fn accept_loop(inner: &Arc<Inner>, server: &Arc<SaloServer>, listener: TcpListener) {
     while !inner.draining.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -413,11 +824,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
                     .lock()
                     .expect("connections poisoned")
                     .insert(conn_id, Arc::clone(&conn));
-                let reader_inner = Arc::clone(inner);
-                let handle = std::thread::Builder::new()
-                    .name(format!("gateway-conn-{conn_id}"))
-                    .spawn(move || reader_loop(&reader_inner, stream, conn))
-                    .expect("spawn reader");
+                let (reader_inner, reader_server) = (Arc::clone(inner), Arc::clone(server));
+                let handle = spawn(&format!("gateway-conn-{conn_id}"), move || {
+                    reader_loop(&reader_inner, &reader_server, stream, &conn);
+                });
                 inner.reader_threads.lock().expect("readers poisoned").push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -432,7 +842,8 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
 // reader: frame → decode → admit
 // ---------------------------------------------------------------------
 
-fn reader_loop(inner: &Arc<Inner>, mut stream: TcpStream, conn: Arc<ConnShared>) {
+fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc<ConnShared>) {
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     loop {
         let started = Instant::now();
         let payload = match wire::read_frame(&mut stream) {
@@ -441,28 +852,17 @@ fn reader_loop(inner: &Arc<Inner>, mut stream: TcpStream, conn: Arc<ConnShared>)
                 use std::io::ErrorKind;
                 if matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                     // Read deadline: tell the client why before closing.
-                    send_error(
-                        inner,
-                        &conn,
-                        Header::default(),
-                        ErrorCode::TimedOut,
-                        "connection idle past the read deadline",
-                        None,
-                    );
+                    let response =
+                        error(ErrorCode::TimedOut, "connection idle past the read deadline");
+                    send_response(inner, conn, Header::default(), &response);
                 }
                 break; // EOF, reset, or deadline — connection is done
             }
             Err(err) => {
                 // Framing violation (oversized / short frame): typed
                 // reply, then close — the stream offset is unreliable.
-                send_error(
-                    inner,
-                    &conn,
-                    Header::default(),
-                    ErrorCode::BadFrame,
-                    &err.to_string(),
-                    None,
-                );
+                let response = error(ErrorCode::BadFrame, &err.to_string());
+                send_response(inner, conn, Header::default(), &response);
                 break;
             }
         };
@@ -474,14 +874,8 @@ fn reader_loop(inner: &Arc<Inner>, mut stream: TcpStream, conn: Arc<ConnShared>)
             Err(err) => {
                 // The frame boundary was sound, so the stream stays in
                 // sync: reply typed and keep the connection.
-                send_error(
-                    inner,
-                    &conn,
-                    Header::default(),
-                    ErrorCode::BadFrame,
-                    &err.to_string(),
-                    None,
-                );
+                let response = error(ErrorCode::BadFrame, &err.to_string());
+                send_response(inner, conn, Header::default(), &response);
                 continue;
             }
         };
@@ -490,17 +884,17 @@ fn reader_loop(inner: &Arc<Inner>, mut stream: TcpStream, conn: Arc<ConnShared>)
             Request::Stats => {
                 // Served inline off the live registry — stats must work
                 // even when the dispatch queue is saturated.
-                let json = inner.server.metrics().export_json();
-                send_response(inner, &conn, header, &Response::Stats { json });
+                let json = server.metrics().export_json();
+                send_response(inner, conn, header, &Response::Stats { json });
             }
             Request::Shutdown => {
                 let mut slot = inner.shutdown_request.lock().expect("shutdown slot poisoned");
                 if slot.is_none() {
-                    *slot = Some((Arc::clone(&conn), header));
+                    *slot = Some((Arc::clone(conn), header));
                 }
                 inner.shutdown_signal.notify_all();
             }
-            request => admit(inner, header, request, &conn),
+            request => admit(inner, server, header, request, conn),
         }
 
         if !conn.alive.load(Ordering::Acquire) {
@@ -508,382 +902,195 @@ fn reader_loop(inner: &Arc<Inner>, mut stream: TcpStream, conn: Arc<ConnShared>)
         }
     }
 
-    conn.alive.store(false, Ordering::Release);
+    // The read half is done — the peer hung up, or the drain shut it —
+    // but `alive` stays as it is: replies still owed to this connection
+    // (in-flight work, the drain's terminal `Closed` frames) are written
+    // until a write fails.
     inner.connections.lock().expect("connections poisoned").remove(&conn.id);
-    let mut state = inner.state.lock().expect("gateway state poisoned");
-    state.controls.push(Control::ConnClosed { conn_id: conn.id });
-    inner.work_ready.notify_all();
+    inner.lock().close_sessions_of(conn, server);
 }
 
-fn admit(inner: &Arc<Inner>, header: Header, request: Request, conn: &Arc<ConnShared>) {
+fn admit(
+    inner: &Inner,
+    server: &SaloServer,
+    header: Header,
+    request: Request,
+    conn: &Arc<ConnShared>,
+) {
     let _span = salo_trace::span_with("gateway.admission", "gateway", header.tenant);
-    if inner.draining.load(Ordering::Acquire) {
-        inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
-        send_error(inner, conn, header, ErrorCode::Draining, "gateway is draining", None);
-        return;
-    }
     let tenant = header.tenant;
-    let overloaded_depth = {
-        let mut guard = inner.state.lock().expect("gateway state poisoned");
-        let state = &mut *guard;
-        let depth = state.queues.get(&tenant).map_or(0, VecDeque::len);
-        if depth >= inner.options.tenant_quota || state.queued_total >= inner.options.global_queue {
-            Some(state.queued_total.max(depth))
-        } else {
-            if depth == 0 && !state.round.contains(&tenant) {
-                state.round.push_back(tenant);
-            }
-            state.queues.entry(tenant).or_default().push_back(Pending {
-                header,
-                request,
-                conn: Arc::clone(conn),
-                enqueued: Instant::now(),
-            });
-            state.queued_total += 1;
-            inner.work_ready.notify_all();
-            None
+    let refused = {
+        let mut state = inner.lock();
+        // Checked under the lock: an admission that gets in before the
+        // drain's sweep of the queues is swept with them, one after it
+        // sees the flag.
+        if inner.draining.load(Ordering::Acquire) {
+            drop(state);
+            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            let response = error(ErrorCode::Draining, "gateway is draining");
+            return send_response(inner, conn, header, &response);
         }
+        let enqueued = Instant::now();
+        let deadline = inner.deadline(enqueued);
+        let pending = Pending { header, request, conn: Arc::clone(conn), enqueued, deadline };
+        let admitted = state.admit(pending, &inner.options, || {
+            server.metrics().histogram(&format!("gateway.tenant.{tenant}.queue_wait_ns"))
+        });
+        if admitted.is_ok() {
+            inner.work_ready.notify_one();
+        }
+        admitted.err()
     };
-    match overloaded_depth {
+    match refused {
         None => {
             inner.admitted.fetch_add(1, Ordering::Relaxed);
         }
         Some(depth) => {
             inner.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            inner.server.record_tenant_rejection(tenant);
-            inner.server.metrics().counter("gateway.rejected.overloaded").inc();
-            // Rough service-rate hint: two milliseconds per queued
+            server.record_tenant_rejection(tenant);
+            server.metrics().counter("gateway.rejected.overloaded").inc();
+            // Rough service-rate hint: two milliseconds per outstanding
             // request ahead of a retry.
-            let hint = 2 * (depth as u64 + 1);
-            send_error(
-                inner,
-                conn,
-                header,
-                ErrorCode::Overloaded,
-                "tenant or global admission queue is full",
-                Some(hint),
-            );
+            let response = Response::Error(ErrorFrame {
+                code: ErrorCode::Overloaded,
+                message: "tenant or global admission quota is full".to_owned(),
+                retry_after_ms: Some(2 * (depth as u64 + 1)),
+            });
+            send_response(inner, conn, header, &response);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// dispatcher: deficit round robin → execute → reply
+// dispatcher: deficit round robin → submit, and the deadline timer
 // ---------------------------------------------------------------------
 
-/// A live wire session: the serve-side handle plus the connection (and
-/// open header) its frames belong to.
-struct SessionEntry {
-    handle: DecodeSessionHandle,
-    conn: Arc<ConnShared>,
-    opened_by: Header,
-}
-
-fn dispatch_loop(inner: &Arc<Inner>) {
-    let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-    let mut next_wire_session: u64 = 1;
-
+fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<SessionEvent>) {
+    let window = in_flight_window(&inner.options.serve);
+    let mut out = Vec::new();
     loop {
-        let (batch, controls, stopped) = {
-            let mut state = inner.state.lock().expect("gateway state poisoned");
-            loop {
-                if !state.controls.is_empty() || state.queued_total > 0 || state.stop {
-                    break;
+        let mut state = inner.lock();
+        // Park until there is something to submit, answer or stop for;
+        // `None` is the stop.
+        let room = loop {
+            let now = Instant::now();
+            let timed_out = state.expire(now, server, &mut out);
+            inner.timed_out.fetch_add(timed_out, Ordering::Relaxed);
+            let room = window.saturating_sub(state.in_flight);
+            if !out.is_empty() || (state.queued_total > 0 && room > 0) {
+                break Some(room);
+            }
+            if state.stop {
+                break None;
+            }
+            state = match state.next_expiry.map(|at| at.saturating_duration_since(now)) {
+                Some(left) => {
+                    inner.work_ready.wait_timeout(state, left).expect("gateway state poisoned").0
                 }
-                let (next, _) = inner
-                    .work_ready
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("gateway state poisoned");
-                state = next;
-            }
-            let controls = std::mem::take(&mut state.controls);
-            let batch = pop_quantum(&mut state, inner.options.tenant_quantum);
-            (batch, controls, state.stop && state.queued_total == 0)
+                None => inner.work_ready.wait(state).expect("gateway state poisoned"),
+            };
         };
-
-        for control in controls {
-            let Control::ConnClosed { conn_id } = control;
-            // The client is gone: close its sessions server-side. No
-            // frames — there is nobody to write to.
-            let orphaned: Vec<u64> = sessions
-                .iter()
-                .filter(|(_, entry)| entry.conn.id == conn_id)
-                .map(|(&wire_id, _)| wire_id)
-                .collect();
-            for wire_id in orphaned {
-                let entry = sessions.remove(&wire_id).expect("just listed");
-                let _ = inner.server.close_session(entry.handle.id());
-                wait_closed(&entry.handle, Duration::from_secs(1));
-            }
+        let Some(room) = room else {
+            // Drain: every live wire session ends with a terminal
+            // `Closed` frame on its connection, correlated to its open.
+            state.close_all_sessions(server);
+            return;
+        };
+        for pending in state.pop_quantum(inner.options.tenant_quantum, room) {
+            submit(inner, server, &mut state, pending, events, &mut out);
         }
-
-        let stopping = batch.is_empty() && stopped;
-        for pending in batch {
-            execute(inner, pending, &mut sessions, &mut next_wire_session);
+        drop(state);
+        for reply in out.drain(..) {
+            send_response(inner, &reply.conn, reply.header, &reply.response);
         }
-        if stopping {
-            break;
-        }
-    }
-
-    // Drain: every live wire session gets a terminal Closed frame on its
-    // connection, correlated to the open request.
-    for (wire_id, entry) in sessions.drain() {
-        let _ = inner.server.close_session(entry.handle.id());
-        let position = wait_closed(&entry.handle, inner.options.drain_deadline);
-        send_response(
-            inner,
-            &entry.conn,
-            entry.opened_by,
-            &Response::Closed { session: wire_id, position: position.map(|p| p as u64) },
-        );
     }
 }
 
-/// Pops up to `quantum` requests from the tenant at the head of the
-/// round, replenishing its deficit for the visit and rotating it to the
-/// back if it still has both work and no deficit left. Tenants whose
-/// queues empty leave the round (and forfeit their deficit — deficits
-/// only persist across visits while work is actually waiting).
-fn pop_quantum(state: &mut QueueState, quantum: usize) -> Vec<Pending> {
-    let mut batch = Vec::new();
-    let rounds = state.round.len();
-    for _ in 0..rounds.max(1) {
-        let Some(&tenant) = state.round.front() else { return batch };
-        let Some(queue) = state.queues.get_mut(&tenant) else {
-            state.round.pop_front();
-            state.deficits.remove(&tenant);
-            continue;
-        };
-        if queue.is_empty() {
-            state.round.pop_front();
-            state.deficits.remove(&tenant);
-            continue;
-        }
-        let deficit = state.deficits.entry(tenant).or_insert(0);
-        *deficit += quantum.max(1);
-        while *deficit > 0 {
-            let Some(pending) = queue.pop_front() else { break };
-            *deficit -= 1;
-            state.queued_total -= 1;
-            batch.push(pending);
-        }
-        if queue.is_empty() {
-            state.round.pop_front();
-            state.deficits.remove(&tenant);
-        } else {
-            // Quantum spent with work left: rotate to the back.
-            state.round.rotate_left(1);
-        }
-        return batch;
-    }
-    batch
-}
-
-fn execute(
-    inner: &Arc<Inner>,
+/// The submit half: hands one request to the server and records who is
+/// owed its reply. Runs under the state lock, so the completion of what
+/// it submits cannot be looked up before it is registered. A request the
+/// server (or the session table) refuses is answered through `out`.
+fn submit(
+    inner: &Inner,
+    server: &SaloServer,
+    state: &mut State,
     pending: Pending,
-    sessions: &mut HashMap<u64, SessionEntry>,
-    next_wire_session: &mut u64,
+    events: &Sender<SessionEvent>,
+    out: &mut Vec<Reply>,
 ) {
-    let Pending { header, request, conn, enqueued } = pending;
-    let waited = enqueued.elapsed();
-    salo_trace::record_since("gateway.tenant_queue_wait", "gateway", enqueued, header.tenant);
-    inner
-        .server
-        .metrics()
-        .histogram(&format!("gateway.tenant.{}.queue_wait_ns", header.tenant))
-        .record(waited.as_nanos().min(u128::from(u64::MAX)) as u64);
-    if waited > inner.options.service_timeout {
-        inner.timed_out.fetch_add(1, Ordering::Relaxed);
-        send_error(
-            inner,
-            &conn,
-            header,
-            ErrorCode::TimedOut,
-            "request spent its service deadline in the dispatch queue",
-            None,
-        );
-        return;
+    let Pending { header, request, conn, deadline, .. } = pending;
+    if !conn.alive.load(Ordering::Acquire) {
+        return state.release(header.tenant); // a write failed: nobody to answer
     }
-    let budget = inner.options.service_timeout - waited;
-
-    match request {
+    let unknown_session = |session: u64| {
+        let message = format!("wire session {session} is not open on this connection");
+        error(ErrorCode::UnknownSession, &message)
+    };
+    let waiter = Waiter { conn, header, deadline, slots: slots(&request), answered: false };
+    let refusal = match request {
         Request::Prefill { pattern, shape, heads } => {
-            let serve_request = match ServeRequest::new(pattern, shape, heads) {
-                Ok(r) => r,
-                Err(e) => return send_serve_error(inner, &conn, header, &e),
-            };
-            if let Err(e) = inner.server.submit_for(header.tenant, serve_request) {
-                return send_serve_error(inner, &conn, header, &e);
-            }
-            // The dispatcher is the server's only layer client, so the
-            // next ordered response answers this submission.
-            let response = match inner.server.recv() {
-                Ok(r) => r,
-                Err(e) => return send_serve_error(inner, &conn, header, &e),
-            };
-            match response.result {
-                Ok(run) => {
-                    let heads = run
-                        .heads
-                        .iter()
-                        .map(|h| PrefillHead {
-                            output: h.output.clone(),
-                            raw: raw_bits(&h.raw),
-                            weights_q16: h.weights_q16.clone(),
-                        })
-                        .collect();
-                    send_response(
-                        inner,
-                        &conn,
-                        header,
-                        &Response::PrefillDone {
-                            heads,
-                            sim_time_s: run.total_time_s,
-                            sim_energy_j: run.total_energy_j,
-                        },
-                    );
+            match server.submit_for(header.tenant, ServeRequest { pattern, shape, heads }) {
+                Ok(id) => {
+                    state.in_flight += waiter.slots;
+                    state.layers.insert(id, waiter);
+                    inner.layer_ready.notify_one();
+                    return;
                 }
-                Err(e) => send_serve_error(inner, &conn, header, &e),
+                Err(e) => serve_error(&e),
             }
         }
         Request::Open { pattern, head_dim, num_heads, prompt } => {
-            let session_request = SessionRequest { pattern, head_dim, num_heads, prompt };
-            let handle = match inner.server.open_session_for(header.tenant, session_request) {
-                Ok(h) => h,
-                Err(e) => return send_serve_error(inner, &conn, header, &e),
-            };
-            match recv_within(inner, &handle, budget) {
-                Ok(SessionEvent::Opened { result: Ok(info), .. }) => {
-                    let wire_id = *next_wire_session;
-                    *next_wire_session += 1;
-                    sessions.insert(
-                        wire_id,
-                        SessionEntry { handle, conn: Arc::clone(&conn), opened_by: header },
-                    );
-                    send_response(
-                        inner,
-                        &conn,
-                        header,
-                        &Response::Opened {
-                            session: wire_id,
-                            min_step: info.min_step as u64,
-                            position: info.position as u64,
-                            capacity: info.capacity as u64,
-                        },
-                    );
+            let request = SessionRequest { pattern, head_dim, num_heads, prompt };
+            match server.open_session_into(header.tenant, request, events.clone()) {
+                Ok(id) => {
+                    let entry = SessionEntry {
+                        conn: Arc::clone(&waiter.conn),
+                        opened_by: header,
+                        wire_id: None,
+                        closing: false,
+                        waiters: VecDeque::from([waiter]),
+                    };
+                    state.sessions.insert(id, entry);
+                    state.in_flight += 1;
+                    return;
                 }
-                Ok(SessionEvent::Opened { result: Err(e), .. }) => {
-                    send_serve_error(inner, &conn, header, &e);
-                }
-                Ok(_) => send_error(
-                    inner,
-                    &conn,
-                    header,
-                    ErrorCode::Internal,
-                    "unexpected event before the open handshake",
-                    None,
-                ),
-                Err(e) => {
-                    let _ = inner.server.close_session(handle.id());
-                    send_serve_error(inner, &conn, header, &e);
-                }
+                Err(e) => serve_error(&e),
             }
         }
-        Request::Step { session, token } => {
-            // Take the entry out for the duration of the step; it goes
-            // back unless the session terminated under us.
-            let entry = match sessions.remove(&session) {
-                Some(entry) if entry.conn.id == conn.id => entry,
-                other => {
-                    if let Some(entry) = other {
-                        sessions.insert(session, entry); // someone else's session
-                    }
-                    return send_error(
-                        inner,
-                        &conn,
-                        header,
-                        ErrorCode::UnknownSession,
-                        &format!("wire session {session} is not open on this connection"),
-                        None,
-                    );
+        Request::Step { session, token } => match state.live_session(session, &waiter.conn) {
+            Some((serve_id, entry)) => match server.step_session(serve_id, token) {
+                Ok(()) => {
+                    entry.waiters.push_back(waiter);
+                    state.in_flight += 1;
+                    return;
                 }
-            };
-            if let Err(e) = inner.server.step_session(entry.handle.id(), token) {
-                if !matches!(e, ServeError::UnknownSession { .. }) {
-                    sessions.insert(session, entry);
+                Err(e) => serve_error(&e),
+            },
+            None => unknown_session(session),
+        },
+        Request::Close { session } => match state.live_session(session, &waiter.conn) {
+            Some((serve_id, entry)) => match server.close_session(serve_id) {
+                Ok(()) => {
+                    // Answered by the session's `Closed` event.
+                    entry.closing = true;
+                    entry.waiters.push_back(waiter);
+                    state.in_flight += 1;
+                    return;
                 }
-                return send_serve_error(inner, &conn, header, &e);
-            }
-            let mut keep = true;
-            loop {
-                match recv_within(inner, &entry.handle, budget) {
-                    Ok(SessionEvent::Step { result: Ok(step), .. }) => {
-                        let heads = step.heads.iter().map(WireHeadStep::from).collect();
-                        send_response(
-                            inner,
-                            &conn,
-                            header,
-                            &Response::Stepped { session, position: step.position as u64, heads },
-                        );
-                        break;
-                    }
-                    Ok(SessionEvent::Step { result: Err(e), .. }) => {
-                        send_serve_error(inner, &conn, header, &e);
-                        break;
-                    }
-                    Ok(SessionEvent::Closed { position, .. }) => {
-                        keep = false;
-                        send_response(
-                            inner,
-                            &conn,
-                            header,
-                            &Response::Closed { session, position: position.map(|p| p as u64) },
-                        );
-                        break;
-                    }
-                    Ok(SessionEvent::Opened { .. }) => continue,
-                    Err(e) => {
-                        if matches!(e, ServeError::Closed) {
-                            keep = false;
-                        }
-                        send_serve_error(inner, &conn, header, &e);
-                        break;
-                    }
-                }
-            }
-            if keep {
-                sessions.insert(session, entry);
-            }
-        }
-        Request::Close { session } => {
-            let valid = sessions.get(&session).is_some_and(|entry| entry.conn.id == conn.id);
-            if !valid {
-                return send_error(
-                    inner,
-                    &conn,
-                    header,
-                    ErrorCode::UnknownSession,
-                    &format!("wire session {session} is not open on this connection"),
-                    None,
-                );
-            }
-            let entry = sessions.remove(&session).expect("checked above");
-            let _ = inner.server.close_session(entry.handle.id());
-            let position = wait_closed(&entry.handle, budget);
-            send_response(
-                inner,
-                &conn,
-                header,
-                &Response::Closed { session, position: position.map(|p| p as u64) },
-            );
-        }
-        Request::Stats | Request::Shutdown => {
-            // Handled inline by the reader; unreachable through the queue.
-        }
-    }
+                Err(e) => serve_error(&e),
+            },
+            None => unknown_session(session),
+        },
+        // Handled inline by the reader; unreachable through the queue.
+        Request::Stats | Request::Shutdown => return state.release(header.tenant),
+    };
+    state.release(header.tenant);
+    out.push(Reply { conn: waiter.conn, header, response: refusal });
 }
+
+// ---------------------------------------------------------------------
+// completion: route each result to the connection that is owed it
+// ---------------------------------------------------------------------
 
 /// Converts a fixed-point matrix to its raw bit patterns for the wire.
 fn raw_bits(m: &salo_kernels::Matrix<salo_fixed::Fix16x8>) -> salo_kernels::Matrix<i16> {
@@ -892,29 +1099,128 @@ fn raw_bits(m: &salo_kernels::Matrix<salo_fixed::Fix16x8>) -> salo_kernels::Matr
         .expect("same shape as the source matrix")
 }
 
-/// `recv_timeout` that counts timeouts in the gateway's report.
-fn recv_within(
-    inner: &Arc<Inner>,
-    handle: &DecodeSessionHandle,
-    budget: Duration,
-) -> Result<SessionEvent, ServeError> {
-    let result = handle.recv_timeout(budget);
-    if matches!(result, Err(ServeError::TimedOut)) {
-        inner.timed_out.fetch_add(1, Ordering::Relaxed);
+/// Blocks on the server's ordered layer responses while any layer
+/// request is in flight, and answers each by its serve request id.
+fn layer_completion_loop(inner: &Inner, server: &SaloServer) {
+    loop {
+        {
+            let mut state = inner.lock();
+            while state.layers.is_empty() && !state.stop {
+                state = inner.layer_ready.wait(state).expect("gateway state poisoned");
+            }
+            if state.layers.is_empty() {
+                return;
+            }
+        }
+        let Ok(ServeResponse { id, result, .. }) = server.recv() else { return };
+        let target = {
+            let mut state = inner.lock();
+            let waiter = state.layers.remove(&id);
+            waiter.and_then(|waiter| inner.settle(&mut state, waiter))
+        };
+        let Some((conn, header)) = target else { continue };
+        let response = match result {
+            Ok(run) => Response::PrefillDone {
+                sim_time_s: run.total_time_s,
+                sim_energy_j: run.total_energy_j,
+                heads: run
+                    .heads
+                    .into_iter()
+                    .map(|h| PrefillHead {
+                        raw: raw_bits(&h.raw),
+                        output: h.output,
+                        weights_q16: h.weights_q16,
+                    })
+                    .collect(),
+            },
+            Err(e) => serve_error(&e),
+        };
+        send_response(inner, &conn, header, &response);
     }
-    result
 }
 
-/// Drains session events until the terminal `Closed`, returning its
-/// position. Bounded: gives up (returning `None`) at the deadline.
-fn wait_closed(handle: &DecodeSessionHandle, deadline: Duration) -> Option<usize> {
-    let start = Instant::now();
-    loop {
-        let left = deadline.checked_sub(start.elapsed())?;
-        match handle.recv_timeout(left.max(Duration::from_millis(1))) {
-            Ok(SessionEvent::Closed { position, .. }) => return position,
-            Ok(_) => continue,
-            Err(_) => return None,
+/// Blocks on the one channel every gateway-opened session reports into.
+/// Events that are already waiting are routed in one pass, and their
+/// replies written together.
+fn session_completion_loop(inner: &Inner, events: &Receiver<SessionEvent>) {
+    // One window of events per pass: the dispatcher refills the window as
+    // completions free it, and the replies must not wait on that.
+    let burst = in_flight_window(&inner.options.serve);
+    let mut out = Vec::new();
+    while let Ok(first) = events.recv() {
+        let rest = std::iter::from_fn(|| events.try_recv().ok());
+        for event in std::iter::once(first).chain(rest).take(burst) {
+            on_session_event(inner, event, &mut out);
+        }
+        write_replies(inner, &mut out);
+    }
+}
+
+/// Routes one session event to the waiter at the head of its session's
+/// FIFO. Events of sessions the table no longer knows are dropped.
+fn on_session_event(inner: &Inner, event: SessionEvent, out: &mut Vec<Reply>) {
+    let mut guard = inner.lock();
+    let state = &mut *guard;
+    match event {
+        SessionEvent::Opened { session, result } => {
+            let Some(entry) = state.sessions.get_mut(&session) else { return };
+            let Some(waiter) = entry.waiters.pop_front() else { return };
+            let response = match result {
+                Ok(_) if entry.closing => {
+                    error(ErrorCode::Draining, "gateway drained before the open completed")
+                }
+                Ok(info) => {
+                    state.last_wire_session += 1;
+                    let wire_id = state.last_wire_session;
+                    entry.wire_id = Some(wire_id);
+                    state.wire_sessions.insert(wire_id, session);
+                    Response::Opened {
+                        session: wire_id,
+                        min_step: info.min_step as u64,
+                        position: info.position as u64,
+                        capacity: info.capacity as u64,
+                    }
+                }
+                Err(e) => {
+                    // The server deregistered it; no `Closed` follows.
+                    state.sessions.remove(&session);
+                    serve_error(&e)
+                }
+            };
+            if let Some((conn, header)) = inner.settle(state, waiter) {
+                out.push(Reply { conn, header, response });
+            }
+        }
+        SessionEvent::Step { session, result, .. } => {
+            let Some(entry) = state.sessions.get_mut(&session) else { return };
+            let wire_id = entry.wire_id.unwrap_or_default();
+            let Some(waiter) = entry.waiters.pop_front() else { return };
+            let Some((conn, header)) = inner.settle(state, waiter) else { return };
+            drop(guard);
+            let response = match result {
+                Ok(step) => Response::Stepped {
+                    session: wire_id,
+                    position: step.position as u64,
+                    heads: step.heads.iter().map(WireHeadStep::from).collect(),
+                },
+                Err(e) => serve_error(&e),
+            };
+            out.push(Reply { conn, header, response });
+        }
+        SessionEvent::Closed { session, position } => {
+            // Terminal, whoever asked: the client, the drain, a dead
+            // connection's reader, or a failure that retired the session.
+            // Whatever still waits on it is answered with the close.
+            let Some(entry) = state.sessions.remove(&session) else { return };
+            let wire_id = entry.wire_id.unwrap_or_default();
+            state.wire_sessions.remove(&wire_id);
+            let position = position.map(|p| p as u64);
+            for waiter in entry.waiters {
+                if let Some((conn, header)) = inner.settle(state, waiter) {
+                    let response = Response::Closed { session: wire_id, position };
+                    out.push(Reply { conn, header, response });
+                }
+            }
         }
     }
 }
@@ -923,95 +1229,56 @@ fn wait_closed(handle: &DecodeSessionHandle, deadline: Duration) -> Option<usize
 // replies
 // ---------------------------------------------------------------------
 
-fn send_response(inner: &Arc<Inner>, conn: &Arc<ConnShared>, header: Header, resp: &Response) {
-    if !conn.alive.load(Ordering::Acquire) {
-        return;
-    }
-    let started = Instant::now();
-    let frame = encode_response(header, resp);
-    let ok = {
-        let mut stream = match conn.stream.lock() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        wire::write_frame(&mut *stream, &frame).is_ok()
+/// Writes `frames` encoded frames to the connection in one `write_all`;
+/// a failed write marks the connection dead.
+fn write_frames(inner: &Inner, conn: &ConnShared, bytes: &[u8], frames: u64, started: Instant) {
+    let ok = match conn.stream.lock() {
+        Ok(mut stream) => wire::write_frame(&mut *stream, bytes).is_ok(),
+        Err(_) => return,
     };
     salo_trace::record_since("gateway.write_frame", "gateway", started, conn.id);
     if ok {
-        inner.frames_written.fetch_add(1, Ordering::Relaxed);
+        inner.frames_written.fetch_add(frames, Ordering::Relaxed);
     } else {
         conn.alive.store(false, Ordering::Release);
     }
 }
 
-fn send_error(
-    inner: &Arc<Inner>,
-    conn: &Arc<ConnShared>,
-    header: Header,
-    code: ErrorCode,
-    message: &str,
-    retry_after_ms: Option<u64>,
-) {
-    send_response(
-        inner,
-        conn,
-        header,
-        &Response::Error(ErrorFrame { code, message: message.to_owned(), retry_after_ms }),
-    );
+fn send_response(inner: &Inner, conn: &ConnShared, header: Header, response: &Response) {
+    if !conn.alive.load(Ordering::Acquire) {
+        return;
+    }
+    let started = Instant::now();
+    write_frames(inner, conn, &encode_response(header, response), 1, started);
 }
 
-fn send_serve_error(inner: &Arc<Inner>, conn: &Arc<ConnShared>, header: Header, e: &ServeError) {
-    let code = match e {
-        ServeError::InvalidRequest { .. } => ErrorCode::Invalid,
-        ServeError::UnknownSession { .. } => ErrorCode::UnknownSession,
-        ServeError::Draining => ErrorCode::Draining,
-        ServeError::TimedOut => ErrorCode::TimedOut,
-        _ => ErrorCode::Internal,
-    };
-    send_error(inner, conn, header, code, &e.to_string(), None);
+/// Writes the replies in order, gathering each run of consecutive replies
+/// to one connection (up to [`WRITE_GATHER`] bytes) into a single write.
+fn write_replies(inner: &Inner, out: &mut Vec<Reply>) {
+    let mut replies = out.drain(..).peekable();
+    while let Some(first) = replies.next() {
+        let conn = first.conn;
+        if !conn.alive.load(Ordering::Acquire) {
+            continue;
+        }
+        let started = Instant::now();
+        let mut bytes = encode_response(first.header, &first.response);
+        let mut frames = 1;
+        while bytes.len() < WRITE_GATHER {
+            let Some(next) = replies.next_if(|next| next.conn.id == conn.id) else { break };
+            bytes.extend_from_slice(&encode_response(next.header, &next.response));
+            frames += 1;
+        }
+        write_frames(inner, &conn, &bytes, frames, started);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn drr_interleaves_tenants_and_carries_deficit() {
-        let conn = Arc::new(ConnShared {
-            id: 1,
-            stream: Mutex::new(TcpStream::connect(any_listener()).expect("loopback")),
-            alive: AtomicBool::new(true),
-        });
-        let mut state = QueueState::default();
-        // Tenant 1 floods 6 requests; tenant 2 queues 2.
-        for (tenant, n) in [(1u64, 6usize), (2, 2)] {
-            for i in 0..n {
-                let queue = state.queues.entry(tenant).or_default();
-                if queue.is_empty() && !state.round.contains(&tenant) {
-                    state.round.push_back(tenant);
-                }
-                queue.push_back(Pending {
-                    header: Header { tenant, request_id: i as u64 },
-                    request: Request::Stats,
-                    conn: Arc::clone(&conn),
-                    enqueued: Instant::now(),
-                });
-                state.queued_total += 1;
-            }
-        }
-        let mut order = Vec::new();
-        while state.queued_total > 0 {
-            for p in pop_quantum(&mut state, 2) {
-                order.push(p.header.tenant);
-            }
-        }
-        // Visits alternate a quantum at a time until tenant 2 drains:
-        // 1,1 then 2,2 then the rest of tenant 1's backlog.
-        assert_eq!(order, vec![1, 1, 2, 2, 1, 1, 1, 1]);
-    }
-
     fn any_listener() -> SocketAddr {
-        // A throwaway loopback listener so the test can build a
+        // A throwaway loopback listener so the tests can build a
         // TcpStream without a live gateway.
         static LISTENER: std::sync::OnceLock<(TcpListener, SocketAddr)> =
             std::sync::OnceLock::new();
@@ -1021,5 +1288,291 @@ mod tests {
             (l, addr)
         });
         *addr
+    }
+
+    fn test_conn() -> Arc<ConnShared> {
+        conn_with_id(1)
+    }
+
+    fn conn_with_id(id: u64) -> Arc<ConnShared> {
+        Arc::new(ConnShared {
+            id,
+            stream: Mutex::new(TcpStream::connect(any_listener()).expect("loopback")),
+            alive: AtomicBool::new(true),
+        })
+    }
+
+    const TIMEOUT: Duration = Duration::from_secs(30);
+
+    fn pending(conn: &Arc<ConnShared>, header: Header, request: Request) -> Pending {
+        let enqueued = Instant::now();
+        let deadline = enqueued + TIMEOUT;
+        Pending { header, request, conn: Arc::clone(conn), enqueued, deadline }
+    }
+
+    fn admit(
+        state: &mut State,
+        options: &GatewayOptions,
+        conn: &Arc<ConnShared>,
+        header: Header,
+    ) -> Result<(), usize> {
+        let pending = pending(conn, header, Request::Stats);
+        state.admit(pending, options, || Arc::new(LogHistogram::new()))
+    }
+
+    /// What `submit` does to the table for a layer request.
+    fn put_in_flight(state: &mut State, serve_id: u64, pending: Pending) {
+        let Pending { conn, header, request, deadline, .. } = pending;
+        let waiter = Waiter { conn, header, deadline, slots: slots(&request), answered: false };
+        state.in_flight += waiter.slots;
+        state.layers.insert(serve_id, waiter);
+    }
+
+    #[test]
+    fn drr_interleaves_tenants_and_the_window_keeps_a_cut_visit_in_place() {
+        let conn = test_conn();
+        let options = GatewayOptions::default();
+        let mut state = State::default();
+        // Tenant 1 floods 6 requests; tenant 2 queues 2.
+        for (tenant, n) in [(1u64, 6u64), (2, 2)] {
+            for request_id in 0..n {
+                admit(&mut state, &options, &conn, Header { tenant, request_id })
+                    .expect("admitted");
+            }
+        }
+        let mut order = Vec::new();
+        // One slot of room: tenant 1's first visit is cut after one
+        // request and resumes with the rest of its quantum, not a new one.
+        order.extend(state.pop_quantum(2, 1).iter().map(|p| p.header.tenant));
+        assert_eq!(state.tenants[&1].deficit, 1);
+        while state.queued_total > 0 {
+            order.extend(state.pop_quantum(2, usize::MAX).iter().map(|p| p.header.tenant));
+        }
+        // Visits alternate a quantum at a time until tenant 2 drains:
+        // 1,1 then 2,2 then the rest of tenant 1's backlog.
+        assert_eq!(order, vec![1, 1, 2, 2, 1, 1, 1, 1]);
+        assert!(state.round.is_empty());
+        assert_eq!(state.outstanding_total, 8, "popping is not answering");
+    }
+
+    /// A flood of layer requests fills the window with one round of them
+    /// (`workers × max_batch`), not `WINDOW_ROUNDS`: a tenant arriving
+    /// behind it waits for those and the flooder's unspent deficit, then
+    /// takes its turn. Session-sized requests fill all the slots.
+    #[test]
+    fn layer_requests_hold_a_round_of_the_window_each() {
+        let conn = test_conn();
+        let options = GatewayOptions::default();
+        let serve = ServeOptions { workers: 1, max_batch: 2, ..Default::default() };
+        let window = in_flight_window(&serve);
+        let layer = || Request::Prefill {
+            pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
+            shape: salo_patterns::AttentionShape::new(8, 4, 1).expect("shape"),
+            heads: Vec::new(),
+        };
+        let mut state = State::default();
+        let mut serve_id = 0;
+        // What the dispatcher does with the room the window leaves.
+        let mut dispatch = |state: &mut State| {
+            let room = window.saturating_sub(state.in_flight);
+            let batch = state.pop_quantum(4, room);
+            let tenants: Vec<u64> = batch.iter().map(|p| p.header.tenant).collect();
+            for pending in batch {
+                serve_id += 1;
+                put_in_flight(state, serve_id, pending);
+            }
+            tenants
+        };
+        for request_id in 0..6 {
+            let pending = pending(&conn, Header { tenant: 1, request_id }, layer());
+            state.admit(pending, &options, || Arc::new(LogHistogram::new())).expect("admitted");
+        }
+        assert_eq!(dispatch(&mut state), vec![1, 1]);
+        assert_eq!((state.layers.len(), state.in_flight), (2, window), "one round of layers");
+        assert!(dispatch(&mut state).is_empty(), "the window is full");
+
+        admit(&mut state, &options, &conn, Header { tenant: 2, request_id: 0 }).expect("late");
+        let mut ahead = 0;
+        let late = loop {
+            let oldest = *state.layers.keys().min().expect("a layer in flight");
+            let waiter = state.layers.remove(&oldest).expect("in flight");
+            state.settle(waiter);
+            match dispatch(&mut state).as_slice() {
+                [1] => ahead += 1,
+                other => break other.to_vec(),
+            }
+        };
+        assert_eq!((ahead, late), (2, vec![2]), "the rest of tenant 1's quantum, then tenant 2");
+
+        // One-slot requests: the window takes `WINDOW_ROUNDS` rounds of them.
+        let mut state = State::default();
+        for request_id in 0..2 * window as u64 {
+            admit(&mut state, &options, &conn, Header { tenant: 1, request_id }).expect("admitted");
+        }
+        while !dispatch(&mut state).is_empty() {}
+        assert_eq!((state.layers.len(), state.in_flight), (window, window));
+    }
+
+    /// Quota `q` bounds what is outstanding, not what is queued: with `q`
+    /// requests in flight (and every queue empty) the next is refused,
+    /// and one reply makes room for exactly one more.
+    #[test]
+    fn admission_counts_in_flight_requests_and_releases_on_reply() {
+        let conn = test_conn();
+        let options = GatewayOptions { tenant_quota: 3, ..Default::default() };
+        let mut state = State::default();
+        let header = |request_id| Header { tenant: 7, request_id };
+        for request_id in 0..3 {
+            admit(&mut state, &options, &conn, header(request_id)).expect("under quota");
+        }
+        for (serve_id, pending) in state.pop_quantum(8, usize::MAX).into_iter().enumerate() {
+            put_in_flight(&mut state, serve_id as u64, pending);
+        }
+        assert_eq!((state.queued_total, state.in_flight), (0, 3));
+        assert_eq!(admit(&mut state, &options, &conn, header(3)), Err(3), "q in flight");
+        // Another tenant is not affected by tenant 7's quota.
+        admit(&mut state, &options, &conn, Header { tenant: 8, request_id: 0 }).expect("other");
+
+        let waiter = state.layers.remove(&0).expect("in flight");
+        let (_, answered) = state.settle(waiter).expect("owed a reply");
+        assert_eq!(answered, header(0));
+        assert_eq!((state.in_flight, state.tenants[&7].outstanding), (2, 2));
+        admit(&mut state, &options, &conn, header(3)).expect("one reply, one slot");
+        assert_eq!(admit(&mut state, &options, &conn, header(4)), Err(4), "and only one");
+    }
+
+    /// A deadline answers a request once: a queued one leaves its queue,
+    /// one in flight keeps its window slot until the completion arrives,
+    /// and that completion is dropped. Afterwards every counter is back
+    /// where it started.
+    #[test]
+    fn expired_requests_are_answered_once_and_leave_the_tables_clean() {
+        let conn = test_conn();
+        let options = GatewayOptions::default();
+        let server = SaloServer::start(
+            AcceleratorConfig::default(),
+            ServeOptions { workers: 1, ..Default::default() },
+        );
+        let mut state = State::default();
+        for request_id in 0..2 {
+            admit(&mut state, &options, &conn, Header { tenant: 1, request_id }).expect("admitted");
+        }
+        let first = state.pop_quantum(1, usize::MAX).pop().expect("one popped");
+        put_in_flight(&mut state, 40, first);
+
+        let mut out = Vec::new();
+        assert_eq!(state.expire(Instant::now(), &server, &mut out), 0, "nothing is due yet");
+        assert!(state.next_expiry.is_some());
+        let late = Instant::now() + TIMEOUT + Duration::from_secs(1);
+        assert_eq!(state.expire(late, &server, &mut out), 2);
+        let answered: Vec<u64> = out.iter().map(|reply| reply.header.request_id).collect();
+        assert_eq!(answered, vec![1, 0], "the queued request, then the one in flight");
+        for reply in &out {
+            assert!(
+                matches!(&reply.response, Response::Error(frame) if frame.code == ErrorCode::TimedOut)
+            );
+        }
+        assert_eq!((state.queued_total, state.outstanding_total, state.in_flight), (0, 0, 1));
+        assert_eq!(state.next_expiry, None);
+        assert_eq!(state.expire(late, &server, &mut out), 0, "answered once");
+
+        // The late completion frees the window slot and answers nobody.
+        let waiter = state.layers.remove(&40).expect("still paired with its completion");
+        assert!(state.settle(waiter).is_none());
+        assert_eq!((state.in_flight, state.tenants[&1].outstanding), (0, 0));
+        let _ = server.shutdown();
+    }
+    /// Drives the submit and completion halves against a real server,
+    /// without sockets: a refused request, a failed step, a dead
+    /// connection and an orphaned session each cost exactly their own
+    /// reply and leave every table and counter as they found it.
+    #[test]
+    fn faults_fail_one_request_and_leave_the_tables_clean() {
+        let inner = Inner::new(GatewayOptions::default());
+        let server = SaloServer::start(
+            AcceleratorConfig::default(),
+            ServeOptions { workers: 1, ..Default::default() },
+        );
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        let conn = test_conn();
+        let mut out = Vec::new();
+        let mut request_id = 0;
+        // Admits `request` and runs the submit half on it.
+        let mut submit_one = |request: Request, conn: &Arc<ConnShared>, out: &mut Vec<Reply>| {
+            request_id += 1;
+            let mut state = inner.lock();
+            let pending = pending(conn, Header { tenant: 3, request_id }, request);
+            state
+                .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
+                .expect("admitted");
+            let pending = state.pop_quantum(1, 1).pop().expect("queued");
+            submit(&inner, &server, &mut state, pending, &events_tx, out);
+        };
+        // (queued, outstanding, in flight, layers, sessions, wire ids)
+        let tables = || {
+            let s = inner.lock();
+            let sizes = (s.layers.len(), s.sessions.len(), s.wire_sessions.len());
+            (s.queued_total, s.outstanding_total, s.in_flight, sizes)
+        };
+        let code_of = |reply: &Reply| match &reply.response {
+            Response::Error(frame) => Some(frame.code),
+            _ => None,
+        };
+        let (open, tokens) = salo_serve::GenerationTraffic::demo_mix().session_bounded(1, 2);
+        let open = |num_heads| Request::Open {
+            pattern: open.pattern.clone(),
+            head_dim: open.head_dim,
+            num_heads,
+            prompt: open.prompt.clone(),
+        };
+
+        // Refused by the session table, then by the server's validation.
+        submit_one(Request::Step { session: 99, token: tokens[0].clone() }, &conn, &mut out);
+        assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
+        submit_one(open(2), &conn, &mut out);
+        assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
+        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
+
+        // A good open is in flight until its event arrives.
+        submit_one(open(1), &conn, &mut out);
+        assert_eq!(tables(), (0, 1, 1, (0, 1, 0)));
+        on_session_event(&inner, events_rx.recv().expect("opened"), &mut out);
+        assert!(matches!(out.last().expect("reply").response, Response::Opened { session: 1, .. }));
+        let opened = (0, 0, 0, (0, 1, 1));
+        assert_eq!((out.len(), tables()), (3, opened));
+
+        // A step the engine refuses (no heads) fails alone.
+        submit_one(Request::Step { session: 1, token: Vec::new() }, &conn, &mut out);
+        assert_eq!(tables(), (0, 1, 1, (0, 1, 1)));
+        on_session_event(&inner, events_rx.recv().expect("step failed"), &mut out);
+        assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
+        assert_eq!((out.len(), tables()), (4, opened));
+        submit_one(Request::Step { session: 1, token: tokens[0].clone() }, &conn, &mut out);
+        on_session_event(&inner, events_rx.recv().expect("stepped"), &mut out);
+        assert!(matches!(
+            out.last().expect("reply").response,
+            Response::Stepped { session: 1, .. }
+        ));
+        assert_eq!((out.len(), tables()), (5, opened));
+
+        // A dead connection's queued request is dropped, not submitted;
+        // another connection cannot reach the session.
+        let dead = conn_with_id(2);
+        dead.alive.store(false, Ordering::Release);
+        submit_one(Request::Step { session: 1, token: tokens[1].clone() }, &dead, &mut out);
+        assert_eq!((out.len(), tables()), (5, opened));
+        let stranger = conn_with_id(3);
+        submit_one(Request::Close { session: 1 }, &stranger, &mut out);
+        assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
+        assert_eq!((out.len(), tables()), (6, opened));
+
+        // The owner dies: its session is closed without anyone waiting,
+        // and the `Closed` event is dropped.
+        inner.lock().close_sessions_of(&conn, &server);
+        on_session_event(&inner, events_rx.recv().expect("closed"), &mut out);
+        assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0, 0))));
+        assert_eq!(server.active_sessions(), 0);
+        let report = server.shutdown();
+        assert_eq!((report.decode_sessions, report.decode_steps), (1, 2));
     }
 }

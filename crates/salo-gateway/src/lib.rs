@@ -17,16 +17,27 @@
 //!   panics — under proptest-driven malformed-input tests.
 //! * **[`Gateway`]** — accepts connections, decodes frames, and maps
 //!   them onto a [`SaloServer`](salo_serve::SaloServer) it owns.
-//!   Admission control bounds each tenant's queue
-//!   ([`GatewayOptions::tenant_quota`]) and the global backlog;
+//!   Admission control bounds what each tenant has *outstanding* —
+//!   queued or in flight, released when the reply is decided
+//!   ([`GatewayOptions::tenant_quota`]) — and the gateway-wide total;
 //!   rejected work gets a typed `Overloaded` frame with a
-//!   `retry_after_ms` hint instead of silent queue growth. A
-//!   deficit-round-robin dispatcher serves tenants fairly: a flooding
-//!   tenant is rejected at its own quota while a well-behaved one's
-//!   queue wait stays bounded. [`Gateway::shutdown`] drains gracefully —
-//!   stop accepting, reject new work as `Draining`, finish what's
-//!   queued, close every live decode session with a terminal `Closed`
-//!   frame — under a bounded deadline.
+//!   `retry_after_ms` hint instead of silent queue growth. Dispatch is
+//!   pipelined: a *submit half* pops the tenant queues in deficit round
+//!   robin and hands requests to the server without waiting, a
+//!   *completion half* routes each result to its connection by serve
+//!   request id / session id, in step order per session. The gateway's
+//!   queues are the single owner of admission and fairness: at most a
+//!   window of slots (`4 × workers × max_batch`, derived from the serve
+//!   options; a session request holds one, a prefill four) is in flight,
+//!   so the server's ingress is a staging hop, a flooding tenant is
+//!   rejected at its own quota, and a well-behaved one waits for at most
+//!   a window of foreign work.
+//!   [`GatewayOptions::service_timeout`] answers a request that
+//!   outlives it — queued or in flight — with one typed `TimedOut`
+//!   frame. [`Gateway::shutdown`] drains gracefully — stop accepting,
+//!   reject new work as `Draining`, finish what's admitted, close every
+//!   live decode session with a terminal `Closed` frame — under a
+//!   bounded deadline.
 //! * **[`GatewayClient`]** — a blocking, pipelining client used by the
 //!   integration tests and the `gateway_bench` closed-loop driver.
 //!

@@ -31,10 +31,6 @@ pub enum ServeError {
     /// it refuses new submissions, opens and steps while in-flight work
     /// finishes. Closes are still accepted.
     Draining,
-    /// A blocking wait on a session event ran past its deadline
-    /// ([`DecodeSessionHandle::recv_timeout`](crate::DecodeSessionHandle::recv_timeout)).
-    /// The session itself may still be live; only the wait gave up.
-    TimedOut,
 }
 
 impl fmt::Display for ServeError {
@@ -48,7 +44,6 @@ impl fmt::Display for ServeError {
                 write!(f, "unknown decode session {session}")
             }
             ServeError::Draining => write!(f, "server is draining"),
-            ServeError::TimedOut => write!(f, "timed out waiting for a session event"),
         }
     }
 }
@@ -120,6 +115,5 @@ mod tests {
         assert_eq!(ServeError::Closed.to_string(), "server is shut down");
         assert_eq!(ServeError::WorkerLost.to_string(), "worker thread is gone");
         assert_eq!(ServeError::Draining.to_string(), "server is draining");
-        assert!(ServeError::TimedOut.to_string().contains("timed out"));
     }
 }

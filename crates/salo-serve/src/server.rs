@@ -27,7 +27,7 @@
 //! return on per-session channels (a generation is ordered by
 //! construction).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use salo_core::{AttentionRequest, PatternHandle, Salo};
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::AcceleratorConfig;
-use salo_trace::MetricsRegistry;
+use salo_trace::{Counter, MetricsRegistry};
 
 use crate::batch::{Batcher, InFlight};
 use crate::metrics::{DepthGauge, LatencyRecorder, ServeReport, TenantCounters};
@@ -166,6 +166,9 @@ pub struct SaloServer {
     batched_requests: Arc<AtomicU64>,
     summary: Arc<Mutex<Option<CollectorSummary>>>,
     metrics: Arc<MetricsRegistry>,
+    /// Each tenant's `serve.tenant.{id}.requests` counter, resolved by
+    /// name on the tenant's first request and by id afterwards.
+    tenant_requests: Mutex<HashMap<u64, Arc<Counter>>>,
     threads: Vec<JoinHandle<()>>,
     workers: usize,
     /// One-way flag set by [`drain`](Self::drain): new submissions, opens
@@ -274,6 +277,7 @@ impl SaloServer {
             batched_requests,
             summary,
             metrics,
+            tenant_requests: Mutex::new(HashMap::new()),
             threads,
             workers,
             draining: AtomicBool::new(false),
@@ -329,7 +333,7 @@ impl SaloServer {
         let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
-        self.metrics.counter(&format!("serve.tenant.{tenant}.requests")).inc();
+        self.count_tenant_request(tenant);
         self.depth.enter();
         let submission = Submission {
             id,
@@ -383,6 +387,26 @@ impl SaloServer {
         tenant: u64,
         request: SessionRequest,
     ) -> Result<DecodeSessionHandle, ServeError> {
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        let id = self.open_session_into(tenant, request, events_tx)?;
+        Ok(DecodeSessionHandle { id, events: events_rx })
+    }
+
+    /// [`open_session_for`](Self::open_session_for) reporting into a
+    /// channel the caller supplies; returns the session id. A front end
+    /// multiplexing many sessions hands every open a clone of one sender
+    /// and reads all their events — each carries its session id — from
+    /// the single receiver, instead of blocking on a handle per session.
+    ///
+    /// # Errors
+    ///
+    /// As [`open_session_for`](Self::open_session_for).
+    pub fn open_session_into(
+        &self,
+        tenant: u64,
+        request: SessionRequest,
+        events: Sender<SessionEvent>,
+    ) -> Result<u64, ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
@@ -390,26 +414,30 @@ impl SaloServer {
         let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
-        self.metrics.counter(&format!("serve.tenant.{tenant}.requests")).inc();
-        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        self.count_tenant_request(tenant);
         self.depth.enter();
         // Register before submitting: an asynchronous open failure
         // deregisters the id, and that removal must not race ahead of
         // the insert (a late insert would leak the dead session).
-        self.sessions.insert(session, tenant);
-        let submission = OpenSubmission {
-            session,
-            request,
-            causal,
-            submitted: Instant::now(),
-            events: events_tx,
-        };
+        let decode_steps = self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps"));
+        self.sessions.insert(session, decode_steps);
+        let submission =
+            OpenSubmission { session, request, causal, submitted: Instant::now(), events };
         if ingress.send(Ingress::Open(submission)).is_err() {
             self.sessions.remove(session);
             self.depth.exit();
             return Err(ServeError::Closed);
         }
-        Ok(DecodeSessionHandle { id: session, events: events_rx })
+        Ok(session)
+    }
+
+    /// Counts one accepted request toward `serve.tenant.{tenant}.requests`.
+    fn count_tenant_request(&self, tenant: u64) {
+        let mut tenants = self.tenant_requests.lock().expect("tenant counters poisoned");
+        tenants
+            .entry(tenant)
+            .or_insert_with(|| self.metrics.counter(&format!("serve.tenant.{tenant}.requests")))
+            .inc();
     }
 
     /// Submits one decode step: `token` carries the new position's
@@ -427,12 +455,11 @@ impl SaloServer {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
-        let Some(tenant) = self.sessions.tenant_of(session) else {
-            return Err(ServeError::UnknownSession { session });
-        };
         let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
+        if !self.sessions.count_step(session) {
+            return Err(ServeError::UnknownSession { session });
+        }
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
-        self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps")).inc();
         self.depth.enter();
         let submission = StepSubmission { session, token, submitted: Instant::now() };
         if ingress.send(Ingress::Step(submission)).is_err() {

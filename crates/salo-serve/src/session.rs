@@ -16,13 +16,13 @@
 //! stall the ordered collector.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 use salo_core::HeadStep;
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
+use salo_trace::Counter;
 
 use crate::ServeError;
 
@@ -203,24 +203,6 @@ impl DecodeSessionHandle {
         self.events.recv().map_err(|_| ServeError::Closed)
     }
 
-    /// Bounded [`recv`](Self::recv): blocks at most `timeout` for the next
-    /// session event. The deadline-enforcement primitive of callers that
-    /// must not hang on a session — the gateway's per-request service
-    /// timeout is built on it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::TimedOut`] if no event arrived within
-    /// `timeout` (the session may still be live), or
-    /// [`ServeError::Closed`] once the runtime has shut down and every
-    /// event has been delivered.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<SessionEvent, ServeError> {
-        self.events.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ServeError::TimedOut,
-            RecvTimeoutError::Disconnected => ServeError::Closed,
-        })
-    }
-
     /// Blocks until the open handshake completes, returning the session
     /// parameters.
     ///
@@ -267,10 +249,11 @@ impl DecodeSessionHandle {
 /// were accepted just before the session died.
 #[derive(Debug, Default)]
 pub(crate) struct SessionRegistry {
-    /// Live sessions, each tagged with the tenant that opened it (the
-    /// per-tenant decode-step counters look the tenant up here on the
-    /// step path).
-    live: Mutex<HashMap<u64, u64>>,
+    /// Live sessions, each with the `serve.tenant.{id}.decode_steps`
+    /// counter of the tenant that opened it: resolved by name once at
+    /// open, so the step path pays one lookup for liveness and
+    /// accounting together.
+    live: Mutex<HashMap<u64, Arc<Counter>>>,
     /// Sessions retired worker-side (poisoning step, failed open) whose
     /// dispatcher route still needs reaping. The worker cannot reach the
     /// dispatcher's table directly, so it queues the id here and the
@@ -285,8 +268,8 @@ impl SessionRegistry {
         Self::default()
     }
 
-    pub fn insert(&self, session: u64, tenant: u64) {
-        self.live.lock().expect("session registry poisoned").insert(session, tenant);
+    pub fn insert(&self, session: u64, decode_steps: Arc<Counter>) {
+        self.live.lock().expect("session registry poisoned").insert(session, decode_steps);
     }
 
     /// Removes the session; `false` if it was not live.
@@ -306,11 +289,13 @@ impl SessionRegistry {
         std::mem::take(&mut *self.retired.lock().expect("session registry poisoned"))
     }
 
-    /// The tenant that opened the session, if it is live. This is also
-    /// the liveness check of the step path: one lookup yields both
-    /// membership and the tenant to account the step to.
-    pub fn tenant_of(&self, session: u64) -> Option<u64> {
-        self.live.lock().expect("session registry poisoned").get(&session).copied()
+    /// The liveness check of the step path: counts one step toward the
+    /// opening tenant if the session is live, reports `false` otherwise.
+    pub fn count_step(&self, session: u64) -> bool {
+        let live = self.live.lock().expect("session registry poisoned");
+        let Some(decode_steps) = live.get(&session) else { return false };
+        decode_steps.inc();
+        true
     }
 
     /// Snapshot of the live session ids — what a drain walks to close

@@ -129,61 +129,72 @@ impl DecodePlan {
         let globals: Vec<u32> = plan.globals().iter().map(|&g| g as u32).collect();
         let min_step = plan.globals().iter().max().map_or(0, |&g| g + 1);
 
-        // Bucket the lowered ops by destination, preserving prefill order
-        // within each destination — the order the prefill's weighted-sum
-        // module merges that row's parts in.
-        let mut step_buckets: Vec<Vec<LoweredOp>> = vec![Vec::new(); n];
-        let mut global_buckets: Vec<Vec<LoweredOp>> = vec![Vec::new(); globals.len()];
+        // Order the lowered ops by destination — the step rows in sequence
+        // order, then the global rows — preserving prefill order within
+        // each destination: the order the prefill's weighted-sum module
+        // merges that row's parts in. A counting sort: `slots[r]..slots[r
+        // + 1]` are the final op indices of destination rank `r`, and
+        // `order` lists the lowered ops in that final order. (One bucket
+        // `Vec` per row would leave `n` freed fragments in the lowering
+        // thread's heap for the life of the process.)
+        let rank = |op: &LoweredOp| match globals.binary_search(&op.dest) {
+            Ok(gi) => n + gi,
+            Err(_) => op.dest as usize,
+        };
+        let mut slots = vec![0u32; n + globals.len() + 1];
         for op in lowered.ops() {
             let dest = op.dest as usize;
-            match globals.binary_search(&op.dest) {
-                Ok(gi) => global_buckets[gi].push(*op),
-                Err(_) => {
-                    if op.kind == LoweredOpKind::Row {
-                        // Window ops must be causal; global-column cells
-                        // (SingleKey) are gated by `min_step` instead.
-                        if let Some(&k) = lowered.op_keys(op).iter().max() {
-                            if k as usize > dest {
-                                return Err(SimError::AnticausalPlan { dest, key: k as usize });
-                            }
-                        }
+            if op.kind == LoweredOpKind::Row && rank(op) < n {
+                // Window ops must be causal; global-column cells
+                // (SingleKey) are gated by `min_step` instead.
+                if let Some(&k) = lowered.op_keys(op).iter().max() {
+                    if k as usize > dest {
+                        return Err(SimError::AnticausalPlan { dest, key: k as usize });
                     }
-                    step_buckets[dest].push(*op);
                 }
             }
+            slots[rank(op) + 1] += 1;
+        }
+        for r in 1..slots.len() {
+            slots[r] += slots[r - 1];
+        }
+        let mut order = vec![0u32; lowered.ops().len()];
+        let mut next = slots.clone();
+        for (index, op) in lowered.ops().iter().enumerate() {
+            let slot = &mut next[rank(op)];
+            order[*slot as usize] = index as u32;
+            *slot += 1;
         }
 
         // Flatten into one op list with a compact key arena.
-        let mut ops = Vec::with_capacity(lowered.ops().len());
         let mut keys = Vec::with_capacity(lowered.keys().len());
-        let push_ops = |bucket: &[LoweredOp], keys: &mut Vec<u32>, ops: &mut Vec<LoweredOp>| {
-            let start = ops.len() as u32;
-            for op in bucket {
+        let ops: Vec<LoweredOp> = order
+            .iter()
+            .map(|&index| {
+                let op = &lowered.ops()[index as usize];
                 let key_start = keys.len() as u32;
                 keys.extend_from_slice(lowered.op_keys(op));
-                ops.push(LoweredOp { key_start, ..*op });
-            }
-            (start, ops.len() as u32)
-        };
-        let mut step_ranges = Vec::with_capacity(n);
-        for bucket in &step_buckets {
-            step_ranges.push(push_ops(bucket, &mut keys, &mut ops));
-        }
-        let mut global_rows = Vec::with_capacity(globals.len());
-        for (gi, bucket) in global_buckets.iter().enumerate() {
-            let (start, end) = push_ops(bucket, &mut keys, &mut ops);
-            let max_keys = bucket
-                .iter()
-                .map(|op| lowered.op_keys(op).iter().copied().max().unwrap_or(0))
-                .collect();
-            global_rows.push(GlobalRowProgram {
-                token: globals[gi],
-                start,
-                end,
-                max_keys,
+                LoweredOp { key_start, ..*op }
+            })
+            .collect();
+        let step_ranges: Vec<(u32, u32)> = slots[..=n].windows(2).map(|w| (w[0], w[1])).collect();
+        let mut global_rows: Vec<GlobalRowProgram> = globals
+            .iter()
+            .zip(slots[n..].windows(2))
+            .map(|(&token, w)| GlobalRowProgram {
+                token,
+                start: w[0],
+                end: w[1],
+                max_keys: ops[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|op| {
+                        let range = op.key_start as usize..(op.key_start + op.key_len) as usize;
+                        keys[range].iter().copied().max().unwrap_or(0)
+                    })
+                    .collect(),
                 pending_suffix_min: Vec::new(),
-            });
-        }
+            })
+            .collect();
 
         // Precompute the reclamation horizon: suffix minima over the
         // smallest *non-global* key each step (and each pending
@@ -339,8 +350,15 @@ impl DecodePlan {
 /// while live and by the [`KvPagePool`]'s freelist while free; their
 /// buffers keep their capacity across recycling, so steady-state
 /// allocation traffic is zero.
+///
+/// The page is a one-pointer handle to its buffers: a page-table entry
+/// (`Option<KvPage>`) is eight bytes, reclaimed or not, so a long
+/// session's table stays small next to the pages it points at.
 #[derive(Debug, Clone, Default)]
-pub struct KvPage {
+pub struct KvPage(Box<KvRows>);
+
+#[derive(Debug, Clone, Default)]
+struct KvRows {
     k: Vec<Fix8x4>,
     v: Vec<Fix8x4>,
 }
@@ -446,10 +464,10 @@ impl KvPagePool {
         }
         let mut page = self.free.pop().unwrap_or_default();
         let cells = self.page_rows * d;
-        page.k.clear();
-        page.k.resize(cells, Fix8x4::ZERO);
-        page.v.clear();
-        page.v.resize(cells, Fix8x4::ZERO);
+        page.0.k.clear();
+        page.0.k.resize(cells, Fix8x4::ZERO);
+        page.0.v.clear();
+        page.0.v.resize(cells, Fix8x4::ZERO);
         self.in_use += 1;
         self.high_water = self.high_water.max(self.in_use);
         Ok(page)
@@ -495,13 +513,13 @@ impl KvSource for PagedKv<'_> {
     #[inline]
     fn k_row(&self, j: usize, d: usize) -> &[Fix8x4] {
         let (page, slot) = self.page(j);
-        &page.k[slot * d..(slot + 1) * d]
+        &page.0.k[slot * d..(slot + 1) * d]
     }
 
     #[inline]
     fn v_row(&self, j: usize, d: usize) -> &[Fix8x4] {
         let (page, slot) = self.page(j);
-        &page.v[slot * d..(slot + 1) * d]
+        &page.0.v[slot * d..(slot + 1) * d]
     }
 }
 
@@ -883,10 +901,10 @@ impl SpatialAccelerator {
         state.q_step.extend(q_t.iter().map(|&x| Fix8x4::from_f32(x * scale)));
         let slot = t % state.page_rows;
         let page = state.pages[t / state.page_rows].as_mut().expect("append page is resident");
-        for (dst, &x) in page.k[slot * d..(slot + 1) * d].iter_mut().zip(k_t) {
+        for (dst, &x) in page.0.k[slot * d..(slot + 1) * d].iter_mut().zip(k_t) {
             *dst = Fix8x4::from_f32(x);
         }
-        for (dst, &x) in page.v[slot * d..(slot + 1) * d].iter_mut().zip(v_t) {
+        for (dst, &x) in page.0.v[slot * d..(slot + 1) * d].iter_mut().zip(v_t) {
             *dst = Fix8x4::from_f32(x);
         }
         if let Ok(gi) = plan.globals.binary_search(&(t as u32)) {

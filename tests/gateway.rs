@@ -2,8 +2,12 @@
 //! decode sessions are bit-identical to the in-process core session,
 //! admission control rejects a flooding tenant while a well-behaved one
 //! is served with bounded queue wait, malformed frames get typed error
-//! replies without killing well-framed neighbours, and a graceful drain
-//! closes live sessions with terminal `Closed` frames.
+//! replies without killing well-framed neighbours, a graceful drain
+//! closes live sessions with terminal `Closed` frames (one session, and
+//! forty-eight over three connections), pipelined sessions
+//! fuse behind the socket and stay bit-identical, a dying connection's
+//! sessions are closed without stalling anyone, and the service deadline
+//! answers a request exactly once.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -261,4 +265,241 @@ fn drain_closes_live_sessions_with_terminal_closed_frames() {
         }
     }
     assert!(saw_terminal_close, "no terminal Closed frame for the live session");
+}
+
+/// The drain with much to close: three connections holding sixteen
+/// sessions each, every session with a step admitted just before the
+/// drain begins. The terminal `Closed` frames come from the completion
+/// path after the readers have been shut and joined, so every one of
+/// them — and every step reply before it — must still reach its
+/// connection.
+#[test]
+fn drain_with_many_live_sessions_delivers_every_reply_and_terminal_closed_frame() {
+    const CONNECTIONS: u64 = 3;
+    const SESSIONS: u64 = 16;
+    let gateway = unit_gateway(one_worker());
+    let mut clients: Vec<(GatewayClient, Vec<u64>, Vec<u64>)> = (0..CONNECTIONS)
+        .map(|c| {
+            let mut client = GatewayClient::connect(gateway.local_addr(), c + 1).expect("connect");
+            client.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+            let mut sessions = Vec::new();
+            let mut steps = Vec::new();
+            for s in 0..SESSIONS {
+                let (request, tokens) =
+                    GenerationTraffic::demo_mix().session_bounded(c * SESSIONS + s, 1);
+                let opened = client
+                    .open_session(
+                        request.pattern,
+                        request.head_dim,
+                        request.num_heads,
+                        request.prompt,
+                    )
+                    .expect("open");
+                let step = Request::Step { session: opened.session, token: tokens[0].clone() };
+                steps.push(client.send(&step).expect("send step"));
+                sessions.push(opened.session);
+            }
+            // The reader answers stats itself, in frame order: once the
+            // reply is here, every step before it has been admitted.
+            client.stats_json().expect("stats");
+            (client, sessions, steps)
+        })
+        .collect();
+
+    let report = gateway.shutdown();
+    assert!(report.drained_in_deadline, "drain exceeded its deadline");
+    assert_eq!(report.serve.decode_sessions, CONNECTIONS * SESSIONS);
+    assert_eq!(report.serve.decode_steps, CONNECTIONS * SESSIONS);
+    assert_eq!(report.rejected_draining + report.timed_out, 0);
+
+    for (c, (client, sessions, steps)) in clients.iter_mut().enumerate() {
+        let mut closed = Vec::new();
+        let mut stepped = Vec::new();
+        loop {
+            match client.recv() {
+                Ok((_, Response::Closed { session, .. })) => closed.push(session),
+                Ok((header, Response::Stepped { .. })) => stepped.push(header.request_id),
+                Ok((_, other)) => panic!("connection {c}: unexpected frame {other:?}"),
+                Err(GatewayError::Wire(_)) => break, // connection closed
+                Err(other) => panic!("connection {c}: unexpected client error: {other}"),
+            }
+        }
+        closed.sort_unstable();
+        stepped.sort_unstable();
+        assert_eq!(&stepped, steps, "connection {c}: a step reply went missing");
+        assert_eq!(&closed, sessions, "connection {c}: a terminal Closed went missing");
+    }
+}
+
+/// One wire session next to its in-process oracle.
+struct Mirrored {
+    wire: u64,
+    tokens: Vec<Vec<salo::serve::TokenQkv>>,
+    oracle: salo::core::DecodeSession,
+    /// Steps answered so far; the next reply must be for `tokens[done]`.
+    done: usize,
+}
+
+/// One connection, one worker, eight sessions stepped in pipelined rounds
+/// (every step of a round is sent before any reply is read): each reply
+/// is bit-identical to the session's own in-process oracle, a session's
+/// replies arrive in step order even with two of its steps in flight,
+/// and the worker's tick fuses steps of different wire requests — which
+/// it cannot when the gateway waits for each request before submitting
+/// the next.
+#[test]
+fn pipelined_sessions_fuse_behind_the_socket_and_stay_bit_identical() {
+    const SESSIONS: u64 = 8;
+    const ROUNDS: usize = 6;
+    let gateway = unit_gateway(one_worker());
+    let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+    let salo = Salo::new(AcceleratorConfig::default());
+
+    let mut sessions: Vec<Mirrored> = (0..SESSIONS)
+        .map(|i| {
+            // Odd indices are the single-head shape `decode_session` mirrors.
+            let (request, tokens) =
+                GenerationTraffic::demo_mix().session_bounded(2 * i + 1, ROUNDS + 2);
+            let mut oracle =
+                salo.decode_session(&request.pattern, request.head_dim).expect("oracle");
+            oracle.prime_rows(&request.prompt[0], 0..request.prompt[0].seq_len()).expect("prime");
+            let opened = client
+                .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)
+                .expect("wire open");
+            Mirrored { wire: opened.session, tokens, oracle, done: 0 }
+        })
+        .collect();
+
+    // `per_session` steps of every session go out back to back; each
+    // reply is checked against the next oracle step of its session.
+    let mut round = |sessions: &mut Vec<Mirrored>, per_session: usize| {
+        let mut sent = Vec::new();
+        for step in 0..per_session {
+            for (index, s) in sessions.iter().enumerate() {
+                let token = s.tokens[s.done + step].clone();
+                let id = client.send(&Request::Step { session: s.wire, token }).expect("send");
+                sent.push((id, index));
+            }
+        }
+        let mut last_id = vec![0u64; sessions.len()];
+        for _ in 0..sent.len() {
+            let (header, response) = client.recv().expect("step reply");
+            let &(id, index) =
+                sent.iter().find(|(id, _)| *id == header.request_id).expect("a reply to a step");
+            assert!(id > last_id[index], "session {index}: replies out of step order");
+            last_id[index] = id;
+            let s = &mut sessions[index];
+            let Response::Stepped { session, position, heads } = response else {
+                panic!("session {index}: expected Stepped, got {response:?}");
+            };
+            let token = &s.tokens[s.done][0];
+            let reference = s.oracle.step(&token.q, &token.k, &token.v).expect("oracle step");
+            s.done += 1;
+            assert_eq!(session, s.wire);
+            assert_eq!(position, reference.position as u64, "session {index}: position");
+            let raw: Vec<i16> = reference.raw.iter().map(|x| x.raw()).collect();
+            assert_eq!(heads[0].raw.as_deref(), Some(raw.as_slice()), "session {index}: raw row");
+            assert_eq!(heads[0].weight_q16, Some(reference.weight_q16), "session {index}: weight");
+            let wire_bits: Vec<u32> = heads[0].output.iter().map(|x| x.to_bits()).collect();
+            let reference_bits: Vec<u32> = reference.output.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(wire_bits, reference_bits, "session {index}: f32 output bits");
+        }
+    };
+    for _ in 0..ROUNDS {
+        round(&mut sessions, 1);
+    }
+    round(&mut sessions, 2);
+
+    let fused = gateway.metrics().counter("serve.decode.fused_steps").get();
+    let ticks = gateway.metrics().counter("serve.decode.ticks").get();
+    assert!(fused > 0 && ticks > 0, "no decode tick fused over the wire ({fused} in {ticks})");
+
+    for s in &sessions {
+        assert_eq!(client.close(s.wire).expect("close"), Some(s.oracle.position() as u64));
+    }
+    let report = gateway.shutdown();
+    assert_eq!(report.serve.decode_steps, SESSIONS * (ROUNDS as u64 + 2));
+    assert_eq!(report.serve.decode_step_errors, 0);
+    assert_eq!(report.rejected_overloaded + report.timed_out, 0);
+}
+
+/// A connection that dies holding open sessions: the sessions are closed
+/// behind it (their K/V pages go back to the pool while the gateway is
+/// still serving, not at shutdown) and a second tenant's closed loop
+/// never sees a failure.
+#[test]
+fn a_dying_connection_with_open_sessions_does_not_stall_other_tenants() {
+    const ORPHANS: u64 = 6;
+    let gateway = unit_gateway(one_worker());
+    let resident_pages = gateway.metrics().gauge("serve.decode.resident_pages");
+
+    let mut doomed = GatewayClient::connect(gateway.local_addr(), 5).expect("connect");
+    for i in 0..ORPHANS {
+        let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(i, 1);
+        let opened = doomed
+            .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)
+            .expect("open");
+        doomed.step(opened.session, tokens[0].clone()).expect("step");
+    }
+    assert!(resident_pages.get() > 0, "open sessions hold K/V pages");
+
+    let workload = longformer_layer(64, 8, 16, 1).expect("workload");
+    let mut good = GatewayClient::connect(gateway.local_addr(), 2).expect("connect");
+    good.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+    let mut call = |seed: u64| {
+        let heads = vec![Qkv::random(workload.shape.seq_len, workload.shape.head_dim, seed)];
+        good.prefill(workload.pattern.clone(), workload.shape, heads).expect("good tenant call");
+    };
+    call(0);
+    drop(doomed);
+    // The closed loop runs on; within it the orphans' pages are freed.
+    let mut calls = 1;
+    while resident_pages.get() > 0 {
+        assert!(calls < 10_000, "orphaned sessions were never closed");
+        call(calls);
+        calls += 1;
+    }
+
+    let report = gateway.shutdown();
+    assert_eq!(resident_pages.get(), 0, "no resident pages left");
+    assert_eq!(report.serve.decode_sessions, ORPHANS);
+    assert_eq!(report.serve.decode_session_errors + report.serve.decode_step_errors, 0);
+    let good_counters = report.serve.tenants.get(&2).expect("good tenant counted");
+    assert_eq!((good_counters.requests, good_counters.rejections), (calls, 0));
+}
+
+/// The service deadline answers a request exactly once, with a typed
+/// `TimedOut` frame: the report counts it, the connection keeps serving,
+/// and whenever the work finishes, its completion writes no second frame.
+#[test]
+fn service_timeout_answers_once_and_the_connection_keeps_serving() {
+    let options = GatewayOptions { service_timeout: Duration::from_millis(2), ..one_worker() };
+    let gateway = unit_gateway(options);
+    let mut client = GatewayClient::connect(gateway.local_addr(), 3).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+
+    // Far more than 2 ms of work: the deadline passes while it is in
+    // flight (or, on a stalled host, still queued — the frames are the
+    // same either way).
+    let workload = longformer_layer(1024, 128, 64, 1).expect("workload");
+    let heads = vec![Qkv::random(workload.shape.seq_len, workload.shape.head_dim, 1)];
+    match client.prefill(workload.pattern, workload.shape, heads) {
+        Err(GatewayError::Remote(frame)) => assert_eq!(frame.code, ErrorCode::TimedOut),
+        Err(other) => panic!("expected a TimedOut frame, got {other}"),
+        Ok(_) => panic!("expected a TimedOut frame, got the finished prefill"),
+    }
+    // Stats are served by the reader, outside the deadline's reach.
+    assert!(client.stats_json().expect("connection still serves").contains("serve."));
+
+    // The drain waits for the work itself, so its completion has arrived
+    // (and been dropped) by the time the report is final.
+    let report = gateway.shutdown();
+    assert_eq!((report.admitted, report.timed_out), (1, 1));
+    assert_eq!(report.frames_written, 2, "the TimedOut frame and the stats, nothing else");
+    match client.recv() {
+        Err(GatewayError::Wire(_)) => {} // connection closed, nothing buffered
+        Err(other) => panic!("unexpected error after the timeout: {other}"),
+        Ok((header, _)) => panic!("a second frame for request {}", header.request_id),
+    }
 }
