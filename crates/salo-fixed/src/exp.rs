@@ -43,6 +43,13 @@ pub struct ExpLut {
     slopes: Vec<i64>,
     /// Per-segment y-intercept in Q.16.
     intercepts: Vec<i64>,
+    /// [`eval_q8`](Self::eval_q8) tabulated over the clamped Q.8 domain:
+    /// `table[x - lo_raw]` for every `x` in `lo_raw..=hi_raw` (4 097
+    /// entries for the default `[-8, 8]`). The row sweep reads this instead
+    /// of re-deriving segment, slope and intercept per score. Empty when
+    /// the domain spans more than [`Self::TABLE_MAX_SPAN`] Q.8 steps; the
+    /// sweep then evaluates `eval_q8` per element.
+    table: Vec<i64>,
 }
 
 impl ExpLut {
@@ -50,6 +57,9 @@ impl ExpLut {
     pub const X_LO: f64 = -8.0;
     /// Default input domain upper bound.
     pub const X_HI: f64 = 8.0;
+    /// Widest domain, in Q.8 steps, that gets a tabulated row sweep: the
+    /// default domain exactly, a 32 KiB table.
+    const TABLE_MAX_SPAN: i64 = 1 << 12;
 
     /// Builds a LUT with `segments` linear segments over `[-8, 8]`.
     ///
@@ -114,7 +124,21 @@ impl ExpLut {
             .then(|| span / segments as i64)
             .filter(|w| w.count_ones() == 1)
             .map(|w| w.trailing_zeros());
-        Ok(Self { segments, x_lo, x_hi, lo_raw, hi_raw, index_shift, slopes, intercepts })
+        let mut lut = Self {
+            segments,
+            x_lo,
+            x_hi,
+            lo_raw,
+            hi_raw,
+            index_shift,
+            slopes,
+            intercepts,
+            table: Vec::new(),
+        };
+        if span <= Self::TABLE_MAX_SPAN {
+            lut.table = (lo_raw..=hi_raw).map(|x| lut.eval_q8(x as i32)).collect();
+        }
+        Ok(lut)
     }
 
     /// Number of segments.
@@ -173,38 +197,29 @@ impl ExpLut {
     /// in one sweep.
     ///
     /// Bit-identical to mapping [`eval_q8`](Self::eval_q8) over the row
-    /// and summing left to right: the arithmetic per element is the same;
-    /// the `index_shift` dispatch is hoisted out of the loop and the sum
-    /// is folded in a second sweep (integer addition is exact, so the
-    /// regrouping cannot change the result), leaving each body a
-    /// branch-free slice sweep with no loop-carried state that the
-    /// autovectorizer can widen — including the table gathers (pinned by
-    /// a full-raw-range golden test and the simulator's oracle proptests).
+    /// and summing left to right: each element is a clamp and one read of
+    /// the table built from `eval_q8` at construction (or `eval_q8` itself
+    /// when the domain is too wide for a table), and the sum is folded in
+    /// a second sweep — integer addition is exact, so the regrouping
+    /// cannot change the result. Pinned by a full-raw-range golden test
+    /// and the simulator's oracle suites.
     #[inline]
     pub fn eval_q8_sum_into(&self, scores_q8: &[i32], out: &mut Vec<i64>) -> i64 {
         out.clear();
-        out.reserve(scores_q8.len());
-        let last = self.segments - 1;
-        match self.index_shift {
-            Some(shift) => {
-                out.extend(scores_q8.iter().map(|&s| {
-                    let x = i64::from(s).clamp(self.lo_raw, self.hi_raw);
-                    let idx = (((x - self.lo_raw) >> shift) as usize).min(last);
-                    let y = ((self.slopes[idx] * x) >> (SLOPE_FRAC + 8 - EXP_FRAC))
-                        + self.intercepts[idx];
-                    y.max(0)
-                }));
-            }
-            None => {
-                let span = self.hi_raw - self.lo_raw;
-                out.extend(scores_q8.iter().map(|&s| {
-                    let x = i64::from(s).clamp(self.lo_raw, self.hi_raw);
-                    let idx =
-                        ((((x - self.lo_raw) * self.segments as i64) / span) as usize).min(last);
-                    let y = ((self.slopes[idx] * x) >> (SLOPE_FRAC + 8 - EXP_FRAC))
-                        + self.intercepts[idx];
-                    y.max(0)
-                }));
+        if self.table.is_empty() {
+            out.extend(scores_q8.iter().map(|&s| self.eval_q8(s)));
+        } else {
+            // The bounds fit `i32`: the table exists only for small spans.
+            let (lo, hi) = (self.lo_raw as i32, self.hi_raw as i32);
+            // Two sweeps per block — clamp-and-offset, which vectorizes,
+            // then the table reads — rather than one that does neither.
+            const BLOCK: usize = 32;
+            for block in scores_q8.chunks(BLOCK) {
+                let mut index = [0u32; BLOCK];
+                for (i, &s) in index.iter_mut().zip(block) {
+                    *i = (s.clamp(lo, hi) - lo) as u32;
+                }
+                out.extend(index[..block.len()].iter().map(|&i| self.table[i as usize]));
             }
         }
         out.iter().sum()
@@ -323,25 +338,29 @@ mod tests {
 
     #[test]
     fn slice_eval_golden_matches_scalar_across_full_raw_range() {
-        // The chunked row evaluation must reproduce the scalar
-        // `eval_q8` bit for bit on every representable raw input —
-        // in-domain, out-of-domain (clamped) and at both endpoints — on
-        // both index paths (shift fast path and division fallback), and
-        // its returned sum must equal the left-to-right fold.
+        // The row sweep must reproduce the scalar `eval_q8` bit for bit on
+        // every representable raw input — in-domain, out-of-domain
+        // (clamped) and at both endpoints — whether the table was built
+        // through the shift index path or the division path, and on a
+        // domain too wide to tabulate; its returned sum must equal the
+        // left-to-right fold.
         let shift_lut = ExpLut::new(32);
-        assert!(shift_lut.index_shift.is_some());
+        assert!(shift_lut.index_shift.is_some() && !shift_lut.table.is_empty());
         let div_lut = ExpLut::with_domain(24, -8.0, 8.0).unwrap();
-        assert!(div_lut.index_shift.is_none());
-        for lut in [&shift_lut, &div_lut] {
+        assert!(div_lut.index_shift.is_none() && !div_lut.table.is_empty());
+        let wide_lut = ExpLut::with_domain(32, -12.0, 12.0).unwrap();
+        assert!(wide_lut.table.is_empty(), "a 6 144-step domain is past the table bound");
+        for lut in [&shift_lut, &div_lut, &wide_lut] {
             let lo = (lut.lo_raw - 300) as i32;
             let hi = (lut.hi_raw + 300) as i32;
-            let scores: Vec<i32> = (lo..=hi).collect();
+            let scores: Vec<i32> = (lo..=hi).chain([i32::MIN, i32::MAX]).collect();
             let mut row = Vec::new();
             let sum = lut.eval_q8_sum_into(&scores, &mut row);
             let scalar: Vec<i64> = scores.iter().map(|&s| lut.eval_q8(s)).collect();
-            assert_eq!(row, scalar, "chunked row eval diverged from scalar eval_q8");
+            assert_eq!(row, scalar, "row sweep diverged from scalar eval_q8");
             assert_eq!(sum, scalar.iter().sum::<i64>());
         }
+        assert_eq!(shift_lut.table.len(), 4097, "default domain: one entry per Q.8 step");
         // Reuse clears the previous contents.
         let mut row = vec![99i64; 4];
         let sum = shift_lut.eval_q8_sum_into(&[0], &mut row);

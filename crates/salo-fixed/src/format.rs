@@ -5,6 +5,16 @@
 //! and saturate at the representable range — the behaviour of the
 //! quantization hardware in front of SALO's buffers.
 
+/// The integer value of an integer-valued `x` with `|x| <= 2^22`, without a
+/// float-to-integer cast: adding `1.5 * 2^23` lands the sum where one ulp
+/// is one, so the integer sits in the low mantissa bits, offset by the
+/// bias's own bit pattern.
+#[inline]
+fn small_int_of(x: f32) -> i32 {
+    const BIAS: f32 = 12_582_912.0; // 1.5 * 2^23
+    ((x + BIAS).to_bits() as i32).wrapping_sub(BIAS.to_bits() as i32)
+}
+
 /// Declares a fixed-point wrapper type.
 macro_rules! fixed_type {
     (
@@ -13,6 +23,7 @@ macro_rules! fixed_type {
     ) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+        #[repr(transparent)]
         pub struct $name(pub(crate) $raw);
 
         impl $name {
@@ -41,16 +52,26 @@ macro_rules! fixed_type {
                 self.0
             }
 
-            /// Quantizes an `f32`, rounding to nearest and saturating.
+            /// Quantizes an `f32`, rounding to nearest (ties away from
+            /// zero) and saturating; NaN quantizes to zero.
+            ///
+            /// Branch-free, so bulk quantization (`iter().map(from_f32)`)
+            /// vectorizes. The range is clamped in `f32` (NaN passes
+            /// through the clamp and is zeroed after it); what is left is
+            /// an integer-valued float, which the narrow formats read
+            /// straight out of the mantissa (`small_int_of`) — a
+            /// float-to-integer `as` cast saturates, and the saturating
+            /// form is scalarized element by element. The 32-bit format's
+            /// range is too wide for that and keeps the cast.
+            #[inline]
             #[must_use]
             pub fn from_f32(value: f32) -> Self {
                 let scaled = (value * Self::SCALE).round();
-                if scaled >= <$raw>::MAX as f32 {
-                    Self::MAX
-                } else if scaled <= <$raw>::MIN as f32 {
-                    Self::MIN
+                let clamped = scaled.clamp(<$raw>::MIN as f32, <$raw>::MAX as f32);
+                if <$raw>::BITS <= 16 {
+                    Self(small_int_of(if clamped.is_nan() { 0.0 } else { clamped }) as $raw)
                 } else {
-                    Self(scaled as $raw)
+                    Self(clamped as $raw)
                 }
             }
 
@@ -145,22 +166,97 @@ impl Fix16x8 {
     /// Converts a Q.19 stage-5 accumulator value to the 16-bit output
     /// format, rounding to nearest and saturating — the conversion at the
     /// PE row's output port.
+    #[inline]
     #[must_use]
     pub fn from_q19_acc(acc: i64) -> Self {
         let shifted = (acc + (1 << 10)) >> 11; // 19 - 8 = 11 bits
-        if shifted > i16::MAX as i64 {
-            Self::MAX
-        } else if shifted < i16::MIN as i64 {
-            Self::MIN
-        } else {
-            Self::from_raw(shifted as i16)
-        }
+        Self::from_raw(shifted.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The branching quantizer every format shipped with — the definition
+    /// the branch-free `from_f32` is pinned against, per raw type.
+    macro_rules! branching_from_f32 {
+        ($raw:ty, $scale:expr, $value:expr) => {{
+            let scaled = ($value * $scale).round();
+            if scaled >= <$raw>::MAX as f32 {
+                <$raw>::MAX
+            } else if scaled <= <$raw>::MIN as f32 {
+                <$raw>::MIN
+            } else {
+                scaled as $raw
+            }
+        }};
+    }
+
+    fn assert_matches_branching(value: f32) {
+        let bits = value.to_bits();
+        assert_eq!(
+            Fix8x4::from_f32(value).raw(),
+            branching_from_f32!(i8, Fix8x4::SCALE, value),
+            "Fix8x4 at {value} ({bits:#010x})"
+        );
+        assert_eq!(
+            Fix16x8::from_f32(value).raw(),
+            branching_from_f32!(i16, Fix16x8::SCALE, value),
+            "Fix16x8 at {value} ({bits:#010x})"
+        );
+        assert_eq!(
+            Fix32x8::from_f32(value).raw(),
+            branching_from_f32!(i32, Fix32x8::SCALE, value),
+            "Fix32x8 at {value} ({bits:#010x})"
+        );
+    }
+
+    #[test]
+    fn branch_free_from_f32_matches_branching_form_on_edges() {
+        for value in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0] {
+            assert_matches_branching(value);
+        }
+        assert_eq!(Fix8x4::from_f32(f32::NAN).raw(), 0, "NaN quantizes to zero");
+        // Every half-LSB tie of the 8-bit format, and one ulp either side.
+        for k in i32::from(i8::MIN) - 2..=i32::from(i8::MAX) + 2 {
+            let tie = (k as f32 + 0.5) / Fix8x4::SCALE;
+            for value in [tie, f32::from_bits(tie.to_bits() + 1), f32::from_bits(tie.to_bits() - 1)]
+            {
+                assert_matches_branching(value);
+            }
+        }
+        // Saturation edges of every format, one ulp either side.
+        for edge in [
+            i8::MAX as f32 / Fix8x4::SCALE,
+            i8::MIN as f32 / Fix8x4::SCALE,
+            i16::MAX as f32 / Fix16x8::SCALE,
+            i16::MIN as f32 / Fix16x8::SCALE,
+            i32::MAX as f32 / Fix32x8::SCALE,
+            i32::MIN as f32 / Fix32x8::SCALE,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+        ] {
+            for value in
+                [edge, f32::from_bits(edge.to_bits() + 1), f32::from_bits(edge.to_bits() - 1)]
+            {
+                assert_matches_branching(value);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern at all — subnormals, NaN payloads, huge
+        /// magnitudes — quantizes as the branching form did.
+        #[test]
+        fn branch_free_from_f32_matches_branching_form_on_random_bits(bits in any::<u32>()) {
+            assert_matches_branching(f32::from_bits(bits));
+        }
+    }
 
     #[test]
     fn constants() {

@@ -13,7 +13,9 @@
 //!
 //! * [`Fix8x4`], [`Fix16x8`] — storage formats (8-bit/4-frac inputs,
 //!   16-bit/8-frac outputs);
-//! * [`qk_mac`], [`sv_mac`] — the two MAC flavours of the PE datapath;
+//! * [`qk_mac`], [`sv_mac`] — the two MAC flavours of the PE datapath, and
+//!   [`qk_dot_rows`], [`sv_rows_mac`] — the same arithmetic swept over all
+//!   the keys of one op, specialised by head dimension;
 //! * [`ExpLut`] — the piecewise-linear `exp` unit (stage 2);
 //! * [`RecipUnit`] and [`Recip`] — the normalized reciprocal unit (stage 3);
 //! * [`fixed_softmax`] — the full fixed-point softmax a PE row performs;
@@ -52,8 +54,8 @@ pub use error::FixedError;
 pub use exp::{ExpLut, EXP_FRAC};
 pub use format::{Fix16x8, Fix32x8, Fix8x4};
 pub use mac::{
-    qk_dot, qk_mac, sv_mac, sv_row_mac, sv_row_mac_i32, MacSaturation, QK_DOT_SAFE_DIM,
-    SV_I32_SAFE_KEYS,
+    qk_dot, qk_dot_rows, qk_mac, sv_mac, sv_row_mac, sv_row_mac_i32, sv_rows_mac, MacSaturation,
+    QK_DOT_SAFE_DIM, SV_I32_SAFE_KEYS,
 };
 pub use quantize::{dequantize, quantize, quantize_with_scale, QuantizationReport};
 pub use recip::{Recip, RecipUnit};

@@ -11,6 +11,11 @@
 //!
 //! Both saturate rather than wrap, and report saturation so simulations can
 //! flag numerically degenerate configurations.
+//!
+//! The per-element forms are the definition. [`qk_dot`], [`sv_row_mac`] and
+//! [`sv_row_mac_i32`] are their whole-row sweeps, and [`qk_dot_rows`] /
+//! [`sv_rows_mac`] sweep all the keys of one op — what the simulator's
+//! datapath calls, specialised by head dimension.
 
 use crate::format::Fix8x4;
 
@@ -87,10 +92,12 @@ pub const QK_DOT_SAFE_DIM: usize = (i32::MAX / (128 * 128)) as usize;
 /// For dimensions up to [`QK_DOT_SAFE_DIM`] (every realistic head — the
 /// bound is above 131 000) no accumulation step can overflow, so the
 /// per-step saturation check of [`qk_mac`] reduces to a plain sum: a
-/// straight-line fold the autovectorizer widens into `i8 x i8 -> i32`
-/// multiply-accumulate lanes (manually pre-chunked variants measured
-/// *slower* — the plain fold is the form LLVM handles best). Larger
-/// dimensions fall back to the checked per-step form.
+/// straight-line fold the autovectorizer widens into multiply-accumulate
+/// lanes. How wide depends on what it knows: with a run-time length it
+/// stays at 128-bit lanes and re-derives the trip count per call; inlined
+/// over constant-length rows ([`qk_dot_rows`]) the fold unrolls fully and
+/// the query's widening hoists out of the key loop. Larger dimensions
+/// fall back to the checked per-step form.
 #[inline]
 #[must_use]
 pub fn qk_dot(q: &[Fix8x4], k: &[Fix8x4], sat: &mut MacSaturation) -> i32 {
@@ -161,6 +168,377 @@ pub fn sv_row_mac_i32(out: &mut [i32], prob: u16, v: &[Fix8x4]) {
             "stage-5 i32 accumulator out of headroom"
         );
         *o += i32::from(prob) * i32::from(ve.raw());
+    }
+}
+
+/// Stage 1 over a whole op: `scores[i] = q · row(keys[i])`, appended to
+/// `scores` in key order — [`qk_dot`] per key.
+///
+/// `row` maps a key to its quantized row (a flat arena, a page table — the
+/// caller's business); every row must have `q.len()` elements.
+///
+/// The body is instantiated at the serving head dimensions (32 / 64 / 128)
+/// and once more with the dimension left to run time; `q.len()` — a
+/// property of the request — picks the instantiation. With the dimension a
+/// constant the fold has a fixed trip count and the query is widened once
+/// per op instead of once per key. Builds that target AVX-512 VNNI run the
+/// 64- and 128-wide instantiations in explicit lanes (the `lanes` module)
+/// — same integers, a third of the time.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than the query.
+#[inline]
+pub fn qk_dot_rows<'a, K: Copy>(
+    q: &[Fix8x4],
+    keys: &[K],
+    row: impl Fn(K) -> &'a [Fix8x4],
+    scores: &mut Vec<i32>,
+    sat: &mut MacSaturation,
+) {
+    match q.len() {
+        32 => qk_dot_rows_at::<32, K>(q, keys, row, scores, sat),
+        64 => qk_dot_rows_at::<64, K>(q, keys, row, scores, sat),
+        128 => qk_dot_rows_at::<128, K>(q, keys, row, scores, sat),
+        _ => qk_dot_rows_at::<0, K>(q, keys, row, scores, sat),
+    }
+}
+
+/// [`qk_dot_rows`] with the dimension fixed at compile time (`D > 0`,
+/// equal to `q.len()`) or left to run time (`D == 0`).
+fn qk_dot_rows_at<'a, const D: usize, K: Copy>(
+    q: &[Fix8x4],
+    keys: &[K],
+    row: impl Fn(K) -> &'a [Fix8x4],
+    scores: &mut Vec<i32>,
+    sat: &mut MacSaturation,
+) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
+    if D == 64 || D == 128 {
+        return lanes::qk_dot_rows(q, keys, row, scores);
+    }
+    let d = if D == 0 { q.len() } else { D };
+    // A by-value copy of the query: loop-invariant registers rather than
+    // memory the score stores might alias.
+    let mut q_fixed = [Fix8x4::ZERO; D];
+    let q: &[Fix8x4] = if D == 0 {
+        q
+    } else {
+        q_fixed.copy_from_slice(q);
+        &q_fixed
+    };
+    // A plain loop over a pre-sized tail, not `extend(map(..))`: the
+    // adaptor's `fold` may stay out of line, and then sees `d` as data.
+    let start = scores.len();
+    scores.resize(start + keys.len(), 0);
+    for (score, &key) in scores[start..].iter_mut().zip(keys) {
+        *score = qk_dot(q, &row(key)[..d], sat);
+    }
+}
+
+/// Stage 5 over a whole op: `out[e] = Σ_i probs[i] * row(keys[i])[e]`,
+/// overwriting `out` — the `i64` chain of [`sv_row_mac`] over the op's
+/// keys in order, computed as 32-bit chains.
+///
+/// Keys are taken [`SV_I32_SAFE_KEYS`] at a time: that many provably fit an
+/// `i32` chain ([`sv_row_mac_i32`]), and the chains are summed in `i64`.
+/// Integer addition is exact and nothing can saturate this far inside the
+/// range, so the regrouping is bit-identical to the one long `i64` chain;
+/// every array-shaped op is a single chain.
+///
+/// The output row is produced in column blocks of `B` lanes whose
+/// accumulator is a local array — vector registers across the chain's
+/// keys, where a heap row would be reloaded and stored per key. The
+/// serving dimensions are instantiated with `B` equal to the dimension
+/// (one block, compile-time trip counts); any other dimension runs the
+/// same body in 32-lane blocks.
+///
+/// # Panics
+///
+/// Panics if `probs` and `keys` differ in length or a row is shorter than
+/// `out`.
+#[inline]
+pub fn sv_rows_mac<'a, K: Copy>(
+    probs: &[u16],
+    keys: &[K],
+    row: impl Fn(K) -> &'a [Fix8x4],
+    out: &mut [i64],
+) {
+    match out.len() {
+        32 => sv_rows_mac_at::<32, true, K>(probs, keys, row, out),
+        64 => sv_rows_mac_at::<64, true, K>(probs, keys, row, out),
+        128 => sv_rows_mac_at::<128, true, K>(probs, keys, row, out),
+        _ => sv_rows_mac_at::<32, false, K>(probs, keys, row, out),
+    }
+}
+
+/// [`sv_rows_mac`] in column blocks of `B` lanes; `EXACT` promises
+/// `out.len() == B`.
+fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool, K: Copy>(
+    probs: &[u16],
+    keys: &[K],
+    row: impl Fn(K) -> &'a [Fix8x4],
+    out: &mut [i64],
+) {
+    assert_eq!(probs.len(), keys.len(), "one probability per key");
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
+    if EXACT && (B == 64 || B == 128) {
+        return lanes::sv_rows_mac(probs, keys, row, out);
+    }
+    let d = if EXACT { B } else { out.len() };
+    for base in (0..d).step_by(B) {
+        let width = if EXACT { B } else { B.min(d - base) };
+        let out = &mut out[base..base + width];
+        out.fill(0);
+        for (probs, keys) in probs.chunks(SV_I32_SAFE_KEYS).zip(keys.chunks(SV_I32_SAFE_KEYS)) {
+            let mut chain = [0i32; B];
+            for (&p, &key) in probs.iter().zip(keys) {
+                sv_row_mac_i32(&mut chain[..width], p, &row(key)[base..base + width]);
+            }
+            for (o, &sum) in out.iter_mut().zip(&chain) {
+                *o += i64::from(sum);
+            }
+        }
+    }
+}
+
+/// The two whole-op MAC sweeps in explicit 512-bit VNNI lanes, for rows of
+/// whole 64-byte vectors (d = 64, 128).
+///
+/// Compiled only when the build itself targets AVX-512 BW + VNNI (`-C
+/// target-cpu=native` on such a host); every other build has the safe
+/// bodies above and nothing else — there is no run-time switch. Same exact
+/// integer results: the 8-bit dot-product instruction does not saturate,
+/// and every regrouping below is of exact integer sums. What the `unsafe`
+/// buys is recorded in EXPERIMENTS.md ("Kernel at serving dimensions"):
+/// the autovectorizer never leaves 128-bit lanes for stage 1 and spends
+/// two multiply micro-ops per eight columns in stage 5.
+///
+/// Neither sweep passes a closure of its own to a generic library
+/// function (`map`, `from_fn`, ...): code compiled for these target
+/// features cannot inline into a callee compiled without them, and an
+/// out-of-line call in the key loop spills every accumulator.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
+mod lanes {
+    use super::{Fix8x4, SV_I32_SAFE_KEYS};
+    use std::arch::x86_64::*;
+
+    /// Bytes per vector.
+    const W: usize = 64;
+
+    /// Vector `n` of a quantized row.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(row: &[Fix8x4], n: usize) -> __m512i {
+        let bytes: &[Fix8x4; W] = row[n * W..][..W].try_into().expect("a 64-element chunk");
+        // SAFETY: `bytes` is 64 readable, initialized bytes (`Fix8x4` is
+        // `repr(transparent)` over `i8`); `loadu` has no alignment
+        // requirement.
+        unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
+    }
+
+    /// The sixteen 32-bit lanes of a vector.
+    #[inline]
+    fn lanes_of(v: __m512i) -> [i32; 16] {
+        // SAFETY: both types are 64 bytes of plain integers; every bit
+        // pattern is valid for either.
+        unsafe { std::mem::transmute(v) }
+    }
+
+    #[inline]
+    pub(super) fn qk_dot_rows<'a, K: Copy>(
+        q: &[Fix8x4],
+        keys: &[K],
+        row: impl Fn(K) -> &'a [Fix8x4],
+        scores: &mut Vec<i32>,
+    ) {
+        // SAFETY: this module exists only in builds whose target features
+        // include the ones the callee enables (the `cfg` on the module).
+        unsafe {
+            match q.len() / W {
+                1 => dot_rows::<1, K>(q, keys, row, scores),
+                _ => dot_rows::<2, K>(q, keys, row, scores),
+            }
+        }
+    }
+
+    #[inline]
+    pub(super) fn sv_rows_mac<'a, K: Copy>(
+        probs: &[u16],
+        keys: &[K],
+        row: impl Fn(K) -> &'a [Fix8x4],
+        out: &mut [i64],
+    ) {
+        // SAFETY: as in `qk_dot_rows`.
+        unsafe {
+            match out.len() / W {
+                1 => mac_rows::<1, K>(probs, keys, row, out),
+                _ => mac_rows::<2, K>(probs, keys, row, out),
+            }
+        }
+    }
+
+    /// The keys four at a time; a ragged last quad repeats its last key
+    /// (whose lanes are then computed and dropped, or weighted zero).
+    #[inline]
+    fn quads<K: Copy>(keys: &[K]) -> impl Iterator<Item = [K; 4]> + '_ {
+        keys.chunks(4).map(|quad| match quad.try_into() {
+            Ok(full) => full,
+            Err(_) => std::array::from_fn(|i| quad[i.min(quad.len() - 1)]),
+        })
+    }
+
+    /// Stage 1 for rows of `N` vectors.
+    ///
+    /// The VNNI byte form multiplies unsigned by signed bytes, so the key
+    /// bytes are biased to unsigned (`k + 128`, one XOR) and the surplus
+    /// `128 * Σq` — a constant of the op — comes off every score:
+    /// `Σ (k + 128) q = Σ k q + 128 Σ q`. Keys go four at a time so the
+    /// horizontal sum is a shared transpose-and-add tree rather than one
+    /// full reduction per key.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn dot_rows<'a, const N: usize, K: Copy>(
+        q: &[Fix8x4],
+        keys: &[K],
+        row: impl Fn(K) -> &'a [Fix8x4],
+        scores: &mut Vec<i32>,
+    ) {
+        let bias = _mm512_set1_epi8(i8::MIN);
+        let mut qv = [_mm512_setzero_si512(); N];
+        let mut q_sum = _mm512_setzero_si512();
+        for (n, qv) in qv.iter_mut().enumerate() {
+            *qv = load(q, n);
+            q_sum = _mm512_dpbusd_epi32(q_sum, _mm512_set1_epi8(1), *qv);
+        }
+        let surplus = _mm_set1_epi32(128 * _mm512_reduce_add_epi32(q_sum));
+        // Whole quads of scores; a ragged quad's surplus lanes are cut off
+        // at the end.
+        let start = scores.len();
+        scores.resize(start + keys.len().next_multiple_of(4), 0);
+        for (quad, quad_scores) in quads(keys).zip(scores[start..].chunks_exact_mut(4)) {
+            let mut a = [_mm512_setzero_si512(); 4];
+            for (a, &key) in a.iter_mut().zip(&quad) {
+                let k = row(key);
+                for (n, &qv) in qv.iter().enumerate() {
+                    *a = _mm512_dpbusd_epi32(*a, _mm512_xor_si512(load(k, n), bias), qv);
+                }
+            }
+            // Per 128-bit group: [a0, a1 | a0, a1] then [a0, a1, a2, a3],
+            // each the sum of that key's four lanes in the group; then the
+            // four groups fold together.
+            let s01 = _mm512_add_epi32(
+                _mm512_unpacklo_epi32(a[0], a[1]),
+                _mm512_unpackhi_epi32(a[0], a[1]),
+            );
+            let s23 = _mm512_add_epi32(
+                _mm512_unpacklo_epi32(a[2], a[3]),
+                _mm512_unpackhi_epi32(a[2], a[3]),
+            );
+            let s =
+                _mm512_add_epi32(_mm512_unpacklo_epi64(s01, s23), _mm512_unpackhi_epi64(s01, s23));
+            let s = _mm256_add_epi32(_mm512_castsi512_si256(s), _mm512_extracti64x4_epi64::<1>(s));
+            let s = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
+            let s = _mm_sub_epi32(s, surplus);
+            quad_scores.copy_from_slice(&[
+                _mm_extract_epi32::<0>(s),
+                _mm_extract_epi32::<1>(s),
+                _mm_extract_epi32::<2>(s),
+                _mm_extract_epi32::<3>(s),
+            ]);
+        }
+        scores.truncate(start + keys.len());
+    }
+
+    /// Stage 5 for rows of `N` vectors.
+    ///
+    /// A Q.15 probability is two bytes, `p = 256 * hi + lo` with both
+    /// halves in `0..=255` (`hi` is 128 at probability one), so `Σ p v =
+    /// 256 * Σ hi v + Σ lo v` — two unsigned-by-signed byte dot products.
+    /// Four value rows are byte-transposed so each 32-bit lane holds one
+    /// column's four values, and one VNNI instruction per half
+    /// accumulates four keys into sixteen columns. The transposition
+    /// leaves the columns in a fixed permuted order, undone once per
+    /// chain.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn mac_rows<'a, const N: usize, K: Copy>(
+        probs: &[u16],
+        keys: &[K],
+        row: impl Fn(K) -> &'a [Fix8x4],
+        out: &mut [i64],
+    ) {
+        /// Keys of an array-shaped op on the default 32-column array.
+        const SHORT: usize = 32;
+        // Whole quads per chain, so only the op's last quad is ragged.
+        const CHAIN: usize = SV_I32_SAFE_KEYS / 4 * 4;
+        out.fill(0);
+        if keys.len() <= SHORT {
+            mac_chain::<N, SHORT, K>(probs, keys, &row, out);
+        } else {
+            for (probs, keys) in probs.chunks(CHAIN).zip(keys.chunks(CHAIN)) {
+                mac_chain::<N, CHAIN, K>(probs, keys, &row, out);
+            }
+        }
+    }
+
+    /// One chain of at most `CAP` keys (a multiple of four), added into
+    /// `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn mac_chain<'a, const N: usize, const CAP: usize, K: Copy>(
+        probs: &[u16],
+        keys: &[K],
+        row: &impl Fn(K) -> &'a [Fix8x4],
+        out: &mut [i64],
+    ) {
+        // The probabilities' byte halves, one vector sweep each; the tail
+        // stays zero, which is what weights a ragged last quad's padding.
+        let (mut p_hi, mut p_lo) = ([0u8; CAP], [0u8; CAP]);
+        for ((hi, lo), &p) in p_hi.iter_mut().zip(&mut p_lo).zip(probs) {
+            (*hi, *lo) = ((p >> 8) as u8, p as u8);
+        }
+        let mut hi = [[_mm512_setzero_si512(); 4]; N];
+        let mut lo = [[_mm512_setzero_si512(); 4]; N];
+        let words = p_hi.chunks_exact(4).zip(p_lo.chunks_exact(4));
+        for (quad, (p_hi, p_lo)) in quads(keys).zip(words) {
+            // Key `i` of the quad in byte `i` of every 32-bit lane.
+            let word = |bytes: &[u8]| {
+                let word: [u8; 4] = bytes.try_into().expect("four bytes");
+                _mm512_set1_epi32(i32::from_le_bytes(word))
+            };
+            let (p_hi, p_lo) = (word(p_hi), word(p_lo));
+            let rows = [row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3])];
+            for n in 0..N {
+                let (a, b) = (load(rows[0], n), load(rows[1], n));
+                let (c, d) = (load(rows[2], n), load(rows[3], n));
+                let (ab_lo, ab_hi) = (_mm512_unpacklo_epi8(a, b), _mm512_unpackhi_epi8(a, b));
+                let (cd_lo, cd_hi) = (_mm512_unpacklo_epi8(c, d), _mm512_unpackhi_epi8(c, d));
+                // Lane `w` of 128-bit group `g` of `t[i]` holds column
+                // `64n + 16g + 4i + w` of the four rows.
+                let t = [
+                    _mm512_unpacklo_epi16(ab_lo, cd_lo),
+                    _mm512_unpackhi_epi16(ab_lo, cd_lo),
+                    _mm512_unpacklo_epi16(ab_hi, cd_hi),
+                    _mm512_unpackhi_epi16(ab_hi, cd_hi),
+                ];
+                for i in 0..4 {
+                    hi[n][i] = _mm512_dpbusd_epi32(hi[n][i], p_hi, t[i]);
+                    lo[n][i] = _mm512_dpbusd_epi32(lo[n][i], p_lo, t[i]);
+                }
+            }
+        }
+        for n in 0..N {
+            for i in 0..4 {
+                let sums = lanes_of(_mm512_add_epi32(_mm512_slli_epi32::<8>(hi[n][i]), lo[n][i]));
+                for g in 0..4 {
+                    let columns = &mut out[W * n + 16 * g + 4 * i..][..4];
+                    for (o, &sum) in columns.iter_mut().zip(&sums[4 * g..]) {
+                        *o += i64::from(sum);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -319,4 +697,97 @@ mod tests {
     /// Probability 1.0 raw value, kept local to avoid a crate-level import
     /// cycle in tests.
     const PROB_ONE_TEST: u16 = 1 << 15;
+
+    /// `n` rows of `d` elements: extreme-heavy, deterministic, every row
+    /// different.
+    fn arena(n: usize, d: usize, salt: usize) -> Vec<Fix8x4> {
+        (0..n * d)
+            .map(|i| {
+                let x = (i * 2_654_435_761 + salt * 40_503) >> 7;
+                Fix8x4::from_raw(match x % 5 {
+                    0 => i8::MIN,
+                    1 => i8::MAX,
+                    _ => (x % 255) as u8 as i8,
+                })
+            })
+            .collect()
+    }
+
+    /// Dimensions on both sides of every instantiation, and key counts on
+    /// both sides of a quad, of the short-op bound and of the 32-bit chain
+    /// bound.
+    const DIMS: [usize; 10] = [1, 7, 31, 32, 33, 48, 64, 100, 128, 192];
+    const KEY_COUNTS: [usize; 12] = [0, 1, 3, 4, 5, 31, 32, 33, 508, 511, 512, 1100];
+
+    #[test]
+    fn qk_dot_rows_is_qk_dot_per_key() {
+        for d in DIMS {
+            let (q, k) = (arena(1, d, 1), arena(64, d, 2));
+            for count in KEY_COUNTS {
+                // Scattered, repeating keys: rows need not be contiguous.
+                let keys: Vec<u32> = (0..count).map(|i| (i * 37 % 64) as u32).collect();
+                let row = |j: u32| &k[j as usize * d..][..d];
+                let mut sat = MacSaturation::default();
+                let mut scores = vec![-7]; // appended to, not cleared
+                qk_dot_rows(&q, &keys, row, &mut scores, &mut sat);
+                let per_key: Vec<i32> =
+                    keys.iter().map(|&j| qk_dot(&q, row(j), &mut sat)).collect();
+                assert_eq!(scores[0], -7);
+                assert_eq!(scores[1..], per_key, "d = {d}, {count} keys");
+                assert_eq!(sat.events, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn sv_rows_mac_is_the_i64_chain() {
+        for d in DIMS {
+            let v = arena(64, d, 3);
+            for count in KEY_COUNTS {
+                let keys: Vec<u32> = (0..count).map(|i| (i * 29 % 64) as u32).collect();
+                // Probability one, zero, and both byte halves saturated.
+                let probs: Vec<u16> = (0..count)
+                    .map(|i| match i % 4 {
+                        0 => PROB_ONE_TEST,
+                        1 => 0,
+                        2 => 0x7fff,
+                        _ => (i * 7919 % 32768) as u16,
+                    })
+                    .collect();
+                let row = |j: u32| &v[j as usize * d..][..d];
+                let mut out = vec![i64::MIN; d]; // overwritten, not added to
+                sv_rows_mac(&probs, &keys, row, &mut out);
+                let mut chain = vec![0i64; d];
+                for (&p, &j) in probs.iter().zip(&keys) {
+                    sv_row_mac(&mut chain, p, row(j));
+                }
+                assert_eq!(out, chain, "d = {d}, {count} keys");
+            }
+        }
+    }
+
+    #[test]
+    fn sv_rows_mac_holds_the_worst_case_chain() {
+        // Every product at its extreme, past the 32-bit bound: the blocks
+        // must neither wrap nor lose anything against the i64 chain.
+        for d in [32, 64, 100] {
+            let v = vec![Fix8x4::MIN; d];
+            let count = 3 * SV_I32_SAFE_KEYS + 2;
+            let (probs, keys) = (vec![PROB_ONE_TEST; count], vec![0u32; count]);
+            let mut out = vec![0i64; d];
+            sv_rows_mac(&probs, &keys, |_| &v[..], &mut out);
+            assert!(out.iter().all(|&o| o == -(count as i64) * (1 << 22)), "d = {d}");
+        }
+    }
+
+    #[test]
+    fn qk_dot_rows_past_the_safe_dimension_counts_saturation() {
+        let d = QK_DOT_SAFE_DIM + 1;
+        let (q, k) = (vec![Fix8x4::MIN; d], vec![Fix8x4::MIN; d]);
+        let mut sat = MacSaturation::default();
+        let mut scores = Vec::new();
+        qk_dot_rows(&q, &[0u32, 0], |_| &k[..], &mut scores, &mut sat);
+        assert_eq!(scores, [i32::MAX, i32::MAX]);
+        assert_eq!(sat.events, 2);
+    }
 }

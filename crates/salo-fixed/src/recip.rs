@@ -54,6 +54,32 @@ impl Recip {
         };
         prob.clamp(0, 32768) as u16
     }
+
+    /// [`scale_to_prob`](Self::scale_to_prob) over a whole row, appended to
+    /// `out`: the stage-4 broadcast multiply.
+    ///
+    /// `bound` must be at least every element of `raws` (a softmax row
+    /// passes its sum: exponentials are non-negative, so none exceeds
+    /// it). That turns the per-element choice between the `i64` and the
+    /// wide product into one test for the row, and the common case into a
+    /// branch-free multiply-shift-clamp sweep.
+    pub(crate) fn scale_to_probs_into(
+        self,
+        raws: &[i64],
+        bound: i64,
+        frac: u32,
+        out: &mut Vec<u16>,
+    ) {
+        debug_assert!(raws.iter().all(|&raw| (0..=bound).contains(&raw)), "bound below the row");
+        let shift = self.exp2 - frac as i32;
+        if shift < 0 && bound < (1 << 47) {
+            let mant = i64::from(self.mant);
+            let down = (-shift).min(63) as u32;
+            out.extend(raws.iter().map(|&raw| ((raw * mant) >> down).clamp(0, 32768) as u16));
+        } else {
+            out.extend(raws.iter().map(|&raw| self.scale_to_prob(raw, frac)));
+        }
+    }
 }
 
 /// The reciprocal lookup-table unit.
@@ -208,6 +234,42 @@ mod tests {
         assert_eq!(p, 32768);
         // Zero exponential -> zero probability.
         assert_eq!(r.scale_to_prob(0, 8), 0);
+    }
+
+    #[test]
+    fn row_scaling_matches_per_element_scaling() {
+        // The hoisted row test must pick, for every row, arithmetic that
+        // agrees with the per-element form: sums on both sides of the
+        // 2^47 product bound, and non-negative shifts (a sum of one raw
+        // unit, or a value scaled at fewer fraction bits than it was
+        // inverted at, where the wide path shifts left).
+        let u = RecipUnit::new(64);
+        // (row sum, fraction bits inverted at, fraction bits scaled at)
+        let rows: [(i64, u32, u32); 8] = [
+            (1 << 20, 16, 16),
+            ((1 << 47) - 1, 16, 16),
+            (1 << 47, 16, 16),
+            ((1 << 47) + 12_345, 16, 16),
+            (1 << 55, 16, 16),
+            (1, 16, 16), // shift == 0
+            (1, 8, 8),
+            (3, 16, 8), // shift > 0
+        ];
+        let mut non_negative_shifts = 0;
+        for (sum, recip_frac, frac) in rows {
+            let inv = u.recip(sum, recip_frac).unwrap();
+            non_negative_shifts += usize::from(inv.exp2 - frac as i32 >= 0);
+            let raws: Vec<i64> = [0, 1, sum / 3, sum / 2, sum - 1, sum]
+                .into_iter()
+                .filter(|raw| (0..=sum).contains(raw))
+                .collect();
+            let mut probs = vec![7u16]; // appended to, not cleared
+            inv.scale_to_probs_into(&raws, sum, frac, &mut probs);
+            let scalar: Vec<u16> = raws.iter().map(|&raw| inv.scale_to_prob(raw, frac)).collect();
+            assert_eq!(probs[0], 7);
+            assert_eq!(probs[1..], scalar, "sum {sum} frac {recip_frac}/{frac}");
+        }
+        assert_eq!(non_negative_shifts, 3, "the shift >= 0 rows are what they claim");
     }
 
     #[test]

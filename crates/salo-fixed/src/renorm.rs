@@ -101,28 +101,30 @@ pub fn merge_partials_into(
         return Ok(());
     }
     let (alpha, beta) = merge_weights(acc.weight_q16, part.weight_q16, recip)?;
-    // Blend weights are at most 2^15, so outputs below 2^46 blend exactly
-    // in i64 (products < 2^61, sum < 2^62) — every datapath value. The
-    // narrow and wide paths round identically whenever the narrow one
-    // applies, so the choice can be made per chunk in a single pass: one
-    // check + one blend per cache line, with the common all-narrow case a
-    // pure slice sweep the autovectorizer handles. Bit-identical to a
-    // whole-row (or per-element) choice.
-    const BLEND_I64_SAFE: u64 = 1 << 46;
-    const BLEND_CHUNK: usize = 8;
-    for (ca, cb) in acc.out_q19.chunks_mut(BLEND_CHUNK).zip(part.out_q19.chunks(BLEND_CHUNK)) {
-        let narrow = ca.iter().zip(cb).all(|(&oa, &ob)| {
-            oa.unsigned_abs() < BLEND_I64_SAFE && ob.unsigned_abs() < BLEND_I64_SAFE
-        });
-        if narrow {
-            for (oa, &ob) in ca.iter_mut().zip(cb) {
-                *oa = (*oa * i64::from(alpha) + ob * i64::from(beta)) >> 15;
-            }
-        } else {
-            for (oa, &ob) in ca.iter_mut().zip(cb) {
-                *oa = ((*oa as i128 * i128::from(alpha) + ob as i128 * i128::from(beta)) >> 15)
-                    as i64;
-            }
+    let (alpha, beta) = (i64::from(alpha), i64::from(beta));
+    // Every datapath output fits 32 bits (a stage-5 chain of at most 2^22
+    // per key, blended by weights of at most 2^15 that sum to at most
+    // one), so after one test for the whole row the blend is a branch-free
+    // sweep of 32x32 -> 64-bit multiplies — a quarter of the work of a full
+    // 64-bit multiply per lane. The narrow and the wide form compute the
+    // same exact integer (products below 2^46, sum below 2^47), so rows
+    // that do not fit take the 128-bit form and round identically.
+    // (An OR-fold rather than `all`: no early exit, so the test is itself
+    // a vector sweep. The fold is zero iff every value is in `i32`.)
+    let beyond_i32 = |o: i64| (o as u64).wrapping_add(1 << 31) >> 32;
+    let beyond = acc
+        .out_q19
+        .iter()
+        .zip(&part.out_q19)
+        .fold(0, |m, (&oa, &ob)| m | beyond_i32(oa) | beyond_i32(ob));
+    if beyond == 0 {
+        for (oa, &ob) in acc.out_q19.iter_mut().zip(&part.out_q19) {
+            *oa = (i64::from(*oa as i32) * alpha + i64::from(ob as i32) * beta) >> 15;
+        }
+    } else {
+        for (oa, &ob) in acc.out_q19.iter_mut().zip(&part.out_q19) {
+            *oa = ((i128::from(*oa) * i128::from(alpha) + i128::from(ob) * i128::from(beta)) >> 15)
+                as i64;
         }
     }
     acc.weight_q16 += part.weight_q16;
@@ -299,36 +301,56 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn chunked_blend_matches_wide_reference_on_mixed_magnitudes() {
-        // A row where some chunks fit the narrow i64 blend and others
-        // exceed 2^46: the per-chunk choice must agree, bit for bit, with
-        // blending every element on the wide i128 path (exact for the
-        // fitting values too).
-        let r = recip();
-        let dim = 19; // crosses chunk boundaries with a remainder
-        let big = 1i64 << 50;
-        let a_vals: Vec<i64> = (0..dim)
-            .map(|e| if e % 7 == 3 { big + e as i64 } else { (e as i64 - 9) << 20 })
-            .collect();
-        let b_vals: Vec<i64> = (0..dim)
-            .map(|e| if e % 5 == 1 { -big - e as i64 } else { (9 - e as i64) << 21 })
-            .collect();
-        let w1 = 5i64 << 16;
-        let w2 = 3i64 << 16;
-        let mut acc = PartialRow { weight_q16: w1, out_q19: a_vals.clone() };
-        let part = PartialRow { weight_q16: w2, out_q19: b_vals.clone() };
-        merge_partials_into(&mut acc, &part, &r).unwrap();
-        let (alpha, beta) = merge_weights(w1, w2, &r).unwrap();
-        let wide: Vec<i64> = a_vals
-            .iter()
-            .zip(&b_vals)
+    /// Every element through the 128-bit blend — the definition both
+    /// forms of `merge_partials_into` are pinned against.
+    fn wide_blend(a: &[i64], b: &[i64], alpha: u16, beta: u16) -> Vec<i64> {
+        a.iter()
+            .zip(b)
             .map(|(&oa, &ob)| {
                 ((oa as i128 * i128::from(alpha) + ob as i128 * i128::from(beta)) >> 15) as i64
             })
-            .collect();
-        assert_eq!(acc.out_q19, wide);
-        assert_eq!(acc.weight_q16, w1 + w2);
+            .collect()
+    }
+
+    #[test]
+    fn whole_row_blend_matches_wide_reference_around_the_i32_threshold() {
+        // Rows whose largest magnitude sits at, just below and just above
+        // what 32 bits hold, on either operand and either sign, plus far
+        // beyond (where an i64 product would wrap): the whole-row choice
+        // must agree with the all-i128 blend bit for bit.
+        let r = recip();
+        let dim = 19;
+        let (w1, w2) = (5i64 << 16, 3i64 << 16);
+        let (alpha, beta) = merge_weights(w1, w2, &r).unwrap();
+        let small = |e: usize| (e as i64 - 9) << 18;
+        let edges = [
+            i64::from(i32::MAX) - 1,
+            i64::from(i32::MAX),
+            i64::from(i32::MAX) + 1,
+            i64::from(i32::MIN) + 1,
+            i64::from(i32::MIN),
+            i64::from(i32::MIN) - 1,
+            (1 << 50) + 7,
+            -(1 << 50) - 7,
+            i64::MAX,
+            i64::MIN,
+        ];
+        for edge in edges {
+            for edge_in_acc in [true, false] {
+                let mut a_vals: Vec<i64> = (0..dim).map(small).collect();
+                let mut b_vals: Vec<i64> = (0..dim).map(|e| -small(e) + 3).collect();
+                if edge_in_acc {
+                    a_vals[7] = edge;
+                } else {
+                    b_vals[11] = edge;
+                }
+                let mut acc = PartialRow { weight_q16: w1, out_q19: a_vals.clone() };
+                let part = PartialRow { weight_q16: w2, out_q19: b_vals.clone() };
+                merge_partials_into(&mut acc, &part, &r).unwrap();
+                assert_eq!(acc.out_q19, wide_blend(&a_vals, &b_vals, alpha, beta), "edge {edge}");
+                assert_eq!(acc.weight_q16, w1 + w2);
+            }
+        }
     }
 
     #[test]

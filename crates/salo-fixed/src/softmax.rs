@@ -8,6 +8,7 @@
 //! golden reference kernel and the quantization study share one
 //! bit-deterministic implementation.
 
+use crate::exp::EXP_FRAC;
 use crate::{ExpLut, FixedError, Recip, RecipUnit};
 
 /// Fraction bits of the probability format (Q.15).
@@ -70,14 +71,14 @@ pub fn fixed_softmax_parts_into(
     if scores_q8.is_empty() {
         return Err(FixedError::EmptySoftmaxRow);
     }
-    // Stage 2 + 3: exponentials (Q.16) over the whole row in one chunked
+    // Stage 2 + 3: exponentials (Q.16) over the whole row in one table
     // sweep (bit-identical to per-element `eval_q8` accumulated left to
     // right), then one reciprocal.
     let sum = exp.eval_q8_sum_into(scores_q8, exps);
-    let inv = recip.recip(sum, crate::exp::EXP_FRAC)?;
-    // Stage 4: broadcast multiply.
+    let inv = recip.recip(sum, EXP_FRAC)?;
+    // Stage 4: broadcast multiply. No exponential exceeds the row sum.
     probs.clear();
-    probs.extend(exps.iter().map(|&e| inv.scale_to_prob(e, crate::exp::EXP_FRAC)));
+    inv.scale_to_probs_into(exps, sum, EXP_FRAC, probs);
     Ok((sum, inv))
 }
 

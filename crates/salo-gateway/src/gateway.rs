@@ -606,6 +606,35 @@ fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new().name(name.into()).spawn(body).expect("spawn gateway thread")
 }
 
+/// Returns the free pages of the allocator's arenas to the operating
+/// system.
+///
+/// A compiled plan at decode capacities is tens of MiB, and glibc keeps
+/// all of it once it is freed: the first large block to be released
+/// raises the allocator's trim threshold to twice its size, and the
+/// server's threads each free into an arena of their own, none of which
+/// ever has that much free at its top. `smaps` before and after a
+/// shutdown were equal (EXPERIMENTS.md, "What the fixed-time RSS metric
+/// sees"); whatever the process allocated next landed on top of the dead
+/// gateway's footprint. `malloc_trim` walks every arena and gives back
+/// the whole pages inside free chunks. On other allocators this is a
+/// no-op and their own policy applies.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointer and may be called from any
+    // thread at any time; it touches only memory the allocator holds as
+    // free. Its result (whether anything was released) is of no use here.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
+
 impl Gateway {
     /// Starts a server with `options.serve` and binds the gateway to
     /// `addr` (use port 0 for an ephemeral port, then [`local_addr`](Self::local_addr)
@@ -679,7 +708,11 @@ impl Gateway {
     ///    frame as the sessions end;
     /// 4. reader sockets are read-shutdown (write halves stay open for
     ///    the final frames), the server is drained and shut down, and
-    ///    all threads are joined.
+    ///    all threads are joined;
+    /// 5. the pages behind everything that freed — plan cache, sessions,
+    ///    K/V pools — are handed back to the operating system, so a
+    ///    process that outlives its gateway does not stay at the
+    ///    gateway's high-water mark (`release_freed_memory`).
     pub fn shutdown(mut self) -> GatewayReport {
         let drained_in_deadline = self.drain();
         let server = Arc::into_inner(self.server).expect("server users joined");
@@ -690,8 +723,8 @@ impl Gateway {
         if let Some(handle) = self.session_completion.take() {
             handle.join().expect("session completion panicked");
         }
-        let inner = &self.inner;
-        GatewayReport {
+        let inner = self.inner;
+        let report = GatewayReport {
             serve,
             connections: inner.connections_total.load(Ordering::Relaxed),
             frames_read: inner.frames_read.load(Ordering::Relaxed),
@@ -701,7 +734,12 @@ impl Gateway {
             rejected_draining: inner.rejected_draining.load(Ordering::Relaxed),
             timed_out: inner.timed_out.load(Ordering::Relaxed),
             drained_in_deadline,
-        }
+        };
+        // Everything the gateway and its server held is freed by now;
+        // what the process keeps resident for it should go too.
+        drop(inner);
+        release_freed_memory();
+        report
     }
 
     /// Steps 1–3 of [`shutdown`](Self::shutdown), up to and including the

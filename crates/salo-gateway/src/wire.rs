@@ -355,14 +355,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -372,11 +364,20 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// `v`'s elements back to back, little-endian — the bulk form: the
+    /// buffer grows once and is filled in one sweep, where a push per
+    /// element re-checks capacity megabytes of times over.
+    fn slice<T: Le>(&mut self, v: &[T]) {
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * T::WIDTH, 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(T::WIDTH).zip(v) {
+            x.put(dst);
+        }
+    }
+
     fn f32s(&mut self, v: &[f32]) {
         self.u32(v.len() as u32);
-        for &x in v {
-            self.f32(x);
-        }
+        self.slice(v);
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -385,6 +386,31 @@ impl Enc {
         self.buf
     }
 }
+
+/// A scalar with a fixed-width little-endian wire form, for the bulk
+/// codecs ([`Enc::slice`], [`Dec::vec`]).
+trait Le: Copy {
+    const WIDTH: usize;
+    /// Writes `self` into `dst`, which is `WIDTH` bytes.
+    fn put(self, dst: &mut [u8]);
+    /// Reads a value from `src`, which is `WIDTH` bytes.
+    fn get(src: &[u8]) -> Self;
+}
+
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl Le for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            fn get(src: &[u8]) -> Self {
+                <$t>::from_le_bytes(src.try_into().expect("WIDTH bytes"))
+            }
+        }
+    )*};
+}
+le_scalar!(f32, i16, i64);
 
 struct Dec<'a> {
     buf: &'a [u8],
@@ -425,14 +451,6 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn i16(&mut self) -> Result<i16, WireError> {
-        Ok(i16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
     fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -455,9 +473,18 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadValue("utf-8".into()))
     }
 
+    /// `n` little-endian elements back to back — the bulk form: one
+    /// bounds check for the run, then a pre-sized conversion sweep.
+    /// Callers have already checked `n` against the bytes left, so the
+    /// allocation is bounded by the frame.
+    fn vec<T: Le>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
+        let bytes = self.take(n.saturating_mul(T::WIDTH))?;
+        Ok(bytes.chunks_exact(T::WIDTH).map(T::get).collect())
+    }
+
     fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
         let n = self.count(4)?;
-        (0..n).map(|_| self.f32()).collect()
+        self.vec(n)
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -479,9 +506,7 @@ fn bad(reason: impl std::fmt::Display) -> WireError {
 fn put_matrix_f32(e: &mut Enc, m: &Matrix<f32>) {
     e.u32(m.rows() as u32);
     e.u32(m.cols() as u32);
-    for &x in m.as_slice() {
-        e.f32(x);
-    }
+    e.slice(m.as_slice());
 }
 
 fn get_matrix_f32(d: &mut Dec<'_>) -> Result<Matrix<f32>, WireError> {
@@ -491,16 +516,13 @@ fn get_matrix_f32(d: &mut Dec<'_>) -> Result<Matrix<f32>, WireError> {
     if needed > d.remaining() {
         return Err(WireError::Truncated { needed, have: d.remaining() });
     }
-    let data = (0..rows * cols).map(|_| d.f32()).collect::<Result<Vec<_>, _>>()?;
-    Matrix::from_vec(rows, cols, data).map_err(bad)
+    Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
 }
 
 fn put_matrix_i16(e: &mut Enc, m: &Matrix<i16>) {
     e.u32(m.rows() as u32);
     e.u32(m.cols() as u32);
-    for &x in m.as_slice() {
-        e.i16(x);
-    }
+    e.slice(m.as_slice());
 }
 
 fn get_matrix_i16(d: &mut Dec<'_>) -> Result<Matrix<i16>, WireError> {
@@ -510,8 +532,7 @@ fn get_matrix_i16(d: &mut Dec<'_>) -> Result<Matrix<i16>, WireError> {
     if needed > d.remaining() {
         return Err(WireError::Truncated { needed, have: d.remaining() });
     }
-    let data = (0..rows * cols).map(|_| d.i16()).collect::<Result<Vec<_>, _>>()?;
-    Matrix::from_vec(rows, cols, data).map_err(bad)
+    Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
 }
 
 fn put_qkv(e: &mut Enc, q: &Qkv) {
@@ -928,9 +949,7 @@ pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
                 put_matrix_f32(&mut e, &h.output);
                 put_matrix_i16(&mut e, &h.raw);
                 e.u32(h.weights_q16.len() as u32);
-                for &w in &h.weights_q16 {
-                    e.i64(w);
-                }
+                e.slice(&h.weights_q16);
             }
             e.f64(*sim_time_s);
             e.f64(*sim_energy_j);
@@ -952,9 +971,7 @@ pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
                     Some(raw) => {
                         e.u8(1);
                         e.u32(raw.len() as u32);
-                        for &x in raw {
-                            e.i16(x);
-                        }
+                        e.slice(raw);
                     }
                 }
                 match h.weight_q16 {
@@ -1060,7 +1077,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(Header, Response), WireError> 
                     let output = get_matrix_f32(&mut d)?;
                     let raw = get_matrix_i16(&mut d)?;
                     let wn = d.count(8)?;
-                    let weights_q16 = (0..wn).map(|_| d.i64()).collect::<Result<Vec<_>, _>>()?;
+                    let weights_q16 = d.vec(wn)?;
                     Ok(PrefillHead { output, raw, weights_q16 })
                 })
                 .collect::<Result<Vec<_>, WireError>>()?;
@@ -1085,7 +1102,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(Header, Response), WireError> 
                         0 => None,
                         _ => {
                             let rn = d.count(2)?;
-                            Some((0..rn).map(|_| d.i16()).collect::<Result<Vec<_>, _>>()?)
+                            Some(d.vec(rn)?)
                         }
                     };
                     let weight_q16 = match d.u8()? {

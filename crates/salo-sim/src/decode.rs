@@ -52,6 +52,7 @@
 
 use salo_fixed::{ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
 use salo_scheduler::ExecutionPlan;
+use std::sync::Arc;
 
 use crate::exec::{run_op, ExecScratch, KvSource};
 use crate::{LoweredOp, LoweredOpKind, LoweredPlan, SimError, SpatialAccelerator};
@@ -95,8 +96,11 @@ pub struct DecodePlan {
     /// Step ops, contiguous per destination row, prefill order within
     /// each row.
     ops: Vec<LoweredOp>,
-    /// Key arena the ops slice into (rebuilt compactly during lowering).
-    keys: Vec<u32>,
+    /// Key arena the ops slice into: the lowered plan's own, shared — each
+    /// op keeps the key list it was lowered with, so there is nothing to
+    /// copy, and at decode capacities a second arena would be the largest
+    /// thing in the program.
+    keys: Arc<Vec<u32>>,
     /// Per sequence position: op range into `ops` (empty for global rows,
     /// whose work lives in `global_rows`).
     step_ranges: Vec<(u32, u32)>,
@@ -166,17 +170,10 @@ impl DecodePlan {
             *slot += 1;
         }
 
-        // Flatten into one op list with a compact key arena.
-        let mut keys = Vec::with_capacity(lowered.keys().len());
-        let ops: Vec<LoweredOp> = order
-            .iter()
-            .map(|&index| {
-                let op = &lowered.ops()[index as usize];
-                let key_start = keys.len() as u32;
-                keys.extend_from_slice(lowered.op_keys(op));
-                LoweredOp { key_start, ..*op }
-            })
-            .collect();
+        // One op list in destination order, over the lowered key arena.
+        let keys = lowered.shared_keys();
+        let ops: Vec<LoweredOp> =
+            order.iter().map(|&index| lowered.ops()[index as usize]).collect();
         let step_ranges: Vec<(u32, u32)> = slots[..=n].windows(2).map(|w| (w[0], w[1])).collect();
         let mut global_rows: Vec<GlobalRowProgram> = globals
             .iter()
@@ -250,8 +247,10 @@ impl DecodePlan {
             h.write_usize(op.key_len as usize);
         }
         h.write_usize(keys.len());
-        for &k in &keys {
-            h.write_usize(k as usize);
+        for op in &ops {
+            for &k in lowered.op_keys(op) {
+                h.write_usize(k as usize);
+            }
         }
         let fingerprint = h.finish();
 
@@ -493,19 +492,28 @@ impl KvPagePool {
 struct PagedKv<'a> {
     pages: &'a [Option<KvPage>],
     page_rows: usize,
+    /// `log2(page_rows)` when that is a power of two (the default is):
+    /// translation is then a shift and a mask. A hardware division per
+    /// K row and per V row is as dear as the row's own arithmetic.
+    shift: Option<u32>,
 }
 
 impl<'a> PagedKv<'a> {
     fn new(pages: &'a [Option<KvPage>], page_rows: usize) -> Self {
-        Self { pages, page_rows }
+        let shift = page_rows.is_power_of_two().then(|| page_rows.trailing_zeros());
+        Self { pages, page_rows, shift }
     }
 
     #[inline]
     fn page(&self, j: usize) -> (&'a KvPage, usize) {
-        let page = self.pages[j / self.page_rows]
+        let (index, slot) = match self.shift {
+            Some(shift) => (j >> shift, j & (self.page_rows - 1)),
+            None => (j / self.page_rows, j % self.page_rows),
+        };
+        let page = self.pages[index]
             .as_ref()
             .expect("plan references a reclaimed K/V row: horizon invariant violated");
-        (page, j % self.page_rows)
+        (page, slot)
     }
 }
 

@@ -13,8 +13,8 @@
 //! both paths stay bit-identical.
 
 use salo_fixed::{
-    fixed_softmax_parts_into, merge_partials_into, qk_dot, sv_row_mac, sv_row_mac_i32, ExpLut,
-    Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE, SV_I32_SAFE_KEYS,
+    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, ExpLut, Fix16x8,
+    Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
 };
 use salo_kernels::{Matrix, Qkv};
 use salo_scheduler::{ExecutionPlan, Pass, PlanStats};
@@ -72,11 +72,8 @@ pub struct OpScratch {
     pub(crate) exps: Vec<i64>,
     /// Stage-4 probabilities of the current op.
     pub(crate) probs: Vec<u16>,
-    /// Stage-5 accumulator: the part produced by the current op.
+    /// Stage-5 output: the part produced by the current op.
     pub(crate) part: PartialRow,
-    /// 32-bit stage-5 accumulation buffer (ops short enough that the
-    /// chain provably fits `i32` — every array-shaped op).
-    pub(crate) out32: Vec<i32>,
     /// Accumulated per-stage wall time; only written when `profiling`.
     pub(crate) profile: StageProfile,
     /// Stage-profiling flag: when false each op pays one predicted branch
@@ -99,22 +96,19 @@ impl OpScratch {
             exps: Vec::new(),
             probs: Vec::new(),
             part: PartialRow::empty(0),
-            out32: Vec::new(),
             profile: StageProfile::default(),
             profiling: false,
         }
     }
 
-    /// Sizes the part/output buffers for dimension `d` and pre-grows the
-    /// per-key buffers to `max_keys` so the first ops never reallocate.
+    /// Sizes the part buffer for dimension `d` and pre-grows the per-key
+    /// buffers to `max_keys` so the first ops never reallocate.
     pub(crate) fn prepare(&mut self, d: usize, max_keys: usize) {
         if self.part.out_q19.len() != d {
             self.part.out_q19.clear();
             self.part.out_q19.resize(d, 0);
         }
         self.part.weight_q16 = 0;
-        self.out32.clear();
-        self.out32.resize(d, 0);
         self.scores.reserve(max_keys);
         self.exps.reserve(max_keys);
         self.probs.reserve(max_keys);
@@ -176,15 +170,13 @@ impl ExecScratch {
         self.vq.clear();
         self.vq.extend(v.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
 
-        let n = q.rows();
-        self.op.prepare(d, 0);
-        reset_acc_rows(&mut self.acc, n, d);
+        reset_acc_rows(&mut self.acc, q.rows(), d);
     }
 
     /// Row `i` of a flat `d`-strided arena.
     #[inline]
     pub(crate) fn row(arena: &[Fix8x4], i: usize, d: usize) -> &[Fix8x4] {
-        &arena[i * d..(i + 1) * d]
+        &arena[i * d..][..d]
     }
 
     /// Enables or disables per-stage datapath profiling for subsequent
@@ -780,8 +772,8 @@ impl SpatialAccelerator {
         let mut weights = vec![0i64; n];
         for (i, part) in acc.iter().enumerate() {
             weights[i] = part.weight_q16;
-            for (c, &o) in part.out_q19.iter().enumerate() {
-                raw.set(i, c, Fix16x8::from_q19_acc(o));
+            for (r, &o) in raw.row_mut(i).iter_mut().zip(&part.out_q19) {
+                *r = Fix16x8::from_q19_acc(o);
             }
         }
 
@@ -849,14 +841,18 @@ impl KvSource for SliceKv<'_> {
 
 /// Stages 1–5 for one lowered op, merged into `acc`: output-stationary
 /// dot products, exp/sum/reciprocal/normalize, weight-stationary value
-/// accumulation (i32 fast path for provably short chains), weighted-sum
-/// merge.
+/// accumulation, weighted-sum merge.
 ///
 /// This is the **single** arithmetic body executed by both the prefill
 /// pass (`run_ops`, K/V from the full-sequence scratch load) and the
 /// decode step (`run_decode_ops`, K/V through page translation) — the
 /// decode-vs-prefill bit-identity guarantee holds by construction
 /// because there is exactly one copy of these kernels to diverge from.
+///
+/// The two MAC stages sweep the whole op at once ([`qk_dot_rows`],
+/// [`sv_rows_mac`]); those are instantiated at the serving head
+/// dimensions and pick the instantiation from `d` — a property of the
+/// request, not a knob.
 #[allow(clippy::too_many_arguments)] // the op's full dataflow, spelled out
 pub(crate) fn run_op<S: KvSource>(
     exp: &ExpLut,
@@ -870,50 +866,29 @@ pub(crate) fn run_op<S: KvSource>(
     acc: &mut PartialRow,
     sat: &mut MacSaturation,
 ) -> Result<(), SimError> {
-    let OpScratch { scores, exps, probs, part, out32, profile, profiling } = bufs;
+    let OpScratch { scores, exps, probs, part, profile, profiling } = bufs;
     let mut timer = StageTimer::start(*profiling);
+    // Stage 1: output-stationary dot products.
+    scores.clear();
+    qk_dot_rows(q_row, keys, |j| kv.k_row(j as usize, d), scores, sat);
+    timer.lap(&mut profile.qk_dot_ns);
     match kind {
         LoweredOpKind::Row => {
-            // Stage 1: output-stationary dot products.
-            scores.clear();
-            scores.extend(keys.iter().map(|&j| qk_dot(q_row, kv.k_row(j as usize, d), sat)));
-            timer.lap(&mut profile.qk_dot_ns);
             // Stages 2-4: exp, row sum, reciprocal, normalize.
-            let (weight, _) = fixed_softmax_parts_into(scores, exp, recip, exps, probs)?;
-            timer.lap(&mut profile.exp_lut_ns);
-            // Stage 5: weight-stationary value accumulation. Short chains
-            // (every array-shaped op) accumulate in i32 — bit-identical,
-            // twice the vector lanes.
-            part.weight_q16 = weight;
-            if keys.len() <= SV_I32_SAFE_KEYS {
-                out32.fill(0);
-                for (&j, &p) in keys.iter().zip(probs.iter()) {
-                    sv_row_mac_i32(out32, p, kv.v_row(j as usize, d));
-                }
-                for (o, &o32) in part.out_q19.iter_mut().zip(out32.iter()) {
-                    *o = i64::from(o32);
-                }
-            } else {
-                part.out_q19.fill(0);
-                for (&j, &p) in keys.iter().zip(probs.iter()) {
-                    sv_row_mac(&mut part.out_q19, p, kv.v_row(j as usize, d));
-                }
-            }
-            timer.lap(&mut profile.sv_mac_ns);
+            part.weight_q16 = fixed_softmax_parts_into(scores, exp, recip, exps, probs)?.0;
         }
         LoweredOpKind::SingleKey => {
             // A global PE column/row cell: weight `exp(s)`, output `v_g`
             // at probability one.
-            let g = keys[0] as usize;
-            let score = qk_dot(q_row, kv.k_row(g, d), sat);
-            timer.lap(&mut profile.qk_dot_ns);
-            part.weight_q16 = exp.eval_q8(score);
-            timer.lap(&mut profile.exp_lut_ns);
-            part.out_q19.fill(0);
-            sv_row_mac(&mut part.out_q19, PROB_ONE, kv.v_row(g, d));
-            timer.lap(&mut profile.sv_mac_ns);
+            part.weight_q16 = exp.eval_q8(scores[0]);
+            probs.clear();
+            probs.push(PROB_ONE);
         }
     }
+    timer.lap(&mut profile.exp_lut_ns);
+    // Stage 5: weight-stationary value accumulation.
+    sv_rows_mac(probs, keys, |j| kv.v_row(j as usize, d), &mut part.out_q19);
+    timer.lap(&mut profile.sv_mac_ns);
     merge_partials_into(acc, part, recip)?;
     timer.lap(&mut profile.renorm_merge_ns);
     if *profiling {

@@ -22,6 +22,7 @@
 //! (asserted by the simulator's proptests).
 
 use salo_scheduler::{ExecutionPlan, PlanStats, SupplementalKind};
+use std::sync::Arc;
 
 /// What one lowered operation computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +74,11 @@ struct PassBounds {
 pub struct LoweredPlan {
     n: usize,
     ops: Vec<LoweredOp>,
-    keys: Vec<u32>,
+    /// Behind an `Arc` so the decode program of the same plan
+    /// ([`DecodePlan`](crate::DecodePlan)) slices this arena instead of
+    /// holding a second copy of it — at decode capacities the keys are the
+    /// bulk of a compiled plan.
+    keys: Arc<Vec<u32>>,
     pass_bounds: Vec<PassBounds>,
     /// First supplemental op (everything from here to the end runs after
     /// the main passes).
@@ -94,8 +99,12 @@ impl LoweredPlan {
     /// masked, or global) emit no op.
     #[must_use]
     pub fn lower(plan: &ExecutionPlan) -> Self {
+        let stats = plan.stats();
         let mut ops = Vec::new();
-        let mut keys = Vec::new();
+        // One key per score the plan computes: sized once, so the arena —
+        // the bulk of the program — is never grown by copy.
+        let scores = stats.active_cells + stats.global_col_scores + stats.global_row_scores;
+        let mut keys = Vec::with_capacity(scores as usize);
         let mut pass_bounds = Vec::with_capacity(plan.passes().len());
 
         for pass in plan.passes() {
@@ -191,10 +200,10 @@ impl LoweredPlan {
         Self {
             n: plan.n(),
             ops,
-            keys,
+            keys: Arc::new(keys),
             pass_bounds,
             sup_start,
-            stats: plan.stats(),
+            stats,
             q_loads: plan.passes().iter().map(|p| p.tile_len as u64).sum(),
             max_row_keys,
         }
@@ -216,6 +225,11 @@ impl LoweredPlan {
     #[must_use]
     pub fn keys(&self) -> &[u32] {
         &self.keys
+    }
+
+    /// A handle on the key arena, for programs derived from this one.
+    pub(crate) fn shared_keys(&self) -> Arc<Vec<u32>> {
+        Arc::clone(&self.keys)
     }
 
     /// Key list of one op.
