@@ -316,8 +316,17 @@ mod tests {
 
         // The oracle: one-shot execution of the session's own causal plan.
         let qkv = Qkv::random(n, d, 99);
-        let prefill =
-            salo.run_head(session.compiled(), &qkv, &mut salo_sim::ExecScratch::new()).unwrap();
+        let prefill = salo
+            .accelerator()
+            .execute_lowered(
+                &session.compiled().lowered,
+                &qkv.q,
+                &qkv.k,
+                &qkv.v,
+                SpatialAccelerator::default_scale(d),
+                &mut salo_sim::ExecScratch::new(),
+            )
+            .unwrap();
 
         session.prime_rows(&qkv, 0..1).unwrap();
         for t in 1..n {

@@ -120,22 +120,6 @@ fn normalize_step_error(e: SimError) -> SaloError {
     }
 }
 
-/// The engine's pool geometry from the environment: `SALO_KV_PAGE_ROWS`
-/// (rows per page, default [`DEFAULT_PAGE_ROWS`]) and `SALO_KV_POOL_PAGES`
-/// (capacity bound, default unbounded). Read once per engine
-/// construction; [`Engine::configure_kv_pool`] overrides at runtime.
-fn env_kv_pool() -> KvPagePool {
-    let page_rows = std::env::var("SALO_KV_PAGE_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r: &usize| r > 0)
-        .unwrap_or(DEFAULT_PAGE_ROWS);
-    match std::env::var("SALO_KV_POOL_PAGES").ok().and_then(|v| v.parse().ok()) {
-        Some(capacity) => KvPagePool::bounded(page_rows, capacity),
-        None => KvPagePool::new(page_rows),
-    }
-}
-
 impl FixedCore {
     fn new(accel: SpatialAccelerator) -> Self {
         Self {
@@ -144,7 +128,7 @@ impl FixedCore {
             heads_scratch: HeadsScratch::new(),
             parallelism: 1,
             sessions: HashMap::new(),
-            kv_pool: env_kv_pool(),
+            kv_pool: KvPagePool::new(DEFAULT_PAGE_ROWS),
         }
     }
 

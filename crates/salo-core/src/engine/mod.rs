@@ -286,14 +286,14 @@ impl PrefillOutput {
         Matrix::from_fn(n, self.heads.len() * d, |i, j| self.heads[j / d].output.get(i, j % d))
     }
 
-    /// Converts to the legacy [`MultiHeadRun`] shape, for callers still on
-    /// the pre-engine API (the serving response keeps this type).
+    /// Converts to [`MultiHeadRun`], the fixed-point-only form with no
+    /// `Option` per artifact — the serving runtime's response type.
     ///
     /// # Errors
     ///
     /// Returns [`SaloError::Unsupported`] when the producing backend did
     /// not emit the fixed-point artifacts (`raw`, `weights_q16`,
-    /// `report`) the legacy type requires.
+    /// `report`) that type requires.
     pub fn into_multi_head_run(self) -> Result<MultiHeadRun, SaloError> {
         let engine = self.telemetry.engine;
         let heads = self

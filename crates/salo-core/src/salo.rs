@@ -2,12 +2,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use salo_kernels::{Matrix, Qkv};
+use salo_kernels::Matrix;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_scheduler::{ExecutionPlan, PlanStats};
 use salo_sim::{
-    AcceleratorConfig, DecodePlan, ExecScratch, ExecutionOutput, LoweredPlan, SpatialAccelerator,
-    TimingReport,
+    AcceleratorConfig, DecodePlan, ExecutionOutput, LoweredPlan, SpatialAccelerator, TimingReport,
 };
 
 use crate::SaloError;
@@ -61,7 +60,11 @@ impl CompiledPlan {
     }
 }
 
-/// The result of executing all heads of a layer.
+/// A layer's heads in fixed-point form: every head carries its raw
+/// 16-bit rows, Q.16 softmax weights and simulator report, with no
+/// `Option` to unwrap. The serving runtime's response type — built from a
+/// fixed-point engine's [`PrefillOutput`](crate::PrefillOutput) by
+/// [`into_multi_head_run`](crate::PrefillOutput::into_multi_head_run).
 #[derive(Debug, Clone)]
 pub struct MultiHeadRun {
     /// Per-head execution outputs.
@@ -109,9 +112,8 @@ pub(crate) fn compile_with(
 /// owns one simulated accelerator instance, compiles patterns into
 /// [`CompiledPlan`]s, and hands out execution backends
 /// ([`engine`](Salo::engine) and friends) that serve typed
-/// [`AttentionRequest`](crate::AttentionRequest)s. The legacy
-/// `execute`/`execute_head` methods remain as deprecated shims for one
-/// release.
+/// [`AttentionRequest`](crate::AttentionRequest)s. The
+/// [`Engine`](crate::Engine) trait is the only way to run a request.
 #[derive(Debug, Clone)]
 pub struct Salo {
     accel: SpatialAccelerator,
@@ -215,145 +217,13 @@ impl Salo {
         }
         Ok(report)
     }
-
-    /// Functionally executes one head.
-    ///
-    /// Deprecated shim over the engine datapath: build a
-    /// [`LoweredEngine`](crate::LoweredEngine) via
-    /// [`engine`](Self::engine) and send an
-    /// [`AttentionRequest::Prefill`](crate::AttentionRequest::Prefill)
-    /// instead — the engine holds its own scratch and serves every
-    /// request kind through one call. Bit-identical to the engine path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the inputs do not match the compiled
-    /// shape, or a simulator error on numeric degeneracy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Salo::engine() and AttentionRequest::Prefill; this shim lasts one release"
-    )]
-    pub fn execute_head(
-        &self,
-        compiled: &CompiledPlan,
-        head: &Qkv,
-    ) -> Result<ExecutionOutput, SaloError> {
-        self.run_head(compiled, head, &mut ExecScratch::new())
-    }
-
-    /// Executes one head through the pre-lowered plan, reusing
-    /// caller-owned scratch. Deprecated shim: a
-    /// [`LoweredEngine`](crate::LoweredEngine) owns its scratch for the
-    /// engine's lifetime, making this call shape redundant.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`execute_head`](Self::execute_head).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Salo::engine(); a LoweredEngine reuses its own scratch across requests"
-    )]
-    pub fn execute_head_with_scratch(
-        &self,
-        compiled: &CompiledPlan,
-        head: &Qkv,
-        scratch: &mut ExecScratch,
-    ) -> Result<ExecutionOutput, SaloError> {
-        self.run_head(compiled, head, scratch)
-    }
-
-    /// The one-head fixed-point execution shared by the deprecated shims
-    /// and the [`DecodeSession`](crate::DecodeSession) oracle tests.
-    pub(crate) fn run_head(
-        &self,
-        compiled: &CompiledPlan,
-        head: &Qkv,
-        scratch: &mut ExecScratch,
-    ) -> Result<ExecutionOutput, SaloError> {
-        if head.seq_len() != compiled.shape.seq_len || head.head_dim() != compiled.shape.head_dim {
-            return Err(SaloError::ShapeMismatch {
-                expected: (compiled.shape.seq_len, compiled.shape.head_dim),
-                got: (head.seq_len(), head.head_dim()),
-            });
-        }
-        let scale = SpatialAccelerator::default_scale(compiled.shape.head_dim);
-        Ok(self.accel.execute_lowered(
-            &compiled.lowered,
-            &head.q,
-            &head.k,
-            &head.v,
-            scale,
-            scratch,
-        )?)
-    }
-
-    /// Functionally executes all heads of a layer (sequentially, as the
-    /// hardware does).
-    ///
-    /// Deprecated shim over the engine datapath — see
-    /// [`execute_head`](Self::execute_head).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SaloError::HeadCountMismatch`] if the number of heads
-    /// differs from the compiled shape, or any per-head error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Salo::engine() and AttentionRequest::Prefill; this shim lasts one release"
-    )]
-    pub fn execute(
-        &self,
-        compiled: &CompiledPlan,
-        heads: &[Qkv],
-    ) -> Result<MultiHeadRun, SaloError> {
-        self.run_heads(compiled, heads, &mut ExecScratch::new())
-    }
-
-    /// [`execute`](Self::execute) with caller-owned scratch. Deprecated
-    /// shim: a [`LoweredEngine`](crate::LoweredEngine) owns its scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`execute`](Self::execute).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Salo::engine(); a LoweredEngine reuses its own scratch across requests"
-    )]
-    pub fn execute_with_scratch(
-        &self,
-        compiled: &CompiledPlan,
-        heads: &[Qkv],
-        scratch: &mut ExecScratch,
-    ) -> Result<MultiHeadRun, SaloError> {
-        self.run_heads(compiled, heads, scratch)
-    }
-
-    /// The multi-head execution loop behind the deprecated shims.
-    pub(crate) fn run_heads(
-        &self,
-        compiled: &CompiledPlan,
-        heads: &[Qkv],
-        scratch: &mut ExecScratch,
-    ) -> Result<MultiHeadRun, SaloError> {
-        if heads.len() != compiled.shape.num_heads {
-            return Err(SaloError::HeadCountMismatch {
-                expected: compiled.shape.num_heads,
-                got: heads.len(),
-            });
-        }
-        let outputs: Vec<ExecutionOutput> =
-            heads.iter().map(|h| self.run_head(compiled, h, scratch)).collect::<Result<_, _>>()?;
-        let total_time_s = outputs.iter().map(|o| o.report.timing.time_s).sum();
-        let total_energy_j = outputs.iter().map(|o| o.report.timing.energy_j).sum();
-        Ok(MultiHeadRun { heads: outputs, total_time_s, total_energy_j })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AttentionRequest, Engine, PatternHandle};
-    use salo_kernels::{multi_head_attention, sparse_attention};
+    use salo_kernels::{multi_head_attention, sparse_attention, Qkv};
     use salo_patterns::longformer;
     use salo_scheduler::HardwareMeta;
 
@@ -436,41 +306,6 @@ mod tests {
             }),
             Err(SaloError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_engine_bit_for_bit() {
-        // The one-release compatibility shims must keep producing the
-        // engine datapath's exact bits until they are removed.
-        let salo = small_salo();
-        let pattern = longformer(48, 9, 1).unwrap();
-        let shape = AttentionShape::new(48, 8, 2).unwrap();
-        let compiled = salo.compile(&pattern, &shape).unwrap();
-        let mut scratch = salo_sim::ExecScratch::new();
-        for seed in [1u64, 2, 3] {
-            let heads = Qkv::random_heads(&shape, seed);
-            let reused = salo.execute_with_scratch(&compiled, &heads, &mut scratch).unwrap();
-            let fresh = salo.execute(&compiled, &heads).unwrap();
-            let mut engine = salo.engine();
-            let via_engine = engine
-                .execute(AttentionRequest::Prefill {
-                    pattern: PatternHandle::from_plan(Arc::new(compiled.clone())),
-                    shape,
-                    heads: heads.clone(),
-                })
-                .unwrap()
-                .into_prefill()
-                .unwrap();
-            for ((a, b), c) in reused.heads.iter().zip(&fresh.heads).zip(&via_engine.heads) {
-                assert_eq!(a.raw, b.raw);
-                assert_eq!(a.weights_q16, b.weights_q16);
-                assert_eq!(Some(&a.raw), c.raw.as_ref());
-                assert_eq!(Some(&a.weights_q16), c.weights_q16.as_ref());
-            }
-            let single = salo.execute_head(&compiled, &heads[0]).unwrap();
-            assert_eq!(single.raw, fresh.heads[0].raw);
-        }
     }
 
     #[test]

@@ -77,8 +77,15 @@ pub fn validate(
 
     // 2. Numerical probe (one head).
     let head = Qkv::random(compiled.shape.seq_len, compiled.shape.head_dim, config.seed);
-    let out = salo.run_head(compiled, &head, &mut salo_sim::ExecScratch::new())?;
     let scale = 1.0 / (compiled.shape.head_dim.max(1) as f32).sqrt();
+    let out = salo.accelerator().execute_lowered(
+        &compiled.lowered,
+        &head.q,
+        &head.k,
+        &head.v,
+        scale,
+        &mut salo_sim::ExecScratch::new(),
+    )?;
     let reference = sparse_attention(pattern, &head.q, &head.k, &head.v, scale)?;
     let max_abs_error = out.output.max_abs_diff(&reference);
 

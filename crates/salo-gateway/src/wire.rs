@@ -14,7 +14,9 @@
 //! every malformed input maps to a typed [`WireError`], never a panic.
 //! `f32`/`f64` travel as their IEEE-754 bit patterns, so a round trip is
 //! bit-exact — the property the socket-vs-in-process decode identity
-//! tests rely on.
+//! tests rely on. Each type's wire form is written once — a private
+//! `Wire` impl, or a field list handed to `wire!` — and that one
+//! definition both encodes and decodes.
 //!
 //! Patterns ride as their [`PatternTerm`] IR (PR 9): `from_terms` is
 //! idempotent on `terms()`, so decoding reproduces the sender's pattern
@@ -137,33 +139,6 @@ pub enum ErrorCode {
     Invalid,
     /// Execution failed inside the runtime.
     Internal,
-}
-
-impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::BadFrame => 1,
-            ErrorCode::Overloaded => 2,
-            ErrorCode::Draining => 3,
-            ErrorCode::TimedOut => 4,
-            ErrorCode::UnknownSession => 5,
-            ErrorCode::Invalid => 6,
-            ErrorCode::Internal => 7,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::Overloaded,
-            3 => ErrorCode::Draining,
-            4 => ErrorCode::TimedOut,
-            5 => ErrorCode::UnknownSession,
-            6 => ErrorCode::Invalid,
-            7 => ErrorCode::Internal,
-            other => return Err(WireError::BadValue(format!("error code {other}"))),
-        })
-    }
 }
 
 /// A typed error response frame.
@@ -329,14 +304,13 @@ struct Enc {
 
 impl Enc {
     fn new(op: u8, header: Header) -> Self {
-        // Reserve the length prefix; finish() patches it.
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.push(PROTOCOL_VERSION);
-        buf.push(op);
-        buf.extend_from_slice(&header.tenant.to_le_bytes());
-        buf.extend_from_slice(&header.request_id.to_le_bytes());
-        Enc { buf }
+        let mut e = Enc { buf: Vec::with_capacity(64) };
+        e.u32(0); // the length prefix; finish() patches it
+        e.u8(PROTOCOL_VERSION);
+        e.u8(op);
+        e.u64(header.tenant);
+        e.u64(header.request_id);
+        e
     }
 
     fn u8(&mut self, v: u8) {
@@ -351,19 +325,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// `v`'s elements back to back, little-endian — the bulk form: the
     /// buffer grows once and is filled in one sweep, where a push per
     /// element re-checks capacity megabytes of times over.
@@ -375,9 +336,10 @@ impl Enc {
         }
     }
 
-    fn f32s(&mut self, v: &[f32]) {
+    /// A counted sequence: `u32` length, then the elements.
+    fn seq<T: Wire>(&mut self, v: &[T]) {
         self.u32(v.len() as u32);
-        self.slice(v);
+        T::encode_all(v, self);
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -388,7 +350,8 @@ impl Enc {
 }
 
 /// A scalar with a fixed-width little-endian wire form, for the bulk
-/// codecs ([`Enc::slice`], [`Dec::vec`]).
+/// codecs ([`Enc::slice`], [`Dec::vec`]). Every `Le` scalar is [`Wire`],
+/// and a run of them is one sweep.
 trait Le: Copy {
     const WIDTH: usize;
     /// Writes `self` into `dst`, which is `WIDTH` bytes.
@@ -408,9 +371,29 @@ macro_rules! le_scalar {
                 <$t>::from_le_bytes(src.try_into().expect("WIDTH bytes"))
             }
         }
+
+        impl Wire for $t {
+            const MIN: usize = <$t as Le>::WIDTH;
+
+            fn encode(&self, e: &mut Enc) {
+                e.slice(std::slice::from_ref(self));
+            }
+
+            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(<$t as Le>::get(d.take(<$t as Le>::WIDTH)?))
+            }
+
+            fn encode_all(items: &[Self], e: &mut Enc) {
+                e.slice(items);
+            }
+
+            fn decode_all(n: usize, d: &mut Dec<'_>) -> Result<Vec<Self>, WireError> {
+                d.vec(n)
+            }
+        }
     )*};
 }
-le_scalar!(f32, i16, i64);
+le_scalar!(u8, u32, u64, i16, i64, f32, f64);
 
 struct Dec<'a> {
     buf: &'a [u8],
@@ -447,14 +430,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// An element count that promises `count * width` payload bytes:
     /// checked against the bytes actually left *before* any allocation,
     /// so a hostile length cannot balloon memory.
@@ -467,12 +442,6 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadValue("utf-8".into()))
-    }
-
     /// `n` little-endian elements back to back — the bulk form: one
     /// bounds check for the run, then a pre-sized conversion sweep.
     /// Callers have already checked `n` against the bytes left, so the
@@ -480,11 +449,6 @@ impl<'a> Dec<'a> {
     fn vec<T: Le>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
         let bytes = self.take(n.saturating_mul(T::WIDTH))?;
         Ok(bytes.chunks_exact(T::WIDTH).map(T::get).collect())
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.count(4)?;
-        self.vec(n)
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -500,379 +464,394 @@ fn bad(reason: impl std::fmt::Display) -> WireError {
 }
 
 // ---------------------------------------------------------------------
+// the codec: one definition per type, both directions
+// ---------------------------------------------------------------------
+
+/// A type with one wire form. `encode` and `decode` of a type sit side by
+/// side in one impl — or, for plain field lists, are both generated from
+/// one list by [`wire!`] — so the two directions cannot drift apart.
+trait Wire: Sized {
+    /// The fewest bytes an encoding of `Self` can occupy: what a counted
+    /// sequence multiplies its claimed length by, and checks against the
+    /// bytes left, before it allocates.
+    const MIN: usize = 1;
+
+    fn encode(&self, e: &mut Enc);
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError>;
+
+    /// `items` back to back, uncounted. Scalars answer with one sweep.
+    fn encode_all(items: &[Self], e: &mut Enc) {
+        for item in items {
+            item.encode(e);
+        }
+    }
+
+    /// `n` values back to back; the caller has bounded `n` by the frame.
+    fn decode_all(n: usize, d: &mut Dec<'_>) -> Result<Vec<Self>, WireError> {
+        (0..n).map(|_| Self::decode(d)).collect()
+    }
+}
+
+/// An enum on the wire: a tag byte, and behind it the fields of the
+/// variant the tag names. Where the tag sits is the caller's business —
+/// the frame header for a message, the byte before the fields otherwise.
+trait Tagged: Sized {
+    fn tag(&self) -> u8;
+
+    fn encode_fields(&self, e: &mut Enc);
+
+    fn decode_fields(tag: u8, d: &mut Dec<'_>) -> Result<Self, WireError>;
+}
+
+/// Sizes and indices travel as `u64`.
+impl Wire for usize {
+    const MIN: usize = 8;
+
+    fn encode(&self, e: &mut Enc) {
+        e.u64(*self as u64);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(d.u64()? as usize)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+
+    fn encode(&self, e: &mut Enc) {
+        self.0.encode(e);
+        self.1.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(d)?, B::decode(d)?))
+    }
+}
+
+/// A tag byte (`0` = `None`), then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            None => e.u8(0),
+            Some(v) => {
+                e.u8(1);
+                v.encode(e);
+            }
+        }
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(match d.u8()? {
+            0 => None,
+            _ => Some(T::decode(d)?),
+        })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+
+    fn encode(&self, e: &mut Enc) {
+        e.seq(self);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let n = d.count(T::MIN)?;
+        T::decode_all(n, d)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for (k, v) in self {
+            k.encode(e);
+            v.encode(e);
+        }
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(Vec::<(K, V)>::decode(d)?.into_iter().collect())
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, e: &mut Enc) {
+        (**self).encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        T::decode(d).map(Box::new)
+    }
+}
+
+impl Wire for String {
+    fn encode(&self, e: &mut Enc) {
+        e.seq(self.as_bytes());
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Wire::decode(d)?).map_err(|_| bad("utf-8"))
+    }
+}
+
+/// Writes a type's wire form once; the list drives both directions, in
+/// the order written.
+///
+/// * `wire!(Type { a, b, c })`, optionally `wire!(Type, min { … })` — a
+///   struct is its fields back to back. The encoder destructures without
+///   `..`, so a field added to the struct and not to the wire does not
+///   compile.
+/// * `wire!(Type, unknown; tag => Variant { a, b }, tag => Variant(x), …)`
+///   — an enum is [`Tagged`]; a tag outside the list decodes to
+///   `unknown(tag)`. `wire!(Type as Wire, …)` also makes the type
+///   [`Wire`], as the tag byte and then the fields.
+macro_rules! wire {
+    ($ty:ident $(, $min:literal)? { $($f:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            $(const MIN: usize = $min;)?
+
+            fn encode(&self, e: &mut Enc) {
+                let $ty { $($f),* } = self;
+                $($f.encode(e);)*
+            }
+
+            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($f: Wire::decode(d)?),* })
+            }
+        }
+    };
+    ($ty:ident $(as $wire:ident)?, $unknown:expr;
+     $($tag:tt => $v:ident $(($t:ident))? $({ $($f:ident),* })?),+ $(,)?) => {
+        impl Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$v { .. } => $tag),+
+                }
+            }
+
+            #[allow(unused_variables)] // an enum of unit variants writes nothing
+            fn encode_fields(&self, e: &mut Enc) {
+                match self {
+                    $($ty::$v $(($t))? $({ $($f),* })? => {
+                        $($t.encode(e);)?
+                        $($($f.encode(e);)*)?
+                    })+
+                }
+            }
+
+            #[allow(unused_variables)]
+            fn decode_fields(tag: u8, d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $($tag => $ty::$v $(({
+                        let $t = Wire::decode(d)?;
+                        $t
+                    }))? $({ $($f: Wire::decode(d)?),* })?,)+
+                    other => return Err(($unknown)(other)),
+                })
+            }
+        }
+
+        $(impl $wire for $ty {
+            fn encode(&self, e: &mut Enc) {
+                e.u8(self.tag());
+                self.encode_fields(e);
+            }
+
+            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                let tag = d.u8()?;
+                Self::decode_fields(tag, d)
+            }
+        })?
+    };
+}
+
+// ---------------------------------------------------------------------
 // domain codecs
 // ---------------------------------------------------------------------
 
-fn put_matrix_f32(e: &mut Enc, m: &Matrix<f32>) {
-    e.u32(m.rows() as u32);
-    e.u32(m.cols() as u32);
-    e.slice(m.as_slice());
-}
+impl<T: Le> Wire for Matrix<T> {
+    const MIN: usize = 8;
 
-fn get_matrix_f32(d: &mut Dec<'_>) -> Result<Matrix<f32>, WireError> {
-    let rows = d.u32()? as usize;
-    let cols = d.u32()? as usize;
-    let needed = rows.saturating_mul(cols).saturating_mul(4);
-    if needed > d.remaining() {
-        return Err(WireError::Truncated { needed, have: d.remaining() });
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.rows() as u32);
+        e.u32(self.cols() as u32);
+        e.slice(self.as_slice());
     }
-    Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
-}
 
-fn put_matrix_i16(e: &mut Enc, m: &Matrix<i16>) {
-    e.u32(m.rows() as u32);
-    e.u32(m.cols() as u32);
-    e.slice(m.as_slice());
-}
-
-fn get_matrix_i16(d: &mut Dec<'_>) -> Result<Matrix<i16>, WireError> {
-    let rows = d.u32()? as usize;
-    let cols = d.u32()? as usize;
-    let needed = rows.saturating_mul(cols).saturating_mul(2);
-    if needed > d.remaining() {
-        return Err(WireError::Truncated { needed, have: d.remaining() });
-    }
-    Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
-}
-
-fn put_qkv(e: &mut Enc, q: &Qkv) {
-    put_matrix_f32(e, &q.q);
-    put_matrix_f32(e, &q.k);
-    put_matrix_f32(e, &q.v);
-}
-
-fn get_qkv(d: &mut Dec<'_>) -> Result<Qkv, WireError> {
-    let q = get_matrix_f32(d)?;
-    let k = get_matrix_f32(d)?;
-    let v = get_matrix_f32(d)?;
-    Qkv::new(q, k, v).map_err(bad)
-}
-
-fn put_qkvs(e: &mut Enc, qs: &[Qkv]) {
-    e.u32(qs.len() as u32);
-    for q in qs {
-        put_qkv(e, q);
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let rows = d.u32()? as usize;
+        let cols = d.u32()? as usize;
+        let needed = rows.saturating_mul(cols).saturating_mul(T::WIDTH);
+        if needed > d.remaining() {
+            return Err(WireError::Truncated { needed, have: d.remaining() });
+        }
+        Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
     }
 }
 
-fn get_qkvs(d: &mut Dec<'_>) -> Result<Vec<Qkv>, WireError> {
-    // Each Qkv is at least 3 empty matrix headers (24 bytes).
-    let n = d.count(24)?;
-    (0..n).map(|_| get_qkv(d)).collect()
+impl Wire for Qkv {
+    const MIN: usize = 24; // three empty matrix headers
+
+    fn encode(&self, e: &mut Enc) {
+        self.q.encode(e);
+        self.k.encode(e);
+        self.v.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let (q, k, v) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
+        Qkv::new(q, k, v).map_err(bad)
+    }
 }
 
-fn put_token(e: &mut Enc, t: &TokenQkv) {
-    e.f32s(&t.q);
-    e.f32s(&t.k);
-    e.f32s(&t.v);
+impl Wire for Window {
+    fn encode(&self, e: &mut Enc) {
+        self.lo().encode(e);
+        self.hi().encode(e);
+        self.dilation().encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let (lo, hi, dilation) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
+        Window::dilated(lo, hi, dilation).map_err(bad)
+    }
 }
 
-fn get_token(d: &mut Dec<'_>) -> Result<TokenQkv, WireError> {
-    Ok(TokenQkv { q: d.f32s()?, k: d.f32s()?, v: d.f32s()? })
-}
-
-fn put_window(e: &mut Enc, w: &Window) {
-    e.i64(w.lo());
-    e.i64(w.hi());
-    e.u64(w.dilation() as u64);
-}
-
-fn get_window(d: &mut Dec<'_>) -> Result<Window, WireError> {
-    let lo = d.i64()?;
-    let hi = d.i64()?;
-    let dilation = d.u64()? as usize;
-    Window::dilated(lo, hi, dilation).map_err(bad)
-}
-
-fn put_term(e: &mut Enc, term: &PatternTerm) {
-    match term {
-        PatternTerm::Window(w) => {
-            e.u8(0);
-            put_window(e, w);
+impl Wire for SupportRuns {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.n() as u32);
+        for i in 0..self.n() {
+            e.seq(self.row_runs(i));
         }
-        PatternTerm::Global { token } => {
-            e.u8(1);
-            e.u64(*token as u64);
-        }
-        PatternTerm::Strided { stride, local } => {
-            e.u8(2);
-            e.u64(*stride as u64);
-            e.u64(*local as u64);
-        }
-        PatternTerm::BlockSparse { block_rows, layout } => {
-            e.u8(3);
-            e.u64(*block_rows as u64);
-            match layout {
-                BlockLayout::Diagonal => e.u8(0),
-                BlockLayout::Banded { radius } => {
-                    e.u8(1);
-                    e.u64(*radius as u64);
-                }
-                BlockLayout::Explicit(pairs) => {
-                    e.u8(2);
-                    e.u32(pairs.len() as u32);
-                    for &(bi, bj) in pairs {
-                        e.u64(bi as u64);
-                        e.u64(bj as u64);
-                    }
-                }
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let rows: Vec<Vec<(u32, u32)>> = Wire::decode(d)?;
+        SupportRuns::from_row_ranges(rows.len(), &rows).map_err(bad)
+    }
+}
+
+wire!(BlockLayout as Wire, |t| bad(format_args!("block layout {t}"));
+    0 => Diagonal,
+    1 => Banded { radius },
+    2 => Explicit(pairs),
+);
+
+wire!(PatternTerm as Wire, |t| bad(format_args!("pattern term tag {t}"));
+    0 => Window(window),
+    1 => Global { token },
+    2 => Strided { stride, local },
+    3 => BlockSparse { block_rows, layout },
+    4 => RandomBlocks { count, seed },
+    5 => Support(runs),
+);
+
+impl Wire for HybridPattern {
+    fn encode(&self, e: &mut Enc) {
+        self.n().encode(e);
+        self.terms().encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let (n, terms) = Wire::decode(d)?;
+        // `from_terms` normalization is idempotent on `terms()`, so this
+        // reconstruction is exact: same pattern, same fingerprint.
+        HybridPattern::from_terms(n, terms).map_err(bad)
+    }
+}
+
+impl Wire for AttentionShape {
+    fn encode(&self, e: &mut Enc) {
+        self.seq_len.encode(e);
+        self.head_dim.encode(e);
+        self.num_heads.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let (n, dim, heads) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
+        AttentionShape::new(n, dim, heads).map_err(bad)
+    }
+}
+
+/// Header fields, then the nonzero buckets as sparse `(index, count)`
+/// pairs.
+impl Wire for HistogramSnapshot {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.count);
+        e.u64(self.sum);
+        e.u64(self.min);
+        e.u64(self.max);
+        let nonzero: Vec<(u32, u64)> =
+            (0u32..).zip(&self.buckets).filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect();
+        nonzero.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut h = HistogramSnapshot {
+            count: d.u64()?,
+            sum: d.u64()?,
+            min: d.u64()?,
+            max: d.u64()?,
+            ..Default::default()
+        };
+        for (idx, cnt) in Vec::<(u32, u64)>::decode(d)? {
+            if idx as usize >= NUM_BUCKETS {
+                return Err(WireError::BadValue(format!("histogram bucket {idx}")));
             }
+            h.buckets[idx as usize] = cnt;
         }
-        PatternTerm::RandomBlocks { count, seed } => {
-            e.u8(4);
-            e.u64(*count as u64);
-            e.u64(*seed);
-        }
-        PatternTerm::Support(runs) => {
-            e.u8(5);
-            e.u32(runs.n() as u32);
-            for i in 0..runs.n() {
-                let row = runs.row_runs(i);
-                e.u32(row.len() as u32);
-                for &(lo, hi) in row {
-                    e.u32(lo);
-                    e.u32(hi);
-                }
-            }
-        }
+        Ok(h)
     }
 }
 
-fn get_term(d: &mut Dec<'_>) -> Result<PatternTerm, WireError> {
-    Ok(match d.u8()? {
-        0 => PatternTerm::Window(get_window(d)?),
-        1 => PatternTerm::Global { token: d.u64()? as usize },
-        2 => PatternTerm::Strided { stride: d.u64()? as usize, local: d.u64()? as usize },
-        3 => {
-            let block_rows = d.u64()? as usize;
-            let layout = match d.u8()? {
-                0 => BlockLayout::Diagonal,
-                1 => BlockLayout::Banded { radius: d.u64()? as usize },
-                2 => {
-                    let n = d.count(16)?;
-                    let pairs = (0..n)
-                        .map(|_| Ok((d.u64()? as usize, d.u64()? as usize)))
-                        .collect::<Result<Vec<_>, WireError>>()?;
-                    BlockLayout::Explicit(pairs)
-                }
-                other => return Err(WireError::BadValue(format!("block layout {other}"))),
-            };
-            PatternTerm::BlockSparse { block_rows, layout }
-        }
-        4 => PatternTerm::RandomBlocks { count: d.u64()? as usize, seed: d.u64()? },
-        5 => {
-            let n = d.count(4)?;
-            let rows = (0..n)
-                .map(|_| {
-                    let runs = d.count(8)?;
-                    (0..runs).map(|_| Ok((d.u32()?, d.u32()?))).collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<Vec<(u32, u32)>>, WireError>>()?;
-            PatternTerm::Support(SupportRuns::from_row_ranges(n, &rows).map_err(bad)?)
-        }
-        other => return Err(WireError::BadValue(format!("pattern term tag {other}"))),
-    })
-}
+wire!(TokenQkv, 12 { q, k, v });
+wire!(LatencyStats { count, mean_s, p50_s, p99_s, max_s });
+wire!(CacheStats { hits, misses, evictions, entries });
+wire!(TenantCounters, 24 { requests, rejections, decode_steps });
+wire!(ServeReport {
+    requests,
+    errors,
+    wall_s,
+    throughput_rps,
+    latency,
+    latency_hist,
+    cache,
+    batches,
+    mean_batch_size,
+    max_queue_depth,
+    sim_cycles,
+    sim_energy_j,
+    per_worker_requests,
+    decode_sessions,
+    decode_session_errors,
+    decode_steps,
+    decode_step_errors,
+    decode_step_latency,
+    decode_step_latency_hist,
+    decode_resident_kv_byte_steps,
+    decode_peak_resident_pages,
+    decode_peak_pool_pages,
+    decode_page_reclaims,
+    decode_pool_exhausted,
+    tenants,
+});
+// Two matrix headers and a weight count.
+wire!(PrefillHead, 20 { output, raw, weights_q16 });
+wire!(WireHeadStep, 10 { output, raw, weight_q16, saturation_events });
+wire!(ErrorFrame { code, message, retry_after_ms });
 
-fn put_pattern(e: &mut Enc, p: &HybridPattern) {
-    e.u64(p.n() as u64);
-    let terms = p.terms();
-    e.u32(terms.len() as u32);
-    for term in &terms {
-        put_term(e, term);
-    }
-}
-
-fn get_pattern(d: &mut Dec<'_>) -> Result<HybridPattern, WireError> {
-    let n = d.u64()? as usize;
-    let count = d.count(1)?;
-    let terms = (0..count).map(|_| get_term(d)).collect::<Result<Vec<_>, _>>()?;
-    // `from_terms` normalization is idempotent on `terms()`, so this
-    // reconstruction is exact: same pattern, same fingerprint.
-    HybridPattern::from_terms(n, terms).map_err(bad)
-}
-
-fn put_shape(e: &mut Enc, s: &AttentionShape) {
-    e.u64(s.seq_len as u64);
-    e.u64(s.head_dim as u64);
-    e.u64(s.num_heads as u64);
-}
-
-fn get_shape(d: &mut Dec<'_>) -> Result<AttentionShape, WireError> {
-    let n = d.u64()? as usize;
-    let dim = d.u64()? as usize;
-    let heads = d.u64()? as usize;
-    AttentionShape::new(n, dim, heads).map_err(bad)
-}
-
-fn put_latency(e: &mut Enc, l: &LatencyStats) {
-    e.u64(l.count);
-    e.f64(l.mean_s);
-    e.f64(l.p50_s);
-    e.f64(l.p99_s);
-    e.f64(l.max_s);
-}
-
-fn get_latency(d: &mut Dec<'_>) -> Result<LatencyStats, WireError> {
-    Ok(LatencyStats {
-        count: d.u64()?,
-        mean_s: d.f64()?,
-        p50_s: d.f64()?,
-        p99_s: d.f64()?,
-        max_s: d.f64()?,
-    })
-}
-
-fn put_hist(e: &mut Enc, h: &HistogramSnapshot) {
-    e.u64(h.count);
-    e.u64(h.sum);
-    e.u64(h.min);
-    e.u64(h.max);
-    let nonzero: Vec<(usize, u64)> =
-        h.buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect();
-    e.u32(nonzero.len() as u32);
-    for (i, c) in nonzero {
-        e.u32(i as u32);
-        e.u64(c);
-    }
-}
-
-fn get_hist(d: &mut Dec<'_>) -> Result<HistogramSnapshot, WireError> {
-    let mut h = HistogramSnapshot {
-        count: d.u64()?,
-        sum: d.u64()?,
-        min: d.u64()?,
-        max: d.u64()?,
-        ..Default::default()
-    };
-    let n = d.count(12)?;
-    for _ in 0..n {
-        let idx = d.u32()? as usize;
-        let cnt = d.u64()?;
-        if idx >= NUM_BUCKETS {
-            return Err(WireError::BadValue(format!("histogram bucket {idx}")));
-        }
-        h.buckets[idx] = cnt;
-    }
-    Ok(h)
-}
-
-fn put_u64s(e: &mut Enc, v: &[u64]) {
-    e.u32(v.len() as u32);
-    for &x in v {
-        e.u64(x);
-    }
-}
-
-fn get_u64s(d: &mut Dec<'_>) -> Result<Vec<u64>, WireError> {
-    let n = d.count(8)?;
-    (0..n).map(|_| d.u64()).collect()
-}
-
-/// Encodes a full [`ServeReport`] — public so the bench can frame shard
-/// reports without a gateway in the loop.
-fn put_report(e: &mut Enc, r: &ServeReport) {
-    e.u64(r.requests);
-    e.u64(r.errors);
-    e.f64(r.wall_s);
-    e.f64(r.throughput_rps);
-    put_latency(e, &r.latency);
-    put_hist(e, &r.latency_hist);
-    e.u64(r.cache.hits);
-    e.u64(r.cache.misses);
-    e.u64(r.cache.evictions);
-    e.u64(r.cache.entries as u64);
-    e.u64(r.batches);
-    e.f64(r.mean_batch_size);
-    e.u64(r.max_queue_depth as u64);
-    e.u64(r.sim_cycles);
-    e.f64(r.sim_energy_j);
-    put_u64s(e, &r.per_worker_requests);
-    e.u64(r.decode_sessions);
-    e.u64(r.decode_session_errors);
-    e.u64(r.decode_steps);
-    e.u64(r.decode_step_errors);
-    put_latency(e, &r.decode_step_latency);
-    put_hist(e, &r.decode_step_latency_hist);
-    e.u64(r.decode_resident_kv_byte_steps);
-    e.u64(r.decode_peak_resident_pages);
-    e.u64(r.decode_peak_pool_pages);
-    e.u64(r.decode_page_reclaims);
-    e.u64(r.decode_pool_exhausted);
-    e.u32(r.tenants.len() as u32);
-    for (&tenant, t) in &r.tenants {
-        e.u64(tenant);
-        e.u64(t.requests);
-        e.u64(t.rejections);
-        e.u64(t.decode_steps);
-    }
-}
-
-fn get_report(d: &mut Dec<'_>) -> Result<ServeReport, WireError> {
-    let requests = d.u64()?;
-    let errors = d.u64()?;
-    let wall_s = d.f64()?;
-    let throughput_rps = d.f64()?;
-    let latency = get_latency(d)?;
-    let latency_hist = get_hist(d)?;
-    let cache = CacheStats {
-        hits: d.u64()?,
-        misses: d.u64()?,
-        evictions: d.u64()?,
-        entries: d.u64()? as usize,
-    };
-    let batches = d.u64()?;
-    let mean_batch_size = d.f64()?;
-    let max_queue_depth = d.u64()? as usize;
-    let sim_cycles = d.u64()?;
-    let sim_energy_j = d.f64()?;
-    let per_worker_requests = get_u64s(d)?;
-    let decode_sessions = d.u64()?;
-    let decode_session_errors = d.u64()?;
-    let decode_steps = d.u64()?;
-    let decode_step_errors = d.u64()?;
-    let decode_step_latency = get_latency(d)?;
-    let decode_step_latency_hist = get_hist(d)?;
-    let decode_resident_kv_byte_steps = d.u64()?;
-    let decode_peak_resident_pages = d.u64()?;
-    let decode_peak_pool_pages = d.u64()?;
-    let decode_page_reclaims = d.u64()?;
-    let decode_pool_exhausted = d.u64()?;
-    let n_tenants = d.count(32)?;
-    let mut tenants = BTreeMap::new();
-    for _ in 0..n_tenants {
-        let tenant = d.u64()?;
-        let t = TenantCounters { requests: d.u64()?, rejections: d.u64()?, decode_steps: d.u64()? };
-        tenants.insert(tenant, t);
-    }
-    Ok(ServeReport {
-        requests,
-        errors,
-        wall_s,
-        throughput_rps,
-        latency,
-        latency_hist,
-        cache,
-        batches,
-        mean_batch_size,
-        max_queue_depth,
-        sim_cycles,
-        sim_energy_j,
-        per_worker_requests,
-        decode_sessions,
-        decode_session_errors,
-        decode_steps,
-        decode_step_errors,
-        decode_step_latency,
-        decode_step_latency_hist,
-        decode_resident_kv_byte_steps,
-        decode_peak_resident_pages,
-        decode_peak_pool_pages,
-        decode_page_reclaims,
-        decode_pool_exhausted,
-        tenants,
-    })
-}
+wire!(ErrorCode as Wire, |t| bad(format_args!("error code {t}"));
+    1 => BadFrame,
+    2 => Overloaded,
+    3 => Draining,
+    4 => TimedOut,
+    5 => UnknownSession,
+    6 => Invalid,
+    7 => Internal,
+);
 
 // ---------------------------------------------------------------------
 // message framing
@@ -892,122 +871,39 @@ const OP_STATS_REPLY: u8 = 0x85;
 const OP_REPORT: u8 = 0x86;
 const OP_ERROR: u8 = 0xC0;
 
+// The tag of a request or a response is the header's opcode byte.
+wire!(Request, WireError::UnknownOpcode;
+    OP_PREFILL => Prefill { pattern, shape, heads },
+    OP_OPEN => Open { pattern, head_dim, num_heads, prompt },
+    OP_STEP => Step { session, token },
+    OP_CLOSE => Close { session },
+    OP_STATS => Stats,
+    OP_SHUTDOWN => Shutdown,
+);
+
+wire!(Response, WireError::UnknownOpcode;
+    OP_PREFILL_DONE => PrefillDone { heads, sim_time_s, sim_energy_j },
+    OP_OPENED => Opened { session, min_step, position, capacity },
+    OP_STEPPED => Stepped { session, position, heads },
+    OP_CLOSED => Closed { session, position },
+    OP_STATS_REPLY => Stats { json },
+    OP_REPORT => Report { report },
+    OP_ERROR => Error(frame),
+);
+
 /// Encodes a request into a complete frame (length prefix included).
 #[must_use]
 pub fn encode_request(header: Header, req: &Request) -> Vec<u8> {
-    let op = match req {
-        Request::Prefill { .. } => OP_PREFILL,
-        Request::Open { .. } => OP_OPEN,
-        Request::Step { .. } => OP_STEP,
-        Request::Close { .. } => OP_CLOSE,
-        Request::Stats => OP_STATS,
-        Request::Shutdown => OP_SHUTDOWN,
-    };
-    let mut e = Enc::new(op, header);
-    match req {
-        Request::Prefill { pattern, shape, heads } => {
-            put_pattern(&mut e, pattern);
-            put_shape(&mut e, shape);
-            put_qkvs(&mut e, heads);
-        }
-        Request::Open { pattern, head_dim, num_heads, prompt } => {
-            put_pattern(&mut e, pattern);
-            e.u64(*head_dim as u64);
-            e.u64(*num_heads as u64);
-            put_qkvs(&mut e, prompt);
-        }
-        Request::Step { session, token } => {
-            e.u64(*session);
-            e.u32(token.len() as u32);
-            for t in token {
-                put_token(&mut e, t);
-            }
-        }
-        Request::Close { session } => e.u64(*session),
-        Request::Stats | Request::Shutdown => {}
-    }
+    let mut e = Enc::new(req.tag(), header);
+    req.encode_fields(&mut e);
     e.finish()
 }
 
 /// Encodes a response into a complete frame (length prefix included).
 #[must_use]
 pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
-    let op = match resp {
-        Response::PrefillDone { .. } => OP_PREFILL_DONE,
-        Response::Opened { .. } => OP_OPENED,
-        Response::Stepped { .. } => OP_STEPPED,
-        Response::Closed { .. } => OP_CLOSED,
-        Response::Stats { .. } => OP_STATS_REPLY,
-        Response::Report { .. } => OP_REPORT,
-        Response::Error(_) => OP_ERROR,
-    };
-    let mut e = Enc::new(op, header);
-    match resp {
-        Response::PrefillDone { heads, sim_time_s, sim_energy_j } => {
-            e.u32(heads.len() as u32);
-            for h in heads {
-                put_matrix_f32(&mut e, &h.output);
-                put_matrix_i16(&mut e, &h.raw);
-                e.u32(h.weights_q16.len() as u32);
-                e.slice(&h.weights_q16);
-            }
-            e.f64(*sim_time_s);
-            e.f64(*sim_energy_j);
-        }
-        Response::Opened { session, min_step, position, capacity } => {
-            e.u64(*session);
-            e.u64(*min_step);
-            e.u64(*position);
-            e.u64(*capacity);
-        }
-        Response::Stepped { session, position, heads } => {
-            e.u64(*session);
-            e.u64(*position);
-            e.u32(heads.len() as u32);
-            for h in heads {
-                e.f32s(&h.output);
-                match &h.raw {
-                    None => e.u8(0),
-                    Some(raw) => {
-                        e.u8(1);
-                        e.u32(raw.len() as u32);
-                        e.slice(raw);
-                    }
-                }
-                match h.weight_q16 {
-                    None => e.u8(0),
-                    Some(w) => {
-                        e.u8(1);
-                        e.i64(w);
-                    }
-                }
-                e.u64(h.saturation_events);
-            }
-        }
-        Response::Closed { session, position } => {
-            e.u64(*session);
-            match position {
-                None => e.u8(0),
-                Some(p) => {
-                    e.u8(1);
-                    e.u64(*p);
-                }
-            }
-        }
-        Response::Stats { json } => e.str(json),
-        Response::Report { report } => put_report(&mut e, report),
-        Response::Error(err) => {
-            e.u8(err.code.to_u8());
-            e.str(&err.message);
-            match err.retry_after_ms {
-                None => e.u8(0),
-                Some(ms) => {
-                    e.u8(1);
-                    e.u64(ms);
-                }
-            }
-        }
-    }
+    let mut e = Enc::new(resp.tag(), header);
+    resp.encode_fields(&mut e);
     e.finish()
 }
 
@@ -1031,31 +927,7 @@ fn decode_header(d: &mut Dec<'_>) -> Result<(u8, Header), WireError> {
 pub fn decode_request(payload: &[u8]) -> Result<(Header, Request), WireError> {
     let mut d = Dec::new(payload);
     let (op, header) = decode_header(&mut d)?;
-    let req = match op {
-        OP_PREFILL => {
-            let pattern = get_pattern(&mut d)?;
-            let shape = get_shape(&mut d)?;
-            let heads = get_qkvs(&mut d)?;
-            Request::Prefill { pattern, shape, heads }
-        }
-        OP_OPEN => {
-            let pattern = get_pattern(&mut d)?;
-            let head_dim = d.u64()? as usize;
-            let num_heads = d.u64()? as usize;
-            let prompt = get_qkvs(&mut d)?;
-            Request::Open { pattern, head_dim, num_heads, prompt }
-        }
-        OP_STEP => {
-            let session = d.u64()?;
-            let n = d.count(12)?;
-            let token = (0..n).map(|_| get_token(&mut d)).collect::<Result<Vec<_>, _>>()?;
-            Request::Step { session, token }
-        }
-        OP_CLOSE => Request::Close { session: d.u64()? },
-        OP_STATS => Request::Stats,
-        OP_SHUTDOWN => Request::Shutdown,
-        other => return Err(WireError::UnknownOpcode(other)),
-    };
+    let req = Request::decode_fields(op, &mut d)?;
     d.finish()?;
     Ok((header, req))
 }
@@ -1068,74 +940,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Header, Request), WireError> {
 pub fn decode_response(payload: &[u8]) -> Result<(Header, Response), WireError> {
     let mut d = Dec::new(payload);
     let (op, header) = decode_header(&mut d)?;
-    let resp = match op {
-        OP_PREFILL_DONE => {
-            // Each head is at least two matrix headers + a weight count.
-            let n = d.count(20)?;
-            let heads = (0..n)
-                .map(|_| {
-                    let output = get_matrix_f32(&mut d)?;
-                    let raw = get_matrix_i16(&mut d)?;
-                    let wn = d.count(8)?;
-                    let weights_q16 = d.vec(wn)?;
-                    Ok(PrefillHead { output, raw, weights_q16 })
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            let sim_time_s = d.f64()?;
-            let sim_energy_j = d.f64()?;
-            Response::PrefillDone { heads, sim_time_s, sim_energy_j }
-        }
-        OP_OPENED => Response::Opened {
-            session: d.u64()?,
-            min_step: d.u64()?,
-            position: d.u64()?,
-            capacity: d.u64()?,
-        },
-        OP_STEPPED => {
-            let session = d.u64()?;
-            let position = d.u64()?;
-            let n = d.count(10)?;
-            let heads = (0..n)
-                .map(|_| {
-                    let output = d.f32s()?;
-                    let raw = match d.u8()? {
-                        0 => None,
-                        _ => {
-                            let rn = d.count(2)?;
-                            Some(d.vec(rn)?)
-                        }
-                    };
-                    let weight_q16 = match d.u8()? {
-                        0 => None,
-                        _ => Some(d.i64()?),
-                    };
-                    let saturation_events = d.u64()?;
-                    Ok(WireHeadStep { output, raw, weight_q16, saturation_events })
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Response::Stepped { session, position, heads }
-        }
-        OP_CLOSED => {
-            let session = d.u64()?;
-            let position = match d.u8()? {
-                0 => None,
-                _ => Some(d.u64()?),
-            };
-            Response::Closed { session, position }
-        }
-        OP_STATS_REPLY => Response::Stats { json: d.str()? },
-        OP_REPORT => Response::Report { report: Box::new(get_report(&mut d)?) },
-        OP_ERROR => {
-            let code = ErrorCode::from_u8(d.u8()?)?;
-            let message = d.str()?;
-            let retry_after_ms = match d.u8()? {
-                0 => None,
-                _ => Some(d.u64()?),
-            };
-            Response::Error(ErrorFrame { code, message, retry_after_ms })
-        }
-        other => return Err(WireError::UnknownOpcode(other)),
-    };
+    let resp = Response::decode_fields(op, &mut d)?;
     d.finish()?;
     Ok((header, resp))
 }

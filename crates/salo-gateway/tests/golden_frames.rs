@@ -1,0 +1,367 @@
+//! Golden wire frames: the bytes `encode_request` / `encode_response`
+//! produce for a fixed corpus — every opcode, every pattern-term and
+//! block-layout tag the encoder can emit, both arms of every `Option` —
+//! pinned as FNV-1a digests recorded at the commit *before* the codecs
+//! were folded into one definition per type. A digest that moves means the
+//! protocol moved: do not re-record it without a reason a reviewer would
+//! accept.
+//!
+//! Each entry pins a second digest over what the *decoder* answers to
+//! damaged input: every strict prefix of the payload and, for messages
+//! without a pattern, every single-byte corruption — the `Debug` form of
+//! each result, so a `WireError` that changes variant or payload
+//! (`needed`, `have`, the reason string) moves it. (Pattern-carrying
+//! requests are swept by truncation only: a corrupted term parameter
+//! reaches `HybridPattern::from_terms`, whose cost on absurd parameters is
+//! the hostile-peers roadmap item's business, not this file's.)
+
+use std::collections::BTreeMap;
+
+use salo_gateway::wire::{
+    decode_request, decode_response, encode_request, encode_response, ErrorCode, ErrorFrame,
+    Header, PrefillHead, Request, Response, WireError, WireHeadStep,
+};
+use salo_kernels::{Matrix, Qkv};
+use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
+use salo_serve::{
+    CacheStats, HistogramSnapshot, LatencyStats, ServeReport, TenantCounters, TokenQkv,
+};
+
+const HEADER: Header = Header { tenant: 0x0102_0304_0506_0708, request_id: 0x1112_1314_1516_1718 };
+
+fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Content is a pure function of `(salt, index)`: no RNG crate, nothing a
+/// dependency bump can move.
+fn value(salt: u64, i: usize) -> u64 {
+    let mut z = salt.wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn float(salt: u64, i: usize) -> f32 {
+    let raw = value(salt, i);
+    ((raw as i32 % 100_000) as f32) * 2.0f32.powi((raw >> 32) as i32 % 10 - 5)
+}
+
+fn floats(salt: u64, len: usize) -> Vec<f32> {
+    (0..len).map(|i| float(salt, i)).collect()
+}
+
+fn matrix(salt: u64, rows: usize, cols: usize) -> Matrix<f32> {
+    Matrix::from_fn(rows, cols, |i, j| float(salt, i * cols + j))
+}
+
+fn qkv(salt: u64, rows: usize, dim: usize) -> Qkv {
+    Qkv::new(matrix(salt, rows, dim), matrix(salt + 1, rows, dim), matrix(salt + 2, rows, dim))
+        .expect("consistent shapes")
+}
+
+/// One pattern carrying every term the encoder can emit. `Strided`
+/// normalises into its two windows inside `from_terms`, so it reaches the
+/// wire as window terms; its own tag is decode-only and has a test of its
+/// own below.
+fn every_term_pattern() -> HybridPattern {
+    let n = 16;
+    let support: Vec<Vec<(u32, u32)>> = (0..n as u32)
+        .map(|i| if i % 3 == 0 { vec![(0, 1), (i / 2 + 2, i / 2 + 4)] } else { vec![] })
+        .collect();
+    let pattern = HybridPattern::from_terms(
+        n,
+        vec![
+            PatternTerm::Window(Window::dilated(-4, 2, 2).expect("valid window")),
+            PatternTerm::Global { token: 5 },
+            PatternTerm::Strided { stride: 4, local: 2 },
+            PatternTerm::BlockSparse { block_rows: 4, layout: BlockLayout::Diagonal },
+            PatternTerm::BlockSparse { block_rows: 2, layout: BlockLayout::Banded { radius: 1 } },
+            PatternTerm::BlockSparse {
+                block_rows: 4,
+                layout: BlockLayout::Explicit(vec![(0, 3), (2, 1), (3, 0)]),
+            },
+            PatternTerm::RandomBlocks { count: 2, seed: 0xfeed },
+            PatternTerm::Support(SupportRuns::from_row_ranges(n, &support).expect("valid runs")),
+        ],
+    )
+    .expect("valid pattern");
+    // Seven tags on the wire: 3 windows (1 + the strided pair), 1 global,
+    // 3 block-sparse, 1 random-blocks, 1 support.
+    assert_eq!(pattern.terms().len(), 9, "a term was normalised away; the corpus lost an arm");
+    pattern
+}
+
+fn histogram(salt: u64, samples: usize) -> HistogramSnapshot {
+    let mut hist = HistogramSnapshot::default();
+    for i in 0..samples {
+        hist.record(value(salt, i) % 1_000_000_007);
+    }
+    hist
+}
+
+fn full_report() -> ServeReport {
+    ServeReport {
+        requests: 1000,
+        errors: 3,
+        wall_s: 12.5,
+        throughput_rps: 80.0,
+        latency: LatencyStats { count: 1000, mean_s: 0.011, p50_s: 0.009, p99_s: 0.2, max_s: 0.31 },
+        latency_hist: histogram(21, 40),
+        cache: CacheStats { hits: 990, misses: 10, evictions: 2, entries: 8 },
+        batches: 400,
+        mean_batch_size: 2.5,
+        max_queue_depth: 17,
+        sim_cycles: 123_456_789_012,
+        sim_energy_j: 5.5e-3,
+        per_worker_requests: vec![250, 251, 249, 250],
+        decode_sessions: 12,
+        decode_session_errors: 1,
+        decode_steps: 4096,
+        decode_step_errors: 2,
+        decode_step_latency: LatencyStats {
+            count: 4096,
+            mean_s: 2.0e-5,
+            p50_s: 1.5e-5,
+            p99_s: 9.0e-5,
+            max_s: 1.0e-3,
+        },
+        decode_step_latency_hist: histogram(22, 25),
+        decode_resident_kv_byte_steps: 1 << 33,
+        decode_peak_resident_pages: 77,
+        decode_peak_pool_pages: 80,
+        decode_page_reclaims: 3000,
+        decode_pool_exhausted: 4,
+        tenants: BTreeMap::from([
+            (0, TenantCounters { requests: 500, rejections: 0, decode_steps: 4000 }),
+            (7, TenantCounters { requests: 400, rejections: 9, decode_steps: 96 }),
+            (u64::MAX, TenantCounters { requests: 100, rejections: 1, decode_steps: 0 }),
+        ]),
+    }
+}
+
+enum Message {
+    Request(Request),
+    Response(Response),
+}
+
+fn corpus() -> Vec<(&'static str, Message)> {
+    use Message::{Request as Req, Response as Resp};
+    let pattern = every_term_pattern();
+    let (n, dim) = (pattern.n(), 4);
+    vec![
+        (
+            "prefill",
+            Req(Request::Prefill {
+                pattern: pattern.clone(),
+                shape: AttentionShape::new(n, dim, 2).expect("valid shape"),
+                heads: vec![qkv(1, n, dim), qkv(4, n, dim)],
+            }),
+        ),
+        (
+            "open",
+            Req(Request::Open {
+                pattern,
+                head_dim: dim,
+                num_heads: 2,
+                prompt: vec![qkv(7, 6, dim), qkv(10, 6, dim)],
+            }),
+        ),
+        (
+            "step",
+            Req(Request::Step {
+                session: 0xaabb,
+                token: (0..2u64)
+                    .map(|h| TokenQkv {
+                        q: floats(13 + h, dim),
+                        k: floats(15 + h, dim),
+                        v: floats(17 + h, dim),
+                    })
+                    .collect(),
+            }),
+        ),
+        ("close", Req(Request::Close { session: 0xaabb })),
+        ("stats", Req(Request::Stats)),
+        ("shutdown", Req(Request::Shutdown)),
+        (
+            "prefill_done",
+            Resp(Response::PrefillDone {
+                heads: (0..2u64)
+                    .map(|h| PrefillHead {
+                        output: matrix(30 + h, 5, dim),
+                        raw: Matrix::from_fn(5, dim, |i, j| value(32 + h, i * dim + j) as i16),
+                        weights_q16: (0..5).map(|i| value(34 + h, i) as i64 % (1 << 40)).collect(),
+                    })
+                    .collect(),
+                sim_time_s: 1.25e-4,
+                sim_energy_j: 3.5e-7,
+            }),
+        ),
+        ("opened", Resp(Response::Opened { session: 9, min_step: 6, position: 6, capacity: 16 })),
+        (
+            "stepped",
+            Resp(Response::Stepped {
+                session: 9,
+                position: 7,
+                heads: vec![
+                    WireHeadStep {
+                        output: floats(40, dim),
+                        raw: Some(vec![128, -7, i16::MIN, i16::MAX]),
+                        weight_q16: Some(-(1 << 40)),
+                        saturation_events: 3,
+                    },
+                    WireHeadStep {
+                        output: floats(41, dim),
+                        raw: None,
+                        weight_q16: None,
+                        saturation_events: 0,
+                    },
+                    WireHeadStep {
+                        output: floats(42, dim),
+                        raw: Some(vec![]),
+                        weight_q16: None,
+                        saturation_events: u64::MAX,
+                    },
+                ],
+            }),
+        ),
+        ("closed_none", Resp(Response::Closed { session: 9, position: None })),
+        ("closed_some", Resp(Response::Closed { session: 9, position: Some(16) })),
+        (
+            "stats_reply",
+            Resp(Response::Stats { json: "{\"counters\":{\"serve.requests\":7}}".into() }),
+        ),
+        ("report", Resp(Response::Report { report: Box::new(full_report()) })),
+        (
+            "error_plain",
+            Resp(Response::Error(ErrorFrame {
+                code: ErrorCode::UnknownSession,
+                message: "session 9 is not open on this connection".into(),
+                retry_after_ms: None,
+            })),
+        ),
+        (
+            "error_retry",
+            Resp(Response::Error(ErrorFrame {
+                code: ErrorCode::Overloaded,
+                message: "tenant queue full".into(),
+                retry_after_ms: Some(12),
+            })),
+        ),
+    ]
+}
+
+/// `(name, frame digest, damaged-input digest)`, recorded at the parent
+/// commit (hand-written `put_*` / `get_*` codecs).
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("prefill", 0xbd9143f4ab1f10df, 0x729b72166e32d001),
+    ("open", 0xd59da4408c0a3c8d, 0x99b56fde941ea37d),
+    ("step", 0x0befa89e03f495b1, 0x1868ca2277f3bc43),
+    ("close", 0x9e24e16b09b29493, 0xacc7888cf953af7b),
+    ("stats", 0xd354ea53cd946855, 0xdc623f6345317e6d),
+    ("shutdown", 0x75c2a7ccbfdbf53c, 0x08045ac88488966a),
+    ("prefill_done", 0xd7ff9151878d16f2, 0x23f08d1360257d2a),
+    ("opened", 0x7701a98370bce2e9, 0xcf3e21dd02e1b7b2),
+    ("stepped", 0x8bd56fad423193a7, 0xded54e979c7c58b3),
+    ("closed_none", 0x7951fcafe45d00e6, 0xd90f2f7a04d6087b),
+    ("closed_some", 0x00cc16b44500d691, 0x3f2d70648000e1b3),
+    ("stats_reply", 0x95de03b1a41b5968, 0xf63a3d54227bdd96),
+    ("report", 0xb02e922f6e8d60d5, 0x60203bc789769ee6),
+    ("error_plain", 0xc67d26158e76096a, 0x0ab25237c7046628),
+    ("error_retry", 0xe7857820eb311e57, 0x8378a421be571400),
+];
+
+/// Encodes `message`, checks the exact round trip, and returns the frame
+/// digest and the damaged-input digest.
+fn digests(message: &Message) -> (u64, u64) {
+    let frame = match message {
+        Message::Request(req) => encode_request(HEADER, req),
+        Message::Response(resp) => encode_response(HEADER, resp),
+    };
+    let payload = &frame[4..];
+    assert_eq!(u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize, payload.len());
+    let decode = |bytes: &[u8]| match message {
+        Message::Request(_) => format!("{:?}", decode_request(bytes)),
+        Message::Response(_) => format!("{:?}", decode_response(bytes)),
+    };
+    let has_pattern = match message {
+        Message::Request(req) => {
+            assert_eq!(decode_request(payload), Ok((HEADER, req.clone())), "exact round trip");
+            matches!(req, Request::Prefill { .. } | Request::Open { .. })
+        }
+        Message::Response(resp) => {
+            assert_eq!(decode_response(payload), Ok((HEADER, resp.clone())), "exact round trip");
+            false
+        }
+    };
+    let mut frame_digest = FNV_OFFSET;
+    fnv1a(&mut frame_digest, &frame);
+    let mut damaged = FNV_OFFSET;
+    for cut in 0..payload.len() {
+        fnv1a(&mut damaged, decode(&payload[..cut]).as_bytes());
+    }
+    if !has_pattern {
+        let mut corrupt = payload.to_vec();
+        for at in 0..corrupt.len() {
+            corrupt[at] ^= 0xa5;
+            fnv1a(&mut damaged, decode(&corrupt).as_bytes());
+            corrupt[at] ^= 0xa5;
+        }
+    }
+    (frame_digest, damaged)
+}
+
+#[test]
+fn every_corpus_frame_matches_its_parent_commit_digest() {
+    let corpus = corpus();
+    let actual: Vec<(&str, u64, u64)> = corpus
+        .iter()
+        .map(|(name, message)| {
+            let (frame, damaged) = digests(message);
+            (*name, frame, damaged)
+        })
+        .collect();
+    let listing: String = actual
+        .iter()
+        .map(|(name, frame, damaged)| format!("    ({name:?}, {frame:#018x}, {damaged:#018x}),\n"))
+        .collect();
+    assert_eq!(actual, GOLDEN, "wire bytes or decode errors moved; actual digests:\n{listing}");
+}
+
+#[test]
+fn strided_tag_decodes_though_the_encoder_never_emits_it() {
+    // Tag 2 is reachable only from a peer's bytes: splice a strided term
+    // into an otherwise encoder-made single-term prefill frame.
+    let n = 16;
+    let shape = AttentionShape::new(n, 4, 1).expect("valid shape");
+    let heads = vec![qkv(50, n, 4)];
+    let window = HybridPattern::from_terms(
+        n,
+        vec![PatternTerm::Window(Window::dilated(-1, 1, 1).expect("valid window"))],
+    )
+    .expect("valid pattern");
+    let frame =
+        encode_request(HEADER, &Request::Prefill { pattern: window, shape, heads: heads.clone() });
+    // payload = header (18) | n: u64 | term count: u32 | tag 0 | lo, hi: i64 | dilation: u64 | ...
+    let term_at = 4 + 18 + 8 + 4;
+    assert_eq!(frame[term_at], 0, "window tag");
+    let mut spliced = frame[4..term_at].to_vec();
+    spliced.push(2);
+    spliced.extend_from_slice(&4u64.to_le_bytes()); // stride
+    spliced.extend_from_slice(&2u64.to_le_bytes()); // local
+    spliced.extend_from_slice(&frame[term_at + 1 + 24..]);
+    let strided = HybridPattern::from_terms(n, vec![PatternTerm::Strided { stride: 4, local: 2 }])
+        .expect("valid pattern");
+    assert_eq!(
+        decode_request(&spliced),
+        Ok((HEADER, Request::Prefill { pattern: strided, shape, heads }))
+    );
+    // And an unknown tag in the same place is a typed error.
+    spliced[term_at - 4] = 9;
+    assert_eq!(decode_request(&spliced), Err(WireError::BadValue("pattern term tag 9".into())));
+}

@@ -31,10 +31,11 @@
 //!   shared through the cache, and step outputs delivered on per-session
 //!   event channels ([`GenerationTraffic`] generates the workload).
 //!
-//! Batched execution is bit-identical to the one-shot API: workers run
+//! Batched execution is bit-identical to a one-shot engine: workers run
 //! each request's heads back to back through the same fixed-point
-//! datapath, so a response's output equals `Salo::execute` on the same
-//! inputs — asserted in the integration tests.
+//! datapath, so a response's output equals a direct
+//! [`Engine::execute`](salo_core::Engine::execute) on the same inputs —
+//! asserted in the integration tests.
 //!
 //! # Example
 //!
@@ -78,7 +79,7 @@ mod worker;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use error::ServeError;
-pub use metrics::{DepthGauge, LatencyRecorder, LatencyStats, ServeReport, TenantCounters};
+pub use metrics::{LatencyStats, ServeReport, TenantCounters};
 pub use request::{ServeRequest, ServeResponse};
 pub use salo_trace::{HistogramSnapshot, MetricsRegistry};
 pub use server::{SaloServer, ServeOptions};

@@ -1,17 +1,16 @@
-//! Serving metrics: latency distributions, queue depth, and the aggregate
-//! report printed by the closed-loop demo.
+//! The serving report: the registry's completion metrics at shutdown, as
+//! one mergeable value.
 //!
-//! Latency distributions are backed by the mergeable log-bucket histogram
-//! from `salo-trace`: two shards' histograms add element-wise into exactly
-//! the histogram of the union of their samples, so merged quantiles are
-//! bucket-exact (within one bucket width, ≤ 1/16 relative) instead of the
-//! count-weighted blends of the old reservoir scheme. The blend survives
-//! only as [`LatencyStats::blended_with`], the clearly-named fallback for
-//! summaries that no longer carry their histograms.
+//! A latency summary is always [`LatencyStats::from_histogram`] of the
+//! log-bucket histogram the report carries beside it. Two shards'
+//! histograms add element-wise into exactly the histogram of the union of
+//! their samples, so a merged report's summary is the summary of the
+//! merged histogram: count, mean and max exact, p50 / p99 bucket-exact
+//! (within one bucket width, ≤ 1/16 relative) — the same definition in a
+//! fresh report, a merged one and one decoded off the wire.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use salo_trace::HistogramSnapshot;
 
@@ -33,32 +32,10 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a sample set (empty input yields all zeros). Quantiles
-    /// are exact order statistics of the input: the sample at rank
-    /// `round((n-1) * q)` of the sorted set.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let quantile = |q: f64| {
-            let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-            sorted[idx.min(sorted.len() - 1)]
-        };
-        Self {
-            count: sorted.len() as u64,
-            mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50_s: quantile(0.50),
-            p99_s: quantile(0.99),
-            max_s: *sorted.last().expect("non-empty"),
-        }
-    }
-
     /// Summarizes a nanosecond-scale latency histogram: count/mean/max
     /// exact, p50/p99 bucket-exact (the upper bound of the rank's bucket,
-    /// within one bucket width of the true order statistic).
+    /// within one bucket width of the true order statistic). An empty
+    /// histogram yields all zeros.
     #[must_use]
     pub fn from_histogram(hist: &HistogramSnapshot) -> Self {
         if hist.is_empty() {
@@ -71,184 +48,6 @@ impl LatencyStats {
             p99_s: hist.quantile(0.99) as f64 / 1e9,
             max_s: hist.max as f64 / 1e9,
         }
-    }
-
-    /// Count-weighted *blend* of two shard summaries — the clearly-named
-    /// fallback for summaries that lost their histograms. Counts add, the
-    /// mean is count-weighted, the max is exact, but the quantiles are
-    /// blends that can misstate the true merged quantile badly when the
-    /// shards are skewed (e.g. 900 fast + 100 slow samples: the blend
-    /// reports a p50 an order of magnitude above the true median). Exact
-    /// merged quantiles need the distributions, not the summaries: merge
-    /// the [`LatencyRecorder`]s, or the histograms a [`ServeReport`]
-    /// carries ([`ServeReport::merged_with`] does exactly that and only
-    /// falls back to this blend when a report was built without them).
-    #[must_use]
-    pub fn blended_with(&self, other: &LatencyStats) -> LatencyStats {
-        let total = self.count + other.count;
-        if total == 0 {
-            return LatencyStats::default();
-        }
-        if self.count == 0 {
-            return *other;
-        }
-        if other.count == 0 {
-            return *self;
-        }
-        let wa = self.count as f64 / total as f64;
-        let wb = other.count as f64 / total as f64;
-        LatencyStats {
-            count: total,
-            mean_s: self.mean_s * wa + other.mean_s * wb,
-            p50_s: self.p50_s * wa + other.p50_s * wb,
-            p99_s: self.p99_s * wa + other.p99_s * wb,
-            max_s: self.max_s.max(other.max_s),
-        }
-    }
-}
-
-/// Bounded-memory latency accumulator: exact count/mean/max always; exact
-/// quantiles while the complete sample set fits `EXACT_CAP`, bucket-exact
-/// quantiles (from an always-on log-bucket histogram) beyond it.
-///
-/// A serving session can complete an unbounded number of requests;
-/// keeping every sample just to compute two quantiles at shutdown would
-/// grow without limit. Unlike the reservoir this recorder used to carry,
-/// the histogram is deterministic *and mergeable*: merging two recorders
-/// yields exactly the histogram of the union of their samples, so sharded
-/// quantiles never blend.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    count: u64,
-    sum_s: f64,
-    max_s: f64,
-    /// The complete sample set while `count <= EXACT_CAP`; emptied the
-    /// moment it would become partial (the histogram carries on alone).
-    samples: Vec<f64>,
-    /// Always-on log-bucket histogram of the samples, in nanoseconds.
-    hist: HistogramSnapshot,
-}
-
-/// Exact-quantile capacity: below this many samples the recorder holds
-/// them all and quantiles are exact order statistics; above it they come
-/// from the histogram (within one bucket width, ≤ 1/16 relative).
-const EXACT_CAP: usize = 4096;
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample (seconds).
-    pub fn record(&mut self, sample_s: f64) {
-        self.count += 1;
-        self.sum_s += sample_s;
-        self.max_s = self.max_s.max(sample_s);
-        self.hist.record_secs(sample_s);
-        if self.samples.len() + 1 == self.count as usize && self.count as usize <= EXACT_CAP {
-            self.samples.push(sample_s);
-        } else {
-            self.samples.clear(); // no longer the complete sample set
-        }
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The recorder's log-bucket histogram (nanoseconds). Merging two
-    /// shards' histograms element-wise reproduces the histogram of their
-    /// union exactly — this is what [`ServeReport`] carries so post-hoc
-    /// report merges stay bucket-exact.
-    #[must_use]
-    pub fn histogram(&self) -> &HistogramSnapshot {
-        &self.hist
-    }
-
-    /// Summarizes: count/mean/max are exact. While `count <= EXACT_CAP`
-    /// the recorder still holds every sample, so p50/p99 are exact order
-    /// statistics (pinned by tests down to single-sample recorders);
-    /// beyond that they are bucket-exact histogram quantiles.
-    #[must_use]
-    pub fn stats(&self) -> LatencyStats {
-        if self.count == 0 {
-            return LatencyStats::default();
-        }
-        if self.samples.len() as u64 == self.count {
-            return LatencyStats::from_samples(&self.samples);
-        }
-        LatencyStats {
-            count: self.count,
-            mean_s: self.sum_s / self.count as f64,
-            p50_s: self.hist.quantile(0.50) as f64 / 1e9,
-            p99_s: self.hist.quantile(0.99) as f64 / 1e9,
-            max_s: self.max_s,
-        }
-    }
-
-    /// Merges another recorder into this one. Count, mean and max merge
-    /// exactly. Quantiles stay exact while the union of complete sample
-    /// sets fits `EXACT_CAP`; beyond that the merged histogram *is* the
-    /// histogram of the union (element-wise bucket addition), so a shard
-    /// with 10x the traffic contributes 10x the mass — never 50/50 — and
-    /// merged quantiles are bucket-exact, not blends.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        if other.count == 0 {
-            return;
-        }
-        let both_complete =
-            self.samples.len() as u64 == self.count && other.samples.len() as u64 == other.count;
-        if both_complete && self.samples.len() + other.samples.len() <= EXACT_CAP {
-            self.samples.extend_from_slice(&other.samples);
-        } else {
-            self.samples.clear();
-        }
-        self.hist = self.hist.merged_with(&other.hist);
-        self.count += other.count;
-        self.sum_s += other.sum_s;
-        self.max_s = self.max_s.max(other.max_s);
-    }
-}
-
-/// A high-water-mark gauge for the number of in-flight requests.
-#[derive(Debug, Default)]
-pub struct DepthGauge {
-    current: AtomicUsize,
-    high_water: AtomicUsize,
-}
-
-impl DepthGauge {
-    /// Creates a gauge at depth zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one request entering the system.
-    pub fn enter(&self) {
-        let now = self.current.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Records one request leaving the system.
-    pub fn exit(&self) {
-        self.current.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently in flight.
-    #[must_use]
-    pub fn current(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    /// The deepest the queue has ever been.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
     }
 }
 
@@ -281,12 +80,13 @@ pub struct ServeReport {
     pub wall_s: f64,
     /// Completed requests per wall-clock second.
     pub throughput_rps: f64,
-    /// Submission-to-completion latency distribution.
+    /// Submission-to-completion latency distribution:
+    /// [`LatencyStats::from_histogram`] of
+    /// [`latency_hist`](Self::latency_hist).
     pub latency: LatencyStats,
     /// Log-bucket histogram behind [`latency`](Self::latency)
-    /// (nanoseconds). Merging two reports adds these element-wise, so
-    /// merged quantiles are bucket-exact. Empty in hand-built reports —
-    /// [`merged_with`](Self::merged_with) then falls back to the blend.
+    /// (nanoseconds) — the registry's `serve.latency_ns`. Merging two
+    /// reports adds these element-wise.
     pub latency_hist: HistogramSnapshot,
     /// Plan-cache effectiveness counters.
     pub cache: CacheStats,
@@ -313,10 +113,13 @@ pub struct ServeReport {
     /// their session), steps reaching an already-retired session, or a
     /// dead pinned worker.
     pub decode_step_errors: u64,
-    /// Submission-to-completion latency distribution of decode steps.
+    /// Submission-to-completion latency distribution of decode steps:
+    /// [`LatencyStats::from_histogram`] of
+    /// [`decode_step_latency_hist`](Self::decode_step_latency_hist).
     pub decode_step_latency: LatencyStats,
     /// Log-bucket histogram behind
-    /// [`decode_step_latency`](Self::decode_step_latency) (nanoseconds).
+    /// [`decode_step_latency`](Self::decode_step_latency) (nanoseconds)
+    /// — the registry's `serve.decode.step_latency_ns`.
     pub decode_step_latency_hist: HistogramSnapshot,
     /// Sum over successful decode steps of the stepped session's resident
     /// K/V bytes at step completion. Divided by
@@ -412,40 +215,14 @@ impl fmt::Display for ServeReport {
     }
 }
 
-/// Merges two shard latency summaries, preferring the bucket-exact path:
-/// when the merged histogram accounts for every sample of both summaries,
-/// p50/p99 come from it (count/mean/max stay exact from the summaries);
-/// otherwise — a report built by hand without histograms — falls back to
-/// the count-weighted [`LatencyStats::blended_with`].
-fn merge_latency(
-    a: &LatencyStats,
-    b: &LatencyStats,
-    merged_hist: &HistogramSnapshot,
-) -> LatencyStats {
-    let total = a.count + b.count;
-    if total == 0 || merged_hist.count != total {
-        return a.blended_with(b);
-    }
-    LatencyStats {
-        count: total,
-        mean_s: (a.mean_s * a.count as f64 + b.mean_s * b.count as f64) / total as f64,
-        p50_s: merged_hist.quantile(0.50) as f64 / 1e9,
-        p99_s: merged_hist.quantile(0.99) as f64 / 1e9,
-        max_s: a.max_s.max(b.max_s),
-    }
-}
-
 impl ServeReport {
     /// Merges the report of another (sharded) serving instance into this
     /// one without double-weighting either shard: counters, cycles and
     /// energy add exactly; latency histograms add element-wise — exactly
-    /// the histogram of the union — so merged p50/p99 are bucket-exact
-    /// whenever both reports carry their histograms (runtime-produced
-    /// reports always do; hand-built ones without histograms fall back to
-    /// the count-weighted [`LatencyStats::blended_with`]). Wall time
-    /// takes the longer span and throughput is recomputed from it;
-    /// per-worker loads concatenate (the shards' pools are distinct
-    /// accelerators).
+    /// the histogram of the union — and the merged latency summaries are
+    /// [`LatencyStats::from_histogram`] of those. Wall time takes the
+    /// longer span and throughput is recomputed from it; per-worker
+    /// loads concatenate (the shards' pools are distinct accelerators).
     #[must_use]
     pub fn merged_with(&self, other: &ServeReport) -> ServeReport {
         let wall_s = self.wall_s.max(other.wall_s);
@@ -472,7 +249,7 @@ impl ServeReport {
             errors: self.errors + other.errors,
             wall_s,
             throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
-            latency: merge_latency(&self.latency, &other.latency, &latency_hist),
+            latency: LatencyStats::from_histogram(&latency_hist),
             latency_hist,
             cache: CacheStats {
                 hits: self.cache.hits + other.cache.hits,
@@ -490,11 +267,7 @@ impl ServeReport {
             decode_session_errors: self.decode_session_errors + other.decode_session_errors,
             decode_steps: self.decode_steps + other.decode_steps,
             decode_step_errors: self.decode_step_errors + other.decode_step_errors,
-            decode_step_latency: merge_latency(
-                &self.decode_step_latency,
-                &other.decode_step_latency,
-                &decode_step_latency_hist,
-            ),
+            decode_step_latency: LatencyStats::from_histogram(&decode_step_latency_hist),
             decode_step_latency_hist,
             decode_resident_kv_byte_steps: self.decode_resident_kv_byte_steps
                 + other.decode_resident_kv_byte_steps,
@@ -516,179 +289,60 @@ impl ServeReport {
 mod tests {
     use super::*;
 
+    /// A report as `SaloServer::shutdown` builds one: every latency
+    /// sample (seconds) in the histogram, the summary derived from it.
+    fn report_of(latencies_s: &[f64], wall_s: f64) -> ServeReport {
+        let mut latency_hist = HistogramSnapshot::default();
+        for &s in latencies_s {
+            latency_hist.record_secs(s);
+        }
+        let requests = latencies_s.len() as u64;
+        ServeReport {
+            requests,
+            wall_s,
+            throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
+            latency: LatencyStats::from_histogram(&latency_hist),
+            latency_hist,
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn latency_quantiles() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let stats = LatencyStats::from_samples(&samples);
+    fn summary_is_exact_on_count_mean_max_and_bucket_exact_on_quantiles() {
+        let samples: Vec<f64> = (1..=100).map(|i| f64::from(i) * 1e-3).collect();
+        let stats = report_of(&samples, 1.0).latency;
         assert_eq!(stats.count, 100);
-        assert!((stats.mean_s - 50.5).abs() < 1e-12);
-        assert!((stats.p50_s - 50.0).abs() <= 1.0);
-        assert!((stats.p99_s - 99.0).abs() <= 1.0);
-        assert!((stats.max_s - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_samples_are_zero() {
-        assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
-    }
-
-    #[test]
-    fn recorder_matches_exact_stats_below_exact_capacity() {
-        let mut rec = LatencyRecorder::new();
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        for &s in &samples {
-            rec.record(s);
-        }
-        assert_eq!(rec.stats(), LatencyStats::from_samples(&samples));
-        assert_eq!(rec.count(), 100);
-        assert_eq!(rec.histogram().count, 100);
-    }
-
-    #[test]
-    fn recorder_memory_is_bounded_and_quantiles_stay_within_bucket_width() {
-        let mut rec = LatencyRecorder::new();
-        let total = 3 * EXACT_CAP as u64;
-        for i in 0..total {
-            rec.record(i as f64); // uniform ramp 0..total (seconds)
-        }
-        assert!(rec.samples.len() <= EXACT_CAP, "memory bounded");
-        let stats = rec.stats();
-        assert_eq!(stats.count, total);
-        assert!((stats.mean_s - (total - 1) as f64 / 2.0).abs() < 1e-9, "mean exact");
-        assert!((stats.max_s - (total - 1) as f64).abs() < 1e-12, "max exact");
-        // Above the exact capacity quantiles come from the histogram: the
-        // upper bound of the rank's bucket, within one bucket width
-        // (<= 1/16 relative) above the true order statistic.
-        let true_p50 = total as f64 / 2.0;
-        assert!(stats.p50_s >= true_p50 * 0.999, "p50 {} below true median", stats.p50_s);
-        assert!(stats.p50_s <= true_p50 * (1.0 + 1.0 / 16.0) + 1.0, "p50 {}", stats.p50_s);
-        assert!(stats.p99_s / (total as f64) > 0.9, "p99 {}", stats.p99_s);
-        // Deterministic: a second identical run reproduces the stats.
-        let mut again = LatencyRecorder::new();
-        for i in 0..total {
-            again.record(i as f64);
-        }
-        assert_eq!(again.stats(), stats);
-    }
-
-    #[test]
-    fn quantiles_are_exact_at_small_counts() {
-        // Below the exact capacity the recorder holds every sample, so
-        // p50/p99 must be exact order statistics — pinned here for the
-        // degenerate counts where estimation bugs hide.
-        // One sample: every statistic is that sample.
-        let mut rec = LatencyRecorder::new();
-        rec.record(0.125);
-        let s = rec.stats();
-        assert_eq!((s.p50_s, s.p99_s, s.max_s, s.mean_s), (0.125, 0.125, 0.125, 0.125));
-
-        // Two samples: p50 is the rank round(0.5) = upper sample, p99 the
-        // max.
-        let mut rec = LatencyRecorder::new();
-        rec.record(1.0);
-        rec.record(3.0);
-        let s = rec.stats();
-        assert_eq!(s.p50_s, 3.0);
-        assert_eq!(s.p99_s, 3.0);
-        assert_eq!(s.mean_s, 2.0);
-
-        // Three samples: p50 is exactly the middle one, whatever the
-        // arrival order.
-        let mut rec = LatencyRecorder::new();
-        for v in [9.0, 1.0, 5.0] {
-            rec.record(v);
-        }
-        let s = rec.stats();
-        assert_eq!(s.p50_s, 5.0);
-        assert_eq!(s.p99_s, 9.0);
-
-        // 100 samples: p99 is the rank-99 order statistic, exactly.
-        let mut rec = LatencyRecorder::new();
-        for v in (1..=100).rev() {
-            rec.record(f64::from(v));
-        }
-        let s = rec.stats();
-        assert_eq!(s.p50_s, 51.0, "rank round(99 * 0.5) = 50 -> 51st sample");
-        assert_eq!(s.p99_s, 99.0);
-        assert_eq!(s.max_s, 100.0);
-    }
-
-    #[test]
-    fn recorder_merge_is_exact_below_capacity_and_bucket_exact_above() {
-        // Two shards whose combined samples fit the exact window: the
-        // merge must be exactly the single-recorder result over the union.
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        let mut all = LatencyRecorder::new();
-        for i in 0..100 {
-            a.record(f64::from(i));
-            all.record(f64::from(i));
-        }
-        for i in 100..150 {
-            b.record(f64::from(i));
-            all.record(f64::from(i));
-        }
-        a.merge(&b);
-        assert_eq!(a.stats(), all.stats(), "sub-capacity merge is exact");
-        assert_eq!(a.histogram(), all.histogram(), "histogram merge == histogram of union");
-
-        // Merging an empty recorder is the identity.
-        let before = a.stats();
-        a.merge(&LatencyRecorder::new());
-        assert_eq!(a.stats(), before);
-
-        // Over capacity: a 9:1 traffic split. The old reservoir blend got
-        // this right only statistically; the histogram gets it exactly —
-        // the light shard's pathological samples land in their own
-        // buckets and cannot drag p50 toward themselves.
-        let mut heavy = LatencyRecorder::new();
-        let mut light = LatencyRecorder::new();
-        for i in 0..(9 * EXACT_CAP) {
-            heavy.record(1.0 + (i % 7) as f64 * 1e-3); // ~1 ms-ish cluster
-        }
-        for _ in 0..EXACT_CAP {
-            light.record(100.0); // pathological slow shard
-        }
-        heavy.merge(&light);
-        let s = heavy.stats();
-        assert_eq!(s.count, 10 * EXACT_CAP as u64);
-        assert!((s.p50_s - 1.0).abs() < 0.1, "p50 {} dragged by light shard", s.p50_s);
-        assert_eq!(s.max_s, 100.0, "max is exact");
-        let expected_mean = (9.0 * 1.003 + 100.0) / 10.0;
-        assert!((s.mean_s - expected_mean).abs() < 0.1, "mean {} count-weighted", s.mean_s);
+        assert!((stats.mean_s - 0.0505).abs() < 1e-12);
+        assert_eq!(stats.max_s, 0.1);
+        // The upper bound of the rank's bucket: never below the order
+        // statistic, at most one bucket width (1/16 relative) above it.
+        assert!((0.050..=0.050 * (1.0 + 1.0 / 16.0)).contains(&stats.p50_s), "{}", stats.p50_s);
+        assert!((0.099..=0.1).contains(&stats.p99_s), "{}", stats.p99_s);
+        // One sample: every statistic is that sample (quantiles clamp to
+        // the observed min/max).
+        let one = report_of(&[0.125], 1.0).latency;
+        assert_eq!((one.p50_s, one.p99_s, one.max_s, one.mean_s), (0.125, 0.125, 0.125, 0.125));
+        assert_eq!(
+            LatencyStats::from_histogram(&HistogramSnapshot::default()),
+            LatencyStats::default()
+        );
     }
 
     #[test]
     fn merged_reports_do_not_double_weight_shards() {
-        // Hand-built reports without histograms: merged_with falls back
-        // to the count-weighted blend (documented coarse aggregate).
         let big = ServeReport {
-            requests: 900,
-            wall_s: 10.0,
-            throughput_rps: 90.0,
-            latency: LatencyStats {
-                count: 900,
-                mean_s: 0.001,
-                p50_s: 0.001,
-                p99_s: 0.002,
-                max_s: 0.003,
-            },
             batches: 300,
             mean_batch_size: 3.0,
             decode_steps: 90,
             per_worker_requests: vec![450, 450],
-            ..Default::default()
+            ..report_of(&[0.001; 900], 10.0)
         };
         let small = ServeReport {
-            requests: 100,
-            wall_s: 4.0,
-            throughput_rps: 25.0,
-            latency: LatencyStats { count: 100, mean_s: 0.1, p50_s: 0.1, p99_s: 0.2, max_s: 0.3 },
             batches: 100,
             mean_batch_size: 1.0,
             decode_steps: 10,
             per_worker_requests: vec![100],
-            ..Default::default()
+            ..report_of(&[0.1; 100], 4.0)
         };
         let merged = big.merged_with(&small);
         assert_eq!(merged.requests, 1000);
@@ -697,82 +351,71 @@ mod tests {
         // Count-weighted, not averaged: the 9x shard dominates.
         let expected_mean = (900.0 * 0.001 + 100.0 * 0.1) / 1000.0;
         assert!((merged.latency.mean_s - expected_mean).abs() < 1e-12);
-        assert!(merged.latency.p50_s < 0.02, "p50 {} double-weighted", merged.latency.p50_s);
-        assert_eq!(merged.latency.max_s, 0.3);
-        // Throughput re-derives from the merged wall, not the shard sum.
-        assert_eq!(merged.wall_s, 10.0);
-        assert!((merged.throughput_rps - 100.0).abs() < 1e-9);
-        // Batch means re-weight by batch count: (300*3 + 100*1) / 400.
-        assert!((merged.mean_batch_size - 2.5).abs() < 1e-12);
-        // Merging with an all-zero report is the identity on exact fields.
-        let ident = big.merged_with(&ServeReport::default());
-        assert_eq!(ident.requests, big.requests);
-        assert_eq!(ident.latency, big.latency);
-    }
-
-    #[test]
-    fn merged_reports_with_histograms_are_bucket_exact() {
-        // The exact scenario the old blend misstated by an order of
-        // magnitude: 900 fast + 100 slow samples. With histograms on the
-        // reports, the merged p50 lands in the fast cluster (the true
-        // median) instead of blending toward the slow shard.
-        let mut fast = LatencyRecorder::new();
-        for _ in 0..900 {
-            fast.record(0.001);
-        }
-        let mut slow = LatencyRecorder::new();
-        for _ in 0..100 {
-            slow.record(0.1);
-        }
-        let report_of = |rec: &LatencyRecorder| ServeReport {
-            requests: rec.count(),
-            latency: rec.stats(),
-            latency_hist: rec.histogram().clone(),
-            ..Default::default()
-        };
-        let merged = report_of(&fast).merged_with(&report_of(&slow));
         assert_eq!(merged.latency.count, 1000);
-        // Bucket-exact: within one bucket width (<= 1/16 relative) of the
-        // true 1 ms median — the blend would have said ~10.9 ms.
+        assert_eq!(merged.latency.max_s, 0.1);
+        // The merged quantiles are those of the union, not a blend of the
+        // shards' summaries (which would put p50 near 10.9 ms): the median
+        // of 900 fast + 100 slow samples is in the fast cluster, rank 990
+        // in the slow one — each within one bucket width.
         assert!(
-            merged.latency.p50_s <= 0.001 * (1.0 + 1.0 / 16.0),
+            (0.001..=0.001 * (1.0 + 1.0 / 16.0)).contains(&merged.latency.p50_s),
             "p50 {} not bucket-exact",
             merged.latency.p50_s
         );
-        assert!(
-            merged.latency.p50_s >= 0.0009,
-            "p50 {} below the fast cluster",
-            merged.latency.p50_s
-        );
-        // p99 falls in the slow cluster (rank 990 of 1000).
         assert!(
             (merged.latency.p99_s - 0.1).abs() <= 0.1 / 16.0,
             "p99 {} not in the slow cluster",
             merged.latency.p99_s
         );
-        assert_eq!(merged.latency.max_s, 0.1);
-        // Merging is associative on the histograms: the merged report can
-        // merge again and stay bucket-exact.
-        let thrice = merged.merged_with(&report_of(&slow));
-        assert_eq!(thrice.latency_hist.count, 1100);
-        assert!(thrice.latency.p50_s <= 0.001 * (1.0 + 1.0 / 16.0));
+        // Throughput re-derives from the merged wall, not the shard sum.
+        assert_eq!(merged.wall_s, 10.0);
+        assert!((merged.throughput_rps - 100.0).abs() < 1e-9);
+        // Batch means re-weight by batch count: (300*3 + 100*1) / 400.
+        assert!((merged.mean_batch_size - 2.5).abs() < 1e-12);
     }
 
     #[test]
-    fn gauge_tracks_high_water() {
-        let g = DepthGauge::new();
-        g.enter();
-        g.enter();
-        g.exit();
-        g.enter();
-        g.enter();
-        assert_eq!(g.current(), 3);
-        assert_eq!(g.high_water(), 3);
-        g.exit();
-        g.exit();
-        g.exit();
-        assert_eq!(g.current(), 0);
-        assert_eq!(g.high_water(), 3);
+    fn merged_latency_is_the_summary_of_the_merged_histogram() {
+        // Three shards with different shapes; dyadic floats so the
+        // re-derived means and rates are exact and whole reports compare.
+        let shard = |latencies: &[f64], wall_s, batches, steps: &[f64]| {
+            let mut r = ServeReport {
+                batches,
+                mean_batch_size: 2.0,
+                sim_energy_j: 0.25,
+                ..report_of(latencies, wall_s)
+            };
+            for &s in steps {
+                r.decode_step_latency_hist.record_secs(s);
+            }
+            r.decode_steps = steps.len() as u64;
+            r.decode_step_latency = LatencyStats::from_histogram(&r.decode_step_latency_hist);
+            r
+        };
+        let a = shard(&[0.001; 64], 4.0, 32, &[2e-5, 3e-5, 9e-4]);
+        let b = shard(&[0.25, 0.5, 0.002, 0.004], 2.0, 2, &[]);
+        let c = shard(&[0.03; 16], 8.0, 8, &[1e-5; 40]);
+        for (x, y) in [(&a, &b), (&b, &c), (&c, &a)] {
+            let merged = x.merged_with(y);
+            assert_eq!(
+                merged.latency,
+                LatencyStats::from_histogram(&x.latency_hist.merged_with(&y.latency_hist))
+            );
+            assert_eq!(
+                merged.decode_step_latency,
+                LatencyStats::from_histogram(
+                    &x.decode_step_latency_hist.merged_with(&y.decode_step_latency_hist)
+                )
+            );
+            assert_eq!(merged, y.merged_with(x), "commutative");
+        }
+        assert_eq!(a.merged_with(&b).merged_with(&c), a.merged_with(&b.merged_with(&c)));
+        // Merging with the empty report is the identity — quantiles keep
+        // their definition, so nothing moves.
+        for r in [&a, &b, &c] {
+            assert_eq!(&r.merged_with(&ServeReport::default()), r);
+            assert_eq!(&ServeReport::default().merged_with(r), r);
+        }
     }
 
     #[test]

@@ -37,15 +37,15 @@ use std::time::{Duration, Instant};
 use salo_core::{AttentionRequest, PatternHandle, Salo};
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::AcceleratorConfig;
-use salo_trace::{Counter, MetricsRegistry};
+use salo_trace::{Counter, Gauge, MetricsRegistry};
 
 use crate::batch::{Batcher, InFlight};
-use crate::metrics::{DepthGauge, LatencyRecorder, ServeReport, TenantCounters};
+use crate::metrics::{LatencyStats, ServeReport, TenantCounters};
 use crate::session::{
     DecodeSessionHandle, SessionEvent, SessionRegistry, SessionRequest, SessionTable, TokenQkv,
 };
 use crate::worker::{Completed, Job, LayerDone, Reply, WorkerPool};
-use crate::{CacheStats, PlanCache, PlanKey, ServeError, ServeRequest, ServeResponse};
+use crate::{PlanCache, PlanKey, ServeError, ServeRequest, ServeResponse};
 
 /// Tunables of the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +62,8 @@ pub struct ServeOptions {
     /// `SALO_PARALLELISM` environment default, `1` is sequential).
     /// Bit-transparent: only wall-clock changes, never outputs.
     pub worker_parallelism: usize,
-    /// Rows per K/V page in each worker's decode page pool (`None`
-    /// inherits the engine default, `SALO_KV_PAGE_ROWS` included).
+    /// Rows per K/V page in each worker's decode page pool (`None` is
+    /// the engine default, [`DEFAULT_PAGE_ROWS`](salo_sim::DEFAULT_PAGE_ROWS)).
     /// Bit-transparent: paging changes memory residency, never outputs.
     pub decode_page_rows: Option<usize>,
     /// Capacity bound, in pages, of each worker's decode page pool
@@ -126,20 +126,15 @@ struct StepSubmission {
     submitted: Instant,
 }
 
-/// What the collector learned over the session.
-///
-/// The counters here are mirrored into the server's [`MetricsRegistry`]
-/// as they accumulate (`serve.requests`, `serve.errors`,
-/// `serve.latency_ns`, ...); [`SaloServer::shutdown`] rebuilds the
-/// [`ServeReport`] from those registry metrics, with the recorders
-/// supplying the exact small-count quantiles the histograms cannot.
+/// What the collector learned that the server's [`MetricsRegistry`] does
+/// not hold: completion counts and latencies go to the registry
+/// (`serve.requests`, `serve.errors`, `serve.latency_ns`, ...), which
+/// [`SaloServer::shutdown`] builds the [`ServeReport`] from.
 #[derive(Debug, Default)]
 struct CollectorSummary {
-    latencies: LatencyRecorder,
     per_worker: Vec<u64>,
     sim_cycles: u64,
     sim_energy_j: f64,
-    decode_latencies: LatencyRecorder,
     first_submit: Option<Instant>,
     last_finish: Option<Instant>,
 }
@@ -158,7 +153,8 @@ pub struct SaloServer {
     ingress: Option<Sender<Ingress>>,
     ordered: Mutex<Receiver<ServeResponse>>,
     cache: Arc<PlanCache>,
-    depth: Arc<DepthGauge>,
+    /// In-flight requests: the registry's `serve.queue_depth` gauge.
+    depth: Arc<Gauge>,
     next_id: AtomicU64,
     next_session: AtomicU64,
     sessions: Arc<SessionRegistry>,
@@ -181,7 +177,7 @@ impl std::fmt::Debug for SaloServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SaloServer")
             .field("workers", &self.workers)
-            .field("queue_depth", &self.depth.current())
+            .field("queue_depth", &self.queue_depth())
             .field("sessions", &self.active_sessions())
             .field("cache", &self.cache)
             .finish()
@@ -195,12 +191,12 @@ impl SaloServer {
     pub fn start(config: AcceleratorConfig, options: ServeOptions) -> Self {
         let workers = options.workers.max(1);
         let cache = Arc::new(PlanCache::new(options.cache_capacity, options.cache_shards));
-        let depth = Arc::new(DepthGauge::new());
         let batches = Arc::new(AtomicU64::new(0));
         let batched_requests = Arc::new(AtomicU64::new(0));
         let summary = Arc::new(Mutex::new(None));
         let sessions = Arc::new(SessionRegistry::new());
         let metrics = Arc::new(MetricsRegistry::new());
+        let depth = metrics.gauge("serve.queue_depth");
 
         let (ingress_tx, ingress_rx) = std::sync::mpsc::channel::<Ingress>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Completed>();
@@ -251,14 +247,13 @@ impl SaloServer {
             );
         }
         {
-            let depth = Arc::clone(&depth);
             let summary = Arc::clone(&summary);
             let metrics = Arc::clone(&metrics);
             threads.push(
                 std::thread::Builder::new()
                     .name("salo-serve-collector".into())
                     .spawn(move || {
-                        collector_loop(&done_rx, &ordered_tx, &depth, workers, &summary, &metrics);
+                        collector_loop(&done_rx, &ordered_tx, workers, &summary, &metrics);
                     })
                     .expect("spawn collector thread"),
             );
@@ -334,7 +329,7 @@ impl SaloServer {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
         self.count_tenant_request(tenant);
-        self.depth.enter();
+        self.depth.add(1);
         let submission = Submission {
             id,
             pattern: request.pattern,
@@ -343,7 +338,7 @@ impl SaloServer {
             submitted: Instant::now(),
         };
         if ingress.send(Ingress::Layer(submission)).is_err() {
-            self.depth.exit();
+            self.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(id)
@@ -415,7 +410,7 @@ impl SaloServer {
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
         self.count_tenant_request(tenant);
-        self.depth.enter();
+        self.depth.add(1);
         // Register before submitting: an asynchronous open failure
         // deregisters the id, and that removal must not race ahead of
         // the insert (a late insert would leak the dead session).
@@ -425,7 +420,7 @@ impl SaloServer {
             OpenSubmission { session, request, causal, submitted: Instant::now(), events };
         if ingress.send(Ingress::Open(submission)).is_err() {
             self.sessions.remove(session);
-            self.depth.exit();
+            self.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(session)
@@ -460,10 +455,10 @@ impl SaloServer {
             return Err(ServeError::UnknownSession { session });
         }
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
-        self.depth.enter();
+        self.depth.add(1);
         let submission = StepSubmission { session, token, submitted: Instant::now() };
         if ingress.send(Ingress::Step(submission)).is_err() {
-            self.depth.exit();
+            self.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(())
@@ -532,13 +527,7 @@ impl SaloServer {
     /// decode opens and steps included.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.depth.current()
-    }
-
-    /// Snapshot of the plan cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.depth.get().max(0) as usize
     }
 
     /// This server's metrics registry: named counters, gauges and
@@ -561,12 +550,6 @@ impl SaloServer {
     /// `serve.tenant.{id}.rejections` counter.
     pub fn record_tenant_rejection(&self, tenant: u64) {
         self.metrics.counter(&format!("serve.tenant.{tenant}.rejections")).inc();
-    }
-
-    /// Whether [`drain`](Self::drain) has been called.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
     }
 
     /// Gracefully drains the runtime: refuses new work, closes every
@@ -600,12 +583,12 @@ impl SaloServer {
             }
         }
         while start.elapsed() < deadline {
-            if self.depth.current() == 0 && self.sessions.len() == 0 {
+            if self.queue_depth() == 0 && self.sessions.len() == 0 {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.depth.current() == 0 && self.sessions.len() == 0
+        self.queue_depth() == 0 && self.sessions.len() == 0
     }
 
     /// Stops accepting requests, drains all in-flight work, joins every
@@ -627,15 +610,16 @@ impl SaloServer {
         // the report's counters *from* the registry — the collector has
         // been mirroring its completion counts there all along, so the
         // registry is the single source the report is rebuilt on. The
-        // recorders contribute the latency summaries (exact order
-        // statistics at small counts, histogram quantiles beyond) and
-        // their histograms ride on the report for bucket-exact merges.
+        // latency histograms ride on the report whole, so reports merge
+        // bucket-exactly; the summaries are derived from them.
         let batches = self.batches.load(Ordering::Relaxed);
         let batched = self.batched_requests.load(Ordering::Relaxed);
         self.metrics.counter("serve.batches").add(batches);
         self.metrics.counter("serve.batched_requests").add(batched);
-        self.metrics.gauge("serve.queue_depth.high_water").set(self.depth.high_water() as i64);
         let requests = self.metrics.counter("serve.requests").get();
+        let latency_hist = self.metrics.histogram("serve.latency_ns").snapshot();
+        let decode_step_latency_hist =
+            self.metrics.histogram("serve.decode.step_latency_ns").snapshot();
         // The per-tenant counters are dynamically named
         // (`serve.tenant.{id}.{field}`); recover the family by prefix and
         // fold it into the report's map.
@@ -657,12 +641,12 @@ impl SaloServer {
             errors: self.metrics.counter("serve.errors").get(),
             wall_s,
             throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
-            latency: summary.latencies.stats(),
-            latency_hist: summary.latencies.histogram().clone(),
+            latency: LatencyStats::from_histogram(&latency_hist),
+            latency_hist,
             cache: self.cache.stats(),
             batches,
             mean_batch_size: if batches > 0 { batched as f64 / batches as f64 } else { 0.0 },
-            max_queue_depth: self.depth.high_water(),
+            max_queue_depth: self.depth.high_water().max(0) as usize,
             sim_cycles: summary.sim_cycles,
             sim_energy_j: summary.sim_energy_j,
             per_worker_requests: summary.per_worker,
@@ -670,8 +654,8 @@ impl SaloServer {
             decode_session_errors: self.metrics.counter("serve.decode.session_errors").get(),
             decode_steps: self.metrics.counter("serve.decode.steps").get(),
             decode_step_errors: self.metrics.counter("serve.decode.step_errors").get(),
-            decode_step_latency: summary.decode_latencies.stats(),
-            decode_step_latency_hist: summary.decode_latencies.histogram().clone(),
+            decode_step_latency: LatencyStats::from_histogram(&decode_step_latency_hist),
+            decode_step_latency_hist,
             decode_resident_kv_byte_steps: self
                 .metrics
                 .counter("serve.decode.resident_kv_byte_steps")
@@ -997,7 +981,6 @@ impl Dispatcher<'_> {
 fn collector_loop(
     done: &Receiver<Completed>,
     ordered: &Sender<ServeResponse>,
-    depth: &DepthGauge,
     workers: usize,
     out: &Mutex<Option<CollectorSummary>>,
     metrics: &MetricsRegistry,
@@ -1009,6 +992,7 @@ fn collector_loop(
     // Fetch the registry handles once; every completion then updates them
     // lock-free. These counters/histograms are what `shutdown` rebuilds
     // the `ServeReport` from.
+    let depth = metrics.gauge("serve.queue_depth");
     let requests_c = metrics.counter("serve.requests");
     let errors_c = metrics.counter("serve.errors");
     let latency_h = metrics.histogram("serve.latency_ns");
@@ -1021,13 +1005,12 @@ fn collector_loop(
     let mut pending: BTreeMap<u64, ServeResponse> = BTreeMap::new();
     let mut next_id = 0u64;
     while let Ok(completed) = done.recv() {
-        depth.exit();
+        depth.add(-1);
         match completed {
             Completed::Layer(layer) => {
                 let latency_s = layer.finished.duration_since(layer.submitted).as_secs_f64();
                 requests_c.inc();
                 latency_h.record_secs(latency_s);
-                summary.latencies.record(latency_s);
                 match &layer.result {
                     Ok(run) => {
                         summary.sim_cycles +=
@@ -1074,7 +1057,6 @@ fn collector_loop(
                 }
                 let step_s = finished.duration_since(submitted).as_secs_f64();
                 step_latency_h.record_secs(step_s);
-                summary.decode_latencies.record(step_s);
                 span(submitted, finished, &mut summary);
             }
             // A benign close/step race: the step never executed, so it

@@ -70,20 +70,6 @@ impl TrafficMix {
         }
     }
 
-    /// The paper's full Table 2 workloads (Longformer-Base-4096, ViL
-    /// stages 1–2). Heavyweight: one request is a full long-sequence
-    /// layer; use for throughput studies, not unit tests.
-    #[must_use]
-    pub fn paper_mix() -> Self {
-        Self {
-            workloads: vec![
-                salo_models::longformer_base_4096(),
-                salo_models::vil_stage1(),
-                salo_models::vil_stage2(),
-            ],
-        }
-    }
-
     /// The underlying workloads, in rotation order.
     #[must_use]
     pub fn workloads(&self) -> &[Workload] {

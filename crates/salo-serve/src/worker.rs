@@ -177,8 +177,8 @@ impl WorkerPool {
     /// `parallelism` is the engines' prefill shard count (`0` inherits
     /// the `SALO_PARALLELISM` environment default). `decode_page_rows` /
     /// `decode_pool_pages` configure each engine's K/V page pool (`None`
-    /// keeps the engine's environment-derived defaults); decode
-    /// telemetry lands in `metrics`.
+    /// is `DEFAULT_PAGE_ROWS` rows, unbounded); decode telemetry lands
+    /// in `metrics`.
     #[allow(clippy::too_many_arguments)] // one call site, in SaloServer::start
     pub fn spawn(
         workers: usize,
@@ -202,12 +202,7 @@ impl WorkerPool {
             // Engines built from one Salo share its lookup tables.
             let mut engine = salo.engine_with_parallelism(parallelism);
             if decode_page_rows.is_some() || decode_pool_pages.is_some() {
-                // A lone capacity bound keeps the engine's own page-rows
-                // default (environment override included) instead of
-                // resetting it.
-                let rows = decode_page_rows
-                    .or_else(|| engine.kv_pool_stats().map(|s| s.page_rows))
-                    .unwrap_or(DEFAULT_PAGE_ROWS);
+                let rows = decode_page_rows.unwrap_or(DEFAULT_PAGE_ROWS);
                 engine.configure_kv_pool(rows, decode_pool_pages);
             }
             let worker_done = done.clone();

@@ -317,12 +317,6 @@ impl DecodePlan {
         self.max_row_keys
     }
 
-    /// Total keys read over a full generation (work proxy for benches).
-    #[must_use]
-    pub fn total_step_keys(&self) -> u64 {
-        self.ops.iter().map(|op| u64::from(op.key_len)).sum()
-    }
-
     /// The earliest non-global history row any step at position `>= len`
     /// (or any still-pending global-row op, per `global_cursor`) can
     /// read. Rows strictly below the horizon are only reachable through

@@ -335,11 +335,6 @@ impl SpanGuard<'_> {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Replaces the numeric argument recorded with the span.
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
 }
 
 impl Drop for SpanGuard<'_> {

@@ -8,7 +8,7 @@ use salo::kernels::Qkv;
 use salo::patterns::{HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
 use salo::serve::{
-    GenerationTraffic, SaloServer, ServeError, ServeOptions, SessionEvent, TokenQkv,
+    GenerationTraffic, LatencyStats, SaloServer, ServeError, ServeOptions, SessionEvent, TokenQkv,
 };
 use salo::sim::AcceleratorConfig;
 
@@ -442,6 +442,10 @@ fn serve_sessions_match_core_sessions_and_amortize_plans() {
     assert_eq!(report.decode_steps, expected_steps);
     assert_eq!(report.decode_step_errors, 0);
     assert!(report.decode_step_latency.count > 0);
+    assert_eq!(
+        report.decode_step_latency,
+        LatencyStats::from_histogram(&report.decode_step_latency_hist)
+    );
 }
 
 #[test]

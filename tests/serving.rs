@@ -6,7 +6,8 @@
 use salo::core::{AttentionRequest, Engine, Salo};
 use salo::scheduler::HardwareMeta;
 use salo::serve::{
-    GenerationShape, GenerationTraffic, SaloServer, ServeOptions, ServeRequest, TrafficMix,
+    GenerationShape, GenerationTraffic, LatencyStats, SaloServer, ServeOptions, ServeRequest,
+    TrafficMix,
 };
 use salo::sim::AcceleratorConfig;
 
@@ -138,7 +139,13 @@ fn report_accounts_every_request_and_worker() {
         assert!(response.worker.is_some());
     }
     assert_eq!(server.queue_depth(), 0, "all drained");
+    // Every response has been read, so every completion is recorded: the
+    // report's histogram is the registry's, bucket for bucket, and its
+    // summary is that histogram's.
+    let live = server.metrics().histogram("serve.latency_ns").snapshot();
     let report = server.shutdown();
+    assert_eq!(report.latency_hist, live);
+    assert_eq!(report.latency, LatencyStats::from_histogram(&report.latency_hist));
     assert_eq!(report.requests, total);
     assert_eq!(report.per_worker_requests.len(), 3);
     assert_eq!(report.per_worker_requests.iter().sum::<u64>(), total);
