@@ -193,7 +193,13 @@ impl FixedCore {
             }
             AttentionRequest::DecodeStep { session, token } => {
                 let _span = tracer.span_with("engine.decode_step", "engine", session);
-                Ok(AttentionResponse::DecodeStep(self.step(name, session, &token)?))
+                // A step is a batch of one: same validation order, same
+                // retirement rule, same telemetry as any fused entry.
+                let (_, result) = self
+                    .step_batch(name, vec![(session, token)])
+                    .pop()
+                    .expect("one result per submitted step");
+                Ok(AttentionResponse::DecodeStep(result?))
             }
             AttentionRequest::DecodeStepBatch { steps } => {
                 let _span =
@@ -314,91 +320,14 @@ impl FixedCore {
         Ok(opened)
     }
 
-    fn step(
-        &mut self,
-        name: &'static str,
-        session: SessionId,
-        token: &[TokenQkv],
-    ) -> Result<StepResult, SaloError> {
-        let state = self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;
-        if token.len() != state.states.len() {
-            // Pre-mutation validation: the session stays decodable.
-            return Err(SaloError::HeadCountMismatch {
-                expected: state.states.len(),
-                got: token.len(),
-            });
-        }
-        let position = state.position();
-        let profiling = salo_trace::enabled();
-        self.scratch.set_profiling(profiling);
-        let mut step_stages = salo_sim::StageProfile::default();
-        let mut heads = Vec::with_capacity(token.len());
-        let mut result: Result<(), SaloError> = Ok(());
-        for (head_state, tok) in state.states.iter_mut().zip(token) {
-            match self.accel.execute_step(
-                &state.decode,
-                head_state,
-                &tok.q,
-                &tok.k,
-                &tok.v,
-                state.scale,
-                &mut self.kv_pool,
-                &mut self.scratch,
-            ) {
-                Ok(out) => {
-                    if profiling {
-                        step_stages.merge(&self.scratch.take_profile());
-                    }
-                    heads.push(out);
-                }
-                Err(e) => {
-                    result = Err(normalize_step_error(e));
-                    break;
-                }
-            }
-        }
-        if let Err(e) = result {
-            // A failure that left any head advanced or poisoned desyncs
-            // the session: retire it so later steps report
-            // `UnknownSession` instead of silently wrong outputs. A
-            // failure caught before any per-head mutation (wrong token
-            // dimension on the first head, capacity exhaustion) leaves
-            // every head in place and the session live.
-            if !state.is_intact(position) {
-                if let Some(mut retired) = self.sessions.remove(&session) {
-                    retired.release_pages(&mut self.kv_pool);
-                }
-            }
-            return Err(e);
-        }
-        let saturation_events = heads.iter().map(|h| h.saturation_events).sum();
-        let resident_kv_bytes = state.resident_kv_bytes();
-        Ok(StepResult {
-            session,
-            position,
-            heads: heads.into_iter().map(fixed_head_step).collect(),
-            telemetry: Telemetry {
-                engine: name,
-                bit_exact: true,
-                sim_cycles: None,
-                sim_time_s: None,
-                sim_energy_j: None,
-                saturation_events,
-                resident_kv_bytes: Some(resident_kv_bytes),
-                stages: profiling.then_some(step_stages),
-            },
-        })
-    }
-
-    /// The fused decode tick: execute one pending step from each of many
-    /// sessions, grouping maximal runs that share a decode-plan
+    /// The one way a decode step runs: execute one pending step from each
+    /// listed session, grouping maximal runs that share a decode-plan
     /// fingerprint into single [`SpatialAccelerator::execute_steps`]
     /// passes (one scratch, one pool, per-dispatch overhead paid once).
-    /// Results are per entry, in request order; grouping preserves it
-    /// (each group is a contiguous run) and never spans a duplicate
-    /// session id, so per-session step ordering is exactly the
-    /// one-at-a-time order. Poisoning/retirement semantics per entry are
-    /// identical to [`step`](Self::step).
+    /// [`AttentionRequest::DecodeStep`] is the width-1 case. Results are
+    /// per entry, in request order; grouping preserves it (each group is
+    /// a contiguous run) and never spans a duplicate session id, so
+    /// per-session step ordering is exactly the one-at-a-time order.
     fn step_batch(
         &mut self,
         name: &'static str,
@@ -424,36 +353,36 @@ impl FixedCore {
                     _ => break,
                 }
             }
-            results.extend(self.run_step_group(name, group));
+            self.run_step_group(name, group, &mut results);
         }
         results
     }
 
-    /// Executes one fused group (live sessions sharing a plan, one step
-    /// each) and maps the per-head outputs back to per-session results.
+    /// Executes one group (live sessions sharing a plan, one step each)
+    /// and appends the per-session results to `results`.
+    ///
+    /// Validation is pre-mutation and per entry: head count and every
+    /// head's row lengths are checked before any head moves, so a
+    /// malformed token fails its own entry and leaves its session live at
+    /// the same position. A failure inside the pass is judged afterwards:
+    /// a session whose heads no longer agree
+    /// ([`is_intact`](FixedSession::is_intact)) is retired and its pages
+    /// released; anything else is reinserted as it was.
     fn run_step_group(
         &mut self,
         name: &'static str,
         group: Vec<(SessionId, Vec<TokenQkv>)>,
-    ) -> Vec<(SessionId, Result<StepResult, SaloError>)> {
+        results: &mut Vec<(SessionId, Result<StepResult, SaloError>)>,
+    ) {
         // One entry per grouped session: taken out of the map (for
         // simultaneous `&mut` access), its pending token, its pre-step
         // position, and any pre-validation error.
         type GroupEntry = (SessionId, FixedSession, Vec<TokenQkv>, usize, Option<SaloError>);
-        // Every session is reinserted below unless its step desynced it
-        // (same retirement rule as the single-step path).
         let mut entries: Vec<GroupEntry> = group
             .into_iter()
             .map(|(sid, token)| {
                 let sess = self.sessions.remove(&sid).expect("grouped sessions are live");
                 let position = sess.position();
-                // Pre-mutation validation: head count AND every
-                // head's row dimensions, rejected without touching
-                // the session (which stays live). The dimension check
-                // must happen up front here — in the fused pass a
-                // mid-session malformed head can no longer stop its
-                // sibling heads the way the sequential loop's early
-                // break does.
                 let d = sess.states.first().map_or(0, DecodeState::head_dim);
                 let err = if token.len() != sess.states.len() {
                     Some(SaloError::HeadCountMismatch {
@@ -477,10 +406,8 @@ impl FixedCore {
             .find(|(_, _, _, _, err)| err.is_none())
             .map(|(_, sess, ..)| Arc::clone(&sess.decode));
 
-        // The fused pass skips host-side stage attribution (stages are a
-        // per-dispatch profile; the batch shares one scratch), so switch
-        // profiling off for the kernel call — trace spans still record.
-        self.scratch.set_profiling(false);
+        let profiling = salo_trace::enabled();
+        self.scratch.set_profiling(profiling);
         let mut batch: Vec<BatchStep<'_>> = Vec::new();
         for (_, sess, token, _, err) in &mut entries {
             if err.is_some() {
@@ -491,63 +418,59 @@ impl FixedCore {
                 batch.push(BatchStep { state, q_t: &tok.q, k_t: &tok.k, v_t: &tok.v, scale });
             }
         }
-        let mut outputs = if batch.is_empty() {
-            Vec::new()
-        } else {
-            let decode = decode.as_ref().expect("non-empty batch has a plan");
-            self.accel.execute_steps(decode, &mut batch, &mut self.kv_pool, &mut self.scratch)
+        let mut outputs = match &decode {
+            Some(decode) => {
+                self.accel.execute_steps(decode, &mut batch, &mut self.kv_pool, &mut self.scratch)
+            }
+            None => Vec::new(),
         }
         .into_iter();
         drop(batch);
+        // The group shares one scratch, so its stage profile is one
+        // aggregate: it rides on the first successful entry (the
+        // convention `prefill_telemetry` documents for the partitioned
+        // prefill), and summing over a group's entries gives its total.
+        let mut stages = profiling.then(|| self.scratch.take_profile());
 
-        let mut results = Vec::with_capacity(entries.len());
         for (sid, mut sess, _token, position, err) in entries {
-            if let Some(e) = err {
-                self.sessions.insert(sid, sess);
-                results.push((sid, Err(e)));
-                continue;
-            }
-            let mut heads = Vec::with_capacity(sess.states.len());
-            let mut failure: Option<SaloError> = None;
-            for _ in 0..sess.states.len() {
-                match outputs.next().expect("one output per batched head") {
-                    Ok(out) => heads.push(out),
-                    Err(e) => {
-                        failure = Some(normalize_step_error(e));
-                        break;
-                    }
+            let heads = match err {
+                Some(e) => Err(e),
+                None => {
+                    // Every head of the entry ran, whatever its siblings
+                    // did: report the first failure, skip the rest of the
+                    // entry's outputs so the next entry reads its own.
+                    let mut own = outputs.by_ref().take(sess.states.len());
+                    let heads: Result<Vec<StepOutput>, SimError> = own.by_ref().collect();
+                    own.for_each(drop);
+                    heads.map_err(normalize_step_error)
                 }
-            }
-            if let Some(e) = failure {
-                if sess.is_intact(position) {
-                    self.sessions.insert(sid, sess);
-                } else {
-                    sess.release_pages(&mut self.kv_pool);
-                }
-                results.push((sid, Err(e)));
-                continue;
-            }
-            let saturation_events = heads.iter().map(|h| h.saturation_events).sum();
-            let resident_kv_bytes = sess.resident_kv_bytes();
-            let result = StepResult {
+            };
+            let result = heads.map(|heads| StepResult {
                 session: sid,
                 position,
-                heads: heads.into_iter().map(fixed_head_step).collect(),
                 telemetry: Telemetry {
                     engine: name,
                     bit_exact: true,
                     sim_cycles: None,
                     sim_time_s: None,
                     sim_energy_j: None,
-                    saturation_events,
-                    resident_kv_bytes: Some(resident_kv_bytes),
-                    stages: None,
+                    saturation_events: heads.iter().map(|h| h.saturation_events).sum(),
+                    resident_kv_bytes: Some(sess.resident_kv_bytes()),
+                    stages: stages.take(),
                 },
-            };
-            self.sessions.insert(sid, sess);
-            results.push((sid, Ok(result)));
+                heads: heads.into_iter().map(fixed_head_step).collect(),
+            });
+            if result.is_ok() || sess.is_intact(position) {
+                self.sessions.insert(sid, sess);
+            } else {
+                // A head advanced or poisoned while another did not: the
+                // heads are desynced, so the session is retired and later
+                // steps report `UnknownSession` instead of silently wrong
+                // outputs.
+                sess.release_pages(&mut self.kv_pool);
+            }
+            results.push((sid, result));
         }
-        results
     }
 
     fn close(&mut self, session: SessionId) -> Result<SessionClosed, SaloError> {

@@ -199,7 +199,9 @@ pub enum AttentionRequest {
         /// least every global token and leaving capacity to decode.
         prompt: Vec<Qkv>,
     },
-    /// Decode one token of an open session (all heads).
+    /// Decode one token of an open session (all heads) — a
+    /// [`DecodeStepBatch`](Self::DecodeStepBatch) of one, answered
+    /// unwrapped.
     DecodeStep {
         /// The session to advance.
         session: SessionId,
@@ -207,10 +209,14 @@ pub enum AttentionRequest {
         token: Vec<TokenQkv>,
     },
     /// Decode one token from each of several open sessions as a single
-    /// fused pass — the iteration-level continuous-batching form. Each
-    /// entry is exactly one [`AttentionRequest::DecodeStep`]; results are
-    /// per entry (one failing session never affects its neighbours) and
-    /// bit-identical to issuing the steps individually.
+    /// fused pass — the iteration-level continuous-batching form, and on
+    /// the fixed-point engines the one routine every step runs through.
+    /// Results are per entry, in request order, and equal to issuing the
+    /// entries as individual [`DecodeStep`](Self::DecodeStep)s: an
+    /// unknown session, a malformed token (head count and every head's
+    /// row lengths are checked before any head moves) or a failure inside
+    /// the pass fails its own entry only; a session whose heads a failure
+    /// left desynced is retired, any other stays live where it was.
     DecodeStepBatch {
         /// One `(session, per-head token)` entry per session to advance,
         /// in execution order.
@@ -247,7 +253,9 @@ pub struct Telemetry {
     pub resident_kv_bytes: Option<u64>,
     /// Host-measured per-stage datapath cost, present on fixed-point
     /// backends when stage profiling is enabled (`SALO_TRACE=1` or
-    /// [`salo_trace::set_enabled`]). Summed across the request's heads.
+    /// [`salo_trace::set_enabled`]). Summed across the request's heads;
+    /// decode steps that ran as one group share one profile, carried by
+    /// the group's first successful entry.
     pub stages: Option<salo_sim::StageProfile>,
 }
 

@@ -637,8 +637,8 @@ fn release_freed_memory() {}
 
 impl Gateway {
     /// Starts a server with `options.serve` and binds the gateway to
-    /// `addr` (use port 0 for an ephemeral port, then [`local_addr`](Self::local_addr)
-    /// (Self::local_addr)).
+    /// `addr` (use port 0 for an ephemeral port, then
+    /// [`local_addr`](Self::local_addr)).
     ///
     /// # Errors
     ///

@@ -44,7 +44,7 @@ use crate::metrics::{LatencyStats, ServeReport, TenantCounters};
 use crate::session::{
     DecodeSessionHandle, SessionEvent, SessionRegistry, SessionRequest, SessionTable, TokenQkv,
 };
-use crate::worker::{Completed, Job, LayerDone, Reply, WorkerPool};
+use crate::worker::{Completed, Job, LayerDone, Reply, StepJob, WorkerPool};
 use crate::{PlanCache, PlanKey, ServeError, ServeRequest, ServeResponse};
 
 /// Tunables of the serving runtime.
@@ -68,9 +68,13 @@ pub struct ServeOptions {
     pub decode_page_rows: Option<usize>,
     /// Capacity bound, in pages, of each worker's decode page pool
     /// (`None` is unbounded). A full pool refuses further allocations
-    /// cleanly: the step fails with `PagePoolExhausted`, the session
-    /// stays live, and the refusal is counted in
-    /// [`ServeReport::decode_pool_exhausted`].
+    /// and the step fails with `PagePoolExhausted`, counted in
+    /// [`ServeReport::decode_pool_exhausted`]. When the refusal meets the
+    /// step's first head nothing has moved: the session stays live and
+    /// the step can be retried once pages free up. When an earlier head
+    /// of a multi-head session took the pool's last page and a later one
+    /// is refused, the heads are desynced and the session is retired
+    /// (a [`SessionEvent::Closed`] follows the error).
     pub decode_pool_pages: Option<usize>,
 }
 
@@ -104,7 +108,7 @@ enum Ingress {
     /// Open a decode session.
     Open(OpenSubmission),
     /// One decode step of an open session.
-    Step(StepSubmission),
+    Step { session: u64, token: Vec<TokenQkv>, submitted: Instant },
     /// Close a session and drop its pinned state.
     Close { session: u64 },
 }
@@ -118,12 +122,6 @@ struct OpenSubmission {
     causal: HybridPattern,
     submitted: Instant,
     events: Sender<SessionEvent>,
-}
-
-struct StepSubmission {
-    session: u64,
-    token: Vec<TokenQkv>,
-    submitted: Instant,
 }
 
 /// What the collector learned that the server's [`MetricsRegistry`] does
@@ -445,7 +443,8 @@ impl SaloServer {
     /// never opened — or that is no longer live: closed, dropped by a
     /// poisoning step failure, or failed to open. Returns
     /// [`ServeError::Closed`] after shutdown. Execution failures arrive
-    /// in the step event and poison the session.
+    /// in the step event; [`SessionEvent::Step`] says which of them
+    /// retire the session.
     pub fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
@@ -456,8 +455,7 @@ impl SaloServer {
         }
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
         self.depth.add(1);
-        let submission = StepSubmission { session, token, submitted: Instant::now() };
-        if ingress.send(Ingress::Step(submission)).is_err() {
+        if ingress.send(Ingress::Step { session, token, submitted: Instant::now() }).is_err() {
             self.depth.add(-1);
             return Err(ServeError::Closed);
         }
@@ -715,7 +713,9 @@ impl Dispatcher<'_> {
                 match msg {
                     Ingress::Layer(sub) => self.handle_layer(sub),
                     Ingress::Open(open) => self.handle_open(open),
-                    Ingress::Step(step) => self.handle_step(step),
+                    Ingress::Step { session, token, submitted } => {
+                        self.handle_step(session, token, submitted);
+                    }
                     Ingress::Close { session } => self.handle_close(session),
                 }
                 drained += 1;
@@ -744,7 +744,7 @@ impl Dispatcher<'_> {
         let jobs: Vec<Job> = batch
             .requests
             .into_iter()
-            .map(|req| Job {
+            .map(|req| Job::Request {
                 request: AttentionRequest::Prefill {
                     pattern: PatternHandle::new(
                         Arc::clone(&batch.pattern),
@@ -771,7 +771,10 @@ impl Dispatcher<'_> {
             // response that will never come.
             Err(jobs) => {
                 for job in jobs {
-                    let Reply::Layer { id, cache_hit, submitted, .. } = job.reply else {
+                    let Job::Request {
+                        reply: Reply::Layer { id, cache_hit, submitted, .. }, ..
+                    } = job
+                    else {
                         unreachable!("batches carry only layer replies");
                     };
                     let failed = Completed::Layer(LayerDone {
@@ -853,7 +856,7 @@ impl Dispatcher<'_> {
         }) {
             Ok((plan, cache_hit)) => {
                 let worker = self.place_session();
-                let job = Job {
+                let job = Job::Request {
                     request: AttentionRequest::DecodeOpen {
                         session,
                         pattern: PatternHandle::new(Arc::new(causal), plan),
@@ -913,8 +916,8 @@ impl Dispatcher<'_> {
         });
     }
 
-    fn handle_step(&mut self, step: StepSubmission) {
-        let Some(route) = self.table.get(step.session) else {
+    fn handle_step(&mut self, session: u64, token: Vec<TokenQkv>, submitted: Instant) {
+        let Some(route) = self.table.get(session) else {
             // Closed (or retired) by the time the step arrived — a benign
             // race, not an execution failure. The depth gauge still needs
             // its exit, but the step must not pollute the decode metrics.
@@ -929,41 +932,30 @@ impl Dispatcher<'_> {
         // route executes; if its session was meanwhile retired
         // worker-side, the worker reports `UnknownSession` on the job's
         // own event channel.
-        let job = Job {
-            request: AttentionRequest::DecodeStep { session: step.session, token: step.token },
-            reply: Reply::Step {
-                session: step.session,
-                submitted: step.submitted,
-                events: route.events.clone(),
-            },
-        };
+        let job = Job::Step(StepJob { session, token, submitted, events: route.events.clone() });
         if self.pool.dispatch_to(route.worker, job).is_err() {
             // The pinned worker's thread is gone, taking the session
             // state with it: retire the session outright (registry and
             // route), so further steps report `UnknownSession` instead of
             // `WorkerLost` forever — and deliver the terminal Closed
             // event here, since no worker ever will.
-            let route = self.table.remove(step.session).expect("route was just read");
-            self.registry.remove(step.session);
+            let route = self.table.remove(session).expect("route was just read");
+            self.registry.remove(session);
             let _ = route.events.send(SessionEvent::Step {
-                session: step.session,
+                session,
                 result: Err(ServeError::WorkerLost),
-                latency_s: step.submitted.elapsed().as_secs_f64(),
+                latency_s: submitted.elapsed().as_secs_f64(),
             });
             // Position unknown — the state died with the worker.
+            let _ = route.events.send(SessionEvent::Closed { session, position: None });
             let _ =
-                route.events.send(SessionEvent::Closed { session: step.session, position: None });
-            let _ = self.done.send(Completed::Step {
-                ok: false,
-                submitted: step.submitted,
-                finished: Instant::now(),
-            });
+                self.done.send(Completed::Step { ok: false, submitted, finished: Instant::now() });
         }
     }
 
     fn handle_close(&mut self, session: u64) {
         if let Some(route) = self.table.remove(session) {
-            let job = Job {
+            let job = Job::Request {
                 request: AttentionRequest::DecodeClose { session },
                 reply: Reply::Close { session, events: route.events.clone() },
             };
@@ -996,6 +988,7 @@ fn collector_loop(
     let requests_c = metrics.counter("serve.requests");
     let errors_c = metrics.counter("serve.errors");
     let latency_h = metrics.histogram("serve.latency_ns");
+    let saturation_c = metrics.counter("serve.saturation_events");
     let sessions_c = metrics.counter("serve.decode.sessions");
     let session_errors_c = metrics.counter("serve.decode.session_errors");
     let steps_c = metrics.counter("serve.decode.steps");
@@ -1016,6 +1009,8 @@ fn collector_loop(
                         summary.sim_cycles +=
                             run.heads.iter().map(|h| h.report.timing.cycles.total).sum::<u64>();
                         summary.sim_energy_j += run.total_energy_j;
+                        saturation_c
+                            .add(run.heads.iter().map(|h| h.report.saturation_events).sum());
                     }
                     Err(_) => errors_c.inc(),
                 }

@@ -150,13 +150,16 @@ pub enum SessionEvent {
         /// Session parameters on success, the failure otherwise.
         result: Result<SessionInfo, ServeError>,
     },
-    /// One decode step completed or failed. A failure that desynced the
-    /// per-head states (any head advanced or was poisoned) retires the
-    /// session: the runtime drops it, a final [`Closed`](Self::Closed)
-    /// follows, and further steps report
-    /// [`ServeError::UnknownSession`]. A pre-mutation validation failure
-    /// (wrong token head count or row dimension, caught before any state
-    /// moved) leaves the session intact and decodable.
+    /// One decode step completed or failed. A malformed token — wrong
+    /// head count, or a wrong row length on *any* head — is rejected
+    /// before any head moves: the session stays live at the same
+    /// position and decodes on, whether the step ran alone or shared its
+    /// tick with other sessions. A failure that lands after a head has
+    /// moved (a bounded pool refusing a later head its page, a numeric
+    /// failure inside the datapath) leaves the heads desynced and retires
+    /// the session: the runtime drops it, a final
+    /// [`Closed`](Self::Closed) follows, and further steps report
+    /// [`ServeError::UnknownSession`].
     Step {
         /// The session id.
         session: u64,

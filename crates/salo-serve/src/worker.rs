@@ -1,12 +1,13 @@
 //! The worker pool: N execution engines behind channels.
 //!
 //! Each worker thread owns a [`LoweredEngine`] (modeling one physical
-//! accelerator) and consumes [`AttentionRequest`]s directly — prefill
-//! batches and decode-session traffic alike travel as typed requests, so
-//! the worker body is one `engine.execute(request)` call plus reply
-//! routing ([`Reply`]). Decode sessions are *pinned*: their per-head K/V
-//! state lives inside the worker's engine for the whole generation, so
-//! steps never cross threads and the state is never locked.
+//! accelerator) and consumes [`Job`]s: layers, session opens and closes
+//! travel as typed [`AttentionRequest`]s, so their worker body is one
+//! `engine.execute(request)` call plus reply routing ([`Reply`]); decode
+//! steps travel as [`StepJob`]s, which the scheduler tick below gathers
+//! into runs. Decode sessions are *pinned*: their per-head K/V state
+//! lives inside the worker's engine for the whole generation, so steps
+//! never cross threads and the state is never locked.
 //!
 //! Three resources amortize across the pool's lifetime: the engines share
 //! one set of exponential/reciprocal lookup tables (behind `Arc` inside
@@ -21,15 +22,16 @@
 //! [`TICK_DRAIN_BATCHES`]), then walks the tick's jobs strictly in
 //! arrival order. Every maximal contiguous run of decode steps for
 //! *distinct* sessions — at most one pending step per ready session, by
-//! construction — fuses into a single
+//! construction — becomes a single
 //! [`AttentionRequest::DecodeStepBatch`], executed as one multi-session
 //! pass over the engine's shared scratch. A second step for a session
 //! already in the run ends the run and opens the next one, so
-//! per-session step order is untouched; runs of one fall back to the
-//! ordinary single-step path. Fusion changes scheduling only: outputs,
-//! per-entry errors and poisoning semantics are those of the same steps
-//! run back to back (the engine's fused kernel is bit-identical by
-//! construction, pinned by the `salo-sim` and `salo-core` test suites).
+//! per-session step order is untouched. A run of one is the same pass at
+//! width one — there is no other way for a step to execute — so a token
+//! gets the same outcome whether or not a neighbour happened to share
+//! its tick: outputs, per-entry errors and retirement are decided by the
+//! one engine routine (pinned alone-vs-fused by the root `engines` and
+//! `decode` suites).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -50,25 +52,32 @@ use crate::ServeError;
 /// submitted steps a window to land in the same fused pass.
 const TICK_DRAIN_BATCHES: usize = 64;
 
-/// One typed request travelling to a worker, paired with the routing
-/// metadata its response needs. Workers do not translate it: the
-/// `request` goes straight into the engine.
-pub(crate) struct Job {
-    /// The typed attention request the engine executes verbatim.
-    pub request: AttentionRequest,
-    /// Where (and how) the outcome is reported.
-    pub reply: Reply,
+/// One unit of work travelling to a worker.
+pub(crate) enum Job {
+    /// A layer, session open or session close: the typed `request` goes
+    /// straight into the engine, `reply` says where (and how) the outcome
+    /// is reported.
+    Request { request: AttentionRequest, reply: Reply },
+    /// One decode step, gathered into a run by the scheduler tick.
+    Step(StepJob),
 }
 
-/// Response routing for a [`Job`] — the only per-kind metadata left
-/// outside the typed request itself.
+/// One decode step on its way to the pinned worker: the token payload
+/// plus the reply route.
+pub(crate) struct StepJob {
+    pub session: u64,
+    pub token: Vec<TokenQkv>,
+    pub submitted: Instant,
+    pub events: Sender<SessionEvent>,
+}
+
+/// Response routing for a [`Job::Request`] — the only per-kind metadata
+/// left outside the typed request itself.
 pub(crate) enum Reply {
     /// A layer request: the result enters the ordered response stream.
     Layer { id: u64, cache_hit: bool, batch_size: usize, submitted: Instant },
     /// A decode-session open: the handshake goes to the session channel.
     Open { session: u64, cache_hit: bool, submitted: Instant, events: Sender<SessionEvent> },
-    /// A decode step: the output goes to the session channel.
-    Step { session: u64, submitted: Instant, events: Sender<SessionEvent> },
     /// A session close: the terminal event goes to the session channel.
     Close { session: u64, events: Sender<SessionEvent> },
 }
@@ -115,6 +124,9 @@ struct DecodeMetrics {
     /// Steps executed through fused passes (`fused_steps / ticks` is the
     /// mean fusion width).
     fused_steps: Arc<Counter>,
+    /// MAC saturation events over every successful step: clipping is
+    /// silent in the outputs, so this is where it shows.
+    saturation_events: Arc<Counter>,
     /// Sum over successful steps of the stepped session's resident K/V
     /// bytes — divided by the step count it is the mean paged footprint.
     resident_kv_byte_steps: Arc<Counter>,
@@ -134,6 +146,7 @@ impl DecodeMetrics {
         Self {
             ticks: registry.counter("serve.decode.ticks"),
             fused_steps: registry.counter("serve.decode.fused_steps"),
+            saturation_events: registry.counter("serve.decode.saturation_events"),
             resident_kv_byte_steps: registry.counter("serve.decode.resident_kv_byte_steps"),
             resident_pages: registry.gauge("serve.decode.resident_pages"),
             pool_pages: registry.gauge("serve.decode.pool_pages"),
@@ -288,30 +301,6 @@ impl WorkerPool {
     }
 }
 
-/// One decode step extracted from its [`Job`] for the tick scheduler:
-/// the token payload plus the reply route.
-struct StepJob {
-    session: u64,
-    token: Vec<TokenQkv>,
-    submitted: Instant,
-    events: Sender<SessionEvent>,
-}
-
-impl StepJob {
-    /// Reassembles the original job — the fallback for runs of one, which
-    /// take the ordinary single-step path.
-    fn into_job(self) -> Job {
-        Job {
-            request: AttentionRequest::DecodeStep { session: self.session, token: self.token },
-            reply: Reply::Step {
-                session: self.session,
-                submitted: self.submitted,
-                events: self.events,
-            },
-        }
-    }
-}
-
 fn worker_loop(
     index: usize,
     mut engine: LoweredEngine,
@@ -342,8 +331,8 @@ fn worker_loop(
     }
 }
 
-/// Processes one scheduler tick's jobs strictly in arrival order, fusing
-/// each maximal contiguous run of distinct-session decode steps into one
+/// Processes one scheduler tick's jobs strictly in arrival order, running
+/// each maximal contiguous run of distinct-session decode steps as one
 /// batched engine pass. Returns `false` once the collector is gone.
 #[allow(clippy::too_many_arguments)]
 fn run_tick(
@@ -357,22 +346,13 @@ fn run_tick(
 ) -> bool {
     let mut run: Vec<StepJob> = Vec::new();
     let flush = |run: &mut Vec<StepJob>, engine: &mut LoweredEngine| -> bool {
-        match run.len() {
-            0 => true,
-            1 => {
-                let single = run.pop().expect("run has one step").into_job();
-                run_job(index, engine, single, done, load, registry, metrics)
-            }
-            _ => run_fused(index, engine, std::mem::take(run), done, load, registry, metrics),
-        }
+        run.is_empty()
+            || run_steps(index, engine, std::mem::take(run), done, load, registry, metrics)
     };
     for job in jobs {
         match job {
-            Job {
-                request: AttentionRequest::DecodeStep { session, token },
-                reply: Reply::Step { submitted, events, .. },
-            } => {
-                if run.iter().any(|s| s.session == session) {
+            Job::Step(step) => {
+                if run.iter().any(|s| s.session == step.session) {
                     // A second step for a session already in the run: it
                     // must observe the first step's state, so the run ends
                     // here and this step opens the next one — per-session
@@ -381,13 +361,13 @@ fn run_tick(
                         return false;
                     }
                 }
-                run.push(StepJob { session, token, submitted, events });
+                run.push(step);
             }
-            other => {
+            Job::Request { request, reply } => {
                 if !flush(&mut run, engine) {
                     return false;
                 }
-                if !run_job(index, engine, other, done, load, registry, metrics) {
+                if !run_job(index, engine, request, reply, done, load, registry) {
                     return false;
                 }
             }
@@ -396,13 +376,13 @@ fn run_tick(
     flush(&mut run, engine)
 }
 
-/// Executes a fused run of >= 2 distinct-session decode steps as one
+/// Executes a run of distinct-session decode steps — one or many — as one
 /// [`AttentionRequest::DecodeStepBatch`] pass, then routes every entry's
-/// outcome with exactly the single-step bookkeeping: queue-wait recorded
-/// at dequeue, retirement settled and load released before the event
-/// sends, one [`Completed::Step`] per entry, in run order.
+/// outcome: queue-wait recorded at dequeue, retirement settled and load
+/// released before the event sends, one [`Completed::Step`] per entry, in
+/// run order.
 #[allow(clippy::too_many_arguments)]
-fn run_fused(
+fn run_steps(
     index: usize,
     engine: &mut LoweredEngine,
     steps: Vec<StepJob>,
@@ -413,14 +393,15 @@ fn run_fused(
 ) -> bool {
     let tracer = salo_trace::Tracer::global();
     let tick_span = tracer.span_with("serve.decode.tick", "serve", steps.len() as u64);
-    metrics.ticks.inc();
-    metrics.fused_steps.add(steps.len() as u64);
+    if steps.len() >= 2 {
+        metrics.ticks.inc();
+        metrics.fused_steps.add(steps.len() as u64);
+    }
     let mut routes = Vec::with_capacity(steps.len());
     let mut batch = Vec::with_capacity(steps.len());
     for step in steps {
         tracer.record_since("serve.decode.queue_wait", "serve", step.submitted, step.session);
-        // Liveness and position snapshots *before* the pass, per entry —
-        // the same observations the single-step path makes at dispatch.
+        // Liveness and position snapshots *before* the pass, per entry.
         let known = engine.has_session(step.session);
         let before = engine.session_position(step.session);
         routes.push((step.session, step.submitted, step.events, known, before));
@@ -445,8 +426,15 @@ fn run_fused(
     drop(tick_span);
     for ((session, submitted, events, known, before), result) in routes.into_iter().zip(results) {
         let ok = result.is_ok();
-        // Same settlement order as the single-step path: retirement and
-        // load release strictly precede the event sends.
+        // Bookkeeping (load, registry retirement) strictly precedes the
+        // event sends: a client that has observed a step's outcome must
+        // see the worker's state already settled — retired sessions
+        // reject further steps, and session placement reads a load this
+        // step no longer inflates. A failure that desynced the per-head
+        // states made the engine retire the session; propagate that
+        // runtime-wide. Pre-mutation validation failures leave it live
+        // (and decodable), and steps for sessions this engine never held
+        // were retired long ago.
         let poisoned = known && !engine.has_session(session);
         if poisoned {
             registry.retire(session);
@@ -454,6 +442,7 @@ fn run_fused(
         load.fetch_sub(1, Ordering::Relaxed);
         if let Ok(step) = &result {
             metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
+            metrics.saturation_events.add(step.telemetry.saturation_events);
         }
         let result = result
             .map(|step| DecodeStep { position: step.position, heads: step.heads, worker: index })
@@ -465,6 +454,9 @@ fn run_fused(
             latency_s: submitted.elapsed().as_secs_f64(),
         });
         if poisoned {
+            // `before` is the tokens known ingested when the failing step
+            // began; the failing token's partial ingest died with the
+            // session state.
             let _ = events.send(SessionEvent::Closed { session, position: before });
         }
         if done.send(Completed::Step { ok, submitted, finished: Instant::now() }).is_err() {
@@ -474,19 +466,17 @@ fn run_fused(
     true
 }
 
-/// Executes one job on the worker's engine and routes its outcome.
-/// Returns `false` once the collector is gone.
-#[allow(clippy::too_many_arguments)]
+/// Executes one layer, open or close on the worker's engine and routes
+/// its outcome. Returns `false` once the collector is gone.
 fn run_job(
     index: usize,
     engine: &mut LoweredEngine,
-    job: Job,
+    request: AttentionRequest,
+    reply: Reply,
     done: &Sender<Completed>,
     load: &AtomicUsize,
     registry: &SessionRegistry,
-    metrics: &DecodeMetrics,
 ) -> bool {
-    let Job { request, reply } = job;
     let tracer = salo_trace::Tracer::global();
     match reply {
         Reply::Layer { id, cache_hit, batch_size, submitted } => {
@@ -534,55 +524,6 @@ fn run_job(
             let _ = events
                 .send(SessionEvent::Opened { session, result: info.map_err(ServeError::from) });
             let completed = Completed::SessionOpened { ok, submitted, finished: Instant::now() };
-            done.send(completed).is_ok()
-        }
-        Reply::Step { session, submitted, events } => {
-            // Bookkeeping (load, registry retirement) strictly precedes
-            // the event sends: a client that has observed a step's
-            // outcome must see the worker's state already settled —
-            // retired sessions reject further steps, and session
-            // placement reads a load this step no longer inflates.
-            // Per-token decode timeline: queue wait (submission to this
-            // dequeue) then the step execute, which traces itself as
-            // `engine.decode_step` with the sim's stage spans below it.
-            tracer.record_since("serve.decode.queue_wait", "serve", submitted, session);
-            let known = engine.has_session(session);
-            let before = engine.session_position(session);
-            let result = engine.execute(request).and_then(|r| r.into_step());
-            let ok = result.is_ok();
-            // A failure that desynced the per-head states made the engine
-            // retire the session; propagate the retirement runtime-wide.
-            // Pre-mutation validation failures leave it live (and
-            // decodable), and steps for sessions this engine never held
-            // were retired long ago.
-            let poisoned = known && !engine.has_session(session);
-            if poisoned {
-                registry.retire(session);
-            }
-            load.fetch_sub(1, Ordering::Relaxed);
-            if let Ok(step) = &result {
-                metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
-            }
-            let result = result
-                .map(|step| DecodeStep {
-                    position: step.position,
-                    heads: step.heads,
-                    worker: index,
-                })
-                .map_err(ServeError::from);
-            let _reply_span = tracer.span_with("serve.reply", "serve", session);
-            let _ = events.send(SessionEvent::Step {
-                session,
-                result,
-                latency_s: submitted.elapsed().as_secs_f64(),
-            });
-            if poisoned {
-                // `before` is the tokens known ingested when the failing
-                // step began; the failing token's partial ingest died
-                // with the session state.
-                let _ = events.send(SessionEvent::Closed { session, position: before });
-            }
-            let completed = Completed::Step { ok, submitted, finished: Instant::now() };
             done.send(completed).is_ok()
         }
         Reply::Close { session, events } => {

@@ -61,6 +61,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = client.stats_json()?;
     println!("live stats: {} bytes of registry JSON", stats.len());
+    // The decode scheduler's counters, read off the `Stats` frame: fused
+    // ticks, the steps they carried, and MAC saturation events (clipping
+    // is silent in the outputs — this is where it shows).
+    for name in ["ticks", "fused_steps", "saturation_events"] {
+        let key = format!("\"serve.decode.{name}\":");
+        let value = stats.split_once(&key).map_or("absent", |(_, rest)| {
+            rest.split(|c: char| !c.is_ascii_digit()).next().unwrap_or("")
+        });
+        println!("  serve.decode.{name} = {value}");
+    }
 
     drop(client);
     let report = gateway.shutdown();

@@ -450,7 +450,19 @@ fn serve_sessions_match_core_sessions_and_amortize_plans() {
 
 #[test]
 fn serve_session_errors_are_reported_not_hung() {
-    let server = SaloServer::with_defaults(AcceleratorConfig::default());
+    // One K/V row per page and eleven pages per worker: the two-head
+    // session below opens on six (three prompt rows a head), its two good
+    // steps take two each, and the third finds one page left — head 0
+    // gets it, head 1 is refused. Nothing is reclaimed on the way: the
+    // window is wider than the session ever gets.
+    let server = SaloServer::start(
+        AcceleratorConfig::default(),
+        ServeOptions {
+            decode_page_rows: Some(1),
+            decode_pool_pages: Some(11),
+            ..Default::default()
+        },
+    );
 
     // Unknown ids are rejected synchronously.
     let token = vec![TokenQkv { q: vec![0.0; 4], k: vec![0.0; 4], v: vec![0.0; 4] }];
@@ -462,7 +474,7 @@ fn serve_session_errors_are_reported_not_hung() {
 
     // A prompt that does not cover the globals is rejected up front.
     let pattern = HybridPattern::builder(16)
-        .window(Window::causal(4).unwrap())
+        .window(Window::causal(8).unwrap())
         .global_token(2)
         .build()
         .unwrap();
@@ -474,12 +486,15 @@ fn serve_session_errors_are_reported_not_hung() {
     };
     assert!(matches!(server.open_session(bad), Err(ServeError::InvalidRequest { .. })));
 
-    // A malformed step fails via the event channel; whether it kills the
-    // session depends on what it touched. A pre-mutation validation
-    // failure (wrong head count here) leaves every head state untouched,
-    // so the session stays decodable. A failure that desynced the heads
-    // (head 0 advanced, head 1 rejected) poisons it: the runtime drops
-    // it everywhere, so once the client has observed the error the id is
+    // A malformed step fails via the event channel and nothing else
+    // happens: head count and every head's row lengths are checked before
+    // any head moves, so the session stays live at the same position and
+    // keeps decoding — here against a twin (pinned to another worker,
+    // with its own pool) that never saw a bad token. What does kill a
+    // session is a failure that lands after one head has moved: the
+    // bounded pool refusing head 1 its page once head 0 took the last
+    // one. The heads are desynced, the runtime drops the session
+    // everywhere, so once the client has observed the error the id is
     // gone — further steps and closes report UnknownSession instead of
     // being silently swallowed.
     let good = salo::serve::SessionRequest {
@@ -488,22 +503,48 @@ fn serve_session_errors_are_reported_not_hung() {
         num_heads: 2,
         prompt: vec![Qkv::random(3, 4, 0), Qkv::random(3, 4, 1)],
     };
-    let handle = server.open_session(good).unwrap();
+    let handle = server.open_session(good.clone()).unwrap();
     let info = handle.wait_open().unwrap();
     assert_eq!(info.min_step, 3);
-    let tok = || TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
+    let twin = server.open_session(good).unwrap();
+    assert_ne!(twin.wait_open().unwrap().worker, info.worker);
+    let tok = |x: f32| TokenQkv { q: vec![x; 4], k: vec![x; 4], v: vec![x; 4] };
     let short = || TokenQkv { q: vec![0.1; 2], k: vec![0.1; 2], v: vec![0.1; 2] };
+    let step_both = |x: f32| {
+        server.step_session(handle.id(), vec![tok(x), tok(-x)]).unwrap();
+        server.step_session(twin.id(), vec![tok(x), tok(-x)]).unwrap();
+        let (ours, theirs) = (handle.next_step().unwrap(), twin.next_step().unwrap());
+        assert_eq!(ours.position, theirs.position);
+        assert_eq!(ours.heads, theirs.heads, "bit-identical to the twin that saw no bad token");
+        ours.position
+    };
 
     // Wrong head count: recoverable, the session keeps serving.
-    server.step_session(handle.id(), vec![tok()]).unwrap();
-    assert!(handle.next_step().is_err(), "head-count mismatch surfaces as a step error");
-    server.step_session(handle.id(), vec![tok(), tok()]).unwrap();
-    assert!(handle.next_step().is_ok(), "an intact session keeps decoding after the error");
+    server.step_session(handle.id(), vec![tok(0.1)]).unwrap();
+    assert!(
+        matches!(handle.next_step(), Err(ServeError::InvalidRequest { .. })),
+        "head-count mismatch surfaces as a step error"
+    );
+    assert_eq!(step_both(0.1), 3, "an intact session keeps decoding after the error");
 
-    // Mixed dimensions: head 0 advances, head 1 does not — desync.
-    server.step_session(handle.id(), vec![tok(), short()]).unwrap();
-    assert!(handle.next_step().is_err(), "dimension mismatch surfaces as a step error");
-    assert!(matches!(handle.recv().unwrap(), SessionEvent::Closed { .. }), "poison closes");
+    // Mixed dimensions — head 0 well-formed, head 1 short: recoverable
+    // too, because head 0 was never allowed to advance on its own.
+    server.step_session(handle.id(), vec![tok(0.2), short()]).unwrap();
+    assert!(
+        matches!(handle.next_step(), Err(ServeError::Salo(_))),
+        "dimension mismatch surfaces as a step error"
+    );
+    assert_eq!(server.active_sessions(), 2, "a malformed token retires nobody");
+    assert_eq!(step_both(0.3), 4, "same position as the twin: the bad token left no trace");
+    server.close_session(twin.id()).unwrap();
+
+    // Pool refusal on head 1: head 0 advanced, head 1 did not — desync.
+    server.step_session(handle.id(), vec![tok(0.4), tok(-0.4)]).unwrap();
+    assert!(handle.next_step().is_err(), "the refused allocation surfaces as a step error");
+    assert!(
+        matches!(handle.recv().unwrap(), SessionEvent::Closed { position: Some(5), .. }),
+        "poison closes, at the position the failing step began"
+    );
     assert_eq!(server.active_sessions(), 0, "the poisoned session is deregistered");
     assert!(matches!(
         server.step_session(handle.id(), token),
@@ -511,7 +552,79 @@ fn serve_session_errors_are_reported_not_hung() {
     ));
     assert!(matches!(server.close_session(handle.id()), Err(ServeError::UnknownSession { .. })));
     let report = server.shutdown();
-    assert_eq!(report.decode_step_errors, 2, "the recoverable and the poisoning failures");
+    assert_eq!(report.decode_step_errors, 3, "two recoverable failures and the poisoning one");
+    assert_eq!(report.decode_pool_exhausted, 1);
+}
+
+/// Session A's view of one malformed step (head 0 well-formed, head 1
+/// short) followed by a good step and a close, on a fresh one-worker
+/// server: A's events in order (`None` = the terminal `Closed`), the live
+/// session count right after the malformed step's error was observed, and
+/// how many fused ticks the worker ran. With `beside_another` the worker
+/// is first given a layer to chew on, so the malformed step and a step of
+/// session B are both queued when it next looks and share one tick.
+fn malformed_step_as_seen_by_its_session(
+    beside_another: bool,
+) -> (Vec<Option<Result<salo::serve::DecodeStep, ServeError>>>, usize, u64) {
+    let server = SaloServer::start(
+        AcceleratorConfig::default(),
+        ServeOptions { workers: 1, max_batch: 1, ..Default::default() },
+    );
+    let traffic = GenerationTraffic::demo_mix();
+    let (request, steps) = traffic.session(0);
+    let a = server.open_session(request.clone()).unwrap();
+    let b = server.open_session(request).unwrap();
+    a.wait_open().unwrap();
+    b.wait_open().unwrap();
+    let mut malformed = steps[0].clone();
+    malformed[1].k.truncate(1);
+    let event = |handle: &salo::serve::DecodeSessionHandle| match handle.recv().unwrap() {
+        SessionEvent::Step { result, .. } => Some(result),
+        SessionEvent::Closed { .. } => None,
+        SessionEvent::Opened { .. } => panic!("handshake already consumed"),
+    };
+
+    if beside_another {
+        server.submit(salo::serve::TrafficMix::demo_mix().request(0)).unwrap();
+        server.step_session(b.id(), steps[0].clone()).unwrap();
+    }
+    server.step_session(a.id(), malformed).unwrap();
+    let mut events = vec![event(&a)];
+    let live = server.active_sessions();
+    if beside_another {
+        b.next_step().expect("the neighbour's step is untouched by the malformed one");
+        server.recv().unwrap().output().unwrap();
+    }
+    match server.step_session(a.id(), steps[0].clone()) {
+        Ok(()) => events.push(event(&a)),
+        Err(e) => events.push(Some(Err(e))),
+    }
+    if server.close_session(a.id()).is_ok() {
+        events.push(event(&a));
+    }
+    let ticks = server.metrics().counter("serve.decode.ticks").get();
+    let _ = server.shutdown();
+    (events, live, ticks)
+}
+
+#[test]
+fn a_malformed_step_gets_the_same_outcome_alone_and_fused() {
+    // Which of the two a wire peer gets depends on nothing it controls:
+    // whether another session's step sat in the worker's queue that tick.
+    let (alone, live_alone, ticks) = malformed_step_as_seen_by_its_session(false);
+    assert_eq!(ticks, 0, "one step in flight never fuses");
+    // Fusing needs both steps queued while the worker is busy; the tick
+    // counter says whether a run got there, so only such a run is used.
+    let (fused, live_fused) = (0..20)
+        .map(|_| malformed_step_as_seen_by_its_session(true))
+        .find_map(|(events, live, ticks)| (ticks == 1).then_some((events, live)))
+        .expect("two steps queued behind a busy worker share a tick");
+
+    assert_eq!(alone, fused, "same event sequence whether or not the step fused");
+    assert_eq!((live_alone, live_fused), (2, 2), "a malformed token retires nobody");
+    assert!(matches!(alone[0], Some(Err(ServeError::Salo(_)))), "the malformed step fails");
+    assert!(matches!(alone[1], Some(Ok(_))), "its session decodes on, the token left no trace");
+    assert_eq!(alone[2], None, "and closes normally");
 }
 
 #[test]
@@ -519,9 +632,17 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
     // A step already accepted when its session is poisoned must still
     // produce an event (the client may be blocking on it); it must never
     // be silently swallowed.
+    // The open takes four of the pool's five one-row pages (two prompt
+    // rows a head), so the first step's head 0 gets the last one and
+    // head 1 is refused: the desync poisons.
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 1, ..Default::default() },
+        ServeOptions {
+            workers: 1,
+            decode_page_rows: Some(1),
+            decode_pool_pages: Some(5),
+            ..Default::default()
+        },
     );
     let pattern = HybridPattern::builder(16).window(Window::causal(4).unwrap()).build().unwrap();
     let request = salo::serve::SessionRequest {
@@ -534,11 +655,8 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
     handle.wait_open().unwrap();
 
     let full = || TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
-    let short = || TokenQkv { q: vec![0.1; 2], k: vec![0.1; 2], v: vec![0.1; 2] };
-    // Head 0 advances, head 1 is rejected: the desync poisons.
-    let bad = vec![full(), short()];
     let good = vec![full(), full()];
-    server.step_session(handle.id(), bad).unwrap();
+    server.step_session(handle.id(), good.clone()).unwrap();
     // Submitted before the poison propagates, the second step is either
     // rejected up front (the worker already deregistered the session) or
     // accepted and then failed wherever it is caught — but never dropped
@@ -671,22 +789,24 @@ fn sessions_spread_across_workers() {
 fn retired_sessions_free_their_placement_slot() {
     // A poisoned session's dispatcher route is reaped, so it neither
     // leaks nor counts against its worker when later sessions are placed.
+    // Demo shape 0 opens on 2 heads x 16 prompt rows; at one row per page
+    // that is 32 of each worker's 33 pages, so the first step's head 0
+    // advances on the last page and head 1 is refused: the desync
+    // poisons the session.
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 2, ..Default::default() },
+        ServeOptions {
+            workers: 2,
+            decode_page_rows: Some(1),
+            decode_pool_pages: Some(33),
+            ..Default::default()
+        },
     );
     let traffic = GenerationTraffic::demo_mix();
-    let (request, _) = traffic.session(0);
+    let (request, steps) = traffic.session(0);
     let poisoned = server.open_session(request.clone()).unwrap();
     assert_eq!(poisoned.wait_open().unwrap().worker, 0);
-    // Head 0 advances, head 1 is rejected: the desync poisons the
-    // session (demo shape 0 has head_dim 32, num_heads 2).
-    let d = traffic.shapes()[0].head_dim;
-    let bad = vec![
-        TokenQkv { q: vec![0.1; d], k: vec![0.1; d], v: vec![0.1; d] },
-        TokenQkv { q: vec![0.1; 1], k: vec![0.1; 1], v: vec![0.1; 1] },
-    ];
-    server.step_session(poisoned.id(), bad).unwrap();
+    server.step_session(poisoned.id(), steps[0].clone()).unwrap();
     assert!(poisoned.next_step().is_err());
     assert!(matches!(poisoned.recv().unwrap(), SessionEvent::Closed { .. }));
 

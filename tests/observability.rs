@@ -29,19 +29,34 @@ fn traced_burst_covers_all_layers() {
     let (request, tokens) = generations.session(0);
     let handle = server.open_session(request).unwrap();
     handle.wait_open().unwrap();
+    let mut step_saturation = 0;
     for token in tokens.iter().take(4) {
         server.step_session(handle.id(), token.clone()).unwrap();
-        handle.next_step().unwrap();
+        let step = handle.next_step().unwrap();
+        step_saturation += step.heads.iter().map(|h| h.saturation_events).sum::<u64>();
     }
 
     let prefills = 6u64;
     for i in 0..prefills {
         server.submit(mix.request(i)).unwrap();
     }
+    let mut layer_saturation = 0;
     for _ in 0..prefills {
-        server.recv().unwrap().output().unwrap();
+        let response = server.recv().unwrap();
+        let run = response.output().unwrap();
+        layer_saturation += run.heads.iter().map(|h| h.report.saturation_events).sum::<u64>();
     }
     server.close_session(handle.id()).unwrap();
+    // Silent clipping has a name an operator can read off a `Stats` frame,
+    // for steps and for layers, and it counts what the responses carried.
+    let stats = server.metrics().export_json();
+    for (counter, expected) in [
+        ("serve.decode.saturation_events", step_saturation),
+        ("serve.saturation_events", layer_saturation),
+    ] {
+        assert!(stats.contains(&format!("\"{counter}\":")), "missing {counter} in {stats}");
+        assert_eq!(server.metrics().counter(counter).get(), expected, "{counter}");
+    }
     // Session close is asynchronous; shutting down joins the workers so
     // every span (including `engine.decode_close`) is recorded before we
     // snapshot the tracer.
@@ -64,12 +79,12 @@ fn traced_burst_covers_all_layers() {
         // engine
         "engine.prefill",
         "engine.decode_open",
-        "engine.decode_step",
+        "engine.decode_step_batch",
         "engine.decode_close",
         // simulator
         "sim.execute_heads",
         "sim.shard",
-        "sim.execute_step",
+        "sim.execute_steps",
     ] {
         assert!(names.contains(expected), "missing span {expected:?}; got {names:?}");
     }
