@@ -15,7 +15,7 @@
 //!   drains instantly therefore still counts against its tenant;
 //! * one **dispatcher** is the submit half. It pops the admitted queues
 //!   in deficit round robin across tenants and hands each request to the
-//!   server (`submit_for` / `open_session_into` / `step_session` /
+//!   server (`submit_into` / `open_session_into` / `step_session` /
 //!   `close_session`) without waiting for it, recording who is owed the
 //!   reply in the in-flight table. It submits only while what is in
 //!   flight holds less than a *window* of slots — [`in_flight_window`],
@@ -26,14 +26,17 @@
 //!   rounds of decode steps, or one round of layers. It is also the
 //!   timer: it sleeps until the earliest outstanding deadline and answers
 //!   whatever outlived `service_timeout` with a typed `TimedOut` frame;
-//! * two **completion** threads are the other half. One blocks on
-//!   `server.recv()` and routes each layer response by its serve request
-//!   id; the other blocks on the one `Receiver<SessionEvent>` every
-//!   gateway-opened session reports into and routes by session id: a
-//!   session's replies leave in step order because its waiters form a
-//!   FIFO, the wire session id is assigned when `Opened` arrives, and a
-//!   `Close` is answered by the `Closed` event. A completion whose
-//!   waiter already timed out is dropped without a second frame.
+//! * one **completion** thread is the other half. It blocks on the one
+//!   `Receiver<ServeEvent>` every request the gateway submits reports
+//!   into — the serve workers send there directly — and routes a layer
+//!   response by its serve request id, a session event by its session
+//!   id: a session's replies leave in step order because its waiters
+//!   form a FIFO, the wire session id is assigned when `Opened` arrives,
+//!   and a `Close` is answered by the `Closed` event. Layer replies leave
+//!   in completion order, not submission order: clients correlate by
+//!   `request_id`, and a small prefill never waits behind a stranger's
+//!   large one. A completion whose waiter already timed out is dropped
+//!   without a second frame.
 //!
 //! Every table — admission queues, outstanding counters, in-flight
 //! waiters, sessions — lives under one lock, and the dispatcher calls
@@ -43,7 +46,7 @@
 //! `Open` also clips its pattern to its causal view, which is linear in
 //! the sequence length — at `n = 100 000`, 0.3 ms for a window/global
 //! pattern and 1.5 ms for one with block-sparse terms (EXPERIMENTS.md) —
-//! and readers' admissions and both completion threads wait that long.
+//! and readers' admissions and the completion thread wait that long.
 //! Socket writes always happen outside the lock.
 //!
 //! Admission and fairness live in the gateway alone: the quota bounds
@@ -61,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use salo_serve::{
-    SaloServer, ServeError, ServeOptions, ServeReport, ServeRequest, ServeResponse, SessionEvent,
+    SaloServer, ServeError, ServeEvent, ServeOptions, ServeReport, ServeRequest, ServeResponse,
     SessionRequest,
 };
 use salo_sim::AcceleratorConfig;
@@ -173,8 +176,8 @@ fn slots(request: &Request) -> usize {
 /// frames arrives in one `read`; payloads larger than this bypass it.
 const READ_BUFFER: usize = 16 * 1024;
 
-/// Bytes of consecutive replies to one connection the session completion
-/// thread gathers into a single write.
+/// Bytes of consecutive replies to one connection the completion thread
+/// gathers into a single write.
 const WRITE_GATHER: usize = 64 * 1024;
 
 /// One admitted, not-yet-dispatched request.
@@ -264,8 +267,7 @@ struct State {
     /// `None` when the last scan found none. Deadlines never decrease in
     /// admission order, so a new admission can only leave it unchanged.
     next_expiry: Option<Instant>,
-    /// Shutdown: the dispatcher closes the live sessions and exits, the
-    /// layer completion thread exits once nothing is in flight.
+    /// Shutdown: the dispatcher closes the live sessions and exits.
     stop: bool,
 }
 
@@ -515,16 +517,14 @@ struct ConnShared {
 }
 
 /// The gateway's own shared state. The server is not part of it: the
-/// session completion thread has to outlive the server's shutdown, which
-/// needs every other reference to the server gone.
+/// completion thread has to outlive the server's shutdown, which needs
+/// every other reference to the server gone.
 struct Inner {
     options: GatewayOptions,
     state: Mutex<State>,
     /// The dispatcher's reasons to run: queued work with room in the
     /// window, an expired deadline, `stop`.
     work_ready: Condvar,
-    /// The layer completion thread's: a layer request in flight, `stop`.
-    layer_ready: Condvar,
     /// Set by shutdown: readers reject new work as `Draining`, the
     /// acceptor stops accepting.
     draining: AtomicBool,
@@ -550,7 +550,6 @@ impl Inner {
             options,
             state: Mutex::new(State::default()),
             work_ready: Condvar::new(),
-            layer_ready: Condvar::new(),
             draining: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
             connections: Mutex::new(HashMap::new()),
@@ -598,8 +597,7 @@ pub struct Gateway {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
-    layer_completion: Option<JoinHandle<()>>,
-    session_completion: Option<JoinHandle<()>>,
+    completion: Option<JoinHandle<()>>,
 }
 
 fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
@@ -653,7 +651,7 @@ impl Gateway {
         let local = listener.local_addr()?;
         let server = Arc::new(SaloServer::start(config, options.serve));
         let inner = Arc::new(Inner::new(options));
-        // Every gateway-opened session reports into this one channel.
+        // Everything the gateway submits reports into this one channel.
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let acceptor = {
             let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
@@ -663,13 +661,9 @@ impl Gateway {
             let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
             spawn("gateway-dispatch", move || dispatch_loop(&inner, &server, &events_tx))
         };
-        let layer_completion = {
-            let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
-            spawn("gateway-layers", move || layer_completion_loop(&inner, &server))
-        };
-        let session_completion = {
+        let completion = {
             let inner = Arc::clone(&inner);
-            spawn("gateway-sessions", move || session_completion_loop(&inner, &events_rx))
+            spawn("gateway-complete", move || completion_loop(&inner, &events_rx))
         };
         Ok(Gateway {
             inner,
@@ -677,8 +671,7 @@ impl Gateway {
             addr: local,
             acceptor: Some(acceptor),
             dispatcher: Some(dispatcher),
-            layer_completion: Some(layer_completion),
-            session_completion: Some(session_completion),
+            completion: Some(completion),
         })
     }
 
@@ -717,11 +710,11 @@ impl Gateway {
         let drained_in_deadline = self.drain();
         let server = Arc::into_inner(self.server).expect("server users joined");
         let serve = server.shutdown();
-        // The server's threads held the last senders of the session
-        // event channel: with them gone, the session completion thread
-        // answers what is left and runs out of events.
-        if let Some(handle) = self.session_completion.take() {
-            handle.join().expect("session completion panicked");
+        // The server's threads held the last senders of the event
+        // channel: with them gone, the completion thread answers what is
+        // left and runs out of events.
+        if let Some(handle) = self.completion.take() {
+            handle.join().expect("completion thread panicked");
         }
         let inner = self.inner;
         let report = GatewayReport {
@@ -743,8 +736,8 @@ impl Gateway {
     }
 
     /// Steps 1–3 of [`shutdown`](Self::shutdown), up to and including the
-    /// server's drain: afterwards only the session completion thread is
-    /// left. Returns whether the admitted work finished in the deadline.
+    /// server's drain: afterwards only the completion thread is left.
+    /// Returns whether the admitted work finished in the deadline.
     fn drain(&mut self) -> bool {
         let inner = &self.inner;
         let deadline = inner.options.drain_deadline;
@@ -773,7 +766,6 @@ impl Gateway {
             state.round.clear();
             state.stop = true;
             inner.work_ready.notify_one();
-            inner.layer_ready.notify_all();
             leftovers
         };
         for pending in leftovers {
@@ -807,9 +799,6 @@ impl Gateway {
 
         let remaining = deadline.saturating_sub(start.elapsed());
         self.server.drain(remaining.max(Duration::from_millis(100)));
-        if let Some(handle) = self.layer_completion.take() {
-            handle.join().expect("layer completion panicked");
-        }
         drained_in_deadline
     }
 
@@ -1003,7 +992,7 @@ fn admit(
 // dispatcher: deficit round robin → submit, and the deadline timer
 // ---------------------------------------------------------------------
 
-fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<SessionEvent>) {
+fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<ServeEvent>) {
     let window = in_flight_window(&inner.options.serve);
     let mut out = Vec::new();
     loop {
@@ -1035,7 +1024,7 @@ fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<SessionEven
             return;
         };
         for pending in state.pop_quantum(inner.options.tenant_quantum, room) {
-            submit(inner, server, &mut state, pending, events, &mut out);
+            submit(server, &mut state, pending, events, &mut out);
         }
         drop(state);
         for reply in out.drain(..) {
@@ -1049,11 +1038,10 @@ fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<SessionEven
 /// it submits cannot be looked up before it is registered. A request the
 /// server (or the session table) refuses is answered through `out`.
 fn submit(
-    inner: &Inner,
     server: &SaloServer,
     state: &mut State,
     pending: Pending,
-    events: &Sender<SessionEvent>,
+    events: &Sender<ServeEvent>,
     out: &mut Vec<Reply>,
 ) {
     let Pending { header, request, conn, deadline, .. } = pending;
@@ -1067,11 +1055,11 @@ fn submit(
     let waiter = Waiter { conn, header, deadline, slots: slots(&request), answered: false };
     let refusal = match request {
         Request::Prefill { pattern, shape, heads } => {
-            match server.submit_for(header.tenant, ServeRequest { pattern, shape, heads }) {
+            let request = ServeRequest { pattern, shape, heads };
+            match server.submit_into(header.tenant, request, events.clone()) {
                 Ok(id) => {
                     state.in_flight += waiter.slots;
                     state.layers.insert(id, waiter);
-                    inner.layer_ready.notify_one();
                     return;
                 }
                 Err(e) => serve_error(&e),
@@ -1137,50 +1125,10 @@ fn raw_bits(m: &salo_kernels::Matrix<salo_fixed::Fix16x8>) -> salo_kernels::Matr
         .expect("same shape as the source matrix")
 }
 
-/// Blocks on the server's ordered layer responses while any layer
-/// request is in flight, and answers each by its serve request id.
-fn layer_completion_loop(inner: &Inner, server: &SaloServer) {
-    loop {
-        {
-            let mut state = inner.lock();
-            while state.layers.is_empty() && !state.stop {
-                state = inner.layer_ready.wait(state).expect("gateway state poisoned");
-            }
-            if state.layers.is_empty() {
-                return;
-            }
-        }
-        let Ok(ServeResponse { id, result, .. }) = server.recv() else { return };
-        let target = {
-            let mut state = inner.lock();
-            let waiter = state.layers.remove(&id);
-            waiter.and_then(|waiter| inner.settle(&mut state, waiter))
-        };
-        let Some((conn, header)) = target else { continue };
-        let response = match result {
-            Ok(run) => Response::PrefillDone {
-                sim_time_s: run.total_time_s,
-                sim_energy_j: run.total_energy_j,
-                heads: run
-                    .heads
-                    .into_iter()
-                    .map(|h| PrefillHead {
-                        raw: raw_bits(&h.raw),
-                        output: h.output,
-                        weights_q16: h.weights_q16,
-                    })
-                    .collect(),
-            },
-            Err(e) => serve_error(&e),
-        };
-        send_response(inner, &conn, header, &response);
-    }
-}
-
-/// Blocks on the one channel every gateway-opened session reports into.
-/// Events that are already waiting are routed in one pass, and their
-/// replies written together.
-fn session_completion_loop(inner: &Inner, events: &Receiver<SessionEvent>) {
+/// Blocks on the one channel everything the gateway submits reports into.
+/// Events that are already waiting are routed in one pass, and the
+/// session replies among them written together.
+fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
     // One window of events per pass: the dispatcher refills the window as
     // completions free it, and the replies must not wait on that.
     let burst = in_flight_window(&inner.options.serve);
@@ -1188,19 +1136,46 @@ fn session_completion_loop(inner: &Inner, events: &Receiver<SessionEvent>) {
     while let Ok(first) = events.recv() {
         let rest = std::iter::from_fn(|| events.try_recv().ok());
         for event in std::iter::once(first).chain(rest).take(burst) {
-            on_session_event(inner, event, &mut out);
+            on_event(inner, event, &mut out);
         }
         write_replies(inner, &mut out);
     }
 }
 
-/// Routes one session event to the waiter at the head of its session's
-/// FIFO. Events of sessions the table no longer knows are dropped.
-fn on_session_event(inner: &Inner, event: SessionEvent, out: &mut Vec<Reply>) {
+/// Routes one event to whoever is owed its reply: a layer response to the
+/// waiter under its serve request id, a session event to the waiter at
+/// the head of its session's FIFO. Events of requests and sessions the
+/// tables no longer know are dropped. Session replies are gathered in
+/// `out`; a layer reply — megabytes — is written here, as soon as it is
+/// routed, so the thread never holds more than one.
+fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
     let mut guard = inner.lock();
     let state = &mut *guard;
     match event {
-        SessionEvent::Opened { session, result } => {
+        ServeEvent::Layer(ServeResponse { id, result, .. }) => {
+            let Some(waiter) = state.layers.remove(&id) else { return };
+            let Some((conn, header)) = inner.settle(state, waiter) else { return };
+            // The conversion walks megabytes: not under the lock.
+            drop(guard);
+            let response = match result {
+                Ok(run) => Response::PrefillDone {
+                    sim_time_s: run.total_time_s,
+                    sim_energy_j: run.total_energy_j,
+                    heads: run
+                        .heads
+                        .into_iter()
+                        .map(|h| PrefillHead {
+                            raw: raw_bits(&h.raw),
+                            output: h.output,
+                            weights_q16: h.weights_q16,
+                        })
+                        .collect(),
+                },
+                Err(e) => serve_error(&e),
+            };
+            send_response(inner, &conn, header, &response);
+        }
+        ServeEvent::Opened { session, result } => {
             let Some(entry) = state.sessions.get_mut(&session) else { return };
             let Some(waiter) = entry.waiters.pop_front() else { return };
             let response = match result {
@@ -1229,7 +1204,7 @@ fn on_session_event(inner: &Inner, event: SessionEvent, out: &mut Vec<Reply>) {
                 out.push(Reply { conn, header, response });
             }
         }
-        SessionEvent::Step { session, result, .. } => {
+        ServeEvent::Step { session, result, .. } => {
             let Some(entry) = state.sessions.get_mut(&session) else { return };
             let wire_id = entry.wire_id.unwrap_or_default();
             let Some(waiter) = entry.waiters.pop_front() else { return };
@@ -1245,7 +1220,7 @@ fn on_session_event(inner: &Inner, event: SessionEvent, out: &mut Vec<Reply>) {
             };
             out.push(Reply { conn, header, response });
         }
-        SessionEvent::Closed { session, position } => {
+        ServeEvent::Closed { session, position } => {
             // Terminal, whoever asked: the client, the drain, a dead
             // connection's reader, or a failure that retired the session.
             // Whatever still waits on it is answered with the close.
@@ -1544,7 +1519,7 @@ mod tests {
                 .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
                 .expect("admitted");
             let pending = state.pop_quantum(1, 1).pop().expect("queued");
-            submit(&inner, &server, &mut state, pending, &events_tx, out);
+            submit(&server, &mut state, pending, &events_tx, out);
         };
         // (queued, outstanding, in flight, layers, sessions, wire ids)
         let tables = || {
@@ -1571,10 +1546,25 @@ mod tests {
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
 
+        // A layer holds a round's share of the window until its event
+        // arrives; the reply is written, not gathered.
+        let shape = salo_patterns::AttentionShape::new(8, 4, 1).expect("shape");
+        let layer = Request::Prefill {
+            pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
+            shape,
+            heads: salo_kernels::Qkv::random_heads(&shape, 1),
+        };
+        submit_one(layer, &conn, &mut out);
+        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)));
+        let written = inner.frames_written.load(Ordering::Relaxed);
+        on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
+        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
+        assert_eq!(inner.frames_written.load(Ordering::Relaxed), written + 1);
+
         // A good open is in flight until its event arrives.
         submit_one(open(1), &conn, &mut out);
         assert_eq!(tables(), (0, 1, 1, (0, 1, 0)));
-        on_session_event(&inner, events_rx.recv().expect("opened"), &mut out);
+        on_event(&inner, events_rx.recv().expect("opened"), &mut out);
         assert!(matches!(out.last().expect("reply").response, Response::Opened { session: 1, .. }));
         let opened = (0, 0, 0, (0, 1, 1));
         assert_eq!((out.len(), tables()), (3, opened));
@@ -1582,11 +1572,11 @@ mod tests {
         // A step the engine refuses (no heads) fails alone.
         submit_one(Request::Step { session: 1, token: Vec::new() }, &conn, &mut out);
         assert_eq!(tables(), (0, 1, 1, (0, 1, 1)));
-        on_session_event(&inner, events_rx.recv().expect("step failed"), &mut out);
+        on_event(&inner, events_rx.recv().expect("step failed"), &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (4, opened));
         submit_one(Request::Step { session: 1, token: tokens[0].clone() }, &conn, &mut out);
-        on_session_event(&inner, events_rx.recv().expect("stepped"), &mut out);
+        on_event(&inner, events_rx.recv().expect("stepped"), &mut out);
         assert!(matches!(
             out.last().expect("reply").response,
             Response::Stepped { session: 1, .. }
@@ -1607,7 +1597,7 @@ mod tests {
         // The owner dies: its session is closed without anyone waiting,
         // and the `Closed` event is dropped.
         inner.lock().close_sessions_of(&conn, &server);
-        on_session_event(&inner, events_rx.recv().expect("closed"), &mut out);
+        on_event(&inner, events_rx.recv().expect("closed"), &mut out);
         assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0, 0))));
         assert_eq!(server.active_sessions(), 0);
         let report = server.shutdown();

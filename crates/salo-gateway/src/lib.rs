@@ -24,8 +24,10 @@
 //!   `retry_after_ms` hint instead of silent queue growth. Dispatch is
 //!   pipelined: a *submit half* pops the tenant queues in deficit round
 //!   robin and hands requests to the server without waiting, a
-//!   *completion half* routes each result to its connection by serve
-//!   request id / session id, in step order per session. The gateway's
+//!   *completion half* — one thread on the one channel the serve workers
+//!   report into — routes each result to its connection by serve request
+//!   id / session id, in step order per session and completion order
+//!   across layers. The gateway's
 //!   queues are the single owner of admission and fairness: at most a
 //!   window of slots (`4 × workers × max_batch`, derived from the serve
 //!   options; a session request holds one, a prefill four) is in flight,

@@ -8,23 +8,21 @@
 //! drains its submission queue (closed-loop flush).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use salo_core::CompiledPlan;
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 
+use crate::worker::LayerTicket;
 use crate::PlanKey;
 
 /// One accepted request travelling through the runtime.
 #[derive(Debug, Clone)]
 pub(crate) struct InFlight {
-    /// Submission id (also the response-ordering key).
-    pub id: u64,
+    /// Id, submission timestamp and reply sender.
+    pub ticket: LayerTicket,
     /// Per-head inputs.
     pub heads: Vec<Qkv>,
-    /// Submission timestamp, for end-to-end latency.
-    pub submitted: Instant,
     /// Whether the plan lookup hit the cache.
     pub cache_hit: bool,
 }
@@ -135,7 +133,9 @@ mod tests {
     }
 
     fn req(id: u64) -> InFlight {
-        InFlight { id, heads: Vec::new(), submitted: Instant::now(), cache_hit: false }
+        let (events, _) = std::sync::mpsc::channel();
+        let ticket = LayerTicket { id, submitted: std::time::Instant::now(), events };
+        InFlight { ticket, heads: Vec::new(), cache_hit: false }
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
         assert!(b.push(key, &pattern, &plan, shape, req(1)).is_none());
         let sealed = b.push(key, &pattern, &plan, shape, req(2)).expect("sealed at 3");
         assert_eq!(sealed.len(), 3);
-        assert_eq!(sealed.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(sealed.requests.iter().map(|r| r.ticket.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(b.pending(), 0);
     }
 
@@ -161,8 +161,8 @@ mod tests {
         assert_eq!(b.pending(), 3);
         let flushed = b.flush();
         assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed[0].requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(flushed[1].requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(flushed[0].requests.iter().map(|r| r.ticket.id).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(flushed[1].requests.iter().map(|r| r.ticket.id).collect::<Vec<_>>(), vec![1]);
         assert_eq!(b.pending(), 0);
     }
 

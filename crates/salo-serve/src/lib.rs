@@ -19,8 +19,11 @@
 //!   that consumes typed [`AttentionRequest`](salo_core::AttentionRequest)s
 //!   directly — prefill batches and decode-session traffic travel as one
 //!   request shape, so swapping the backend never requires a serve
-//!   rewrite — fed by a least-loaded dispatcher, with responses restored
-//!   to submission order by a collector;
+//!   rewrite — fed by a least-loaded dispatcher; the worker that
+//!   finishes a request sends its result straight to the channel the
+//!   request came in with ([`ServeEvent`]), and [`SaloServer::recv`]
+//!   restores submission order for the server's own
+//!   [`submit`](SaloServer::submit) traffic;
 //! * a **metrics layer** ([`ServeReport`]): per-request latency
 //!   percentiles, queue depth, cache hit rate, decode-session counters,
 //!   and aggregate *simulated* cycles/energy from the `salo-sim` timing
@@ -84,7 +87,7 @@ pub use request::{ServeRequest, ServeResponse};
 pub use salo_trace::{HistogramSnapshot, MetricsRegistry};
 pub use server::{SaloServer, ServeOptions};
 pub use session::{
-    DecodeSessionHandle, DecodeStep, SessionEvent, SessionInfo, SessionRequest, TokenQkv,
+    DecodeSessionHandle, DecodeStep, ServeEvent, SessionInfo, SessionRequest, TokenQkv,
 };
 pub use traffic::{GenerationShape, GenerationTraffic, TrafficMix};
 

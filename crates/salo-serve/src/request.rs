@@ -81,7 +81,8 @@ impl ServeRequest {
 /// The serving runtime's answer to one [`ServeRequest`].
 #[derive(Debug, Clone)]
 pub struct ServeResponse {
-    /// Submission id; responses are delivered in increasing-id order.
+    /// Submission id; [`recv`](crate::SaloServer::recv) delivers in
+    /// increasing-id order, a supplied sink in completion order.
     pub id: u64,
     /// The multi-head execution result, or the failure that prevented it.
     pub result: Result<MultiHeadRun, ServeError>,

@@ -1,20 +1,19 @@
-//! The concurrent serving runtime: dispatcher, worker pool, collector.
+//! The concurrent serving runtime: dispatcher and worker pool.
 //!
 //! ```text
-//!             submit() / open_session() / step_session()    ingress channel
+//!     submit_into() / open_session_into() / step_session()    ingress channel
 //!   client ─────────────────────────────────────────────▶ dispatcher
-//!                                                        │  plan cache
-//!                                                        │  batcher
+//!     (each request names the Sender<ServeEvent>         │  plan cache
+//!      its result is owed to)                            │  batcher
 //!                                                        │  session table (session -> pinned worker)
 //!                                              batches   ▼  + session work
 //!                                   ┌──────────┬──────────┬──────────┐
 //!                                   │ worker 0 │ worker 1 │ worker N │   (one Salo each,
 //!                                   └────┬─────┴────┬─────┴────┬─────┘    pinned session states)
-//!                                        └──────────┼──────────┘
-//!                                                   ▼ completion channel
-//!   client ◀──────────────────────────────────── collector (reorders by id,
-//!             recv(), in submission order          accumulates metrics)
-//!   client ◀───── per-session event channels (step outputs, in generation order)
+//!                                        │          │          │
+//!   client ◀─────────────────────────────┴──────────┴──────────┘
+//!     one send, by the worker that finished the request, on the sender it
+//!     came in with: Layer / Opened / Step / Closed
 //! ```
 //!
 //! The dispatcher resolves each layer request's [`PlanKey`] against the
@@ -23,11 +22,17 @@
 //! least-loaded worker. Decode sessions are pinned at open time: the
 //! session table maps each session id to its worker, and every step routes
 //! there, so the session's persistent K/V state never moves or locks.
-//! Layer responses return through the ordered collector; step outputs
-//! return on per-session channels (a generation is ordered by
-//! construction).
+//!
+//! There is one way out: whoever finishes a request — its worker, or the
+//! dispatcher when it fails before reaching one — sends its
+//! [`ServeEvent`] on the sender the request came in with. Nothing sits
+//! between the workers and the client, so layers arrive in completion
+//! order and a session's events in generation order.
+//! [`submit`](SaloServer::submit) + [`recv`](SaloServer::recv) is the
+//! server as its own client: it keeps the receiver, and `recv` — the one
+//! reader that promises submission order — restores it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -37,14 +42,14 @@ use std::time::{Duration, Instant};
 use salo_core::{AttentionRequest, PatternHandle, Salo};
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::AcceleratorConfig;
-use salo_trace::{Counter, Gauge, MetricsRegistry};
+use salo_trace::{Counter, MetricsRegistry};
 
 use crate::batch::{Batcher, InFlight};
 use crate::metrics::{LatencyStats, ServeReport, TenantCounters};
 use crate::session::{
-    DecodeSessionHandle, SessionEvent, SessionRegistry, SessionRequest, SessionTable, TokenQkv,
+    DecodeSessionHandle, ServeEvent, SessionRegistry, SessionRequest, SessionTable, TokenQkv,
 };
-use crate::worker::{Completed, Job, LayerDone, Reply, StepJob, WorkerPool};
+use crate::worker::{Job, LayerTicket, Reply, ServeMetrics, StepJob, WorkerPool};
 use crate::{PlanCache, PlanKey, ServeError, ServeRequest, ServeResponse};
 
 /// Tunables of the serving runtime.
@@ -74,7 +79,7 @@ pub struct ServeOptions {
     /// the step can be retried once pages free up. When an earlier head
     /// of a multi-head session took the pool's last page and a later one
     /// is refused, the heads are desynced and the session is retired
-    /// (a [`SessionEvent::Closed`] follows the error).
+    /// (a [`ServeEvent::Closed`] follows the error).
     pub decode_pool_pages: Option<usize>,
 }
 
@@ -92,19 +97,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// A layer request travelling from `submit` to the dispatcher.
-struct Submission {
-    id: u64,
-    pattern: HybridPattern,
-    shape: AttentionShape,
-    heads: Vec<salo_kernels::Qkv>,
-    submitted: Instant,
-}
-
 /// Everything that can enter the dispatcher.
 enum Ingress {
     /// A one-shot attention-layer request.
-    Layer(Submission),
+    Layer(LayerTicket, ServeRequest),
     /// Open a decode session.
     Open(OpenSubmission),
     /// One decode step of an open session.
@@ -121,20 +117,15 @@ struct OpenSubmission {
     /// work on every open).
     causal: HybridPattern,
     submitted: Instant,
-    events: Sender<SessionEvent>,
+    events: Sender<ServeEvent>,
 }
 
-/// What the collector learned that the server's [`MetricsRegistry`] does
-/// not hold: completion counts and latencies go to the registry
-/// (`serve.requests`, `serve.errors`, `serve.latency_ns`, ...), which
-/// [`SaloServer::shutdown`] builds the [`ServeReport`] from.
-#[derive(Debug, Default)]
-struct CollectorSummary {
-    per_worker: Vec<u64>,
-    sim_cycles: u64,
-    sim_energy_j: f64,
-    first_submit: Option<Instant>,
-    last_finish: Option<Instant>,
+/// The receiving end of the server's own sink: what
+/// [`SaloServer::submit_for`] submits into and [`SaloServer::recv`] reads.
+struct OwnSink {
+    events: Receiver<ServeEvent>,
+    /// Responses that arrived ahead of the one `recv` owes next.
+    early: BTreeMap<u64, ServeResponse>,
 }
 
 /// A running SALO serving instance.
@@ -143,27 +134,34 @@ struct CollectorSummary {
 /// in submission order — with [`recv`](Self::recv). Open decode sessions
 /// with [`open_session`](Self::open_session), drive them with
 /// [`step_session`](Self::step_session) (results arrive on the session's
-/// own event channel), and end the runtime with
+/// own event channel). A front end multiplexing many clients hands
+/// [`submit_into`](Self::submit_into) and
+/// [`open_session_into`](Self::open_session_into) clones of one sender and
+/// reads every result from the one receiver. End the runtime with
 /// [`shutdown`](Self::shutdown), which drains in-flight work, joins every
 /// thread and returns the aggregate [`ServeReport`].
 pub struct SaloServer {
     config: AcceleratorConfig,
     ingress: Option<Sender<Ingress>>,
-    ordered: Mutex<Receiver<ServeResponse>>,
+    /// The server as its own client: `submit_for` submits into
+    /// `own_events`, `recv` reads the other end.
+    own_events: Sender<ServeEvent>,
+    own: Mutex<OwnSink>,
+    /// Ids `submit_for` handed out and `recv` has not returned yet, in
+    /// increasing order (`submit_into` traffic leaves gaps between them).
+    own_ids: Mutex<VecDeque<u64>>,
     cache: Arc<PlanCache>,
-    /// In-flight requests: the registry's `serve.queue_depth` gauge.
-    depth: Arc<Gauge>,
     next_id: AtomicU64,
     next_session: AtomicU64,
     sessions: Arc<SessionRegistry>,
-    batches: Arc<AtomicU64>,
-    batched_requests: Arc<AtomicU64>,
-    summary: Arc<Mutex<Option<CollectorSummary>>>,
     metrics: Arc<MetricsRegistry>,
+    /// The registry handles the dispatcher and the workers record through.
+    counts: ServeMetrics,
     /// Each tenant's `serve.tenant.{id}.requests` counter, resolved by
     /// name on the tenant's first request and by id afterwards.
     tenant_requests: Mutex<HashMap<u64, Arc<Counter>>>,
-    threads: Vec<JoinHandle<()>>,
+    /// Returns the workers' simulated energy (see [`Dispatcher::run`]).
+    dispatcher: JoinHandle<f64>,
     workers: usize,
     /// One-way flag set by [`drain`](Self::drain): new submissions, opens
     /// and steps are refused with [`ServeError::Draining`] while in-flight
@@ -183,95 +181,51 @@ impl std::fmt::Debug for SaloServer {
 }
 
 impl SaloServer {
-    /// Starts the runtime: one dispatcher, `options.workers` workers (each
-    /// owning a [`Salo`] built from `config`), and one collector.
+    /// Starts the runtime: one dispatcher and `options.workers` workers
+    /// (each owning a [`Salo`] built from `config`).
     #[must_use]
     pub fn start(config: AcceleratorConfig, options: ServeOptions) -> Self {
         let workers = options.workers.max(1);
         let cache = Arc::new(PlanCache::new(options.cache_capacity, options.cache_shards));
-        let batches = Arc::new(AtomicU64::new(0));
-        let batched_requests = Arc::new(AtomicU64::new(0));
-        let summary = Arc::new(Mutex::new(None));
         let sessions = Arc::new(SessionRegistry::new());
         let metrics = Arc::new(MetricsRegistry::new());
-        let depth = metrics.gauge("serve.queue_depth");
+        let counts = ServeMetrics::new(&metrics, workers);
 
         let (ingress_tx, ingress_rx) = std::sync::mpsc::channel::<Ingress>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Completed>();
-        let (ordered_tx, ordered_rx) = std::sync::mpsc::channel::<ServeResponse>();
+        let (own_events, own_rx) = std::sync::mpsc::channel();
 
         let compiler = Salo::new(config.clone());
-        let pool = WorkerPool::spawn(
-            workers,
-            options.worker_parallelism,
-            options.decode_page_rows,
-            options.decode_pool_pages,
-            &compiler,
-            &done_tx,
-            &sessions,
-            &metrics,
-        );
-
-        let mut threads = Vec::with_capacity(2);
-        {
-            let cache = Arc::clone(&cache);
-            let batches = Arc::clone(&batches);
-            let batched_requests = Arc::clone(&batched_requests);
-            let registry = Arc::clone(&sessions);
-            let max_batch = options.max_batch;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("salo-serve-dispatcher".into())
-                    .spawn(move || {
-                        // The accelerator configuration is fixed for the
-                        // server's lifetime; fingerprint it once instead
-                        // of per request.
-                        let config_fp = compiler.config().fingerprint();
-                        Dispatcher {
-                            compiler: &compiler,
-                            cache: &cache,
-                            pool,
-                            batcher: Batcher::new(max_batch),
-                            batches: &batches,
-                            batched_requests: &batched_requests,
-                            done: &done_tx,
-                            table: SessionTable::new(),
-                            registry: &registry,
-                            config_fp,
-                        }
-                        .run(&ingress_rx);
-                    })
-                    .expect("spawn dispatcher thread"),
-            );
-        }
-        {
-            let summary = Arc::clone(&summary);
-            let metrics = Arc::clone(&metrics);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("salo-serve-collector".into())
-                    .spawn(move || {
-                        collector_loop(&done_rx, &ordered_tx, workers, &summary, &metrics);
-                    })
-                    .expect("spawn collector thread"),
-            );
-        }
+        let dispatcher = Dispatcher {
+            pool: WorkerPool::spawn(workers, &options, &compiler, &sessions, &counts),
+            // The accelerator configuration is fixed for the server's
+            // lifetime; fingerprint it once instead of per request.
+            config_fp: compiler.config().fingerprint(),
+            compiler,
+            cache: Arc::clone(&cache),
+            batcher: Batcher::new(options.max_batch),
+            metrics: counts.clone(),
+            table: SessionTable::new(),
+            registry: Arc::clone(&sessions),
+        };
+        let dispatcher = std::thread::Builder::new()
+            .name("salo-serve-dispatcher".into())
+            .spawn(move || dispatcher.run(&ingress_rx))
+            .expect("spawn dispatcher thread");
 
         Self {
             config,
             ingress: Some(ingress_tx),
-            ordered: Mutex::new(ordered_rx),
+            own_events,
+            own: Mutex::new(OwnSink { events: own_rx, early: BTreeMap::new() }),
+            own_ids: Mutex::new(VecDeque::new()),
             cache,
-            depth,
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             sessions,
-            batches,
-            batched_requests,
-            summary,
             metrics,
+            counts,
             tenant_requests: Mutex::new(HashMap::new()),
-            threads,
+            dispatcher,
             workers,
             draining: AtomicBool::new(false),
         }
@@ -317,6 +271,30 @@ impl SaloServer {
     ///
     /// As [`submit`](Self::submit).
     pub fn submit_for(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
+        // Submitted under the lock, so own ids queue in increasing order
+        // whoever else is submitting.
+        let mut own_ids = self.own_ids.lock().expect("own ids poisoned");
+        let id = self.submit_into(tenant, request, self.own_events.clone())?;
+        own_ids.push_back(id);
+        Ok(id)
+    }
+
+    /// [`submit_for`](Self::submit_for) reporting into a channel the
+    /// caller supplies — the layer twin of
+    /// [`open_session_into`](Self::open_session_into). The response
+    /// arrives on `events` as a [`ServeEvent::Layer`] when its worker
+    /// finishes it — completion order, not submission order — and never
+    /// through [`recv`](Self::recv).
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit).
+    pub fn submit_into(
+        &self,
+        tenant: u64,
+        request: ServeRequest,
+        events: Sender<ServeEvent>,
+    ) -> Result<u64, ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
@@ -327,16 +305,10 @@ impl SaloServer {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
         self.count_tenant_request(tenant);
-        self.depth.add(1);
-        let submission = Submission {
-            id,
-            pattern: request.pattern,
-            shape: request.shape,
-            heads: request.heads,
-            submitted: Instant::now(),
-        };
-        if ingress.send(Ingress::Layer(submission)).is_err() {
-            self.depth.add(-1);
+        self.counts.depth.add(1);
+        let ticket = LayerTicket { id, submitted: Instant::now(), events };
+        if ingress.send(Ingress::Layer(ticket, request)).is_err() {
+            self.counts.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(id)
@@ -347,8 +319,8 @@ impl SaloServer {
     /// amortizes across every generation of the same pattern/shape), the
     /// session is pinned to the least-loaded worker, and the prompt is
     /// ingested there. The returned handle's event channel delivers the
-    /// open handshake ([`SessionEvent::Opened`]) followed by one
-    /// [`SessionEvent::Step`] per [`step_session`](Self::step_session)
+    /// open handshake ([`ServeEvent::Opened`]) followed by one
+    /// [`ServeEvent::Step`] per [`step_session`](Self::step_session)
     /// call, in order.
     ///
     /// # Errors
@@ -398,7 +370,7 @@ impl SaloServer {
         &self,
         tenant: u64,
         request: SessionRequest,
-        events: Sender<SessionEvent>,
+        events: Sender<ServeEvent>,
     ) -> Result<u64, ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
@@ -408,7 +380,7 @@ impl SaloServer {
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
         self.count_tenant_request(tenant);
-        self.depth.add(1);
+        self.counts.depth.add(1);
         // Register before submitting: an asynchronous open failure
         // deregisters the id, and that removal must not race ahead of
         // the insert (a late insert would leak the dead session).
@@ -418,7 +390,7 @@ impl SaloServer {
             OpenSubmission { session, request, causal, submitted: Instant::now(), events };
         if ingress.send(Ingress::Open(submission)).is_err() {
             self.sessions.remove(session);
-            self.depth.add(-1);
+            self.counts.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(session)
@@ -443,7 +415,7 @@ impl SaloServer {
     /// never opened — or that is no longer live: closed, dropped by a
     /// poisoning step failure, or failed to open. Returns
     /// [`ServeError::Closed`] after shutdown. Execution failures arrive
-    /// in the step event; [`SessionEvent::Step`] says which of them
+    /// in the step event; [`ServeEvent::Step`] says which of them
     /// retire the session.
     pub fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
         if self.draining.load(Ordering::Acquire) {
@@ -454,23 +426,23 @@ impl SaloServer {
             return Err(ServeError::UnknownSession { session });
         }
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
-        self.depth.add(1);
+        self.counts.depth.add(1);
         if ingress.send(Ingress::Step { session, token, submitted: Instant::now() }).is_err() {
-            self.depth.add(-1);
+            self.counts.depth.add(-1);
             return Err(ServeError::Closed);
         }
         Ok(())
     }
 
     /// Closes a decode session, dropping its pinned state. The session's
-    /// channel receives a final [`SessionEvent::Closed`].
+    /// channel receives a final [`ServeEvent::Closed`].
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownSession`] if the session is not live
     /// — never opened, already closed, or already retired by a failure
     /// (a poisoned session counts as closed; its channel received the
-    /// [`SessionEvent::Closed`] at poison time). Returns
+    /// [`ServeEvent::Closed`] at poison time). Returns
     /// [`ServeError::Closed`] after shutdown.
     pub fn close_session(&self, session: u64) -> Result<(), ServeError> {
         if !self.sessions.remove(session) {
@@ -487,37 +459,31 @@ impl SaloServer {
         self.sessions.len()
     }
 
-    /// Blocks for the next in-order layer response.
+    /// Blocks for the next response to a [`submit`](Self::submit) /
+    /// [`submit_for`](Self::submit_for) request, in submission
+    /// (increasing-id) order: a response that completed ahead of an
+    /// earlier submission waits here until that one has been returned.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Closed`] once the runtime has shut down and
     /// every response has been delivered.
     pub fn recv(&self) -> Result<ServeResponse, ServeError> {
-        self.ordered
-            .lock()
-            .expect("response receiver poisoned")
-            .recv()
-            .map_err(|_| ServeError::Closed)
-    }
-
-    /// Non-blocking variant of [`recv`](Self::recv): `None` when no
-    /// response is ready yet — including when another thread currently
-    /// holds the response channel inside a blocking [`recv`](Self::recv)
-    /// (this method never waits on that reader).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] once the runtime has shut down and
-    /// every response has been delivered.
-    pub fn try_recv(&self) -> Result<Option<ServeResponse>, ServeError> {
-        let Ok(ordered) = self.ordered.try_lock() else {
-            return Ok(None); // a blocking reader owns the channel
-        };
-        match ordered.try_recv() {
-            Ok(r) => Ok(Some(r)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(ServeError::Closed),
+        let mut own = self.own.lock().expect("response receiver poisoned");
+        loop {
+            // Only this method pops, and it holds `own`: the front it
+            // reads stays the front until it returns it.
+            let mut own_ids = self.own_ids.lock().expect("own ids poisoned");
+            if let Some(response) = own_ids.front().and_then(|id| own.early.remove(id)) {
+                own_ids.pop_front();
+                return Ok(response);
+            }
+            drop(own_ids);
+            if let ServeEvent::Layer(response) =
+                own.events.recv().map_err(|_| ServeError::Closed)?
+            {
+                own.early.insert(response.id, response);
+            }
         }
     }
 
@@ -525,13 +491,14 @@ impl SaloServer {
     /// decode opens and steps included.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.depth.get().max(0) as usize
+        self.counts.depth.get().max(0) as usize
     }
 
     /// This server's metrics registry: named counters, gauges and
-    /// mergeable log-bucket histograms the collector maintains as
-    /// completions stream in (`serve.requests`, `serve.latency_ns`,
-    /// `serve.decode.steps`, ...). Per-server — two instances in one
+    /// mergeable log-bucket histograms that whoever completes a request
+    /// updates before sending its result (`serve.requests`,
+    /// `serve.latency_ns`, `serve.decode.steps`, ...), so a client that
+    /// has seen a result finds it counted. Per-server — two instances in one
     /// process never mix counts. Export it any time with
     /// [`MetricsRegistry::export_table`] or
     /// [`MetricsRegistry::export_json`]; [`shutdown`](Self::shutdown)
@@ -552,7 +519,7 @@ impl SaloServer {
 
     /// Gracefully drains the runtime: refuses new work, closes every
     /// registered decode session with a terminal
-    /// [`SessionEvent::Closed`], and waits — up to `deadline` — for all
+    /// [`ServeEvent::Closed`], and waits — up to `deadline` — for all
     /// in-flight work to complete. Returns `true` when the runtime
     /// drained fully within the deadline.
     ///
@@ -595,26 +562,17 @@ impl SaloServer {
     /// dropped with their channels.
     #[must_use]
     pub fn shutdown(mut self) -> ServeReport {
-        self.ingress.take(); // closes ingress: dispatcher → workers → collector wind down
-        for handle in self.threads.drain(..) {
-            handle.join().expect("serving thread panicked");
-        }
-        let summary = self.summary.lock().expect("summary poisoned").take().unwrap_or_default();
-        let wall_s = match (summary.first_submit, summary.last_finish) {
-            (Some(a), Some(b)) => b.duration_since(a).as_secs_f64(),
-            _ => 0.0,
-        };
-        // Fold the dispatcher-side tallies into the registry, then build
-        // the report's counters *from* the registry — the collector has
-        // been mirroring its completion counts there all along, so the
-        // registry is the single source the report is rebuilt on. The
-        // latency histograms ride on the report whole, so reports merge
+        self.ingress.take(); // closes ingress: dispatcher → workers wind down
+        let sim_energy_j = self.dispatcher.join().expect("serving thread panicked");
+        let wall_s = self.counts.wall_s();
+        // Every counter in the report is read back from the registry —
+        // whoever completed a request recorded it there. The latency
+        // histograms ride on the report whole, so reports merge
         // bucket-exactly; the summaries are derived from them.
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
-        self.metrics.counter("serve.batches").add(batches);
-        self.metrics.counter("serve.batched_requests").add(batched);
-        let requests = self.metrics.counter("serve.requests").get();
+        let counter = |name: &str| self.metrics.counter(name).get();
+        let peak = |name: &str| self.metrics.gauge(name).high_water().max(0) as u64;
+        let (batches, batched) = (counter("serve.batches"), counter("serve.batched_requests"));
+        let requests = counter("serve.requests");
         let latency_hist = self.metrics.histogram("serve.latency_ns").snapshot();
         let decode_step_latency_hist =
             self.metrics.histogram("serve.decode.step_latency_ns").snapshot();
@@ -636,7 +594,7 @@ impl SaloServer {
         }
         ServeReport {
             requests,
-            errors: self.metrics.counter("serve.errors").get(),
+            errors: counter("serve.errors"),
             wall_s,
             throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
             latency: LatencyStats::from_histogram(&latency_hist),
@@ -644,32 +602,23 @@ impl SaloServer {
             cache: self.cache.stats(),
             batches,
             mean_batch_size: if batches > 0 { batched as f64 / batches as f64 } else { 0.0 },
-            max_queue_depth: self.depth.high_water().max(0) as usize,
-            sim_cycles: summary.sim_cycles,
-            sim_energy_j: summary.sim_energy_j,
-            per_worker_requests: summary.per_worker,
-            decode_sessions: self.metrics.counter("serve.decode.sessions").get(),
-            decode_session_errors: self.metrics.counter("serve.decode.session_errors").get(),
-            decode_steps: self.metrics.counter("serve.decode.steps").get(),
-            decode_step_errors: self.metrics.counter("serve.decode.step_errors").get(),
+            max_queue_depth: peak("serve.queue_depth") as usize,
+            sim_cycles: counter("serve.sim_cycles"),
+            sim_energy_j,
+            per_worker_requests: (0..self.workers)
+                .map(|w| counter(&format!("serve.worker.{w}.requests")))
+                .collect(),
+            decode_sessions: counter("serve.decode.sessions"),
+            decode_session_errors: counter("serve.decode.session_errors"),
+            decode_steps: counter("serve.decode.steps"),
+            decode_step_errors: counter("serve.decode.step_errors"),
             decode_step_latency: LatencyStats::from_histogram(&decode_step_latency_hist),
             decode_step_latency_hist,
-            decode_resident_kv_byte_steps: self
-                .metrics
-                .counter("serve.decode.resident_kv_byte_steps")
-                .get(),
-            decode_peak_resident_pages: self
-                .metrics
-                .gauge("serve.decode.resident_pages")
-                .high_water()
-                .max(0) as u64,
-            decode_peak_pool_pages: self
-                .metrics
-                .gauge("serve.decode.pool_pages")
-                .high_water()
-                .max(0) as u64,
-            decode_page_reclaims: self.metrics.counter("serve.decode.page_reclaims").get(),
-            decode_pool_exhausted: self.metrics.counter("serve.decode.pool_exhausted").get(),
+            decode_resident_kv_byte_steps: counter("serve.decode.resident_kv_byte_steps"),
+            decode_peak_resident_pages: peak("serve.decode.resident_pages"),
+            decode_peak_pool_pages: peak("serve.decode.pool_pages"),
+            decode_page_reclaims: counter("serve.decode.page_reclaims"),
+            decode_pool_exhausted: counter("serve.decode.pool_exhausted"),
             tenants,
         }
     }
@@ -684,26 +633,25 @@ impl SaloServer {
 /// dispatch of queued cache-hit requests behind it; workloads mixing
 /// many novel patterns with hot traffic would want compile shipped to
 /// the workers instead.
-struct Dispatcher<'a> {
-    compiler: &'a Salo,
-    cache: &'a PlanCache,
+struct Dispatcher {
+    compiler: Salo,
+    cache: Arc<PlanCache>,
     pool: WorkerPool,
     batcher: Batcher,
-    batches: &'a AtomicU64,
-    batched_requests: &'a AtomicU64,
-    done: &'a Sender<Completed>,
+    metrics: ServeMetrics,
     table: SessionTable,
-    registry: &'a SessionRegistry,
+    registry: Arc<SessionRegistry>,
     config_fp: u64,
 }
 
-impl Dispatcher<'_> {
-    fn run(mut self, ingress: &Receiver<Ingress>) {
+impl Dispatcher {
+    /// Serves ingress until it closes, then joins the workers and returns
+    /// their simulated energy, summed in worker order.
+    fn run(mut self, ingress: &Receiver<Ingress>) -> f64 {
         // Bound on the opportunistic drain between flushes: under
         // sustained open-loop traffic the submission queue may never run
-        // empty, and without this bound an under-filled bucket (and,
-        // through ordered delivery, every later response) could be held
-        // back indefinitely.
+        // empty, and without this bound an under-filled bucket could be
+        // held back indefinitely.
         let drain_limit = self.pool.workers() * self.batcher.max_batch();
         while let Ok(first) = ingress.recv() {
             self.reap_retired();
@@ -711,7 +659,7 @@ impl Dispatcher<'_> {
             let mut drained = 0usize;
             while let Some(msg) = next.take() {
                 match msg {
-                    Ingress::Layer(sub) => self.handle_layer(sub),
+                    Ingress::Layer(ticket, request) => self.handle_layer(ticket, request),
                     Ingress::Open(open) => self.handle_open(open),
                     Ingress::Step { session, token, submitted } => {
                         self.handle_step(session, token, submitted);
@@ -729,10 +677,7 @@ impl Dispatcher<'_> {
             self.dispatch_batch(batch);
         }
         debug_assert_eq!(self.batcher.pending(), 0, "every accepted request is dispatched");
-        self.pool.close();
-        for handle in self.pool.handles.drain(..) {
-            handle.join().expect("worker thread panicked");
-        }
+        self.pool.join()
     }
 
     fn dispatch_batch(&mut self, batch: crate::batch::Batch) {
@@ -753,78 +698,46 @@ impl Dispatcher<'_> {
                     shape: batch.shape,
                     heads: req.heads,
                 },
-                reply: Reply::Layer {
-                    id: req.id,
-                    cache_hit: req.cache_hit,
-                    batch_size,
-                    submitted: req.submitted,
-                },
+                reply: Reply::Layer { ticket: req.ticket, cache_hit: req.cache_hit, batch_size },
             })
             .collect();
         match self.pool.dispatch(jobs) {
-            Ok(()) => {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                self.batched_requests.fetch_add(size, Ordering::Relaxed);
-            }
+            Ok(()) => self.metrics.count_batch(size),
             // The routed worker's thread is gone: fail every member
             // request so clients see an error instead of hanging on a
             // response that will never come.
             Err(jobs) => {
                 for job in jobs {
-                    let Job::Request {
-                        reply: Reply::Layer { id, cache_hit, submitted, .. }, ..
-                    } = job
+                    let Job::Request { reply: Reply::Layer { ticket, cache_hit, .. }, .. } = job
                     else {
                         unreachable!("batches carry only layer replies");
                     };
-                    let failed = Completed::Layer(LayerDone {
-                        id,
-                        result: Err(ServeError::WorkerLost),
-                        cache_hit,
-                        worker: None,
-                        batch_size: 0,
-                        submitted,
-                        finished: Instant::now(),
-                    });
-                    let _ = self.done.send(failed);
+                    let lost = Err(ServeError::WorkerLost);
+                    self.metrics.complete_layer(ticket, cache_hit, lost, None, 0);
                 }
             }
         }
     }
 
-    fn handle_layer(&mut self, sub: Submission) {
-        let key = PlanKey {
-            pattern_fp: sub.pattern.fingerprint(),
-            shape: sub.shape,
-            config_fp: self.config_fp,
-        };
-        let lookup = salo_trace::span_with("serve.plan_lookup", "serve", sub.id);
-        let compiled = self.cache.get_or_compile(key, &sub.pattern, self.compiler.config(), || {
-            self.compiler.compile(&sub.pattern, &sub.shape)
+    fn handle_layer(&mut self, ticket: LayerTicket, request: ServeRequest) {
+        let ServeRequest { pattern, shape, heads } = request;
+        let key = PlanKey { pattern_fp: pattern.fingerprint(), shape, config_fp: self.config_fp };
+        let lookup = salo_trace::span_with("serve.plan_lookup", "serve", ticket.id);
+        let compiled = self.cache.get_or_compile(key, &pattern, self.compiler.config(), || {
+            self.compiler.compile(&pattern, &shape)
         });
         drop(lookup);
         match compiled {
             Ok((plan, cache_hit)) => {
-                let _form = salo_trace::span_with("serve.batch_form", "serve", sub.id);
-                let pattern = Arc::new(sub.pattern);
-                let inflight =
-                    InFlight { id: sub.id, heads: sub.heads, submitted: sub.submitted, cache_hit };
-                if let Some(batch) = self.batcher.push(key, &pattern, &plan, sub.shape, inflight) {
+                let _form = salo_trace::span_with("serve.batch_form", "serve", ticket.id);
+                let inflight = InFlight { ticket, heads, cache_hit };
+                if let Some(batch) =
+                    self.batcher.push(key, &Arc::new(pattern), &plan, shape, inflight)
+                {
                     self.dispatch_batch(batch);
                 }
             }
-            Err(e) => {
-                let failed = Completed::Layer(LayerDone {
-                    id: sub.id,
-                    result: Err(e.into()),
-                    cache_hit: false,
-                    worker: None,
-                    batch_size: 0,
-                    submitted: sub.submitted,
-                    finished: Instant::now(),
-                });
-                let _ = self.done.send(failed);
-            }
+            Err(e) => self.metrics.complete_layer(ticket, false, Err(e.into()), None, 0),
         }
     }
 
@@ -900,7 +813,7 @@ impl Dispatcher<'_> {
     fn fail_open(
         &mut self,
         session: u64,
-        events: &Sender<SessionEvent>,
+        events: &Sender<ServeEvent>,
         submitted: Instant,
         error: ServeError,
     ) {
@@ -908,12 +821,7 @@ impl Dispatcher<'_> {
         // failed handshake, the id is guaranteed gone (steps report
         // `UnknownSession`, `active_sessions` does not count it).
         self.registry.remove(session);
-        let _ = events.send(SessionEvent::Opened { session, result: Err(error) });
-        let _ = self.done.send(Completed::SessionOpened {
-            ok: false,
-            submitted,
-            finished: Instant::now(),
-        });
+        self.metrics.complete_open(events, session, submitted, Err(error));
     }
 
     fn handle_step(&mut self, session: u64, token: Vec<TokenQkv>, submitted: Instant) {
@@ -921,7 +829,7 @@ impl Dispatcher<'_> {
             // Closed (or retired) by the time the step arrived — a benign
             // race, not an execution failure. The depth gauge still needs
             // its exit, but the step must not pollute the decode metrics.
-            let _ = self.done.send(Completed::StepDropped);
+            self.metrics.depth.add(-1);
             return;
         };
         // No liveness check here beyond the route: the registry is the
@@ -941,15 +849,9 @@ impl Dispatcher<'_> {
             // event here, since no worker ever will.
             let route = self.table.remove(session).expect("route was just read");
             self.registry.remove(session);
-            let _ = route.events.send(SessionEvent::Step {
-                session,
-                result: Err(ServeError::WorkerLost),
-                latency_s: submitted.elapsed().as_secs_f64(),
-            });
             // Position unknown — the state died with the worker.
-            let _ = route.events.send(SessionEvent::Closed { session, position: None });
-            let _ =
-                self.done.send(Completed::Step { ok: false, submitted, finished: Instant::now() });
+            let failed = Err(ServeError::WorkerLost);
+            self.metrics.complete_step(&route.events, session, submitted, failed, Some(None));
         }
     }
 
@@ -964,101 +866,8 @@ impl Dispatcher<'_> {
                 // never send the terminal Closed event, so deliver it
                 // here (position unknown) rather than leave the client
                 // blocking for it.
-                let _ = route.events.send(SessionEvent::Closed { session, position: None });
+                let _ = route.events.send(ServeEvent::Closed { session, position: None });
             }
         }
     }
-}
-
-fn collector_loop(
-    done: &Receiver<Completed>,
-    ordered: &Sender<ServeResponse>,
-    workers: usize,
-    out: &Mutex<Option<CollectorSummary>>,
-    metrics: &MetricsRegistry,
-) {
-    fn span(submitted: Instant, finished: Instant, summary: &mut CollectorSummary) {
-        summary.first_submit = Some(summary.first_submit.map_or(submitted, |t| t.min(submitted)));
-        summary.last_finish = Some(summary.last_finish.map_or(finished, |t| t.max(finished)));
-    }
-    // Fetch the registry handles once; every completion then updates them
-    // lock-free. These counters/histograms are what `shutdown` rebuilds
-    // the `ServeReport` from.
-    let depth = metrics.gauge("serve.queue_depth");
-    let requests_c = metrics.counter("serve.requests");
-    let errors_c = metrics.counter("serve.errors");
-    let latency_h = metrics.histogram("serve.latency_ns");
-    let saturation_c = metrics.counter("serve.saturation_events");
-    let sessions_c = metrics.counter("serve.decode.sessions");
-    let session_errors_c = metrics.counter("serve.decode.session_errors");
-    let steps_c = metrics.counter("serve.decode.steps");
-    let step_errors_c = metrics.counter("serve.decode.step_errors");
-    let step_latency_h = metrics.histogram("serve.decode.step_latency_ns");
-    let mut summary = CollectorSummary { per_worker: vec![0; workers], ..Default::default() };
-    let mut pending: BTreeMap<u64, ServeResponse> = BTreeMap::new();
-    let mut next_id = 0u64;
-    while let Ok(completed) = done.recv() {
-        depth.add(-1);
-        match completed {
-            Completed::Layer(layer) => {
-                let latency_s = layer.finished.duration_since(layer.submitted).as_secs_f64();
-                requests_c.inc();
-                latency_h.record_secs(latency_s);
-                match &layer.result {
-                    Ok(run) => {
-                        summary.sim_cycles +=
-                            run.heads.iter().map(|h| h.report.timing.cycles.total).sum::<u64>();
-                        summary.sim_energy_j += run.total_energy_j;
-                        saturation_c
-                            .add(run.heads.iter().map(|h| h.report.saturation_events).sum());
-                    }
-                    Err(_) => errors_c.inc(),
-                }
-                if let Some(w) = layer.worker {
-                    summary.per_worker[w] += 1;
-                }
-                span(layer.submitted, layer.finished, &mut summary);
-                pending.insert(
-                    layer.id,
-                    ServeResponse {
-                        id: layer.id,
-                        result: layer.result,
-                        cache_hit: layer.cache_hit,
-                        worker: layer.worker,
-                        batch_size: layer.batch_size,
-                        latency_s,
-                    },
-                );
-                while let Some(response) = pending.remove(&next_id) {
-                    next_id += 1;
-                    // The client may have stopped reading; metrics still
-                    // count.
-                    let _ = ordered.send(response);
-                }
-            }
-            Completed::SessionOpened { ok, submitted, finished } => {
-                sessions_c.inc();
-                if !ok {
-                    session_errors_c.inc();
-                }
-                // Opens pay the compile + prompt ingest; their span counts
-                // toward the report's wall clock like any other work.
-                span(submitted, finished, &mut summary);
-            }
-            Completed::Step { ok, submitted, finished } => {
-                steps_c.inc();
-                if !ok {
-                    step_errors_c.inc();
-                }
-                let step_s = finished.duration_since(submitted).as_secs_f64();
-                step_latency_h.record_secs(step_s);
-                span(submitted, finished, &mut summary);
-            }
-            // A benign close/step race: the step never executed, so it
-            // contributes nothing to the decode counters or latencies
-            // (only the depth-gauge exit above).
-            Completed::StepDropped => {}
-        }
-    }
-    *out.lock().expect("summary poisoned") = Some(summary);
 }

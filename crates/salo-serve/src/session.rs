@@ -9,11 +9,12 @@
 //! dispatcher's session table maps session ids to their pinned worker so
 //! every step routes to the same accelerator instance.
 //!
-//! Step results return through a per-session event channel rather than
-//! the global ordered response stream: a generation is ordered by
-//! construction (each step ingests the previous one's context), and
-//! interleaving thousands of step events with layer responses would
-//! stall the ordered collector.
+//! A session's handshake, steps and close leave the runtime as
+//! [`ServeEvent`]s on the sender its open came in with, sent by the
+//! pinned worker — the same way a layer response leaves. A generation is
+//! ordered by construction (each step ingests the previous one's
+//! context), which is why the runtime has no thread that reorders
+//! results: it would hold step events behind the slowest layer in flight.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
@@ -24,7 +25,7 @@ use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
 use salo_trace::Counter;
 
-use crate::ServeError;
+use crate::{ServeError, ServeResponse};
 
 pub use salo_core::TokenQkv;
 
@@ -139,9 +140,15 @@ pub struct DecodeStep {
     pub worker: usize,
 }
 
-/// Events delivered on a session's channel, in execution order.
+/// What the runtime sends on the channel a request came in with: a layer
+/// request's response, or a session's events in execution order.
 #[derive(Debug, Clone)]
-pub enum SessionEvent {
+pub enum ServeEvent {
+    /// A layer request submitted with
+    /// [`submit_into`](crate::SaloServer::submit_into) completed or
+    /// failed. Layers complete in whatever order their workers finish
+    /// them; the response carries its request id.
+    Layer(ServeResponse),
     /// The session finished opening (plan resolved, prompt ingested) — or
     /// failed to.
     Opened {
@@ -184,7 +191,7 @@ pub enum SessionEvent {
 #[derive(Debug)]
 pub struct DecodeSessionHandle {
     pub(crate) id: u64,
-    pub(crate) events: Receiver<SessionEvent>,
+    pub(crate) events: Receiver<ServeEvent>,
 }
 
 impl DecodeSessionHandle {
@@ -202,7 +209,7 @@ impl DecodeSessionHandle {
     ///
     /// Returns [`ServeError::Closed`] once the runtime has shut down and
     /// every event has been delivered.
-    pub fn recv(&self) -> Result<SessionEvent, ServeError> {
+    pub fn recv(&self) -> Result<ServeEvent, ServeError> {
         self.events.recv().map_err(|_| ServeError::Closed)
     }
 
@@ -214,7 +221,7 @@ impl DecodeSessionHandle {
     /// Propagates the open failure, or [`ServeError::Closed`].
     pub fn wait_open(&self) -> Result<SessionInfo, ServeError> {
         match self.recv()? {
-            SessionEvent::Opened { result, .. } => result,
+            ServeEvent::Opened { result, .. } => result,
             _ => Err(ServeError::Closed), // protocol violation: channel is dead to us
         }
     }
@@ -228,11 +235,12 @@ impl DecodeSessionHandle {
     pub fn next_step(&self) -> Result<DecodeStep, ServeError> {
         loop {
             match self.recv()? {
-                SessionEvent::Step { result, .. } => return result,
-                SessionEvent::Closed { .. } => return Err(ServeError::Closed),
-                SessionEvent::Opened { result, .. } => {
+                ServeEvent::Step { result, .. } => return result,
+                ServeEvent::Closed { .. } => return Err(ServeError::Closed),
+                ServeEvent::Opened { result, .. } => {
                     result?; // surface an open failure instead of looping
                 }
+                ServeEvent::Layer(_) => {} // never sent on a session's own channel
             }
         }
     }
@@ -322,7 +330,7 @@ pub(crate) struct SessionTable {
 #[derive(Debug)]
 pub(crate) struct SessionRoute {
     pub worker: usize,
-    pub events: Sender<SessionEvent>,
+    pub events: Sender<ServeEvent>,
 }
 
 impl SessionTable {
@@ -330,7 +338,7 @@ impl SessionTable {
         Self::default()
     }
 
-    pub fn insert(&mut self, session: u64, worker: usize, events: Sender<SessionEvent>) {
+    pub fn insert(&mut self, session: u64, worker: usize, events: Sender<ServeEvent>) {
         self.routes.insert(session, SessionRoute { worker, events });
     }
 

@@ -9,6 +9,13 @@
 //! lives inside the worker's engine for the whole generation, so steps
 //! never cross threads and the state is never locked.
 //!
+//! Every job carries the [`ServeEvent`] sender its request came in with.
+//! Whoever completes it (a worker here, the dispatcher for what never
+//! reaches one) does so through [`ServeMetrics`], in one order:
+//! **metrics, then the event, then the depth exit** — a client that has
+//! seen a result finds it counted, and a queue depth of zero means every
+//! event was sent.
+//!
 //! Three resources amortize across the pool's lifetime: the engines share
 //! one set of exponential/reciprocal lookup tables (behind `Arc` inside
 //! the accelerator), each engine carries one scratch across every request
@@ -33,7 +40,7 @@
 //! one engine routine (pinned alone-vs-fused by the root `engines` and
 //! `decode` suites).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,10 +48,10 @@ use std::time::Instant;
 
 use salo_core::{AttentionRequest, Engine, LoweredEngine, MultiHeadRun, PrefillOutput, Salo};
 use salo_sim::DEFAULT_PAGE_ROWS;
-use salo_trace::{Counter, Gauge, MetricsRegistry};
+use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
-use crate::session::{DecodeStep, SessionEvent, SessionInfo, SessionRegistry, TokenQkv};
-use crate::ServeError;
+use crate::session::{DecodeStep, ServeEvent, SessionInfo, SessionRegistry, TokenQkv};
+use crate::{ServeError, ServeOptions, ServeResponse};
 
 /// Bound on the extra job batches one scheduler tick may drain beyond the
 /// blocking `recv` that opened it. Keeps a firehose of submissions from
@@ -68,57 +75,62 @@ pub(crate) struct StepJob {
     pub session: u64,
     pub token: Vec<TokenQkv>,
     pub submitted: Instant,
-    pub events: Sender<SessionEvent>,
+    pub events: Sender<ServeEvent>,
+}
+
+/// What a layer request carries from submission to completion: its id,
+/// when it was submitted, and the sender its response is owed on.
+#[derive(Debug, Clone)]
+pub(crate) struct LayerTicket {
+    pub id: u64,
+    pub submitted: Instant,
+    pub events: Sender<ServeEvent>,
 }
 
 /// Response routing for a [`Job::Request`] — the only per-kind metadata
-/// left outside the typed request itself.
+/// left outside the typed request itself. Every kind names the sender
+/// its request came in with; the outcome is one `send` on it.
 pub(crate) enum Reply {
-    /// A layer request: the result enters the ordered response stream.
-    Layer { id: u64, cache_hit: bool, batch_size: usize, submitted: Instant },
-    /// A decode-session open: the handshake goes to the session channel.
-    Open { session: u64, cache_hit: bool, submitted: Instant, events: Sender<SessionEvent> },
-    /// A session close: the terminal event goes to the session channel.
-    Close { session: u64, events: Sender<SessionEvent> },
+    /// A layer request: answered with [`ServeEvent::Layer`].
+    Layer { ticket: LayerTicket, cache_hit: bool, batch_size: usize },
+    /// A decode-session open: answered with [`ServeEvent::Opened`].
+    Open { session: u64, cache_hit: bool, submitted: Instant, events: Sender<ServeEvent> },
+    /// A session close: answered with the terminal [`ServeEvent::Closed`].
+    Close { session: u64, events: Sender<ServeEvent> },
 }
 
-/// A finished layer request, reported by a worker to the collector.
-#[derive(Debug)]
-pub(crate) struct LayerDone {
-    pub id: u64,
-    pub result: Result<MultiHeadRun, ServeError>,
-    pub cache_hit: bool,
-    /// `None` when the request failed before reaching a worker.
-    pub worker: Option<usize>,
-    pub batch_size: usize,
-    pub submitted: Instant,
-    pub finished: Instant,
-}
-
-/// Anything a worker (or the dispatcher, for pre-worker failures) reports
-/// to the collector.
-#[derive(Debug)]
-pub(crate) enum Completed {
-    /// A layer request finished; enters the ordered response stream.
-    Layer(LayerDone),
-    /// A decode session finished opening (metrics only — the client hears
-    /// through the session channel). Opens pay compile + prompt ingest,
-    /// so they carry timestamps and count toward the report's wall span.
-    SessionOpened { ok: bool, submitted: Instant, finished: Instant },
-    /// A decode step finished (metrics only).
-    Step { ok: bool, submitted: Instant, finished: Instant },
-    /// A decode step was dropped without executing because its session
-    /// was already closed when the dispatcher saw it (a benign
-    /// close/step race). Exits the depth gauge but is not a step
-    /// execution — it must not count as a decode step or error.
-    StepDropped,
-}
-
-/// Pre-resolved registry handles for the decode scheduler's telemetry:
-/// fetched once at pool spawn, shared by every worker (the underlying
-/// counters and gauges are atomic), updated lock-free on the hot path.
+/// Pre-resolved registry handles for everything the runtime counts:
+/// fetched once at start, shared by the dispatcher and every worker (the
+/// underlying counters, gauges and histograms are atomic), updated
+/// lock-free on the hot path. Every request finishes through one of the
+/// `complete_*` methods.
 #[derive(Clone)]
-struct DecodeMetrics {
+pub(crate) struct ServeMetrics {
+    /// `serve.queue_depth`: entered at submission, exited by the
+    /// completion — after its event.
+    pub depth: Arc<Gauge>,
+    requests: Arc<Counter>,
+    errors: Arc<Counter>,
+    latency: Arc<LogHistogram>,
+    /// MAC saturation events over every successful layer.
+    saturation_events: Arc<Counter>,
+    /// Simulated cycles over every successful layer, all heads.
+    sim_cycles: Arc<Counter>,
+    /// `serve.worker.{i}.requests`: layers each worker executed.
+    worker_requests: Vec<Arc<Counter>>,
+    /// Batches the dispatcher handed to a worker, and their members.
+    batches: Arc<Counter>,
+    batched_requests: Arc<Counter>,
+    sessions: Arc<Counter>,
+    session_errors: Arc<Counter>,
+    steps: Arc<Counter>,
+    step_errors: Arc<Counter>,
+    step_latency: Arc<LogHistogram>,
+    /// The wall span — first submission to last completion — as
+    /// nanoseconds since `epoch`, so each end is one atomic min/max.
+    epoch: Instant,
+    first_submit_ns: Arc<AtomicU64>,
+    last_finish_ns: Arc<AtomicU64>,
     /// Scheduler ticks that fused (>= 2 steps in one pass).
     ticks: Arc<Counter>,
     /// Steps executed through fused passes (`fused_steps / ticks` is the
@@ -126,7 +138,7 @@ struct DecodeMetrics {
     fused_steps: Arc<Counter>,
     /// MAC saturation events over every successful step: clipping is
     /// silent in the outputs, so this is where it shows.
-    saturation_events: Arc<Counter>,
+    decode_saturation_events: Arc<Counter>,
     /// Sum over successful steps of the stepped session's resident K/V
     /// bytes — divided by the step count it is the mean paged footprint.
     resident_kv_byte_steps: Arc<Counter>,
@@ -141,18 +153,136 @@ struct DecodeMetrics {
     pool_exhausted: Arc<Counter>,
 }
 
-impl DecodeMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
+impl ServeMetrics {
+    pub fn new(registry: &MetricsRegistry, workers: usize) -> Self {
         Self {
+            depth: registry.gauge("serve.queue_depth"),
+            requests: registry.counter("serve.requests"),
+            errors: registry.counter("serve.errors"),
+            latency: registry.histogram("serve.latency_ns"),
+            saturation_events: registry.counter("serve.saturation_events"),
+            sim_cycles: registry.counter("serve.sim_cycles"),
+            worker_requests: (0..workers)
+                .map(|w| registry.counter(&format!("serve.worker.{w}.requests")))
+                .collect(),
+            batches: registry.counter("serve.batches"),
+            batched_requests: registry.counter("serve.batched_requests"),
+            sessions: registry.counter("serve.decode.sessions"),
+            session_errors: registry.counter("serve.decode.session_errors"),
+            steps: registry.counter("serve.decode.steps"),
+            step_errors: registry.counter("serve.decode.step_errors"),
+            step_latency: registry.histogram("serve.decode.step_latency_ns"),
+            epoch: Instant::now(),
+            first_submit_ns: Arc::new(AtomicU64::new(u64::MAX)),
+            last_finish_ns: Arc::new(AtomicU64::new(0)),
             ticks: registry.counter("serve.decode.ticks"),
             fused_steps: registry.counter("serve.decode.fused_steps"),
-            saturation_events: registry.counter("serve.decode.saturation_events"),
+            decode_saturation_events: registry.counter("serve.decode.saturation_events"),
             resident_kv_byte_steps: registry.counter("serve.decode.resident_kv_byte_steps"),
             resident_pages: registry.gauge("serve.decode.resident_pages"),
             pool_pages: registry.gauge("serve.decode.pool_pages"),
             page_reclaims: registry.counter("serve.decode.page_reclaims"),
             pool_exhausted: registry.counter("serve.decode.pool_exhausted"),
         }
+    }
+
+    /// The one clock read of a completion: the wall span takes it, and
+    /// the latency it returns is what the event carries and what the
+    /// histogram records.
+    fn finish(&self, submitted: Instant) -> f64 {
+        let finished = Instant::now();
+        // Statistics: the two values publish no other data.
+        let since = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
+        self.first_submit_ns.fetch_min(since(submitted), Ordering::Relaxed);
+        self.last_finish_ns.fetch_max(since(finished), Ordering::Relaxed);
+        finished.duration_since(submitted).as_secs_f64()
+    }
+
+    /// Seconds from the first submission to the last completion so far;
+    /// zero before anything completed.
+    pub fn wall_s(&self) -> f64 {
+        let first = self.first_submit_ns.load(Ordering::Relaxed);
+        let last = self.last_finish_ns.load(Ordering::Relaxed);
+        last.saturating_sub(first) as f64 / 1e9
+    }
+
+    /// Counts one batch of `size` requests handed to a worker.
+    pub fn count_batch(&self, size: u64) {
+        self.batches.inc();
+        self.batched_requests.add(size);
+    }
+
+    /// Completes a layer request. `worker` and `batch_size` are `None`
+    /// and 0 when it failed before reaching a worker.
+    pub fn complete_layer(
+        &self,
+        ticket: LayerTicket,
+        cache_hit: bool,
+        result: Result<MultiHeadRun, ServeError>,
+        worker: Option<usize>,
+        batch_size: usize,
+    ) {
+        let LayerTicket { id, submitted, events } = ticket;
+        let latency_s = self.finish(submitted);
+        self.requests.inc();
+        self.latency.record_secs(latency_s);
+        match &result {
+            Ok(run) => {
+                self.sim_cycles.add(run.heads.iter().map(|h| h.report.timing.cycles.total).sum());
+                self.saturation_events
+                    .add(run.heads.iter().map(|h| h.report.saturation_events).sum());
+            }
+            Err(_) => self.errors.inc(),
+        }
+        if let Some(worker) = worker {
+            self.worker_requests[worker].inc();
+        }
+        let response = ServeResponse { id, result, cache_hit, worker, batch_size, latency_s };
+        // The client may have stopped reading; metrics still count.
+        let _ = events.send(ServeEvent::Layer(response));
+        self.depth.add(-1);
+    }
+
+    /// Completes a session open. Opens pay the compile and the prompt
+    /// ingest, so they count toward the wall span like any other work.
+    pub fn complete_open(
+        &self,
+        events: &Sender<ServeEvent>,
+        session: u64,
+        submitted: Instant,
+        result: Result<SessionInfo, ServeError>,
+    ) {
+        self.finish(submitted);
+        self.sessions.inc();
+        if result.is_err() {
+            self.session_errors.inc();
+        }
+        let _ = events.send(ServeEvent::Opened { session, result });
+        self.depth.add(-1);
+    }
+
+    /// Completes a decode step. `retired` is `Some(position)` when the
+    /// failure took the session with it: the terminal
+    /// [`ServeEvent::Closed`] follows the step event.
+    pub fn complete_step(
+        &self,
+        events: &Sender<ServeEvent>,
+        session: u64,
+        submitted: Instant,
+        result: Result<DecodeStep, ServeError>,
+        retired: Option<Option<usize>>,
+    ) {
+        let latency_s = self.finish(submitted);
+        self.steps.inc();
+        if result.is_err() {
+            self.step_errors.inc();
+        }
+        self.step_latency.record_secs(latency_s);
+        let _ = events.send(ServeEvent::Step { session, result, latency_s });
+        if let Some(position) = retired {
+            let _ = events.send(ServeEvent::Closed { session, position });
+        }
+        self.depth.add(-1);
     }
 }
 
@@ -168,7 +298,7 @@ struct PoolWatch {
 /// Mirrors one worker's page-pool state into the shared registry: gauges
 /// take the raw values (their high-water marks are max-merged across
 /// workers by construction), counters take deltas since the last publish.
-fn publish_pool_stats(engine: &LoweredEngine, metrics: &DecodeMetrics, watch: &mut PoolWatch) {
+fn publish_pool_stats(engine: &LoweredEngine, metrics: &ServeMetrics, watch: &mut PoolWatch) {
     let Some(stats) = engine.kv_pool_stats() else { return };
     metrics.resident_pages.set(stats.in_use as i64);
     metrics.pool_pages.set(stats.high_water as i64);
@@ -182,30 +312,28 @@ fn publish_pool_stats(engine: &LoweredEngine, metrics: &DecodeMetrics, watch: &m
 pub(crate) struct WorkerPool {
     senders: Vec<Sender<Vec<Job>>>,
     outstanding: Vec<Arc<AtomicUsize>>,
-    pub handles: Vec<JoinHandle<()>>,
+    /// Each worker returns the simulated energy of the layers it ran.
+    handles: Vec<JoinHandle<f64>>,
 }
 
 impl WorkerPool {
     /// Spawns `workers` threads, each owning an engine built from `salo`.
-    /// `parallelism` is the engines' prefill shard count (`0` inherits
-    /// the `SALO_PARALLELISM` environment default). `decode_page_rows` /
-    /// `decode_pool_pages` configure each engine's K/V page pool (`None`
-    /// is `DEFAULT_PAGE_ROWS` rows, unbounded); decode telemetry lands
-    /// in `metrics`.
-    #[allow(clippy::too_many_arguments)] // one call site, in SaloServer::start
+    /// `options.worker_parallelism` is the engines' prefill shard count
+    /// (`0` inherits the `SALO_PARALLELISM` environment default);
+    /// `decode_page_rows` / `decode_pool_pages` configure each engine's
+    /// K/V page pool (`None` is `DEFAULT_PAGE_ROWS` rows, unbounded).
     pub fn spawn(
         workers: usize,
-        parallelism: usize,
-        decode_page_rows: Option<usize>,
-        decode_pool_pages: Option<usize>,
+        options: &ServeOptions,
         salo: &Salo,
-        done: &Sender<Completed>,
         registry: &Arc<SessionRegistry>,
-        metrics: &Arc<MetricsRegistry>,
+        metrics: &ServeMetrics,
     ) -> Self {
-        let workers = workers.max(1);
-        let parallelism = if parallelism == 0 { salo_core::env_parallelism() } else { parallelism };
-        let decode_metrics = DecodeMetrics::new(metrics);
+        let ServeOptions { decode_page_rows, decode_pool_pages, .. } = *options;
+        let parallelism = match options.worker_parallelism {
+            0 => salo_core::env_parallelism(),
+            shards => shards,
+        };
         let mut senders = Vec::with_capacity(workers);
         let mut outstanding = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -218,24 +346,18 @@ impl WorkerPool {
                 let rows = decode_page_rows.unwrap_or(DEFAULT_PAGE_ROWS);
                 engine.configure_kv_pool(rows, decode_pool_pages);
             }
-            let worker_done = done.clone();
-            let worker_load = Arc::clone(&load);
-            let worker_registry = Arc::clone(registry);
-            let worker_metrics = decode_metrics.clone();
+            let worker = Worker {
+                index,
+                engine,
+                load: Arc::clone(&load),
+                registry: Arc::clone(registry),
+                metrics: metrics.clone(),
+                energy_j: 0.0,
+            };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("salo-serve-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(
-                            index,
-                            engine,
-                            &rx,
-                            &worker_done,
-                            &worker_load,
-                            &worker_registry,
-                            &worker_metrics,
-                        )
-                    })
+                    .spawn(move || worker.run(&rx))
                     .expect("spawn worker thread"),
             );
             senders.push(tx);
@@ -295,244 +417,204 @@ impl WorkerPool {
         }
     }
 
-    /// Closes the submission side; workers drain their queues and exit.
-    pub fn close(&mut self) {
-        self.senders.clear();
+    /// Closes the submission side — the workers drain their queues and
+    /// exit — and returns their simulated energy, summed in worker order.
+    pub fn join(self) -> f64 {
+        drop(self.senders);
+        self.handles.into_iter().map(|h| h.join().expect("worker thread panicked")).sum()
     }
 }
 
-fn worker_loop(
+/// One worker thread's state.
+struct Worker {
     index: usize,
-    mut engine: LoweredEngine,
-    rx: &Receiver<Vec<Job>>,
-    done: &Sender<Completed>,
-    load: &AtomicUsize,
-    registry: &SessionRegistry,
-    metrics: &DecodeMetrics,
-) {
-    let mut watch = PoolWatch::default();
-    while let Ok(mut jobs) = rx.recv() {
-        // Open the tick: drain whatever else is already queued (bounded),
-        // so steps submitted close together can fuse below.
-        let mut drained = 0usize;
-        while drained < TICK_DRAIN_BATCHES {
-            match rx.try_recv() {
-                Ok(more) => {
-                    jobs.extend(more);
-                    drained += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        if !run_tick(index, &mut engine, jobs, done, load, registry, metrics) {
-            return; // collector is gone; nothing left to report to
-        }
-        publish_pool_stats(&engine, metrics, &mut watch);
-    }
+    engine: LoweredEngine,
+    load: Arc<AtomicUsize>,
+    registry: Arc<SessionRegistry>,
+    metrics: ServeMetrics,
+    /// Simulated energy of the layers executed here. An `f64` sum depends
+    /// on its order, so it is per worker, not a shared counter.
+    energy_j: f64,
 }
 
-/// Processes one scheduler tick's jobs strictly in arrival order, running
-/// each maximal contiguous run of distinct-session decode steps as one
-/// batched engine pass. Returns `false` once the collector is gone.
-#[allow(clippy::too_many_arguments)]
-fn run_tick(
-    index: usize,
-    engine: &mut LoweredEngine,
-    jobs: Vec<Job>,
-    done: &Sender<Completed>,
-    load: &AtomicUsize,
-    registry: &SessionRegistry,
-    metrics: &DecodeMetrics,
-) -> bool {
-    let mut run: Vec<StepJob> = Vec::new();
-    let flush = |run: &mut Vec<StepJob>, engine: &mut LoweredEngine| -> bool {
-        run.is_empty()
-            || run_steps(index, engine, std::mem::take(run), done, load, registry, metrics)
-    };
-    for job in jobs {
-        match job {
-            Job::Step(step) => {
-                if run.iter().any(|s| s.session == step.session) {
-                    // A second step for a session already in the run: it
-                    // must observe the first step's state, so the run ends
-                    // here and this step opens the next one — per-session
-                    // order is preserved by construction.
-                    if !flush(&mut run, engine) {
-                        return false;
+impl Worker {
+    fn run(mut self, rx: &Receiver<Vec<Job>>) -> f64 {
+        let mut watch = PoolWatch::default();
+        while let Ok(mut jobs) = rx.recv() {
+            // Open the tick: drain whatever else is already queued
+            // (bounded), so steps submitted close together can fuse below.
+            let mut drained = 0usize;
+            while drained < TICK_DRAIN_BATCHES {
+                match rx.try_recv() {
+                    Ok(more) => {
+                        jobs.extend(more);
+                        drained += 1;
                     }
-                }
-                run.push(step);
-            }
-            Job::Request { request, reply } => {
-                if !flush(&mut run, engine) {
-                    return false;
-                }
-                if !run_job(index, engine, request, reply, done, load, registry) {
-                    return false;
+                    Err(_) => break,
                 }
             }
+            self.run_tick(jobs);
+            publish_pool_stats(&self.engine, &self.metrics, &mut watch);
         }
+        self.energy_j
     }
-    flush(&mut run, engine)
-}
 
-/// Executes a run of distinct-session decode steps — one or many — as one
-/// [`AttentionRequest::DecodeStepBatch`] pass, then routes every entry's
-/// outcome: queue-wait recorded at dequeue, retirement settled and load
-/// released before the event sends, one [`Completed::Step`] per entry, in
-/// run order.
-#[allow(clippy::too_many_arguments)]
-fn run_steps(
-    index: usize,
-    engine: &mut LoweredEngine,
-    steps: Vec<StepJob>,
-    done: &Sender<Completed>,
-    load: &AtomicUsize,
-    registry: &SessionRegistry,
-    metrics: &DecodeMetrics,
-) -> bool {
-    let tracer = salo_trace::Tracer::global();
-    let tick_span = tracer.span_with("serve.decode.tick", "serve", steps.len() as u64);
-    if steps.len() >= 2 {
-        metrics.ticks.inc();
-        metrics.fused_steps.add(steps.len() as u64);
+    /// Processes one scheduler tick's jobs strictly in arrival order,
+    /// running each maximal contiguous run of distinct-session decode
+    /// steps as one batched engine pass.
+    fn run_tick(&mut self, jobs: Vec<Job>) {
+        let mut run: Vec<StepJob> = Vec::new();
+        for job in jobs {
+            match job {
+                Job::Step(step) => {
+                    if run.iter().any(|s| s.session == step.session) {
+                        // A second step for a session already in the run:
+                        // it must observe the first step's state, so the
+                        // run ends here and this step opens the next one —
+                        // per-session order is preserved by construction.
+                        self.run_steps(std::mem::take(&mut run));
+                    }
+                    run.push(step);
+                }
+                Job::Request { request, reply } => {
+                    self.run_steps(std::mem::take(&mut run));
+                    self.run_job(request, reply);
+                }
+            }
+        }
+        self.run_steps(run);
     }
-    let mut routes = Vec::with_capacity(steps.len());
-    let mut batch = Vec::with_capacity(steps.len());
-    for step in steps {
-        tracer.record_since("serve.decode.queue_wait", "serve", step.submitted, step.session);
-        // Liveness and position snapshots *before* the pass, per entry.
-        let known = engine.has_session(step.session);
-        let before = engine.session_position(step.session);
-        routes.push((step.session, step.submitted, step.events, known, before));
-        batch.push((step.session, step.token));
-    }
-    let executed = engine
-        .execute(AttentionRequest::DecodeStepBatch { steps: batch })
-        .and_then(|r| r.into_step_batch());
-    let results = match executed {
-        Ok(list) => {
-            debug_assert!(
-                list.len() == routes.len()
-                    && list.iter().zip(&routes).all(|((sid, _), (rs, ..))| sid == rs),
-                "fused results align with the run, in order"
-            );
-            list.into_iter().map(|(_, result)| result).collect::<Vec<_>>()
-        }
-        // The batch itself was rejected (an engine without decode, a
-        // malformed request): every member step failed identically.
-        Err(e) => routes.iter().map(|_| Err(e.clone())).collect(),
-    };
-    drop(tick_span);
-    for ((session, submitted, events, known, before), result) in routes.into_iter().zip(results) {
-        let ok = result.is_ok();
-        // Bookkeeping (load, registry retirement) strictly precedes the
-        // event sends: a client that has observed a step's outcome must
-        // see the worker's state already settled — retired sessions
-        // reject further steps, and session placement reads a load this
-        // step no longer inflates. A failure that desynced the per-head
-        // states made the engine retire the session; propagate that
-        // runtime-wide. Pre-mutation validation failures leave it live
-        // (and decodable), and steps for sessions this engine never held
-        // were retired long ago.
-        let poisoned = known && !engine.has_session(session);
-        if poisoned {
-            registry.retire(session);
-        }
-        load.fetch_sub(1, Ordering::Relaxed);
-        if let Ok(step) = &result {
-            metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
-            metrics.saturation_events.add(step.telemetry.saturation_events);
-        }
-        let result = result
-            .map(|step| DecodeStep { position: step.position, heads: step.heads, worker: index })
-            .map_err(ServeError::from);
-        let _reply_span = tracer.span_with("serve.reply", "serve", session);
-        let _ = events.send(SessionEvent::Step {
-            session,
-            result,
-            latency_s: submitted.elapsed().as_secs_f64(),
-        });
-        if poisoned {
-            // `before` is the tokens known ingested when the failing step
-            // began; the failing token's partial ingest died with the
-            // session state.
-            let _ = events.send(SessionEvent::Closed { session, position: before });
-        }
-        if done.send(Completed::Step { ok, submitted, finished: Instant::now() }).is_err() {
-            return false;
-        }
-    }
-    true
-}
 
-/// Executes one layer, open or close on the worker's engine and routes
-/// its outcome. Returns `false` once the collector is gone.
-fn run_job(
-    index: usize,
-    engine: &mut LoweredEngine,
-    request: AttentionRequest,
-    reply: Reply,
-    done: &Sender<Completed>,
-    load: &AtomicUsize,
-    registry: &SessionRegistry,
-) -> bool {
-    let tracer = salo_trace::Tracer::global();
-    match reply {
-        Reply::Layer { id, cache_hit, batch_size, submitted } => {
-            // Queue wait: submission to execution start, recorded from
-            // this worker's dequeue (it includes the dispatcher's plan
-            // lookup and batch formation ahead of the worker queue).
-            tracer.record_since("serve.queue_wait", "serve", submitted, id);
-            let result = engine
-                .execute(request)
-                .and_then(|r| r.into_prefill())
-                .and_then(PrefillOutput::into_multi_head_run)
-                .map_err(ServeError::from);
-            load.fetch_sub(1, Ordering::Relaxed);
-            let _reply_span = tracer.span_with("serve.reply", "serve", id);
-            let completed = Completed::Layer(LayerDone {
-                id,
-                result,
-                cache_hit,
-                worker: Some(index),
-                batch_size,
-                submitted,
-                finished: Instant::now(),
-            });
-            done.send(completed).is_ok()
+    /// Executes a run of distinct-session decode steps — one or many — as
+    /// one [`AttentionRequest::DecodeStepBatch`] pass, then completes
+    /// every entry in run order: queue-wait recorded at dequeue,
+    /// retirement settled and load released before the completion.
+    fn run_steps(&mut self, steps: Vec<StepJob>) {
+        if steps.is_empty() {
+            return;
         }
-        Reply::Open { session, cache_hit, submitted, events } => {
-            tracer.record_since("serve.queue_wait", "serve", submitted, session);
-            let result = engine.execute(request).and_then(|r| r.into_opened());
-            load.fetch_sub(1, Ordering::Relaxed);
-            let ok = result.is_ok();
-            let info = result.map(|opened| SessionInfo {
-                worker: index,
-                min_step: opened.min_step,
-                position: opened.position,
-                capacity: opened.capacity,
-                cache_hit,
-            });
-            if !ok {
-                // Deregister before reporting, so a client that saw the
-                // failed handshake gets `UnknownSession` from any later
-                // `step_session` instead of a silent drop; the retirement
-                // also queues the dispatcher route for reaping.
+        let Self { index, engine, load, registry, metrics, .. } = self;
+        let tracer = salo_trace::Tracer::global();
+        let tick_span = tracer.span_with("serve.decode.tick", "serve", steps.len() as u64);
+        if steps.len() >= 2 {
+            metrics.ticks.inc();
+            metrics.fused_steps.add(steps.len() as u64);
+        }
+        let mut routes = Vec::with_capacity(steps.len());
+        let mut batch = Vec::with_capacity(steps.len());
+        for step in steps {
+            tracer.record_since("serve.decode.queue_wait", "serve", step.submitted, step.session);
+            // Liveness and position snapshots *before* the pass, per entry.
+            let known = engine.has_session(step.session);
+            let before = engine.session_position(step.session);
+            routes.push((step.session, step.submitted, step.events, known, before));
+            batch.push((step.session, step.token));
+        }
+        let executed = engine
+            .execute(AttentionRequest::DecodeStepBatch { steps: batch })
+            .and_then(|r| r.into_step_batch());
+        let results = match executed {
+            Ok(list) => {
+                debug_assert!(
+                    list.len() == routes.len()
+                        && list.iter().zip(&routes).all(|((sid, _), (rs, ..))| sid == rs),
+                    "fused results align with the run, in order"
+                );
+                list.into_iter().map(|(_, result)| result).collect::<Vec<_>>()
+            }
+            // The batch itself was rejected (an engine without decode, a
+            // malformed request): every member step failed identically.
+            Err(e) => routes.iter().map(|_| Err(e.clone())).collect(),
+        };
+        drop(tick_span);
+        for ((session, submitted, events, known, before), result) in routes.into_iter().zip(results)
+        {
+            // Bookkeeping (load, registry retirement) strictly precedes
+            // the completion: a client that has observed a step's outcome
+            // must see the worker's state already settled — retired
+            // sessions reject further steps, and session placement reads
+            // a load this step no longer inflates. A failure that desynced
+            // the per-head states made the engine retire the session;
+            // propagate that runtime-wide. Pre-mutation validation
+            // failures leave it live (and decodable), and steps for
+            // sessions this engine never held were retired long ago.
+            let poisoned = known && !engine.has_session(session);
+            if poisoned {
                 registry.retire(session);
             }
-            let _ = events
-                .send(SessionEvent::Opened { session, result: info.map_err(ServeError::from) });
-            let completed = Completed::SessionOpened { ok, submitted, finished: Instant::now() };
-            done.send(completed).is_ok()
-        }
-        Reply::Close { session, events } => {
             load.fetch_sub(1, Ordering::Relaxed);
-            if let Ok(closed) = engine.execute(request).and_then(|r| r.into_closed()) {
-                let _ =
-                    events.send(SessionEvent::Closed { session, position: Some(closed.position) });
+            if let Ok(step) = &result {
+                metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
+                metrics.decode_saturation_events.add(step.telemetry.saturation_events);
             }
-            true
+            let result = result
+                .map(|step| DecodeStep {
+                    position: step.position,
+                    heads: step.heads,
+                    worker: *index,
+                })
+                .map_err(ServeError::from);
+            let _reply_span = tracer.span_with("serve.reply", "serve", session);
+            // `before` is the tokens known ingested when a poisoning step
+            // began; the failing token's partial ingest died with the
+            // session state.
+            metrics.complete_step(&events, session, submitted, result, poisoned.then_some(before));
+        }
+    }
+
+    /// Executes one layer, open or close on the worker's engine and
+    /// completes it on the sender it came in with.
+    fn run_job(&mut self, request: AttentionRequest, reply: Reply) {
+        let Self { index, engine, load, registry, metrics, energy_j } = self;
+        let tracer = salo_trace::Tracer::global();
+        match reply {
+            Reply::Layer { ticket, cache_hit, batch_size } => {
+                // Queue wait: submission to execution start, recorded from
+                // this worker's dequeue (it includes the dispatcher's plan
+                // lookup and batch formation ahead of the worker queue).
+                tracer.record_since("serve.queue_wait", "serve", ticket.submitted, ticket.id);
+                let result = engine
+                    .execute(request)
+                    .and_then(|r| r.into_prefill())
+                    .and_then(PrefillOutput::into_multi_head_run)
+                    .map_err(ServeError::from);
+                load.fetch_sub(1, Ordering::Relaxed);
+                if let Ok(run) = &result {
+                    *energy_j += run.total_energy_j;
+                }
+                let _reply_span = tracer.span_with("serve.reply", "serve", ticket.id);
+                metrics.complete_layer(ticket, cache_hit, result, Some(*index), batch_size);
+            }
+            Reply::Open { session, cache_hit, submitted, events } => {
+                tracer.record_since("serve.queue_wait", "serve", submitted, session);
+                let result = engine.execute(request).and_then(|r| r.into_opened());
+                load.fetch_sub(1, Ordering::Relaxed);
+                if result.is_err() {
+                    // Deregister before reporting, so a client that saw
+                    // the failed handshake gets `UnknownSession` from any
+                    // later `step_session` instead of a silent drop; the
+                    // retirement also queues the dispatcher route for
+                    // reaping.
+                    registry.retire(session);
+                }
+                let info = result
+                    .map(|opened| SessionInfo {
+                        worker: *index,
+                        min_step: opened.min_step,
+                        position: opened.position,
+                        capacity: opened.capacity,
+                        cache_hit,
+                    })
+                    .map_err(ServeError::from);
+                metrics.complete_open(&events, session, submitted, info);
+            }
+            Reply::Close { session, events } => {
+                load.fetch_sub(1, Ordering::Relaxed);
+                if let Ok(closed) = engine.execute(request).and_then(|r| r.into_closed()) {
+                    let _ = events
+                        .send(ServeEvent::Closed { session, position: Some(closed.position) });
+                }
+            }
         }
     }
 }

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The per-server metrics registry: counters, gauges, histograms the
-    // collector maintained while the burst ran.
+    // dispatcher and the workers updated while the burst ran.
     println!("-- serve metrics registry --");
     println!("{}", server.metrics().export_table());
 

@@ -8,7 +8,7 @@ use salo::kernels::Qkv;
 use salo::patterns::{HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
 use salo::serve::{
-    GenerationTraffic, LatencyStats, SaloServer, ServeError, ServeOptions, SessionEvent, TokenQkv,
+    GenerationTraffic, LatencyStats, SaloServer, ServeError, ServeEvent, ServeOptions, TokenQkv,
 };
 use salo::sim::AcceleratorConfig;
 
@@ -393,7 +393,7 @@ fn drive_serve_session(
     }
     server.close_session(handle.id()).unwrap();
     match handle.recv().unwrap() {
-        SessionEvent::Closed { position, .. } => {
+        ServeEvent::Closed { position, .. } => {
             assert_eq!(position, Some(info.capacity), "session ran to capacity");
         }
         other => panic!("expected Closed, got {other:?}"),
@@ -542,7 +542,7 @@ fn serve_session_errors_are_reported_not_hung() {
     server.step_session(handle.id(), vec![tok(0.4), tok(-0.4)]).unwrap();
     assert!(handle.next_step().is_err(), "the refused allocation surfaces as a step error");
     assert!(
-        matches!(handle.recv().unwrap(), SessionEvent::Closed { position: Some(5), .. }),
+        matches!(handle.recv().unwrap(), ServeEvent::Closed { position: Some(5), .. }),
         "poison closes, at the position the failing step began"
     );
     assert_eq!(server.active_sessions(), 0, "the poisoned session is deregistered");
@@ -579,9 +579,9 @@ fn malformed_step_as_seen_by_its_session(
     let mut malformed = steps[0].clone();
     malformed[1].k.truncate(1);
     let event = |handle: &salo::serve::DecodeSessionHandle| match handle.recv().unwrap() {
-        SessionEvent::Step { result, .. } => Some(result),
-        SessionEvent::Closed { .. } => None,
-        SessionEvent::Opened { .. } => panic!("handshake already consumed"),
+        ServeEvent::Step { result, .. } => Some(result),
+        ServeEvent::Closed { .. } => None,
+        other => panic!("not a session's step or close: {other:?}"),
     };
 
     if beside_another {
@@ -672,12 +672,12 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
     let mut step_errors = 0;
     loop {
         match handle.recv().unwrap() {
-            SessionEvent::Step { result, .. } => {
+            ServeEvent::Step { result, .. } => {
                 assert!(result.is_err(), "both steps fail");
                 step_errors += 1;
             }
-            SessionEvent::Closed { .. } => break,
-            SessionEvent::Opened { .. } => panic!("handshake already consumed"),
+            ServeEvent::Closed { .. } => break,
+            other => panic!("not a session's step or close: {other:?}"),
         }
     }
     assert!(step_errors >= 1, "the poisoning step always reports");
@@ -753,7 +753,7 @@ fn steps_accepted_before_close_still_execute() {
     server.close_session(handle.id()).unwrap(); // before draining events
     let step = handle.next_step().expect("the accepted step must execute");
     assert_eq!(step.position, prompt_len);
-    assert!(matches!(handle.recv().unwrap(), SessionEvent::Closed { .. }));
+    assert!(matches!(handle.recv().unwrap(), ServeEvent::Closed { .. }));
 
     let report = server.shutdown();
     assert_eq!(report.decode_steps, 1);
@@ -808,7 +808,7 @@ fn retired_sessions_free_their_placement_slot() {
     assert_eq!(poisoned.wait_open().unwrap().worker, 0);
     server.step_session(poisoned.id(), steps[0].clone()).unwrap();
     assert!(poisoned.next_step().is_err());
-    assert!(matches!(poisoned.recv().unwrap(), SessionEvent::Closed { .. }));
+    assert!(matches!(poisoned.recv().unwrap(), ServeEvent::Closed { .. }));
 
     // The dead session's route must not occupy worker 0's slot.
     let a = server.open_session(request.clone()).unwrap();

@@ -6,23 +6,58 @@
 //! closes live sessions with terminal `Closed` frames (one session, and
 //! forty-eight over three connections), pipelined sessions
 //! fuse behind the socket and stay bit-identical, a dying connection's
-//! sessions are closed without stalling anyone, and the service deadline
-//! answers a request exactly once.
+//! sessions are closed without stalling anyone, the service deadline
+//! answers a request exactly once, and a small prefill is answered ahead
+//! of a stranger's large one submitted before it.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use salo::core::Salo;
-use salo::gateway::wire::{self, encode_request, ErrorCode, Header, Request, Response, WireError};
+use salo::gateway::wire::{
+    self, encode_request, ErrorCode, Header, PrefillHead, Request, Response, WireError,
+};
 use salo::gateway::{Gateway, GatewayClient, GatewayError, GatewayOptions};
 use salo::kernels::Qkv;
-use salo::models::longformer_layer;
+use salo::models::{longformer_layer, vil_stage_layer, Workload};
 use salo::serve::{GenerationTraffic, ServeOptions};
 use salo::sim::AcceleratorConfig;
 
 fn unit_gateway(options: GatewayOptions) -> Gateway {
     Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options).expect("bind gateway")
+}
+
+/// A wire prefill's heads against a direct engine run on the same
+/// configuration, bit for bit: raw `i16` rows, Q.16 weights, `f32` bits.
+fn assert_matches_engine(wire: &[PrefillHead], workload: &Workload, heads: Vec<Qkv>) {
+    use salo::core::{AttentionRequest, Engine, PatternHandle};
+    let mut engine = Salo::new(AcceleratorConfig::default()).engine();
+    let oracle = engine
+        .execute(AttentionRequest::Prefill {
+            pattern: PatternHandle::from_pattern(workload.pattern.clone()),
+            shape: workload.shape,
+            heads,
+        })
+        .expect("oracle prefill")
+        .into_prefill()
+        .expect("prefill response");
+    assert_eq!(wire.len(), oracle.heads.len());
+    for (head, oracle_head) in wire.iter().zip(&oracle.heads) {
+        let oracle_raw = oracle_head.raw.as_ref().expect("oracle raw");
+        assert_eq!(head.raw.rows(), oracle_raw.rows());
+        let reference_raw: Vec<i16> = oracle_raw.as_slice().iter().map(|x| x.raw()).collect();
+        assert_eq!(head.raw.as_slice(), reference_raw.as_slice(), "prefill raw rows diverged");
+        assert_eq!(
+            &head.weights_q16,
+            oracle_head.weights_q16.as_ref().expect("oracle weights"),
+            "prefill weights diverged"
+        );
+        let bits = |m: &salo::kernels::Matrix<f32>| -> Vec<u32> {
+            m.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&head.output), bits(&oracle_head.output), "prefill f32 bits diverged");
+    }
 }
 
 fn one_worker() -> GatewayOptions {
@@ -47,36 +82,8 @@ fn socket_decode_is_bit_identical_to_in_process_session() {
     let (heads, _, _) = client
         .prefill(workload.pattern.clone(), workload.shape, vec![qkv.clone()])
         .expect("wire prefill");
-    let oracle = {
-        use salo::core::{AttentionRequest, Engine, PatternHandle};
-        let salo = Salo::new(AcceleratorConfig::default());
-        let mut engine = salo.engine();
-        engine
-            .execute(AttentionRequest::Prefill {
-                pattern: PatternHandle::from_pattern(workload.pattern.clone()),
-                shape: workload.shape,
-                heads: vec![qkv],
-            })
-            .expect("oracle prefill")
-            .into_prefill()
-            .expect("prefill response")
-    };
     assert_eq!(heads.len(), 1);
-    let oracle_head = &oracle.heads[0];
-    let oracle_raw = oracle_head.raw.as_ref().expect("oracle raw");
-    assert_eq!(heads[0].raw.rows(), oracle_raw.rows());
-    let wire_raw = heads[0].raw.as_slice();
-    let reference_raw: Vec<i16> = oracle_raw.as_slice().iter().map(|x| x.raw()).collect();
-    assert_eq!(wire_raw, reference_raw.as_slice(), "prefill raw rows diverged");
-    assert_eq!(
-        &heads[0].weights_q16,
-        oracle_head.weights_q16.as_ref().expect("oracle weights"),
-        "prefill weights diverged"
-    );
-    let wire_bits: Vec<u32> = heads[0].output.as_slice().iter().map(|x| x.to_bits()).collect();
-    let reference_bits: Vec<u32> =
-        oracle_head.output.as_slice().iter().map(|x| x.to_bits()).collect();
-    assert_eq!(wire_bits, reference_bits, "prefill f32 bits diverged");
+    assert_matches_engine(&heads, &workload, vec![qkv]);
 
     // Decode: open -> step xN -> close against the core session. Shape 1
     // of the demo mix is single-head, matching `decode_session`.
@@ -502,4 +509,55 @@ fn service_timeout_answers_once_and_the_connection_keeps_serving() {
         Err(other) => panic!("unexpected error after the timeout: {other}"),
         Ok((header, _)) => panic!("a second frame for request {}", header.request_id),
     }
+}
+
+/// Two tenants, two workers, one large prefill in flight: a tiny prefill
+/// another tenant sends behind it is answered first. Layer replies leave
+/// in completion order — wire clients correlate by `request_id` — so
+/// nobody waits behind a stranger's request for the sake of an order
+/// nobody asked for. Both replies are bit-identical to a direct engine
+/// run.
+#[test]
+fn a_small_prefill_is_answered_ahead_of_a_strangers_large_one() {
+    let gateway = unit_gateway(GatewayOptions {
+        serve: ServeOptions { workers: 2, ..Default::default() },
+        ..Default::default()
+    });
+    let large = longformer_layer(2048, 256, 256, 1).expect("workload");
+    let small = vil_stage_layer(8, 8, 3, 3, 64, 1).expect("workload");
+    let large_heads = large.qkv_heads(11);
+    let small_heads = small.qkv_heads(12);
+
+    let mut a = GatewayClient::connect(gateway.local_addr(), 1).expect("connect a");
+    let mut b = GatewayClient::connect(gateway.local_addr(), 2).expect("connect b");
+    let large_id = a
+        .send(&Request::Prefill {
+            pattern: large.pattern.clone(),
+            shape: large.shape,
+            heads: large_heads.clone(),
+        })
+        .expect("send large");
+    // In flight: the server has taken it (its depth gauge reads 1).
+    let in_flight = |stats: &str| stats.contains("\"serve.queue_depth\":{\"value\":1,");
+    while !in_flight(&b.stats_json().expect("stats")) {
+        std::thread::yield_now();
+    }
+    let (heads, _, _) =
+        b.prefill(small.pattern.clone(), small.shape, small_heads.clone()).expect("small prefill");
+    // Results are counted before they are sent: had the large one been
+    // finished (or the small one held for it), this would read 2.
+    let stats = b.stats_json().expect("stats");
+    assert!(stats.contains("\"serve.requests\":1,"), "the small reply waited: {stats}");
+    assert_matches_engine(&heads, &small, small_heads);
+
+    match a.recv().expect("large reply") {
+        (header, Response::PrefillDone { heads, .. }) => {
+            assert_eq!(header.request_id, large_id);
+            assert_matches_engine(&heads, &large, large_heads);
+        }
+        (_, other) => panic!("expected the large PrefillDone, got {other:?}"),
+    }
+    let report = gateway.shutdown();
+    assert_eq!((report.serve.requests, report.serve.errors), (2, 0));
+    assert_eq!(report.serve.per_worker_requests, vec![1, 1]);
 }

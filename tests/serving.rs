@@ -1,13 +1,18 @@
 //! Integration tests for the `salo-serve` runtime: batched multi-worker
-//! execution is bit-identical to the one-shot `Salo` API, responses come
-//! back in submission order, and the plan cache behaves as advertised
-//! end to end.
+//! execution is bit-identical to the one-shot `Salo` API, `recv` returns
+//! responses in submission order while a caller-supplied sink gets them
+//! in completion order, every result is counted before it is seen, and
+//! the plan cache behaves as advertised end to end.
+
+use std::sync::mpsc::channel;
+use std::time::{Duration, Instant};
 
 use salo::core::{AttentionRequest, Engine, Salo};
+use salo::models::longformer_layer;
 use salo::scheduler::HardwareMeta;
 use salo::serve::{
-    GenerationShape, GenerationTraffic, LatencyStats, SaloServer, ServeOptions, ServeRequest,
-    TrafficMix,
+    GenerationShape, GenerationTraffic, LatencyStats, SaloServer, ServeEvent, ServeOptions,
+    ServeRequest, TrafficMix,
 };
 use salo::sim::AcceleratorConfig;
 
@@ -138,13 +143,29 @@ fn report_accounts_every_request_and_worker() {
         assert!(response.batch_size >= 1);
         assert!(response.worker.is_some());
     }
-    assert_eq!(server.queue_depth(), 0, "all drained");
+    // The depth exit follows the event, so the reader of the last
+    // response can get here a moment before it.
+    let patience = Instant::now() + Duration::from_secs(10);
+    while server.queue_depth() != 0 {
+        assert!(Instant::now() < patience, "the last completion never left the depth gauge");
+        std::thread::yield_now();
+    }
     // Every response has been read, so every completion is recorded: the
     // report's histogram is the registry's, bucket for bucket, and its
-    // summary is that histogram's.
-    let live = server.metrics().histogram("serve.latency_ns").snapshot();
+    // summary is that histogram's. What the report says per worker and in
+    // simulated cycles, and the batch counts, are live registry values too.
+    let metrics = server.metrics();
+    let live = metrics.histogram("serve.latency_ns").snapshot();
+    let live_batches = metrics.counter("serve.batches").get();
+    assert!(live_batches >= 1, "batches are counted as they are dispatched");
+    let live_cycles = metrics.counter("serve.sim_cycles").get();
+    let live_per_worker: Vec<u64> =
+        (0..3).map(|w| metrics.counter(&format!("serve.worker.{w}.requests")).get()).collect();
     let report = server.shutdown();
     assert_eq!(report.latency_hist, live);
+    assert_eq!(report.batches, live_batches);
+    assert_eq!(report.sim_cycles, live_cycles);
+    assert_eq!(report.per_worker_requests, live_per_worker);
     assert_eq!(report.latency, LatencyStats::from_histogram(&report.latency_hist));
     assert_eq!(report.requests, total);
     assert_eq!(report.per_worker_requests.len(), 3);
@@ -158,6 +179,99 @@ fn report_accounts_every_request_and_worker() {
     assert!(report.throughput_rps > 0.0);
     // The report pretty-prints without panicking.
     assert!(report.to_string().contains("plan cache"));
+}
+
+/// A request that keeps a worker busy for long enough that a small one
+/// submitted behind it finishes first on the other worker.
+fn large_request(seed: u64) -> ServeRequest {
+    ServeRequest::from_workload(&longformer_layer(2048, 256, 256, 1).expect("workload"), seed)
+}
+
+#[test]
+fn a_supplied_sink_gets_completion_order_and_recv_keeps_submission_order() {
+    let server = SaloServer::start(AcceleratorConfig::default(), options(2));
+    let small = |seed: u64| TrafficMix::demo_mix().request(3 * seed); // one workload, one plan
+    let (events, completed) = channel();
+    let next_layer = || match completed.recv().expect("event") {
+        ServeEvent::Layer(response) => response,
+        other => panic!("a layer sink got {other:?}"),
+    };
+
+    // Two requests into one sink: the large one goes to worker 0, the
+    // small one to worker 1 and is delivered first — nothing between the
+    // workers and the sink holds it back for the lower id.
+    let big = server.submit_into(1, large_request(0), events.clone()).expect("submit");
+    let tiny = server.submit_into(2, small(0), events.clone()).expect("submit");
+    assert!(big < tiny);
+    let (first, second) = (next_layer(), next_layer());
+    assert_eq!((first.id, second.id), (tiny, big), "completion order, not id order");
+    assert!(first.output().is_ok() && second.output().is_ok());
+
+    // The server's own sink shares ids with that traffic: `recv` sees
+    // gaps, and small responses that finish ahead of the large one they
+    // were submitted behind wait for it.
+    let own_big = server.submit(large_request(1)).expect("submit");
+    let foreign_a = server.submit_into(2, small(1), events.clone()).expect("submit");
+    let own_a = server.submit(small(2)).expect("submit");
+    let foreign_b = server.submit_into(2, small(3), events).expect("submit");
+    let own_b = server.submit(small(4)).expect("submit");
+    let own: Vec<u64> = (0..3).map(|_| server.recv().expect("response").id).collect();
+    assert_eq!(own, vec![own_big, own_a, own_b], "recv restores submission order");
+    let mut foreign = vec![next_layer().id, next_layer().id];
+    foreign.sort_unstable();
+    assert_eq!(foreign, vec![foreign_a, foreign_b], "and never sees the other sink's");
+
+    let report = server.shutdown();
+    assert_eq!((report.requests, report.errors), (7, 0));
+    assert_eq!(report.tenants[&2].requests, 3);
+}
+
+/// The ordering rule — metrics, then the event, then the depth exit — and
+/// the one clock behind each latency: whoever has seen a result finds it
+/// already counted, and the latency the event carries is the sample in
+/// the histogram.
+#[test]
+fn a_result_is_counted_before_it_is_seen_and_timed_by_one_clock() {
+    let server = SaloServer::start(AcceleratorConfig::default(), options(1));
+    let metrics = server.metrics();
+    let sample = |latency_s: f64| (latency_s * 1e9).round() as u64;
+
+    let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(1, 1);
+    let handle = server.open_session(request).expect("open");
+    handle.wait_open().expect("opened");
+    assert_eq!(metrics.counter("serve.decode.sessions").get(), 1);
+    server.step_session(handle.id(), tokens[0].clone()).expect("step");
+    let ServeEvent::Step { result, latency_s, .. } = handle.recv().expect("event") else {
+        panic!("the step's event comes first");
+    };
+    result.expect("step succeeds");
+    assert_eq!(metrics.counter("serve.decode.steps").get(), 1);
+    let steps = metrics.histogram("serve.decode.step_latency_ns").snapshot();
+    assert_eq!((steps.count, steps.max), (1, sample(latency_s)));
+
+    // Layers: three requests of one plan, so the one worker finishes them
+    // in id order and the energy sum below is the order it added them in.
+    let (events, completed) = channel();
+    let mut energy_j = 0.0;
+    for i in 0..3 {
+        let id = server
+            .submit_into(0, TrafficMix::demo_mix().request(3 * i), events.clone())
+            .expect("submit");
+        let ServeEvent::Layer(response) = completed.recv().expect("event") else {
+            panic!("a layer sink gets layer events");
+        };
+        assert_eq!(response.id, id);
+        assert_eq!(metrics.counter("serve.requests").get(), i + 1);
+        let layers = metrics.histogram("serve.latency_ns").snapshot();
+        assert_eq!(layers.count, i + 1);
+        assert!(
+            layers.min <= sample(response.latency_s) && sample(response.latency_s) <= layers.max
+        );
+        energy_j += response.output().expect("success").total_energy_j;
+    }
+    let report = server.shutdown();
+    assert_eq!(report.sim_energy_j.to_bits(), energy_j.to_bits(), "one worker, one running sum");
+    assert_eq!(report.decode_step_latency_hist, steps);
 }
 
 #[test]

@@ -1,0 +1,49 @@
+//! The thread census of a served process: a gateway in front of a
+//! one-worker server, with one client connected, runs exactly six threads
+//! of its own — accept, dispatch, one completion thread, the connection's
+//! reader, the serve dispatcher and worker 0. A second way out of the
+//! runtime (a collector, a per-kind completion thread) would show up here
+//! as a seventh.
+//!
+//! Its own binary, one test: the census reads this process's threads, so
+//! nothing else may be starting gateways beside it.
+
+#![cfg(target_os = "linux")]
+
+use salo::gateway::{Gateway, GatewayClient, GatewayOptions};
+use salo::serve::ServeOptions;
+use salo::sim::AcceleratorConfig;
+
+#[test]
+fn a_served_process_runs_six_threads() {
+    let options = GatewayOptions {
+        serve: ServeOptions { workers: 1, ..Default::default() },
+        ..Default::default()
+    };
+    let gateway =
+        Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options).expect("bind gateway");
+    let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
+    // The reader answers stats itself: once the reply is here, the
+    // connection's thread exists and has its name.
+    client.stats_json().expect("stats");
+
+    // Thread names as the kernel has them: truncated to 15 bytes.
+    let mut census: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_owned())
+        .filter(|name| name.starts_with("gateway-") || name.starts_with("salo-serve-"))
+        .collect();
+    census.sort();
+    let expected = [
+        "gateway-accept",
+        "gateway-complete",
+        "gateway-conn-1",
+        "gateway-dispatch",
+        "salo-serve-dispatcher",
+        "salo-serve-worker-0",
+    ]
+    .map(|name| &name[..name.len().min(15)]);
+    assert_eq!(census, expected, "a thread this census does not know is a second way out");
+    let _ = gateway.shutdown();
+}
