@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_serve::{ServeReport, TokenQkv};
+use salo_serve::TokenQkv;
 
 use crate::wire::{
     self, encode_request, ErrorFrame, Header, PrefillHead, Request, Response, WireError,
@@ -240,29 +240,6 @@ impl GatewayClient {
             other => Err(unexpected("Stats", &other)),
         }
     }
-
-    /// Asks the gateway to drain and shut down, blocking until its final
-    /// [`ServeReport`] arrives — the collection step of a multi-process
-    /// bench. Frames delivered while the drain runs (terminal `Closed`s
-    /// for sessions this connection left open) are absorbed.
-    ///
-    /// # Errors
-    ///
-    /// As [`call`](Self::call).
-    pub fn shutdown_and_report(&mut self) -> Result<ServeReport, GatewayError> {
-        let id = self.send(&Request::Shutdown)?;
-        loop {
-            let payload = wire::read_frame(&mut self.stream)?;
-            let (header, response) = wire::decode_response(&payload)?;
-            match response {
-                Response::Report { report } if header.request_id == id => return Ok(*report),
-                Response::Error(err) if header.request_id == id => {
-                    return Err(GatewayError::Remote(err))
-                }
-                _ => continue, // drain-time Closed frames et al.
-            }
-        }
-    }
 }
 
 fn finish(response: Response) -> Result<Response, GatewayError> {
@@ -279,7 +256,6 @@ fn unexpected(wanted: &str, got: &Response) -> GatewayError {
         Response::Stepped { .. } => "Stepped",
         Response::Closed { .. } => "Closed",
         Response::Stats { .. } => "Stats",
-        Response::Report { .. } => "Report",
         Response::Error(_) => "Error",
     };
     GatewayError::Protocol(format!("expected {wanted}, got {variant}"))

@@ -55,7 +55,7 @@
 //! staging hop rather than a second queue.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -68,7 +68,7 @@ use salo_serve::{
     SessionRequest,
 };
 use salo_sim::AcceleratorConfig;
-use salo_trace::LogHistogram;
+use salo_trace::{Counter, LogHistogram, MetricsRegistry};
 
 use crate::wire::{
     self, encode_response, ErrorCode, ErrorFrame, Header, PrefillHead, Request, Response,
@@ -516,6 +516,35 @@ struct ConnShared {
     alive: AtomicBool,
 }
 
+/// The front door's own counts: the `gateway.*` counters of the server's
+/// registry, resolved once at `bind`. A `Stats` frame shows them live, and
+/// [`Gateway::shutdown`] reads the [`GatewayReport`] back from these same
+/// handles — the completion thread still counts frames after the server,
+/// and the registry with it, is gone.
+struct Counts {
+    connections: Arc<Counter>,
+    frames_read: Arc<Counter>,
+    frames_written: Arc<Counter>,
+    admitted: Arc<Counter>,
+    rejected_overloaded: Arc<Counter>,
+    rejected_draining: Arc<Counter>,
+    timed_out: Arc<Counter>,
+}
+
+impl Counts {
+    fn new(registry: &MetricsRegistry) -> Self {
+        Counts {
+            connections: registry.counter("gateway.connections"),
+            frames_read: registry.counter("gateway.frames_read"),
+            frames_written: registry.counter("gateway.frames_written"),
+            admitted: registry.counter("gateway.admitted"),
+            rejected_overloaded: registry.counter("gateway.rejected.overloaded"),
+            rejected_draining: registry.counter("gateway.rejected.draining"),
+            timed_out: registry.counter("gateway.timed_out"),
+        }
+    }
+}
+
 /// The gateway's own shared state. The server is not part of it: the
 /// completion thread has to outlive the server's shutdown, which needs
 /// every other reference to the server gone.
@@ -531,21 +560,11 @@ struct Inner {
     next_conn_id: AtomicU64,
     connections: Mutex<HashMap<u64, Arc<ConnShared>>>,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
-    connections_total: AtomicU64,
-    frames_read: AtomicU64,
-    frames_written: AtomicU64,
-    admitted: AtomicU64,
-    rejected_overloaded: AtomicU64,
-    rejected_draining: AtomicU64,
-    timed_out: AtomicU64,
-    /// A wire `Shutdown` request parks here for
-    /// [`Gateway::run_until_shutdown`].
-    shutdown_request: Mutex<Option<(Arc<ConnShared>, Header)>>,
-    shutdown_signal: Condvar,
+    counts: Counts,
 }
 
 impl Inner {
-    fn new(options: GatewayOptions) -> Self {
+    fn new(options: GatewayOptions, registry: &MetricsRegistry) -> Self {
         Inner {
             options,
             state: Mutex::new(State::default()),
@@ -554,15 +573,7 @@ impl Inner {
             next_conn_id: AtomicU64::new(1),
             connections: Mutex::new(HashMap::new()),
             reader_threads: Mutex::new(Vec::new()),
-            connections_total: AtomicU64::new(0),
-            frames_read: AtomicU64::new(0),
-            frames_written: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            shutdown_request: Mutex::new(None),
-            shutdown_signal: Condvar::new(),
+            counts: Counts::new(registry),
         }
     }
 
@@ -650,7 +661,7 @@ impl Gateway {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let server = Arc::new(SaloServer::start(config, options.serve));
-        let inner = Arc::new(Inner::new(options));
+        let inner = Arc::new(Inner::new(options, server.metrics()));
         // Everything the gateway submits reports into this one channel.
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let acceptor = {
@@ -717,15 +728,16 @@ impl Gateway {
             handle.join().expect("completion thread panicked");
         }
         let inner = self.inner;
+        let counts = &inner.counts;
         let report = GatewayReport {
             serve,
-            connections: inner.connections_total.load(Ordering::Relaxed),
-            frames_read: inner.frames_read.load(Ordering::Relaxed),
-            frames_written: inner.frames_written.load(Ordering::Relaxed),
-            admitted: inner.admitted.load(Ordering::Relaxed),
-            rejected_overloaded: inner.rejected_overloaded.load(Ordering::Relaxed),
-            rejected_draining: inner.rejected_draining.load(Ordering::Relaxed),
-            timed_out: inner.timed_out.load(Ordering::Relaxed),
+            connections: counts.connections.get(),
+            frames_read: counts.frames_read.get(),
+            frames_written: counts.frames_written.get(),
+            admitted: counts.admitted.get(),
+            rejected_overloaded: counts.rejected_overloaded.get(),
+            rejected_draining: counts.rejected_draining.get(),
+            timed_out: counts.timed_out.get(),
             drained_in_deadline,
         };
         // Everything the gateway and its server held is freed by now;
@@ -769,7 +781,7 @@ impl Gateway {
             leftovers
         };
         for pending in leftovers {
-            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            inner.counts.rejected_draining.inc();
             let response = error(
                 ErrorCode::Draining,
                 "gateway drain deadline expired before this request ran",
@@ -782,8 +794,7 @@ impl Gateway {
         }
 
         // Unblock the readers: read halves close, write halves stay usable
-        // for terminal `Closed` frames and the shutdown requester's
-        // final Report frame.
+        // for terminal `Closed` frames.
         {
             let connections = inner.connections.lock().expect("connections poisoned");
             for conn in connections.values() {
@@ -801,29 +812,6 @@ impl Gateway {
         self.server.drain(remaining.max(Duration::from_millis(100)));
         drained_in_deadline
     }
-
-    /// Serves until a client sends the wire `Shutdown` opcode, then
-    /// drains (exactly as [`shutdown`](Self::shutdown)), replies to the
-    /// requester with the final wire-encoded report, and returns it.
-    /// This is how a `gateway_bench` parent collects a child shard's
-    /// report over the socket.
-    pub fn run_until_shutdown(self) -> GatewayReport {
-        let (conn, header) = {
-            let mut slot = self.inner.shutdown_request.lock().expect("shutdown slot poisoned");
-            while slot.is_none() {
-                slot = self.inner.shutdown_signal.wait(slot).expect("shutdown slot poisoned");
-            }
-            slot.take().expect("checked above")
-        };
-        let report = self.shutdown();
-        let frame =
-            encode_response(header, &Response::Report { report: Box::new(report.serve.clone()) });
-        if let Ok(mut stream) = conn.stream.lock() {
-            let _ = stream.write_all(&frame);
-            let _ = stream.flush();
-        }
-        report
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -836,7 +824,7 @@ fn accept_loop(inner: &Arc<Inner>, server: &Arc<SaloServer>, listener: TcpListen
             Ok((stream, _peer)) => {
                 let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 let _span = salo_trace::span_with("gateway.accept", "gateway", conn_id);
-                inner.connections_total.fetch_add(1, Ordering::Relaxed);
+                inner.counts.connections.inc();
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(inner.options.read_timeout));
                 let _ = stream.set_write_timeout(Some(inner.options.write_timeout));
@@ -893,7 +881,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                 break;
             }
         };
-        inner.frames_read.fetch_add(1, Ordering::Relaxed);
+        inner.counts.frames_read.inc();
         salo_trace::record_since("gateway.read_frame", "gateway", started, conn.id);
 
         let (header, request) = match wire::decode_request(&payload) {
@@ -913,13 +901,6 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                 // even when the dispatch queue is saturated.
                 let json = server.metrics().export_json();
                 send_response(inner, conn, header, &Response::Stats { json });
-            }
-            Request::Shutdown => {
-                let mut slot = inner.shutdown_request.lock().expect("shutdown slot poisoned");
-                if slot.is_none() {
-                    *slot = Some((Arc::clone(conn), header));
-                }
-                inner.shutdown_signal.notify_all();
             }
             request => admit(inner, server, header, request, conn),
         }
@@ -953,7 +934,7 @@ fn admit(
         // sees the flag.
         if inner.draining.load(Ordering::Acquire) {
             drop(state);
-            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            inner.counts.rejected_draining.inc();
             let response = error(ErrorCode::Draining, "gateway is draining");
             return send_response(inner, conn, header, &response);
         }
@@ -964,27 +945,24 @@ fn admit(
             server.metrics().histogram(&format!("gateway.tenant.{tenant}.queue_wait_ns"))
         });
         if admitted.is_ok() {
+            // Counted before the dispatcher can see it: whoever has the
+            // reply finds the request in `gateway.admitted`.
+            inner.counts.admitted.inc();
             inner.work_ready.notify_one();
         }
         admitted.err()
     };
-    match refused {
-        None => {
-            inner.admitted.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(depth) => {
-            inner.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            server.record_tenant_rejection(tenant);
-            server.metrics().counter("gateway.rejected.overloaded").inc();
-            // Rough service-rate hint: two milliseconds per outstanding
-            // request ahead of a retry.
-            let response = Response::Error(ErrorFrame {
-                code: ErrorCode::Overloaded,
-                message: "tenant or global admission quota is full".to_owned(),
-                retry_after_ms: Some(2 * (depth as u64 + 1)),
-            });
-            send_response(inner, conn, header, &response);
-        }
+    if let Some(depth) = refused {
+        inner.counts.rejected_overloaded.inc();
+        server.record_tenant_rejection(tenant);
+        // Rough service-rate hint: two milliseconds per outstanding
+        // request ahead of a retry.
+        let response = Response::Error(ErrorFrame {
+            code: ErrorCode::Overloaded,
+            message: "tenant or global admission quota is full".to_owned(),
+            retry_after_ms: Some(2 * (depth as u64 + 1)),
+        });
+        send_response(inner, conn, header, &response);
     }
 }
 
@@ -1002,7 +980,7 @@ fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<ServeEvent>
         let room = loop {
             let now = Instant::now();
             let timed_out = state.expire(now, server, &mut out);
-            inner.timed_out.fetch_add(timed_out, Ordering::Relaxed);
+            inner.counts.timed_out.add(timed_out);
             let room = window.saturating_sub(state.in_flight);
             if !out.is_empty() || (state.queued_total > 0 && room > 0) {
                 break Some(room);
@@ -1108,7 +1086,7 @@ fn submit(
             None => unknown_session(session),
         },
         // Handled inline by the reader; unreachable through the queue.
-        Request::Stats | Request::Shutdown => return state.release(header.tenant),
+        Request::Stats => return state.release(header.tenant),
     };
     state.release(header.tenant);
     out.push(Reply { conn: waiter.conn, header, response: refusal });
@@ -1251,7 +1229,7 @@ fn write_frames(inner: &Inner, conn: &ConnShared, bytes: &[u8], frames: u64, sta
     };
     salo_trace::record_since("gateway.write_frame", "gateway", started, conn.id);
     if ok {
-        inner.frames_written.fetch_add(frames, Ordering::Relaxed);
+        inner.counts.frames_written.add(frames);
     } else {
         conn.alive.store(false, Ordering::Release);
     }
@@ -1501,11 +1479,11 @@ mod tests {
     /// reply and leave every table and counter as they found it.
     #[test]
     fn faults_fail_one_request_and_leave_the_tables_clean() {
-        let inner = Inner::new(GatewayOptions::default());
         let server = SaloServer::start(
             AcceleratorConfig::default(),
             ServeOptions { workers: 1, ..Default::default() },
         );
+        let inner = Inner::new(GatewayOptions::default(), server.metrics());
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let conn = test_conn();
         let mut out = Vec::new();
@@ -1556,10 +1534,10 @@ mod tests {
         };
         submit_one(layer, &conn, &mut out);
         assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)));
-        let written = inner.frames_written.load(Ordering::Relaxed);
+        let written = inner.counts.frames_written.get();
         on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
-        assert_eq!(inner.frames_written.load(Ordering::Relaxed), written + 1);
+        assert_eq!(inner.counts.frames_written.get(), written + 1);
 
         // A good open is in flight until its event arrives.
         submit_one(open(1), &conn, &mut out);

@@ -12,7 +12,7 @@
 //!
 //! * **[`wire`]** — a length-prefixed binary protocol (`u32` length,
 //!   version/opcode/tenant/request-id header) covering prefill, decode
-//!   sessions, stats, and drain. Every decode path is
+//!   sessions and stats. Every decode path is
 //!   allocation-guarded and returns typed [`wire::WireError`]s — never
 //!   panics — under proptest-driven malformed-input tests.
 //! * **[`Gateway`]** — accepts connections, decodes frames, and maps
@@ -41,16 +41,16 @@
 //!   live decode session with a terminal `Closed` frame — under a
 //!   bounded deadline.
 //! * **[`GatewayClient`]** — a blocking, pipelining client used by the
-//!   integration tests and the `gateway_bench` closed-loop driver.
+//!   integration tests and the `gateway` example.
 //!
 //! The protocol is carried bit-exactly (floats travel as IEEE-754 bit
 //! patterns, fixed-point rows as raw `i16`), so a decode session driven
 //! over localhost TCP produces byte-identical outputs to
 //! [`Salo::decode_session`](salo_core::Salo::decode_session) — the
-//! integration tests assert it. Shard reports travel whole (sparse
-//! log-bucket histograms included), so a multi-process bench merges them
-//! bucket-exactly with
-//! [`ServeReport::merged_with`](salo_serve::ServeReport::merged_with).
+//! integration tests assert it. No opcode stops the gateway or asks for
+//! its report: [`Gateway::shutdown`] is a call in the owning process, and
+//! what a peer can read is the live metrics registry (`Stats`), the
+//! front door's own `gateway.*` counters included.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -20,19 +20,16 @@
 //!
 //! Patterns ride as their [`PatternTerm`] IR (PR 9): `from_terms` is
 //! idempotent on `terms()`, so decoding reproduces the sender's pattern
-//! exactly, fingerprint included. [`ServeReport`]s ride in full —
-//! log-bucket histograms as sparse `(index, count)` pairs — so a
-//! multi-process bench can merge shard reports bucket-exactly with
-//! [`ServeReport::merged_with`].
+//! exactly, fingerprint included. Nothing on the wire stops a gateway or
+//! carries its report: a `ServeReport` leaves only through
+//! `Gateway::shutdown`, in the process that owns the gateway, and what an
+//! operator reads over the socket is the live registry (`Stats`).
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 use salo_core::{HeadStep, TokenQkv};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
-use salo_serve::{CacheStats, HistogramSnapshot, LatencyStats, ServeReport, TenantCounters};
-use salo_trace::NUM_BUCKETS;
 
 /// Protocol version carried in every frame header.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -190,9 +187,6 @@ pub enum Request {
     },
     /// Ask for the JSON export of the server's live metrics registry.
     Stats,
-    /// Drain the gateway and reply with the final wire-encoded
-    /// [`ServeReport`] — the multi-process bench's collection opcode.
-    Shutdown,
 }
 
 /// One head of a [`Response::PrefillDone`], in accelerator-exact form:
@@ -282,13 +276,6 @@ pub enum Response {
     Stats {
         /// Output of [`MetricsRegistry::export_json`](salo_trace::MetricsRegistry::export_json).
         json: String,
-    },
-    /// The drained server's final report, in reply to
-    /// [`Request::Shutdown`].
-    Report {
-        /// The full serve report, histograms included (boxed: a report
-        /// is ~10x the size of any other reply variant).
-        report: Box<ServeReport>,
     },
     /// The request failed with a typed error.
     Error(ErrorFrame),
@@ -563,30 +550,6 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn encode(&self, e: &mut Enc) {
-        e.u32(self.len() as u32);
-        for (k, v) in self {
-            k.encode(e);
-            v.encode(e);
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(Vec::<(K, V)>::decode(d)?.into_iter().collect())
-    }
-}
-
-impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, e: &mut Enc) {
-        (**self).encode(e);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        T::decode(d).map(Box::new)
-    }
-}
-
 impl Wire for String {
     fn encode(&self, e: &mut Enc) {
         e.seq(self.as_bytes());
@@ -776,68 +739,7 @@ impl Wire for AttentionShape {
     }
 }
 
-/// Header fields, then the nonzero buckets as sparse `(index, count)`
-/// pairs.
-impl Wire for HistogramSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.count);
-        e.u64(self.sum);
-        e.u64(self.min);
-        e.u64(self.max);
-        let nonzero: Vec<(u32, u64)> =
-            (0u32..).zip(&self.buckets).filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect();
-        nonzero.encode(e);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let mut h = HistogramSnapshot {
-            count: d.u64()?,
-            sum: d.u64()?,
-            min: d.u64()?,
-            max: d.u64()?,
-            ..Default::default()
-        };
-        for (idx, cnt) in Vec::<(u32, u64)>::decode(d)? {
-            if idx as usize >= NUM_BUCKETS {
-                return Err(WireError::BadValue(format!("histogram bucket {idx}")));
-            }
-            h.buckets[idx as usize] = cnt;
-        }
-        Ok(h)
-    }
-}
-
 wire!(TokenQkv, 12 { q, k, v });
-wire!(LatencyStats { count, mean_s, p50_s, p99_s, max_s });
-wire!(CacheStats { hits, misses, evictions, entries });
-wire!(TenantCounters, 24 { requests, rejections, decode_steps });
-wire!(ServeReport {
-    requests,
-    errors,
-    wall_s,
-    throughput_rps,
-    latency,
-    latency_hist,
-    cache,
-    batches,
-    mean_batch_size,
-    max_queue_depth,
-    sim_cycles,
-    sim_energy_j,
-    per_worker_requests,
-    decode_sessions,
-    decode_session_errors,
-    decode_steps,
-    decode_step_errors,
-    decode_step_latency,
-    decode_step_latency_hist,
-    decode_resident_kv_byte_steps,
-    decode_peak_resident_pages,
-    decode_peak_pool_pages,
-    decode_page_reclaims,
-    decode_pool_exhausted,
-    tenants,
-});
 // Two matrix headers and a weight count.
 wire!(PrefillHead, 20 { output, raw, weights_q16 });
 wire!(WireHeadStep, 10 { output, raw, weight_q16, saturation_events });
@@ -862,13 +764,11 @@ const OP_OPEN: u8 = 0x02;
 const OP_STEP: u8 = 0x03;
 const OP_CLOSE: u8 = 0x04;
 const OP_STATS: u8 = 0x05;
-const OP_SHUTDOWN: u8 = 0x06;
 const OP_PREFILL_DONE: u8 = 0x81;
 const OP_OPENED: u8 = 0x82;
 const OP_STEPPED: u8 = 0x83;
 const OP_CLOSED: u8 = 0x84;
 const OP_STATS_REPLY: u8 = 0x85;
-const OP_REPORT: u8 = 0x86;
 const OP_ERROR: u8 = 0xC0;
 
 // The tag of a request or a response is the header's opcode byte.
@@ -878,7 +778,6 @@ wire!(Request, WireError::UnknownOpcode;
     OP_STEP => Step { session, token },
     OP_CLOSE => Close { session },
     OP_STATS => Stats,
-    OP_SHUTDOWN => Shutdown,
 );
 
 wire!(Response, WireError::UnknownOpcode;
@@ -887,7 +786,6 @@ wire!(Response, WireError::UnknownOpcode;
     OP_STEPPED => Stepped { session, position, heads },
     OP_CLOSED => Closed { session, position },
     OP_STATS_REPLY => Stats { json },
-    OP_REPORT => Report { report },
     OP_ERROR => Error(frame),
 );
 
@@ -999,7 +897,6 @@ mod tests {
     fn simple_requests_roundtrip() {
         roundtrip_request(Request::Close { session: 9 });
         roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Shutdown);
         roundtrip_request(Request::Step {
             session: 3,
             token: vec![TokenQkv {
@@ -1012,15 +909,22 @@ mod tests {
 
     #[test]
     fn prefill_roundtrips_with_pattern_fingerprint_intact() {
-        let pattern = salo_patterns::longformer(64, 8, 2).unwrap();
-        let shape = AttentionShape::new(64, 8, 1).unwrap();
-        let heads = vec![Qkv::random(64, 8, 1)];
-        let req = Request::Prefill { pattern: pattern.clone(), shape, heads };
-        let frame = encode_request(Header::default(), &req);
-        let (_, decoded) = decode_request(&frame[4..]).unwrap();
-        let Request::Prefill { pattern: p2, .. } = &decoded else { panic!("wrong variant") };
-        assert_eq!(p2.fingerprint(), pattern.fingerprint());
-        assert_eq!(decoded, req);
+        // The second pattern carries the largest band radius a peer can
+        // put in a frame: the full block grid, on both sides of the wire.
+        let layout = BlockLayout::Banded { radius: usize::MAX };
+        let banded = PatternTerm::BlockSparse { block_rows: 16, layout };
+        let banded = HybridPattern::from_terms(64, vec![banded]).unwrap();
+        assert_eq!(banded.nnz(), 64 * 64, "the radius wrapped");
+        for pattern in [salo_patterns::longformer(64, 8, 2).unwrap(), banded] {
+            let shape = AttentionShape::new(64, 8, 1).unwrap();
+            let heads = vec![Qkv::random(64, 8, 1)];
+            let req = Request::Prefill { pattern: pattern.clone(), shape, heads };
+            let frame = encode_request(Header::default(), &req);
+            let (_, decoded) = decode_request(&frame[4..]).unwrap();
+            let Request::Prefill { pattern: p2, .. } = &decoded else { panic!("wrong variant") };
+            assert_eq!(p2.fingerprint(), pattern.fingerprint());
+            assert_eq!(decoded, req);
+        }
     }
 
     #[test]
@@ -1054,45 +958,16 @@ mod tests {
         }
     }
 
+    /// `0x06` stopped a gateway and `0x86` carried its report until both
+    /// were retired: a peer that still sends either gets the answer any
+    /// undefined opcode gets.
     #[test]
-    fn report_roundtrips_with_histograms() {
-        let mut hist = HistogramSnapshot::default();
-        for v in [100u64, 1000, 1_000_000, 12] {
-            hist.record(v);
+    fn retired_opcodes_are_unknown() {
+        for op in [0x06, 0x86] {
+            let frame = Enc::new(op, Header::default()).finish();
+            assert_eq!(decode_request(&frame[4..]), Err(WireError::UnknownOpcode(op)));
+            assert_eq!(decode_response(&frame[4..]), Err(WireError::UnknownOpcode(op)));
         }
-        let report = ServeReport {
-            requests: 10,
-            errors: 1,
-            wall_s: 1.5,
-            throughput_rps: 6.6667,
-            latency: LatencyStats { count: 10, mean_s: 0.1, p50_s: 0.09, p99_s: 0.2, max_s: 0.3 },
-            latency_hist: hist.clone(),
-            cache: CacheStats { hits: 3, misses: 2, evictions: 1, entries: 2 },
-            batches: 4,
-            mean_batch_size: 2.5,
-            max_queue_depth: 7,
-            sim_cycles: 1234,
-            sim_energy_j: 5.5e-6,
-            per_worker_requests: vec![6, 4],
-            decode_steps: 20,
-            decode_step_latency_hist: hist,
-            tenants: BTreeMap::from([
-                (0, TenantCounters { requests: 4, rejections: 0, decode_steps: 20 }),
-                (3, TenantCounters { requests: 6, rejections: 2, decode_steps: 0 }),
-            ]),
-            ..Default::default()
-        };
-        let frame = encode_response(
-            Header::default(),
-            &Response::Report { report: Box::new(report.clone()) },
-        );
-        let (_, decoded) = decode_response(&frame[4..]).unwrap();
-        let Response::Report { report: r2 } = decoded else { panic!("wrong variant") };
-        let r2 = *r2;
-        assert_eq!(r2, report);
-        // The decoded report still merges bucket-exactly.
-        let merged = r2.merged_with(&report);
-        assert_eq!(merged.latency_hist.count, 8);
     }
 
     #[test]

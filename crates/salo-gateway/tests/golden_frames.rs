@@ -15,17 +15,13 @@
 //! reaches `HybridPattern::from_terms`, whose cost on absurd parameters is
 //! the hostile-peers roadmap item's business, not this file's.)
 
-use std::collections::BTreeMap;
-
 use salo_gateway::wire::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, ErrorFrame,
     Header, PrefillHead, Request, Response, WireError, WireHeadStep,
 };
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
-use salo_serve::{
-    CacheStats, HistogramSnapshot, LatencyStats, ServeReport, TenantCounters, TokenQkv,
-};
+use salo_serve::TokenQkv;
 
 const HEADER: Header = Header { tenant: 0x0102_0304_0506_0708, request_id: 0x1112_1314_1516_1718 };
 
@@ -97,54 +93,6 @@ fn every_term_pattern() -> HybridPattern {
     pattern
 }
 
-fn histogram(salt: u64, samples: usize) -> HistogramSnapshot {
-    let mut hist = HistogramSnapshot::default();
-    for i in 0..samples {
-        hist.record(value(salt, i) % 1_000_000_007);
-    }
-    hist
-}
-
-fn full_report() -> ServeReport {
-    ServeReport {
-        requests: 1000,
-        errors: 3,
-        wall_s: 12.5,
-        throughput_rps: 80.0,
-        latency: LatencyStats { count: 1000, mean_s: 0.011, p50_s: 0.009, p99_s: 0.2, max_s: 0.31 },
-        latency_hist: histogram(21, 40),
-        cache: CacheStats { hits: 990, misses: 10, evictions: 2, entries: 8 },
-        batches: 400,
-        mean_batch_size: 2.5,
-        max_queue_depth: 17,
-        sim_cycles: 123_456_789_012,
-        sim_energy_j: 5.5e-3,
-        per_worker_requests: vec![250, 251, 249, 250],
-        decode_sessions: 12,
-        decode_session_errors: 1,
-        decode_steps: 4096,
-        decode_step_errors: 2,
-        decode_step_latency: LatencyStats {
-            count: 4096,
-            mean_s: 2.0e-5,
-            p50_s: 1.5e-5,
-            p99_s: 9.0e-5,
-            max_s: 1.0e-3,
-        },
-        decode_step_latency_hist: histogram(22, 25),
-        decode_resident_kv_byte_steps: 1 << 33,
-        decode_peak_resident_pages: 77,
-        decode_peak_pool_pages: 80,
-        decode_page_reclaims: 3000,
-        decode_pool_exhausted: 4,
-        tenants: BTreeMap::from([
-            (0, TenantCounters { requests: 500, rejections: 0, decode_steps: 4000 }),
-            (7, TenantCounters { requests: 400, rejections: 9, decode_steps: 96 }),
-            (u64::MAX, TenantCounters { requests: 100, rejections: 1, decode_steps: 0 }),
-        ]),
-    }
-}
-
 enum Message {
     Request(Request),
     Response(Response),
@@ -187,7 +135,6 @@ fn corpus() -> Vec<(&'static str, Message)> {
         ),
         ("close", Req(Request::Close { session: 0xaabb })),
         ("stats", Req(Request::Stats)),
-        ("shutdown", Req(Request::Shutdown)),
         (
             "prefill_done",
             Resp(Response::PrefillDone {
@@ -236,7 +183,6 @@ fn corpus() -> Vec<(&'static str, Message)> {
             "stats_reply",
             Resp(Response::Stats { json: "{\"counters\":{\"serve.requests\":7}}".into() }),
         ),
-        ("report", Resp(Response::Report { report: Box::new(full_report()) })),
         (
             "error_plain",
             Resp(Response::Error(ErrorFrame {
@@ -264,14 +210,12 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("step", 0x0befa89e03f495b1, 0x1868ca2277f3bc43),
     ("close", 0x9e24e16b09b29493, 0xacc7888cf953af7b),
     ("stats", 0xd354ea53cd946855, 0xdc623f6345317e6d),
-    ("shutdown", 0x75c2a7ccbfdbf53c, 0x08045ac88488966a),
     ("prefill_done", 0xd7ff9151878d16f2, 0x23f08d1360257d2a),
     ("opened", 0x7701a98370bce2e9, 0xcf3e21dd02e1b7b2),
     ("stepped", 0x8bd56fad423193a7, 0xded54e979c7c58b3),
     ("closed_none", 0x7951fcafe45d00e6, 0xd90f2f7a04d6087b),
     ("closed_some", 0x00cc16b44500d691, 0x3f2d70648000e1b3),
     ("stats_reply", 0x95de03b1a41b5968, 0xf63a3d54227bdd96),
-    ("report", 0xb02e922f6e8d60d5, 0x60203bc789769ee6),
     ("error_plain", 0xc67d26158e76096a, 0x0ab25237c7046628),
     ("error_retry", 0xe7857820eb311e57, 0x8378a421be571400),
 ];

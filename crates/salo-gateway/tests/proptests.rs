@@ -12,7 +12,7 @@ use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{
     longformer, sliding_only, AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns,
 };
-use salo_serve::{HistogramSnapshot, LatencyStats, ServeReport, TenantCounters, TokenQkv};
+use salo_serve::TokenQkv;
 
 /// Splitmix-style generator so message content is a pure function of the
 /// proptest-supplied seed.
@@ -91,7 +91,7 @@ fn arb_token(seed: &mut u64, dim: usize) -> TokenQkv {
 
 fn arb_request(variant: u8, mut seed: u64) -> Request {
     let dim = 4 + (seed % 2) as usize * 4;
-    match variant % 6 {
+    match variant % 5 {
         0 => {
             let pattern = arb_pattern(seed);
             let n = pattern.n();
@@ -113,62 +113,13 @@ fn arb_request(variant: u8, mut seed: u64) -> Request {
             Request::Step { session: mix(&mut seed), token }
         }
         3 => Request::Close { session: mix(&mut seed) },
-        4 => Request::Stats,
-        _ => Request::Shutdown,
-    }
-}
-
-fn arb_hist(seed: &mut u64, samples: usize) -> HistogramSnapshot {
-    let mut hist = HistogramSnapshot::default();
-    for _ in 0..samples {
-        hist.record(mix(seed) % 1_000_000_007);
-    }
-    hist
-}
-
-fn arb_report(seed: &mut u64) -> ServeReport {
-    let mut tenants = std::collections::BTreeMap::new();
-    for t in 0..(*seed % 4) {
-        tenants.insert(
-            t,
-            TenantCounters {
-                requests: mix(seed) % 1000,
-                rejections: mix(seed) % 100,
-                decode_steps: mix(seed) % 10_000,
-            },
-        );
-    }
-    ServeReport {
-        requests: mix(seed) % 10_000,
-        errors: mix(seed) % 100,
-        wall_s: (mix(seed) % 10_000) as f64 / 997.0,
-        throughput_rps: (mix(seed) % 100_000) as f64 / 31.0,
-        latency: LatencyStats {
-            count: mix(seed) % 1000,
-            mean_s: (mix(seed) % 1000) as f64 / 1e4,
-            p50_s: (mix(seed) % 1000) as f64 / 1e4,
-            p99_s: (mix(seed) % 1000) as f64 / 1e4,
-            max_s: (mix(seed) % 1000) as f64 / 1e4,
-        },
-        latency_hist: arb_hist(seed, (*seed % 50) as usize),
-        batches: mix(seed) % 1000,
-        mean_batch_size: (mix(seed) % 64) as f64 / 7.0,
-        max_queue_depth: (mix(seed) % 64) as usize,
-        sim_cycles: mix(seed),
-        sim_energy_j: (mix(seed) % 1_000_000) as f64 * 1e-9,
-        per_worker_requests: (0..(*seed % 4)).map(|_| mix(seed) % 500).collect(),
-        decode_sessions: mix(seed) % 100,
-        decode_steps: mix(seed) % 10_000,
-        decode_step_latency_hist: arb_hist(seed, (*seed % 30) as usize),
-        decode_peak_resident_pages: mix(seed) % 64,
-        tenants,
-        ..Default::default()
+        _ => Request::Stats,
     }
 }
 
 fn arb_response(variant: u8, mut seed: u64) -> Response {
     let dim = 4 + (seed % 2) as usize * 4;
-    match variant % 7 {
+    match variant % 6 {
         0 => {
             let rows = 4 + (seed % 8) as usize;
             let heads = (0..1 + (seed % 2))
@@ -218,7 +169,6 @@ fn arb_response(variant: u8, mut seed: u64) -> Response {
         4 => Response::Stats {
             json: format!("{{\"counters\":{{\"x\":{}}}}}", mix(&mut seed) % 100_000),
         },
-        5 => Response::Report { report: Box::new(arb_report(&mut seed)) },
         _ => Response::Error(ErrorFrame {
             code: match seed % 7 {
                 0 => ErrorCode::BadFrame,
@@ -238,7 +188,7 @@ fn arb_response(variant: u8, mut seed: u64) -> Response {
 proptest! {
     #[test]
     fn requests_roundtrip_exactly(
-        variant in 0u8..6,
+        variant in 0u8..5,
         seed in any::<u64>(),
         tenant in any::<u64>(),
         request_id in any::<u64>(),
@@ -253,7 +203,7 @@ proptest! {
 
     #[test]
     fn responses_roundtrip_exactly(
-        variant in 0u8..7,
+        variant in 0u8..6,
         seed in any::<u64>(),
         tenant in any::<u64>(),
         request_id in any::<u64>(),
@@ -268,7 +218,7 @@ proptest! {
 
     #[test]
     fn every_strict_prefix_is_a_typed_error(
-        variant in 0u8..6,
+        variant in 0u8..5,
         seed in any::<u64>(),
     ) {
         let request = arb_request(variant, seed);
@@ -294,7 +244,7 @@ proptest! {
 
     #[test]
     fn corrupted_bytes_never_panic(
-        variant in 0u8..7,
+        variant in 0u8..6,
         seed in any::<u64>(),
         flip_at in any::<u64>(),
         flip_mask in 1u8..255,

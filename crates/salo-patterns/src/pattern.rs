@@ -631,6 +631,20 @@ mod tests {
         assert!(!p.residual().contains(3, 0));
         // Off-diagonal block cell is masked entirely.
         assert!(!p.allows(1, 6));
+
+        // A band radius past the grid is the full grid, however far past:
+        // the largest radius a peer can send gives the cells `radius = nb`
+        // does.
+        let banded = |radius| {
+            let layout = BlockLayout::Banded { radius };
+            HybridPattern::from_terms(8, vec![PatternTerm::BlockSparse { block_rows: 4, layout }])
+                .unwrap()
+        };
+        let (full, huge) = (banded(2), banded(usize::MAX));
+        assert_eq!((full.nnz(), huge.nnz()), (64, 64));
+        for i in 0..8 {
+            assert_eq!(huge.row_keys(i), full.row_keys(i), "row {i}");
+        }
     }
 
     #[test]

@@ -382,7 +382,10 @@ pub(crate) fn expand_residual_term(
                 match layout {
                     BlockLayout::Diagonal => Ok(vec![bi]),
                     BlockLayout::Banded { radius } => {
-                        Ok((bi.saturating_sub(*radius)..=(bi + radius).min(nb - 1)).collect())
+                        // `radius` is whatever a wire peer sent: past the
+                        // grid it means the whole grid, and must not wrap.
+                        let last = bi.saturating_add(*radius).min(nb - 1);
+                        Ok((bi.saturating_sub(*radius)..=last).collect())
                     }
                     BlockLayout::Explicit(pairs) => {
                         let mut cols = Vec::new();

@@ -567,8 +567,8 @@ impl SaloServer {
         let wall_s = self.counts.wall_s();
         // Every counter in the report is read back from the registry —
         // whoever completed a request recorded it there. The latency
-        // histograms ride on the report whole, so reports merge
-        // bucket-exactly; the summaries are derived from them.
+        // histograms ride on the report whole; the summaries are derived
+        // from them.
         let counter = |name: &str| self.metrics.counter(name).get();
         let peak = |name: &str| self.metrics.gauge(name).high_water().max(0) as u64;
         let (batches, batched) = (counter("serve.batches"), counter("serve.batched_requests"));
@@ -629,10 +629,10 @@ impl SaloServer {
 /// Plan compilation for cache misses runs inline here, on the single
 /// dispatcher thread: the cache stays single-writer and a cold key is
 /// compiled exactly once. The tradeoff is that one cold-key scheduler
-/// pass (~0.4–1.6 ms at paper scale, see `bench_serving`) delays the
-/// dispatch of queued cache-hit requests behind it; workloads mixing
-/// many novel patterns with hot traffic would want compile shipped to
-/// the workers instead.
+/// pass (`bench/`'s `serve.plan_cache.miss_us`, ~0.4–1.6 ms at paper
+/// scale) delays the dispatch of queued cache-hit requests behind it;
+/// workloads mixing many novel patterns with hot traffic would want
+/// compile shipped to the workers instead.
 struct Dispatcher {
     compiler: Salo,
     cache: Arc<PlanCache>,

@@ -167,12 +167,6 @@ impl Partition {
         self.shards.iter().map(|s| s.ops.len()).sum()
     }
 
-    /// Per-shard op counts — the balance figures the bench records.
-    #[must_use]
-    pub fn op_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.ops.len()).collect()
-    }
-
     /// Validates the structural invariants the executor relies on:
     /// spans tile the item space, every op of every head is assigned
     /// exactly once, and each shard's ops target only its own span.

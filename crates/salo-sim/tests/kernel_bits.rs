@@ -13,7 +13,9 @@
 //!   (parallelism 1/2/4) == paged decode vs causal prefill, on window +
 //!   global + block-sparse terms, on inputs that saturate `Fix8x4`, clamp
 //!   the exp domain on both sides and drive one key to the top of the
-//!   probability range (32768 itself through the single-key global ops).
+//!   probability range (32768 itself through the single-key global ops);
+//!   and, at paper scale on the default instance, partitioned (2/4) ==
+//!   lowered on the shapes the golden digests and the benchmark serve.
 //!   The `SystolicArray` oracle is built from the scalar primitives
 //!   (`qk_mac`, `eval_q8`, `scale_to_prob`, `sv_mac`), so it shares no
 //!   sweep with the kernel. Saturation counts are compared, not just rows.
@@ -386,6 +388,49 @@ fn prefill_paths_agree_at_serving_dimensions() {
                     &what,
                 );
             }
+        }
+    }
+}
+
+/// The default instance at paper scale, where the systolic oracle costs
+/// seconds a shape: the partitioned executor at 2 and 4 shards against
+/// the sequential pass — the one the golden digests pin — on the two
+/// paper workloads, dense BERT-base-512, BigBird-1024 and a block-sparse
+/// band, one head at d = 64.
+#[test]
+fn partitioned_execution_matches_sequential_at_paper_scale() {
+    let sim = SpatialAccelerator::default_instance();
+    let block_band = HybridPattern::from_terms(
+        1024,
+        vec![
+            PatternTerm::Window(Window::causal(64).expect("window")),
+            PatternTerm::BlockSparse { block_rows: 64, layout: BlockLayout::Banded { radius: 1 } },
+        ],
+    );
+    let dense =
+        HybridPattern::builder(512).window(Window::symmetric(1024).expect("window")).build();
+    let shapes = [
+        ("longformer-2048", longformer(2048, 256, 1)),
+        ("vil-stage1", vil_stage(56, 56, 15, 15, 1)),
+        ("bert-base-512", dense),
+        ("bigbird-1024", bigbird(1024, 64, 3, 2, 7)),
+        ("blocksparse-1024", block_band),
+    ];
+    let (mut scratch, mut heads_scratch) = (ExecScratch::new(), HeadsScratch::new());
+    for (seed, (name, pattern)) in (60..).zip(shapes) {
+        let pattern = pattern.expect("pattern");
+        let plan = ExecutionPlan::build(&pattern, sim.config().hw).expect("plan");
+        let lowered = LoweredPlan::lower(&plan);
+        let head = [Qkv::random(pattern.n(), 64, seed)];
+        let scale = SpatialAccelerator::default_scale(64);
+        let want = sim
+            .execute_lowered(&lowered, &head[0].q, &head[0].k, &head[0].v, scale, &mut scratch)
+            .expect("sequential");
+        for parallelism in [2, 4] {
+            let outs = sim
+                .execute_heads_lowered(&lowered, &head, scale, parallelism, &mut heads_scratch)
+                .expect("partitioned");
+            assert_same_bits(&outs[0], &want, &format!("{name}: parallelism {parallelism}"));
         }
     }
 }

@@ -140,6 +140,10 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     assert_eq!(lowered.telemetry.engine, "lowered");
     assert_eq!(systolic.telemetry.engine, "systolic");
     assert_eq!(reference.telemetry.engine, "reference");
+    // The stage-level kernel profile follows the tracer switch (the CI
+    // variants with `SALO_TRACE=1` see it present) and costs no bits: the
+    // systolic oracle below is never profiled.
+    assert_eq!(lowered.telemetry.stages.is_some(), salo::trace::enabled());
     for h in 0..num_heads {
         // Bit-identity between the two fixed-point backends.
         assert_eq!(lowered.heads[h].raw, systolic.heads[h].raw, "head {h} raw bits");

@@ -177,8 +177,17 @@ fn flooding_tenant_is_rejected_while_good_tenant_is_served() {
         gateway.metrics().histogram("gateway.tenant.2.queue_wait_ns").snapshot().quantile(0.99);
     assert!(wait_p99_ns < 10_000_000_000, "good tenant p99 queue wait unbounded: {wait_p99_ns} ns");
 
+    // The front door's counts are live in the registry: a `Stats` frame
+    // read while the gateway still serves says what the final report will.
+    let stats = good.stats_json().expect("stats");
     let report = gateway.shutdown();
-    assert_eq!(report.rejected_overloaded, rejected);
+    assert_eq!((report.admitted, report.rejected_overloaded), (good_total + admitted, rejected));
+    for (name, count) in
+        [("admitted", report.admitted), ("rejected.overloaded", report.rejected_overloaded)]
+    {
+        let live = format!("\"gateway.{name}\":{count},");
+        assert!(stats.contains(&live), "no {live} in the live stats: {stats}");
+    }
     let good_counters = report.serve.tenants.get(&2).expect("good tenant counted");
     assert_eq!(good_counters.requests, good_total);
     assert_eq!(good_counters.rejections, 0, "good tenant must see no rejections");
@@ -197,17 +206,30 @@ fn malformed_frames_get_typed_errors_without_killing_the_connection() {
     let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect raw");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("deadline");
 
+    // Writes `bytes` and returns the message of the typed `BadFrame`
+    // reply they must draw.
+    let bad_frame = |stream: &mut TcpStream, bytes: &[u8]| -> String {
+        stream.write_all(bytes).expect("write malformed input");
+        let payload = wire::read_frame(stream).expect("error reply");
+        match wire::decode_response(&payload).expect("decodable reply") {
+            (_, Response::Error(frame)) if frame.code == ErrorCode::BadFrame => frame.message,
+            (_, other) => panic!("expected BadFrame, got {other:?}"),
+        }
+    };
+
     // Well-framed garbage (bad version byte): typed error, frame
     // boundary intact.
     let mut garbage = (24u32).to_le_bytes().to_vec();
     garbage.extend_from_slice(&[0xAB; 24]);
-    stream.write_all(&garbage).expect("write garbage");
-    let payload = wire::read_frame(&mut stream).expect("error reply");
-    let (_, response) = wire::decode_response(&payload).expect("decodable reply");
-    match response {
-        Response::Error(frame) => assert_eq!(frame.code, ErrorCode::BadFrame),
-        other => panic!("expected BadFrame, got {other:?}"),
-    }
+    bad_frame(&mut stream, &garbage);
+
+    // Opcode 0x06 once stopped the gateway. It is retired: a peer that
+    // sends it is told so, like any other opcode nobody defines.
+    let mut retired = (wire::HEADER_LEN as u32).to_le_bytes().to_vec();
+    retired.extend_from_slice(&[wire::PROTOCOL_VERSION, 0x06]);
+    retired.extend_from_slice(&[0; 16]);
+    let message = bad_frame(&mut stream, &retired);
+    assert!(message.contains("unknown opcode 0x06"), "{message}");
 
     // The same connection still serves well-formed requests.
     let stats = encode_request(Header { tenant: 1, request_id: 42 }, &Request::Stats);
@@ -218,13 +240,7 @@ fn malformed_frames_get_typed_errors_without_killing_the_connection() {
     assert!(matches!(response, Response::Stats { .. }), "stats after garbage: {response:?}");
 
     // A hostile length prefix: typed error, then the gateway hangs up.
-    stream.write_all(&u32::MAX.to_le_bytes()).expect("write hostile length");
-    let payload = wire::read_frame(&mut stream).expect("framing error reply");
-    let (_, response) = wire::decode_response(&payload).expect("decodable reply");
-    match response {
-        Response::Error(frame) => assert_eq!(frame.code, ErrorCode::BadFrame),
-        other => panic!("expected BadFrame, got {other:?}"),
-    }
+    bad_frame(&mut stream, &u32::MAX.to_le_bytes());
     match wire::read_frame(&mut stream) {
         Err(WireError::Truncated { .. } | WireError::Io(_)) => {}
         other => panic!("expected a closed connection, got {other:?}"),
@@ -232,6 +248,8 @@ fn malformed_frames_get_typed_errors_without_killing_the_connection() {
 
     let report = gateway.shutdown();
     assert_eq!(report.admitted, 0, "no malformed frame may reach the runtime");
+    assert!(report.drained_in_deadline, "the retired opcode left the drain to its owner");
+    assert_eq!((report.frames_read, report.frames_written), (3, 4));
 }
 
 /// Graceful drain: a live decode session is closed with a terminal
