@@ -20,8 +20,8 @@
 //!   reply in the in-flight table. It submits only while what is in
 //!   flight holds less than a *window* of slots — [`in_flight_window`],
 //!   derived from the serve options; a session request holds one slot, a
-//!   layer request a whole round's share ([`slots`]) — so the server's
-//!   own ingress and batcher never hold more than a window and a tenant
+//!   layer request a whole round's share ([`slots`]) — so the workers'
+//!   queues never hold more than a window and a tenant
 //!   arriving late waits for at most that much foreign work: four
 //!   rounds of decode steps, or one round of layers. It is also the
 //!   timer: it sleeps until the earliest outstanding deadline and answers
@@ -51,8 +51,8 @@
 //!
 //! Admission and fairness live in the gateway alone: the quota bounds
 //! what a tenant may have outstanding, DRR interleaves what is admitted
-//! a quantum at a time, and the window makes the server's ingress a
-//! staging hop rather than a second queue.
+//! a quantum at a time, and the window keeps the workers' queues — the
+//! one hop behind `submit_into` — staging, not a second place to wait.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
@@ -145,24 +145,24 @@ pub struct GatewayReport {
     pub drained_in_deadline: bool,
 }
 
-/// Rounds of the serve dispatcher's own drain limit
-/// (`workers × max_batch`) the in-flight window covers. Swept on the
+/// Rounds of `workers × max_batch` requests — what `max_batch` still
+/// sizes — the in-flight window covers. Swept on the
 /// socket benchmark with decode steps (EXPERIMENTS.md, "In-flight
 /// window"): a worker's tick fuses the steps of several rounds.
 const WINDOW_ROUNDS: usize = 4;
 
 /// How many slots of work the dispatcher keeps submitted and unanswered
-/// at once: enough that the worker pool, the same-plan batcher and the
-/// fused decode tick see several wire requests together, small enough
+/// at once: enough that every worker's queue and its fused decode tick
+/// see several wire requests together, small enough
 /// that a tenant arriving late waits for at most this much foreign work.
 fn in_flight_window(serve: &ServeOptions) -> usize {
     serve.workers.max(1) * serve.max_batch.max(1) * WINDOW_ROUNDS
 }
 
 /// Window slots `request` holds while in flight. A layer request holds a
-/// whole round's share: nothing fuses layers across rounds, so more than
-/// one round of them (`workers × max_batch`, what the batcher can take)
-/// would only queue in the server's ingress — milliseconds each — ahead
+/// whole round's share: nothing fuses layers, a worker runs them one
+/// after another, so more than one round of them (`workers × max_batch`)
+/// would only sit in the workers' queues — milliseconds each — ahead
 /// of whoever arrives next. Session requests hold one.
 fn slots(request: &Request) -> usize {
     if matches!(request, Request::Prefill { .. }) {

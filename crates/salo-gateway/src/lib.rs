@@ -31,7 +31,7 @@
 //!   queues are the single owner of admission and fairness: at most a
 //!   window of slots (`4 × workers × max_batch`, derived from the serve
 //!   options; a session request holds one, a prefill four) is in flight,
-//!   so the server's ingress is a staging hop, a flooding tenant is
+//!   so the workers' queues are a staging hop, a flooding tenant is
 //!   rejected at its own quota, and a well-behaved one waits for at most
 //!   a window of foreign work.
 //!   [`GatewayOptions::service_timeout`] answers a request that

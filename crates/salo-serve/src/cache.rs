@@ -9,11 +9,14 @@
 //!
 //! The cache is sharded: each shard is an independently locked map, so
 //! concurrent lookups on different shards never contend. Eviction is
-//! least-recently-used per shard, driven by a global monotone tick.
+//! least-recently-used per shard, driven by a global monotone tick. The
+//! workers look their plans up themselves, so a cold key can be asked for
+//! by several threads at once: [`PlanCache::get_or_compile`] is
+//! single-flight — one asker compiles, the others wait for that compile.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use salo_core::CompiledPlan;
 use salo_patterns::{AttentionShape, HybridPattern};
@@ -93,14 +96,56 @@ impl Entry {
     }
 }
 
+/// One independently locked slice of the cache.
+#[derive(Default)]
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Signalled whenever a key leaves `compiling`.
+    compiled: Condvar,
+}
+
+#[derive(Default)]
+struct ShardState {
+    plans: HashMap<PlanKey, Entry>,
+    /// Keys some [`PlanCache::get_or_compile`] caller is compiling right
+    /// now; whoever else asks for one of them waits on `compiled`.
+    compiling: Vec<PlanKey>,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock().expect("cache shard poisoned")
+    }
+}
+
+/// Marks `key` as being compiled for as long as it lives. Dropping it —
+/// after the insert, on a compile error, or on an unwinding compile —
+/// clears the mark and wakes the key's waiters, so none of them is left
+/// waiting on a compile that is no longer running.
+struct Compiling<'a> {
+    shard: &'a Shard,
+    key: PlanKey,
+}
+
+impl Drop for Compiling<'_> {
+    fn drop(&mut self) {
+        // `Drop` must not panic: a poisoned shard is left as it is (every
+        // later lookup reports the poison).
+        if let Ok(mut state) = self.shard.state.lock() {
+            state.compiling.retain(|key| *key != self.key);
+        }
+        self.shard.compiled.notify_all();
+    }
+}
+
 /// A sharded, LRU-evicting cache of compiled execution plans.
 ///
 /// Thread safe: lookups lock only the shard the key hashes to, and the
-/// scheduler pass for a miss runs *outside* the shard lock (two threads
-/// racing on the same cold key may both compile; the first insert wins and
-/// both observe the same semantics, since compilation is deterministic).
+/// scheduler pass for a miss runs *outside* the shard lock. A cold key is
+/// compiled exactly once however many threads ask for it together
+/// ([`get_or_compile`](Self::get_or_compile) is single-flight).
 pub struct PlanCache {
-    shards: Vec<Mutex<HashMap<PlanKey, Entry>>>,
+    shards: Vec<Shard>,
     shard_capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -132,7 +177,7 @@ impl PlanCache {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(shards),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -141,7 +186,7 @@ impl PlanCache {
         }
     }
 
-    fn shard(&self, key: &PlanKey) -> &Mutex<HashMap<PlanKey, Entry>> {
+    fn shard(&self, key: &PlanKey) -> &Shard {
         // The key's fields are already hashes; fold them instead of
         // re-hashing so shard selection is stable and cheap.
         let mix = key
@@ -158,6 +203,27 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// The uncounted lookup behind [`get`](Self::get) and
+    /// [`get_or_compile`](Self::get_or_compile): the entry under `key` if
+    /// it was compiled from these very inputs, its recency bumped.
+    fn lookup(
+        &self,
+        state: &mut ShardState,
+        key: &PlanKey,
+        pattern: &HybridPattern,
+        config: &AcceleratorConfig,
+    ) -> Option<Arc<CompiledPlan>> {
+        let entry = state.plans.get_mut(key).filter(|entry| entry.matches(pattern, config))?;
+        entry.last_used = self.next_tick();
+        Some(Arc::clone(&entry.plan))
+    }
+
+    /// Counts one lookup as a hit or a miss.
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Looks up a plan, bumping its recency on a hit.
     ///
     /// A key match alone is not a hit: the stored pattern and
@@ -171,19 +237,9 @@ impl PlanCache {
         pattern: &HybridPattern,
         config: &AcceleratorConfig,
     ) -> Option<Arc<CompiledPlan>> {
-        let tick = self.next_tick();
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.get_mut(key) {
-            Some(entry) if entry.matches(pattern, config) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.plan))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.lookup(&mut self.shard(key).lock(), key, pattern, config);
+        self.count(found.is_some());
+        found
     }
 
     /// Inserts a plan, evicting the shard's least-recently-used entry if
@@ -198,7 +254,8 @@ impl PlanCache {
         plan: CompiledPlan,
     ) -> Arc<CompiledPlan> {
         let tick = self.next_tick();
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let mut state = self.shard(&key).lock();
+        let shard = &mut state.plans;
         if let Some(entry) = shard.get_mut(&key) {
             if entry.matches(pattern, config) {
                 entry.last_used = tick;
@@ -230,11 +287,17 @@ impl PlanCache {
     ///
     /// Returns the plan and whether the lookup was a hit. The `compile`
     /// closure runs outside the shard lock, so a slow scheduler pass never
-    /// blocks lookups of other keys in the same shard.
+    /// blocks lookups of other keys in the same shard. Single-flight: an
+    /// asker that finds `key` being compiled by another thread waits for
+    /// that compile instead of running its own closure, then counts a hit
+    /// and returns the same handle — a cold key is compiled exactly once
+    /// however many threads ask for it together.
     ///
     /// # Errors
     ///
-    /// Propagates the `compile` closure's error; nothing is cached then.
+    /// Propagates the `compile` closure's error; nothing is cached then,
+    /// and each asker that was waiting on the failed compile takes its own
+    /// turn (its closure, its error), as does whoever asks next.
     pub fn get_or_compile<E>(
         &self,
         key: PlanKey,
@@ -242,9 +305,24 @@ impl PlanCache {
         config: &AcceleratorConfig,
         compile: impl FnOnce() -> Result<CompiledPlan, E>,
     ) -> Result<(Arc<CompiledPlan>, bool), E> {
-        if let Some(plan) = self.get(&key, pattern, config) {
-            return Ok((plan, true));
+        let shard = self.shard(&key);
+        let mut state = shard.lock();
+        loop {
+            if let Some(plan) = self.lookup(&mut state, &key, pattern, config) {
+                self.count(true);
+                return Ok((plan, true));
+            }
+            if !state.compiling.contains(&key) {
+                break;
+            }
+            state = shard.compiled.wait(state).expect("cache shard poisoned");
         }
+        state.compiling.push(key);
+        drop(state);
+        self.count(false);
+        // Declared before the compile so that it outlives the insert: a
+        // waiter woken by its drop finds the entry.
+        let _compiling = Compiling { shard, key };
         let plan = compile()?;
         Ok((self.insert(key, pattern, config, plan), false))
     }
@@ -252,7 +330,7 @@ impl PlanCache {
     /// Number of live entries across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+        self.shards.iter().map(|s| s.lock().plans.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -264,7 +342,7 @@ impl PlanCache {
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+            shard.lock().plans.clear();
         }
     }
 
@@ -331,6 +409,69 @@ mod tests {
             assert_eq!(cached.shape.seq_len, 32);
         }
         assert_eq!(compiles, 1);
+    }
+
+    #[test]
+    fn a_second_asker_waits_for_the_compile_in_flight() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let cache = PlanCache::new(8, 2);
+        let (key, pattern, config, plan) = compile(32, 5);
+        let (entered_tx, entered) = channel();
+        let (release, parked) = channel::<()>();
+        let (answered_tx, answered) = channel();
+        std::thread::scope(|scope| {
+            let (cache, pattern, config, plan) = (&cache, &pattern, &config, &plan);
+            let first = scope.spawn(move || {
+                cache.get_or_compile::<()>(key, pattern, config, || {
+                    entered_tx.send(()).unwrap();
+                    parked.recv().unwrap();
+                    Ok(plan.clone())
+                })
+            });
+            // The first asker is inside its closure, and stays there.
+            entered.recv().unwrap();
+            scope.spawn(move || {
+                let mut ran = false;
+                let second = cache.get_or_compile::<()>(key, pattern, config, || {
+                    ran = true;
+                    Ok(plan.clone())
+                });
+                answered_tx.send((second, ran)).unwrap();
+            });
+            // It has no answer while the compile it waits for is parked —
+            // an asker that compiled for itself would have one at once.
+            let early = answered.recv_timeout(Duration::from_millis(100));
+            release.send(()).unwrap();
+            let waited = early.is_err();
+            let (second, ran) = early.or_else(|_| answered.recv()).unwrap();
+            let (first_plan, first_hit) = first.join().unwrap().unwrap();
+            let (second_plan, second_hit) = second.unwrap();
+            assert!(waited, "the second asker answered without waiting for the first");
+            assert!(!ran, "the second asker never runs its own closure");
+            assert!(!first_hit && second_hit, "one miss for the compile, one hit for the wait");
+            assert!(Arc::ptr_eq(&first_plan, &second_plan), "both hold the first's plan");
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_failed_compile_caches_nothing_and_the_next_asker_compiles() {
+        let cache = PlanCache::new(8, 2);
+        let (key, pattern, config, plan) = compile(32, 5);
+        for attempt in 0..2 {
+            let failed = cache.get_or_compile(key, &pattern, &config, || Err(attempt));
+            assert_eq!(failed.err(), Some(attempt), "every asker gets its own compile's error");
+            assert!(cache.is_empty(), "a failure caches nothing");
+        }
+        // Nothing is left marked in flight: the next asker compiles at
+        // once instead of waiting for a compile that is no longer running.
+        let (_, hit) = cache.get_or_compile::<()>(key, &pattern, &config, || Ok(plan)).unwrap();
+        assert!(!hit);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 1));
     }
 
     #[test]

@@ -15,10 +15,10 @@ pub enum ServeError {
     },
     /// Compilation or execution failed inside the runtime.
     Salo(SaloError),
-    /// The server has shut down: the submission or response channel is
-    /// closed and no further requests can be served.
+    /// The server has shut down: the response channel is closed and no
+    /// further results will arrive.
     Closed,
-    /// The worker a batch was routed to is gone (its thread exited); the
+    /// The worker a request was sent to is gone (its thread exited); the
     /// affected requests fail instead of being silently dropped.
     WorkerLost,
     /// A decode step or close referenced a session id the server does not

@@ -5,21 +5,25 @@
 //! simulated accelerator. That is the wrong shape for serving: SALO's
 //! premise is that one compiled hybrid-sparsity dataflow is reused across
 //! an entire inference workload, and serving-oriented follow-ups (Salca,
-//! SparseAccelerate) show that plan reuse and batching — not kernel speed
-//! alone — dominate end-to-end throughput. This crate supplies the
-//! missing runtime:
+//! SparseAccelerate) show that plan reuse and per-step latency — not
+//! kernel speed alone — dominate end-to-end throughput. This crate
+//! supplies the missing runtime:
 //!
 //! * a **[`PlanCache`]** keyed by `(pattern fingerprint, shape,
 //!   accelerator fingerprint)` — repeated requests skip the scheduler
-//!   pass entirely (sharded locking, LRU eviction, hit/miss counters);
-//! * a **request batcher** that groups in-flight requests sharing a
-//!   compiled plan and dispatches them as multi-head batches;
-//! * a **worker pool** of N threads, each owning a
-//!   [`LoweredEngine`](salo_core::LoweredEngine) (N accelerator replicas)
-//!   that consumes typed [`AttentionRequest`](salo_core::AttentionRequest)s
-//!   directly — prefill batches and decode-session traffic travel as one
-//!   request shape, so swapping the backend never requires a serve
-//!   rewrite — fed by a least-loaded dispatcher; the worker that
+//!   pass entirely (sharded locking, LRU eviction, hit/miss counters,
+//!   single-flight compiles);
+//! * a **worker pool** of N threads, each one accelerator instance — the
+//!   scheduler in front of its array: it owns a
+//!   [`LoweredEngine`](salo_core::LoweredEngine), resolves each request's
+//!   plan against the cache (compiling on a miss, which stalls that
+//!   worker and nobody else) and runs it as a typed
+//!   [`AttentionRequest`](salo_core::AttentionRequest) — prefills and
+//!   decode-session traffic travel as one request shape, so swapping the
+//!   backend never requires a serve rewrite. A request reaches its
+//!   worker in one hop: the submitting thread sends it straight to the
+//!   least-loaded worker's queue (a session's steps to its pinned
+//!   worker's). The worker that
 //!   finishes a request sends its result straight to the channel the
 //!   request came in with ([`ServeEvent`]), and [`SaloServer::recv`]
 //!   restores submission order for the server's own
@@ -34,7 +38,7 @@
 //!   shared through the cache, and step outputs delivered on per-session
 //!   event channels ([`GenerationTraffic`] generates the workload).
 //!
-//! Batched execution is bit-identical to a one-shot engine: workers run
+//! Served execution is bit-identical to a one-shot engine: workers run
 //! each request's heads back to back through the same fixed-point
 //! datapath, so a response's output equals a direct
 //! [`Engine::execute`](salo_core::Engine::execute) on the same inputs —
@@ -70,7 +74,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod batch;
 mod cache;
 mod error;
 mod metrics;

@@ -85,9 +85,10 @@ pub struct ServeReport {
     pub latency_hist: HistogramSnapshot,
     /// Plan-cache effectiveness counters.
     pub cache: CacheStats,
-    /// Batches dispatched to workers.
+    /// Worker ticks that ran at least one layer. The runtime forms no
+    /// batches; a tick is what one worker found queued when it looked.
     pub batches: u64,
-    /// Mean requests per dispatched batch.
+    /// Mean layers per such tick: how many one worker ran back to back.
     pub mean_batch_size: f64,
     /// Deepest observed in-flight queue.
     pub max_queue_depth: usize,
@@ -101,8 +102,8 @@ pub struct ServeReport {
     pub decode_sessions: u64,
     /// Decode sessions that failed to open.
     pub decode_session_errors: u64,
-    /// Decode steps accepted across all sessions (executed or failed;
-    /// steps dropped by a benign close/step race are not counted).
+    /// Decode steps accepted across all sessions, executed or failed:
+    /// every accepted step completes exactly once.
     pub decode_steps: u64,
     /// Accepted decode steps that failed — execution errors (poisoning
     /// their session), steps reaching an already-retired session, or a
@@ -164,7 +165,7 @@ impl fmt::Display for ServeReport {
         )?;
         writeln!(
             f,
-            "batching        : {} batches, {:.2} req/batch, max queue depth {}",
+            "worker ticks    : {} with layers, {:.2} layers/tick, max queue depth {}",
             self.batches, self.mean_batch_size, self.max_queue_depth
         )?;
         writeln!(f, "simulated cost  : {} cycles, {:.3e} J", self.sim_cycles, self.sim_energy_j)?;
@@ -266,7 +267,7 @@ mod tests {
         };
         let text = report.to_string();
         for needle in
-            ["requests", "throughput", "plan cache", "batching", "decode kv", "per-worker"]
+            ["requests", "throughput", "plan cache", "worker ticks", "decode kv", "per-worker"]
         {
             assert!(text.contains(needle), "missing section {needle}");
         }

@@ -1,30 +1,35 @@
-//! The concurrent serving runtime: dispatcher and worker pool.
+//! The concurrent serving runtime: a front end that routes, and a worker
+//! pool that schedules and executes.
 //!
 //! ```text
-//!     submit_into() / open_session_into() / step_session()    ingress channel
-//!   client ─────────────────────────────────────────────▶ dispatcher
-//!     (each request names the Sender<ServeEvent>         │  plan cache
-//!      its result is owed to)                            │  batcher
-//!                                                        │  session table (session -> pinned worker)
-//!                                              batches   ▼  + session work
-//!                                   ┌──────────┬──────────┬──────────┐
-//!                                   │ worker 0 │ worker 1 │ worker N │   (one Salo each,
-//!                                   └────┬─────┴────┬─────┴────┬─────┘    pinned session states)
-//!                                        │          │          │
+//!     submit_into() / open_session_into() / step_session() / close_session()
+//!   client ──────────────────────────────────────────────┐  on the calling thread:
+//!     (each request names the Sender<ServeEvent>         │  layers -> least-loaded worker
+//!      its result is owed to)                            │  sessions -> the one session table
+//!                                                        │  (session -> pinned worker, events)
+//!                                      one Job, one hop  ▼
+//!                                   ┌──────────┬──────────┬──────────┐   (one accelerator each:
+//!                                   │ worker 0 │ worker 1 │ worker N │    plan cache lookup /
+//!                                   └────┬─────┴────┬─────┴────┬─────┘    compile, then execute;
+//!                                        │          │          │          pinned session states)
 //!   client ◀─────────────────────────────┴──────────┴──────────┘
 //!     one send, by the worker that finished the request, on the sender it
 //!     came in with: Layer / Opened / Step / Closed
 //! ```
 //!
-//! The dispatcher resolves each layer request's [`PlanKey`] against the
-//! shared [`PlanCache`] (a hit skips the scheduler pass entirely), groups
-//! compatible requests into same-plan batches, and ships each batch to the
-//! least-loaded worker. Decode sessions are pinned at open time: the
-//! session table maps each session id to its worker, and every step routes
-//! there, so the session's persistent K/V state never moves or locks.
+//! There is one way in: the submitting thread picks the worker — the
+//! least-loaded one for a layer, the pinned one for a session's step or
+//! close — and sends the [`Job`] straight to that worker's queue. The
+//! worker is the accelerator instance, scheduler included: it resolves
+//! the request's [`PlanKey`](crate::PlanKey) against the shared
+//! [`PlanCache`] (a hit skips the scheduler pass entirely, a miss compiles
+//! there, stalling that worker and nobody else) and executes. Decode
+//! sessions are pinned at open time: the session table maps each session
+//! id to its worker, and every step goes there, so the session's
+//! persistent K/V state never moves or locks.
 //!
 //! There is one way out: whoever finishes a request — its worker, or the
-//! dispatcher when it fails before reaching one — sends its
+//! submitter when the worker's thread is gone — sends its
 //! [`ServeEvent`] on the sender the request came in with. Nothing sits
 //! between the workers and the client, so layers arrive in completion
 //! order and a session's events in generation order.
@@ -36,28 +41,27 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use salo_core::{AttentionRequest, PatternHandle, Salo};
-use salo_patterns::{AttentionShape, HybridPattern};
+use salo_core::Salo;
 use salo_sim::AcceleratorConfig;
 use salo_trace::{Counter, MetricsRegistry};
 
-use crate::batch::{Batcher, InFlight};
 use crate::metrics::{LatencyStats, ServeReport, TenantCounters};
 use crate::session::{
-    DecodeSessionHandle, ServeEvent, SessionRegistry, SessionRequest, SessionTable, TokenQkv,
+    DecodeSessionHandle, LiveSession, ServeEvent, SessionRegistry, SessionRequest, TokenQkv,
 };
-use crate::worker::{Job, LayerTicket, Reply, ServeMetrics, StepJob, WorkerPool};
-use crate::{PlanCache, PlanKey, ServeError, ServeRequest, ServeResponse};
+use crate::worker::{Job, LayerTicket, ServeMetrics, StepJob, WorkerPool};
+use crate::{PlanCache, ServeError, ServeRequest, ServeResponse};
 
 /// Tunables of the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Number of worker threads, each modeling one accelerator instance.
     pub workers: usize,
-    /// Maximum requests per dispatched batch.
+    /// What a front end sizes its in-flight window by — the gateway keeps
+    /// `4 × workers × max_batch` requests submitted and unanswered. The
+    /// runtime itself forms no batches and never reads it.
     pub max_batch: usize,
     /// Total compiled plans the cache may hold.
     pub cache_capacity: usize,
@@ -97,29 +101,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// Everything that can enter the dispatcher.
-enum Ingress {
-    /// A one-shot attention-layer request.
-    Layer(LayerTicket, ServeRequest),
-    /// Open a decode session.
-    Open(OpenSubmission),
-    /// One decode step of an open session.
-    Step { session: u64, token: Vec<TokenQkv>, submitted: Instant },
-    /// Close a session and drop its pinned state.
-    Close { session: u64 },
-}
-
-struct OpenSubmission {
-    session: u64,
-    request: SessionRequest,
-    /// The request pattern's causal clip, built once during front-end
-    /// validation (clipping again in the dispatcher would duplicate the
-    /// work on every open).
-    causal: HybridPattern,
-    submitted: Instant,
-    events: Sender<ServeEvent>,
-}
-
 /// The receiving end of the server's own sink: what
 /// [`SaloServer::submit_for`] submits into and [`SaloServer::recv`] reads.
 struct OwnSink {
@@ -142,7 +123,7 @@ struct OwnSink {
 /// thread and returns the aggregate [`ServeReport`].
 pub struct SaloServer {
     config: AcceleratorConfig,
-    ingress: Option<Sender<Ingress>>,
+    pool: WorkerPool,
     /// The server as its own client: `submit_for` submits into
     /// `own_events`, `recv` reads the other end.
     own_events: Sender<ServeEvent>,
@@ -155,24 +136,23 @@ pub struct SaloServer {
     next_session: AtomicU64,
     sessions: Arc<SessionRegistry>,
     metrics: Arc<MetricsRegistry>,
-    /// The registry handles the dispatcher and the workers record through.
+    /// The registry handles the front end and the workers record through.
     counts: ServeMetrics,
     /// Each tenant's `serve.tenant.{id}.requests` counter, resolved by
     /// name on the tenant's first request and by id afterwards.
     tenant_requests: Mutex<HashMap<u64, Arc<Counter>>>,
-    /// Returns the workers' simulated energy (see [`Dispatcher::run`]).
-    dispatcher: JoinHandle<f64>,
-    workers: usize,
     /// One-way flag set by [`drain`](Self::drain): new submissions, opens
     /// and steps are refused with [`ServeError::Draining`] while in-flight
-    /// work finishes and sessions close out.
+    /// work finishes and sessions close out. Set, and read by an open,
+    /// under the session table's lock, so every session is either refused
+    /// or in the snapshot the drain closes.
     draining: AtomicBool,
 }
 
 impl std::fmt::Debug for SaloServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SaloServer")
-            .field("workers", &self.workers)
+            .field("workers", &self.pool.workers())
             .field("queue_depth", &self.queue_depth())
             .field("sessions", &self.active_sessions())
             .field("cache", &self.cache)
@@ -181,40 +161,22 @@ impl std::fmt::Debug for SaloServer {
 }
 
 impl SaloServer {
-    /// Starts the runtime: one dispatcher and `options.workers` workers
-    /// (each owning a [`Salo`] built from `config`).
+    /// Starts the runtime: `options.workers` workers, each owning a
+    /// [`Salo`] built from `config` and sharing one plan cache.
     #[must_use]
     pub fn start(config: AcceleratorConfig, options: ServeOptions) -> Self {
         let workers = options.workers.max(1);
         let cache = Arc::new(PlanCache::new(options.cache_capacity, options.cache_shards));
-        let sessions = Arc::new(SessionRegistry::new());
+        let sessions = Arc::new(SessionRegistry::new(workers));
         let metrics = Arc::new(MetricsRegistry::new());
         let counts = ServeMetrics::new(&metrics, workers);
-
-        let (ingress_tx, ingress_rx) = std::sync::mpsc::channel::<Ingress>();
+        let salo = Salo::new(config.clone());
+        let pool = WorkerPool::spawn(workers, &options, &salo, &cache, &sessions, &counts);
         let (own_events, own_rx) = std::sync::mpsc::channel();
-
-        let compiler = Salo::new(config.clone());
-        let dispatcher = Dispatcher {
-            pool: WorkerPool::spawn(workers, &options, &compiler, &sessions, &counts),
-            // The accelerator configuration is fixed for the server's
-            // lifetime; fingerprint it once instead of per request.
-            config_fp: compiler.config().fingerprint(),
-            compiler,
-            cache: Arc::clone(&cache),
-            batcher: Batcher::new(options.max_batch),
-            metrics: counts.clone(),
-            table: SessionTable::new(),
-            registry: Arc::clone(&sessions),
-        };
-        let dispatcher = std::thread::Builder::new()
-            .name("salo-serve-dispatcher".into())
-            .spawn(move || dispatcher.run(&ingress_rx))
-            .expect("spawn dispatcher thread");
 
         Self {
             config,
-            ingress: Some(ingress_tx),
+            pool,
             own_events,
             own: Mutex::new(OwnSink { events: own_rx, early: BTreeMap::new() }),
             own_ids: Mutex::new(VecDeque::new()),
@@ -225,8 +187,6 @@ impl SaloServer {
             metrics,
             counts,
             tenant_requests: Mutex::new(HashMap::new()),
-            dispatcher,
-            workers,
             draining: AtomicBool::new(false),
         }
     }
@@ -255,9 +215,9 @@ impl SaloServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] if the request is internally
-    /// inconsistent, [`ServeError::Draining`] while a
-    /// [`drain`](Self::drain) is in progress, or [`ServeError::Closed`]
-    /// after shutdown.
+    /// inconsistent, or [`ServeError::Draining`] once a
+    /// [`drain`](Self::drain) has begun. A request whose worker's thread
+    /// is gone is accepted and answered with [`ServeError::WorkerLost`].
     pub fn submit(&self, request: ServeRequest) -> Result<u64, ServeError> {
         self.submit_for(Self::DEFAULT_TENANT, request)
     }
@@ -301,34 +261,32 @@ impl SaloServer {
         // Re-validate: the fields are public, so the request may not have
         // come through `ServeRequest::new`.
         let request = ServeRequest::new(request.pattern, request.shape, request.heads)?;
-        let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
         self.count_tenant_request(tenant);
         self.counts.depth.add(1);
         let ticket = LayerTicket { id, submitted: Instant::now(), events };
-        if ingress.send(Ingress::Layer(ticket, request)).is_err() {
-            self.counts.depth.add(-1);
-            return Err(ServeError::Closed);
+        if let Err(job) = self.pool.send(self.pool.least_loaded(), Job::Layer { ticket, request }) {
+            job.lose(&self.counts);
         }
         Ok(id)
     }
 
-    /// Opens a streaming decode session: the pattern is causally clipped
-    /// and compiled (through the shared plan cache — one compiled plan
-    /// amortizes across every generation of the same pattern/shape), the
-    /// session is pinned to the least-loaded worker, and the prompt is
-    /// ingested there. The returned handle's event channel delivers the
-    /// open handshake ([`ServeEvent::Opened`]) followed by one
-    /// [`ServeEvent::Step`] per [`step_session`](Self::step_session)
-    /// call, in order.
+    /// Opens a streaming decode session: the pattern is causally clipped,
+    /// the session is pinned to the worker hosting the fewest live
+    /// sessions, and there the clip is compiled (through the shared plan
+    /// cache — one compiled plan amortizes across every generation of the
+    /// same pattern/shape) and the prompt ingested. The returned handle's
+    /// event channel delivers the open handshake
+    /// ([`ServeEvent::Opened`]) followed by one [`ServeEvent::Step`] per
+    /// [`step_session`](Self::step_session) call, in order.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] on an inconsistent request
-    /// (prompt not covering the globals, head mismatches), or
-    /// [`ServeError::Closed`] after shutdown. Compile failures arrive
-    /// asynchronously in the `Opened` event and deregister the session:
+    /// (prompt not covering the globals, head mismatches). Compile
+    /// failures arrive asynchronously in the `Opened` event and
+    /// deregister the session:
     /// once [`wait_open`](DecodeSessionHandle::wait_open) has reported
     /// the failure, the id is gone and further calls on it return
     /// [`ServeError::UnknownSession`]. Accounted under
@@ -345,8 +303,8 @@ impl SaloServer {
     /// # Errors
     ///
     /// As [`open_session`](Self::open_session), plus
-    /// [`ServeError::Draining`] while a [`drain`](Self::drain) is in
-    /// progress.
+    /// [`ServeError::Draining`] once a [`drain`](Self::drain) has begun:
+    /// an open the drain does not refuse, it closes.
     pub fn open_session_for(
         &self,
         tenant: u64,
@@ -372,26 +330,28 @@ impl SaloServer {
         request: SessionRequest,
         events: Sender<ServeEvent>,
     ) -> Result<u64, ServeError> {
+        let causal = request.validated_view()?.into_causal_pattern();
+        let decode_steps = self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps"));
+        // Admission, placement and the send are one step under the
+        // table's lock. A drain marks and snapshots under the same lock,
+        // so it either refuses this open or closes it; and whoever removes
+        // the session — a close, a drain — sends to its worker after this
+        // open's job, never ahead of it.
+        let mut table = self.sessions.lock();
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
-        let causal = request.validated_view()?.into_causal_pattern();
-        let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
         self.count_tenant_request(tenant);
         self.counts.depth.add(1);
-        // Register before submitting: an asynchronous open failure
-        // deregisters the id, and that removal must not race ahead of
-        // the insert (a late insert would leak the dead session).
-        let decode_steps = self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps"));
-        self.sessions.insert(session, decode_steps);
-        let submission =
-            OpenSubmission { session, request, causal, submitted: Instant::now(), events };
-        if ingress.send(Ingress::Open(submission)).is_err() {
-            self.sessions.remove(session);
-            self.counts.depth.add(-1);
-            return Err(ServeError::Closed);
+        let worker = table.place(|w| self.pool.load_of(w));
+        table.insert(session, LiveSession { worker, events: events.clone(), decode_steps });
+        let job = Job::Open { session, request, causal, submitted: Instant::now(), events };
+        if let Err(job) = self.pool.send(worker, job) {
+            table.remove(session);
+            drop(table);
+            job.lose(&self.counts);
         }
         Ok(session)
     }
@@ -413,23 +373,35 @@ impl SaloServer {
     ///
     /// Returns [`ServeError::UnknownSession`] for a session this server
     /// never opened — or that is no longer live: closed, dropped by a
-    /// poisoning step failure, or failed to open. Returns
-    /// [`ServeError::Closed`] after shutdown. Execution failures arrive
-    /// in the step event; [`ServeEvent::Step`] says which of them
-    /// retire the session.
+    /// poisoning step failure, or failed to open — and
+    /// [`ServeError::Draining`] once a [`drain`](Self::drain) has begun.
+    /// Execution failures arrive in the step event; [`ServeEvent::Step`]
+    /// says which of them retire the session, and that every accepted
+    /// step gets exactly one.
     pub fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
-        let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
-        if !self.sessions.count_step(session) {
-            return Err(ServeError::UnknownSession { session });
-        }
+        // The front gate and the route in one lookup. No second liveness
+        // check follows: a step accepted here executes if its session is
+        // still in the worker's engine when it gets there, and reports
+        // the engine's `UnknownSession` on its own event channel if not.
+        let (worker, events) = {
+            let table = self.sessions.lock();
+            let live = table.get(session).ok_or(ServeError::UnknownSession { session })?;
+            live.decode_steps.inc();
+            (live.worker, live.events.clone())
+        };
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
         self.counts.depth.add(1);
-        if ingress.send(Ingress::Step { session, token, submitted: Instant::now() }).is_err() {
-            self.counts.depth.add(-1);
-            return Err(ServeError::Closed);
+        let job = Job::Step(StepJob { session, token, submitted: Instant::now(), events });
+        if let Err(job) = self.pool.send(worker, job) {
+            // The pinned worker's thread is gone, taking the session
+            // state with it: retire the session outright, so further
+            // steps report `UnknownSession` instead of `WorkerLost`
+            // forever.
+            self.sessions.lock().remove(session);
+            job.lose(&self.counts);
         }
         Ok(())
     }
@@ -442,21 +414,24 @@ impl SaloServer {
     /// Returns [`ServeError::UnknownSession`] if the session is not live
     /// — never opened, already closed, or already retired by a failure
     /// (a poisoned session counts as closed; its channel received the
-    /// [`ServeEvent::Closed`] at poison time). Returns
-    /// [`ServeError::Closed`] after shutdown.
+    /// [`ServeEvent::Closed`] at poison time).
     pub fn close_session(&self, session: u64) -> Result<(), ServeError> {
-        if !self.sessions.remove(session) {
-            return Err(ServeError::UnknownSession { session });
+        // Removed first, so a concurrent close (or the drain) cannot send
+        // a second `Job::Close`.
+        let removed = self.sessions.lock().remove(session);
+        let LiveSession { worker, events, .. } =
+            removed.ok_or(ServeError::UnknownSession { session })?;
+        if let Err(job) = self.pool.send(worker, Job::Close { session, events }) {
+            job.lose(&self.counts);
         }
-        let ingress = self.ingress.as_ref().ok_or(ServeError::Closed)?;
-        ingress.send(Ingress::Close { session }).map_err(|_| ServeError::Closed)
+        Ok(())
     }
 
     /// Number of live sessions: opened and not yet closed — explicitly,
     /// by a poisoning step failure, or by a failed open.
     #[must_use]
     pub fn active_sessions(&self) -> usize {
-        self.sessions.len()
+        self.sessions.lock().len()
     }
 
     /// Blocks for the next response to a [`submit`](Self::submit) /
@@ -535,25 +510,25 @@ impl SaloServer {
     pub fn drain(&self, deadline: Duration) -> bool {
         let start = Instant::now();
         let _span = salo_trace::span_with("serve.drain", "serve", 0);
-        self.draining.store(true, Ordering::Release);
-        // Close every live session: each gets its terminal Closed event
-        // through the normal close path (remove from the registry first,
-        // exactly like close_session, so a concurrent close cannot
-        // double-send Ingress::Close).
-        if let Some(ingress) = self.ingress.as_ref() {
-            for session in self.sessions.live_ids() {
-                if self.sessions.remove(session) {
-                    let _ = ingress.send(Ingress::Close { session });
-                }
-            }
+        // Marked and snapshotted under the table's lock: an open that was
+        // not refused is in the snapshot. Each gets its terminal Closed
+        // event through the normal close path; one a client closed in the
+        // meantime is simply no longer there.
+        let live = {
+            let table = self.sessions.lock();
+            self.draining.store(true, Ordering::Release);
+            table.ids()
+        };
+        for session in live {
+            let _ = self.close_session(session);
         }
         while start.elapsed() < deadline {
-            if self.queue_depth() == 0 && self.sessions.len() == 0 {
+            if self.queue_depth() == 0 && self.active_sessions() == 0 {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.queue_depth() == 0 && self.sessions.len() == 0
+        self.queue_depth() == 0 && self.active_sessions() == 0
     }
 
     /// Stops accepting requests, drains all in-flight work, joins every
@@ -561,9 +536,10 @@ impl SaloServer {
     /// [`recv`](Self::recv) are discarded; open decode sessions are
     /// dropped with their channels.
     #[must_use]
-    pub fn shutdown(mut self) -> ServeReport {
-        self.ingress.take(); // closes ingress: dispatcher → workers wind down
-        let sim_energy_j = self.dispatcher.join().expect("serving thread panicked");
+    pub fn shutdown(self) -> ServeReport {
+        let workers = self.pool.workers();
+        // Closes the workers' queues: each drains what it holds and exits.
+        let sim_energy_j = self.pool.join();
         let wall_s = self.counts.wall_s();
         // Every counter in the report is read back from the registry —
         // whoever completed a request recorded it there. The latency
@@ -605,7 +581,7 @@ impl SaloServer {
             max_queue_depth: peak("serve.queue_depth") as usize,
             sim_cycles: counter("serve.sim_cycles"),
             sim_energy_j,
-            per_worker_requests: (0..self.workers)
+            per_worker_requests: (0..workers)
                 .map(|w| counter(&format!("serve.worker.{w}.requests")))
                 .collect(),
             decode_sessions: counter("serve.decode.sessions"),
@@ -620,254 +596,6 @@ impl SaloServer {
             decode_page_reclaims: counter("serve.decode.page_reclaims"),
             decode_pool_exhausted: counter("serve.decode.pool_exhausted"),
             tenants,
-        }
-    }
-}
-
-/// Dispatcher thread state.
-///
-/// Plan compilation for cache misses runs inline here, on the single
-/// dispatcher thread: the cache stays single-writer and a cold key is
-/// compiled exactly once. The tradeoff is that one cold-key scheduler
-/// pass (`bench/`'s `serve.plan_cache.miss_us`, ~0.4–1.6 ms at paper
-/// scale) delays the dispatch of queued cache-hit requests behind it;
-/// workloads mixing many novel patterns with hot traffic would want
-/// compile shipped to the workers instead.
-struct Dispatcher {
-    compiler: Salo,
-    cache: Arc<PlanCache>,
-    pool: WorkerPool,
-    batcher: Batcher,
-    metrics: ServeMetrics,
-    table: SessionTable,
-    registry: Arc<SessionRegistry>,
-    config_fp: u64,
-}
-
-impl Dispatcher {
-    /// Serves ingress until it closes, then joins the workers and returns
-    /// their simulated energy, summed in worker order.
-    fn run(mut self, ingress: &Receiver<Ingress>) -> f64 {
-        // Bound on the opportunistic drain between flushes: under
-        // sustained open-loop traffic the submission queue may never run
-        // empty, and without this bound an under-filled bucket could be
-        // held back indefinitely.
-        let drain_limit = self.pool.workers() * self.batcher.max_batch();
-        while let Ok(first) = ingress.recv() {
-            self.reap_retired();
-            let mut next = Some(first);
-            let mut drained = 0usize;
-            while let Some(msg) = next.take() {
-                match msg {
-                    Ingress::Layer(ticket, request) => self.handle_layer(ticket, request),
-                    Ingress::Open(open) => self.handle_open(open),
-                    Ingress::Step { session, token, submitted } => {
-                        self.handle_step(session, token, submitted);
-                    }
-                    Ingress::Close { session } => self.handle_close(session),
-                }
-                drained += 1;
-                next = if drained < drain_limit { ingress.try_recv().ok() } else { None };
-            }
-            for batch in self.batcher.flush() {
-                self.dispatch_batch(batch);
-            }
-        }
-        for batch in self.batcher.flush() {
-            self.dispatch_batch(batch);
-        }
-        debug_assert_eq!(self.batcher.pending(), 0, "every accepted request is dispatched");
-        self.pool.join()
-    }
-
-    fn dispatch_batch(&mut self, batch: crate::batch::Batch) {
-        let size = batch.len() as u64;
-        let batch_size = batch.len();
-        let _span = salo_trace::span_with("serve.batch_dispatch", "serve", size);
-        // Mint one typed request per member; the pattern/plan pair is one
-        // `Arc` clone each.
-        let jobs: Vec<Job> = batch
-            .requests
-            .into_iter()
-            .map(|req| Job::Request {
-                request: AttentionRequest::Prefill {
-                    pattern: PatternHandle::new(
-                        Arc::clone(&batch.pattern),
-                        Arc::clone(&batch.plan),
-                    ),
-                    shape: batch.shape,
-                    heads: req.heads,
-                },
-                reply: Reply::Layer { ticket: req.ticket, cache_hit: req.cache_hit, batch_size },
-            })
-            .collect();
-        match self.pool.dispatch(jobs) {
-            Ok(()) => self.metrics.count_batch(size),
-            // The routed worker's thread is gone: fail every member
-            // request so clients see an error instead of hanging on a
-            // response that will never come.
-            Err(jobs) => {
-                for job in jobs {
-                    let Job::Request { reply: Reply::Layer { ticket, cache_hit, .. }, .. } = job
-                    else {
-                        unreachable!("batches carry only layer replies");
-                    };
-                    let lost = Err(ServeError::WorkerLost);
-                    self.metrics.complete_layer(ticket, cache_hit, lost, None, 0);
-                }
-            }
-        }
-    }
-
-    fn handle_layer(&mut self, ticket: LayerTicket, request: ServeRequest) {
-        let ServeRequest { pattern, shape, heads } = request;
-        let key = PlanKey { pattern_fp: pattern.fingerprint(), shape, config_fp: self.config_fp };
-        let lookup = salo_trace::span_with("serve.plan_lookup", "serve", ticket.id);
-        let compiled = self.cache.get_or_compile(key, &pattern, self.compiler.config(), || {
-            self.compiler.compile(&pattern, &shape)
-        });
-        drop(lookup);
-        match compiled {
-            Ok((plan, cache_hit)) => {
-                let _form = salo_trace::span_with("serve.batch_form", "serve", ticket.id);
-                let inflight = InFlight { ticket, heads, cache_hit };
-                if let Some(batch) =
-                    self.batcher.push(key, &Arc::new(pattern), &plan, shape, inflight)
-                {
-                    self.dispatch_batch(batch);
-                }
-            }
-            Err(e) => self.metrics.complete_layer(ticket, false, Err(e.into()), None, 0),
-        }
-    }
-
-    fn handle_open(&mut self, open: OpenSubmission) {
-        let OpenSubmission { session, request, causal, submitted, events } = open;
-        // Decode sessions compile the *causal* clip of the pattern (built
-        // once at validation); its fingerprint keys the cache, so every
-        // generation of the same pattern reuses one compiled plan. The
-        // compiled program depends only on the pattern and the hardware —
-        // per-head K/V state and row dimensions live in the session — so
-        // the key uses a canonical single-head, unit-dim shape: sessions
-        // differing only in head count or head dimension share one entry
-        // instead of double-caching identical programs.
-        let shape = match AttentionShape::new(causal.n(), 1, 1) {
-            Ok(s) => s,
-            Err(e) => {
-                let reason = format!("shape: {e}");
-                return self.fail_open(
-                    session,
-                    &events,
-                    submitted,
-                    ServeError::InvalidRequest { reason },
-                );
-            }
-        };
-        let key = PlanKey { pattern_fp: causal.fingerprint(), shape, config_fp: self.config_fp };
-        match self.cache.get_or_compile(key, &causal, self.compiler.config(), || {
-            self.compiler.compile(&causal, &shape)
-        }) {
-            Ok((plan, cache_hit)) => {
-                let worker = self.place_session();
-                let job = Job::Request {
-                    request: AttentionRequest::DecodeOpen {
-                        session,
-                        pattern: PatternHandle::new(Arc::new(causal), plan),
-                        head_dim: request.head_dim,
-                        num_heads: request.num_heads,
-                        prompt: request.prompt,
-                    },
-                    reply: Reply::Open { session, cache_hit, submitted, events: events.clone() },
-                };
-                match self.pool.dispatch_to(worker, job) {
-                    Ok(()) => self.table.insert(session, worker, events),
-                    Err(_) => self.fail_open(session, &events, submitted, ServeError::WorkerLost),
-                }
-            }
-            Err(e) => self.fail_open(session, &events, submitted, e.into()),
-        }
-    }
-
-    /// Picks the worker a new session is pinned to. Sessions are
-    /// long-lived, so the primary signal is how many live sessions each
-    /// worker already hosts; transient queue depth only breaks ties
-    /// (alone it would be 0 everywhere whenever the queues are idle and
-    /// pin every session to worker 0).
-    fn place_session(&mut self) -> usize {
-        self.reap_retired();
-        let pinned = self.table.pinned_per_worker(self.pool.workers());
-        (0..self.pool.workers()).min_by_key(|&w| (pinned[w], self.pool.load_of(w), w)).unwrap_or(0)
-    }
-
-    /// Drops the routes of sessions the workers have retired (poisoning
-    /// step failures, failed opens). Their clients never send another
-    /// message for them — `step_session`/`close_session` already report
-    /// `UnknownSession` — so without this sweep the routes would leak
-    /// until shutdown.
-    fn reap_retired(&mut self) {
-        for session in self.registry.drain_retired() {
-            self.table.remove(session);
-        }
-    }
-
-    fn fail_open(
-        &mut self,
-        session: u64,
-        events: &Sender<ServeEvent>,
-        submitted: Instant,
-        error: ServeError,
-    ) {
-        // Deregister before reporting: once the client has observed the
-        // failed handshake, the id is guaranteed gone (steps report
-        // `UnknownSession`, `active_sessions` does not count it).
-        self.registry.remove(session);
-        self.metrics.complete_open(events, session, submitted, Err(error));
-    }
-
-    fn handle_step(&mut self, session: u64, token: Vec<TokenQkv>, submitted: Instant) {
-        let Some(route) = self.table.get(session) else {
-            // Closed (or retired) by the time the step arrived — a benign
-            // race, not an execution failure. The depth gauge still needs
-            // its exit, but the step must not pollute the decode metrics.
-            self.metrics.depth.add(-1);
-            return;
-        };
-        // No liveness check here beyond the route: the registry is the
-        // *front-end* gate, and consulting it now would let a
-        // `close_session` issued after this step was accepted fail the
-        // step retroactively (the removal happens on the caller thread,
-        // ahead of the queued `Ingress::Close`). A step that still has a
-        // route executes; if its session was meanwhile retired
-        // worker-side, the worker reports `UnknownSession` on the job's
-        // own event channel.
-        let job = Job::Step(StepJob { session, token, submitted, events: route.events.clone() });
-        if self.pool.dispatch_to(route.worker, job).is_err() {
-            // The pinned worker's thread is gone, taking the session
-            // state with it: retire the session outright (registry and
-            // route), so further steps report `UnknownSession` instead of
-            // `WorkerLost` forever — and deliver the terminal Closed
-            // event here, since no worker ever will.
-            let route = self.table.remove(session).expect("route was just read");
-            self.registry.remove(session);
-            // Position unknown — the state died with the worker.
-            let failed = Err(ServeError::WorkerLost);
-            self.metrics.complete_step(&route.events, session, submitted, failed, Some(None));
-        }
-    }
-
-    fn handle_close(&mut self, session: u64) {
-        if let Some(route) = self.table.remove(session) {
-            let job = Job::Request {
-                request: AttentionRequest::DecodeClose { session },
-                reply: Reply::Close { session, events: route.events.clone() },
-            };
-            if self.pool.dispatch_to(route.worker, job).is_err() {
-                // The pinned worker died with the session state; it can
-                // never send the terminal Closed event, so deliver it
-                // here (position unknown) rather than leave the client
-                // blocking for it.
-                let _ = route.events.send(ServeEvent::Closed { session, position: None });
-            }
         }
     }
 }

@@ -5,9 +5,10 @@
 //! the same pattern/shape skip the scheduler and lowering passes), plus
 //! per-head persistent K/V state that lives **inside one worker's engine**
 //! (`salo_core::LoweredEngine`) for the session's lifetime. Pinning the
-//! state to a worker keeps it unsynchronized and cache-warm; the
-//! dispatcher's session table maps session ids to their pinned worker so
-//! every step routes to the same accelerator instance.
+//! state to a worker keeps it unsynchronized and cache-warm; the one
+//! session table (`SessionRegistry`) maps session ids to their pinned
+//! worker so every step is sent straight to the same accelerator
+//! instance.
 //!
 //! A session's handshake, steps and close leave the runtime as
 //! [`ServeEvent`]s on the sender its open came in with, sent by the
@@ -18,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use salo_core::HeadStep;
 use salo_kernels::Qkv;
@@ -167,6 +168,14 @@ pub enum ServeEvent {
     /// the session: the runtime drops it, a final
     /// [`Closed`](Self::Closed) follows, and further steps report
     /// [`ServeError::UnknownSession`].
+    ///
+    /// One rule for every step
+    /// [`step_session`](crate::SaloServer::step_session) accepted: it
+    /// reaches the session's pinned worker and is answered by exactly one
+    /// `Step` event. If the session died first — retired by an earlier
+    /// step's failure, or closed from another thread — that event carries
+    /// the engine's `UnknownSession` and may arrive after the session's
+    /// terminal [`Closed`](Self::Closed).
     Step {
         /// The session id.
         session: u64,
@@ -246,120 +255,89 @@ impl DecodeSessionHandle {
     }
 }
 
-/// The set of live session ids, shared across the runtime's threads.
+/// The one table of live sessions, shared by the front end and the
+/// workers.
 ///
-/// Three parties keep it honest: the server front-end inserts at
-/// [`open_session`](crate::SaloServer::open_session) and gates
-/// `step_session`/`close_session` on membership; the pinned worker
-/// removes a session the moment it is retired by a failure (a poisoning
-/// step, a failed open) — *before* emitting the failure event, so a
-/// client that has observed the error is guaranteed further
-/// `step_session` calls report
-/// [`ServeError::UnknownSession`](crate::ServeError::UnknownSession);
-/// and the dispatcher consults it to retire stale routes for steps that
-/// were accepted just before the session died.
-#[derive(Debug, Default)]
+/// Two parties keep it honest: the server front end admits a session at
+/// [`open_session`](crate::SaloServer::open_session) — pinning it to a
+/// worker — and routes `step_session` / `close_session` from its entry;
+/// the pinned worker removes a session the moment it is retired by a
+/// failure (a poisoning step, a failed open) — *before* emitting the
+/// failure event, so a client that has observed the error is guaranteed
+/// further `step_session` calls report
+/// [`ServeError::UnknownSession`](crate::ServeError::UnknownSession), and
+/// the next placement no longer counts it against its worker.
+#[derive(Debug)]
 pub(crate) struct SessionRegistry {
-    /// Live sessions, each with the `serve.tenant.{id}.decode_steps`
-    /// counter of the tenant that opened it: resolved by name once at
-    /// open, so the step path pays one lookup for liveness and
-    /// accounting together.
-    live: Mutex<HashMap<u64, Arc<Counter>>>,
-    /// Sessions retired worker-side (poisoning step, failed open) whose
-    /// dispatcher route still needs reaping. The worker cannot reach the
-    /// dispatcher's table directly, so it queues the id here and the
-    /// dispatcher drains the queue on its next pass — otherwise a client
-    /// that (correctly) never touches the dead session again would leave
-    /// its route leaked until shutdown.
-    retired: Mutex<Vec<u64>>,
+    table: Mutex<Sessions>,
+}
+
+/// A live session's entry: where its steps go and where its events are
+/// owed.
+#[derive(Debug)]
+pub(crate) struct LiveSession {
+    /// The worker whose engine holds the session's K/V state.
+    pub worker: usize,
+    /// The sender the session's open came in with.
+    pub events: Sender<ServeEvent>,
+    /// The `serve.tenant.{id}.decode_steps` counter of the tenant that
+    /// opened it: resolved by name once at open, so the step path pays
+    /// one lookup for liveness, routing and accounting together.
+    pub decode_steps: Arc<Counter>,
+}
+
+/// The table behind [`SessionRegistry::lock`]. `pinned` is kept in step
+/// with `live` by the only two methods that change either.
+#[derive(Debug)]
+pub(crate) struct Sessions {
+    live: HashMap<u64, LiveSession>,
+    /// Live sessions pinned to each worker.
+    pinned: Vec<usize>,
 }
 
 impl SessionRegistry {
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(workers: usize) -> Self {
+        Self { table: Mutex::new(Sessions { live: HashMap::new(), pinned: vec![0; workers] }) }
     }
 
-    pub fn insert(&self, session: u64, decode_steps: Arc<Counter>) {
-        self.live.lock().expect("session registry poisoned").insert(session, decode_steps);
+    pub fn lock(&self) -> MutexGuard<'_, Sessions> {
+        self.table.lock().expect("session table poisoned")
+    }
+}
+
+impl Sessions {
+    /// Picks the worker a new session is pinned to. Sessions are
+    /// long-lived, so the primary signal is how many live sessions each
+    /// worker already hosts; `load_of` — a worker's transient queue depth
+    /// — only breaks ties (alone it would be 0 everywhere whenever the
+    /// queues are idle and pin every session to worker 0).
+    pub fn place(&self, load_of: impl Fn(usize) -> usize) -> usize {
+        (0..self.pinned.len()).min_by_key(|&w| (self.pinned[w], load_of(w), w)).unwrap_or(0)
     }
 
-    /// Removes the session; `false` if it was not live.
-    pub fn remove(&self, session: u64) -> bool {
-        self.live.lock().expect("session registry poisoned").remove(&session).is_some()
+    pub fn insert(&mut self, session: u64, entry: LiveSession) {
+        self.pinned[entry.worker] += 1;
+        self.live.insert(session, entry);
     }
 
-    /// Removes the session *and* queues its route for dispatcher-side
-    /// reaping — the worker-side form of removal.
-    pub fn retire(&self, session: u64) {
-        self.remove(session);
-        self.retired.lock().expect("session registry poisoned").push(session);
+    /// Removes the session and frees its placement slot; `None` if it was
+    /// not live.
+    pub fn remove(&mut self, session: u64) -> Option<LiveSession> {
+        let entry = self.live.remove(&session)?;
+        self.pinned[entry.worker] -= 1;
+        Some(entry)
     }
 
-    /// Takes the sessions retired since the last drain.
-    pub fn drain_retired(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.retired.lock().expect("session registry poisoned"))
+    pub fn get(&self, session: u64) -> Option<&LiveSession> {
+        self.live.get(&session)
     }
 
-    /// The liveness check of the step path: counts one step toward the
-    /// opening tenant if the session is live, reports `false` otherwise.
-    pub fn count_step(&self, session: u64) -> bool {
-        let live = self.live.lock().expect("session registry poisoned");
-        let Some(decode_steps) = live.get(&session) else { return false };
-        decode_steps.inc();
-        true
-    }
-
-    /// Snapshot of the live session ids — what a drain walks to close
-    /// every registered session.
-    pub fn live_ids(&self) -> Vec<u64> {
-        self.live.lock().expect("session registry poisoned").keys().copied().collect()
+    /// The live session ids — what a drain walks to close every session.
+    pub fn ids(&self) -> Vec<u64> {
+        self.live.keys().copied().collect()
     }
 
     pub fn len(&self) -> usize {
-        self.live.lock().expect("session registry poisoned").len()
-    }
-}
-
-/// The dispatcher's routing table: which worker each live session is
-/// pinned to, and the event channel failures are reported on.
-#[derive(Debug, Default)]
-pub(crate) struct SessionTable {
-    routes: HashMap<u64, SessionRoute>,
-}
-
-#[derive(Debug)]
-pub(crate) struct SessionRoute {
-    pub worker: usize,
-    pub events: Sender<ServeEvent>,
-}
-
-impl SessionTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn insert(&mut self, session: u64, worker: usize, events: Sender<ServeEvent>) {
-        self.routes.insert(session, SessionRoute { worker, events });
-    }
-
-    pub fn get(&self, session: u64) -> Option<&SessionRoute> {
-        self.routes.get(&session)
-    }
-
-    pub fn remove(&mut self, session: u64) -> Option<SessionRoute> {
-        self.routes.remove(&session)
-    }
-
-    /// Live sessions pinned to each of `workers` workers — the placement
-    /// signal for new sessions (sessions are long-lived, so transient
-    /// queue depth alone would pin everything to worker 0).
-    pub fn pinned_per_worker(&self, workers: usize) -> Vec<usize> {
-        let mut pinned = vec![0usize; workers];
-        for route in self.routes.values() {
-            if let Some(count) = pinned.get_mut(route.worker) {
-                *count += 1;
-            }
-        }
-        pinned
+        self.live.len()
     }
 }

@@ -1,17 +1,19 @@
-//! The worker pool: N execution engines behind channels.
+//! The worker pool: N accelerator instances behind channels.
 //!
 //! Each worker thread owns a [`LoweredEngine`] (modeling one physical
-//! accelerator) and consumes [`Job`]s: layers, session opens and closes
-//! travel as typed [`AttentionRequest`]s, so their worker body is one
-//! `engine.execute(request)` call plus reply routing ([`Reply`]); decode
-//! steps travel as [`StepJob`]s, which the scheduler tick below gathers
-//! into runs. Decode sessions are *pinned*: their per-head K/V state
-//! lives inside the worker's engine for the whole generation, so steps
-//! never cross threads and the state is never locked.
+//! accelerator) and consumes [`Job`]s the front end sends it directly.
+//! SALO is a data scheduler in front of its own spatial array, one unit,
+//! and so is a worker: a layer or a session open arrives as the client
+//! sent it, the worker resolves its plan against the shared
+//! [`PlanCache`] — compiling on a miss — and executes it. A cold compile
+//! therefore stalls the worker it runs on and nobody else. Decode
+//! sessions are *pinned*: their per-head K/V state lives inside the
+//! worker's engine for the whole generation, so steps never cross
+//! threads and the state is never locked.
 //!
 //! Every job carries the [`ServeEvent`] sender its request came in with.
-//! Whoever completes it (a worker here, the dispatcher for what never
-//! reaches one) does so through [`ServeMetrics`], in one order:
+//! Whoever completes it (a worker here, the submitter for a job whose
+//! worker is gone) does so through [`ServeMetrics`], in one order:
 //! **metrics, then the event, then the depth exit** — a client that has
 //! seen a result finds it counted, and a queue depth of zero means every
 //! event was sent.
@@ -26,7 +28,7 @@
 //!
 //! Each `recv` on the job channel opens one *scheduler tick*: the worker
 //! opportunistically drains whatever else is already queued (bounded by
-//! [`TICK_DRAIN_BATCHES`]), then walks the tick's jobs strictly in
+//! [`TICK_DRAIN_JOBS`]), then walks the tick's jobs strictly in
 //! arrival order. Every maximal contiguous run of decode steps for
 //! *distinct* sessions — at most one pending step per ready session, by
 //! construction — becomes a single
@@ -46,27 +48,68 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use salo_core::{AttentionRequest, Engine, LoweredEngine, MultiHeadRun, PrefillOutput, Salo};
+use salo_core::{
+    AttentionRequest, CompiledPlan, Engine, LoweredEngine, MultiHeadRun, PatternHandle,
+    PrefillOutput, Salo,
+};
+use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::DEFAULT_PAGE_ROWS;
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
-use crate::session::{DecodeStep, ServeEvent, SessionInfo, SessionRegistry, TokenQkv};
-use crate::{ServeError, ServeOptions, ServeResponse};
+use crate::session::{
+    DecodeStep, ServeEvent, SessionInfo, SessionRegistry, SessionRequest, TokenQkv,
+};
+use crate::{PlanCache, PlanKey, ServeError, ServeOptions, ServeRequest, ServeResponse};
 
-/// Bound on the extra job batches one scheduler tick may drain beyond the
+/// Bound on the extra jobs one scheduler tick may drain beyond the
 /// blocking `recv` that opened it. Keeps a firehose of submissions from
 /// starving the tick's first job while still giving concurrently
 /// submitted steps a window to land in the same fused pass.
-const TICK_DRAIN_BATCHES: usize = 64;
+const TICK_DRAIN_JOBS: usize = 64;
 
-/// One unit of work travelling to a worker.
+/// One unit of work travelling to a worker, with the sender its outcome
+/// is owed on.
 pub(crate) enum Job {
-    /// A layer, session open or session close: the typed `request` goes
-    /// straight into the engine, `reply` says where (and how) the outcome
-    /// is reported.
-    Request { request: AttentionRequest, reply: Reply },
+    /// A layer request: answered with [`ServeEvent::Layer`].
+    Layer { ticket: LayerTicket, request: ServeRequest },
+    /// A decode-session open: answered with [`ServeEvent::Opened`].
+    Open {
+        session: u64,
+        request: SessionRequest,
+        /// The request pattern's causal clip, built once during front-end
+        /// validation (clipping again here would duplicate the work on
+        /// every open).
+        causal: HybridPattern,
+        submitted: Instant,
+        events: Sender<ServeEvent>,
+    },
     /// One decode step, gathered into a run by the scheduler tick.
     Step(StepJob),
+    /// A session close: answered with the terminal [`ServeEvent::Closed`].
+    Close { session: u64, events: Sender<ServeEvent> },
+}
+
+impl Job {
+    /// Completes a job whose worker's thread is gone, so its client sees
+    /// an error instead of hanging on a result that will never come. The
+    /// state of a session pinned there died with it: a lost step is
+    /// followed by the terminal `Closed` no worker will ever send
+    /// (position unknown), and a lost close is answered by it.
+    pub fn lose(self, metrics: &ServeMetrics) {
+        let lost = ServeError::WorkerLost;
+        match self {
+            Job::Layer { ticket, .. } => metrics.complete_layer(ticket, false, Err(lost), None, 0),
+            Job::Open { session, submitted, events, .. } => {
+                metrics.complete_open(&events, session, submitted, Err(lost));
+            }
+            Job::Step(StepJob { session, submitted, events, .. }) => {
+                metrics.complete_step(&events, session, submitted, Err(lost), Some(None));
+            }
+            Job::Close { session, events } => {
+                let _ = events.send(ServeEvent::Closed { session, position: None });
+            }
+        }
+    }
 }
 
 /// One decode step on its way to the pinned worker: the token payload
@@ -87,20 +130,8 @@ pub(crate) struct LayerTicket {
     pub events: Sender<ServeEvent>,
 }
 
-/// Response routing for a [`Job::Request`] — the only per-kind metadata
-/// left outside the typed request itself. Every kind names the sender
-/// its request came in with; the outcome is one `send` on it.
-pub(crate) enum Reply {
-    /// A layer request: answered with [`ServeEvent::Layer`].
-    Layer { ticket: LayerTicket, cache_hit: bool, batch_size: usize },
-    /// A decode-session open: answered with [`ServeEvent::Opened`].
-    Open { session: u64, cache_hit: bool, submitted: Instant, events: Sender<ServeEvent> },
-    /// A session close: answered with the terminal [`ServeEvent::Closed`].
-    Close { session: u64, events: Sender<ServeEvent> },
-}
-
 /// Pre-resolved registry handles for everything the runtime counts:
-/// fetched once at start, shared by the dispatcher and every worker (the
+/// fetched once at start, shared by the front end and every worker (the
 /// underlying counters, gauges and histograms are atomic), updated
 /// lock-free on the hot path. Every request finishes through one of the
 /// `complete_*` methods.
@@ -118,7 +149,7 @@ pub(crate) struct ServeMetrics {
     sim_cycles: Arc<Counter>,
     /// `serve.worker.{i}.requests`: layers each worker executed.
     worker_requests: Vec<Arc<Counter>>,
-    /// Batches the dispatcher handed to a worker, and their members.
+    /// Worker ticks that ran at least one layer, and the layers they ran.
     batches: Arc<Counter>,
     batched_requests: Arc<Counter>,
     sessions: Arc<Counter>,
@@ -206,14 +237,8 @@ impl ServeMetrics {
         last.saturating_sub(first) as f64 / 1e9
     }
 
-    /// Counts one batch of `size` requests handed to a worker.
-    pub fn count_batch(&self, size: u64) {
-        self.batches.inc();
-        self.batched_requests.add(size);
-    }
-
     /// Completes a layer request. `worker` and `batch_size` are `None`
-    /// and 0 when it failed before reaching a worker.
+    /// and 0 when it never reached a worker.
     pub fn complete_layer(
         &self,
         ticket: LayerTicket,
@@ -310,14 +335,15 @@ fn publish_pool_stats(engine: &LoweredEngine, metrics: &ServeMetrics, watch: &mu
 
 /// Handles to the worker threads plus their load counters.
 pub(crate) struct WorkerPool {
-    senders: Vec<Sender<Vec<Job>>>,
+    senders: Vec<Sender<Job>>,
     outstanding: Vec<Arc<AtomicUsize>>,
     /// Each worker returns the simulated energy of the layers it ran.
     handles: Vec<JoinHandle<f64>>,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads, each owning an engine built from `salo`.
+    /// Spawns `workers` threads, each owning an engine built from `salo`
+    /// and resolving its plans against `cache`.
     /// `options.worker_parallelism` is the engines' prefill shard count
     /// (`0` inherits the `SALO_PARALLELISM` environment default);
     /// `decode_page_rows` / `decode_pool_pages` configure each engine's
@@ -326,6 +352,7 @@ impl WorkerPool {
         workers: usize,
         options: &ServeOptions,
         salo: &Salo,
+        cache: &Arc<PlanCache>,
         registry: &Arc<SessionRegistry>,
         metrics: &ServeMetrics,
     ) -> Self {
@@ -334,11 +361,14 @@ impl WorkerPool {
             0 => salo_core::env_parallelism(),
             shards => shards,
         };
+        // The accelerator configuration is fixed for the server's
+        // lifetime; fingerprint it once instead of per request.
+        let config_fp = salo.config().fingerprint();
         let mut senders = Vec::with_capacity(workers);
         let mut outstanding = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for index in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<Vec<Job>>();
+            let (tx, rx) = std::sync::mpsc::channel::<Job>();
             let load = Arc::new(AtomicUsize::new(0));
             // Engines built from one Salo share its lookup tables.
             let mut engine = salo.engine_with_parallelism(parallelism);
@@ -349,6 +379,9 @@ impl WorkerPool {
             let worker = Worker {
                 index,
                 engine,
+                compiler: salo.clone(),
+                config_fp,
+                cache: Arc::clone(cache),
                 load: Arc::clone(&load),
                 registry: Arc::clone(registry),
                 metrics: metrics.clone(),
@@ -376,45 +409,23 @@ impl WorkerPool {
         self.outstanding[worker].load(Ordering::Relaxed)
     }
 
-    /// The worker with the fewest outstanding work units — where the
-    /// dispatcher routes batches. (Session pinning additionally weighs
-    /// live pinned sessions; see the dispatcher's placement.)
+    /// The worker with the fewest outstanding work units — where layers
+    /// go. (Session pinning additionally weighs live pinned sessions; see
+    /// `Sessions::place`.)
     pub fn least_loaded(&self) -> usize {
-        self.outstanding
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, load)| load.load(Ordering::Relaxed))
-            .map_or(0, |(i, _)| i)
+        (0..self.workers()).min_by_key(|&w| self.load_of(w)).unwrap_or(0)
     }
 
-    /// Sends a batch of jobs to the least-loaded worker (by outstanding
-    /// request count). On failure — the chosen worker's thread is gone —
-    /// the jobs are handed back so the caller can fail their requests
-    /// instead of dropping them.
-    pub fn dispatch(&self, jobs: Vec<Job>) -> Result<(), Vec<Job>> {
-        let target = self.least_loaded();
-        self.outstanding[target].fetch_add(jobs.len(), Ordering::Relaxed);
-        match self.senders[target].send(jobs) {
-            Ok(()) => Ok(()),
-            Err(std::sync::mpsc::SendError(jobs)) => {
-                self.outstanding[target].fetch_sub(jobs.len(), Ordering::Relaxed);
-                Err(jobs)
-            }
-        }
-    }
-
-    /// Sends one session job to a specific (pinned) worker. Returns the
-    /// job back if that worker's thread is gone.
+    /// Sends one job straight to `worker`'s queue. On failure — that
+    /// worker's thread is gone — the job is handed back so the caller can
+    /// [`lose`](Job::lose) it instead of dropping it.
     #[allow(clippy::result_large_err)] // the Err is the undelivered job itself
-    pub fn dispatch_to(&self, worker: usize, job: Job) -> Result<(), Job> {
+    pub fn send(&self, worker: usize, job: Job) -> Result<(), Job> {
         self.outstanding[worker].fetch_add(1, Ordering::Relaxed);
-        match self.senders[worker].send(vec![job]) {
-            Ok(()) => Ok(()),
-            Err(std::sync::mpsc::SendError(mut jobs)) => {
-                self.outstanding[worker].fetch_sub(1, Ordering::Relaxed);
-                Err(jobs.pop().expect("one job sent, one returned"))
-            }
-        }
+        self.senders[worker].send(job).map_err(|std::sync::mpsc::SendError(job)| {
+            self.outstanding[worker].fetch_sub(1, Ordering::Relaxed);
+            job
+        })
     }
 
     /// Closes the submission side — the workers drain their queues and
@@ -425,10 +436,15 @@ impl WorkerPool {
     }
 }
 
-/// One worker thread's state.
+/// One worker thread's state: an accelerator instance — the scheduler
+/// (`compiler`, behind the shared plan cache) in front of its array
+/// (`engine`).
 struct Worker {
     index: usize,
     engine: LoweredEngine,
+    compiler: Salo,
+    config_fp: u64,
+    cache: Arc<PlanCache>,
     load: Arc<AtomicUsize>,
     registry: Arc<SessionRegistry>,
     metrics: ServeMetrics,
@@ -438,22 +454,15 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self, rx: &Receiver<Vec<Job>>) -> f64 {
+    fn run(mut self, rx: &Receiver<Job>) -> f64 {
         let mut watch = PoolWatch::default();
-        while let Ok(mut jobs) = rx.recv() {
+        let mut jobs = Vec::new();
+        while let Ok(first) = rx.recv() {
             // Open the tick: drain whatever else is already queued
             // (bounded), so steps submitted close together can fuse below.
-            let mut drained = 0usize;
-            while drained < TICK_DRAIN_BATCHES {
-                match rx.try_recv() {
-                    Ok(more) => {
-                        jobs.extend(more);
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            self.run_tick(jobs);
+            jobs.push(first);
+            jobs.extend(rx.try_iter().take(TICK_DRAIN_JOBS));
+            self.run_tick(&mut jobs);
             publish_pool_stats(&self.engine, &self.metrics, &mut watch);
         }
         self.energy_j
@@ -462,9 +471,17 @@ impl Worker {
     /// Processes one scheduler tick's jobs strictly in arrival order,
     /// running each maximal contiguous run of distinct-session decode
     /// steps as one batched engine pass.
-    fn run_tick(&mut self, jobs: Vec<Job>) {
+    fn run_tick(&mut self, jobs: &mut Vec<Job>) {
+        // The layers of one tick run back to back on this worker: that
+        // count is what `serve.batches` / `ServeResponse::batch_size`
+        // measure.
+        let layers = jobs.iter().filter(|job| matches!(job, Job::Layer { .. })).count();
+        if layers > 0 {
+            self.metrics.batches.inc();
+            self.metrics.batched_requests.add(layers as u64);
+        }
         let mut run: Vec<StepJob> = Vec::new();
-        for job in jobs {
+        for job in jobs.drain(..) {
             match job {
                 Job::Step(step) => {
                     if run.iter().any(|s| s.session == step.session) {
@@ -476,9 +493,22 @@ impl Worker {
                     }
                     run.push(step);
                 }
-                Job::Request { request, reply } => {
+                Job::Layer { ticket, request } => {
                     self.run_steps(std::mem::take(&mut run));
-                    self.run_job(request, reply);
+                    self.run_layer(ticket, request, layers);
+                }
+                Job::Open { session, request, causal, submitted, events } => {
+                    self.run_steps(std::mem::take(&mut run));
+                    self.run_open(session, request, causal, submitted, &events);
+                }
+                Job::Close { session, events } => {
+                    self.run_steps(std::mem::take(&mut run));
+                    let closed = self.engine.execute(AttentionRequest::DecodeClose { session });
+                    self.load.fetch_sub(1, Ordering::Relaxed);
+                    if let Ok(closed) = closed.and_then(|r| r.into_closed()) {
+                        let _ = events
+                            .send(ServeEvent::Closed { session, position: Some(closed.position) });
+                    }
                 }
             }
         }
@@ -540,7 +570,7 @@ impl Worker {
             // sessions this engine never held were retired long ago.
             let poisoned = known && !engine.has_session(session);
             if poisoned {
-                registry.retire(session);
+                registry.lock().remove(session);
             }
             load.fetch_sub(1, Ordering::Relaxed);
             if let Ok(step) = &result {
@@ -562,59 +592,95 @@ impl Worker {
         }
     }
 
-    /// Executes one layer, open or close on the worker's engine and
-    /// completes it on the sender it came in with.
-    fn run_job(&mut self, request: AttentionRequest, reply: Reply) {
-        let Self { index, engine, load, registry, metrics, energy_j } = self;
+    /// Looks the plan for `(pattern, shape)` up in the shared cache,
+    /// running the scheduler pass here — on the instance that will execute
+    /// it — when no worker has compiled it yet.
+    fn resolve(
+        &self,
+        id: u64,
+        pattern: &HybridPattern,
+        shape: AttentionShape,
+    ) -> Result<(Arc<CompiledPlan>, bool), ServeError> {
+        let key = PlanKey { pattern_fp: pattern.fingerprint(), shape, config_fp: self.config_fp };
+        let _lookup = salo_trace::span_with("serve.plan_lookup", "serve", id);
+        let compile = || self.compiler.compile(pattern, &shape);
+        Ok(self.cache.get_or_compile(key, pattern, self.compiler.config(), compile)?)
+    }
+
+    /// Resolves and executes one layer, and completes it on the sender it
+    /// came in with. `batch_size` is the number of layers in its tick.
+    fn run_layer(&mut self, ticket: LayerTicket, request: ServeRequest, batch_size: usize) {
         let tracer = salo_trace::Tracer::global();
-        match reply {
-            Reply::Layer { ticket, cache_hit, batch_size } => {
-                // Queue wait: submission to execution start, recorded from
-                // this worker's dequeue (it includes the dispatcher's plan
-                // lookup and batch formation ahead of the worker queue).
-                tracer.record_since("serve.queue_wait", "serve", ticket.submitted, ticket.id);
-                let result = engine
-                    .execute(request)
-                    .and_then(|r| r.into_prefill())
-                    .and_then(PrefillOutput::into_multi_head_run)
-                    .map_err(ServeError::from);
-                load.fetch_sub(1, Ordering::Relaxed);
-                if let Ok(run) = &result {
-                    *energy_j += run.total_energy_j;
-                }
-                let _reply_span = tracer.span_with("serve.reply", "serve", ticket.id);
-                metrics.complete_layer(ticket, cache_hit, result, Some(*index), batch_size);
-            }
-            Reply::Open { session, cache_hit, submitted, events } => {
-                tracer.record_since("serve.queue_wait", "serve", submitted, session);
-                let result = engine.execute(request).and_then(|r| r.into_opened());
-                load.fetch_sub(1, Ordering::Relaxed);
-                if result.is_err() {
-                    // Deregister before reporting, so a client that saw
-                    // the failed handshake gets `UnknownSession` from any
-                    // later `step_session` instead of a silent drop; the
-                    // retirement also queues the dispatcher route for
-                    // reaping.
-                    registry.retire(session);
-                }
-                let info = result
+        // Queue wait: submission to this worker's dequeue.
+        tracer.record_since("serve.queue_wait", "serve", ticket.submitted, ticket.id);
+        let ServeRequest { pattern, shape, heads } = request;
+        let resolved = self.resolve(ticket.id, &pattern, shape);
+        let cache_hit = matches!(resolved, Ok((_, true)));
+        let result = resolved.and_then(|(plan, _)| {
+            let pattern = PatternHandle::new(Arc::new(pattern), plan);
+            self.engine
+                .execute(AttentionRequest::Prefill { pattern, shape, heads })
+                .and_then(|r| r.into_prefill())
+                .and_then(PrefillOutput::into_multi_head_run)
+                .map_err(ServeError::from)
+        });
+        self.load.fetch_sub(1, Ordering::Relaxed);
+        if let Ok(run) = &result {
+            self.energy_j += run.total_energy_j;
+        }
+        let _reply_span = tracer.span_with("serve.reply", "serve", ticket.id);
+        self.metrics.complete_layer(ticket, cache_hit, result, Some(self.index), batch_size);
+    }
+
+    /// Resolves a session's plan, opens it on the worker's engine and
+    /// completes the handshake.
+    fn run_open(
+        &mut self,
+        session: u64,
+        request: SessionRequest,
+        causal: HybridPattern,
+        submitted: Instant,
+        events: &Sender<ServeEvent>,
+    ) {
+        salo_trace::record_since("serve.queue_wait", "serve", submitted, session);
+        // Decode sessions compile the *causal* clip of the pattern; its
+        // fingerprint keys the cache, so every generation of the same
+        // pattern reuses one compiled plan. The compiled program depends
+        // only on the pattern and the hardware — per-head K/V state and
+        // row dimensions live in the session — so the key uses a
+        // canonical single-head, unit-dim shape: sessions differing only
+        // in head count or head dimension share one entry instead of
+        // double-caching identical programs.
+        let opened = AttentionShape::new(causal.n(), 1, 1)
+            .map_err(|e| ServeError::InvalidRequest { reason: format!("shape: {e}") })
+            .and_then(|shape| self.resolve(session, &causal, shape))
+            .and_then(|(plan, cache_hit)| {
+                self.engine
+                    .execute(AttentionRequest::DecodeOpen {
+                        session,
+                        pattern: PatternHandle::new(Arc::new(causal), plan),
+                        head_dim: request.head_dim,
+                        num_heads: request.num_heads,
+                        prompt: request.prompt,
+                    })
+                    .and_then(|r| r.into_opened())
                     .map(|opened| SessionInfo {
-                        worker: *index,
+                        worker: self.index,
                         min_step: opened.min_step,
                         position: opened.position,
                         capacity: opened.capacity,
                         cache_hit,
                     })
-                    .map_err(ServeError::from);
-                metrics.complete_open(&events, session, submitted, info);
-            }
-            Reply::Close { session, events } => {
-                load.fetch_sub(1, Ordering::Relaxed);
-                if let Ok(closed) = engine.execute(request).and_then(|r| r.into_closed()) {
-                    let _ = events
-                        .send(ServeEvent::Closed { session, position: Some(closed.position) });
-                }
-            }
+                    .map_err(ServeError::from)
+            });
+        self.load.fetch_sub(1, Ordering::Relaxed);
+        if opened.is_err() {
+            // Deregister before reporting: once the client has observed
+            // the failed handshake, the id is gone — `step_session`
+            // reports `UnknownSession`, `active_sessions` does not count
+            // it, and its placement slot is free.
+            self.registry.lock().remove(session);
         }
+        self.metrics.complete_open(events, session, submitted, opened);
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for the plan cache: stats stay consistent and plans stay
 //! correct under proptest-driven request mixes, sequential and concurrent.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -36,9 +37,16 @@ fn fixture() -> Fixture {
     Fixture { salo, config, patterns, shapes, keys }
 }
 
-fn lookup(fx: &Fixture, cache: &PlanCache, w: usize) -> (Arc<CompiledPlan>, bool) {
+/// One lookup of workload `w`; `compiles` counts the closure's runs.
+fn lookup(
+    fx: &Fixture,
+    cache: &PlanCache,
+    w: usize,
+    compiles: &AtomicUsize,
+) -> (Arc<CompiledPlan>, bool) {
     cache
         .get_or_compile(fx.keys[w], &fx.patterns[w], &fx.config, || {
+            compiles.fetch_add(1, Ordering::Relaxed);
             fx.salo.compile(&fx.patterns[w], &fx.shapes[w])
         })
         .expect("compile succeeds")
@@ -53,14 +61,17 @@ proptest! {
     ) {
         let fx = fixture();
         let cache = PlanCache::new(capacity, shards);
+        let compiles = AtomicUsize::new(0);
         for &w in &mix {
-            let (plan, _hit) = lookup(&fx, &cache, w);
+            let (plan, _hit) = lookup(&fx, &cache, w, &compiles);
             prop_assert_eq!(plan.shape.seq_len, WORKLOADS[w].0);
             prop_assert_eq!(plan.plan.n(), WORKLOADS[w].0);
         }
         let stats = cache.stats();
-        // Every lookup is exactly one hit or one miss.
+        // Every lookup is exactly one hit or one miss, every miss one
+        // run of the compile closure.
         prop_assert_eq!(stats.hits + stats.misses, mix.len() as u64);
+        prop_assert_eq!(stats.misses, compiles.load(Ordering::Relaxed) as u64);
         // Sequentially, every miss is one insert; evictions balance.
         prop_assert_eq!(stats.evictions, stats.misses - stats.entries as u64);
         // The cache never exceeds its (shard-rounded) capacity.
@@ -79,18 +90,25 @@ proptest! {
         // how the fingerprints spread — the exact-entries assertions
         // below hold by construction, not by luck.
         let cache = PlanCache::new(16, 4);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    for &w in &mix {
-                        let (plan, _hit) = lookup(&fx, &cache, w);
-                        // Plain asserts: a panic inside a scoped thread
-                        // fails the test case.
-                        assert_eq!(plan.shape.seq_len, WORKLOADS[w].0);
-                        assert_eq!(plan.plan.n(), WORKLOADS[w].0);
-                    }
-                });
-            }
+        let compiles = AtomicUsize::new(0);
+        let handles: Vec<Vec<Arc<CompiledPlan>>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        mix.iter()
+                            .map(|&w| {
+                                let (plan, _hit) = lookup(&fx, &cache, w, &compiles);
+                                // Plain asserts: a panic inside a scoped
+                                // thread fails the test case.
+                                assert_eq!(plan.shape.seq_len, WORKLOADS[w].0);
+                                assert_eq!(plan.plan.n(), WORKLOADS[w].0);
+                                plan
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().expect("racer panicked")).collect()
         });
         let stats = cache.stats();
         prop_assert_eq!(stats.hits + stats.misses, (threads * mix.len()) as u64);
@@ -101,16 +119,20 @@ proptest! {
             seen.len()
         };
         prop_assert_eq!(stats.entries, distinct, "one live entry per distinct workload");
-        // Racing threads may compile the same cold key more than once,
-        // but never fewer times than there are distinct keys.
-        prop_assert!(stats.misses >= distinct as u64);
+        // Single-flight: however the threads race, a cold key is compiled
+        // exactly once — one miss, one closure run — and whoever asked for
+        // it meanwhile waited for that compile.
+        prop_assert_eq!(stats.misses, distinct as u64);
+        prop_assert_eq!(compiles.load(Ordering::Relaxed), distinct);
         prop_assert_eq!(stats.evictions, 0);
-        // After the race settles, all threads see one canonical plan.
-        for &w in &mix {
-            let (a, hit) = lookup(&fx, &cache, w);
+        // During the race and after it, every thread holds the one
+        // canonical plan of each workload.
+        for (i, &w) in mix.iter().enumerate() {
+            let (canonical, hit) = lookup(&fx, &cache, w, &compiles);
             prop_assert!(hit);
-            let (b, _) = lookup(&fx, &cache, w);
-            prop_assert!(Arc::ptr_eq(&a, &b), "stable cached handle");
+            for racer in &handles {
+                prop_assert!(Arc::ptr_eq(&racer[i], &canonical), "one handle per workload");
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Closed-loop serving demo: mixed Longformer / ViL / BERT traffic through
-//! the `salo-serve` runtime — plan caching, same-plan batching, a pool of
-//! simulated accelerator instances, and ordered responses.
+//! the `salo-serve` runtime — plan caching, one-hop least-loaded routing,
+//! a pool of simulated accelerator instances, and ordered responses.
 //!
 //! Run with: `cargo run --release --example serving`
 

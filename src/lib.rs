@@ -16,7 +16,7 @@
 //! | [`models`] | Longformer / ViL / BERT workload configurations |
 //! | [`quant`] | the quantization accuracy study (Table 3) |
 //! | [`core`] | the unified engine API (`AttentionRequest` over pluggable `Engine` backends) plus the `Salo` façade and streaming decode sessions |
-//! | [`serve`] | concurrent serving runtime: plan cache, batching, a worker pool of engines consuming typed requests, pinned decode sessions |
+//! | [`serve`] | concurrent serving runtime: plan cache, one-hop routing, a worker pool of engines consuming typed requests, pinned decode sessions |
 //! | [`gateway`] | the network front door: length-prefixed binary wire protocol over TCP, per-tenant admission control and deficit-round-robin fairness, graceful drain |
 //! | [`trace`] | zero-dependency observability: spans with Perfetto (Chrome trace JSON) export, mergeable metrics, stage-level kernel profiling |
 //!

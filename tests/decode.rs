@@ -659,8 +659,9 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
     server.step_session(handle.id(), good.clone()).unwrap();
     // Submitted before the poison propagates, the second step is either
     // rejected up front (the worker already deregistered the session) or
-    // accepted and then failed wherever it is caught — but never dropped
-    // without an event.
+    // accepted — and an accepted step always reaches the pinned worker,
+    // which answers it with the engine's `UnknownSession`: never dropped
+    // without an event or a count.
     let second_accepted = match server.step_session(handle.id(), good) {
         Ok(()) => true,
         Err(ServeError::UnknownSession { .. }) => false,
@@ -668,7 +669,7 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
     };
     // Drain to the terminal Closed event — every recv here must complete
     // (a hang is the bug), and Closed is the point past which a client
-    // owes no more waiting, whatever happened to steps racing the poison.
+    // owes no more waiting; the racing step's own event follows it.
     let mut step_errors = 0;
     loop {
         match handle.recv().unwrap() {
@@ -680,16 +681,21 @@ fn steps_racing_a_poisoning_failure_error_instead_of_hanging() {
             other => panic!("not a session's step or close: {other:?}"),
         }
     }
-    assert!(step_errors >= 1, "the poisoning step always reports");
-    // The poisoning step always counts as an error; the racing one either
-    // errors (it reached the worker) or is dropped as a benign race once
-    // the route was reaped — never more than the accepted steps.
+    assert_eq!(step_errors, 1, "the poisoning step reports, then the session closes");
+    if second_accepted {
+        assert!(
+            matches!(
+                handle.recv().unwrap(),
+                ServeEvent::Step { result: Err(ServeError::UnknownSession { .. }), .. }
+            ),
+            "an accepted step gets its one event, even after the terminal Closed"
+        );
+    }
+    // One error for the poisoning step, one for every step accepted
+    // behind it: exactly, not at most.
     let report = server.shutdown();
-    let errors = report.decode_step_errors;
-    assert!(
-        (1..=1 + u64::from(second_accepted)).contains(&errors),
-        "step errors {errors} outside the accepted range"
-    );
+    assert_eq!(report.decode_step_errors, 1 + u64::from(second_accepted));
+    assert_eq!(report.decode_steps, 1 + u64::from(second_accepted));
 }
 
 #[test]
@@ -736,9 +742,9 @@ fn decode_plan_cache_is_head_count_independent() {
 #[test]
 fn steps_accepted_before_close_still_execute() {
     // Queue order is authoritative: a step accepted before close_session
-    // executes and delivers its output, even though the close's registry
-    // removal (on the caller thread) lands before the dispatcher sees
-    // the queued step.
+    // executes and delivers its output, even though the close's removal
+    // from the session table (on the caller thread) lands before the
+    // worker sees the queued step.
     let server = SaloServer::start(
         AcceleratorConfig::default(),
         ServeOptions { workers: 1, ..Default::default() },
@@ -787,8 +793,9 @@ fn sessions_spread_across_workers() {
 
 #[test]
 fn retired_sessions_free_their_placement_slot() {
-    // A poisoned session's dispatcher route is reaped, so it neither
-    // leaks nor counts against its worker when later sessions are placed.
+    // A poisoned session leaves the session table with its failure, so it
+    // neither leaks nor counts against its worker when later sessions are
+    // placed.
     // Demo shape 0 opens on 2 heads x 16 prompt rows; at one row per page
     // that is 32 of each worker's 33 pages, so the first step's head 0
     // advances on the last page and head 1 is refused: the desync
@@ -810,10 +817,10 @@ fn retired_sessions_free_their_placement_slot() {
     assert!(poisoned.next_step().is_err());
     assert!(matches!(poisoned.recv().unwrap(), ServeEvent::Closed { .. }));
 
-    // The dead session's route must not occupy worker 0's slot.
+    // The dead session must not occupy worker 0's slot.
     let a = server.open_session(request.clone()).unwrap();
     let b = server.open_session(request).unwrap();
-    assert_eq!(a.wait_open().unwrap().worker, 0, "the poisoned session's slot was reaped");
+    assert_eq!(a.wait_open().unwrap().worker, 0, "the poisoned session's slot was freed");
     assert_eq!(b.wait_open().unwrap().worker, 1);
     server.close_session(a.id()).unwrap();
     server.close_session(b.id()).unwrap();
@@ -855,6 +862,104 @@ fn failed_opens_deregister_the_session() {
     assert_eq!(report.decode_sessions, 1);
     assert_eq!(report.decode_session_errors, 1);
     assert_eq!(report.decode_steps, 0, "no step ever reached the runtime");
+}
+
+#[test]
+fn a_cold_compile_stalls_its_own_worker_and_nobody_else() {
+    // Session A decodes on worker 0 while a cold open at the `decode_long`
+    // shape — a scheduler pass that dwarfs a step even in a debug build —
+    // is placed on worker 1. The worker that will execute a plan is the
+    // one that compiles it, so A's step, submitted right behind the open,
+    // waits for none of it.
+    let server = SaloServer::start(
+        AcceleratorConfig::default(),
+        ServeOptions { workers: 2, ..Default::default() },
+    );
+    let (request, steps) = GenerationTraffic::demo_mix().session(0);
+    let a = server.open_session(request).unwrap();
+    assert_eq!(a.wait_open().unwrap().worker, 0);
+
+    let pattern = HybridPattern::builder(8192)
+        .window(Window::causal(1024).unwrap())
+        .global_token(0)
+        .build()
+        .unwrap();
+    let cold = salo::serve::SessionRequest {
+        pattern,
+        head_dim: 8,
+        num_heads: 1,
+        prompt: vec![Qkv::random(1, 8, 0)],
+    };
+    let began = std::time::Instant::now();
+    let b = server.open_session(cold).unwrap();
+    server.step_session(a.id(), steps[0].clone()).unwrap();
+    let info = b.wait_open().unwrap();
+    let open_s = began.elapsed().as_secs_f64();
+    assert_eq!((info.worker, info.cache_hit), (1, false), "a cold open, beside A");
+
+    let ServeEvent::Step { result, latency_s, .. } = a.recv().unwrap() else {
+        panic!("A's step is its next event");
+    };
+    result.unwrap();
+    assert!(
+        latency_s < open_s / 10.0,
+        "a step of {latency_s:.4} s waited on a stranger's {open_s:.4} s open"
+    );
+    let _ = server.shutdown();
+}
+
+#[test]
+fn an_open_racing_a_drain_is_refused_or_closed() {
+    // One thread opens sessions as fast as it can while another drains.
+    // Admission and the drain's snapshot are decided under one lock, so
+    // every open is either refused or in the set the drain closes: none
+    // stays live behind the drain's back (which would also keep `drain`
+    // spinning to its deadline).
+    let server = SaloServer::start(
+        AcceleratorConfig::default(),
+        ServeOptions { workers: 2, ..Default::default() },
+    );
+    // A long causal clip keeps each open inside its front-end validation
+    // for most of its time — where the drain is most likely to find it.
+    let pattern = HybridPattern::builder(4096)
+        .window(Window::causal(64).unwrap())
+        .global_token(0)
+        .build()
+        .unwrap();
+    let request = salo::serve::SessionRequest {
+        pattern,
+        head_dim: 4,
+        num_heads: 1,
+        prompt: vec![Qkv::random(1, 4, 0)],
+    };
+    let (started_tx, started) = std::sync::mpsc::channel();
+    let (drained, admitted) = std::thread::scope(|scope| {
+        let opener = scope.spawn(|| {
+            let mut admitted = Vec::new();
+            loop {
+                match server.open_session(request.clone()) {
+                    Ok(handle) => admitted.push(handle),
+                    Err(ServeError::Draining) => return admitted,
+                    Err(other) => panic!("unexpected refusal: {other}"),
+                }
+                let _ = started_tx.send(());
+            }
+        });
+        started.recv().unwrap();
+        let drained = server.drain(std::time::Duration::from_secs(30));
+        (drained, opener.join().unwrap())
+    });
+    assert!(drained, "no open stayed live behind the drain");
+    assert_eq!(server.active_sessions(), 0);
+    assert!(!admitted.is_empty());
+    for handle in &admitted {
+        handle.wait_open().expect("an admitted open completes");
+        assert!(
+            matches!(handle.recv().unwrap(), ServeEvent::Closed { .. }),
+            "and the drain closed it"
+        );
+    }
+    let _ = server.shutdown();
 }
 
 #[test]

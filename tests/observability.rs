@@ -69,8 +69,6 @@ fn traced_burst_covers_all_layers() {
         // serving runtime
         "serve.admission",
         "serve.plan_lookup",
-        "serve.batch_form",
-        "serve.batch_dispatch",
         "serve.queue_wait",
         "serve.decode.queue_wait",
         "serve.reply",
@@ -88,7 +86,7 @@ fn traced_burst_covers_all_layers() {
     ] {
         assert!(names.contains(expected), "missing span {expected:?}; got {names:?}");
     }
-    // Spans came from more than one thread (submitter + dispatcher +
+    // Spans came from more than one thread (the submitter and the two
     // workers each carry their own ring).
     let tids: BTreeSet<u64> = snapshot.spans.iter().map(|s| s.tid).collect();
     assert!(tids.len() >= 3, "expected >=3 traced threads, got {}", tids.len());

@@ -1,4 +1,4 @@
-//! Integration tests for the `salo-serve` runtime: batched multi-worker
+//! Integration tests for the `salo-serve` runtime: multi-worker
 //! execution is bit-identical to the one-shot `Salo` API, `recv` returns
 //! responses in submission order while a caller-supplied sink gets them
 //! in completion order, every result is counted before it is seen, and
@@ -420,7 +420,7 @@ fn decode_at_scale_reclaims_pages_within_a_bounded_pool() {
 #[test]
 fn request_roundtrip_from_workload() {
     // ServeRequest::from_workload feeds the same heads the one-shot path
-    // would generate; spot-check the invariants the batcher relies on.
+    // would generate; spot-check the invariants the workers rely on.
     let mix = TrafficMix::demo_mix();
     for (i, workload) in mix.workloads().iter().enumerate() {
         let request = ServeRequest::from_workload(workload, i as u64);
