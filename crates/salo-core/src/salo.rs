@@ -6,7 +6,8 @@ use salo_kernels::Matrix;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_scheduler::{ExecutionPlan, PlanStats};
 use salo_sim::{
-    AcceleratorConfig, DecodePlan, ExecutionOutput, LoweredPlan, SpatialAccelerator, TimingReport,
+    AcceleratorConfig, DecodePlan, ExecutionOutput, LoweredPlan, SimError, SpatialAccelerator,
+    TimingReport,
 };
 
 use crate::SaloError;
@@ -30,10 +31,10 @@ pub struct CompiledPlan {
     /// The plan resolved into flat pass programs for the execution hot
     /// path.
     pub lowered: LoweredPlan,
-    /// Lazily built step-indexed decode program, shared by every decode
-    /// session of this compiled plan (see
+    /// Lazily built step-indexed decode program (or the reason there is
+    /// none), shared by every decode session of this compiled plan (see
     /// [`decode_plan`](Self::decode_plan)).
-    decode: OnceLock<Arc<DecodePlan>>,
+    decode: OnceLock<Result<Arc<DecodePlan>, SimError>>,
 }
 
 impl CompiledPlan {
@@ -41,7 +42,10 @@ impl CompiledPlan {
     /// cached — sessions opened on the same compiled plan (e.g. through
     /// the serving runtime's plan cache, which shares `CompiledPlan`s
     /// behind `Arc`) all reuse one program instead of re-bucketing per
-    /// session.
+    /// session. Single-flight: openers that race (two workers resolving
+    /// one cached plan) wait for the one lowering instead of each running
+    /// their own; `sim.decode_plans_lowered` in the global registry counts
+    /// the lowerings.
     ///
     /// # Errors
     ///
@@ -49,14 +53,23 @@ impl CompiledPlan {
     /// [`AnticausalPlan`](salo_sim::SimError::AnticausalPlan) if the plan
     /// was not compiled from a causally clipped pattern.
     pub fn decode_plan(&self) -> Result<Arc<DecodePlan>, SaloError> {
-        if let Some(decode) = self.decode.get() {
-            return Ok(Arc::clone(decode));
-        }
-        // Two threads may race here and both lower; lowering is
-        // deterministic, so the first insert wins and both see the same
-        // program.
-        let decode = Arc::new(DecodePlan::lower(&self.plan, &self.lowered)?);
-        Ok(Arc::clone(self.decode.get_or_init(|| decode)))
+        let lowered = self.decode.get_or_init(|| {
+            salo_trace::metrics().counter("sim.decode_plans_lowered").inc();
+            DecodePlan::lower(&self.plan, &self.lowered).map(Arc::new)
+        });
+        Ok(lowered.clone()?)
+    }
+
+    /// Heap bytes this compiled plan holds: the scheduler's plan, the
+    /// lowered program and — once [`decode_plan`](Self::decode_plan) has
+    /// built it — the decode program. Vector lengths times element sizes;
+    /// allocator overhead is not in it.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        let decode = self.decode.get().and_then(|d| d.as_ref().ok());
+        self.plan.resident_bytes()
+            + self.lowered.resident_bytes()
+            + decode.map_or(0, |d| d.resident_bytes())
     }
 }
 
@@ -101,9 +114,14 @@ pub(crate) fn compile_with(
         });
     }
     let plan = ExecutionPlan::build(pattern, hw)?;
-    let stats = plan.stats();
     let lowered = LoweredPlan::lower(&plan);
-    Ok(CompiledPlan { plan, shape: *shape, stats, lowered, decode: OnceLock::new() })
+    Ok(CompiledPlan {
+        plan,
+        shape: *shape,
+        stats: *lowered.stats(),
+        lowered,
+        decode: OnceLock::new(),
+    })
 }
 
 /// The SALO accelerator: data scheduler + spatial array, behind one API.

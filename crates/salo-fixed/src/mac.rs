@@ -171,11 +171,13 @@ pub fn sv_row_mac_i32(out: &mut [i32], prob: u16, v: &[Fix8x4]) {
     }
 }
 
-/// Stage 1 over a whole op: `scores[i] = q · row(keys[i])`, appended to
-/// `scores` in key order — [`qk_dot`] per key.
+/// Stage 1 over a whole op of `len` keys: `scores[i] = q · row(i)`,
+/// appended to `scores` in key order — [`qk_dot`] per key.
 ///
-/// `row` maps a key to its quantized row (a flat arena, a page table — the
-/// caller's business); every row must have `q.len()` elements.
+/// `row` maps a position in the op, `0..len`, to that key's quantized row.
+/// How the position becomes a key (run arithmetic, an index list) and the
+/// key a row (a flat arena, a page table) is the caller's business, decided
+/// once per op and inlined here; every row must have `q.len()` elements.
 ///
 /// The body is instantiated at the serving head dimensions (32 / 64 / 128)
 /// and once more with the dimension left to run time; `q.len()` — a
@@ -189,33 +191,33 @@ pub fn sv_row_mac_i32(out: &mut [i32], prob: u16, v: &[Fix8x4]) {
 ///
 /// Panics if a row is shorter than the query.
 #[inline]
-pub fn qk_dot_rows<'a, K: Copy>(
+pub fn qk_dot_rows<'a>(
     q: &[Fix8x4],
-    keys: &[K],
-    row: impl Fn(K) -> &'a [Fix8x4],
+    len: usize,
+    row: impl Fn(usize) -> &'a [Fix8x4],
     scores: &mut Vec<i32>,
     sat: &mut MacSaturation,
 ) {
     match q.len() {
-        32 => qk_dot_rows_at::<32, K>(q, keys, row, scores, sat),
-        64 => qk_dot_rows_at::<64, K>(q, keys, row, scores, sat),
-        128 => qk_dot_rows_at::<128, K>(q, keys, row, scores, sat),
-        _ => qk_dot_rows_at::<0, K>(q, keys, row, scores, sat),
+        32 => qk_dot_rows_at::<32>(q, len, row, scores, sat),
+        64 => qk_dot_rows_at::<64>(q, len, row, scores, sat),
+        128 => qk_dot_rows_at::<128>(q, len, row, scores, sat),
+        _ => qk_dot_rows_at::<0>(q, len, row, scores, sat),
     }
 }
 
 /// [`qk_dot_rows`] with the dimension fixed at compile time (`D > 0`,
 /// equal to `q.len()`) or left to run time (`D == 0`).
-fn qk_dot_rows_at<'a, const D: usize, K: Copy>(
+fn qk_dot_rows_at<'a, const D: usize>(
     q: &[Fix8x4],
-    keys: &[K],
-    row: impl Fn(K) -> &'a [Fix8x4],
+    len: usize,
+    row: impl Fn(usize) -> &'a [Fix8x4],
     scores: &mut Vec<i32>,
     sat: &mut MacSaturation,
 ) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
     if D == 64 || D == 128 {
-        return lanes::qk_dot_rows(q, keys, row, scores);
+        return lanes::qk_dot_rows(q, len, row, scores);
     }
     let d = if D == 0 { q.len() } else { D };
     // A by-value copy of the query: loop-invariant registers rather than
@@ -230,15 +232,17 @@ fn qk_dot_rows_at<'a, const D: usize, K: Copy>(
     // A plain loop over a pre-sized tail, not `extend(map(..))`: the
     // adaptor's `fold` may stay out of line, and then sees `d` as data.
     let start = scores.len();
-    scores.resize(start + keys.len(), 0);
-    for (score, &key) in scores[start..].iter_mut().zip(keys) {
-        *score = qk_dot(q, &row(key)[..d], sat);
+    scores.resize(start + len, 0);
+    for (i, score) in scores[start..].iter_mut().enumerate() {
+        *score = qk_dot(q, &row(i)[..d], sat);
     }
 }
 
-/// Stage 5 over a whole op: `out[e] = Σ_i probs[i] * row(keys[i])[e]`,
+/// Stage 5 over a whole op: `out[e] = Σ_i probs[i] * row(i)[e]`,
 /// overwriting `out` — the `i64` chain of [`sv_row_mac`] over the op's
-/// keys in order, computed as 32-bit chains.
+/// keys in order, computed as 32-bit chains. One probability per key;
+/// `row` maps a position in the op to that key's row, as in
+/// [`qk_dot_rows`].
 ///
 /// Keys are taken [`SV_I32_SAFE_KEYS`] at a time: that many provably fit an
 /// `i32` chain ([`sv_row_mac_i32`]), and the chains are summed in `i64`.
@@ -255,45 +259,38 @@ fn qk_dot_rows_at<'a, const D: usize, K: Copy>(
 ///
 /// # Panics
 ///
-/// Panics if `probs` and `keys` differ in length or a row is shorter than
-/// `out`.
+/// Panics if a row is shorter than `out`.
 #[inline]
-pub fn sv_rows_mac<'a, K: Copy>(
-    probs: &[u16],
-    keys: &[K],
-    row: impl Fn(K) -> &'a [Fix8x4],
-    out: &mut [i64],
-) {
+pub fn sv_rows_mac<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i64]) {
     match out.len() {
-        32 => sv_rows_mac_at::<32, true, K>(probs, keys, row, out),
-        64 => sv_rows_mac_at::<64, true, K>(probs, keys, row, out),
-        128 => sv_rows_mac_at::<128, true, K>(probs, keys, row, out),
-        _ => sv_rows_mac_at::<32, false, K>(probs, keys, row, out),
+        32 => sv_rows_mac_at::<32, true>(probs, row, out),
+        64 => sv_rows_mac_at::<64, true>(probs, row, out),
+        128 => sv_rows_mac_at::<128, true>(probs, row, out),
+        _ => sv_rows_mac_at::<32, false>(probs, row, out),
     }
 }
 
 /// [`sv_rows_mac`] in column blocks of `B` lanes; `EXACT` promises
 /// `out.len() == B`.
-fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool, K: Copy>(
+fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool>(
     probs: &[u16],
-    keys: &[K],
-    row: impl Fn(K) -> &'a [Fix8x4],
+    row: impl Fn(usize) -> &'a [Fix8x4],
     out: &mut [i64],
 ) {
-    assert_eq!(probs.len(), keys.len(), "one probability per key");
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
     if EXACT && (B == 64 || B == 128) {
-        return lanes::sv_rows_mac(probs, keys, row, out);
+        return lanes::sv_rows_mac(probs, row, out);
     }
     let d = if EXACT { B } else { out.len() };
     for base in (0..d).step_by(B) {
         let width = if EXACT { B } else { B.min(d - base) };
         let out = &mut out[base..base + width];
         out.fill(0);
-        for (probs, keys) in probs.chunks(SV_I32_SAFE_KEYS).zip(keys.chunks(SV_I32_SAFE_KEYS)) {
+        for (c, probs) in probs.chunks(SV_I32_SAFE_KEYS).enumerate() {
             let mut chain = [0i32; B];
-            for (&p, &key) in probs.iter().zip(keys) {
-                sv_row_mac_i32(&mut chain[..width], p, &row(key)[base..base + width]);
+            for (i, &p) in probs.iter().enumerate() {
+                let v = row(c * SV_I32_SAFE_KEYS + i);
+                sv_row_mac_i32(&mut chain[..width], p, &v[base..base + width]);
             }
             for (o, &sum) in out.iter_mut().zip(&chain) {
                 *o += i64::from(sum);
@@ -346,45 +343,49 @@ mod lanes {
     }
 
     #[inline]
-    pub(super) fn qk_dot_rows<'a, K: Copy>(
+    pub(super) fn qk_dot_rows<'a>(
         q: &[Fix8x4],
-        keys: &[K],
-        row: impl Fn(K) -> &'a [Fix8x4],
+        len: usize,
+        row: impl Fn(usize) -> &'a [Fix8x4],
         scores: &mut Vec<i32>,
     ) {
         // SAFETY: this module exists only in builds whose target features
         // include the ones the callee enables (the `cfg` on the module).
         unsafe {
             match q.len() / W {
-                1 => dot_rows::<1, K>(q, keys, row, scores),
-                _ => dot_rows::<2, K>(q, keys, row, scores),
+                1 => dot_rows::<1>(q, len, row, scores),
+                _ => dot_rows::<2>(q, len, row, scores),
             }
         }
     }
 
     #[inline]
-    pub(super) fn sv_rows_mac<'a, K: Copy>(
+    pub(super) fn sv_rows_mac<'a>(
         probs: &[u16],
-        keys: &[K],
-        row: impl Fn(K) -> &'a [Fix8x4],
+        row: impl Fn(usize) -> &'a [Fix8x4],
         out: &mut [i64],
     ) {
         // SAFETY: as in `qk_dot_rows`.
         unsafe {
             match out.len() / W {
-                1 => mac_rows::<1, K>(probs, keys, row, out),
-                _ => mac_rows::<2, K>(probs, keys, row, out),
+                1 => mac_rows::<1>(probs, row, out),
+                _ => mac_rows::<2>(probs, row, out),
             }
         }
     }
 
-    /// The keys four at a time; a ragged last quad repeats its last key
-    /// (whose lanes are then computed and dropped, or weighted zero).
+    /// The positions `base..base + len` four at a time; a ragged last quad
+    /// repeats its last position (whose lanes are then computed and
+    /// dropped, or weighted zero).
     #[inline]
-    fn quads<K: Copy>(keys: &[K]) -> impl Iterator<Item = [K; 4]> + '_ {
-        keys.chunks(4).map(|quad| match quad.try_into() {
-            Ok(full) => full,
-            Err(_) => std::array::from_fn(|i| quad[i.min(quad.len() - 1)]),
+    fn quads(base: usize, len: usize) -> impl Iterator<Item = [usize; 4]> {
+        (0..len.div_ceil(4)).map(move |q| {
+            let quad = [4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3].map(|i| base + i);
+            if 4 * q + 4 <= len {
+                quad
+            } else {
+                quad.map(|i| i.min(base + len - 1))
+            }
         })
     }
 
@@ -398,10 +399,10 @@ mod lanes {
     /// full reduction per key.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn dot_rows<'a, const N: usize, K: Copy>(
+    fn dot_rows<'a, const N: usize>(
         q: &[Fix8x4],
-        keys: &[K],
-        row: impl Fn(K) -> &'a [Fix8x4],
+        len: usize,
+        row: impl Fn(usize) -> &'a [Fix8x4],
         scores: &mut Vec<i32>,
     ) {
         let bias = _mm512_set1_epi8(i8::MIN);
@@ -415,8 +416,8 @@ mod lanes {
         // Whole quads of scores; a ragged quad's surplus lanes are cut off
         // at the end.
         let start = scores.len();
-        scores.resize(start + keys.len().next_multiple_of(4), 0);
-        for (quad, quad_scores) in quads(keys).zip(scores[start..].chunks_exact_mut(4)) {
+        scores.resize(start + len.next_multiple_of(4), 0);
+        for (quad, quad_scores) in quads(0, len).zip(scores[start..].chunks_exact_mut(4)) {
             let mut a = [_mm512_setzero_si512(); 4];
             for (a, &key) in a.iter_mut().zip(&quad) {
                 let k = row(key);
@@ -447,7 +448,7 @@ mod lanes {
                 _mm_extract_epi32::<3>(s),
             ]);
         }
-        scores.truncate(start + keys.len());
+        scores.truncate(start + len);
     }
 
     /// Stage 5 for rows of `N` vectors.
@@ -462,10 +463,9 @@ mod lanes {
     /// chain.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn mac_rows<'a, const N: usize, K: Copy>(
+    fn mac_rows<'a, const N: usize>(
         probs: &[u16],
-        keys: &[K],
-        row: impl Fn(K) -> &'a [Fix8x4],
+        row: impl Fn(usize) -> &'a [Fix8x4],
         out: &mut [i64],
     ) {
         /// Keys of an array-shaped op on the default 32-column array.
@@ -473,23 +473,23 @@ mod lanes {
         // Whole quads per chain, so only the op's last quad is ragged.
         const CHAIN: usize = SV_I32_SAFE_KEYS / 4 * 4;
         out.fill(0);
-        if keys.len() <= SHORT {
-            mac_chain::<N, SHORT, K>(probs, keys, &row, out);
+        if probs.len() <= SHORT {
+            mac_chain::<N, SHORT>(probs, 0, &row, out);
         } else {
-            for (probs, keys) in probs.chunks(CHAIN).zip(keys.chunks(CHAIN)) {
-                mac_chain::<N, CHAIN, K>(probs, keys, &row, out);
+            for (c, probs) in probs.chunks(CHAIN).enumerate() {
+                mac_chain::<N, CHAIN>(probs, c * CHAIN, &row, out);
             }
         }
     }
 
-    /// One chain of at most `CAP` keys (a multiple of four), added into
-    /// `out`.
+    /// One chain of at most `CAP` keys (a multiple of four) — the op's
+    /// positions from `base` on — added into `out`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn mac_chain<'a, const N: usize, const CAP: usize, K: Copy>(
+    fn mac_chain<'a, const N: usize, const CAP: usize>(
         probs: &[u16],
-        keys: &[K],
-        row: &impl Fn(K) -> &'a [Fix8x4],
+        base: usize,
+        row: &impl Fn(usize) -> &'a [Fix8x4],
         out: &mut [i64],
     ) {
         // The probabilities' byte halves, one vector sweep each; the tail
@@ -501,7 +501,7 @@ mod lanes {
         let mut hi = [[_mm512_setzero_si512(); 4]; N];
         let mut lo = [[_mm512_setzero_si512(); 4]; N];
         let words = p_hi.chunks_exact(4).zip(p_lo.chunks_exact(4));
-        for (quad, (p_hi, p_lo)) in quads(keys).zip(words) {
+        for (quad, (p_hi, p_lo)) in quads(base, probs.len()).zip(words) {
             // Key `i` of the quad in byte `i` of every 32-bit lane.
             let word = |bytes: &[u8]| {
                 let word: [u8; 4] = bytes.try_into().expect("four bytes");
@@ -729,7 +729,7 @@ mod tests {
                 let row = |j: u32| &k[j as usize * d..][..d];
                 let mut sat = MacSaturation::default();
                 let mut scores = vec![-7]; // appended to, not cleared
-                qk_dot_rows(&q, &keys, row, &mut scores, &mut sat);
+                qk_dot_rows(&q, count, |i| row(keys[i]), &mut scores, &mut sat);
                 let per_key: Vec<i32> =
                     keys.iter().map(|&j| qk_dot(&q, row(j), &mut sat)).collect();
                 assert_eq!(scores[0], -7);
@@ -756,7 +756,7 @@ mod tests {
                     .collect();
                 let row = |j: u32| &v[j as usize * d..][..d];
                 let mut out = vec![i64::MIN; d]; // overwritten, not added to
-                sv_rows_mac(&probs, &keys, row, &mut out);
+                sv_rows_mac(&probs, |i| row(keys[i]), &mut out);
                 let mut chain = vec![0i64; d];
                 for (&p, &j) in probs.iter().zip(&keys) {
                     sv_row_mac(&mut chain, p, row(j));
@@ -773,9 +773,9 @@ mod tests {
         for d in [32, 64, 100] {
             let v = vec![Fix8x4::MIN; d];
             let count = 3 * SV_I32_SAFE_KEYS + 2;
-            let (probs, keys) = (vec![PROB_ONE_TEST; count], vec![0u32; count]);
+            let probs = vec![PROB_ONE_TEST; count];
             let mut out = vec![0i64; d];
-            sv_rows_mac(&probs, &keys, |_| &v[..], &mut out);
+            sv_rows_mac(&probs, |_| &v[..], &mut out);
             assert!(out.iter().all(|&o| o == -(count as i64) * (1 << 22)), "d = {d}");
         }
     }
@@ -786,7 +786,7 @@ mod tests {
         let (q, k) = (vec![Fix8x4::MIN; d], vec![Fix8x4::MIN; d]);
         let mut sat = MacSaturation::default();
         let mut scores = Vec::new();
-        qk_dot_rows(&q, &[0u32, 0], |_| &k[..], &mut scores, &mut sat);
+        qk_dot_rows(&q, 2, |_| &k[..], &mut scores, &mut sat);
         assert_eq!(scores, [i32::MAX, i32::MAX]);
         assert_eq!(sat.events, 2);
     }

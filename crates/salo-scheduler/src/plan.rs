@@ -20,6 +20,9 @@ pub struct ExecutionPlan {
     globals: Vec<usize>,
     components: Vec<Component>,
     passes: Vec<Pass>,
+    /// Active cells of each main pass: `build` counts them to drop empty
+    /// passes, and `stats` reads them back instead of counting again.
+    pass_active: Vec<u64>,
     supplemental: Vec<SupplementalPass>,
 }
 
@@ -73,7 +76,7 @@ impl ExecutionPlan {
 
         // 1. Main passes: component x tile x chunk, skipping fully-inactive
         //    passes (all cells clipped or masked).
-        let mut passes = Vec::new();
+        let (mut passes, mut pass_active) = (Vec::new(), Vec::new());
         for (ci, comp) in components.iter().enumerate() {
             let nq = comp.num_queries();
             let noff = comp.offsets().len();
@@ -90,8 +93,10 @@ impl ExecutionPlan {
                         global_col: Vec::new(),
                         global_row: Vec::new(),
                     };
-                    if pass_active_cells(&pass, comp, &globals) > 0 {
+                    let active = pass_active_cells(&pass, comp, &globals);
+                    if active > 0 {
                         passes.push(pass);
+                        pass_active.push(active);
                     }
                 }
             }
@@ -208,7 +213,7 @@ impl ExecutionPlan {
             }
         }
 
-        Ok(Self { n, hw, globals, components, passes, supplemental })
+        Ok(Self { n, hw, globals, components, passes, pass_active, supplemental })
     }
 
     /// Sequence length.
@@ -253,6 +258,35 @@ impl ExecutionPlan {
         &self.supplemental
     }
 
+    /// Heap bytes the plan holds: the vectors it owns, by length times
+    /// element size.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let components = self.components.iter().map(|c| {
+            let starts = match c.kind() {
+                crate::ComponentKind::RowSupport { starts } => size_of_val(&starts[..]),
+                _ => 0,
+            };
+            size_of_val(c.queries()) + size_of_val(c.keys()) + size_of_val(c.offsets()) + starts
+        });
+        let duties = self.passes.iter().map(|p| {
+            let col = p.global_col.iter().map(|d| size_of_val(&d.fresh_queries[..]));
+            let row = p.global_row.iter().map(|d| size_of_val(&d.fresh_keys[..]));
+            size_of_val(&p.global_col[..])
+                + size_of_val(&p.global_row[..])
+                + col.sum::<usize>()
+                + row.sum::<usize>()
+        });
+        size_of_val(&self.globals[..])
+            + size_of_val(&self.components[..])
+            + size_of_val(&self.passes[..])
+            + size_of_val(&self.pass_active[..])
+            + size_of_val(&self.supplemental[..])
+            + components.sum::<usize>()
+            + duties.sum::<usize>()
+    }
+
     /// Active PE cells in one pass (score positions actually computed).
     #[must_use]
     pub fn pass_active_cells(&self, pass: &Pass) -> u64 {
@@ -266,9 +300,8 @@ impl ExecutionPlan {
         let mut streamed = 0u64;
         let mut col_scores = 0u64;
         let mut row_scores = 0u64;
-        for pass in &self.passes {
+        for (pass, &pass_active) in self.passes.iter().zip(&self.pass_active) {
             let comp = &self.components[pass.component];
-            let pass_active = pass_active_cells(pass, comp, &self.globals);
             active += pass_active;
             // Row-support components gather: every active cell is its own
             // key load, with no diagonal reuse to count.

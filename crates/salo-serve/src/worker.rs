@@ -53,7 +53,7 @@ use salo_core::{
     PrefillOutput, Salo,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_sim::DEFAULT_PAGE_ROWS;
+use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
 use crate::session::{
@@ -182,6 +182,12 @@ pub(crate) struct ServeMetrics {
     page_reclaims: Arc<Counter>,
     /// Allocations refused by a bounded pool at capacity.
     pool_exhausted: Arc<Counter>,
+    /// What each plan-cache miss left resident
+    /// ([`CompiledPlan::resident_bytes`]), and how its lowered program
+    /// names its keys: ops that are runs, keys that had to be listed.
+    plan_bytes: Arc<LogHistogram>,
+    plan_run_ops: Arc<Counter>,
+    plan_gather_keys: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -214,7 +220,20 @@ impl ServeMetrics {
             pool_pages: registry.gauge("serve.decode.pool_pages"),
             page_reclaims: registry.counter("serve.decode.page_reclaims"),
             pool_exhausted: registry.counter("serve.decode.pool_exhausted"),
+            plan_bytes: registry.histogram("serve.plan_cache.plan_bytes"),
+            plan_run_ops: registry.counter("sim.plan.run_ops"),
+            plan_gather_keys: registry.counter("sim.plan.gather_keys"),
         }
+    }
+
+    /// Records the cost of a plan this worker just compiled, once the
+    /// request that missed has run (an `Open` has lowered the decode
+    /// program by then, so it is in the bytes).
+    fn plan_compiled(&self, plan: &CompiledPlan) {
+        self.plan_bytes.record(plan.resident_bytes() as u64);
+        let runs = plan.lowered.ops().iter().filter(|op| matches!(op.keys, KeySpan::Run { .. }));
+        self.plan_run_ops.add(runs.count() as u64);
+        self.plan_gather_keys.add(plan.lowered.gather_keys().len() as u64);
     }
 
     /// The one clock read of a completion: the wall span takes it, and
@@ -616,6 +635,7 @@ impl Worker {
         let ServeRequest { pattern, shape, heads } = request;
         let resolved = self.resolve(ticket.id, &pattern, shape);
         let cache_hit = matches!(resolved, Ok((_, true)));
+        let compiled = compiled_now(&resolved);
         let result = resolved.and_then(|(plan, _)| {
             let pattern = PatternHandle::new(Arc::new(pattern), plan);
             self.engine
@@ -624,6 +644,9 @@ impl Worker {
                 .and_then(PrefillOutput::into_multi_head_run)
                 .map_err(ServeError::from)
         });
+        if let Some(plan) = compiled {
+            self.metrics.plan_compiled(&plan);
+        }
         self.load.fetch_sub(1, Ordering::Relaxed);
         if let Ok(run) = &result {
             self.energy_j += run.total_energy_j;
@@ -651,28 +674,32 @@ impl Worker {
         // canonical single-head, unit-dim shape: sessions differing only
         // in head count or head dimension share one entry instead of
         // double-caching identical programs.
-        let opened = AttentionShape::new(causal.n(), 1, 1)
+        let resolved = AttentionShape::new(causal.n(), 1, 1)
             .map_err(|e| ServeError::InvalidRequest { reason: format!("shape: {e}") })
-            .and_then(|shape| self.resolve(session, &causal, shape))
-            .and_then(|(plan, cache_hit)| {
-                self.engine
-                    .execute(AttentionRequest::DecodeOpen {
-                        session,
-                        pattern: PatternHandle::new(Arc::new(causal), plan),
-                        head_dim: request.head_dim,
-                        num_heads: request.num_heads,
-                        prompt: request.prompt,
-                    })
-                    .and_then(|r| r.into_opened())
-                    .map(|opened| SessionInfo {
-                        worker: self.index,
-                        min_step: opened.min_step,
-                        position: opened.position,
-                        capacity: opened.capacity,
-                        cache_hit,
-                    })
-                    .map_err(ServeError::from)
-            });
+            .and_then(|shape| self.resolve(session, &causal, shape));
+        let compiled = compiled_now(&resolved);
+        let opened = resolved.and_then(|(plan, cache_hit)| {
+            self.engine
+                .execute(AttentionRequest::DecodeOpen {
+                    session,
+                    pattern: PatternHandle::new(Arc::new(causal), plan),
+                    head_dim: request.head_dim,
+                    num_heads: request.num_heads,
+                    prompt: request.prompt,
+                })
+                .and_then(|r| r.into_opened())
+                .map(|opened| SessionInfo {
+                    worker: self.index,
+                    min_step: opened.min_step,
+                    position: opened.position,
+                    capacity: opened.capacity,
+                    cache_hit,
+                })
+                .map_err(ServeError::from)
+        });
+        if let Some(plan) = compiled {
+            self.metrics.plan_compiled(&plan);
+        }
         self.load.fetch_sub(1, Ordering::Relaxed);
         if opened.is_err() {
             // Deregister before reporting: once the client has observed
@@ -683,4 +710,11 @@ impl Worker {
         }
         self.metrics.complete_open(events, session, submitted, opened);
     }
+}
+
+/// The plan a lookup had to compile, if it did (a cache miss).
+fn compiled_now(
+    resolved: &Result<(Arc<CompiledPlan>, bool), ServeError>,
+) -> Option<Arc<CompiledPlan>> {
+    resolved.as_ref().ok().and_then(|(plan, hit)| (!hit).then(|| Arc::clone(plan)))
 }

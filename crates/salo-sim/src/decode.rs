@@ -20,7 +20,9 @@
 //!   and saturation counts — asserted by `tests/decode.rs`). Lowering
 //!   also precomputes the **live horizon** of every step — the smallest
 //!   non-global key any current-or-future op can still read — which is
-//!   what drives page reclamation.
+//!   what drives page reclamation. All of it is O(ops): an op that names
+//!   its keys as a run gives its largest and smallest key by its ends,
+//!   and only listed (gather) ops are scanned.
 //! * [`KvPagePool`] owns the physical pages: fixed-size K/V blocks of
 //!   `page_rows` token rows each, recycled through a freelist and shared
 //!   by every session of one owner (a serving worker, a bench harness).
@@ -55,7 +57,7 @@ use salo_scheduler::ExecutionPlan;
 use std::sync::Arc;
 
 use crate::exec::{run_op, ExecScratch, KvSource};
-use crate::{LoweredOp, LoweredOpKind, LoweredPlan, SimError, SpatialAccelerator};
+use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, SpatialAccelerator};
 
 /// Default rows per K/V page when the owner does not configure one.
 /// Small enough that a narrow active window (w + globals) stays a handful
@@ -96,11 +98,10 @@ pub struct DecodePlan {
     /// Step ops, contiguous per destination row, prefill order within
     /// each row.
     ops: Vec<LoweredOp>,
-    /// Key arena the ops slice into: the lowered plan's own, shared — each
-    /// op keeps the key list it was lowered with, so there is nothing to
-    /// copy, and at decode capacities a second arena would be the largest
-    /// thing in the program.
-    keys: Arc<Vec<u32>>,
+    /// The gather arena the listed (non-run) ops slice into: the lowered
+    /// plan's own, shared — each op keeps the keys it was lowered with, so
+    /// there is nothing to copy.
+    gather_keys: Arc<Vec<u32>>,
     /// Per sequence position: op range into `ops` (empty for global rows,
     /// whose work lives in `global_rows`).
     step_ranges: Vec<(u32, u32)>,
@@ -137,45 +138,67 @@ impl DecodePlan {
         // order, then the global rows — preserving prefill order within
         // each destination: the order the prefill's weighted-sum module
         // merges that row's parts in. A counting sort: `slots[r]..slots[r
-        // + 1]` are the final op indices of destination rank `r`, and
-        // `order` lists the lowered ops in that final order. (One bucket
-        // `Vec` per row would leave `n` freed fragments in the lowering
-        // thread's heap for the life of the process.)
-        let rank = |op: &LoweredOp| match globals.binary_search(&op.dest) {
-            Ok(gi) => n + gi,
-            Err(_) => op.dest as usize,
-        };
+        // + 1]` are the final op indices of destination rank `r`. (One
+        // bucket `Vec` per row would leave `n` freed fragments in the
+        // lowering thread's heap for the life of the process.)
+        let ranks: Vec<u32> = lowered
+            .ops()
+            .iter()
+            .map(|op| globals.binary_search(&op.dest).map_or(op.dest, |gi| (n + gi) as u32))
+            .collect();
         let mut slots = vec![0u32; n + globals.len() + 1];
-        for op in lowered.ops() {
-            let dest = op.dest as usize;
-            if op.kind == LoweredOpKind::Row && rank(op) < n {
-                // Window ops must be causal; global-column cells
-                // (SingleKey) are gated by `min_step` instead.
-                if let Some(&k) = lowered.op_keys(op).iter().max() {
-                    if k as usize > dest {
-                        return Err(SimError::AnticausalPlan { dest, key: k as usize });
-                    }
+        for (op, &rank) in lowered.ops().iter().zip(&ranks) {
+            // Window ops must be causal; global-column cells (SingleKey)
+            // are gated by `min_step` instead.
+            if op.kind == LoweredOpKind::Row && (rank as usize) < n {
+                if let Some(key) = lowered.op_keys(op).max().filter(|&k| k > op.dest) {
+                    let (dest, key) = (op.dest as usize, key as usize);
+                    return Err(SimError::AnticausalPlan { dest, key });
                 }
             }
-            slots[rank(op) + 1] += 1;
+            slots[rank as usize + 1] += 1;
         }
         for r in 1..slots.len() {
             slots[r] += slots[r - 1];
         }
-        let mut order = vec![0u32; lowered.ops().len()];
+        // One op list in destination order (a permutation: every slot is
+        // overwritten), over the lowered plan's gather arena.
+        let gather_keys = Arc::clone(&lowered.gather_keys);
+        let mut ops = lowered.ops().to_vec();
         let mut next = slots.clone();
-        for (index, op) in lowered.ops().iter().enumerate() {
-            let slot = &mut next[rank(op)];
-            order[*slot as usize] = index as u32;
+        for (op, &rank) in lowered.ops().iter().zip(&ranks) {
+            let slot = &mut next[rank as usize];
+            ops[*slot as usize] = *op;
             *slot += 1;
         }
 
-        // One op list in destination order, over the lowered key arena.
-        let keys = lowered.shared_keys();
-        let ops: Vec<LoweredOp> =
-            order.iter().map(|&index| lowered.ops()[index as usize]).collect();
+        // The reclamation horizon is built from the smallest *non-global*
+        // key each op reads. Global keys are excluded — their pages are
+        // pinned outright, so they must not drag the horizon to the
+        // sequence start. A run ascends (and a window row's run holds no
+        // global at all), so its first non-global key is its smallest.
+        let non_global = |k: &u32| globals.binary_search(k).is_err();
+        let min_nonglobal_key = |op: &LoweredOp| {
+            let keys = op.keys_in(&gather_keys);
+            let min = match keys {
+                OpKeys::Run { .. } => keys.iter().find(non_global),
+                OpKeys::Gather(listed) => listed.iter().copied().filter(non_global).min(),
+            };
+            min.unwrap_or(u32::MAX)
+        };
+        // Suffix minima of that key over `ops` (`len + 1`, `u32::MAX`
+        // terminated), one entry per group of `ops[bounds[i]..bounds[i + 1]]`.
+        let suffix_minima = |bounds: &[u32]| {
+            let mut suffix = vec![u32::MAX; bounds.len()];
+            for (i, w) in bounds.windows(2).enumerate().rev() {
+                let own = ops[w[0] as usize..w[1] as usize].iter().map(min_nonglobal_key).min();
+                suffix[i] = own.unwrap_or(u32::MAX).min(suffix[i + 1]);
+            }
+            suffix
+        };
+        let step_suffix_min = suffix_minima(&slots[..=n]);
         let step_ranges: Vec<(u32, u32)> = slots[..=n].windows(2).map(|w| (w[0], w[1])).collect();
-        let mut global_rows: Vec<GlobalRowProgram> = globals
+        let global_rows: Vec<GlobalRowProgram> = globals
             .iter()
             .zip(slots[n..].windows(2))
             .map(|(&token, w)| GlobalRowProgram {
@@ -184,82 +207,49 @@ impl DecodePlan {
                 end: w[1],
                 max_keys: ops[w[0] as usize..w[1] as usize]
                     .iter()
-                    .map(|op| {
-                        let range = op.key_start as usize..(op.key_start + op.key_len) as usize;
-                        keys[range].iter().copied().max().unwrap_or(0)
-                    })
+                    .map(|op| op.keys_in(&gather_keys).max().unwrap_or(0))
                     .collect(),
-                pending_suffix_min: Vec::new(),
+                pending_suffix_min: suffix_minima(&(w[0]..=w[1]).collect::<Vec<_>>()),
             })
             .collect();
 
-        // Precompute the reclamation horizon: suffix minima over the
-        // smallest *non-global* key each step (and each pending
-        // global-row op) reads. Global keys are excluded — their pages
-        // are pinned outright, so they must not drag the horizon to the
-        // sequence start.
-        let min_nonglobal_key = |op: &LoweredOp, keys: &[u32]| {
-            keys[op.key_start as usize..(op.key_start + op.key_len) as usize]
-                .iter()
-                .copied()
-                .filter(|k| globals.binary_search(k).is_err())
-                .min()
-                .unwrap_or(u32::MAX)
-        };
-        let mut step_suffix_min = vec![u32::MAX; n + 1];
-        for t in (0..n).rev() {
-            let (s, e) = step_ranges[t];
-            let own = ops[s as usize..e as usize]
-                .iter()
-                .map(|op| min_nonglobal_key(op, &keys))
-                .min()
-                .unwrap_or(u32::MAX);
-            step_suffix_min[t] = own.min(step_suffix_min[t + 1]);
-        }
-        for program in &mut global_rows {
-            let count = (program.end - program.start) as usize;
-            let mut suffix = vec![u32::MAX; count + 1];
-            for i in (0..count).rev() {
-                let op = &ops[program.start as usize + i];
-                suffix[i] = min_nonglobal_key(op, &keys).min(suffix[i + 1]);
-            }
-            program.pending_suffix_min = suffix;
-        }
-
         // Hash the complete program: two plans that differ anywhere in
-        // their ops or key arenas fingerprint apart, so a state reset for
-        // one cannot silently execute against the other (same capacity
-        // and global count included). Paid once per lowering.
-        let mut h = salo_patterns::StableHasher::new();
-        h.write_usize(n);
-        h.write_usize(min_step);
-        h.write_usize(globals.len());
+        // their ops or gather arenas fingerprint apart, so a state reset
+        // for one cannot silently execute against the other (same
+        // capacity and global count included). An in-process guard, paid
+        // once per lowering: a word at a time, two words per op, where the
+        // byte-wise stable hasher would spend eight multiplies per field.
+        let mut state = 0u64;
+        let mut mix = |word: u64| {
+            state = (state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        };
+        mix((n as u64) << 32 | min_step as u64);
+        mix(globals.len() as u64);
         for &g in &globals {
-            h.write_usize(g as usize);
+            mix(g.into());
         }
-        h.write_usize(ops.len());
         for op in &ops {
-            h.write_usize(match op.kind {
-                LoweredOpKind::Row => 0,
-                LoweredOpKind::SingleKey => 1,
-            });
-            h.write_usize(op.dest as usize);
-            h.write_usize(op.key_len as usize);
+            // A gather hashes as stride 0, which no run has.
+            let (at, stride) = match op.keys {
+                KeySpan::Run { first, stride } => (first, stride),
+                KeySpan::Gather { start } => (start, 0),
+            };
+            let single = u64::from(op.kind == LoweredOpKind::SingleKey);
+            mix(u64::from(op.dest) << 32 | u64::from(op.key_len));
+            mix(single << 48 | u64::from(stride) << 32 | u64::from(at));
         }
-        h.write_usize(keys.len());
-        for op in &ops {
-            for &k in lowered.op_keys(op) {
-                h.write_usize(k as usize);
-            }
+        for &key in gather_keys.iter() {
+            mix(key.into());
         }
-        let fingerprint = h.finish();
+        mix((ops.len() as u64) << 32 | gather_keys.len() as u64);
+        let fingerprint = state;
 
         Ok(Self {
             n,
             min_step,
             globals,
             ops,
-            keys,
+            gather_keys,
             step_ranges,
             global_rows,
             max_row_keys: lowered.max_row_keys(),
@@ -305,10 +295,24 @@ impl DecodePlan {
         &self.ops[start as usize..end as usize]
     }
 
-    /// Key list of one op.
+    /// Keys of one op.
     #[must_use]
-    pub fn op_keys(&self, op: &LoweredOp) -> &[u32] {
-        &self.keys[op.key_start as usize..(op.key_start + op.key_len) as usize]
+    pub fn op_keys(&self, op: &LoweredOp) -> OpKeys<'_> {
+        op.keys_in(&self.gather_keys)
+    }
+
+    /// Heap bytes the step program holds beyond the gather arena it shares
+    /// with its [`LoweredPlan`]: ops, step ranges and horizon tables.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let rows = self.global_rows.iter();
+        size_of_val(&self.ops[..])
+            + size_of_val(&self.globals[..])
+            + size_of_val(&self.step_ranges[..])
+            + size_of_val(&self.step_suffix_min[..])
+            + size_of_val(&self.global_rows[..])
+            + rows.map(|g| 4 * (g.max_keys.len() + g.pending_suffix_min.len())).sum::<usize>()
     }
 
     /// The longest key list of any op — scratch high-water mark.

@@ -25,7 +25,7 @@ use crate::partition::{Partition, Shard};
 use crate::systolic::SystolicArray;
 use crate::{
     AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, LoweredOpKind, LoweredPlan,
-    SimError, TimingReport, TrafficReport, UtilizationReport,
+    OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
 };
 
 /// The simulated SALO accelerator instance.
@@ -848,17 +848,45 @@ impl KvSource for SliceKv<'_> {
 /// decode step (`run_decode_ops`, K/V through page translation) — the
 /// decode-vs-prefill bit-identity guarantee holds by construction
 /// because there is exactly one copy of these kernels to diverge from.
-///
-/// The two MAC stages sweep the whole op at once ([`qk_dot_rows`],
-/// [`sv_rows_mac`]); those are instantiated at the serving head
-/// dimensions and pick the instantiation from `d` — a property of the
-/// request, not a knob.
+/// Run or gather is decided here, once per op: the body is generic over
+/// the position → key map, so neither sweep branches per key.
 #[allow(clippy::too_many_arguments)] // the op's full dataflow, spelled out
 pub(crate) fn run_op<S: KvSource>(
     exp: &ExpLut,
     recip: &RecipUnit,
     kind: LoweredOpKind,
-    keys: &[u32],
+    keys: OpKeys<'_>,
+    q_row: &[Fix8x4],
+    kv: &S,
+    d: usize,
+    bufs: &mut OpScratch,
+    acc: &mut PartialRow,
+    sat: &mut MacSaturation,
+) -> Result<(), SimError> {
+    match keys {
+        OpKeys::Run { first, stride, len } => {
+            let key = move |i: usize| first as usize + i * stride as usize;
+            run_op_keys(exp, recip, kind, len as usize, key, q_row, kv, d, bufs, acc, sat)
+        }
+        OpKeys::Gather(keys) => {
+            let key = move |i: usize| keys[i] as usize;
+            run_op_keys(exp, recip, kind, keys.len(), key, q_row, kv, d, bufs, acc, sat)
+        }
+    }
+}
+
+/// [`run_op`] over `len` keys, `key(i)` being the `i`-th. The two MAC
+/// stages sweep the whole op at once ([`qk_dot_rows`], [`sv_rows_mac`]),
+/// instantiated at the serving head dimensions and picked by `d` — a
+/// property of the request, not a knob.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn run_op_keys<S: KvSource>(
+    exp: &ExpLut,
+    recip: &RecipUnit,
+    kind: LoweredOpKind,
+    len: usize,
+    key: impl Fn(usize) -> usize + Copy,
     q_row: &[Fix8x4],
     kv: &S,
     d: usize,
@@ -868,9 +896,18 @@ pub(crate) fn run_op<S: KvSource>(
 ) -> Result<(), SimError> {
     let OpScratch { scores, exps, probs, part, profile, profiling } = bufs;
     let mut timer = StageTimer::start(*profiling);
-    // Stage 1: output-stationary dot products.
+    // Stage 1: output-stationary dot products. (The row closures are
+    // inlined whatever their size: an out-of-line call in a key loop
+    // spills the sweep's accumulators.)
     scores.clear();
-    qk_dot_rows(q_row, keys, |j| kv.k_row(j as usize, d), scores, sat);
+    qk_dot_rows(
+        q_row,
+        len,
+        #[inline(always)]
+        move |i| kv.k_row(key(i), d),
+        scores,
+        sat,
+    );
     timer.lap(&mut profile.qk_dot_ns);
     match kind {
         LoweredOpKind::Row => {
@@ -887,13 +924,18 @@ pub(crate) fn run_op<S: KvSource>(
     }
     timer.lap(&mut profile.exp_lut_ns);
     // Stage 5: weight-stationary value accumulation.
-    sv_rows_mac(probs, keys, |j| kv.v_row(j as usize, d), &mut part.out_q19);
+    sv_rows_mac(
+        probs,
+        #[inline(always)]
+        move |i| kv.v_row(key(i), d),
+        &mut part.out_q19,
+    );
     timer.lap(&mut profile.sv_mac_ns);
     merge_partials_into(acc, part, recip)?;
     timer.lap(&mut profile.renorm_merge_ns);
     if *profiling {
         profile.ops += 1;
-        profile.keys += keys.len() as u64;
+        profile.keys += len as u64;
     }
     Ok(())
 }

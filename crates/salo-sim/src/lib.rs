@@ -70,7 +70,7 @@ pub use decode::{
 pub use energy::{EnergyBreakdown, EnergyModel, OpEnergies};
 pub use error::SimError;
 pub use exec::{ExecScratch, ExecutionOutput, HeadsScratch, SpatialAccelerator};
-pub use lower::{LoweredOp, LoweredOpKind, LoweredPlan};
+pub use lower::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys};
 pub use partition::{Partition, Shard, OP_BASE_COST};
 pub use report::{ExecutionReport, TimingReport, UtilizationReport};
 pub use salo_trace::StageProfile;

@@ -12,16 +12,23 @@
 //! functional simulator.
 //!
 //! [`LoweredPlan::lower`] runs every resolution exactly once and emits a
-//! CSR-style program: a single arena of pre-filtered key indices plus a
 //! flat list of [`LoweredOp`]s in execution order — window-row softmax
-//! parts, flattened global-column/row duties, and supplemental ranges. At
-//! execution time the datapath just walks the op list: no `Option`, no
-//! closures, no global checks, no allocation. The op order replicates the
-//! plan walk bit for bit, so the lowered fast path and the event-accurate
-//! [`SystolicArray`](crate::SystolicArray) oracle stay bit-identical
-//! (asserted by the simulator's proptests).
+//! parts, flattened global-column/row duties, and supplemental ranges. An
+//! op names its keys the way the data scheduler addresses them: as a
+//! **run** `(first, stride, key_len)` whenever they are an arithmetic
+//! progression (a window row reads `p + o`, a dilated one `key_class +
+//! (p + o) · dilation`, a global row a key range), so the program is
+//! O(ops), not O(nnz). Only keys that are no progression are listed, in a
+//! gather arena: a row with a global token strictly inside its span, a
+//! pass whose offset chunk is not consecutive (ViL's 2-D window), and the
+//! row-support gathers of block-sparse and random terms. Execution walks
+//! the op list: no `Option`, no global checks, no allocation, one
+//! run-or-gather decision per op. The op order replicates the plan walk
+//! bit for bit, so the lowered fast path and the event-accurate
+//! [`SystolicArray`](crate::SystolicArray) oracle — which walks `key_at`
+//! itself — stay bit-identical (asserted by the simulator's proptests).
 
-use salo_scheduler::{ExecutionPlan, PlanStats, SupplementalKind};
+use salo_scheduler::{ComponentKind, ExecutionPlan, PlanStats, SupplementalKind};
 use std::sync::Arc;
 
 /// What one lowered operation computes.
@@ -36,21 +43,114 @@ pub enum LoweredOpKind {
     SingleKey,
 }
 
+/// Where a [`LoweredOp`]'s keys are: computed, or listed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeySpan {
+    /// The progression `first, first + stride, …` of `key_len` terms.
+    /// Every op whose keys form one (at a stride the field holds) is a run.
+    Run {
+        /// The first (smallest) key.
+        first: u32,
+        /// Distance between consecutive keys; 1 for a single key.
+        stride: u16,
+    },
+    /// `key_len` entries of the plan's gather arena
+    /// ([`LoweredPlan::gather_keys`]).
+    Gather {
+        /// Index of the op's first key in the arena.
+        start: u32,
+    },
+}
+
 /// One operation of the lowered program.
 ///
-/// `key_start..key_start + key_len` indexes the owning
-/// [`LoweredPlan::keys`] arena; the referenced keys are sequence indices,
-/// already clipped to the sequence and filtered of global tokens.
+/// Its keys are sequence indices, already clipped to the sequence and
+/// filtered of global tokens; read them through the owning plan's
+/// `op_keys`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweredOp {
     /// Operation kind (row softmax part vs. single-key global cell).
     pub kind: LoweredOpKind,
     /// The query row (sequence index) whose accumulator receives the part.
     pub dest: u32,
-    /// Start of this op's key list in the key arena.
-    pub key_start: u32,
-    /// Number of keys (always 1 for [`LoweredOpKind::SingleKey`]).
+    /// The op's keys: a run, or a slice of the gather arena.
+    pub keys: KeySpan,
+    /// Number of keys, at least 1 (exactly 1 for
+    /// [`LoweredOpKind::SingleKey`]).
     pub key_len: u32,
+}
+
+impl LoweredOp {
+    /// The op's keys, given the gather arena of the plan that owns it.
+    pub(crate) fn keys_in<'a>(&self, gather_keys: &'a [u32]) -> OpKeys<'a> {
+        let len = self.key_len;
+        match self.keys {
+            KeySpan::Run { first, stride } => OpKeys::Run { first, stride: stride.into(), len },
+            KeySpan::Gather { start } => {
+                OpKeys::Gather(&gather_keys[start as usize..][..len as usize])
+            }
+        }
+    }
+}
+
+/// One op's keys, resolved — what the executors match on, once per op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKeys<'a> {
+    /// Key `i` is `first + i * stride`, for `i < len`.
+    #[allow(missing_docs)]
+    Run { first: u32, stride: u32, len: u32 },
+    /// The keys, listed.
+    Gather(&'a [u32]),
+}
+
+impl<'a> OpKeys<'a> {
+    /// The keys in order (for inspection; the datapath sweeps an op
+    /// without a per-key branch).
+    pub fn iter(self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        let len = match self {
+            OpKeys::Run { len, .. } => len as usize,
+            OpKeys::Gather(keys) => keys.len(),
+        };
+        (0..len).map(move |i| match self {
+            OpKeys::Run { first, stride, .. } => first + i as u32 * stride,
+            OpKeys::Gather(keys) => keys[i],
+        })
+    }
+
+    /// The largest key; a run ascends, so its last.
+    pub(crate) fn max(self) -> Option<u32> {
+        match self {
+            OpKeys::Run { first, stride, len } => Some(first + (len - 1) * stride),
+            OpKeys::Gather(keys) => keys.iter().copied().max(),
+        }
+    }
+}
+
+/// `keys` as a run, if they ascend by one fixed stride the field holds.
+fn as_run(keys: &[u32]) -> Option<KeySpan> {
+    let stride = match keys {
+        [] => return None,
+        [_] => 1,
+        [a, b, ..] => u16::try_from(b.checked_sub(*a)?).ok().filter(|&s| s > 0)?,
+    };
+    let is_run = keys.windows(2).all(|w| w[0].checked_add(stride.into()) == Some(w[1]));
+    is_run.then_some(KeySpan::Run { first: keys[0], stride })
+}
+
+/// Appends the row part of `dest` over the keys listed in the arena since
+/// `start`: as a run if they are one (the arena is rolled back), a gather
+/// otherwise, nothing if there are none.
+fn push_listed(ops: &mut Vec<LoweredOp>, gather_keys: &mut Vec<u32>, dest: usize, start: usize) {
+    let key_len = (gather_keys.len() - start) as u32;
+    let keys = match as_run(&gather_keys[start..]) {
+        Some(run) => {
+            gather_keys.truncate(start);
+            run
+        }
+        None if key_len == 0 => return,
+        None => KeySpan::Gather { start: start as u32 },
+    };
+    ops.push(LoweredOp { kind: LoweredOpKind::Row, dest: dest as u32, keys, key_len });
 }
 
 /// Op-range boundaries of one main pass within the lowered program.
@@ -74,11 +174,11 @@ struct PassBounds {
 pub struct LoweredPlan {
     n: usize,
     ops: Vec<LoweredOp>,
-    /// Behind an `Arc` so the decode program of the same plan
+    /// The keys of the ops that are not runs, back to back. Behind an
+    /// `Arc` so the decode program of the same plan
     /// ([`DecodePlan`](crate::DecodePlan)) slices this arena instead of
-    /// holding a second copy of it — at decode capacities the keys are the
-    /// bulk of a compiled plan.
-    keys: Arc<Vec<u32>>,
+    /// holding a second copy of it.
+    pub(crate) gather_keys: Arc<Vec<u32>>,
     pass_bounds: Vec<PassBounds>,
     /// First supplemental op (everything from here to the end runs after
     /// the main passes).
@@ -97,70 +197,80 @@ impl LoweredPlan {
     /// duties, then global-row duties; after all passes, the supplemental
     /// passes in plan order. Rows with no surviving keys (fully clipped,
     /// masked, or global) emit no op.
+    ///
+    /// A row of a diagonal pass over a consecutive offset chunk costs
+    /// O(1): its keys are the run `keys[p + lo ..= p + hi]` clipped to the
+    /// component, unless a global token lies on it. Every other row is
+    /// walked key by key, as the oracle does.
     #[must_use]
     pub fn lower(plan: &ExecutionPlan) -> Self {
-        let stats = plan.stats();
-        let mut ops = Vec::new();
-        // One key per score the plan computes: sized once, so the arena —
-        // the bulk of the program — is never grown by copy.
-        let scores = stats.active_cells + stats.global_col_scores + stats.global_row_scores;
-        let mut keys = Vec::with_capacity(scores as usize);
+        let globals = plan.globals();
+        let (mut ops, mut gather_keys) = (Vec::new(), Vec::new());
         let mut pass_bounds = Vec::with_capacity(plan.passes().len());
+        let run = |kind, dest: usize, first: usize, stride: u16, key_len: usize| LoweredOp {
+            kind,
+            dest: dest as u32,
+            keys: KeySpan::Run { first: first as u32, stride },
+            key_len: key_len as u32,
+        };
 
         for pass in plan.passes() {
             let start = ops.len() as u32;
             let comp = &plan.components()[pass.component];
             let chunk = &comp.offsets()[pass.chunk_start..pass.chunk_start + pass.chunk_len];
+            let (lo, hi) = (chunk[0], chunk[chunk.len() - 1]);
+            // The stride of the keys a row of this pass reads, if they
+            // are a progression before clipping and global filtering.
+            let consecutive = hi - lo == chunk.len() as i64 - 1;
+            let stride = match comp.kind() {
+                ComponentKind::Direct if consecutive => Some(1u16),
+                ComponentKind::DilatedClass { dilation, .. } if consecutive => {
+                    u16::try_from(*dilation).ok()
+                }
+                _ => None,
+            };
             for u in 0..pass.tile_len {
                 let p = pass.tile_start + u;
                 let qi = comp.queries()[p];
                 if plan.is_global(qi) {
                     continue;
                 }
-                let key_start = keys.len() as u32;
+                if let Some(stride) = stride {
+                    let v_lo = (p as i64 + lo).max(0) as usize;
+                    let v_end = (p as i64 + hi + 1).clamp(0, comp.keys().len() as i64) as usize;
+                    if v_lo >= v_end {
+                        continue;
+                    }
+                    let (first, last) = (comp.keys()[v_lo], comp.keys()[v_end - 1]);
+                    // A global token on the run takes the row to the walk
+                    // below, which filters it out.
+                    let from = globals.partition_point(|&g| g < first);
+                    let mut inside = globals[from..].iter().take_while(|&&g| g <= last);
+                    if !inside.any(|&g| (g - first) % usize::from(stride) == 0) {
+                        ops.push(run(LoweredOpKind::Row, qi, first, stride, v_end - v_lo));
+                        continue;
+                    }
+                }
+                let key_start = gather_keys.len();
                 for &o in chunk {
                     if let Some(kj) = comp.key_at(p, o) {
                         if !plan.is_global(kj) {
-                            keys.push(kj as u32);
+                            gather_keys.push(kj as u32);
                         }
                     }
                 }
-                let key_len = keys.len() as u32 - key_start;
-                if key_len == 0 {
-                    continue;
-                }
-                ops.push(LoweredOp {
-                    kind: LoweredOpKind::Row,
-                    dest: qi as u32,
-                    key_start,
-                    key_len,
-                });
+                push_listed(&mut ops, &mut gather_keys, qi, key_start);
             }
             let global_start = ops.len() as u32;
             for duty in &pass.global_col {
                 for &qi in &duty.fresh_queries {
-                    let key_start = keys.len() as u32;
-                    keys.push(duty.token as u32);
-                    ops.push(LoweredOp {
-                        kind: LoweredOpKind::SingleKey,
-                        dest: qi,
-                        key_start,
-                        key_len: 1,
-                    });
+                    ops.push(run(LoweredOpKind::SingleKey, qi as usize, duty.token, 1, 1));
                 }
             }
             for duty in &pass.global_row {
-                if duty.fresh_keys.is_empty() {
-                    continue;
-                }
-                let key_start = keys.len() as u32;
-                keys.extend(duty.fresh_keys.iter().copied());
-                ops.push(LoweredOp {
-                    kind: LoweredOpKind::Row,
-                    dest: duty.token as u32,
-                    key_start,
-                    key_len: duty.fresh_keys.len() as u32,
-                });
+                let key_start = gather_keys.len();
+                gather_keys.extend_from_slice(&duty.fresh_keys);
+                push_listed(&mut ops, &mut gather_keys, duty.token, key_start);
             }
             pass_bounds.push(PassBounds { start, global_start, end: ops.len() as u32 });
         }
@@ -168,42 +278,29 @@ impl LoweredPlan {
         let sup_start = ops.len() as u32;
         for sup in plan.supplemental() {
             match sup.kind {
-                SupplementalKind::GlobalRow { token, start, end } => {
-                    if start >= end {
-                        continue;
-                    }
-                    let key_start = keys.len() as u32;
-                    keys.extend((start..end).map(|k| k as u32));
-                    ops.push(LoweredOp {
-                        kind: LoweredOpKind::Row,
-                        dest: token as u32,
-                        key_start,
-                        key_len: (end - start) as u32,
-                    });
+                SupplementalKind::GlobalRow { token, start, end } if start < end => {
+                    ops.push(run(LoweredOpKind::Row, token, start, 1, end - start));
                 }
+                SupplementalKind::GlobalRow { .. } => {}
                 SupplementalKind::GlobalCol { token, start, end } => {
-                    for qi in start..end {
-                        let key_start = keys.len() as u32;
-                        keys.push(token as u32);
-                        ops.push(LoweredOp {
-                            kind: LoweredOpKind::SingleKey,
-                            dest: qi as u32,
-                            key_start,
-                            key_len: 1,
-                        });
-                    }
+                    ops.extend(
+                        (start..end).map(|qi| run(LoweredOpKind::SingleKey, qi, token, 1, 1)),
+                    );
                 }
             }
         }
 
+        // Sized exactly: both live as long as the compiled plan does.
+        ops.shrink_to_fit();
+        gather_keys.shrink_to_fit();
         let max_row_keys = ops.iter().map(|op| op.key_len as usize).max().unwrap_or(0);
         Self {
             n: plan.n(),
+            stats: plan.stats(),
             ops,
-            keys: Arc::new(keys),
+            gather_keys: Arc::new(gather_keys),
             pass_bounds,
             sup_start,
-            stats,
             q_loads: plan.passes().iter().map(|p| p.tile_len as u64).sum(),
             max_row_keys,
         }
@@ -221,21 +318,24 @@ impl LoweredPlan {
         &self.ops
     }
 
-    /// The shared key-index arena the ops slice into.
+    /// The gather arena: the keys of every op that is not a run.
     #[must_use]
-    pub fn keys(&self) -> &[u32] {
-        &self.keys
+    pub fn gather_keys(&self) -> &[u32] {
+        &self.gather_keys
     }
 
-    /// A handle on the key arena, for programs derived from this one.
-    pub(crate) fn shared_keys(&self) -> Arc<Vec<u32>> {
-        Arc::clone(&self.keys)
+    /// Keys of one op.
+    #[must_use]
+    pub fn op_keys(&self, op: &LoweredOp) -> OpKeys<'_> {
+        op.keys_in(&self.gather_keys)
     }
 
-    /// Key list of one op.
+    /// Heap bytes the program holds: ops, gather arena, pass bounds.
     #[must_use]
-    pub fn op_keys(&self, op: &LoweredOp) -> &[u32] {
-        &self.keys[op.key_start as usize..(op.key_start + op.key_len) as usize]
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.ops[..])
+            + std::mem::size_of_val(&self.gather_keys[..])
+            + std::mem::size_of_val(&self.pass_bounds[..])
     }
 
     /// Number of main passes in the program.
@@ -309,7 +409,7 @@ mod tests {
             for op in &low.ops()[range.start..globals.start] {
                 assert_eq!(op.kind, LoweredOpKind::Row);
                 assert!(!plan.is_global(op.dest as usize), "window op on a global query");
-                for &k in low.op_keys(op) {
+                for k in low.op_keys(op).iter() {
                     assert!((k as usize) < 96);
                     assert!(!plan.is_global(k as usize), "window op sees a global key");
                 }

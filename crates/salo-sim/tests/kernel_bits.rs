@@ -251,7 +251,7 @@ fn regime(sim: &SpatialAccelerator, lowered: &LoweredPlan, qkv: &Qkv) -> Regime 
         let exps: Vec<i64> = lowered
             .op_keys(op)
             .iter()
-            .map(|&j| {
+            .map(|j| {
                 let k = quantize(qkv.k.row(j as usize), 1.0);
                 let score = q.iter().zip(&k).fold(0, |acc, (&a, &b)| qk_mac(acc, a, b, &mut sat));
                 seen.clamped_high += u64::from(score > hi);

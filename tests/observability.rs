@@ -57,6 +57,15 @@ fn traced_burst_covers_all_layers() {
         assert!(stats.contains(&format!("\"{counter}\":")), "missing {counter} in {stats}");
         assert_eq!(server.metrics().counter(counter).get(), expected, "{counter}");
     }
+    // What a compiled plan costs is on the same frame: every plan-cache
+    // miss (the open's and the prefills') left its resident bytes and its
+    // run/gather split behind.
+    for name in ["serve.plan_cache.plan_bytes", "sim.plan.run_ops", "sim.plan.gather_keys"] {
+        assert!(stats.contains(&format!("\"{name}\":")), "missing {name} in {stats}");
+    }
+    let plan_bytes = server.metrics().histogram("serve.plan_cache.plan_bytes").snapshot();
+    assert!(plan_bytes.count >= 2 && plan_bytes.min > 0, "{plan_bytes:?}");
+    assert!(server.metrics().counter("sim.plan.run_ops").get() > 0);
     // Session close is asynchronous; shutting down joins the workers so
     // every span (including `engine.decode_close`) is recorded before we
     // snapshot the tracer.

@@ -129,9 +129,9 @@ mod term_coverage {
     /// Raw term descriptor, materialized once `n` is known (the vendored
     /// proptest has no flat_map, so `n`-dependent values are reduced
     /// modulo their valid ranges).
-    type RawTerm = (u8, (bool, usize, usize), (usize, usize, usize), u64, Vec<Vec<u32>>);
+    pub type RawTerm = (u8, (bool, usize, usize), (usize, usize, usize), u64, Vec<Vec<u32>>);
 
-    fn arb_raw_term() -> impl Strategy<Value = RawTerm> {
+    pub fn arb_raw_term() -> impl Strategy<Value = RawTerm> {
         (
             0u8..6,
             (any::<bool>(), 1usize..5, 1usize..10),
@@ -141,7 +141,7 @@ mod term_coverage {
         )
     }
 
-    fn build_term(n: usize, raw: RawTerm) -> PatternTerm {
+    pub fn build_term(n: usize, raw: RawTerm) -> PatternTerm {
         let (kind, (sym, dil, width), (a, b, c), seed, mut rows) = raw;
         match kind {
             0 => {
@@ -201,6 +201,205 @@ mod term_coverage {
                 report.missing.first(),
                 report.spurious.first()
             );
+        }
+    }
+}
+
+mod lowered_program {
+    //! The run-encoded program is the scheduler's walk: expanding each
+    //! lowered op's keys gives, op for op, what walking the plan with
+    //! `Component::key_at` gives — on every preset family and on random
+    //! term compositions — and an op is a gather only when its keys are
+    //! no arithmetic progression.
+
+    use super::term_coverage::{arb_raw_term, build_term};
+    use proptest::prelude::*;
+    use salo::patterns::{
+        bigbird, longformer, sliding_only, sparse_transformer, vil_stage, HybridPattern,
+        PatternTerm, Window,
+    };
+    use salo::scheduler::{ExecutionPlan, HardwareMeta, SupplementalKind};
+    use salo::sim::{KeySpan, LoweredOpKind, LoweredPlan};
+
+    /// `(kind, dest, keys)` of every op the plan walk produces, in order.
+    fn walk(plan: &ExecutionPlan) -> Vec<(LoweredOpKind, usize, Vec<u32>)> {
+        let mut ops = Vec::new();
+        for pass in plan.passes() {
+            let comp = &plan.components()[pass.component];
+            let chunk = &comp.offsets()[pass.chunk_start..pass.chunk_start + pass.chunk_len];
+            for p in pass.tile_start..pass.tile_start + pass.tile_len {
+                let qi = comp.queries()[p];
+                let keys: Vec<u32> = chunk
+                    .iter()
+                    .filter_map(|&o| comp.key_at(p, o))
+                    .filter(|&k| !plan.is_global(k))
+                    .map(|k| k as u32)
+                    .collect();
+                if !plan.is_global(qi) && !keys.is_empty() {
+                    ops.push((LoweredOpKind::Row, qi, keys));
+                }
+            }
+            for duty in &pass.global_col {
+                for &qi in &duty.fresh_queries {
+                    ops.push((LoweredOpKind::SingleKey, qi as usize, vec![duty.token as u32]));
+                }
+            }
+            for duty in pass.global_row.iter().filter(|d| !d.fresh_keys.is_empty()) {
+                ops.push((LoweredOpKind::Row, duty.token, duty.fresh_keys.clone()));
+            }
+        }
+        for sup in plan.supplemental() {
+            match sup.kind {
+                SupplementalKind::GlobalRow { token, start, end } if start < end => {
+                    ops.push((LoweredOpKind::Row, token, (start as u32..end as u32).collect()));
+                }
+                SupplementalKind::GlobalRow { .. } => {}
+                SupplementalKind::GlobalCol { token, start, end } => {
+                    for qi in start..end {
+                        ops.push((LoweredOpKind::SingleKey, qi, vec![token as u32]));
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    fn is_progression(keys: &[u32]) -> bool {
+        keys.windows(2).all(|w| w[1] > w[0] && w[1] - w[0] == keys[1] - keys[0])
+    }
+
+    /// Lowers `pattern` and checks the program against the walk. Returns
+    /// the lowered plan for structural assertions.
+    fn lowered_like_the_walk(pattern: &HybridPattern, hw: HardwareMeta) -> LoweredPlan {
+        let plan = ExecutionPlan::build(pattern, hw).expect("plan");
+        let low = LoweredPlan::lower(&plan);
+        let want = walk(&plan);
+        assert_eq!(low.ops().len(), want.len(), "op count");
+        let (mut run_keys, mut next_gather) = (0u64, 0u32);
+        for (i, (op, (kind, dest, keys))) in low.ops().iter().zip(&want).enumerate() {
+            let got: Vec<u32> = low.op_keys(op).iter().collect();
+            assert_eq!((op.kind, op.dest as usize, &got), (*kind, *dest, keys), "op {i}");
+            assert_eq!(op.key_len as usize, keys.len(), "op {i}: key_len");
+            match op.keys {
+                KeySpan::Run { .. } => run_keys += u64::from(op.key_len),
+                KeySpan::Gather { start } => {
+                    // The arena holds the gathers back to back and nothing
+                    // that could have been a run.
+                    assert_eq!(start, next_gather, "op {i}: arena order");
+                    next_gather += op.key_len;
+                    assert!(!is_progression(keys), "op {i}: run-shaped keys {keys:?} listed");
+                }
+            }
+        }
+        assert_eq!(next_gather as usize, low.gather_keys().len(), "arena fully used");
+        let stats = plan.stats();
+        assert_eq!(low.stats(), &stats);
+        assert_eq!(
+            run_keys + low.gather_keys().len() as u64,
+            stats.active_cells + stats.global_col_scores + stats.global_row_scores,
+            "every score is one run key or one gather key"
+        );
+        low
+    }
+
+    fn gather_ops(low: &LoweredPlan) -> usize {
+        low.ops().iter().filter(|op| matches!(op.keys, KeySpan::Gather { .. })).count()
+    }
+
+    fn sink_window(n: usize, w: usize) -> HybridPattern {
+        let window = Window::causal(w).expect("window");
+        HybridPattern::builder(n).window(window).global_token(0).build().expect("pattern")
+    }
+
+    #[test]
+    fn every_preset_family_lowers_to_the_walk() {
+        let small = HardwareMeta::new(8, 8, 1, 1).expect("hw");
+        let no_globals = HardwareMeta::new(8, 8, 0, 0).expect("hw");
+        let dilated = |lo, hi, d| Window::dilated(lo, hi, d).expect("window");
+        let patterns = [
+            (longformer(96, 11, 2).expect("pattern"), small),
+            (vil_stage(8, 8, 3, 3, 1).expect("pattern"), small),
+            (bigbird(64, 8, 2, 1, 7).expect("pattern"), small),
+            (sparse_transformer(60, 4, 5).expect("pattern"), small),
+            (sliding_only(48, 7).expect("pattern"), no_globals),
+            (HybridPattern::builder(40).global_token(3).build().expect("pattern"), small),
+            (sink_window(80, 24), small),
+            (sink_window(64, 5).decode_view().expect("causal").into_causal_pattern(), small),
+            (
+                HybridPattern::builder(50)
+                    .window(dilated(-9, 9, 3))
+                    .window(dilated(-4, 2, 2))
+                    .global_token(7)
+                    .build()
+                    .expect("pattern"),
+                small,
+            ),
+        ];
+        for (pattern, hw) in &patterns {
+            lowered_like_the_walk(pattern, *hw);
+        }
+    }
+
+    #[test]
+    fn lowered_program_pins_window_patterns_to_an_empty_gather_arena() {
+        // The two served window shapes are runs throughout: this is the
+        // guard against a per-key arena coming back.
+        let hw = HardwareMeta::default();
+        for pattern in [sink_window(8192, 1024), longformer(2048, 256, 1).expect("pattern")] {
+            let low = LoweredPlan::lower(&ExecutionPlan::build(&pattern, hw).expect("plan"));
+            assert!(low.gather_keys().is_empty(), "n = {}", pattern.n());
+            assert_eq!(gather_ops(&low), 0);
+        }
+    }
+
+    #[test]
+    fn lowered_program_pins_both_kinds_in_one_plan() {
+        // ViL's 2-D window chunks are not consecutive and BigBird's random
+        // blocks are row-support gathers; both also have run-shaped ops.
+        let hw = HardwareMeta::default();
+        for pattern in [vil_stage(56, 56, 15, 15, 1), bigbird(512, 32, 3, 2, 7)] {
+            let low = lowered_like_the_walk(&pattern.expect("pattern"), hw);
+            let gathers = gather_ops(&low);
+            assert!(gathers > 0 && gathers < low.ops().len(), "{gathers} gather ops");
+        }
+    }
+
+    #[test]
+    fn a_global_strictly_inside_a_row_span_lists_exactly_those_rows() {
+        // Radius 4 on an 8-wide array: a row's 8-key chunk holds global
+        // token 20 strictly inside for the rows whose chunk covers keys
+        // 19..=21; every other row (20 at an end of its span, or outside
+        // it) stays a run.
+        let pattern = HybridPattern::builder(48)
+            .window(Window::sliding(-4, 3).expect("window"))
+            .global_token(20)
+            .build()
+            .expect("pattern");
+        let low = lowered_like_the_walk(&pattern, HardwareMeta::new(8, 8, 1, 1).expect("hw"));
+        let listed: Vec<u32> = low
+            .ops()
+            .iter()
+            .filter(|op| matches!(op.keys, KeySpan::Gather { .. }))
+            .map(|op| op.dest)
+            .collect();
+        // Row i reads i-4..=i+3: 20 is strictly inside for 18 <= i <= 23,
+        // row 20 is the global row itself (no window op).
+        assert_eq!(listed, [18, 19, 21, 22, 23]);
+    }
+
+    proptest! {
+        #[test]
+        fn random_term_compositions_lower_to_the_walk(
+            n in 8usize..40,
+            raws in prop::collection::vec(arb_raw_term(), 1..5),
+            cols in 2usize..9,
+        ) {
+            let terms: Vec<PatternTerm> =
+                raws.into_iter().map(|raw| build_term(n, raw)).collect();
+            let Ok(pattern) = HybridPattern::from_terms(n, terms) else {
+                return Ok(());
+            };
+            lowered_like_the_walk(&pattern, HardwareMeta::new(4, cols, 1, 1).expect("hw"));
         }
     }
 }
