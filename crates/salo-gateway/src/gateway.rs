@@ -1,46 +1,47 @@
-//! The gateway runtime: acceptor, per-connection readers, a
-//! deficit-round-robin dispatcher that submits without waiting, and a
-//! completion path that answers, in front of a [`SaloServer`].
+//! The gateway runtime: an acceptor, per-connection readers and one
+//! completion thread in front of a [`SaloServer`]; whichever of them makes
+//! room or work submits, in deficit round robin, without waiting.
 //!
 //! Threading model (std-only, no async runtime):
 //!
-//! * one **acceptor** polls a non-blocking `TcpListener` and spawns a
-//!   reader per connection;
+//! * one **acceptor** polls a non-blocking `TcpListener`, spawns a
+//!   reader per connection and joins the readers that have finished;
 //! * each **reader** owns its socket's read half: it frames, decodes,
 //!   and *admits* requests — the only unbounded thing a client controls
 //!   is how fast it sends, and admission turns that into typed
 //!   `Overloaded` rejections the moment its tenant (or the gateway as a
 //!   whole) has its quota of requests *outstanding*: queued or in
-//!   flight, released when the reply is decided. A queue the dispatcher
-//!   drains instantly therefore still counts against its tenant;
-//! * one **dispatcher** is the submit half. It pops the admitted queues
-//!   in deficit round robin across tenants and hands each request to the
-//!   server (`submit_into` / `open_session_into` / `step_session` /
-//!   `close_session`) without waiting for it, recording who is owed the
-//!   reply in the in-flight table. It submits only while what is in
-//!   flight holds less than a *window* of slots — [`in_flight_window`],
-//!   derived from the serve options; a session request holds one slot, a
-//!   layer request a whole round's share ([`slots`]) — so the workers'
-//!   queues never hold more than a window and a tenant
-//!   arriving late waits for at most that much foreign work: four
-//!   rounds of decode steps, or one round of layers. It is also the
-//!   timer: it sleeps until the earliest outstanding deadline and answers
-//!   whatever outlived `service_timeout` with a typed `TimedOut` frame;
-//! * one **completion** thread is the other half. It blocks on the one
-//!   `Receiver<ServeEvent>` every request the gateway submits reports
-//!   into — the serve workers send there directly — and routes a layer
-//!   response by its serve request id, a session event by its session
-//!   id: a session's replies leave in step order because its waiters
-//!   form a FIFO, the wire session id is assigned when `Opened` arrives,
-//!   and a `Close` is answered by the `Closed` event. Layer replies leave
-//!   in completion order, not submission order: clients correlate by
-//!   `request_id`, and a small prefill never waits behind a stranger's
-//!   large one. A completion whose waiter already timed out is dropped
-//!   without a second frame.
+//!   flight, released when the reply is decided. A request submitted the
+//!   moment it is admitted therefore still counts against its tenant;
+//! * one **completion** thread blocks on the one `Receiver<ServeEvent>`
+//!   every request the gateway submits reports into — the serve workers
+//!   send there directly — and routes a layer response by its serve
+//!   request id, a session event by its session id: a session's replies
+//!   leave in step order because its waiters form a FIFO, the wire
+//!   session id is assigned when `Opened` arrives, and a `Close` is
+//!   answered by the `Closed` event. Layer replies leave in completion
+//!   order, not submission order: clients correlate by `request_id`, and
+//!   a small prefill never waits behind a stranger's large one. It is
+//!   also the timer: it never waits longer than the earliest outstanding
+//!   deadline and answers whatever outlived `service_timeout` with a
+//!   typed `TimedOut` frame; the completion of a waiter that already
+//!   timed out is dropped without a second frame.
+//!
+//! Nobody's job is to submit: [`State::dispatch`] runs on the two threads
+//! that can make work or room, at the moment they do — a reader that has
+//! just admitted, the completion thread that has just freed a slot. It
+//! pops the admitted queues in deficit round robin across tenants and
+//! hands each request to the server (`submit_into` / `open_session_into`
+//! / `step_session` / `close_session`) without waiting for it, recording
+//! who is owed the reply in the in-flight table, while what is in flight
+//! holds less than a *window* of slots ([`in_flight_window`], [`slots`]):
+//! the workers' queues never hold more than a window, and a tenant
+//! arriving late waits for at most that much foreign work — four rounds
+//! of decode steps, or one round of layers.
 //!
 //! Every table — admission queues, outstanding counters, in-flight
-//! waiters, sessions — lives under one lock, and the dispatcher calls
-//! into the server *while holding it*, so a completion can never
+//! waiters, sessions — lives under one lock, and [`State::dispatch`] calls
+//! into the server *while its caller holds it*, so a completion can never
 //! outrun the registration of the request it answers. The calls are
 //! non-blocking: validation plus a channel send, a few microseconds. An
 //! `Open` also clips its pattern to its causal view, which is linear in
@@ -58,8 +59,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,7 +89,7 @@ pub struct GatewayOptions {
     /// Global admission bound on outstanding requests across all tenants.
     pub global_queue: usize,
     /// Deficit-round-robin quantum: requests a tenant may submit per
-    /// dispatch visit before the dispatcher moves to the next tenant.
+    /// dispatch visit before the visit moves to the next tenant.
     pub tenant_quantum: usize,
     /// Per-connection socket read deadline. A connection idle past it is
     /// told so (typed `TimedOut` frame) and closed.
@@ -151,7 +152,7 @@ pub struct GatewayReport {
 /// window"): a worker's tick fuses the steps of several rounds.
 const WINDOW_ROUNDS: usize = 4;
 
-/// How many slots of work the dispatcher keeps submitted and unanswered
+/// How many slots of work [`State::dispatch`] keeps submitted and unanswered
 /// at once: enough that every worker's queue and its fused decode tick
 /// see several wire requests together, small enough
 /// that a tenant arriving late waits for at most this much foreign work.
@@ -239,10 +240,10 @@ struct Reply {
 }
 
 /// Everything the gateway's threads share, under one lock: admission
-/// queues and counters, the dispatcher's round, and the in-flight table.
-/// Readers hold it to admit, the dispatcher to pop a quantum and submit
-/// it, completions to find who is owed a reply; nobody writes to a socket
-/// while holding it.
+/// queues and counters, the dispatch round, and the in-flight table.
+/// Readers hold it to admit, completions to find who is owed a reply, and
+/// either then pops quanta and submits them ([`State::dispatch`]) before letting
+/// go; nobody writes to a socket while holding it.
 #[derive(Default)]
 struct State {
     tenants: BTreeMap<u64, Tenant>,
@@ -267,8 +268,12 @@ struct State {
     /// `None` when the last scan found none. Deadlines never decrease in
     /// admission order, so a new admission can only leave it unchanged.
     next_expiry: Option<Instant>,
-    /// Shutdown: the dispatcher closes the live sessions and exits.
-    stop: bool,
+    /// The submit side: the server, and the sender whose receiver the
+    /// completion thread blocks on. The drain takes it out to close the
+    /// live sessions and drops it — shutting the server down needs every
+    /// reference to it gone, and the completion thread ends when the last
+    /// sender is.
+    server: Option<(Arc<SaloServer>, Sender<ServeEvent>)>,
 }
 
 /// One of `tenant`'s admitted requests is answered: its admission slot
@@ -381,6 +386,22 @@ impl State {
         batch
     }
 
+    /// Submits queued requests, a DRR quantum at a time, while the window
+    /// has room. What is refused is left in `out`, for the calling thread
+    /// to write once it has released the lock.
+    fn dispatch(&mut self, options: &GatewayOptions, out: &mut Vec<Reply>) {
+        let window = in_flight_window(&options.serve);
+        while self.queued_total > 0 && self.in_flight < window {
+            // Cloned so that `submit` can have the whole state, and dropped
+            // before the lock is: the drain, which takes the original out
+            // under it, never finds a copy alive.
+            let Some((server, events)) = self.server.clone() else { return };
+            for pending in self.pop_quantum(options.tenant_quantum, window - self.in_flight) {
+                submit(&server, self, pending, &events, out);
+            }
+        }
+    }
+
     /// The serve session behind `wire_id`, if it is open on `conn` and
     /// still taking requests.
     fn live_session(
@@ -393,11 +414,17 @@ impl State {
         (entry.conn.id == conn.id && !entry.closing).then_some((serve_id, entry))
     }
 
-    /// A completion arrived for `waiter`: its window slot is free, and so
-    /// is its admission slot unless the deadline already answered it.
-    /// Returns who to answer.
-    fn settle(&mut self, waiter: Waiter) -> Option<(Arc<ConnShared>, Header)> {
+    /// A completion arrived for `waiter`: its window slot is free — and
+    /// goes to queued work before the lock does — and so is its admission
+    /// slot unless the deadline already answered it. Returns who to answer.
+    fn settle(
+        &mut self,
+        waiter: Waiter,
+        options: &GatewayOptions,
+        out: &mut Vec<Reply>,
+    ) -> Option<(Arc<ConnShared>, Header)> {
         self.in_flight -= waiter.slots;
+        self.dispatch(options, out);
         if waiter.answered {
             return None;
         }
@@ -410,13 +437,14 @@ impl State {
     /// queue; one in flight stays as an answered waiter until its
     /// completion arrives. A timed-out open also closes its session: the
     /// client never learns the id it would need to do so itself.
-    fn expire(&mut self, now: Instant, server: &SaloServer, out: &mut Vec<Reply>) -> u64 {
+    fn expire(&mut self, now: Instant, out: &mut Vec<Reply>) -> u64 {
         if self.next_expiry.is_none_or(|at| at > now) {
             return 0;
         }
         let before = out.len();
         let mut next = None;
-        let State { tenants, queued_total, outstanding_total, layers, sessions, .. } = &mut *self;
+        let State { tenants, queued_total, outstanding_total, layers, sessions, server, .. } =
+            &mut *self;
         for tenant in tenants.values_mut() {
             while let Some(front) = tenant.queue.front() {
                 if front.deadline > now {
@@ -457,7 +485,10 @@ impl State {
             for (at, waiter) in entry.waiters.iter_mut().enumerate() {
                 if overdue(waiter) && at == 0 && opening {
                     entry.closing = true;
-                    let _ = server.close_session(serve_id);
+                    // Gone only after the drain closed every session.
+                    if let Some((server, _)) = server {
+                        let _ = server.close_session(serve_id);
+                    }
                 }
             }
         }
@@ -476,13 +507,16 @@ impl State {
         }
     }
 
-    /// Submits a close for every session still taking requests — the
-    /// drain. An opened session's terminal `Closed` frame answers its
-    /// open request, so it waits in the session's FIFO like a close the
-    /// client had asked for; a session still opening has its open
-    /// answered instead.
-    fn close_all_sessions(&mut self, server: &SaloServer) {
-        let State { tenants, outstanding_total, in_flight, sessions, .. } = self;
+    /// The drain's last submissions: a close for every session still
+    /// taking requests, after which the submit side is given up. An opened
+    /// session's terminal `Closed` frame answers its open request, so it
+    /// waits in the session's FIFO like a close the client had asked for,
+    /// under a service deadline of its own; a session still opening has
+    /// its open answered instead.
+    fn close_all_sessions(&mut self, inner: &Inner) {
+        let Some((server, _)) = self.server.take() else { return };
+        let deadline = inner.deadline(Instant::now());
+        let State { tenants, outstanding_total, in_flight, sessions, next_expiry, .. } = self;
         for (&serve_id, entry) in sessions.iter_mut().filter(|(_, entry)| !entry.closing) {
             entry.closing = true;
             if server.close_session(serve_id).is_err() || entry.wire_id.is_none() {
@@ -491,10 +525,11 @@ impl State {
             entry.waiters.push_back(Waiter {
                 conn: Arc::clone(&entry.conn),
                 header: entry.opened_by,
-                deadline: Instant::now(),
+                deadline,
                 slots: 1,
                 answered: false,
             });
+            *next_expiry = next_expiry.or(Some(deadline));
             *in_flight += 1;
             if let Some(tenant) = tenants.get_mut(&entry.opened_by.tenant) {
                 tenant.outstanding += 1;
@@ -545,21 +580,19 @@ impl Counts {
     }
 }
 
-/// The gateway's own shared state. The server is not part of it: the
-/// completion thread has to outlive the server's shutdown, which needs
-/// every other reference to the server gone.
+/// The gateway's own shared state. It holds the server only inside
+/// [`State`], until the drain: the completion thread has to outlive the
+/// server's shutdown, which needs every other reference to the server gone.
 struct Inner {
     options: GatewayOptions,
     state: Mutex<State>,
-    /// The dispatcher's reasons to run: queued work with room in the
-    /// window, an expired deadline, `stop`.
-    work_ready: Condvar,
     /// Set by shutdown: readers reject new work as `Draining`, the
     /// acceptor stops accepting.
     draining: AtomicBool,
     next_conn_id: AtomicU64,
-    connections: Mutex<HashMap<u64, Arc<ConnShared>>>,
-    reader_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Every connection whose reader has not been joined yet: the acceptor
+    /// adds and reaps, the drain takes what is left.
+    connections: Mutex<Vec<(Arc<ConnShared>, JoinHandle<()>)>>,
     counts: Counts,
 }
 
@@ -568,27 +601,15 @@ impl Inner {
         Inner {
             options,
             state: Mutex::new(State::default()),
-            work_ready: Condvar::new(),
             draining: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
-            connections: Mutex::new(HashMap::new()),
-            reader_threads: Mutex::new(Vec::new()),
+            connections: Mutex::new(Vec::new()),
             counts: Counts::new(registry),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("gateway state poisoned")
-    }
-
-    /// [`State::settle`], waking the dispatcher when the freed window
-    /// slot has queued work to take it.
-    fn settle(&self, state: &mut State, waiter: Waiter) -> Option<(Arc<ConnShared>, Header)> {
-        let target = state.settle(waiter);
-        if state.queued_total > 0 {
-            self.work_ready.notify_one();
-        }
-        target
     }
 
     /// `enqueued + service_timeout`; a timeout too large to add means no
@@ -607,7 +628,6 @@ pub struct Gateway {
     server: Arc<SaloServer>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     completion: Option<JoinHandle<()>>,
 }
 
@@ -664,13 +684,10 @@ impl Gateway {
         let inner = Arc::new(Inner::new(options, server.metrics()));
         // Everything the gateway submits reports into this one channel.
         let (events_tx, events_rx) = std::sync::mpsc::channel();
+        inner.lock().server = Some((Arc::clone(&server), events_tx));
         let acceptor = {
             let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
             spawn("gateway-accept", move || accept_loop(&inner, &server, listener))
-        };
-        let dispatcher = {
-            let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
-            spawn("gateway-dispatch", move || dispatch_loop(&inner, &server, &events_tx))
         };
         let completion = {
             let inner = Arc::clone(&inner);
@@ -681,7 +698,6 @@ impl Gateway {
             server,
             addr: local,
             acceptor: Some(acceptor),
-            dispatcher: Some(dispatcher),
             completion: Some(completion),
         })
     }
@@ -707,7 +723,7 @@ impl Gateway {
     ///    work to be answered; whatever is still queued past the
     ///    deadline is failed with `Draining` frames instead of executed
     ///    (what is already in flight completes);
-    /// 3. the dispatcher submits a close for every live wire session; the
+    /// 3. a close is submitted for every live wire session; the
     ///    completion path sends each connection a terminal `Closed`
     ///    frame as the sessions end;
     /// 4. reader sockets are read-shutdown (write halves stay open for
@@ -721,9 +737,9 @@ impl Gateway {
         let drained_in_deadline = self.drain();
         let server = Arc::into_inner(self.server).expect("server users joined");
         let serve = server.shutdown();
-        // The server's threads held the last senders of the event
-        // channel: with them gone, the completion thread answers what is
-        // left and runs out of events.
+        // The drain dropped the gateway's sender of the event channel and
+        // the server's threads held the rest: with them gone, the
+        // completion thread answers what is left and runs out of events.
         if let Some(handle) = self.completion.take() {
             handle.join().expect("completion thread panicked");
         }
@@ -767,7 +783,9 @@ impl Gateway {
             std::thread::sleep(Duration::from_millis(2));
         };
 
-        // Fail whatever is still queued, then stop the dispatcher.
+        // Fail whatever is still queued, then end every live wire session
+        // with a terminal `Closed` frame on its connection, correlated to
+        // its open; nothing is submitted after that.
         let leftovers: Vec<Pending> = {
             let mut state = inner.lock();
             let state = &mut *state;
@@ -776,8 +794,7 @@ impl Gateway {
             leftovers.iter().for_each(|pending| state.release(pending.header.tenant));
             state.queued_total = 0;
             state.round.clear();
-            state.stop = true;
-            inner.work_ready.notify_one();
+            state.close_all_sessions(inner);
             leftovers
         };
         for pending in leftovers {
@@ -789,22 +806,18 @@ impl Gateway {
             send_response(inner, &pending.conn, pending.header, &response);
         }
 
-        for handle in [self.acceptor.take(), self.dispatcher.take()].into_iter().flatten() {
-            handle.join().expect("gateway thread panicked");
+        if let Some(handle) = self.acceptor.take() {
+            handle.join().expect("acceptor panicked");
         }
 
         // Unblock the readers: read halves close, write halves stay usable
         // for terminal `Closed` frames.
-        {
-            let connections = inner.connections.lock().expect("connections poisoned");
-            for conn in connections.values() {
-                if let Ok(stream) = conn.stream.lock() {
-                    let _ = stream.shutdown(Shutdown::Read);
-                }
+        let connections =
+            std::mem::take(&mut *inner.connections.lock().expect("connections poisoned"));
+        for (conn, handle) in connections {
+            if let Ok(stream) = conn.stream.lock() {
+                let _ = stream.shutdown(Shutdown::Read);
             }
-        }
-        let readers = std::mem::take(&mut *inner.reader_threads.lock().expect("readers poisoned"));
-        for handle in readers {
             handle.join().expect("reader panicked");
         }
 
@@ -834,21 +847,24 @@ fn accept_loop(inner: &Arc<Inner>, server: &Arc<SaloServer>, listener: TcpListen
                     stream: Mutex::new(write_half),
                     alive: AtomicBool::new(true),
                 });
-                inner
-                    .connections
-                    .lock()
-                    .expect("connections poisoned")
-                    .insert(conn_id, Arc::clone(&conn));
                 let (reader_inner, reader_server) = (Arc::clone(inner), Arc::clone(server));
+                let reader_conn = Arc::clone(&conn);
                 let handle = spawn(&format!("gateway-conn-{conn_id}"), move || {
-                    reader_loop(&reader_inner, &reader_server, stream, &conn);
+                    reader_loop(&reader_inner, &reader_server, stream, &reader_conn);
                 });
-                inner.reader_threads.lock().expect("readers poisoned").push(handle);
+                inner.connections.lock().expect("connections poisoned").push((conn, handle));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(_) => {
+                // Nobody is connecting (`WouldBlock`) or accepting failed:
+                // join the readers that have finished, so connections that
+                // come and go leave neither an entry nor a thread's stack.
+                let mut connections = inner.connections.lock().expect("connections poisoned");
+                for (_, handle) in connections.extract_if(.., |(_, handle)| handle.is_finished()) {
+                    handle.join().expect("reader panicked");
+                }
+                drop(connections);
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -914,7 +930,6 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
     // but `alive` stays as it is: replies still owed to this connection
     // (in-flight work, the drain's terminal `Closed` frames) are written
     // until a write fails.
-    inner.connections.lock().expect("connections poisoned").remove(&conn.id);
     inner.lock().close_sessions_of(conn, server);
 }
 
@@ -927,6 +942,7 @@ fn admit(
 ) {
     let _span = salo_trace::span_with("gateway.admission", "gateway", header.tenant);
     let tenant = header.tenant;
+    let mut out = Vec::new();
     let refused = {
         let mut state = inner.lock();
         // Checked under the lock: an admission that gets in before the
@@ -945,13 +961,14 @@ fn admit(
             server.metrics().histogram(&format!("gateway.tenant.{tenant}.queue_wait_ns"))
         });
         if admitted.is_ok() {
-            // Counted before the dispatcher can see it: whoever has the
-            // reply finds the request in `gateway.admitted`.
+            // Counted before it is submitted: whoever has the reply finds
+            // the request in `gateway.admitted`.
             inner.counts.admitted.inc();
-            inner.work_ready.notify_one();
+            state.dispatch(&inner.options, &mut out);
         }
         admitted.err()
     };
+    write_replies(inner, &mut out);
     if let Some(depth) = refused {
         inner.counts.rejected_overloaded.inc();
         server.record_tenant_rejection(tenant);
@@ -967,49 +984,8 @@ fn admit(
 }
 
 // ---------------------------------------------------------------------
-// dispatcher: deficit round robin → submit, and the deadline timer
+// submit
 // ---------------------------------------------------------------------
-
-fn dispatch_loop(inner: &Inner, server: &SaloServer, events: &Sender<ServeEvent>) {
-    let window = in_flight_window(&inner.options.serve);
-    let mut out = Vec::new();
-    loop {
-        let mut state = inner.lock();
-        // Park until there is something to submit, answer or stop for;
-        // `None` is the stop.
-        let room = loop {
-            let now = Instant::now();
-            let timed_out = state.expire(now, server, &mut out);
-            inner.counts.timed_out.add(timed_out);
-            let room = window.saturating_sub(state.in_flight);
-            if !out.is_empty() || (state.queued_total > 0 && room > 0) {
-                break Some(room);
-            }
-            if state.stop {
-                break None;
-            }
-            state = match state.next_expiry.map(|at| at.saturating_duration_since(now)) {
-                Some(left) => {
-                    inner.work_ready.wait_timeout(state, left).expect("gateway state poisoned").0
-                }
-                None => inner.work_ready.wait(state).expect("gateway state poisoned"),
-            };
-        };
-        let Some(room) = room else {
-            // Drain: every live wire session ends with a terminal
-            // `Closed` frame on its connection, correlated to its open.
-            state.close_all_sessions(server);
-            return;
-        };
-        for pending in state.pop_quantum(inner.options.tenant_quantum, room) {
-            submit(server, &mut state, pending, events, &mut out);
-        }
-        drop(state);
-        for reply in out.drain(..) {
-            send_response(inner, &reply.conn, reply.header, &reply.response);
-        }
-    }
-}
 
 /// The submit half: hands one request to the server and records who is
 /// owed its reply. Runs under the state lock, so the completion of what
@@ -1103,20 +1079,36 @@ fn raw_bits(m: &salo_kernels::Matrix<salo_fixed::Fix16x8>) -> salo_kernels::Matr
         .expect("same shape as the source matrix")
 }
 
-/// Blocks on the one channel everything the gateway submits reports into.
-/// Events that are already waiting are routed in one pass, and the
-/// session replies among them written together.
+/// Blocks on the one channel everything the gateway submits reports into,
+/// until the earliest deadline. Events that are already waiting are routed
+/// in one pass, and the session replies among them written together.
+///
+/// Nothing wakes it for an admission: a deadline is at least
+/// `service_timeout` after its admission and the wait is never longer than
+/// that, so none comes due unseen.
 fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
-    // One window of events per pass: the dispatcher refills the window as
-    // completions free it, and the replies must not wait on that.
+    // One window of events per pass: each settle refills the window, and
+    // the replies must not wait on that.
     let burst = in_flight_window(&inner.options.serve);
     let mut out = Vec::new();
-    while let Ok(first) = events.recv() {
-        let rest = std::iter::from_fn(|| events.try_recv().ok());
-        for event in std::iter::once(first).chain(rest).take(burst) {
-            on_event(inner, event, &mut out);
-        }
+    let timeout = inner.options.service_timeout;
+    loop {
+        let mut state = inner.lock();
+        let now = Instant::now();
+        inner.counts.timed_out.add(state.expire(now, &mut out));
+        let due = state.next_expiry.map_or(timeout, |at| at.saturating_duration_since(now));
+        drop(state);
         write_replies(inner, &mut out);
+        match events.recv_timeout(due.min(timeout)) {
+            Ok(first) => {
+                let rest = std::iter::from_fn(|| events.try_recv().ok());
+                for event in std::iter::once(first).chain(rest).take(burst) {
+                    on_event(inner, event, &mut out);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
     }
 }
 
@@ -1132,7 +1124,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
     match event {
         ServeEvent::Layer(ServeResponse { id, result, .. }) => {
             let Some(waiter) = state.layers.remove(&id) else { return };
-            let Some((conn, header)) = inner.settle(state, waiter) else { return };
+            let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
             // The conversion walks megabytes: not under the lock.
             drop(guard);
             let response = match result {
@@ -1178,7 +1170,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
                     serve_error(&e)
                 }
             };
-            if let Some((conn, header)) = inner.settle(state, waiter) {
+            if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
                 out.push(Reply { conn, header, response });
             }
         }
@@ -1186,7 +1178,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             let Some(entry) = state.sessions.get_mut(&session) else { return };
             let wire_id = entry.wire_id.unwrap_or_default();
             let Some(waiter) = entry.waiters.pop_front() else { return };
-            let Some((conn, header)) = inner.settle(state, waiter) else { return };
+            let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
             drop(guard);
             let response = match result {
                 Ok(step) => Response::Stepped {
@@ -1207,7 +1199,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             state.wire_sessions.remove(&wire_id);
             let position = position.map(|p| p as u64);
             for waiter in entry.waiters {
-                if let Some((conn, header)) = inner.settle(state, waiter) {
+                if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
                     let response = Response::Closed { session: wire_id, position };
                     out.push(Reply { conn, header, response });
                 }
@@ -1363,7 +1355,7 @@ mod tests {
         };
         let mut state = State::default();
         let mut serve_id = 0;
-        // What the dispatcher does with the room the window leaves.
+        // What `State::dispatch` does with the room the window leaves.
         let mut dispatch = |state: &mut State| {
             let room = window.saturating_sub(state.in_flight);
             let batch = state.pop_quantum(4, room);
@@ -1387,7 +1379,7 @@ mod tests {
         let late = loop {
             let oldest = *state.layers.keys().min().expect("a layer in flight");
             let waiter = state.layers.remove(&oldest).expect("in flight");
-            state.settle(waiter);
+            state.settle(waiter, &options, &mut Vec::new());
             match dispatch(&mut state).as_slice() {
                 [1] => ahead += 1,
                 other => break other.to_vec(),
@@ -1425,7 +1417,7 @@ mod tests {
         admit(&mut state, &options, &conn, Header { tenant: 8, request_id: 0 }).expect("other");
 
         let waiter = state.layers.remove(&0).expect("in flight");
-        let (_, answered) = state.settle(waiter).expect("owed a reply");
+        let (_, answered) = state.settle(waiter, &options, &mut Vec::new()).expect("owed a reply");
         assert_eq!(answered, header(0));
         assert_eq!((state.in_flight, state.tenants[&7].outstanding), (2, 2));
         admit(&mut state, &options, &conn, header(3)).expect("one reply, one slot");
@@ -1440,10 +1432,6 @@ mod tests {
     fn expired_requests_are_answered_once_and_leave_the_tables_clean() {
         let conn = test_conn();
         let options = GatewayOptions::default();
-        let server = SaloServer::start(
-            AcceleratorConfig::default(),
-            ServeOptions { workers: 1, ..Default::default() },
-        );
         let mut state = State::default();
         for request_id in 0..2 {
             admit(&mut state, &options, &conn, Header { tenant: 1, request_id }).expect("admitted");
@@ -1452,10 +1440,10 @@ mod tests {
         put_in_flight(&mut state, 40, first);
 
         let mut out = Vec::new();
-        assert_eq!(state.expire(Instant::now(), &server, &mut out), 0, "nothing is due yet");
+        assert_eq!(state.expire(Instant::now(), &mut out), 0, "nothing is due yet");
         assert!(state.next_expiry.is_some());
         let late = Instant::now() + TIMEOUT + Duration::from_secs(1);
-        assert_eq!(state.expire(late, &server, &mut out), 2);
+        assert_eq!(state.expire(late, &mut out), 2);
         let answered: Vec<u64> = out.iter().map(|reply| reply.header.request_id).collect();
         assert_eq!(answered, vec![1, 0], "the queued request, then the one in flight");
         for reply in &out {
@@ -1465,30 +1453,31 @@ mod tests {
         }
         assert_eq!((state.queued_total, state.outstanding_total, state.in_flight), (0, 0, 1));
         assert_eq!(state.next_expiry, None);
-        assert_eq!(state.expire(late, &server, &mut out), 0, "answered once");
+        assert_eq!(state.expire(late, &mut out), 0, "answered once");
 
         // The late completion frees the window slot and answers nobody.
         let waiter = state.layers.remove(&40).expect("still paired with its completion");
-        assert!(state.settle(waiter).is_none());
+        assert!(state.settle(waiter, &options, &mut out).is_none());
         assert_eq!((state.in_flight, state.tenants[&1].outstanding), (0, 0));
-        let _ = server.shutdown();
     }
-    /// Drives the submit and completion halves against a real server,
-    /// without sockets: a refused request, a failed step, a dead
-    /// connection and an orphaned session each cost exactly their own
-    /// reply and leave every table and counter as they found it.
+
+    /// Drives admission, dispatch and the completion half against a real
+    /// server, without sockets or a second thread: a refused request, a
+    /// failed step, a dead connection and an orphaned session each cost
+    /// exactly their own reply and leave every table and counter as they
+    /// found it, and a settle hands the slot it frees to queued work.
     #[test]
     fn faults_fail_one_request_and_leave_the_tables_clean() {
-        let server = SaloServer::start(
-            AcceleratorConfig::default(),
-            ServeOptions { workers: 1, ..Default::default() },
-        );
-        let inner = Inner::new(GatewayOptions::default(), server.metrics());
+        // One worker, batches of one: a single layer fills the window.
+        let serve = ServeOptions { workers: 1, max_batch: 1, ..Default::default() };
+        let server = Arc::new(SaloServer::start(AcceleratorConfig::default(), serve));
+        let inner = Inner::new(GatewayOptions { serve, ..Default::default() }, server.metrics());
         let (events_tx, events_rx) = std::sync::mpsc::channel();
+        inner.lock().server = Some((Arc::clone(&server), events_tx));
         let conn = test_conn();
         let mut out = Vec::new();
         let mut request_id = 0;
-        // Admits `request` and runs the submit half on it.
+        // Admits `request` and dispatches, as a reader does.
         let mut submit_one = |request: Request, conn: &Arc<ConnShared>, out: &mut Vec<Reply>| {
             request_id += 1;
             let mut state = inner.lock();
@@ -1496,8 +1485,7 @@ mod tests {
             state
                 .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
                 .expect("admitted");
-            let pending = state.pop_quantum(1, 1).pop().expect("queued");
-            submit(&server, &mut state, pending, &events_tx, out);
+            state.dispatch(&inner.options, out);
         };
         // (queued, outstanding, in flight, layers, sessions, wire ids)
         let tables = || {
@@ -1524,20 +1512,26 @@ mod tests {
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
 
-        // A layer holds a round's share of the window until its event
-        // arrives; the reply is written, not gathered.
+        // A layer holds a round's share of the window — here, all of it —
+        // until its event arrives, so a second one waits in its queue; the
+        // first one's settle submits it, on this thread. The replies are
+        // written, not gathered.
         let shape = salo_patterns::AttentionShape::new(8, 4, 1).expect("shape");
-        let layer = Request::Prefill {
+        let layer = || Request::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape,
             heads: salo_kernels::Qkv::random_heads(&shape, 1),
         };
-        submit_one(layer, &conn, &mut out);
+        submit_one(layer(), &conn, &mut out);
         assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)));
+        submit_one(layer(), &conn, &mut out);
+        assert_eq!(tables(), (1, 2, WINDOW_ROUNDS, (1, 0, 0)), "the window is full");
         let written = inner.counts.frames_written.get();
         on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
+        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)), "the settle submitted it");
+        on_event(&inner, events_rx.recv().expect("second layer done"), &mut out);
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
-        assert_eq!(inner.counts.frames_written.get(), written + 1);
+        assert_eq!(inner.counts.frames_written.get(), written + 2);
 
         // A good open is in flight until its event arrives.
         submit_one(open(1), &conn, &mut out);
@@ -1577,8 +1571,128 @@ mod tests {
         inner.lock().close_sessions_of(&conn, &server);
         on_event(&inner, events_rx.recv().expect("closed"), &mut out);
         assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0, 0))));
+
+        // The drain closes what is still open and gives up the submit
+        // side. The terminal `Closed` answers the open under a deadline of
+        // its own: a timer that runs before the event leaves it alone.
+        submit_one(open(1), &conn, &mut out);
+        on_event(&inner, events_rx.recv().expect("opened"), &mut out);
+        // As after an idle `service_timeout`: a scan that found nothing.
+        assert_eq!(inner.lock().expire(Instant::now() + 2 * TIMEOUT, &mut out), 0);
+        inner.lock().close_all_sessions(&inner);
+        assert_eq!((out.len(), tables()), (7, (0, 1, 1, (0, 1, 1))));
+        assert_eq!(
+            inner.lock().expire(Instant::now(), &mut out),
+            0,
+            "not due the moment it is set"
+        );
+        on_event(&inner, events_rx.recv().expect("closed by the drain"), &mut out);
+        assert!(matches!(out.last().expect("reply").response, Response::Closed { session: 2, .. }));
+        assert_eq!((out.len(), tables()), (8, (0, 0, 0, (0, 0, 0))));
         assert_eq!(server.active_sessions(), 0);
-        let report = server.shutdown();
-        assert_eq!((report.decode_sessions, report.decode_steps), (1, 2));
+        let report = Arc::into_inner(server).expect("the drain dropped the state's").shutdown();
+        assert_eq!((report.decode_sessions, report.decode_steps), (2, 2));
+    }
+
+    /// The timer has no wake-up of its own: it is the completion thread,
+    /// which never waits longer than `service_timeout`. After sitting idle
+    /// for several of them it still answers a request that outlives its
+    /// deadline on time — within `SLACK` of it — and once: the completion
+    /// that arrives later writes no second frame.
+    #[test]
+    fn an_idle_completion_thread_still_answers_a_deadline_on_time() {
+        const SERVICE_TIMEOUT: Duration = Duration::from_millis(100);
+        /// Scheduling noise on a busy host; a timer that only looked once
+        /// per `SERVICE_TIMEOUT` would be later than this every other run.
+        const SLACK: Duration = Duration::from_millis(50);
+        let options = GatewayOptions { service_timeout: SERVICE_TIMEOUT, ..Default::default() };
+        let inner = Inner::new(options, &MetricsRegistry::new());
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        // A connection whose peer reads what the gateway writes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let stream = TcpStream::connect(listener.local_addr().expect("local addr"));
+        let stream = Mutex::new(stream.expect("loopback"));
+        let conn = Arc::new(ConnShared { id: 1, stream, alive: AtomicBool::new(true) });
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(10))).expect("deadline");
+
+        std::thread::scope(|scope| {
+            let inner = &inner;
+            scope.spawn(move || completion_loop(inner, &events_rx));
+            std::thread::sleep(3 * SERVICE_TIMEOUT);
+            // What a reader's admission and `submit` leave behind.
+            let enqueued = Instant::now();
+            let header = Header { tenant: 1, request_id: 7 };
+            let deadline = inner.deadline(enqueued);
+            let conn = Arc::clone(&conn);
+            let pending = Pending { header, request: Request::Stats, conn, enqueued, deadline };
+            let mut state = inner.lock();
+            state
+                .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
+                .expect("admitted");
+            let pending = state.pop_quantum(1, 1).pop().expect("queued");
+            put_in_flight(&mut state, 40, pending);
+            drop(state);
+
+            let payload = wire::read_frame(&mut peer).expect("a frame before the read deadline");
+            let waited = enqueued.elapsed();
+            match wire::decode_response(&payload).expect("decodable") {
+                (answered, Response::Error(frame)) => {
+                    assert_eq!((answered, frame.code), (header, ErrorCode::TimedOut));
+                }
+                (_, other) => panic!("expected a TimedOut frame, got {other:?}"),
+            }
+            assert!(waited >= SERVICE_TIMEOUT, "answered {waited:?} after admission: early");
+            assert!(waited < SERVICE_TIMEOUT + SLACK, "answered {waited:?} after admission: late");
+
+            let late = ServeResponse {
+                id: 40,
+                result: Err(ServeError::Draining),
+                cache_hit: false,
+                worker: None,
+                batch_size: 0,
+                latency_s: 0.0,
+            };
+            events_tx.send(ServeEvent::Layer(late)).expect("the loop is listening");
+            // The last sender: the loop routes what is left and ends.
+            drop(events_tx);
+        });
+        let state = inner.lock();
+        assert_eq!((state.layers.len(), state.in_flight, state.outstanding_total), (0, 0, 0));
+        assert_eq!((inner.counts.timed_out.get(), inner.counts.frames_written.get()), (1, 1));
+    }
+
+    /// Connections that come and go leave nothing behind: the acceptor
+    /// joins every finished reader and drops its entry. No other unit test
+    /// binds a gateway, so any `gateway-conn-*` thread is this one's.
+    #[test]
+    fn connection_churn_leaves_no_entry_and_no_reader_thread() {
+        let serve = ServeOptions { workers: 1, ..Default::default() };
+        let options = GatewayOptions { serve, ..Default::default() };
+        let gateway =
+            Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options).expect("bind");
+        // Fifty at a time, well inside the listener's backlog.
+        for _ in 0..4 {
+            let batch: Vec<TcpStream> = (0..50)
+                .map(|_| TcpStream::connect(gateway.local_addr()).expect("connect"))
+                .collect();
+            drop(batch);
+        }
+        let inner = &gateway.inner;
+        let started = Instant::now();
+        loop {
+            let left = inner.connections.lock().expect("connections poisoned").len();
+            if inner.counts.connections.get() == 200 && left == 0 {
+                break;
+            }
+            assert!(started.elapsed() < Duration::from_secs(30), "{left} readers never joined");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").expect("task list") {
+            let name = std::fs::read_to_string(task.expect("task").path().join("comm"));
+            assert!(!name.is_ok_and(|name| name.starts_with("gateway-conn-")), "a reader lives on");
+        }
+        assert_eq!(gateway.shutdown().connections, 200);
     }
 }

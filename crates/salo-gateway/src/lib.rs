@@ -22,7 +22,8 @@
 //!   ([`GatewayOptions::tenant_quota`]) — and the gateway-wide total;
 //!   rejected work gets a typed `Overloaded` frame with a
 //!   `retry_after_ms` hint instead of silent queue growth. Dispatch is
-//!   pipelined: a *submit half* pops the tenant queues in deficit round
+//!   pipelined: a *submit half* — run by whichever thread just admitted a
+//!   request or freed a slot — pops the tenant queues in deficit round
 //!   robin and hands requests to the server without waiting, a
 //!   *completion half* — one thread on the one channel the serve workers
 //!   report into — routes each result to its connection by serve request

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The per-server metrics registry: counters, gauges, histograms the
-    // dispatcher and the workers updated while the burst ran.
+    // submitting thread and the workers updated while the burst ran.
     println!("-- serve metrics registry --");
     println!("{}", server.metrics().export_table());
 
@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Export the trace. Every span recorded by every thread — admission
-    // on this thread, plan lookup/batch formation on the dispatcher,
-    // queue waits and engine/sim execution on the workers.
+    // on this thread; queue waits, plan lookup and engine/sim execution
+    // on the workers.
     let trace = salo::trace::export_chrome_json();
     let path = "salo_trace.json";
     std::fs::write(path, &trace)?;

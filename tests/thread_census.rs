@@ -1,9 +1,10 @@
 //! The thread census of a served process: a gateway in front of a
-//! one-worker server, with one client connected, runs exactly five threads
-//! of its own — accept, dispatch, one completion thread, the connection's
-//! reader and worker 0. A second way into the runtime (a serve-side
-//! dispatcher between the submitter and the workers) or out of it (a
-//! collector, a per-kind completion thread) would show up here as a sixth.
+//! one-worker server, with one client connected, runs exactly four threads
+//! of its own — accept, one completion thread, the connection's reader
+//! and worker 0. A fifth would be a second way into the runtime (a thread
+//! that forwards between the reader and the workers: a gateway or a
+//! serve-side dispatcher) or out of it (a collector, a per-kind
+//! completion thread).
 //!
 //! Its own binary, one test: the census reads this process's threads, so
 //! nothing else may be starting gateways beside it.
@@ -15,7 +16,7 @@ use salo::serve::ServeOptions;
 use salo::sim::AcceleratorConfig;
 
 #[test]
-fn a_served_process_runs_five_threads() {
+fn a_served_process_runs_four_threads() {
     let options = GatewayOptions {
         serve: ServeOptions { workers: 1, ..Default::default() },
         ..Default::default()
@@ -35,14 +36,8 @@ fn a_served_process_runs_five_threads() {
         .filter(|name| name.starts_with("gateway-") || name.starts_with("salo-serve-"))
         .collect();
     census.sort();
-    let expected = [
-        "gateway-accept",
-        "gateway-complete",
-        "gateway-conn-1",
-        "gateway-dispatch",
-        "salo-serve-worker-0",
-    ]
-    .map(|name| &name[..name.len().min(15)]);
+    let expected = ["gateway-accept", "gateway-complete", "gateway-conn-1", "salo-serve-worker-0"]
+        .map(|name| &name[..name.len().min(15)]);
     assert_eq!(census, expected, "a thread this census does not know is a second way in or out");
     let _ = gateway.shutdown();
 }
