@@ -9,6 +9,7 @@
 //! [`recv`](GatewayClient::recv) calls.
 
 use std::collections::VecDeque;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -71,7 +72,9 @@ pub struct OpenedSession {
 /// One connection to a gateway, bound to a tenant id.
 #[derive(Debug)]
 pub struct GatewayClient {
-    stream: TcpStream,
+    /// Replies are decoded out of the reader's buffer as they arrive;
+    /// requests are written to the stream inside it.
+    stream: BufReader<TcpStream>,
     tenant: u64,
     next_id: u64,
     /// Replies read while waiting for a different request_id.
@@ -87,6 +90,7 @@ impl GatewayClient {
     pub fn connect<A: ToSocketAddrs>(addr: A, tenant: u64) -> Result<Self, GatewayError> {
         let stream = TcpStream::connect(addr).map_err(WireError::from)?;
         let _ = stream.set_nodelay(true);
+        let stream = BufReader::new(stream);
         Ok(GatewayClient { stream, tenant, next_id: 1, unmatched: VecDeque::new() })
     }
 
@@ -97,7 +101,7 @@ impl GatewayClient {
     ///
     /// Returns the setsockopt failure as [`GatewayError::Wire`].
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), GatewayError> {
-        self.stream.set_read_timeout(timeout).map_err(WireError::from)?;
+        self.stream.get_ref().set_read_timeout(timeout).map_err(WireError::from)?;
         Ok(())
     }
 
@@ -114,7 +118,7 @@ impl GatewayClient {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_request(Header { tenant: self.tenant, request_id: id }, request);
-        wire::write_frame(&mut self.stream, &frame)?;
+        wire::write_frame(self.stream.get_mut(), &frame)?;
         Ok(id)
     }
 
@@ -129,8 +133,13 @@ impl GatewayClient {
         if let Some(buffered) = self.unmatched.pop_front() {
             return Ok(buffered);
         }
-        let payload = wire::read_frame(&mut self.stream)?;
-        Ok(wire::decode_response(&payload)?)
+        self.read()
+    }
+
+    /// The next reply off the socket, decoded as it arrives.
+    fn read(&mut self) -> Result<(Header, Response), GatewayError> {
+        let frame = wire::read_response(&mut self.stream)?;
+        Ok((frame.header, frame.message?))
     }
 
     /// Sends `request` and blocks for *its* response, buffering any
@@ -148,8 +157,7 @@ impl GatewayClient {
                 let (_, response) = self.unmatched.remove(at).expect("position just found");
                 return finish(response);
             }
-            let payload = wire::read_frame(&mut self.stream)?;
-            let (header, response) = wire::decode_response(&payload)?;
+            let (header, response) = self.read()?;
             if header.request_id == id {
                 return finish(response);
             }

@@ -6,13 +6,24 @@
 //!
 //! * one **acceptor** polls a non-blocking `TcpListener`, spawns a
 //!   reader per connection and joins the readers that have finished;
-//! * each **reader** owns its socket's read half: it frames, decodes,
-//!   and *admits* requests — the only unbounded thing a client controls
+//! * each **reader** owns its socket's read half: it decodes each frame
+//!   *as it arrives* ([`wire::read_request`]) — out of the connection's
+//!   one 64 KiB read buffer straight into the request, so a request's
+//!   bytes are never resident beside the request, and the frame's length
+//!   is known before anything is allocated for it — and *admits* the
+//!   request. The `gateway.read_frame` span therefore covers the wait for
+//!   a frame, its read and its decode, which interleave. A malformed
+//!   payload costs one typed `BadFrame` reply, under the request id its
+//!   header named; a framing violation, EOF or a read deadline — also one
+//!   that strikes mid-frame, dropping the half-decoded request — costs
+//!   the connection. The only unbounded thing a client controls
 //!   is how fast it sends, and admission turns that into typed
 //!   `Overloaded` rejections the moment its tenant (or the gateway as a
 //!   whole) has its quota of requests *outstanding*: queued or in
 //!   flight, released when the reply is decided. A request submitted the
-//!   moment it is admitted therefore still counts against its tenant;
+//!   moment it is admitted therefore still counts against its tenant.
+//!   What is outstanding is also counted in bytes
+//!   (`gateway.request_bytes`, frame lengths), observed and not bounded;
 //! * one **completion** thread blocks on the one `Receiver<ServeEvent>`
 //!   every request the gateway submits reports into — the serve workers
 //!   send there directly — and routes a layer response by its serve
@@ -25,7 +36,10 @@
 //!   also the timer: it never waits longer than the earliest outstanding
 //!   deadline and answers whatever outlived `service_timeout` with a
 //!   typed `TimedOut` frame; the completion of a waiter that already
-//!   timed out is dropped without a second frame.
+//!   timed out is dropped without a second frame. A reply is encoded
+//!   from the engine's own rows ([`wire::Outgoing`]), once, into a buffer
+//!   of its exact size — or appended to the buffer a run of session
+//!   replies is being gathered in.
 //!
 //! Nobody's job is to submit: [`State::dispatch`] runs on the two threads
 //! that can make work or room, at the moment they do — a reader that has
@@ -69,12 +83,9 @@ use salo_serve::{
     SessionRequest,
 };
 use salo_sim::AcceleratorConfig;
-use salo_trace::{Counter, LogHistogram, MetricsRegistry};
+use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
-use crate::wire::{
-    self, encode_response, ErrorCode, ErrorFrame, Header, PrefillHead, Request, Response,
-    WireError, WireHeadStep,
-};
+use crate::wire::{self, EngineHead, ErrorCode, ErrorFrame, Header, Outgoing, Request, WireError};
 
 /// Gateway configuration: the wrapped server's options plus the knobs of
 /// the network front door.
@@ -174,8 +185,9 @@ fn slots(request: &Request) -> usize {
 }
 
 /// Capacity of a connection's read buffer: a pipelined burst of small
-/// frames arrives in one `read`; payloads larger than this bypass it.
-const READ_BUFFER: usize = 16 * 1024;
+/// frames arrives in one `read`, and a large frame is decoded out of it
+/// this much at a time — it is the only place a request's bytes ever are.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// Bytes of consecutive replies to one connection the completion thread
 /// gathers into a single write.
@@ -186,6 +198,9 @@ struct Pending {
     header: Header,
     request: Request,
     conn: Arc<ConnShared>,
+    /// The request's frame length: its share of `gateway.request_bytes`
+    /// from admission until its reply is decided.
+    bytes: usize,
     enqueued: Instant,
     /// `enqueued + service_timeout`. Stamped under the state lock, so
     /// deadlines never decrease in admission order.
@@ -209,6 +224,8 @@ struct Tenant {
 struct Waiter {
     conn: Arc<ConnShared>,
     header: Header,
+    /// The request's frame length ([`Pending::bytes`]).
+    bytes: usize,
     deadline: Instant,
     /// Window slots held until the completion arrives ([`slots`]).
     slots: usize,
@@ -236,7 +253,7 @@ struct SessionEntry {
 struct Reply {
     conn: Arc<ConnShared>,
     header: Header,
-    response: Response,
+    response: Outgoing,
 }
 
 /// Everything the gateway's threads share, under one lock: admission
@@ -252,6 +269,10 @@ struct State {
     /// Admitted and not yet answered across all tenants (the global
     /// bound's counter).
     outstanding_total: usize,
+    /// `gateway.request_bytes`: the frame lengths of what
+    /// `outstanding_total` counts — entered at admission, exited where the
+    /// admission slot is released. Observed, not yet bounded.
+    request_bytes: Arc<Gauge>,
     /// Tenants with queued work, in round-robin visit order.
     round: VecDeque<u64>,
     /// Slots held by the waiters in `layers` and `sessions`: what the
@@ -276,24 +297,31 @@ struct State {
     server: Option<(Arc<SaloServer>, Sender<ServeEvent>)>,
 }
 
-/// One of `tenant`'s admitted requests is answered: its admission slot
-/// is free again.
-fn release(tenants: &mut BTreeMap<u64, Tenant>, outstanding_total: &mut usize, tenant: u64) {
+/// One of `tenant`'s admitted requests, of `bytes` on the wire, is
+/// answered: its admission slot is free again.
+fn release(
+    tenants: &mut BTreeMap<u64, Tenant>,
+    outstanding_total: &mut usize,
+    request_bytes: &Gauge,
+    tenant: u64,
+    bytes: usize,
+) {
     if let Some(tenant) = tenants.get_mut(&tenant) {
         tenant.outstanding -= 1;
     }
     *outstanding_total -= 1;
+    request_bytes.add(-(bytes as i64));
 }
 
 fn earliest(current: Option<Instant>, deadline: Instant) -> Option<Instant> {
     Some(current.map_or(deadline, |at| at.min(deadline)))
 }
 
-fn error(code: ErrorCode, message: &str) -> Response {
-    Response::Error(ErrorFrame { code, message: message.to_owned(), retry_after_ms: None })
+fn error(code: ErrorCode, message: &str) -> Outgoing {
+    Outgoing::Error(ErrorFrame { code, message: message.to_owned(), retry_after_ms: None })
 }
 
-fn serve_error(e: &ServeError) -> Response {
+fn serve_error(e: &ServeError) -> Outgoing {
     let code = match e {
         ServeError::InvalidRequest { .. } => ErrorCode::Invalid,
         ServeError::UnknownSession { .. } => ErrorCode::UnknownSession,
@@ -328,6 +356,7 @@ impl State {
             self.round.push_back(id);
         }
         self.next_expiry = self.next_expiry.or(Some(pending.deadline));
+        self.request_bytes.add(pending.bytes as i64);
         tenant.queue.push_back(pending);
         tenant.outstanding += 1;
         self.queued_total += 1;
@@ -335,8 +364,8 @@ impl State {
         Ok(())
     }
 
-    fn release(&mut self, tenant: u64) {
-        release(&mut self.tenants, &mut self.outstanding_total, tenant);
+    fn release(&mut self, tenant: u64, bytes: usize) {
+        release(&mut self.tenants, &mut self.outstanding_total, &self.request_bytes, tenant, bytes);
     }
 
     /// Pops requests from the tenant at the head of the round while
@@ -428,7 +457,7 @@ impl State {
         if waiter.answered {
             return None;
         }
-        self.release(waiter.header.tenant);
+        self.release(waiter.header.tenant, waiter.bytes);
         Some((waiter.conn, waiter.header))
     }
 
@@ -443,18 +472,28 @@ impl State {
         }
         let before = out.len();
         let mut next = None;
-        let State { tenants, queued_total, outstanding_total, layers, sessions, server, .. } =
-            &mut *self;
+        let State {
+            tenants,
+            queued_total,
+            outstanding_total,
+            request_bytes,
+            layers,
+            sessions,
+            server,
+            ..
+        } = &mut *self;
         for tenant in tenants.values_mut() {
             while let Some(front) = tenant.queue.front() {
                 if front.deadline > now {
                     next = earliest(next, front.deadline);
                     break;
                 }
-                let Pending { conn, header, .. } = tenant.queue.pop_front().expect("front exists");
+                let Pending { conn, header, bytes, .. } =
+                    tenant.queue.pop_front().expect("front exists");
                 tenant.outstanding -= 1;
                 *queued_total -= 1;
                 *outstanding_total -= 1;
+                request_bytes.add(-(bytes as i64));
                 let response = error(
                     ErrorCode::TimedOut,
                     "request spent its service deadline in the dispatch queue",
@@ -471,7 +510,7 @@ impl State {
                 return false;
             }
             waiter.answered = true;
-            release(tenants, outstanding_total, waiter.header.tenant);
+            release(tenants, outstanding_total, request_bytes, waiter.header.tenant, waiter.bytes);
             let response = error(ErrorCode::TimedOut, "request outlived its service deadline");
             out.push(Reply { conn: Arc::clone(&waiter.conn), header: waiter.header, response });
             true
@@ -525,6 +564,7 @@ impl State {
             entry.waiters.push_back(Waiter {
                 conn: Arc::clone(&entry.conn),
                 header: entry.opened_by,
+                bytes: 0,
                 deadline,
                 slots: 1,
                 answered: false,
@@ -600,7 +640,10 @@ impl Inner {
     fn new(options: GatewayOptions, registry: &MetricsRegistry) -> Self {
         Inner {
             options,
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                request_bytes: registry.gauge("gateway.request_bytes"),
+                ..State::default()
+            }),
             draining: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
             connections: Mutex::new(Vec::new()),
@@ -791,7 +834,9 @@ impl Gateway {
             let state = &mut *state;
             let leftovers: Vec<Pending> =
                 state.tenants.values_mut().flat_map(|t| t.queue.drain(..)).collect();
-            leftovers.iter().for_each(|pending| state.release(pending.header.tenant));
+            leftovers
+                .iter()
+                .for_each(|pending| state.release(pending.header.tenant, pending.bytes));
             state.queued_total = 0;
             state.round.clear();
             state.close_all_sessions(inner);
@@ -870,19 +915,22 @@ fn accept_loop(inner: &Arc<Inner>, server: &Arc<SaloServer>, listener: TcpListen
 }
 
 // ---------------------------------------------------------------------
-// reader: frame → decode → admit
+// reader: frame, decoded as it arrives → admit
 // ---------------------------------------------------------------------
 
 fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc<ConnShared>) {
     let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     loop {
         let started = Instant::now();
-        let payload = match wire::read_frame(&mut stream) {
-            Ok(p) => p,
+        let frame = match wire::read_request(&mut stream) {
+            Ok(frame) => frame,
             Err(WireError::Io(kind)) => {
                 use std::io::ErrorKind;
                 if matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                    // Read deadline: tell the client why before closing.
+                    // Read deadline, between frames or inside one: tell
+                    // the client why before closing. A request the
+                    // deadline caught half-decoded is dropped here,
+                    // before anything knew of it.
                     let response =
                         error(ErrorCode::TimedOut, "connection idle past the read deadline");
                     send_response(inner, conn, Header::default(), &response);
@@ -898,27 +946,28 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
             }
         };
         inner.counts.frames_read.inc();
+        // The wait for the frame, its read and — interleaved with the
+        // read — its decode.
         salo_trace::record_since("gateway.read_frame", "gateway", started, conn.id);
 
-        let (header, request) = match wire::decode_request(&payload) {
-            Ok(decoded) => decoded,
+        let header = frame.header;
+        match frame.message {
             Err(err) => {
-                // The frame boundary was sound, so the stream stays in
-                // sync: reply typed and keep the connection.
+                // The frame boundary was sound and the rest of the frame
+                // has been skipped, so the stream is in sync: reply typed,
+                // to the request the header named if it got that far, and
+                // keep the connection.
                 let response = error(ErrorCode::BadFrame, &err.to_string());
-                send_response(inner, conn, Header::default(), &response);
+                send_response(inner, conn, header, &response);
                 continue;
             }
-        };
-
-        match request {
-            Request::Stats => {
+            Ok(Request::Stats) => {
                 // Served inline off the live registry — stats must work
                 // even when the dispatch queue is saturated.
                 let json = server.metrics().export_json();
-                send_response(inner, conn, header, &Response::Stats { json });
+                send_response(inner, conn, header, &Outgoing::Stats { json });
             }
-            request => admit(inner, server, header, request, conn),
+            Ok(request) => admit(inner, server, header, request, frame.len, conn),
         }
 
         if !conn.alive.load(Ordering::Acquire) {
@@ -938,6 +987,7 @@ fn admit(
     server: &SaloServer,
     header: Header,
     request: Request,
+    bytes: usize,
     conn: &Arc<ConnShared>,
 ) {
     let _span = salo_trace::span_with("gateway.admission", "gateway", header.tenant);
@@ -956,7 +1006,8 @@ fn admit(
         }
         let enqueued = Instant::now();
         let deadline = inner.deadline(enqueued);
-        let pending = Pending { header, request, conn: Arc::clone(conn), enqueued, deadline };
+        let conn = Arc::clone(conn);
+        let pending = Pending { header, request, conn, bytes, enqueued, deadline };
         let admitted = state.admit(pending, &inner.options, || {
             server.metrics().histogram(&format!("gateway.tenant.{tenant}.queue_wait_ns"))
         });
@@ -974,7 +1025,7 @@ fn admit(
         server.record_tenant_rejection(tenant);
         // Rough service-rate hint: two milliseconds per outstanding
         // request ahead of a retry.
-        let response = Response::Error(ErrorFrame {
+        let response = Outgoing::Error(ErrorFrame {
             code: ErrorCode::Overloaded,
             message: "tenant or global admission quota is full".to_owned(),
             retry_after_ms: Some(2 * (depth as u64 + 1)),
@@ -998,15 +1049,16 @@ fn submit(
     events: &Sender<ServeEvent>,
     out: &mut Vec<Reply>,
 ) {
-    let Pending { header, request, conn, deadline, .. } = pending;
+    let Pending { header, request, conn, bytes, deadline, .. } = pending;
     if !conn.alive.load(Ordering::Acquire) {
-        return state.release(header.tenant); // a write failed: nobody to answer
+        return state.release(header.tenant, bytes); // a write failed: nobody to answer
     }
     let unknown_session = |session: u64| {
         let message = format!("wire session {session} is not open on this connection");
         error(ErrorCode::UnknownSession, &message)
     };
-    let waiter = Waiter { conn, header, deadline, slots: slots(&request), answered: false };
+    let slots = slots(&request);
+    let waiter = Waiter { conn, header, bytes, deadline, slots, answered: false };
     let refusal = match request {
         Request::Prefill { pattern, shape, heads } => {
             let request = ServeRequest { pattern, shape, heads };
@@ -1062,22 +1114,15 @@ fn submit(
             None => unknown_session(session),
         },
         // Handled inline by the reader; unreachable through the queue.
-        Request::Stats => return state.release(header.tenant),
+        Request::Stats => return state.release(header.tenant, bytes),
     };
-    state.release(header.tenant);
+    state.release(header.tenant, bytes);
     out.push(Reply { conn: waiter.conn, header, response: refusal });
 }
 
 // ---------------------------------------------------------------------
 // completion: route each result to the connection that is owed it
 // ---------------------------------------------------------------------
-
-/// Converts a fixed-point matrix to its raw bit patterns for the wire.
-fn raw_bits(m: &salo_kernels::Matrix<salo_fixed::Fix16x8>) -> salo_kernels::Matrix<i16> {
-    let data = m.as_slice().iter().map(|x| x.raw()).collect();
-    salo_kernels::Matrix::from_vec(m.rows(), m.cols(), data)
-        .expect("same shape as the source matrix")
-}
 
 /// Blocks on the one channel everything the gateway submits reports into,
 /// until the earliest deadline. Events that are already waiting are routed
@@ -1125,18 +1170,20 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
         ServeEvent::Layer(ServeResponse { id, result, .. }) => {
             let Some(waiter) = state.layers.remove(&id) else { return };
             let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
-            // The conversion walks megabytes: not under the lock.
+            // Encoding walks megabytes: not under the lock.
             drop(guard);
+            // The engine's rows move into the reply and are encoded from
+            // where they lie.
             let response = match result {
-                Ok(run) => Response::PrefillDone {
+                Ok(run) => Outgoing::PrefillDone {
                     sim_time_s: run.total_time_s,
                     sim_energy_j: run.total_energy_j,
                     heads: run
                         .heads
                         .into_iter()
-                        .map(|h| PrefillHead {
-                            raw: raw_bits(&h.raw),
+                        .map(|h| EngineHead {
                             output: h.output,
+                            raw: h.raw,
                             weights_q16: h.weights_q16,
                         })
                         .collect(),
@@ -1157,7 +1204,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
                     let wire_id = state.last_wire_session;
                     entry.wire_id = Some(wire_id);
                     state.wire_sessions.insert(wire_id, session);
-                    Response::Opened {
+                    Outgoing::Opened {
                         session: wire_id,
                         min_step: info.min_step as u64,
                         position: info.position as u64,
@@ -1181,10 +1228,10 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
             drop(guard);
             let response = match result {
-                Ok(step) => Response::Stepped {
+                Ok(step) => Outgoing::Stepped {
                     session: wire_id,
                     position: step.position as u64,
-                    heads: step.heads.iter().map(WireHeadStep::from).collect(),
+                    heads: step.heads,
                 },
                 Err(e) => serve_error(&e),
             };
@@ -1200,7 +1247,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             let position = position.map(|p| p as u64);
             for waiter in entry.waiters {
                 if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
-                    let response = Response::Closed { session: wire_id, position };
+                    let response = Outgoing::Closed { session: wire_id, position };
                     out.push(Reply { conn, header, response });
                 }
             }
@@ -1227,12 +1274,14 @@ fn write_frames(inner: &Inner, conn: &ConnShared, bytes: &[u8], frames: u64, sta
     }
 }
 
-fn send_response(inner: &Inner, conn: &ConnShared, header: Header, response: &Response) {
+fn send_response(inner: &Inner, conn: &ConnShared, header: Header, response: &Outgoing) {
     if !conn.alive.load(Ordering::Acquire) {
         return;
     }
     let started = Instant::now();
-    write_frames(inner, conn, &encode_response(header, response), 1, started);
+    let mut bytes = Vec::new();
+    wire::encode_outgoing_into(&mut bytes, header, response);
+    write_frames(inner, conn, &bytes, 1, started);
 }
 
 /// Writes the replies in order, gathering each run of consecutive replies
@@ -1245,11 +1294,12 @@ fn write_replies(inner: &Inner, out: &mut Vec<Reply>) {
             continue;
         }
         let started = Instant::now();
-        let mut bytes = encode_response(first.header, &first.response);
+        let mut bytes = Vec::new();
+        wire::encode_outgoing_into(&mut bytes, first.header, &first.response);
         let mut frames = 1;
         while bytes.len() < WRITE_GATHER {
             let Some(next) = replies.next_if(|next| next.conn.id == conn.id) else { break };
-            bytes.extend_from_slice(&encode_response(next.header, &next.response));
+            wire::encode_outgoing_into(&mut bytes, next.header, &next.response);
             frames += 1;
         }
         write_frames(inner, &conn, &bytes, frames, started);
@@ -1287,10 +1337,13 @@ mod tests {
 
     const TIMEOUT: Duration = Duration::from_secs(30);
 
+    /// The frame length every test request claims.
+    const BYTES: usize = 1000;
+
     fn pending(conn: &Arc<ConnShared>, header: Header, request: Request) -> Pending {
         let enqueued = Instant::now();
         let deadline = enqueued + TIMEOUT;
-        Pending { header, request, conn: Arc::clone(conn), enqueued, deadline }
+        Pending { header, request, conn: Arc::clone(conn), bytes: BYTES, enqueued, deadline }
     }
 
     fn admit(
@@ -1305,8 +1358,9 @@ mod tests {
 
     /// What `submit` does to the table for a layer request.
     fn put_in_flight(state: &mut State, serve_id: u64, pending: Pending) {
-        let Pending { conn, header, request, deadline, .. } = pending;
-        let waiter = Waiter { conn, header, deadline, slots: slots(&request), answered: false };
+        let Pending { conn, header, request, bytes, deadline, .. } = pending;
+        let slots = slots(&request);
+        let waiter = Waiter { conn, header, bytes, deadline, slots, answered: false };
         state.in_flight += waiter.slots;
         state.layers.insert(serve_id, waiter);
     }
@@ -1413,6 +1467,7 @@ mod tests {
         }
         assert_eq!((state.queued_total, state.in_flight), (0, 3));
         assert_eq!(admit(&mut state, &options, &conn, header(3)), Err(3), "q in flight");
+        assert_eq!(state.request_bytes.get(), 3 * BYTES as i64, "a refusal never entered");
         // Another tenant is not affected by tenant 7's quota.
         admit(&mut state, &options, &conn, Header { tenant: 8, request_id: 0 }).expect("other");
 
@@ -1420,6 +1475,7 @@ mod tests {
         let (_, answered) = state.settle(waiter, &options, &mut Vec::new()).expect("owed a reply");
         assert_eq!(answered, header(0));
         assert_eq!((state.in_flight, state.tenants[&7].outstanding), (2, 2));
+        assert_eq!(state.request_bytes.get(), 3 * BYTES as i64, "tenant 7's two and tenant 8's");
         admit(&mut state, &options, &conn, header(3)).expect("one reply, one slot");
         assert_eq!(admit(&mut state, &options, &conn, header(4)), Err(4), "and only one");
     }
@@ -1442,16 +1498,18 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(state.expire(Instant::now(), &mut out), 0, "nothing is due yet");
         assert!(state.next_expiry.is_some());
+        assert_eq!(state.request_bytes.get(), 2 * BYTES as i64, "queued and in flight");
         let late = Instant::now() + TIMEOUT + Duration::from_secs(1);
         assert_eq!(state.expire(late, &mut out), 2);
         let answered: Vec<u64> = out.iter().map(|reply| reply.header.request_id).collect();
         assert_eq!(answered, vec![1, 0], "the queued request, then the one in flight");
         for reply in &out {
             assert!(
-                matches!(&reply.response, Response::Error(frame) if frame.code == ErrorCode::TimedOut)
+                matches!(&reply.response, Outgoing::Error(frame) if frame.code == ErrorCode::TimedOut)
             );
         }
         assert_eq!((state.queued_total, state.outstanding_total, state.in_flight), (0, 0, 1));
+        assert_eq!(state.request_bytes.get(), 0, "the bytes leave with the admission slots");
         assert_eq!(state.next_expiry, None);
         assert_eq!(state.expire(late, &mut out), 0, "answered once");
 
@@ -1459,6 +1517,7 @@ mod tests {
         let waiter = state.layers.remove(&40).expect("still paired with its completion");
         assert!(state.settle(waiter, &options, &mut out).is_none());
         assert_eq!((state.in_flight, state.tenants[&1].outstanding), (0, 0));
+        assert_eq!(state.request_bytes.get(), 0, "and are not given back twice");
     }
 
     /// Drives admission, dispatch and the completion half against a real
@@ -1487,14 +1546,19 @@ mod tests {
                 .expect("admitted");
             state.dispatch(&inner.options, out);
         };
-        // (queued, outstanding, in flight, layers, sessions, wire ids)
+        // (queued, outstanding, in flight, layers, sessions, wire ids).
+        // `gateway.request_bytes` is `BYTES` per outstanding request the
+        // client sent — the drain's own terminal close has no frame.
         let tables = || {
             let s = inner.lock();
+            let drain_closes = if s.server.is_none() { s.sessions.len() } else { 0 };
+            let from_clients = s.outstanding_total - drain_closes;
+            assert_eq!(s.request_bytes.get(), (from_clients * BYTES) as i64);
             let sizes = (s.layers.len(), s.sessions.len(), s.wire_sessions.len());
             (s.queued_total, s.outstanding_total, s.in_flight, sizes)
         };
         let code_of = |reply: &Reply| match &reply.response {
-            Response::Error(frame) => Some(frame.code),
+            Outgoing::Error(frame) => Some(frame.code),
             _ => None,
         };
         let (open, tokens) = salo_serve::GenerationTraffic::demo_mix().session_bounded(1, 2);
@@ -1537,7 +1601,7 @@ mod tests {
         submit_one(open(1), &conn, &mut out);
         assert_eq!(tables(), (0, 1, 1, (0, 1, 0)));
         on_event(&inner, events_rx.recv().expect("opened"), &mut out);
-        assert!(matches!(out.last().expect("reply").response, Response::Opened { session: 1, .. }));
+        assert!(matches!(out.last().expect("reply").response, Outgoing::Opened { session: 1, .. }));
         let opened = (0, 0, 0, (0, 1, 1));
         assert_eq!((out.len(), tables()), (3, opened));
 
@@ -1551,7 +1615,7 @@ mod tests {
         on_event(&inner, events_rx.recv().expect("stepped"), &mut out);
         assert!(matches!(
             out.last().expect("reply").response,
-            Response::Stepped { session: 1, .. }
+            Outgoing::Stepped { session: 1, .. }
         ));
         assert_eq!((out.len(), tables()), (5, opened));
 
@@ -1587,7 +1651,7 @@ mod tests {
             "not due the moment it is set"
         );
         on_event(&inner, events_rx.recv().expect("closed by the drain"), &mut out);
-        assert!(matches!(out.last().expect("reply").response, Response::Closed { session: 2, .. }));
+        assert!(matches!(out.last().expect("reply").response, Outgoing::Closed { session: 2, .. }));
         assert_eq!((out.len(), tables()), (8, (0, 0, 0, (0, 0, 0))));
         assert_eq!(server.active_sessions(), 0);
         let report = Arc::into_inner(server).expect("the drain dropped the state's").shutdown();
@@ -1625,7 +1689,8 @@ mod tests {
             let header = Header { tenant: 1, request_id: 7 };
             let deadline = inner.deadline(enqueued);
             let conn = Arc::clone(&conn);
-            let pending = Pending { header, request: Request::Stats, conn, enqueued, deadline };
+            let request = Request::Stats;
+            let pending = Pending { header, request, conn, bytes: BYTES, enqueued, deadline };
             let mut state = inner.lock();
             state
                 .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
@@ -1637,7 +1702,7 @@ mod tests {
             let payload = wire::read_frame(&mut peer).expect("a frame before the read deadline");
             let waited = enqueued.elapsed();
             match wire::decode_response(&payload).expect("decodable") {
-                (answered, Response::Error(frame)) => {
+                (answered, wire::Response::Error(frame)) => {
                     assert_eq!((answered, frame.code), (header, ErrorCode::TimedOut));
                 }
                 (_, other) => panic!("expected a TimedOut frame, got {other:?}"),

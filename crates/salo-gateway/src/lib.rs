@@ -12,7 +12,10 @@
 //!
 //! * **[`wire`]** — a length-prefixed binary protocol (`u32` length,
 //!   version/opcode/tenant/request-id header) covering prefill, decode
-//!   sessions and stats. Every decode path is
+//!   sessions and stats. A frame is a stream in both directions:
+//!   [`wire::read_request`] decodes it as it arrives, so a request is
+//!   never resident beside its bytes, and a frame is encoded once, at its
+//!   exact size. Every decode path is
 //!   allocation-guarded and returns typed [`wire::WireError`]s — never
 //!   panics — under proptest-driven malformed-input tests.
 //! * **[`Gateway`]** — accepts connections, decodes frames, and maps

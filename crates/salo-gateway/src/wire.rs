@@ -9,14 +9,32 @@
 //! ```
 //!
 //! Everything is hand-rolled little-endian primitives — no serde, no
-//! bincode — because the decode side faces the network: every length is
-//! validated against the bytes actually present *before* allocation, and
-//! every malformed input maps to a typed [`WireError`], never a panic.
-//! `f32`/`f64` travel as their IEEE-754 bit patterns, so a round trip is
-//! bit-exact — the property the socket-vs-in-process decode identity
-//! tests rely on. Each type's wire form is written once — a private
-//! `Wire` impl, or a field list handed to `wire!` — and that one
-//! definition both encodes and decodes.
+//! bincode — because the decode side faces the network: every malformed
+//! input maps to a typed [`WireError`], never a panic. `f32`/`f64` travel
+//! as their IEEE-754 bit patterns, so a round trip is bit-exact — the
+//! property the socket-vs-in-process decode identity tests rely on. Each
+//! type's wire form is written once — a private `Wire` impl, or a field
+//! list handed to `wire!` — and that one definition both encodes and
+//! decodes.
+//!
+//! **A frame is consumed as a stream.** The one decoder reads from a
+//! `BufRead` bounded by the length prefix — [`read_request`] /
+//! [`read_response`] hand it the socket's reader, [`decode_request`] /
+//! [`decode_response`] a slice, which is just another reader — so no
+//! message is resident both as bytes and as values: scalars are read in
+//! place from the reader's buffer, and a run of them (every matrix) is
+//! converted a bufferful at a time straight into the vector it ends up in.
+//! *Validated before allocation* therefore means: every length a frame
+//! declares is checked against the bytes the frame **still owes** — its
+//! prefix, itself bounded by [`MAX_FRAME_LEN`], less what has been
+//! consumed — before anything is allocated for it, so a frame can make the
+//! decoder hold at most its own length in values, and only a peer that
+//! goes on to send those bytes gets them kept.
+//!
+//! **A frame is encoded once, at its size.** A counting pass over the same
+//! `Wire` impls sizes the buffer exactly, then the writing pass fills it:
+//! no frame is built by doubling, and [`encode_response_into`] appends to a
+//! buffer the caller is gathering replies in.
 //!
 //! Patterns ride as their [`PatternTerm`] IR (PR 9): `from_terms` is
 //! idempotent on `terms()`, so decoding reproduces the sender's pattern
@@ -25,9 +43,10 @@
 //! `Gateway::shutdown`, in the process that owns the gateway, and what an
 //! operator reads over the socket is the live registry (`Stats`).
 
-use std::io::{Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use salo_core::{HeadStep, TokenQkv};
+use salo_fixed::Fix16x8;
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
 
@@ -281,45 +300,76 @@ pub enum Response {
     Error(ErrorFrame),
 }
 
+/// One head of an [`Outgoing::PrefillDone`]: a [`PrefillHead`] whose raw
+/// rows are still the engine's [`Fix16x8`] — on the wire the same two
+/// bytes as the `i16` a client decodes them into.
+#[derive(Debug)]
+pub(crate) struct EngineHead {
+    pub output: Matrix<f32>,
+    pub raw: Matrix<Fix16x8>,
+    pub weights_q16: Vec<i64>,
+}
+
+/// A [`Response`] as the gateway holds it on the way out: the same six
+/// replies, the same bytes, but the rows of `PrefillDone` and `Stepped`
+/// are the engine's own vectors, moved in and written from where they lie
+/// — nothing is converted to the client-side types first. One `wire!`
+/// list defines both enums' frames.
+#[derive(Debug)]
+pub(crate) enum Outgoing {
+    PrefillDone { heads: Vec<EngineHead>, sim_time_s: f64, sim_energy_j: f64 },
+    Opened { session: u64, min_step: u64, position: u64, capacity: u64 },
+    Stepped { session: u64, position: u64, heads: Vec<HeadStep> },
+    Closed { session: u64, position: Option<u64> },
+    Stats { json: String },
+    Error(ErrorFrame),
+}
+
 // ---------------------------------------------------------------------
 // primitive encoder / decoder
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// The one encoder, run twice per frame: a counting pass (`out` is
+/// `None`) that only adds up `len`, so the buffer can be reserved at the
+/// frame's exact size, then the pass that writes into it.
+struct Enc<'a> {
+    out: Option<&'a mut Vec<u8>>,
+    /// Bytes counted or written so far.
+    len: usize,
 }
 
-impl Enc {
-    fn new(op: u8, header: Header) -> Self {
-        let mut e = Enc { buf: Vec::with_capacity(64) };
-        e.u32(0); // the length prefix; finish() patches it
-        e.u8(PROTOCOL_VERSION);
-        e.u8(op);
-        e.u64(header.tenant);
-        e.u64(header.request_id);
-        e
+impl Enc<'_> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.len += bytes.len();
+        if let Some(out) = &mut self.out {
+            out.extend_from_slice(bytes);
+        }
     }
 
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
-    /// `v`'s elements back to back, little-endian — the bulk form: the
-    /// buffer grows once and is filled in one sweep, where a push per
-    /// element re-checks capacity megabytes of times over.
+    /// `v`'s elements back to back, little-endian — the bulk form: one
+    /// addition when counting, one sweep into reserved space when
+    /// writing, where a push per element re-checks capacity megabytes of
+    /// times over.
     fn slice<T: Le>(&mut self, v: &[T]) {
-        let start = self.buf.len();
-        self.buf.resize(start + v.len() * T::WIDTH, 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(T::WIDTH).zip(v) {
-            x.put(dst);
+        self.len += v.len() * T::WIDTH;
+        if let Some(out) = &mut self.out {
+            let start = out.len();
+            out.resize(start + v.len() * T::WIDTH, 0);
+            for (dst, &x) in out[start..].chunks_exact_mut(T::WIDTH).zip(v) {
+                x.put(dst);
+            }
         }
     }
 
@@ -328,18 +378,14 @@ impl Enc {
         self.u32(v.len() as u32);
         T::encode_all(v, self);
     }
-
-    fn finish(mut self) -> Vec<u8> {
-        let len = (self.buf.len() - 4) as u32;
-        self.buf[..4].copy_from_slice(&len.to_le_bytes());
-        self.buf
-    }
 }
 
 /// A scalar with a fixed-width little-endian wire form, for the bulk
 /// codecs ([`Enc::slice`], [`Dec::vec`]). Every `Le` scalar is [`Wire`],
 /// and a run of them is one sweep.
 trait Le: Copy {
+    /// At most 8: [`Dec::next`] reads a straddling scalar through a
+    /// scratch of that size.
     const WIDTH: usize;
     /// Writes `self` into `dst`, which is `WIDTH` bytes.
     fn put(self, dst: &mut [u8]);
@@ -358,89 +404,153 @@ macro_rules! le_scalar {
                 <$t>::from_le_bytes(src.try_into().expect("WIDTH bytes"))
             }
         }
-
-        impl Wire for $t {
-            const MIN: usize = <$t as Le>::WIDTH;
-
-            fn encode(&self, e: &mut Enc) {
-                e.slice(std::slice::from_ref(self));
-            }
-
-            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-                Ok(<$t as Le>::get(d.take(<$t as Le>::WIDTH)?))
-            }
-
-            fn encode_all(items: &[Self], e: &mut Enc) {
-                e.slice(items);
-            }
-
-            fn decode_all(n: usize, d: &mut Dec<'_>) -> Result<Vec<Self>, WireError> {
-                d.vec(n)
-            }
-        }
     )*};
 }
 le_scalar!(u8, u32, u64, i16, i64, f32, f64);
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// `Fix16x8` is `repr(transparent)` over its raw `i16` and travels as it:
+/// the engine's rows are written from where they lie.
+impl Le for Fix16x8 {
+    const WIDTH: usize = i16::WIDTH;
+    fn put(self, dst: &mut [u8]) {
+        self.raw().put(dst);
+    }
+    fn get(src: &[u8]) -> Self {
+        Fix16x8::from_raw(i16::get(src))
+    }
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+impl<T: Le> Wire for T {
+    const MIN: usize = T::WIDTH;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        e.slice(std::slice::from_ref(self));
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        d.owe(T::WIDTH)?;
+        d.next()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { needed: n, have: self.remaining() });
+    fn encode_all(items: &[Self], e: &mut Enc<'_>) {
+        e.slice(items);
+    }
+
+    fn decode_all<R: BufRead>(n: usize, d: &mut Dec<R>) -> Result<Vec<Self>, WireError> {
+        d.vec(n)
+    }
+}
+
+/// The one decoder: a reader and the bytes the frame it is in still owes.
+/// The reader is the socket's `BufReader` or a slice; either way every
+/// field is first taken off `owed` — a field the frame cannot cover is
+/// [`WireError::Truncated`] before a byte of it is read or allocated for —
+/// and only then read, so a stream that ends inside a frame is the
+/// reader's `UnexpectedEof`, never a short value.
+struct Dec<R> {
+    r: R,
+    owed: usize,
+}
+
+impl<R: BufRead> Dec<R> {
+    /// Takes a field of `n` bytes off what the frame owes.
+    fn owe(&mut self, n: usize) -> Result<(), WireError> {
+        if n > self.owed {
+            return Err(WireError::Truncated { needed: n, have: self.owed });
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.owed -= n;
+        Ok(())
+    }
+
+    /// How many bytes the reader has buffered, after refilling an empty
+    /// buffer: zero only at the end of the stream.
+    fn fill(&mut self) -> Result<usize, WireError> {
+        loop {
+            match self.r.fill_buf() {
+                Ok(buffered) => return Ok(buffered.len()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// One scalar the caller has taken off `owed`: read in place from the
+    /// reader's buffer — no call through the reader, no copy — or, when it
+    /// straddles the buffer's end, through a scratch.
+    fn next<T: Le>(&mut self) -> Result<T, WireError> {
+        if self.fill()? >= T::WIDTH {
+            let v = T::get(&self.r.fill_buf()?[..T::WIDTH]);
+            self.r.consume(T::WIDTH);
+            return Ok(v);
+        }
+        let mut scratch = [0u8; 8];
+        let scratch = &mut scratch[..T::WIDTH];
+        self.r.read_exact(scratch)?;
+        Ok(T::get(scratch))
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Wire::decode(self)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Wire::decode(self)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Wire::decode(self)
     }
 
     /// An element count that promises `count * width` payload bytes:
-    /// checked against the bytes actually left *before* any allocation,
-    /// so a hostile length cannot balloon memory.
+    /// checked against the bytes the frame still owes *before* any
+    /// allocation, so a hostile length cannot balloon memory.
     fn count(&mut self, width: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         let needed = n.saturating_mul(width.max(1));
-        if needed > self.remaining() {
-            return Err(WireError::Truncated { needed, have: self.remaining() });
+        if needed > self.owed {
+            return Err(WireError::Truncated { needed, have: self.owed });
         }
         Ok(n)
     }
 
-    /// `n` little-endian elements back to back — the bulk form: one
-    /// bounds check for the run, then a pre-sized conversion sweep.
-    /// Callers have already checked `n` against the bytes left, so the
-    /// allocation is bounded by the frame.
+    /// `n` little-endian elements back to back — the bulk form: taken off
+    /// `owed` as one field, so the allocation is bounded by the frame,
+    /// then converted a bufferful at a time straight into the vector they
+    /// stay in. The bytes are never resident beside the values.
     fn vec<T: Le>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
-        let bytes = self.take(n.saturating_mul(T::WIDTH))?;
-        Ok(bytes.chunks_exact(T::WIDTH).map(T::get).collect())
+        self.owe(n.saturating_mul(T::WIDTH))?;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let buffered = self.fill()?.min((n - out.len()) * T::WIDTH);
+            let whole = buffered - buffered % T::WIDTH;
+            if whole == 0 {
+                // An element straddles the buffer's end, or the stream is over.
+                out.push(self.next()?);
+                continue;
+            }
+            out.extend(self.r.fill_buf()?[..whole].chunks_exact(T::WIDTH).map(T::get));
+            self.r.consume(whole);
+        }
+        Ok(out)
     }
 
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() > 0 {
-            return Err(WireError::TrailingBytes { remaining: self.remaining() });
+    fn finish(&self) -> Result<(), WireError> {
+        if self.owed > 0 {
+            return Err(WireError::TrailingBytes { remaining: self.owed });
+        }
+        Ok(())
+    }
+
+    /// Reads past whatever the frame still owes, so that the stream
+    /// stands at the next frame's prefix.
+    fn skip(&mut self) -> Result<(), WireError> {
+        while self.owed > 0 {
+            let n = self.fill()?.min(self.owed);
+            if n == 0 {
+                return Err(WireError::Io(ErrorKind::UnexpectedEof));
+            }
+            self.r.consume(n);
+            self.owed -= n;
         }
         Ok(())
     }
@@ -460,22 +570,22 @@ fn bad(reason: impl std::fmt::Display) -> WireError {
 trait Wire: Sized {
     /// The fewest bytes an encoding of `Self` can occupy: what a counted
     /// sequence multiplies its claimed length by, and checks against the
-    /// bytes left, before it allocates.
+    /// bytes the frame still owes, before it allocates.
     const MIN: usize = 1;
 
-    fn encode(&self, e: &mut Enc);
+    fn encode(&self, e: &mut Enc<'_>);
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError>;
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError>;
 
     /// `items` back to back, uncounted. Scalars answer with one sweep.
-    fn encode_all(items: &[Self], e: &mut Enc) {
+    fn encode_all(items: &[Self], e: &mut Enc<'_>) {
         for item in items {
             item.encode(e);
         }
     }
 
     /// `n` values back to back; the caller has bounded `n` by the frame.
-    fn decode_all(n: usize, d: &mut Dec<'_>) -> Result<Vec<Self>, WireError> {
+    fn decode_all<R: BufRead>(n: usize, d: &mut Dec<R>) -> Result<Vec<Self>, WireError> {
         (0..n).map(|_| Self::decode(d)).collect()
     }
 }
@@ -486,20 +596,20 @@ trait Wire: Sized {
 trait Tagged: Sized {
     fn tag(&self) -> u8;
 
-    fn encode_fields(&self, e: &mut Enc);
+    fn encode_fields(&self, e: &mut Enc<'_>);
 
-    fn decode_fields(tag: u8, d: &mut Dec<'_>) -> Result<Self, WireError>;
+    fn decode_fields<R: BufRead>(tag: u8, d: &mut Dec<R>) -> Result<Self, WireError>;
 }
 
 /// Sizes and indices travel as `u64`.
 impl Wire for usize {
     const MIN: usize = 8;
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.u64(*self as u64);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         Ok(d.u64()? as usize)
     }
 }
@@ -507,19 +617,19 @@ impl Wire for usize {
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN: usize = A::MIN + B::MIN;
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         self.0.encode(e);
         self.1.encode(e);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         Ok((A::decode(d)?, B::decode(d)?))
     }
 }
 
 /// A tag byte (`0` = `None`), then the value.
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         match self {
             None => e.u8(0),
             Some(v) => {
@@ -529,7 +639,7 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         Ok(match d.u8()? {
             0 => None,
             _ => Some(T::decode(d)?),
@@ -540,22 +650,22 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     const MIN: usize = 4;
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.seq(self);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let n = d.count(T::MIN)?;
         T::decode_all(n, d)
     }
 }
 
 impl Wire for String {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.seq(self.as_bytes());
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         String::from_utf8(Wire::decode(d)?).map_err(|_| bad("utf-8"))
     }
 }
@@ -571,17 +681,24 @@ impl Wire for String {
 ///   — an enum is [`Tagged`]; a tag outside the list decodes to
 ///   `unknown(tag)`. `wire!(Type as Wire, …)` also makes the type
 ///   [`Wire`], as the tag byte and then the fields.
+/// * `wire!(Type | Twin, …)` — two types of the same shape whose fields
+///   differ only in representation (the client's `i16` rows, the engine's
+///   `Fix16x8`) share the list, and therefore the frame.
 macro_rules! wire {
+    ($ty:ident | $twin:ident $($form:tt)*) => {
+        wire!($ty $($form)*);
+        wire!($twin $($form)*);
+    };
     ($ty:ident $(, $min:literal)? { $($f:ident),* $(,)? }) => {
         impl Wire for $ty {
             $(const MIN: usize = $min;)?
 
-            fn encode(&self, e: &mut Enc) {
+            fn encode(&self, e: &mut Enc<'_>) {
                 let $ty { $($f),* } = self;
                 $($f.encode(e);)*
             }
 
-            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
                 Ok($ty { $($f: Wire::decode(d)?),* })
             }
         }
@@ -596,7 +713,7 @@ macro_rules! wire {
             }
 
             #[allow(unused_variables)] // an enum of unit variants writes nothing
-            fn encode_fields(&self, e: &mut Enc) {
+            fn encode_fields(&self, e: &mut Enc<'_>) {
                 match self {
                     $($ty::$v $(($t))? $({ $($f),* })? => {
                         $($t.encode(e);)?
@@ -606,7 +723,7 @@ macro_rules! wire {
             }
 
             #[allow(unused_variables)]
-            fn decode_fields(tag: u8, d: &mut Dec<'_>) -> Result<Self, WireError> {
+            fn decode_fields<R: BufRead>(tag: u8, d: &mut Dec<R>) -> Result<Self, WireError> {
                 Ok(match tag {
                     $($tag => $ty::$v $(({
                         let $t = Wire::decode(d)?;
@@ -618,12 +735,12 @@ macro_rules! wire {
         }
 
         $(impl $wire for $ty {
-            fn encode(&self, e: &mut Enc) {
+            fn encode(&self, e: &mut Enc<'_>) {
                 e.u8(self.tag());
                 self.encode_fields(e);
             }
 
-            fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
                 let tag = d.u8()?;
                 Self::decode_fields(tag, d)
             }
@@ -638,18 +755,18 @@ macro_rules! wire {
 impl<T: Le> Wire for Matrix<T> {
     const MIN: usize = 8;
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.u32(self.rows() as u32);
         e.u32(self.cols() as u32);
         e.slice(self.as_slice());
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let rows = d.u32()? as usize;
         let cols = d.u32()? as usize;
         let needed = rows.saturating_mul(cols).saturating_mul(T::WIDTH);
-        if needed > d.remaining() {
-            return Err(WireError::Truncated { needed, have: d.remaining() });
+        if needed > d.owed {
+            return Err(WireError::Truncated { needed, have: d.owed });
         }
         Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
     }
@@ -658,40 +775,40 @@ impl<T: Le> Wire for Matrix<T> {
 impl Wire for Qkv {
     const MIN: usize = 24; // three empty matrix headers
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         self.q.encode(e);
         self.k.encode(e);
         self.v.encode(e);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let (q, k, v) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
         Qkv::new(q, k, v).map_err(bad)
     }
 }
 
 impl Wire for Window {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         self.lo().encode(e);
         self.hi().encode(e);
         self.dilation().encode(e);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let (lo, hi, dilation) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
         Window::dilated(lo, hi, dilation).map_err(bad)
     }
 }
 
 impl Wire for SupportRuns {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.u32(self.n() as u32);
         for i in 0..self.n() {
             e.seq(self.row_runs(i));
         }
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let rows: Vec<Vec<(u32, u32)>> = Wire::decode(d)?;
         SupportRuns::from_row_ranges(rows.len(), &rows).map_err(bad)
     }
@@ -713,12 +830,12 @@ wire!(PatternTerm as Wire, |t| bad(format_args!("pattern term tag {t}"));
 );
 
 impl Wire for HybridPattern {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         self.n().encode(e);
         self.terms().encode(e);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let (n, terms) = Wire::decode(d)?;
         // `from_terms` normalization is idempotent on `terms()`, so this
         // reconstruction is exact: same pattern, same fingerprint.
@@ -727,13 +844,13 @@ impl Wire for HybridPattern {
 }
 
 impl Wire for AttentionShape {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         self.seq_len.encode(e);
         self.head_dim.encode(e);
         self.num_heads.encode(e);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let (n, dim, heads) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
         AttentionShape::new(n, dim, heads).map_err(bad)
     }
@@ -741,8 +858,8 @@ impl Wire for AttentionShape {
 
 wire!(TokenQkv, 12 { q, k, v });
 // Two matrix headers and a weight count.
-wire!(PrefillHead, 20 { output, raw, weights_q16 });
-wire!(WireHeadStep, 10 { output, raw, weight_q16, saturation_events });
+wire!(PrefillHead | EngineHead, 20 { output, raw, weights_q16 });
+wire!(WireHeadStep | HeadStep, 10 { output, raw, weight_q16, saturation_events });
 wire!(ErrorFrame { code, message, retry_after_ms });
 
 wire!(ErrorCode as Wire, |t| bad(format_args!("error code {t}"));
@@ -780,7 +897,7 @@ wire!(Request, WireError::UnknownOpcode;
     OP_STATS => Stats,
 );
 
-wire!(Response, WireError::UnknownOpcode;
+wire!(Response | Outgoing, WireError::UnknownOpcode;
     OP_PREFILL_DONE => PrefillDone { heads, sim_time_s, sim_energy_j },
     OP_OPENED => Opened { session, min_step, position, capacity },
     OP_STEPPED => Stepped { session, position, heads },
@@ -789,31 +906,74 @@ wire!(Response, WireError::UnknownOpcode;
     OP_ERROR => Error(frame),
 );
 
-/// Encodes a request into a complete frame (length prefix included).
+/// Appends `message`'s complete frame (length prefix included) to `out`,
+/// which grows once, by the frame's exact length: a counting pass over the
+/// fields sizes it before the writing pass fills it.
+fn frame_into<T: Tagged>(out: &mut Vec<u8>, header: Header, message: &T) {
+    let mut counted = Enc { out: None, len: 0 };
+    message.encode_fields(&mut counted);
+    let len = HEADER_LEN + counted.len;
+    out.reserve(4 + len);
+    let mut e = Enc { out: Some(out), len: 0 };
+    e.u32(len as u32);
+    e.u8(PROTOCOL_VERSION);
+    e.u8(message.tag());
+    e.u64(header.tenant);
+    e.u64(header.request_id);
+    message.encode_fields(&mut e);
+    debug_assert_eq!(e.len, 4 + len, "the two passes walk the same fields");
+}
+
+/// Encodes a request into a complete frame (length prefix included),
+/// allocated once at the frame's length.
 #[must_use]
 pub fn encode_request(header: Header, req: &Request) -> Vec<u8> {
-    let mut e = Enc::new(req.tag(), header);
-    req.encode_fields(&mut e);
-    e.finish()
+    let mut frame = Vec::new();
+    frame_into(&mut frame, header, req);
+    frame
 }
 
-/// Encodes a response into a complete frame (length prefix included).
+/// Encodes a response into a complete frame (length prefix included),
+/// allocated once at the frame's length.
 #[must_use]
 pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
-    let mut e = Enc::new(resp.tag(), header);
-    resp.encode_fields(&mut e);
-    e.finish()
+    let mut frame = Vec::new();
+    encode_response_into(&mut frame, header, resp);
+    frame
 }
 
-fn decode_header(d: &mut Dec<'_>) -> Result<(u8, Header), WireError> {
+/// Appends a response's complete frame to `out`: a run of replies to one
+/// connection is gathered in one buffer, with no `Vec` per reply.
+pub fn encode_response_into(out: &mut Vec<u8>, header: Header, resp: &Response) {
+    frame_into(out, header, resp);
+}
+
+/// [`encode_response_into`] for a reply still in the engine's types.
+pub(crate) fn encode_outgoing_into(out: &mut Vec<u8>, header: Header, resp: &Outgoing) {
+    frame_into(out, header, resp);
+}
+
+/// Decodes the frame `d` is bounded by. The header lands in `header` as
+/// soon as it has decoded, whatever becomes of the body.
+fn decode_message<R: BufRead, T: Tagged>(
+    d: &mut Dec<R>,
+    header: &mut Header,
+) -> Result<T, WireError> {
     let version = d.u8()?;
     if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let op = d.u8()?;
-    let tenant = d.u64()?;
-    let request_id = d.u64()?;
-    Ok((op, Header { tenant, request_id }))
+    *header = Header { tenant: d.u64()?, request_id: d.u64()? };
+    let message = T::decode_fields(op, d)?;
+    d.finish()?;
+    Ok(message)
+}
+
+fn decode_payload<T: Tagged>(payload: &[u8]) -> Result<(Header, T), WireError> {
+    let mut header = Header::default();
+    let message = decode_message(&mut Dec { r: payload, owed: payload.len() }, &mut header)?;
+    Ok((header, message))
 }
 
 /// Decodes a request payload (the frame minus its length prefix).
@@ -823,11 +983,7 @@ fn decode_header(d: &mut Dec<'_>) -> Result<(u8, Header), WireError> {
 /// Any [`WireError`]: truncation, trailing bytes, unknown opcode, bad
 /// version, or domain-invalid fields. Never panics on arbitrary input.
 pub fn decode_request(payload: &[u8]) -> Result<(Header, Request), WireError> {
-    let mut d = Dec::new(payload);
-    let (op, header) = decode_header(&mut d)?;
-    let req = Request::decode_fields(op, &mut d)?;
-    d.finish()?;
-    Ok((header, req))
+    decode_payload(payload)
 }
 
 /// Decodes a response payload (the frame minus its length prefix).
@@ -836,11 +992,80 @@ pub fn decode_request(payload: &[u8]) -> Result<(Header, Request), WireError> {
 ///
 /// As [`decode_request`].
 pub fn decode_response(payload: &[u8]) -> Result<(Header, Response), WireError> {
-    let mut d = Dec::new(payload);
-    let (op, header) = decode_header(&mut d)?;
-    let resp = Response::decode_fields(op, &mut d)?;
-    d.finish()?;
-    Ok((header, resp))
+    decode_payload(payload)
+}
+
+/// One frame taken off a stream by [`read_request`] / [`read_response`]:
+/// its boundary was sound — the stream stands at the next frame — whether
+/// or not its payload was.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame<T> {
+    /// The frame's length on the wire, prefix included.
+    pub len: usize,
+    /// The frame's header: decoded before the body, so a malformed body
+    /// still says whose it was. [`Header::default`] when the header itself
+    /// was unreadable.
+    pub header: Header,
+    /// The message, or why the payload is not one — any [`WireError`] but
+    /// `Io`. The rest of a malformed frame has been skipped.
+    pub message: Result<T, WireError>,
+}
+
+/// A frame's length prefix, refused before anything is allocated for the
+/// frame when it exceeds [`MAX_FRAME_LEN`] or cannot hold a header.
+fn read_len<R: Read>(r: &mut R) -> Result<usize, WireError> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::OversizedFrame { len, max: MAX_FRAME_LEN });
+    }
+    if len < HEADER_LEN {
+        return Err(WireError::Truncated { needed: HEADER_LEN, have: len });
+    }
+    Ok(len)
+}
+
+fn read_message<R: BufRead, T: Tagged>(r: &mut R) -> Result<Frame<T>, WireError> {
+    let len = read_len(r)?;
+    let mut d = Dec { r, owed: len };
+    let mut header = Header::default();
+    let message = match decode_message(&mut d, &mut header) {
+        Err(WireError::Io(kind)) => return Err(WireError::Io(kind)),
+        Err(malformed) => {
+            d.skip()?;
+            Err(malformed)
+        }
+        Ok(message) => Ok(message),
+    };
+    Ok(Frame { len: 4 + len, header, message })
+}
+
+/// Reads one request frame from `r`, decoding it as it arrives: nothing
+/// is allocated for the frame but the request itself.
+///
+/// Failure has two tiers. A malformed *payload* in a sound frame is the
+/// inner error, [`Frame::message`]: the rest of the frame is skipped, so
+/// the stream stays in sync and the connection can answer and go on.
+///
+/// # Errors
+///
+/// The outer error is the stream's or the framing's, after which the
+/// stream's offset means nothing: [`WireError::Io`] (EOF surfaces as
+/// `UnexpectedEof`, a read deadline — between frames or inside one — as
+/// `WouldBlock`/`TimedOut`), [`WireError::OversizedFrame`] past the bound,
+/// or [`WireError::Truncated`] when the payload cannot even hold a header.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Frame<Request>, WireError> {
+    read_message(r)
+}
+
+/// Reads one response frame from `r`, as [`read_request`] reads a request.
+///
+/// # Errors
+///
+/// As [`read_request`].
+pub fn read_response<R: BufRead>(r: &mut R) -> Result<Frame<Response>, WireError> {
+    read_message(r)
 }
 
 /// Reads one frame from `r`, returning the payload (length prefix
@@ -854,16 +1079,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(Header, Response), WireError> 
 /// [`WireError::OversizedFrame`] past the bound, or
 /// [`WireError::Truncated`] when the payload cannot even hold a header.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::OversizedFrame { len, max: MAX_FRAME_LEN });
-    }
-    if len < HEADER_LEN {
-        return Err(WireError::Truncated { needed: HEADER_LEN, have: len });
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; read_len(r)?];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -958,15 +1174,66 @@ mod tests {
         }
     }
 
+    /// The gateway's replies are written from the engine's own rows; the
+    /// frame is the one the client-side `Response` of the same values
+    /// encodes to, appended where the caller is gathering.
+    #[test]
+    fn engine_rows_encode_to_the_frame_their_response_does() {
+        let header = Header { tenant: 1, request_id: 2 };
+        let raw = [128, -7, i16::MIN, i16::MAX];
+        let fixed = raw.map(Fix16x8::from_raw).to_vec();
+        let output = Matrix::from_vec(2, 2, vec![0.5, -0.5, f32::MIN_POSITIVE, 3.25]).unwrap();
+        let step = HeadStep {
+            output: vec![0.5, -0.5],
+            raw: Some(fixed.clone()),
+            weight_q16: Some(1 << 16),
+            saturation_events: 3,
+        };
+        let pairs = [
+            (
+                Outgoing::PrefillDone {
+                    heads: vec![EngineHead {
+                        output: output.clone(),
+                        raw: Matrix::from_vec(2, 2, fixed).unwrap(),
+                        weights_q16: vec![1 << 16, 3],
+                    }],
+                    sim_time_s: 1.5,
+                    sim_energy_j: 2.5,
+                },
+                Response::PrefillDone {
+                    heads: vec![PrefillHead {
+                        output,
+                        raw: Matrix::from_vec(2, 2, raw.to_vec()).unwrap(),
+                        weights_q16: vec![1 << 16, 3],
+                    }],
+                    sim_time_s: 1.5,
+                    sim_energy_j: 2.5,
+                },
+            ),
+            (
+                Outgoing::Stepped { session: 5, position: 17, heads: vec![step.clone()] },
+                Response::Stepped { session: 5, position: 17, heads: vec![(&step).into()] },
+            ),
+        ];
+        let mut gathered = Vec::new();
+        let mut expected = Vec::new();
+        for (outgoing, response) in &pairs {
+            encode_outgoing_into(&mut gathered, header, outgoing);
+            expected.extend_from_slice(&encode_response(header, response));
+        }
+        assert_eq!(gathered, expected);
+    }
+
     /// `0x06` stopped a gateway and `0x86` carried its report until both
     /// were retired: a peer that still sends either gets the answer any
     /// undefined opcode gets.
     #[test]
     fn retired_opcodes_are_unknown() {
         for op in [0x06, 0x86] {
-            let frame = Enc::new(op, Header::default()).finish();
-            assert_eq!(decode_request(&frame[4..]), Err(WireError::UnknownOpcode(op)));
-            assert_eq!(decode_response(&frame[4..]), Err(WireError::UnknownOpcode(op)));
+            let mut payload = vec![PROTOCOL_VERSION, op];
+            payload.extend_from_slice(&[0; 16]);
+            assert_eq!(decode_request(&payload), Err(WireError::UnknownOpcode(op)));
+            assert_eq!(decode_response(&payload), Err(WireError::UnknownOpcode(op)));
         }
     }
 
@@ -988,11 +1255,11 @@ mod tests {
     fn hostile_length_cannot_force_allocation() {
         // A step frame claiming 4 billion tokens in a 30-byte payload
         // must fail on the count check, not attempt the allocation.
-        let mut e = Enc::new(OP_STEP, Header::default());
-        e.u64(1);
-        e.u32(u32::MAX);
-        let frame = e.finish();
-        let err = decode_request(&frame[4..]).unwrap_err();
+        let mut payload = vec![PROTOCOL_VERSION, OP_STEP];
+        payload.extend_from_slice(&[0; 16]);
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_request(&payload).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
     }
 }

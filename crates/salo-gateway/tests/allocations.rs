@@ -1,0 +1,133 @@
+//! Heap accounting for the wire codec, deterministic where RSS is not: a
+//! request is never resident twice. Decoding a multi-megabyte `Open` off a
+//! stream peaks at the decoded request plus small change — not the
+//! request plus its frame — and an encoded frame is allocated once, at its
+//! exact length — not grown by doubling from 64 bytes.
+//!
+//! Its own binary, one test: the counting allocator is the process's
+//! global allocator and its counters are process-wide, so nothing else may
+//! be allocating beside the section being measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::BufReader;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use salo_gateway::wire::{
+    encode_request, encode_response, read_request, Header, PrefillHead, Request, Response,
+};
+use salo_kernels::{Matrix, Qkv};
+
+/// Bytes live, their high-water mark, and the number of allocator calls
+/// that handed out or moved a block.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters beside it touch no memory but their
+// own atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is passed through as it came.
+        let block = unsafe { System.alloc(layout) };
+        if !block.is_null() {
+            ALLOCATIONS.fetch_add(1, Relaxed);
+            grew(layout.size());
+        }
+        block
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        // SAFETY: `block` came from `alloc`/`realloc` above, i.e. from
+        // `System`, with this `layout`.
+        unsafe { System.dealloc(block, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as `dealloc`; `new_size` is the caller's.
+        let moved = unsafe { System.realloc(block, layout, new_size) };
+        if !moved.is_null() {
+            ALLOCATIONS.fetch_add(1, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f`; returns its result, the peak of live heap above where it
+/// started, what it left live, and how many allocations it made.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let allocations = ALLOCATIONS.load(Relaxed);
+    let result = f();
+    let peak = PEAK.load(Relaxed) - before;
+    let left = LIVE.load(Relaxed) - before;
+    (result, peak, left, ALLOCATIONS.load(Relaxed) - allocations)
+}
+
+const KIB: usize = 1024;
+
+#[test]
+fn a_request_is_never_resident_twice() {
+    // An `Open` with a 6 MiB prompt: 4 heads of 2048 x 64 q, k and v.
+    let (rows, dim, num_heads) = (2048, 64, 4);
+    let open = Request::Open {
+        pattern: salo_patterns::longformer(4096, 64, 1).expect("pattern"),
+        head_dim: dim,
+        num_heads,
+        prompt: (0..num_heads as u64).map(|h| Qkv::random(rows, dim, h)).collect(),
+    };
+    let header = Header { tenant: 1, request_id: 1 };
+
+    // (b) Encoding: the frame is allocated at its length and never grown.
+    // (`HybridPattern::terms` builds a vector of a few terms per pass, so
+    // a request's count of allocations is not one; its peak says the same.)
+    let (frame, peak, _, _) = measured(|| encode_request(header, &open));
+    assert!(frame.len() >= 4096 * KIB, "a {}-byte frame is too small to tell", frame.len());
+    assert_eq!(frame.capacity(), frame.len());
+    assert!(peak <= frame.len() + KIB, "encoding a {}-byte frame peaked at {peak}", frame.len());
+
+    let done = Response::PrefillDone {
+        heads: (0..2)
+            .map(|h| PrefillHead {
+                output: Matrix::from_fn(rows, dim, |i, j| (i * dim + j + h) as f32),
+                raw: Matrix::from_fn(rows, dim, |i, j| (i + j + h) as i16),
+                weights_q16: vec![1 << 16; rows],
+            })
+            .collect(),
+        sim_time_s: 1.0e-3,
+        sim_energy_j: 2.0e-6,
+    };
+    let (reply, peak, _, allocations) = measured(|| encode_response(header, &done));
+    assert_eq!((reply.capacity(), peak, allocations), (reply.len(), reply.len(), 1));
+
+    // (a) Decoding off a stream, through a buffer the size of the
+    // gateway's: what is live at the peak is the request being built and
+    // the pattern's scratch, not a copy of the frame beside it.
+    let mut stream = BufReader::with_capacity(64 * KIB, frame.as_slice());
+    let (read, peak, resident, _) = measured(|| read_request(&mut stream).expect("sound frame"));
+    assert_eq!((read.len, read.header), (frame.len(), header));
+    assert!(
+        resident <= frame.len() + 64 * KIB,
+        "the decoded request holds {resident} bytes for a {}-byte frame",
+        frame.len()
+    );
+    assert!(
+        peak <= resident + 256 * KIB,
+        "decoding peaked at {peak} bytes for a request of {resident}: the frame was resident too"
+    );
+    assert_eq!(read.message, Ok(open));
+}

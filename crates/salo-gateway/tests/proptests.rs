@@ -1,12 +1,18 @@
 //! Property tests for the wire protocol: encode/decode is an exact
 //! round trip over arbitrary messages, and the decoder treats arbitrary
 //! bytes — truncations, corruptions, garbage — as typed errors, never
-//! panics or runaway allocations.
+//! panics or runaway allocations. The streaming entry points
+//! (`read_request` / `read_response`) are held to the slice decoder as
+//! their oracle: the same values from a reader that dribbles bytes, the
+//! same typed errors from damaged frames, and the stream left in sync.
+
+use std::io::{BufRead, ErrorKind, Read};
 
 use proptest::prelude::*;
 use salo_gateway::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, ErrorCode,
-    ErrorFrame, Header, PrefillHead, Request, Response, WireHeadStep,
+    decode_request, decode_response, encode_request, encode_response, read_frame, read_request,
+    read_response, ErrorCode, ErrorFrame, Frame, Header, PrefillHead, Request, Response, WireError,
+    WireHeadStep, HEADER_LEN, PROTOCOL_VERSION,
 };
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{
@@ -185,6 +191,109 @@ fn arb_response(variant: u8, mut seed: u64) -> Response {
     }
 }
 
+/// A stream that hands the decoder 1..=`most` bytes per `fill_buf`,
+/// however many it asked for: every scalar can straddle a refill.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    most: usize,
+    seed: u64,
+    /// The size of the bufferful `fill_buf` is currently showing.
+    showing: usize,
+}
+
+impl<'a> Dribble<'a> {
+    fn new(bytes: &'a [u8], most: usize, seed: u64) -> Self {
+        Dribble { bytes, most, seed, showing: 0 }
+    }
+}
+
+impl BufRead for Dribble<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.showing == 0 {
+            self.showing = (1 + mix(&mut self.seed) as usize % self.most).min(self.bytes.len());
+        }
+        Ok(&self.bytes[..self.showing])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.bytes = &self.bytes[n..];
+        self.showing -= n;
+    }
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+/// What the slice decoder answers.
+type Decoded<T> = Result<(Header, T), WireError>;
+
+/// What a streaming read of `payload`, framed, must answer, by the slice
+/// decoder: the same message or the same typed error, under the header
+/// the payload carries if that much of it is sound.
+fn expected<T>(payload: &[u8], decoded: Decoded<T>) -> (Header, Result<T, WireError>) {
+    match decoded {
+        Ok((header, message)) => (header, Ok(message)),
+        Err(error) => {
+            let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            let header = if payload[0] == PROTOCOL_VERSION {
+                Header { tenant: u64_at(2), request_id: u64_at(10) }
+            } else {
+                Header::default()
+            };
+            (header, Err(error))
+        }
+    }
+}
+
+/// `golden_frames.rs`'s damaged-input sweep over `payload` — strict
+/// prefixes and, where `corruptible`, single-byte corruptions — sampled
+/// at a stride, each damaged payload long enough to be framed.
+fn damaged(payload: &[u8], corruptible: bool) -> Vec<Vec<u8>> {
+    let stride = (payload.len() / 61).max(1);
+    let mut cases: Vec<Vec<u8>> =
+        (HEADER_LEN..payload.len()).step_by(stride).map(|cut| payload[..cut].to_vec()).collect();
+    if corruptible {
+        for at in (0..payload.len()).step_by(stride) {
+            let mut corrupt = payload.to_vec();
+            corrupt[at] ^= 0xa5;
+            cases.push(corrupt);
+        }
+    }
+    cases
+}
+
+/// `[damaged frame][valid frame]` on one stream: the first read answers
+/// what the slice decoder answers to the damaged payload, the second the
+/// valid message — the damage cost one typed error, not the stream.
+fn assert_stays_in_sync<T: Clone + PartialEq + std::fmt::Debug>(
+    payload: &[u8],
+    corruptible: bool,
+    most: usize,
+    decode: fn(&[u8]) -> Decoded<T>,
+    read: impl Fn(&mut Dribble<'_>) -> Result<Frame<T>, WireError>,
+) {
+    let (valid_header, valid) = decode(payload).expect("the valid frame");
+    for bad in damaged(payload, corruptible) {
+        let mut stream = (bad.len() as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&bad);
+        stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        stream.extend_from_slice(payload);
+        let mut reader = Dribble::new(&stream, most, bad.len() as u64);
+        let first = read(&mut reader).expect("a sound frame boundary");
+        assert_eq!((first.header, first.message), expected(&bad, decode(&bad)));
+        assert_eq!(first.len, 4 + bad.len());
+        let second = read(&mut reader).expect("the stream is still in sync");
+        assert_eq!((second.header, second.message), (valid_header, Ok(valid.clone())));
+        assert!(reader.bytes.is_empty());
+    }
+}
+
 proptest! {
     #[test]
     fn requests_roundtrip_exactly(
@@ -269,5 +378,83 @@ proptest! {
         // Codec layer: arbitrary payloads decode to Ok or typed Err.
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
+    }
+
+    /// The streaming decoder against the slice decoder: the same frame
+    /// through a reader that yields 1..=`most` bytes at a time decodes to
+    /// the same value, and consumes exactly the frame.
+    #[test]
+    fn a_dribbled_frame_decodes_to_what_its_slice_does(
+        variant in 0u8..11,
+        seed in any::<u64>(),
+        most in 1usize..40,
+    ) {
+        let header = Header { tenant: seed ^ 0x55, request_id: seed };
+        if variant < 5 {
+            let frame = encode_request(header, &arb_request(variant, seed));
+            let (oracle_header, oracle) = decode_request(&frame[4..]).expect("valid encoding");
+            let mut reader = Dribble::new(&frame, most, seed);
+            let read = read_request(&mut reader).expect("sound frame");
+            prop_assert_eq!((read.len, read.header, read.message), (frame.len(), oracle_header, Ok(oracle)));
+            prop_assert!(reader.bytes.is_empty());
+        } else {
+            let frame = encode_response(header, &arb_response(variant - 5, seed));
+            let (oracle_header, oracle) = decode_response(&frame[4..]).expect("valid encoding");
+            let mut reader = Dribble::new(&frame, most, seed);
+            let read = read_response(&mut reader).expect("sound frame");
+            prop_assert_eq!((read.len, read.header, read.message), (frame.len(), oracle_header, Ok(oracle)));
+            prop_assert!(reader.bytes.is_empty());
+        }
+    }
+
+    /// A stream that ends inside a frame — anywhere, the prefix included —
+    /// is the stream's failure, `Io(UnexpectedEof)`: never a short value,
+    /// never a payload error, never a panic.
+    #[test]
+    fn a_stream_that_ends_mid_frame_is_unexpected_eof(
+        variant in 0u8..5,
+        seed in any::<u64>(),
+        most in 1usize..40,
+    ) {
+        let frame = encode_request(Header::default(), &arb_request(variant, seed));
+        let stride = (frame.len() / 97).max(1);
+        let cuts = (0..frame.len()).step_by(stride).chain([frame.len() - 1, frame.len() - 2]);
+        for cut in cuts {
+            let eof = Err(WireError::Io(ErrorKind::UnexpectedEof));
+            prop_assert_eq!(read_request(&mut &frame[..cut]), eof.clone(), "slice cut at {}", cut);
+            let mut reader = Dribble::new(&frame[..cut], most, seed);
+            prop_assert_eq!(read_request(&mut reader), eof, "dribbled, cut at {}", cut);
+        }
+    }
+
+    /// `golden_frames.rs`'s damaged-input sweep, on a stream: a damaged
+    /// frame followed by a valid one yields the typed error (or the
+    /// value) the slice decoder gives for the damaged payload, then the
+    /// valid message. Requests that carry a pattern are swept by
+    /// truncation only, as there.
+    #[test]
+    fn a_damaged_frame_costs_one_typed_error_and_not_the_stream(
+        variant in 0u8..11,
+        seed in any::<u64>(),
+        most in 1usize..40,
+    ) {
+        if variant < 5 {
+            let frame = encode_request(Header { tenant: 3, request_id: seed }, &arb_request(variant, seed));
+            assert_stays_in_sync(&frame[4..], variant >= 2, most, decode_request, |r| read_request(r));
+        } else {
+            let frame = encode_response(Header { tenant: 3, request_id: seed }, &arb_response(variant - 5, seed));
+            assert_stays_in_sync(&frame[4..], true, most, decode_response, |r| read_response(r));
+        }
+    }
+
+    /// A payload too short to hold a header is refused at the framing
+    /// tier, as `read_frame` refuses it.
+    #[test]
+    fn a_frame_shorter_than_a_header_is_a_framing_error(len in 0usize..HEADER_LEN) {
+        let mut stream = (len as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&vec![PROTOCOL_VERSION; len]);
+        let refused = WireError::Truncated { needed: HEADER_LEN, have: len };
+        prop_assert_eq!(read_request(&mut stream.as_slice()), Err(refused.clone()));
+        prop_assert_eq!(read_frame(&mut stream.as_slice()), Err(refused));
     }
 }

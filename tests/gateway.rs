@@ -2,7 +2,9 @@
 //! decode sessions are bit-identical to the in-process core session,
 //! admission control rejects a flooding tenant while a well-behaved one
 //! is served with bounded queue wait, malformed frames get typed error
-//! replies without killing well-framed neighbours, a graceful drain
+//! replies without killing well-framed neighbours (and a frame corrupt
+//! behind its header is refused under its own request id), a peer that
+//! stalls mid-frame is timed out and leaves no trace, a graceful drain
 //! closes live sessions with terminal `Closed` frames (one session, and
 //! forty-eight over three connections), pipelined sessions
 //! fuse behind the socket and stay bit-identical, a dying connection's
@@ -250,6 +252,109 @@ fn malformed_frames_get_typed_errors_without_killing_the_connection() {
     assert_eq!(report.admitted, 0, "no malformed frame may reach the runtime");
     assert!(report.drained_in_deadline, "the retired opcode left the drain to its owner");
     assert_eq!((report.frames_read, report.frames_written), (3, 4));
+}
+
+/// Three prefills pipelined in one write, the middle one corrupt *behind*
+/// its header (a pattern term tag nobody defines): the streaming decoder
+/// had the header before it met the bad byte, so the `BadFrame` carries the
+/// middle request's id — a pipelining client can tell which request it
+/// lost — and the neighbours' replies are, byte for byte, the ones a
+/// connection that never sent the bad frame gets.
+#[test]
+fn a_corrupt_body_is_refused_under_its_own_request_id() {
+    let gateway = unit_gateway(one_worker());
+    let workload = longformer_layer(64, 8, 16, 1).expect("workload");
+    let frame = |request_id: u64| {
+        let heads = vec![Qkv::random(workload.shape.seq_len, workload.shape.head_dim, request_id)];
+        let request =
+            Request::Prefill { pattern: workload.pattern.clone(), shape: workload.shape, heads };
+        encode_request(Header { tenant: 4, request_id }, &request)
+    };
+    // Writes `frames` in one go; returns the reply payloads by request id.
+    let replies = |frames: &[Vec<u8>]| {
+        let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect raw");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("deadline");
+        stream.write_all(&frames.concat()).expect("write pipelined frames");
+        let mut replies = std::collections::BTreeMap::new();
+        for _ in frames {
+            let payload = wire::read_frame(&mut stream).expect("one reply per frame");
+            let (header, _) = wire::decode_response(&payload).expect("decodable reply");
+            assert_eq!(header.tenant, 4);
+            assert!(replies.insert(header.request_id, payload).is_none(), "an id answered twice");
+        }
+        replies
+    };
+
+    let mut corrupt = frame(2);
+    // prefix (4) | header (18) | n: u64 | term count: u32 | first term's tag
+    let tag_at = 4 + wire::HEADER_LEN + 8 + 4;
+    corrupt[tag_at] = 9;
+    let damaged = replies(&[frame(1), corrupt, frame(3)]);
+    let clean = replies(&[frame(1), frame(3)]);
+
+    match wire::decode_response(&damaged[&2]).expect("decodable") {
+        (_, Response::Error(error)) => {
+            assert_eq!(error.code, ErrorCode::BadFrame);
+            assert!(error.message.contains("pattern term tag 9"), "{}", error.message);
+        }
+        (_, other) => panic!("expected BadFrame for request 2, got {other:?}"),
+    }
+    for id in [1, 3] {
+        assert!(matches!(
+            wire::decode_response(&clean[&id]).expect("decodable"),
+            (_, Response::PrefillDone { .. })
+        ));
+        assert_eq!(damaged[&id], clean[&id], "request {id}'s reply differs from the clean run's");
+    }
+    let report = gateway.shutdown();
+    assert_eq!((report.frames_read, report.admitted), (5, 4), "the corrupt frame was framed");
+}
+
+/// What streaming adds: a frame can stall *half-decoded*. A peer sends a
+/// sound prefix and header, half an `Open`'s body, and nothing more. The
+/// read deadline answers it `TimedOut` and closes the connection; the
+/// half-built request is dropped on the reader's stack, and nothing that
+/// counts requests, sessions or bytes ever heard of it.
+#[test]
+fn a_peer_that_stalls_mid_frame_is_timed_out_and_leaves_no_trace() {
+    let options = GatewayOptions { read_timeout: Duration::from_millis(200), ..one_worker() };
+    let gateway = unit_gateway(options);
+    let (open, _) = GenerationTraffic::demo_mix().session_bounded(1, 1);
+    let open = encode_request(
+        Header { tenant: 6, request_id: 1 },
+        &Request::Open {
+            pattern: open.pattern,
+            head_dim: open.head_dim,
+            num_heads: open.num_heads,
+            prompt: open.prompt,
+        },
+    );
+    let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect raw");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("deadline");
+    stream.write_all(&open[..open.len() / 2]).expect("half a frame");
+
+    let payload = wire::read_frame(&mut stream).expect("the deadline's reply");
+    match wire::decode_response(&payload).expect("decodable") {
+        (_, Response::Error(error)) => assert_eq!(error.code, ErrorCode::TimedOut),
+        (_, other) => panic!("expected TimedOut, got {other:?}"),
+    }
+    match wire::read_frame(&mut stream) {
+        Err(WireError::Io(_)) => {}
+        other => panic!("expected a closed connection, got {other:?}"),
+    }
+
+    // The gauge is the registry's, so a live `Stats` frame carries it.
+    let mut observer = GatewayClient::connect(gateway.local_addr(), 7).expect("connect");
+    assert!(observer.stats_json().expect("stats").contains("\"gateway.request_bytes\""));
+    let metrics = gateway.metrics();
+    let request_bytes = metrics.gauge("gateway.request_bytes");
+    assert_eq!((request_bytes.get(), request_bytes.high_water()), (0, 0), "never entered");
+    assert_eq!(metrics.counter("gateway.admitted").get(), 0);
+    assert_eq!(metrics.counter("serve.decode.sessions").get(), 0);
+    let report = gateway.shutdown();
+    // One frame was ever read whole: the observer's `Stats`.
+    assert_eq!((report.frames_read, report.admitted, report.timed_out), (1, 0, 0));
+    assert_eq!((report.serve.decode_sessions, report.serve.requests), (0, 0));
 }
 
 /// Graceful drain: a live decode session is closed with a terminal
