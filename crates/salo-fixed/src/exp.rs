@@ -10,6 +10,28 @@
 //! Scores enter in Q.8; exponentials leave in Q.16 ([`EXP_FRAC`]) so that
 //! the small values produced by strongly negative scores remain
 //! representable — their relative weight in the softmax depends on it.
+//!
+//! # The row sweep reads one `u32` table
+//!
+//! The scalar [`ExpLut::eval_q8`] is the definition. The datapath does not
+//! run it per score: at construction the LUT tabulates it over the clamped
+//! Q.8 domain — 4 097 entries for the default `[-8, 8]` — and a row of
+//! scores becomes clamp-and-offset, one table read per key, and a widening
+//! add into the `i64` row sum ([`ExpLut::tabulated_row_into`]). The entries
+//! are `u32`: the largest exponential of the default domain is `e^8 · 2^16
+//! < 2^28`, so 28 bits hold every value, the table is 16 KiB where `i64`
+//! entries made it 32, and stage 4 can multiply sixteen of them by the broadcast reciprocal in
+//! one vector of 32 × 32 → 64-bit products. A LUT whose values do not all
+//! fit 32 bits (a custom domain reaching past `ln 2^16 ≈ 11`), or whose
+//! domain is wider than the table bound, has **no** table — never a
+//! truncated one — and its rows take the per-element definition.
+//!
+//! The table index is in range by construction, not by a check per key:
+//! the table's length is `hi_raw − lo_raw + 1` (asserted once, when it is
+//! built) and the index is `min(max(s, lo_raw) − lo_raw, len − 1)`. Builds
+//! that target AVX-512 run the sweep sixteen keys at a time (the `lanes`
+//! module: one gather per vector); every other build runs the plain loop of
+//! the same shape, to the same bits.
 
 use crate::FixedError;
 
@@ -18,6 +40,10 @@ pub const EXP_FRAC: u32 = 16;
 
 /// Number of fraction bits used to store segment slopes.
 const SLOPE_FRAC: u32 = 18;
+
+/// Exponentials per 512-bit vector: a tabulated row of exponentials is
+/// padded with zeros to a multiple of this.
+pub(crate) const ROW_LANES: usize = 16;
 
 /// The piecewise-linear `exp` lookup table.
 ///
@@ -45,11 +71,13 @@ pub struct ExpLut {
     intercepts: Vec<i64>,
     /// [`eval_q8`](Self::eval_q8) tabulated over the clamped Q.8 domain:
     /// `table[x - lo_raw]` for every `x` in `lo_raw..=hi_raw` (4 097
-    /// entries for the default `[-8, 8]`). The row sweep reads this instead
-    /// of re-deriving segment, slope and intercept per score. Empty when
-    /// the domain spans more than [`Self::TABLE_MAX_SPAN`] Q.8 steps; the
-    /// sweep then evaluates `eval_q8` per element.
-    table: Vec<i64>,
+    /// entries for the default `[-8, 8]`), so its length is `hi_raw -
+    /// lo_raw + 1` whenever it is not empty. The row sweep reads this
+    /// instead of re-deriving segment, slope and intercept per score.
+    /// Empty when the domain spans more than [`Self::TABLE_MAX_SPAN`] Q.8
+    /// steps or some value needs more than 32 bits; rows then evaluate
+    /// `eval_q8` per element.
+    table: Vec<u32>,
 }
 
 impl ExpLut {
@@ -58,7 +86,7 @@ impl ExpLut {
     /// Default input domain upper bound.
     pub const X_HI: f64 = 8.0;
     /// Widest domain, in Q.8 steps, that gets a tabulated row sweep: the
-    /// default domain exactly, a 32 KiB table.
+    /// default domain exactly, a 16 KiB table.
     const TABLE_MAX_SPAN: i64 = 1 << 12;
 
     /// Builds a LUT with `segments` linear segments over `[-8, 8]`.
@@ -136,7 +164,16 @@ impl ExpLut {
             table: Vec::new(),
         };
         if span <= Self::TABLE_MAX_SPAN {
-            lut.table = (lo_raw..=hi_raw).map(|x| lut.eval_q8(x as i32)).collect();
+            // All of the values in 32 bits, or no table at all.
+            let table: Option<Vec<u32>> =
+                (lo_raw..=hi_raw).map(|x| u32::try_from(lut.eval_q8(x as i32)).ok()).collect();
+            lut.table = table.unwrap_or_default();
+            // What puts every clamped, offset score inside the table
+            // without a check per key (`tabulated_row_into`).
+            assert!(
+                lut.table.is_empty() || lut.table.len() as i64 == span + 1,
+                "one table entry per Q.8 step of the domain"
+            );
         }
         Ok(lut)
     }
@@ -192,37 +229,29 @@ impl ExpLut {
         y.max(0)
     }
 
-    /// Evaluates `exp` over a whole row of Q.8 scores into `out`
-    /// (cleared first), returning the Q.16 row sum — pipeline stages 2+3
-    /// in one sweep.
+    /// Stages 2 + 3a over a whole row through the table: `exps[i] =
+    /// eval_q8(scores_q8[i])` and the Q.16 row sum returned — or `None`,
+    /// `exps` untouched, when this LUT has no table. `exps` is resized to
+    /// the row padded with zeros to whole vectors of [`ROW_LANES`], so the
+    /// lanes store and reload it without a masked tail.
     ///
     /// Bit-identical to mapping [`eval_q8`](Self::eval_q8) over the row
     /// and summing left to right: each element is a clamp and one read of
-    /// the table built from `eval_q8` at construction (or `eval_q8` itself
-    /// when the domain is too wide for a table), and the sum is folded in
-    /// a second sweep — integer addition is exact, so the regrouping
-    /// cannot change the result. Pinned by a full-raw-range golden test
+    /// the table built from `eval_q8` at construction, and integer
+    /// addition is exact, so the order the sum is folded in cannot change
+    /// it (at most `2^31` keys of less than `2^32` each: far inside
+    /// `i64`). Pinned by a full-raw-range golden test, `tests/row_kernel.rs`
     /// and the simulator's oracle suites.
     #[inline]
-    pub fn eval_q8_sum_into(&self, scores_q8: &[i32], out: &mut Vec<i64>) -> i64 {
-        out.clear();
+    pub(crate) fn tabulated_row_into(&self, scores_q8: &[i32], exps: &mut Vec<u32>) -> Option<i64> {
         if self.table.is_empty() {
-            out.extend(scores_q8.iter().map(|&s| self.eval_q8(s)));
-        } else {
-            // The bounds fit `i32`: the table exists only for small spans.
-            let (lo, hi) = (self.lo_raw as i32, self.hi_raw as i32);
-            // Two sweeps per block — clamp-and-offset, which vectorizes,
-            // then the table reads — rather than one that does neither.
-            const BLOCK: usize = 32;
-            for block in scores_q8.chunks(BLOCK) {
-                let mut index = [0u32; BLOCK];
-                for (i, &s) in index.iter_mut().zip(block) {
-                    *i = (s.clamp(lo, hi) - lo) as u32;
-                }
-                out.extend(index[..block.len()].iter().map(|&i| self.table[i as usize]));
-            }
+            return None;
         }
-        out.iter().sum()
+        // Every element is rewritten below, padding included: only growth
+        // is worth a fill.
+        exps.resize(scores_q8.len().next_multiple_of(ROW_LANES), 0);
+        // The bound fits `i32`: the table exists only for small spans.
+        Some(table_row(&self.table, self.lo_raw as i32, scores_q8, exps))
     }
 
     /// Evaluates `exp(x)` from an `f64`, via the fixed-point path
@@ -254,6 +283,104 @@ impl ExpLut {
             x += 8; // sample every 1/32
         }
         worst
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use lanes::table_row;
+
+/// `exps[i] = table[min(max(scores[i], lo) - lo, table.len() - 1)]` and the
+/// sum of the row: the portable body of the table sweep; `table` is not
+/// empty and `exps` is at least as long as `scores`, its padding zeroed.
+///
+/// A plain loop over a pre-sized row, not `extend(map(..))` (the adaptor's
+/// `fold` may stay out of line). `max(s, lo) - lo` is in `0..2^32` whatever
+/// `s` is, so the wrapping difference read as `u32` is exact; the `min` is
+/// the clamp's upper side and what proves the index in range, so the loop
+/// carries no bounds check.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline]
+fn table_row(table: &[u32], lo: i32, scores: &[i32], exps: &mut [u32]) -> i64 {
+    assert!(!table.is_empty() && scores.len() <= exps.len());
+    let last = table.len() - 1;
+    let (exps, padding) = exps.split_at_mut(scores.len());
+    padding.fill(0);
+    let mut sum = 0i64;
+    for (e, &s) in exps.iter_mut().zip(scores) {
+        *e = table[(s.max(lo).wrapping_sub(lo) as u32 as usize).min(last)];
+        sum += i64::from(*e);
+    }
+    sum
+}
+
+/// The table sweep in explicit 512-bit lanes: sixteen scores clamped and
+/// offset, one gather, sixteen exponentials stored and folded into the row
+/// sum per step.
+///
+/// Compiled only when the build itself targets AVX-512 (`-C
+/// target-cpu=native` on such a host), as `mac.rs`'s lanes are; every other
+/// build has the plain loop above and nothing else — there is no run-time
+/// switch. What the `unsafe` buys is recorded in
+/// EXPERIMENTS.md ("The kernel's other half"): left to itself the compiler
+/// reads the table one key at a time, nine instructions a key.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod lanes {
+    use super::ROW_LANES;
+    use std::arch::x86_64::*;
+
+    /// `exps[i] = table[min(max(scores[i], lo) - lo, table.len() - 1)]`
+    /// and the sum of the row; `table` is not empty and `exps` is `scores`
+    /// padded to whole vectors, the padding left zero.
+    #[inline]
+    pub(super) fn table_row(table: &[u32], lo: i32, scores: &[i32], exps: &mut [u32]) -> i64 {
+        assert!(!table.is_empty() && exps.len() == scores.len().next_multiple_of(ROW_LANES));
+        // SAFETY: this module exists only in builds whose target features
+        // include the one the callee enables (the `cfg` on the module).
+        unsafe { table_row_avx512(table, lo, scores, exps) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn table_row_avx512(table: &[u32], lo: i32, scores: &[i32], exps: &mut [u32]) -> i64 {
+        let lo = _mm512_set1_epi32(lo);
+        // `TABLE_MAX_SPAN` keeps the length far below `i32::MAX`.
+        let last = _mm512_set1_epi32((table.len() - 1) as i32);
+        // Even and odd 32-bit lanes, zero-extended into 64-bit sums.
+        let (mut even, mut odd) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        let low_half = _mm512_set1_epi64(0xffff_ffff);
+        // One vector of exponentials: one per score (at most sixteen),
+        // zero in the lanes past them.
+        let mut vector = |scores: &[i32], exps: &mut [u32; ROW_LANES]| {
+            let keys = ((1u32 << scores.len().min(ROW_LANES)) - 1) as __mmask16;
+            // SAFETY: `keys` has a lane per element of `scores` and no
+            // more, and masked-off lanes are not read. Every gathered
+            // index is at most `table.len() - 1` (the unsigned `min`), so
+            // the gather — scale 4, the size of an entry — stays inside
+            // `table`. `exps` is sixteen writable elements.
+            let e = unsafe {
+                let s = _mm512_maskz_loadu_epi32(keys, scores.as_ptr());
+                let index = _mm512_min_epu32(_mm512_sub_epi32(_mm512_max_epi32(s, lo), lo), last);
+                let zero = _mm512_setzero_si512();
+                let e = _mm512_mask_i32gather_epi32::<4>(zero, keys, index, table.as_ptr().cast());
+                _mm512_storeu_si512(exps.as_mut_ptr().cast(), e);
+                e
+            };
+            even = _mm512_add_epi64(even, _mm512_and_si512(e, low_half));
+            odd = _mm512_add_epi64(odd, _mm512_srli_epi64::<32>(e));
+        };
+        // Whole vectors (their mask folds to a constant), then the ragged
+        // tail. Its store is a whole vector all the same — zeros in the
+        // padding — so stage 4's load of it forwards from the store buffer
+        // instead of waiting for a masked store to retire.
+        let mut exps = exps.chunks_exact_mut(ROW_LANES);
+        let mut whole = scores.chunks_exact(ROW_LANES);
+        for (scores, exps) in whole.by_ref().zip(exps.by_ref()) {
+            vector(scores, exps.try_into().expect("a whole vector"));
+        }
+        if let Some(exps) = exps.next() {
+            vector(whole.remainder(), exps.try_into().expect("a whole vector"));
+        }
+        _mm512_reduce_add_epi64(_mm512_add_epi64(even, odd))
     }
 }
 
@@ -341,31 +468,50 @@ mod tests {
         // The row sweep must reproduce the scalar `eval_q8` bit for bit on
         // every representable raw input — in-domain, out-of-domain
         // (clamped) and at both endpoints — whether the table was built
-        // through the shift index path or the division path, and on a
-        // domain too wide to tabulate; its returned sum must equal the
-        // left-to-right fold.
+        // through the shift index path or the division path; its returned
+        // sum must equal the left-to-right fold.
         let shift_lut = ExpLut::new(32);
         assert!(shift_lut.index_shift.is_some() && !shift_lut.table.is_empty());
         let div_lut = ExpLut::with_domain(24, -8.0, 8.0).unwrap();
         assert!(div_lut.index_shift.is_none() && !div_lut.table.is_empty());
-        let wide_lut = ExpLut::with_domain(32, -12.0, 12.0).unwrap();
-        assert!(wide_lut.table.is_empty(), "a 6 144-step domain is past the table bound");
-        for lut in [&shift_lut, &div_lut, &wide_lut] {
+        for lut in [&shift_lut, &div_lut] {
             let lo = (lut.lo_raw - 300) as i32;
             let hi = (lut.hi_raw + 300) as i32;
             let scores: Vec<i32> = (lo..=hi).chain([i32::MIN, i32::MAX]).collect();
             let mut row = Vec::new();
-            let sum = lut.eval_q8_sum_into(&scores, &mut row);
+            let sum = lut.tabulated_row_into(&scores, &mut row).expect("tabulated");
             let scalar: Vec<i64> = scores.iter().map(|&s| lut.eval_q8(s)).collect();
-            assert_eq!(row, scalar, "row sweep diverged from scalar eval_q8");
+            let (exps, padding) = row.split_at(scores.len());
+            assert!(exps.iter().map(|&e| i64::from(e)).eq(scalar.iter().copied()));
+            assert!(padding.len() < ROW_LANES && padding.iter().all(|&e| e == 0));
             assert_eq!(sum, scalar.iter().sum::<i64>());
         }
         assert_eq!(shift_lut.table.len(), 4097, "default domain: one entry per Q.8 step");
-        // Reuse clears the previous contents.
-        let mut row = vec![99i64; 4];
-        let sum = shift_lut.eval_q8_sum_into(&[0], &mut row);
-        assert_eq!(row.len(), 1);
+        assert!(shift_lut.table.iter().all(|&e| e < 1 << 28), "e^8 in Q.16 is below 2^28");
+        // Reuse resizes to the row, padded with zeros to a whole vector.
+        let mut row = vec![99u32; 40];
+        let sum = shift_lut.tabulated_row_into(&[0], &mut row).expect("tabulated");
+        assert_eq!(row.len(), ROW_LANES);
+        assert_eq!(i64::from(row[0]), sum);
+        assert!(row[1..].iter().all(|&e| e == 0));
         assert_eq!(sum, shift_lut.eval_q8(0));
+    }
+
+    #[test]
+    fn a_lut_without_a_table_says_so_and_leaves_the_row_alone() {
+        // Too wide a domain, and values that 32 bits cannot hold: neither
+        // gets a table — a truncated entry would be a wrong exponential.
+        let wide = ExpLut::with_domain(32, -12.0, 12.0).unwrap();
+        assert!(wide.table.is_empty(), "a 6 144-step domain is past the table bound");
+        let tall = ExpLut::with_domain(4, 8.0, 12.0).unwrap();
+        assert!(tall.hi_raw - tall.lo_raw <= ExpLut::TABLE_MAX_SPAN);
+        assert!(tall.eval_q8(12 * 256) > i64::from(u32::MAX), "e^12 in Q.16 needs 34 bits");
+        assert!(tall.table.is_empty());
+        for lut in [&wide, &tall] {
+            let mut row = vec![7u32; 3];
+            assert_eq!(lut.tabulated_row_into(&[0, 1], &mut row), None);
+            assert_eq!(row, [7, 7, 7]);
+        }
     }
 
     #[test]

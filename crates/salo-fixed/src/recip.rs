@@ -7,7 +7,19 @@
 //! implementation: normalize the operand to `m ∈ [1, 2)` with a shifter,
 //! look up `1/m` in a small table ("LUT Frac" + "Shift" + "Inv"), and refine
 //! with one Newton–Raphson step so a small table suffices.
+//!
+//! The broadcast multiply that follows (stage 4) is
+//! [`Recip::scale_to_prob`] per element by definition. A softmax row runs
+//! it as one sweep over the row's `u32` exponentials
+//! (`Recip::scale_to_probs_into`): the mantissa is below `2^16`, so `u32 ×
+//! mant` is a 32 × 32 → 64-bit product that cannot overflow, and the sweep
+//! is multiply, shift, `min 32768`, narrow to `u16` — sixteen
+//! probabilities a vector in builds that target AVX-512 (the `lanes`
+//! module), a plain loop of the same shape everywhere else. One test per
+//! row still sends rows that need it (a non-negative shift, a sum of `2^47`
+//! or more) through the wide per-element form.
 
+use crate::exp::ROW_LANES;
 use crate::FixedError;
 
 /// A normalized reciprocal: `1/x = mant / 2^15 * 2^exp2` with
@@ -55,29 +67,38 @@ impl Recip {
         prob.clamp(0, 32768) as u16
     }
 
-    /// [`scale_to_prob`](Self::scale_to_prob) over a whole row, appended to
-    /// `out`: the stage-4 broadcast multiply.
+    /// [`scale_to_prob`](Self::scale_to_prob) over a whole row of `u32`
+    /// exponentials, written to `probs`: the stage-4 broadcast multiply.
+    /// `exps` is the row as `ExpLut::tabulated_row_into` leaves it — one
+    /// exponential per probability, then zeros up to a whole vector.
     ///
-    /// `bound` must be at least every element of `raws` (a softmax row
+    /// `bound` must be at least every element of `exps` (a softmax row
     /// passes its sum: exponentials are non-negative, so none exceeds
-    /// it). That turns the per-element choice between the `i64` and the
+    /// it). That turns the per-element choice between the narrow and the
     /// wide product into one test for the row, and the common case into a
     /// branch-free multiply-shift-clamp sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exps` is not `probs.len()` padded to a whole vector.
     pub(crate) fn scale_to_probs_into(
         self,
-        raws: &[i64],
+        exps: &[u32],
         bound: i64,
         frac: u32,
-        out: &mut Vec<u16>,
+        probs: &mut [u16],
     ) {
-        debug_assert!(raws.iter().all(|&raw| (0..=bound).contains(&raw)), "bound below the row");
+        assert_eq!(exps.len(), probs.len().next_multiple_of(ROW_LANES), "a padded row");
+        debug_assert!(exps.iter().all(|&e| i64::from(e) <= bound), "bound below the row");
         let shift = self.exp2 - frac as i32;
         if shift < 0 && bound < (1 << 47) {
-            let mant = i64::from(self.mant);
-            let down = (-shift).min(63) as u32;
-            out.extend(raws.iter().map(|&raw| ((raw * mant) >> down).clamp(0, 32768) as u16));
+            // `(e * mant) >> down` clamped to 32768, as `scale_to_prob`
+            // computes it: the product is below 2^48 and non-negative.
+            scale_row(exps, self.mant, (-shift).min(63) as u32, probs);
         } else {
-            out.extend(raws.iter().map(|&raw| self.scale_to_prob(raw, frac)));
+            for (p, &e) in probs.iter_mut().zip(exps) {
+                *p = self.scale_to_prob(i64::from(e), frac);
+            }
         }
     }
 }
@@ -188,6 +209,80 @@ impl RecipUnit {
     }
 }
 
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use lanes::scale_row;
+
+/// `probs[i] = min((exps[i] * mant) >> down, 32768)`: the portable body of
+/// the stage-4 sweep; `down` is at most 63 and `exps` is at least as long
+/// as `probs`. A plain loop over the pre-sized row, not `extend(map(..))` —
+/// the adaptor's `fold` stayed out of line in the served binary.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline]
+fn scale_row(exps: &[u32], mant: u32, down: u32, probs: &mut [u16]) {
+    for (p, &e) in probs.iter_mut().zip(exps) {
+        *p = ((u64::from(e) * u64::from(mant)) >> down).min(32768) as u16;
+    }
+}
+
+/// The stage-4 sweep in explicit 512-bit lanes: sixteen exponentials times
+/// the broadcast mantissa as two vectors of 32 × 32 → 64-bit products,
+/// shifted, clamped and narrowed to sixteen `u16` probabilities.
+///
+/// Compiled only when the build itself targets AVX-512, as `mac.rs`'s lanes
+/// are; every other build has the plain loop above and nothing else. What
+/// the `unsafe` buys is recorded in EXPERIMENTS.md ("The kernel's other
+/// half").
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod lanes {
+    use crate::exp::ROW_LANES;
+    use std::arch::x86_64::*;
+
+    /// `probs[i] = min((exps[i] * mant) >> down, 32768)`; `down` is at most
+    /// 63 and `exps` is `probs.len()` elements padded to whole vectors.
+    #[inline]
+    pub(super) fn scale_row(exps: &[u32], mant: u32, down: u32, probs: &mut [u16]) {
+        assert_eq!(exps.len(), probs.len().next_multiple_of(ROW_LANES));
+        // SAFETY: this module exists only in builds whose target features
+        // include the one the callee enables (the `cfg` on the module).
+        unsafe { scale_row_avx512(exps, mant, down, probs) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn scale_row_avx512(exps: &[u32], mant: u32, down: u32, probs: &mut [u16]) {
+        let mant = _mm512_set1_epi64(i64::from(mant));
+        let down = _mm_cvtsi32_si128(down as i32);
+        let one = _mm512_set1_epi64(32768);
+        // One vector of exponentials in, a probability out per element of
+        // `probs` (at most sixteen).
+        let vector = |exps: &[u32; ROW_LANES], probs: &mut [u16]| {
+            let keys = ((1u32 << probs.len().min(ROW_LANES)) - 1) as __mmask16;
+            // SAFETY: sixteen readable elements.
+            let e = unsafe { _mm512_loadu_si512(exps.as_ptr().cast()) };
+            // The even 32-bit lanes are the low halves `mul_epu32` reads;
+            // the odd ones are shifted down into place.
+            let even = _mm512_mul_epu32(e, mant);
+            let odd = _mm512_mul_epu32(_mm512_srli_epi64::<32>(e), mant);
+            let even = _mm512_min_epu64(_mm512_srl_epi64(even, down), one);
+            let odd = _mm512_min_epu64(_mm512_srl_epi64(odd, down), one);
+            let p = _mm512_or_si512(even, _mm512_slli_epi64::<32>(odd));
+            // SAFETY: `keys` has a lane per element of `probs` and no
+            // more; masked-off lanes are not written.
+            unsafe { _mm512_mask_cvtepi32_storeu_epi16(probs.as_mut_ptr().cast(), keys, p) };
+        };
+        // Whole vectors (their mask folds to a constant), then the ragged
+        // tail.
+        let mut exps = exps.chunks_exact(ROW_LANES);
+        let mut whole = probs.chunks_exact_mut(ROW_LANES);
+        for (probs, exps) in whole.by_ref().zip(exps.by_ref()) {
+            vector(exps.try_into().expect("a whole vector"), probs);
+        }
+        if let Some(exps) = exps.next() {
+            vector(exps.try_into().expect("a whole vector"), whole.into_remainder());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,15 +354,22 @@ mod tests {
         for (sum, recip_frac, frac) in rows {
             let inv = u.recip(sum, recip_frac).unwrap();
             non_negative_shifts += usize::from(inv.exp2 - frac as i32 >= 0);
-            let raws: Vec<i64> = [0, 1, sum / 3, sum / 2, sum - 1, sum]
+            // Elements of the row as far up as 32 bits go, past a whole
+            // vector of them so lanes and ragged tail both run.
+            let top = sum.min(i64::from(u32::MAX));
+            let exps: Vec<u32> = [0, 1, top / 3, top / 2, top - 1, top]
                 .into_iter()
-                .filter(|raw| (0..=sum).contains(raw))
+                .cycle()
+                .take(21)
+                .map(|e| u32::try_from(e.max(0)).unwrap())
                 .collect();
-            let mut probs = vec![7u16]; // appended to, not cleared
-            inv.scale_to_probs_into(&raws, sum, frac, &mut probs);
-            let scalar: Vec<u16> = raws.iter().map(|&raw| inv.scale_to_prob(raw, frac)).collect();
-            assert_eq!(probs[0], 7);
-            assert_eq!(probs[1..], scalar, "sum {sum} frac {recip_frac}/{frac}");
+            let mut probs = vec![7u16; exps.len()];
+            let mut padded = exps.clone();
+            padded.resize(exps.len().next_multiple_of(ROW_LANES), 0);
+            inv.scale_to_probs_into(&padded, sum, frac, &mut probs);
+            let scalar: Vec<u16> =
+                exps.iter().map(|&e| inv.scale_to_prob(i64::from(e), frac)).collect();
+            assert_eq!(probs, scalar, "sum {sum} frac {recip_frac}/{frac}");
         }
         assert_eq!(non_negative_shifts, 3, "the shift >= 0 rows are what they claim");
     }

@@ -15,6 +15,15 @@
 //! bit for bit. Weights live in the Q.16 exponential domain
 //! ([`crate::ExpLut`] outputs), outputs in the Q.19 stage-5 accumulator
 //! format.
+//!
+//! The blend itself — `(o_acc · α + o_part · β) >> 15` per output element —
+//! is by definition a 128-bit computation on `i64` elements. Every datapath
+//! output fits 32 bits, so [`merge_partials_into`] tests the whole row once
+//! (an OR-fold, no early exit) and then blends in signed 32 × 32 → 64-bit
+//! products, both operands alike: eight elements a vector in builds that
+//! target AVX-512 (the `lanes` module), a plain loop of the same shape
+//! everywhere else. Rows that fail the test take the 128-bit form and round
+//! identically.
 
 use crate::exp::EXP_FRAC;
 use crate::{FixedError, RecipUnit};
@@ -101,7 +110,6 @@ pub fn merge_partials_into(
         return Ok(());
     }
     let (alpha, beta) = merge_weights(acc.weight_q16, part.weight_q16, recip)?;
-    let (alpha, beta) = (i64::from(alpha), i64::from(beta));
     // Every datapath output fits 32 bits (a stage-5 chain of at most 2^22
     // per key, blended by weights of at most 2^15 that sum to at most
     // one), so after one test for the whole row the blend is a branch-free
@@ -109,26 +117,146 @@ pub fn merge_partials_into(
     // 64-bit multiply per lane. The narrow and the wide form compute the
     // same exact integer (products below 2^46, sum below 2^47), so rows
     // that do not fit take the 128-bit form and round identically.
-    // (An OR-fold rather than `all`: no early exit, so the test is itself
-    // a vector sweep. The fold is zero iff every value is in `i32`.)
-    let beyond_i32 = |o: i64| (o as u64).wrapping_add(1 << 31) >> 32;
-    let beyond = acc
-        .out_q19
-        .iter()
-        .zip(&part.out_q19)
-        .fold(0, |m, (&oa, &ob)| m | beyond_i32(oa) | beyond_i32(ob));
-    if beyond == 0 {
-        for (oa, &ob) in acc.out_q19.iter_mut().zip(&part.out_q19) {
-            *oa = (i64::from(*oa as i32) * alpha + i64::from(ob as i32) * beta) >> 15;
-        }
+    if fits_i32(&acc.out_q19, &part.out_q19) {
+        blend_narrow(&mut acc.out_q19, &part.out_q19, alpha, beta);
     } else {
+        let (alpha, beta) = (i128::from(alpha), i128::from(beta));
         for (oa, &ob) in acc.out_q19.iter_mut().zip(&part.out_q19) {
-            *oa = ((i128::from(*oa) * i128::from(alpha) + i128::from(ob) * i128::from(beta)) >> 15)
-                as i64;
+            *oa = ((i128::from(*oa) * alpha + i128::from(ob) * beta) >> 15) as i64;
         }
     }
     acc.weight_q16 += part.weight_q16;
     Ok(())
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use lanes::{blend_narrow, fits_i32};
+
+/// Whether every element of both rows is an `i32` value: the portable body
+/// of the row test. An OR-fold rather than `all` — no early exit, so the
+/// test is itself a vector sweep; the fold is zero iff every value fits.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline]
+fn fits_i32(a: &[i64], b: &[i64]) -> bool {
+    let beyond_i32 = |o: i64| (o as u64).wrapping_add(1 << 31) >> 32;
+    let mut beyond = 0;
+    for (&oa, &ob) in a.iter().zip(b) {
+        beyond |= beyond_i32(oa) | beyond_i32(ob);
+    }
+    beyond == 0
+}
+
+/// `acc[e] = (acc[e] * alpha + part[e] * beta) >> 15` on rows of `i32`
+/// values and one length: the portable body of the blend.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline]
+fn blend_narrow(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+    let (alpha, beta) = (i64::from(alpha), i64::from(beta));
+    for (oa, &ob) in acc.iter_mut().zip(part) {
+        *oa = (i64::from(*oa as i32) * alpha + i64::from(ob as i32) * beta) >> 15;
+    }
+}
+
+/// The row test and the narrow blend in explicit 512-bit lanes, eight
+/// `i64` elements a vector: `vpmuldq` reads the low 32 bits of each lane as
+/// a signed value, which is the whole element once the row has passed the
+/// test — for *both* operands.
+///
+/// Compiled only when the build itself targets AVX-512, as `mac.rs`'s lanes
+/// are; every other build has the plain loops above and nothing else. What
+/// the `unsafe` buys is recorded in EXPERIMENTS.md ("The kernel's other
+/// half"): the compiler finds the 32 × 32 form for one operand and
+/// sign-extends and `vpmullq`s (three micro-ops) the other.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod lanes {
+    use std::arch::x86_64::*;
+
+    /// Elements per vector.
+    const W: usize = 8;
+
+    /// A lane per element of a chunk of at most `W`.
+    #[inline]
+    fn lanes_of(chunk: &[i64]) -> __mmask8 {
+        ((1u32 << chunk.len().min(W)) - 1) as __mmask8
+    }
+
+    /// The first `W` elements of `chunk`, zero in the lanes it lacks.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(chunk: &[i64]) -> __m512i {
+        // SAFETY: the mask has a lane per element of `chunk` and no more;
+        // masked-off lanes are not read.
+        unsafe { _mm512_maskz_loadu_epi64(lanes_of(chunk), chunk.as_ptr()) }
+    }
+
+    /// Whether every element of both rows is an `i32` value.
+    #[inline]
+    pub(super) fn fits_i32(a: &[i64], b: &[i64]) -> bool {
+        // SAFETY: this module exists only in builds whose target features
+        // include the one the callee enables (the `cfg` on the module).
+        unsafe { fits_i32_avx512(a, b) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fits_i32_avx512(a: &[i64], b: &[i64]) -> bool {
+        // `(o + 2^31) >> 32` is zero iff `o` is an `i32` value; OR-folded
+        // over both rows, no early exit. Whole vectors (their mask folds
+        // to a constant), then the ragged tail.
+        let bias = _mm512_set1_epi64(1 << 31);
+        let mut beyond = _mm512_setzero_si512();
+        let mut fold = |chunk: &[i64]| {
+            let o = _mm512_add_epi64(load(chunk), bias);
+            beyond = _mm512_or_si512(beyond, _mm512_srli_epi64::<32>(o));
+        };
+        for row in [a, b] {
+            let whole = row.chunks_exact(W);
+            let ragged = whole.remainder();
+            whole.for_each(&mut fold);
+            if !ragged.is_empty() {
+                fold(ragged);
+            }
+        }
+        _mm512_test_epi64_mask(beyond, beyond) == 0
+    }
+
+    /// `acc[e] = (acc[e] * alpha + part[e] * beta) >> 15` on rows of `i32`
+    /// values and one length.
+    #[inline]
+    pub(super) fn blend_narrow(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+        assert_eq!(acc.len(), part.len());
+        // SAFETY: as in `fits_i32`.
+        unsafe { blend_narrow_avx512(acc, part, alpha, beta) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn blend_narrow_avx512(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+        let alpha = _mm512_set1_epi64(i64::from(alpha));
+        let beta = _mm512_set1_epi64(i64::from(beta));
+        let vector = |acc: &mut [i64], part: &[i64]| {
+            let sum = _mm512_add_epi64(
+                _mm512_mul_epi32(load(acc), alpha),
+                _mm512_mul_epi32(load(part), beta),
+            );
+            let blend = _mm512_srai_epi64::<15>(sum);
+            // SAFETY: the mask has a lane per element of `acc` and no
+            // more; masked-off lanes are not written.
+            unsafe { _mm512_mask_storeu_epi64(acc.as_mut_ptr(), lanes_of(acc), blend) };
+        };
+        // Whole vectors (their mask folds to a constant), then the ragged
+        // tail.
+        let mut whole = acc.chunks_exact_mut(W);
+        let part_whole = part.chunks_exact(W);
+        let part_ragged = part_whole.remainder();
+        for (acc, part) in whole.by_ref().zip(part_whole) {
+            vector(acc, part);
+        }
+        let ragged = whole.into_remainder();
+        if !ragged.is_empty() {
+            vector(ragged, part_ragged);
+        }
+    }
 }
 
 /// Merges two partial rows per Eq. 2, returning a partial with weight

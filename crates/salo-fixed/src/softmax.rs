@@ -52,11 +52,16 @@ pub fn fixed_softmax_parts(
     Ok((probs, sum, inv))
 }
 
-/// The buffered form of [`fixed_softmax_parts`]: writes the exponentials
-/// and probabilities into caller-owned buffers (cleared first) instead of
-/// allocating. This is the execution hot path's entry point — one PE row's
-/// stages 2–4 with zero heap traffic once the buffers have grown to the
-/// row length.
+/// The buffered form of [`fixed_softmax_parts`]: one PE row's stages 2–4
+/// as one primitive, writing the probabilities into a caller-owned buffer
+/// (resized to the row) instead of allocating. This is the execution hot
+/// path's entry point — zero heap traffic once the buffers have grown to
+/// the row length.
+///
+/// `exps` is working memory: the row's exponentials as the LUT's table
+/// holds them (Q.16 in 32 bits, padded with zeros to whole vectors of
+/// sixteen), or untouched when the LUT has no table and the row takes the
+/// per-element definition.
 ///
 /// # Errors
 ///
@@ -65,20 +70,33 @@ pub fn fixed_softmax_parts_into(
     scores_q8: &[i32],
     exp: &ExpLut,
     recip: &RecipUnit,
-    exps: &mut Vec<i64>,
+    exps: &mut Vec<u32>,
     probs: &mut Vec<u16>,
 ) -> Result<(i64, Recip), FixedError> {
     if scores_q8.is_empty() {
         return Err(FixedError::EmptySoftmaxRow);
     }
+    // Every element is written below: only growth is worth a fill.
+    probs.resize(scores_q8.len(), 0);
     // Stage 2 + 3: exponentials (Q.16) over the whole row in one table
     // sweep (bit-identical to per-element `eval_q8` accumulated left to
-    // right), then one reciprocal.
-    let sum = exp.eval_q8_sum_into(scores_q8, exps);
+    // right), then one reciprocal. Stage 4: the broadcast multiply; no
+    // exponential exceeds the row sum.
+    if let Some(sum) = exp.tabulated_row_into(scores_q8, exps) {
+        let inv = recip.recip(sum, EXP_FRAC)?;
+        inv.scale_to_probs_into(exps, sum, EXP_FRAC, probs);
+        return Ok((sum, inv));
+    }
+    // No table (a domain too wide for one, or values past 32 bits): the
+    // definition, element by element.
+    let mut sum = 0i64;
+    for &s in scores_q8 {
+        sum += exp.eval_q8(s);
+    }
     let inv = recip.recip(sum, EXP_FRAC)?;
-    // Stage 4: broadcast multiply. No exponential exceeds the row sum.
-    probs.clear();
-    inv.scale_to_probs_into(exps, sum, EXP_FRAC, probs);
+    for (p, &s) in probs.iter_mut().zip(scores_q8) {
+        *p = inv.scale_to_prob(exp.eval_q8(s), EXP_FRAC);
+    }
     Ok((sum, inv))
 }
 

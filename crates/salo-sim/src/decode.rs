@@ -56,7 +56,7 @@ use salo_fixed::{ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
 use salo_scheduler::ExecutionPlan;
 use std::sync::Arc;
 
-use crate::exec::{run_op, ExecScratch, KvSource};
+use crate::exec::{run_ops_grouped, ExecScratch, GroupOp, KvSource};
 use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, SpatialAccelerator};
 
 /// Default rows per K/V page when the owner does not configure one.
@@ -984,28 +984,30 @@ impl SpatialAccelerator {
             if (program.token as usize) >= state.len {
                 continue; // the token's own query has not arrived yet
             }
+            // The pending ops up to the first that still waits for a key,
+            // as one list.
             let ops = &plan.ops[program.start as usize..program.end as usize];
-            loop {
-                let cursor = state.global_cursor[gi];
-                if cursor >= ops.len() || program.max_keys[cursor] as usize > t {
-                    break;
-                }
-                let DecodeState { pages, page_rows, global_q, global_acc, .. } = &mut *state;
-                let kv = PagedKv::new(pages, *page_rows);
-                run_decode_ops(
-                    exp,
-                    recip,
-                    plan,
-                    &ops[cursor..=cursor],
-                    &global_q[gi],
-                    &kv,
-                    d,
-                    scratch,
-                    &mut global_acc[gi],
-                    &mut sat,
-                )?;
-                state.global_cursor[gi] = cursor + 1;
+            let cursor = state.global_cursor[gi];
+            let runnable =
+                program.max_keys[cursor..].iter().take_while(|&&key| key as usize <= t).count();
+            if runnable == 0 {
+                continue;
             }
+            let DecodeState { pages, page_rows, global_q, global_acc, .. } = &mut *state;
+            let kv = PagedKv::new(pages, *page_rows);
+            run_decode_ops(
+                exp,
+                recip,
+                plan,
+                &ops[cursor..cursor + runnable],
+                &global_q[gi],
+                &kv,
+                d,
+                scratch,
+                &mut global_acc[gi],
+                &mut sat,
+            )?;
+            state.global_cursor[gi] = cursor + runnable;
         }
 
         state.sat.merge(sat);
@@ -1050,7 +1052,7 @@ fn reclaim_dead_pages(plan: &DecodePlan, state: &mut DecodeState, pool: &mut KvP
 }
 
 /// Stages 1–5 for a slice of decode ops, merged into `acc` in op order —
-/// literally the prefill's per-op executor ([`run_op`]), fed K/V through
+/// literally the prefill's executor ([`run_ops_grouped`]), fed K/V through
 /// the session's page table instead of a full-sequence load, so
 /// decode-vs-prefill bit-identity holds by construction (one shared
 /// kernel body).
@@ -1067,10 +1069,10 @@ fn run_decode_ops(
     acc: &mut PartialRow,
     sat: &mut MacSaturation,
 ) -> Result<(), SimError> {
-    for op in ops {
-        run_op(exp, recip, op.kind, plan.op_keys(op), q_row, kv, d, &mut scratch.op, acc, sat)?;
-    }
-    Ok(())
+    let resolve =
+        |op: &LoweredOp| GroupOp { kind: op.kind, keys: plan.op_keys(op), q_row, slot: 0 };
+    let accs = std::slice::from_mut(acc);
+    run_ops_grouped((exp, recip), ops, resolve, kv, d, &mut scratch.op, accs, sat)
 }
 
 #[cfg(test)]
@@ -1619,6 +1621,56 @@ mod tests {
             .unwrap();
         sim.execute_step(&decode, &mut state, &row, &row, &row, 0.5, &mut pool, &mut scratch)
             .unwrap();
+    }
+
+    #[test]
+    fn a_step_whose_second_op_fails_poisons_the_session_and_fails_the_prefill() {
+        // A failure the datapath produces itself, in the middle of a
+        // group: a LUT whose low end rounds to zero, keys that score high
+        // at positions 0..4 of every eight and low at 4..8, a causal window
+        // of eight on a four-column array. Row 7's two parts are keys 0..4
+        // (a positive sum) and 4..8 (a sum of zero) — its second op fails.
+        let d = 8;
+        let pattern =
+            HybridPattern::builder(16).window(Window::causal(8).unwrap()).build().unwrap();
+        let config =
+            AcceleratorConfig { hw: HardwareMeta::new(4, 4, 1, 1).unwrap(), ..Default::default() };
+        let exp = ExpLut::with_domain(8, -16.0, -8.0).unwrap();
+        let sim = SpatialAccelerator::with_exp(config, exp);
+        let (plan, decode) = compile(&pattern, &sim);
+        assert_eq!(decode.step_ops(7).len(), 2);
+        let q = [1.0f32; 8];
+        let k_at = |t: usize| if t % 8 < 4 { [1.0f32; 8] } else { [-2.0f32; 8] };
+        let zero_sum = salo_fixed::FixedError::NonPositiveReciprocal { raw: 0 };
+
+        let mut state = DecodeState::new(&decode, d);
+        let mut pool = KvPagePool::default();
+        let mut scratch = ExecScratch::new();
+        for t in 0..7 {
+            sim.execute_step(&decode, &mut state, &q, &k_at(t), &q, 1.0, &mut pool, &mut scratch)
+                .unwrap();
+        }
+        let failed =
+            sim.execute_step(&decode, &mut state, &q, &k_at(7), &q, 1.0, &mut pool, &mut scratch);
+        assert!(matches!(failed, Err(SimError::Fixed(ref e)) if *e == zero_sum), "{failed:?}");
+        assert!(state.is_poisoned());
+        assert!(matches!(
+            sim.execute_step(&decode, &mut state, &q, &k_at(8), &q, 1.0, &mut pool, &mut scratch),
+            Err(SimError::PoisonedDecodeState)
+        ));
+
+        // The prefill over the same tokens fails with the same error.
+        let ones = salo_kernels::Matrix::from_fn(16, d, |_, _| 1.0);
+        let k = salo_kernels::Matrix::from_fn(16, d, |t, _| k_at(t)[0]);
+        let prefill = sim.execute_lowered(
+            &LoweredPlan::lower(&plan),
+            &ones,
+            &k,
+            &ones,
+            1.0,
+            &mut ExecScratch::new(),
+        );
+        assert!(matches!(prefill, Err(SimError::Fixed(ref e)) if *e == zero_sum));
     }
 
     #[test]

@@ -11,6 +11,30 @@
 //! the oracle: it steps the window passes through the cycle-level
 //! [`SystolicArray`] and shares the lowered program for global duties, so
 //! both paths stay bit-identical.
+//!
+//! # One executor, stage-major over a group of ops
+//!
+//! Every op anywhere — a prefill's program, a shard's share of it, the
+//! systolic path's global duties, a decode step's row and the global-duty
+//! advances behind it — runs through one body, `run_ops_grouped`. It takes
+//! the ops [`GROUP`] at a time and runs the group *stage-major*: stage 1 for
+//! every op of the group, then stages 2–4 for every op, then stage 5, then
+//! the weighted-sum merges in op order, each op's intermediates in its own
+//! slot of a small fixed array of buffers. An op's five stages are one
+//! dependent chain (scores → row sum → reciprocal → probabilities → output
+//! → blend weights); op-major, the chain of one op has to drain before the
+//! next op's first load issues. Stage-major, eight independent chains sit
+//! side by side in every stage and the core overlaps them.
+//!
+//! The order of everything that is order-sensitive is unchanged. Only the
+//! merges into one destination row do not commute, and a group never
+//! reorders them — it delays them: the merges of a group run after its
+//! stage 5, in op order, and groups run one after another, so every
+//! accumulator receives exactly the sequence of parts it did op by op.
+//! Stages 1–5 of an op read only the inputs and write only that op's slot.
+//! Saturation counts are sums. So outputs, weights and counts are the bits
+//! they were, whatever the group width — which is a constant chosen by
+//! measurement (EXPERIMENTS.md, "The kernel's other half"), not a knob.
 
 use salo_fixed::{
     fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, ExpLut, Fix16x8,
@@ -24,8 +48,8 @@ use std::sync::Arc;
 use crate::partition::{Partition, Shard};
 use crate::systolic::SystolicArray;
 use crate::{
-    AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, LoweredOpKind, LoweredPlan,
-    OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
+    AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, LoweredOp, LoweredOpKind,
+    LoweredPlan, OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
 };
 
 /// The simulated SALO accelerator instance.
@@ -56,9 +80,26 @@ pub struct ExecutionOutput {
     pub report: ExecutionReport,
 }
 
-/// The per-op working buffers of one five-stage datapath instance —
-/// stages 1–5 of a single lowered op, reused across every op an executor
-/// runs.
+/// Ops the executor runs side by side, stage by stage. Widths 2 to 16
+/// measure alike and 1 and 32 measure worse (EXPERIMENTS.md, "The kernel's
+/// other half"); 8 keeps a group's buffers — 8 × (32 scores, 32
+/// probabilities, one `d`-element part) at the array's op size — inside
+/// 5 KiB of L1.
+pub(crate) const GROUP: usize = 8;
+
+/// One op's intermediates between the stages of a group.
+#[derive(Debug, Clone)]
+struct OpSlot {
+    /// Stage-1 scores.
+    scores: Vec<i32>,
+    /// Stage-4 probabilities.
+    probs: Vec<u16>,
+    /// Stage-5 output: the part this op produces.
+    part: PartialRow,
+}
+
+/// The working buffers of one five-stage datapath instance: a slot per op
+/// of a group ([`GROUP`]), reused across every group an executor runs.
 ///
 /// This is the unit of scratch that becomes *per shard* under the
 /// partitioned datapath ([`Partition`](crate::Partition)): each shard
@@ -66,18 +107,15 @@ pub struct ExecutionOutput {
 /// per-stage state, while the sequential paths keep exactly one.
 #[derive(Debug, Clone)]
 pub struct OpScratch {
-    /// Stage-1 scores of the current op.
-    pub(crate) scores: Vec<i32>,
-    /// Stage-2 exponentials of the current op.
-    pub(crate) exps: Vec<i64>,
-    /// Stage-4 probabilities of the current op.
-    pub(crate) probs: Vec<u16>,
-    /// Stage-5 output: the part produced by the current op.
-    pub(crate) part: PartialRow,
+    /// Per-op intermediates of the current group.
+    slots: [OpSlot; GROUP],
+    /// Stage-2 exponentials of the op in flight: working memory of the
+    /// row primitive, dead once the op's probabilities are written.
+    exps: Vec<u32>,
     /// Accumulated per-stage wall time; only written when `profiling`.
     pub(crate) profile: StageProfile,
-    /// Stage-profiling flag: when false each op pays one predicted branch
-    /// per stage and never touches the clock.
+    /// Stage-profiling flag: when false each group pays one predicted
+    /// branch per stage and never touches the clock.
     pub(crate) profiling: bool,
 }
 
@@ -88,30 +126,38 @@ impl Default for OpScratch {
 }
 
 impl OpScratch {
-    /// An empty per-op scratch; buffers grow on first use.
+    /// An empty scratch; buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            scores: Vec::new(),
+            slots: std::array::from_fn(|_| OpSlot {
+                scores: Vec::new(),
+                probs: Vec::new(),
+                part: PartialRow::empty(0),
+            }),
             exps: Vec::new(),
-            probs: Vec::new(),
-            part: PartialRow::empty(0),
             profile: StageProfile::default(),
             profiling: false,
         }
     }
 
-    /// Sizes the part buffer for dimension `d` and pre-grows the per-key
-    /// buffers to `max_keys` so the first ops never reallocate.
+    /// Sizes every slot's part for dimension `d` and pre-grows the per-key
+    /// buffers to `max_keys`, so no op of the program — the longest
+    /// included — allocates.
     pub(crate) fn prepare(&mut self, d: usize, max_keys: usize) {
-        if self.part.out_q19.len() != d {
-            self.part.out_q19.clear();
-            self.part.out_q19.resize(d, 0);
+        for slot in &mut self.slots {
+            if slot.part.out_q19.len() != d {
+                slot.part.out_q19.clear();
+                slot.part.out_q19.resize(d, 0);
+            }
+            // Emptied first: `reserve` counts from the length.
+            slot.scores.clear();
+            slot.scores.reserve(max_keys);
+            slot.probs.clear();
+            slot.probs.reserve(max_keys);
         }
-        self.part.weight_q16 = 0;
-        self.scores.reserve(max_keys);
+        self.exps.clear();
         self.exps.reserve(max_keys);
-        self.probs.reserve(max_keys);
     }
 }
 
@@ -510,25 +556,24 @@ impl SpatialAccelerator {
         let run_shard = |shard: &Shard, bufs: &mut OpScratch, rows: &mut [PartialRow]| {
             let start_ns = if trace_on { salo_trace::now_ns() } else { 0 };
             let mut sats = vec![MacSaturation::default(); num_heads];
-            let ops = lowered.ops();
-            for &(h, oi) in shard.ops() {
-                let (h, oi) = (h as usize, oi as usize);
-                let op = &ops[oi];
+            // A shard's ops ascend by (head, op index): one executor call
+            // per head, over that head's arenas.
+            for of_head in shard.ops().chunk_by(|a, b| a.0 == b.0) {
+                let h = of_head[0].0 as usize;
                 let base = h * n * d;
-                let dest = op.dest as usize;
                 let kv = SliceKv { kq: &kq[base..base + n * d], vq: &vq[base..base + n * d] };
-                run_op(
-                    &self.exp,
-                    &self.recip,
-                    op.kind,
-                    lowered.op_keys(op),
-                    &qq[base + dest * d..base + (dest + 1) * d],
-                    &kv,
-                    d,
-                    bufs,
-                    &mut rows[h * n + dest - shard.item_start()],
-                    &mut sats[h],
-                )?;
+                let resolve = |&(_, oi): &(u32, u32)| {
+                    let op = &lowered.ops()[oi as usize];
+                    let dest = op.dest as usize;
+                    GroupOp {
+                        kind: op.kind,
+                        keys: lowered.op_keys(op),
+                        q_row: ExecScratch::row(&qq[base..], dest, d),
+                        slot: h * n + dest - shard.item_start(),
+                    }
+                };
+                let tables = (&*self.exp, &*self.recip);
+                run_ops_grouped(tables, of_head, resolve, &kv, d, bufs, rows, &mut sats[h])?;
             }
             let end_ns = if trace_on { salo_trace::now_ns() } else { 0 };
             Ok::<_, SimError>((sats, start_ns, end_ns))
@@ -654,9 +699,9 @@ impl SpatialAccelerator {
         Ok(d)
     }
 
-    /// Executes a range of the lowered program: stages 1–5 per op, merged
-    /// in place into the per-row accumulators. No allocation once the
-    /// scratch has grown to the program's high-water mark.
+    /// Executes a range of the lowered program through the group executor,
+    /// merged in place into the per-row accumulators. No allocation once
+    /// the scratch has been prepared for the program.
     fn run_ops(
         &self,
         lowered: &LoweredPlan,
@@ -666,23 +711,14 @@ impl SpatialAccelerator {
         sat: &mut MacSaturation,
     ) -> Result<(), SimError> {
         let ExecScratch { qq, kq, vq, op: op_scratch, acc } = scratch;
-        let kv = SliceKv { kq, vq };
-        for op in &lowered.ops()[range] {
-            let q_row = ExecScratch::row(qq, op.dest as usize, d);
-            run_op(
-                &self.exp,
-                &self.recip,
-                op.kind,
-                lowered.op_keys(op),
-                q_row,
-                &kv,
-                d,
-                &mut *op_scratch,
-                &mut acc[op.dest as usize],
-                sat,
-            )?;
-        }
-        Ok(())
+        let resolve = |op: &LoweredOp| GroupOp {
+            kind: op.kind,
+            keys: lowered.op_keys(op),
+            q_row: ExecScratch::row(qq, op.dest as usize, d),
+            slot: op.dest as usize,
+        };
+        let (tables, kv) = ((&*self.exp, &*self.recip), SliceKv { kq, vq });
+        run_ops_grouped(tables, &lowered.ops()[range], resolve, &kv, d, op_scratch, acc, sat)
     }
 
     /// One array pass via the event-accurate systolic model.
@@ -804,14 +840,13 @@ impl SpatialAccelerator {
     }
 }
 
-/// How the per-op executor reaches quantized K/V rows by sequence
-/// position.
+/// How the executor reaches quantized K/V rows by sequence position.
 ///
 /// The prefill path reads from flat contiguous arenas ([`SliceKv`]); the
 /// decode path reads through page translation
 /// ([`PagedKv`](crate::decode) — row `j` lives at slot `j % page_rows` of
-/// page `j / page_rows`). [`run_op`] is generic over the source and
-/// monomorphizes per impl, so the contiguous hot path keeps its direct
+/// page `j / page_rows`). [`run_ops_grouped`] is generic over the source
+/// and monomorphizes per impl, so the contiguous hot path keeps its direct
 /// slice indexing while both paths execute the **same** kernel body —
 /// which is what keeps paged decode bit-identical to prefill.
 pub(crate) trait KvSource {
@@ -839,103 +874,129 @@ impl KvSource for SliceKv<'_> {
     }
 }
 
-/// Stages 1–5 for one lowered op, merged into `acc`: output-stationary
-/// dot products, exp/sum/reciprocal/normalize, weight-stationary value
-/// accumulation, weighted-sum merge.
-///
-/// This is the **single** arithmetic body executed by both the prefill
-/// pass (`run_ops`, K/V from the full-sequence scratch load) and the
-/// decode step (`run_decode_ops`, K/V through page translation) — the
-/// decode-vs-prefill bit-identity guarantee holds by construction
-/// because there is exactly one copy of these kernels to diverge from.
-/// Run or gather is decided here, once per op: the body is generic over
-/// the position → key map, so neither sweep branches per key.
-#[allow(clippy::too_many_arguments)] // the op's full dataflow, spelled out
-pub(crate) fn run_op<S: KvSource>(
-    exp: &ExpLut,
-    recip: &RecipUnit,
-    kind: LoweredOpKind,
-    keys: OpKeys<'_>,
-    q_row: &[Fix8x4],
-    kv: &S,
-    d: usize,
-    bufs: &mut OpScratch,
-    acc: &mut PartialRow,
-    sat: &mut MacSaturation,
-) -> Result<(), SimError> {
-    match keys {
-        OpKeys::Run { first, stride, len } => {
-            let key = move |i: usize| first as usize + i * stride as usize;
-            run_op_keys(exp, recip, kind, len as usize, key, q_row, kv, d, bufs, acc, sat)
-        }
-        OpKeys::Gather(keys) => {
-            let key = move |i: usize| keys[i] as usize;
-            run_op_keys(exp, recip, kind, keys.len(), key, q_row, kv, d, bufs, acc, sat)
-        }
-    }
+/// One lowered op as the executor sees it, resolved by its caller: the
+/// keys, the query row and where the part is merged.
+#[derive(Clone, Copy)]
+pub(crate) struct GroupOp<'a> {
+    /// A row part, or a single-key global cell.
+    pub kind: LoweredOpKind,
+    /// The op's keys, as its plan resolves them.
+    pub keys: OpKeys<'a>,
+    /// The destination's quantized query row (`d` elements).
+    pub q_row: &'a [Fix8x4],
+    /// Index of the destination's accumulator in the executor's `accs`.
+    pub slot: usize,
 }
 
-/// [`run_op`] over `len` keys, `key(i)` being the `i`-th. The two MAC
-/// stages sweep the whole op at once ([`qk_dot_rows`], [`sv_rows_mac`]),
-/// instantiated at the serving head dimensions and picked by `d` — a
-/// property of the request, not a knob.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_op_keys<S: KvSource>(
-    exp: &ExpLut,
-    recip: &RecipUnit,
-    kind: LoweredOpKind,
-    len: usize,
-    key: impl Fn(usize) -> usize + Copy,
-    q_row: &[Fix8x4],
+/// Stages 1–5 for a list of lowered ops, each merged into the accumulator
+/// `resolve` names for it: output-stationary dot products, exp/sum/
+/// reciprocal/normalize, weight-stationary value accumulation,
+/// weighted-sum merge — run stage-major over [`GROUP`] ops at a time
+/// (module docs). `ops` is however the caller lists its ops; `resolve`
+/// turns an entry into what the stages need and is called once per stage,
+/// inlined.
+///
+/// This is the **single** arithmetic body executed by the prefill pass
+/// (`run_ops`), the partition's shards, the systolic path's global duties
+/// and the decode step (`run_decode_ops`, K/V through page translation) —
+/// the decode == prefill == partitioned == systolic bit-identity holds by
+/// construction because there is exactly one copy of these kernels to
+/// diverge from. Parts reach each accumulator in the order the ops are
+/// listed in. The first op, in list order, whose row sum is zero fails the
+/// call with that error (nothing else can fail here: a group's parts and
+/// accumulators have one length by construction); what the group's earlier
+/// ops had yet to merge is then lost with it, and the callers — which
+/// discard the prefill or poison the session — need nothing else.
+///
+/// The stage timer laps once per stage per *group* on this same body, so
+/// `sim.stage.*` sums to the time spent here while a profiled run reads
+/// the clock four times a group instead of five times an op.
+#[allow(clippy::too_many_arguments)] // the datapath's full dataflow, spelled out
+pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
+    (exp, recip): (&ExpLut, &RecipUnit),
+    ops: &[T],
+    resolve: impl Fn(&T) -> GroupOp<'a>,
     kv: &S,
     d: usize,
     bufs: &mut OpScratch,
-    acc: &mut PartialRow,
+    accs: &mut [PartialRow],
     sat: &mut MacSaturation,
 ) -> Result<(), SimError> {
-    let OpScratch { scores, exps, probs, part, profile, profiling } = bufs;
+    let OpScratch { slots, exps, profile, profiling } = bufs;
     let mut timer = StageTimer::start(*profiling);
-    // Stage 1: output-stationary dot products. (The row closures are
-    // inlined whatever their size: an out-of-line call in a key loop
-    // spills the sweep's accumulators.)
-    scores.clear();
-    qk_dot_rows(
-        q_row,
-        len,
-        #[inline(always)]
-        move |i| kv.k_row(key(i), d),
-        scores,
-        sat,
-    );
-    timer.lap(&mut profile.qk_dot_ns);
-    match kind {
-        LoweredOpKind::Row => {
-            // Stages 2-4: exp, row sum, reciprocal, normalize.
-            part.weight_q16 = fixed_softmax_parts_into(scores, exp, recip, exps, probs)?.0;
+    // A ragged last group leaves the slots past it untouched.
+    for group in ops.chunks(GROUP) {
+        // Stage 1: output-stationary dot products. Run or gather is
+        // decided once per op and stage, so neither sweep branches per
+        // key. (The row closures are inlined whatever their size: an
+        // out-of-line call in a key loop spills the sweep's accumulators.)
+        for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
+            slot.scores.clear();
+            match op.keys {
+                OpKeys::Run { first, stride, len } => qk_dot_rows(
+                    op.q_row,
+                    len as usize,
+                    #[inline(always)]
+                    |i| kv.k_row(first as usize + i * stride as usize, d),
+                    &mut slot.scores,
+                    sat,
+                ),
+                OpKeys::Gather(keys) => qk_dot_rows(
+                    op.q_row,
+                    keys.len(),
+                    #[inline(always)]
+                    |i| kv.k_row(keys[i] as usize, d),
+                    &mut slot.scores,
+                    sat,
+                ),
+            }
         }
-        LoweredOpKind::SingleKey => {
-            // A global PE column/row cell: weight `exp(s)`, output `v_g`
-            // at probability one.
-            part.weight_q16 = exp.eval_q8(scores[0]);
-            probs.clear();
-            probs.push(PROB_ONE);
+        timer.lap(&mut profile.qk_dot_ns);
+        for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
+            slot.part.weight_q16 = match op.kind {
+                // Stages 2-4: exp, row sum, reciprocal, normalize.
+                LoweredOpKind::Row => {
+                    fixed_softmax_parts_into(&slot.scores, exp, recip, exps, &mut slot.probs)?.0
+                }
+                // A global PE column/row cell: weight `exp(s)`, output
+                // `v_g` at probability one.
+                LoweredOpKind::SingleKey => {
+                    slot.probs.clear();
+                    slot.probs.push(PROB_ONE);
+                    exp.eval_q8(slot.scores[0])
+                }
+            };
         }
-    }
-    timer.lap(&mut profile.exp_lut_ns);
-    // Stage 5: weight-stationary value accumulation.
-    sv_rows_mac(
-        probs,
-        #[inline(always)]
-        move |i| kv.v_row(key(i), d),
-        &mut part.out_q19,
-    );
-    timer.lap(&mut profile.sv_mac_ns);
-    merge_partials_into(acc, part, recip)?;
-    timer.lap(&mut profile.renorm_merge_ns);
-    if *profiling {
-        profile.ops += 1;
-        profile.keys += len as u64;
+        timer.lap(&mut profile.exp_lut_ns);
+        // Stage 5: weight-stationary value accumulation.
+        for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
+            match op.keys {
+                OpKeys::Run { first, stride, .. } => sv_rows_mac(
+                    &slot.probs,
+                    #[inline(always)]
+                    |i| kv.v_row(first as usize + i * stride as usize, d),
+                    &mut slot.part.out_q19,
+                ),
+                OpKeys::Gather(keys) => sv_rows_mac(
+                    &slot.probs,
+                    #[inline(always)]
+                    |i| kv.v_row(keys[i] as usize, d),
+                    &mut slot.part.out_q19,
+                ),
+            }
+        }
+        timer.lap(&mut profile.sv_mac_ns);
+        // The weighted-sum merges, in op order: what a destination
+        // receives, and in which order, is what it received op by op.
+        for (op, slot) in group.iter().map(&resolve).zip(slots.iter()) {
+            merge_partials_into(&mut accs[op.slot], &slot.part, recip)?;
+        }
+        timer.lap(&mut profile.renorm_merge_ns);
+        if *profiling {
+            profile.ops += group.len() as u64;
+            profile.keys +=
+                slots[..group.len()].iter().map(|slot| slot.scores.len() as u64).sum::<u64>();
+        }
     }
     Ok(())
 }
@@ -964,9 +1025,19 @@ fn emit_stage_spans(tracer: &Tracer, profile: &StageProfile) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeySpan;
     use salo_kernels::{fixed_sparse_attention, sparse_attention, FixedAttention, Qkv};
     use salo_patterns::{longformer, sliding_only, sparse_transformer, HybridPattern, Window};
     use salo_scheduler::HardwareMeta;
+
+    impl SpatialAccelerator {
+        /// An accelerator around a hand-built exponential LUT — for tests
+        /// (here and in `decode.rs`) that need a row sum of zero, which no
+        /// LUT over the default domain has.
+        pub(crate) fn with_exp(config: AcceleratorConfig, exp: ExpLut) -> Self {
+            Self { exp: Arc::new(exp), ..Self::new(config) }
+        }
+    }
 
     fn accel(rows: usize, cols: usize) -> SpatialAccelerator {
         let config = AcceleratorConfig {
@@ -1071,6 +1142,203 @@ mod tests {
         // Per-shard gauges land in the global metrics registry.
         let ops0 = salo_trace::metrics().gauge("sim.shard.0.ops").get();
         assert!(ops0 > 0);
+    }
+
+    /// The executor on its own: arenas of `n` rows, and a hand-built op
+    /// list over them.
+    struct Bed {
+        d: usize,
+        qq: Vec<Fix8x4>,
+        kq: Vec<Fix8x4>,
+        vq: Vec<Fix8x4>,
+        gather: Vec<u32>,
+        ops: Vec<LoweredOp>,
+    }
+
+    /// A small deterministic generator (the executor's inputs need spread,
+    /// not quality).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) as usize) % bound
+        }
+
+        fn arena(&mut self, len: usize) -> Vec<Fix8x4> {
+            (0..len)
+                .map(|_| match self.below(6) {
+                    0 => Fix8x4::MIN,
+                    1 => Fix8x4::MAX,
+                    _ => Fix8x4::from_raw(self.below(255) as u8 as i8),
+                })
+                .collect()
+        }
+    }
+
+    impl Bed {
+        /// `n` rows of `d`; every kind of op side by side, few destinations
+        /// (so a group repeats one), lengths on both sides of the array's
+        /// 32 keys and of the 32-bit stage-5 chain, and a count that leaves
+        /// the last group ragged.
+        fn random(seed: u64, n: usize, d: usize) -> Self {
+            let mut rng = Lcg(seed);
+            let (qq, kq, vq) = (rng.arena(n * d), rng.arena(n * d), rng.arena(n * d));
+            let (mut gather, mut ops) = (Vec::new(), Vec::new());
+            let mut lengths: Vec<usize> = (0..5 * GROUP).map(|_| 1 + rng.below(32)).collect();
+            lengths[7] = 33 + rng.below(60);
+            lengths[2 * GROUP + 1] = salo_fixed::SV_I32_SAFE_KEYS + 1 + rng.below(40);
+            lengths.truncate(5 * GROUP - 3);
+            for len in lengths {
+                let dest = rng.below(5) as u32;
+                let op = match rng.below(3) {
+                    0 => LoweredOp {
+                        kind: LoweredOpKind::SingleKey,
+                        dest,
+                        keys: KeySpan::Run { first: rng.below(n) as u32, stride: 1 },
+                        key_len: 1,
+                    },
+                    1 => {
+                        let stride = 1 + rng.below((n - 1) / len.max(2)).min(3);
+                        let first = rng.below(n - (len - 1) * stride);
+                        LoweredOp {
+                            kind: LoweredOpKind::Row,
+                            dest,
+                            keys: KeySpan::Run { first: first as u32, stride: stride as u16 },
+                            key_len: len as u32,
+                        }
+                    }
+                    _ => {
+                        let start = gather.len() as u32;
+                        gather.extend((0..len).map(|_| rng.below(n) as u32));
+                        LoweredOp {
+                            kind: LoweredOpKind::Row,
+                            dest,
+                            keys: KeySpan::Gather { start },
+                            key_len: len as u32,
+                        }
+                    }
+                };
+                ops.push(op);
+            }
+            Self { d, qq, kq, vq, gather, ops }
+        }
+
+        /// The op list through the executor, `at_a_time` ops a call.
+        fn run(
+            &self,
+            sim: &SpatialAccelerator,
+            at_a_time: usize,
+        ) -> Result<(Vec<PartialRow>, MacSaturation), SimError> {
+            let d = self.d;
+            let mut accs = vec![PartialRow::empty(d); 5];
+            let mut sat = MacSaturation::default();
+            let mut bufs = OpScratch::new();
+            bufs.prepare(d, self.ops.iter().map(|op| op.key_len as usize).max().unwrap_or(0));
+            let resolve = |op: &LoweredOp| GroupOp {
+                kind: op.kind,
+                keys: op.keys_in(&self.gather),
+                q_row: ExecScratch::row(&self.qq, op.dest as usize, d),
+                slot: op.dest as usize,
+            };
+            let kv = SliceKv { kq: &self.kq, vq: &self.vq };
+            let tables = (&*sim.exp, &*sim.recip);
+            for ops in self.ops.chunks(at_a_time) {
+                run_ops_grouped(tables, ops, resolve, &kv, d, &mut bufs, &mut accs, &mut sat)?;
+            }
+            Ok((accs, sat))
+        }
+    }
+
+    #[test]
+    fn whole_op_lists_match_one_op_slices() {
+        // The same body fed the whole list (groups of `GROUP`, a ragged
+        // last one) and fed one op a call (no grouping at all), and at a
+        // width that cuts the list elsewhere: same accumulators, same
+        // weights, same saturation count, to the bit.
+        let sim = accel(8, 8);
+        for (seed, d) in [(1, 8), (2, 32), (3, 48), (4, 64), (5, 128), (6, 64)] {
+            let bed = Bed::random(seed, 640, d);
+            assert!(!bed.ops.len().is_multiple_of(GROUP), "a ragged last group");
+            let kinds = |kind| bed.ops.iter().filter(|op| op.kind == kind).count();
+            assert!(kinds(LoweredOpKind::SingleKey) > 0 && !bed.gather.is_empty());
+            let whole = bed.run(&sim, bed.ops.len()).expect("whole list");
+            for at_a_time in [1, 3] {
+                let sliced = bed.run(&sim, at_a_time).expect("sliced");
+                assert_eq!(sliced.0, whole.0, "seed {seed}, d {d}, {at_a_time} at a time");
+                assert_eq!(sliced.1, whole.1);
+            }
+            assert!(whole.0.iter().all(|acc| acc.weight_q16 > 0), "every destination was hit");
+        }
+    }
+
+    #[test]
+    fn saturation_counts_are_sums_whatever_the_grouping() {
+        // One past the widest head a dot product provably fits: every score
+        // of these all-`MIN` rows saturates, once per key.
+        let d = salo_fixed::QK_DOT_SAFE_DIM + 1;
+        let row = |first: u32, key_len: u32, kind| LoweredOp {
+            kind,
+            dest: first % 2,
+            keys: KeySpan::Run { first, stride: 1 },
+            key_len,
+        };
+        let bed = Bed {
+            d,
+            qq: vec![Fix8x4::MIN; 2 * d],
+            kq: vec![Fix8x4::MIN; 3 * d],
+            vq: vec![Fix8x4::MAX; 3 * d],
+            gather: Vec::new(),
+            ops: vec![
+                row(0, 3, LoweredOpKind::Row),
+                row(1, 1, LoweredOpKind::SingleKey),
+                row(1, 2, LoweredOpKind::Row),
+            ],
+        };
+        let sim = accel(8, 8);
+        let run = |at_a_time| {
+            let (mut accs, sat) = bed.run(&sim, at_a_time).expect("runs");
+            accs.truncate(2);
+            (accs, sat)
+        };
+        let (whole, sliced) = (run(3), run(1));
+        assert_eq!(whole.1.events, 6, "one event per key");
+        assert_eq!(whole, sliced);
+    }
+
+    #[test]
+    fn an_op_failing_mid_group_fails_the_call_with_its_error() {
+        // A LUT whose low end rounds to zero: a row whose every score sits
+        // there has a zero sum. Every key is +1; destination 1's query is
+        // -2, everyone else's +1.
+        let d = 8;
+        let exp = ExpLut::with_domain(8, -16.0, -8.0).expect("domain");
+        let sim = SpatialAccelerator::with_exp(AcceleratorConfig::default(), exp);
+        let mut bed = Bed::random(7, 640, d);
+        bed.kq.fill(Fix8x4::from_f32(1.0));
+        bed.qq.fill(Fix8x4::from_f32(1.0));
+        bed.qq[d..2 * d].fill(Fix8x4::from_f32(-2.0));
+        for op in &mut bed.ops {
+            op.dest = u32::from(op.dest == 1) * 2; // nobody fails ...
+        }
+        bed.run(&sim, bed.ops.len()).expect("positive sums everywhere");
+        let bad = GROUP + 3; // ... but the fourth op of the second group.
+        bed.ops[bad] = LoweredOp {
+            kind: LoweredOpKind::Row,
+            dest: 1,
+            keys: KeySpan::Run { first: 0, stride: 1 },
+            key_len: 9,
+        };
+        let zero_sum = salo_fixed::FixedError::NonPositiveReciprocal { raw: 0 };
+        for at_a_time in [bed.ops.len(), 1] {
+            match bed.run(&sim, at_a_time) {
+                Err(SimError::Fixed(e)) => assert_eq!(e, zero_sum),
+                other => panic!("expected the zero row sum, got {other:?}"),
+            }
+        }
     }
 
     #[test]

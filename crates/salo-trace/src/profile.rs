@@ -5,7 +5,7 @@
 //! weighted-sum partial merge, and sv_mac (stage 5) — plus op/key counts.
 //! The accumulator lives in the executor's scratch state and is gated by a
 //! plain `bool`, so a disabled profile costs one predictable branch per
-//! stage. [`StageTimer`] is the matching lap timer.
+//! stage of a group of ops. [`StageTimer`] is the matching lap timer.
 
 use std::time::Instant;
 
@@ -65,8 +65,9 @@ impl StageProfile {
 
 /// A lap timer charging elapsed time to stage accumulator slots.
 ///
-/// Constructed per op; when disabled every method is a single branch on a
-/// `None` and touches no clock.
+/// Constructed per executor call and lapped once per stage per group of
+/// ops; when disabled every method is a single branch on a `None` and
+/// touches no clock.
 pub struct StageTimer {
     last: Option<Instant>,
 }
