@@ -37,9 +37,6 @@ pub struct Device {
     /// Energy per executed FLOP (picojoules) — the measured-energy model
     /// implied by the paper's Fig. 7b ratios.
     pub energy_per_flop_pj: f64,
-    /// Nameplate board/package power (W), for the alternative
-    /// `P x t` energy accounting.
-    pub tdp_w: f64,
 }
 
 impl Device {
@@ -65,14 +62,6 @@ impl Device {
     pub fn energy_j(&self, w: &BaselineWorkload) -> f64 {
         w.executed_flops() * self.energy_per_flop_pj * 1e-12
     }
-
-    /// Energy under the nameplate `P x t` accounting (reported alongside
-    /// the per-FLOP model; the paper's own methodology is closer to the
-    /// per-FLOP one — see EXPERIMENTS.md).
-    #[must_use]
-    pub fn energy_nameplate_j(&self, w: &BaselineWorkload) -> f64 {
-        self.tdp_w * self.latency_s(w)
-    }
 }
 
 /// The paper's CPU baseline: Intel Xeon E5-2630 v3 (8 cores, 2.4 GHz,
@@ -94,7 +83,6 @@ pub fn cpu_xeon_e5_2630_v3() -> Device {
         windowed2d_bytes_per_flop: 4.0,
         overhead_s: 20e-6,
         energy_per_flop_pj: 68.0,
-        tdp_w: 85.0,
     }
 }
 
@@ -117,7 +105,6 @@ pub fn gtx_1080ti() -> Device {
         windowed2d_bytes_per_flop: 8.0,
         overhead_s: 50e-6,
         energy_per_flop_pj: 115.0,
-        tdp_w: 250.0,
     }
 }
 
@@ -183,10 +170,6 @@ mod tests {
         let w = bert(1024);
         let e = cpu.energy_j(&w);
         assert!((e - w.dense_flops() * 68e-12).abs() < 1e-9);
-        // Nameplate accounting is far larger than the per-FLOP model for
-        // memory-bound kernels — both are reported, only one is used for
-        // the Fig. 7b reproduction.
-        assert!(cpu.energy_nameplate_j(&w) > 0.0);
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! module complements them with *actual wall-clock measurements* of the
 //! `salo-kernels` software attention on whatever machine runs the
 //! benchmarks. The motivation experiment (E1) uses it to demonstrate the
-//! quadratic growth of dense attention with genuinely measured numbers,
-//! and `bench_kernels` uses it for the dense-vs-sparse crossover.
+//! quadratic growth of dense attention with genuinely measured numbers.
 
 use std::time::Instant;
 
-use salo_kernels::{dense_attention, sparse_attention, Qkv};
-use salo_patterns::HybridPattern;
+use salo_kernels::{dense_attention, Qkv};
 
 /// A wall-clock measurement: median over `reps` runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,29 +47,9 @@ pub fn measure_dense(n: usize, d: usize, reps: usize, seed: u64) -> HostMeasurem
     )
 }
 
-/// Measures pattern-restricted sparse attention for one head.
-#[must_use]
-pub fn measure_sparse(
-    pattern: &HybridPattern,
-    d: usize,
-    reps: usize,
-    seed: u64,
-) -> HostMeasurement {
-    let qkv = Qkv::random(pattern.n(), d, seed);
-    let scale = 1.0 / (d.max(1) as f32).sqrt();
-    measure(
-        || {
-            let out = sparse_attention(pattern, &qkv.q, &qkv.k, &qkv.v, scale).expect("sparse");
-            std::hint::black_box(out);
-        },
-        reps,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salo_patterns::sliding_only;
 
     #[test]
     fn measurements_are_positive_and_ordered() {
@@ -79,22 +57,6 @@ mod tests {
         assert!(m.min_s > 0.0);
         assert!(m.median_s >= m.min_s);
         assert_eq!(m.reps, 3);
-    }
-
-    #[test]
-    fn sparse_beats_dense_at_scale() {
-        // Even unoptimized, O(n w d) beats O(n^2 d) once n >> w.
-        let n = 512;
-        let d = 16;
-        let pattern = sliding_only(n, 16).unwrap();
-        let dense = measure_dense(n, d, 3, 2);
-        let sparse = measure_sparse(&pattern, d, 3, 2);
-        assert!(
-            sparse.median_s < dense.median_s,
-            "sparse {} vs dense {}",
-            sparse.median_s,
-            dense.median_s
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use salo_models::longformer_base_4096;
 use salo_scheduler::HardwareMeta;
 use salo_sim::{bandwidth_report, AcceleratorConfig, AreaPowerModel, CycleModel};
 
-fn main() {
+pub fn run() {
     banner("Design space: 1024-PE geometries on Longformer-Base-4096");
     let workload = longformer_base_4096();
     let model = AreaPowerModel::calibrated();

@@ -9,7 +9,7 @@ use salo_bench::{banner, fmt_ratio, render_table};
 use salo_core::{figure7_comparisons, Salo};
 use salo_models::paper;
 
-fn main() {
+pub fn run() {
     banner("Figure 7b: energy saving of SALO vs CPU and GPU");
     let salo = Salo::default_config();
     let rows_data = figure7_comparisons(&salo).expect("figure 7 workloads compile");

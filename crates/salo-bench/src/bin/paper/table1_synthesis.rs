@@ -10,7 +10,7 @@ use salo_fixed::{ExpLut, RecipUnit};
 use salo_models::paper::table1;
 use salo_sim::AcceleratorConfig;
 
-fn main() {
+pub fn run() {
     banner("Table 1: Synthesis details (paper values + derived configuration)");
     let config = AcceleratorConfig::default();
     let exp = ExpLut::new(config.exp_segments);

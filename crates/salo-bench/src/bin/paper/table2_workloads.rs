@@ -4,7 +4,7 @@
 use salo_bench::{banner, render_table};
 use salo_models::table2_rows;
 
-fn main() {
+pub fn run() {
     banner("Table 2: Key parameters of attention layers");
     let rows: Vec<Vec<String>> = table2_rows()
         .into_iter()

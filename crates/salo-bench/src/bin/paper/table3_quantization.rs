@@ -11,7 +11,7 @@ use salo_bench::{banner, render_table};
 use salo_patterns::{grid_2d, longformer};
 use salo_quant::{attention_error, sweep_fraction_bits, table3_rows};
 
-fn main() {
+pub fn run() {
     banner("Table 3 (substitute): accuracy with f32 vs quantized attention");
     let rows_data = table3_rows(2).expect("quantization tasks");
     let mut rows = Vec::new();

@@ -14,7 +14,7 @@ use salo_baselines::{gtx_1080ti, host};
 use salo_bench::{banner, fmt_time, render_table};
 use salo_models::{bert_base, paper};
 
-fn main() {
+pub fn run() {
     banner("Motivation (2.1): dense BERT attention latency vs sequence length");
 
     let gpu = gtx_1080ti();

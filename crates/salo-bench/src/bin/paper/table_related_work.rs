@@ -12,7 +12,7 @@ use salo_bench::{banner, fmt_time, render_table};
 use salo_core::Salo;
 use salo_models::longformer_layer;
 
-fn main() {
+pub fn run() {
     banner("Section 2.2 quantified: accelerator scaling on Longformer (w=512, 12 heads)");
     let salo = Salo::default_config();
     let sanger = SangerModel::default();

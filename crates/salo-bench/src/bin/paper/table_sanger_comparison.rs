@@ -15,7 +15,7 @@ use salo_core::Salo;
 use salo_models::longformer_layer;
 use salo_models::paper;
 
-fn main() {
+pub fn run() {
     banner("Section 6.3: SALO vs Sanger (1024 PEs, 1 GHz, matched sparsity)");
     let salo = Salo::default_config();
     let sanger = SangerModel::default();

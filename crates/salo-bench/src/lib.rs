@@ -1,7 +1,7 @@
-//! Shared table-printing utilities for the benchmark harness binaries.
+//! Shared table-printing utilities for the `paper` binary.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the SALO
-//! paper; this library holds the formatting helpers they share. See
+//! Each module of `src/bin/paper/` regenerates one table or figure of the
+//! SALO paper; this library holds the formatting helpers they share. See
 //! `EXPERIMENTS.md` at the repository root for the experiment index.
 
 #![warn(missing_docs)]

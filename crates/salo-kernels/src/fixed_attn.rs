@@ -39,13 +39,6 @@ impl FixedAttention {
             scale: 1.0 / (head_dim.max(1) as f32).sqrt(),
         }
     }
-
-    /// Overrides the folded scale.
-    #[must_use]
-    pub fn with_scale(mut self, scale: f32) -> Self {
-        self.scale = scale;
-        self
-    }
 }
 
 /// The result of the fixed-point attention kernel.

@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod banded;
 mod dense;
 mod error;
 mod fixed_attn;
@@ -29,7 +28,6 @@ mod qkv;
 mod rng;
 mod sparse;
 
-pub use banded::banded_attention;
 pub use dense::dense_attention;
 pub use error::KernelError;
 pub use fixed_attn::{fixed_sparse_attention, FixedAttention, FixedAttentionOutput};

@@ -133,21 +133,6 @@ impl<T: Copy> Matrix<T> {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Extracts rows `range` as a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    #[must_use]
-    pub fn row_block(&self, start: usize, len: usize) -> Matrix<T> {
-        assert!(start + len <= self.rows, "row block out of bounds");
-        Matrix {
-            rows: len,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + len) * self.cols].to_vec(),
-        }
-    }
-
     /// Reorders rows by `perm` (`new row i = old row perm[i]`).
     ///
     /// # Panics
@@ -297,11 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn row_block_and_permute() {
+    fn permute_rows_reorders() {
         let m = Matrix::from_fn(4, 2, |i, _| i as f32);
-        let block = m.row_block(1, 2);
-        assert_eq!(block.shape(), (2, 2));
-        assert_eq!(block.get(0, 0), 1.0);
         let p = m.permute_rows(&[3, 2, 1, 0]);
         assert_eq!(p.get(0, 0), 3.0);
         assert_eq!(p.get(3, 1), 0.0);

@@ -342,19 +342,6 @@ impl HybridPattern {
         }
         h.finish()
     }
-
-    /// The union of all windows' relative offsets, sorted and deduplicated.
-    ///
-    /// For patterns whose windows are all undilated this is the per-query
-    /// offset menu the scheduler chunks into accelerator passes.
-    #[must_use]
-    pub fn merged_offsets(&self) -> Vec<i64> {
-        let mut offsets: Vec<i64> =
-            self.windows.iter().flat_map(|w| w.offsets().collect::<Vec<_>>()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        offsets
-    }
 }
 
 #[cfg(test)]
@@ -446,13 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_offsets_dedup_across_windows() {
+    fn window_widths_sum_across_overlapping_windows() {
         let p = HybridPattern::builder(32)
             .window(Window::sliding(-2, 2).unwrap())
             .window(Window::sliding(0, 4).unwrap())
             .build()
             .unwrap();
-        assert_eq!(p.merged_offsets(), vec![-2, -1, 0, 1, 2, 3, 4]);
         assert_eq!(p.total_window_width(), 10); // widths summed, not deduped
     }
 

@@ -29,12 +29,6 @@ impl AttentionShape {
         Ok(Self { seq_len, head_dim, num_heads })
     }
 
-    /// Shape of a single head with the same sequence length.
-    #[must_use]
-    pub fn single_head(&self) -> Self {
-        Self { num_heads: 1, ..*self }
-    }
-
     /// Model ("hidden") dimension: `head_dim * num_heads`.
     #[must_use]
     pub fn model_dim(&self) -> usize {
@@ -95,14 +89,5 @@ mod tests {
         let n2 = (s.seq_len * s.seq_len) as u64;
         assert_eq!(s.sparse_macs(n2), s.dense_macs());
         assert_eq!(s.sparse_flops(10), 2 * s.sparse_macs(10));
-    }
-
-    #[test]
-    fn single_head_preserves_other_dims() {
-        let s = AttentionShape::new(4096, 64, 12).unwrap();
-        let one = s.single_head();
-        assert_eq!(one.num_heads, 1);
-        assert_eq!(one.seq_len, 4096);
-        assert_eq!(one.head_dim, 64);
     }
 }

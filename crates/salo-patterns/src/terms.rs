@@ -282,16 +282,6 @@ impl SupportRuns {
         self.row_runs(i).iter().map(|&(s, e)| (e - s) as usize).sum()
     }
 
-    /// The `(min, max_exclusive)` key bounds of row `i`, if non-empty.
-    #[must_use]
-    pub fn row_bounds(&self, i: usize) -> Option<(usize, usize)> {
-        let runs = self.row_runs(i);
-        match (runs.first(), runs.last()) {
-            (Some(&(s, _)), Some(&(_, e))) => Some((s as usize, e as usize)),
-            _ => None,
-        }
-    }
-
     /// Whether cell `(i, j)` is supported.
     #[must_use]
     pub fn contains(&self, i: usize, j: usize) -> bool {
@@ -467,8 +457,6 @@ mod tests {
         assert_eq!(runs.row_runs(2), &[(0, 1), (5, 6)]);
         assert_eq!(runs.nnz(), 5);
         assert_eq!(runs.row_len(2), 2);
-        assert_eq!(runs.row_bounds(2), Some((0, 6)));
-        assert_eq!(runs.row_bounds(1), None);
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl HardwareMeta {
     pub fn array_pes(&self) -> usize {
         self.pe_rows * self.pe_cols
     }
-
-    /// Total PEs including global row(s) and column(s).
-    #[must_use]
-    pub fn total_pes(&self) -> usize {
-        self.array_pes() + self.global_rows * self.pe_cols + self.global_cols * self.pe_rows
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +64,6 @@ mod tests {
         assert_eq!(hw.global_rows, 1);
         assert_eq!(hw.global_cols, 1);
         assert_eq!(hw.array_pes(), 1024);
-        assert_eq!(hw.total_pes(), 1024 + 32 + 32);
     }
 
     #[test]
