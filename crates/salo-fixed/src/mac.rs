@@ -15,7 +15,8 @@
 //! The per-element forms are the definition. [`qk_dot`], [`sv_row_mac`] and
 //! [`sv_row_mac_i32`] are their whole-row sweeps, and [`qk_dot_rows`] /
 //! [`sv_rows_mac`] sweep all the keys of one op — what the simulator's
-//! datapath calls, specialised by head dimension.
+//! datapath calls, specialised by head dimension; [`sv_rows_mac_add`] is
+//! the stage-5 sweep for an op whose keys come in pieces.
 
 use crate::format::Fix8x4;
 
@@ -262,6 +263,23 @@ fn qk_dot_rows_at<'a, const D: usize>(
 /// Panics if a row is shorter than `out`.
 #[inline]
 pub fn sv_rows_mac<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i64]) {
+    out.fill(0);
+    sv_rows_mac_add(probs, row, out);
+}
+
+/// [`sv_rows_mac`] added into `out` instead of overwriting it: `out[e] +=
+/// Σ_i probs[i] * row(i)[e]`.
+///
+/// An op whose keys arrive in pieces (a run across K/V pages) zeroes its
+/// row once and adds one piece at a time. Each piece's 32-bit chains start
+/// from zero and are summed in `i64`, like the chains of one sweep, so the
+/// regrouping is exact and the row is the one sweep's, bit for bit.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `out`.
+#[inline]
+pub fn sv_rows_mac_add<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i64]) {
     match out.len() {
         32 => sv_rows_mac_at::<32, true>(probs, row, out),
         64 => sv_rows_mac_at::<64, true>(probs, row, out),
@@ -270,7 +288,7 @@ pub fn sv_rows_mac<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: 
     }
 }
 
-/// [`sv_rows_mac`] in column blocks of `B` lanes; `EXACT` promises
+/// [`sv_rows_mac_add`] in column blocks of `B` lanes; `EXACT` promises
 /// `out.len() == B`.
 fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool>(
     probs: &[u16],
@@ -279,13 +297,12 @@ fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool>(
 ) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
     if EXACT && (B == 64 || B == 128) {
-        return lanes::sv_rows_mac(probs, row, out);
+        return lanes::sv_rows_mac_add(probs, row, out);
     }
     let d = if EXACT { B } else { out.len() };
     for base in (0..d).step_by(B) {
         let width = if EXACT { B } else { B.min(d - base) };
         let out = &mut out[base..base + width];
-        out.fill(0);
         for (c, probs) in probs.chunks(SV_I32_SAFE_KEYS).enumerate() {
             let mut chain = [0i32; B];
             for (i, &p) in probs.iter().enumerate() {
@@ -360,7 +377,7 @@ mod lanes {
     }
 
     #[inline]
-    pub(super) fn sv_rows_mac<'a>(
+    pub(super) fn sv_rows_mac_add<'a>(
         probs: &[u16],
         row: impl Fn(usize) -> &'a [Fix8x4],
         out: &mut [i64],
@@ -472,7 +489,6 @@ mod lanes {
         const SHORT: usize = 32;
         // Whole quads per chain, so only the op's last quad is ragged.
         const CHAIN: usize = SV_I32_SAFE_KEYS / 4 * 4;
-        out.fill(0);
         if probs.len() <= SHORT {
             mac_chain::<N, SHORT>(probs, 0, &row, out);
         } else {
@@ -762,6 +778,29 @@ mod tests {
                     sv_row_mac(&mut chain, p, row(j));
                 }
                 assert_eq!(out, chain, "d = {d}, {count} keys");
+            }
+        }
+    }
+
+    #[test]
+    fn sv_rows_mac_add_in_pieces_is_one_sweep() {
+        // An op's keys cut anywhere, the pieces added one after the other
+        // onto a row that already holds something: that row plus the sweep.
+        for d in DIMS {
+            let v = arena(64, d, 4);
+            let row = |i: usize| &v[i % 64 * d..][..d];
+            for count in KEY_COUNTS {
+                let probs: Vec<u16> = (0..count).map(|i| (i * 7919 % 32769) as u16).collect();
+                let mut whole = vec![0i64; d];
+                sv_rows_mac(&probs, row, &mut whole);
+                for cut in [0, 1, 3, count / 2, count.saturating_sub(1), count] {
+                    let (head, tail) = probs.split_at(cut.min(count));
+                    let mut out: Vec<i64> = (0..d as i64).map(|e| e - 3).collect();
+                    sv_rows_mac_add(head, row, &mut out);
+                    sv_rows_mac_add(tail, |i| row(head.len() + i), &mut out);
+                    let expected: Vec<i64> = (0..).zip(&whole).map(|(e, &w)| w + e - 3).collect();
+                    assert_eq!(out, expected, "d = {d}, {count} keys cut at {}", head.len());
+                }
             }
         }
     }

@@ -60,9 +60,14 @@ use crate::exec::{run_ops_grouped, ExecScratch, GroupOp, KvSource};
 use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, SpatialAccelerator};
 
 /// Default rows per K/V page when the owner does not configure one.
-/// Small enough that a narrow active window (w + globals) stays a handful
-/// of pages; large enough that page-table overhead is noise.
-pub const DEFAULT_PAGE_ROWS: usize = 16;
+///
+/// The executor translates a run of keys once per page it crosses, so the
+/// page is what a run streams through untranslated: at 256 rows a 32-key
+/// window op crosses a boundary one time in eight, and a d = 64 page is
+/// 16 KiB of K then 16 KiB of V. Smaller pages reclaim more tightly and
+/// translate more often (EXPERIMENTS.md, "Paged K/V read like a slice",
+/// has the sweep).
+pub const DEFAULT_PAGE_ROWS: usize = 256;
 
 /// One global token's incremental row program: the prefill's ops for that
 /// destination, in prefill order, plus the gating key that tells the
@@ -348,16 +353,48 @@ impl DecodePlan {
 /// buffers keep their capacity across recycling, so steady-state
 /// allocation traffic is zero.
 ///
-/// The page is a one-pointer handle to its buffers: a page-table entry
+/// The page is a one-pointer handle to one buffer — the K rows, then the V
+/// rows, from a 64-byte boundary, so a d = 64 row is one cache line and a
+/// run of keys streams through consecutive lines. A page-table entry
 /// (`Option<KvPage>`) is eight bytes, reclaimed or not, so a long
 /// session's table stays small next to the pages it points at.
 #[derive(Debug, Clone, Default)]
 pub struct KvPage(Box<KvRows>);
 
+/// Alignment of a page's first row, in bytes (a `Fix8x4` is one).
+const ROW_ALIGN: usize = 64;
+
 #[derive(Debug, Clone, Default)]
 struct KvRows {
-    k: Vec<Fix8x4>,
-    v: Vec<Fix8x4>,
+    /// `ROW_ALIGN - 1` bytes longer than the rows, for the alignment.
+    buf: Vec<Fix8x4>,
+    /// Where the K rows start: the first 64-byte boundary of `buf` — of the
+    /// allocation it was sized in; a clone keeps the offset and the bits,
+    /// not necessarily the alignment.
+    start: usize,
+    /// Elements of the K rows (= of the V rows, which follow them).
+    cells: usize,
+}
+
+impl KvRows {
+    /// Sizes the buffer for `cells` elements of K and as many of V.
+    fn resize(&mut self, cells: usize) {
+        self.buf.clear();
+        self.buf.resize(2 * cells + ROW_ALIGN - 1, Fix8x4::ZERO);
+        // A safe query; an answer past the padding only costs the alignment.
+        self.start = self.buf.as_ptr().align_offset(ROW_ALIGN).min(ROW_ALIGN - 1);
+        self.cells = cells;
+    }
+
+    /// The K rows and the V rows.
+    fn halves(&self) -> (&[Fix8x4], &[Fix8x4]) {
+        self.buf[self.start..][..2 * self.cells].split_at(self.cells)
+    }
+
+    /// [`halves`](Self::halves), to write.
+    fn halves_mut(&mut self) -> (&mut [Fix8x4], &mut [Fix8x4]) {
+        self.buf[self.start..][..2 * self.cells].split_at_mut(self.cells)
+    }
 }
 
 /// Counters of one [`KvPagePool`], for gauges and reports.
@@ -460,11 +497,7 @@ impl KvPagePool {
             });
         }
         let mut page = self.free.pop().unwrap_or_default();
-        let cells = self.page_rows * d;
-        page.0.k.clear();
-        page.0.k.resize(cells, Fix8x4::ZERO);
-        page.0.v.clear();
-        page.0.v.resize(cells, Fix8x4::ZERO);
+        page.0.resize(self.page_rows * d);
         self.in_use += 1;
         self.high_water = self.high_water.max(self.in_use);
         Ok(page)
@@ -486,7 +519,8 @@ impl KvPagePool {
 
 /// Page-translated K/V access — the decode-side
 /// [`KvSource`](crate::exec::KvSource): row `j` lives at slot
-/// `j % page_rows` of page `j / page_rows`.
+/// `j % page_rows` of page `j / page_rows`, and a page is a source's block,
+/// so a run of keys is translated once per page it crosses.
 struct PagedKv<'a> {
     pages: &'a [Option<KvPage>],
     page_rows: usize,
@@ -502,8 +536,9 @@ impl<'a> PagedKv<'a> {
         Self { pages, page_rows, shift }
     }
 
+    /// Row `j`'s page, and its slot there.
     #[inline]
-    fn page(&self, j: usize) -> (&'a KvPage, usize) {
+    fn page(&self, j: usize) -> (&'a KvRows, usize) {
         let (index, slot) = match self.shift {
             Some(shift) => (j >> shift, j & (self.page_rows - 1)),
             None => (j / self.page_rows, j % self.page_rows),
@@ -511,7 +546,7 @@ impl<'a> PagedKv<'a> {
         let page = self.pages[index]
             .as_ref()
             .expect("plan references a reclaimed K/V row: horizon invariant violated");
-        (page, slot)
+        (&page.0, slot)
     }
 }
 
@@ -519,13 +554,20 @@ impl KvSource for PagedKv<'_> {
     #[inline]
     fn k_row(&self, j: usize, d: usize) -> &[Fix8x4] {
         let (page, slot) = self.page(j);
-        &page.0.k[slot * d..(slot + 1) * d]
+        &page.halves().0[slot * d..][..d]
     }
 
     #[inline]
     fn v_row(&self, j: usize, d: usize) -> &[Fix8x4] {
         let (page, slot) = self.page(j);
-        &page.0.v[slot * d..(slot + 1) * d]
+        &page.halves().1[slot * d..][..d]
+    }
+
+    #[inline]
+    fn block(&self, j: usize, d: usize) -> (&[Fix8x4], &[Fix8x4], usize) {
+        let (page, slot) = self.page(j);
+        let (k, v) = page.halves();
+        (&k[slot * d..], &v[slot * d..], self.page_rows - slot)
     }
 }
 
@@ -907,10 +949,11 @@ impl SpatialAccelerator {
         state.q_step.extend(q_t.iter().map(|&x| Fix8x4::from_f32(x * scale)));
         let slot = t % state.page_rows;
         let page = state.pages[t / state.page_rows].as_mut().expect("append page is resident");
-        for (dst, &x) in page.0.k[slot * d..(slot + 1) * d].iter_mut().zip(k_t) {
+        let (k, v) = page.0.halves_mut();
+        for (dst, &x) in k[slot * d..][..d].iter_mut().zip(k_t) {
             *dst = Fix8x4::from_f32(x);
         }
-        for (dst, &x) in page.0.v[slot * d..(slot + 1) * d].iter_mut().zip(v_t) {
+        for (dst, &x) in v[slot * d..][..d].iter_mut().zip(v_t) {
             *dst = Fix8x4::from_f32(x);
         }
         if let Ok(gi) = plan.globals.binary_search(&(t as u32)) {
@@ -1253,6 +1296,22 @@ mod tests {
         // whole pages between touched ones; translation must still land
         // on the right slots (asserted row-by-row inside).
         decode_all_paged(&sim, &pattern, &qkv, 4, 2);
+    }
+
+    #[test]
+    fn pages_start_on_a_cache_line() {
+        // K and V rows of a fresh page, and of a recycled one resized for
+        // another head dimension, start on a 64-byte boundary: a d = 64 row
+        // is one line.
+        let mut pool = KvPagePool::default();
+        let line = |rows: &[Fix8x4]| rows.as_ptr() as usize % ROW_ALIGN;
+        for d in [64, 8, 128] {
+            let page = pool.allocate(d).unwrap();
+            let (k, v) = page.0.halves();
+            assert_eq!((k.len(), v.len()), (DEFAULT_PAGE_ROWS * d, DEFAULT_PAGE_ROWS * d));
+            assert_eq!((line(k), line(v)), (0, 0), "d = {d}");
+            pool.release(page);
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! measurement (EXPERIMENTS.md, "The kernel's other half"), not a knob.
 
 use salo_fixed::{
-    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, ExpLut, Fix16x8,
-    Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
+    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, sv_rows_mac_add,
+    ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
 };
 use salo_kernels::{Matrix, Qkv};
 use salo_scheduler::{ExecutionPlan, Pass, PlanStats};
@@ -561,7 +561,8 @@ impl SpatialAccelerator {
             for of_head in shard.ops().chunk_by(|a, b| a.0 == b.0) {
                 let h = of_head[0].0 as usize;
                 let base = h * n * d;
-                let kv = SliceKv { kq: &kq[base..base + n * d], vq: &vq[base..base + n * d] };
+                let (kq, vq) = (&kq[base..base + n * d], &vq[base..base + n * d]);
+                let kv = SliceKv { kq, vq, rows: n };
                 let resolve = |&(_, oi): &(u32, u32)| {
                     let op = &lowered.ops()[oi as usize];
                     let dest = op.dest as usize;
@@ -717,7 +718,7 @@ impl SpatialAccelerator {
             q_row: ExecScratch::row(qq, op.dest as usize, d),
             slot: op.dest as usize,
         };
-        let (tables, kv) = ((&*self.exp, &*self.recip), SliceKv { kq, vq });
+        let (tables, kv) = ((&*self.exp, &*self.recip), SliceKv { kq, vq, rows: lowered.n() });
         run_ops_grouped(tables, &lowered.ops()[range], resolve, &kv, d, op_scratch, acc, sat)
     }
 
@@ -842,24 +843,32 @@ impl SpatialAccelerator {
 
 /// How the executor reaches quantized K/V rows by sequence position.
 ///
-/// The prefill path reads from flat contiguous arenas ([`SliceKv`]); the
-/// decode path reads through page translation
+/// The rows are held in storage blocks of consecutive rows, K and V side by
+/// side. The prefill path's source is one block, its flat contiguous arenas
+/// ([`SliceKv`]); the decode path's blocks are pages
 /// ([`PagedKv`](crate::decode) — row `j` lives at slot `j % page_rows` of
-/// page `j / page_rows`). [`run_ops_grouped`] is generic over the source
-/// and monomorphizes per impl, so the contiguous hot path keeps its direct
-/// slice indexing while both paths execute the **same** kernel body —
-/// which is what keeps paged decode bit-identical to prefill.
+/// page `j / page_rows`). [`run_ops_grouped`] sweeps a run of keys a block
+/// at a time through [`block`](Self::block), translating once per block it
+/// crosses, and reaches a listed key through [`k_row`](Self::k_row) /
+/// [`v_row`](Self::v_row). It is generic over the source and monomorphizes
+/// per impl, so both paths execute the **same** kernel body — which is what
+/// keeps paged decode bit-identical to prefill.
 pub(crate) trait KvSource {
     /// Key row `j` (`d` elements).
     fn k_row(&self, j: usize, d: usize) -> &[Fix8x4];
     /// Value row `j` (`d` elements).
     fn v_row(&self, j: usize, d: usize) -> &[Fix8x4];
+    /// The K rows and the V rows from row `j` to the end of the block that
+    /// holds it, and how many rows that is.
+    fn block(&self, j: usize, d: usize) -> (&[Fix8x4], &[Fix8x4], usize);
 }
 
-/// Contiguous row-major K/V arenas — the prefill-side [`KvSource`].
+/// Contiguous row-major K/V arenas of `rows` rows — the prefill-side
+/// [`KvSource`], one block.
 pub(crate) struct SliceKv<'a> {
     pub kq: &'a [Fix8x4],
     pub vq: &'a [Fix8x4],
+    pub rows: usize,
 }
 
 impl KvSource for SliceKv<'_> {
@@ -872,6 +881,35 @@ impl KvSource for SliceKv<'_> {
     fn v_row(&self, j: usize, d: usize) -> &[Fix8x4] {
         ExecScratch::row(self.vq, j, d)
     }
+
+    #[inline]
+    fn block(&self, j: usize, d: usize) -> (&[Fix8x4], &[Fix8x4], usize) {
+        (&self.kq[j * d..], &self.vq[j * d..], self.rows - j)
+    }
+}
+
+/// The run `first, first + stride, …` of `len` keys, one storage block of
+/// `kv` at a time: the block's K and V rows from the piece's first key on,
+/// and how many of the run's keys the block holds — key `i` of the piece
+/// is row `i * stride` of both. A run that ends inside its first block
+/// (every run of a [`SliceKv`]) is one piece and costs no division.
+#[inline(always)]
+fn run_blocks<S: KvSource>(
+    kv: &S,
+    (first, stride, len): (u32, u32, u32),
+    d: usize,
+) -> impl Iterator<Item = (&[Fix8x4], &[Fix8x4], usize)> {
+    let (mut at, stride, mut left) = (first as usize, stride as usize, len as usize);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let (k, v, rows) = kv.block(at, d);
+        let keys = if (left - 1) * stride < rows { left } else { rows.div_ceil(stride) };
+        at += keys * stride;
+        left -= keys;
+        Some((k, v, keys))
+    })
 }
 
 /// One lowered op as the executor sees it, resolved by its caller: the
@@ -933,14 +971,19 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
             slot.scores.clear();
             match op.keys {
-                OpKeys::Run { first, stride, len } => qk_dot_rows(
-                    op.q_row,
-                    len as usize,
-                    #[inline(always)]
-                    |i| kv.k_row(first as usize + i * stride as usize, d),
-                    &mut slot.scores,
-                    sat,
-                ),
+                // A run a block at a time; the sweep appends.
+                OpKeys::Run { first, stride, len } => {
+                    for (k, _, keys) in run_blocks(kv, (first, stride, len), d) {
+                        qk_dot_rows(
+                            op.q_row,
+                            keys,
+                            #[inline(always)]
+                            |i| ExecScratch::row(k, i * stride as usize, d),
+                            &mut slot.scores,
+                            sat,
+                        );
+                    }
+                }
                 OpKeys::Gather(keys) => qk_dot_rows(
                     op.q_row,
                     keys.len(),
@@ -971,12 +1014,22 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
         // Stage 5: weight-stationary value accumulation.
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
             match op.keys {
-                OpKeys::Run { first, stride, .. } => sv_rows_mac(
-                    &slot.probs,
-                    #[inline(always)]
-                    |i| kv.v_row(first as usize + i * stride as usize, d),
-                    &mut slot.part.out_q19,
-                ),
+                // A run a block at a time, each block's keys added into the
+                // part: exact integer sums, regrouped (`sv_rows_mac_add`).
+                OpKeys::Run { first, stride, len } => {
+                    slot.part.out_q19.fill(0);
+                    let mut probs = &slot.probs[..];
+                    for (_, v, keys) in run_blocks(kv, (first, stride, len), d) {
+                        let (these, rest) = probs.split_at(keys);
+                        probs = rest;
+                        sv_rows_mac_add(
+                            these,
+                            #[inline(always)]
+                            |i| ExecScratch::row(v, i * stride as usize, d),
+                            &mut slot.part.out_q19,
+                        );
+                    }
+                }
                 OpKeys::Gather(keys) => sv_rows_mac(
                     &slot.probs,
                     #[inline(always)]
@@ -1233,6 +1286,19 @@ mod tests {
             sim: &SpatialAccelerator,
             at_a_time: usize,
         ) -> Result<(Vec<PartialRow>, MacSaturation), SimError> {
+            let kv = SliceKv { kq: &self.kq, vq: &self.vq, rows: self.kq.len() / self.d };
+            self.run_on(sim, &kv, at_a_time, |_| {})
+        }
+
+        /// [`run`](Self::run) over the K/V of `kv`; `seen` looks at the
+        /// group's buffers after each call.
+        fn run_on<S: KvSource>(
+            &self,
+            sim: &SpatialAccelerator,
+            kv: &S,
+            at_a_time: usize,
+            mut seen: impl FnMut(&OpScratch),
+        ) -> Result<(Vec<PartialRow>, MacSaturation), SimError> {
             let d = self.d;
             let mut accs = vec![PartialRow::empty(d); 5];
             let mut sat = MacSaturation::default();
@@ -1244,12 +1310,126 @@ mod tests {
                 q_row: ExecScratch::row(&self.qq, op.dest as usize, d),
                 slot: op.dest as usize,
             };
-            let kv = SliceKv { kq: &self.kq, vq: &self.vq };
             let tables = (&*sim.exp, &*sim.recip);
             for ops in self.ops.chunks(at_a_time) {
-                run_ops_grouped(tables, ops, resolve, &kv, d, &mut bufs, &mut accs, &mut sat)?;
+                run_ops_grouped(tables, ops, resolve, kv, d, &mut bufs, &mut accs, &mut sat)?;
+                seen(&bufs);
             }
             Ok((accs, sat))
+        }
+    }
+
+    /// The rows of a [`SliceKv`] held in blocks of `rows` rows, each its own
+    /// allocation, the last padded with rows no op reads: a sweep that ran
+    /// past the block it was handed would panic rather than read on.
+    struct BlockedKv {
+        rows: usize,
+        blocks: Vec<(Vec<Fix8x4>, Vec<Fix8x4>)>,
+    }
+
+    impl BlockedKv {
+        fn new(kq: &[Fix8x4], vq: &[Fix8x4], d: usize, rows: usize) -> Self {
+            let block = |rows_of: &[Fix8x4]| {
+                let mut block = rows_of.to_vec();
+                block.resize(rows * d, Fix8x4::MAX);
+                block
+            };
+            let blocks = kq.chunks(rows * d).zip(vq.chunks(rows * d));
+            Self { rows, blocks: blocks.map(|(k, v)| (block(k), block(v))).collect() }
+        }
+    }
+
+    impl KvSource for BlockedKv {
+        fn k_row(&self, j: usize, d: usize) -> &[Fix8x4] {
+            &self.block(j, d).0[..d]
+        }
+
+        fn v_row(&self, j: usize, d: usize) -> &[Fix8x4] {
+            &self.block(j, d).1[..d]
+        }
+
+        fn block(&self, j: usize, d: usize) -> (&[Fix8x4], &[Fix8x4], usize) {
+            let ((k, v), slot) = (&self.blocks[j / self.rows], j % self.rows);
+            (&k[slot * d..], &v[slot * d..], self.rows - slot)
+        }
+    }
+
+    #[test]
+    fn runs_read_a_block_at_a_time_equal_one_slice() {
+        // The same ops over the same rows, once as one slice and once in
+        // blocks of 1, 3, 16 and 256 rows: a run from every slot of a block,
+        // of lengths that leave a ragged last quad and cross any number of
+        // block ends, one longer than a 32-bit stage-5 chain, a single key
+        // and a gather beside them. Scores, probabilities and part of each
+        // op, then the accumulators and saturation count of the whole list,
+        // to the bit.
+        let sim = accel(8, 8);
+        let n = 2 * 256 + 3 * (salo_fixed::SV_I32_SAFE_KEYS + 8);
+        for d in [8, 32, 64, 128] {
+            let mut rng = Lcg(d as u64);
+            let (qq, kq, vq) = (rng.arena(5 * d), rng.arena(n * d), rng.arena(n * d));
+            for (rows, stride) in
+                [1, 3, 16, 256].into_iter().flat_map(|r| (1..=3).map(move |s| (r, s)))
+            {
+                let run = |first: usize, len: usize, dest| LoweredOp {
+                    kind: LoweredOpKind::Row,
+                    dest,
+                    keys: KeySpan::Run { first: first as u32, stride: stride as u16 },
+                    key_len: len as u32,
+                };
+                let mut ops: Vec<LoweredOp> = (0..rows)
+                    .map(|slot| run(rows + slot, 1 + (slot * 7) % 70, slot as u32 % 5))
+                    .collect();
+                ops.push(run(rows - 1, salo_fixed::SV_I32_SAFE_KEYS + 7, 1));
+                ops.push(LoweredOp {
+                    kind: LoweredOpKind::SingleKey,
+                    dest: 2,
+                    keys: KeySpan::Run { first: rows as u32 + 1, stride: 1 },
+                    key_len: 1,
+                });
+                ops.push(LoweredOp {
+                    kind: LoweredOpKind::Row,
+                    dest: 3,
+                    keys: KeySpan::Gather { start: 0 },
+                    key_len: 40,
+                });
+                let gather = (0..40).map(|_| rng.below(n) as u32).collect();
+                let bed = Bed { d, qq: qq.clone(), kq: kq.clone(), vq: vq.clone(), gather, ops };
+                let blocked = BlockedKv::new(&kq, &vq, d, rows);
+
+                // The pieces the runs come in: some op crosses a block end,
+                // some piece is one key, some run ends on a ragged quad.
+                let pieces: Vec<Vec<usize>> = bed
+                    .ops
+                    .iter()
+                    .map(|op| match op.keys_in(&bed.gather) {
+                        OpKeys::Run { first, stride, len } => {
+                            run_blocks(&blocked, (first, stride, len), d).map(|p| p.2).collect()
+                        }
+                        OpKeys::Gather(_) => Vec::new(),
+                    })
+                    .collect();
+                let what = format!("d = {d}, {rows}-row blocks, stride {stride}");
+                assert!(pieces.iter().any(|p| p.len() > 1), "{what}: no run crosses a block");
+                assert!(pieces.iter().flatten().any(|&k| k == 1), "{what}: no one-key piece");
+                assert!(bed.ops.iter().any(|op| op.key_len % 4 != 0 && op.key_len > 4));
+
+                let slice = SliceKv { kq: &kq, vq: &vq, rows: n };
+                let (mut by_slice, mut by_block) = (Vec::new(), Vec::new());
+                bed.run_on(&sim, &slice, 1, |bufs| by_slice.push(bufs.slots[0].clone()))
+                    .expect("slice");
+                bed.run_on(&sim, &blocked, 1, |bufs| by_block.push(bufs.slots[0].clone()))
+                    .expect("blocks");
+                assert_eq!(by_block.len(), bed.ops.len());
+                for (i, (a, b)) in by_slice.iter().zip(&by_block).enumerate() {
+                    assert_eq!(a.scores, b.scores, "{what}: op {i} scores");
+                    assert_eq!(a.probs, b.probs, "{what}: op {i} probabilities");
+                    assert_eq!(a.part, b.part, "{what}: op {i} part");
+                }
+                let whole = bed.run_on(&sim, &slice, bed.ops.len(), |_| {}).expect("slice");
+                let blocks = bed.run_on(&sim, &blocked, bed.ops.len(), |_| {}).expect("blocks");
+                assert_eq!(whole, blocks, "{what}: accumulators and saturation count");
+            }
         }
     }
 

@@ -118,9 +118,18 @@ fn a_warm_executor_allocates_nothing_per_op() {
     };
     (0..1100).for_each(|t| advance(t, false));
     advance(1100, true);
-    // Not the first row of a page: opening one is the pool's business.
+    // Not the first row of a page (1101 = 4 * 256 + 77): opening one is the
+    // pool's business. But a run of the step crosses a page end — its keys
+    // 78..=1101 span five pages — so the executor walks that run a page at
+    // a time, and allocates nothing for it either.
     const { assert!(!1101usize.is_multiple_of(DEFAULT_PAGE_ROWS)) };
     assert!(decode.step_ops(1101).len() > 32);
+    let page = |key: u32| key as usize / DEFAULT_PAGE_ROWS;
+    let crosses = |op| {
+        let keys = decode.op_keys(op).iter();
+        keys.clone().min().map(page) != keys.max().map(page)
+    };
+    assert!(decode.step_ops(1101).iter().any(crosses), "no run of step 1101 crosses a page");
     let ((), allocations) = measured(|| advance(1101, true));
     assert!(allocations <= RESULT_BLOCKS, "a warm w=1024 step made {allocations} allocations");
 }

@@ -33,7 +33,7 @@ use salo_patterns::{
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
 use salo_sim::{
     AcceleratorConfig, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, HeadsScratch,
-    KvPagePool, LoweredOpKind, LoweredPlan, SpatialAccelerator,
+    KvPagePool, LoweredOpKind, LoweredPlan, SpatialAccelerator, DEFAULT_PAGE_ROWS,
 };
 
 // ---------------------------------------------------------------- inputs
@@ -470,7 +470,10 @@ fn paged_decode_matches_causal_prefill_at_serving_dimensions() {
             ("saturating", scaled_qkv(n, d, 42, 9.0)),
             ("spike", spike_qkv(n, d, 43, 9)),
         ] {
-            for page_rows in [1, 5, 64] {
+            // A page of one row, of a few, of a size that divides nothing
+            // (runs cross its ends through the division translation), of
+            // the whole sequence, and the default.
+            for page_rows in [1, 5, 37, 64, DEFAULT_PAGE_ROWS] {
                 let what = format!("d={d} {kind}");
                 assert_decode_matches_prefill(&sim, &causal, &qkv, page_rows, &mut scratch, &what);
             }
