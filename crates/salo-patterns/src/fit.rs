@@ -21,9 +21,8 @@
 //! cost model — typically simulated cycles from `salo-sim`, injected as a
 //! closure so this crate stays dependency-free.
 
-use crate::{
-    BlockLayout, DenseMask, HybridPattern, PatternError, PatternTerm, SupportRuns, Window,
-};
+use crate::terms::RunsBuilder;
+use crate::{BlockLayout, DenseMask, HybridPattern, PatternError, PatternTerm, Window};
 
 /// Configuration for [`fit_pattern`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,11 +140,15 @@ pub fn fit_pattern(mask: &DenseMask, config: FitConfig) -> Result<FitReport, Pat
                 });
             }
             if !cells.is_empty() {
-                let mut rows = vec![Vec::new(); n];
-                for &(i, j) in &cells {
-                    rows[i].push(j as u32);
+                // `cells` is row-major, so each row's keys arrive ascending.
+                let mut runs = RunsBuilder::new(n);
+                let mut cells = cells.iter().peekable();
+                for i in 0..n {
+                    runs.push_row(std::iter::from_fn(|| {
+                        cells.next_if(|&&(ci, _)| ci == i).map(|&(_, j)| j as u32)
+                    }));
                 }
-                terms.push(PatternTerm::Support(SupportRuns::from_rows(n, &mut rows)));
+                terms.push(PatternTerm::Support(runs.finish()));
             }
         }
     }

@@ -1,4 +1,4 @@
-use crate::terms::expand_residual_term;
+use crate::terms::expand_residual;
 use crate::{
     PatternBuilder, PatternError, PatternStats, PatternTerm, StableHasher, SupportRuns, Window,
 };
@@ -69,11 +69,19 @@ impl HybridPattern {
     /// Returns [`PatternError::EmptySequence`] for `n == 0`,
     /// [`PatternError::GlobalTokenOutOfRange`] for an out-of-range global,
     /// [`PatternError::InvalidTerm`] for malformed block/strided/support
-    /// parameters, and [`PatternError::EmptyPattern`] when no term
-    /// contributes any kept cell.
+    /// parameters and for an `n` or a residual (random draws, block cells,
+    /// support cells) past the `u32` coordinates [`SupportRuns`] stores —
+    /// refused before anything is allocated for it — and
+    /// [`PatternError::EmptyPattern`] when no term contributes any kept
+    /// cell.
     pub fn from_terms(n: usize, terms: Vec<PatternTerm>) -> Result<Self, PatternError> {
         if n == 0 {
             return Err(PatternError::EmptySequence);
+        }
+        if u32::try_from(n).is_err() {
+            return Err(PatternError::InvalidTerm {
+                reason: format!("sequence length {n} does not fit u32 coordinates"),
+            });
         }
         let mut windows = Vec::new();
         let mut globals = Vec::new();
@@ -104,26 +112,7 @@ impl HybridPattern {
         }
         globals.sort_unstable();
         globals.dedup();
-        let residual = if residual_terms.is_empty() {
-            SupportRuns::empty(n)
-        } else {
-            let mut rows = vec![Vec::new(); n];
-            for term in &residual_terms {
-                expand_residual_term(term, n, &mut rows)?;
-            }
-            let is_g = |t: usize| globals.binary_search(&t).is_ok();
-            for (i, row) in rows.iter_mut().enumerate() {
-                if is_g(i) {
-                    row.clear();
-                    continue;
-                }
-                row.retain(|&j| {
-                    !is_g(j as usize)
-                        && !windows.iter().any(|w| w.contains_offset(i64::from(j) - i as i64))
-                });
-            }
-            SupportRuns::from_rows(n, &mut rows)
-        };
+        let residual = expand_residual(n, &windows, &globals, &residual_terms)?;
         if windows.is_empty() && globals.is_empty() && residual.is_empty() {
             return Err(PatternError::EmptyPattern);
         }
@@ -713,6 +702,38 @@ mod tests {
         // Causal normalization is itself idempotent.
         let again = HybridPattern::from_terms(c.n(), c.terms()).unwrap();
         assert_eq!(c, again);
+    }
+
+    #[test]
+    fn a_length_past_u32_coordinates_is_refused_before_allocating() {
+        // Once an abort: `SupportRuns::empty` asked for 4 TiB of row starts.
+        let window = || PatternTerm::Window(Window::symmetric(3).unwrap());
+        let err = HybridPattern::from_terms(1 << 40, vec![window()]).unwrap_err();
+        assert!(matches!(err, PatternError::InvalidTerm { .. }), "{err:?}");
+        assert!(HybridPattern::from_terms(u32::MAX as usize + 1, vec![window()]).is_err());
+    }
+
+    #[test]
+    fn a_residual_past_u32_coordinates_is_refused_before_allocating() {
+        use crate::{BlockLayout, PatternTerm};
+        let refused = |n, term| {
+            let err = HybridPattern::from_terms(n, vec![term]).unwrap_err();
+            assert!(matches!(err, PatternError::InvalidTerm { .. }), "{err:?}");
+        };
+        // Once an abort: one row's `Vec` grew toward 2^40 draws.
+        refused(64, PatternTerm::RandomBlocks { count: 1 << 40, seed: 1 });
+        // 2^26 rows x 64 draws is 2^32 keys: one past what a residual holds.
+        refused(1 << 26, PatternTerm::RandomBlocks { count: 64, seed: 1 });
+        // One 2^17-row block is 2^34 cells; a full band of single rows 2^32.
+        let diagonal =
+            PatternTerm::BlockSparse { block_rows: 1 << 17, layout: BlockLayout::Diagonal };
+        refused(1 << 17, diagonal);
+        let band = BlockLayout::Banded { radius: usize::MAX };
+        refused(1 << 16, PatternTerm::BlockSparse { block_rows: 1, layout: band });
+        // Two terms of 2^31 draws each: either fits alone, not both.
+        let half = || PatternTerm::RandomBlocks { count: 1 << 14, seed: 2 };
+        let err = HybridPattern::from_terms(1 << 17, vec![half(), half()]).unwrap_err();
+        assert!(matches!(err, PatternError::InvalidTerm { .. }), "{err:?}");
     }
 
     #[test]

@@ -181,30 +181,13 @@ impl SupportRuns {
     #[must_use]
     pub fn from_rows(n: usize, rows: &mut [Vec<u32>]) -> Self {
         assert_eq!(rows.len(), n, "row count mismatch");
-        let mut starts = Vec::with_capacity(n + 1);
-        let mut runs = Vec::new();
-        starts.push(0u32);
+        let mut out = RunsBuilder::new(n);
         for row in rows.iter_mut() {
             row.sort_unstable();
-            row.dedup();
-            let mut iter = row.iter().copied();
-            if let Some(first) = iter.next() {
-                assert!((first as usize) < n, "key out of range");
-                let mut cur = (first, first + 1);
-                for j in iter {
-                    assert!((j as usize) < n, "key out of range");
-                    if j == cur.1 {
-                        cur.1 = j + 1;
-                    } else {
-                        runs.push(cur);
-                        cur = (j, j + 1);
-                    }
-                }
-                runs.push(cur);
-            }
-            starts.push(u32::try_from(runs.len()).expect("run count fits u32"));
+            assert!(row.last().is_none_or(|&j| (j as usize) < n), "key out of range");
+            out.push_row(row.iter().copied());
         }
-        Self { n, starts, runs }
+        out.finish()
     }
 
     /// Builds runs directly from per-row sorted, disjoint, non-adjacent
@@ -329,6 +312,45 @@ impl SupportRuns {
     }
 }
 
+/// Builds [`SupportRuns`] a row at a time, straight into the run arena.
+pub(crate) struct RunsBuilder {
+    n: usize,
+    starts: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl RunsBuilder {
+    pub(crate) fn new(n: usize) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        Self { n, starts, runs: Vec::new() }
+    }
+
+    /// Appends the next row: its keys (each `< n`) ascending, repeats
+    /// allowed, merged into runs as they come.
+    pub(crate) fn push_row(&mut self, keys: impl IntoIterator<Item = u32>) {
+        let mut keys = keys.into_iter();
+        if let Some(first) = keys.next() {
+            let mut run = (first, first + 1);
+            for j in keys {
+                if j > run.1 {
+                    self.runs.push(run);
+                    run.0 = j;
+                }
+                run.1 = run.1.max(j + 1);
+            }
+            self.runs.push(run);
+        }
+        self.starts.push(u32::try_from(self.runs.len()).expect("run count fits u32"));
+    }
+
+    /// The runs, once all `n` rows are in.
+    pub(crate) fn finish(self) -> SupportRuns {
+        assert_eq!(self.starts.len(), self.n + 1, "row count mismatch");
+        SupportRuns { n: self.n, starts: self.starts, runs: self.runs }
+    }
+}
+
 /// The splitmix64 stream shared by [`PatternTerm::RandomBlocks`] expansion
 /// and [`bigbird_like_mask`](crate::bigbird_like_mask): `state` starts at
 /// `seed + GOLDEN` and each draw adds `GOLDEN` again before mixing.
@@ -350,98 +372,229 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
+
+    /// Advances the stream past `draws` draws without making them.
+    fn skip(&mut self, draws: usize) {
+        self.state = self.state.wrapping_add(SPLITMIX_GOLDEN.wrapping_mul(draws as u64));
+    }
 }
 
-/// Validates a residual term and appends its raw cells (before
-/// window/global exclusion) to `rows`.
-pub(crate) fn expand_residual_term(
-    term: &PatternTerm,
-    n: usize,
-    rows: &mut [Vec<u32>],
-) -> Result<(), PatternError> {
-    match term {
-        PatternTerm::BlockSparse { block_rows, layout } => {
-            let b = *block_rows;
-            if b == 0 {
-                return Err(PatternError::InvalidTerm {
-                    reason: "block_rows must be at least 1".into(),
-                });
-            }
-            let nb = n.div_ceil(b);
-            let block_cols_for = |bi: usize| -> Result<Vec<usize>, PatternError> {
-                match layout {
-                    BlockLayout::Diagonal => Ok(vec![bi]),
-                    BlockLayout::Banded { radius } => {
-                        // `radius` is whatever a wire peer sent: past the
-                        // grid it means the whole grid, and must not wrap.
-                        let last = bi.saturating_add(*radius).min(nb - 1);
-                        Ok((bi.saturating_sub(*radius)..=last).collect())
-                    }
+/// `z % n` by a multiply instead of a division, with the same result:
+/// `recip = ⌊(2^64 − 1) / n⌋` puts the estimated quotient at most two
+/// below the true one, so at most two subtractions finish the remainder.
+#[derive(Clone, Copy)]
+struct Modulus {
+    n: u64,
+    recip: u64,
+}
+
+impl Modulus {
+    /// For `n >= 1`.
+    fn new(n: usize) -> Self {
+        let n = n as u64;
+        Self { n, recip: u64::MAX / n }
+    }
+
+    fn rem(self, z: u64) -> u64 {
+        let quotient = ((u128::from(z) * u128::from(self.recip)) >> 64) as u64;
+        let rem = z - quotient * self.n;
+        let rem = if rem >= self.n { rem - self.n } else { rem };
+        if rem >= self.n {
+            rem - self.n
+        } else {
+            rem
+        }
+    }
+}
+
+/// The most cells a residual may address: support runs store `u32`
+/// coordinates and `u32` run indices.
+const MAX_RESIDUAL_CELLS: u64 = u32::MAX as u64;
+
+/// Where one residual term's cells come from, a row at a time.
+enum RowSource<'a> {
+    /// A block grid of `rows`-sized blocks, `blocks` to a side.
+    Blocks { rows: usize, blocks: usize, cols: BlockCols },
+    /// `count` draws of the term's splitmix stream per row, in row order,
+    /// each taken modulo `n`.
+    Random { count: usize, rng: SplitMix64, n: Modulus },
+    /// Explicit runs.
+    Support(&'a SupportRuns),
+}
+
+/// Which block columns a block row of a [`PatternTerm::BlockSparse`] keeps.
+enum BlockCols {
+    Diagonal,
+    /// `bi - radius ..= bi + radius`, clipped to the grid.
+    Banded(usize),
+    /// Sorted, deduplicated `(block_row, block_col)` pairs.
+    Explicit(Vec<(usize, usize)>),
+}
+
+impl<'a> RowSource<'a> {
+    /// Validates `term` and returns its source with the number of raw
+    /// cells it expands to (before window/global exclusion), or a bound on
+    /// it; allocates nothing that grows with `n`.
+    fn new(term: &'a PatternTerm, n: usize) -> Result<(Self, u64), PatternError> {
+        let invalid = |reason: String| Err(PatternError::InvalidTerm { reason });
+        match term {
+            PatternTerm::BlockSparse { block_rows, layout } => {
+                let b = *block_rows;
+                if b == 0 {
+                    return invalid("block_rows must be at least 1".into());
+                }
+                let nb = n.div_ceil(b);
+                let cols = match layout {
+                    BlockLayout::Diagonal => BlockCols::Diagonal,
+                    // `radius` is whatever a wire peer sent: past the grid
+                    // it means the whole grid, and must not wrap.
+                    BlockLayout::Banded { radius } => BlockCols::Banded(*radius),
                     BlockLayout::Explicit(pairs) => {
-                        let mut cols = Vec::new();
-                        for &(pbi, pbj) in pairs {
-                            if pbi >= nb || pbj >= nb {
-                                return Err(PatternError::InvalidTerm {
-                                    reason: format!(
-                                        "block pair ({pbi}, {pbj}) outside {nb}x{nb} grid"
-                                    ),
-                                });
-                            }
-                            if pbi == bi {
-                                cols.push(pbj);
-                            }
+                        if let Some(&(pbi, pbj)) = pairs.iter().find(|&&(i, j)| i >= nb || j >= nb)
+                        {
+                            return invalid(format!(
+                                "block pair ({pbi}, {pbj}) outside {nb}x{nb} grid"
+                            ));
                         }
-                        cols.sort_unstable();
-                        cols.dedup();
-                        Ok(cols)
+                        let mut pairs = pairs.clone();
+                        pairs.sort_unstable();
+                        pairs.dedup();
+                        BlockCols::Explicit(pairs)
                     }
-                }
-            };
-            for bi in 0..nb {
-                let cols = block_cols_for(bi)?;
-                if cols.is_empty() {
-                    continue;
-                }
-                for row in rows.iter_mut().take(((bi + 1) * b).min(n)).skip(bi * b) {
-                    for &bj in &cols {
-                        for j in (bj * b)..((bj + 1) * b).min(n) {
-                            row.push(j as u32);
-                        }
+                };
+                // At most: every row times its widest block span, or every
+                // listed pair a full block.
+                let (n64, b64) = (n as u64, b as u64);
+                let cells = match &cols {
+                    BlockCols::Diagonal => n64 * b64,
+                    BlockCols::Banded(r) => {
+                        let band = r.saturating_mul(2).saturating_add(1) as u64;
+                        n64 * n64.min(b64.saturating_mul(band))
                     }
-                }
+                    BlockCols::Explicit(pairs) => (pairs.len() as u64).saturating_mul(b64 * b64),
+                };
+                Ok((RowSource::Blocks { rows: b, blocks: nb, cols }, cells))
             }
-            Ok(())
-        }
-        PatternTerm::RandomBlocks { count, seed } => {
-            let mut rng = SplitMix64::new(*seed);
-            for row in rows.iter_mut().take(n) {
-                for _ in 0..*count {
-                    let j = (rng.next() % n as u64) as usize;
-                    row.push(j as u32);
-                }
+            PatternTerm::RandomBlocks { count, seed } => {
+                let draws = (n as u64).saturating_mul(*count as u64);
+                let (rng, n) = (SplitMix64::new(*seed), Modulus::new(n));
+                Ok((RowSource::Random { count: *count, rng, n }, draws))
             }
-            Ok(())
-        }
-        PatternTerm::Support(runs) => {
-            if runs.n() != n {
-                return Err(PatternError::InvalidTerm {
-                    reason: format!(
+            PatternTerm::Support(runs) => {
+                if runs.n() != n {
+                    return invalid(format!(
                         "support term covers {} rows for sequence length {n}",
                         runs.n()
-                    ),
-                });
+                    ));
+                }
+                Ok((RowSource::Support(runs), runs.nnz()))
             }
-            for (i, row) in rows.iter_mut().enumerate().take(n) {
+            PatternTerm::Window(_) | PatternTerm::Global { .. } | PatternTerm::Strided { .. } => {
+                unreachable!("translation-invariant terms are lowered before residual expansion")
+            }
+        }
+    }
+
+    /// Appends row `i`'s raw cells to `row`.
+    fn push_row(&mut self, i: usize, n: usize, row: &mut Vec<u32>) {
+        match self {
+            RowSource::Blocks { rows: b, blocks, cols } => {
+                let (b, bi) = (*b, i / *b);
+                let keys = |c0: usize, c1: usize| (c0 * b) as u32..((c1 + 1) * b).min(n) as u32;
+                match cols {
+                    BlockCols::Diagonal => row.extend(keys(bi, bi)),
+                    BlockCols::Banded(r) => row.extend(keys(
+                        bi.saturating_sub(*r),
+                        bi.saturating_add(*r).min(*blocks - 1),
+                    )),
+                    BlockCols::Explicit(pairs) => {
+                        let from = pairs.partition_point(|&(pbi, _)| pbi < bi);
+                        for &(_, bj) in pairs[from..].iter().take_while(|&&(pbi, _)| pbi == bi) {
+                            row.extend(keys(bj, bj));
+                        }
+                    }
+                }
+            }
+            RowSource::Random { count, rng, n } => {
+                row.extend((0..*count).map(|_| n.rem(rng.next()) as u32));
+            }
+            RowSource::Support(runs) => {
                 for &(s, e) in runs.row_runs(i) {
                     row.extend(s..e);
                 }
             }
-            Ok(())
-        }
-        PatternTerm::Window(_) | PatternTerm::Global { .. } | PatternTerm::Strided { .. } => {
-            unreachable!("translation-invariant terms are lowered before residual expansion")
         }
     }
+
+    /// Passes over a global row, whose cells the residual drops.
+    fn skip_row(&mut self) {
+        if let RowSource::Random { count, rng, .. } = self {
+            rng.skip(*count);
+        }
+    }
+}
+
+/// Validates the residual terms and expands them to normalised support
+/// runs: every cell they keep, minus each cell owned by a window offset or a
+/// global row or column.
+///
+/// One pass over the rows. Each row's raw cells, from every term, land in
+/// one scratch row, are sorted, filtered and merged straight into the run
+/// arena, so what is allocated does not grow with `n` beyond the arena
+/// itself. A term whose cells do not fit the `u32` coordinates of
+/// [`SupportRuns`] is refused before anything is allocated for it.
+pub(crate) fn expand_residual(
+    n: usize,
+    windows: &[Window],
+    globals: &[usize],
+    terms: &[PatternTerm],
+) -> Result<SupportRuns, PatternError> {
+    if terms.is_empty() {
+        return Ok(SupportRuns::empty(n));
+    }
+    let mut sources = Vec::with_capacity(terms.len());
+    let mut cells = 0u64;
+    for term in terms {
+        let (source, term_cells) = RowSource::new(term, n)?;
+        cells = cells.saturating_add(term_cells);
+        if cells > MAX_RESIDUAL_CELLS {
+            return Err(PatternError::InvalidTerm {
+                reason: format!(
+                    "residual terms expand to {cells} cells, more than the \
+                     {MAX_RESIDUAL_CELLS} u32 coordinates address"
+                ),
+            });
+        }
+        sources.push(source);
+    }
+    let is_global = |j: u32| globals.binary_search(&(j as usize)).is_ok();
+    let mut out = RunsBuilder::new(n);
+    let mut row = Vec::new();
+    let mut global_rows = globals.iter().copied().peekable();
+    for i in 0..n {
+        row.clear();
+        if global_rows.next_if_eq(&i).is_some() {
+            sources.iter_mut().for_each(RowSource::skip_row);
+        } else {
+            for source in &mut sources {
+                source.push_row(i, n, &mut row);
+            }
+            // Keep what no window offset and no global column owns.
+            let mut kept = 0;
+            for k in 0..row.len() {
+                let j = row[k];
+                let delta = i64::from(j) - i as i64;
+                if !windows.iter().any(|w| w.contains_offset(delta)) && !is_global(j) {
+                    row[kept] = j;
+                    kept += 1;
+                }
+            }
+            row.truncate(kept);
+            row.sort_unstable();
+        }
+        out.push_row(row.iter().copied());
+    }
+    Ok(out.finish())
 }
 
 #[cfg(test)]
@@ -496,6 +649,19 @@ mod tests {
         let ok = SupportRuns::from_row_ranges(4, &[vec![(0, 2), (3, 4)], vec![], vec![], vec![]])
             .unwrap();
         assert_eq!(ok.nnz(), 3);
+    }
+
+    #[test]
+    fn the_multiply_modulus_is_the_remainder() {
+        let mut rng = SplitMix64::new(3);
+        for n in [1, 2, 3, 7, 512, 4095, 4096, 65_537, 1_000_003, u32::MAX as usize] {
+            let m = Modulus::new(n);
+            let n = n as u64;
+            let edges = [0, 1, n - 1, n, n + 1, u64::MAX, u64::MAX - 1, u64::MAX / 2];
+            for z in edges.into_iter().chain((0..100_000).map(|_| rng.next())) {
+                assert_eq!(m.rem(z), z % n, "{z} mod {n}");
+            }
+        }
     }
 
     #[test]

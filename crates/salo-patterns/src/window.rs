@@ -117,7 +117,9 @@ impl Window {
     /// Whether relative offset `delta = j - i` belongs to the window.
     #[must_use]
     pub fn contains_offset(&self, delta: i64) -> bool {
-        delta >= self.lo && delta <= self.hi && (delta - self.lo) % self.dilation as i64 == 0
+        delta >= self.lo
+            && delta <= self.hi
+            && (self.dilation == 1 || (delta - self.lo) % self.dilation as i64 == 0)
     }
 
     /// Shifts the window by a constant offset, preserving dilation.

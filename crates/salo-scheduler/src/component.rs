@@ -205,22 +205,25 @@ pub fn canonicalize(pattern: &HybridPattern) -> Vec<Component> {
     }
 
     // 3. Residual support (block/random/support terms): one gather
-    // component whose keys are the flattened per-row arena.
+    // component whose keys are the flattened per-row arena, read straight
+    // off the runs and sized exactly.
     let residual = pattern.residual();
     if !residual.is_empty() {
-        let mut queries = Vec::new();
-        let mut keys = Vec::new();
-        let mut starts = vec![0u32];
+        let rows = (0..n).filter(|&i| !residual.row_runs(i).is_empty()).count();
+        let mut queries = Vec::with_capacity(rows);
+        let mut keys = Vec::with_capacity(usize::try_from(residual.nnz()).expect("arena fits"));
+        let mut starts = Vec::with_capacity(rows + 1);
+        starts.push(0u32);
         let mut max_len = 0usize;
         for i in 0..n {
-            let len = residual.row_len(i);
-            if len == 0 {
+            if residual.row_runs(i).is_empty() {
                 continue;
             }
-            queries.push(i);
+            let row_start = keys.len();
             residual.extend_row_keys(i, &mut keys);
+            queries.push(i);
             starts.push(u32::try_from(keys.len()).expect("arena fits u32"));
-            max_len = max_len.max(len);
+            max_len = max_len.max(keys.len() - row_start);
         }
         components.push(Component {
             kind: ComponentKind::RowSupport { starts },

@@ -41,6 +41,9 @@ impl IntervalSet {
 
     /// Inserts `[start, end)`; returns how many indices were fresh.
     ///
+    /// The common cases write in place: a range that touches no stored
+    /// range is inserted, one that touches a single range widens it.
+    ///
     /// # Panics
     ///
     /// Panics if `start > end`.
@@ -49,20 +52,17 @@ impl IntervalSet {
         if start == end {
             return 0;
         }
-        // Find all ranges overlapping or adjacent to [start, end).
-        let mut lo = start;
-        let mut hi = end;
+        // The stored ranges overlapping or adjacent to [start, end).
         let first = self.ranges.partition_point(|&(_, e)| e < start);
-        let mut last = first;
-        let mut already = 0usize;
-        while last < self.ranges.len() && self.ranges[last].0 <= end {
-            let (s, e) = self.ranges[last];
-            already += e.min(end).saturating_sub(s.max(start));
-            lo = lo.min(s);
-            hi = hi.max(e);
-            last += 1;
+        let last = first + self.ranges[first..].partition_point(|&(s, _)| s <= end);
+        if first == last {
+            self.ranges.insert(first, (start, end));
+            return end - start;
         }
-        self.ranges.splice(first..last, std::iter::once((lo, hi)));
+        let touched = &self.ranges[first..last];
+        let already: usize = touched.iter().map(|&(s, e)| e.min(end) - s.max(start)).sum();
+        self.ranges[first] = (start.min(touched[0].0), end.max(touched[touched.len() - 1].1));
+        self.ranges.drain(first + 1..last);
         (end - start) - already
     }
 
@@ -87,21 +87,31 @@ impl IntervalSet {
     /// The gaps of the set within `[0, n)`, as ranges.
     #[must_use]
     pub fn gaps(&self, n: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        for &(s, e) in &self.ranges {
-            if s >= n {
-                break;
+        self.gaps_within(0, n).collect()
+    }
+
+    /// The gaps of the set within `[start, end)`, ascending, as ranges.
+    pub fn gaps_within(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let first = self.ranges.partition_point(|&(_, e)| e <= start);
+        let mut stored = self.ranges[first..].iter().take_while(move |&&(s, _)| s < end);
+        let mut cursor = start;
+        std::iter::from_fn(move || {
+            while cursor < end {
+                let Some(&(s, e)) = stored.next() else {
+                    return Some((std::mem::replace(&mut cursor, end), end));
+                };
+                let gap = (cursor, s);
+                cursor = cursor.max(e);
+                if gap.0 < gap.1 {
+                    return Some(gap);
+                }
             }
-            if s > cursor {
-                out.push((cursor, s.min(n)));
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor < n {
-            out.push((cursor, n));
-        }
-        out
+            None
+        })
     }
 
     /// The stored ranges.
@@ -165,6 +175,32 @@ mod tests {
         let empty = IntervalSet::new();
         assert_eq!(empty.gaps(3), vec![(0, 3)]);
         assert!(empty.gaps(0).is_empty());
+    }
+
+    #[test]
+    fn inserts_between_over_and_across_ranges() {
+        let mut s = IntervalSet::new();
+        s.insert_range(10, 12);
+        s.insert_range(20, 22);
+        assert_eq!(s.insert_range(0, 2), 2, "before every range");
+        assert_eq!(s.insert_range(15, 16), 1, "between two ranges");
+        assert_eq!(s.ranges(), &[(0, 2), (10, 12), (15, 16), (20, 22)]);
+        assert_eq!(s.insert_range(11, 13), 1, "widens the one range it touches");
+        assert_eq!(s.insert_range(12, 21), 6, "across three ranges");
+        assert_eq!(s.ranges(), &[(0, 2), (10, 22)]);
+    }
+
+    #[test]
+    fn gaps_within_a_window() {
+        let mut s = IntervalSet::new();
+        s.insert_range(2, 4);
+        s.insert_range(8, 9);
+        let gaps = |a, b| s.gaps_within(a, b).collect::<Vec<_>>();
+        assert_eq!(gaps(3, 12), vec![(4, 8), (9, 12)]);
+        assert_eq!(gaps(0, 3), vec![(0, 2)]);
+        assert_eq!(gaps(5, 8), vec![(5, 8)]);
+        assert!(gaps(2, 4).is_empty());
+        assert!(gaps(6, 6).is_empty());
     }
 
     #[test]

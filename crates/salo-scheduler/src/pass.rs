@@ -84,31 +84,37 @@ impl Pass {
     /// offset list.
     #[must_use]
     pub fn streamed_virtual_ranges(&self, offsets: &[i64], num_keys: usize) -> Vec<(usize, usize)> {
-        let chunk = &offsets[self.chunk_start..self.chunk_start + self.chunk_len];
-        let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(chunk.len());
-        for &o in chunk {
-            let lo = self.tile_start as i64 + o;
-            let hi = lo + self.tile_len as i64; // exclusive
-            match ranges.last_mut() {
-                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                _ => ranges.push((lo, hi)),
-            }
-        }
-        ranges
-            .into_iter()
-            .filter_map(|(lo, hi)| {
-                let lo = lo.max(0) as usize;
-                let hi = hi.max(0) as usize;
-                let hi = hi.min(num_keys);
-                (lo < hi).then_some((lo, hi))
-            })
-            .collect()
+        self.streamed(offsets, num_keys).collect()
     }
 
     /// Number of distinct keys streamed (after clipping).
     #[must_use]
     pub fn streamed_key_count(&self, offsets: &[i64], num_keys: usize) -> usize {
-        self.streamed_virtual_ranges(offsets, num_keys).iter().map(|&(s, e)| e - s).sum()
+        self.streamed(offsets, num_keys).map(|(s, e)| e - s).sum()
+    }
+
+    /// The ranges of [`Pass::streamed_virtual_ranges`], one at a time.
+    fn streamed<'a>(
+        &self,
+        offsets: &'a [i64],
+        num_keys: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let chunk = offsets[self.chunk_start..self.chunk_start + self.chunk_len].iter();
+        let (tile_start, tile_len) = (self.tile_start as i64, self.tile_len as i64);
+        let mut chunk = chunk.map(move |&o| (tile_start + o, tile_start + o + tile_len)).peekable();
+        // Each offset's row span, merged with the spans it overlaps or
+        // touches (offsets ascend), then clipped to the keys.
+        std::iter::from_fn(move || {
+            let (lo, mut hi) = chunk.next()?;
+            while let Some((_, next_hi)) = chunk.next_if(|&(next_lo, _)| next_lo <= hi) {
+                hi = hi.max(next_hi);
+            }
+            Some((lo, hi))
+        })
+        .filter_map(move |(lo, hi)| {
+            let (lo, hi) = (lo.max(0) as usize, (hi.max(0) as usize).min(num_keys));
+            (lo < hi).then_some((lo, hi))
+        })
     }
 }
 

@@ -3,7 +3,7 @@
 
 use salo_patterns::HybridPattern;
 
-use crate::component::{canonicalize, Component};
+use crate::component::{canonicalize, Component, ComponentKind};
 use crate::intervals::IntervalSet;
 use crate::pass::{GlobalColDuty, GlobalRowDuty, Pass, SupplementalKind, SupplementalPass};
 use crate::{HardwareMeta, SchedulerError};
@@ -109,106 +109,82 @@ impl ExecutionPlan {
         // 2. Global-column scheduling: each non-global query must meet each
         //    global token's key exactly once. A pass exposes its tile's
         //    queries; each of the `global_cols` units serves one token.
+        //    Duties are computed a range at a time: the runs of the tile's
+        //    queries, minus what the token has seen, minus the globals.
+        let (mut exposed, mut fresh) = (Vec::new(), Vec::new());
         let mut col_seen: Vec<IntervalSet> = globals.iter().map(|_| IntervalSet::new()).collect();
         if hw.global_cols > 0 {
             for pass in &mut passes {
                 let comp = &components[pass.component];
                 let tile = &comp.queries()[pass.tile_start..pass.tile_start + pass.tile_len];
-                let mut used = 0;
-                for (t, _g) in globals.iter().enumerate() {
-                    if used == hw.global_cols {
+                exposed.clear();
+                push_runs(tile.iter().copied(), &mut exposed);
+                for (t, seen) in col_seen.iter_mut().enumerate() {
+                    if pass.global_col.len() == hw.global_cols {
                         break;
                     }
-                    let fresh: Vec<u32> = tile
-                        .iter()
-                        .filter(|&&q| !is_global(&globals, q) && !col_seen[t].contains(q))
-                        .map(|&q| q as u32)
-                        .collect();
-                    if fresh.is_empty() {
-                        continue;
+                    fresh.clear();
+                    for &(start, end) in &exposed {
+                        push_unseen(start, end, seen, &globals, &mut fresh);
                     }
-                    for &q in &fresh {
-                        col_seen[t].insert(q as usize);
+                    if let Some(fresh_queries) = take_fresh(&fresh, seen) {
+                        pass.global_col.push(GlobalColDuty { token: globals[t], fresh_queries });
                     }
-                    pass.global_col.push(GlobalColDuty { token: globals[t], fresh_queries: fresh });
-                    used += 1;
                 }
             }
         }
 
         // 3. Global-row scheduling: each global token's query must meet
         //    every key exactly once. The global row taps the key stream of
-        //    the tile's last row: keys `queries_virtual = tile_end-1 + o`.
+        //    the tile's last row: keys `queries_virtual = tile_end-1 + o`,
+        //    taken as runs, minus what the token has seen.
         let mut row_seen: Vec<IntervalSet> = globals.iter().map(|_| IntervalSet::new()).collect();
         if hw.global_rows > 0 {
             for pass in &mut passes {
                 let comp = &components[pass.component];
                 let tap_row = pass.tile_start + pass.tile_len - 1;
                 let chunk = &comp.offsets()[pass.chunk_start..pass.chunk_start + pass.chunk_len];
-                let mut used = 0;
-                for (t, _g) in globals.iter().enumerate() {
-                    if used == hw.global_rows {
+                exposed.clear();
+                push_runs(chunk.iter().filter_map(|&o| comp.key_at(tap_row, o)), &mut exposed);
+                for (t, seen) in row_seen.iter_mut().enumerate() {
+                    if pass.global_row.len() == hw.global_rows {
                         break;
                     }
-                    let mut fresh = Vec::new();
-                    for &o in chunk {
-                        let Some(key) = comp.key_at(tap_row, o) else { continue };
-                        if !row_seen[t].contains(key) {
-                            fresh.push(key as u32);
-                        }
+                    fresh.clear();
+                    for &(start, end) in &exposed {
+                        push_unseen(start, end, seen, &[], &mut fresh);
                     }
-                    if fresh.is_empty() {
-                        continue;
+                    if let Some(fresh_keys) = take_fresh(&fresh, seen) {
+                        pass.global_row.push(GlobalRowDuty { token: globals[t], fresh_keys });
                     }
-                    for &kj in &fresh {
-                        row_seen[t].insert(kj as usize);
-                    }
-                    pass.global_row.push(GlobalRowDuty { token: globals[t], fresh_keys: fresh });
-                    used += 1;
                 }
             }
         }
 
-        // 4. Supplemental passes for any remaining gaps.
+        // 4. Supplemental passes for any remaining gaps: keys in pe_cols
+        //    slices; queries in pe_rows slices of each run between global
+        //    tokens (global queries are covered by the global row, not the
+        //    column).
         let mut supplemental = Vec::new();
-        for (t, seen) in row_seen.iter().enumerate() {
-            for (start, end) in seen.gaps(n) {
+        for (seen, &token) in row_seen.iter().zip(&globals) {
+            for (start, end) in seen.gaps_within(0, n) {
                 for s in (start..end).step_by(hw.pe_cols.max(1)) {
+                    let end = end.min(s + hw.pe_cols);
                     supplemental.push(SupplementalPass {
-                        kind: SupplementalKind::GlobalRow {
-                            token: globals[t],
-                            start: s,
-                            end: end.min(s + hw.pe_cols),
-                        },
+                        kind: SupplementalKind::GlobalRow { token, start: s, end },
                     });
                 }
             }
         }
-        for (t, seen) in col_seen.iter().enumerate() {
-            let mut missing = IntervalSet::new();
-            for (start, end) in seen.gaps(n) {
-                missing.insert_range(start, end);
-            }
-            // Global queries are covered by the global row, not the column.
-            for (start, end) in missing.ranges().to_vec() {
-                let mut s = start;
-                while s < end {
-                    // Trim runs that are entirely global tokens.
-                    while s < end && is_global(&globals, s) {
-                        s += 1;
-                    }
-                    if s >= end {
-                        break;
-                    }
-                    let mut e = (s + hw.pe_rows.max(1)).min(end);
-                    // Stop a run early at a global token to keep ranges clean.
-                    if let Some(g) = (s..e).find(|&q| is_global(&globals, q)) {
-                        e = g;
-                    }
+        for (seen, &token) in col_seen.iter().zip(&globals) {
+            fresh.clear();
+            push_unseen(0, n, seen, &globals, &mut fresh);
+            for &(start, end) in &fresh {
+                for s in (start..end).step_by(hw.pe_rows.max(1)) {
+                    let end = end.min(s + hw.pe_rows.max(1));
                     supplemental.push(SupplementalPass {
-                        kind: SupplementalKind::GlobalCol { token: globals[t], start: s, end: e },
+                        kind: SupplementalKind::GlobalCol { token, start: s, end },
                     });
-                    s = e;
                 }
             }
         }
@@ -341,62 +317,139 @@ fn is_global(globals: &[usize], token: usize) -> bool {
     globals.binary_search(&token).is_ok()
 }
 
+/// Appends the maximal runs of consecutive values of ascending `values` to
+/// `out`, as `[start, end)` ranges.
+fn push_runs(values: impl Iterator<Item = usize>, out: &mut Vec<(usize, usize)>) {
+    for v in values {
+        match out.last_mut() {
+            Some((_, end)) if *end == v => *end += 1,
+            _ => out.push((v, v + 1)),
+        }
+    }
+}
+
+/// Appends the parts of `[start, end)` that are neither in `seen` nor
+/// global to `out`, as ranges.
+fn push_unseen(
+    start: usize,
+    end: usize,
+    seen: &IntervalSet,
+    globals: &[usize],
+    out: &mut Vec<(usize, usize)>,
+) {
+    for (mut s, e) in seen.gaps_within(start, end) {
+        let from = globals.partition_point(|&g| g < s);
+        for &g in globals[from..].iter().take_while(|&&g| g < e) {
+            if s < g {
+                out.push((s, g));
+            }
+            s = g + 1;
+        }
+        if s < e {
+            out.push((s, e));
+        }
+    }
+}
+
+/// The indices of the `fresh` ranges, now marked seen; `None` if there are
+/// none.
+fn take_fresh(fresh: &[(usize, usize)], seen: &mut IntervalSet) -> Option<Vec<u32>> {
+    if fresh.is_empty() {
+        return None;
+    }
+    let mut indices = Vec::with_capacity(fresh.iter().map(|&(s, e)| e - s).sum());
+    for &(s, e) in fresh {
+        seen.insert_range(s, e);
+        indices.extend(s as u32..e as u32);
+    }
+    Some(indices)
+}
+
 /// Counts active cells of a pass: for each tile row, the chunk offsets that
 /// land on a valid, non-global key — zero for global-query rows.
+///
+/// By arithmetic, not per row: every in-range cell of the pass, offset by
+/// offset, less the cells on a global key (a global key `vk` is met by the
+/// rows `vk - o`), less what a global query's row was counted with.
 fn pass_active_cells(pass: &Pass, comp: &Component, globals: &[usize]) -> u64 {
     let chunk = &comp.offsets()[pass.chunk_start..pass.chunk_start + pass.chunk_len];
-    if matches!(comp.kind(), crate::ComponentKind::RowSupport { .. }) {
+    let (ts, te) = (pass.tile_start, pass.tile_start + pass.tile_len);
+    if let ComponentKind::RowSupport { starts } = comp.kind() {
         // Gather semantics: slot `o` of virtual query `p` is active iff it
         // is inside the row's support; the residual excludes global
         // queries and keys by normalization, so no subtraction applies.
-        let mut active = 0u64;
-        for u in 0..pass.tile_len {
-            let p = pass.tile_start + u;
-            let len = comp.row_len(p).expect("row-support component") as i64;
-            active += chunk.partition_point(|&o| o < len) as u64;
-        }
-        return active;
+        // The offsets are the slots `0..max_len`, so a chunk is a slot range.
+        let (first, width) = (pass.chunk_start as u32, pass.chunk_len as u32);
+        let row_len = |p: usize| starts[p + 1] - starts[p];
+        return (ts..te).map(|p| u64::from(row_len(p).saturating_sub(first).min(width))).sum();
     }
     let num_keys = comp.keys().len() as i64;
-    let mut active = 0u64;
-    for u in 0..pass.tile_len {
-        let p = pass.tile_start + u;
-        let qi = comp.queries()[p];
-        if is_global(globals, qi) {
-            continue;
-        }
-        // Valid offsets: -p <= o < num_keys - p.
-        let lo = -(p as i64);
-        let hi = num_keys - p as i64; // exclusive
-        let from = chunk.partition_point(|&o| o < lo);
-        let to = chunk.partition_point(|&o| o < hi);
-        let mut count = (to - from) as u64;
-        // Subtract offsets that land on global keys.
-        for &g in globals {
-            if let Some(vg) = comp_key_virtual(comp, g) {
-                let o_needed = vg as i64 - p as i64;
-                if chunk[from..to].binary_search(&o_needed).is_ok() {
-                    count -= 1;
-                }
-            }
-        }
-        active += count;
+    let (ts, te) = (ts as i64, te as i64);
+    // Offsets of `chunk` in `[lo, hi)`.
+    let between = |lo: i64, hi: i64| {
+        (chunk.partition_point(|&o| o < hi) - chunk.partition_point(|&o| o < lo)) as i64
+    };
+    // Rows `p` of `[ts, te)` with `0 <= p + o < num_keys`, offset by offset.
+    let mut active: i64 = chunk.iter().map(|&o| (te.min(num_keys - o) - ts.max(-o)).max(0)).sum();
+    if globals.is_empty() {
+        return active as u64;
     }
-    active
+    // The virtual indices of the global keys rows `first..=last` reach.
+    let global_keys = |first: i64, last: i64| {
+        let lo = (first + chunk[0]).max(0);
+        let hi = (last + chunk[chunk.len() - 1]).min(num_keys - 1);
+        let (lo, hi) =
+            if lo <= hi { (comp.keys()[lo as usize], comp.keys()[hi as usize]) } else { (1, 0) };
+        globals_between(globals, lo, hi).iter().filter_map(|&g| comp_key_virtual(comp, g))
+    };
+    // A global key at virtual index `vk` holds one cell of each tile row
+    // `vk - o`: the offsets in `(vk - te, vk - ts]`.
+    let on_global_keys: i64 =
+        global_keys(ts, te - 1).map(|vk| between(vk as i64 - te + 1, vk as i64 - ts + 1)).sum();
+    active -= on_global_keys;
+    // A global query's row computes nothing: take back what it was counted
+    // with, bar its global keys (taken back already).
+    let (q_first, q_last) = (comp.queries()[ts as usize], comp.queries()[te as usize - 1]);
+    let global_rows = globals_between(globals, q_first, q_last);
+    for p in global_rows.iter().filter_map(|&g| comp_query_virtual(comp, g)) {
+        let p = p as i64;
+        let hits = global_keys(p, p).filter(|&vk| chunk.binary_search(&(vk as i64 - p)).is_ok());
+        active -= between(-p, num_keys - p) - hits.count() as i64;
+    }
+    active as u64
+}
+
+/// The global tokens in `[lo, hi]`.
+fn globals_between(globals: &[usize], lo: usize, hi: usize) -> &[usize] {
+    let from = globals.partition_point(|&g| g < lo);
+    let to = globals.partition_point(|&g| g <= hi);
+    &globals[from..to.max(from)]
 }
 
 /// The virtual index of sequence position `g` in the component's key list,
 /// if present.
 fn comp_key_virtual(comp: &Component, g: usize) -> Option<usize> {
     match comp.kind() {
-        crate::ComponentKind::Direct => Some(g),
-        crate::ComponentKind::DilatedClass { dilation, key_class, .. } => {
+        ComponentKind::Direct => Some(g),
+        ComponentKind::DilatedClass { dilation, key_class, .. } => {
             (g % dilation == *key_class).then(|| (g - key_class) / dilation)
         }
         // The residual never references global keys, so there is nothing
         // to subtract (and no single virtual index exists: the arena may
         // hold a key many times across rows).
-        crate::ComponentKind::RowSupport { .. } => None,
+        ComponentKind::RowSupport { .. } => None,
+    }
+}
+
+/// The virtual index of sequence position `g` in the component's query
+/// list, if present (diagonal kinds).
+fn comp_query_virtual(comp: &Component, g: usize) -> Option<usize> {
+    match comp.kind() {
+        ComponentKind::Direct => Some(g),
+        ComponentKind::DilatedClass { dilation, query_class, .. } => {
+            (g % dilation == *query_class).then(|| (g - query_class) / dilation)
+        }
+        ComponentKind::RowSupport { .. } => None,
     }
 }
 
@@ -527,6 +580,34 @@ mod tests {
         // the residual's active cells.
         let stats = plan.stats();
         assert!(stats.streamed_keys >= p.residual().nnz());
+    }
+
+    #[test]
+    fn active_cells_are_a_walk_of_every_cell() {
+        use salo_patterns::{HybridPattern, Window};
+        // Globals inside tiles, on keys, at both ends, on and off the
+        // dilation classes; tiles that clip at either end of the sequence.
+        let pattern = HybridPattern::builder(61)
+            .window(Window::dilated(-9, 9, 3).unwrap())
+            .window(Window::sliding(-2, 3).unwrap())
+            .global_tokens([0, 7, 8, 31, 60])
+            .build()
+            .unwrap();
+        for hw in [HardwareMeta::new(8, 8, 1, 1).unwrap(), HardwareMeta::new(5, 3, 2, 2).unwrap()] {
+            let plan = ExecutionPlan::build(&pattern, hw).unwrap();
+            for pass in plan.passes() {
+                let comp = &plan.components()[pass.component];
+                let chunk = &comp.offsets()[pass.chunk_start..pass.chunk_start + pass.chunk_len];
+                let walked: usize = (pass.tile_start..pass.tile_start + pass.tile_len)
+                    .filter(|&p| !plan.is_global(comp.queries()[p]))
+                    .map(|p| {
+                        let keys = chunk.iter().filter_map(|&o| comp.key_at(p, o));
+                        keys.filter(|&k| !plan.is_global(k)).count()
+                    })
+                    .sum();
+                assert_eq!(plan.pass_active_cells(pass), walked as u64, "{pass:?}");
+            }
+        }
     }
 
     #[test]

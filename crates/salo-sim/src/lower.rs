@@ -137,6 +137,48 @@ fn as_run(keys: &[u32]) -> Option<KeySpan> {
     is_run.then_some(KeySpan::Run { first: keys[0], stride })
 }
 
+/// The plan's global tokens, one bit per sequence position: built once per
+/// lowering, so a row's query and its keys are tested in O(1) each, and a
+/// stride-1 run a word at a time.
+struct GlobalMask {
+    /// Empty when the plan has no globals.
+    words: Vec<u64>,
+}
+
+impl GlobalMask {
+    fn new(n: usize, globals: &[usize]) -> Self {
+        let mut words = if globals.is_empty() { Vec::new() } else { vec![0; n.div_ceil(64)] };
+        for &g in globals {
+            words[g / 64] |= 1 << (g % 64);
+        }
+        Self { words }
+    }
+
+    fn contains(&self, token: usize) -> bool {
+        self.words.get(token / 64).is_some_and(|&w| w >> (token % 64) & 1 == 1)
+    }
+
+    /// Whether a global lies on the `len`-key run `first, first + stride, …`.
+    fn on_run(&self, first: usize, stride: usize, len: usize) -> bool {
+        if self.words.is_empty() {
+            return false;
+        }
+        if stride > 1 {
+            return (0..len).any(|i| self.contains(first + i * stride));
+        }
+        let last = first + len - 1;
+        let (head, tail) = (!0u64 << (first % 64), !0u64 >> (63 - last % 64));
+        let words = &self.words[first / 64..=last / 64];
+        match words {
+            [only] => only & head & tail != 0,
+            [first, inner @ .., last] => {
+                first & head != 0 || inner.iter().any(|&w| w != 0) || last & tail != 0
+            }
+            [] => unreachable!("a run has a key"),
+        }
+    }
+}
+
 /// Appends the row part of `dest` over the keys listed in the arena since
 /// `start`: as a run if they are one (the arena is rolled back), a gather
 /// otherwise, nothing if there are none.
@@ -201,10 +243,13 @@ impl LoweredPlan {
     /// A row of a diagonal pass over a consecutive offset chunk costs
     /// O(1): its keys are the run `keys[p + lo ..= p + hi]` clipped to the
     /// component, unless a global token lies on it. Every other row is
-    /// walked key by key, as the oracle does.
+    /// walked key by key, as the oracle does. Global tokens are one bit
+    /// mask over the sequence, built once: a query or a walked key is one
+    /// bit test, a stride-1 run a word at a time — no search over the
+    /// globals per row or per key.
     #[must_use]
     pub fn lower(plan: &ExecutionPlan) -> Self {
-        let globals = plan.globals();
+        let globals = GlobalMask::new(plan.n(), plan.globals());
         let (mut ops, mut gather_keys) = (Vec::new(), Vec::new());
         let mut pass_bounds = Vec::with_capacity(plan.passes().len());
         let run = |kind, dest: usize, first: usize, stride: u16, key_len: usize| LoweredOp {
@@ -232,7 +277,7 @@ impl LoweredPlan {
             for u in 0..pass.tile_len {
                 let p = pass.tile_start + u;
                 let qi = comp.queries()[p];
-                if plan.is_global(qi) {
+                if globals.contains(qi) {
                     continue;
                 }
                 if let Some(stride) = stride {
@@ -241,20 +286,18 @@ impl LoweredPlan {
                     if v_lo >= v_end {
                         continue;
                     }
-                    let (first, last) = (comp.keys()[v_lo], comp.keys()[v_end - 1]);
+                    let (first, len) = (comp.keys()[v_lo], v_end - v_lo);
                     // A global token on the run takes the row to the walk
                     // below, which filters it out.
-                    let from = globals.partition_point(|&g| g < first);
-                    let mut inside = globals[from..].iter().take_while(|&&g| g <= last);
-                    if !inside.any(|&g| (g - first) % usize::from(stride) == 0) {
-                        ops.push(run(LoweredOpKind::Row, qi, first, stride, v_end - v_lo));
+                    if !globals.on_run(first, usize::from(stride), len) {
+                        ops.push(run(LoweredOpKind::Row, qi, first, stride, len));
                         continue;
                     }
                 }
                 let key_start = gather_keys.len();
                 for &o in chunk {
                     if let Some(kj) = comp.key_at(p, o) {
-                        if !plan.is_global(kj) {
+                        if !globals.contains(kj) {
                             gather_keys.push(kj as u32);
                         }
                     }
@@ -476,6 +519,24 @@ mod tests {
             low.ops().iter().filter(|op| op.kind == LoweredOpKind::SingleKey).count() as u64;
         assert_eq!(row_keys, 30);
         assert_eq!(col_ops, 29);
+    }
+
+    #[test]
+    fn the_global_mask_answers_as_the_global_list_does() {
+        let globals = [0, 63, 64, 130, 199];
+        let mask = GlobalMask::new(200, &globals);
+        for token in 0..200 {
+            assert_eq!(mask.contains(token), globals.contains(&token), "token {token}");
+        }
+        for first in 0..200 {
+            for stride in 1..4 {
+                for len in 1..=(199 - first) / stride + 1 {
+                    let on = (0..len).any(|i| globals.contains(&(first + i * stride)));
+                    assert_eq!(mask.on_run(first, stride, len), on, "{first}/{stride}/{len}");
+                }
+            }
+        }
+        assert!(!GlobalMask::new(200, &[]).on_run(0, 1, 200));
     }
 
     #[test]

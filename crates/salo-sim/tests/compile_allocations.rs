@@ -1,0 +1,112 @@
+//! Heap accounting for a cold compile: pattern → plan → lowered program.
+//!
+//! `HybridPattern::from_terms` expands its residual into one arena, so the
+//! blocks it asks for do not depend on `n`; `ExecutionPlan::build` and
+//! `LoweredPlan::lower` allocate per component, per pass and per global
+//! duty, never per row or per key.
+//!
+//! Its own binary, one test: the counting allocator is the process's
+//! global allocator and its counters are process-wide, so nothing else may
+//! be allocating beside the section being measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use salo_patterns::bigbird;
+use salo_scheduler::{ExecutionPlan, HardwareMeta};
+use salo_sim::LoweredPlan;
+
+/// Allocator calls that handed out a fresh block.
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
+/// Allocator calls that resized (and maybe moved) a block.
+static RESIZES: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters beside it touch no memory but their
+// own atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's `layout` is passed through as it came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        // SAFETY: `block` came from `alloc`/`realloc` above, i.e. from
+        // `System`, with this `layout`.
+        unsafe { System.dealloc(block, layout) };
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        RESIZES.fetch_add(1, Relaxed);
+        // SAFETY: as `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(block, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What a section asked the allocator for: fresh blocks, and resizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Calls {
+    blocks: usize,
+    resizes: usize,
+}
+
+/// Runs `f`; returns its result and the allocator calls it made.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, Calls) {
+    let (blocks, resizes) = (BLOCKS.load(Relaxed), RESIZES.load(Relaxed));
+    let result = f();
+    let calls =
+        Calls { blocks: BLOCKS.load(Relaxed) - blocks, resizes: RESIZES.load(Relaxed) - resizes };
+    (result, calls)
+}
+
+/// Blocks `ExecutionPlan::build` asks for beyond the plan's global duties:
+/// components, the pass list, the seen sets and scratch. (BigBird here
+/// needs 22, at either length.)
+const BUILD_BLOCKS: usize = 32;
+/// Blocks `LoweredPlan::lower` asks for: the op list, the gather arena, the
+/// pass bounds, the global mask. (5 here.)
+const LOWER_BLOCKS: usize = 8;
+
+#[test]
+fn a_cold_compile_allocates_per_duty_not_per_row() {
+    let hw = HardwareMeta::default();
+    let [short, long] = [512usize, 4096].map(|n| {
+        let (pattern, from_terms) = measured(|| bigbird(n, 32, 3, 2, 7).expect("pattern"));
+        let (plan, build) = measured(|| ExecutionPlan::build(&pattern, hw).expect("plan"));
+        let (lowered, lower) = measured(|| LoweredPlan::lower(&plan));
+        // A pass's duty list and each duty's index list are one block each:
+        // the plan's own data, O(passes).
+        let duty_blocks: usize = plan
+            .passes()
+            .iter()
+            .map(|p| {
+                let lists =
+                    usize::from(!p.global_col.is_empty()) + usize::from(!p.global_row.is_empty());
+                lists + p.global_col.len() + p.global_row.len()
+            })
+            .sum();
+        assert!(lowered.ops().len() > 4 * n, "n = {n}: a program of {} ops", lowered.ops().len());
+        // Vectors grown by push resize once per doubling, so a few times
+        // per doubling of n — never once per row.
+        let doublings = n.ilog2() as usize;
+        for (stage, calls) in [("from_terms", from_terms), ("build", build), ("lower", lower)] {
+            assert!(calls.resizes <= 3 * doublings, "n = {n}: {stage} resized {calls:?}");
+        }
+        assert!(build.blocks - duty_blocks <= BUILD_BLOCKS, "n = {n}: build {build:?}");
+        assert!(lower.blocks <= LOWER_BLOCKS, "n = {n}: lower {lower:?}");
+        (from_terms, build.blocks - duty_blocks, lower)
+    });
+    // Eight times the rows: the same blocks for the residual's expansion
+    // (its run arena grows by push: three more doublings at most) and for
+    // everything the plan and program hold that is not a duty.
+    assert_eq!(short.0.blocks, long.0.blocks, "from_terms: {short:?} vs {long:?}");
+    assert!(long.0.resizes <= short.0.resizes + 3, "from_terms: {short:?} vs {long:?}");
+    assert_eq!(short.1, long.1, "build's blocks beyond its duties");
+    assert_eq!(short.2.blocks, long.2.blocks, "lower: {short:?} vs {long:?}");
+}

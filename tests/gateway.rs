@@ -2,9 +2,10 @@
 //! decode sessions are bit-identical to the in-process core session,
 //! admission control rejects a flooding tenant while a well-behaved one
 //! is served with bounded queue wait, malformed frames get typed error
-//! replies without killing well-framed neighbours (and a frame corrupt
-//! behind its header is refused under its own request id), a peer that
-//! stalls mid-frame is timed out and leaves no trace, a graceful drain
+//! replies without killing well-framed neighbours (a frame corrupt behind
+//! its header is refused under its own request id, a pattern past `u32`
+//! coordinates before anything is allocated for it), a peer that stalls
+//! mid-frame is timed out and leaves no trace, a graceful drain
 //! closes live sessions with terminal `Closed` frames (one session, and
 //! forty-eight over three connections), pipelined sessions
 //! fuse behind the socket and stay bit-identical, a dying connection's
@@ -252,6 +253,63 @@ fn malformed_frames_get_typed_errors_without_killing_the_connection() {
     assert_eq!(report.admitted, 0, "no malformed frame may reach the runtime");
     assert!(report.drained_in_deadline, "the retired opcode left the drain to its owner");
     assert_eq!((report.frames_read, report.frames_written), (3, 4));
+}
+
+/// A pattern a few dozen bytes long that addresses more than `u32`
+/// coordinates hold — a sequence of 2^40 tokens, or 2^40 random draws a
+/// row — is refused at decode with a typed `BadFrame`, before anything is
+/// allocated for it (each once aborted the process from the reader
+/// thread), and the connection keeps serving.
+#[test]
+fn a_pattern_past_u32_coordinates_is_refused_and_the_connection_keeps_serving() {
+    use salo::patterns::{bigbird, longformer, AttentionShape};
+    let gateway = unit_gateway(one_worker());
+    let mut stream = TcpStream::connect(gateway.local_addr()).expect("connect raw");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("deadline");
+    let prefill = |pattern, request_id| {
+        let shape = AttentionShape::new(64, 8, 1).expect("shape");
+        let heads = vec![Qkv::random(64, 8, request_id)];
+        encode_request(
+            Header { tenant: 5, request_id },
+            &Request::Prefill { pattern, shape, heads },
+        )
+    };
+    let patch = |frame: &mut Vec<u8>, at: usize, value: u64| {
+        frame[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    };
+
+    // prefix (4) | header | n: u64 | ...
+    let mut long = prefill(longformer(64, 8, 1).expect("pattern"), 1);
+    patch(&mut long, 4 + wire::HEADER_LEN, 1 << 40);
+    // ... | RandomBlocks { count: u64, seed: u64 } | ...
+    let seed = 0x5EED_0FC0_FFEE;
+    let mut draws = prefill(bigbird(64, 8, 3, 1, seed).expect("pattern"), 2);
+    let count_at = draws
+        .windows(16)
+        .position(|w| w[..8] == 3u64.to_le_bytes() && w[8..] == seed.to_le_bytes())
+        .expect("the random term's count and seed");
+    patch(&mut draws, count_at, 1 << 40);
+
+    for (request_id, frame, why) in [(1, &long, "fit u32"), (2, &draws, "u32 coordinates")] {
+        stream.write_all(frame).expect("write hostile frame");
+        let payload = wire::read_frame(&mut stream).expect("a reply");
+        match wire::decode_response(&payload).expect("decodable reply") {
+            (header, Response::Error(error)) => {
+                assert_eq!((header.request_id, error.code), (request_id, ErrorCode::BadFrame));
+                assert!(error.message.contains(why), "{}", error.message);
+            }
+            (_, other) => panic!("expected BadFrame for request {request_id}, got {other:?}"),
+        }
+    }
+
+    // The same connection still serves a well-formed prefill.
+    stream.write_all(&prefill(bigbird(64, 8, 3, 1, seed).expect("pattern"), 3)).expect("write");
+    let payload = wire::read_frame(&mut stream).expect("prefill reply");
+    let (header, response) = wire::decode_response(&payload).expect("decodable");
+    assert_eq!(header.request_id, 3);
+    assert!(matches!(response, Response::PrefillDone { .. }), "after the refusals: {response:?}");
+    let report = gateway.shutdown();
+    assert_eq!((report.frames_read, report.admitted), (3, 1), "the refused frames were framed");
 }
 
 /// Three prefills pipelined in one write, the middle one corrupt *behind*
