@@ -1,8 +1,8 @@
 //! E4 — Fig. 7a: SALO speedup over CPU and GPU on the three evaluation
 //! workloads, paper values alongside.
 
-use salo_bench::{banner, fmt_ratio, fmt_time, render_table};
-use salo_core::{figure7_comparisons, Salo};
+use salo_bench::{banner, figure7_comparisons, fmt_ratio, fmt_time, render_table};
+use salo_core::Salo;
 use salo_models::paper;
 
 pub fn run() {

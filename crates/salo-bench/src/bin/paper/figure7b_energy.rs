@@ -5,8 +5,8 @@
 //! energies use the per-FLOP constants calibrated in `salo-baselines`
 //! (see EXPERIMENTS.md for the derivation from the paper's own ratios).
 
-use salo_bench::{banner, fmt_ratio, render_table};
-use salo_core::{figure7_comparisons, Salo};
+use salo_bench::{banner, figure7_comparisons, fmt_ratio, render_table};
+use salo_core::Salo;
 use salo_models::paper;
 
 pub fn run() {

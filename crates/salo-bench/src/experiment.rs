@@ -1,9 +1,8 @@
 //! The paper's evaluation protocol: SALO vs CPU/GPU per workload (§6.2).
 
 use salo_baselines::Device;
+use salo_core::{Salo, SaloError};
 use salo_models::Workload;
-
-use crate::{Salo, SaloError};
 
 /// One workload's comparison row (a bar group of Fig. 7a + 7b).
 #[derive(Debug, Clone, PartialEq)]

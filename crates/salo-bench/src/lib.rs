@@ -1,10 +1,16 @@
-//! Shared table-printing utilities for the `paper` binary.
+//! The library side of the `paper` binary.
 //!
 //! Each module of `src/bin/paper/` regenerates one table or figure of the
-//! SALO paper; this library holds the formatting helpers they share. See
-//! `EXPERIMENTS.md` at the repository root for the experiment index.
+//! SALO paper; this library holds the formatting helpers they share and
+//! the [`experiment`] module, the paper's evaluation protocol (workload vs
+//! CPU/GPU baselines) behind Fig. 7. See `EXPERIMENTS.md` at the
+//! repository root for the experiment index.
 
 #![warn(missing_docs)]
+
+pub mod experiment;
+
+pub use experiment::{compare_workload, figure7_comparisons, Comparison};
 
 /// Renders a plain-text table: a header row plus data rows, columns padded
 /// to their widest cell.

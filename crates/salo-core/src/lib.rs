@@ -8,9 +8,7 @@
 //! (`f32` accuracy yardstick). [`Salo`] is the thin façade over it:
 //! configure an accelerator instance, *compile* a hybrid sparse attention
 //! pattern into an execution plan (the data scheduler), hand out engines,
-//! or *estimate* a plan (cycle/energy model). The [`experiment`] module
-//! packages the paper's evaluation protocol — workload vs CPU/GPU
-//! baselines — used by the `salo-bench` harness to regenerate Fig. 7.
+//! or *estimate* a plan (cycle/energy model).
 //!
 //! ```
 //! use salo_core::{AttentionRequest, Engine, Salo};
@@ -45,7 +43,6 @@
 mod decode;
 pub mod engine;
 mod error;
-pub mod experiment;
 mod salo;
 mod verify;
 
@@ -56,6 +53,5 @@ pub use engine::{
     SessionClosed, SessionId, SessionOpened, StepResult, SystolicEngine, Telemetry, TokenQkv,
 };
 pub use error::SaloError;
-pub use experiment::{compare_workload, figure7_comparisons, Comparison};
 pub use salo::{CompiledPlan, MultiHeadRun, Salo};
 pub use verify::{validate, ValidationConfig, ValidationReport};

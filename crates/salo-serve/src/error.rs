@@ -78,25 +78,6 @@ impl From<SaloError> for ServeError {
     }
 }
 
-/// Sub-layer errors flow through [`SaloError`] into the serving surface,
-/// so `?` works on pattern/scheduler/simulator/kernel/fixed-point results
-/// without per-crate ad-hoc mapping.
-macro_rules! from_via_salo {
-    ($source:ty) => {
-        impl From<$source> for ServeError {
-            fn from(e: $source) -> Self {
-                ServeError::from(SaloError::from(e))
-            }
-        }
-    };
-}
-
-from_via_salo!(salo_patterns::PatternError);
-from_via_salo!(salo_scheduler::SchedulerError);
-from_via_salo!(salo_sim::SimError);
-from_via_salo!(salo_kernels::KernelError);
-from_via_salo!(salo_fixed::FixedError);
-
 #[cfg(test)]
 mod tests {
     use super::*;

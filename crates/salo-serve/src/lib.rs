@@ -66,7 +66,7 @@
 //! }
 //! let report = server.shutdown();
 //! assert_eq!(report.requests, 6);
-//! assert!(report.cache.hit_rate() > 0.0, "3 workloads, 6 requests: hits");
+//! assert!(report.cache.hit_rate() > 0.0, "3 layers, 6 requests: hits");
 //! # Ok(())
 //! # }
 //! ```

@@ -2,7 +2,6 @@
 
 use salo_core::MultiHeadRun;
 use salo_kernels::Qkv;
-use salo_models::Workload;
 use salo_patterns::{AttentionShape, HybridPattern};
 
 use crate::ServeError;
@@ -65,17 +64,6 @@ impl ServeRequest {
         }
         Ok(Self { pattern, shape, heads })
     }
-
-    /// A request for one layer of a model workload, with deterministic
-    /// seeded inputs — the building block of traffic generators.
-    #[must_use]
-    pub fn from_workload(workload: &Workload, seed: u64) -> Self {
-        Self {
-            pattern: workload.pattern.clone(),
-            shape: workload.shape,
-            heads: workload.qkv_heads(seed),
-        }
-    }
 }
 
 /// The serving runtime's answer to one [`ServeRequest`].
@@ -137,14 +125,5 @@ mod tests {
             vec![Qkv::random(32, 8, 1)],
         );
         assert!(matches!(wrong_len, Err(ServeError::InvalidRequest { .. })));
-    }
-
-    #[test]
-    fn from_workload_is_deterministic() {
-        let w = salo_models::bert_base(16).unwrap();
-        let a = ServeRequest::from_workload(&w, 7);
-        let b = ServeRequest::from_workload(&w, 7);
-        assert_eq!(a.heads.len(), w.shape.num_heads);
-        assert_eq!(a.heads[0].q, b.heads[0].q, "same seed, same inputs");
     }
 }

@@ -1,55 +1,68 @@
-//! Closed-loop traffic generation over the paper's model workloads.
+//! Closed-loop traffic generation over attention layers.
 //!
-//! A [`TrafficMix`] cycles deterministically through a set of
-//! [`Workload`]s (Longformer / ViL / BERT layers from `salo-models`),
+//! A [`TrafficMix`] cycles deterministically through a set of layers — a
+//! pattern and its shape, e.g. the Longformer / ViL / BERT presets —
 //! producing [`ServeRequest`]s with seeded Q/K/V inputs. Because every
-//! request of a given workload shares the same pattern/shape/accelerator
-//! triple, a mix of `k` workloads exercises exactly `k` plan-cache
-//! entries — the steady-state hit rate approaches `1 - k/requests`.
+//! request of a given layer shares the same pattern/shape/accelerator
+//! triple, a mix of `k` layers exercises exactly `k` plan-cache entries —
+//! the steady-state hit rate approaches `1 - k/requests`.
 
 use salo_kernels::{Matrix, Qkv};
-use salo_models::{bert_base, bigbird_layer, longformer_layer, vil_stage_layer, Workload};
-use salo_patterns::HybridPattern;
+use salo_patterns::{bigbird, longformer, vil_stage, AttentionShape, HybridPattern, Window};
 
 use crate::session::{SessionRequest, TokenQkv};
 use crate::{ServeError, ServeRequest};
 
-/// A deterministic round-robin generator over model workloads.
+/// A deterministic round-robin generator over attention layers.
 #[derive(Debug, Clone)]
 pub struct TrafficMix {
-    workloads: Vec<Workload>,
+    layers: Vec<(HybridPattern, AttentionShape)>,
 }
 
 impl TrafficMix {
-    /// Builds a mix from explicit workloads.
+    /// Builds a mix from explicit `(pattern, shape)` layers.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] for an empty mix.
-    pub fn new(workloads: Vec<Workload>) -> Result<Self, ServeError> {
-        if workloads.is_empty() {
+    /// Returns [`ServeError::InvalidRequest`] for an empty mix or a layer
+    /// whose pattern length is not its shape's sequence length — the
+    /// runtime would refuse every request of it.
+    pub fn new(layers: Vec<(HybridPattern, AttentionShape)>) -> Result<Self, ServeError> {
+        if layers.is_empty() {
             return Err(ServeError::InvalidRequest { reason: "empty traffic mix".into() });
         }
-        Ok(Self { workloads })
+        for (i, (pattern, shape)) in layers.iter().enumerate() {
+            if pattern.n() != shape.seq_len {
+                return Err(ServeError::InvalidRequest {
+                    reason: format!(
+                        "layer {i}: pattern length {} != shape sequence length {}",
+                        pattern.n(),
+                        shape.seq_len
+                    ),
+                });
+            }
+        }
+        Ok(Self { layers })
     }
 
     /// A scaled-down Longformer + ViL + BERT mix sized for demos and
     /// tests: the same three model families as the paper's Table 2, at
     /// sequence lengths that execute in milliseconds on the functional
-    /// simulator.
+    /// simulator. Heads are 64 wide; BERT is dense (a window covering
+    /// every key) with 12 heads.
     ///
     /// # Panics
     ///
     /// Never panics; parameters are statically valid.
     #[must_use]
     pub fn demo_mix() -> Self {
-        Self {
-            workloads: vec![
-                longformer_layer(256, 32, 64, 1).expect("valid parameters"),
-                vil_stage_layer(16, 16, 5, 5, 64, 1).expect("valid parameters"),
-                bert_base(64).expect("valid parameters"),
-            ],
-        }
+        let bert = HybridPattern::builder(64).window(Window::symmetric(128).expect("valid window"));
+        Self::new(vec![
+            layer(longformer(256, 32, 1), 1),
+            layer(vil_stage(16, 16, 5, 5, 1), 1),
+            layer(bert.build(), 12),
+        ])
+        .expect("valid mix")
     }
 
     /// A scaled-down mix with a BigBird layer in rotation: its seeded
@@ -62,39 +75,46 @@ impl TrafficMix {
     /// Never panics; parameters are statically valid.
     #[must_use]
     pub fn bigbird_mix() -> Self {
-        Self {
-            workloads: vec![
-                bigbird_layer(128, 16, 2, 1, 7, 64).expect("valid parameters"),
-                longformer_layer(128, 16, 64, 1).expect("valid parameters"),
-            ],
-        }
+        Self::new(vec![layer(bigbird(128, 16, 2, 1, 7), 1), layer(longformer(128, 16, 1), 1)])
+            .expect("valid mix")
     }
 
-    /// The underlying workloads, in rotation order.
+    /// The `(pattern, shape)` layers, in rotation order.
     #[must_use]
-    pub fn workloads(&self) -> &[Workload] {
-        &self.workloads
+    pub fn layers(&self) -> &[(HybridPattern, AttentionShape)] {
+        &self.layers
     }
 
-    /// Number of distinct workloads (= distinct compiled plans).
+    /// Number of distinct layers (= distinct compiled plans).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.workloads.len()
+        self.layers.len()
     }
 
     /// Whether the mix is empty (never true for constructed mixes).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.workloads.is_empty()
+        self.layers.is_empty()
     }
 
-    /// The `i`-th request of the closed loop: workload `i % len`, with
+    /// The `i`-th request of the closed loop: layer `i % len`, with
     /// inputs seeded by `i` (deterministic across runs and servers).
     #[must_use]
     pub fn request(&self, i: u64) -> ServeRequest {
-        let workload = &self.workloads[(i % self.workloads.len() as u64) as usize];
-        ServeRequest::from_workload(workload, i)
+        let (pattern, shape) = &self.layers[(i % self.layers.len() as u64) as usize];
+        // `new` checked the layer; `random_heads` follows the shape.
+        ServeRequest { pattern: pattern.clone(), shape: *shape, heads: Qkv::random_heads(shape, i) }
     }
+}
+
+/// A preset layer with `heads` heads of width 64 over the pattern's length.
+fn layer(
+    pattern: Result<HybridPattern, salo_patterns::PatternError>,
+    heads: usize,
+) -> (HybridPattern, AttentionShape) {
+    let pattern = pattern.expect("valid pattern");
+    let shape = AttentionShape::new(pattern.n(), 64, heads).expect("valid shape");
+    (pattern, shape)
 }
 
 /// One generation scenario: the pattern over the session's full capacity,
@@ -277,13 +297,26 @@ mod tests {
     }
 
     #[test]
+    fn a_layer_whose_pattern_is_not_its_shape_is_rejected() {
+        let (pattern, _) = layer(longformer(64, 8, 1), 1);
+        let shape = AttentionShape::new(32, 8, 1).unwrap();
+        let mismatched = TrafficMix::new(vec![layer(longformer(32, 8, 1), 1), (pattern, shape)]);
+        match mismatched {
+            Err(ServeError::InvalidRequest { reason }) => {
+                assert!(reason.contains("layer 1"), "{reason}");
+            }
+            other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn demo_mix_rotates_and_is_deterministic() {
         let mix = TrafficMix::demo_mix();
         assert_eq!(mix.len(), 3);
         assert!(!mix.is_empty());
         let a = mix.request(0);
         let b = mix.request(3);
-        assert_eq!(a.shape, b.shape, "same workload every len() steps");
+        assert_eq!(a.shape, b.shape, "same layer every len() steps");
         assert_ne!(a.heads[0].q, b.heads[0].q, "different seeds, different data");
         let a2 = mix.request(0);
         assert_eq!(a.heads[0].q, a2.heads[0].q, "same index, same data");
@@ -303,8 +336,8 @@ mod tests {
         let mix = TrafficMix::bigbird_mix();
         assert_eq!(mix.len(), 2);
         assert!(
-            !mix.workloads()[0].pattern.residual().is_empty(),
-            "the BigBird workload carries a random-block residual"
+            !mix.layers()[0].0.residual().is_empty(),
+            "the BigBird layer carries a random-block residual"
         );
         for i in 0..2 {
             let r = mix.request(i);

@@ -21,17 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut client = GatewayClient::connect(addr, 7)?;
 
-    // One prefill per demo workload, closed-loop over the socket.
+    // One prefill per demo layer, closed-loop over the socket.
     let mix = TrafficMix::demo_mix();
-    for (i, workload) in mix.workloads().iter().enumerate() {
-        let heads: Vec<Qkv> = (0..workload.shape.num_heads)
-            .map(|h| Qkv::random(workload.shape.seq_len, workload.shape.head_dim, h as u64))
+    for (i, (pattern, shape)) in mix.layers().iter().enumerate() {
+        let heads: Vec<Qkv> = (0..shape.num_heads)
+            .map(|h| Qkv::random(shape.seq_len, shape.head_dim, h as u64))
             .collect();
-        let (outputs, sim_time_s, sim_energy_j) =
-            client.prefill(workload.pattern.clone(), workload.shape, heads)?;
+        let (outputs, sim_time_s, sim_energy_j) = client.prefill(pattern.clone(), *shape, heads)?;
         println!(
-            "prefill {i} ({:<28}) {} head(s)  sim {:.3} ms / {:.3} mJ",
-            workload.name,
+            "prefill {i} (n={}) {} head(s)  sim {:.3} ms / {:.3} mJ",
+            shape.seq_len,
             outputs.len(),
             sim_time_s * 1e3,
             sim_energy_j * 1e3,

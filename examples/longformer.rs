@@ -7,9 +7,10 @@
 //! Run with: `cargo run --release --example longformer`
 
 use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti};
-use salo::core::{compare_workload, AttentionRequest, Engine, Salo};
+use salo::core::{AttentionRequest, Engine, Salo};
 use salo::kernels::multi_head_attention;
 use salo::models::{longformer_base_4096, longformer_layer};
+use salo_bench::compare_workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let salo = Salo::default_config();

@@ -9,15 +9,9 @@ use salo::sim::AcceleratorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mix = TrafficMix::demo_mix();
-    println!("traffic mix ({} workloads):", mix.len());
-    for w in mix.workloads() {
-        println!(
-            "  {:<28} n={:<5} heads={:<3} nnz={}",
-            w.name,
-            w.shape.seq_len,
-            w.shape.num_heads,
-            w.nnz()
-        );
+    println!("traffic mix ({} layers):", mix.len());
+    for (pattern, shape) in mix.layers() {
+        println!("  n={:<5} heads={:<3} nnz={}", shape.seq_len, shape.num_heads, pattern.nnz());
     }
 
     let total = 96u64;

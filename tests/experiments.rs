@@ -2,9 +2,10 @@
 //! roughly what factor, and where the crossovers fall.
 
 use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti, SangerModel};
-use salo::core::{figure7_comparisons, Salo};
+use salo::core::Salo;
 use salo::models::{bert_base, longformer_layer, paper, table2_rows};
 use salo::quant::table3_rows;
+use salo_bench::figure7_comparisons;
 
 /// E1 — motivation: dense GPU attention grows quadratically; the paper's
 /// two anchors are matched.

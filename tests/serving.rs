@@ -8,7 +8,8 @@ use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use salo::core::{AttentionRequest, Engine, Salo};
-use salo::models::longformer_layer;
+use salo::kernels::Qkv;
+use salo::models::{bert_base, bigbird_layer, longformer_layer, vil_stage_layer};
 use salo::scheduler::HardwareMeta;
 use salo::serve::{
     GenerationShape, GenerationTraffic, LatencyStats, SaloServer, ServeEvent, ServeOptions,
@@ -184,7 +185,8 @@ fn report_accounts_every_request_and_worker() {
 /// A request that keeps a worker busy for long enough that a small one
 /// submitted behind it finishes first on the other worker.
 fn large_request(seed: u64) -> ServeRequest {
-    ServeRequest::from_workload(&longformer_layer(2048, 256, 256, 1).expect("workload"), seed)
+    let w = longformer_layer(2048, 256, 256, 1).expect("workload");
+    ServeRequest::new(w.pattern.clone(), w.shape, w.qkv_heads(seed)).expect("valid request")
 }
 
 #[test]
@@ -418,13 +420,43 @@ fn decode_at_scale_reclaims_pages_within_a_bounded_pool() {
 }
 
 #[test]
-fn request_roundtrip_from_workload() {
-    // ServeRequest::from_workload feeds the same heads the one-shot path
-    // would generate; spot-check the invariants the workers rely on.
-    let mix = TrafficMix::demo_mix();
-    for (i, workload) in mix.workloads().iter().enumerate() {
-        let request = ServeRequest::from_workload(workload, i as u64);
-        assert_eq!(request.heads.len(), workload.shape.num_heads);
-        assert_eq!(request.pattern.fingerprint(), workload.pattern.fingerprint());
+fn traffic_mixes_draw_the_model_layers_they_replace() {
+    // The mixes build their layers from pattern presets; each request must
+    // be the one the `salo-models` workload of the same parameters gives.
+    let bits = |heads: &[Qkv]| -> Vec<u32> {
+        heads
+            .iter()
+            .flat_map(|h| [&h.q, &h.k, &h.v])
+            .flat_map(|m| m.as_slice().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    let cases = [
+        (
+            TrafficMix::demo_mix(),
+            vec![
+                longformer_layer(256, 32, 64, 1).unwrap(),
+                vil_stage_layer(16, 16, 5, 5, 64, 1).unwrap(),
+                bert_base(64).unwrap(),
+            ],
+        ),
+        (
+            TrafficMix::bigbird_mix(),
+            vec![
+                bigbird_layer(128, 16, 2, 1, 7, 64).unwrap(),
+                longformer_layer(128, 16, 64, 1).unwrap(),
+            ],
+        ),
+    ];
+    for (mix, workloads) in cases {
+        assert_eq!(mix.len(), workloads.len());
+        for (i, w) in workloads.into_iter().enumerate() {
+            let seed = i as u64;
+            let got = mix.request(seed);
+            let want =
+                ServeRequest::new(w.pattern.clone(), w.shape, w.qkv_heads(seed)).expect("valid");
+            assert_eq!(got.pattern.fingerprint(), want.pattern.fingerprint(), "{}", w.name);
+            assert_eq!(got.shape, want.shape, "{}", w.name);
+            assert_eq!(bits(&got.heads), bits(&want.heads), "{}", w.name);
+        }
     }
 }
