@@ -23,9 +23,9 @@ use salo_sim::{
 };
 
 use crate::engine::{
-    check_open_prompt, check_prefill_heads, AttentionRequest, AttentionResponse, Engine,
-    EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed, SessionId,
-    SessionOpened, StepResult, Telemetry, TokenQkv,
+    check_open_prompt, check_prefill_heads, check_token, AttentionRequest, AttentionResponse,
+    Engine, EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
+    SessionId, SessionOpened, StepResult, Telemetry, TokenQkv,
 };
 use crate::{salo::compile_with, CompiledPlan, SaloError};
 
@@ -384,20 +384,7 @@ impl FixedCore {
                 let sess = self.sessions.remove(&sid).expect("grouped sessions are live");
                 let position = sess.position();
                 let d = sess.states.first().map_or(0, DecodeState::head_dim);
-                let err = if token.len() != sess.states.len() {
-                    Some(SaloError::HeadCountMismatch {
-                        expected: sess.states.len(),
-                        got: token.len(),
-                    })
-                } else {
-                    token
-                        .iter()
-                        .flat_map(|tok| [&tok.q, &tok.k, &tok.v])
-                        .find(|row| row.len() != d)
-                        .map(|row| {
-                            normalize_step_error(SimError::TokenDim { expected: d, got: row.len() })
-                        })
-                };
+                let err = check_token(sess.states.len(), d, &token).err();
                 (sid, sess, token, position, err)
             })
             .collect();

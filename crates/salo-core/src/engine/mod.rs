@@ -608,8 +608,33 @@ pub(crate) fn not_primed_error(position: usize, min_step: usize) -> SaloError {
     }
 }
 
-/// Shared request validation: heads agree with the shape.
-pub(crate) fn check_prefill_heads(shape: &AttentionShape, heads: &[Qkv]) -> Result<(), SaloError> {
+// The request rules. Each is stated once, here: the engines, the serving
+// runtime's front door and its traffic generators all call these, so a
+// malformed request gets the same error and the same wording from every
+// entry point.
+
+/// A pattern of length `n` fits a shape: `n` is its sequence length.
+///
+/// # Errors
+///
+/// [`SaloError::ShapeMismatch`] when they differ.
+pub fn check_pattern_len(n: usize, shape: &AttentionShape) -> Result<(), SaloError> {
+    if n != shape.seq_len {
+        return Err(SaloError::ShapeMismatch {
+            expected: (shape.seq_len, shape.head_dim),
+            got: (n, shape.head_dim),
+        });
+    }
+    Ok(())
+}
+
+/// A prefill's heads agree with its shape: one per declared head, each
+/// `seq_len x head_dim`.
+///
+/// # Errors
+///
+/// [`SaloError::HeadCountMismatch`] or [`SaloError::ShapeMismatch`].
+pub fn check_prefill_heads(shape: &AttentionShape, heads: &[Qkv]) -> Result<(), SaloError> {
     if heads.len() != shape.num_heads {
         return Err(SaloError::HeadCountMismatch { expected: shape.num_heads, got: heads.len() });
     }
@@ -624,10 +649,16 @@ pub(crate) fn check_prefill_heads(shape: &AttentionShape, heads: &[Qkv]) -> Resu
     Ok(())
 }
 
-/// Shared decode-open validation, mirroring the serving runtime's
-/// front-end checks: consistent head count, prompt length covering the
-/// globals and leaving decode capacity, per-head dimensions.
-pub(crate) fn check_open_prompt(
+/// A decode open's prompt fits its session over `n` positions whose first
+/// decodable step is `min_step`: a non-empty shape, one prompt per head,
+/// every head the same `rows x head_dim`, the rows covering every global
+/// token and leaving capacity to decode. Returns the prompt length.
+///
+/// # Errors
+///
+/// [`SaloError::InvalidRequest`], [`SaloError::HeadCountMismatch`] or
+/// [`SaloError::ShapeMismatch`].
+pub fn check_open_prompt(
     n: usize,
     min_step: usize,
     head_dim: usize,
@@ -662,4 +693,22 @@ pub(crate) fn check_open_prompt(
         }
     }
     Ok(prompt_len)
+}
+
+/// A decode step's token fits its session: one `(q, k, v)` per head, every
+/// row `head_dim` long. Checked before any head moves, so a malformed
+/// token fails alone and leaves its session where it was.
+///
+/// # Errors
+///
+/// [`SaloError::HeadCountMismatch`], or [`SaloError::ShapeMismatch`]
+/// naming the first row of the wrong length.
+pub fn check_token(num_heads: usize, head_dim: usize, token: &[TokenQkv]) -> Result<(), SaloError> {
+    if token.len() != num_heads {
+        return Err(SaloError::HeadCountMismatch { expected: num_heads, got: token.len() });
+    }
+    match token.iter().flat_map(|t| [&t.q, &t.k, &t.v]).find(|row| row.len() != head_dim) {
+        Some(row) => Err(SaloError::ShapeMismatch { expected: (1, head_dim), got: (1, row.len()) }),
+        None => Ok(()),
+    }
 }

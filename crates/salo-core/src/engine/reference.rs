@@ -15,9 +15,9 @@ use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::SpatialAccelerator;
 
 use crate::engine::{
-    check_open_prompt, check_prefill_heads, AttentionRequest, AttentionResponse, Engine,
-    EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed, SessionId,
-    SessionOpened, StepResult, Telemetry,
+    check_open_prompt, check_pattern_len, check_prefill_heads, check_token, AttentionRequest,
+    AttentionResponse, Engine, EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput,
+    SessionClosed, SessionId, SessionOpened, StepResult, Telemetry,
 };
 use crate::SaloError;
 
@@ -128,12 +128,7 @@ impl Engine for ReferenceEngine {
             AttentionRequest::Prefill { pattern, shape, heads } => {
                 check_prefill_heads(&shape, &heads)?;
                 let pattern = pattern.require_pattern(self.name())?;
-                if pattern.n() != shape.seq_len {
-                    return Err(SaloError::ShapeMismatch {
-                        expected: (shape.seq_len, shape.head_dim),
-                        got: (pattern.n(), shape.head_dim),
-                    });
-                }
+                check_pattern_len(pattern.n(), &shape)?;
                 let scale = SpatialAccelerator::default_scale(shape.head_dim);
                 let outputs = heads
                     .iter()
@@ -182,12 +177,7 @@ impl Engine for ReferenceEngine {
             AttentionRequest::DecodeStep { session, token } => {
                 let state =
                     self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;
-                if token.len() != state.heads.len() {
-                    return Err(SaloError::HeadCountMismatch {
-                        expected: state.heads.len(),
-                        got: token.len(),
-                    });
-                }
+                check_token(state.heads.len(), state.head_dim, &token)?;
                 let t = state.position;
                 if t >= state.causal.n() {
                     return Err(crate::engine::capacity_error(state.causal.n()));
@@ -197,14 +187,6 @@ impl Engine for ReferenceEngine {
                 // every step here is decodable (the fixed engines reach
                 // that error only through the simulator's own gate).
                 let d = state.head_dim;
-                for tok in &token {
-                    if tok.q.len() != d || tok.k.len() != d || tok.v.len() != d {
-                        return Err(SaloError::ShapeMismatch {
-                            expected: (1, d),
-                            got: (1, tok.q.len().max(tok.k.len()).max(tok.v.len())),
-                        });
-                    }
-                }
                 // All-or-nothing from here: the history appends below
                 // cannot fail, so heads never desync and float sessions
                 // never poison.

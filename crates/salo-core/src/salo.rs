@@ -10,6 +10,7 @@ use salo_sim::{
     TimingReport,
 };
 
+use crate::engine::check_pattern_len;
 use crate::SaloError;
 
 /// A pattern compiled for a specific accelerator instance and shape.
@@ -107,12 +108,7 @@ pub(crate) fn compile_with(
     pattern: &HybridPattern,
     shape: &AttentionShape,
 ) -> Result<CompiledPlan, crate::SaloError> {
-    if pattern.n() != shape.seq_len {
-        return Err(SaloError::ShapeMismatch {
-            expected: (shape.seq_len, shape.head_dim),
-            got: (pattern.n(), shape.head_dim),
-        });
-    }
+    check_pattern_len(pattern.n(), shape)?;
     let plan = ExecutionPlan::build(pattern, hw)?;
     let lowered = LoweredPlan::lower(&plan);
     Ok(CompiledPlan {
@@ -216,12 +212,7 @@ impl Salo {
         coverage_budget: f64,
         config: salo_patterns::FitConfig,
     ) -> Result<salo_patterns::AutotuneReport, SaloError> {
-        if mask.n() != shape.seq_len {
-            return Err(SaloError::ShapeMismatch {
-                expected: (shape.seq_len, shape.head_dim),
-                got: (mask.n(), shape.head_dim),
-            });
-        }
+        check_pattern_len(mask.n(), shape)?;
         let report = salo_patterns::autotune(mask, coverage_budget, config, |pattern| match self
             .compile(pattern, shape)
         {

@@ -58,10 +58,10 @@
 //! into the server *while its caller holds it*, so a completion can never
 //! outrun the registration of the request it answers. The calls are
 //! non-blocking: validation plus a channel send, a few microseconds. An
-//! `Open` also clips its pattern to its causal view, which is linear in
-//! the sequence length — at `n = 100 000`, 0.3 ms for a window/global
-//! pattern and 1.5 ms for one with block-sparse terms (EXPERIMENTS.md) —
-//! and readers' admissions and the completion thread wait that long.
+//! `Open` is validated from its shape and its last global alone; its
+//! causal clip, linear in the sequence length (at `n = 100 000`, 0.3 ms
+//! for a window/global pattern and 1.5 ms for one with block-sparse
+//! terms, EXPERIMENTS.md), is built on the pinned worker, off the lock.
 //! Socket writes always happen outside the lock.
 //!
 //! Admission and fairness live in the gateway alone: the quota bounds

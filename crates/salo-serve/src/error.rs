@@ -67,12 +67,12 @@ impl From<SaloError> for ServeError {
         match e {
             SaloError::UnknownSession { session } => ServeError::UnknownSession { session },
             SaloError::InvalidRequest { reason } => ServeError::InvalidRequest { reason },
-            // A head-count disagreement is the client's malformed request
-            // (the pre-engine runtime reported it as such), not an
-            // internal execution failure.
-            SaloError::HeadCountMismatch { expected, got } => ServeError::InvalidRequest {
-                reason: format!("{got} head(s) provided, expected {expected}"),
-            },
+            // A head count or a row length that disagrees with the shape
+            // is the client's malformed request, not an internal
+            // execution failure.
+            e @ (SaloError::HeadCountMismatch { .. } | SaloError::ShapeMismatch { .. }) => {
+                ServeError::InvalidRequest { reason: e.to_string() }
+            }
             other => ServeError::Salo(other),
         }
     }

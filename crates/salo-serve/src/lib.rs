@@ -85,7 +85,7 @@ mod worker;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use error::ServeError;
-pub use metrics::{LatencyStats, ServeReport, TenantCounters};
+pub use metrics::{ServeReport, TenantCounters};
 pub use request::{ServeRequest, ServeResponse};
 pub use salo_trace::{HistogramSnapshot, MetricsRegistry};
 pub use server::{SaloServer, ServeOptions};

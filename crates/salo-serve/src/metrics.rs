@@ -1,12 +1,11 @@
 //! The serving report: the registry's completion metrics at shutdown, as
 //! one value.
 //!
-//! A latency summary is always [`LatencyStats::from_histogram`] of the
-//! log-bucket histogram the report carries beside it: count, mean and max
-//! exact, p50 / p99 bucket-exact (within one bucket width, ≤ 1/16
+//! Latency is reported as the log-bucket histograms themselves: count, sum
+//! and max exact, quantiles bucket-exact (within one bucket width, ≤ 1/16
 //! relative). Whoever combines the reports of several servers merges those
 //! histograms ([`HistogramSnapshot::merged_with`] — element-wise, exactly
-//! the histogram of the union of their samples) and summarizes the result.
+//! the histogram of the union of their samples) and reads the result.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,41 +13,6 @@ use std::fmt;
 use salo_trace::HistogramSnapshot;
 
 use crate::CacheStats;
-
-/// Latency distribution summary over a set of completed requests.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub count: u64,
-    /// Mean latency (seconds).
-    pub mean_s: f64,
-    /// Median latency (seconds).
-    pub p50_s: f64,
-    /// 99th-percentile latency (seconds).
-    pub p99_s: f64,
-    /// Worst observed latency (seconds).
-    pub max_s: f64,
-}
-
-impl LatencyStats {
-    /// Summarizes a nanosecond-scale latency histogram: count/mean/max
-    /// exact, p50/p99 bucket-exact (the upper bound of the rank's bucket,
-    /// within one bucket width of the true order statistic). An empty
-    /// histogram yields all zeros.
-    #[must_use]
-    pub fn from_histogram(hist: &HistogramSnapshot) -> Self {
-        if hist.is_empty() {
-            return Self::default();
-        }
-        Self {
-            count: hist.count,
-            mean_s: hist.mean() / 1e9,
-            p50_s: hist.quantile(0.50) as f64 / 1e9,
-            p99_s: hist.quantile(0.99) as f64 / 1e9,
-            max_s: hist.max as f64 / 1e9,
-        }
-    }
-}
 
 /// Per-tenant accounting inside a [`ServeReport`], keyed by tenant id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,12 +40,8 @@ pub struct ServeReport {
     pub wall_s: f64,
     /// Completed requests per wall-clock second.
     pub throughput_rps: f64,
-    /// Submission-to-completion latency distribution:
-    /// [`LatencyStats::from_histogram`] of
-    /// [`latency_hist`](Self::latency_hist).
-    pub latency: LatencyStats,
-    /// Log-bucket histogram behind [`latency`](Self::latency)
-    /// (nanoseconds) — the registry's `serve.latency_ns`.
+    /// Submission-to-completion latency of every completed request, in
+    /// nanoseconds — the registry's `serve.latency_ns`.
     pub latency_hist: HistogramSnapshot,
     /// Plan-cache effectiveness counters.
     pub cache: CacheStats,
@@ -109,13 +69,8 @@ pub struct ServeReport {
     /// their session), steps reaching an already-retired session, or a
     /// dead pinned worker.
     pub decode_step_errors: u64,
-    /// Submission-to-completion latency distribution of decode steps:
-    /// [`LatencyStats::from_histogram`] of
-    /// [`decode_step_latency_hist`](Self::decode_step_latency_hist).
-    pub decode_step_latency: LatencyStats,
-    /// Log-bucket histogram behind
-    /// [`decode_step_latency`](Self::decode_step_latency) (nanoseconds)
-    /// — the registry's `serve.decode.step_latency_ns`.
+    /// Submission-to-completion latency of every decode step, in
+    /// nanoseconds — the registry's `serve.decode.step_latency_ns`.
     pub decode_step_latency_hist: HistogramSnapshot,
     /// Sum over successful decode steps of the stepped session's resident
     /// K/V bytes at step completion. Divided by
@@ -142,6 +97,11 @@ pub struct ServeReport {
     pub tenants: BTreeMap<u64, TenantCounters>,
 }
 
+/// A nanosecond histogram's `q`-quantile, in milliseconds.
+fn quantile_ms(hist: &HistogramSnapshot, q: f64) -> f64 {
+    hist.quantile(q) as f64 / 1e6
+}
+
 impl fmt::Display for ServeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "requests        : {} ({} errors)", self.requests, self.errors)?;
@@ -150,9 +110,9 @@ impl fmt::Display for ServeReport {
         writeln!(
             f,
             "latency         : p50 {:.3} ms | p99 {:.3} ms | max {:.3} ms",
-            self.latency.p50_s * 1e3,
-            self.latency.p99_s * 1e3,
-            self.latency.max_s * 1e3
+            quantile_ms(&self.latency_hist, 0.50),
+            quantile_ms(&self.latency_hist, 0.99),
+            self.latency_hist.max as f64 / 1e6
         )?;
         writeln!(
             f,
@@ -177,8 +137,8 @@ impl fmt::Display for ServeReport {
             self.decode_session_errors,
             self.decode_steps,
             self.decode_step_errors,
-            self.decode_step_latency.p50_s * 1e3,
-            self.decode_step_latency.p99_s * 1e3
+            quantile_ms(&self.decode_step_latency_hist, 0.50),
+            quantile_ms(&self.decode_step_latency_hist, 0.99)
         )?;
         let mean_resident_kv = if self.decode_steps > 0 {
             self.decode_resident_kv_byte_steps as f64 / self.decode_steps as f64
@@ -214,43 +174,19 @@ impl fmt::Display for ServeReport {
 mod tests {
     use super::*;
 
-    /// A report as `SaloServer::shutdown` builds one: every latency
-    /// sample (seconds) in the histogram, the summary derived from it.
-    fn report_of(latencies_s: &[f64], wall_s: f64) -> ServeReport {
-        let mut latency_hist = HistogramSnapshot::default();
-        for &s in latencies_s {
-            latency_hist.record_secs(s);
-        }
-        let requests = latencies_s.len() as u64;
-        ServeReport {
-            requests,
-            wall_s,
-            throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
-            latency: LatencyStats::from_histogram(&latency_hist),
-            latency_hist,
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn summary_is_exact_on_count_mean_max_and_bucket_exact_on_quantiles() {
-        let samples: Vec<f64> = (1..=100).map(|i| f64::from(i) * 1e-3).collect();
-        let stats = report_of(&samples, 1.0).latency;
-        assert_eq!(stats.count, 100);
-        assert!((stats.mean_s - 0.0505).abs() < 1e-12);
-        assert_eq!(stats.max_s, 0.1);
-        // The upper bound of the rank's bucket: never below the order
-        // statistic, at most one bucket width (1/16 relative) above it.
-        assert!((0.050..=0.050 * (1.0 + 1.0 / 16.0)).contains(&stats.p50_s), "{}", stats.p50_s);
-        assert!((0.099..=0.1).contains(&stats.p99_s), "{}", stats.p99_s);
-        // One sample: every statistic is that sample (quantiles clamp to
-        // the observed min/max).
-        let one = report_of(&[0.125], 1.0).latency;
-        assert_eq!((one.p50_s, one.p99_s, one.max_s, one.mean_s), (0.125, 0.125, 0.125, 0.125));
-        assert_eq!(
-            LatencyStats::from_histogram(&HistogramSnapshot::default()),
-            LatencyStats::default()
-        );
+    fn latency_lines_read_their_histograms() {
+        // One sample: every quantile clamps to it, so each figure is exact.
+        let mut latency_hist = HistogramSnapshot::default();
+        latency_hist.record_secs(0.125);
+        let mut decode_step_latency_hist = HistogramSnapshot::default();
+        decode_step_latency_hist.record_secs(0.0025);
+        let text = ServeReport { latency_hist, decode_step_latency_hist, ..Default::default() }
+            .to_string();
+        assert!(text.contains("p50 125.000 ms | p99 125.000 ms | max 125.000 ms"), "{text}");
+        assert!(text.contains("step p50 2.500 ms | p99 2.500 ms"), "{text}");
+        let empty = ServeReport::default().to_string();
+        assert!(empty.contains("p50 0.000 ms | p99 0.000 ms | max 0.000 ms"), "{empty}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Request and response types of the serving runtime.
 
+use salo_core::engine::{check_pattern_len, check_prefill_heads};
 use salo_core::MultiHeadRun;
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
@@ -19,8 +20,10 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// Builds a request, validating that the heads agree with the shape
-    /// and the pattern agrees with the sequence length.
+    /// Builds a request, validating it by the engines' own rules
+    /// ([`check_pattern_len`], [`check_prefill_heads`]): the pattern's
+    /// length is the shape's sequence length, and the heads agree with
+    /// the shape.
     ///
     /// # Errors
     ///
@@ -31,37 +34,8 @@ impl ServeRequest {
         shape: AttentionShape,
         heads: Vec<Qkv>,
     ) -> Result<Self, ServeError> {
-        if pattern.n() != shape.seq_len {
-            return Err(ServeError::InvalidRequest {
-                reason: format!(
-                    "pattern length {} != shape sequence length {}",
-                    pattern.n(),
-                    shape.seq_len
-                ),
-            });
-        }
-        if heads.len() != shape.num_heads {
-            return Err(ServeError::InvalidRequest {
-                reason: format!(
-                    "{} heads provided, shape declares {}",
-                    heads.len(),
-                    shape.num_heads
-                ),
-            });
-        }
-        for (i, h) in heads.iter().enumerate() {
-            if h.seq_len() != shape.seq_len || h.head_dim() != shape.head_dim {
-                return Err(ServeError::InvalidRequest {
-                    reason: format!(
-                        "head {i} is {}x{}, shape declares {}x{}",
-                        h.seq_len(),
-                        h.head_dim(),
-                        shape.seq_len,
-                        shape.head_dim
-                    ),
-                });
-            }
-        }
+        check_pattern_len(pattern.n(), &shape)?;
+        check_prefill_heads(&shape, &heads)?;
         Ok(Self { pattern, shape, heads })
     }
 }

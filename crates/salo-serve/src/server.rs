@@ -47,7 +47,7 @@ use salo_core::Salo;
 use salo_sim::AcceleratorConfig;
 use salo_trace::{Counter, MetricsRegistry};
 
-use crate::metrics::{LatencyStats, ServeReport, TenantCounters};
+use crate::metrics::{ServeReport, TenantCounters};
 use crate::session::{
     DecodeSessionHandle, LiveSession, ServeEvent, SessionRegistry, SessionRequest, TokenQkv,
 };
@@ -272,9 +272,9 @@ impl SaloServer {
         Ok(id)
     }
 
-    /// Opens a streaming decode session: the pattern is causally clipped,
-    /// the session is pinned to the worker hosting the fewest live
-    /// sessions, and there the clip is compiled (through the shared plan
+    /// Opens a streaming decode session: the session is pinned to the
+    /// worker hosting the fewest live sessions, and there the pattern is
+    /// causally clipped, the clip compiled (through the shared plan
     /// cache — one compiled plan amortizes across every generation of the
     /// same pattern/shape) and the prompt ingested. The returned handle's
     /// event channel delivers the open handshake
@@ -284,9 +284,11 @@ impl SaloServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] on an inconsistent request
-    /// (prompt not covering the globals, head mismatches). Compile
-    /// failures arrive asynchronously in the `Opened` event and
-    /// deregister the session:
+    /// ([`SessionRequest::validate`]: prompt not covering the globals,
+    /// head mismatches). A pattern whose causal clip is empty is refused
+    /// with [`ServeError::InvalidRequest`] in the `Opened` event instead,
+    /// and clip and compile failures arrive there too and deregister the
+    /// session:
     /// once [`wait_open`](DecodeSessionHandle::wait_open) has reported
     /// the failure, the id is gone and further calls on it return
     /// [`ServeError::UnknownSession`]. Accounted under
@@ -330,7 +332,7 @@ impl SaloServer {
         request: SessionRequest,
         events: Sender<ServeEvent>,
     ) -> Result<u64, ServeError> {
-        let causal = request.validated_view()?.into_causal_pattern();
+        request.validate()?;
         let decode_steps = self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps"));
         // Admission, placement and the send are one step under the
         // table's lock. A drain marks and snapshots under the same lock,
@@ -347,7 +349,7 @@ impl SaloServer {
         self.counts.depth.add(1);
         let worker = table.place(|w| self.pool.load_of(w));
         table.insert(session, LiveSession { worker, events: events.clone(), decode_steps });
-        let job = Job::Open { session, request, causal, submitted: Instant::now(), events };
+        let job = Job::Open { session, request, submitted: Instant::now(), events };
         if let Err(job) = self.pool.send(worker, job) {
             table.remove(session);
             drop(table);
@@ -543,8 +545,7 @@ impl SaloServer {
         let wall_s = self.counts.wall_s();
         // Every counter in the report is read back from the registry —
         // whoever completed a request recorded it there. The latency
-        // histograms ride on the report whole; the summaries are derived
-        // from them.
+        // histograms ride on the report whole.
         let counter = |name: &str| self.metrics.counter(name).get();
         let peak = |name: &str| self.metrics.gauge(name).high_water().max(0) as u64;
         let (batches, batched) = (counter("serve.batches"), counter("serve.batched_requests"));
@@ -573,7 +574,6 @@ impl SaloServer {
             errors: counter("serve.errors"),
             wall_s,
             throughput_rps: if wall_s > 0.0 { requests as f64 / wall_s } else { 0.0 },
-            latency: LatencyStats::from_histogram(&latency_hist),
             latency_hist,
             cache: self.cache.stats(),
             batches,
@@ -588,7 +588,6 @@ impl SaloServer {
             decode_session_errors: counter("serve.decode.session_errors"),
             decode_steps: counter("serve.decode.steps"),
             decode_step_errors: counter("serve.decode.step_errors"),
-            decode_step_latency: LatencyStats::from_histogram(&decode_step_latency_hist),
             decode_step_latency_hist,
             decode_resident_kv_byte_steps: counter("serve.decode.resident_kv_byte_steps"),
             decode_peak_resident_pages: peak("serve.decode.resident_pages"),

@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use salo_core::engine::check_open_prompt;
 use salo_core::HeadStep;
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
@@ -34,8 +35,11 @@ pub use salo_core::TokenQkv;
 #[derive(Debug, Clone)]
 pub struct SessionRequest {
     /// The hybrid pattern over the session's full capacity (prompt plus
-    /// generated tokens). It is causally clipped by the runtime; passing
-    /// an already-causal pattern is fine.
+    /// generated tokens). The pinned worker clips it to its causal view;
+    /// passing an already-causal pattern is fine. A pattern with nothing
+    /// causal in it (no globals, and no window or residual reaching the
+    /// diagonal or below) is refused there, in the session's
+    /// [`ServeEvent::Opened`].
     pub pattern: HybridPattern,
     /// Head dimension.
     pub head_dim: usize,
@@ -48,67 +52,20 @@ pub struct SessionRequest {
 }
 
 impl SessionRequest {
-    /// Validates the request against the pattern's decode view.
+    /// Validates the request by the engines' own open rule
+    /// ([`check_open_prompt`]). The causal clip keeps every global, so
+    /// the first decodable step is the one after the last global, known
+    /// without building the clip.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] on any inconsistency, so
-    /// the runtime never opens a session it would fail to step.
+    /// Returns [`ServeError::InvalidRequest`] on any inconsistency of the
+    /// prompt with the pattern and shape. An empty causal clip is not
+    /// caught here; the worker refuses it in the `Opened` event.
     pub fn validate(&self) -> Result<(), ServeError> {
-        self.validated_view().map(|_| ())
-    }
-
-    /// [`validate`](Self::validate), returning the decode view so the
-    /// open path reuses the causal clip built here instead of clipping
-    /// the pattern a second time.
-    pub(crate) fn validated_view(&self) -> Result<salo_patterns::DecodeView, ServeError> {
-        let view = self
-            .pattern
-            .decode_view()
-            .map_err(|e| ServeError::InvalidRequest { reason: format!("pattern: {e}") })?;
-        if self.num_heads == 0 || self.head_dim == 0 {
-            return Err(ServeError::InvalidRequest { reason: "empty session shape".into() });
-        }
-        if self.prompt.len() != self.num_heads {
-            return Err(ServeError::InvalidRequest {
-                reason: format!(
-                    "{} prompt heads provided, session declares {}",
-                    self.prompt.len(),
-                    self.num_heads
-                ),
-            });
-        }
-        let prompt_len = self.prompt.first().map_or(0, Qkv::seq_len);
-        if prompt_len < view.min_step() {
-            return Err(ServeError::InvalidRequest {
-                reason: format!(
-                    "prompt of {prompt_len} rows does not cover every global token \
-                     (first decodable step is {})",
-                    view.min_step()
-                ),
-            });
-        }
-        if prompt_len >= self.pattern.n() {
-            return Err(ServeError::InvalidRequest {
-                reason: format!(
-                    "prompt of {prompt_len} rows leaves no capacity in a sequence of {}",
-                    self.pattern.n()
-                ),
-            });
-        }
-        for (i, h) in self.prompt.iter().enumerate() {
-            if h.seq_len() != prompt_len || h.head_dim() != self.head_dim {
-                return Err(ServeError::InvalidRequest {
-                    reason: format!(
-                        "prompt head {i} is {}x{}, expected {prompt_len}x{}",
-                        h.seq_len(),
-                        h.head_dim(),
-                        self.head_dim
-                    ),
-                });
-            }
-        }
-        Ok(view)
+        let min_step = self.pattern.globals().last().map_or(0, |&g| g + 1);
+        check_open_prompt(self.pattern.n(), min_step, self.head_dim, self.num_heads, &self.prompt)?;
+        Ok(())
     }
 }
 

@@ -7,6 +7,7 @@
 //! triple, a mix of `k` layers exercises exactly `k` plan-cache entries —
 //! the steady-state hit rate approaches `1 - k/requests`.
 
+use salo_core::engine::check_pattern_len;
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{bigbird, longformer, vil_stage, AttentionShape, HybridPattern, Window};
 
@@ -32,15 +33,8 @@ impl TrafficMix {
             return Err(ServeError::InvalidRequest { reason: "empty traffic mix".into() });
         }
         for (i, (pattern, shape)) in layers.iter().enumerate() {
-            if pattern.n() != shape.seq_len {
-                return Err(ServeError::InvalidRequest {
-                    reason: format!(
-                        "layer {i}: pattern length {} != shape sequence length {}",
-                        pattern.n(),
-                        shape.seq_len
-                    ),
-                });
-            }
+            check_pattern_len(pattern.n(), shape)
+                .map_err(|e| ServeError::InvalidRequest { reason: format!("layer {i}: {e}") })?;
         }
         Ok(Self { layers })
     }

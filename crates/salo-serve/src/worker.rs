@@ -73,16 +73,7 @@ pub(crate) enum Job {
     /// A layer request: answered with [`ServeEvent::Layer`].
     Layer { ticket: LayerTicket, request: ServeRequest },
     /// A decode-session open: answered with [`ServeEvent::Opened`].
-    Open {
-        session: u64,
-        request: SessionRequest,
-        /// The request pattern's causal clip, built once during front-end
-        /// validation (clipping again here would duplicate the work on
-        /// every open).
-        causal: HybridPattern,
-        submitted: Instant,
-        events: Sender<ServeEvent>,
-    },
+    Open { session: u64, request: SessionRequest, submitted: Instant, events: Sender<ServeEvent> },
     /// One decode step, gathered into a run by the scheduler tick.
     Step(StepJob),
     /// A session close: answered with the terminal [`ServeEvent::Closed`].
@@ -516,9 +507,9 @@ impl Worker {
                     self.run_steps(std::mem::take(&mut run));
                     self.run_layer(ticket, request, layers);
                 }
-                Job::Open { session, request, causal, submitted, events } => {
+                Job::Open { session, request, submitted, events } => {
                     self.run_steps(std::mem::take(&mut run));
-                    self.run_open(session, request, causal, submitted, &events);
+                    self.run_open(session, request, submitted, &events);
                 }
                 Job::Close { session, events } => {
                     self.run_steps(std::mem::take(&mut run));
@@ -655,34 +646,42 @@ impl Worker {
         self.metrics.complete_layer(ticket, cache_hit, result, Some(self.index), batch_size);
     }
 
-    /// Resolves a session's plan, opens it on the worker's engine and
-    /// completes the handshake.
+    /// Clips a session's pattern, resolves its plan, opens it on the
+    /// worker's engine and completes the handshake.
     fn run_open(
         &mut self,
         session: u64,
         request: SessionRequest,
-        causal: HybridPattern,
         submitted: Instant,
         events: &Sender<ServeEvent>,
     ) {
         salo_trace::record_since("serve.queue_wait", "serve", submitted, session);
-        // Decode sessions compile the *causal* clip of the pattern; its
-        // fingerprint keys the cache, so every generation of the same
-        // pattern reuses one compiled plan. The compiled program depends
-        // only on the pattern and the hardware — per-head K/V state and
-        // row dimensions live in the session — so the key uses a
-        // canonical single-head, unit-dim shape: sessions differing only
-        // in head count or head dimension share one entry instead of
-        // double-caching identical programs.
-        let resolved = AttentionShape::new(causal.n(), 1, 1)
-            .map_err(|e| ServeError::InvalidRequest { reason: format!("shape: {e}") })
-            .and_then(|shape| self.resolve(session, &causal, shape));
+        // Decode sessions compile the *causal* clip of the pattern, built
+        // here — once, on the worker, off every front-end lock. A clip
+        // that fails (nothing causal in the pattern) is the client's
+        // malformed request. The clip's fingerprint keys the cache, so
+        // every generation of the same pattern reuses one compiled plan.
+        // The compiled program depends only on the pattern and the
+        // hardware — per-head K/V state and row dimensions live in the
+        // session — so the key uses a canonical single-head, unit-dim
+        // shape: sessions differing only in head count or head dimension
+        // share one entry instead of double-caching identical programs.
+        let resolved = request
+            .pattern
+            .decode_view()
+            .map_err(|e| ServeError::InvalidRequest { reason: format!("pattern: {e}") })
+            .and_then(|view| {
+                let causal = view.into_causal_pattern();
+                let shape = AttentionShape::new(causal.n(), 1, 1)
+                    .map_err(|e| ServeError::InvalidRequest { reason: format!("shape: {e}") })?;
+                self.resolve(session, &causal, shape)
+            });
         let compiled = compiled_now(&resolved);
         let opened = resolved.and_then(|(plan, cache_hit)| {
             self.engine
                 .execute(AttentionRequest::DecodeOpen {
                     session,
-                    pattern: PatternHandle::new(Arc::new(causal), plan),
+                    pattern: PatternHandle::from_plan(plan),
                     head_dim: request.head_dim,
                     num_heads: request.num_heads,
                     prompt: request.prompt,

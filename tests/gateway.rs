@@ -11,7 +11,9 @@
 //! fuse behind the socket and stay bit-identical, a dying connection's
 //! sessions are closed without stalling anyone, the service deadline
 //! answers a request exactly once, and a small prefill is answered ahead
-//! of a stranger's large one submitted before it.
+//! of a stranger's large one submitted before it. A malformed decode step
+//! and an open with nothing causal to decode are answered `Invalid` under
+//! their own request ids, and the connection keeps serving.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -20,12 +22,14 @@ use std::time::Duration;
 use salo::core::Salo;
 use salo::gateway::wire::{
     self, encode_request, ErrorCode, Header, PrefillHead, Request, Response, WireError,
+    WireHeadStep,
 };
 use salo::gateway::{Gateway, GatewayClient, GatewayError, GatewayOptions};
 use salo::kernels::Qkv;
 use salo::models::{longformer_layer, vil_stage_layer, Workload};
+use salo::patterns::{HybridPattern, Window};
 use salo::serve::{GenerationTraffic, ServeOptions};
-use salo::sim::AcceleratorConfig;
+use salo::sim::{AcceleratorConfig, StepOutput};
 
 fn unit_gateway(options: GatewayOptions) -> Gateway {
     Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options).expect("bind gateway")
@@ -60,6 +64,32 @@ fn assert_matches_engine(wire: &[PrefillHead], workload: &Workload, heads: Vec<Q
             m.as_slice().iter().map(|x| x.to_bits()).collect()
         };
         assert_eq!(bits(&head.output), bits(&oracle_head.output), "prefill f32 bits diverged");
+    }
+}
+
+/// A single-head wire step against the in-process core session's step,
+/// bit for bit: position, raw `i16` row, Q.16 weight, `f32` output bits.
+fn assert_wire_step_is(position: u64, heads: &[WireHeadStep], reference: &StepOutput) {
+    assert_eq!(position, reference.position as u64, "position diverged");
+    let head = &heads[0];
+    let raw: Vec<i16> = reference.raw.iter().map(|x| x.raw()).collect();
+    assert_eq!(head.raw.as_deref(), Some(raw.as_slice()), "raw row diverged");
+    assert_eq!(head.weight_q16, Some(reference.weight_q16), "weight diverged");
+    let wire_bits: Vec<u32> = head.output.iter().map(|x| x.to_bits()).collect();
+    let reference_bits: Vec<u32> = reference.output.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(wire_bits, reference_bits, "f32 output bits diverged");
+}
+
+/// Sends `request` and returns the error frame it must draw, checking it
+/// is answered under its own request id.
+fn refused(client: &mut GatewayClient, request: &Request) -> wire::ErrorFrame {
+    let id = client.send(request).expect("send");
+    match client.recv().expect("reply") {
+        (header, Response::Error(error)) => {
+            assert_eq!(header.request_id, id, "answered under another id: {}", error.message);
+            error
+        }
+        (_, other) => panic!("expected an error frame, got {other:?}"),
     }
 }
 
@@ -105,14 +135,7 @@ fn socket_decode_is_bit_identical_to_in_process_session() {
     for token in &tokens {
         let (position, heads) = client.step(opened.session, token.clone()).expect("wire step");
         let reference = oracle.step(&token[0].q, &token[0].k, &token[0].v).expect("oracle step");
-        assert_eq!(position, reference.position as u64, "position diverged");
-        let head = &heads[0];
-        let raw: Vec<i16> = reference.raw.iter().map(|x| x.raw()).collect();
-        assert_eq!(head.raw.as_deref(), Some(raw.as_slice()), "raw row diverged");
-        assert_eq!(head.weight_q16, Some(reference.weight_q16), "weight diverged");
-        let wire_bits: Vec<u32> = head.output.iter().map(|x| x.to_bits()).collect();
-        let reference_bits: Vec<u32> = reference.output.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(wire_bits, reference_bits, "f32 output bits diverged");
+        assert_wire_step_is(position, &heads, &reference);
     }
     let closed_at = client.close(opened.session).expect("wire close");
     assert_eq!(closed_at, Some(oracle.position() as u64), "final position diverged");
@@ -120,6 +143,70 @@ fn socket_decode_is_bit_identical_to_in_process_session() {
     let report = gateway.shutdown();
     assert_eq!(report.serve.decode_step_errors, 0);
     assert_eq!(report.rejected_overloaded, 0);
+}
+
+/// A decode step whose token has a short row is the client's malformed
+/// request: it is answered `Invalid` under its own request id — as a
+/// wrong head count is — the session stays where it was, and its next
+/// good steps are bit-identical to an in-process twin's that never saw
+/// the bad token.
+#[test]
+fn a_short_row_step_is_invalid_and_the_session_decodes_on() {
+    let gateway = unit_gateway(one_worker());
+    let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
+    let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(1, 3);
+    let salo = Salo::new(AcceleratorConfig::default());
+    let mut twin = salo.decode_session(&request.pattern, request.head_dim).expect("twin");
+    twin.prime_rows(&request.prompt[0], 0..request.prompt[0].seq_len()).expect("twin prime");
+    let opened = client
+        .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)
+        .expect("wire open");
+
+    let mut short = tokens[0].clone();
+    short[0].k.truncate(1);
+    let two_heads = vec![tokens[0][0].clone(), tokens[0][0].clone()];
+    for token in [short, two_heads] {
+        let error = refused(&mut client, &Request::Step { session: opened.session, token });
+        assert_eq!(error.code, ErrorCode::Invalid, "{}", error.message);
+    }
+    for token in &tokens {
+        let (position, heads) = client.step(opened.session, token.clone()).expect("wire step");
+        let reference = twin.step(&token[0].q, &token[0].k, &token[0].v).expect("twin step");
+        assert_wire_step_is(position, &heads, &reference);
+    }
+    let report = gateway.shutdown();
+    assert_eq!(report.serve.decode_step_errors, 2);
+    assert_eq!(report.serve.decode_steps, 2 + tokens.len() as u64);
+}
+
+/// A pattern with nothing causal in it — a window reaching only future
+/// keys, no globals — cannot be decoded. The pinned worker finds that
+/// out when it clips the pattern: the open is answered `Invalid` under
+/// its own request id, no session is left behind, and the connection
+/// keeps serving.
+#[test]
+fn an_open_with_an_empty_causal_view_is_invalid_and_the_connection_keeps_serving() {
+    let gateway = unit_gateway(one_worker());
+    let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
+    let future_only =
+        HybridPattern::builder(16).window(Window::sliding(1, 3).expect("window")).build();
+    let open = Request::Open {
+        pattern: future_only.expect("pattern"),
+        head_dim: 4,
+        num_heads: 1,
+        prompt: vec![Qkv::random(2, 4, 1)],
+    };
+    let error = refused(&mut client, &open);
+    assert_eq!(error.code, ErrorCode::Invalid, "{}", error.message);
+
+    let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(1, 1);
+    let opened = client
+        .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)
+        .expect("an open after the refusal");
+    client.step(opened.session, tokens[0].clone()).expect("a step after the refusal");
+    client.close(opened.session).expect("close");
+    let report = gateway.shutdown();
+    assert_eq!((report.serve.decode_sessions, report.serve.decode_session_errors), (2, 1));
 }
 
 /// Two tenants, one flooding: the flooder is clamped at its own quota

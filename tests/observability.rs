@@ -117,15 +117,7 @@ fn traced_burst_covers_all_layers() {
     assert_eq!(report.decode_steps, 4);
     assert_eq!(report.latency_hist.count, prefills);
     assert_eq!(report.decode_step_latency_hist.count, 4);
-    // The histogram tracks the same samples the summary was built from:
-    // its max is the summary max to nanosecond rounding, and its
-    // quantiles are ordered and bounded by it.
-    let hist_max = report.latency_hist.max as f64 / 1e9;
-    assert!(
-        (hist_max - report.latency.max_s).abs() <= 1e-9,
-        "histogram max {hist_max} vs summary max {}",
-        report.latency.max_s
-    );
+    // Its quantiles are ordered and bounded by the samples it holds.
     let p50 = report.latency_hist.quantile(0.50);
     let p99 = report.latency_hist.quantile(0.99);
     assert!(p50 <= p99 && p99 <= report.latency_hist.max);

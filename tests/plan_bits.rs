@@ -17,12 +17,14 @@ mod term_ir;
 use std::fmt::{self, Debug, Write as _};
 
 use proptest::prelude::*;
+use salo::kernels::Qkv;
 use salo::patterns::{
     bigbird, grid_2d, longformer, sliding_only, sparse_transformer, star_transformer,
     strided_fixed, vil_stage, BlockLayout, HybridPattern, PatternError, PatternTerm, SupportRuns,
     Window,
 };
 use salo::scheduler::{ExecutionPlan, HardwareMeta};
+use salo::serve::SessionRequest;
 use salo::sim::{DecodePlan, LoweredPlan};
 use term_ir::{arb_raw_term, build_term};
 
@@ -172,4 +174,35 @@ fn every_compile_stage_matches_its_recorded_digest() {
         .collect();
     assert!(moved.is_empty(), "{} of {} cases moved:{}", moved.len(), want.len(), moved.concat());
     assert_eq!(got.len(), want.len(), "case count");
+}
+
+/// The serving front door never builds the causal clip: it takes the first
+/// decodable step to be the one after the last global, since the clip keeps
+/// every global. On every case whose clip exists, that is the decode view's
+/// `min_step`, and `SessionRequest::validate` draws its line there: a
+/// prompt of `min_step` rows passes, one row fewer does not.
+#[test]
+fn the_front_doors_first_decodable_step_is_the_decode_views() {
+    let mut checked = 0;
+    for (label, pattern) in cases() {
+        let Some(view) = pattern.as_ref().ok().and_then(|p| p.decode_view().ok()) else {
+            continue;
+        };
+        let pattern = pattern.expect("built");
+        let min_step = view.min_step();
+        assert_eq!(pattern.globals().last().map_or(0, |&g| g + 1), min_step, "{label}");
+        let open = |rows: usize| {
+            let prompt = vec![Qkv::random(rows, 1, 0)];
+            SessionRequest { pattern: pattern.clone(), head_dim: 1, num_heads: 1, prompt }
+                .validate()
+        };
+        if min_step < pattern.n() {
+            assert!(open(min_step).is_ok(), "{label}: a prompt of {min_step} rows");
+        }
+        if min_step > 0 {
+            assert!(open(min_step - 1).is_err(), "{label}: a prompt of {} rows", min_step - 1);
+        }
+        checked += 1;
+    }
+    assert!(checked >= 70, "only {checked} cases have a causal clip");
 }
