@@ -571,7 +571,7 @@ impl Engine for LoweredEngine {
     }
 
     fn capabilities(&self) -> EngineCaps {
-        EngineCaps { supports_decode: true, bit_exact: true, event_accurate: false }
+        EngineCaps { bit_exact: true, event_accurate: false }
     }
 
     fn prepare(
@@ -658,7 +658,7 @@ impl Engine for SystolicEngine {
     }
 
     fn capabilities(&self) -> EngineCaps {
-        EngineCaps { supports_decode: true, bit_exact: true, event_accurate: true }
+        EngineCaps { bit_exact: true, event_accurate: true }
     }
 
     fn prepare(

@@ -84,14 +84,11 @@ impl TokenQkv {
 /// What an [`Engine`] can do, and with which fidelity.
 ///
 /// The descriptor lets callers pick a backend without knowing its
-/// concrete type: the serving runtime requires `supports_decode`, the
-/// equivalence tests group engines by `bit_exact`, and the timing studies
-/// ask for `event_accurate`.
+/// concrete type: the equivalence tests group engines by `bit_exact`, and
+/// the timing studies ask for `event_accurate`. Every engine executes
+/// streaming-decode requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCaps {
-    /// Whether the engine executes streaming-decode requests
-    /// ([`AttentionRequest::DecodeOpen`] / `DecodeStep` / `DecodeClose`).
-    pub supports_decode: bool,
     /// Whether outputs follow the accelerator's exact fixed-point
     /// arithmetic: two `bit_exact` engines produce identical raw bits on
     /// identical requests.
@@ -534,26 +531,15 @@ pub trait Engine: Send + fmt::Debug {
     }
 }
 
-/// Prefill parallelism requested through the environment: the
-/// `SALO_PARALLELISM` variable, parsed as a shard count, defaulting to 1
-/// (sequential) when absent or unparseable. Read once per engine
-/// construction — parallelism is bit-transparent, so the setting affects
-/// wall-clock only, never outputs.
-#[must_use]
-pub fn env_parallelism() -> usize {
-    std::env::var("SALO_PARALLELISM").ok().and_then(|v| v.parse().ok()).unwrap_or(1).max(1)
-}
-
 impl Salo {
     /// A fresh [`LoweredEngine`] over this instance's accelerator — the
     /// default backend. Engines built from one `Salo` share its
-    /// exponential/reciprocal lookup tables. Prefill parallelism comes
-    /// from the `SALO_PARALLELISM` environment variable (default 1);
-    /// [`engine_with_parallelism`](Self::engine_with_parallelism) sets it
-    /// explicitly.
+    /// exponential/reciprocal lookup tables. Prefill is sequential;
+    /// [`engine_with_parallelism`](Self::engine_with_parallelism) shards
+    /// it.
     #[must_use]
     pub fn engine(&self) -> LoweredEngine {
-        self.engine_with_parallelism(env_parallelism())
+        LoweredEngine::new(self.accelerator().clone())
     }
 
     /// A fresh [`LoweredEngine`] whose prefill shards each layer's heads
@@ -649,10 +635,31 @@ pub fn check_prefill_heads(shape: &AttentionShape, heads: &[Qkv]) -> Result<(), 
     Ok(())
 }
 
+/// A prompt of `rows` rows fits a session over `n` positions whose first
+/// decodable step is `min_step`: the rows cover every global token and
+/// leave capacity to decode.
+///
+/// # Errors
+///
+/// [`SaloError::InvalidRequest`] when they do not.
+pub fn check_prompt_rows(n: usize, min_step: usize, rows: usize) -> Result<(), SaloError> {
+    let invalid = |reason: String| Err(SaloError::InvalidRequest { reason });
+    if rows < min_step {
+        return invalid(format!(
+            "prompt of {rows} rows does not cover every global token \
+             (first decodable step is {min_step})"
+        ));
+    }
+    if rows >= n {
+        return invalid(format!("prompt of {rows} rows leaves no capacity in a sequence of {n}"));
+    }
+    Ok(())
+}
+
 /// A decode open's prompt fits its session over `n` positions whose first
 /// decodable step is `min_step`: a non-empty shape, one prompt per head,
-/// every head the same `rows x head_dim`, the rows covering every global
-/// token and leaving capacity to decode. Returns the prompt length.
+/// every head the same `rows x head_dim`, and the rows pass
+/// [`check_prompt_rows`]. Returns the prompt length.
 ///
 /// # Errors
 ///
@@ -665,25 +672,14 @@ pub fn check_open_prompt(
     num_heads: usize,
     prompt: &[Qkv],
 ) -> Result<usize, SaloError> {
-    let invalid = |reason: String| SaloError::InvalidRequest { reason };
     if num_heads == 0 || head_dim == 0 {
-        return Err(invalid("empty session shape".into()));
+        return Err(SaloError::InvalidRequest { reason: "empty session shape".into() });
     }
     if prompt.len() != num_heads {
         return Err(SaloError::HeadCountMismatch { expected: num_heads, got: prompt.len() });
     }
     let prompt_len = prompt.first().map_or(0, Qkv::seq_len);
-    if prompt_len < min_step {
-        return Err(invalid(format!(
-            "prompt of {prompt_len} rows does not cover every global token \
-             (first decodable step is {min_step})"
-        )));
-    }
-    if prompt_len >= n {
-        return Err(invalid(format!(
-            "prompt of {prompt_len} rows leaves no capacity in a sequence of {n}"
-        )));
-    }
+    check_prompt_rows(n, min_step, prompt_len)?;
     for h in prompt {
         if h.seq_len() != prompt_len || h.head_dim() != head_dim {
             return Err(SaloError::ShapeMismatch {

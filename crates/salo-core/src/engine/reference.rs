@@ -110,7 +110,7 @@ impl Engine for ReferenceEngine {
     }
 
     fn capabilities(&self) -> EngineCaps {
-        EngineCaps { supports_decode: true, bit_exact: false, event_accurate: false }
+        EngineCaps { bit_exact: false, event_accurate: false }
     }
 
     fn prepare(

@@ -58,21 +58,15 @@ macro_rules! fixed_type {
             /// Branch-free, so bulk quantization (`iter().map(from_f32)`)
             /// vectorizes. The range is clamped in `f32` (NaN passes
             /// through the clamp and is zeroed after it); what is left is
-            /// an integer-valued float, which the narrow formats read
-            /// straight out of the mantissa (`small_int_of`) — a
-            /// float-to-integer `as` cast saturates, and the saturating
-            /// form is scalarized element by element. The 32-bit format's
-            /// range is too wide for that and keeps the cast.
+            /// an integer-valued float, read straight out of the mantissa
+            /// (`small_int_of`) — a float-to-integer `as` cast saturates,
+            /// and the saturating form is scalarized element by element.
             #[inline]
             #[must_use]
             pub fn from_f32(value: f32) -> Self {
                 let scaled = (value * Self::SCALE).round();
                 let clamped = scaled.clamp(<$raw>::MIN as f32, <$raw>::MAX as f32);
-                if <$raw>::BITS <= 16 {
-                    Self(small_int_of(if clamped.is_nan() { 0.0 } else { clamped }) as $raw)
-                } else {
-                    Self(clamped as $raw)
-                }
+                Self(small_int_of(if clamped.is_nan() { 0.0 } else { clamped }) as $raw)
             }
 
             /// Converts back to `f32` (exact: the mantissa always fits).
@@ -153,15 +147,6 @@ fixed_type!(
     8
 );
 
-fixed_type!(
-    /// 32-bit accumulator with 8 fraction bits — the Q.8 domain of scores,
-    /// exponentials and row sums inside the PE array.
-    Fix32x8,
-    i32,
-    i64,
-    8
-);
-
 impl Fix16x8 {
     /// Converts a Q.19 stage-5 accumulator value to the 16-bit output
     /// format, rounding to nearest and saturating — the conversion at the
@@ -206,11 +191,6 @@ mod tests {
             branching_from_f32!(i16, Fix16x8::SCALE, value),
             "Fix16x8 at {value} ({bits:#010x})"
         );
-        assert_eq!(
-            Fix32x8::from_f32(value).raw(),
-            branching_from_f32!(i32, Fix32x8::SCALE, value),
-            "Fix32x8 at {value} ({bits:#010x})"
-        );
     }
 
     #[test]
@@ -233,8 +213,6 @@ mod tests {
             i8::MIN as f32 / Fix8x4::SCALE,
             i16::MAX as f32 / Fix16x8::SCALE,
             i16::MIN as f32 / Fix16x8::SCALE,
-            i32::MAX as f32 / Fix32x8::SCALE,
-            i32::MIN as f32 / Fix32x8::SCALE,
             f32::MAX,
             f32::MIN,
             f32::MIN_POSITIVE,

@@ -52,7 +52,7 @@ mod softmax;
 
 pub use error::FixedError;
 pub use exp::{ExpLut, EXP_FRAC};
-pub use format::{Fix16x8, Fix32x8, Fix8x4};
+pub use format::{Fix16x8, Fix8x4};
 pub use mac::{
     qk_dot, qk_dot_rows, qk_mac, sv_mac, sv_row_mac, sv_row_mac_i32, sv_rows_mac, sv_rows_mac_add,
     MacSaturation, QK_DOT_SAFE_DIM, SV_I32_SAFE_KEYS,

@@ -28,11 +28,13 @@
 //!   every request the gateway submits reports into — the serve workers
 //!   send there directly — and routes a layer response by its serve
 //!   request id, a session event by its session id: a session's replies
-//!   leave in step order because its waiters form a FIFO, the wire
-//!   session id is assigned when `Opened` arrives, and a `Close` is
-//!   answered by the `Closed` event. Layer replies leave in completion
-//!   order, not submission order: clients correlate by `request_id`, and
-//!   a small prefill never waits behind a stranger's large one. It is
+//!   leave in step order because its waiters form a FIFO, and a `Close`
+//!   is answered by the `Closed` event. A session has one id at every
+//!   layer: the serve session id — the engine's too — is what `Opened`
+//!   carries to the client and what its `Step` and `Close` name. Layer
+//!   replies leave in completion order, not submission order: clients
+//!   correlate by `request_id`, and a small prefill never waits behind a
+//!   stranger's large one. It is
 //!   also the timer: it never waits longer than the earliest outstanding
 //!   deadline and answers whatever outlived `service_timeout` with a
 //!   typed `TimedOut` frame; the completion of a waiter that already
@@ -239,8 +241,8 @@ struct Waiter {
 struct SessionEntry {
     conn: Arc<ConnShared>,
     opened_by: Header,
-    /// Assigned when the `Opened` event arrives.
-    wire_id: Option<u64>,
+    /// The `Opened` event arrived and answered the open with the id.
+    opened: bool,
     /// A close has been submitted: the session takes no further requests
     /// and disappears with its `Closed` event.
     closing: bool,
@@ -264,8 +266,6 @@ struct Reply {
 #[derive(Default)]
 struct State {
     tenants: BTreeMap<u64, Tenant>,
-    /// Requests waiting in tenant queues.
-    queued_total: usize,
     /// Admitted and not yet answered across all tenants (the global
     /// bound's counter).
     outstanding_total: usize,
@@ -273,18 +273,17 @@ struct State {
     /// `outstanding_total` counts — entered at admission, exited where the
     /// admission slot is released. Observed, not yet bounded.
     request_bytes: Arc<Gauge>,
-    /// Tenants with queued work, in round-robin visit order.
+    /// Tenants with queued work, in round-robin visit order — the record
+    /// of what is queued: a tenant whose queue a deadline emptied is
+    /// dropped when its turn comes.
     round: VecDeque<u64>,
     /// Slots held by the waiters in `layers` and `sessions`: what the
     /// window bounds.
     in_flight: usize,
     /// Layer requests in flight, by serve request id.
     layers: HashMap<u64, Waiter>,
-    /// Sessions opened (or opening), by serve session id.
+    /// Sessions opened (or opening), by session id.
     sessions: HashMap<u64, SessionEntry>,
-    /// Wire session id → serve session id.
-    wire_sessions: HashMap<u64, u64>,
-    last_wire_session: u64,
     /// A lower bound on the earliest deadline among unanswered requests;
     /// `None` when the last scan found none. Deadlines never decrease in
     /// admission order, so a new admission can only leave it unchanged.
@@ -295,22 +294,6 @@ struct State {
     /// reference to it gone, and the completion thread ends when the last
     /// sender is.
     server: Option<(Arc<SaloServer>, Sender<ServeEvent>)>,
-}
-
-/// One of `tenant`'s admitted requests, of `bytes` on the wire, is
-/// answered: its admission slot is free again.
-fn release(
-    tenants: &mut BTreeMap<u64, Tenant>,
-    outstanding_total: &mut usize,
-    request_bytes: &Gauge,
-    tenant: u64,
-    bytes: usize,
-) {
-    if let Some(tenant) = tenants.get_mut(&tenant) {
-        tenant.outstanding -= 1;
-    }
-    *outstanding_total -= 1;
-    request_bytes.add(-(bytes as i64));
 }
 
 fn earliest(current: Option<Instant>, deadline: Instant) -> Option<Instant> {
@@ -359,13 +342,18 @@ impl State {
         self.request_bytes.add(pending.bytes as i64);
         tenant.queue.push_back(pending);
         tenant.outstanding += 1;
-        self.queued_total += 1;
         self.outstanding_total += 1;
         Ok(())
     }
 
+    /// One of `tenant`'s admitted requests, of `bytes` on the wire, is
+    /// answered: its admission slot is free again.
     fn release(&mut self, tenant: u64, bytes: usize) {
-        release(&mut self.tenants, &mut self.outstanding_total, &self.request_bytes, tenant, bytes);
+        if let Some(tenant) = self.tenants.get_mut(&tenant) {
+            tenant.outstanding -= 1;
+        }
+        self.outstanding_total -= 1;
+        self.request_bytes.add(-(bytes as i64));
     }
 
     /// Pops requests from the tenant at the head of the round while
@@ -393,7 +381,6 @@ impl State {
                 let Some(pending) = tenant.queue.pop_front() else { break };
                 tenant.deficit -= 1;
                 taken += slots(&pending.request);
-                self.queued_total -= 1;
                 salo_trace::record_since(
                     "gateway.tenant_queue_wait",
                     "gateway",
@@ -416,11 +403,12 @@ impl State {
     }
 
     /// Submits queued requests, a DRR quantum at a time, while the window
-    /// has room. What is refused is left in `out`, for the calling thread
-    /// to write once it has released the lock.
+    /// has room. Each pass pops at least one request or empties the round.
+    /// What is refused is left in `out`, for the calling thread to write
+    /// once it has released the lock.
     fn dispatch(&mut self, options: &GatewayOptions, out: &mut Vec<Reply>) {
         let window = in_flight_window(&options.serve);
-        while self.queued_total > 0 && self.in_flight < window {
+        while !self.round.is_empty() && self.in_flight < window {
             // Cloned so that `submit` can have the whole state, and dropped
             // before the lock is: the drain, which takes the original out
             // under it, never finds a copy alive.
@@ -431,16 +419,11 @@ impl State {
         }
     }
 
-    /// The serve session behind `wire_id`, if it is open on `conn` and
+    /// Session `session`, if its open was answered on `conn` and it is
     /// still taking requests.
-    fn live_session(
-        &mut self,
-        wire_id: u64,
-        conn: &ConnShared,
-    ) -> Option<(u64, &mut SessionEntry)> {
-        let serve_id = *self.wire_sessions.get(&wire_id)?;
-        let entry = self.sessions.get_mut(&serve_id)?;
-        (entry.conn.id == conn.id && !entry.closing).then_some((serve_id, entry))
+    fn live_session(&mut self, session: u64, conn: &ConnShared) -> Option<&mut SessionEntry> {
+        let entry = self.sessions.get_mut(&session)?;
+        (entry.opened && entry.conn.id == conn.id && !entry.closing).then_some(entry)
     }
 
     /// A completion arrived for `waiter`: its window slot is free — and
@@ -472,16 +455,10 @@ impl State {
         }
         let before = out.len();
         let mut next = None;
-        let State {
-            tenants,
-            queued_total,
-            outstanding_total,
-            request_bytes,
-            layers,
-            sessions,
-            server,
-            ..
-        } = &mut *self;
+        // The admission slots answered here: `(tenant, bytes)`, released
+        // once the tables have been walked.
+        let mut answered = Vec::new();
+        let State { tenants, layers, sessions, server, .. } = &mut *self;
         for tenant in tenants.values_mut() {
             while let Some(front) = tenant.queue.front() {
                 if front.deadline > now {
@@ -490,10 +467,7 @@ impl State {
                 }
                 let Pending { conn, header, bytes, .. } =
                     tenant.queue.pop_front().expect("front exists");
-                tenant.outstanding -= 1;
-                *queued_total -= 1;
-                *outstanding_total -= 1;
-                request_bytes.add(-(bytes as i64));
+                answered.push((header.tenant, bytes));
                 let response = error(
                     ErrorCode::TimedOut,
                     "request spent its service deadline in the dispatch queue",
@@ -510,7 +484,7 @@ impl State {
                 return false;
             }
             waiter.answered = true;
-            release(tenants, outstanding_total, request_bytes, waiter.header.tenant, waiter.bytes);
+            answered.push((waiter.header.tenant, waiter.bytes));
             let response = error(ErrorCode::TimedOut, "request outlived its service deadline");
             out.push(Reply { conn: Arc::clone(&waiter.conn), header: waiter.header, response });
             true
@@ -518,18 +492,21 @@ impl State {
         layers.values_mut().for_each(|waiter| {
             overdue(waiter);
         });
-        for (&serve_id, entry) in sessions.iter_mut() {
+        for (&session, entry) in sessions.iter_mut() {
             // Not opened and not closing: the open's waiter is in front.
-            let opening = entry.wire_id.is_none() && !entry.closing;
+            let opening = !entry.opened && !entry.closing;
             for (at, waiter) in entry.waiters.iter_mut().enumerate() {
                 if overdue(waiter) && at == 0 && opening {
                     entry.closing = true;
                     // Gone only after the drain closed every session.
                     if let Some((server, _)) = server {
-                        let _ = server.close_session(serve_id);
+                        let _ = server.close_session(session);
                     }
                 }
             }
+        }
+        for (tenant, bytes) in answered {
+            self.release(tenant, bytes);
         }
         self.next_expiry = next;
         (out.len() - before) as u64
@@ -540,9 +517,9 @@ impl State {
     /// left to be written to.
     fn close_sessions_of(&mut self, conn: &ConnShared, server: &SaloServer) {
         let orphans = self.sessions.iter_mut().filter(|(_, e)| e.conn.id == conn.id && !e.closing);
-        for (&serve_id, entry) in orphans {
+        for (&session, entry) in orphans {
             entry.closing = true;
-            let _ = server.close_session(serve_id);
+            let _ = server.close_session(session);
         }
     }
 
@@ -556,9 +533,9 @@ impl State {
         let Some((server, _)) = self.server.take() else { return };
         let deadline = inner.deadline(Instant::now());
         let State { tenants, outstanding_total, in_flight, sessions, next_expiry, .. } = self;
-        for (&serve_id, entry) in sessions.iter_mut().filter(|(_, entry)| !entry.closing) {
+        for (&session, entry) in sessions.iter_mut().filter(|(_, entry)| !entry.closing) {
             entry.closing = true;
-            if server.close_session(serve_id).is_err() || entry.wire_id.is_none() {
+            if server.close_session(session).is_err() || !entry.opened {
                 continue;
             }
             entry.waiters.push_back(Waiter {
@@ -766,12 +743,13 @@ impl Gateway {
     ///    work to be answered; whatever is still queued past the
     ///    deadline is failed with `Draining` frames instead of executed
     ///    (what is already in flight completes);
-    /// 3. a close is submitted for every live wire session; the
-    ///    completion path sends each connection a terminal `Closed`
-    ///    frame as the sessions end;
+    /// 3. a close is submitted for every live session, and nothing is
+    ///    submitted after that; the completion path sends each
+    ///    connection a terminal `Closed` frame as the sessions end;
     /// 4. reader sockets are read-shutdown (write halves stay open for
-    ///    the final frames), the server is drained and shut down, and
-    ///    all threads are joined;
+    ///    the final frames), the server is shut down — its workers run
+    ///    every queued close before they exit — and all threads are
+    ///    joined;
     /// 5. the pages behind everything that freed — plan cache, sessions,
     ///    K/V pools — are handed back to the operating system, so a
     ///    process that outlives its gateway does not stay at the
@@ -806,9 +784,10 @@ impl Gateway {
         report
     }
 
-    /// Steps 1–3 of [`shutdown`](Self::shutdown), up to and including the
-    /// server's drain: afterwards only the completion thread is left.
-    /// Returns whether the admitted work finished in the deadline.
+    /// Steps 1–3 of [`shutdown`](Self::shutdown) and the readers of
+    /// step 4: afterwards only the server's workers and the completion
+    /// thread are left. Returns whether the admitted work finished in the
+    /// deadline.
     fn drain(&mut self) -> bool {
         let inner = &self.inner;
         let deadline = inner.options.drain_deadline;
@@ -826,9 +805,9 @@ impl Gateway {
             std::thread::sleep(Duration::from_millis(2));
         };
 
-        // Fail whatever is still queued, then end every live wire session
-        // with a terminal `Closed` frame on its connection, correlated to
-        // its open; nothing is submitted after that.
+        // Fail whatever is still queued, then end every live session with
+        // a terminal `Closed` frame on its connection, correlated to its
+        // open; nothing is submitted after that.
         let leftovers: Vec<Pending> = {
             let mut state = inner.lock();
             let state = &mut *state;
@@ -837,7 +816,6 @@ impl Gateway {
             leftovers
                 .iter()
                 .for_each(|pending| state.release(pending.header.tenant, pending.bytes));
-            state.queued_total = 0;
             state.round.clear();
             state.close_all_sessions(inner);
             leftovers
@@ -865,9 +843,6 @@ impl Gateway {
             }
             handle.join().expect("reader panicked");
         }
-
-        let remaining = deadline.saturating_sub(start.elapsed());
-        self.server.drain(remaining.max(Duration::from_millis(100)));
         drained_in_deadline
     }
 }
@@ -1078,7 +1053,7 @@ fn submit(
                     let entry = SessionEntry {
                         conn: Arc::clone(&waiter.conn),
                         opened_by: header,
-                        wire_id: None,
+                        opened: false,
                         closing: false,
                         waiters: VecDeque::from([waiter]),
                     };
@@ -1090,7 +1065,7 @@ fn submit(
             }
         }
         Request::Step { session, token } => match state.live_session(session, &waiter.conn) {
-            Some((serve_id, entry)) => match server.step_session(serve_id, token) {
+            Some(entry) => match server.step_session(session, token) {
                 Ok(()) => {
                     entry.waiters.push_back(waiter);
                     state.in_flight += 1;
@@ -1101,7 +1076,7 @@ fn submit(
             None => unknown_session(session),
         },
         Request::Close { session } => match state.live_session(session, &waiter.conn) {
-            Some((serve_id, entry)) => match server.close_session(serve_id) {
+            Some(entry) => match server.close_session(session) {
                 Ok(()) => {
                     // Answered by the session's `Closed` event.
                     entry.closing = true;
@@ -1200,12 +1175,9 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
                     error(ErrorCode::Draining, "gateway drained before the open completed")
                 }
                 Ok(info) => {
-                    state.last_wire_session += 1;
-                    let wire_id = state.last_wire_session;
-                    entry.wire_id = Some(wire_id);
-                    state.wire_sessions.insert(wire_id, session);
+                    entry.opened = true;
                     Outgoing::Opened {
-                        session: wire_id,
+                        session,
                         min_step: info.min_step as u64,
                         position: info.position as u64,
                         capacity: info.capacity as u64,
@@ -1223,16 +1195,13 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
         }
         ServeEvent::Step { session, result, .. } => {
             let Some(entry) = state.sessions.get_mut(&session) else { return };
-            let wire_id = entry.wire_id.unwrap_or_default();
             let Some(waiter) = entry.waiters.pop_front() else { return };
             let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
             drop(guard);
             let response = match result {
-                Ok(step) => Outgoing::Stepped {
-                    session: wire_id,
-                    position: step.position as u64,
-                    heads: step.heads,
-                },
+                Ok(step) => {
+                    Outgoing::Stepped { session, position: step.position as u64, heads: step.heads }
+                }
                 Err(e) => serve_error(&e),
             };
             out.push(Reply { conn, header, response });
@@ -1242,12 +1211,10 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             // connection's reader, or a failure that retired the session.
             // Whatever still waits on it is answered with the close.
             let Some(entry) = state.sessions.remove(&session) else { return };
-            let wire_id = entry.wire_id.unwrap_or_default();
-            state.wire_sessions.remove(&wire_id);
             let position = position.map(|p| p as u64);
             for waiter in entry.waiters {
                 if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
-                    let response = Outgoing::Closed { session: wire_id, position };
+                    let response = Outgoing::Closed { session, position };
                     out.push(Reply { conn, header, response });
                 }
             }
@@ -1356,6 +1323,11 @@ mod tests {
         state.admit(pending, options, || Arc::new(LogHistogram::new()))
     }
 
+    /// Requests waiting in tenant queues.
+    fn queued(state: &State) -> usize {
+        state.tenants.values().map(|tenant| tenant.queue.len()).sum()
+    }
+
     /// What `submit` does to the table for a layer request.
     fn put_in_flight(state: &mut State, serve_id: u64, pending: Pending) {
         let Pending { conn, header, request, bytes, deadline, .. } = pending;
@@ -1382,7 +1354,7 @@ mod tests {
         // request and resumes with the rest of its quantum, not a new one.
         order.extend(state.pop_quantum(2, 1).iter().map(|p| p.header.tenant));
         assert_eq!(state.tenants[&1].deficit, 1);
-        while state.queued_total > 0 {
+        while !state.round.is_empty() {
             order.extend(state.pop_quantum(2, usize::MAX).iter().map(|p| p.header.tenant));
         }
         // Visits alternate a quantum at a time until tenant 2 drains:
@@ -1465,7 +1437,7 @@ mod tests {
         for (serve_id, pending) in state.pop_quantum(8, usize::MAX).into_iter().enumerate() {
             put_in_flight(&mut state, serve_id as u64, pending);
         }
-        assert_eq!((state.queued_total, state.in_flight), (0, 3));
+        assert_eq!((queued(&state), state.in_flight), (0, 3));
         assert_eq!(admit(&mut state, &options, &conn, header(3)), Err(3), "q in flight");
         assert_eq!(state.request_bytes.get(), 3 * BYTES as i64, "a refusal never entered");
         // Another tenant is not affected by tenant 7's quota.
@@ -1508,7 +1480,7 @@ mod tests {
                 matches!(&reply.response, Outgoing::Error(frame) if frame.code == ErrorCode::TimedOut)
             );
         }
-        assert_eq!((state.queued_total, state.outstanding_total, state.in_flight), (0, 0, 1));
+        assert_eq!((queued(&state), state.outstanding_total, state.in_flight), (0, 0, 1));
         assert_eq!(state.request_bytes.get(), 0, "the bytes leave with the admission slots");
         assert_eq!(state.next_expiry, None);
         assert_eq!(state.expire(late, &mut out), 0, "answered once");
@@ -1546,7 +1518,7 @@ mod tests {
                 .expect("admitted");
             state.dispatch(&inner.options, out);
         };
-        // (queued, outstanding, in flight, layers, sessions, wire ids).
+        // (queued, outstanding, in flight, (layers, sessions)).
         // `gateway.request_bytes` is `BYTES` per outstanding request the
         // client sent — the drain's own terminal close has no frame.
         let tables = || {
@@ -1554,8 +1526,8 @@ mod tests {
             let drain_closes = if s.server.is_none() { s.sessions.len() } else { 0 };
             let from_clients = s.outstanding_total - drain_closes;
             assert_eq!(s.request_bytes.get(), (from_clients * BYTES) as i64);
-            let sizes = (s.layers.len(), s.sessions.len(), s.wire_sessions.len());
-            (s.queued_total, s.outstanding_total, s.in_flight, sizes)
+            let sizes = (s.layers.len(), s.sessions.len());
+            (queued(&s), s.outstanding_total, s.in_flight, sizes)
         };
         let code_of = |reply: &Reply| match &reply.response {
             Outgoing::Error(frame) => Some(frame.code),
@@ -1574,7 +1546,7 @@ mod tests {
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
         submit_one(open(2), &conn, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
-        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
+        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0))));
 
         // A layer holds a round's share of the window — here, all of it —
         // until its event arrives, so a second one waits in its queue; the
@@ -1587,35 +1559,35 @@ mod tests {
             heads: salo_kernels::Qkv::random_heads(&shape, 1),
         };
         submit_one(layer(), &conn, &mut out);
-        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)));
+        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0)));
         submit_one(layer(), &conn, &mut out);
-        assert_eq!(tables(), (1, 2, WINDOW_ROUNDS, (1, 0, 0)), "the window is full");
+        assert_eq!(tables(), (1, 2, WINDOW_ROUNDS, (1, 0)), "the window is full");
         let written = inner.counts.frames_written.get();
         on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
-        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0, 0)), "the settle submitted it");
+        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0)), "the settle submitted it");
         on_event(&inner, events_rx.recv().expect("second layer done"), &mut out);
-        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0, 0))));
+        assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0))));
         assert_eq!(inner.counts.frames_written.get(), written + 2);
 
         // A good open is in flight until its event arrives.
         submit_one(open(1), &conn, &mut out);
-        assert_eq!(tables(), (0, 1, 1, (0, 1, 0)));
+        assert_eq!(tables(), (0, 1, 1, (0, 1)));
         on_event(&inner, events_rx.recv().expect("opened"), &mut out);
-        assert!(matches!(out.last().expect("reply").response, Outgoing::Opened { session: 1, .. }));
-        let opened = (0, 0, 0, (0, 1, 1));
+        assert!(matches!(out.last().expect("reply").response, Outgoing::Opened { session: 0, .. }));
+        let opened = (0, 0, 0, (0, 1));
         assert_eq!((out.len(), tables()), (3, opened));
 
         // A step the engine refuses (no heads) fails alone.
-        submit_one(Request::Step { session: 1, token: Vec::new() }, &conn, &mut out);
-        assert_eq!(tables(), (0, 1, 1, (0, 1, 1)));
+        submit_one(Request::Step { session: 0, token: Vec::new() }, &conn, &mut out);
+        assert_eq!(tables(), (0, 1, 1, (0, 1)));
         on_event(&inner, events_rx.recv().expect("step failed"), &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (4, opened));
-        submit_one(Request::Step { session: 1, token: tokens[0].clone() }, &conn, &mut out);
+        submit_one(Request::Step { session: 0, token: tokens[0].clone() }, &conn, &mut out);
         on_event(&inner, events_rx.recv().expect("stepped"), &mut out);
         assert!(matches!(
             out.last().expect("reply").response,
-            Outgoing::Stepped { session: 1, .. }
+            Outgoing::Stepped { session: 0, .. }
         ));
         assert_eq!((out.len(), tables()), (5, opened));
 
@@ -1623,10 +1595,10 @@ mod tests {
         // another connection cannot reach the session.
         let dead = conn_with_id(2);
         dead.alive.store(false, Ordering::Release);
-        submit_one(Request::Step { session: 1, token: tokens[1].clone() }, &dead, &mut out);
+        submit_one(Request::Step { session: 0, token: tokens[1].clone() }, &dead, &mut out);
         assert_eq!((out.len(), tables()), (5, opened));
         let stranger = conn_with_id(3);
-        submit_one(Request::Close { session: 1 }, &stranger, &mut out);
+        submit_one(Request::Close { session: 0 }, &stranger, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
         assert_eq!((out.len(), tables()), (6, opened));
 
@@ -1634,7 +1606,7 @@ mod tests {
         // and the `Closed` event is dropped.
         inner.lock().close_sessions_of(&conn, &server);
         on_event(&inner, events_rx.recv().expect("closed"), &mut out);
-        assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0, 0))));
+        assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0))));
 
         // The drain closes what is still open and gives up the submit
         // side. The terminal `Closed` answers the open under a deadline of
@@ -1644,15 +1616,15 @@ mod tests {
         // As after an idle `service_timeout`: a scan that found nothing.
         assert_eq!(inner.lock().expire(Instant::now() + 2 * TIMEOUT, &mut out), 0);
         inner.lock().close_all_sessions(&inner);
-        assert_eq!((out.len(), tables()), (7, (0, 1, 1, (0, 1, 1))));
+        assert_eq!((out.len(), tables()), (7, (0, 1, 1, (0, 1))));
         assert_eq!(
             inner.lock().expire(Instant::now(), &mut out),
             0,
             "not due the moment it is set"
         );
         on_event(&inner, events_rx.recv().expect("closed by the drain"), &mut out);
-        assert!(matches!(out.last().expect("reply").response, Outgoing::Closed { session: 2, .. }));
-        assert_eq!((out.len(), tables()), (8, (0, 0, 0, (0, 0, 0))));
+        assert!(matches!(out.last().expect("reply").response, Outgoing::Closed { session: 1, .. }));
+        assert_eq!((out.len(), tables()), (8, (0, 0, 0, (0, 0))));
         assert_eq!(server.active_sessions(), 0);
         let report = Arc::into_inner(server).expect("the drain dropped the state's").shutdown();
         assert_eq!((report.decode_sessions, report.decode_steps), (2, 2));
@@ -1715,7 +1687,6 @@ mod tests {
                 result: Err(ServeError::Draining),
                 cache_hit: false,
                 worker: None,
-                batch_size: 0,
                 latency_s: 0.0,
             };
             events_tx.send(ServeEvent::Layer(late)).expect("the loop is listening");

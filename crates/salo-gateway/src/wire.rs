@@ -264,7 +264,8 @@ pub enum Response {
     },
     /// A [`Request::Open`] completed.
     Opened {
-        /// Wire session id for subsequent [`Request::Step`]s.
+        /// Wire session id for subsequent [`Request::Step`]s — the same id
+        /// the serving runtime and the engine know the session by.
         session: u64,
         /// First decodable position.
         min_step: u64,

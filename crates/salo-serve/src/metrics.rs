@@ -9,8 +9,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use salo_trace::HistogramSnapshot;
+use salo_trace::{Counter, HistogramSnapshot, MetricsRegistry};
 
 use crate::CacheStats;
 
@@ -26,6 +27,35 @@ pub struct TenantCounters {
     pub rejections: u64,
     /// Decode steps accepted across this tenant's sessions.
     pub decode_steps: u64,
+}
+
+/// One tenant's live `serve.tenant.{id}.*` counters — the registry
+/// entries behind its [`TenantCounters`] row — resolved by name once.
+#[derive(Clone)]
+pub(crate) struct TenantMetrics {
+    pub requests: Arc<Counter>,
+    pub rejections: Arc<Counter>,
+    pub decode_steps: Arc<Counter>,
+}
+
+impl TenantMetrics {
+    pub fn new(registry: &MetricsRegistry, tenant: u64) -> Self {
+        let counter = |field: &str| registry.counter(&format!("serve.tenant.{tenant}.{field}"));
+        Self {
+            requests: counter("requests"),
+            rejections: counter("rejections"),
+            decode_steps: counter("decode_steps"),
+        }
+    }
+
+    /// The counters' values now.
+    pub fn read(&self) -> TenantCounters {
+        TenantCounters {
+            requests: self.requests.get(),
+            rejections: self.rejections.get(),
+            decode_steps: self.decode_steps.get(),
+        }
+    }
 }
 
 /// Aggregate statistics for one serving session, produced by

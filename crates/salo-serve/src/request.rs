@@ -53,9 +53,6 @@ pub struct ServeResponse {
     /// Index of the worker (accelerator instance) that executed it;
     /// `None` when the request failed before reaching a worker.
     pub worker: Option<usize>,
-    /// Number of layers its worker ran back to back in the tick this
-    /// request rode in; 0 when it never reached a worker.
-    pub batch_size: usize,
     /// Wall-clock latency from submission to completion, in seconds.
     pub latency_s: f64,
 }

@@ -45,9 +45,9 @@ use std::time::{Duration, Instant};
 
 use salo_core::Salo;
 use salo_sim::AcceleratorConfig;
-use salo_trace::{Counter, MetricsRegistry};
+use salo_trace::MetricsRegistry;
 
-use crate::metrics::{ServeReport, TenantCounters};
+use crate::metrics::{ServeReport, TenantMetrics};
 use crate::session::{
     DecodeSessionHandle, LiveSession, ServeEvent, SessionRegistry, SessionRequest, TokenQkv,
 };
@@ -67,9 +67,9 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Prefill shard count inside each worker's engine (`0` inherits the
-    /// `SALO_PARALLELISM` environment default, `1` is sequential).
-    /// Bit-transparent: only wall-clock changes, never outputs.
+    /// Prefill shard count inside each worker's engine (`0` and `1` are
+    /// sequential). Bit-transparent: only wall-clock changes, never
+    /// outputs.
     pub worker_parallelism: usize,
     /// Rows per K/V page in each worker's decode page pool (`None` is
     /// the engine default, [`DEFAULT_PAGE_ROWS`](salo_sim::DEFAULT_PAGE_ROWS)).
@@ -94,7 +94,7 @@ impl Default for ServeOptions {
             max_batch: 8,
             cache_capacity: 64,
             cache_shards: 8,
-            worker_parallelism: 0,
+            worker_parallelism: 1,
             decode_page_rows: None,
             decode_pool_pages: None,
         }
@@ -138,9 +138,10 @@ pub struct SaloServer {
     metrics: Arc<MetricsRegistry>,
     /// The registry handles the front end and the workers record through.
     counts: ServeMetrics,
-    /// Each tenant's `serve.tenant.{id}.requests` counter, resolved by
-    /// name on the tenant's first request and by id afterwards.
-    tenant_requests: Mutex<HashMap<u64, Arc<Counter>>>,
+    /// Every tenant's counters, by tenant id: resolved by name once, on
+    /// the tenant's first request or rejection, and read back into
+    /// [`ServeReport::tenants`] at shutdown.
+    tenants: Mutex<HashMap<u64, TenantMetrics>>,
     /// One-way flag set by [`drain`](Self::drain): new submissions, opens
     /// and steps are refused with [`ServeError::Draining`] while in-flight
     /// work finishes and sessions close out. Set, and read by an open,
@@ -186,7 +187,7 @@ impl SaloServer {
             sessions,
             metrics,
             counts,
-            tenant_requests: Mutex::new(HashMap::new()),
+            tenants: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
         }
     }
@@ -263,7 +264,7 @@ impl SaloServer {
         let request = ServeRequest::new(request.pattern, request.shape, request.heads)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
-        self.count_tenant_request(tenant);
+        self.tenant(tenant).requests.inc();
         self.counts.depth.add(1);
         let ticket = LayerTicket { id, submitted: Instant::now(), events };
         if let Err(job) = self.pool.send(self.pool.least_loaded(), Job::Layer { ticket, request }) {
@@ -333,7 +334,7 @@ impl SaloServer {
         events: Sender<ServeEvent>,
     ) -> Result<u64, ServeError> {
         request.validate()?;
-        let decode_steps = self.metrics.counter(&format!("serve.tenant.{tenant}.decode_steps"));
+        let TenantMetrics { requests, decode_steps, .. } = self.tenant(tenant);
         // Admission, placement and the send are one step under the
         // table's lock. A drain marks and snapshots under the same lock,
         // so it either refuses this open or closes it; and whoever removes
@@ -345,7 +346,7 @@ impl SaloServer {
         }
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
-        self.count_tenant_request(tenant);
+        requests.inc();
         self.counts.depth.add(1);
         let worker = table.place(|w| self.pool.load_of(w));
         table.insert(session, LiveSession { worker, events: events.clone(), decode_steps });
@@ -358,13 +359,10 @@ impl SaloServer {
         Ok(session)
     }
 
-    /// Counts one accepted request toward `serve.tenant.{tenant}.requests`.
-    fn count_tenant_request(&self, tenant: u64) {
-        let mut tenants = self.tenant_requests.lock().expect("tenant counters poisoned");
-        tenants
-            .entry(tenant)
-            .or_insert_with(|| self.metrics.counter(&format!("serve.tenant.{tenant}.requests")))
-            .inc();
+    /// `tenant`'s counters, resolved by name on its first appearance.
+    fn tenant(&self, tenant: u64) -> TenantMetrics {
+        let mut tenants = self.tenants.lock().expect("tenant counters poisoned");
+        tenants.entry(tenant).or_insert_with(|| TenantMetrics::new(&self.metrics, tenant)).clone()
     }
 
     /// Submits one decode step: `token` carries the new position's
@@ -491,7 +489,7 @@ impl SaloServer {
     /// [`ServeReport::tenants`] entry and the live
     /// `serve.tenant.{id}.rejections` counter.
     pub fn record_tenant_rejection(&self, tenant: u64) {
-        self.metrics.counter(&format!("serve.tenant.{tenant}.rejections")).inc();
+        self.tenant(tenant).rejections.inc();
     }
 
     /// Gracefully drains the runtime: refuses new work, closes every
@@ -553,22 +551,8 @@ impl SaloServer {
         let latency_hist = self.metrics.histogram("serve.latency_ns").snapshot();
         let decode_step_latency_hist =
             self.metrics.histogram("serve.decode.step_latency_ns").snapshot();
-        // The per-tenant counters are dynamically named
-        // (`serve.tenant.{id}.{field}`); recover the family by prefix and
-        // fold it into the report's map.
-        let mut tenants: BTreeMap<u64, TenantCounters> = BTreeMap::new();
-        for (name, value) in self.metrics.counters_with_prefix("serve.tenant.") {
-            let rest = &name["serve.tenant.".len()..];
-            let Some((id, field)) = rest.split_once('.') else { continue };
-            let Ok(id) = id.parse::<u64>() else { continue };
-            let entry = tenants.entry(id).or_default();
-            match field {
-                "requests" => entry.requests = value,
-                "rejections" => entry.rejections = value,
-                "decode_steps" => entry.decode_steps = value,
-                _ => {}
-            }
-        }
+        let tenants = self.tenants.lock().expect("tenant counters poisoned");
+        let tenants = tenants.iter().map(|(&tenant, handles)| (tenant, handles.read())).collect();
         ServeReport {
             requests,
             errors: counter("serve.errors"),

@@ -238,8 +238,8 @@ pub(crate) struct LiveSession {
     /// The sender the session's open came in with.
     pub events: Sender<ServeEvent>,
     /// The `serve.tenant.{id}.decode_steps` counter of the tenant that
-    /// opened it: resolved by name once at open, so the step path pays
-    /// one lookup for liveness, routing and accounting together.
+    /// opened it, taken from the server's tenant map at open, so the step
+    /// path pays one lookup for liveness, routing and accounting together.
     pub decode_steps: Arc<Counter>,
 }
 

@@ -7,7 +7,7 @@
 //! triple, a mix of `k` layers exercises exactly `k` plan-cache entries —
 //! the steady-state hit rate approaches `1 - k/requests`.
 
-use salo_core::engine::check_pattern_len;
+use salo_core::engine::{check_pattern_len, check_prompt_rows};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{bigbird, longformer, vil_stage, AttentionShape, HybridPattern, Window};
 
@@ -155,27 +155,19 @@ impl GenerationTraffic {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] for an empty mix or a shape
-    /// whose prompt does not cover its globals (or leaves no steps).
+    /// whose prompt the engines' open rule ([`check_prompt_rows`]) refuses:
+    /// one that does not cover its globals or leaves no steps.
     pub fn new(shapes: Vec<GenerationShape>) -> Result<Self, ServeError> {
         if shapes.is_empty() {
             return Err(ServeError::InvalidRequest { reason: "empty generation mix".into() });
         }
         for (i, s) in shapes.iter().enumerate() {
-            let view = s
-                .pattern
-                .decode_view()
-                .map_err(|e| ServeError::InvalidRequest { reason: format!("shape {i}: {e}") })?;
-            if s.prompt_len < view.min_step() || s.prompt_len >= s.pattern.n() {
-                return Err(ServeError::InvalidRequest {
-                    reason: format!(
-                        "shape {i}: prompt of {} rows must cover the globals \
-                         (min {}) and leave room to generate (capacity {})",
-                        s.prompt_len,
-                        view.min_step(),
-                        s.pattern.n()
-                    ),
-                });
-            }
+            let invalid = |e: &dyn std::fmt::Display| ServeError::InvalidRequest {
+                reason: format!("shape {i}: {e}"),
+            };
+            let view = s.pattern.decode_view().map_err(|e| invalid(&e))?;
+            check_prompt_rows(s.pattern.n(), view.min_step(), s.prompt_len)
+                .map_err(|e| invalid(&e))?;
         }
         Ok(Self { shapes })
     }
@@ -394,6 +386,12 @@ mod tests {
             prompt_len: 2,
         }]);
         assert!(matches!(bad, Err(ServeError::InvalidRequest { .. })));
+        // Refused by the engines' open rule, in its wording.
+        let rule = check_prompt_rows(16, 6, 2).unwrap_err();
+        assert!(
+            matches!(&bad, Err(ServeError::InvalidRequest { reason }) if *reason == format!("shape 0: {rule}")),
+            "{bad:?}"
+        );
         // Prompt filling the whole capacity leaves nothing to generate.
         let full = GenerationTraffic::new(vec![GenerationShape {
             pattern,

@@ -89,7 +89,7 @@ impl Job {
     pub fn lose(self, metrics: &ServeMetrics) {
         let lost = ServeError::WorkerLost;
         match self {
-            Job::Layer { ticket, .. } => metrics.complete_layer(ticket, false, Err(lost), None, 0),
+            Job::Layer { ticket, .. } => metrics.complete_layer(ticket, false, Err(lost), None),
             Job::Open { session, submitted, events, .. } => {
                 metrics.complete_open(&events, session, submitted, Err(lost));
             }
@@ -247,15 +247,14 @@ impl ServeMetrics {
         last.saturating_sub(first) as f64 / 1e9
     }
 
-    /// Completes a layer request. `worker` and `batch_size` are `None`
-    /// and 0 when it never reached a worker.
+    /// Completes a layer request. `worker` is `None` when it never
+    /// reached a worker.
     pub fn complete_layer(
         &self,
         ticket: LayerTicket,
         cache_hit: bool,
         result: Result<MultiHeadRun, ServeError>,
         worker: Option<usize>,
-        batch_size: usize,
     ) {
         let LayerTicket { id, submitted, events } = ticket;
         let latency_s = self.finish(submitted);
@@ -272,7 +271,7 @@ impl ServeMetrics {
         if let Some(worker) = worker {
             self.worker_requests[worker].inc();
         }
-        let response = ServeResponse { id, result, cache_hit, worker, batch_size, latency_s };
+        let response = ServeResponse { id, result, cache_hit, worker, latency_s };
         // The client may have stopped reading; metrics still count.
         let _ = events.send(ServeEvent::Layer(response));
         self.depth.add(-1);
@@ -354,8 +353,7 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` threads, each owning an engine built from `salo`
     /// and resolving its plans against `cache`.
-    /// `options.worker_parallelism` is the engines' prefill shard count
-    /// (`0` inherits the `SALO_PARALLELISM` environment default);
+    /// `options.worker_parallelism` is the engines' prefill shard count;
     /// `decode_page_rows` / `decode_pool_pages` configure each engine's
     /// K/V page pool (`None` is `DEFAULT_PAGE_ROWS` rows, unbounded).
     pub fn spawn(
@@ -366,11 +364,7 @@ impl WorkerPool {
         registry: &Arc<SessionRegistry>,
         metrics: &ServeMetrics,
     ) -> Self {
-        let ServeOptions { decode_page_rows, decode_pool_pages, .. } = *options;
-        let parallelism = match options.worker_parallelism {
-            0 => salo_core::env_parallelism(),
-            shards => shards,
-        };
+        let ServeOptions { worker_parallelism, decode_page_rows, decode_pool_pages, .. } = *options;
         // The accelerator configuration is fixed for the server's
         // lifetime; fingerprint it once instead of per request.
         let config_fp = salo.config().fingerprint();
@@ -381,7 +375,7 @@ impl WorkerPool {
             let (tx, rx) = std::sync::mpsc::channel::<Job>();
             let load = Arc::new(AtomicUsize::new(0));
             // Engines built from one Salo share its lookup tables.
-            let mut engine = salo.engine_with_parallelism(parallelism);
+            let mut engine = salo.engine_with_parallelism(worker_parallelism);
             if decode_page_rows.is_some() || decode_pool_pages.is_some() {
                 let rows = decode_page_rows.unwrap_or(DEFAULT_PAGE_ROWS);
                 engine.configure_kv_pool(rows, decode_pool_pages);
@@ -483,7 +477,7 @@ impl Worker {
     /// steps as one batched engine pass.
     fn run_tick(&mut self, jobs: &mut Vec<Job>) {
         // The layers of one tick run back to back on this worker: that
-        // count is what `serve.batches` / `ServeResponse::batch_size`
+        // count is what `serve.batches` / `serve.batched_requests`
         // measure.
         let layers = jobs.iter().filter(|job| matches!(job, Job::Layer { .. })).count();
         if layers > 0 {
@@ -505,7 +499,7 @@ impl Worker {
                 }
                 Job::Layer { ticket, request } => {
                     self.run_steps(std::mem::take(&mut run));
-                    self.run_layer(ticket, request, layers);
+                    self.run_layer(ticket, request);
                 }
                 Job::Open { session, request, submitted, events } => {
                     self.run_steps(std::mem::take(&mut run));
@@ -618,8 +612,8 @@ impl Worker {
     }
 
     /// Resolves and executes one layer, and completes it on the sender it
-    /// came in with. `batch_size` is the number of layers in its tick.
-    fn run_layer(&mut self, ticket: LayerTicket, request: ServeRequest, batch_size: usize) {
+    /// came in with.
+    fn run_layer(&mut self, ticket: LayerTicket, request: ServeRequest) {
         let tracer = salo_trace::Tracer::global();
         // Queue wait: submission to this worker's dequeue.
         tracer.record_since("serve.queue_wait", "serve", ticket.submitted, ticket.id);
@@ -643,7 +637,7 @@ impl Worker {
             self.energy_j += run.total_energy_j;
         }
         let _reply_span = tracer.span_with("serve.reply", "serve", ticket.id);
-        self.metrics.complete_layer(ticket, cache_hit, result, Some(self.index), batch_size);
+        self.metrics.complete_layer(ticket, cache_hit, result, Some(self.index));
     }
 
     /// Clips a session's pattern, resolves its plan, opens it on the

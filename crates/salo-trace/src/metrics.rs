@@ -304,19 +304,6 @@ impl MetricsRegistry {
         Arc::clone(map.entry(name.to_owned()).or_default())
     }
 
-    /// Snapshot of every counter whose name starts with `prefix`, as
-    /// `(name, value)` pairs in name order. This is how structured
-    /// consumers (e.g. the serving report's per-tenant section) recover
-    /// families of dynamically named counters (`serve.tenant.3.requests`)
-    /// without the registry having to know about the family.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        let map = self.counters.lock().expect("metrics registry poisoned");
-        map.range(prefix.to_owned()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect()
-    }
-
     /// Removes every metric. Intended for tests and examples that want a
     /// clean slate on the global registry.
     pub fn reset(&self) {
@@ -534,25 +521,6 @@ mod tests {
         g.add(-6);
         assert_eq!(g.get(), 2);
         assert_eq!(g.high_water(), 8);
-    }
-
-    #[test]
-    fn counters_with_prefix_selects_the_family_in_name_order() {
-        let r = MetricsRegistry::new();
-        r.counter("serve.tenant.1.requests").add(4);
-        r.counter("serve.tenant.1.rejections").add(1);
-        r.counter("serve.tenant.2.requests").add(9);
-        r.counter("serve.requests").add(13); // outside the family
-        let family = r.counters_with_prefix("serve.tenant.");
-        assert_eq!(
-            family,
-            vec![
-                ("serve.tenant.1.rejections".to_owned(), 1),
-                ("serve.tenant.1.requests".to_owned(), 4),
-                ("serve.tenant.2.requests".to_owned(), 9),
-            ]
-        );
-        assert!(r.counters_with_prefix("gateway.").is_empty());
     }
 
     #[test]

@@ -123,7 +123,6 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     // --- Capabilities describe the trio. ---
     let mut engines = salo.all_engines();
     assert_eq!(engines.len(), 3);
-    assert!(engines.iter().all(|e| e.capabilities().supports_decode));
     assert_eq!(
         engines.iter().map(|e| e.capabilities().bit_exact).collect::<Vec<_>>(),
         [true, true, false]
