@@ -25,16 +25,20 @@
 //!   What is outstanding is also counted in bytes
 //!   (`gateway.request_bytes`, frame lengths), observed and not bounded;
 //! * one **completion** thread blocks on the one `Receiver<ServeEvent>`
-//!   every request the gateway submits reports into — the serve workers
-//!   send there directly — and routes a layer response by its serve
-//!   request id, a session event by its session id: a session's replies
-//!   leave in step order because its waiters form a FIFO, and a `Close`
-//!   is answered by the `Closed` event. A session has one id at every
-//!   layer: the serve session id — the engine's too — is what `Opened`
-//!   carries to the client and what its `Step` and `Close` name. Layer
-//!   replies leave in completion order, not submission order: clients
-//!   correlate by `request_id`, and a small prefill never waits behind a
-//!   stranger's large one. It is
+//!   behind the [`EventSink`] every request the gateway submits reports
+//!   into — the serve workers send there directly — and routes a layer
+//!   response by its serve request id, a session event by its session id:
+//!   a session's replies leave in step order because its waiters form a
+//!   FIFO, and a `Close` is answered by the `Closed` event. The steps one
+//!   worker pass completed arrive as one `ServeEvent::Steps` message and
+//!   are routed under one acquisition of the state lock; their replies
+//!   queue in run order, and each run of them to one connection leaves in
+//!   one write. A decode tick wakes this thread once, not once per token.
+//!   A session has one id at every layer: the serve session id — the
+//!   engine's too — is what `Opened` carries to the client and what its
+//!   `Step` and `Close` name. Layer replies leave in completion order, not
+//!   submission order: clients correlate by `request_id`, and a small
+//!   prefill never waits behind a stranger's large one. It is
 //!   also the timer: it never waits longer than the earliest outstanding
 //!   deadline and answers whatever outlived `service_timeout` with a
 //!   typed `TimedOut` frame; the completion of a waiter that already
@@ -75,14 +79,14 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use salo_serve::{
-    SaloServer, ServeError, ServeEvent, ServeOptions, ServeReport, ServeRequest, ServeResponse,
-    SessionRequest,
+    EventSink, SaloServer, ServeError, ServeEvent, ServeOptions, ServeReport, ServeRequest,
+    ServeResponse, SessionRequest,
 };
 use salo_sim::AcceleratorConfig;
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
@@ -288,12 +292,13 @@ struct State {
     /// `None` when the last scan found none. Deadlines never decrease in
     /// admission order, so a new admission can only leave it unchanged.
     next_expiry: Option<Instant>,
-    /// The submit side: the server, and the sender whose receiver the
-    /// completion thread blocks on. The drain takes it out to close the
-    /// live sessions and drops it — shutting the server down needs every
-    /// reference to it gone, and the completion thread ends when the last
-    /// sender is.
-    server: Option<(Arc<SaloServer>, Sender<ServeEvent>)>,
+    /// The submit side: the server, and the one sink whose receiver the
+    /// completion thread blocks on — every submission gets a clone of it,
+    /// so a worker can tell its steps share a channel. The drain takes it
+    /// out to close the live sessions and drops it — shutting the server
+    /// down needs every reference to it gone, and the completion thread
+    /// ends when the last clone of the sink is.
+    server: Option<(Arc<SaloServer>, EventSink)>,
 }
 
 fn earliest(current: Option<Instant>, deadline: Instant) -> Option<Instant> {
@@ -442,6 +447,75 @@ impl State {
         }
         self.release(waiter.header.tenant, waiter.bytes);
         Some((waiter.conn, waiter.header))
+    }
+
+    /// Answers the waiter at the head of a session's FIFO with a session
+    /// event, settling it; the reply is left in `out`.
+    fn route_session_event(
+        &mut self,
+        event: ServeEvent,
+        options: &GatewayOptions,
+        out: &mut Vec<Reply>,
+    ) {
+        match event {
+            ServeEvent::Opened { session, result } => {
+                let Some(entry) = self.sessions.get_mut(&session) else { return };
+                let Some(waiter) = entry.waiters.pop_front() else { return };
+                let response = match result {
+                    Ok(_) if entry.closing => {
+                        error(ErrorCode::Draining, "gateway drained before the open completed")
+                    }
+                    Ok(info) => {
+                        entry.opened = true;
+                        Outgoing::Opened {
+                            session,
+                            min_step: info.min_step as u64,
+                            position: info.position as u64,
+                            capacity: info.capacity as u64,
+                        }
+                    }
+                    Err(e) => {
+                        // The server deregistered it; no `Closed` follows.
+                        self.sessions.remove(&session);
+                        serve_error(&e)
+                    }
+                };
+                if let Some((conn, header)) = self.settle(waiter, options, out) {
+                    out.push(Reply { conn, header, response });
+                }
+            }
+            ServeEvent::Step { session, result, .. } => {
+                let Some(entry) = self.sessions.get_mut(&session) else { return };
+                let Some(waiter) = entry.waiters.pop_front() else { return };
+                let Some((conn, header)) = self.settle(waiter, options, out) else { return };
+                let response = match result {
+                    Ok(step) => Outgoing::Stepped {
+                        session,
+                        position: step.position as u64,
+                        heads: step.heads,
+                    },
+                    Err(e) => serve_error(&e),
+                };
+                out.push(Reply { conn, header, response });
+            }
+            ServeEvent::Closed { session, position } => {
+                // Terminal, whoever asked: the client, the drain, a dead
+                // connection's reader, or a failure that retired the
+                // session. Whatever still waits on it is answered with the
+                // close.
+                let Some(entry) = self.sessions.remove(&session) else { return };
+                let position = position.map(|p| p as u64);
+                for waiter in entry.waiters {
+                    if let Some((conn, header)) = self.settle(waiter, options, out) {
+                        let response = Outgoing::Closed { session, position };
+                        out.push(Reply { conn, header, response });
+                    }
+                }
+            }
+            // A layer is a message of its own, and a `Steps` holds only
+            // session events: neither reaches here.
+            ServeEvent::Layer(_) | ServeEvent::Steps(_) => {}
+        }
     }
 
     /// Answers every request past its deadline with a `TimedOut` reply in
@@ -704,7 +778,7 @@ impl Gateway {
         let inner = Arc::new(Inner::new(options, server.metrics()));
         // Everything the gateway submits reports into this one channel.
         let (events_tx, events_rx) = std::sync::mpsc::channel();
-        inner.lock().server = Some((Arc::clone(&server), events_tx));
+        inner.lock().server = Some((Arc::clone(&server), events_tx.into()));
         let acceptor = {
             let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
             spawn("gateway-accept", move || accept_loop(&inner, &server, listener))
@@ -1021,7 +1095,7 @@ fn submit(
     server: &SaloServer,
     state: &mut State,
     pending: Pending,
-    events: &Sender<ServeEvent>,
+    events: &EventSink,
     out: &mut Vec<Reply>,
 ) {
     let Pending { header, request, conn, bytes, deadline, .. } = pending;
@@ -1100,15 +1174,17 @@ fn submit(
 // ---------------------------------------------------------------------
 
 /// Blocks on the one channel everything the gateway submits reports into,
-/// until the earliest deadline. Events that are already waiting are routed
-/// in one pass, and the session replies among them written together.
+/// until the earliest deadline. Messages that are already waiting are
+/// routed in one pass, and the session replies among them written
+/// together.
 ///
 /// Nothing wakes it for an admission: a deadline is at least
 /// `service_timeout` after its admission and the wait is never longer than
 /// that, so none comes due unseen.
 fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
-    // One window of events per pass: each settle refills the window, and
-    // the replies must not wait on that.
+    // One window of messages per pass: each settle refills the window,
+    // and the replies must not wait on that. A message is one event or
+    // the steps of one worker pass — at most a tick's run.
     let burst = in_flight_window(&inner.options.serve);
     let mut out = Vec::new();
     let timeout = inner.options.service_timeout;
@@ -1132,12 +1208,14 @@ fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
     }
 }
 
-/// Routes one event to whoever is owed its reply: a layer response to the
-/// waiter under its serve request id, a session event to the waiter at
-/// the head of its session's FIFO. Events of requests and sessions the
-/// tables no longer know are dropped. Session replies are gathered in
-/// `out`; a layer reply — megabytes — is written here, as soon as it is
-/// routed, so the thread never holds more than one.
+/// Routes one message to whoever is owed its replies, under one
+/// acquisition of the state lock: a layer response to the waiter under its
+/// serve request id, a session event — or each of a worker pass's
+/// `Steps`, in order — to the waiter at the head of its session's FIFO.
+/// Events of requests and sessions the tables no longer know are
+/// dropped. Session replies are gathered in `out`; a layer reply —
+/// megabytes — is written here, as soon as it is routed, so the thread
+/// never holds more than one.
 fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
     let mut guard = inner.lock();
     let state = &mut *guard;
@@ -1167,58 +1245,12 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
             };
             send_response(inner, &conn, header, &response);
         }
-        ServeEvent::Opened { session, result } => {
-            let Some(entry) = state.sessions.get_mut(&session) else { return };
-            let Some(waiter) = entry.waiters.pop_front() else { return };
-            let response = match result {
-                Ok(_) if entry.closing => {
-                    error(ErrorCode::Draining, "gateway drained before the open completed")
-                }
-                Ok(info) => {
-                    entry.opened = true;
-                    Outgoing::Opened {
-                        session,
-                        min_step: info.min_step as u64,
-                        position: info.position as u64,
-                        capacity: info.capacity as u64,
-                    }
-                }
-                Err(e) => {
-                    // The server deregistered it; no `Closed` follows.
-                    state.sessions.remove(&session);
-                    serve_error(&e)
-                }
-            };
-            if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
-                out.push(Reply { conn, header, response });
+        ServeEvent::Steps(events) => {
+            for event in events {
+                state.route_session_event(event, &inner.options, out);
             }
         }
-        ServeEvent::Step { session, result, .. } => {
-            let Some(entry) = state.sessions.get_mut(&session) else { return };
-            let Some(waiter) = entry.waiters.pop_front() else { return };
-            let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
-            drop(guard);
-            let response = match result {
-                Ok(step) => {
-                    Outgoing::Stepped { session, position: step.position as u64, heads: step.heads }
-                }
-                Err(e) => serve_error(&e),
-            };
-            out.push(Reply { conn, header, response });
-        }
-        ServeEvent::Closed { session, position } => {
-            // Terminal, whoever asked: the client, the drain, a dead
-            // connection's reader, or a failure that retired the session.
-            // Whatever still waits on it is answered with the close.
-            let Some(entry) = state.sessions.remove(&session) else { return };
-            let position = position.map(|p| p as u64);
-            for waiter in entry.waiters {
-                if let Some((conn, header)) = state.settle(waiter, &inner.options, out) {
-                    let response = Outgoing::Closed { session, position };
-                    out.push(Reply { conn, header, response });
-                }
-            }
-        }
+        event => state.route_session_event(event, &inner.options, out),
     }
 }
 
@@ -1504,7 +1536,7 @@ mod tests {
         let server = Arc::new(SaloServer::start(AcceleratorConfig::default(), serve));
         let inner = Inner::new(GatewayOptions { serve, ..Default::default() }, server.metrics());
         let (events_tx, events_rx) = std::sync::mpsc::channel();
-        inner.lock().server = Some((Arc::clone(&server), events_tx));
+        inner.lock().server = Some((Arc::clone(&server), events_tx.into()));
         let conn = test_conn();
         let mut out = Vec::new();
         let mut request_id = 0;
@@ -1628,6 +1660,72 @@ mod tests {
         assert_eq!(server.active_sessions(), 0);
         let report = Arc::into_inner(server).expect("the drain dropped the state's").shutdown();
         assert_eq!((report.decode_sessions, report.decode_steps), (2, 2));
+    }
+
+    /// The steps of one worker pass arrive as one message. It covers
+    /// sessions 0 and 1 on one connection and session 2 on another, plus
+    /// session 3, whose step the deadline already answered. Every live
+    /// waiter gets one reply, the answered one is dropped silently, the
+    /// tables and the request bytes empty, and the replies are written.
+    #[test]
+    fn a_pass_of_steps_is_routed_as_one_message_and_answered_once() {
+        let inner = Inner::new(GatewayOptions::default(), &MetricsRegistry::new());
+        let (a, b) = (conn_with_id(1), conn_with_id(2));
+        let mut out = Vec::new();
+        {
+            let mut state = inner.lock();
+            // Session 3 first: deadlines never decrease in admission order.
+            for session in [3, 0, 1, 2] {
+                let conn = if session == 2 { &b } else { &a };
+                let header = Header { tenant: 1, request_id: session };
+                let mut pending =
+                    pending(conn, header, Request::Step { session, token: Vec::new() });
+                if session == 3 {
+                    pending.deadline = pending.enqueued;
+                }
+                state
+                    .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
+                    .expect("admitted");
+            }
+            // What `submit` leaves for a step of an opened session.
+            for Pending { conn, header, bytes, deadline, .. } in state.pop_quantum(4, usize::MAX) {
+                let answered = false;
+                let waiter =
+                    Waiter { conn: Arc::clone(&conn), header, bytes, deadline, slots: 1, answered };
+                let waiters = VecDeque::from([waiter]);
+                let entry =
+                    SessionEntry { conn, opened_by: header, opened: true, closing: false, waiters };
+                state.sessions.insert(header.request_id, entry);
+                state.in_flight += 1;
+            }
+            assert_eq!(state.expire(Instant::now(), &mut out), 1, "session 3's deadline passed");
+        }
+        write_replies(&inner, &mut out);
+        let written = inner.counts.frames_written.get();
+
+        let step = |session| ServeEvent::Step {
+            session,
+            result: Ok(salo_serve::DecodeStep { position: 2, heads: Vec::new(), worker: 0 }),
+            latency_s: 0.0,
+        };
+        on_event(&inner, ServeEvent::Steps([0, 1, 3, 2].map(step).into()), &mut out);
+        let answered: Vec<(u64, u64)> = out
+            .iter()
+            .map(|reply| match reply.response {
+                Outgoing::Stepped { session, .. } => {
+                    assert_eq!(session, reply.header.request_id, "a reply to its own request");
+                    (reply.conn.id, session)
+                }
+                _ => panic!("not a step reply"),
+            })
+            .collect();
+        assert_eq!(answered, [(1, 0), (1, 1), (2, 2)], "run order, session 3's dropped");
+        write_replies(&inner, &mut out);
+        assert_eq!(inner.counts.frames_written.get(), written + 3);
+
+        let s = inner.lock();
+        assert_eq!((s.in_flight, s.outstanding_total, s.request_bytes.get()), (0, 0, 0));
+        assert!(s.sessions.values().all(|entry| entry.waiters.is_empty()));
     }
 
     /// The timer has no wake-up of its own: it is the completion thread,

@@ -25,8 +25,9 @@
 //!   least-loaded worker's queue (a session's steps to its pinned
 //!   worker's). The worker that
 //!   finishes a request sends its result straight to the channel the
-//!   request came in with ([`ServeEvent`]), and [`SaloServer::recv`]
-//!   restores submission order for the server's own
+//!   request came in with ([`ServeEvent`]) — the steps one fused pass
+//!   completes for sessions sharing an [`EventSink`] as one message — and
+//!   [`SaloServer::recv`] restores submission order for the server's own
 //!   [`submit`](SaloServer::submit) traffic;
 //! * a **metrics layer** ([`ServeReport`]): per-request latency
 //!   percentiles, queue depth, cache hit rate, decode-session counters,
@@ -90,7 +91,7 @@ pub use request::{ServeRequest, ServeResponse};
 pub use salo_trace::{HistogramSnapshot, MetricsRegistry};
 pub use server::{SaloServer, ServeOptions};
 pub use session::{
-    DecodeSessionHandle, DecodeStep, ServeEvent, SessionInfo, SessionRequest, TokenQkv,
+    DecodeSessionHandle, DecodeStep, EventSink, ServeEvent, SessionInfo, SessionRequest, TokenQkv,
 };
 pub use traffic::{GenerationShape, GenerationTraffic, TrafficMix};
 

@@ -13,8 +13,9 @@
 //!                                   └────┬─────┴────┬─────┴────┬─────┘    compile, then execute;
 //!                                        │          │          │          pinned session states)
 //!   client ◀─────────────────────────────┴──────────┴──────────┘
-//!     one send, by the worker that finished the request, on the sender it
-//!     came in with: Layer / Opened / Step / Closed
+//!     one send, by the worker that finished the request, on the sink it
+//!     came in with: Layer / Opened / Step / Closed — or, for the steps of
+//!     one fused pass owed to one shared sink, one Steps
 //! ```
 //!
 //! There is one way in: the submitting thread picks the worker — the
@@ -30,16 +31,16 @@
 //!
 //! There is one way out: whoever finishes a request — its worker, or the
 //! submitter when the worker's thread is gone — sends its
-//! [`ServeEvent`] on the sender the request came in with. Nothing sits
-//! between the workers and the client, so layers arrive in completion
-//! order and a session's events in generation order.
+//! [`ServeEvent`] on the [`EventSink`] the request came in with. Nothing
+//! sits between the workers and the client, so layers arrive in
+//! completion order and a session's events in generation order.
 //! [`submit`](SaloServer::submit) + [`recv`](SaloServer::recv) is the
 //! server as its own client: it keeps the receiver, and `recv` — the one
 //! reader that promises submission order — restores it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,7 +50,8 @@ use salo_trace::MetricsRegistry;
 
 use crate::metrics::{ServeReport, TenantMetrics};
 use crate::session::{
-    DecodeSessionHandle, LiveSession, ServeEvent, SessionRegistry, SessionRequest, TokenQkv,
+    DecodeSessionHandle, EventSink, LiveSession, ServeEvent, SessionRegistry, SessionRequest,
+    TokenQkv,
 };
 use crate::worker::{Job, LayerTicket, ServeMetrics, StepJob, WorkerPool};
 use crate::{PlanCache, ServeError, ServeRequest, ServeResponse};
@@ -117,8 +119,9 @@ struct OwnSink {
 /// [`step_session`](Self::step_session) (results arrive on the session's
 /// own event channel). A front end multiplexing many clients hands
 /// [`submit_into`](Self::submit_into) and
-/// [`open_session_into`](Self::open_session_into) clones of one sender and
-/// reads every result from the one receiver. End the runtime with
+/// [`open_session_into`](Self::open_session_into) clones of one
+/// [`EventSink`] and reads every result from the one receiver. End the
+/// runtime with
 /// [`shutdown`](Self::shutdown), which drains in-flight work, joins every
 /// thread and returns the aggregate [`ServeReport`].
 pub struct SaloServer {
@@ -126,7 +129,7 @@ pub struct SaloServer {
     pool: WorkerPool,
     /// The server as its own client: `submit_for` submits into
     /// `own_events`, `recv` reads the other end.
-    own_events: Sender<ServeEvent>,
+    own_events: EventSink,
     own: Mutex<OwnSink>,
     /// Ids `submit_for` handed out and `recv` has not returned yet, in
     /// increasing order (`submit_into` traffic leaves gaps between them).
@@ -178,7 +181,7 @@ impl SaloServer {
         Self {
             config,
             pool,
-            own_events,
+            own_events: own_events.into(),
             own: Mutex::new(OwnSink { events: own_rx, early: BTreeMap::new() }),
             own_ids: Mutex::new(VecDeque::new()),
             cache,
@@ -243,9 +246,11 @@ impl SaloServer {
     /// [`submit_for`](Self::submit_for) reporting into a channel the
     /// caller supplies — the layer twin of
     /// [`open_session_into`](Self::open_session_into). The response
-    /// arrives on `events` as a [`ServeEvent::Layer`] when its worker
-    /// finishes it — completion order, not submission order — and never
-    /// through [`recv`](Self::recv).
+    /// arrives on `events` — a `Sender<ServeEvent>`, or a clone of the
+    /// [`EventSink`] a multiplexing front end shares with its sessions — as
+    /// a [`ServeEvent::Layer`] when its worker finishes it: completion
+    /// order, not submission order, and never through
+    /// [`recv`](Self::recv). A layer is always a message of its own.
     ///
     /// # Errors
     ///
@@ -254,11 +259,12 @@ impl SaloServer {
         &self,
         tenant: u64,
         request: ServeRequest,
-        events: Sender<ServeEvent>,
+        events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
+        let events = events.into();
         // Re-validate: the fields are public, so the request may not have
         // come through `ServeRequest::new`.
         let request = ServeRequest::new(request.pattern, request.shape, request.heads)?;
@@ -320,9 +326,14 @@ impl SaloServer {
 
     /// [`open_session_for`](Self::open_session_for) reporting into a
     /// channel the caller supplies; returns the session id. A front end
-    /// multiplexing many sessions hands every open a clone of one sender
-    /// and reads all their events — each carries its session id — from
-    /// the single receiver, instead of blocking on a handle per session.
+    /// multiplexing many sessions hands every open a clone of one
+    /// [`EventSink`] and reads all their events — each carries its session
+    /// id — from the single receiver, instead of blocking on a handle per
+    /// session. The steps one worker pass completes for sessions on that
+    /// sink arrive as one [`ServeEvent::Steps`], in the order the pass ran
+    /// them, so the receiver wakes once per pass rather than once per
+    /// token. A plain `Sender<ServeEvent>` is a sink of its own and sees
+    /// each event on its own, as a session handle does.
     ///
     /// # Errors
     ///
@@ -331,9 +342,10 @@ impl SaloServer {
         &self,
         tenant: u64,
         request: SessionRequest,
-        events: Sender<ServeEvent>,
+        events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
         request.validate()?;
+        let events = events.into();
         let TenantMetrics { requests, decode_steps, .. } = self.tenant(tenant);
         // Admission, placement and the send are one step under the
         // table's lock. A drain marks and snapshots under the same lock,

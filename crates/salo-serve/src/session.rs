@@ -11,7 +11,7 @@
 //! instance.
 //!
 //! A session's handshake, steps and close leave the runtime as
-//! [`ServeEvent`]s on the sender its open came in with, sent by the
+//! [`ServeEvent`]s on the [`EventSink`] its open came in with, sent by the
 //! pinned worker — the same way a layer response leaves. A generation is
 //! ordered by construction (each step ingests the previous one's
 //! context), which is why the runtime has no thread that reorders
@@ -98,6 +98,39 @@ pub struct DecodeStep {
     pub worker: usize,
 }
 
+/// Where a request's events go: a `Sender<ServeEvent>` behind an `Arc`, so
+/// that clones of one sink are known to be one channel.
+///
+/// Every `Sender` a caller passes is made into a sink of its own. A front
+/// end that reads many sessions from one receiver (the gateway) makes one
+/// sink and hands clones of it to every
+/// [`submit_into`](crate::SaloServer::submit_into) and
+/// [`open_session_into`](crate::SaloServer::open_session_into): the steps
+/// one worker pass completes for its sessions then arrive as one
+/// [`ServeEvent::Steps`], one wake of the receiver per pass instead of
+/// one per step.
+#[derive(Debug, Clone)]
+pub struct EventSink(Arc<Sender<ServeEvent>>);
+
+impl EventSink {
+    /// Sends one message. A receiver that has gone is no error: the
+    /// client stopped reading, and the work is counted all the same.
+    pub(crate) fn send(&self, event: ServeEvent) {
+        let _ = self.0.send(event);
+    }
+
+    /// Whether `other` is a clone of this sink.
+    pub(crate) fn is(&self, other: &EventSink) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl From<Sender<ServeEvent>> for EventSink {
+    fn from(sender: Sender<ServeEvent>) -> Self {
+        Self(Arc::new(sender))
+    }
+}
+
 /// What the runtime sends on the channel a request came in with: a layer
 /// request's response, or a session's events in execution order.
 #[derive(Debug, Clone)]
@@ -150,6 +183,14 @@ pub enum ServeEvent {
         /// the pinned worker died and took the count with it.
         position: Option<usize>,
     },
+    /// The steps one worker pass completed for sessions sharing one
+    /// [`EventSink`], in the order the pass ran them: each step's
+    /// [`Step`](Self::Step), followed by its session's
+    /// [`Closed`](Self::Closed) when the step retired it. Sent only when
+    /// the pass ran two or more steps owed to the sink; a step alone on its
+    /// sink — always so on a session's own channel — arrives as its plain
+    /// events. Holds nothing else, and never another `Steps`.
+    Steps(Vec<ServeEvent>),
 }
 
 /// The client's end of a decode session: its id plus the event channel
@@ -206,7 +247,8 @@ impl DecodeSessionHandle {
                 ServeEvent::Opened { result, .. } => {
                     result?; // surface an open failure instead of looping
                 }
-                ServeEvent::Layer(_) => {} // never sent on a session's own channel
+                // Never sent on a session's own channel.
+                ServeEvent::Layer(_) | ServeEvent::Steps(_) => {}
             }
         }
     }
@@ -235,8 +277,8 @@ pub(crate) struct SessionRegistry {
 pub(crate) struct LiveSession {
     /// The worker whose engine holds the session's K/V state.
     pub worker: usize,
-    /// The sender the session's open came in with.
-    pub events: Sender<ServeEvent>,
+    /// The sink the session's open came in with.
+    pub events: EventSink,
     /// The `serve.tenant.{id}.decode_steps` counter of the tenant that
     /// opened it, taken from the server's tenant map at open, so the step
     /// path pays one lookup for liveness, routing and accounting together.

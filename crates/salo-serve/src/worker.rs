@@ -11,12 +11,12 @@
 //! worker's engine for the whole generation, so steps never cross
 //! threads and the state is never locked.
 //!
-//! Every job carries the [`ServeEvent`] sender its request came in with.
+//! Every job carries the [`EventSink`] its request came in with.
 //! Whoever completes it (a worker here, the submitter for a job whose
-//! worker is gone) does so through [`ServeMetrics`], in one order:
-//! **metrics, then the event, then the depth exit** — a client that has
-//! seen a result finds it counted, and a queue depth of zero means every
-//! event was sent.
+//! worker is gone) does so through [`ServeMetrics`], in one order per
+//! message: **metrics, then the message, then the depth exit** — a client
+//! that has seen a result finds it counted, and a queue depth of zero
+//! means every event was sent.
 //!
 //! Three resources amortize across the pool's lifetime: the engines share
 //! one set of exponential/reciprocal lookup tables (behind `Arc` inside
@@ -41,6 +41,14 @@
 //! its tick: outputs, per-entry errors and retirement are decided by the
 //! one engine routine (pinned alone-vs-fused by the root `engines` and
 //! `decode` suites).
+//!
+//! The array gets a whole pass, and so does the front end: once a run has
+//! executed, the steps owed to one sink leave as one message, in run
+//! order — a [`ServeEvent::Steps`] when the run held two or more of them,
+//! the step's own events when it held one. A front end that reads every
+//! session from one receiver is woken once per run, not once per token;
+//! a session's own channel never holds two steps of one run, so it sees
+//! plain events.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -57,7 +65,7 @@ use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
 use crate::session::{
-    DecodeStep, ServeEvent, SessionInfo, SessionRegistry, SessionRequest, TokenQkv,
+    DecodeStep, EventSink, ServeEvent, SessionInfo, SessionRegistry, SessionRequest, TokenQkv,
 };
 use crate::{PlanCache, PlanKey, ServeError, ServeOptions, ServeRequest, ServeResponse};
 
@@ -67,17 +75,17 @@ use crate::{PlanCache, PlanKey, ServeError, ServeOptions, ServeRequest, ServeRes
 /// submitted steps a window to land in the same fused pass.
 const TICK_DRAIN_JOBS: usize = 64;
 
-/// One unit of work travelling to a worker, with the sender its outcome
-/// is owed on.
+/// One unit of work travelling to a worker, with the sink its outcome is
+/// owed on.
 pub(crate) enum Job {
     /// A layer request: answered with [`ServeEvent::Layer`].
     Layer { ticket: LayerTicket, request: ServeRequest },
     /// A decode-session open: answered with [`ServeEvent::Opened`].
-    Open { session: u64, request: SessionRequest, submitted: Instant, events: Sender<ServeEvent> },
+    Open { session: u64, request: SessionRequest, submitted: Instant, events: EventSink },
     /// One decode step, gathered into a run by the scheduler tick.
     Step(StepJob),
     /// A session close: answered with the terminal [`ServeEvent::Closed`].
-    Close { session: u64, events: Sender<ServeEvent> },
+    Close { session: u64, events: EventSink },
 }
 
 impl Job {
@@ -94,10 +102,12 @@ impl Job {
                 metrics.complete_open(&events, session, submitted, Err(lost));
             }
             Job::Step(StepJob { session, submitted, events, .. }) => {
-                metrics.complete_step(&events, session, submitted, Err(lost), Some(None));
+                let (result, retired) = (Err(lost), Some(None));
+                let done = StepDone { events, session, submitted, result, retired };
+                metrics.complete_steps(vec![done]);
             }
             Job::Close { session, events } => {
-                let _ = events.send(ServeEvent::Closed { session, position: None });
+                events.send(ServeEvent::Closed { session, position: None });
             }
         }
     }
@@ -109,16 +119,27 @@ pub(crate) struct StepJob {
     pub session: u64,
     pub token: Vec<TokenQkv>,
     pub submitted: Instant,
-    pub events: Sender<ServeEvent>,
+    pub events: EventSink,
+}
+
+/// One decode step's outcome on its way out of the runtime.
+pub(crate) struct StepDone {
+    pub events: EventSink,
+    pub session: u64,
+    pub submitted: Instant,
+    pub result: Result<DecodeStep, ServeError>,
+    /// `Some(position)` when the failure took the session with it: the
+    /// terminal [`ServeEvent::Closed`] follows the step event.
+    pub retired: Option<Option<usize>>,
 }
 
 /// What a layer request carries from submission to completion: its id,
-/// when it was submitted, and the sender its response is owed on.
+/// when it was submitted, and the sink its response is owed on.
 #[derive(Debug, Clone)]
 pub(crate) struct LayerTicket {
     pub id: u64,
     pub submitted: Instant,
-    pub events: Sender<ServeEvent>,
+    pub events: EventSink,
 }
 
 /// Pre-resolved registry handles for everything the runtime counts:
@@ -272,8 +293,7 @@ impl ServeMetrics {
             self.worker_requests[worker].inc();
         }
         let response = ServeResponse { id, result, cache_hit, worker, latency_s };
-        // The client may have stopped reading; metrics still count.
-        let _ = events.send(ServeEvent::Layer(response));
+        events.send(ServeEvent::Layer(response));
         self.depth.add(-1);
     }
 
@@ -281,7 +301,7 @@ impl ServeMetrics {
     /// ingest, so they count toward the wall span like any other work.
     pub fn complete_open(
         &self,
-        events: &Sender<ServeEvent>,
+        events: &EventSink,
         session: u64,
         submitted: Instant,
         result: Result<SessionInfo, ServeError>,
@@ -291,32 +311,43 @@ impl ServeMetrics {
         if result.is_err() {
             self.session_errors.inc();
         }
-        let _ = events.send(ServeEvent::Opened { session, result });
+        events.send(ServeEvent::Opened { session, result });
         self.depth.add(-1);
     }
 
-    /// Completes a decode step. `retired` is `Some(position)` when the
-    /// failure took the session with it: the terminal
-    /// [`ServeEvent::Closed`] follows the step event.
-    pub fn complete_step(
-        &self,
-        events: &Sender<ServeEvent>,
-        session: u64,
-        submitted: Instant,
-        result: Result<DecodeStep, ServeError>,
-        retired: Option<Option<usize>>,
-    ) {
-        let latency_s = self.finish(submitted);
-        self.steps.inc();
-        if result.is_err() {
-            self.step_errors.inc();
+    /// Completes a run of decode steps. The steps owed to one sink leave
+    /// as one message, in run order: a [`ServeEvent::Steps`] when there
+    /// are several, the step's own events when it is alone. Sinks are
+    /// served in the order their first step ran.
+    pub fn complete_steps(&self, run: Vec<StepDone>) {
+        // (sink, the events owed on it, how many steps they answer).
+        let mut owed: Vec<(EventSink, Vec<ServeEvent>, usize)> = Vec::new();
+        for StepDone { events, session, submitted, result, retired } in run {
+            let latency_s = self.finish(submitted);
+            self.steps.inc();
+            if result.is_err() {
+                self.step_errors.inc();
+            }
+            self.step_latency.record_secs(latency_s);
+            let at = owed.iter().position(|(sink, ..)| sink.is(&events)).unwrap_or_else(|| {
+                owed.push((events, Vec::new(), 0));
+                owed.len() - 1
+            });
+            let (_, message, steps) = &mut owed[at];
+            message.push(ServeEvent::Step { session, result, latency_s });
+            if let Some(position) = retired {
+                message.push(ServeEvent::Closed { session, position });
+            }
+            *steps += 1;
         }
-        self.step_latency.record_secs(latency_s);
-        let _ = events.send(ServeEvent::Step { session, result, latency_s });
-        if let Some(position) = retired {
-            let _ = events.send(ServeEvent::Closed { session, position });
+        for (sink, message, steps) in owed {
+            if steps == 1 {
+                message.into_iter().for_each(|event| sink.send(event));
+            } else {
+                sink.send(ServeEvent::Steps(message));
+            }
+            self.depth.add(-(steps as i64));
         }
-        self.depth.add(-1);
     }
 }
 
@@ -510,7 +541,7 @@ impl Worker {
                     let closed = self.engine.execute(AttentionRequest::DecodeClose { session });
                     self.load.fetch_sub(1, Ordering::Relaxed);
                     if let Ok(closed) = closed.and_then(|r| r.into_closed()) {
-                        let _ = events
+                        events
                             .send(ServeEvent::Closed { session, position: Some(closed.position) });
                     }
                 }
@@ -520,9 +551,10 @@ impl Worker {
     }
 
     /// Executes a run of distinct-session decode steps — one or many — as
-    /// one [`AttentionRequest::DecodeStepBatch`] pass, then completes
-    /// every entry in run order: queue-wait recorded at dequeue,
-    /// retirement settled and load released before the completion.
+    /// one [`AttentionRequest::DecodeStepBatch`] pass, then completes the
+    /// run, one message per sink: queue-wait recorded at dequeue, every
+    /// entry's retirement settled and load released before the first
+    /// message.
     fn run_steps(&mut self, steps: Vec<StepJob>) {
         if steps.is_empty() {
             return;
@@ -561,6 +593,7 @@ impl Worker {
             Err(e) => routes.iter().map(|_| Err(e.clone())).collect(),
         };
         drop(tick_span);
+        let mut run = Vec::with_capacity(routes.len());
         for ((session, submitted, events, known, before), result) in routes.into_iter().zip(results)
         {
             // Bookkeeping (load, registry retirement) strictly precedes
@@ -588,12 +621,14 @@ impl Worker {
                     worker: *index,
                 })
                 .map_err(ServeError::from);
-            let _reply_span = tracer.span_with("serve.reply", "serve", session);
             // `before` is the tokens known ingested when a poisoning step
             // began; the failing token's partial ingest died with the
             // session state.
-            metrics.complete_step(&events, session, submitted, result, poisoned.then_some(before));
+            let retired = poisoned.then_some(before);
+            run.push(StepDone { events, session, submitted, result, retired });
         }
+        let _reply_span = tracer.span_with("serve.reply", "serve", run.len() as u64);
+        metrics.complete_steps(run);
     }
 
     /// Looks the plan for `(pattern, shape)` up in the shared cache,
@@ -647,7 +682,7 @@ impl Worker {
         session: u64,
         request: SessionRequest,
         submitted: Instant,
-        events: &Sender<ServeEvent>,
+        events: &EventSink,
     ) {
         salo_trace::record_since("serve.queue_wait", "serve", submitted, session);
         // Decode sessions compile the *causal* clip of the pattern, built
@@ -710,4 +745,123 @@ fn compiled_now(
     resolved: &Result<(Arc<CompiledPlan>, bool), ServeError>,
 ) -> Option<Arc<CompiledPlan>> {
     resolved.as_ref().ok().and_then(|(plan, hit)| (!hit).then(|| Arc::clone(plan)))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, TryRecvError};
+
+    use salo_kernels::Qkv;
+    use salo_patterns::Window;
+    use salo_sim::AcceleratorConfig;
+
+    use super::*;
+    use crate::session::LiveSession;
+
+    /// One tick, driven on this thread: sessions 0, 1 and 2 report into
+    /// one shared sink, session 3 into a channel of its own, and the run is
+    /// `[0, 3, 1, 2]`. Session 2 has two heads and its step is refused a
+    /// page for the second one, which retires it. The shared sink gets one
+    /// message for its three steps, in run order, with the retired
+    /// session's `Closed` right behind its `Step`; the private channel
+    /// gets its step as a plain event.
+    #[test]
+    fn a_run_leaves_as_one_message_per_sink_in_run_order() {
+        let registry = MetricsRegistry::new();
+        let sessions = Arc::new(SessionRegistry::new(1));
+        let salo = Salo::new(AcceleratorConfig::default());
+        let mut engine = salo.engine_with_parallelism(1);
+        // One-row pages: the prompts take 2 rows × 5 heads = 10 pages, the
+        // run's first three steps one each, and session 2's head 0 the
+        // last one; its head 1 is refused after head 0 moved.
+        engine.configure_kv_pool(1, Some(14));
+        let mut worker = Worker {
+            index: 0,
+            engine,
+            compiler: salo.clone(),
+            config_fp: salo.config().fingerprint(),
+            cache: Arc::new(PlanCache::new(4, 1)),
+            load: Arc::new(AtomicUsize::new(0)),
+            registry: Arc::clone(&sessions),
+            metrics: ServeMetrics::new(&registry, 1),
+            energy_j: 0.0,
+        };
+        let (shared_tx, shared) = channel();
+        let (private_tx, private) = channel();
+        let (shared_tx, private_tx) = (EventSink::from(shared_tx), EventSink::from(private_tx));
+        let sink = |session: u64| if session == 3 { &private_tx } else { &shared_tx }.clone();
+        let heads = |session: u64| if session == 2 { 2 } else { 1 };
+        // What the front end does before a job reaches the worker.
+        let enqueue = |worker: &Worker, jobs: usize| {
+            worker.metrics.depth.add(jobs as i64);
+            worker.load.fetch_add(jobs, Ordering::Relaxed);
+        };
+
+        let pattern =
+            HybridPattern::builder(16).window(Window::causal(4).unwrap()).build().unwrap();
+        let mut opens = Vec::new();
+        for session in 0..4 {
+            let num_heads = heads(session);
+            let prompt = (0..num_heads).map(|h| Qkv::random(2, 4, session * 2 + h as u64));
+            let request = SessionRequest {
+                pattern: pattern.clone(),
+                head_dim: 4,
+                num_heads,
+                prompt: prompt.collect(),
+            };
+            let decode_steps = registry.counter("decode_steps");
+            sessions
+                .lock()
+                .insert(session, LiveSession { worker: 0, events: sink(session), decode_steps });
+            opens.push(Job::Open {
+                session,
+                request,
+                submitted: Instant::now(),
+                events: sink(session),
+            });
+        }
+        enqueue(&worker, opens.len());
+        worker.run_tick(&mut opens);
+        let opened = shared.try_iter().chain(private.try_iter());
+        let opened = opened.filter(|e| matches!(e, ServeEvent::Opened { result: Ok(_), .. }));
+        assert_eq!(opened.count(), 4, "every session opened");
+
+        let token = |session: u64| {
+            let row = TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
+            vec![row; heads(session)]
+        };
+        let mut run: Vec<Job> = [0, 3, 1, 2]
+            .into_iter()
+            .map(|session| {
+                let (submitted, events) = (Instant::now(), sink(session));
+                Job::Step(StepJob { session, token: token(session), submitted, events })
+            })
+            .collect();
+        enqueue(&worker, run.len());
+        worker.run_tick(&mut run);
+        assert_eq!(registry.counter("serve.decode.ticks").get(), 1, "one fused run");
+        assert_eq!(registry.counter("serve.decode.fused_steps").get(), 4);
+
+        // (session, step outcome or `None` for a close) of each event.
+        let outcome = |event: ServeEvent| match event {
+            ServeEvent::Step { session, result, .. } => (session, Some(result.is_ok())),
+            ServeEvent::Closed { session, position } => {
+                assert_eq!(position, Some(2), "the tokens ingested before the poisoning step");
+                (session, None)
+            }
+            other => panic!("not a step or a close: {other:?}"),
+        };
+        let Ok(ServeEvent::Steps(message)) = shared.try_recv() else {
+            panic!("the shared sink's steps are one message")
+        };
+        let seen: Vec<_> = message.into_iter().map(outcome).collect();
+        assert_eq!(seen, [(0, Some(true)), (1, Some(true)), (2, Some(false)), (2, None)]);
+        assert_eq!(shared.try_recv().unwrap_err(), TryRecvError::Empty, "and only one");
+        assert_eq!(private.try_iter().map(outcome).collect::<Vec<_>>(), [(3, Some(true))]);
+
+        assert_eq!(worker.metrics.depth.get(), 0, "every step exited the queue depth");
+        assert_eq!(worker.load.load(Ordering::Relaxed), 0);
+        assert!(sessions.lock().get(2).is_none(), "the poisoned session is retired");
+        assert_eq!(sessions.lock().len(), 3);
+    }
 }
