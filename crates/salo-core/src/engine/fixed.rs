@@ -18,8 +18,8 @@ use std::sync::Arc;
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{
-    BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, HeadsScratch, KvPagePool,
-    KvPoolStats, SimError, SpatialAccelerator, StepOutput, DEFAULT_PAGE_ROWS,
+    BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, KvPagePool, KvPoolStats,
+    SimError, SpatialAccelerator, StepOutput, DEFAULT_PAGE_ROWS,
 };
 
 use crate::engine::{
@@ -29,20 +29,15 @@ use crate::engine::{
 };
 use crate::{salo::compile_with, CompiledPlan, SaloError};
 
-/// One layer's whole-heads prefill execution — the only point where the
-/// two fixed-point engines differ. Receives both scratches and the
-/// engine's parallelism so the lowered backend can route through the
-/// partitioned multi-head datapath
-/// ([`execute_heads_lowered`](SpatialAccelerator::execute_heads_lowered))
-/// when `parallelism > 1`.
+/// One layer's whole-heads prefill execution, head after head on the
+/// calling thread — the only point where the two fixed-point engines
+/// differ.
 type PrefillKernel = fn(
     &SpatialAccelerator,
     &CompiledPlan,
     &[Qkv],
     f32,
     &mut ExecScratch,
-    &mut HeadsScratch,
-    usize,
 ) -> Result<Vec<ExecutionOutput>, SimError>;
 
 /// A decode session resident in a fixed-point engine: the step program
@@ -91,9 +86,6 @@ impl FixedSession {
 struct FixedCore {
     accel: SpatialAccelerator,
     scratch: ExecScratch,
-    heads_scratch: HeadsScratch,
-    /// Prefill shard count; `<= 1` keeps the sequential per-head path.
-    parallelism: usize,
     sessions: HashMap<SessionId, FixedSession>,
     /// The physical K/V pages every decode session of this engine draws
     /// from — one pool per engine, exactly like the scratch.
@@ -125,8 +117,6 @@ impl FixedCore {
         Self {
             accel,
             scratch: ExecScratch::new(),
-            heads_scratch: HeadsScratch::new(),
-            parallelism: 1,
             sessions: HashMap::new(),
             kv_pool: KvPagePool::new(DEFAULT_PAGE_ROWS),
         }
@@ -172,14 +162,10 @@ impl FixedCore {
                 check_prefill_heads(&shape, &heads)?;
                 let plan = self.resolve_prefill_plan(name, &pattern, &shape)?;
                 let scale = SpatialAccelerator::default_scale(shape.head_dim);
-                let Self { accel, scratch, heads_scratch, parallelism, .. } = self;
                 // Stage profiling follows the tracer switch: one relaxed
                 // load per request, zero per-op cost when off.
-                let profiling = tracer.enabled();
-                scratch.set_profiling(profiling);
-                heads_scratch.set_profiling(profiling);
-                let outputs =
-                    prefill(accel, &plan, &heads, scale, scratch, heads_scratch, *parallelism)?;
+                self.scratch.set_profiling(tracer.enabled());
+                let outputs = prefill(&self.accel, &plan, &heads, scale, &mut self.scratch)?;
                 let telemetry = Self::prefill_telemetry(name, &outputs);
                 Ok(AttentionResponse::Prefill(PrefillOutput {
                     heads: outputs.into_iter().map(fixed_head_output).collect(),
@@ -414,9 +400,8 @@ impl FixedCore {
         .into_iter();
         drop(batch);
         // The group shares one scratch, so its stage profile is one
-        // aggregate: it rides on the first successful entry (the
-        // convention `prefill_telemetry` documents for the partitioned
-        // prefill), and summing over a group's entries gives its total.
+        // aggregate: it rides on the first successful entry, and summing
+        // over a group's entries gives its total.
         let mut stages = profiling.then(|| self.scratch.take_profile());
 
         for (sid, mut sess, _token, position, err) in entries {
@@ -472,9 +457,7 @@ impl FixedCore {
     }
 
     fn prefill_telemetry(name: &'static str, heads: &[ExecutionOutput]) -> Telemetry {
-        // Per-head stage profiles sum exactly; under the partitioned path
-        // the whole-layer aggregate rides on the first head, so the sum is
-        // the layer total either way.
+        // Per-head stage profiles sum exactly to the layer total.
         let mut stages: Option<salo_sim::StageProfile> = None;
         for head in heads {
             if let Some(s) = &head.report.stages {
@@ -529,33 +512,10 @@ pub struct LoweredEngine {
 }
 
 impl LoweredEngine {
-    /// An engine over `accel` (clones share the lookup tables), with
-    /// sequential prefill (`parallelism == 1`).
+    /// An engine over `accel` (clones share the lookup tables).
     #[must_use]
     pub fn new(accel: SpatialAccelerator) -> Self {
         Self { core: FixedCore::new(accel) }
-    }
-
-    /// An engine whose prefill shards each layer's heads over
-    /// `parallelism` threads via the deterministic work partition —
-    /// bit-identical to sequential execution at any value.
-    #[must_use]
-    pub fn with_parallelism(accel: SpatialAccelerator, parallelism: usize) -> Self {
-        let mut engine = Self::new(accel);
-        engine.set_parallelism(parallelism);
-        engine
-    }
-
-    /// Changes the prefill shard count (`<= 1` restores the sequential
-    /// path). Outputs are unaffected — parallelism is bit-transparent.
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.core.parallelism = parallelism.max(1);
-    }
-
-    /// The prefill shard count in use.
-    #[must_use]
-    pub fn parallelism(&self) -> usize {
-        self.core.parallelism
     }
 
     /// The underlying accelerator.
@@ -585,23 +545,11 @@ impl Engine for LoweredEngine {
     fn execute(&mut self, request: AttentionRequest) -> Result<AttentionResponse, SaloError> {
         self.core.execute(
             self.name(),
-            |accel, plan, heads, scale, scratch, heads_scratch, parallelism| {
-                if parallelism > 1 {
-                    accel.execute_heads_lowered(
-                        &plan.lowered,
-                        heads,
-                        scale,
-                        parallelism,
-                        heads_scratch,
-                    )
-                } else {
-                    heads
-                        .iter()
-                        .map(|h| {
-                            accel.execute_lowered(&plan.lowered, &h.q, &h.k, &h.v, scale, scratch)
-                        })
-                        .collect()
-                }
+            |accel, plan, heads, scale, scratch| {
+                heads
+                    .iter()
+                    .map(|h| accel.execute_lowered(&plan.lowered, &h.q, &h.k, &h.v, scale, scratch))
+                    .collect()
             },
             request,
         )
@@ -672,7 +620,7 @@ impl Engine for SystolicEngine {
     fn execute(&mut self, request: AttentionRequest) -> Result<AttentionResponse, SaloError> {
         self.core.execute(
             self.name(),
-            |accel, plan, heads, scale, _scratch, _heads_scratch, _parallelism| {
+            |accel, plan, heads, scale, _scratch| {
                 heads
                     .iter()
                     .map(|h| accel.execute_systolic(&plan.plan, &h.q, &h.k, &h.v, scale))

@@ -534,20 +534,20 @@ pub trait Engine: Send + fmt::Debug {
 impl Salo {
     /// A fresh [`LoweredEngine`] over this instance's accelerator — the
     /// default backend. Engines built from one `Salo` share its
-    /// exponential/reciprocal lookup tables. Prefill is sequential;
-    /// [`engine_with_parallelism`](Self::engine_with_parallelism) shards
-    /// it.
+    /// exponential/reciprocal lookup tables. A prefill runs its heads one
+    /// after another on the calling thread, as the one PE array runs a
+    /// layer's passes in order; a served process uses more cores by
+    /// running more engines (`ServeOptions::workers`).
     #[must_use]
     pub fn engine(&self) -> LoweredEngine {
         LoweredEngine::new(self.accelerator().clone())
     }
 
-    /// A fresh [`LoweredEngine`] whose prefill shards each layer's heads
-    /// over `parallelism` threads (deterministic partition —
-    /// bit-identical to sequential at any value).
+    /// [`engine`](Self::engine); the argument is ignored. Kept only
+    /// because `bench/` still calls it by this name.
     #[must_use]
-    pub fn engine_with_parallelism(&self, parallelism: usize) -> LoweredEngine {
-        LoweredEngine::with_parallelism(self.accelerator().clone(), parallelism)
+    pub fn engine_with_parallelism(&self, _parallelism: usize) -> LoweredEngine {
+        self.engine()
     }
 
     /// A fresh [`SystolicEngine`] (event-accurate oracle) over this

@@ -69,9 +69,9 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Prefill shard count inside each worker's engine (`0` and `1` are
-    /// sequential). Bit-transparent: only wall-clock changes, never
-    /// outputs.
+    /// Not read by the runtime: a prefill runs on its worker's thread,
+    /// and a process uses more cores by running more `workers`. Kept only
+    /// because `bench/` still sets it.
     pub worker_parallelism: usize,
     /// Rows per K/V page in each worker's decode page pool (`None` is
     /// the engine default, [`DEFAULT_PAGE_ROWS`](salo_sim::DEFAULT_PAGE_ROWS)).

@@ -383,10 +383,9 @@ pub(crate) struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads, each owning an engine built from `salo`
-    /// and resolving its plans against `cache`.
-    /// `options.worker_parallelism` is the engines' prefill shard count;
-    /// `decode_page_rows` / `decode_pool_pages` configure each engine's
-    /// K/V page pool (`None` is `DEFAULT_PAGE_ROWS` rows, unbounded).
+    /// and resolving its plans against `cache`. `options.decode_page_rows`
+    /// / `decode_pool_pages` configure each engine's K/V page pool (`None`
+    /// is `DEFAULT_PAGE_ROWS` rows, unbounded).
     pub fn spawn(
         workers: usize,
         options: &ServeOptions,
@@ -395,7 +394,7 @@ impl WorkerPool {
         registry: &Arc<SessionRegistry>,
         metrics: &ServeMetrics,
     ) -> Self {
-        let ServeOptions { worker_parallelism, decode_page_rows, decode_pool_pages, .. } = *options;
+        let ServeOptions { decode_page_rows, decode_pool_pages, .. } = *options;
         // The accelerator configuration is fixed for the server's
         // lifetime; fingerprint it once instead of per request.
         let config_fp = salo.config().fingerprint();
@@ -406,7 +405,7 @@ impl WorkerPool {
             let (tx, rx) = std::sync::mpsc::channel::<Job>();
             let load = Arc::new(AtomicUsize::new(0));
             // Engines built from one Salo share its lookup tables.
-            let mut engine = salo.engine_with_parallelism(worker_parallelism);
+            let mut engine = salo.engine();
             if decode_page_rows.is_some() || decode_pool_pages.is_some() {
                 let rows = decode_page_rows.unwrap_or(DEFAULT_PAGE_ROWS);
                 engine.configure_kv_pool(rows, decode_pool_pages);
@@ -770,7 +769,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let sessions = Arc::new(SessionRegistry::new(1));
         let salo = Salo::new(AcceleratorConfig::default());
-        let mut engine = salo.engine_with_parallelism(1);
+        let mut engine = salo.engine();
         // One-row pages: the prompts take 2 rows × 5 heads = 10 pages, the
         // run's first three steps one each, and session 2's head 0 the
         // last one; its head 1 is refused after head 0 moved.

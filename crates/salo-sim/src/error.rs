@@ -67,13 +67,6 @@ pub enum SimError {
         /// The pool's configured capacity.
         capacity: usize,
     },
-    /// A work partition violated a structural invariant the partitioned
-    /// executor relies on (spans tiling the item space, exactly-once op
-    /// assignment, per-shard op ordering).
-    PartitionInvariant {
-        /// The invariant that failed.
-        what: &'static str,
-    },
     /// Error from the fixed-point layer.
     Fixed(FixedError),
     /// Error from the kernel layer.
@@ -124,9 +117,6 @@ impl fmt::Display for SimError {
                     "K/V page pool exhausted: {in_use} of {capacity} pages in use, \
                      none free for a new allocation"
                 )
-            }
-            SimError::PartitionInvariant { what } => {
-                write!(f, "work partition invariant violated: {what}")
             }
             SimError::Fixed(e) => write!(f, "fixed-point error: {e}"),
             SimError::Kernel(e) => write!(f, "kernel error: {e}"),

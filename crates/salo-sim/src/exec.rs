@@ -14,11 +14,11 @@
 //!
 //! # One executor, stage-major over a group of ops
 //!
-//! Every op anywhere — a prefill's program, a shard's share of it, the
-//! systolic path's global duties, a decode step's row and the global-duty
-//! advances behind it — runs through one body, `run_ops_grouped`. It takes
-//! the ops [`GROUP`] at a time and runs the group *stage-major*: stage 1 for
-//! every op of the group, then stages 2–4 for every op, then stage 5, then
+//! Every op anywhere — a prefill's program, the systolic path's global
+//! duties, a decode step's row and the global-duty advances behind it —
+//! runs through one body, `run_ops_grouped`. It takes the ops [`GROUP`] at
+//! a time and runs the group *stage-major*: stage 1 for every op of the
+//! group, then stages 2–4 for every op, then stage 5, then
 //! the weighted-sum merges in op order, each op's intermediates in its own
 //! slot of a small fixed array of buffers. An op's five stages are one
 //! dependent chain (scores → row sum → reciprocal → probabilities → output
@@ -40,12 +40,11 @@ use salo_fixed::{
     fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, sv_rows_mac_add,
     ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
 };
-use salo_kernels::{Matrix, Qkv};
+use salo_kernels::Matrix;
 use salo_scheduler::{ExecutionPlan, Pass, PlanStats};
 use salo_trace::{StageProfile, StageTimer, Tracer};
 use std::sync::Arc;
 
-use crate::partition::{Partition, Shard};
 use crate::systolic::SystolicArray;
 use crate::{
     AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, LoweredOp, LoweredOpKind,
@@ -100,11 +99,6 @@ struct OpSlot {
 
 /// The working buffers of one five-stage datapath instance: a slot per op
 /// of a group ([`GROUP`]), reused across every group an executor runs.
-///
-/// This is the unit of scratch that becomes *per shard* under the
-/// partitioned datapath ([`Partition`](crate::Partition)): each shard
-/// owns one `OpScratch`, so concurrent shards never share mutable
-/// per-stage state, while the sequential paths keep exactly one.
 #[derive(Debug, Clone)]
 pub struct OpScratch {
     /// Per-op intermediates of the current group.
@@ -179,7 +173,7 @@ pub struct ExecScratch {
     kq: Vec<Fix8x4>,
     /// Quantized values, `n * d` row-major.
     vq: Vec<Fix8x4>,
-    /// The per-op stage buffers (the sequential datapath has one).
+    /// The per-op stage buffers.
     pub(crate) op: OpScratch,
     /// Per-row weighted-sum accumulators (the WSM state).
     acc: Vec<PartialRow>,
@@ -216,7 +210,19 @@ impl ExecScratch {
         self.vq.clear();
         self.vq.extend(v.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
 
-        reset_acc_rows(&mut self.acc, q.rows(), d);
+        // Zeroed accumulators, reusing row allocations of the right `d`.
+        let (acc, n) = (&mut self.acc, q.rows());
+        acc.truncate(n);
+        for row in acc.iter_mut() {
+            row.weight_q16 = 0;
+            if row.out_q19.len() == d {
+                row.out_q19.fill(0);
+            } else {
+                row.out_q19.clear();
+                row.out_q19.resize(d, 0);
+            }
+        }
+        acc.resize_with(n, || PartialRow::empty(d));
     }
 
     /// Row `i` of a flat `d`-strided arena.
@@ -242,90 +248,6 @@ impl ExecScratch {
     /// Takes the accumulated stage profile, leaving the accumulator empty.
     pub fn take_profile(&mut self) -> StageProfile {
         self.op.profile.take()
-    }
-}
-
-/// Reusable working memory of the **multi-head, partitioned** execution
-/// datapath ([`execute_heads_lowered`]).
-///
-/// Like [`ExecScratch`], but the quantized arenas hold every head
-/// back to back (`heads * n * d`, head-major), the weighted-sum
-/// accumulators form one flat `heads * n` row vector that shards split
-/// without overlap, and each shard owns a private `OpScratch` so
-/// concurrent shards never share mutable per-stage state.
-///
-/// [`execute_heads_lowered`]: SpatialAccelerator::execute_heads_lowered
-#[derive(Debug, Clone, Default)]
-pub struct HeadsScratch {
-    /// Quantized queries (scale folded in), `heads * n * d`, head-major.
-    qq: Vec<Fix8x4>,
-    /// Quantized keys, `heads * n * d`, head-major.
-    kq: Vec<Fix8x4>,
-    /// Quantized values, `heads * n * d`, head-major.
-    vq: Vec<Fix8x4>,
-    /// One per-op scratch per shard (grown to the shard high-water mark).
-    shard_ops: Vec<OpScratch>,
-    /// Flat per-item accumulators, `heads * n` rows, head-major.
-    acc: Vec<PartialRow>,
-    /// Stage-profiling flag propagated to every shard's `OpScratch`.
-    profiling: bool,
-}
-
-impl HeadsScratch {
-    /// An empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables or disables per-stage datapath profiling (and per-shard
-    /// occupancy/op-count gauges) for subsequent partitioned executions.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    /// Whether per-stage profiling is enabled.
-    #[must_use]
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Quantizes every head's inputs into the head-major arenas and
-    /// resets the flat accumulators — element-for-element the same
-    /// quantization [`ExecScratch::load`] performs per head.
-    fn load(&mut self, heads: &[Qkv], scale: f32, n: usize, d: usize) {
-        self.qq.clear();
-        self.kq.clear();
-        self.vq.clear();
-        self.qq.reserve(heads.len() * n * d);
-        self.kq.reserve(heads.len() * n * d);
-        self.vq.reserve(heads.len() * n * d);
-        for h in heads {
-            self.qq.extend(h.q.as_slice().iter().map(|&x| Fix8x4::from_f32(x * scale)));
-            self.kq.extend(h.k.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
-            self.vq.extend(h.v.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
-        }
-        reset_acc_rows(&mut self.acc, heads.len() * n, d);
-    }
-}
-
-/// Resets `acc` to `n` zeroed `d`-dimensional weighted-sum accumulators,
-/// reusing existing row allocations of the right dimension.
-fn reset_acc_rows(acc: &mut Vec<PartialRow>, n: usize, d: usize) {
-    if acc.len() > n {
-        acc.truncate(n);
-    }
-    for row in acc.iter_mut() {
-        row.weight_q16 = 0;
-        if row.out_q19.len() == d {
-            row.out_q19.fill(0);
-        } else {
-            row.out_q19.clear();
-            row.out_q19.resize(d, 0);
-        }
-    }
-    while acc.len() < n {
-        acc.push(PartialRow::empty(d));
     }
 }
 
@@ -481,169 +403,6 @@ impl SpatialAccelerator {
         Ok(out)
     }
 
-    /// Executes **all heads** of one layer through a pre-lowered plan,
-    /// sharded over `parallelism` scoped threads by the deterministic
-    /// work [`Partition`].
-    ///
-    /// Per-head results are **bit-identical** to running
-    /// [`execute_lowered`](Self::execute_lowered) on each head — at
-    /// *every* shard count — because shards partition the op list by
-    /// destination row: all merges into one weighted-sum accumulator
-    /// happen on one shard, in plan order, and merges for different rows
-    /// never interact. Saturation counts are summed per head from
-    /// per-shard counters (`u64` additions, order-independent). The
-    /// partition itself is input-independent, so scheduling can never
-    /// leak into outputs. Pinned down by the partition-determinism
-    /// proptest suite against the systolic oracle.
-    ///
-    /// `parallelism <= 1` runs the single shard inline on the calling
-    /// thread (no spawn).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`execute`](Self::execute); when several shards fail, the
-    /// lowest-indexed shard's error is returned (deterministically).
-    pub fn execute_heads_lowered(
-        &self,
-        lowered: &LoweredPlan,
-        heads: &[Qkv],
-        scale: f32,
-        parallelism: usize,
-        scratch: &mut HeadsScratch,
-    ) -> Result<Vec<ExecutionOutput>, SimError> {
-        let n = lowered.n();
-        let Some(first) = heads.first() else {
-            return Ok(Vec::new());
-        };
-        for h in heads {
-            for m in [&h.q, &h.k, &h.v] {
-                if m.rows() != n || m.shape() != first.q.shape() {
-                    return Err(SimError::ShapeMismatch { plan_n: n, got: m.shape() });
-                }
-            }
-        }
-        let d = first.q.cols();
-        let num_heads = heads.len();
-        let tracer = Tracer::global();
-        let trace_on = tracer.enabled();
-        let _span = tracer.span_with("sim.execute_heads", "sim", num_heads as u64);
-        scratch.load(heads, scale, n, d);
-
-        let partition = Partition::build(lowered, num_heads, parallelism);
-        let num_shards = partition.num_shards();
-        if scratch.shard_ops.len() < num_shards {
-            scratch.shard_ops.resize_with(num_shards, OpScratch::new);
-        }
-        let max_keys = lowered.max_row_keys();
-        let HeadsScratch { qq, kq, vq, shard_ops, acc, profiling } = scratch;
-        let profiling = *profiling;
-        for op_scratch in &mut shard_ops[..num_shards] {
-            op_scratch.prepare(d, max_keys);
-            op_scratch.profiling = profiling;
-            op_scratch.profile = StageProfile::default();
-        }
-
-        // Split the flat accumulator into non-overlapping per-shard
-        // windows; the spans tile `[0, heads * n)`, consuming it exactly.
-        let mut windows = Vec::with_capacity(num_shards);
-        let mut rest = &mut acc[..];
-        for shard in partition.shards() {
-            let (win, tail) = rest.split_at_mut(shard.num_items());
-            windows.push(win);
-            rest = tail;
-        }
-
-        let run_shard = |shard: &Shard, bufs: &mut OpScratch, rows: &mut [PartialRow]| {
-            let start_ns = if trace_on { salo_trace::now_ns() } else { 0 };
-            let mut sats = vec![MacSaturation::default(); num_heads];
-            // A shard's ops ascend by (head, op index): one executor call
-            // per head, over that head's arenas.
-            for of_head in shard.ops().chunk_by(|a, b| a.0 == b.0) {
-                let h = of_head[0].0 as usize;
-                let base = h * n * d;
-                let (kq, vq) = (&kq[base..base + n * d], &vq[base..base + n * d]);
-                let kv = SliceKv { kq, vq, rows: n };
-                let resolve = |&(_, oi): &(u32, u32)| {
-                    let op = &lowered.ops()[oi as usize];
-                    let dest = op.dest as usize;
-                    GroupOp {
-                        kind: op.kind,
-                        keys: lowered.op_keys(op),
-                        q_row: ExecScratch::row(&qq[base..], dest, d),
-                        slot: h * n + dest - shard.item_start(),
-                    }
-                };
-                let tables = (&*self.exp, &*self.recip);
-                run_ops_grouped(tables, of_head, resolve, &kv, d, bufs, rows, &mut sats[h])?;
-            }
-            let end_ns = if trace_on { salo_trace::now_ns() } else { 0 };
-            Ok::<_, SimError>((sats, start_ns, end_ns))
-        };
-
-        // One scoped OS thread per shard: shards are coarse enough that
-        // spawn cost is noise, and scoped threads borrow the arenas and
-        // accumulator windows directly — no Arc, no channels.
-        type ShardRun = Result<(Vec<MacSaturation>, u64, u64), SimError>;
-        let shard_sats: Vec<ShardRun> = if num_shards == 1 {
-            let rows = windows.pop().expect("single shard has one window");
-            vec![run_shard(&partition.shards()[0], &mut shard_ops[0], rows)]
-        } else {
-            let run_shard = &run_shard;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = partition
-                    .shards()
-                    .iter()
-                    .zip(shard_ops.iter_mut())
-                    .zip(windows.drain(..))
-                    .map(|((shard, bufs), rows)| scope.spawn(move || run_shard(shard, bufs, rows)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
-            })
-        };
-
-        // Lowest-indexed shard error wins; saturation sums per head.
-        let mut head_sat = vec![MacSaturation::default(); num_heads];
-        for (i, run) in shard_sats.into_iter().enumerate() {
-            let (sats, start_ns, end_ns) = run?;
-            if trace_on {
-                // Shard threads are short-lived, so their intervals are
-                // recorded from the calling thread (under the execute span)
-                // rather than from per-shard trace lanes.
-                tracer.record_interval("sim.shard", "sim", start_ns, end_ns, i as u64);
-            }
-            for (hs, s) in head_sat.iter_mut().zip(sats) {
-                hs.merge(s);
-            }
-        }
-
-        let mut outputs: Vec<ExecutionOutput> = (0..num_heads)
-            .map(|h| self.drain_rows(lowered, d, &acc[h * n..(h + 1) * n], head_sat[h]))
-            .collect();
-        if profiling {
-            // Per-shard occupancy/op-count gauges: busy time comes from the
-            // shard's accumulated stage profile, occupancy is busy time
-            // relative to the slowest shard (the layer's critical path).
-            let shard_profiles: Vec<StageProfile> =
-                shard_ops[..num_shards].iter_mut().map(|s| s.profile.take()).collect();
-            let metrics = salo_trace::metrics();
-            let max_busy = shard_profiles.iter().map(StageProfile::total_ns).max().unwrap_or(0);
-            let mut aggregate = StageProfile::default();
-            for (i, (profile, shard)) in shard_profiles.iter().zip(partition.shards()).enumerate() {
-                aggregate.merge(profile);
-                let busy = profile.total_ns();
-                metrics.gauge(&format!("sim.shard.{i}.ops")).set(shard.ops().len() as i64);
-                metrics.gauge(&format!("sim.shard.{i}.busy_ns")).set(busy as i64);
-                let occupancy = (busy * 100).checked_div(max_busy).unwrap_or(0) as i64;
-                metrics.gauge(&format!("sim.shard.{i}.occupancy_pct")).set(occupancy);
-            }
-            emit_stage_spans(tracer, &aggregate);
-            if let Some(first_out) = outputs.first_mut() {
-                first_out.report.stages = Some(aggregate);
-            }
-        }
-        Ok(outputs)
-    }
-
     /// Like [`execute`](Self::execute), but steps every array pass through
     /// the event-accurate [`SystolicArray`] (explicit systolic skew,
     /// rippled row sums) instead of the lowered program.
@@ -791,23 +550,10 @@ impl SpatialAccelerator {
         scratch: &ExecScratch,
         sat: MacSaturation,
     ) -> ExecutionOutput {
-        self.drain_rows(lowered, d, &scratch.acc, sat)
-    }
-
-    /// [`drain`](Self::drain) over an explicit accumulator-row slice —
-    /// the form the partitioned executor uses, where one head's rows are
-    /// a window of the flat all-heads accumulator.
-    pub(crate) fn drain_rows(
-        &self,
-        lowered: &LoweredPlan,
-        d: usize,
-        acc: &[PartialRow],
-        sat: MacSaturation,
-    ) -> ExecutionOutput {
         let n = lowered.n();
         let mut raw = Matrix::filled(n, d, Fix16x8::ZERO);
         let mut weights = vec![0i64; n];
-        for (i, part) in acc.iter().enumerate() {
+        for (i, part) in scratch.acc.iter().enumerate() {
             weights[i] = part.weight_q16;
             for (r, &o) in raw.row_mut(i).iter_mut().zip(&part.out_q19) {
                 *r = Fix16x8::from_q19_acc(o);
@@ -935,9 +681,9 @@ pub(crate) struct GroupOp<'a> {
 /// inlined.
 ///
 /// This is the **single** arithmetic body executed by the prefill pass
-/// (`run_ops`), the partition's shards, the systolic path's global duties
-/// and the decode step (`run_decode_ops`, K/V through page translation) —
-/// the decode == prefill == partitioned == systolic bit-identity holds by
+/// (`run_ops`), the systolic path's global duties and the decode step
+/// (`run_decode_ops`, K/V through page translation) — the decode ==
+/// prefill == systolic bit-identity holds by
 /// construction because there is exactly one copy of these kernels to
 /// diverge from. Parts reach each accumulator in the order the ops are
 /// listed in. The first op, in list order, whose row sum is zero fails the
@@ -1183,18 +929,6 @@ mod tests {
         let stages = b.report.stages.expect("profiled run reports stages");
         assert_eq!(stages.ops, lowered.ops().len() as u64);
         assert!(stages.keys > 0);
-
-        // Partitioned path: the layer aggregate lands on the first head.
-        let heads: Vec<Qkv> = (0..3).map(|s| Qkv::random(n, d, 100 + s)).collect();
-        let mut hs = HeadsScratch::new();
-        hs.set_profiling(true);
-        let outs = sim.execute_heads_lowered(&lowered, &heads, scale, 2, &mut hs).unwrap();
-        let agg = outs[0].report.stages.expect("aggregate profile on head 0");
-        assert_eq!(agg.ops, 3 * lowered.ops().len() as u64);
-        assert!(outs[1].report.stages.is_none());
-        // Per-shard gauges land in the global metrics registry.
-        let ops0 = salo_trace::metrics().gauge("sim.shard.0.ops").get();
-        assert!(ops0 > 0);
     }
 
     /// The executor on its own: arenas of `n` rows, and a hand-built op

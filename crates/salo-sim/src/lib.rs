@@ -52,7 +52,6 @@ mod energy;
 mod error;
 mod exec;
 mod lower;
-mod partition;
 mod report;
 mod scaling;
 mod systolic;
@@ -69,9 +68,8 @@ pub use decode::{
 };
 pub use energy::{EnergyBreakdown, EnergyModel, OpEnergies};
 pub use error::SimError;
-pub use exec::{ExecScratch, ExecutionOutput, HeadsScratch, SpatialAccelerator};
+pub use exec::{ExecScratch, ExecutionOutput, SpatialAccelerator};
 pub use lower::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys};
-pub use partition::{Partition, Shard, OP_BASE_COST};
 pub use report::{ExecutionReport, TimingReport, UtilizationReport};
 pub use salo_trace::StageProfile;
 pub use scaling::{AreaPowerEstimate, AreaPowerModel};

@@ -41,8 +41,6 @@ pub struct ExecutionReport {
     /// Host-measured per-stage cost of the lowered datapath, present when
     /// the executing scratch had profiling enabled
     /// ([`ExecScratch::set_profiling`](crate::ExecScratch::set_profiling)).
-    /// Under the partitioned multi-head path the layer-wide aggregate is
-    /// attached to the first head's report.
     pub stages: Option<StageProfile>,
 }
 

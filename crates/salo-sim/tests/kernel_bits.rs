@@ -9,14 +9,11 @@
 //!   the parent's bits can.
 //! * **A differential suite** at d ∈ {8, 32, 48, 64, 128} — the dimensions
 //!   the kernel is instantiated at, one it is not, and the small one the
-//!   older proptests cover: lowered == systolic == partitioned
-//!   (parallelism 1/2/4) == paged decode vs causal prefill, on window +
-//!   global + block-sparse terms, on inputs that saturate `Fix8x4`, clamp
-//!   the exp domain on both sides and drive one key to the top of the
-//!   probability range (32768 itself through the single-key global ops);
-//!   and, at paper scale on the default instance, partitioned (2/4) ==
-//!   lowered on the shapes the golden digests and the benchmark serve.
-//!   The `SystolicArray` oracle is built from the scalar primitives
+//!   older proptests cover: lowered == systolic == paged decode vs causal
+//!   prefill, on window + global + block-sparse terms, on inputs that
+//!   saturate `Fix8x4`, clamp the exp domain on both sides and drive one
+//!   key to the top of the probability range (32768 itself through the
+//!   single-key global ops). The `SystolicArray` oracle is built from the scalar primitives
 //!   (`qk_mac`, `eval_q8`, `scale_to_prob`, `sv_mac`), so it shares no
 //!   sweep with the kernel. Saturation counts are compared, not just rows.
 //!
@@ -32,8 +29,8 @@ use salo_patterns::{
 };
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
 use salo_sim::{
-    AcceleratorConfig, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, HeadsScratch,
-    KvPagePool, LoweredOpKind, LoweredPlan, SpatialAccelerator, DEFAULT_PAGE_ROWS,
+    AcceleratorConfig, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, KvPagePool,
+    LoweredOpKind, LoweredPlan, SpatialAccelerator, DEFAULT_PAGE_ROWS,
 };
 
 // ---------------------------------------------------------------- inputs
@@ -279,13 +276,12 @@ fn assert_same_bits(got: &ExecutionOutput, want: &ExecutionOutput, what: &str) {
     );
 }
 
-/// lowered == systolic == partitioned at parallelism 1/2/4, on two heads.
+/// lowered == systolic, on two heads.
 fn assert_prefill_paths_agree(
     sim: &SpatialAccelerator,
     pattern: &HybridPattern,
     heads: &[Qkv],
     scratch: &mut ExecScratch,
-    heads_scratch: &mut HeadsScratch,
     what: &str,
 ) {
     let plan = ExecutionPlan::build(pattern, sim.config().hw).expect("plan");
@@ -298,14 +294,6 @@ fn assert_prefill_paths_agree(
     for (h, want) in heads.iter().zip(&oracle) {
         let got = sim.execute_lowered(&lowered, &h.q, &h.k, &h.v, scale, scratch).expect("lowered");
         assert_same_bits(&got, want, &format!("{what}: lowered vs systolic"));
-    }
-    for parallelism in [1, 2, 4] {
-        let outs = sim
-            .execute_heads_lowered(&lowered, heads, scale, parallelism, heads_scratch)
-            .expect("partitioned");
-        for (got, want) in outs.iter().zip(&oracle) {
-            assert_same_bits(got, want, &format!("{what}: parallelism {parallelism} vs systolic"));
-        }
     }
 }
 
@@ -371,7 +359,7 @@ fn term_zoo(n: usize) -> HybridPattern {
 fn prefill_paths_agree_at_serving_dimensions() {
     let n = 72;
     let sim = accel(hw(8, 8));
-    let (mut scratch, mut heads_scratch) = (ExecScratch::new(), HeadsScratch::new());
+    let mut scratch = ExecScratch::new();
     let patterns = [("longformer", longformer(n, 19, 2).expect("pattern")), ("zoo", term_zoo(n))];
     for d in DIMS {
         for (name, pattern) in &patterns {
@@ -379,58 +367,8 @@ fn prefill_paths_agree_at_serving_dimensions() {
             let saturating = [scaled_qkv(n, d, 33, 9.0), spike_qkv(n, d, 34, 9)];
             for (kind, heads) in [("plain", &plain), ("saturating", &saturating)] {
                 let what = format!("{name} d={d} {kind}");
-                assert_prefill_paths_agree(
-                    &sim,
-                    pattern,
-                    heads,
-                    &mut scratch,
-                    &mut heads_scratch,
-                    &what,
-                );
+                assert_prefill_paths_agree(&sim, pattern, heads, &mut scratch, &what);
             }
-        }
-    }
-}
-
-/// The default instance at paper scale, where the systolic oracle costs
-/// seconds a shape: the partitioned executor at 2 and 4 shards against
-/// the sequential pass — the one the golden digests pin — on the two
-/// paper workloads, dense BERT-base-512, BigBird-1024 and a block-sparse
-/// band, one head at d = 64.
-#[test]
-fn partitioned_execution_matches_sequential_at_paper_scale() {
-    let sim = SpatialAccelerator::default_instance();
-    let block_band = HybridPattern::from_terms(
-        1024,
-        vec![
-            PatternTerm::Window(Window::causal(64).expect("window")),
-            PatternTerm::BlockSparse { block_rows: 64, layout: BlockLayout::Banded { radius: 1 } },
-        ],
-    );
-    let dense =
-        HybridPattern::builder(512).window(Window::symmetric(1024).expect("window")).build();
-    let shapes = [
-        ("longformer-2048", longformer(2048, 256, 1)),
-        ("vil-stage1", vil_stage(56, 56, 15, 15, 1)),
-        ("bert-base-512", dense),
-        ("bigbird-1024", bigbird(1024, 64, 3, 2, 7)),
-        ("blocksparse-1024", block_band),
-    ];
-    let (mut scratch, mut heads_scratch) = (ExecScratch::new(), HeadsScratch::new());
-    for (seed, (name, pattern)) in (60..).zip(shapes) {
-        let pattern = pattern.expect("pattern");
-        let plan = ExecutionPlan::build(&pattern, sim.config().hw).expect("plan");
-        let lowered = LoweredPlan::lower(&plan);
-        let head = [Qkv::random(pattern.n(), 64, seed)];
-        let scale = SpatialAccelerator::default_scale(64);
-        let want = sim
-            .execute_lowered(&lowered, &head[0].q, &head[0].k, &head[0].v, scale, &mut scratch)
-            .expect("sequential");
-        for parallelism in [2, 4] {
-            let outs = sim
-                .execute_heads_lowered(&lowered, &head, scale, parallelism, &mut heads_scratch)
-                .expect("partitioned");
-            assert_same_bits(&outs[0], &want, &format!("{name}: parallelism {parallelism}"));
         }
     }
 }
@@ -485,8 +423,7 @@ fn paged_decode_matches_causal_prefill_at_serving_dimensions() {
 fn ops_past_the_i32_chain_bound_agree_at_d64() {
     // An array wide enough that one op holds more keys than a 32-bit
     // stage-5 chain can (`SV_I32_SAFE_KEYS`), so the 64-bit chain runs at
-    // a specialised dimension — against the systolic oracle, partitioned
-    // and paged. Saturating values push the chain as far as it goes.
+    // a specialised dimension — against the systolic oracle and paged. Saturating values push the chain as far as it goes.
     let (n, w, d) = (700, 600, 64);
     let sim = accel(hw(2, 640));
     let pattern = causal_sink_window(n, w);
@@ -494,7 +431,7 @@ fn ops_past_the_i32_chain_bound_agree_at_d64() {
     let lowered = LoweredPlan::lower(&plan);
     assert!(lowered.max_row_keys() > SV_I32_SAFE_KEYS, "op of {} keys", lowered.max_row_keys());
     let heads = [scaled_qkv(n, d, 51, 9.0), Qkv::random(n, d, 52)];
-    let (mut scratch, mut heads_scratch) = (ExecScratch::new(), HeadsScratch::new());
-    assert_prefill_paths_agree(&sim, &pattern, &heads, &mut scratch, &mut heads_scratch, "long op");
+    let mut scratch = ExecScratch::new();
+    assert_prefill_paths_agree(&sim, &pattern, &heads, &mut scratch, "long op");
     assert_decode_matches_prefill(&sim, &pattern, &heads[0], 16, &mut scratch, "long op");
 }

@@ -10,9 +10,9 @@
 //! <https://ui.perfetto.dev> (or `chrome://tracing`) and load the file:
 //! each serving thread is a track, with `serve.*` spans (admission, plan
 //! lookup, batch formation, queue wait, reply) over `engine.*` spans
-//! (prefill, decode steps) over `sim.*` spans (lowered execution, shards,
-//! and the four synthetic `sim.stage.*` spans showing where the modeled
-//! datapath spent its time).
+//! (prefill, decode steps) over `sim.*` spans (lowered execution and the
+//! four synthetic `sim.stage.*` spans showing where the modeled datapath
+//! spent its time).
 //!
 //! Tracing here is turned on in code; in any other binary the same
 //! instrumentation is a no-op until `SALO_TRACE=1` is set in the
@@ -28,9 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        // Two prefill shards inside each engine, so the partitioned
-        // path's per-shard occupancy gauges show up in the registry.
-        ServeOptions { workers: 2, max_batch: 4, worker_parallelism: 2, ..Default::default() },
+        ServeOptions { workers: 2, max_batch: 4, ..Default::default() },
     );
 
     // A mixed burst: prefill layer traffic interleaved with streaming
@@ -69,15 +67,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- serve metrics registry --");
     println!("{}", server.metrics().export_table());
 
-    // Process-global metrics (the sim's per-shard occupancy gauges land
-    // here when profiling is on).
+    // Process-global metrics (the count of decode programs lowered).
     println!("-- global metrics registry --");
     println!("{}", salo::trace::metrics().export_table());
 
     let report = server.shutdown();
     println!("-- serve report --\n{report}");
     println!(
-        "report histograms: {} latency samples, {} decode-step samples (merge exactly across shards)",
+        "report histograms: {} latency samples, {} decode-step samples (merge exactly across workers)",
         report.latency_hist.count, report.decode_step_latency_hist.count
     );
 

@@ -175,43 +175,6 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     }
 }
 
-/// Prefill through a parallel `LoweredEngine` (heads sharded over
-/// threads by the deterministic partition) stays bit-identical to the
-/// sequential engine and the systolic oracle at every shard count.
-#[test]
-fn parallel_lowered_engine_bit_matches_systolic() {
-    let salo = small_salo();
-    let pattern = HybridPattern::builder(48)
-        .window(Window::dilated(-10, 0, 2).unwrap())
-        .global_token(0)
-        .global_token(3)
-        .build()
-        .unwrap();
-    let d = 8;
-    let num_heads = 4;
-    let shape = AttentionShape::new(48, d, num_heads).unwrap();
-    let heads = Qkv::random_heads(&shape, 1717);
-
-    let mut systolic = salo.systolic_engine();
-    let oracle = prefill_on(&mut systolic, &pattern, shape, &heads);
-    for parallelism in [1usize, 2, 4, 7] {
-        let mut engine = salo.engine_with_parallelism(parallelism);
-        assert_eq!(engine.parallelism(), parallelism);
-        let out = prefill_on(&mut engine, &pattern, shape, &heads);
-        for h in 0..num_heads {
-            assert_eq!(out.heads[h].raw, oracle.heads[h].raw, "head {h} raw at p={parallelism}");
-            assert_eq!(
-                out.heads[h].weights_q16, oracle.heads[h].weights_q16,
-                "head {h} weights at p={parallelism}"
-            );
-        }
-        assert_eq!(
-            out.telemetry.saturation_events, oracle.telemetry.saturation_events,
-            "saturation counts at p={parallelism}"
-        );
-    }
-}
-
 #[test]
 fn engine_sessions_validate_and_retire_like_the_serving_runtime() {
     let salo = small_salo();

@@ -5,6 +5,9 @@
 
 use std::collections::BTreeSet;
 
+use salo::core::{AttentionRequest, Engine, Salo};
+use salo::kernels::Qkv;
+use salo::patterns::{longformer, AttentionShape};
 use salo::serve::{GenerationTraffic, SaloServer, ServeOptions, TrafficMix};
 use salo::sim::AcceleratorConfig;
 
@@ -20,7 +23,7 @@ fn traced_burst_covers_all_layers() {
 
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 2, max_batch: 4, worker_parallelism: 2, ..Default::default() },
+        ServeOptions { workers: 2, max_batch: 4, ..Default::default() },
     );
 
     let mix = TrafficMix::demo_mix();
@@ -71,6 +74,20 @@ fn traced_burst_covers_all_layers() {
     // snapshot the tracer.
     let report = server.shutdown();
 
+    // -- a layer's stage profile is the sum over its heads --
+    let mut engine = Salo::new(AcceleratorConfig::default()).engine();
+    let shape = AttentionShape::new(256, 64, 3).unwrap();
+    let handle = engine.prepare(&longformer(256, 32, 1).unwrap(), &shape).unwrap();
+    let ops = handle.plan().expect("a compiled plan").lowered.ops().len() as u64;
+    let heads = Qkv::random_heads(&shape, 7);
+    let out = engine
+        .execute(AttentionRequest::Prefill { pattern: handle, shape, heads })
+        .unwrap()
+        .into_prefill()
+        .unwrap();
+    let stages = out.telemetry.stages.expect("a traced prefill reports its stages");
+    assert_eq!(stages.ops, 3 * ops, "every head's ops, once");
+
     // -- spans from every layer appear in one trace --
     let snapshot = salo::trace::Tracer::global().snapshot();
     let names: BTreeSet<&str> = snapshot.spans.iter().map(|s| s.name).collect();
@@ -89,8 +106,7 @@ fn traced_burst_covers_all_layers() {
         "engine.decode_step_batch",
         "engine.decode_close",
         // simulator
-        "sim.execute_heads",
-        "sim.shard",
+        "sim.execute_lowered",
         "sim.execute_steps",
     ] {
         assert!(names.contains(expected), "missing span {expected:?}; got {names:?}");
@@ -107,7 +123,7 @@ fn traced_burst_covers_all_layers() {
     assert!(json.contains("\"ph\":\"X\""), "complete events use phase X");
     assert!(json.contains("\"serve.admission\""));
     assert!(json.contains("\"engine.prefill\""));
-    assert!(json.contains("\"sim.shard\""));
+    assert!(json.contains("\"sim.execute_lowered\""));
     // Every event object carries the required trace-event keys.
     assert_eq!(json.matches("\"ph\":\"X\"").count(), snapshot.spans.len());
     assert_eq!(json.matches("\"ts\":").count(), snapshot.spans.len());

@@ -23,54 +23,49 @@ fn options(workers: usize) -> ServeOptions {
 
 #[test]
 fn batched_multi_worker_execution_is_bit_identical_to_one_shot() {
-    // Sequential workers, and workers that shard each layer's heads over
-    // four threads: both serve the one-shot engine's bits.
-    for worker_parallelism in [1, 4] {
-        let config = AcceleratorConfig::default();
-        let mix = TrafficMix::demo_mix();
-        let total = 12u64;
+    let config = AcceleratorConfig::default();
+    let mix = TrafficMix::demo_mix();
+    let total = 12u64;
 
-        let server =
-            SaloServer::start(config.clone(), ServeOptions { worker_parallelism, ..options(4) });
-        for i in 0..total {
-            server.submit(mix.request(i)).expect("submit");
-        }
-
-        let one_shot = Salo::new(config);
-        for i in 0..total {
-            let response = server.recv().expect("response");
-            assert_eq!(response.id, i, "ordered delivery");
-            let run = response.output().expect("batched execution succeeds");
-
-            let request = mix.request(i);
-            let mut engine = one_shot.engine();
-            let handle = engine.prepare(&request.pattern, &request.shape).expect("compile");
-            let exact = engine
-                .execute(AttentionRequest::Prefill {
-                    pattern: handle,
-                    shape: request.shape,
-                    heads: request.heads.clone(),
-                })
-                .expect("one-shot execution")
-                .into_prefill()
-                .expect("prefill response");
-            for (head, direct) in run.heads.iter().zip(&exact.heads) {
-                assert_eq!(
-                    Some(&head.raw),
-                    direct.raw.as_ref(),
-                    "request {i}, {worker_parallelism} shards: bit-identical fixed-point output"
-                );
-                assert_eq!(
-                    Some(&head.weights_q16),
-                    direct.weights_q16.as_ref(),
-                    "request {i}, {worker_parallelism} shards: identical weights"
-                );
-            }
-        }
-        let report = server.shutdown();
-        assert_eq!(report.requests, total);
-        assert_eq!(report.errors, 0);
+    let server = SaloServer::start(config.clone(), options(4));
+    for i in 0..total {
+        server.submit(mix.request(i)).expect("submit");
     }
+
+    let one_shot = Salo::new(config);
+    for i in 0..total {
+        let response = server.recv().expect("response");
+        assert_eq!(response.id, i, "ordered delivery");
+        let run = response.output().expect("batched execution succeeds");
+
+        let request = mix.request(i);
+        let mut engine = one_shot.engine();
+        let handle = engine.prepare(&request.pattern, &request.shape).expect("compile");
+        let exact = engine
+            .execute(AttentionRequest::Prefill {
+                pattern: handle,
+                shape: request.shape,
+                heads: request.heads.clone(),
+            })
+            .expect("one-shot execution")
+            .into_prefill()
+            .expect("prefill response");
+        for (head, direct) in run.heads.iter().zip(&exact.heads) {
+            assert_eq!(
+                Some(&head.raw),
+                direct.raw.as_ref(),
+                "request {i}: bit-identical fixed-point output"
+            );
+            assert_eq!(
+                Some(&head.weights_q16),
+                direct.weights_q16.as_ref(),
+                "request {i}: weights"
+            );
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.requests, total);
+    assert_eq!(report.errors, 0);
 }
 
 #[test]
