@@ -313,7 +313,6 @@ fn serve_error(e: &ServeError) -> Outgoing {
     let code = match e {
         ServeError::InvalidRequest { .. } => ErrorCode::Invalid,
         ServeError::UnknownSession { .. } => ErrorCode::UnknownSession,
-        ServeError::Draining => ErrorCode::Draining,
         _ => ErrorCode::Internal,
     };
     error(code, &e.to_string())
@@ -1782,7 +1781,7 @@ mod tests {
 
             let late = ServeResponse {
                 id: 40,
-                result: Err(ServeError::Draining),
+                result: Err(ServeError::WorkerLost),
                 cache_hit: false,
                 worker: None,
                 latency_s: 0.0,

@@ -27,10 +27,6 @@ pub enum ServeError {
         /// The offending session id.
         session: u64,
     },
-    /// The server is draining ([`SaloServer::drain`](crate::SaloServer::drain)):
-    /// it refuses new submissions, opens and steps while in-flight work
-    /// finishes. Closes are still accepted.
-    Draining,
 }
 
 impl fmt::Display for ServeError {
@@ -43,7 +39,6 @@ impl fmt::Display for ServeError {
             ServeError::UnknownSession { session } => {
                 write!(f, "unknown decode session {session}")
             }
-            ServeError::Draining => write!(f, "server is draining"),
         }
     }
 }
@@ -95,6 +90,5 @@ mod tests {
 
         assert_eq!(ServeError::Closed.to_string(), "server is shut down");
         assert_eq!(ServeError::WorkerLost.to_string(), "worker thread is gone");
-        assert_eq!(ServeError::Draining.to_string(), "server is draining");
     }
 }

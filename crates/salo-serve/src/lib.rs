@@ -11,8 +11,8 @@
 //!
 //! * a **[`PlanCache`]** keyed by `(pattern fingerprint, shape,
 //!   accelerator fingerprint)` — repeated requests skip the scheduler
-//!   pass entirely (sharded locking, LRU eviction, hit/miss counters,
-//!   single-flight compiles);
+//!   pass entirely (one map under one lock, LRU eviction over the whole
+//!   cache, hit/miss counters, single-flight compiles);
 //! * a **worker pool** of N threads, each one accelerator instance — the
 //!   scheduler in front of its array: it owns a
 //!   [`LoweredEngine`](salo_core::LoweredEngine), resolves each request's

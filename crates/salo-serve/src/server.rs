@@ -39,10 +39,10 @@
 //! reader that promises submission order — restores it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use salo_core::Salo;
 use salo_sim::AcceleratorConfig;
@@ -67,7 +67,9 @@ pub struct ServeOptions {
     pub max_batch: usize,
     /// Total compiled plans the cache may hold.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
+    /// Not read by the runtime: the plan cache is one map under one lock,
+    /// holding at most `cache_capacity` plans. Kept only because `bench/`
+    /// still sets it.
     pub cache_shards: usize,
     /// Not read by the runtime: a prefill runs on its worker's thread,
     /// and a process uses more cores by running more `workers`. Kept only
@@ -120,10 +122,11 @@ struct OwnSink {
 /// own event channel). A front end multiplexing many clients hands
 /// [`submit_into`](Self::submit_into) and
 /// [`open_session_into`](Self::open_session_into) clones of one
-/// [`EventSink`] and reads every result from the one receiver. End the
-/// runtime with
-/// [`shutdown`](Self::shutdown), which drains in-flight work, joins every
-/// thread and returns the aggregate [`ServeReport`].
+/// [`EventSink`] and reads every result from the one receiver. The one
+/// way to stop is [`shutdown`](Self::shutdown): every worker finishes the
+/// jobs already queued to it, every thread is joined, and the aggregate
+/// [`ServeReport`] is returned. A front end that owes its sessions a
+/// terminal [`ServeEvent::Closed`] closes them first.
 pub struct SaloServer {
     config: AcceleratorConfig,
     pool: WorkerPool,
@@ -145,12 +148,6 @@ pub struct SaloServer {
     /// the tenant's first request or rejection, and read back into
     /// [`ServeReport::tenants`] at shutdown.
     tenants: Mutex<HashMap<u64, TenantMetrics>>,
-    /// One-way flag set by [`drain`](Self::drain): new submissions, opens
-    /// and steps are refused with [`ServeError::Draining`] while in-flight
-    /// work finishes and sessions close out. Set, and read by an open,
-    /// under the session table's lock, so every session is either refused
-    /// or in the snapshot the drain closes.
-    draining: AtomicBool,
 }
 
 impl std::fmt::Debug for SaloServer {
@@ -170,7 +167,7 @@ impl SaloServer {
     #[must_use]
     pub fn start(config: AcceleratorConfig, options: ServeOptions) -> Self {
         let workers = options.workers.max(1);
-        let cache = Arc::new(PlanCache::new(options.cache_capacity, options.cache_shards));
+        let cache = Arc::new(PlanCache::new(options.cache_capacity, 1));
         let sessions = Arc::new(SessionRegistry::new(workers));
         let metrics = Arc::new(MetricsRegistry::new());
         let counts = ServeMetrics::new(&metrics, workers);
@@ -191,7 +188,6 @@ impl SaloServer {
             metrics,
             counts,
             tenants: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
         }
     }
 
@@ -219,9 +215,8 @@ impl SaloServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] if the request is internally
-    /// inconsistent, or [`ServeError::Draining`] once a
-    /// [`drain`](Self::drain) has begun. A request whose worker's thread
-    /// is gone is accepted and answered with [`ServeError::WorkerLost`].
+    /// inconsistent. A request whose worker's thread is gone is accepted
+    /// and answered with [`ServeError::WorkerLost`].
     pub fn submit(&self, request: ServeRequest) -> Result<u64, ServeError> {
         self.submit_for(Self::DEFAULT_TENANT, request)
     }
@@ -261,9 +256,6 @@ impl SaloServer {
         request: ServeRequest,
         events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
-        if self.draining.load(Ordering::Acquire) {
-            return Err(ServeError::Draining);
-        }
         let events = events.into();
         // Re-validate: the fields are public, so the request may not have
         // come through `ServeRequest::new`.
@@ -311,9 +303,7 @@ impl SaloServer {
     ///
     /// # Errors
     ///
-    /// As [`open_session`](Self::open_session), plus
-    /// [`ServeError::Draining`] once a [`drain`](Self::drain) has begun:
-    /// an open the drain does not refuse, it closes.
+    /// As [`open_session`](Self::open_session).
     pub fn open_session_for(
         &self,
         tenant: u64,
@@ -347,15 +337,11 @@ impl SaloServer {
         request.validate()?;
         let events = events.into();
         let TenantMetrics { requests, decode_steps, .. } = self.tenant(tenant);
-        // Admission, placement and the send are one step under the
-        // table's lock. A drain marks and snapshots under the same lock,
-        // so it either refuses this open or closes it; and whoever removes
-        // the session — a close, a drain — sends to its worker after this
-        // open's job, never ahead of it.
+        // Placement, registration and the send are one step under the
+        // table's lock, so a close — the one thing that removes a live
+        // session at the front end — sends to its worker after this open's
+        // job, never ahead of it.
         let mut table = self.sessions.lock();
-        if self.draining.load(Ordering::Acquire) {
-            return Err(ServeError::Draining);
-        }
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
         requests.inc();
@@ -385,15 +371,10 @@ impl SaloServer {
     ///
     /// Returns [`ServeError::UnknownSession`] for a session this server
     /// never opened — or that is no longer live: closed, dropped by a
-    /// poisoning step failure, or failed to open — and
-    /// [`ServeError::Draining`] once a [`drain`](Self::drain) has begun.
-    /// Execution failures arrive in the step event; [`ServeEvent::Step`]
-    /// says which of them retire the session, and that every accepted
-    /// step gets exactly one.
+    /// poisoning step failure, or failed to open. Execution failures
+    /// arrive in the step event; [`ServeEvent::Step`] says which of them
+    /// retire the session, and that every accepted step gets exactly one.
     pub fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
-        if self.draining.load(Ordering::Acquire) {
-            return Err(ServeError::Draining);
-        }
         // The front gate and the route in one lookup. No second liveness
         // check follows: a step accepted here executes if its session is
         // still in the worker's engine when it gets there, and reports
@@ -428,8 +409,8 @@ impl SaloServer {
     /// (a poisoned session counts as closed; its channel received the
     /// [`ServeEvent::Closed`] at poison time).
     pub fn close_session(&self, session: u64) -> Result<(), ServeError> {
-        // Removed first, so a concurrent close (or the drain) cannot send
-        // a second `Job::Close`.
+        // Removed first, so a concurrent close cannot send a second
+        // `Job::Close`.
         let removed = self.sessions.lock().remove(session);
         let LiveSession { worker, events, .. } =
             removed.ok_or(ServeError::UnknownSession { session })?;
@@ -504,49 +485,12 @@ impl SaloServer {
         self.tenant(tenant).rejections.inc();
     }
 
-    /// Gracefully drains the runtime: refuses new work, closes every
-    /// registered decode session with a terminal
-    /// [`ServeEvent::Closed`], and waits — up to `deadline` — for all
-    /// in-flight work to complete. Returns `true` when the runtime
-    /// drained fully within the deadline.
-    ///
-    /// After a drain, [`submit`](Self::submit),
-    /// [`open_session`](Self::open_session) and
-    /// [`step_session`](Self::step_session) report
-    /// [`ServeError::Draining`]; [`close_session`](Self::close_session)
-    /// and response/event reads keep working so clients can collect what
-    /// already completed. Draining is one-way: the runtime's remaining
-    /// useful call is [`shutdown`](Self::shutdown), which produces the
-    /// final report (drain-then-shutdown is the graceful path; `shutdown`
-    /// alone drops session channels without terminal events).
-    pub fn drain(&self, deadline: Duration) -> bool {
-        let start = Instant::now();
-        let _span = salo_trace::span_with("serve.drain", "serve", 0);
-        // Marked and snapshotted under the table's lock: an open that was
-        // not refused is in the snapshot. Each gets its terminal Closed
-        // event through the normal close path; one a client closed in the
-        // meantime is simply no longer there.
-        let live = {
-            let table = self.sessions.lock();
-            self.draining.store(true, Ordering::Release);
-            table.ids()
-        };
-        for session in live {
-            let _ = self.close_session(session);
-        }
-        while start.elapsed() < deadline {
-            if self.queue_depth() == 0 && self.active_sessions() == 0 {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.queue_depth() == 0 && self.active_sessions() == 0
-    }
-
-    /// Stops accepting requests, drains all in-flight work, joins every
-    /// thread and returns the session report. Responses not yet read via
-    /// [`recv`](Self::recv) are discarded; open decode sessions are
-    /// dropped with their channels.
+    /// The runtime's one way to stop: closes every worker's queue, lets
+    /// each worker run the jobs already queued to it (closes included),
+    /// joins every thread and returns the session report. Responses not
+    /// yet read via [`recv`](Self::recv) are discarded; sessions still
+    /// open are dropped with their channels, without a terminal
+    /// [`ServeEvent::Closed`] — close them first to send one.
     #[must_use]
     pub fn shutdown(self) -> ServeReport {
         let workers = self.pool.workers();

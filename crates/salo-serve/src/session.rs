@@ -331,11 +331,6 @@ impl Sessions {
         self.live.get(&session)
     }
 
-    /// The live session ids — what a drain walks to close every session.
-    pub fn ids(&self) -> Vec<u64> {
-        self.live.keys().copied().collect()
-    }
-
     pub fn len(&self) -> usize {
         self.live.len()
     }

@@ -1,6 +1,8 @@
 //! Property tests for the plan cache: stats stay consistent and plans stay
-//! correct under proptest-driven request mixes, sequential and concurrent.
+//! correct under proptest-driven request mixes, sequential and concurrent,
+//! and a sequential mix is served exactly as a reference LRU serves it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -52,6 +54,19 @@ fn lookup(
         .expect("compile succeeds")
 }
 
+/// The reference LRU: keys most recently used last. Returns whether `w`
+/// hit, and whether a miss evicted a key.
+fn model_access(lru: &mut VecDeque<usize>, capacity: usize, w: usize) -> (bool, bool) {
+    if let Some(at) = lru.iter().position(|&k| k == w) {
+        lru.remove(at);
+        lru.push_back(w);
+        return (true, false);
+    }
+    let evicted = lru.len() == capacity && lru.pop_front().is_some();
+    lru.push_back(w);
+    (false, evicted)
+}
+
 proptest! {
     #[test]
     fn sequential_mix_accounting(
@@ -74,9 +89,33 @@ proptest! {
         prop_assert_eq!(stats.misses, compiles.load(Ordering::Relaxed) as u64);
         // Sequentially, every miss is one insert; evictions balance.
         prop_assert_eq!(stats.evictions, stats.misses - stats.entries as u64);
-        // The cache never exceeds its (shard-rounded) capacity.
-        let bound = shards * capacity.div_ceil(shards);
-        prop_assert!(stats.entries <= bound, "{} entries > bound {}", stats.entries, bound);
+        // The cache never exceeds its capacity, however many shards it
+        // is asked for.
+        prop_assert!(stats.entries <= capacity, "{} entries > capacity {}", stats.entries, capacity);
+    }
+
+    #[test]
+    fn sequential_mix_matches_a_reference_lru(
+        mix in prop::collection::vec(0usize..4, 4..48),
+        capacity in 1usize..5,
+        shards in 1usize..4,
+    ) {
+        let fx = fixture();
+        let cache = PlanCache::new(capacity, shards);
+        let compiles = AtomicUsize::new(0);
+        let mut lru = VecDeque::new();
+        for (i, &w) in mix.iter().enumerate() {
+            let evictions = cache.stats().evictions;
+            let (_, hit) = lookup(&fx, &cache, w, &compiles);
+            let (model_hit, model_evicted) = model_access(&mut lru, capacity, w);
+            prop_assert_eq!(hit, model_hit, "lookup {} of {:?}: hit", i, mix);
+            prop_assert_eq!(
+                cache.stats().evictions - evictions,
+                u64::from(model_evicted),
+                "lookup {} of {:?}: evictions", i, mix
+            );
+        }
+        prop_assert_eq!(cache.len(), lru.len());
     }
 
     #[test]
@@ -85,11 +124,9 @@ proptest! {
         threads in 2usize..5,
     ) {
         let fx = fixture();
-        // Per-shard capacity (16/4 = 4) covers all 4 keys even if every
-        // key hashed to one shard, so no eviction can fire regardless of
-        // how the fingerprints spread — the exact-entries assertions
-        // below hold by construction, not by luck.
-        let cache = PlanCache::new(16, 4);
+        // Room for every workload, so no eviction can fire: the
+        // exact-entries assertions below hold by construction.
+        let cache = PlanCache::new(WORKLOADS.len(), 1);
         let compiles = AtomicUsize::new(0);
         let handles: Vec<Vec<Arc<CompiledPlan>>> = std::thread::scope(|scope| {
             let racers: Vec<_> = (0..threads)

@@ -936,60 +936,6 @@ fn a_cold_compile_stalls_its_own_worker_and_nobody_else() {
 }
 
 #[test]
-fn an_open_racing_a_drain_is_refused_or_closed() {
-    // One thread opens sessions as fast as it can while another drains.
-    // Admission and the drain's snapshot are decided under one lock, so
-    // every open is either refused or in the set the drain closes: none
-    // stays live behind the drain's back (which would also keep `drain`
-    // spinning to its deadline).
-    let server = SaloServer::start(
-        AcceleratorConfig::default(),
-        ServeOptions { workers: 2, ..Default::default() },
-    );
-    // A long pattern: each open's clip and compile on its worker keep the
-    // session live for a while after admission — where the drain finds it.
-    let pattern = HybridPattern::builder(4096)
-        .window(Window::causal(64).unwrap())
-        .global_token(0)
-        .build()
-        .unwrap();
-    let request = salo::serve::SessionRequest {
-        pattern,
-        head_dim: 4,
-        num_heads: 1,
-        prompt: vec![Qkv::random(1, 4, 0)],
-    };
-    let (started_tx, started) = std::sync::mpsc::channel();
-    let (drained, admitted) = std::thread::scope(|scope| {
-        let opener = scope.spawn(|| {
-            let mut admitted = Vec::new();
-            loop {
-                match server.open_session(request.clone()) {
-                    Ok(handle) => admitted.push(handle),
-                    Err(ServeError::Draining) => return admitted,
-                    Err(other) => panic!("unexpected refusal: {other}"),
-                }
-                let _ = started_tx.send(());
-            }
-        });
-        started.recv().unwrap();
-        let drained = server.drain(std::time::Duration::from_secs(30));
-        (drained, opener.join().unwrap())
-    });
-    assert!(drained, "no open stayed live behind the drain");
-    assert_eq!(server.active_sessions(), 0);
-    assert!(!admitted.is_empty());
-    for handle in &admitted {
-        handle.wait_open().expect("an admitted open completes");
-        assert!(
-            matches!(handle.recv().unwrap(), ServeEvent::Closed { .. }),
-            "and the drain closed it"
-        );
-    }
-    let _ = server.shutdown();
-}
-
-#[test]
 fn mixed_layer_and_decode_traffic_share_the_runtime() {
     // Layer requests and decode sessions interleave on the same pool;
     // ordered layer delivery and per-session step order both hold.
