@@ -55,7 +55,7 @@ use salo_sim::ExecutionReport;
 use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
 
 pub use fixed::{LoweredEngine, SystolicEngine};
-pub use reference::{reference_head, ReferenceEngine};
+pub use reference::ReferenceEngine;
 
 /// Identifier of a decode session held inside an engine.
 pub type SessionId = u64;

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use salo_fixed::softmax_f64;
-use salo_kernels::{sparse_attention, Matrix, Qkv};
+use salo_kernels::sparse_attention;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::SpatialAccelerator;
 
@@ -251,16 +251,30 @@ impl Engine for ReferenceEngine {
     }
 }
 
-/// Exact float prefill over a full [`Qkv`] — a convenience wrapper around
-/// [`sparse_attention`] used by tests comparing engines head by head.
-///
-/// # Errors
-///
-/// Dimension errors from the kernel layer.
-pub fn reference_head(
-    pattern: &HybridPattern,
-    head: &Qkv,
-    scale: f32,
-) -> Result<Matrix<f32>, SaloError> {
-    Ok(sparse_attention(pattern, &head.q, &head.k, &head.v, scale)?)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use salo_kernels::Qkv;
+    use salo_patterns::longformer;
+
+    /// A layer's reference output is each head's own `sparse_attention` at
+    /// `1/sqrt(d)`, bit for bit: heads are independent and share the
+    /// pattern and the scale.
+    #[test]
+    fn prefill_is_sparse_attention_per_head_at_the_default_scale() {
+        let shape = AttentionShape::new(12, 4, 3).unwrap();
+        let pattern = longformer(12, 4, 1).unwrap();
+        let heads = Qkv::random_heads(&shape, 3);
+        let mut engine = ReferenceEngine::new();
+        let handle = engine.prepare(&pattern, &shape).unwrap();
+        let request = AttentionRequest::Prefill { pattern: handle, shape, heads: heads.clone() };
+        let out = engine.execute(request).unwrap().into_prefill().unwrap();
+        assert_eq!(out.heads.len(), 3);
+        let scale = SpatialAccelerator::default_scale(shape.head_dim);
+        for (ours, head) in out.heads.iter().zip(&heads) {
+            let solo = sparse_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
+            let bits = |m: &salo_kernels::Matrix<f32>| m.map(f32::to_bits);
+            assert_eq!(bits(&ours.output), bits(&solo));
+        }
+    }
 }

@@ -48,9 +48,9 @@ mod verify;
 
 pub use decode::DecodeSession;
 pub use engine::{
-    reference_head, AttentionRequest, AttentionResponse, Engine, EngineCaps, HeadOutput, HeadStep,
-    LoweredEngine, PatternHandle, PrefillOutput, ReferenceEngine, SessionClosed, SessionId,
-    SessionOpened, StepResult, SystolicEngine, Telemetry, TokenQkv,
+    AttentionRequest, AttentionResponse, Engine, EngineCaps, HeadOutput, HeadStep, LoweredEngine,
+    PatternHandle, PrefillOutput, ReferenceEngine, SessionClosed, SessionId, SessionOpened,
+    StepResult, SystolicEngine, Telemetry, TokenQkv,
 };
 pub use error::SaloError;
 pub use salo::{CompiledPlan, MultiHeadRun, Salo};

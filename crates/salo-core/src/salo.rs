@@ -2,9 +2,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use salo_kernels::Matrix;
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_scheduler::{ExecutionPlan, PlanStats};
+use salo_scheduler::ExecutionPlan;
 use salo_sim::{
     AcceleratorConfig, DecodePlan, ExecutionOutput, LoweredPlan, SimError, SpatialAccelerator,
     TimingReport,
@@ -27,10 +26,9 @@ pub struct CompiledPlan {
     pub plan: ExecutionPlan,
     /// The attention shape the plan was compiled for.
     pub shape: AttentionShape,
-    /// Plan statistics (passes, occupancy, traffic inputs).
-    pub stats: PlanStats,
     /// The plan resolved into flat pass programs for the execution hot
-    /// path.
+    /// path; [`LoweredPlan::stats`] holds the plan statistics (passes,
+    /// occupancy, traffic inputs).
     pub lowered: LoweredPlan,
     /// Lazily built step-indexed decode program (or the reason there is
     /// none), shared by every decode session of this compiled plan (see
@@ -89,17 +87,6 @@ pub struct MultiHeadRun {
     pub total_energy_j: f64,
 }
 
-impl MultiHeadRun {
-    /// Concatenates head outputs into the layer output
-    /// (`n x (heads * d)`).
-    #[must_use]
-    pub fn concat_output(&self) -> Matrix<f32> {
-        let n = self.heads.first().map_or(0, |h| h.output.rows());
-        let d = self.heads.first().map_or(0, |h| h.output.cols());
-        Matrix::from_fn(n, self.heads.len() * d, |i, j| self.heads[j / d].output.get(i, j % d))
-    }
-}
-
 /// Compiles `pattern` for an array geometry and shape: the scheduler pass
 /// plus the one-time lowering into flat pass programs. Shared by
 /// [`Salo::compile`] and the engines' handle resolution.
@@ -111,13 +98,7 @@ pub(crate) fn compile_with(
     check_pattern_len(pattern.n(), shape)?;
     let plan = ExecutionPlan::build(pattern, hw)?;
     let lowered = LoweredPlan::lower(&plan);
-    Ok(CompiledPlan {
-        plan,
-        shape: *shape,
-        stats: *lowered.stats(),
-        lowered,
-        decode: OnceLock::new(),
-    })
+    Ok(CompiledPlan { plan, shape: *shape, lowered, decode: OnceLock::new() })
 }
 
 /// The SALO accelerator: data scheduler + spatial array, behind one API.
@@ -231,8 +212,8 @@ impl Salo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttentionRequest, Engine, PatternHandle};
-    use salo_kernels::{multi_head_attention, sparse_attention, Qkv};
+    use crate::{AttentionRequest, Engine, PatternHandle, ReferenceEngine};
+    use salo_kernels::{sparse_attention, Qkv};
     use salo_patterns::longformer;
     use salo_scheduler::HardwareMeta;
 
@@ -275,9 +256,12 @@ mod tests {
             .unwrap();
         assert_eq!(run.heads.len(), 2);
 
-        let reference = multi_head_attention(&pattern, &heads).unwrap();
+        let mut reference = ReferenceEngine::new();
+        let handle = reference.prepare(&pattern, &shape).unwrap();
+        let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
+        let reference = reference.execute(request).unwrap().into_prefill().unwrap();
         for (ours, exact) in run.heads.iter().zip(&reference.heads) {
-            let diff = ours.output.max_abs_diff(exact);
+            let diff = ours.output.max_abs_diff(&exact.output);
             assert!(diff < 0.3, "head diff {diff}");
         }
         let cat = run.concat_output();

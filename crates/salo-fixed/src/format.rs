@@ -270,6 +270,18 @@ mod tests {
     }
 
     #[test]
+    fn q19_conversion_rounds_and_saturates() {
+        assert_eq!(Fix16x8::from_q19_acc(0).raw(), 0);
+        // 1.0 in Q.19 -> 256 in Q.8.
+        assert_eq!(Fix16x8::from_q19_acc(1 << 19).raw(), 256);
+        // Half LSB rounds up: (1 << 10) is exactly the rounding threshold.
+        assert_eq!(Fix16x8::from_q19_acc(1 << 10).raw(), 1);
+        assert_eq!(Fix16x8::from_q19_acc((1 << 10) - 1).raw(), 0);
+        assert_eq!(Fix16x8::from_q19_acc(i64::MAX / 2), Fix16x8::MAX);
+        assert_eq!(Fix16x8::from_q19_acc(i64::MIN / 2), Fix16x8::MIN);
+    }
+
+    #[test]
     fn range_of_input_format_matches_paper() {
         // Q4.4-style: [-8, 7.9375]
         assert!((Fix8x4::MIN.to_f32() + 8.0).abs() < f32::EPSILON);

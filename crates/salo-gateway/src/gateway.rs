@@ -55,9 +55,10 @@
 //! / `step_session` / `close_session`) without waiting for it, recording
 //! who is owed the reply in the in-flight table, while what is in flight
 //! holds less than a *window* of slots ([`in_flight_window`], [`slots`]):
-//! the workers' queues never hold more than a window, and a tenant
-//! arriving late waits for at most that much foreign work — four rounds
-//! of decode steps, or one round of layers.
+//! `workers × 8 × 4`, four rounds of eight requests per worker, set by
+//! the worker count alone. The workers' queues never hold more than a
+//! window, and a tenant arriving late waits for at most that much foreign
+//! work — four rounds of decode steps, or one round of layers.
 //!
 //! Every table — admission queues, outstanding counters, in-flight
 //! waiters, sessions — lives under one lock, and [`State::dispatch`] calls
@@ -163,10 +164,13 @@ pub struct GatewayReport {
     pub drained_in_deadline: bool,
 }
 
-/// Rounds of `workers × max_batch` requests — what `max_batch` still
-/// sizes — the in-flight window covers. Swept on the
-/// socket benchmark with decode steps (EXPERIMENTS.md, "In-flight
-/// window"): a worker's tick fuses the steps of several rounds.
+/// Requests per worker in one round of the in-flight window.
+const ROUND_PER_WORKER: usize = 8;
+
+/// Rounds of `workers × ROUND_PER_WORKER` requests the in-flight window
+/// covers. Swept on the socket benchmark with decode steps
+/// (EXPERIMENTS.md, "In-flight window"): a worker's tick fuses the steps
+/// of several rounds.
 const WINDOW_ROUNDS: usize = 4;
 
 /// How many slots of work [`State::dispatch`] keeps submitted and unanswered
@@ -174,14 +178,15 @@ const WINDOW_ROUNDS: usize = 4;
 /// see several wire requests together, small enough
 /// that a tenant arriving late waits for at most this much foreign work.
 fn in_flight_window(serve: &ServeOptions) -> usize {
-    serve.workers.max(1) * serve.max_batch.max(1) * WINDOW_ROUNDS
+    serve.workers.max(1) * ROUND_PER_WORKER * WINDOW_ROUNDS
 }
 
 /// Window slots `request` holds while in flight. A layer request holds a
 /// whole round's share: nothing fuses layers, a worker runs them one
-/// after another, so more than one round of them (`workers × max_batch`)
-/// would only sit in the workers' queues — milliseconds each — ahead
-/// of whoever arrives next. Session requests hold one.
+/// after another, so more than one round of them
+/// (`workers × ROUND_PER_WORKER`) would only sit in the workers' queues —
+/// milliseconds each — ahead of whoever arrives next. Session requests
+/// hold one.
 fn slots(request: &Request) -> usize {
     if matches!(request, Request::Prefill { .. }) {
         WINDOW_ROUNDS
@@ -1395,16 +1400,32 @@ mod tests {
         assert_eq!(state.outstanding_total, 8, "popping is not answering");
     }
 
+    /// The window is set by the worker count alone: two options that
+    /// differ only in `max_batch`, which the runtime never reads, get the
+    /// same window.
+    #[test]
+    fn the_window_is_the_same_whatever_max_batch_says() {
+        let one = ServeOptions { workers: 2, max_batch: 1, ..Default::default() };
+        let eight = ServeOptions { max_batch: 8, ..one };
+        assert_eq!(in_flight_window(&one), in_flight_window(&eight));
+        assert_eq!(in_flight_window(&eight), 64, "two workers, four rounds of eight");
+    }
+
     /// A flood of layer requests fills the window with one round of them
-    /// (`workers × max_batch`), not `WINDOW_ROUNDS`: a tenant arriving
-    /// behind it waits for those and the flooder's unspent deficit, then
-    /// takes its turn. Session-sized requests fill all the slots.
+    /// (`workers × ROUND_PER_WORKER`), not `WINDOW_ROUNDS`: a tenant
+    /// arriving behind it waits for those and the flooder's unspent
+    /// deficit, then takes its turn. Session-sized requests fill all the
+    /// slots.
     #[test]
     fn layer_requests_hold_a_round_of_the_window_each() {
         let conn = test_conn();
         let options = GatewayOptions::default();
-        let serve = ServeOptions { workers: 1, max_batch: 2, ..Default::default() };
+        let serve = ServeOptions { workers: 1, ..Default::default() };
         let window = in_flight_window(&serve);
+        let round = window / WINDOW_ROUNDS;
+        // Two past a round: the window cuts the flooder's first visit with
+        // two requests of its deficit left.
+        let quantum = round + 2;
         let layer = || Request::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape: salo_patterns::AttentionShape::new(8, 4, 1).expect("shape"),
@@ -1415,7 +1436,7 @@ mod tests {
         // What `State::dispatch` does with the room the window leaves.
         let mut dispatch = |state: &mut State| {
             let room = window.saturating_sub(state.in_flight);
-            let batch = state.pop_quantum(4, room);
+            let batch = state.pop_quantum(quantum, room);
             let tenants: Vec<u64> = batch.iter().map(|p| p.header.tenant).collect();
             for pending in batch {
                 serve_id += 1;
@@ -1423,12 +1444,12 @@ mod tests {
             }
             tenants
         };
-        for request_id in 0..6 {
+        for request_id in 0..round as u64 + 4 {
             let pending = pending(&conn, Header { tenant: 1, request_id }, layer());
             state.admit(pending, &options, || Arc::new(LogHistogram::new())).expect("admitted");
         }
-        assert_eq!(dispatch(&mut state), vec![1, 1]);
-        assert_eq!((state.layers.len(), state.in_flight), (2, window), "one round of layers");
+        assert_eq!(dispatch(&mut state), vec![1; round]);
+        assert_eq!((state.layers.len(), state.in_flight), (round, window), "one round of layers");
         assert!(dispatch(&mut state).is_empty(), "the window is full");
 
         admit(&mut state, &options, &conn, Header { tenant: 2, request_id: 0 }).expect("late");
@@ -1530,8 +1551,9 @@ mod tests {
     /// found it, and a settle hands the slot it frees to queued work.
     #[test]
     fn faults_fail_one_request_and_leave_the_tables_clean() {
-        // One worker, batches of one: a single layer fills the window.
-        let serve = ServeOptions { workers: 1, max_batch: 1, ..Default::default() };
+        // One worker: a round of layers fills the window.
+        let serve = ServeOptions { workers: 1, ..Default::default() };
+        let round = in_flight_window(&serve) / WINDOW_ROUNDS;
         let server = Arc::new(SaloServer::start(AcceleratorConfig::default(), serve));
         let inner = Inner::new(GatewayOptions { serve, ..Default::default() }, server.metrics());
         let (events_tx, events_rx) = std::sync::mpsc::channel();
@@ -1579,26 +1601,31 @@ mod tests {
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0))));
 
-        // A layer holds a round's share of the window — here, all of it —
-        // until its event arrives, so a second one waits in its queue; the
-        // first one's settle submits it, on this thread. The replies are
-        // written, not gathered.
+        // A layer holds a round's share of the window until its event
+        // arrives, so once a round of them is in flight the next one waits
+        // in its queue; the first one's settle submits it, on this thread.
+        // The replies are written, not gathered.
         let shape = salo_patterns::AttentionShape::new(8, 4, 1).expect("shape");
         let layer = || Request::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape,
             heads: salo_kernels::Qkv::random_heads(&shape, 1),
         };
+        let full = round * WINDOW_ROUNDS;
+        for _ in 0..round {
+            submit_one(layer(), &conn, &mut out);
+        }
+        assert_eq!(tables(), (0, round, full, (round, 0)));
         submit_one(layer(), &conn, &mut out);
-        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0)));
-        submit_one(layer(), &conn, &mut out);
-        assert_eq!(tables(), (1, 2, WINDOW_ROUNDS, (1, 0)), "the window is full");
+        assert_eq!(tables(), (1, round + 1, full, (round, 0)), "the window is full");
         let written = inner.counts.frames_written.get();
         on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
-        assert_eq!(tables(), (0, 1, WINDOW_ROUNDS, (1, 0)), "the settle submitted it");
-        on_event(&inner, events_rx.recv().expect("second layer done"), &mut out);
+        assert_eq!(tables(), (0, round, full, (round, 0)), "the settle submitted it");
+        for _ in 0..round {
+            on_event(&inner, events_rx.recv().expect("layer done"), &mut out);
+        }
         assert_eq!((out.len(), tables()), (2, (0, 0, 0, (0, 0))));
-        assert_eq!(inner.counts.frames_written.get(), written + 2);
+        assert_eq!(inner.counts.frames_written.get(), written + round as u64 + 1);
 
         // A good open is in flight until its event arrives.
         submit_one(open(1), &conn, &mut out);

@@ -33,8 +33,8 @@
 //!   id / session id, in step order per session and completion order
 //!   across layers. The gateway's
 //!   queues are the single owner of admission and fairness: at most a
-//!   window of slots (`4 × workers × max_batch`, derived from the serve
-//!   options; a session request holds one, a prefill four) is in flight,
+//!   window of slots (`4 × workers × 8`, from the worker count alone; a
+//!   session request holds one, a prefill four) is in flight,
 //!   so the workers' queues are a staging hop, a flooding tenant is
 //!   rejected at its own quota, and a well-behaved one waits for at most
 //!   a window of foreign work.

@@ -61,13 +61,6 @@ impl FixedAttentionOutput {
     }
 }
 
-/// Converts a Q.19 stage-5 accumulator value to the 16-bit output format
-/// (round to nearest, saturate).
-#[must_use]
-pub(crate) fn q19_to_out(acc: i64) -> Fix16x8 {
-    Fix16x8::from_q19_acc(acc)
-}
-
 /// Computes sparse attention in the accelerator's fixed-point arithmetic.
 ///
 /// Rows with no kept keys produce zero output and zero weight.
@@ -118,7 +111,7 @@ pub fn fixed_sparse_attention(
             }
         }
         for (c, &a) in acc.iter().enumerate() {
-            out.set(i, c, q19_to_out(a));
+            out.set(i, c, Fix16x8::from_q19_acc(a));
         }
     }
     Ok(FixedAttentionOutput { out, weights_q16: weights, saturation })
@@ -183,18 +176,6 @@ mod tests {
             let w = fixed.weights_q16[i] as f64 / 65536.0;
             assert!((w - expect).abs() < 0.1 * expect, "row {i}: {w} vs {expect}");
         }
-    }
-
-    #[test]
-    fn q19_conversion_rounds_and_saturates() {
-        assert_eq!(q19_to_out(0).raw(), 0);
-        // 1.0 in Q.19 -> 256 in Q.8.
-        assert_eq!(q19_to_out(1 << 19).raw(), 256);
-        // Half LSB rounds up: (1 << 10) is exactly the rounding threshold.
-        assert_eq!(q19_to_out(1 << 10).raw(), 1);
-        assert_eq!(q19_to_out((1 << 10) - 1).raw(), 0);
-        assert_eq!(q19_to_out(i64::MAX / 2), Fix16x8::MAX);
-        assert_eq!(q19_to_out(i64::MIN / 2), Fix16x8::MIN);
     }
 
     #[test]

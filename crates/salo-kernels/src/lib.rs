@@ -8,7 +8,9 @@
 //!   kernels need (no external linear-algebra dependency);
 //! * [`dense_attention`] — the exact `softmax(Q K^T / sqrt(d)) V` reference;
 //! * [`sparse_attention`] — the same computation restricted to a
-//!   [`HybridPattern`](salo_patterns::HybridPattern), in exact `f32`;
+//!   [`HybridPattern`](salo_patterns::HybridPattern), in exact `f32`, one
+//!   head at a time (a layer's heads run through `salo-core`'s
+//!   `ReferenceEngine`, which loops this kernel at `1/sqrt(d)`);
 //! * [`fixed_sparse_attention`] — the *golden model* of the accelerator's
 //!   arithmetic: Q.4 quantized inputs, LUT exponential, LUT reciprocal,
 //!   16-bit outputs, with the accelerator's accumulation order. The
@@ -23,7 +25,6 @@ mod dense;
 mod error;
 mod fixed_attn;
 mod matrix;
-mod multihead;
 mod qkv;
 mod rng;
 mod sparse;
@@ -32,7 +33,6 @@ pub use dense::dense_attention;
 pub use error::KernelError;
 pub use fixed_attn::{fixed_sparse_attention, FixedAttention, FixedAttentionOutput};
 pub use matrix::Matrix;
-pub use multihead::{multi_head_attention, MultiHeadOutput};
 pub use qkv::Qkv;
 pub use rng::{gaussian_matrix, gaussian_vec, NormalSampler};
 pub use sparse::sparse_attention;

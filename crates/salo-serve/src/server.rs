@@ -61,9 +61,9 @@ use crate::{PlanCache, ServeError, ServeRequest, ServeResponse};
 pub struct ServeOptions {
     /// Number of worker threads, each modeling one accelerator instance.
     pub workers: usize,
-    /// What a front end sizes its in-flight window by — the gateway keeps
-    /// `4 × workers × max_batch` requests submitted and unanswered. The
-    /// runtime itself forms no batches and never reads it.
+    /// Not read by anything: the runtime forms no batches, and the
+    /// gateway's in-flight window is set by `workers` alone. Kept only
+    /// because `bench/` still sets it.
     pub max_batch: usize,
     /// Total compiled plans the cache may hold.
     pub cache_capacity: usize,

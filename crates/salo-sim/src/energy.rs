@@ -1,104 +1,31 @@
 //! Energy accounting.
 //!
 //! The paper reports SALO's energy as synthesized power times execution
-//! time (Table 1's 532.66 mW at 1 GHz); that is [`EnergyModel::plan_energy`]
-//! with the default configuration. For the dataflow ablations we also
-//! expose a *decomposed* model that charges per-operation energies —
-//! useful to quantify how much the diagonal-reuse datapath saves in SRAM
-//! traffic, which the lumped power number cannot show.
+//! time (Table 1's 532.66 mW at 1 GHz), and that lumped `P × t` figure is
+//! the model: [`EnergyModel::lumped_energy_j`] fills
+//! [`TimingReport::energy_j`](crate::TimingReport::energy_j), which is the
+//! only energy the wire reply, the serving report and Fig. 7b read.
 
 use crate::AcceleratorConfig;
-
-/// Per-operation energy constants (picojoules), 45 nm class.
-///
-/// Sources: Horowitz, "Computing's energy problem" (ISSCC 2014) gives
-/// ~0.2 pJ for an 8-bit MAC and ~5 pJ for a 32 KB SRAM 8-bit read at 45 nm;
-/// LUT evaluations are one MAC plus a small table read.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpEnergies {
-    /// One 8-bit MAC.
-    pub mac_pj: f64,
-    /// One byte read/written at a 16–32 KB SRAM buffer.
-    pub sram_byte_pj: f64,
-    /// One LUT evaluation (exp or reciprocal).
-    pub lut_pj: f64,
-}
-
-impl Default for OpEnergies {
-    fn default() -> Self {
-        Self { mac_pj: 0.2, sram_byte_pj: 5.0, lut_pj: 0.5 }
-    }
-}
-
-/// Decomposed energy figures for one plan execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyBreakdown {
-    /// Energy from P x t with the synthesized power (the paper's method).
-    pub lumped_j: f64,
-    /// MAC energy (stages 1, 2, 4, 5).
-    pub mac_j: f64,
-    /// SRAM traffic energy (K/V/Q loads, output writes).
-    pub sram_j: f64,
-    /// LUT evaluations (exp per cell, reciprocal per row per pass).
-    pub lut_j: f64,
-}
-
-impl EnergyBreakdown {
-    /// Total decomposed energy.
-    #[must_use]
-    pub fn decomposed_j(&self) -> f64 {
-        self.mac_j + self.sram_j + self.lut_j
-    }
-}
 
 /// The accelerator energy model.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyModel {
     power_w: f64,
     cycle_time_s: f64,
-    ops: OpEnergies,
 }
 
 impl EnergyModel {
-    /// Builds the model from a configuration with default op energies.
+    /// Builds the model from a configuration's power and frequency.
     #[must_use]
     pub fn new(config: &AcceleratorConfig) -> Self {
-        Self::with_ops(config, OpEnergies::default())
-    }
-
-    /// Builds the model with custom per-op energies.
-    #[must_use]
-    pub fn with_ops(config: &AcceleratorConfig, ops: OpEnergies) -> Self {
-        Self { power_w: config.power_w, cycle_time_s: config.cycle_time_s(), ops }
+        Self { power_w: config.power_w, cycle_time_s: config.cycle_time_s() }
     }
 
     /// Lumped energy for a cycle count: `P x t` (the paper's methodology).
     #[must_use]
     pub fn lumped_energy_j(&self, cycles: u64) -> f64 {
         self.power_w * cycles as f64 * self.cycle_time_s
-    }
-
-    /// Full breakdown given execution counters.
-    ///
-    /// * `cycles` — total cycles;
-    /// * `macs` — MAC operations (2 per active cell per dimension plus the
-    ///   per-cell stage-2/4 multiplies);
-    /// * `sram_bytes` — buffer bytes moved;
-    /// * `lut_evals` — exp and reciprocal evaluations.
-    #[must_use]
-    pub fn breakdown(
-        &self,
-        cycles: u64,
-        macs: u64,
-        sram_bytes: u64,
-        lut_evals: u64,
-    ) -> EnergyBreakdown {
-        EnergyBreakdown {
-            lumped_j: self.lumped_energy_j(cycles),
-            mac_j: macs as f64 * self.ops.mac_pj * 1e-12,
-            sram_j: sram_bytes as f64 * self.ops.sram_byte_pj * 1e-12,
-            lut_j: lut_evals as f64 * self.ops.lut_pj * 1e-12,
-        }
     }
 }
 
@@ -112,42 +39,5 @@ mod tests {
         // 1e9 cycles at 1 GHz = 1 s -> 0.53266 J.
         let e = m.lumped_energy_j(1_000_000_000);
         assert!((e - 0.53266).abs() < 1e-9, "e {e}");
-    }
-
-    #[test]
-    fn breakdown_scales_with_counters() {
-        let m = EnergyModel::new(&AcceleratorConfig::default());
-        let a = m.breakdown(1000, 1_000_000, 10_000, 5_000);
-        let b = m.breakdown(1000, 2_000_000, 10_000, 5_000);
-        assert!(b.mac_j > a.mac_j);
-        assert_eq!(b.sram_j, a.sram_j);
-        assert!(a.decomposed_j() > 0.0);
-    }
-
-    #[test]
-    fn decomposed_energy_same_order_as_lumped() {
-        // A fully-busy second of the array: ~1024 MACs/cycle.
-        let m = EnergyModel::new(&AcceleratorConfig::default());
-        let cycles = 1_000_000_000u64;
-        let macs = cycles * 1024 * 3 / 4; // ~75 % utilization
-        let sram = cycles * 40; // ~40 B/cycle of buffer traffic
-        let b = m.breakdown(cycles, macs, sram, cycles / 3);
-        let ratio = b.decomposed_j() / b.lumped_j;
-        // The decomposed dynamic energy should land within ~an order of
-        // magnitude of the synthesized power envelope.
-        assert!((0.1..10.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn custom_op_energies() {
-        let config = AcceleratorConfig::default();
-        let m = EnergyModel::with_ops(
-            &config,
-            OpEnergies { mac_pj: 1.0, sram_byte_pj: 1.0, lut_pj: 1.0 },
-        );
-        let b = m.breakdown(1, 1, 1, 1);
-        assert!((b.mac_j - 1e-12).abs() < 1e-24);
-        assert!((b.sram_j - 1e-12).abs() < 1e-24);
-        assert!((b.lut_j - 1e-12).abs() < 1e-24);
     }
 }

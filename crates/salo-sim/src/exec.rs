@@ -561,22 +561,12 @@ impl SpatialAccelerator {
         }
 
         let timing = self.estimate_lowered(lowered, d, 1);
-        let stats = lowered.stats();
-        let scores = stats.active_cells + stats.global_col_scores + stats.global_row_scores;
-        let macs = scores * (2 * d as u64 + 3);
-        let lut_evals = scores + stats.passes as u64 * self.config.hw.pe_rows as u64;
-        let energy = EnergyModel::new(&self.config).breakdown(
-            timing.cycles.total,
-            macs,
-            timing.traffic.total_bytes(),
-            lut_evals,
-        );
         let output = raw.map(Fix16x8::to_f32);
         ExecutionOutput {
             raw,
             output,
             weights_q16: weights,
-            report: ExecutionReport { timing, energy, saturation_events: sat.events, stages: None },
+            report: ExecutionReport { timing, saturation_events: sat.events, stages: None },
         }
     }
 

@@ -66,7 +66,7 @@ pub use decode::{
     BatchStep, DecodePlan, DecodeState, KvPage, KvPagePool, KvPoolStats, StepOutput,
     DEFAULT_PAGE_ROWS,
 };
-pub use energy::{EnergyBreakdown, EnergyModel, OpEnergies};
+pub use energy::EnergyModel;
 pub use error::SimError;
 pub use exec::{ExecScratch, ExecutionOutput, SpatialAccelerator};
 pub use lower::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys};

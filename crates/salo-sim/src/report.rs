@@ -1,6 +1,6 @@
 //! Execution and timing reports.
 
-use crate::{CycleBreakdown, EnergyBreakdown, TrafficReport};
+use crate::{CycleBreakdown, TrafficReport};
 use salo_trace::StageProfile;
 
 /// PE utilization figures.
@@ -32,10 +32,8 @@ pub struct TimingReport {
 /// The report attached to a functional execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
-    /// The timing estimate for the executed plan.
+    /// The timing estimate for the executed plan, lumped energy included.
     pub timing: TimingReport,
-    /// Decomposed energy (MACs, SRAM, LUTs) alongside the lumped figure.
-    pub energy: EnergyBreakdown,
     /// Fixed-point saturation events observed (0 in healthy runs).
     pub saturation_events: u64,
     /// Host-measured per-stage cost of the lowered datapath, present when
@@ -60,12 +58,7 @@ mod tests {
             traffic: TrafficReport::default(),
         };
         assert_eq!(t.cycles.total, 5);
-        let e = ExecutionReport {
-            timing: t,
-            energy: EnergyBreakdown { lumped_j: 1e-9, mac_j: 0.0, sram_j: 0.0, lut_j: 0.0 },
-            saturation_events: 0,
-            stages: None,
-        };
+        let e = ExecutionReport { timing: t, saturation_events: 0, stages: None };
         assert_eq!(e.saturation_events, 0);
         assert!(e.stages.is_none());
     }

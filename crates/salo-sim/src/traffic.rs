@@ -56,12 +56,6 @@ impl TrafficReport {
         }
         self.kv_bytes_naive as f64 / self.kv_bytes_diagonal as f64
     }
-
-    /// Total bytes moved with the diagonal dataflow.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.kv_bytes_diagonal + self.q_bytes + self.out_bytes
-    }
 }
 
 #[cfg(test)]
@@ -78,14 +72,14 @@ mod tests {
         // With a 32-row array, each streamed vector serves up to 32 rows.
         assert!(t.reuse_factor() > 8.0, "reuse {}", t.reuse_factor());
         assert!(t.reuse_factor() <= 32.0 + 1e-9);
-        assert!(t.total_bytes() > 0);
+        assert!(t.q_bytes > 0);
         assert_eq!(t.out_bytes, 512 * 64 * 2);
     }
 
     #[test]
     fn default_is_zeroed() {
         let t = TrafficReport::default();
-        assert_eq!(t.total_bytes(), 0);
+        assert_eq!((t.kv_bytes_diagonal, t.kv_bytes_naive, t.q_bytes, t.out_bytes), (0, 0, 0, 0));
         assert_eq!(t.reuse_factor(), 1.0);
     }
 }

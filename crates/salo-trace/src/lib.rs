@@ -18,9 +18,9 @@
 //!
 //! The global tracer is off by default (a disabled span costs one relaxed
 //! atomic load). Set `SALO_TRACE=1` in the environment, or call
-//! [`set_enabled`]`(true)` programmatically. `SALO_TRACE_BUFFER` overrides
-//! the per-thread ring capacity (default 65 536 events; on overflow the
-//! oldest events are dropped and counted exactly).
+//! [`set_enabled`]`(true)` programmatically. Each thread's ring holds
+//! [`DEFAULT_RING_CAPACITY`] (65 536) events; on overflow the oldest
+//! events are dropped and counted exactly.
 //!
 //! ## Quick use
 //!

@@ -19,8 +19,7 @@ use std::time::Instant;
 use crate::clock::{interval_since, now_ns};
 use crate::ring::{word, EventRing, EVENT_WORDS};
 
-/// Default per-thread ring capacity (events). Override with
-/// `SALO_TRACE_BUFFER` for the global tracer.
+/// Per-thread ring capacity (events) of the global tracer.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// One traced thread's state inside a tracer: its ring plus display identity.
@@ -112,17 +111,13 @@ impl Tracer {
         }
     }
 
-    /// The process-global tracer. Enabled at first use when the `SALO_TRACE`
-    /// environment variable is `1`/`true`; ring capacity comes from
-    /// `SALO_TRACE_BUFFER` (default [`DEFAULT_RING_CAPACITY`]).
+    /// The process-global tracer, with rings of [`DEFAULT_RING_CAPACITY`]
+    /// events. Enabled at first use when the `SALO_TRACE` environment
+    /// variable is `1`/`true`.
     pub fn global() -> &'static Tracer {
         static GLOBAL: OnceLock<Tracer> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let capacity = std::env::var("SALO_TRACE_BUFFER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_RING_CAPACITY);
-            let tracer = Tracer::new(capacity);
+            let tracer = Tracer::new(DEFAULT_RING_CAPACITY);
             if env_flag("SALO_TRACE") {
                 tracer.set_enabled(true);
             }

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {r:>3}x{c:<3}: {:>8.3} ms, {:>5} passes, occupancy {:.1}%",
             t.time_s * 1e3,
-            compiled.stats.passes,
+            compiled.lowered.stats().passes,
             t.utilization.occupancy * 100.0
         );
     }

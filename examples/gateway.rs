@@ -12,7 +12,7 @@ use salo::sim::AcceleratorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = GatewayOptions {
-        serve: ServeOptions { workers: 2, max_batch: 8, ..Default::default() },
+        serve: ServeOptions { workers: 2, ..Default::default() },
         ..Default::default()
     };
     let gateway = Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options)?;

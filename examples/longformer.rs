@@ -8,7 +8,6 @@
 
 use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti};
 use salo::core::{AttentionRequest, Engine, Salo};
-use salo::kernels::multi_head_attention;
 use salo::models::{longformer_base_4096, longformer_layer};
 use salo_bench::compare_workload;
 
@@ -48,17 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = salo.engine();
     let handle = engine.prepare(&scaled.pattern, &scaled.shape)?;
     let heads = scaled.qkv_heads(7);
-    let run = engine
-        .execute(AttentionRequest::Prefill {
-            pattern: handle,
-            shape: scaled.shape,
-            heads: heads.clone(),
-        })?
-        .into_prefill()?;
-    let reference = multi_head_attention(&scaled.pattern, &heads)?;
+    let request = AttentionRequest::Prefill { pattern: handle, shape: scaled.shape, heads };
+    let run = engine.execute(request.clone())?.into_prefill()?;
+    let reference = salo.reference_engine().execute(request)?.into_prefill()?;
     let mut worst = 0.0f32;
     for (ours, exact) in run.heads.iter().zip(&reference.heads) {
-        worst = worst.max(ours.output.max_abs_diff(exact));
+        worst = worst.max(ours.output.max_abs_diff(&exact.output));
     }
     println!("\nscaled functional run (n=512, w=64, 2 heads):");
     println!(

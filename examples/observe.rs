@@ -16,7 +16,8 @@
 //!
 //! Tracing here is turned on in code; in any other binary the same
 //! instrumentation is a no-op until `SALO_TRACE=1` is set in the
-//! environment (`SALO_TRACE_BUFFER` sizes the per-thread ring).
+//! environment. Each thread's ring holds `DEFAULT_RING_CAPACITY` events;
+//! the snapshot counts what overflowed as dropped.
 
 use salo::serve::{GenerationTraffic, SaloServer, ServeOptions, TrafficMix};
 use salo::sim::AcceleratorConfig;
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 2, max_batch: 4, ..Default::default() },
+        ServeOptions { workers: 2, ..Default::default() },
     );
 
     // A mixed burst: prefill layer traffic interleaved with streaming

@@ -31,10 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = salo.engine(); // the fast fixed-point backend
     let handle = engine.prepare(&pattern, &shape)?;
     let plan = handle.plan().expect("fixed-point engines attach the compiled plan");
+    let plan_stats = plan.lowered.stats();
     println!(
         "plan: {} passes, occupancy {:.1}% (engine '{}', caps {:?})",
-        plan.stats.passes,
-        plan.stats.occupancy * 100.0,
+        plan_stats.passes,
+        plan_stats.occupancy * 100.0,
         engine.name(),
         engine.capabilities()
     );

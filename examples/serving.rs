@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n=== {workers} worker(s), {total} requests ===");
         let server = SaloServer::start(
             AcceleratorConfig::default(),
-            ServeOptions { workers, max_batch: 8, ..Default::default() },
+            ServeOptions { workers, ..Default::default() },
         );
 
         // Closed loop: submit everything, then drain the ordered channel.

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nViL-stage1 (56x56 patches, 15x15 window, 3 heads): {:.3} ms, {} passes/head",
         t.time_s * 1e3,
-        compiled.stats.passes
+        compiled.lowered.stats().passes
     );
 
     // Scaled functional run: 16x16 grid, 5x5 window, one 64-dim head.

@@ -562,7 +562,7 @@ fn malformed_step_as_seen_by_its_session(
 ) -> (Vec<Option<Result<salo::serve::DecodeStep, ServeError>>>, usize, u64) {
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 1, max_batch: 1, ..Default::default() },
+        ServeOptions { workers: 1, ..Default::default() },
     );
     let traffic = GenerationTraffic::demo_mix();
     let (request, steps) = traffic.session(0);
@@ -941,7 +941,7 @@ fn mixed_layer_and_decode_traffic_share_the_runtime() {
     // ordered layer delivery and per-session step order both hold.
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 2, max_batch: 4, ..Default::default() },
+        ServeOptions { workers: 2, ..Default::default() },
     );
     let layers = salo::serve::TrafficMix::demo_mix();
     let generation = GenerationTraffic::demo_mix();

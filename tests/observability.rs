@@ -23,7 +23,7 @@ fn traced_burst_covers_all_layers() {
 
     let server = SaloServer::start(
         AcceleratorConfig::default(),
-        ServeOptions { workers: 2, max_batch: 4, ..Default::default() },
+        ServeOptions { workers: 2, ..Default::default() },
     );
 
     let mix = TrafficMix::demo_mix();

@@ -18,7 +18,7 @@ use salo::serve::{
 use salo::sim::AcceleratorConfig;
 
 fn options(workers: usize) -> ServeOptions {
-    ServeOptions { workers, max_batch: 4, ..Default::default() }
+    ServeOptions { workers, ..Default::default() }
 }
 
 #[test]
