@@ -40,7 +40,7 @@ impl CompiledPlan {
     /// The plan's step-indexed decode program, lowered on first use and
     /// cached — sessions opened on the same compiled plan (e.g. through
     /// the serving runtime's plan cache, which shares `CompiledPlan`s
-    /// behind `Arc`) all reuse one program instead of re-bucketing per
+    /// behind `Arc`) all reuse one program instead of re-ordering per
     /// session. Single-flight: openers that race (two workers resolving
     /// one cached plan) wait for the one lowering instead of each running
     /// their own; `sim.decode_plans_lowered` in the global registry counts

@@ -10,10 +10,12 @@
 //! position per call against paged K/V state that persists across the
 //! whole generation:
 //!
-//! * [`DecodePlan::lower`] re-buckets the lowered op list by destination
-//!   row, preserving the prefill's per-row op order — window-row softmax
-//!   parts first-chunk-to-last, global-column cells interleaved exactly
-//!   where the prefill merges them. Executing row `t`'s bucket therefore
+//! * [`DecodePlan::lower`] orders the lowered op list by destination row,
+//!   preserving the prefill's per-row op order — window-row softmax parts
+//!   first-chunk-to-last, global-column cells interleaved exactly where
+//!   the prefill merges them. The order is an index per op into the
+//!   lowered plan's own list, which the decode program shares, so it holds
+//!   no second copy of the ops. Executing row `t`'s ops therefore
 //!   performs the *same fixed-point operations in the same order* as the
 //!   full prefill does for that row, which is what makes decode
 //!   bit-identical to the causal-prefill oracle (outputs, `weights_q16`
@@ -54,6 +56,7 @@
 
 use salo_fixed::{ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
 use salo_scheduler::ExecutionPlan;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::exec::{run_ops_grouped, ExecScratch, GroupOp, KvSource};
@@ -76,7 +79,7 @@ pub const DEFAULT_PAGE_ROWS: usize = 256;
 struct GlobalRowProgram {
     /// The global token (sequence position).
     token: u32,
-    /// Op range in the owning plan's op list.
+    /// Range in the owning plan's op order.
     start: u32,
     end: u32,
     /// Per op (parallel to the range): the largest key it reads. The op
@@ -95,21 +98,25 @@ struct GlobalRowProgram {
 /// Produced once per compiled plan and shared across every decode session
 /// of that pattern/shape (it is immutable; serving pins one behind an
 /// `Arc` per session).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct DecodePlan {
     n: usize,
     min_step: usize,
     globals: Vec<u32>,
-    /// Step ops, contiguous per destination row, prefill order within
-    /// each row.
-    ops: Vec<LoweredOp>,
+    /// The lowered plan's op list, shared, in prefill order.
+    ops: Arc<Vec<LoweredOp>>,
+    /// The decode program: indices into `ops`, contiguous per destination
+    /// row, prefill order within each row. Four bytes an op where a copy
+    /// of the op would be twenty.
+    order: Vec<u32>,
     /// The gather arena the listed (non-run) ops slice into: the lowered
     /// plan's own, shared — each op keeps the keys it was lowered with, so
     /// there is nothing to copy.
     gather_keys: Arc<Vec<u32>>,
-    /// Per sequence position: op range into `ops` (empty for global rows,
-    /// whose work lives in `global_rows`).
-    step_ranges: Vec<(u32, u32)>,
+    /// Position `t`'s ops are `order[step_bounds[t]..step_bounds[t + 1]]`
+    /// (`len = n + 1`; empty for global rows, whose work lives in
+    /// `global_rows`).
+    step_bounds: Vec<u32>,
     global_rows: Vec<GlobalRowProgram>,
     max_row_keys: usize,
     /// Suffix minima over the steps' smallest non-global keys
@@ -138,44 +145,45 @@ impl DecodePlan {
         let n = lowered.n();
         let globals: Vec<u32> = plan.globals().iter().map(|&g| g as u32).collect();
         let min_step = plan.globals().iter().max().map_or(0, |&g| g + 1);
+        let ops = Arc::clone(&lowered.ops);
+        let gather_keys = Arc::clone(&lowered.gather_keys);
 
         // Order the lowered ops by destination — the step rows in sequence
         // order, then the global rows — preserving prefill order within
         // each destination: the order the prefill's weighted-sum module
-        // merges that row's parts in. A counting sort: `slots[r]..slots[r
-        // + 1]` are the final op indices of destination rank `r`. (One
-        // bucket `Vec` per row would leave `n` freed fragments in the
-        // lowering thread's heap for the life of the process.)
-        let ranks: Vec<u32> = lowered
-            .ops()
-            .iter()
-            .map(|op| globals.binary_search(&op.dest).map_or(op.dest, |gi| (n + gi) as u32))
-            .collect();
+        // merges that row's parts in. A counting sort of op indices:
+        // `slots[r]..slots[r + 1]` are the positions in `order` of
+        // destination rank `r`. A rank is recomputed on the second pass
+        // rather than kept, so the only array per op is `order` itself.
+        let rank =
+            |op: &LoweredOp| globals.binary_search(&op.dest).map_or(op.dest as usize, |gi| n + gi);
         let mut slots = vec![0u32; n + globals.len() + 1];
-        for (op, &rank) in lowered.ops().iter().zip(&ranks) {
+        for op in ops.iter() {
+            let rank = rank(op);
             // Window ops must be causal; global-column cells (SingleKey)
             // are gated by `min_step` instead.
-            if op.kind == LoweredOpKind::Row && (rank as usize) < n {
+            if op.kind == LoweredOpKind::Row && rank < n {
                 if let Some(key) = lowered.op_keys(op).max().filter(|&k| k > op.dest) {
                     let (dest, key) = (op.dest as usize, key as usize);
                     return Err(SimError::AnticausalPlan { dest, key });
                 }
             }
-            slots[rank as usize + 1] += 1;
+            slots[rank + 1] += 1;
         }
         for r in 1..slots.len() {
             slots[r] += slots[r - 1];
         }
-        // One op list in destination order (a permutation: every slot is
-        // overwritten), over the lowered plan's gather arena.
-        let gather_keys = Arc::clone(&lowered.gather_keys);
-        let mut ops = lowered.ops().to_vec();
+        // A permutation: every position is written once.
+        let mut order = vec![0u32; ops.len()];
         let mut next = slots.clone();
-        for (op, &rank) in lowered.ops().iter().zip(&ranks) {
-            let slot = &mut next[rank as usize];
-            ops[*slot as usize] = *op;
+        for (i, op) in ops.iter().enumerate() {
+            let slot = &mut next[rank(op)];
+            order[*slot as usize] = i as u32;
             *slot += 1;
         }
+        let ordered = |range: std::ops::Range<u32>| {
+            order[range.start as usize..range.end as usize].iter().map(|&i| &ops[i as usize])
+        };
 
         // The reclamation horizon is built from the smallest *non-global*
         // key each op reads. Global keys are excluded — their pages are
@@ -191,18 +199,17 @@ impl DecodePlan {
             };
             min.unwrap_or(u32::MAX)
         };
-        // Suffix minima of that key over `ops` (`len + 1`, `u32::MAX`
-        // terminated), one entry per group of `ops[bounds[i]..bounds[i + 1]]`.
+        // Suffix minima of that key (`len + 1`, `u32::MAX` terminated), one
+        // entry per group of ops `order[bounds[i]..bounds[i + 1]]`.
         let suffix_minima = |bounds: &[u32]| {
             let mut suffix = vec![u32::MAX; bounds.len()];
             for (i, w) in bounds.windows(2).enumerate().rev() {
-                let own = ops[w[0] as usize..w[1] as usize].iter().map(min_nonglobal_key).min();
+                let own = ordered(w[0]..w[1]).map(min_nonglobal_key).min();
                 suffix[i] = own.unwrap_or(u32::MAX).min(suffix[i + 1]);
             }
             suffix
         };
         let step_suffix_min = suffix_minima(&slots[..=n]);
-        let step_ranges: Vec<(u32, u32)> = slots[..=n].windows(2).map(|w| (w[0], w[1])).collect();
         let global_rows: Vec<GlobalRowProgram> = globals
             .iter()
             .zip(slots[n..].windows(2))
@@ -210,13 +217,14 @@ impl DecodePlan {
                 token,
                 start: w[0],
                 end: w[1],
-                max_keys: ops[w[0] as usize..w[1] as usize]
-                    .iter()
+                max_keys: ordered(w[0]..w[1])
                     .map(|op| op.keys_in(&gather_keys).max().unwrap_or(0))
                     .collect(),
                 pending_suffix_min: suffix_minima(&(w[0]..=w[1]).collect::<Vec<_>>()),
             })
             .collect();
+        let mut step_bounds = slots;
+        step_bounds.truncate(n + 1);
 
         // Hash the complete program: two plans that differ anywhere in
         // their ops or gather arenas fingerprint apart, so a state reset
@@ -233,7 +241,7 @@ impl DecodePlan {
         for &g in &globals {
             mix(g.into());
         }
-        for op in &ops {
+        for op in ordered(0..order.len() as u32) {
             // A gather hashes as stride 0, which no run has.
             let (at, stride) = match op.keys {
                 KeySpan::Run { first, stride } => (first, stride),
@@ -246,7 +254,7 @@ impl DecodePlan {
         for &key in gather_keys.iter() {
             mix(key.into());
         }
-        mix((ops.len() as u64) << 32 | gather_keys.len() as u64);
+        mix((order.len() as u64) << 32 | gather_keys.len() as u64);
         let fingerprint = state;
 
         Ok(Self {
@@ -254,8 +262,9 @@ impl DecodePlan {
             min_step,
             globals,
             ops,
+            order,
             gather_keys,
-            step_ranges,
+            step_bounds,
             global_rows,
             max_row_keys: lowered.max_row_keys(),
             step_suffix_min,
@@ -294,10 +303,21 @@ impl DecodePlan {
     /// The ops computing position `t`'s output row, in prefill merge
     /// order. Empty for global positions (their rows accumulate via the
     /// running global-duty partials) and for rows with no active keys.
-    #[must_use]
-    pub fn step_ops(&self, t: usize) -> &[LoweredOp] {
-        let (start, end) = self.step_ranges[t];
-        &self.ops[start as usize..end as usize]
+    pub fn step_ops(&self, t: usize) -> impl ExactSizeIterator<Item = &LoweredOp> + Clone {
+        self.in_order(self.step_order(t))
+    }
+
+    /// Position `t`'s ops as indices into the shared op list.
+    fn step_order(&self, t: usize) -> &[u32] {
+        &self.order[self.step_bounds[t] as usize..self.step_bounds[t + 1] as usize]
+    }
+
+    /// The ops a slice of `order` names.
+    fn in_order<'a>(
+        &'a self,
+        order: &'a [u32],
+    ) -> impl ExactSizeIterator<Item = &'a LoweredOp> + Clone {
+        order.iter().map(|&i| &self.ops[i as usize])
     }
 
     /// Keys of one op.
@@ -306,15 +326,16 @@ impl DecodePlan {
         op.keys_in(&self.gather_keys)
     }
 
-    /// Heap bytes the step program holds beyond the gather arena it shares
-    /// with its [`LoweredPlan`]: ops, step ranges and horizon tables.
+    /// Heap bytes the step program holds beyond the op list and gather
+    /// arena it shares with its [`LoweredPlan`]: the op order, its
+    /// per-position bounds and the horizon tables.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let rows = self.global_rows.iter();
-        size_of_val(&self.ops[..])
+        size_of_val(&self.order[..])
             + size_of_val(&self.globals[..])
-            + size_of_val(&self.step_ranges[..])
+            + size_of_val(&self.step_bounds[..])
             + size_of_val(&self.step_suffix_min[..])
             + size_of_val(&self.global_rows[..])
             + rows.map(|g| 4 * (g.max_keys.len() + g.pending_suffix_min.len())).sum::<usize>()
@@ -342,6 +363,29 @@ impl DecodePlan {
     fn pins_range(&self, start: u32, end: u32) -> bool {
         let i = self.globals.partition_point(|&g| g < start);
         self.globals.get(i).is_some_and(|&g| g < end)
+    }
+}
+
+/// Prints the program a session runs: `ops` is the ops in step order, not
+/// their indices, and `step_ranges` each position's `(start, end)` in it,
+/// so a plan reads the same however it holds them.
+impl fmt::Debug for DecodePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ops = fmt::from_fn(|f| f.debug_list().entries(self.in_order(&self.order)).finish());
+        let ranges = self.step_bounds.windows(2).map(|w| (w[0], w[1]));
+        let step_ranges = fmt::from_fn(|f| f.debug_list().entries(ranges.clone()).finish());
+        f.debug_struct("DecodePlan")
+            .field("n", &self.n)
+            .field("min_step", &self.min_step)
+            .field("globals", &self.globals)
+            .field("ops", &ops)
+            .field("gather_keys", &self.gather_keys)
+            .field("step_ranges", &step_ranges)
+            .field("global_rows", &self.global_rows)
+            .field("max_row_keys", &self.max_row_keys)
+            .field("step_suffix_min", &self.step_suffix_min)
+            .field("fingerprint", &self.fingerprint)
+            .finish()
     }
 }
 
@@ -1003,7 +1047,7 @@ impl SpatialAccelerator {
                 exp,
                 recip,
                 plan,
-                plan.step_ops(t),
+                plan.step_order(t),
                 q_step,
                 &kv,
                 d,
@@ -1029,7 +1073,7 @@ impl SpatialAccelerator {
             }
             // The pending ops up to the first that still waits for a key,
             // as one list.
-            let ops = &plan.ops[program.start as usize..program.end as usize];
+            let ops = &plan.order[program.start as usize..program.end as usize];
             let cursor = state.global_cursor[gi];
             let runnable =
                 program.max_keys[cursor..].iter().take_while(|&&key| key as usize <= t).count();
@@ -1094,17 +1138,17 @@ fn reclaim_dead_pages(plan: &DecodePlan, state: &mut DecodeState, pool: &mut KvP
     state.reclaim_floor = limit_pages;
 }
 
-/// Stages 1–5 for a slice of decode ops, merged into `acc` in op order —
-/// literally the prefill's executor ([`run_ops_grouped`]), fed K/V through
-/// the session's page table instead of a full-sequence load, so
-/// decode-vs-prefill bit-identity holds by construction (one shared
-/// kernel body).
+/// Stages 1–5 for a slice of the plan's op order, merged into `acc` in
+/// that order — literally the prefill's executor ([`run_ops_grouped`]),
+/// fed K/V through the session's page table instead of a full-sequence
+/// load, so decode-vs-prefill bit-identity holds by construction (one
+/// shared kernel body).
 #[allow(clippy::too_many_arguments)]
 fn run_decode_ops(
     exp: &ExpLut,
     recip: &RecipUnit,
     plan: &DecodePlan,
-    ops: &[LoweredOp],
+    order: &[u32],
     q_row: &[Fix8x4],
     kv: &PagedKv<'_>,
     d: usize,
@@ -1112,10 +1156,13 @@ fn run_decode_ops(
     acc: &mut PartialRow,
     sat: &mut MacSaturation,
 ) -> Result<(), SimError> {
+    let ExecScratch { op: bufs, picked, .. } = scratch;
+    picked.clear();
+    picked.extend(order.iter().map(|&i| plan.ops[i as usize]));
     let resolve =
         |op: &LoweredOp| GroupOp { kind: op.kind, keys: plan.op_keys(op), q_row, slot: 0 };
     let accs = std::slice::from_mut(acc);
-    run_ops_grouped((exp, recip), ops, resolve, kv, d, &mut scratch.op, accs, sat)
+    run_ops_grouped((exp, recip), picked, resolve, kv, d, bufs, accs, sat)
 }
 
 #[cfg(test)]
@@ -1533,6 +1580,41 @@ mod tests {
         }
         for (s, f) in seq.iter().zip(&fused) {
             assert_eq!(s.saturation_events(), f.saturation_events());
+        }
+    }
+
+    #[test]
+    fn the_decode_program_orders_the_lowered_ops_it_shares() {
+        // A step's ops are the lowered ops with its destination, in lowered
+        // (prefill merge) order; so are a global row's. The plan names them
+        // by index into the lowered plan's own op list and gather arena.
+        let sink = HybridPattern::builder(300)
+            .window(Window::causal(64).unwrap())
+            .global_tokens([0, 5])
+            .build()
+            .unwrap();
+        let bigbird = salo_patterns::bigbird(96, 12, 3, 1, 42).unwrap();
+        let gathers = bigbird.decode_view().unwrap().into_causal_pattern();
+        for (pattern, sim) in
+            [(&sink, accel(8, 8)), (&gathers, SpatialAccelerator::default_instance())]
+        {
+            let plan = ExecutionPlan::build(pattern, sim.config().hw).unwrap();
+            let lowered = LoweredPlan::lower(&plan);
+            let decode = DecodePlan::lower(&plan, &lowered).unwrap();
+            assert!(Arc::ptr_eq(&decode.ops, &lowered.ops));
+            assert!(Arc::ptr_eq(&decode.gather_keys, &lowered.gather_keys));
+            let with_dest = |t: u32| lowered.ops().iter().filter(move |op| op.dest == t);
+            for t in 0..pattern.n() as u32 {
+                let program = decode.global_rows.iter().find(|g| g.token == t);
+                let got: Vec<_> = match program {
+                    Some(g) => {
+                        decode.in_order(&decode.order[g.start as usize..g.end as usize]).collect()
+                    }
+                    None => decode.step_ops(t as usize).collect(),
+                };
+                assert_eq!(got, with_dest(t).collect::<Vec<_>>(), "row {t}");
+            }
+            assert_eq!(decode.order.len(), lowered.ops().len());
         }
     }
 

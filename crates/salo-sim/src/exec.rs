@@ -177,6 +177,11 @@ pub struct ExecScratch {
     pub(crate) op: OpScratch,
     /// Per-row weighted-sum accumulators (the WSM state).
     acc: Vec<PartialRow>,
+    /// One decode call's ops, copied out of the plan's shared list in step
+    /// order: a step's ops lie one per pass across the lowered list, and
+    /// fetching them in one loop overlaps the misses the executor would
+    /// otherwise take one op at a time.
+    pub(crate) picked: Vec<LoweredOp>,
 }
 
 impl Default for ExecScratch {
@@ -195,6 +200,7 @@ impl ExecScratch {
             vq: Vec::new(),
             op: OpScratch::new(),
             acc: Vec::new(),
+            picked: Vec::new(),
         }
     }
 
@@ -470,7 +476,7 @@ impl SpatialAccelerator {
         scratch: &mut ExecScratch,
         sat: &mut MacSaturation,
     ) -> Result<(), SimError> {
-        let ExecScratch { qq, kq, vq, op: op_scratch, acc } = scratch;
+        let ExecScratch { qq, kq, vq, op: op_scratch, acc, .. } = scratch;
         let resolve = |op: &LoweredOp| GroupOp {
             kind: op.kind,
             keys: lowered.op_keys(op),

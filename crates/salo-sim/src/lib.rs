@@ -30,8 +30,8 @@
 //!   energy model;
 //! * [`SpatialAccelerator::execute_step`] — *streaming decode*: one
 //!   generated token per call against a session's persistent quantized
-//!   K/V arenas ([`DecodeState`]), through a step-indexed re-bucketing of
-//!   the lowered program ([`DecodePlan`]) that keeps every row
+//!   K/V arenas ([`DecodeState`]), through a step-indexed order over the
+//!   lowered program's own ops ([`DecodePlan`]) that keeps every row
 //!   bit-identical to the causal-prefill oracle.
 //!
 //! Paper-substitution note: SALO's artifact is Chisel RTL synthesized at

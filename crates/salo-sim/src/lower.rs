@@ -215,11 +215,13 @@ struct PassBounds {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoweredPlan {
     n: usize,
-    ops: Vec<LoweredOp>,
-    /// The keys of the ops that are not runs, back to back. Behind an
-    /// `Arc` so the decode program of the same plan
-    /// ([`DecodePlan`](crate::DecodePlan)) slices this arena instead of
-    /// holding a second copy of it.
+    /// The program, in execution order. Behind an `Arc`, like the gather
+    /// arena, so the decode program of the same plan
+    /// ([`DecodePlan`](crate::DecodePlan)) orders these ops by index
+    /// instead of holding a second copy of them.
+    pub(crate) ops: Arc<Vec<LoweredOp>>,
+    /// The keys of the ops that are not runs, back to back. Shared the same
+    /// way: the decode program slices this arena.
     pub(crate) gather_keys: Arc<Vec<u32>>,
     pass_bounds: Vec<PassBounds>,
     /// First supplemental op (everything from here to the end runs after
@@ -340,7 +342,7 @@ impl LoweredPlan {
         Self {
             n: plan.n(),
             stats: plan.stats(),
-            ops,
+            ops: Arc::new(ops),
             gather_keys: Arc::new(gather_keys),
             pass_bounds,
             sup_start,

@@ -129,7 +129,7 @@ fn a_warm_executor_allocates_nothing_per_op() {
         let keys = decode.op_keys(op).iter();
         keys.clone().min().map(page) != keys.max().map(page)
     };
-    assert!(decode.step_ops(1101).iter().any(crosses), "no run of step 1101 crosses a page");
+    assert!(decode.step_ops(1101).any(crosses), "no run of step 1101 crosses a page");
     let ((), allocations) = measured(|| advance(1101, true));
     assert!(allocations <= RESULT_BLOCKS, "a warm w=1024 step made {allocations} allocations");
 }

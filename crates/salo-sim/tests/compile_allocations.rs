@@ -1,9 +1,12 @@
-//! Heap accounting for a cold compile: pattern → plan → lowered program.
+//! Heap accounting for a cold compile: pattern → plan → lowered program →
+//! decode program.
 //!
 //! `HybridPattern::from_terms` expands its residual into one arena, so the
 //! blocks it asks for do not depend on `n`; `ExecutionPlan::build` and
 //! `LoweredPlan::lower` allocate per component, per pass and per global
-//! duty, never per row or per key.
+//! duty, never per row or per key. `DecodePlan::lower` orders the lowered
+//! ops by index: at its peak it holds four bytes an op and a few words a
+//! row, never a second copy of the op list.
 //!
 //! Its own binary, one test: the counting allocator is the process's
 //! global allocator and its counters are process-wide, so nothing else may
@@ -12,14 +15,23 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use salo_patterns::bigbird;
+use salo_patterns::{bigbird, HybridPattern, Window};
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
-use salo_sim::LoweredPlan;
+use salo_sim::{DecodePlan, LoweredPlan};
 
 /// Allocator calls that handed out a fresh block.
 static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 /// Allocator calls that resized (and maybe moved) a block.
 static RESIZES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes in live blocks.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most `LIVE` has been since [`peak_of`] last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `bytes` more as live.
+fn grow(bytes: usize) {
+    PEAK.fetch_max(LIVE.fetch_add(bytes, Relaxed) + bytes, Relaxed);
+}
 
 struct Counting;
 
@@ -29,11 +41,13 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BLOCKS.fetch_add(1, Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `layout` is passed through as it came.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         // SAFETY: `block` came from `alloc`/`realloc` above, i.e. from
         // `System`, with this `layout`.
         unsafe { System.dealloc(block, layout) };
@@ -41,6 +55,10 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         RESIZES.fetch_add(1, Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grow(more),
+            None => _ = LIVE.fetch_sub(layout.size() - new_size, Relaxed),
+        }
         // SAFETY: as `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(block, layout, new_size) }
     }
@@ -63,6 +81,15 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, Calls) {
     let calls =
         Calls { blocks: BLOCKS.load(Relaxed) - blocks, resizes: RESIZES.load(Relaxed) - resizes };
     (result, calls)
+}
+
+/// Runs `f`; returns its result and the most bytes it held at once beyond
+/// what was live when it started.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE.load(Relaxed);
+    PEAK.store(start, Relaxed);
+    let result = f();
+    (result, PEAK.load(Relaxed) - start)
 }
 
 /// Blocks `ExecutionPlan::build` asks for beyond the plan's global duties:
@@ -109,4 +136,17 @@ fn a_cold_compile_allocates_per_duty_not_per_row() {
     assert!(long.0.resizes <= short.0.resizes + 3, "from_terms: {short:?} vs {long:?}");
     assert_eq!(short.1, long.1, "build's blocks beyond its duties");
     assert_eq!(short.2.blocks, long.2.blocks, "lower: {short:?} vs {long:?}");
+
+    // The decode program at the `decode_long` window (w = 1024, a sink
+    // token, here at n = 2 048): up to 33 ops a row, four bytes of order
+    // each. A copy of the op list would be twenty bytes an op more.
+    let window = Window::causal(1024).expect("window");
+    let pattern = HybridPattern::builder(2048).window(window).global_token(0).build();
+    let plan = ExecutionPlan::build(&pattern.expect("pattern"), hw).expect("plan");
+    let lowered = LoweredPlan::lower(&plan);
+    let (decode, peak) = peak_of(|| DecodePlan::lower(&plan, &lowered).expect("causal plan"));
+    let (ops, rows) = (lowered.ops().len(), plan.n());
+    assert!(ops > 16 * rows, "a program of {ops} ops");
+    assert!(peak <= 4 * ops + 32 * rows, "{peak} B at once for {ops} ops over {rows} rows");
+    assert!(decode.resident_bytes() <= peak, "{} B kept", decode.resident_bytes());
 }
