@@ -18,8 +18,8 @@ use std::sync::Arc;
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{
-    BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, KvPagePool, KvPoolStats,
-    SimError, SpatialAccelerator, StepOutput, DEFAULT_PAGE_ROWS,
+    BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, FixedQkv, KvPagePool,
+    KvPoolStats, SimError, SpatialAccelerator, StepOutput, DEFAULT_PAGE_ROWS,
 };
 
 use crate::engine::{
@@ -173,6 +173,19 @@ impl FixedCore {
                 }))
             }
             AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {
+                // Quantized as the serving runtime's prompts are where they
+                // arrive, then opened the one way.
+                let prompt = prompt.iter().map(FixedQkv::quantize).collect();
+                let open = AttentionRequest::DecodeOpenFixed {
+                    session,
+                    pattern,
+                    head_dim,
+                    num_heads,
+                    prompt,
+                };
+                self.execute(name, prefill, open)
+            }
+            AttentionRequest::DecodeOpenFixed { session, pattern, head_dim, num_heads, prompt } => {
                 let _span = tracer.span_with("engine.decode_open", "engine", session);
                 let opened = self.open(name, session, &pattern, head_dim, num_heads, &prompt)?;
                 Ok(AttentionResponse::DecodeOpened(opened))
@@ -259,7 +272,7 @@ impl FixedCore {
         handle: &PatternHandle,
         head_dim: usize,
         num_heads: usize,
-        prompt: &[Qkv],
+        prompt: &[FixedQkv],
     ) -> Result<SessionOpened, SaloError> {
         if self.sessions.contains_key(&session) {
             return Err(SaloError::SessionInUse { session });
@@ -273,13 +286,12 @@ impl FixedCore {
         let mut prime_err = None;
         'prime: for (state, head) in states.iter_mut().zip(prompt) {
             for t in 0..prompt_len {
-                if let Err(e) = self.accel.prime_token(
+                if let Err(e) = self.accel.prime_fixed(
                     &decode,
                     state,
-                    head.q.row(t),
-                    head.k.row(t),
-                    head.v.row(t),
-                    scale,
+                    head.q().row(t),
+                    head.k().row(t),
+                    head.v().row(t),
                     &mut self.kv_pool,
                     &mut self.scratch,
                 ) {

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use salo_fixed::Fix16x8;
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_sim::ExecutionReport;
+use salo_sim::{ExecutionReport, FixedQkv};
 
 use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
 
@@ -193,8 +193,26 @@ pub enum AttentionRequest {
         /// Number of heads (one persistent state each).
         num_heads: usize,
         /// Per-head prompt rows; each head the same length, covering at
-        /// least every global token and leaving capacity to decode.
+        /// least every global token and leaving capacity to decode. The
+        /// fixed-point engines quantize them ([`FixedQkv::quantize`]) and
+        /// open as [`DecodeOpenFixed`](Self::DecodeOpenFixed) does.
         prompt: Vec<Qkv>,
+    },
+    /// [`DecodeOpen`](Self::DecodeOpen) with the prompt already quantized
+    /// — how the serving runtime opens, its prompt quantized where it
+    /// arrived. Only the fixed-point engines serve it: quantized rows
+    /// cannot be turned back into a float engine's inputs.
+    DecodeOpenFixed {
+        /// As in [`DecodeOpen`](Self::DecodeOpen).
+        session: SessionId,
+        /// As in [`DecodeOpen`](Self::DecodeOpen).
+        pattern: PatternHandle,
+        /// As in [`DecodeOpen`](Self::DecodeOpen).
+        head_dim: usize,
+        /// As in [`DecodeOpen`](Self::DecodeOpen).
+        num_heads: usize,
+        /// Per-head prompt rows, quantized.
+        prompt: Vec<FixedQkv>,
     },
     /// Decode one token of an open session (all heads) — a
     /// [`DecodeStepBatch`](Self::DecodeStepBatch) of one, answered
@@ -656,6 +674,26 @@ pub fn check_prompt_rows(n: usize, min_step: usize, rows: usize) -> Result<(), S
     Ok(())
 }
 
+/// One head of a decode open's prompt, as the open rules see it: a
+/// `rows x dim` shape. `f32` rows ([`Qkv`]) and rows quantized where they
+/// arrived ([`FixedQkv`]) answer to the same rules.
+pub trait PromptHead {
+    /// `(rows, dim)`.
+    fn shape(&self) -> (usize, usize);
+}
+
+impl PromptHead for Qkv {
+    fn shape(&self) -> (usize, usize) {
+        (self.seq_len(), self.head_dim())
+    }
+}
+
+impl PromptHead for FixedQkv {
+    fn shape(&self) -> (usize, usize) {
+        (self.seq_len(), self.head_dim())
+    }
+}
+
 /// A decode open's prompt fits its session over `n` positions whose first
 /// decodable step is `min_step`: a non-empty shape, one prompt per head,
 /// every head the same `rows x head_dim`, and the rows pass
@@ -670,7 +708,7 @@ pub fn check_open_prompt(
     min_step: usize,
     head_dim: usize,
     num_heads: usize,
-    prompt: &[Qkv],
+    prompt: &[impl PromptHead],
 ) -> Result<usize, SaloError> {
     if num_heads == 0 || head_dim == 0 {
         return Err(SaloError::InvalidRequest { reason: "empty session shape".into() });
@@ -678,14 +716,11 @@ pub fn check_open_prompt(
     if prompt.len() != num_heads {
         return Err(SaloError::HeadCountMismatch { expected: num_heads, got: prompt.len() });
     }
-    let prompt_len = prompt.first().map_or(0, Qkv::seq_len);
+    let prompt_len = prompt.first().map_or(0, |h| h.shape().0);
     check_prompt_rows(n, min_step, prompt_len)?;
-    for h in prompt {
-        if h.seq_len() != prompt_len || h.head_dim() != head_dim {
-            return Err(SaloError::ShapeMismatch {
-                expected: (prompt_len, head_dim),
-                got: (h.seq_len(), h.head_dim()),
-            });
+    for got in prompt.iter().map(PromptHead::shape) {
+        if got != (prompt_len, head_dim) {
+            return Err(SaloError::ShapeMismatch { expected: (prompt_len, head_dim), got });
         }
     }
     Ok(prompt_len)

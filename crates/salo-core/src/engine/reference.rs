@@ -174,6 +174,11 @@ impl Engine for ReferenceEngine {
                 );
                 Ok(AttentionResponse::DecodeOpened(opened))
             }
+            AttentionRequest::DecodeOpenFixed { .. } => Err(SaloError::Unsupported {
+                engine: self.name(),
+                reason: "a float engine opens from f32 rows; quantized rows cannot be undone"
+                    .into(),
+            }),
             AttentionRequest::DecodeStep { session, token } => {
                 let state =
                     self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;

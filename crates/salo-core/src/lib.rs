@@ -54,4 +54,5 @@ pub use engine::{
 };
 pub use error::SaloError;
 pub use salo::{CompiledPlan, MultiHeadRun, Salo};
+pub use salo_sim::FixedQkv;
 pub use verify::{validate, ValidationConfig, ValidationReport};

@@ -57,7 +57,7 @@ pub use mac::{
     qk_dot, qk_dot_rows, qk_mac, sv_mac, sv_row_mac, sv_row_mac_i32, sv_rows_mac, sv_rows_mac_add,
     MacSaturation, QK_DOT_SAFE_DIM, SV_I32_SAFE_KEYS,
 };
-pub use quantize::{dequantize, quantize, quantize_with_scale, QuantizationReport};
+pub use quantize::{dequantize, quantize, quantize_iter, quantize_with_scale, QuantizationReport};
 pub use recip::{Recip, RecipUnit};
 pub use renorm::{merge_partials, merge_partials_into, merge_weights, PartialRow};
 pub use softmax::{

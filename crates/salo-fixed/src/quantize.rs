@@ -8,16 +8,27 @@
 
 use crate::format::Fix8x4;
 
+/// `values` quantized to Q.4 8-bit fixed point one at a time, each
+/// multiplied by `scale` before it is rounded: `1/sqrt(d)` for queries,
+/// `1.0` for keys and values (`v * 1.0` is `v` for every `f32`, NaN
+/// included as far as [`Fix8x4::from_f32`] can tell). The one rounding of
+/// an input: the execution pipeline's loads, a decode token and a decode
+/// prompt quantized where it arrives all go through it, so they agree bit
+/// for bit.
+pub fn quantize_iter(values: &[f32], scale: f32) -> impl Iterator<Item = Fix8x4> + '_ {
+    values.iter().map(move |&v| Fix8x4::from_f32(v * scale))
+}
+
 /// Quantizes a slice of `f32` values to Q.4 8-bit fixed point.
 #[must_use]
 pub fn quantize(values: &[f32]) -> Vec<Fix8x4> {
-    values.iter().map(|&v| Fix8x4::from_f32(v)).collect()
+    quantize_iter(values, 1.0).collect()
 }
 
 /// Quantizes after multiplying by `scale` (e.g. `1/sqrt(d)` for queries).
 #[must_use]
 pub fn quantize_with_scale(values: &[f32], scale: f32) -> Vec<Fix8x4> {
-    values.iter().map(|&v| Fix8x4::from_f32(v * scale)).collect()
+    quantize_iter(values, scale).collect()
 }
 
 /// Dequantizes back to `f32`.

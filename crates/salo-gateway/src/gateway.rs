@@ -7,11 +7,12 @@
 //! * one **acceptor** polls a non-blocking `TcpListener`, spawns a
 //!   reader per connection and joins the readers that have finished;
 //! * each **reader** owns its socket's read half: it decodes each frame
-//!   *as it arrives* ([`wire::read_request`]) — out of the connection's
+//!   *as it arrives* ([`wire::read_incoming`]) — out of the connection's
 //!   one 64 KiB read buffer straight into the request, so a request's
 //!   bytes are never resident beside the request, and the frame's length
-//!   is known before anything is allocated for it — and *admits* the
-//!   request. The `gateway.read_frame` span therefore covers the wait for
+//!   is known before anything is allocated for it; an `Open`'s prompt is
+//!   quantized head by head as it is decoded, so it is never resident as
+//!   `f32` — and *admits* the request. The `gateway.read_frame` span therefore covers the wait for
 //!   a frame, its read and its decode, which interleave. A malformed
 //!   payload costs one typed `BadFrame` reply, under the request id its
 //!   header named; a framing violation, EOF or a read deadline — also one
@@ -92,7 +93,7 @@ use salo_serve::{
 use salo_sim::AcceleratorConfig;
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
-use crate::wire::{self, EngineHead, ErrorCode, ErrorFrame, Header, Outgoing, Request, WireError};
+use crate::wire::{self, EngineHead, ErrorCode, ErrorFrame, Header, Incoming, Outgoing, WireError};
 
 /// Gateway configuration: the wrapped server's options plus the knobs of
 /// the network front door.
@@ -187,8 +188,8 @@ fn in_flight_window(serve: &ServeOptions) -> usize {
 /// (`workers × ROUND_PER_WORKER`) would only sit in the workers' queues —
 /// milliseconds each — ahead of whoever arrives next. Session requests
 /// hold one.
-fn slots(request: &Request) -> usize {
-    if matches!(request, Request::Prefill { .. }) {
+fn slots(request: &Incoming) -> usize {
+    if matches!(request, Incoming::Prefill { .. }) {
         WINDOW_ROUNDS
     } else {
         1
@@ -207,7 +208,7 @@ const WRITE_GATHER: usize = 64 * 1024;
 /// One admitted, not-yet-dispatched request.
 struct Pending {
     header: Header,
-    request: Request,
+    request: Incoming,
     conn: Arc<ConnShared>,
     /// The request's frame length: its share of `gateway.request_bytes`
     /// from admission until its reply is decided.
@@ -975,7 +976,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
     let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     loop {
         let started = Instant::now();
-        let frame = match wire::read_request(&mut stream) {
+        let frame = match wire::read_incoming(&mut stream) {
             Ok(frame) => frame,
             Err(WireError::Io(kind)) => {
                 use std::io::ErrorKind;
@@ -1014,7 +1015,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                 send_response(inner, conn, header, &response);
                 continue;
             }
-            Ok(Request::Stats) => {
+            Ok(Incoming::Stats) => {
                 // Served inline off the live registry — stats must work
                 // even when the dispatch queue is saturated.
                 let json = server.metrics().export_json();
@@ -1039,7 +1040,7 @@ fn admit(
     inner: &Inner,
     server: &SaloServer,
     header: Header,
-    request: Request,
+    request: Incoming,
     bytes: usize,
     conn: &Arc<ConnShared>,
 ) {
@@ -1113,7 +1114,7 @@ fn submit(
     let slots = slots(&request);
     let waiter = Waiter { conn, header, bytes, deadline, slots, answered: false };
     let refusal = match request {
-        Request::Prefill { pattern, shape, heads } => {
+        Incoming::Prefill { pattern, shape, heads } => {
             let request = ServeRequest { pattern, shape, heads };
             match server.submit_into(header.tenant, request, events.clone()) {
                 Ok(id) => {
@@ -1124,7 +1125,7 @@ fn submit(
                 Err(e) => serve_error(&e),
             }
         }
-        Request::Open { pattern, head_dim, num_heads, prompt } => {
+        Incoming::Open { pattern, head_dim, num_heads, prompt } => {
             let request = SessionRequest { pattern, head_dim, num_heads, prompt };
             match server.open_session_into(header.tenant, request, events.clone()) {
                 Ok(id) => {
@@ -1142,7 +1143,7 @@ fn submit(
                 Err(e) => serve_error(&e),
             }
         }
-        Request::Step { session, token } => match state.live_session(session, &waiter.conn) {
+        Incoming::Step { session, token } => match state.live_session(session, &waiter.conn) {
             Some(entry) => match server.step_session(session, token) {
                 Ok(()) => {
                     entry.waiters.push_back(waiter);
@@ -1153,7 +1154,7 @@ fn submit(
             },
             None => unknown_session(session),
         },
-        Request::Close { session } => match state.live_session(session, &waiter.conn) {
+        Incoming::Close { session } => match state.live_session(session, &waiter.conn) {
             Some(entry) => match server.close_session(session) {
                 Ok(()) => {
                     // Answered by the session's `Closed` event.
@@ -1167,7 +1168,7 @@ fn submit(
             None => unknown_session(session),
         },
         // Handled inline by the reader; unreachable through the queue.
-        Request::Stats => return state.release(header.tenant, bytes),
+        Incoming::Stats => return state.release(header.tenant, bytes),
     };
     state.release(header.tenant, bytes);
     out.push(Reply { conn: waiter.conn, header, response: refusal });
@@ -1343,7 +1344,7 @@ mod tests {
     /// The frame length every test request claims.
     const BYTES: usize = 1000;
 
-    fn pending(conn: &Arc<ConnShared>, header: Header, request: Request) -> Pending {
+    fn pending(conn: &Arc<ConnShared>, header: Header, request: Incoming) -> Pending {
         let enqueued = Instant::now();
         let deadline = enqueued + TIMEOUT;
         Pending { header, request, conn: Arc::clone(conn), bytes: BYTES, enqueued, deadline }
@@ -1355,7 +1356,7 @@ mod tests {
         conn: &Arc<ConnShared>,
         header: Header,
     ) -> Result<(), usize> {
-        let pending = pending(conn, header, Request::Stats);
+        let pending = pending(conn, header, Incoming::Stats);
         state.admit(pending, options, || Arc::new(LogHistogram::new()))
     }
 
@@ -1426,7 +1427,7 @@ mod tests {
         // Two past a round: the window cuts the flooder's first visit with
         // two requests of its deficit left.
         let quantum = round + 2;
-        let layer = || Request::Prefill {
+        let layer = || Incoming::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape: salo_patterns::AttentionShape::new(8, 4, 1).expect("shape"),
             heads: Vec::new(),
@@ -1562,7 +1563,7 @@ mod tests {
         let mut out = Vec::new();
         let mut request_id = 0;
         // Admits `request` and dispatches, as a reader does.
-        let mut submit_one = |request: Request, conn: &Arc<ConnShared>, out: &mut Vec<Reply>| {
+        let mut submit_one = |request: Incoming, conn: &Arc<ConnShared>, out: &mut Vec<Reply>| {
             request_id += 1;
             let mut state = inner.lock();
             let pending = pending(conn, Header { tenant: 3, request_id }, request);
@@ -1587,15 +1588,15 @@ mod tests {
             _ => None,
         };
         let (open, tokens) = salo_serve::GenerationTraffic::demo_mix().session_bounded(1, 2);
-        let open = |num_heads| Request::Open {
+        let open = |num_heads| Incoming::Open {
             pattern: open.pattern.clone(),
             head_dim: open.head_dim,
             num_heads,
-            prompt: open.prompt.clone(),
+            prompt: open.prompt.iter().map(salo_core::FixedQkv::quantize).collect(),
         };
 
         // Refused by the session table, then by the server's validation.
-        submit_one(Request::Step { session: 99, token: tokens[0].clone() }, &conn, &mut out);
+        submit_one(Incoming::Step { session: 99, token: tokens[0].clone() }, &conn, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
         submit_one(open(2), &conn, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
@@ -1606,7 +1607,7 @@ mod tests {
         // in its queue; the first one's settle submits it, on this thread.
         // The replies are written, not gathered.
         let shape = salo_patterns::AttentionShape::new(8, 4, 1).expect("shape");
-        let layer = || Request::Prefill {
+        let layer = || Incoming::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape,
             heads: salo_kernels::Qkv::random_heads(&shape, 1),
@@ -1636,12 +1637,12 @@ mod tests {
         assert_eq!((out.len(), tables()), (3, opened));
 
         // A step the engine refuses (no heads) fails alone.
-        submit_one(Request::Step { session: 0, token: Vec::new() }, &conn, &mut out);
+        submit_one(Incoming::Step { session: 0, token: Vec::new() }, &conn, &mut out);
         assert_eq!(tables(), (0, 1, 1, (0, 1)));
         on_event(&inner, events_rx.recv().expect("step failed"), &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::Invalid));
         assert_eq!((out.len(), tables()), (4, opened));
-        submit_one(Request::Step { session: 0, token: tokens[0].clone() }, &conn, &mut out);
+        submit_one(Incoming::Step { session: 0, token: tokens[0].clone() }, &conn, &mut out);
         on_event(&inner, events_rx.recv().expect("stepped"), &mut out);
         assert!(matches!(
             out.last().expect("reply").response,
@@ -1653,10 +1654,10 @@ mod tests {
         // another connection cannot reach the session.
         let dead = conn_with_id(2);
         dead.alive.store(false, Ordering::Release);
-        submit_one(Request::Step { session: 0, token: tokens[1].clone() }, &dead, &mut out);
+        submit_one(Incoming::Step { session: 0, token: tokens[1].clone() }, &dead, &mut out);
         assert_eq!((out.len(), tables()), (5, opened));
         let stranger = conn_with_id(3);
-        submit_one(Request::Close { session: 0 }, &stranger, &mut out);
+        submit_one(Incoming::Close { session: 0 }, &stranger, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
         assert_eq!((out.len(), tables()), (6, opened));
 
@@ -1705,7 +1706,7 @@ mod tests {
                 let conn = if session == 2 { &b } else { &a };
                 let header = Header { tenant: 1, request_id: session };
                 let mut pending =
-                    pending(conn, header, Request::Step { session, token: Vec::new() });
+                    pending(conn, header, Incoming::Step { session, token: Vec::new() });
                 if session == 3 {
                     pending.deadline = pending.enqueued;
                 }
@@ -1785,7 +1786,7 @@ mod tests {
             let header = Header { tenant: 1, request_id: 7 };
             let deadline = inner.deadline(enqueued);
             let conn = Arc::clone(&conn);
-            let request = Request::Stats;
+            let request = Incoming::Stats;
             let pending = Pending { header, request, conn, bytes: BYTES, enqueued, deadline };
             let mut state = inner.lock();
             state

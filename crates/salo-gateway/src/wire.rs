@@ -31,6 +31,15 @@
 //! decoder hold at most its own length in values, and only a peer that
 //! goes on to send those bytes gets them kept.
 //!
+//! **An `Open` is quantized as it is decoded.** The gateway's reader
+//! decodes with [`read_incoming`] into [`Incoming`], [`Request`]'s twin
+//! from the same `wire!` list: each head of an `Open`'s prompt is read as
+//! the `f32` [`Qkv`] the frame carries, turned at once into the
+//! [`FixedQkv`] rows a decode session ingests — the datapath's one
+//! rounding, q with the attention scale folded in — and its `f32` rows
+//! dropped before the next head is read. A whole prompt is never resident
+//! as `f32` at the server: one head of it at most, at any moment.
+//!
 //! **A frame is encoded once, at its size.** A counting pass over the same
 //! `Wire` impls sizes the buffer exactly, then the writing pass fills it:
 //! no frame is built by doubling, and [`encode_response_into`] appends to a
@@ -45,10 +54,11 @@
 
 use std::io::{BufRead, ErrorKind, Read, Write};
 
-use salo_core::{HeadStep, TokenQkv};
-use salo_fixed::Fix16x8;
+use salo_core::{FixedQkv, HeadStep, TokenQkv};
+use salo_fixed::{Fix16x8, Fix8x4};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
+use salo_sim::SpatialAccelerator;
 
 /// Protocol version carried in every frame header.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -205,6 +215,50 @@ pub enum Request {
         session: u64,
     },
     /// Ask for the JSON export of the server's live metrics registry.
+    Stats,
+}
+
+/// A [`Request`] as the gateway's reader takes it off the socket
+/// ([`read_incoming`]): the same frames, one `wire!` list for both, but an
+/// `Open`'s prompt is quantized head by head as it is decoded — each
+/// head's `f32` rows are read, turned into the [`FixedQkv`] a session
+/// ingests, and dropped before the next head is read. No more than one
+/// `f32` head of a prompt is ever resident.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Incoming {
+    /// As [`Request::Prefill`].
+    Prefill {
+        /// The hybrid sparsity pattern.
+        pattern: HybridPattern,
+        /// Sequence/head dimensions.
+        shape: AttentionShape,
+        /// Per-head inputs.
+        heads: Vec<Qkv>,
+    },
+    /// As [`Request::Open`], the prompt quantized.
+    Open {
+        /// Pattern over the session's full capacity.
+        pattern: HybridPattern,
+        /// Head dimension.
+        head_dim: usize,
+        /// Number of heads.
+        num_heads: usize,
+        /// Per-head prompt rows, quantized ([`FixedQkv::quantize`]).
+        prompt: Vec<FixedQkv>,
+    },
+    /// As [`Request::Step`].
+    Step {
+        /// The wire session id from [`Response::Opened`].
+        session: u64,
+        /// The new position's per-head `(q, k, v)` rows.
+        token: Vec<TokenQkv>,
+    },
+    /// As [`Request::Close`].
+    Close {
+        /// The wire session id.
+        session: u64,
+    },
+    /// As [`Request::Stats`].
     Stats,
 }
 
@@ -684,7 +738,8 @@ impl Wire for String {
 ///   [`Wire`], as the tag byte and then the fields.
 /// * `wire!(Type | Twin, …)` — two types of the same shape whose fields
 ///   differ only in representation (the client's `i16` rows, the engine's
-///   `Fix16x8`) share the list, and therefore the frame.
+///   `Fix16x8`; a client's `f32` prompt, the door's [`FixedQkv`]) share
+///   the list, and therefore the frame.
 macro_rules! wire {
     ($ty:ident | $twin:ident $($form:tt)*) => {
         wire!($ty $($form)*);
@@ -785,6 +840,30 @@ impl Wire for Qkv {
     fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         let (q, k, v) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
         Qkv::new(q, k, v).map_err(bad)
+    }
+}
+
+/// A prompt head travels as the `f32` [`Qkv`] it was quantized from, and
+/// is quantized the moment it is decoded. Written back, it is the `f32`
+/// head that quantizes to the same rows: a `Fix8x4` is exact in `f32`, and
+/// the scale divided back out of `q` is within a rounding of where it was,
+/// far inside the half step [`Fix8x4::from_f32`] rounds over.
+impl Wire for FixedQkv {
+    const MIN: usize = Qkv::MIN;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        let scale = SpatialAccelerator::default_scale(self.head_dim());
+        for (rows, scale) in [(self.q(), scale), (self.k(), 1.0), (self.v(), 1.0)] {
+            e.u32(rows.rows() as u32);
+            e.u32(rows.cols() as u32);
+            for &x in rows.as_slice() {
+                (Fix8x4::to_f32(x) / scale).encode(e);
+            }
+        }
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        Ok(FixedQkv::quantize(&Qkv::decode(d)?))
     }
 }
 
@@ -890,7 +969,7 @@ const OP_STATS_REPLY: u8 = 0x85;
 const OP_ERROR: u8 = 0xC0;
 
 // The tag of a request or a response is the header's opcode byte.
-wire!(Request, WireError::UnknownOpcode;
+wire!(Request | Incoming, WireError::UnknownOpcode;
     OP_PREFILL => Prefill { pattern, shape, heads },
     OP_OPEN => Open { pattern, head_dim, num_heads, prompt },
     OP_STEP => Step { session, token },
@@ -1060,6 +1139,17 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Frame<Request>, WireError> 
     read_message(r)
 }
 
+/// Reads one request frame from `r` as [`read_request`] does, an `Open`'s
+/// prompt quantized head by head as it is decoded ([`Incoming`]): what the
+/// gateway's reader calls.
+///
+/// # Errors
+///
+/// As [`read_request`].
+pub fn read_incoming<R: BufRead>(r: &mut R) -> Result<Frame<Incoming>, WireError> {
+    read_message(r)
+}
+
 /// Reads one response frame from `r`, as [`read_request`] reads a request.
 ///
 /// # Errors
@@ -1223,6 +1313,60 @@ mod tests {
             expected.extend_from_slice(&encode_response(header, response));
         }
         assert_eq!(gathered, expected);
+    }
+
+    /// At the door an `Open`'s prompt decodes into the rows a session
+    /// ingests — `Fix8x4::from_f32(x * scale)` for q, `from_f32(x)` for k
+    /// and v, element for element, saturating, NaN and half-step inputs
+    /// included — and the twin writes them back as a frame of the same
+    /// length that decodes to the same rows: one field list, both ways.
+    #[test]
+    fn an_open_decodes_at_the_door_into_the_rows_a_session_ingests() {
+        let header = Header { tenant: 1, request_id: 9 };
+        for dim in [1, 48, 64] {
+            let scale = SpatialAccelerator::default_scale(dim);
+            let edges = [
+                0.3,
+                7.96875,
+                8.0,
+                -8.03125,
+                1.0e6,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.03125,
+                -0.09375,
+                0.03125 / scale,
+                -0.09375 / scale,
+                f32::MIN_POSITIVE,
+            ];
+            let rows = |shift: usize| {
+                Matrix::from_fn(5, dim, |t, j| edges[(t * dim + j + shift) % edges.len()])
+            };
+            let head = Qkv::new(rows(0), rows(1), rows(2)).unwrap();
+            let open = Request::Open {
+                pattern: salo_patterns::longformer(16, 4, 1).unwrap(),
+                head_dim: dim,
+                num_heads: 1,
+                prompt: vec![head.clone()],
+            };
+            let frame = encode_request(header, &open);
+            let read = read_incoming(&mut frame.as_slice()).unwrap();
+            let Ok(Incoming::Open { prompt, .. }) = &read.message else { panic!("{read:?}") };
+            let fixed = |m: &Matrix<f32>, f: &dyn Fn(f32) -> Fix8x4| -> Vec<Fix8x4> {
+                m.as_slice().iter().map(|&x| f(x)).collect()
+            };
+            let q = fixed(&head.q, &|x| Fix8x4::from_f32(x * scale));
+            assert_eq!(prompt[0].q().as_slice(), q, "d = {dim}: q");
+            assert_eq!(prompt[0].k().as_slice(), fixed(&head.k, &Fix8x4::from_f32), "d = {dim}: k");
+            assert_eq!(prompt[0].v().as_slice(), fixed(&head.v, &Fix8x4::from_f32), "d = {dim}: v");
+
+            let incoming = read.message.unwrap();
+            let mut again = Vec::new();
+            frame_into(&mut again, header, &incoming);
+            assert_eq!(again.len(), frame.len());
+            assert_eq!(read_incoming(&mut again.as_slice()).unwrap().message, Ok(incoming));
+        }
     }
 
     /// `0x06` stopped a gateway and `0x86` carried its report until both

@@ -2,7 +2,9 @@
 //! request is never resident twice. Decoding a multi-megabyte `Open` off a
 //! stream peaks at the decoded request plus small change — not the
 //! request plus its frame — and an encoded frame is allocated once, at its
-//! exact length — not grown by doubling from 64 bytes.
+//! exact length — not grown by doubling from 64 bytes. At the gateway's
+//! door an `Open`'s prompt is never resident as `f32` at all: each head is
+//! quantized as soon as it is read.
 //!
 //! Its own binary, one test: the counting allocator is the process's
 //! global allocator and its counters are process-wide, so nothing else may
@@ -12,8 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+use salo_core::FixedQkv;
 use salo_gateway::wire::{
-    encode_request, encode_response, read_request, Header, PrefillHead, Request, Response,
+    encode_request, encode_response, read_incoming, read_request, Header, Incoming, PrefillHead,
+    Request, Response,
 };
 use salo_kernels::{Matrix, Qkv};
 
@@ -92,13 +96,13 @@ fn a_request_is_never_resident_twice() {
     };
     let header = Header { tenant: 1, request_id: 1 };
 
-    // (b) Encoding: the frame is allocated at its length and never grown.
-    // (`HybridPattern::terms` builds a vector of a few terms per pass, so
-    // a request's count of allocations is not one; its peak says the same.)
-    let (frame, peak, _, _) = measured(|| encode_request(header, &open));
+    // (b) Encoding: the frame is allocated at its length and never grown,
+    // and it is the only allocation — the pattern's terms are lent.
+    let (frame, peak, _, allocations) = measured(|| encode_request(header, &open));
     assert!(frame.len() >= 4096 * KIB, "a {}-byte frame is too small to tell", frame.len());
     assert_eq!(frame.capacity(), frame.len());
     assert!(peak <= frame.len() + KIB, "encoding a {}-byte frame peaked at {peak}", frame.len());
+    assert_eq!(allocations, 1, "encoding the open allocated more than its frame");
 
     let done = Response::PrefillDone {
         heads: (0..2)
@@ -130,4 +134,21 @@ fn a_request_is_never_resident_twice() {
         "decoding peaked at {peak} bytes for a request of {resident}: the frame was resident too"
     );
     assert_eq!(read.message, Ok(open));
+
+    // (c) At the door, decoded as the gateway's reader decodes it: each
+    // head is quantized as soon as its `f32` rows are read, so what is
+    // live at the peak is the quantized prompt (a byte an element), one
+    // `f32` head and small change — never the `f32` prompt.
+    let fixed_prompt = num_heads * rows * dim * 3;
+    let f32_head = rows * dim * 3 * std::mem::size_of::<f32>();
+    let mut stream = BufReader::with_capacity(64 * KIB, frame.as_slice());
+    let (read, peak, _, _) = measured(|| read_incoming(&mut stream).expect("sound frame"));
+    assert!(
+        peak <= fixed_prompt + f32_head + 64 * KIB,
+        "decoding at the door peaked at {peak} bytes: a {fixed_prompt}-byte quantized prompt \
+         and a {f32_head}-byte f32 head leave 64 KiB of change"
+    );
+    let Ok(Incoming::Open { prompt, .. }) = read.message else { panic!("{:?}", read.message) };
+    let quantized = (0..num_heads as u64).map(|h| FixedQkv::quantize(&Qkv::random(rows, dim, h)));
+    assert!(prompt.into_iter().eq(quantized), "the door quantized a head differently");
 }

@@ -40,9 +40,11 @@ pub struct HybridPattern {
     n: usize,
     windows: Vec<Window>,
     globals: Vec<usize>,
-    /// Non-translation-invariant terms, kept verbatim in composition order
-    /// so `terms()` round-trips and fingerprints stay structural.
-    residual_terms: Vec<PatternTerm>,
+    /// The normalized term list `terms()` lends: `windows` and `globals`
+    /// as terms, then the non-translation-invariant terms verbatim in
+    /// composition order, so it round-trips and fingerprints stay
+    /// structural.
+    terms: Vec<PatternTerm>,
     /// The residual terms expanded to per-row runs, minus every cell owned
     /// by a window offset or a global row/column.
     residual: SupportRuns,
@@ -62,7 +64,7 @@ impl HybridPattern {
     /// collect into the sorted global set; the remaining terms expand to
     /// per-row support runs from which every cell already covered by a
     /// window or a global row/column is removed. Normalization is
-    /// idempotent: `from_terms(n, p.terms())` reproduces `p` exactly.
+    /// idempotent: `from_terms(n, p.terms().clone())` reproduces `p` exactly.
     ///
     /// # Errors
     ///
@@ -116,19 +118,35 @@ impl HybridPattern {
         if windows.is_empty() && globals.is_empty() && residual.is_empty() {
             return Err(PatternError::EmptyPattern);
         }
-        Ok(Self { n, windows, globals, residual_terms, residual })
+        Ok(Self::normalized(n, windows, globals, residual_terms, residual))
+    }
+
+    /// Assembles a pattern whose parts are already normalized, writing its
+    /// term list once.
+    fn normalized(
+        n: usize,
+        windows: Vec<Window>,
+        globals: Vec<usize>,
+        residual_terms: Vec<PatternTerm>,
+        residual: SupportRuns,
+    ) -> Self {
+        let mut terms = Vec::with_capacity(windows.len() + globals.len() + residual_terms.len());
+        terms.extend(windows.iter().map(|&w| PatternTerm::Window(w)));
+        terms.extend(globals.iter().map(|&token| PatternTerm::Global { token }));
+        terms.extend(residual_terms);
+        Self { n, windows, globals, terms, residual }
     }
 
     /// The pattern's terms in normalized order: windows, then globals, then
-    /// the residual terms verbatim. `from_terms(n, p.terms())` rebuilds an
-    /// identical pattern.
+    /// the residual terms verbatim. `from_terms(n, p.terms().clone())`
+    /// rebuilds an identical pattern.
+    ///
+    /// The list is the pattern's own, lent: reading it (the wire encoder
+    /// walks it twice per frame) allocates nothing. It is lent as a `Vec`
+    /// so that its `clone()` is the owned list `from_terms` takes.
     #[must_use]
-    pub fn terms(&self) -> Vec<PatternTerm> {
-        let mut out: Vec<PatternTerm> =
-            self.windows.iter().map(|&w| PatternTerm::Window(w)).collect();
-        out.extend(self.globals.iter().map(|&token| PatternTerm::Global { token }));
-        out.extend(self.residual_terms.iter().cloned());
-        out
+    pub fn terms(&self) -> &Vec<PatternTerm> {
+        &self.terms
     }
 
     /// Sequence length `n`.
@@ -158,7 +176,7 @@ impl HybridPattern {
     /// The non-translation-invariant terms of the composition, in order.
     #[must_use]
     pub fn residual_terms(&self) -> &[PatternTerm] {
-        &self.residual_terms
+        &self.terms[self.windows.len() + self.globals.len()..]
     }
 
     /// The normalized residual support: every kept cell not owned by a
@@ -291,7 +309,7 @@ impl HybridPattern {
         } else {
             vec![PatternTerm::Support(residual.clone())]
         };
-        Ok(Self { n: self.n, windows, globals: self.globals.clone(), residual_terms, residual })
+        Ok(Self::normalized(self.n, windows, self.globals.clone(), residual_terms, residual))
     }
 
     /// A stable 64-bit structural fingerprint of the pattern.
@@ -309,10 +327,12 @@ impl HybridPattern {
     pub fn fingerprint(&self) -> u64 {
         // Exhaustive destructuring: a future field cannot be forgotten
         // here without a compile error.
-        let Self { n, windows, globals, residual_terms, residual } = self;
+        let Self { n, windows, globals, terms, residual } = self;
         // The residual is a pure function of (n, windows, globals,
-        // residual_terms); hashing the terms covers it.
-        let _ = residual;
+        // residual terms), and the term list is those parts written out;
+        // hashing the parts covers both.
+        let _ = (terms, residual);
+        let residual_terms = self.residual_terms();
         let mut h = StableHasher::new();
         h.write_usize(*n);
         h.write_usize(windows.len());
@@ -638,7 +658,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let again = HybridPattern::from_terms(p.n(), p.terms()).unwrap();
+        let again = HybridPattern::from_terms(p.n(), p.terms().clone()).unwrap();
         assert_eq!(p, again);
         assert_eq!(p.fingerprint(), again.fingerprint());
     }
@@ -700,7 +720,7 @@ mod tests {
         }
         assert!(c.allows(8, 3), "past block cells survive");
         // Causal normalization is itself idempotent.
-        let again = HybridPattern::from_terms(c.n(), c.terms()).unwrap();
+        let again = HybridPattern::from_terms(c.n(), c.terms().clone()).unwrap();
         assert_eq!(c, again);
     }
 

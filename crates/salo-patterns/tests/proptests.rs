@@ -190,7 +190,7 @@ proptest! {
     /// term decomposition yields the identical pattern and fingerprint.
     #[test]
     fn term_normalization_is_idempotent(p in arb_term_pattern()) {
-        let rebuilt = HybridPattern::from_terms(p.n(), p.terms()).expect("rebuild");
+        let rebuilt = HybridPattern::from_terms(p.n(), p.terms().clone()).expect("rebuild");
         prop_assert_eq!(&rebuilt, &p);
         prop_assert_eq!(rebuilt.fingerprint(), p.fingerprint());
     }
@@ -227,7 +227,7 @@ proptest! {
                 prop_assert_eq!(c.allows(i, j), expect, "({}, {})", i, j);
             }
         }
-        let rebuilt = HybridPattern::from_terms(c.n(), c.terms()).expect("rebuild");
+        let rebuilt = HybridPattern::from_terms(c.n(), c.terms().clone()).expect("rebuild");
         prop_assert_eq!(rebuilt, c);
     }
 }

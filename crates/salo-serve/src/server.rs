@@ -44,7 +44,7 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use salo_core::Salo;
+use salo_core::{FixedQkv, Salo};
 use salo_sim::AcceleratorConfig;
 use salo_trace::MetricsRegistry;
 
@@ -325,15 +325,21 @@ impl SaloServer {
     /// token. A plain `Sender<ServeEvent>` is a sink of its own and sees
     /// each event on its own, as a session handle does.
     ///
+    /// The prompt reaches the worker quantized: an `f32` request is
+    /// quantized here, on the calling thread, and a request already in
+    /// [`FixedQkv`] rows (the gateway's, quantized as its frame was read)
+    /// is passed on as it is.
+    ///
     /// # Errors
     ///
     /// As [`open_session_for`](Self::open_session_for).
     pub fn open_session_into(
         &self,
         tenant: u64,
-        request: SessionRequest,
+        request: impl Into<SessionRequest<FixedQkv>>,
         events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
+        let request = request.into();
         request.validate()?;
         let events = events.into();
         let TenantMetrics { requests, decode_steps, .. } = self.tenant(tenant);

@@ -21,8 +21,8 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use salo_core::engine::check_open_prompt;
-use salo_core::HeadStep;
+use salo_core::engine::{check_open_prompt, PromptHead};
+use salo_core::{FixedQkv, HeadStep};
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
 use salo_trace::Counter;
@@ -31,9 +31,13 @@ use crate::{ServeError, ServeResponse};
 
 pub use salo_core::TokenQkv;
 
-/// A request to open a decode session.
+/// A request to open a decode session: its prompt as `f32` rows ([`Qkv`],
+/// the default), or already quantized where it arrived ([`FixedQkv`] — how
+/// the gateway hands an `Open` over, and the only form that reaches a
+/// worker: [`SaloServer`](crate::SaloServer) quantizes an `f32` prompt on
+/// the caller's thread).
 #[derive(Debug, Clone)]
-pub struct SessionRequest {
+pub struct SessionRequest<P = Qkv> {
     /// The hybrid pattern over the session's full capacity (prompt plus
     /// generated tokens). The pinned worker clips it to its causal view;
     /// passing an already-causal pattern is fine. A pattern with nothing
@@ -48,10 +52,10 @@ pub struct SessionRequest {
     /// Per-head prompt rows; every head must provide the same number of
     /// rows, and the prompt must cover every global token
     /// (`rows >= min_step`).
-    pub prompt: Vec<Qkv>,
+    pub prompt: Vec<P>,
 }
 
-impl SessionRequest {
+impl<P: PromptHead> SessionRequest<P> {
     /// Validates the request by the engines' own open rule
     /// ([`check_open_prompt`]). The causal clip keeps every global, so
     /// the first decodable step is the one after the last global, known
@@ -66,6 +70,16 @@ impl SessionRequest {
         let min_step = self.pattern.globals().last().map_or(0, |&g| g + 1);
         check_open_prompt(self.pattern.n(), min_step, self.head_dim, self.num_heads, &self.prompt)?;
         Ok(())
+    }
+}
+
+impl From<SessionRequest> for SessionRequest<FixedQkv> {
+    /// Quantizes the prompt head by head ([`FixedQkv::quantize`]), each
+    /// `f32` head dropped as soon as it is converted.
+    fn from(request: SessionRequest) -> Self {
+        let SessionRequest { pattern, head_dim, num_heads, prompt } = request;
+        let prompt = prompt.into_iter().map(|head| FixedQkv::quantize(&head)).collect();
+        SessionRequest { pattern, head_dim, num_heads, prompt }
     }
 }
 

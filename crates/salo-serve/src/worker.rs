@@ -57,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use salo_core::{
-    AttentionRequest, CompiledPlan, Engine, LoweredEngine, MultiHeadRun, PatternHandle,
+    AttentionRequest, CompiledPlan, Engine, FixedQkv, LoweredEngine, MultiHeadRun, PatternHandle,
     PrefillOutput, Salo,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
@@ -81,7 +81,7 @@ pub(crate) enum Job {
     /// A layer request: answered with [`ServeEvent::Layer`].
     Layer { ticket: LayerTicket, request: ServeRequest },
     /// A decode-session open: answered with [`ServeEvent::Opened`].
-    Open { session: u64, request: SessionRequest, submitted: Instant, events: EventSink },
+    Open { session: u64, request: SessionRequest<FixedQkv>, submitted: Instant, events: EventSink },
     /// One decode step, gathered into a run by the scheduler tick.
     Step(StepJob),
     /// A session close: answered with the terminal [`ServeEvent::Closed`].
@@ -679,7 +679,7 @@ impl Worker {
     fn run_open(
         &mut self,
         session: u64,
-        request: SessionRequest,
+        request: SessionRequest<FixedQkv>,
         submitted: Instant,
         events: &EventSink,
     ) {
@@ -707,7 +707,7 @@ impl Worker {
         let compiled = compiled_now(&resolved);
         let opened = resolved.and_then(|(plan, cache_hit)| {
             self.engine
-                .execute(AttentionRequest::DecodeOpen {
+                .execute(AttentionRequest::DecodeOpenFixed {
                     session,
                     pattern: PatternHandle::from_plan(plan),
                     head_dim: request.head_dim,
@@ -814,7 +814,7 @@ mod tests {
                 .insert(session, LiveSession { worker: 0, events: sink(session), decode_steps });
             opens.push(Job::Open {
                 session,
-                request,
+                request: request.into(),
                 submitted: Instant::now(),
                 events: sink(session),
             });

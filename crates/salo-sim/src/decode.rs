@@ -54,7 +54,8 @@
 //! verifies that no window op reaches a future key and rejects anticausal
 //! plans.
 
-use salo_fixed::{ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
+use salo_fixed::{quantize_iter, ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
+use salo_kernels::{Matrix, Qkv};
 use salo_scheduler::ExecutionPlan;
 use std::fmt;
 use std::sync::Arc;
@@ -804,6 +805,64 @@ impl DecodeState {
     }
 }
 
+/// One head of a decode prompt, quantized as a session ingests it: every
+/// row is what [`prime_token`](SpatialAccelerator::prime_token) makes of
+/// the `f32` row — `q` with the attention scale
+/// [`default_scale`](SpatialAccelerator::default_scale) of the head's
+/// dimension folded in, `k` and `v` as they are. A quarter of the `f32`
+/// head's bytes, and what a served `Open` holds from the moment each head
+/// of its frame is decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedQkv {
+    q: Matrix<Fix8x4>,
+    k: Matrix<Fix8x4>,
+    v: Matrix<Fix8x4>,
+}
+
+impl FixedQkv {
+    /// Quantizes one `f32` head through the datapath's one rounding
+    /// ([`quantize_iter`]).
+    #[must_use]
+    pub fn quantize(head: &Qkv) -> Self {
+        let fixed = |m: &Matrix<f32>, scale| {
+            let rows = quantize_iter(m.as_slice(), scale).collect();
+            Matrix::from_vec(m.rows(), m.cols(), rows).expect("one element per element")
+        };
+        let scale = SpatialAccelerator::default_scale(head.head_dim());
+        Self { q: fixed(&head.q, scale), k: fixed(&head.k, 1.0), v: fixed(&head.v, 1.0) }
+    }
+
+    /// Prompt rows.
+    #[must_use]
+    pub fn seq_len(&self) -> usize {
+        self.q.rows()
+    }
+
+    /// Elements per row.
+    #[must_use]
+    pub fn head_dim(&self) -> usize {
+        self.q.cols()
+    }
+
+    /// The quantized, scale-folded query rows.
+    #[must_use]
+    pub fn q(&self) -> &Matrix<Fix8x4> {
+        &self.q
+    }
+
+    /// The quantized key rows.
+    #[must_use]
+    pub fn k(&self) -> &Matrix<Fix8x4> {
+        &self.k
+    }
+
+    /// The quantized value rows.
+    #[must_use]
+    pub fn v(&self) -> &Matrix<Fix8x4> {
+        &self.v
+    }
+}
+
 /// The output of one decode step: position `t`'s attention row in the
 /// same formats the prefill reports per row.
 #[derive(Debug, Clone, PartialEq)]
@@ -867,8 +926,31 @@ impl SpatialAccelerator {
         pool: &mut KvPagePool,
         scratch: &mut ExecScratch,
     ) -> Result<u64, SimError> {
+        quantized(scratch, [q_t, k_t, v_t], scale, |[q, k, v], scratch| {
+            self.prime_fixed(plan, state, q, k, v, pool, scratch)
+        })
+    }
+
+    /// [`prime_token`](Self::prime_token) for a row already quantized —
+    /// a row of a [`FixedQkv`]: `q_t` with the scale folded in, `k_t` and
+    /// `v_t` as they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`prime_token`](Self::prime_token).
+    #[allow(clippy::too_many_arguments)] // prime_token's surface, less the scale
+    pub fn prime_fixed(
+        &self,
+        plan: &DecodePlan,
+        state: &mut DecodeState,
+        q_t: &[Fix8x4],
+        k_t: &[Fix8x4],
+        v_t: &[Fix8x4],
+        pool: &mut KvPagePool,
+        scratch: &mut ExecScratch,
+    ) -> Result<u64, SimError> {
         let before = state.sat.events;
-        self.advance(plan, state, q_t, k_t, v_t, scale, pool, scratch, false)?;
+        self.advance(plan, state, [q_t, k_t, v_t], pool, scratch, false)?;
         Ok(state.sat.events - before)
     }
 
@@ -900,8 +982,10 @@ impl SpatialAccelerator {
             "sim",
             state.position() as u64,
         );
-        self.advance(plan, state, q_t, k_t, v_t, scale, pool, scratch, true)
-            .map(|out| out.expect("compute=true always yields a step output"))
+        quantized(scratch, [q_t, k_t, v_t], scale, |token, scratch| {
+            self.advance(plan, state, token, pool, scratch, true)
+        })
+        .map(|out| out.expect("compute=true always yields a step output"))
     }
 
     /// Executes one pending step from each of many sessions sharing one
@@ -928,25 +1012,24 @@ impl SpatialAccelerator {
         batch
             .iter_mut()
             .map(|step| {
-                self.advance(
-                    plan, step.state, step.q_t, step.k_t, step.v_t, step.scale, pool, scratch, true,
-                )
+                let rows = [step.q_t, step.k_t, step.v_t];
+                quantized(scratch, rows, step.scale, |token, scratch| {
+                    self.advance(plan, step.state, token, pool, scratch, true)
+                })
                 .map(|out| out.expect("compute=true always yields a step output"))
             })
             .collect()
     }
 
-    /// The shared ingest path of [`prime_token`](Self::prime_token) and
-    /// [`execute_step`](Self::execute_step).
-    #[allow(clippy::too_many_arguments)]
+    /// The one ingest path — of [`prime_fixed`](Self::prime_fixed),
+    /// [`prime_token`](Self::prime_token) and
+    /// [`execute_step`](Self::execute_step) — over a token's rows already
+    /// quantized: `q_t`, `k_t`, `v_t`.
     fn advance(
         &self,
         plan: &DecodePlan,
         state: &mut DecodeState,
-        q_t: &[f32],
-        k_t: &[f32],
-        v_t: &[f32],
-        scale: f32,
+        [q_t, k_t, v_t]: [&[Fix8x4]; 3],
         pool: &mut KvPagePool,
         scratch: &mut ExecScratch,
         compute: bool,
@@ -984,22 +1067,17 @@ impl SpatialAccelerator {
             state.resident += 1;
         }
 
-        // Ingest: quantization element-identical to the prefill load
-        // (scale folded into Q). From here on the token is part of the
-        // history — a downstream failure leaves the state inconsistent
-        // (appended K/V, advanced position, possibly half-run global
-        // duties), so it poisons the session until a reset.
+        // Ingest. From here on the token is part of the history — a
+        // downstream failure leaves the state inconsistent (appended K/V,
+        // advanced position, possibly half-run global duties), so it
+        // poisons the session until a reset.
         state.q_step.clear();
-        state.q_step.extend(q_t.iter().map(|&x| Fix8x4::from_f32(x * scale)));
+        state.q_step.extend_from_slice(q_t);
         let slot = t % state.page_rows;
         let page = state.pages[t / state.page_rows].as_mut().expect("append page is resident");
         let (k, v) = page.0.halves_mut();
-        for (dst, &x) in k[slot * d..][..d].iter_mut().zip(k_t) {
-            *dst = Fix8x4::from_f32(x);
-        }
-        for (dst, &x) in v[slot * d..][..d].iter_mut().zip(v_t) {
-            *dst = Fix8x4::from_f32(x);
-        }
+        k[slot * d..][..d].copy_from_slice(k_t);
+        v[slot * d..][..d].copy_from_slice(v_t);
         if let Ok(gi) = plan.globals.binary_search(&(t as u32)) {
             state.global_q[gi] = state.q_step.clone();
         }
@@ -1106,6 +1184,27 @@ impl SpatialAccelerator {
             saturation_events: sat.events,
         }))
     }
+}
+
+/// Quantizes an `f32` token's rows into the scratch's token buffers — the
+/// load's rounding ([`quantize_iter`]), `scale` folded into `q` — and runs
+/// `ingest` on them: how every `f32` row reaches
+/// [`advance`](SpatialAccelerator::advance).
+fn quantized<T>(
+    scratch: &mut ExecScratch,
+    rows: [&[f32]; 3],
+    scale: f32,
+    ingest: impl FnOnce([&[Fix8x4]; 3], &mut ExecScratch) -> T,
+) -> T {
+    let mut token = std::mem::take(&mut scratch.token);
+    for (dst, (row, scale)) in token.iter_mut().zip(rows.into_iter().zip([scale, 1.0, 1.0])) {
+        dst.clear();
+        dst.extend(quantize_iter(row, scale));
+    }
+    let [q, k, v] = &token;
+    let out = ingest([q, k, v], scratch);
+    scratch.token = token;
+    out
 }
 
 /// Returns every fully-written, globally-unpinned page below the plan's

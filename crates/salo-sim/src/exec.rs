@@ -37,8 +37,8 @@
 //! measurement (EXPERIMENTS.md, "The kernel's other half"), not a knob.
 
 use salo_fixed::{
-    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, sv_rows_mac, sv_rows_mac_add,
-    ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
+    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, quantize_iter, sv_rows_mac,
+    sv_rows_mac_add, ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
 };
 use salo_kernels::Matrix;
 use salo_scheduler::{ExecutionPlan, Pass, PlanStats};
@@ -182,6 +182,9 @@ pub struct ExecScratch {
     /// fetching them in one loop overlaps the misses the executor would
     /// otherwise take one op at a time.
     pub(crate) picked: Vec<LoweredOp>,
+    /// An `f32` decode token's q, k and v rows, quantised on their way to
+    /// the ingest.
+    pub(crate) token: [Vec<Fix8x4>; 3],
 }
 
 impl Default for ExecScratch {
@@ -201,20 +204,20 @@ impl ExecScratch {
             op: OpScratch::new(),
             acc: Vec::new(),
             picked: Vec::new(),
+            token: Default::default(),
         }
     }
 
     /// Quantizes one head's inputs into the arenas and resets the
     /// accumulators for an `n x d` execution.
     fn load(&mut self, q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>, scale: f32, d: usize) {
-        // Load-time quantization (scale folded into Q), element order
-        // identical to per-row `quantize_with_scale` / `quantize`.
+        // Load-time quantization (scale folded into Q).
         self.qq.clear();
-        self.qq.extend(q.as_slice().iter().map(|&x| Fix8x4::from_f32(x * scale)));
+        self.qq.extend(quantize_iter(q.as_slice(), scale));
         self.kq.clear();
-        self.kq.extend(k.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
+        self.kq.extend(quantize_iter(k.as_slice(), 1.0));
         self.vq.clear();
-        self.vq.extend(v.as_slice().iter().map(|&x| Fix8x4::from_f32(x)));
+        self.vq.extend(quantize_iter(v.as_slice(), 1.0));
 
         // Zeroed accumulators, reusing row allocations of the right `d`.
         let (acc, n) = (&mut self.acc, q.rows());

@@ -63,7 +63,7 @@ pub use buffers::BufferAnalysis;
 pub use config::{AcceleratorConfig, BufferConfig, TimingParams};
 pub use cycles::{CycleBreakdown, CycleModel};
 pub use decode::{
-    BatchStep, DecodePlan, DecodeState, KvPage, KvPagePool, KvPoolStats, StepOutput,
+    BatchStep, DecodePlan, DecodeState, FixedQkv, KvPage, KvPagePool, KvPoolStats, StepOutput,
     DEFAULT_PAGE_ROWS,
 };
 pub use energy::EnergyModel;
