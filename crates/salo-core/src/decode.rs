@@ -71,9 +71,8 @@ impl Salo {
     /// plus generated tokens). Multi-head decoding runs one session per
     /// head, all sharing one compiled plan: compile (or take the first
     /// session's [`shared_plan`](DecodeSession::shared_plan)) once, then
-    /// open the rest with
-    /// [`decode_session_with_plan`](Self::decode_session_with_plan) —
-    /// the serving runtime does exactly that with a cached plan.
+    /// open the rest with [`DecodeSession::open`] — the serving runtime
+    /// does exactly that with a cached plan.
     ///
     /// # Errors
     ///
@@ -89,21 +88,6 @@ impl Salo {
         let shape = AttentionShape::new(pattern.n(), head_dim, 1)?;
         let compiled = Arc::new(self.compile(view.causal_pattern(), &shape)?);
         DecodeSession::open(self.accelerator().clone(), compiled)
-    }
-
-    /// Opens a decode session over an already-compiled **causal** plan,
-    /// sharing it instead of recompiling — the per-head entry point of
-    /// multi-head decoding, and the way to start many generations of one
-    /// pattern without paying the scheduler and lowering passes again.
-    ///
-    /// # Errors
-    ///
-    /// As [`DecodeSession::open`].
-    pub fn decode_session_with_plan(
-        &self,
-        plan: &Arc<CompiledPlan>,
-    ) -> Result<DecodeSession, SaloError> {
-        DecodeSession::open(self.accelerator().clone(), Arc::clone(plan))
     }
 }
 
@@ -133,7 +117,7 @@ impl DecodeSession {
     }
 
     /// The session's compiled plan, shareable with further sessions via
-    /// [`Salo::decode_session_with_plan`].
+    /// [`DecodeSession::open`].
     #[must_use]
     pub fn shared_plan(&self) -> Arc<CompiledPlan> {
         Arc::clone(&self.compiled)
@@ -369,7 +353,8 @@ mod tests {
         let pattern = sink_pattern(24);
         let mut first = salo.decode_session(&pattern, 4).unwrap();
         let plan = first.shared_plan();
-        let mut second = salo.decode_session_with_plan(&plan).unwrap();
+        let mut second =
+            DecodeSession::open(salo.accelerator().clone(), Arc::clone(&plan)).unwrap();
         assert!(Arc::ptr_eq(&plan, &second.shared_plan()), "the plan is shared, not recompiled");
 
         let qkv = Qkv::random(24, 4, 11);

@@ -472,7 +472,7 @@ impl AttentionResponse {
 
     /// The variant's name, for error reporting.
     #[must_use]
-    pub fn variant_name(&self) -> &'static str {
+    fn variant_name(&self) -> &'static str {
         match self {
             AttentionResponse::Prefill(_) => "Prefill",
             AttentionResponse::DecodeOpened(_) => "DecodeOpened",
@@ -571,7 +571,7 @@ impl Salo {
     /// A fresh [`SystolicEngine`] (event-accurate oracle) over this
     /// instance's accelerator.
     #[must_use]
-    pub fn systolic_engine(&self) -> SystolicEngine {
+    fn systolic_engine(&self) -> SystolicEngine {
         SystolicEngine::new(self.accelerator().clone())
     }
 

@@ -94,7 +94,7 @@ impl ExpLut {
     ///
     /// # Panics
     ///
-    /// Panics if `segments == 0`; use [`ExpLut::with_segments`] for a
+    /// Panics if `segments == 0`; use [`ExpLut::with_domain`] for a
     /// fallible constructor.
     #[must_use]
     pub fn new(segments: usize) -> Self {
@@ -106,7 +106,7 @@ impl ExpLut {
     /// # Errors
     ///
     /// Returns [`FixedError::EmptyLut`] if `segments == 0`.
-    pub fn with_segments(segments: usize) -> Result<Self, FixedError> {
+    fn with_segments(segments: usize) -> Result<Self, FixedError> {
         Self::with_domain(segments, Self::X_LO, Self::X_HI)
     }
 

@@ -39,7 +39,7 @@ pub fn dequantize(values: &[Fix8x4]) -> Vec<f32> {
 
 /// Quality metrics of a quantization round trip.
 ///
-/// Used by the Table 3 reproduction (`salo-quant`) to show that Q.4 inputs
+/// Used by the Table 3 reproduction (`salo-paper`) to show that Q.4 inputs
 /// keep attention outputs within a fraction of the decision margin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationReport {
@@ -66,7 +66,7 @@ impl QuantizationReport {
     /// are divided by `scale` before comparison, so the report reflects the
     /// error in the original units).
     #[must_use]
-    pub fn measure_scaled(values: &[f32], scale: f32) -> Self {
+    fn measure_scaled(values: &[f32], scale: f32) -> Self {
         if values.is_empty() {
             return Self { mse: 0.0, max_abs_error: 0.0, sqnr_db: f64::INFINITY, saturated: 0 };
         }

@@ -42,8 +42,8 @@
 //!
 //! **A frame is encoded once, at its size.** A counting pass over the same
 //! `Wire` impls sizes the buffer exactly, then the writing pass fills it:
-//! no frame is built by doubling, and [`encode_response_into`] appends to a
-//! buffer the caller is gathering replies in.
+//! no frame is built by doubling, and a run of replies to one connection
+//! is appended to one buffer.
 //!
 //! Patterns ride as their [`PatternTerm`] IR (PR 9): `from_terms` is
 //! idempotent on `terms()`, so decoding reproduces the sender's pattern
@@ -1018,17 +1018,13 @@ pub fn encode_request(header: Header, req: &Request) -> Vec<u8> {
 #[must_use]
 pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
     let mut frame = Vec::new();
-    encode_response_into(&mut frame, header, resp);
+    frame_into(&mut frame, header, resp);
     frame
 }
 
-/// Appends a response's complete frame to `out`: a run of replies to one
-/// connection is gathered in one buffer, with no `Vec` per reply.
-pub fn encode_response_into(out: &mut Vec<u8>, header: Header, resp: &Response) {
-    frame_into(out, header, resp);
-}
-
-/// [`encode_response_into`] for a reply still in the engine's types.
+/// Appends a reply's complete frame, still in the engine's types, to
+/// `out`: a run of replies to one connection is gathered in one buffer,
+/// with no `Vec` per reply.
 pub(crate) fn encode_outgoing_into(out: &mut Vec<u8>, header: Header, resp: &Outgoing) {
     frame_into(out, header, resp);
 }

@@ -7,12 +7,15 @@
 //! quantized as soon as it is read.
 //!
 //! Its own binary, one test: the counting allocator is the process's
-//! global allocator and its counters are process-wide, so nothing else may
-//! be allocating beside the section being measured.
+//! global allocator. It counts only the calls made on the thread that armed
+//! the section being measured, so libtest's main thread, which may allocate
+//! while the test runs, is not charged to it. Every section here runs on
+//! the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::BufReader;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use salo_core::FixedQkv;
 use salo_gateway::wire::{
@@ -22,14 +25,24 @@ use salo_gateway::wire::{
 use salo_kernels::{Matrix, Qkv};
 
 /// Bytes live, their high-water mark, and the number of allocator calls
-/// that handed out or moved a block.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// that handed out or moved a block. `LIVE` is what counted sections
+/// allocated less what they freed; a section may free a block it did not
+/// count, so it may fall below zero.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is running a measured section. `const`-
+    /// initialised and without a destructor, so reading it from inside the
+    /// allocator allocates nothing.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 
 struct Counting;
 
 fn grew(by: usize) {
+    let by = by as isize;
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's `layout` is passed through as it came.
         let block = unsafe { System.alloc(layout) };
-        if !block.is_null() {
+        if !block.is_null() && ARMED.get() {
             ALLOCATIONS.fetch_add(1, Relaxed);
             grew(layout.size());
         }
@@ -52,15 +65,17 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `block` came from `alloc`/`realloc` above, i.e. from
         // `System`, with this `layout`.
         unsafe { System.dealloc(block, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        if ARMED.get() {
+            LIVE.fetch_sub(layout.size() as isize, Relaxed);
+        }
     }
 
     unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // SAFETY: as `dealloc`; `new_size` is the caller's.
         let moved = unsafe { System.realloc(block, layout, new_size) };
-        if !moved.is_null() {
+        if !moved.is_null() && ARMED.get() {
             ALLOCATIONS.fetch_add(1, Relaxed);
-            LIVE.fetch_sub(layout.size(), Relaxed);
+            LIVE.fetch_sub(layout.size() as isize, Relaxed);
             grew(new_size);
         }
         moved
@@ -76,9 +91,11 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
     let allocations = ALLOCATIONS.load(Relaxed);
+    ARMED.set(true);
     let result = f();
-    let peak = PEAK.load(Relaxed) - before;
-    let left = LIVE.load(Relaxed) - before;
+    ARMED.set(false);
+    let peak = (PEAK.load(Relaxed) - before) as usize;
+    let left = usize::try_from(LIVE.load(Relaxed) - before).expect("the section freed on net");
     (result, peak, left, ALLOCATIONS.load(Relaxed) - allocations)
 }
 

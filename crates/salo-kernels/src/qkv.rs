@@ -62,6 +62,35 @@ impl Qkv {
     pub fn head_dim(&self) -> usize {
         self.q.cols()
     }
+
+    /// Checks that an attention kernel's query, key and value operands
+    /// share one shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns a dimension error naming the first operand that disagrees
+    /// with the query.
+    pub fn check_shapes(
+        q: &Matrix<f32>,
+        k: &Matrix<f32>,
+        v: &Matrix<f32>,
+    ) -> Result<(), KernelError> {
+        if q.shape() != k.shape() {
+            return Err(KernelError::DimMismatch {
+                context: "attention q/k",
+                left: q.shape(),
+                right: k.shape(),
+            });
+        }
+        if q.shape() != v.shape() {
+            return Err(KernelError::DimMismatch {
+                context: "attention q/v",
+                left: q.shape(),
+                right: v.shape(),
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

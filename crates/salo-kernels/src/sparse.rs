@@ -3,8 +3,7 @@
 use salo_fixed::softmax_f64;
 use salo_patterns::HybridPattern;
 
-use crate::dense::check_shapes;
-use crate::{KernelError, Matrix};
+use crate::{KernelError, Matrix, Qkv};
 
 /// Computes exact sparse attention: for each query `i`, softmax over only
 /// the keys the pattern keeps, then the weighted sum of the corresponding
@@ -24,7 +23,7 @@ pub fn sparse_attention(
     v: &Matrix<f32>,
     scale: f32,
 ) -> Result<Matrix<f32>, KernelError> {
-    check_shapes(q, k, v)?;
+    Qkv::check_shapes(q, k, v)?;
     let (n, d) = q.shape();
     if pattern.n() != n {
         return Err(KernelError::PatternLengthMismatch { pattern_n: pattern.n(), rows: n });
@@ -58,20 +57,8 @@ pub fn sparse_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dense_attention, gaussian_matrix};
+    use crate::gaussian_matrix;
     use salo_patterns::{longformer, sliding_only, HybridPattern, Window};
-
-    #[test]
-    fn full_window_matches_dense() {
-        let n = 12;
-        let p = sliding_only(n, 2 * n + 1).unwrap(); // covers everything
-        let q = gaussian_matrix(1, n, 4, 0.0, 1.0);
-        let k = gaussian_matrix(2, n, 4, 0.0, 1.0);
-        let v = gaussian_matrix(3, n, 4, 0.0, 1.0);
-        let sparse = sparse_attention(&p, &q, &k, &v, 0.5).unwrap();
-        let dense = dense_attention(&q, &k, &v, 0.5).unwrap();
-        assert!(sparse.max_abs_diff(&dense) < 1e-5);
-    }
 
     #[test]
     fn pattern_length_checked() {

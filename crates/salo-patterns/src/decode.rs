@@ -39,7 +39,7 @@ use crate::{HybridPattern, PatternError};
 /// let view = p.decode_view()?;
 /// assert_eq!(view.min_step(), 1, "token 0 is global: decode starts at 1");
 /// // Step 8 attends the causal window {6, 7, 8} plus the global key 0.
-/// assert_eq!(view.keys_at(8), vec![0, 6, 7, 8]);
+/// assert_eq!(view.causal_pattern().row_keys(8), vec![0, 6, 7, 8]);
 /// # Ok::<(), salo_patterns::PatternError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,18 +90,6 @@ impl DecodeView {
         self.min_step
     }
 
-    /// Whether position `t` can be produced as a decode step.
-    #[must_use]
-    pub fn is_decodable(&self, t: usize) -> bool {
-        t >= self.min_step && t < self.causal.n()
-    }
-
-    /// The range of decodable steps (`min_step..n`).
-    #[must_use]
-    pub fn decodable_steps(&self) -> std::ops::Range<usize> {
-        self.min_step..self.causal.n()
-    }
-
     /// The active key set of query position `t`: the causal window band
     /// clipped to `[0, t]` (dilation grid preserved) plus every global
     /// token `<= t`; for a global `t`, the whole history `0..=t`. Sorted
@@ -116,7 +104,7 @@ impl DecodeView {
     /// Panics if `t >= n` (caller logic error, matching
     /// [`HybridPattern::row_keys`]).
     #[must_use]
-    pub fn keys_at(&self, t: usize) -> Vec<usize> {
+    fn keys_at(&self, t: usize) -> Vec<usize> {
         assert!(t < self.causal.n(), "step {t} outside capacity {n}", n = self.causal.n());
         if self.causal.is_global(t) {
             return (0..=t).collect();
@@ -128,7 +116,7 @@ impl DecodeView {
 
     /// Number of active keys at step `t`.
     #[must_use]
-    pub fn nnz_at(&self, t: usize) -> usize {
+    fn nnz_at(&self, t: usize) -> usize {
         self.keys_at(t).len()
     }
 
@@ -155,9 +143,6 @@ mod tests {
         let view = p.decode_view().unwrap();
         assert_eq!(view.n(), 12);
         assert_eq!(view.min_step(), 1);
-        assert_eq!(view.decodable_steps(), 1..12);
-        assert!(!view.is_decodable(0));
-        assert!(view.is_decodable(11));
         // Causal clipping: window keeps -3..=0 only.
         assert_eq!(view.keys_at(6), vec![0, 3, 4, 5, 6]);
         // Near the start, the band clips to [0, t].
@@ -193,7 +178,7 @@ mod tests {
             .unwrap();
         let view = p.decode_view().unwrap();
         assert_eq!(view.min_step(), 3);
-        for t in view.decodable_steps() {
+        for t in view.min_step()..view.n() {
             assert_eq!(view.keys_at(t), view.causal_pattern().row_keys(t), "step {t}");
         }
     }

@@ -122,7 +122,7 @@ impl DenseMask {
     ///
     /// Panics if the masks have different sizes.
     #[must_use]
-    pub fn symmetric_difference(&self, other: &Self) -> u64 {
+    fn symmetric_difference(&self, other: &Self) -> u64 {
         assert_eq!(self.n, other.n, "mask size mismatch");
         self.bits.iter().zip(&other.bits).filter(|(a, b)| a != b).count() as u64
     }

@@ -211,7 +211,7 @@ impl HybridPattern {
     /// to separate the work of the diagonal-streaming PE array from that of
     /// the global PE row/column and the gather-style residual components.
     #[must_use]
-    pub fn window_allows(&self, i: usize, j: usize) -> bool {
+    fn window_allows(&self, i: usize, j: usize) -> bool {
         let delta = j as i64 - i as i64;
         self.windows.iter().any(|w| w.contains_offset(delta))
     }

@@ -152,18 +152,6 @@ impl Window {
         debug_assert!((self.lo..=0).contains(&aligned_hi));
         Some(Self { lo: self.lo, hi: aligned_hi, dilation: self.dilation })
     }
-
-    /// Number of keys query `i` actually attends through this window in a
-    /// sequence of length `n` (i.e. the width after boundary clipping).
-    #[must_use]
-    pub fn clipped_width(&self, i: usize, n: usize) -> usize {
-        self.offsets()
-            .filter(|&delta| {
-                let j = i as i64 + delta;
-                j >= 0 && (j as usize) < n
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -229,16 +217,5 @@ mod tests {
         assert_eq!(w.hi(), 60);
         assert_eq!(w.width(), 5);
         assert_eq!(w.dilation(), 2);
-    }
-
-    #[test]
-    fn clipped_width_at_boundaries() {
-        let w = Window::symmetric(5).unwrap(); // offsets -2..=2
-        assert_eq!(w.clipped_width(0, 10), 3); // -2,-1 clipped
-        assert_eq!(w.clipped_width(5, 10), 5);
-        assert_eq!(w.clipped_width(9, 10), 3); // +1,+2 clipped
-
-        // Tiny sequence clips everything but the diagonal.
-        assert_eq!(w.clipped_width(0, 1), 1);
     }
 }

@@ -78,12 +78,6 @@ impl IntervalSet {
         self.ranges.is_empty()
     }
 
-    /// Whether the set covers all of `[0, n)`.
-    #[must_use]
-    pub fn covers_all(&self, n: usize) -> bool {
-        n == 0 || (self.ranges.len() == 1 && self.ranges[0].0 == 0 && self.ranges[0].1 >= n)
-    }
-
     /// The gaps of the set within `[0, n)`, as ranges.
     #[must_use]
     pub fn gaps(&self, n: usize) -> Vec<(usize, usize)> {
@@ -151,8 +145,6 @@ mod tests {
         assert_eq!(s.insert_range(15, 25), 5);
         assert_eq!(s.insert_range(0, 40), 25);
         assert_eq!(s.len(), 40);
-        assert!(s.covers_all(40));
-        assert!(!s.covers_all(41));
     }
 
     #[test]
@@ -222,6 +214,5 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.ranges().len(), 1);
-        assert!(s.covers_all(100));
     }
 }

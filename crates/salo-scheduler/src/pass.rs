@@ -78,22 +78,16 @@ pub struct SupplementalPass {
 }
 
 impl Pass {
-    /// The virtual key ranges streamed through the array during this pass:
-    /// the Minkowski sum of the tile rows and the chunk offsets, merged
-    /// into disjoint ranges. `offsets` must be the owning component's
-    /// offset list.
-    #[must_use]
-    pub fn streamed_virtual_ranges(&self, offsets: &[i64], num_keys: usize) -> Vec<(usize, usize)> {
-        self.streamed(offsets, num_keys).collect()
-    }
-
     /// Number of distinct keys streamed (after clipping).
     #[must_use]
     pub fn streamed_key_count(&self, offsets: &[i64], num_keys: usize) -> usize {
         self.streamed(offsets, num_keys).map(|(s, e)| e - s).sum()
     }
 
-    /// The ranges of [`Pass::streamed_virtual_ranges`], one at a time.
+    /// The virtual key ranges streamed through the array during this pass,
+    /// one at a time: the Minkowski sum of the tile rows and the chunk
+    /// offsets, merged into disjoint ranges. `offsets` must be the owning
+    /// component's offset list.
     fn streamed<'a>(
         &self,
         offsets: &'a [i64],
@@ -139,7 +133,7 @@ mod tests {
         let offsets: Vec<i64> = (-2..=2).collect();
         let p = pass(10, 4, 0, 5);
         // virtuals: 10..14 + (-2..=2) => 8..16 (exclusive 16)
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(8, 16)]);
+        assert_eq!(p.streamed(&offsets, 100).collect::<Vec<_>>(), vec![(8, 16)]);
         assert_eq!(p.streamed_key_count(&offsets, 100), 8);
     }
 
@@ -147,7 +141,10 @@ mod tests {
     fn gapped_offsets_stream_separate_ranges() {
         let offsets: Vec<i64> = vec![-10, 0, 10];
         let p = pass(20, 3, 0, 3);
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(10, 13), (20, 23), (30, 33)]);
+        assert_eq!(
+            p.streamed(&offsets, 100).collect::<Vec<_>>(),
+            vec![(10, 13), (20, 23), (30, 33)]
+        );
     }
 
     #[test]
@@ -155,7 +152,7 @@ mod tests {
         let offsets: Vec<i64> = vec![0, 2, 4];
         let p = pass(0, 4, 0, 3);
         // 0..4, 2..6, 4..8 merge into 0..8.
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(0, 8)]);
+        assert_eq!(p.streamed(&offsets, 100).collect::<Vec<_>>(), vec![(0, 8)]);
     }
 
     #[test]
@@ -163,13 +160,13 @@ mod tests {
         let offsets: Vec<i64> = (-4..=0).collect();
         let p = pass(0, 4, 0, 5);
         // virtuals -4..4 clipped to 0..4.
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(0, 4)]);
+        assert_eq!(p.streamed(&offsets, 100).collect::<Vec<_>>(), vec![(0, 4)]);
         // Clipping at the top end.
         let p = pass(98, 2, 4, 1); // offset 0 only
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(98, 100)]);
+        assert_eq!(p.streamed(&offsets, 100).collect::<Vec<_>>(), vec![(98, 100)]);
         // Entirely out of range.
         let p = pass(0, 2, 0, 1); // offset -4
-        assert!(p.streamed_virtual_ranges(&offsets, 100).is_empty());
+        assert!(p.streamed(&offsets, 100).next().is_none());
         assert_eq!(p.streamed_key_count(&offsets, 100), 0);
     }
 
@@ -177,6 +174,6 @@ mod tests {
     fn chunk_subsets_respected() {
         let offsets: Vec<i64> = vec![-8, -4, 0, 4, 8];
         let p = pass(50, 2, 1, 2); // offsets -4, 0
-        assert_eq!(p.streamed_virtual_ranges(&offsets, 100), vec![(46, 48), (50, 52)]);
+        assert_eq!(p.streamed(&offsets, 100).collect::<Vec<_>>(), vec![(46, 48), (50, 52)]);
     }
 }

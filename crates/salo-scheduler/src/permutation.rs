@@ -95,17 +95,6 @@ impl Permutation {
         assert_eq!(data.len(), self.forward.len(), "length mismatch");
         self.forward.iter().map(|&old| data[old].clone()).collect()
     }
-
-    /// Composes two permutations: `(self ∘ other)` applies `other` first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    #[must_use]
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len(), "length mismatch");
-        Self { forward: self.forward.iter().map(|&i| other.forward[i]).collect() }
-    }
 }
 
 #[cfg(test)]
@@ -161,27 +150,6 @@ mod tests {
                 assert_eq!(nj as i64 - ni as i64, delta / d as i64, "i={i} delta={delta}");
             }
         }
-    }
-
-    #[test]
-    fn compose_applies_right_first() {
-        let a = Permutation::from_forward(vec![1, 2, 0]);
-        let b = Permutation::from_forward(vec![2, 0, 1]);
-        let data = vec!['x', 'y', 'z'];
-        let via_compose = a.compose(&b).apply(&data);
-        let via_two_steps = a.apply(&b.apply(&data));
-        // compose gathers: out[new] = data[b[a[new]]]... check consistency
-        // against the two-step application semantics.
-        assert_eq!(
-            via_compose,
-            vec![
-                data[b.forward()[a.forward()[0]]],
-                data[b.forward()[a.forward()[1]]],
-                data[b.forward()[a.forward()[2]]]
-            ]
-        );
-        // Two-step: tmp[new] = data[b[new]]; out[new2] = tmp[a[new2]].
-        assert_eq!(via_two_steps[0], data[b.forward()[a.forward()[0]]]);
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl ServeMetrics {
 
     /// Completes a layer request. `worker` is `None` when it never
     /// reached a worker.
-    pub fn complete_layer(
+    pub(crate) fn complete_layer(
         &self,
         ticket: LayerTicket,
         cache_hit: bool,
@@ -299,7 +299,7 @@ impl ServeMetrics {
 
     /// Completes a session open. Opens pay the compile and the prompt
     /// ingest, so they count toward the wall span like any other work.
-    pub fn complete_open(
+    pub(crate) fn complete_open(
         &self,
         events: &EventSink,
         session: u64,
@@ -319,7 +319,7 @@ impl ServeMetrics {
     /// as one message, in run order: a [`ServeEvent::Steps`] when there
     /// are several, the step's own events when it is alone. Sinks are
     /// served in the order their first step ran.
-    pub fn complete_steps(&self, run: Vec<StepDone>) {
+    pub(crate) fn complete_steps(&self, run: Vec<StepDone>) {
         // (sink, the events owed on it, how many steps they answer).
         let mut owed: Vec<(EventSink, Vec<ServeEvent>, usize)> = Vec::new();
         for StepDone { events, session, submitted, result, retired } in run {

@@ -43,14 +43,6 @@ impl Default for BufferConfig {
     }
 }
 
-impl BufferConfig {
-    /// Total buffer capacity in bytes.
-    #[must_use]
-    pub fn total_bytes(&self) -> usize {
-        (self.query_kb + self.key_kb + self.value_kb + self.output_kb) * 1024
-    }
-}
-
 /// Full accelerator configuration.
 ///
 /// [`AcceleratorConfig::default`] reproduces the synthesized instance of
@@ -174,7 +166,6 @@ mod tests {
         assert_eq!(c.buffers.key_kb, 32);
         assert_eq!(c.buffers.value_kb, 32);
         assert_eq!(c.buffers.output_kb, 32);
-        assert_eq!(c.buffers.total_bytes(), 112 * 1024);
         assert!(c.pipelined);
     }
 

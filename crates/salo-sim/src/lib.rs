@@ -18,7 +18,7 @@
 //!
 //! * [`SpatialAccelerator::execute`] — *functional*: computes real outputs
 //!   in the accelerator's exact fixed-point arithmetic, validated against
-//!   the golden kernel in `salo-kernels`. The hot form is
+//!   the golden kernel in `salo-paper`. The hot form is
 //!   [`SpatialAccelerator::execute_lowered`], which consumes a
 //!   [`LoweredPlan`] (the plan resolved once into flat pass programs) and
 //!   a reusable [`ExecScratch`], making steady-state execution

@@ -383,19 +383,6 @@ impl LoweredPlan {
             + std::mem::size_of_val(&self.pass_bounds[..])
     }
 
-    /// Number of main passes in the program.
-    #[must_use]
-    pub fn num_passes(&self) -> usize {
-        self.pass_bounds.len()
-    }
-
-    /// Op range of main pass `i` (window rows and global duties).
-    #[must_use]
-    pub fn pass_ops(&self, i: usize) -> std::ops::Range<usize> {
-        let b = self.pass_bounds[i];
-        b.start as usize..b.end as usize
-    }
-
     /// Op range of main pass `i`'s global duties only (the window rows are
     /// executed by the systolic array model on the event-accurate path).
     #[must_use]
@@ -448,7 +435,7 @@ mod tests {
         let (plan, low) = lowered(&pattern, HardwareMeta::new(8, 8, 1, 1).unwrap());
         assert_eq!(low.n(), 96);
         for (i, _) in plan.passes().iter().enumerate() {
-            let range = low.pass_ops(i);
+            let range = low.pass_bounds[i].start as usize..low.pass_bounds[i].end as usize;
             let globals = low.pass_global_ops(i);
             assert!(range.start <= globals.start && globals.end == range.end);
             for op in &low.ops()[range.start..globals.start] {
@@ -506,7 +493,7 @@ mod tests {
         let pattern = HybridPattern::builder(30).global_token(0).build().unwrap();
         let (plan, low) = lowered(&pattern, HardwareMeta::new(4, 4, 1, 1).unwrap());
         assert!(plan.passes().is_empty());
-        assert_eq!(low.num_passes(), 0);
+        assert!(low.pass_bounds.is_empty());
         assert_eq!(low.supplemental_ops(), 0..low.ops().len());
         assert!(!low.ops().is_empty());
         // The global row must see all 30 keys, the column the other 29

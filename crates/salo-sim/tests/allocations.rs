@@ -6,10 +6,13 @@
 //! op count.
 //!
 //! Its own binary, one test: the counting allocator is the process's
-//! global allocator and its counter is process-wide, so nothing else may
-//! be allocating beside the section being measured.
+//! global allocator. It counts only the calls made on the thread that armed
+//! the section being measured, so libtest's main thread, which may allocate
+//! while the test runs, is not charged to it. Every section here runs on
+//! the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use salo_kernels::Qkv;
@@ -23,6 +26,13 @@ use salo_sim::{
 /// Allocator calls that handed out or moved a block.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread is running a measured section. `const`-
+    /// initialised and without a destructor, so reading it from inside the
+    /// allocator allocates nothing.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -30,7 +40,9 @@ struct Counting;
 // own atomic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        if ARMED.get() {
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
         // SAFETY: the caller's `layout` is passed through as it came.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +54,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        if ARMED.get() {
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
         // SAFETY: as `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(block, layout, new_size) }
     }
@@ -54,7 +68,9 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f`; returns its result and how many allocations it made.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Relaxed);
+    ARMED.set(true);
     let result = f();
+    ARMED.set(false);
     (result, ALLOCATIONS.load(Relaxed) - before)
 }
 

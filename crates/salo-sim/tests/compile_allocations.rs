@@ -9,11 +9,14 @@
 //! row, never a second copy of the op list.
 //!
 //! Its own binary, one test: the counting allocator is the process's
-//! global allocator and its counters are process-wide, so nothing else may
-//! be allocating beside the section being measured.
+//! global allocator. It counts only the calls made on the thread that armed
+//! the section being measured, so libtest's main thread, which may allocate
+//! while the test runs, is not charged to it. Every section here runs on
+//! the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use salo_patterns::{bigbird, HybridPattern, Window};
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
@@ -23,13 +26,30 @@ use salo_sim::{DecodePlan, LoweredPlan};
 static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 /// Allocator calls that resized (and maybe moved) a block.
 static RESIZES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes in live blocks.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Bytes counted sections allocated less the bytes they freed. A section
+/// may free a block it did not count, so this may fall below zero.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// The most `LIVE` has been since [`peak_of`] last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Whether this thread is running a measured section. `const`-
+    /// initialised and without a destructor, so reading it from inside the
+    /// allocator allocates nothing.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's allocator calls counted.
+fn armed<T>(f: impl FnOnce() -> T) -> T {
+    ARMED.set(true);
+    let result = f();
+    ARMED.set(false);
+    result
+}
 
 /// Counts `bytes` more as live.
 fn grow(bytes: usize) {
+    let bytes = bytes as isize;
     PEAK.fetch_max(LIVE.fetch_add(bytes, Relaxed) + bytes, Relaxed);
 }
 
@@ -40,24 +60,30 @@ struct Counting;
 // own atomics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Relaxed);
-        grow(layout.size());
+        if ARMED.get() {
+            BLOCKS.fetch_add(1, Relaxed);
+            grow(layout.size());
+        }
         // SAFETY: the caller's `layout` is passed through as it came.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        if ARMED.get() {
+            LIVE.fetch_sub(layout.size() as isize, Relaxed);
+        }
         // SAFETY: `block` came from `alloc`/`realloc` above, i.e. from
         // `System`, with this `layout`.
         unsafe { System.dealloc(block, layout) };
     }
 
     unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        RESIZES.fetch_add(1, Relaxed);
-        match new_size.checked_sub(layout.size()) {
-            Some(more) => grow(more),
-            None => _ = LIVE.fetch_sub(layout.size() - new_size, Relaxed),
+        if ARMED.get() {
+            RESIZES.fetch_add(1, Relaxed);
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grow(more),
+                None => _ = LIVE.fetch_sub((layout.size() - new_size) as isize, Relaxed),
+            }
         }
         // SAFETY: as `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(block, layout, new_size) }
@@ -77,7 +103,7 @@ struct Calls {
 /// Runs `f`; returns its result and the allocator calls it made.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, Calls) {
     let (blocks, resizes) = (BLOCKS.load(Relaxed), RESIZES.load(Relaxed));
-    let result = f();
+    let result = armed(f);
     let calls =
         Calls { blocks: BLOCKS.load(Relaxed) - blocks, resizes: RESIZES.load(Relaxed) - resizes };
     (result, calls)
@@ -88,8 +114,8 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, Calls) {
 fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let start = LIVE.load(Relaxed);
     PEAK.store(start, Relaxed);
-    let result = f();
-    (result, PEAK.load(Relaxed) - start)
+    let result = armed(f);
+    (result, (PEAK.load(Relaxed) - start) as usize)
 }
 
 /// Blocks `ExecutionPlan::build` asks for beyond the plan's global duties:

@@ -9,7 +9,7 @@
 use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti};
 use salo::core::{AttentionRequest, Engine, Salo};
 use salo::models::{longformer_base_4096, longformer_layer};
-use salo_bench::compare_workload;
+use salo_paper::compare_workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let salo = Salo::default_config();

@@ -3,13 +3,14 @@
 //! This crate is the façade of a from-scratch reproduction of
 //! *SALO: An Efficient Spatial Accelerator Enabling Hybrid Sparse Attention
 //! Mechanisms for Long Sequences* (DAC 2022). It re-exports the workspace
-//! sub-crates:
+//! sub-crates; [`baselines`], [`models`] and [`quant`] are modules of
+//! [`salo_paper`], the paper's evaluation:
 //!
 //! | module | contents |
 //! |---|---|
 //! | [`patterns`] | hybrid sparse attention patterns (windows + globals) |
 //! | [`fixed`] | the accelerator's fixed-point arithmetic |
-//! | [`kernels`] | dense/sparse reference attention kernels |
+//! | [`kernels`] | matrices, seeded Q/K/V and the exact sparse reference kernel, plus the paper's dense and fixed-point golden kernels |
 //! | [`scheduler`] | the data scheduler (splitting, reordering, Eq. 2 merge) |
 //! | [`sim`] | the cycle-level spatial accelerator simulator |
 //! | [`baselines`] | CPU / GPU / Sanger performance and energy models |
@@ -51,9 +52,13 @@ pub mod fixed {
     pub use salo_fixed::*;
 }
 
-/// Reference attention kernels. See [`salo_kernels`].
+/// Reference attention kernels. See [`salo_kernels`]; the dense baseline
+/// and the fixed-point golden model are [`salo_paper`]'s.
 pub mod kernels {
     pub use salo_kernels::*;
+    pub use salo_paper::{
+        dense_attention, fixed_sparse_attention, FixedAttention, FixedAttentionOutput,
+    };
 }
 
 /// The data scheduler. See [`salo_scheduler`].
@@ -66,19 +71,19 @@ pub mod sim {
     pub use salo_sim::*;
 }
 
-/// Baseline device models. See [`salo_baselines`].
+/// Baseline device models. See [`salo_paper::baselines`].
 pub mod baselines {
-    pub use salo_baselines::*;
+    pub use salo_paper::baselines::*;
 }
 
-/// Workload model configurations. See [`salo_models`].
+/// Workload model configurations. See [`salo_paper::models`].
 pub mod models {
-    pub use salo_models::*;
+    pub use salo_paper::models::*;
 }
 
-/// Quantization accuracy experiments. See [`salo_quant`].
+/// Quantization accuracy experiments. See [`salo_paper::quant`].
 pub mod quant {
-    pub use salo_quant::*;
+    pub use salo_paper::quant::*;
 }
 
 /// The top-level accelerator API. See [`salo_core`].

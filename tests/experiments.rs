@@ -5,7 +5,7 @@ use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti, SangerModel};
 use salo::core::Salo;
 use salo::models::{bert_base, longformer_layer, paper, table2_rows};
 use salo::quant::table3_rows;
-use salo_bench::figure7_comparisons;
+use salo_paper::figure7_comparisons;
 
 /// E1 — motivation: dense GPU attention grows quadratically; the paper's
 /// two anchors are matched.

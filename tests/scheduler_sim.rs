@@ -103,6 +103,51 @@ fn reordering_equals_logical_dilated_execution() {
     assert!(checked > n / 2, "checked {checked} interior rows");
 }
 
+/// The simulator on a `rows x cols` array with one global row and column.
+fn accel(rows: usize, cols: usize) -> SpatialAccelerator {
+    let config = AcceleratorConfig {
+        hw: HardwareMeta::new(rows, cols, 1, 1).unwrap(),
+        ..Default::default()
+    };
+    SpatialAccelerator::new(config)
+}
+
+#[test]
+fn bit_exact_against_golden_when_unsplit() {
+    // No globals, window fits one chunk, tile holds each row once:
+    // every row is one part, so simulator == golden kernel, bit for bit.
+    let n = 24;
+    let d = 8;
+    let pattern = sliding_only(n, 7).unwrap();
+    let qkv = Qkv::random(n, d, 42);
+    let plan = ExecutionPlan::build(&pattern, HardwareMeta::new(8, 8, 0, 0).unwrap()).unwrap();
+    let sim = accel(8, 8);
+    let scale = SpatialAccelerator::default_scale(d);
+    let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let golden =
+        fixed_sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, &FixedAttention::new(d)).unwrap();
+    assert_eq!(out.raw, golden.out, "bit-exact equivalence");
+    assert_eq!(out.weights_q16, golden.weights_q16);
+}
+
+#[test]
+fn close_to_golden_under_window_splitting() {
+    // Window wider than the array: rows split into parts and merge in
+    // the WSM; agreement is within merge rounding.
+    let n = 40;
+    let d = 8;
+    let pattern = sliding_only(n, 21).unwrap();
+    let qkv = Qkv::random(n, d, 7);
+    let plan = ExecutionPlan::build(&pattern, HardwareMeta::new(8, 8, 0, 0).unwrap()).unwrap();
+    let sim = accel(8, 8);
+    let scale = SpatialAccelerator::default_scale(d);
+    let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let golden =
+        fixed_sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, &FixedAttention::new(d)).unwrap();
+    let diff = out.output.max_abs_diff(&golden.to_f32());
+    assert!(diff < 0.05, "split-vs-monolithic diff {diff}");
+}
+
 #[test]
 fn fixed_merge_matches_f64_merge() {
     // Cross-layer: the fixed-point WSM and the f64 Eq. 2 reference agree.

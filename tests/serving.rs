@@ -420,7 +420,7 @@ fn decode_at_scale_reclaims_pages_within_a_bounded_pool() {
 #[test]
 fn traffic_mixes_draw_the_model_layers_they_replace() {
     // The mixes build their layers from pattern presets; each request must
-    // be the one the `salo-models` workload of the same parameters gives.
+    // be the one the `salo::models` workload of the same parameters gives.
     let bits = |heads: &[Qkv]| -> Vec<u32> {
         heads
             .iter()
