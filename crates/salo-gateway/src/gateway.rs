@@ -26,7 +26,7 @@
 //!   What is outstanding is also counted in bytes
 //!   (`gateway.request_bytes`, frame lengths), observed and not bounded;
 //! * one **completion** thread blocks on the one `Receiver<ServeEvent>`
-//!   behind the [`EventSink`] every request the gateway submits reports
+//!   behind the `EventSink` every request the gateway submits reports
 //!   into — the serve workers send there directly — and routes a layer
 //!   response by its serve request id, a session event by its session id:
 //!   a session's replies leave in step order because its waiters form a
@@ -48,51 +48,25 @@
 //!   of its exact size — or appended to the buffer a run of session
 //!   replies is being gathered in.
 //!
-//! Nobody's job is to submit: [`State::dispatch`] runs on the two threads
-//! that can make work or room, at the moment they do — a reader that has
-//! just admitted, the completion thread that has just freed a slot. It
-//! pops the admitted queues in deficit round robin across tenants and
-//! hands each request to the server (`submit_into` / `open_session_into`
-//! / `step_session` / `close_session`) without waiting for it, recording
-//! who is owed the reply in the in-flight table, while what is in flight
-//! holds less than a *window* of slots ([`in_flight_window`], [`slots`]):
-//! `workers × 8 × 4`, four rounds of eight requests per worker, set by
-//! the worker count alone. The workers' queues never hold more than a
-//! window, and a tenant arriving late waits for at most that much foreign
-//! work — four rounds of decode steps, or one round of layers.
-//!
-//! Every table — admission queues, outstanding counters, in-flight
-//! waiters, sessions — lives under one lock, and [`State::dispatch`] calls
-//! into the server *while its caller holds it*, so a completion can never
-//! outrun the registration of the request it answers. The calls are
-//! non-blocking: validation plus a channel send, a few microseconds. An
-//! `Open` is validated from its shape and its last global alone; its
-//! causal clip, linear in the sequence length (at `n = 100 000`, 0.3 ms
-//! for a window/global pattern and 1.5 ms for one with block-sparse
-//! terms, EXPERIMENTS.md), is built on the pinned worker, off the lock.
-//! Socket writes always happen outside the lock.
-//!
-//! Admission and fairness live in the gateway alone: the quota bounds
-//! what a tenant may have outstanding, DRR interleaves what is admitted
-//! a quantum at a time, and the window keeps the workers' queues — the
-//! one hop behind `submit_into` — staging, not a second place to wait.
+//! What the gateway decides is one [`State`] under one lock (`state.rs`),
+//! reaching the server through a [`Backend`]; this file is the transport
+//! around it. Socket writes always happen outside the lock.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use salo_serve::{
-    EventSink, SaloServer, ServeError, ServeEvent, ServeOptions, ServeReport, ServeRequest,
-    ServeResponse, SessionRequest,
-};
+use salo_serve::{SaloServer, ServeEvent, ServeOptions, ServeReport, ServeResponse};
 use salo_sim::AcceleratorConfig;
-use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
+use salo_trace::{Counter, MetricsRegistry};
 
+use crate::state::{
+    error, in_flight_window, serve_error, Backend, ConnShared, Pending, Reply, Served, State,
+};
 use crate::wire::{self, EngineHead, ErrorCode, ErrorFrame, Header, Incoming, Outgoing, WireError};
 
 /// Gateway configuration: the wrapped server's options plus the knobs of
@@ -165,37 +139,6 @@ pub struct GatewayReport {
     pub drained_in_deadline: bool,
 }
 
-/// Requests per worker in one round of the in-flight window.
-const ROUND_PER_WORKER: usize = 8;
-
-/// Rounds of `workers × ROUND_PER_WORKER` requests the in-flight window
-/// covers. Swept on the socket benchmark with decode steps
-/// (EXPERIMENTS.md, "In-flight window"): a worker's tick fuses the steps
-/// of several rounds.
-const WINDOW_ROUNDS: usize = 4;
-
-/// How many slots of work [`State::dispatch`] keeps submitted and unanswered
-/// at once: enough that every worker's queue and its fused decode tick
-/// see several wire requests together, small enough
-/// that a tenant arriving late waits for at most this much foreign work.
-fn in_flight_window(serve: &ServeOptions) -> usize {
-    serve.workers.max(1) * ROUND_PER_WORKER * WINDOW_ROUNDS
-}
-
-/// Window slots `request` holds while in flight. A layer request holds a
-/// whole round's share: nothing fuses layers, a worker runs them one
-/// after another, so more than one round of them
-/// (`workers × ROUND_PER_WORKER`) would only sit in the workers' queues —
-/// milliseconds each — ahead of whoever arrives next. Session requests
-/// hold one.
-fn slots(request: &Incoming) -> usize {
-    if matches!(request, Incoming::Prefill { .. }) {
-        WINDOW_ROUNDS
-    } else {
-        1
-    }
-}
-
 /// Capacity of a connection's read buffer: a pipelined burst of small
 /// frames arrives in one `read`, and a large frame is decoded out of it
 /// this much at a time — it is the only place a request's bytes ever are.
@@ -204,448 +147,6 @@ const READ_BUFFER: usize = 64 * 1024;
 /// Bytes of consecutive replies to one connection the completion thread
 /// gathers into a single write.
 const WRITE_GATHER: usize = 64 * 1024;
-
-/// One admitted, not-yet-dispatched request.
-struct Pending {
-    header: Header,
-    request: Incoming,
-    conn: Arc<ConnShared>,
-    /// The request's frame length: its share of `gateway.request_bytes`
-    /// from admission until its reply is decided.
-    bytes: usize,
-    enqueued: Instant,
-    /// `enqueued + service_timeout`. Stamped under the state lock, so
-    /// deadlines never decrease in admission order.
-    deadline: Instant,
-}
-
-/// One tenant's admission state.
-struct Tenant {
-    queue: VecDeque<Pending>,
-    /// Admitted and not yet answered — queued plus in flight. This, not
-    /// the queue's length, is what `tenant_quota` bounds.
-    outstanding: usize,
-    /// Unspent deficit of the current dispatch visit; nonzero between
-    /// visits only when the in-flight window cut the visit short.
-    deficit: usize,
-    /// `gateway.tenant.{id}.queue_wait_ns`, resolved once per tenant.
-    queue_wait: Arc<LogHistogram>,
-}
-
-/// Who is owed the reply to a request the server is working on.
-struct Waiter {
-    conn: Arc<ConnShared>,
-    header: Header,
-    /// The request's frame length ([`Pending::bytes`]).
-    bytes: usize,
-    deadline: Instant,
-    /// Window slots held until the completion arrives ([`slots`]).
-    slots: usize,
-    /// The deadline passed and the `TimedOut` frame went out; the waiter
-    /// stays (and keeps its window slot) until the completion arrives,
-    /// so completions and waiters stay paired, then is dropped silently.
-    answered: bool,
-}
-
-/// A decode session the gateway opened, keyed by its serve session id.
-struct SessionEntry {
-    conn: Arc<ConnShared>,
-    opened_by: Header,
-    /// The `Opened` event arrived and answered the open with the id.
-    opened: bool,
-    /// A close has been submitted: the session takes no further requests
-    /// and disappears with its `Closed` event.
-    closing: bool,
-    /// The open, then every step (and at most one close) submitted and
-    /// not yet completed, oldest first — the order their events arrive.
-    waiters: VecDeque<Waiter>,
-}
-
-/// A reply decided under the lock, written after it is released.
-struct Reply {
-    conn: Arc<ConnShared>,
-    header: Header,
-    response: Outgoing,
-}
-
-/// Everything the gateway's threads share, under one lock: admission
-/// queues and counters, the dispatch round, and the in-flight table.
-/// Readers hold it to admit, completions to find who is owed a reply, and
-/// either then pops quanta and submits them ([`State::dispatch`]) before letting
-/// go; nobody writes to a socket while holding it.
-#[derive(Default)]
-struct State {
-    tenants: BTreeMap<u64, Tenant>,
-    /// Admitted and not yet answered across all tenants (the global
-    /// bound's counter).
-    outstanding_total: usize,
-    /// `gateway.request_bytes`: the frame lengths of what
-    /// `outstanding_total` counts — entered at admission, exited where the
-    /// admission slot is released. Observed, not yet bounded.
-    request_bytes: Arc<Gauge>,
-    /// Tenants with queued work, in round-robin visit order — the record
-    /// of what is queued: a tenant whose queue a deadline emptied is
-    /// dropped when its turn comes.
-    round: VecDeque<u64>,
-    /// Slots held by the waiters in `layers` and `sessions`: what the
-    /// window bounds.
-    in_flight: usize,
-    /// Layer requests in flight, by serve request id.
-    layers: HashMap<u64, Waiter>,
-    /// Sessions opened (or opening), by session id.
-    sessions: HashMap<u64, SessionEntry>,
-    /// A lower bound on the earliest deadline among unanswered requests;
-    /// `None` when the last scan found none. Deadlines never decrease in
-    /// admission order, so a new admission can only leave it unchanged.
-    next_expiry: Option<Instant>,
-    /// The submit side: the server, and the one sink whose receiver the
-    /// completion thread blocks on — every submission gets a clone of it,
-    /// so a worker can tell its steps share a channel. The drain takes it
-    /// out to close the live sessions and drops it — shutting the server
-    /// down needs every reference to it gone, and the completion thread
-    /// ends when the last clone of the sink is.
-    server: Option<(Arc<SaloServer>, EventSink)>,
-}
-
-fn earliest(current: Option<Instant>, deadline: Instant) -> Option<Instant> {
-    Some(current.map_or(deadline, |at| at.min(deadline)))
-}
-
-fn error(code: ErrorCode, message: &str) -> Outgoing {
-    Outgoing::Error(ErrorFrame { code, message: message.to_owned(), retry_after_ms: None })
-}
-
-fn serve_error(e: &ServeError) -> Outgoing {
-    let code = match e {
-        ServeError::InvalidRequest { .. } => ErrorCode::Invalid,
-        ServeError::UnknownSession { .. } => ErrorCode::UnknownSession,
-        _ => ErrorCode::Internal,
-    };
-    error(code, &e.to_string())
-}
-
-impl State {
-    /// Admits `pending` unless its tenant or the gateway already has its
-    /// quota outstanding; a refusal returns the depth it ran into.
-    /// `queue_wait` resolves a new tenant's histogram.
-    fn admit(
-        &mut self,
-        pending: Pending,
-        options: &GatewayOptions,
-        queue_wait: impl FnOnce() -> Arc<LogHistogram>,
-    ) -> Result<(), usize> {
-        let id = pending.header.tenant;
-        let outstanding = self.tenants.get(&id).map_or(0, |t| t.outstanding);
-        if outstanding >= options.tenant_quota || self.outstanding_total >= options.global_queue {
-            return Err(self.outstanding_total.max(outstanding));
-        }
-        let tenant = self.tenants.entry(id).or_insert_with(|| Tenant {
-            queue: VecDeque::new(),
-            outstanding: 0,
-            deficit: 0,
-            queue_wait: queue_wait(),
-        });
-        if tenant.queue.is_empty() && !self.round.contains(&id) {
-            self.round.push_back(id);
-        }
-        self.next_expiry = self.next_expiry.or(Some(pending.deadline));
-        self.request_bytes.add(pending.bytes as i64);
-        tenant.queue.push_back(pending);
-        tenant.outstanding += 1;
-        self.outstanding_total += 1;
-        Ok(())
-    }
-
-    /// One of `tenant`'s admitted requests, of `bytes` on the wire, is
-    /// answered: its admission slot is free again.
-    fn release(&mut self, tenant: u64, bytes: usize) {
-        if let Some(tenant) = self.tenants.get_mut(&tenant) {
-            tenant.outstanding -= 1;
-        }
-        self.outstanding_total -= 1;
-        self.request_bytes.add(-(bytes as i64));
-    }
-
-    /// Pops requests from the tenant at the head of the round while
-    /// `room` window slots are left, within its deficit: a visit starts
-    /// with `quantum`, and a tenant that spends it with work left rotates
-    /// to the back. A visit the window cuts short (`room` ran out first)
-    /// resumes with what is left of its deficit, so the window never
-    /// costs a tenant its turn. The last request popped may need more
-    /// slots than were left: the window is overshot by less than one
-    /// request's slots rather than blocking on the head of a queue.
-    /// Tenants whose queues empty leave the round and forfeit their
-    /// deficit. Each popped request records its queue wait.
-    fn pop_quantum(&mut self, quantum: usize, room: usize) -> Vec<Pending> {
-        let mut batch = Vec::new();
-        let mut taken = 0;
-        while let Some(&id) = self.round.front() {
-            let Some(tenant) = self.tenants.get_mut(&id).filter(|t| !t.queue.is_empty()) else {
-                self.round.pop_front();
-                continue;
-            };
-            if tenant.deficit == 0 {
-                tenant.deficit = quantum.max(1);
-            }
-            while tenant.deficit > 0 && taken < room {
-                let Some(pending) = tenant.queue.pop_front() else { break };
-                tenant.deficit -= 1;
-                taken += slots(&pending.request);
-                salo_trace::record_since(
-                    "gateway.tenant_queue_wait",
-                    "gateway",
-                    pending.enqueued,
-                    id,
-                );
-                let waited = pending.enqueued.elapsed().as_nanos();
-                tenant.queue_wait.record(waited.min(u128::from(u64::MAX)) as u64);
-                batch.push(pending);
-            }
-            if tenant.queue.is_empty() {
-                tenant.deficit = 0;
-                self.round.pop_front();
-            } else if tenant.deficit == 0 {
-                self.round.rotate_left(1);
-            }
-            break;
-        }
-        batch
-    }
-
-    /// Submits queued requests, a DRR quantum at a time, while the window
-    /// has room. Each pass pops at least one request or empties the round.
-    /// What is refused is left in `out`, for the calling thread to write
-    /// once it has released the lock.
-    fn dispatch(&mut self, options: &GatewayOptions, out: &mut Vec<Reply>) {
-        let window = in_flight_window(&options.serve);
-        while !self.round.is_empty() && self.in_flight < window {
-            // Cloned so that `submit` can have the whole state, and dropped
-            // before the lock is: the drain, which takes the original out
-            // under it, never finds a copy alive.
-            let Some((server, events)) = self.server.clone() else { return };
-            for pending in self.pop_quantum(options.tenant_quantum, window - self.in_flight) {
-                submit(&server, self, pending, &events, out);
-            }
-        }
-    }
-
-    /// Session `session`, if its open was answered on `conn` and it is
-    /// still taking requests.
-    fn live_session(&mut self, session: u64, conn: &ConnShared) -> Option<&mut SessionEntry> {
-        let entry = self.sessions.get_mut(&session)?;
-        (entry.opened && entry.conn.id == conn.id && !entry.closing).then_some(entry)
-    }
-
-    /// A completion arrived for `waiter`: its window slot is free — and
-    /// goes to queued work before the lock does — and so is its admission
-    /// slot unless the deadline already answered it. Returns who to answer.
-    fn settle(
-        &mut self,
-        waiter: Waiter,
-        options: &GatewayOptions,
-        out: &mut Vec<Reply>,
-    ) -> Option<(Arc<ConnShared>, Header)> {
-        self.in_flight -= waiter.slots;
-        self.dispatch(options, out);
-        if waiter.answered {
-            return None;
-        }
-        self.release(waiter.header.tenant, waiter.bytes);
-        Some((waiter.conn, waiter.header))
-    }
-
-    /// Answers the waiter at the head of a session's FIFO with a session
-    /// event, settling it; the reply is left in `out`.
-    fn route_session_event(
-        &mut self,
-        event: ServeEvent,
-        options: &GatewayOptions,
-        out: &mut Vec<Reply>,
-    ) {
-        match event {
-            ServeEvent::Opened { session, result } => {
-                let Some(entry) = self.sessions.get_mut(&session) else { return };
-                let Some(waiter) = entry.waiters.pop_front() else { return };
-                let response = match result {
-                    Ok(_) if entry.closing => {
-                        error(ErrorCode::Draining, "gateway drained before the open completed")
-                    }
-                    Ok(info) => {
-                        entry.opened = true;
-                        Outgoing::Opened {
-                            session,
-                            min_step: info.min_step as u64,
-                            position: info.position as u64,
-                            capacity: info.capacity as u64,
-                        }
-                    }
-                    Err(e) => {
-                        // The server deregistered it; no `Closed` follows.
-                        self.sessions.remove(&session);
-                        serve_error(&e)
-                    }
-                };
-                if let Some((conn, header)) = self.settle(waiter, options, out) {
-                    out.push(Reply { conn, header, response });
-                }
-            }
-            ServeEvent::Step { session, result, .. } => {
-                let Some(entry) = self.sessions.get_mut(&session) else { return };
-                let Some(waiter) = entry.waiters.pop_front() else { return };
-                let Some((conn, header)) = self.settle(waiter, options, out) else { return };
-                let response = match result {
-                    Ok(step) => Outgoing::Stepped {
-                        session,
-                        position: step.position as u64,
-                        heads: step.heads,
-                    },
-                    Err(e) => serve_error(&e),
-                };
-                out.push(Reply { conn, header, response });
-            }
-            ServeEvent::Closed { session, position } => {
-                // Terminal, whoever asked: the client, the drain, a dead
-                // connection's reader, or a failure that retired the
-                // session. Whatever still waits on it is answered with the
-                // close.
-                let Some(entry) = self.sessions.remove(&session) else { return };
-                let position = position.map(|p| p as u64);
-                for waiter in entry.waiters {
-                    if let Some((conn, header)) = self.settle(waiter, options, out) {
-                        let response = Outgoing::Closed { session, position };
-                        out.push(Reply { conn, header, response });
-                    }
-                }
-            }
-            // A layer is a message of its own, and a `Steps` holds only
-            // session events: neither reaches here.
-            ServeEvent::Layer(_) | ServeEvent::Steps(_) => {}
-        }
-    }
-
-    /// Answers every request past its deadline with a `TimedOut` reply in
-    /// `out` and returns how many there were. A queued request leaves its
-    /// queue; one in flight stays as an answered waiter until its
-    /// completion arrives. A timed-out open also closes its session: the
-    /// client never learns the id it would need to do so itself.
-    fn expire(&mut self, now: Instant, out: &mut Vec<Reply>) -> u64 {
-        if self.next_expiry.is_none_or(|at| at > now) {
-            return 0;
-        }
-        let before = out.len();
-        let mut next = None;
-        // The admission slots answered here: `(tenant, bytes)`, released
-        // once the tables have been walked.
-        let mut answered = Vec::new();
-        let State { tenants, layers, sessions, server, .. } = &mut *self;
-        for tenant in tenants.values_mut() {
-            while let Some(front) = tenant.queue.front() {
-                if front.deadline > now {
-                    next = earliest(next, front.deadline);
-                    break;
-                }
-                let Pending { conn, header, bytes, .. } =
-                    tenant.queue.pop_front().expect("front exists");
-                answered.push((header.tenant, bytes));
-                let response = error(
-                    ErrorCode::TimedOut,
-                    "request spent its service deadline in the dispatch queue",
-                );
-                out.push(Reply { conn, header, response });
-            }
-        }
-        let mut overdue = |waiter: &mut Waiter| {
-            if waiter.answered {
-                return false;
-            }
-            if waiter.deadline > now {
-                next = earliest(next, waiter.deadline);
-                return false;
-            }
-            waiter.answered = true;
-            answered.push((waiter.header.tenant, waiter.bytes));
-            let response = error(ErrorCode::TimedOut, "request outlived its service deadline");
-            out.push(Reply { conn: Arc::clone(&waiter.conn), header: waiter.header, response });
-            true
-        };
-        layers.values_mut().for_each(|waiter| {
-            overdue(waiter);
-        });
-        for (&session, entry) in sessions.iter_mut() {
-            // Not opened and not closing: the open's waiter is in front.
-            let opening = !entry.opened && !entry.closing;
-            for (at, waiter) in entry.waiters.iter_mut().enumerate() {
-                if overdue(waiter) && at == 0 && opening {
-                    entry.closing = true;
-                    // Gone only after the drain closed every session.
-                    if let Some((server, _)) = server {
-                        let _ = server.close_session(session);
-                    }
-                }
-            }
-        }
-        for (tenant, bytes) in answered {
-            self.release(tenant, bytes);
-        }
-        self.next_expiry = next;
-        (out.len() - before) as u64
-    }
-
-    /// `conn` is gone: submits a close for each of its sessions, without
-    /// waiting. Each disappears with its `Closed` event, which has nobody
-    /// left to be written to.
-    fn close_sessions_of(&mut self, conn: &ConnShared, server: &SaloServer) {
-        let orphans = self.sessions.iter_mut().filter(|(_, e)| e.conn.id == conn.id && !e.closing);
-        for (&session, entry) in orphans {
-            entry.closing = true;
-            let _ = server.close_session(session);
-        }
-    }
-
-    /// The drain's last submissions: a close for every session still
-    /// taking requests, after which the submit side is given up. An opened
-    /// session's terminal `Closed` frame answers its open request, so it
-    /// waits in the session's FIFO like a close the client had asked for,
-    /// under a service deadline of its own; a session still opening has
-    /// its open answered instead.
-    fn close_all_sessions(&mut self, inner: &Inner) {
-        let Some((server, _)) = self.server.take() else { return };
-        let deadline = inner.deadline(Instant::now());
-        let State { tenants, outstanding_total, in_flight, sessions, next_expiry, .. } = self;
-        for (&session, entry) in sessions.iter_mut().filter(|(_, entry)| !entry.closing) {
-            entry.closing = true;
-            if server.close_session(session).is_err() || !entry.opened {
-                continue;
-            }
-            entry.waiters.push_back(Waiter {
-                conn: Arc::clone(&entry.conn),
-                header: entry.opened_by,
-                bytes: 0,
-                deadline,
-                slots: 1,
-                answered: false,
-            });
-            *next_expiry = next_expiry.or(Some(deadline));
-            *in_flight += 1;
-            if let Some(tenant) = tenants.get_mut(&entry.opened_by.tenant) {
-                tenant.outstanding += 1;
-            }
-            *outstanding_total += 1;
-        }
-    }
-}
-
-/// The per-connection state shared between its reader (framing, inline
-/// replies) and whoever answers its requests. The stream mutex serializes
-/// writers; the read half is the reader's own clone and is never locked.
-struct ConnShared {
-    id: u64,
-    stream: Mutex<TcpStream>,
-    /// The write half works. Cleared by a failed write and by nothing
-    /// else: a reader that has left (EOF, or the drain's read-shutdown)
-    /// says nothing about whether replies can still be delivered.
-    alive: AtomicBool,
-}
 
 /// The front door's own counts: the `gateway.*` counters of the server's
 /// registry, resolved once at `bind`. A `Stats` frame shows them live, and
@@ -686,20 +187,18 @@ struct Inner {
     /// acceptor stops accepting.
     draining: AtomicBool,
     next_conn_id: AtomicU64,
-    /// Every connection whose reader has not been joined yet: the acceptor
-    /// adds and reaps, the drain takes what is left.
-    connections: Mutex<Vec<(Arc<ConnShared>, JoinHandle<()>)>>,
+    /// Every connection whose reader has not been joined yet, with the
+    /// handle the drain read-shuts: the acceptor adds and reaps, the drain
+    /// takes what is left.
+    connections: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
     counts: Counts,
 }
 
 impl Inner {
-    fn new(options: GatewayOptions, registry: &MetricsRegistry) -> Self {
+    fn new(options: GatewayOptions, registry: &MetricsRegistry, backend: Box<dyn Backend>) -> Self {
         Inner {
             options,
-            state: Mutex::new(State {
-                request_bytes: registry.gauge("gateway.request_bytes"),
-                ..State::default()
-            }),
+            state: Mutex::new(State::new(registry.gauge("gateway.request_bytes"), backend)),
             draining: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
             connections: Mutex::new(Vec::new()),
@@ -776,14 +275,27 @@ impl Gateway {
         config: AcceleratorConfig,
         options: GatewayOptions,
     ) -> std::io::Result<Self> {
+        Self::start(addr, config, options, |server, events| {
+            Box::new(Served { server, events: events.into() })
+        })
+    }
+
+    /// [`bind`](Self::bind) with the backend `backend` makes of the server
+    /// and the sender of the one channel the completion thread reads.
+    fn start<A: ToSocketAddrs>(
+        addr: A,
+        config: AcceleratorConfig,
+        options: GatewayOptions,
+        backend: impl FnOnce(Arc<SaloServer>, Sender<ServeEvent>) -> Box<dyn Backend>,
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let server = Arc::new(SaloServer::start(config, options.serve));
-        let inner = Arc::new(Inner::new(options, server.metrics()));
         // Everything the gateway submits reports into this one channel.
         let (events_tx, events_rx) = std::sync::mpsc::channel();
-        inner.lock().server = Some((Arc::clone(&server), events_tx.into()));
+        let backend = backend(Arc::clone(&server), events_tx);
+        let inner = Arc::new(Inner::new(options, server.metrics(), backend));
         let acceptor = {
             let (inner, server) = (Arc::clone(&inner), Arc::clone(&server));
             spawn("gateway-accept", move || accept_loop(&inner, &server, listener))
@@ -887,25 +399,14 @@ impl Gateway {
         // Fail whatever is still queued, then end every live session with
         // a terminal `Closed` frame on its connection, correlated to its
         // open; nothing is submitted after that.
-        let leftovers: Vec<Pending> = {
-            let mut state = inner.lock();
-            let state = &mut *state;
-            let leftovers: Vec<Pending> =
-                state.tenants.values_mut().flat_map(|t| t.queue.drain(..)).collect();
-            leftovers
-                .iter()
-                .for_each(|pending| state.release(pending.header.tenant, pending.bytes));
-            state.round.clear();
-            state.close_all_sessions(inner);
-            leftovers
-        };
+        let leftovers = inner.lock().drain(inner.deadline(Instant::now()));
         for pending in leftovers {
             inner.counts.rejected_draining.inc();
             let response = error(
                 ErrorCode::Draining,
                 "gateway drain deadline expired before this request ran",
             );
-            send_response(inner, &pending.conn, pending.header, &response);
+            send_response(inner, &pending.conn, pending.header, response);
         }
 
         if let Some(handle) = self.acceptor.take() {
@@ -916,10 +417,8 @@ impl Gateway {
         // for terminal `Closed` frames.
         let connections =
             std::mem::take(&mut *inner.connections.lock().expect("connections poisoned"));
-        for (conn, handle) in connections {
-            if let Ok(stream) = conn.stream.lock() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
+        for (stream, handle) in connections {
+            let _ = stream.shutdown(Shutdown::Read);
             handle.join().expect("reader panicked");
         }
         drained_in_deadline
@@ -941,17 +440,13 @@ fn accept_loop(inner: &Arc<Inner>, server: &Arc<SaloServer>, listener: TcpListen
                 let _ = stream.set_read_timeout(Some(inner.options.read_timeout));
                 let _ = stream.set_write_timeout(Some(inner.options.write_timeout));
                 let Ok(write_half) = stream.try_clone() else { continue };
-                let conn = Arc::new(ConnShared {
-                    id: conn_id,
-                    stream: Mutex::new(write_half),
-                    alive: AtomicBool::new(true),
-                });
+                let Ok(read_shut) = stream.try_clone() else { continue };
+                let conn = ConnShared::new(conn_id, Box::new(write_half));
                 let (reader_inner, reader_server) = (Arc::clone(inner), Arc::clone(server));
-                let reader_conn = Arc::clone(&conn);
                 let handle = spawn(&format!("gateway-conn-{conn_id}"), move || {
-                    reader_loop(&reader_inner, &reader_server, stream, &reader_conn);
+                    reader_loop(&reader_inner, &reader_server, stream, &conn);
                 });
-                inner.connections.lock().expect("connections poisoned").push((conn, handle));
+                inner.connections.lock().expect("connections poisoned").push((read_shut, handle));
             }
             Err(_) => {
                 // Nobody is connecting (`WouldBlock`) or accepting failed:
@@ -987,7 +482,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                     // before anything knew of it.
                     let response =
                         error(ErrorCode::TimedOut, "connection idle past the read deadline");
-                    send_response(inner, conn, Header::default(), &response);
+                    send_response(inner, conn, Header::default(), response);
                 }
                 break; // EOF, reset, or deadline — connection is done
             }
@@ -995,7 +490,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                 // Framing violation (oversized / short frame): typed
                 // reply, then close — the stream offset is unreliable.
                 let response = error(ErrorCode::BadFrame, &err.to_string());
-                send_response(inner, conn, Header::default(), &response);
+                send_response(inner, conn, Header::default(), response);
                 break;
             }
         };
@@ -1012,14 +507,14 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
                 // to the request the header named if it got that far, and
                 // keep the connection.
                 let response = error(ErrorCode::BadFrame, &err.to_string());
-                send_response(inner, conn, header, &response);
+                send_response(inner, conn, header, response);
                 continue;
             }
             Ok(Incoming::Stats) => {
                 // Served inline off the live registry — stats must work
                 // even when the dispatch queue is saturated.
                 let json = server.metrics().export_json();
-                send_response(inner, conn, header, &Outgoing::Stats { json });
+                send_response(inner, conn, header, Outgoing::Stats { json });
             }
             Ok(request) => admit(inner, server, header, request, frame.len, conn),
         }
@@ -1033,7 +528,7 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
     // but `alive` stays as it is: replies still owed to this connection
     // (in-flight work, the drain's terminal `Closed` frames) are written
     // until a write fails.
-    inner.lock().close_sessions_of(conn, server);
+    inner.lock().close_sessions_of(conn);
 }
 
 fn admit(
@@ -1056,7 +551,7 @@ fn admit(
             drop(state);
             inner.counts.rejected_draining.inc();
             let response = error(ErrorCode::Draining, "gateway is draining");
-            return send_response(inner, conn, header, &response);
+            return send_response(inner, conn, header, response);
         }
         let enqueued = Instant::now();
         let deadline = inner.deadline(enqueued);
@@ -1073,7 +568,7 @@ fn admit(
         }
         admitted.err()
     };
-    write_replies(inner, &mut out);
+    write_replies(inner, out);
     if let Some(depth) = refused {
         inner.counts.rejected_overloaded.inc();
         server.record_tenant_rejection(tenant);
@@ -1084,94 +579,8 @@ fn admit(
             message: "tenant or global admission quota is full".to_owned(),
             retry_after_ms: Some(2 * (depth as u64 + 1)),
         });
-        send_response(inner, conn, header, &response);
+        send_response(inner, conn, header, response);
     }
-}
-
-// ---------------------------------------------------------------------
-// submit
-// ---------------------------------------------------------------------
-
-/// The submit half: hands one request to the server and records who is
-/// owed its reply. Runs under the state lock, so the completion of what
-/// it submits cannot be looked up before it is registered. A request the
-/// server (or the session table) refuses is answered through `out`.
-fn submit(
-    server: &SaloServer,
-    state: &mut State,
-    pending: Pending,
-    events: &EventSink,
-    out: &mut Vec<Reply>,
-) {
-    let Pending { header, request, conn, bytes, deadline, .. } = pending;
-    if !conn.alive.load(Ordering::Acquire) {
-        return state.release(header.tenant, bytes); // a write failed: nobody to answer
-    }
-    let unknown_session = |session: u64| {
-        let message = format!("wire session {session} is not open on this connection");
-        error(ErrorCode::UnknownSession, &message)
-    };
-    let slots = slots(&request);
-    let waiter = Waiter { conn, header, bytes, deadline, slots, answered: false };
-    let refusal = match request {
-        Incoming::Prefill { pattern, shape, heads } => {
-            let request = ServeRequest { pattern, shape, heads };
-            match server.submit_into(header.tenant, request, events.clone()) {
-                Ok(id) => {
-                    state.in_flight += waiter.slots;
-                    state.layers.insert(id, waiter);
-                    return;
-                }
-                Err(e) => serve_error(&e),
-            }
-        }
-        Incoming::Open { pattern, head_dim, num_heads, prompt } => {
-            let request = SessionRequest { pattern, head_dim, num_heads, prompt };
-            match server.open_session_into(header.tenant, request, events.clone()) {
-                Ok(id) => {
-                    let entry = SessionEntry {
-                        conn: Arc::clone(&waiter.conn),
-                        opened_by: header,
-                        opened: false,
-                        closing: false,
-                        waiters: VecDeque::from([waiter]),
-                    };
-                    state.sessions.insert(id, entry);
-                    state.in_flight += 1;
-                    return;
-                }
-                Err(e) => serve_error(&e),
-            }
-        }
-        Incoming::Step { session, token } => match state.live_session(session, &waiter.conn) {
-            Some(entry) => match server.step_session(session, token) {
-                Ok(()) => {
-                    entry.waiters.push_back(waiter);
-                    state.in_flight += 1;
-                    return;
-                }
-                Err(e) => serve_error(&e),
-            },
-            None => unknown_session(session),
-        },
-        Incoming::Close { session } => match state.live_session(session, &waiter.conn) {
-            Some(entry) => match server.close_session(session) {
-                Ok(()) => {
-                    // Answered by the session's `Closed` event.
-                    entry.closing = true;
-                    entry.waiters.push_back(waiter);
-                    state.in_flight += 1;
-                    return;
-                }
-                Err(e) => serve_error(&e),
-            },
-            None => unknown_session(session),
-        },
-        // Handled inline by the reader; unreachable through the queue.
-        Incoming::Stats => return state.release(header.tenant, bytes),
-    };
-    state.release(header.tenant, bytes);
-    out.push(Reply { conn: waiter.conn, header, response: refusal });
 }
 
 // ---------------------------------------------------------------------
@@ -1199,7 +608,7 @@ fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
         inner.counts.timed_out.add(state.expire(now, &mut out));
         let due = state.next_expiry.map_or(timeout, |at| at.saturating_duration_since(now));
         drop(state);
-        write_replies(inner, &mut out);
+        write_replies(inner, out.drain(..));
         match events.recv_timeout(due.min(timeout)) {
             Ok(first) => {
                 let rest = std::iter::from_fn(|| events.try_recv().ok());
@@ -1226,8 +635,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
     let state = &mut *guard;
     match event {
         ServeEvent::Layer(ServeResponse { id, result, .. }) => {
-            let Some(waiter) = state.layers.remove(&id) else { return };
-            let Some((conn, header)) = state.settle(waiter, &inner.options, out) else { return };
+            let Some((conn, header)) = state.settle_layer(id, &inner.options, out) else { return };
             // Encoding walks megabytes: not under the lock.
             drop(guard);
             // The engine's rows move into the reply and are encoded from
@@ -1248,7 +656,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
                 },
                 Err(e) => serve_error(&e),
             };
-            send_response(inner, &conn, header, &response);
+            send_response(inner, &conn, header, response);
         }
         ServeEvent::Steps(events) => {
             for event in events {
@@ -1263,35 +671,15 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
 // replies
 // ---------------------------------------------------------------------
 
-/// Writes `frames` encoded frames to the connection in one `write_all`;
-/// a failed write marks the connection dead.
-fn write_frames(inner: &Inner, conn: &ConnShared, bytes: &[u8], frames: u64, started: Instant) {
-    let ok = match conn.stream.lock() {
-        Ok(mut stream) => wire::write_frame(&mut *stream, bytes).is_ok(),
-        Err(_) => return,
-    };
-    salo_trace::record_since("gateway.write_frame", "gateway", started, conn.id);
-    if ok {
-        inner.counts.frames_written.add(frames);
-    } else {
-        conn.alive.store(false, Ordering::Release);
-    }
-}
-
-fn send_response(inner: &Inner, conn: &ConnShared, header: Header, response: &Outgoing) {
-    if !conn.alive.load(Ordering::Acquire) {
-        return;
-    }
-    let started = Instant::now();
-    let mut bytes = Vec::new();
-    wire::encode_outgoing_into(&mut bytes, header, response);
-    write_frames(inner, conn, &bytes, 1, started);
+fn send_response(inner: &Inner, conn: &Arc<ConnShared>, header: Header, response: Outgoing) {
+    write_replies(inner, [Reply { conn: Arc::clone(conn), header, response }]);
 }
 
 /// Writes the replies in order, gathering each run of consecutive replies
-/// to one connection (up to [`WRITE_GATHER`] bytes) into a single write.
-fn write_replies(inner: &Inner, out: &mut Vec<Reply>) {
-    let mut replies = out.drain(..).peekable();
+/// to one connection (up to [`WRITE_GATHER`] bytes) into a single
+/// `write_all`; a failed write marks the connection dead.
+fn write_replies(inner: &Inner, replies: impl IntoIterator<Item = Reply>) {
+    let mut replies = replies.into_iter().peekable();
     while let Some(first) = replies.next() {
         let conn = first.conn;
         if !conn.alive.load(Ordering::Acquire) {
@@ -1306,7 +694,15 @@ fn write_replies(inner: &Inner, out: &mut Vec<Reply>) {
             wire::encode_outgoing_into(&mut bytes, next.header, &next.response);
             frames += 1;
         }
-        write_frames(inner, &conn, &bytes, frames, started);
+        let Ok(mut writer) = conn.writer.lock() else { continue };
+        let written = wire::write_frame(&mut *writer, &bytes).is_ok();
+        drop(writer);
+        salo_trace::record_since("gateway.write_frame", "gateway", started, conn.id);
+        if written {
+            inner.counts.frames_written.add(frames);
+        } else {
+            conn.alive.store(false, Ordering::Release);
+        }
     }
 }
 
@@ -1314,235 +710,194 @@ fn write_replies(inner: &Inner, out: &mut Vec<Reply>) {
 mod tests {
     use super::*;
 
-    fn any_listener() -> SocketAddr {
-        // A throwaway loopback listener so the tests can build a
-        // TcpStream without a live gateway.
-        static LISTENER: std::sync::OnceLock<(TcpListener, SocketAddr)> =
-            std::sync::OnceLock::new();
-        let (_, addr) = LISTENER.get_or_init(|| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let addr = l.local_addr().expect("local addr");
-            (l, addr)
+    use std::collections::HashSet;
+    use std::io::Write;
+    use std::sync::Condvar;
+
+    use salo_core::FixedQkv;
+    use salo_kernels::Qkv;
+    use salo_patterns::{AttentionShape, HybridPattern};
+    use salo_serve::{ServeError, ServeRequest, TokenQkv};
+
+    use crate::client::{GatewayClient, GatewayError};
+    use crate::state::tests::{admit, layer, open, opened, pending, sink_conn, Script, BYTES};
+    use crate::state::{Open, WINDOW_ROUNDS};
+    use crate::wire::{PrefillHead, Request, Response};
+
+    /// Gateways bound by these tests run one at a time: the churn test
+    /// counts every `gateway-conn-*` thread in the process as its own.
+    fn one_gateway_at_a_time() -> MutexGuard<'static, ()> {
+        static GATEWAYS: Mutex<()> = Mutex::new(());
+        GATEWAYS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn one_worker() -> GatewayOptions {
+        GatewayOptions {
+            serve: ServeOptions { workers: 1, ..Default::default() },
+            ..Default::default()
+        }
+    }
+
+    /// A Longformer layer with one global token and heads of 64.
+    fn longformer_layer(n: usize, window: usize, heads: usize) -> (HybridPattern, AttentionShape) {
+        let pattern = salo_patterns::longformer(n, window, 1).expect("pattern");
+        (pattern, AttentionShape::new(n, 64, heads).expect("shape"))
+    }
+
+    /// Layer results a test holds back. The served backend reports into a
+    /// channel of its own, and a forwarding thread passes every message on
+    /// to the gateway's, except the results of the held tenant's layers:
+    /// those wait for [`Hold::release`]. The work runs on the server as it
+    /// would; only its result is late. So an ordering that needs the
+    /// server to be slower than a client holds by construction.
+    struct Hold {
+        tenant: u64,
+        held: Mutex<Held>,
+        submitted: Condvar,
+    }
+
+    #[derive(Default)]
+    struct Held {
+        /// The held tenant's layers, recorded under this lock as they are
+        /// submitted, so that none of their results slips past.
+        ids: HashSet<u64>,
+        /// Until the release: the results held so far, and a sender on the
+        /// gateway's channel to release them into.
+        parked: Option<(Vec<ServeEvent>, Sender<ServeEvent>)>,
+    }
+
+    impl Hold {
+        fn lock(&self) -> MutexGuard<'_, Held> {
+            self.held.lock().expect("hold poisoned")
+        }
+
+        /// Blocks until the server has taken one of the held tenant's layers.
+        fn wait_submitted(&self) {
+            let held = self.submitted.wait_while(self.lock(), |held| held.ids.is_empty());
+            drop(held.expect("hold poisoned"));
+        }
+
+        /// Sends on what was held, and holds nothing after.
+        fn release(&self) {
+            let Some((parked, events)) = self.lock().parked.take() else { return };
+            for event in parked {
+                let _ = events.send(event);
+            }
+        }
+
+        /// Passes `results` on to `events` until the server and the backend
+        /// have both let go of their end.
+        fn forward(&self, results: &Receiver<ServeEvent>, events: &Sender<ServeEvent>) {
+            for event in results {
+                let mut held = self.lock();
+                let Held { ids, parked } = &mut *held;
+                if let (Some((parked, _)), ServeEvent::Layer(response)) = (parked, &event) {
+                    if ids.contains(&response.id) {
+                        parked.push(event);
+                        continue;
+                    }
+                }
+                drop(held);
+                let _ = events.send(event);
+            }
+            self.release();
+        }
+    }
+
+    /// The backend of a [`Hold`]: the served one, recording the held
+    /// tenant's layers as it submits them.
+    struct Holding {
+        served: Served,
+        hold: Arc<Hold>,
+    }
+
+    impl Backend for Holding {
+        fn submit_into(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
+            let mut held = self.hold.lock();
+            let id = self.served.submit_into(tenant, request)?;
+            if tenant == self.hold.tenant {
+                held.ids.insert(id);
+                self.hold.submitted.notify_all();
+            }
+            Ok(id)
+        }
+
+        fn open_session_into(&self, tenant: u64, request: Open) -> Result<u64, ServeError> {
+            self.served.open_session_into(tenant, request)
+        }
+
+        fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
+            self.served.step_session(session, token)
+        }
+
+        fn close_session(&self, session: u64) -> Result<(), ServeError> {
+            self.served.close_session(session)
+        }
+    }
+
+    /// A gateway on a real server whose `tenant`'s layer results wait for
+    /// the returned hold's release. Every reply is still the engine's own.
+    fn holding_gateway(options: GatewayOptions, tenant: u64) -> (Gateway, Arc<Hold>) {
+        let hold = Arc::new(Hold { tenant, held: Mutex::default(), submitted: Condvar::new() });
+        let config = AcceleratorConfig::default();
+        let gateway = Gateway::start("127.0.0.1:0", config, options, |server, events| {
+            let (private, results) = std::sync::mpsc::channel();
+            hold.lock().parked = Some((Vec::new(), events.clone()));
+            let forwarder = Arc::clone(&hold);
+            std::thread::spawn(move || forwarder.forward(&results, &events));
+            let served = Served { server, events: private.into() };
+            Box::new(Holding { served, hold: Arc::clone(&hold) })
         });
-        *addr
+        (gateway.expect("bind gateway"), hold)
     }
 
-    fn test_conn() -> Arc<ConnShared> {
-        conn_with_id(1)
-    }
-
-    fn conn_with_id(id: u64) -> Arc<ConnShared> {
-        Arc::new(ConnShared {
-            id,
-            stream: Mutex::new(TcpStream::connect(any_listener()).expect("loopback")),
-            alive: AtomicBool::new(true),
-        })
-    }
-
-    const TIMEOUT: Duration = Duration::from_secs(30);
-
-    /// The frame length every test request claims.
-    const BYTES: usize = 1000;
-
-    fn pending(conn: &Arc<ConnShared>, header: Header, request: Incoming) -> Pending {
-        let enqueued = Instant::now();
-        let deadline = enqueued + TIMEOUT;
-        Pending { header, request, conn: Arc::clone(conn), bytes: BYTES, enqueued, deadline }
-    }
-
-    fn admit(
-        state: &mut State,
-        options: &GatewayOptions,
-        conn: &Arc<ConnShared>,
-        header: Header,
-    ) -> Result<(), usize> {
-        let pending = pending(conn, header, Incoming::Stats);
-        state.admit(pending, options, || Arc::new(LogHistogram::new()))
-    }
-
-    /// Requests waiting in tenant queues.
-    fn queued(state: &State) -> usize {
-        state.tenants.values().map(|tenant| tenant.queue.len()).sum()
-    }
-
-    /// What `submit` does to the table for a layer request.
-    fn put_in_flight(state: &mut State, serve_id: u64, pending: Pending) {
-        let Pending { conn, header, request, bytes, deadline, .. } = pending;
-        let slots = slots(&request);
-        let waiter = Waiter { conn, header, bytes, deadline, slots, answered: false };
-        state.in_flight += waiter.slots;
-        state.layers.insert(serve_id, waiter);
-    }
-
-    #[test]
-    fn drr_interleaves_tenants_and_the_window_keeps_a_cut_visit_in_place() {
-        let conn = test_conn();
-        let options = GatewayOptions::default();
-        let mut state = State::default();
-        // Tenant 1 floods 6 requests; tenant 2 queues 2.
-        for (tenant, n) in [(1u64, 6u64), (2, 2)] {
-            for request_id in 0..n {
-                admit(&mut state, &options, &conn, Header { tenant, request_id })
-                    .expect("admitted");
-            }
-        }
-        let mut order = Vec::new();
-        // One slot of room: tenant 1's first visit is cut after one
-        // request and resumes with the rest of its quantum, not a new one.
-        order.extend(state.pop_quantum(2, 1).iter().map(|p| p.header.tenant));
-        assert_eq!(state.tenants[&1].deficit, 1);
-        while !state.round.is_empty() {
-            order.extend(state.pop_quantum(2, usize::MAX).iter().map(|p| p.header.tenant));
-        }
-        // Visits alternate a quantum at a time until tenant 2 drains:
-        // 1,1 then 2,2 then the rest of tenant 1's backlog.
-        assert_eq!(order, vec![1, 1, 2, 2, 1, 1, 1, 1]);
-        assert!(state.round.is_empty());
-        assert_eq!(state.outstanding_total, 8, "popping is not answering");
-    }
-
-    /// The window is set by the worker count alone: two options that
-    /// differ only in `max_batch`, which the runtime never reads, get the
-    /// same window.
-    #[test]
-    fn the_window_is_the_same_whatever_max_batch_says() {
-        let one = ServeOptions { workers: 2, max_batch: 1, ..Default::default() };
-        let eight = ServeOptions { max_batch: 8, ..one };
-        assert_eq!(in_flight_window(&one), in_flight_window(&eight));
-        assert_eq!(in_flight_window(&eight), 64, "two workers, four rounds of eight");
-    }
-
-    /// A flood of layer requests fills the window with one round of them
-    /// (`workers × ROUND_PER_WORKER`), not `WINDOW_ROUNDS`: a tenant
-    /// arriving behind it waits for those and the flooder's unspent
-    /// deficit, then takes its turn. Session-sized requests fill all the
-    /// slots.
-    #[test]
-    fn layer_requests_hold_a_round_of_the_window_each() {
-        let conn = test_conn();
-        let options = GatewayOptions::default();
-        let serve = ServeOptions { workers: 1, ..Default::default() };
-        let window = in_flight_window(&serve);
-        let round = window / WINDOW_ROUNDS;
-        // Two past a round: the window cuts the flooder's first visit with
-        // two requests of its deficit left.
-        let quantum = round + 2;
-        let layer = || Incoming::Prefill {
-            pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
-            shape: salo_patterns::AttentionShape::new(8, 4, 1).expect("shape"),
-            heads: Vec::new(),
+    /// A wire prefill's heads against a direct engine run on the same
+    /// configuration, bit for bit: raw `i16` rows, Q.16 weights, `f32` bits.
+    fn assert_matches_engine(
+        wire: &[PrefillHead],
+        pattern: &HybridPattern,
+        shape: AttentionShape,
+        heads: Vec<Qkv>,
+    ) {
+        use salo_core::{AttentionRequest, Engine, PatternHandle, Salo};
+        let mut engine = Salo::new(AcceleratorConfig::default()).engine();
+        let pattern = PatternHandle::from_pattern(pattern.clone());
+        let oracle = engine
+            .execute(AttentionRequest::Prefill { pattern, shape, heads })
+            .expect("oracle prefill")
+            .into_prefill()
+            .expect("prefill response");
+        assert_eq!(wire.len(), oracle.heads.len());
+        let bits = |m: &salo_kernels::Matrix<f32>| -> Vec<u32> {
+            m.as_slice().iter().map(|x| x.to_bits()).collect()
         };
-        let mut state = State::default();
-        let mut serve_id = 0;
-        // What `State::dispatch` does with the room the window leaves.
-        let mut dispatch = |state: &mut State| {
-            let room = window.saturating_sub(state.in_flight);
-            let batch = state.pop_quantum(quantum, room);
-            let tenants: Vec<u64> = batch.iter().map(|p| p.header.tenant).collect();
-            for pending in batch {
-                serve_id += 1;
-                put_in_flight(state, serve_id, pending);
-            }
-            tenants
-        };
-        for request_id in 0..round as u64 + 4 {
-            let pending = pending(&conn, Header { tenant: 1, request_id }, layer());
-            state.admit(pending, &options, || Arc::new(LogHistogram::new())).expect("admitted");
-        }
-        assert_eq!(dispatch(&mut state), vec![1; round]);
-        assert_eq!((state.layers.len(), state.in_flight), (round, window), "one round of layers");
-        assert!(dispatch(&mut state).is_empty(), "the window is full");
-
-        admit(&mut state, &options, &conn, Header { tenant: 2, request_id: 0 }).expect("late");
-        let mut ahead = 0;
-        let late = loop {
-            let oldest = *state.layers.keys().min().expect("a layer in flight");
-            let waiter = state.layers.remove(&oldest).expect("in flight");
-            state.settle(waiter, &options, &mut Vec::new());
-            match dispatch(&mut state).as_slice() {
-                [1] => ahead += 1,
-                other => break other.to_vec(),
-            }
-        };
-        assert_eq!((ahead, late), (2, vec![2]), "the rest of tenant 1's quantum, then tenant 2");
-
-        // One-slot requests: the window takes `WINDOW_ROUNDS` rounds of them.
-        let mut state = State::default();
-        for request_id in 0..2 * window as u64 {
-            admit(&mut state, &options, &conn, Header { tenant: 1, request_id }).expect("admitted");
-        }
-        while !dispatch(&mut state).is_empty() {}
-        assert_eq!((state.layers.len(), state.in_flight), (window, window));
-    }
-
-    /// Quota `q` bounds what is outstanding, not what is queued: with `q`
-    /// requests in flight (and every queue empty) the next is refused,
-    /// and one reply makes room for exactly one more.
-    #[test]
-    fn admission_counts_in_flight_requests_and_releases_on_reply() {
-        let conn = test_conn();
-        let options = GatewayOptions { tenant_quota: 3, ..Default::default() };
-        let mut state = State::default();
-        let header = |request_id| Header { tenant: 7, request_id };
-        for request_id in 0..3 {
-            admit(&mut state, &options, &conn, header(request_id)).expect("under quota");
-        }
-        for (serve_id, pending) in state.pop_quantum(8, usize::MAX).into_iter().enumerate() {
-            put_in_flight(&mut state, serve_id as u64, pending);
-        }
-        assert_eq!((queued(&state), state.in_flight), (0, 3));
-        assert_eq!(admit(&mut state, &options, &conn, header(3)), Err(3), "q in flight");
-        assert_eq!(state.request_bytes.get(), 3 * BYTES as i64, "a refusal never entered");
-        // Another tenant is not affected by tenant 7's quota.
-        admit(&mut state, &options, &conn, Header { tenant: 8, request_id: 0 }).expect("other");
-
-        let waiter = state.layers.remove(&0).expect("in flight");
-        let (_, answered) = state.settle(waiter, &options, &mut Vec::new()).expect("owed a reply");
-        assert_eq!(answered, header(0));
-        assert_eq!((state.in_flight, state.tenants[&7].outstanding), (2, 2));
-        assert_eq!(state.request_bytes.get(), 3 * BYTES as i64, "tenant 7's two and tenant 8's");
-        admit(&mut state, &options, &conn, header(3)).expect("one reply, one slot");
-        assert_eq!(admit(&mut state, &options, &conn, header(4)), Err(4), "and only one");
-    }
-
-    /// A deadline answers a request once: a queued one leaves its queue,
-    /// one in flight keeps its window slot until the completion arrives,
-    /// and that completion is dropped. Afterwards every counter is back
-    /// where it started.
-    #[test]
-    fn expired_requests_are_answered_once_and_leave_the_tables_clean() {
-        let conn = test_conn();
-        let options = GatewayOptions::default();
-        let mut state = State::default();
-        for request_id in 0..2 {
-            admit(&mut state, &options, &conn, Header { tenant: 1, request_id }).expect("admitted");
-        }
-        let first = state.pop_quantum(1, usize::MAX).pop().expect("one popped");
-        put_in_flight(&mut state, 40, first);
-
-        let mut out = Vec::new();
-        assert_eq!(state.expire(Instant::now(), &mut out), 0, "nothing is due yet");
-        assert!(state.next_expiry.is_some());
-        assert_eq!(state.request_bytes.get(), 2 * BYTES as i64, "queued and in flight");
-        let late = Instant::now() + TIMEOUT + Duration::from_secs(1);
-        assert_eq!(state.expire(late, &mut out), 2);
-        let answered: Vec<u64> = out.iter().map(|reply| reply.header.request_id).collect();
-        assert_eq!(answered, vec![1, 0], "the queued request, then the one in flight");
-        for reply in &out {
-            assert!(
-                matches!(&reply.response, Outgoing::Error(frame) if frame.code == ErrorCode::TimedOut)
+        for (head, oracle_head) in wire.iter().zip(&oracle.heads) {
+            let oracle_raw = oracle_head.raw.as_ref().expect("oracle raw");
+            assert_eq!(head.raw.rows(), oracle_raw.rows());
+            let reference_raw: Vec<i16> = oracle_raw.as_slice().iter().map(|x| x.raw()).collect();
+            assert_eq!(head.raw.as_slice(), reference_raw.as_slice(), "prefill raw rows diverged");
+            assert_eq!(
+                &head.weights_q16,
+                oracle_head.weights_q16.as_ref().expect("oracle weights"),
+                "prefill weights diverged"
             );
+            assert_eq!(bits(&head.output), bits(&oracle_head.output), "prefill f32 bits diverged");
         }
-        assert_eq!((queued(&state), state.outstanding_total, state.in_flight), (0, 0, 1));
-        assert_eq!(state.request_bytes.get(), 0, "the bytes leave with the admission slots");
-        assert_eq!(state.next_expiry, None);
-        assert_eq!(state.expire(late, &mut out), 0, "answered once");
+    }
 
-        // The late completion frees the window slot and answers nobody.
-        let waiter = state.layers.remove(&40).expect("still paired with its completion");
-        assert!(state.settle(waiter, &options, &mut out).is_none());
-        assert_eq!((state.in_flight, state.tenants[&1].outstanding), (0, 0));
-        assert_eq!(state.request_bytes.get(), 0, "and are not given back twice");
+    /// A writer that hands each frame to the test; `wire::write_frame`
+    /// writes a frame in one `write_all`.
+    struct Frames(Sender<Vec<u8>>);
+
+    impl Write for Frames {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            let _ = self.0.send(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     /// Drives admission, dispatch and the completion half against a real
@@ -1556,32 +911,28 @@ mod tests {
         let serve = ServeOptions { workers: 1, ..Default::default() };
         let round = in_flight_window(&serve) / WINDOW_ROUNDS;
         let server = Arc::new(SaloServer::start(AcceleratorConfig::default(), serve));
-        let inner = Inner::new(GatewayOptions { serve, ..Default::default() }, server.metrics());
         let (events_tx, events_rx) = std::sync::mpsc::channel();
-        inner.lock().server = Some((Arc::clone(&server), events_tx.into()));
-        let conn = test_conn();
+        let served = Served { server: Arc::clone(&server), events: events_tx.into() };
+        let options = GatewayOptions { serve, ..Default::default() };
+        let inner = Inner::new(options, server.metrics(), Box::new(served));
+        let conn = sink_conn(1);
         let mut out = Vec::new();
         let mut request_id = 0;
         // Admits `request` and dispatches, as a reader does.
         let mut submit_one = |request: Incoming, conn: &Arc<ConnShared>, out: &mut Vec<Reply>| {
             request_id += 1;
-            let mut state = inner.lock();
             let pending = pending(conn, Header { tenant: 3, request_id }, request);
-            state
-                .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
-                .expect("admitted");
-            state.dispatch(&inner.options, out);
+            admit(&mut inner.lock(), &inner.options, pending, out).expect("admitted");
         };
         // (queued, outstanding, in flight, (layers, sessions)).
         // `gateway.request_bytes` is `BYTES` per outstanding request the
         // client sent — the drain's own terminal close has no frame.
         let tables = || {
             let s = inner.lock();
-            let drain_closes = if s.server.is_none() { s.sessions.len() } else { 0 };
-            let from_clients = s.outstanding_total - drain_closes;
-            assert_eq!(s.request_bytes.get(), (from_clients * BYTES) as i64);
-            let sizes = (s.layers.len(), s.sessions.len());
-            (queued(&s), s.outstanding_total, s.in_flight, sizes)
+            let tables = s.tables();
+            let drain_closes = if s.drained() { tables.3 .1 } else { 0 };
+            assert_eq!(s.request_bytes(), ((tables.1 - drain_closes) * BYTES) as i64);
+            tables
         };
         let code_of = |reply: &Reply| match &reply.response {
             Outgoing::Error(frame) => Some(frame.code),
@@ -1592,7 +943,7 @@ mod tests {
             pattern: open.pattern.clone(),
             head_dim: open.head_dim,
             num_heads,
-            prompt: open.prompt.iter().map(salo_core::FixedQkv::quantize).collect(),
+            prompt: open.prompt.iter().map(FixedQkv::quantize).collect(),
         };
 
         // Refused by the session table, then by the server's validation.
@@ -1606,11 +957,11 @@ mod tests {
         // arrives, so once a round of them is in flight the next one waits
         // in its queue; the first one's settle submits it, on this thread.
         // The replies are written, not gathered.
-        let shape = salo_patterns::AttentionShape::new(8, 4, 1).expect("shape");
+        let shape = AttentionShape::new(8, 4, 1).expect("shape");
         let layer = || Incoming::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape,
-            heads: salo_kernels::Qkv::random_heads(&shape, 1),
+            heads: Qkv::random_heads(&shape, 1),
         };
         let full = round * WINDOW_ROUNDS;
         for _ in 0..round {
@@ -1652,18 +1003,18 @@ mod tests {
 
         // A dead connection's queued request is dropped, not submitted;
         // another connection cannot reach the session.
-        let dead = conn_with_id(2);
+        let dead = sink_conn(2);
         dead.alive.store(false, Ordering::Release);
         submit_one(Incoming::Step { session: 0, token: tokens[1].clone() }, &dead, &mut out);
         assert_eq!((out.len(), tables()), (5, opened));
-        let stranger = conn_with_id(3);
+        let stranger = sink_conn(3);
         submit_one(Incoming::Close { session: 0 }, &stranger, &mut out);
         assert_eq!(out.last().and_then(code_of), Some(ErrorCode::UnknownSession));
         assert_eq!((out.len(), tables()), (6, opened));
 
         // The owner dies: its session is closed without anyone waiting,
         // and the `Closed` event is dropped.
-        inner.lock().close_sessions_of(&conn, &server);
+        inner.lock().close_sessions_of(&conn);
         on_event(&inner, events_rx.recv().expect("closed"), &mut out);
         assert_eq!((out.len(), tables()), (6, (0, 0, 0, (0, 0))));
 
@@ -1673,8 +1024,11 @@ mod tests {
         submit_one(open(1), &conn, &mut out);
         on_event(&inner, events_rx.recv().expect("opened"), &mut out);
         // As after an idle `service_timeout`: a scan that found nothing.
-        assert_eq!(inner.lock().expire(Instant::now() + 2 * TIMEOUT, &mut out), 0);
-        inner.lock().close_all_sessions(&inner);
+        assert_eq!(
+            inner.lock().expire(Instant::now() + 2 * inner.options.service_timeout, &mut out),
+            0
+        );
+        assert!(inner.lock().drain(inner.deadline(Instant::now())).is_empty(), "none queued");
         assert_eq!((out.len(), tables()), (7, (0, 1, 1, (0, 1))));
         assert_eq!(
             inner.lock().expire(Instant::now(), &mut out),
@@ -1696,38 +1050,38 @@ mod tests {
     /// tables and the request bytes empty, and the replies are written.
     #[test]
     fn a_pass_of_steps_is_routed_as_one_message_and_answered_once() {
-        let inner = Inner::new(GatewayOptions::default(), &MetricsRegistry::new());
-        let (a, b) = (conn_with_id(1), conn_with_id(2));
+        let script = Box::new(Arc::new(Script::default()));
+        let inner = Inner::new(GatewayOptions::default(), &MetricsRegistry::new(), script);
+        let (a, b) = (sink_conn(1), sink_conn(2));
+        let conn_of = |session| if session == 2 { &b } else { &a };
         let mut out = Vec::new();
         {
             let mut state = inner.lock();
-            // Session 3 first: deadlines never decrease in admission order.
+            // The backend numbers the sessions in the order they open.
+            for session in 0..4 {
+                let header = Header { tenant: 1, request_id: 10 + session };
+                let pending = pending(conn_of(session), header, open());
+                admit(&mut state, &inner.options, pending, &mut out).expect("admitted");
+                state.route_session_event(opened(session), &inner.options, &mut out);
+            }
+            out.clear();
+            // Session 3's step first: deadlines never decrease in admission
+            // order, and only its own is due.
+            let mut due = None;
             for session in [3, 0, 1, 2] {
-                let conn = if session == 2 { &b } else { &a };
                 let header = Header { tenant: 1, request_id: session };
-                let mut pending =
-                    pending(conn, header, Incoming::Step { session, token: Vec::new() });
-                if session == 3 {
-                    pending.deadline = pending.enqueued;
+                let step = Incoming::Step { session, token: Vec::new() };
+                let mut pending = pending(conn_of(session), header, step);
+                match due {
+                    None => due = Some(pending.deadline),
+                    Some(_) => pending.deadline += Duration::from_secs(1),
                 }
-                state
-                    .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
-                    .expect("admitted");
+                admit(&mut state, &inner.options, pending, &mut out).expect("admitted");
             }
-            // What `submit` leaves for a step of an opened session.
-            for Pending { conn, header, bytes, deadline, .. } in state.pop_quantum(4, usize::MAX) {
-                let answered = false;
-                let waiter =
-                    Waiter { conn: Arc::clone(&conn), header, bytes, deadline, slots: 1, answered };
-                let waiters = VecDeque::from([waiter]);
-                let entry =
-                    SessionEntry { conn, opened_by: header, opened: true, closing: false, waiters };
-                state.sessions.insert(header.request_id, entry);
-                state.in_flight += 1;
-            }
-            assert_eq!(state.expire(Instant::now(), &mut out), 1, "session 3's deadline passed");
+            let due = due.expect("session 3's deadline");
+            assert_eq!(state.expire(due, &mut out), 1, "session 3's deadline passed");
         }
-        write_replies(&inner, &mut out);
+        write_replies(&inner, out.drain(..));
         let written = inner.counts.frames_written.get();
 
         let step = |session| ServeEvent::Step {
@@ -1747,12 +1101,11 @@ mod tests {
             })
             .collect();
         assert_eq!(answered, [(1, 0), (1, 1), (2, 2)], "run order, session 3's dropped");
-        write_replies(&inner, &mut out);
+        write_replies(&inner, out.drain(..));
         assert_eq!(inner.counts.frames_written.get(), written + 3);
 
         let s = inner.lock();
-        assert_eq!((s.in_flight, s.outstanding_total, s.request_bytes.get()), (0, 0, 0));
-        assert!(s.sessions.values().all(|entry| entry.waiters.is_empty()));
+        assert_eq!((s.tables(), s.request_bytes()), ((0, 0, 0, (0, 4)), 0), "no waiter is left");
     }
 
     /// The timer has no wake-up of its own: it is the completion thread,
@@ -1767,39 +1120,32 @@ mod tests {
         /// per `SERVICE_TIMEOUT` would be later than this every other run.
         const SLACK: Duration = Duration::from_millis(50);
         let options = GatewayOptions { service_timeout: SERVICE_TIMEOUT, ..Default::default() };
-        let inner = Inner::new(options, &MetricsRegistry::new());
+        let script = Box::new(Arc::new(Script::default()));
+        let inner = Inner::new(options, &MetricsRegistry::new(), script);
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         // A connection whose peer reads what the gateway writes.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let stream = TcpStream::connect(listener.local_addr().expect("local addr"));
-        let stream = Mutex::new(stream.expect("loopback"));
-        let conn = Arc::new(ConnShared { id: 1, stream, alive: AtomicBool::new(true) });
-        let (mut peer, _) = listener.accept().expect("accept");
-        peer.set_read_timeout(Some(Duration::from_secs(10))).expect("deadline");
+        let (frames_tx, frames) = std::sync::mpsc::channel();
+        let conn = ConnShared::new(1, Box::new(Frames(frames_tx)));
 
         std::thread::scope(|scope| {
             let inner = &inner;
             scope.spawn(move || completion_loop(inner, &events_rx));
             std::thread::sleep(3 * SERVICE_TIMEOUT);
-            // What a reader's admission and `submit` leave behind.
+            // A reader's admission, dispatched to the backend as layer 0.
             let enqueued = Instant::now();
             let header = Header { tenant: 1, request_id: 7 };
             let deadline = inner.deadline(enqueued);
             let conn = Arc::clone(&conn);
-            let request = Incoming::Stats;
-            let pending = Pending { header, request, conn, bytes: BYTES, enqueued, deadline };
-            let mut state = inner.lock();
-            state
-                .admit(pending, &inner.options, || Arc::new(LogHistogram::new()))
-                .expect("admitted");
-            let pending = state.pop_quantum(1, 1).pop().expect("queued");
-            put_in_flight(&mut state, 40, pending);
-            drop(state);
+            let pending =
+                Pending { header, request: layer(), conn, bytes: BYTES, enqueued, deadline };
+            admit(&mut inner.lock(), &inner.options, pending, &mut Vec::new()).expect("admitted");
 
-            let payload = wire::read_frame(&mut peer).expect("a frame before the read deadline");
+            let frame = frames.recv_timeout(Duration::from_secs(10));
+            let frame = frame.expect("a frame before the read deadline");
             let waited = enqueued.elapsed();
+            let payload = wire::read_frame(&mut frame.as_slice()).expect("one whole frame");
             match wire::decode_response(&payload).expect("decodable") {
-                (answered, wire::Response::Error(frame)) => {
+                (answered, Response::Error(frame)) => {
                     assert_eq!((answered, frame.code), (header, ErrorCode::TimedOut));
                 }
                 (_, other) => panic!("expected a TimedOut frame, got {other:?}"),
@@ -1808,7 +1154,7 @@ mod tests {
             assert!(waited < SERVICE_TIMEOUT + SLACK, "answered {waited:?} after admission: late");
 
             let late = ServeResponse {
-                id: 40,
+                id: 0,
                 result: Err(ServeError::WorkerLost),
                 cache_hit: false,
                 worker: None,
@@ -1818,20 +1164,18 @@ mod tests {
             // The last sender: the loop routes what is left and ends.
             drop(events_tx);
         });
-        let state = inner.lock();
-        assert_eq!((state.layers.len(), state.in_flight, state.outstanding_total), (0, 0, 0));
+        assert_eq!(inner.lock().tables(), (0, 0, 0, (0, 0)));
         assert_eq!((inner.counts.timed_out.get(), inner.counts.frames_written.get()), (1, 1));
     }
 
     /// Connections that come and go leave nothing behind: the acceptor
-    /// joins every finished reader and drops its entry. No other unit test
-    /// binds a gateway, so any `gateway-conn-*` thread is this one's.
+    /// joins every finished reader and drops its entry. Gateways bind one
+    /// at a time, so any `gateway-conn-*` thread is this one's.
     #[test]
     fn connection_churn_leaves_no_entry_and_no_reader_thread() {
-        let serve = ServeOptions { workers: 1, ..Default::default() };
-        let options = GatewayOptions { serve, ..Default::default() };
+        let _gateways = one_gateway_at_a_time();
         let gateway =
-            Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), options).expect("bind");
+            Gateway::bind("127.0.0.1:0", AcceleratorConfig::default(), one_worker()).expect("bind");
         // Fifty at a time, well inside the listener's backlog.
         for _ in 0..4 {
             let batch: Vec<TcpStream> = (0..50)
@@ -1855,5 +1199,184 @@ mod tests {
             assert!(!name.is_ok_and(|name| name.starts_with("gateway-conn-")), "a reader lives on");
         }
         assert_eq!(gateway.shutdown().connections, 200);
+    }
+
+    /// The service deadline answers a request exactly once, with a typed
+    /// `TimedOut` frame: the report counts it, the connection keeps serving,
+    /// and whenever the work finishes, its completion writes no second frame.
+    #[test]
+    fn service_timeout_answers_once_and_the_connection_keeps_serving() {
+        let _gateways = one_gateway_at_a_time();
+        let options = GatewayOptions { service_timeout: Duration::from_millis(2), ..one_worker() };
+        // The prefill's result is held until the client has read the
+        // `TimedOut` frame: the deadline passes while the work is in flight.
+        let (gateway, hold) = holding_gateway(options, 3);
+        let mut client = GatewayClient::connect(gateway.local_addr(), 3).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+
+        let (pattern, shape) = longformer_layer(1024, 128, 1);
+        let heads = vec![Qkv::random(shape.seq_len, shape.head_dim, 1)];
+        match client.prefill(pattern, shape, heads) {
+            Err(GatewayError::Remote(frame)) => assert_eq!(frame.code, ErrorCode::TimedOut),
+            Err(other) => panic!("expected a TimedOut frame, got {other}"),
+            Ok(_) => panic!("expected a TimedOut frame, got the finished prefill"),
+        }
+        hold.release();
+        // Stats are served by the reader, outside the deadline's reach.
+        assert!(client.stats_json().expect("connection still serves").contains("serve."));
+
+        // The server's shutdown waits for the work itself, so its
+        // completion has arrived (and been dropped) by the time the report
+        // is final.
+        let report = gateway.shutdown();
+        assert_eq!((report.admitted, report.timed_out), (1, 1));
+        assert_eq!(report.frames_written, 2, "the TimedOut frame and the stats, nothing else");
+        match client.recv() {
+            Err(GatewayError::Wire(_)) => {} // connection closed, nothing buffered
+            Err(other) => panic!("unexpected error after the timeout: {other}"),
+            Ok((header, _)) => panic!("a second frame for request {}", header.request_id),
+        }
+    }
+
+    /// Two tenants, one flooding: the flooder is clamped at its own quota
+    /// with typed `Overloaded` rejections (retry hint included) while the
+    /// well-behaved tenant's requests all succeed with bounded queue wait.
+    #[test]
+    fn flooding_tenant_is_rejected_while_good_tenant_is_served() {
+        let _gateways = one_gateway_at_a_time();
+        let options = GatewayOptions { tenant_quota: 3, ..one_worker() };
+        // The flooder's results are held until one of its refusals has
+        // arrived: its quota stays full while the rest of its flood is read.
+        let (gateway, hold) = holding_gateway(options, 9);
+        let addr = gateway.local_addr();
+
+        let (pattern, shape) = longformer_layer(64, 8, 1);
+        let make_request = |seed: u64| Request::Prefill {
+            pattern: pattern.clone(),
+            shape,
+            heads: vec![Qkv::random(shape.seq_len, shape.head_dim, seed)],
+        };
+
+        // Tenant 9 floods: 32 pipelined sends, no reads until the harvest.
+        let flood_total = 32u64;
+        let mut flooder = GatewayClient::connect(addr, 9).expect("connect flooder");
+        flooder.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+        for i in 0..flood_total {
+            flooder.send(&make_request(i)).expect("pipelined send");
+        }
+
+        // Tenant 2 runs a sequential closed loop against the backlog.
+        let good_total = 8u64;
+        let mut good = GatewayClient::connect(addr, 2).expect("connect good tenant");
+        good.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+        for i in 0..good_total {
+            match good.call(&make_request(100 + i)) {
+                Ok(Response::PrefillDone { .. }) => {}
+                other => panic!("good tenant request {i} failed: {other:?}"),
+            }
+        }
+
+        // Harvest the flood: every pipelined request gets a reply — either
+        // completed work or a typed rejection — never a hang.
+        let (mut admitted, mut rejected) = (0u64, 0u64);
+        for _ in 0..flood_total {
+            match flooder.recv().expect("flood reply") {
+                (_, Response::PrefillDone { .. }) => admitted += 1,
+                (_, Response::Error(frame)) => {
+                    assert_eq!(frame.code, ErrorCode::Overloaded, "unexpected error: {frame:?}");
+                    assert!(frame.retry_after_ms.is_some(), "Overloaded needs a retry hint");
+                    rejected += 1;
+                    hold.release();
+                }
+                (_, other) => panic!("unexpected flood reply: {other:?}"),
+            }
+        }
+        assert!(rejected >= 1, "the flood never tripped admission control");
+        assert_eq!(admitted + rejected, flood_total);
+
+        // The starved tenant's queue wait stays bounded: DRR gives it a
+        // quantum every round, so its p99 cannot absorb the whole backlog.
+        let wait_p99_ns =
+            gateway.metrics().histogram("gateway.tenant.2.queue_wait_ns").snapshot().quantile(0.99);
+        assert!(
+            wait_p99_ns < 10_000_000_000,
+            "good tenant p99 queue wait unbounded: {wait_p99_ns} ns"
+        );
+
+        // The front door's counts are live in the registry: a `Stats` frame
+        // read while the gateway still serves says what the final report will.
+        let stats = good.stats_json().expect("stats");
+        let report = gateway.shutdown();
+        assert_eq!(
+            (report.admitted, report.rejected_overloaded),
+            (good_total + admitted, rejected)
+        );
+        for (name, count) in
+            [("admitted", report.admitted), ("rejected.overloaded", report.rejected_overloaded)]
+        {
+            let live = format!("\"gateway.{name}\":{count},");
+            assert!(stats.contains(&live), "no {live} in the live stats: {stats}");
+        }
+        let good_counters = report.serve.tenants.get(&2).expect("good tenant counted");
+        assert_eq!(good_counters.requests, good_total);
+        assert_eq!(good_counters.rejections, 0, "good tenant must see no rejections");
+        let flood_counters = report.serve.tenants.get(&9).expect("flooder counted");
+        assert_eq!(flood_counters.requests, admitted);
+        assert_eq!(flood_counters.rejections, rejected);
+    }
+
+    /// Two tenants, two workers, one large prefill in flight: a tiny prefill
+    /// another tenant sends behind it is answered first. Layer replies leave
+    /// in completion order — wire clients correlate by `request_id` — so
+    /// nobody waits behind a stranger's request for the sake of an order
+    /// nobody asked for. Both replies are bit-identical to a direct engine
+    /// run.
+    #[test]
+    fn a_small_prefill_is_answered_ahead_of_a_strangers_large_one() {
+        let _gateways = one_gateway_at_a_time();
+        let serve = ServeOptions { workers: 2, ..Default::default() };
+        // Tenant 1's large result is held until the small reply and its
+        // stats have been read: a gateway that kept layer replies in
+        // submission order would never send the small one.
+        let (gateway, hold) = holding_gateway(GatewayOptions { serve, ..Default::default() }, 1);
+        let (large_pattern, large_shape) = longformer_layer(2048, 256, 4);
+        let small_pattern = salo_patterns::vil_stage(8, 8, 3, 3, 1).expect("pattern");
+        let small_shape = AttentionShape::new(64, 64, 1).expect("shape");
+        let large_heads = Qkv::random_heads(&large_shape, 11);
+        let small_heads = Qkv::random_heads(&small_shape, 12);
+
+        let mut a = GatewayClient::connect(gateway.local_addr(), 1).expect("connect a");
+        let mut b = GatewayClient::connect(gateway.local_addr(), 2).expect("connect b");
+        b.set_read_timeout(Some(Duration::from_secs(60))).expect("deadline");
+        let large_id = a
+            .send(&Request::Prefill {
+                pattern: large_pattern.clone(),
+                shape: large_shape,
+                heads: large_heads.clone(),
+            })
+            .expect("send large");
+        // In flight: the server has taken it.
+        hold.wait_submitted();
+        let (heads, _, _) = b
+            .prefill(small_pattern.clone(), small_shape, small_heads.clone())
+            .expect("small prefill");
+        // Results are counted as they finish, before they are sent: the
+        // large one, tens of milliseconds of work, is still running on the
+        // other worker.
+        let stats = b.stats_json().expect("stats");
+        assert!(stats.contains("\"serve.requests\":1,"), "the small reply waited: {stats}");
+        assert_matches_engine(&heads, &small_pattern, small_shape, small_heads);
+
+        hold.release();
+        match a.recv().expect("large reply") {
+            (header, Response::PrefillDone { heads, .. }) => {
+                assert_eq!(header.request_id, large_id);
+                assert_matches_engine(&heads, &large_pattern, large_shape, large_heads);
+            }
+            (_, other) => panic!("expected the large PrefillDone, got {other:?}"),
+        }
+        let report = gateway.shutdown();
+        assert_eq!((report.serve.requests, report.serve.errors), (2, 0));
+        assert_eq!(report.serve.per_worker_requests, vec![1, 1]);
     }
 }

@@ -45,7 +45,10 @@
 //!   frame. [`Gateway::shutdown`] drains gracefully — stop accepting,
 //!   reject new work as `Draining`, finish what's admitted, close every
 //!   live decode session with a terminal `Closed` frame — under a
-//!   bounded deadline.
+//!   bounded deadline. Every one of these decisions is made by one
+//!   socket-free state machine under one lock, which reaches the server
+//!   through a private four-call backend seam; the gateway's own code is
+//!   the transport around it.
 //! * **[`GatewayClient`]** — a blocking, pipelining client used by the
 //!   integration tests and the `gateway` example.
 //!
@@ -63,6 +66,7 @@
 
 mod client;
 mod gateway;
+mod state;
 pub mod wire;
 
 pub use client::{GatewayClient, GatewayError, OpenedSession};

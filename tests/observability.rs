@@ -32,6 +32,13 @@ fn traced_burst_covers_all_layers() {
     let (request, tokens) = generations.session(0);
     let handle = server.open_session(request).unwrap();
     handle.wait_open().unwrap();
+    // A second live session is pinned to the worker with fewer pinned
+    // sessions, so both workers record spans by construction: layers go to
+    // the least-loaded worker, and a fast build can finish every prefill
+    // before the next is submitted, so they may all land on worker 0.
+    let second = server.open_session(generations.session(1).0).unwrap();
+    assert_eq!(second.wait_open().unwrap().worker, 1, "pinned beside the first session");
+    server.close_session(second.id()).unwrap();
     let mut step_saturation = 0;
     for token in tokens.iter().take(4) {
         server.step_session(handle.id(), token.clone()).unwrap();
