@@ -1,21 +1,17 @@
-//! The fixed-point execution backends: [`LoweredEngine`] (fast datapath)
-//! and [`SystolicEngine`] (event-accurate oracle).
+//! The fixed-point execution backend, [`LoweredEngine`].
 //!
-//! Both engines run the accelerator's exact fixed-point arithmetic over
-//! one shared core ([`FixedCore`]): compiled-plan resolution, a
-//! worker-lifetime [`ExecScratch`], and per-session persistent
-//! [`DecodeState`]s. They differ **only** in the per-head prefill kernel
-//! — the lowered engine walks the flat pass programs, the systolic
-//! engine steps every array pass through the cycle-level
-//! [`SystolicArray`](salo_sim::SystolicArray) — and are bit-identical by
-//! construction (asserted by the root `engines` tests). Every other
-//! request arm is one implementation, so decode dispatch, validation
-//! order and telemetry cannot drift between the two.
+//! One engine runs the accelerator's exact fixed-point arithmetic:
+//! compiled-plan resolution, a worker-lifetime [`ExecScratch`], per-session
+//! persistent [`DecodeState`]s and one K/V page pool. Its prefill walks the
+//! plan's flat pass programs; the event-accurate systolic model
+//! ([`SystolicArray`](salo_sim::SystolicArray), through
+//! [`SpatialAccelerator::execute_systolic`]) is not an engine but the oracle
+//! that `salo-sim`'s differential tests and the root `engines` tests hold
+//! this prefill to, bit for bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{
     BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, FixedQkv, KvPagePool,
@@ -24,23 +20,15 @@ use salo_sim::{
 
 use crate::engine::{
     check_open_prompt, check_prefill_heads, check_token, AttentionRequest, AttentionResponse,
-    Engine, EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
-    SessionId, SessionOpened, StepResult, Telemetry, TokenQkv,
+    Engine, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed, SessionId,
+    SessionOpened, StepResult, Telemetry, TokenQkv,
 };
 use crate::{salo::compile_with, CompiledPlan, SaloError};
 
-/// One layer's whole-heads prefill execution, head after head on the
-/// calling thread — the only point where the two fixed-point engines
-/// differ.
-type PrefillKernel = fn(
-    &SpatialAccelerator,
-    &CompiledPlan,
-    &[Qkv],
-    f32,
-    &mut ExecScratch,
-) -> Result<Vec<ExecutionOutput>, SimError>;
+/// [`LoweredEngine`]'s [`Engine::name`], in its telemetry and errors.
+const NAME: &str = "lowered";
 
-/// A decode session resident in a fixed-point engine: the step program
+/// A decode session resident in the fixed-point engine: the step program
 /// shared by every head, one persistent quantized K/V state per head.
 #[derive(Debug)]
 struct FixedSession {
@@ -79,11 +67,15 @@ impl FixedSession {
     }
 }
 
-/// The engine shared by [`LoweredEngine`] and [`SystolicEngine`]:
-/// everything except the per-head prefill kernel, which is injected per
-/// request.
+/// The default backend: the allocation-free lowered fixed-point datapath.
+///
+/// Prefill walks the plan's flat pass programs
+/// ([`execute_lowered`](SpatialAccelerator::execute_lowered)) head after
+/// head with an engine-lifetime scratch; decode drives persistent per-head
+/// [`DecodeState`]s through the step programs. This is what the serving
+/// runtime's workers run — one engine per worker thread.
 #[derive(Debug)]
-struct FixedCore {
+pub struct LoweredEngine {
     accel: SpatialAccelerator,
     scratch: ExecScratch,
     sessions: HashMap<SessionId, FixedSession>,
@@ -93,7 +85,7 @@ struct FixedCore {
 }
 
 /// Maps a simulator step error onto the unified API's error taxonomy, so
-/// the fixed-point engines report request-level validation failures the
+/// the fixed-point engine reports request-level validation failures the
 /// same way [`ReferenceEngine`](crate::ReferenceEngine) does (capacity
 /// exhaustion and unprimed sessions are `InvalidRequest`, wrong token
 /// rows are `ShapeMismatch`) — backends stay interchangeable on errors,
@@ -112,8 +104,10 @@ fn normalize_step_error(e: SimError) -> SaloError {
     }
 }
 
-impl FixedCore {
-    fn new(accel: SpatialAccelerator) -> Self {
+impl LoweredEngine {
+    /// An engine over `accel` (clones share the lookup tables).
+    #[must_use]
+    pub fn new(accel: SpatialAccelerator) -> Self {
         Self {
             accel,
             scratch: ExecScratch::new(),
@@ -122,11 +116,24 @@ impl FixedCore {
         }
     }
 
-    /// Swaps in a freshly configured pool — only while no pages are in
-    /// use, so no live session's page translation can change underneath
-    /// it (the serving runtime calls this right after spawning workers,
-    /// before any session opens).
-    fn configure_kv_pool(&mut self, page_rows: usize, capacity_pages: Option<usize>) {
+    /// The underlying accelerator.
+    #[must_use]
+    pub fn accelerator(&self) -> &SpatialAccelerator {
+        &self.accel
+    }
+
+    /// Occupancy counters of the engine's K/V page pool.
+    #[must_use]
+    pub fn kv_pool_stats(&self) -> KvPoolStats {
+        self.kv_pool.stats()
+    }
+
+    /// Reconfigures the engine's K/V page pool (`page_rows` rows per
+    /// page; `None` capacity = unbounded). It swaps in the new pool only
+    /// while no pages are in use, so no live session's page translation
+    /// can change underneath it (the serving runtime calls this right
+    /// after spawning workers, before any session opens).
+    pub fn configure_kv_pool(&mut self, page_rows: usize, capacity_pages: Option<usize>) {
         if self.kv_pool.pages_in_use() > 0 {
             return;
         }
@@ -136,88 +143,11 @@ impl FixedCore {
         };
     }
 
-    /// The shared [`Engine::prepare`]: compile for this core's array
-    /// geometry and attach both the pattern and the plan.
-    fn prepare(
-        &self,
-        pattern: &HybridPattern,
-        shape: &AttentionShape,
-    ) -> Result<PatternHandle, SaloError> {
-        let plan = compile_with(self.accel.config().hw, pattern, shape)?;
-        Ok(PatternHandle::new(Arc::new(pattern.clone()), Arc::new(plan)))
-    }
-
-    /// The shared [`Engine::execute`], parameterized by the per-head
-    /// prefill kernel.
-    fn execute(
-        &mut self,
-        name: &'static str,
-        prefill: PrefillKernel,
-        request: AttentionRequest,
-    ) -> Result<AttentionResponse, SaloError> {
-        let tracer = salo_trace::Tracer::global();
-        match request {
-            AttentionRequest::Prefill { pattern, shape, heads } => {
-                let _span = tracer.span_with("engine.prefill", "engine", heads.len() as u64);
-                check_prefill_heads(&shape, &heads)?;
-                let plan = self.resolve_prefill_plan(name, &pattern, &shape)?;
-                let scale = SpatialAccelerator::default_scale(shape.head_dim);
-                // Stage profiling follows the tracer switch: one relaxed
-                // load per request, zero per-op cost when off.
-                self.scratch.set_profiling(tracer.enabled());
-                let outputs = prefill(&self.accel, &plan, &heads, scale, &mut self.scratch)?;
-                let telemetry = Self::prefill_telemetry(name, &outputs);
-                Ok(AttentionResponse::Prefill(PrefillOutput {
-                    heads: outputs.into_iter().map(fixed_head_output).collect(),
-                    telemetry,
-                }))
-            }
-            AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {
-                // Quantized as the serving runtime's prompts are where they
-                // arrive, then opened the one way.
-                let prompt = prompt.iter().map(FixedQkv::quantize).collect();
-                let open = AttentionRequest::DecodeOpenFixed {
-                    session,
-                    pattern,
-                    head_dim,
-                    num_heads,
-                    prompt,
-                };
-                self.execute(name, prefill, open)
-            }
-            AttentionRequest::DecodeOpenFixed { session, pattern, head_dim, num_heads, prompt } => {
-                let _span = tracer.span_with("engine.decode_open", "engine", session);
-                let opened = self.open(name, session, &pattern, head_dim, num_heads, &prompt)?;
-                Ok(AttentionResponse::DecodeOpened(opened))
-            }
-            AttentionRequest::DecodeStep { session, token } => {
-                let _span = tracer.span_with("engine.decode_step", "engine", session);
-                // A step is a batch of one: same validation order, same
-                // retirement rule, same telemetry as any fused entry.
-                let (_, result) = self
-                    .step_batch(name, vec![(session, token)])
-                    .pop()
-                    .expect("one result per submitted step");
-                Ok(AttentionResponse::DecodeStep(result?))
-            }
-            AttentionRequest::DecodeStepBatch { steps } => {
-                let _span =
-                    tracer.span_with("engine.decode_step_batch", "engine", steps.len() as u64);
-                Ok(AttentionResponse::DecodeStepBatch(self.step_batch(name, steps)))
-            }
-            AttentionRequest::DecodeClose { session } => {
-                let _span = tracer.span_with("engine.decode_close", "engine", session);
-                Ok(AttentionResponse::DecodeClosed(self.close(session)?))
-            }
-        }
-    }
-
     /// Resolves a prefill handle into a compiled plan for this engine's
     /// configuration: the attached plan when present (shape-checked),
     /// otherwise a fresh compile of the pattern.
     fn resolve_prefill_plan(
         &self,
-        engine: &'static str,
         handle: &PatternHandle,
         shape: &AttentionShape,
     ) -> Result<Arc<CompiledPlan>, SaloError> {
@@ -230,7 +160,7 @@ impl FixedCore {
             }
             return Ok(Arc::clone(plan));
         }
-        let pattern = handle.require_pattern(engine)?;
+        let pattern = handle.require_pattern(NAME)?;
         Ok(Arc::new(compile_with(self.accel.config().hw, pattern, shape)?))
     }
 
@@ -239,11 +169,7 @@ impl FixedCore {
     /// causally clipped and compiled at the canonical unit shape — the
     /// decode program depends only on the pattern and the hardware, not
     /// on head count or head dimension.
-    fn resolve_decode_plan(
-        &self,
-        engine: &'static str,
-        handle: &PatternHandle,
-    ) -> Result<Arc<DecodePlan>, SaloError> {
+    fn resolve_decode_plan(&self, handle: &PatternHandle) -> Result<Arc<DecodePlan>, SaloError> {
         if let Some(plan) = handle.plan() {
             match plan.decode_plan() {
                 Ok(decode) => return Ok(decode),
@@ -258,7 +184,7 @@ impl FixedCore {
                 }
             }
         }
-        let pattern = handle.require_pattern(engine)?;
+        let pattern = handle.require_pattern(NAME)?;
         let causal = pattern.decode_view()?.into_causal_pattern();
         let shape = AttentionShape::new(causal.n(), 1, 1)?;
         let compiled = compile_with(self.accel.config().hw, &causal, &shape)?;
@@ -267,7 +193,6 @@ impl FixedCore {
 
     fn open(
         &mut self,
-        engine: &'static str,
         session: SessionId,
         handle: &PatternHandle,
         head_dim: usize,
@@ -277,7 +202,7 @@ impl FixedCore {
         if self.sessions.contains_key(&session) {
             return Err(SaloError::SessionInUse { session });
         }
-        let decode = self.resolve_decode_plan(engine, handle)?;
+        let decode = self.resolve_decode_plan(handle)?;
         let prompt_len =
             check_open_prompt(decode.n(), decode.min_step(), head_dim, num_heads, prompt)?;
         let scale = SpatialAccelerator::default_scale(head_dim);
@@ -328,7 +253,6 @@ impl FixedCore {
     /// per-session step ordering is exactly the one-at-a-time order.
     fn step_batch(
         &mut self,
-        name: &'static str,
         steps: Vec<(SessionId, Vec<TokenQkv>)>,
     ) -> Vec<(SessionId, Result<StepResult, SaloError>)> {
         let mut results = Vec::with_capacity(steps.len());
@@ -351,7 +275,7 @@ impl FixedCore {
                     _ => break,
                 }
             }
-            self.run_step_group(name, group, &mut results);
+            self.run_step_group(group, &mut results);
         }
         results
     }
@@ -368,7 +292,6 @@ impl FixedCore {
     /// released; anything else is reinserted as it was.
     fn run_step_group(
         &mut self,
-        name: &'static str,
         group: Vec<(SessionId, Vec<TokenQkv>)>,
         results: &mut Vec<(SessionId, Result<StepResult, SaloError>)>,
     ) {
@@ -433,8 +356,7 @@ impl FixedCore {
                 session: sid,
                 position,
                 telemetry: Telemetry {
-                    engine: name,
-                    bit_exact: true,
+                    engine: NAME,
                     sim_cycles: None,
                     sim_time_s: None,
                     sim_energy_j: None,
@@ -468,7 +390,7 @@ impl FixedCore {
         }
     }
 
-    fn prefill_telemetry(name: &'static str, heads: &[ExecutionOutput]) -> Telemetry {
+    fn prefill_telemetry(heads: &[ExecutionOutput]) -> Telemetry {
         // Per-head stage profiles sum exactly to the layer total.
         let mut stages: Option<salo_sim::StageProfile> = None;
         for head in heads {
@@ -477,8 +399,7 @@ impl FixedCore {
             }
         }
         Telemetry {
-            engine: name,
-            bit_exact: true,
+            engine: NAME,
             sim_cycles: Some(heads.iter().map(|h| h.report.timing.cycles.total).sum()),
             sim_time_s: Some(heads.iter().map(|h| h.report.timing.time_s).sum()),
             sim_energy_j: Some(heads.iter().map(|h| h.report.timing.energy_j).sum()),
@@ -511,150 +432,93 @@ fn fixed_head_step(out: StepOutput) -> HeadStep {
     }
 }
 
-/// The default backend: the allocation-free lowered fixed-point datapath.
-///
-/// Prefill walks the plan's flat pass programs
-/// ([`execute_lowered`](SpatialAccelerator::execute_lowered)) with an
-/// engine-lifetime scratch; decode drives persistent per-head
-/// [`DecodeState`]s through the step programs. This is what the serving
-/// runtime's workers run — one engine per worker thread.
-#[derive(Debug)]
-pub struct LoweredEngine {
-    core: FixedCore,
-}
-
-impl LoweredEngine {
-    /// An engine over `accel` (clones share the lookup tables).
-    #[must_use]
-    pub fn new(accel: SpatialAccelerator) -> Self {
-        Self { core: FixedCore::new(accel) }
-    }
-
-    /// The underlying accelerator.
-    #[must_use]
-    pub fn accelerator(&self) -> &SpatialAccelerator {
-        &self.core.accel
-    }
-}
-
 impl Engine for LoweredEngine {
     fn name(&self) -> &'static str {
-        "lowered"
+        NAME
     }
 
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps { bit_exact: true, event_accurate: false }
-    }
-
+    /// Compiles for this engine's array geometry and attaches both the
+    /// pattern and the plan.
     fn prepare(
         &self,
         pattern: &HybridPattern,
         shape: &AttentionShape,
     ) -> Result<PatternHandle, SaloError> {
-        self.core.prepare(pattern, shape)
+        let plan = compile_with(self.accel.config().hw, pattern, shape)?;
+        Ok(PatternHandle::new(Arc::new(pattern.clone()), Arc::new(plan)))
     }
 
     fn execute(&mut self, request: AttentionRequest) -> Result<AttentionResponse, SaloError> {
-        self.core.execute(
-            self.name(),
-            |accel, plan, heads, scale, scratch| {
-                heads
+        let tracer = salo_trace::Tracer::global();
+        match request {
+            AttentionRequest::Prefill { pattern, shape, heads } => {
+                let _span = tracer.span_with("engine.prefill", "engine", heads.len() as u64);
+                check_prefill_heads(&shape, &heads)?;
+                let plan = self.resolve_prefill_plan(&pattern, &shape)?;
+                let scale = SpatialAccelerator::default_scale(shape.head_dim);
+                // Stage profiling follows the tracer switch: one relaxed
+                // load per request, zero per-op cost when off.
+                self.scratch.set_profiling(tracer.enabled());
+                // Head after head on the calling thread, as the one PE
+                // array runs a layer's passes in order.
+                let outputs = heads
                     .iter()
-                    .map(|h| accel.execute_lowered(&plan.lowered, &h.q, &h.k, &h.v, scale, scratch))
-                    .collect()
-            },
-            request,
-        )
+                    .map(|h| {
+                        let scratch = &mut self.scratch;
+                        self.accel.execute_lowered(&plan.lowered, &h.q, &h.k, &h.v, scale, scratch)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let telemetry = Self::prefill_telemetry(&outputs);
+                Ok(AttentionResponse::Prefill(PrefillOutput {
+                    heads: outputs.into_iter().map(fixed_head_output).collect(),
+                    telemetry,
+                }))
+            }
+            AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {
+                // Quantized as the serving runtime's prompts are where they
+                // arrive, then opened the one way.
+                let prompt = prompt.iter().map(FixedQkv::quantize).collect();
+                let open = AttentionRequest::DecodeOpenFixed {
+                    session,
+                    pattern,
+                    head_dim,
+                    num_heads,
+                    prompt,
+                };
+                self.execute(open)
+            }
+            AttentionRequest::DecodeOpenFixed { session, pattern, head_dim, num_heads, prompt } => {
+                let _span = tracer.span_with("engine.decode_open", "engine", session);
+                let opened = self.open(session, &pattern, head_dim, num_heads, &prompt)?;
+                Ok(AttentionResponse::DecodeOpened(opened))
+            }
+            AttentionRequest::DecodeStep { session, token } => {
+                let _span = tracer.span_with("engine.decode_step", "engine", session);
+                // A step is a batch of one: same validation order, same
+                // retirement rule, same telemetry as any fused entry.
+                let (_, result) = self
+                    .step_batch(vec![(session, token)])
+                    .pop()
+                    .expect("one result per submitted step");
+                Ok(AttentionResponse::DecodeStep(result?))
+            }
+            AttentionRequest::DecodeStepBatch { steps } => {
+                let _span =
+                    tracer.span_with("engine.decode_step_batch", "engine", steps.len() as u64);
+                Ok(AttentionResponse::DecodeStepBatch(self.step_batch(steps)))
+            }
+            AttentionRequest::DecodeClose { session } => {
+                let _span = tracer.span_with("engine.decode_close", "engine", session);
+                Ok(AttentionResponse::DecodeClosed(self.close(session)?))
+            }
+        }
     }
 
     fn has_session(&self, session: SessionId) -> bool {
-        self.core.sessions.contains_key(&session)
+        self.sessions.contains_key(&session)
     }
 
     fn session_position(&self, session: SessionId) -> Option<usize> {
-        self.core.sessions.get(&session).map(FixedSession::position)
-    }
-
-    fn kv_pool_stats(&self) -> Option<KvPoolStats> {
-        Some(self.core.kv_pool.stats())
-    }
-
-    fn configure_kv_pool(&mut self, page_rows: usize, capacity_pages: Option<usize>) {
-        self.core.configure_kv_pool(page_rows, capacity_pages);
-    }
-}
-
-/// The event-accurate oracle backend.
-///
-/// Prefill steps every array pass through the cycle-level
-/// [`SystolicArray`](salo_sim::SystolicArray) (explicit systolic skew,
-/// rippled row sums) — roughly an order of magnitude more host time than
-/// [`LoweredEngine`], bit-identical by construction. Decode shares the
-/// lowered step kernels (the decode datapath has a single implementation,
-/// itself bit-identical to causal prefill), so `event_accurate` describes
-/// the prefill path.
-#[derive(Debug)]
-pub struct SystolicEngine {
-    core: FixedCore,
-}
-
-impl SystolicEngine {
-    /// An engine over `accel` (clones share the lookup tables).
-    #[must_use]
-    pub fn new(accel: SpatialAccelerator) -> Self {
-        Self { core: FixedCore::new(accel) }
-    }
-
-    /// The underlying accelerator.
-    #[must_use]
-    pub fn accelerator(&self) -> &SpatialAccelerator {
-        &self.core.accel
-    }
-}
-
-impl Engine for SystolicEngine {
-    fn name(&self) -> &'static str {
-        "systolic"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps { bit_exact: true, event_accurate: true }
-    }
-
-    fn prepare(
-        &self,
-        pattern: &HybridPattern,
-        shape: &AttentionShape,
-    ) -> Result<PatternHandle, SaloError> {
-        self.core.prepare(pattern, shape)
-    }
-
-    fn execute(&mut self, request: AttentionRequest) -> Result<AttentionResponse, SaloError> {
-        self.core.execute(
-            self.name(),
-            |accel, plan, heads, scale, _scratch| {
-                heads
-                    .iter()
-                    .map(|h| accel.execute_systolic(&plan.plan, &h.q, &h.k, &h.v, scale))
-                    .collect()
-            },
-            request,
-        )
-    }
-
-    fn has_session(&self, session: SessionId) -> bool {
-        self.core.sessions.contains_key(&session)
-    }
-
-    fn session_position(&self, session: SessionId) -> Option<usize> {
-        self.core.sessions.get(&session).map(FixedSession::position)
-    }
-
-    fn kv_pool_stats(&self) -> Option<KvPoolStats> {
-        Some(self.core.kv_pool.stats())
-    }
-
-    fn configure_kv_pool(&mut self, page_rows: usize, capacity_pages: Option<usize>) {
-        self.core.configure_kv_pool(page_rows, capacity_pages);
+        self.sessions.get(&session).map(FixedSession::position)
     }
 }

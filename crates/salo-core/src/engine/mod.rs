@@ -1,26 +1,28 @@
-//! The unified engine API: typed attention requests over pluggable
-//! execution backends.
+//! The unified engine API: typed attention requests over execution
+//! backends.
 //!
 //! Every way of running hybrid sparse attention in this repository —
 //! one-shot prefill, streaming decode, the serving runtime's workers —
 //! speaks one request shape: an [`AttentionRequest`] goes into an
-//! [`Engine`], an [`AttentionResponse`] comes out. Backends are
-//! interchangeable objects behind the object-safe [`Engine`] trait, each
-//! describing itself through an [`EngineCaps`] capability descriptor:
+//! [`Engine`], an [`AttentionResponse`] comes out. Two backends implement
+//! the object-safe [`Engine`] trait:
 //!
 //! * [`LoweredEngine`] — the fast allocation-free fixed-point datapath
 //!   (the default; what the serving runtime's workers run);
-//! * [`SystolicEngine`] — the event-accurate systolic oracle, bit-identical
-//!   to the lowered engine by construction;
 //! * [`ReferenceEngine`] — plain `f32` softmax attention, the accuracy
-//!   yardstick the fixed-point engines are measured against.
+//!   yardstick the fixed-point engine is measured against.
 //!
-//! Comparing backends is a one-liner per engine:
+//! The event-accurate systolic model is not an engine: it is the oracle
+//! the lowered engine's prefill is checked against, called directly
+//! ([`SpatialAccelerator::execute_systolic`](salo_sim::SpatialAccelerator::execute_systolic))
+//! on the plan the engine compiled. Comparing backends is a one-liner per
+//! engine:
 //!
 //! ```
 //! use salo_core::{AttentionRequest, Engine, Salo};
 //! use salo_kernels::Qkv;
 //! use salo_patterns::{longformer, AttentionShape};
+//! use salo_sim::SpatialAccelerator;
 //!
 //! # fn main() -> Result<(), salo_core::SaloError> {
 //! let salo = Salo::default_config();
@@ -28,15 +30,22 @@
 //! let shape = AttentionShape::new(64, 8, 1)?;
 //! let heads = Qkv::random_heads(&shape, 7);
 //!
+//! let mut handles = Vec::new();
 //! let mut outputs = Vec::new();
 //! for mut engine in salo.all_engines() {
 //!     let handle = engine.prepare(&pattern, &shape)?;
-//!     let request = AttentionRequest::Prefill { pattern: handle, shape, heads: heads.clone() };
+//!     let request =
+//!         AttentionRequest::Prefill { pattern: handle.clone(), shape, heads: heads.clone() };
 //!     outputs.push(engine.execute(request)?.into_prefill()?);
+//!     handles.push(handle);
 //! }
-//! // lowered and systolic agree bit for bit; the reference is the f32 yardstick
-//! assert_eq!(outputs[0].heads[0].raw, outputs[1].heads[0].raw);
-//! assert!(outputs[0].heads[0].output.max_abs_diff(&outputs[2].heads[0].output) < 0.3);
+//! // The lowered engine agrees bit for bit with the systolic oracle run on
+//! // the plan its handle carries; the reference is the f32 yardstick.
+//! let plan = handles[0].plan().expect("the lowered engine attaches its plan");
+//! let (h, scale) = (&heads[0], SpatialAccelerator::default_scale(shape.head_dim));
+//! let oracle = salo.accelerator().execute_systolic(&plan.plan, &h.q, &h.k, &h.v, scale)?;
+//! assert_eq!(outputs[0].heads[0].raw.as_ref(), Some(&oracle.raw));
+//! assert!(outputs[0].heads[0].output.max_abs_diff(&outputs[1].heads[0].output) < 0.3);
 //! # Ok(())
 //! # }
 //! ```
@@ -54,7 +63,7 @@ use salo_sim::{ExecutionReport, FixedQkv};
 
 use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
 
-pub use fixed::{LoweredEngine, SystolicEngine};
+pub use fixed::LoweredEngine;
 pub use reference::ReferenceEngine;
 
 /// Identifier of a decode session held inside an engine.
@@ -81,24 +90,6 @@ impl TokenQkv {
     }
 }
 
-/// What an [`Engine`] can do, and with which fidelity.
-///
-/// The descriptor lets callers pick a backend without knowing its
-/// concrete type: the equivalence tests group engines by `bit_exact`, and
-/// the timing studies ask for `event_accurate`. Every engine executes
-/// streaming-decode requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Whether outputs follow the accelerator's exact fixed-point
-    /// arithmetic: two `bit_exact` engines produce identical raw bits on
-    /// identical requests.
-    pub bit_exact: bool,
-    /// Whether prefill passes are stepped through the event-accurate
-    /// systolic array model (explicit skew, rippled row sums) rather than
-    /// the closed-form lowered program.
-    pub event_accurate: bool,
-}
-
 /// A pattern, optionally paired with a plan pre-compiled for one
 /// accelerator configuration.
 ///
@@ -123,7 +114,7 @@ impl PatternHandle {
     }
 
     /// A handle carrying only a compiled plan — sufficient for the
-    /// fixed-point engines, rejected by pattern-level engines.
+    /// fixed-point engine, rejected by pattern-level engines.
     #[must_use]
     pub fn from_plan(plan: Arc<CompiledPlan>) -> Self {
         Self { pattern: None, plan: Some(plan) }
@@ -194,13 +185,13 @@ pub enum AttentionRequest {
         num_heads: usize,
         /// Per-head prompt rows; each head the same length, covering at
         /// least every global token and leaving capacity to decode. The
-        /// fixed-point engines quantize them ([`FixedQkv::quantize`]) and
+        /// fixed-point engine quantizes them ([`FixedQkv::quantize`]) and
         /// open as [`DecodeOpenFixed`](Self::DecodeOpenFixed) does.
         prompt: Vec<Qkv>,
     },
     /// [`DecodeOpen`](Self::DecodeOpen) with the prompt already quantized
     /// — how the serving runtime opens, its prompt quantized where it
-    /// arrived. Only the fixed-point engines serve it: quantized rows
+    /// arrived. Only the fixed-point engine serves it: quantized rows
     /// cannot be turned back into a float engine's inputs.
     DecodeOpenFixed {
         /// As in [`DecodeOpen`](Self::DecodeOpen).
@@ -225,7 +216,7 @@ pub enum AttentionRequest {
     },
     /// Decode one token from each of several open sessions as a single
     /// fused pass — the iteration-level continuous-batching form, and on
-    /// the fixed-point engines the one routine every step runs through.
+    /// the fixed-point engine the one routine every step runs through.
     /// Results are per entry, in request order, and equal to issuing the
     /// entries as individual [`DecodeStep`](Self::DecodeStep)s: an
     /// unknown session, a malformed token (head count and every head's
@@ -250,9 +241,6 @@ pub enum AttentionRequest {
 pub struct Telemetry {
     /// The engine's [`Engine::name`].
     pub engine: &'static str,
-    /// Whether the outputs follow the accelerator's exact fixed-point
-    /// arithmetic (copied from the engine's [`EngineCaps`]).
-    pub bit_exact: bool,
     /// Total simulated cycles, when the backend models timing.
     pub sim_cycles: Option<u64>,
     /// Simulated wall time in seconds, when the backend models timing.
@@ -485,22 +473,23 @@ impl AttentionResponse {
 
 /// An execution backend serving [`AttentionRequest`]s.
 ///
-/// The trait is object-safe: the serving runtime's workers, the
-/// comparison harnesses and future backends (threaded, SIMD, remote) all
-/// plug in as `Box<dyn Engine>`. Engines are single-threaded objects —
-/// `Send` but not `Sync` by contract — mirroring one accelerator
-/// instance; run one per worker thread, as the serving pool does.
+/// The trait is object-safe, and both backends serve every method of it:
+/// the comparison loop ([`Salo::all_engines`]) and the equivalence tests
+/// drive them as `Box<dyn Engine>`, so a new backend needs no edit outside
+/// this module to run requests through the trait. Serving is not generic
+/// over it: the serving runtime's workers hold the concrete
+/// [`LoweredEngine`], whose K/V page pool they configure and read.
+/// Engines are single-threaded objects — `Send` but not `Sync` by
+/// contract — mirroring one accelerator instance; run one per worker
+/// thread, as the serving pool does.
 pub trait Engine: Send + fmt::Debug {
-    /// Short stable backend name (`"lowered"`, `"systolic"`,
-    /// `"reference"`), used in telemetry and errors.
+    /// Short stable backend name (`"lowered"`, `"reference"`), used in
+    /// telemetry and errors.
     fn name(&self) -> &'static str;
-
-    /// The backend's capability descriptor.
-    fn capabilities(&self) -> EngineCaps;
 
     /// Resolves a pattern into a [`PatternHandle`] ready for requests on
     /// this engine — compiling and attaching whatever the backend needs
-    /// (the fixed-point engines attach a [`CompiledPlan`]; the reference
+    /// (the fixed-point engine attaches a [`CompiledPlan`]; the reference
     /// engine only keeps the pattern).
     ///
     /// # Errors
@@ -532,21 +521,6 @@ pub trait Engine: Send + fmt::Debug {
     /// The position a live session's next step will produce, or `None`
     /// for unknown sessions.
     fn session_position(&self, session: SessionId) -> Option<usize>;
-
-    /// Occupancy counters of the engine's shared K/V page pool, when the
-    /// backend keeps decode state in pool pages (`None` otherwise — the
-    /// default, kept by float backends).
-    fn kv_pool_stats(&self) -> Option<salo_sim::KvPoolStats> {
-        None
-    }
-
-    /// Reconfigures the engine's K/V page pool (`page_rows` rows per
-    /// page; `None` capacity = unbounded). Backends without a pool ignore
-    /// it; pooled backends apply it only while no pages are in use, so a
-    /// live session's translation can never change underneath it.
-    fn configure_kv_pool(&mut self, page_rows: usize, capacity_pages: Option<usize>) {
-        let _ = (page_rows, capacity_pages);
-    }
 }
 
 impl Salo {
@@ -568,28 +542,17 @@ impl Salo {
         self.engine()
     }
 
-    /// A fresh [`SystolicEngine`] (event-accurate oracle) over this
-    /// instance's accelerator.
-    #[must_use]
-    fn systolic_engine(&self) -> SystolicEngine {
-        SystolicEngine::new(self.accelerator().clone())
-    }
-
     /// A fresh [`ReferenceEngine`] (plain `f32` softmax attention).
     #[must_use]
     pub fn reference_engine(&self) -> ReferenceEngine {
         ReferenceEngine::new()
     }
 
-    /// All three backends, boxed — the comparison loop's starting point
-    /// (lowered, systolic, reference, in that order).
+    /// Both backends, boxed — the comparison loop's starting point
+    /// (lowered, then reference).
     #[must_use]
     pub fn all_engines(&self) -> Vec<Box<dyn Engine>> {
-        vec![
-            Box::new(self.engine()),
-            Box::new(self.systolic_engine()),
-            Box::new(self.reference_engine()),
-        ]
+        vec![Box::new(self.engine()), Box::new(self.reference_engine())]
     }
 }
 

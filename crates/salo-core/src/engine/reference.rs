@@ -2,9 +2,9 @@
 //!
 //! [`ReferenceEngine`] computes exact sparse attention (f64 accumulation,
 //! f32 outputs, no quantization, no LUTs) over the same hybrid patterns
-//! the fixed-point engines execute. It is the yardstick the accelerator's
+//! the fixed-point engine executes. It is the yardstick the accelerator's
 //! fixed-point error is measured against: the root `engines` tests pin
-//! the lowered/systolic outputs to within a documented bound of this
+//! the lowered engine's outputs to within a documented bound of this
 //! engine on random hybrid patterns, prefill and decode alike.
 
 use std::collections::HashMap;
@@ -16,8 +16,8 @@ use salo_sim::SpatialAccelerator;
 
 use crate::engine::{
     check_open_prompt, check_pattern_len, check_prefill_heads, check_token, AttentionRequest,
-    AttentionResponse, Engine, EngineCaps, HeadOutput, HeadStep, PatternHandle, PrefillOutput,
-    SessionClosed, SessionId, SessionOpened, StepResult, Telemetry,
+    AttentionResponse, Engine, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
+    SessionId, SessionOpened, StepResult, Telemetry,
 };
 use crate::SaloError;
 
@@ -44,8 +44,8 @@ struct RefSession {
 
 /// The floating-point reference backend.
 ///
-/// `bit_exact` is `false`: outputs are exact softmax attention, not the
-/// accelerator's arithmetic. No timing or energy is modeled. Decode is
+/// Outputs are exact softmax attention, not the accelerator's
+/// arithmetic. No timing or energy is modeled. Decode is
 /// supported by replaying each step's pattern row over the session's
 /// K/V history — numerically identical to the same row of a float
 /// prefill over the causal pattern.
@@ -64,7 +64,6 @@ impl ReferenceEngine {
     fn telemetry() -> Telemetry {
         Telemetry {
             engine: "reference",
-            bit_exact: false,
             sim_cycles: None,
             sim_time_s: None,
             sim_energy_j: None,
@@ -107,10 +106,6 @@ fn reference_row(
 impl Engine for ReferenceEngine {
     fn name(&self) -> &'static str {
         "reference"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps { bit_exact: false, event_accurate: false }
     }
 
     fn prepare(

@@ -2,10 +2,12 @@
 //!
 //! The public surface is the unified [`engine`] API: a typed
 //! [`AttentionRequest`] (prefill, or the decode-session trio
-//! open/step/close) executed by any backend implementing the object-safe
-//! [`Engine`] trait — [`LoweredEngine`] (fast fixed point, the default),
-//! [`SystolicEngine`] (event-accurate oracle) and [`ReferenceEngine`]
-//! (`f32` accuracy yardstick). [`Salo`] is the thin façade over it:
+//! open/step/close) executed by either backend implementing the
+//! object-safe [`Engine`] trait — [`LoweredEngine`] (fast fixed point, the
+//! default, what the serving runtime runs) and [`ReferenceEngine`] (`f32`
+//! accuracy yardstick). The event-accurate systolic model is the oracle
+//! the lowered engine is tested against, called directly through
+//! `salo_sim`, not an engine. [`Salo`] is the thin façade over it:
 //! configure an accelerator instance, *compile* a hybrid sparse attention
 //! pattern into an execution plan (the data scheduler), hand out engines,
 //! or *estimate* a plan (cycle/energy model).
@@ -48,9 +50,9 @@ mod verify;
 
 pub use decode::DecodeSession;
 pub use engine::{
-    AttentionRequest, AttentionResponse, Engine, EngineCaps, HeadOutput, HeadStep, LoweredEngine,
+    AttentionRequest, AttentionResponse, Engine, HeadOutput, HeadStep, LoweredEngine,
     PatternHandle, PrefillOutput, ReferenceEngine, SessionClosed, SessionId, SessionOpened,
-    StepResult, SystolicEngine, Telemetry, TokenQkv,
+    StepResult, Telemetry, TokenQkv,
 };
 pub use error::SaloError;
 pub use salo::{CompiledPlan, MultiHeadRun, Salo};

@@ -89,7 +89,12 @@ impl DecodeView {
     pub fn min_step(&self) -> usize {
         self.min_step
     }
+}
 
+#[cfg(test)]
+/// The per-step key sets, spelled out — the oracle the view tests check
+/// the causal pattern's rows against.
+impl DecodeView {
     /// The active key set of query position `t`: the causal window band
     /// clipped to `[0, t]` (dilation grid preserved) plus every global
     /// token `<= t`; for a global `t`, the whole history `0..=t`. Sorted
@@ -112,19 +117,6 @@ impl DecodeView {
         let mut keys = self.causal.row_keys(t);
         keys.retain(|&j| j <= t);
         keys
-    }
-
-    /// Number of active keys at step `t`.
-    #[must_use]
-    fn nnz_at(&self, t: usize) -> usize {
-        self.keys_at(t).len()
-    }
-
-    /// Total keys touched by a full generation (`Σ_t nnz_at(t)`) — the
-    /// decode-side analogue of [`HybridPattern::nnz`].
-    #[must_use]
-    pub fn total_nnz(&self) -> u64 {
-        (0..self.causal.n()).map(|t| self.nnz_at(t) as u64).sum()
     }
 }
 
@@ -199,15 +191,6 @@ mod tests {
     fn future_only_pattern_has_no_view() {
         let p = HybridPattern::builder(8).window(Window::sliding(1, 3).unwrap()).build().unwrap();
         assert!(matches!(p.decode_view(), Err(PatternError::EmptyPattern)));
-    }
-
-    #[test]
-    fn total_nnz_counts_each_step_once() {
-        let p = HybridPattern::builder(6).window(Window::causal(3).unwrap()).build().unwrap();
-        let view = p.decode_view().unwrap();
-        // Rows: 1, 2, 3, 3, 3, 3 keys.
-        assert_eq!(view.total_nnz(), 15);
-        assert_eq!(view.nnz_at(0), 1);
     }
 
     #[test]

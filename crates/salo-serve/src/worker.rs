@@ -364,7 +364,7 @@ struct PoolWatch {
 /// take the raw values (their high-water marks are max-merged across
 /// workers by construction), counters take deltas since the last publish.
 fn publish_pool_stats(engine: &LoweredEngine, metrics: &ServeMetrics, watch: &mut PoolWatch) {
-    let Some(stats) = engine.kv_pool_stats() else { return };
+    let stats = engine.kv_pool_stats();
     metrics.resident_pages.set(stats.in_use as i64);
     metrics.pool_pages.set(stats.high_water as i64);
     metrics.page_reclaims.add(stats.reclaimed - watch.reclaimed);

@@ -17,8 +17,9 @@
 //!   (`qk_mac`, `eval_q8`, `scale_to_prob`, `sv_mac`), so it shares no
 //!   sweep with the kernel. Saturation counts are compared, not just rows.
 //!
-//! CI runs this file in `--release` as its own step: the bits a release
-//! build produces are the ones that are served.
+//! CI runs the whole workspace's tests in `--release` too, this file
+//! among them: the bits a release build produces are the ones that are
+//! served.
 
 use salo_fixed::{
     qk_mac, ExpLut, Fix8x4, MacSaturation, RecipUnit, EXP_FRAC, PROB_ONE, SV_I32_SAFE_KEYS,

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             heads: vec![head],
         })?
         .into_prefill()?;
-    let report = fast.heads[0].report.as_ref().expect("fixed-point engines report timing");
+    let report = fast.heads[0].report.as_ref().expect("the fixed-point engine reports timing");
     println!(
         "\nvectorized execution: {} saturations, weight[0] = {}",
         report.saturation_events,

@@ -30,14 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shape = AttentionShape::new(512, 64, 1)?;
     let mut engine = salo.engine(); // the fast fixed-point backend
     let handle = engine.prepare(&pattern, &shape)?;
-    let plan = handle.plan().expect("fixed-point engines attach the compiled plan");
+    let plan = handle.plan().expect("the fixed-point engine attaches the compiled plan");
     let plan_stats = plan.lowered.stats();
     println!(
-        "plan: {} passes, occupancy {:.1}% (engine '{}', caps {:?})",
+        "plan: {} passes, occupancy {:.1}% (engine '{}')",
         plan_stats.passes,
         plan_stats.occupancy * 100.0,
-        engine.name(),
-        engine.capabilities()
+        engine.name()
     );
 
     // 3. Execute one head functionally (bit-accurate fixed point): one

@@ -1,9 +1,12 @@
 //! Backend-equivalence suite for the unified engine API: the same typed
-//! [`AttentionRequest`]s driven through all three engines —
-//! `LoweredEngine` and `SystolicEngine` must agree **bit for bit** (raw
-//! outputs, Q.16 weights, saturation counts), and `ReferenceEngine`
-//! (exact `f32` softmax attention) must agree within the documented
-//! fixed-point error bound — on prefill and decode alike.
+//! [`AttentionRequest`]s driven through both engines. `LoweredEngine`'s
+//! prefill must agree **bit for bit** (raw outputs, Q.16 weights,
+//! saturation counts) with the event-accurate systolic oracle, called
+//! directly (`SpatialAccelerator::execute_systolic`) on the plan the
+//! engine's `prepare` attached; two independent lowered engines must
+//! decode bit-identically; and `ReferenceEngine` (exact `f32` softmax
+//! attention) must agree within the documented fixed-point error bound —
+//! on prefill and decode alike.
 //!
 //! The bound: inputs are unit-normal, quantized to Q.4 activations with a
 //! Q.16 softmax; across the whole repo's test matrix the observed error
@@ -11,12 +14,13 @@
 
 use proptest::prelude::*;
 use salo::core::{
-    AttentionRequest, Engine, HeadStep, PrefillOutput, Salo, SaloError, StepResult, TokenQkv,
+    AttentionRequest, Engine, HeadStep, LoweredEngine, PatternHandle, PrefillOutput, Salo,
+    SaloError, StepResult, TokenQkv,
 };
 use salo::kernels::{Matrix, Qkv};
 use salo::patterns::{AttentionShape, HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
-use salo::sim::{AcceleratorConfig, KvPoolStats, SimError};
+use salo::sim::{AcceleratorConfig, ExecutionOutput, KvPoolStats, SimError, SpatialAccelerator};
 
 /// The documented fixed-point-vs-float bound for unit-normal inputs.
 const FIXED_POINT_BOUND: f32 = 0.4;
@@ -27,19 +31,39 @@ fn small_salo() -> Salo {
     Salo::new(config)
 }
 
-/// Runs one prefill request through an engine.
+/// Runs one prefill request through an engine; returns the handle its
+/// `prepare` built alongside the output.
 fn prefill_on(
     engine: &mut dyn Engine,
     pattern: &HybridPattern,
     shape: AttentionShape,
     heads: &[Qkv],
-) -> PrefillOutput {
+) -> (PatternHandle, PrefillOutput) {
     let handle = engine.prepare(pattern, &shape).expect("prepare");
-    engine
-        .execute(AttentionRequest::Prefill { pattern: handle, shape, heads: heads.to_vec() })
-        .expect("prefill")
-        .into_prefill()
-        .expect("prefill response")
+    let request =
+        AttentionRequest::Prefill { pattern: handle.clone(), shape, heads: heads.to_vec() };
+    let out = engine.execute(request).expect("prefill").into_prefill().expect("prefill response");
+    (handle, out)
+}
+
+/// The systolic oracle's prefill of every head, run on the plan the
+/// lowered engine's handle carries, at the scale the engine uses.
+fn systolic_on(salo: &Salo, handle: &PatternHandle, heads: &[Qkv]) -> Vec<ExecutionOutput> {
+    let plan = handle.plan().expect("the lowered engine attaches its plan");
+    let scale = SpatialAccelerator::default_scale(plan.shape.head_dim);
+    heads
+        .iter()
+        .map(|h| {
+            let oracle = salo.accelerator().execute_systolic(&plan.plan, &h.q, &h.k, &h.v, scale);
+            oracle.expect("systolic prefill")
+        })
+        .collect()
+}
+
+/// The decode comparison's engines: two independent lowered engines,
+/// then the reference.
+fn decode_engines(salo: &Salo) -> [Box<dyn Engine>; 3] {
+    [Box::new(salo.engine()), Box::new(salo.engine()), Box::new(salo.reference_engine())]
 }
 
 /// The first `rows` rows of a full-sequence head.
@@ -102,9 +126,11 @@ fn decode_on(
     steps
 }
 
-/// The acceptance test: one random hybrid pattern through all three
-/// engines, prefill and decode, asserting lowered≡systolic bit-identity
-/// and reference agreement within the documented bound.
+/// The acceptance test: one random hybrid pattern through the lowered
+/// engine, the systolic oracle and the reference engine, prefill and
+/// decode, asserting lowered≡systolic prefill bit-identity, bit-identical
+/// decode on two lowered engines, and reference agreement within the
+/// documented bound.
 #[test]
 fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     let salo = small_salo();
@@ -120,47 +146,45 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     let shape = AttentionShape::new(36, d, num_heads).unwrap();
     let heads = Qkv::random_heads(&shape, 4242);
 
-    // --- Capabilities describe the trio. ---
-    let mut engines = salo.all_engines();
-    assert_eq!(engines.len(), 3);
-    assert_eq!(
-        engines.iter().map(|e| e.capabilities().bit_exact).collect::<Vec<_>>(),
-        [true, true, false]
-    );
-    assert_eq!(
-        engines.iter().map(|e| e.capabilities().event_accurate).collect::<Vec<_>>(),
-        [false, true, false]
-    );
-
     // --- Prefill. ---
-    let outs: Vec<PrefillOutput> =
+    let mut engines = salo.all_engines();
+    assert_eq!(engines.len(), 2);
+    let outs: Vec<(PatternHandle, PrefillOutput)> =
         engines.iter_mut().map(|e| prefill_on(e.as_mut(), &pattern, shape, &heads)).collect();
-    let (lowered, systolic, reference) = (&outs[0], &outs[1], &outs[2]);
+    let ((handle, lowered), (_, reference)) = (&outs[0], &outs[1]);
+    let systolic = systolic_on(&salo, handle, &heads);
     assert_eq!(lowered.telemetry.engine, "lowered");
-    assert_eq!(systolic.telemetry.engine, "systolic");
     assert_eq!(reference.telemetry.engine, "reference");
     // The stage-level kernel profile follows the tracer switch (the CI
     // variants with `SALO_TRACE=1` see it present) and costs no bits: the
     // systolic oracle below is never profiled.
     assert_eq!(lowered.telemetry.stages.is_some(), salo::trace::enabled());
-    for h in 0..num_heads {
-        // Bit-identity between the two fixed-point backends.
-        assert_eq!(lowered.heads[h].raw, systolic.heads[h].raw, "head {h} raw bits");
-        assert_eq!(lowered.heads[h].weights_q16, systolic.heads[h].weights_q16, "head {h} weights");
+    assert_eq!(systolic.len(), num_heads);
+    for (h, oracle) in systolic.iter().enumerate() {
+        // Bit-identity between the lowered engine and the oracle.
+        assert_eq!(lowered.heads[h].raw.as_ref(), Some(&oracle.raw), "head {h} raw bits");
+        assert_eq!(
+            lowered.heads[h].weights_q16.as_ref(),
+            Some(&oracle.weights_q16),
+            "head {h} weights"
+        );
         // The reference is float: no fixed-point artifacts, bounded error.
         assert!(reference.heads[h].raw.is_none());
         let diff = lowered.heads[h].output.max_abs_diff(&reference.heads[h].output);
         assert!(diff < FIXED_POINT_BOUND, "head {h} prefill diff {diff}");
     }
     assert_eq!(
-        lowered.telemetry.saturation_events, systolic.telemetry.saturation_events,
+        lowered.telemetry.saturation_events,
+        systolic.iter().map(|o| o.report.saturation_events).sum::<u64>(),
         "saturation counts"
     );
 
     // --- Decode: same pattern, token by token. ---
-    let dec: Vec<Vec<Vec<HeadStep>>> =
-        engines.iter_mut().map(|e| decode_on(e.as_mut(), &pattern, d, num_heads, &heads)).collect();
-    assert_eq!(dec[0], dec[1], "lowered and systolic decode are bit-identical");
+    let dec: Vec<Vec<Vec<HeadStep>>> = decode_engines(&salo)
+        .iter_mut()
+        .map(|e| decode_on(e.as_mut(), &pattern, d, num_heads, &heads))
+        .collect();
+    assert_eq!(dec[0], dec[1], "two lowered engines decode bit-identically");
     for (s, (fixed, float)) in dec[0].iter().zip(&dec[2]).enumerate() {
         for h in 0..num_heads {
             assert!(fixed[h].raw.is_some() && float[h].raw.is_none());
@@ -196,7 +220,7 @@ fn engine_sessions_validate_and_retire_like_the_serving_runtime() {
     let handle = engine.prepare(&pattern, &shape).unwrap();
     let heads = Qkv::random_heads(&shape, 9);
     let prompt: Vec<Qkv> = heads.iter().map(|h| prompt_of(h, 1)).collect();
-    let in_use = |e: &dyn Engine| e.kv_pool_stats().unwrap().in_use;
+    let in_use = |e: &LoweredEngine| e.kv_pool_stats().in_use;
 
     // Unknown session: steps and closes report it.
     let tok = |d: usize| TokenQkv { q: vec![0.1; d], k: vec![0.1; d], v: vec![0.1; d] };
@@ -384,7 +408,7 @@ fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTra
     StepTrace {
         results,
         positions: sessions.iter().map(|&(s, ..)| engine.session_position(s)).collect(),
-        pool: engine.kv_pool_stats().unwrap(),
+        pool: engine.kv_pool_stats(),
     }
 }
 
@@ -478,8 +502,9 @@ fn arb_pattern() -> impl Strategy<Value = HybridPattern> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Prefill: lowered and systolic are bit-identical; the reference
-    /// stays within the fixed-point bound — on random hybrid patterns.
+    /// Prefill: the lowered engine and the systolic oracle are
+    /// bit-identical; the reference stays within the fixed-point bound —
+    /// on random hybrid patterns.
     #[test]
     fn prefill_backends_are_equivalent(pattern in arb_pattern(), seed in 0u64..1000) {
         let salo = small_salo();
@@ -487,34 +512,35 @@ proptest! {
         let shape = AttentionShape::new(pattern.n(), d, 1).unwrap();
         let heads = Qkv::random_heads(&shape, seed);
         let mut engines = salo.all_engines();
-        let outs: Vec<PrefillOutput> = engines
+        let outs: Vec<(PatternHandle, PrefillOutput)> = engines
             .iter_mut()
             .map(|e| prefill_on(e.as_mut(), &pattern, shape, &heads))
             .collect();
-        prop_assert_eq!(&outs[0].heads[0].raw, &outs[1].heads[0].raw);
-        prop_assert_eq!(&outs[0].heads[0].weights_q16, &outs[1].heads[0].weights_q16);
+        let ((handle, lowered), (_, reference)) = (&outs[0], &outs[1]);
+        let systolic = systolic_on(&salo, handle, &heads);
+        prop_assert_eq!(lowered.heads[0].raw.as_ref(), Some(&systolic[0].raw));
+        prop_assert_eq!(lowered.heads[0].weights_q16.as_ref(), Some(&systolic[0].weights_q16));
         prop_assert_eq!(
-            outs[0].telemetry.saturation_events,
-            outs[1].telemetry.saturation_events
+            lowered.telemetry.saturation_events,
+            systolic.iter().map(|o| o.report.saturation_events).sum::<u64>()
         );
-        let diff = outs[0].heads[0].output.max_abs_diff(&outs[2].heads[0].output);
+        let diff = lowered.heads[0].output.max_abs_diff(&reference.heads[0].output);
         prop_assert!(diff < FIXED_POINT_BOUND, "diff {}", diff);
     }
 
-    /// Decode: the per-step rows agree across backends the same way the
-    /// prefill rows do — bit-identical fixed engines, bounded reference.
+    /// Decode: two independent lowered engines are bit-identical step for
+    /// step; the reference stays within the fixed-point bound.
     #[test]
     fn decode_backends_are_equivalent(pattern in arb_pattern(), seed in 0u64..1000) {
         let salo = small_salo();
         let d = 4usize;
         let shape = AttentionShape::new(pattern.n(), d, 1).unwrap();
         let heads = Qkv::random_heads(&shape, seed);
-        let mut engines = salo.all_engines();
-        let dec: Vec<_> = engines
+        let dec: Vec<_> = decode_engines(&salo)
             .iter_mut()
             .map(|e| decode_on(e.as_mut(), &pattern, d, 1, &heads))
             .collect();
-        prop_assert_eq!(&dec[0], &dec[1], "lowered ≡ systolic decode");
+        prop_assert_eq!(&dec[0], &dec[1], "two lowered engines decode bit-identically");
         for (fixed, float) in dec[0].iter().zip(&dec[2]) {
             let diff = fixed[0]
                 .output

@@ -2,7 +2,7 @@
 //! run wherever they are an arithmetic progression, so a window plan is
 //! O(ops) — these bounds are the guard against a per-key arena (30 MiB at
 //! the `decode_long` shape, three copies of it per benchmark process)
-//! coming back. CI runs them in release next to the decode-at-scale test.
+//! coming back. CI runs them in release with the rest of the workspace.
 
 use salo::core::Salo;
 use salo::patterns::{vil_stage, AttentionShape, HybridPattern, Window};
