@@ -288,15 +288,6 @@ pub struct PrefillOutput {
 }
 
 impl PrefillOutput {
-    /// Concatenates head outputs into the layer output
-    /// (`n x (heads * d)`).
-    #[must_use]
-    pub fn concat_output(&self) -> Matrix<f32> {
-        let n = self.heads.first().map_or(0, |h| h.output.rows());
-        let d = self.heads.first().map_or(0, |h| h.output.cols());
-        Matrix::from_fn(n, self.heads.len() * d, |i, j| self.heads[j / d].output.get(i, j % d))
-    }
-
     /// Converts to [`MultiHeadRun`], the fixed-point-only form with no
     /// `Option` per artifact — the serving runtime's response type.
     ///

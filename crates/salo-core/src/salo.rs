@@ -264,8 +264,6 @@ mod tests {
             let diff = ours.output.max_abs_diff(&exact.output);
             assert!(diff < 0.3, "head diff {diff}");
         }
-        let cat = run.concat_output();
-        assert_eq!(cat.shape(), (48, 16));
         assert!(run.telemetry.sim_time_s.unwrap() > 0.0);
         assert!(run.telemetry.sim_energy_j.unwrap() > 0.0);
         assert_eq!(run.telemetry.engine, "lowered");

@@ -117,7 +117,8 @@ impl Default for GatewayOptions {
 /// [`ServeReport`] plus the front door's own counters.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GatewayReport {
-    /// The wrapped server's report (tenant counters included).
+    /// The wrapped server's report. It holds no per-tenant figures: those
+    /// are the gateway's own `gateway.tenant.{id}.*` registry entries.
     pub serve: ServeReport,
     /// Connections accepted over the gateway's lifetime.
     pub connections: u64,
@@ -319,8 +320,9 @@ impl Gateway {
         self.addr
     }
 
-    /// The wrapped server's metrics registry (serve counters, per-tenant
-    /// counters, and the gateway's `gateway.*` family).
+    /// The wrapped server's metrics registry: the serve counters and the
+    /// gateway's `gateway.*` family, each tenant's
+    /// `gateway.tenant.{id}.*` entries included.
     #[must_use]
     pub fn metrics(&self) -> &salo_serve::MetricsRegistry {
         self.server.metrics()
@@ -531,6 +533,15 @@ fn reader_loop(inner: &Inner, server: &SaloServer, stream: TcpStream, conn: &Arc
     inner.lock().close_sessions_of(conn);
 }
 
+/// The name of `tenant`'s registry entry `field`. Every name a peer's
+/// tenant id can add to the registry is made here:
+/// `gateway.tenant.{id}.queue_wait_ns` and `.admitted`, resolved once per
+/// tenant entry of the state, and `.rejected.overloaded`, counted per
+/// refusal.
+fn tenant_entry(tenant: u64, field: &str) -> String {
+    format!("gateway.tenant.{tenant}.{field}")
+}
+
 fn admit(
     inner: &Inner,
     server: &SaloServer,
@@ -558,7 +569,9 @@ fn admit(
         let conn = Arc::clone(conn);
         let pending = Pending { header, request, conn, bytes, enqueued, deadline };
         let admitted = state.admit(pending, &inner.options, || {
-            server.metrics().histogram(&format!("gateway.tenant.{tenant}.queue_wait_ns"))
+            let metrics = server.metrics();
+            let queue_wait = metrics.histogram(&tenant_entry(tenant, "queue_wait_ns"));
+            (queue_wait, metrics.counter(&tenant_entry(tenant, "admitted")))
         });
         if admitted.is_ok() {
             // Counted before it is submitted: whoever has the reply finds
@@ -571,7 +584,7 @@ fn admit(
     write_replies(inner, out);
     if let Some(depth) = refused {
         inner.counts.rejected_overloaded.inc();
-        server.record_tenant_rejection(tenant);
+        server.metrics().counter(&tenant_entry(tenant, "rejected.overloaded")).inc();
         // Rough service-rate hint: two milliseconds per outstanding
         // request ahead of a retry.
         let response = Outgoing::Error(ErrorFrame {
@@ -1304,8 +1317,38 @@ mod tests {
         );
 
         // The front door's counts are live in the registry: a `Stats` frame
-        // read while the gateway still serves says what the final report will.
+        // read while the gateway still serves says what the final report
+        // will, per tenant too. Every reply has been read, so they are final.
         let stats = good.stats_json().expect("stats");
+        // A tenant is counted in one place: the gateway's three entries.
+        let mut flooder_names: Vec<&str> =
+            stats.split('"').filter(|token| token.contains(".tenant.9.")).collect();
+        flooder_names.sort_unstable();
+        assert_eq!(
+            flooder_names,
+            [
+                "gateway.tenant.9.admitted",
+                "gateway.tenant.9.queue_wait_ns",
+                "gateway.tenant.9.rejected.overloaded"
+            ]
+        );
+        let live = |name: &str, count: u64| {
+            let entry = format!("\"{name}\":{count}");
+            [',', '}'].iter().any(|end| stats.contains(&format!("{entry}{end}")))
+        };
+        for (name, count) in [
+            ("gateway.tenant.9.rejected.overloaded", rejected),
+            ("gateway.tenant.2.admitted", good_total),
+        ] {
+            assert!(live(name, count), "no {name} = {count} in the live stats: {stats}");
+        }
+        let tenant =
+            |id: u64, field: &str| gateway.metrics().counter(&tenant_entry(id, field)).get();
+        assert_eq!(tenant(2, "admitted"), good_total);
+        assert_eq!(tenant(2, "rejected.overloaded"), 0, "good tenant must see no rejections");
+        assert_eq!(tenant(9, "admitted"), admitted);
+        assert_eq!(tenant(9, "rejected.overloaded"), rejected);
+
         let report = gateway.shutdown();
         assert_eq!(
             (report.admitted, report.rejected_overloaded),
@@ -1317,12 +1360,6 @@ mod tests {
             let live = format!("\"gateway.{name}\":{count},");
             assert!(stats.contains(&live), "no {live} in the live stats: {stats}");
         }
-        let good_counters = report.serve.tenants.get(&2).expect("good tenant counted");
-        assert_eq!(good_counters.requests, good_total);
-        assert_eq!(good_counters.rejections, 0, "good tenant must see no rejections");
-        let flood_counters = report.serve.tenants.get(&9).expect("flooder counted");
-        assert_eq!(flood_counters.requests, admitted);
-        assert_eq!(flood_counters.rejections, rejected);
     }
 
     /// Two tenants, two workers, one large prefill in flight: a tiny prefill

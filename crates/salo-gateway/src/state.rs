@@ -24,10 +24,13 @@
 //! terms, EXPERIMENTS.md), is built on the pinned worker, off the lock.
 //! Socket writes always happen outside the lock.
 //!
-//! Admission and fairness live in the gateway alone: the quota bounds
-//! what a tenant may have outstanding, DRR interleaves what is admitted
-//! a quantum at a time, and the window keeps the workers' queues — the
-//! one hop behind `submit_into` — staging, not a second place to wait.
+//! Admission, fairness and per-tenant accounting live in the gateway
+//! alone: the quota bounds what a tenant may have outstanding, DRR
+//! interleaves what is admitted a quantum at a time, the window keeps the
+//! workers' queues — the one hop behind `submit_into` — staging, not a
+//! second place to wait, and a tenant's admissions are counted on its
+//! entry here, under the lock that admits them. The server below holds
+//! no tenant state.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
@@ -38,7 +41,7 @@ use std::time::Instant;
 use salo_serve::{
     EventSink, ServeError, ServeEvent, ServeOptions, ServeRequest, SessionRequest, TokenQkv,
 };
-use salo_trace::{Gauge, LogHistogram};
+use salo_trace::{Counter, Gauge, LogHistogram};
 
 use crate::wire::{ErrorCode, ErrorFrame, Header, Incoming, Outgoing};
 use crate::GatewayOptions;
@@ -48,6 +51,8 @@ pub(crate) type Open = SessionRequest<salo_core::FixedQkv>;
 
 /// The four calls [`State`] makes on the server, none of which waits for
 /// the work: its results arrive on the channel the completion thread reads.
+/// A submission names its tenant, which the server does not read: the
+/// test backends hold and record work by it.
 pub(crate) trait Backend: Send {
     fn submit_into(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError>;
     fn open_session_into(&self, tenant: u64, request: Open) -> Result<u64, ServeError>;
@@ -63,12 +68,12 @@ pub(crate) struct Served {
 }
 
 impl Backend for Served {
-    fn submit_into(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
-        self.server.submit_into(tenant, request, self.events.clone())
+    fn submit_into(&self, _: u64, request: ServeRequest) -> Result<u64, ServeError> {
+        self.server.submit_into(request, self.events.clone())
     }
 
-    fn open_session_into(&self, tenant: u64, request: Open) -> Result<u64, ServeError> {
-        self.server.open_session_into(tenant, request, self.events.clone())
+    fn open_session_into(&self, _: u64, request: Open) -> Result<u64, ServeError> {
+        self.server.open_session_into(request, self.events.clone())
     }
 
     fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
@@ -153,6 +158,8 @@ struct Tenant {
     deficit: usize,
     /// `gateway.tenant.{id}.queue_wait_ns`, resolved once per tenant.
     queue_wait: Arc<LogHistogram>,
+    /// `gateway.tenant.{id}.admitted`, resolved with `queue_wait`.
+    admitted: Arc<Counter>,
 }
 
 /// Who is owed the reply to a request the server is working on.
@@ -251,24 +258,23 @@ impl State {
     }
 
     /// Admits `pending` unless its tenant or the gateway already has its
-    /// quota outstanding; a refusal returns the depth it ran into.
-    /// `queue_wait` resolves a new tenant's histogram.
+    /// quota outstanding, and counts it on its tenant; a refusal returns
+    /// the depth it ran into, and is counted by the caller. `metrics`
+    /// resolves a new tenant's queue-wait histogram and admission counter.
     pub(crate) fn admit(
         &mut self,
         pending: Pending,
         options: &GatewayOptions,
-        queue_wait: impl FnOnce() -> Arc<LogHistogram>,
+        metrics: impl FnOnce() -> (Arc<LogHistogram>, Arc<Counter>),
     ) -> Result<(), usize> {
         let id = pending.header.tenant;
         let outstanding = self.tenants.get(&id).map_or(0, |t| t.outstanding);
         if outstanding >= options.tenant_quota || self.outstanding_total >= options.global_queue {
             return Err(self.outstanding_total.max(outstanding));
         }
-        let tenant = self.tenants.entry(id).or_insert_with(|| Tenant {
-            queue: VecDeque::new(),
-            outstanding: 0,
-            deficit: 0,
-            queue_wait: queue_wait(),
+        let tenant = self.tenants.entry(id).or_insert_with(|| {
+            let (queue_wait, admitted) = metrics();
+            Tenant { queue: VecDeque::new(), outstanding: 0, deficit: 0, queue_wait, admitted }
         });
         if tenant.queue.is_empty() && !self.round.contains(&id) {
             self.round.push_back(id);
@@ -277,6 +283,7 @@ impl State {
         self.request_bytes.add(pending.bytes as i64);
         tenant.queue.push_back(pending);
         tenant.outstanding += 1;
+        tenant.admitted.inc();
         self.outstanding_total += 1;
         Ok(())
     }
@@ -776,7 +783,7 @@ pub(crate) mod tests {
         pending: Pending,
         out: &mut Vec<Reply>,
     ) -> Result<(), usize> {
-        let admitted = state.admit(pending, options, || Arc::new(LogHistogram::new()));
+        let admitted = state.admit(pending, options, Default::default);
         if admitted.is_ok() {
             state.dispatch(options, out);
         }
@@ -808,8 +815,7 @@ pub(crate) mod tests {
         /// Admits `request` for `tenant`, its dispatch still to come.
         fn queue(&mut self, tenant: u64, request_id: u64, request: Incoming) {
             let pending = pending(&self.conn, Header { tenant, request_id }, request);
-            let queue_wait = || Arc::new(LogHistogram::new());
-            self.state.admit(pending, &self.options, queue_wait).expect("admitted");
+            self.state.admit(pending, &self.options, Default::default).expect("admitted");
         }
 
         /// Settles the layer the server knows as `id`.
@@ -827,7 +833,7 @@ pub(crate) mod tests {
         for (tenant, n) in [(1u64, 6u64), (2, 2)] {
             for request_id in 0..n {
                 let pending = pending(&conn, Header { tenant, request_id }, Incoming::Stats);
-                state.admit(pending, &options, || Arc::new(LogHistogram::new())).expect("admitted");
+                state.admit(pending, &options, Default::default).expect("admitted");
             }
         }
         let mut order = Vec::new();

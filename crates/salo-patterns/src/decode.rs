@@ -1,5 +1,5 @@
-//! The decode view of a hybrid pattern: per-step active key sets for
-//! autoregressive generation.
+//! The decode view of a hybrid pattern: its causal clip and first
+//! decodable step, for autoregressive generation.
 //!
 //! Prefill executes a pattern over a complete sequence at once; decoding
 //! produces one query position `t` per step, attending only keys that
@@ -21,11 +21,11 @@
 
 use crate::{HybridPattern, PatternError};
 
-/// A causal, step-indexed view of a [`HybridPattern`] for autoregressive
-/// decoding.
+/// A [`HybridPattern`] prepared for autoregressive decoding: its causal
+/// clip and the first decodable step ([`min_step`](Self::min_step)).
 ///
-/// Construction clips the pattern to its causal part once; per-step key
-/// sets are then pure reads.
+/// Construction clips the pattern once; step `t`'s keys are row `t` of
+/// [`causal_pattern`](Self::causal_pattern).
 ///
 /// # Example
 ///

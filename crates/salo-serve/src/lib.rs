@@ -86,7 +86,7 @@ mod worker;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use error::ServeError;
-pub use metrics::{ServeReport, TenantCounters};
+pub use metrics::ServeReport;
 pub use request::{ServeRequest, ServeResponse};
 pub use salo_trace::{HistogramSnapshot, MetricsRegistry};
 pub use server::{SaloServer, ServeOptions};

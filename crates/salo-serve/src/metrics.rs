@@ -7,56 +7,11 @@
 //! histograms ([`HistogramSnapshot::merged_with`] — element-wise, exactly
 //! the histogram of the union of their samples) and reads the result.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
-use salo_trace::{Counter, HistogramSnapshot, MetricsRegistry};
+use salo_trace::HistogramSnapshot;
 
 use crate::CacheStats;
-
-/// Per-tenant accounting inside a [`ServeReport`], keyed by tenant id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantCounters {
-    /// Layer requests and session opens this tenant had accepted.
-    pub requests: u64,
-    /// Requests refused at admission (queue bounds) on this tenant's
-    /// behalf — recorded by the front door
-    /// ([`SaloServer::record_tenant_rejection`](crate::SaloServer::record_tenant_rejection)),
-    /// since rejected work never enters the runtime.
-    pub rejections: u64,
-    /// Decode steps accepted across this tenant's sessions.
-    pub decode_steps: u64,
-}
-
-/// One tenant's live `serve.tenant.{id}.*` counters — the registry
-/// entries behind its [`TenantCounters`] row — resolved by name once.
-#[derive(Clone)]
-pub(crate) struct TenantMetrics {
-    pub requests: Arc<Counter>,
-    pub rejections: Arc<Counter>,
-    pub decode_steps: Arc<Counter>,
-}
-
-impl TenantMetrics {
-    pub fn new(registry: &MetricsRegistry, tenant: u64) -> Self {
-        let counter = |field: &str| registry.counter(&format!("serve.tenant.{tenant}.{field}"));
-        Self {
-            requests: counter("requests"),
-            rejections: counter("rejections"),
-            decode_steps: counter("decode_steps"),
-        }
-    }
-
-    /// The counters' values now.
-    pub fn read(&self) -> TenantCounters {
-        TenantCounters {
-            requests: self.requests.get(),
-            rejections: self.rejections.get(),
-            decode_steps: self.decode_steps.get(),
-        }
-    }
-}
 
 /// Aggregate statistics for one serving session, produced by
 /// [`SaloServer::shutdown`](crate::SaloServer::shutdown).
@@ -121,10 +76,6 @@ pub struct ServeReport {
     /// means steps failed with `PagePoolExhausted` (cleanly — the
     /// sessions stay live and retryable).
     pub decode_pool_exhausted: u64,
-    /// Per-tenant accounting, keyed by tenant id. Untenanted work counts
-    /// under the default tenant
-    /// ([`DEFAULT_TENANT`](crate::SaloServer::DEFAULT_TENANT) = 0).
-    pub tenants: BTreeMap<u64, TenantCounters>,
 }
 
 /// A nanosecond histogram's `q`-quantile, in milliseconds.
@@ -185,17 +136,6 @@ impl fmt::Display for ServeReport {
             self.decode_page_reclaims,
             self.decode_pool_exhausted
         )?;
-        if !self.tenants.is_empty() {
-            write!(f, "tenants         :")?;
-            for (tenant, t) in &self.tenants {
-                write!(
-                    f,
-                    " [{}: {} req / {} rej / {} steps]",
-                    tenant, t.requests, t.rejections, t.decode_steps
-                )?;
-            }
-            writeln!(f)?;
-        }
         write!(f, "per-worker load : {:?}", self.per_worker_requests)
     }
 }
@@ -225,10 +165,6 @@ mod tests {
             requests: 10,
             throughput_rps: 5.0,
             per_worker_requests: vec![5, 5],
-            tenants: BTreeMap::from([(
-                1,
-                TenantCounters { requests: 17, rejections: 3, decode_steps: 43 },
-            )]),
             ..Default::default()
         };
         let text = report.to_string();
@@ -237,6 +173,5 @@ mod tests {
         {
             assert!(text.contains(needle), "missing section {needle}");
         }
-        assert!(text.contains("tenants         : [1: 17 req / 3 rej / 43 steps]"), "{text}");
     }
 }

@@ -38,7 +38,7 @@
 //! server as its own client: it keeps the receiver, and `recv` — the one
 //! reader that promises submission order — restores it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -48,7 +48,7 @@ use salo_core::{FixedQkv, Salo};
 use salo_sim::AcceleratorConfig;
 use salo_trace::MetricsRegistry;
 
-use crate::metrics::{ServeReport, TenantMetrics};
+use crate::metrics::ServeReport;
 use crate::session::{
     DecodeSessionHandle, EventSink, LiveSession, ServeEvent, SessionRegistry, SessionRequest,
     TokenQkv,
@@ -106,7 +106,7 @@ impl Default for ServeOptions {
 }
 
 /// The receiving end of the server's own sink: what
-/// [`SaloServer::submit_for`] submits into and [`SaloServer::recv`] reads.
+/// [`SaloServer::submit`] submits into and [`SaloServer::recv`] reads.
 struct OwnSink {
     events: Receiver<ServeEvent>,
     /// Responses that arrived ahead of the one `recv` owes next.
@@ -130,11 +130,11 @@ struct OwnSink {
 pub struct SaloServer {
     config: AcceleratorConfig,
     pool: WorkerPool,
-    /// The server as its own client: `submit_for` submits into
+    /// The server as its own client: `submit` submits into
     /// `own_events`, `recv` reads the other end.
     own_events: EventSink,
     own: Mutex<OwnSink>,
-    /// Ids `submit_for` handed out and `recv` has not returned yet, in
+    /// Ids `submit` handed out and `recv` has not returned yet, in
     /// increasing order (`submit_into` traffic leaves gaps between them).
     own_ids: Mutex<VecDeque<u64>>,
     cache: Arc<PlanCache>,
@@ -144,10 +144,6 @@ pub struct SaloServer {
     metrics: Arc<MetricsRegistry>,
     /// The registry handles the front end and the workers record through.
     counts: ServeMetrics,
-    /// Every tenant's counters, by tenant id: resolved by name once, on
-    /// the tenant's first request or rejection, and read back into
-    /// [`ServeReport::tenants`] at shutdown.
-    tenants: Mutex<HashMap<u64, TenantMetrics>>,
 }
 
 impl std::fmt::Debug for SaloServer {
@@ -187,7 +183,6 @@ impl SaloServer {
             sessions,
             metrics,
             counts,
-            tenants: Mutex::new(HashMap::new()),
         }
     }
 
@@ -203,14 +198,9 @@ impl SaloServer {
         &self.config
     }
 
-    /// The tenant untenanted entry points ([`submit`](Self::submit),
-    /// [`open_session`](Self::open_session)) account their work under.
-    pub const DEFAULT_TENANT: u64 = 0;
-
     /// Submits a layer request; returns its id. Responses come back
     /// through [`recv`](Self::recv) in increasing-id order, so a client
-    /// that submits `k` requests reads exactly `k` responses. Accounted
-    /// under [`DEFAULT_TENANT`](Self::DEFAULT_TENANT).
+    /// that submits `k` requests reads exactly `k` responses.
     ///
     /// # Errors
     ///
@@ -218,27 +208,26 @@ impl SaloServer {
     /// inconsistent. A request whose worker's thread is gone is accepted
     /// and answered with [`ServeError::WorkerLost`].
     pub fn submit(&self, request: ServeRequest) -> Result<u64, ServeError> {
-        self.submit_for(Self::DEFAULT_TENANT, request)
-    }
-
-    /// [`submit`](Self::submit) on behalf of a tenant: the request counts
-    /// toward `tenant`'s entry in [`ServeReport::tenants`] (and the live
-    /// `serve.tenant.{id}.requests` counter). Multi-tenant front ends —
-    /// the gateway — thread the wire-header tenant id through here.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit).
-    pub fn submit_for(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
         // Submitted under the lock, so own ids queue in increasing order
         // whoever else is submitting.
         let mut own_ids = self.own_ids.lock().expect("own ids poisoned");
-        let id = self.submit_into(tenant, request, self.own_events.clone())?;
+        let id = self.submit_into(request, self.own_events.clone())?;
         own_ids.push_back(id);
         Ok(id)
     }
 
-    /// [`submit_for`](Self::submit_for) reporting into a channel the
+    /// [`submit`](Self::submit); the tenant is ignored — the server keeps
+    /// no per-tenant state, the gateway counts tenants where it admits
+    /// them. Kept only because `bench/` still calls it by this name.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit).
+    pub fn submit_for(&self, _tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
+        self.submit(request)
+    }
+
+    /// [`submit`](Self::submit) reporting into a channel the
     /// caller supplies — the layer twin of
     /// [`open_session_into`](Self::open_session_into). The response
     /// arrives on `events` — a `Sender<ServeEvent>`, or a clone of the
@@ -252,7 +241,6 @@ impl SaloServer {
     /// As [`submit`](Self::submit).
     pub fn submit_into(
         &self,
-        tenant: u64,
         request: ServeRequest,
         events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
@@ -262,7 +250,6 @@ impl SaloServer {
         let request = ServeRequest::new(request.pattern, request.shape, request.heads)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
-        self.tenant(tenant).requests.inc();
         self.counts.depth.add(1);
         let ticket = LayerTicket { id, submitted: Instant::now(), events };
         if let Err(job) = self.pool.send(self.pool.least_loaded(), Job::Layer { ticket, request }) {
@@ -290,31 +277,29 @@ impl SaloServer {
     /// session:
     /// once [`wait_open`](DecodeSessionHandle::wait_open) has reported
     /// the failure, the id is gone and further calls on it return
-    /// [`ServeError::UnknownSession`]. Accounted under
-    /// [`DEFAULT_TENANT`](Self::DEFAULT_TENANT).
+    /// [`ServeError::UnknownSession`].
     pub fn open_session(&self, request: SessionRequest) -> Result<DecodeSessionHandle, ServeError> {
-        self.open_session_for(Self::DEFAULT_TENANT, request)
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        let id = self.open_session_into(request, events_tx)?;
+        Ok(DecodeSessionHandle { id, events: events_rx })
     }
 
-    /// [`open_session`](Self::open_session) on behalf of a tenant: the
-    /// open counts toward `tenant`'s [`ServeReport::tenants`] entry, and
-    /// every accepted step of the session counts toward its
-    /// `decode_steps`.
+    /// [`open_session`](Self::open_session); the tenant is ignored, as
+    /// [`submit_for`](Self::submit_for)'s is. Kept only because `bench/`
+    /// still calls it by this name.
     ///
     /// # Errors
     ///
     /// As [`open_session`](Self::open_session).
     pub fn open_session_for(
         &self,
-        tenant: u64,
+        _tenant: u64,
         request: SessionRequest,
     ) -> Result<DecodeSessionHandle, ServeError> {
-        let (events_tx, events_rx) = std::sync::mpsc::channel();
-        let id = self.open_session_into(tenant, request, events_tx)?;
-        Ok(DecodeSessionHandle { id, events: events_rx })
+        self.open_session(request)
     }
 
-    /// [`open_session_for`](Self::open_session_for) reporting into a
+    /// [`open_session`](Self::open_session) reporting into a
     /// channel the caller supplies; returns the session id. A front end
     /// multiplexing many sessions hands every open a clone of one
     /// [`EventSink`] and reads all their events — each carries its session
@@ -332,17 +317,15 @@ impl SaloServer {
     ///
     /// # Errors
     ///
-    /// As [`open_session_for`](Self::open_session_for).
+    /// As [`open_session`](Self::open_session).
     pub fn open_session_into(
         &self,
-        tenant: u64,
         request: impl Into<SessionRequest<FixedQkv>>,
         events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
         let request = request.into();
         request.validate()?;
         let events = events.into();
-        let TenantMetrics { requests, decode_steps, .. } = self.tenant(tenant);
         // Placement, registration and the send are one step under the
         // table's lock, so a close — the one thing that removes a live
         // session at the front end — sends to its worker after this open's
@@ -350,10 +333,9 @@ impl SaloServer {
         let mut table = self.sessions.lock();
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.session_open", "serve", session);
-        requests.inc();
         self.counts.depth.add(1);
         let worker = table.place(|w| self.pool.load_of(w));
-        table.insert(session, LiveSession { worker, events: events.clone(), decode_steps });
+        table.insert(session, LiveSession { worker, events: events.clone() });
         let job = Job::Open { session, request, submitted: Instant::now(), events };
         if let Err(job) = self.pool.send(worker, job) {
             table.remove(session);
@@ -361,12 +343,6 @@ impl SaloServer {
             job.lose(&self.counts);
         }
         Ok(session)
-    }
-
-    /// `tenant`'s counters, resolved by name on its first appearance.
-    fn tenant(&self, tenant: u64) -> TenantMetrics {
-        let mut tenants = self.tenants.lock().expect("tenant counters poisoned");
-        tenants.entry(tenant).or_insert_with(|| TenantMetrics::new(&self.metrics, tenant)).clone()
     }
 
     /// Submits one decode step: `token` carries the new position's
@@ -388,7 +364,6 @@ impl SaloServer {
         let (worker, events) = {
             let table = self.sessions.lock();
             let live = table.get(session).ok_or(ServeError::UnknownSession { session })?;
-            live.decode_steps.inc();
             (live.worker, live.events.clone())
         };
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
@@ -418,7 +393,7 @@ impl SaloServer {
         // Removed first, so a concurrent close cannot send a second
         // `Job::Close`.
         let removed = self.sessions.lock().remove(session);
-        let LiveSession { worker, events, .. } =
+        let LiveSession { worker, events } =
             removed.ok_or(ServeError::UnknownSession { session })?;
         if let Err(job) = self.pool.send(worker, Job::Close { session, events }) {
             job.lose(&self.counts);
@@ -433,8 +408,8 @@ impl SaloServer {
         self.sessions.lock().len()
     }
 
-    /// Blocks for the next response to a [`submit`](Self::submit) /
-    /// [`submit_for`](Self::submit_for) request, in submission
+    /// Blocks for the next response to a [`submit`](Self::submit)
+    /// request, in submission
     /// (increasing-id) order: a response that completed ahead of an
     /// earlier submission waits here until that one has been returned.
     ///
@@ -482,15 +457,6 @@ impl SaloServer {
         &self.metrics
     }
 
-    /// Records one admission rejection on behalf of `tenant`. Rejected
-    /// work never enters the runtime, so the front door (the gateway's
-    /// bounded queues) reports it here; the count lands in the tenant's
-    /// [`ServeReport::tenants`] entry and the live
-    /// `serve.tenant.{id}.rejections` counter.
-    pub fn record_tenant_rejection(&self, tenant: u64) {
-        self.tenant(tenant).rejections.inc();
-    }
-
     /// The runtime's one way to stop: closes every worker's queue, lets
     /// each worker run the jobs already queued to it (closes included),
     /// joins every thread and returns the session report. Responses not
@@ -513,8 +479,6 @@ impl SaloServer {
         let latency_hist = self.metrics.histogram("serve.latency_ns").snapshot();
         let decode_step_latency_hist =
             self.metrics.histogram("serve.decode.step_latency_ns").snapshot();
-        let tenants = self.tenants.lock().expect("tenant counters poisoned");
-        let tenants = tenants.iter().map(|(&tenant, handles)| (tenant, handles.read())).collect();
         ServeReport {
             requests,
             errors: counter("serve.errors"),
@@ -540,7 +504,6 @@ impl SaloServer {
             decode_peak_pool_pages: peak("serve.decode.pool_pages"),
             decode_page_reclaims: counter("serve.decode.page_reclaims"),
             decode_pool_exhausted: counter("serve.decode.pool_exhausted"),
-            tenants,
         }
     }
 }

@@ -25,7 +25,6 @@ use salo_core::engine::{check_open_prompt, PromptHead};
 use salo_core::{FixedQkv, HeadStep};
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
-use salo_trace::Counter;
 
 use crate::{ServeError, ServeResponse};
 
@@ -293,10 +292,6 @@ pub(crate) struct LiveSession {
     pub worker: usize,
     /// The sink the session's open came in with.
     pub events: EventSink,
-    /// The `serve.tenant.{id}.decode_steps` counter of the tenant that
-    /// opened it, taken from the server's tenant map at open, so the step
-    /// path pays one lookup for liveness, routing and accounting together.
-    pub decode_steps: Arc<Counter>,
 }
 
 /// The table behind [`SessionRegistry::lock`]. `pinned` is kept in step

@@ -808,10 +808,7 @@ mod tests {
                 num_heads,
                 prompt: prompt.collect(),
             };
-            let decode_steps = registry.counter("decode_steps");
-            sessions
-                .lock()
-                .insert(session, LiveSession { worker: 0, events: sink(session), decode_steps });
+            sessions.lock().insert(session, LiveSession { worker: 0, events: sink(session) });
             opens.push(Job::Open {
                 session,
                 request: request.into(),
