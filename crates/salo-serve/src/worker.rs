@@ -587,8 +587,9 @@ impl Worker {
                 );
                 list.into_iter().map(|(_, result)| result).collect::<Vec<_>>()
             }
-            // The batch itself was rejected (an engine without decode, a
-            // malformed request): every member step failed identically.
+            // `execute` refused the batch, or its response was not a
+            // step batch (`into_step_batch`): every member step failed
+            // identically.
             Err(e) => routes.iter().map(|_| Err(e.clone())).collect(),
         };
         drop(tick_span);

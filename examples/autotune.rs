@@ -4,9 +4,8 @@
 //! coverage budget by *simulated cycles on the configured array*, and
 //! returns the cheapest covering pattern.
 //!
-//! Doubles as the CI smoke for the tuner: for every mask the fitted
-//! pattern's simulated cycle count must not exceed the preset the mask
-//! was generated from.
+//! `tests/end_to_end.rs` (`autotuned_pattern_costs_no_more_cycles_than_its_preset`)
+//! holds that each fitted pattern costs no more cycles than its preset.
 //!
 //! Run with: `cargo run --release --example autotune`
 
@@ -54,14 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             baseline.energy_j * 1e6,
             tuned.energy_j * 1e6
         );
-        assert!(
-            tuned.cycles.total <= baseline.cycles.total,
-            "{name}: tuned pattern must not cost more than the preset \
-             ({} vs {} cycles)",
-            tuned.cycles.total,
-            baseline.cycles.total
-        );
     }
-    println!("autotune smoke passed: every fitted pattern is at or below its preset baseline");
     Ok(())
 }

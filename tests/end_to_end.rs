@@ -4,8 +4,8 @@
 use salo::core::{AttentionRequest, Engine, Salo};
 use salo::kernels::{sparse_attention, Qkv};
 use salo::patterns::{
-    grid_2d, longformer, sparse_transformer, star_transformer, AttentionShape, HybridPattern,
-    Window,
+    bigbird, grid_2d, longformer, sparse_transformer, star_transformer, AttentionShape, DenseMask,
+    FitConfig, HybridPattern, Window,
 };
 use salo::scheduler::HardwareMeta;
 use salo::sim::AcceleratorConfig;
@@ -102,6 +102,30 @@ fn default_instance_handles_full_scale_compile() {
         let t = salo.estimate(&compiled);
         assert!(t.cycles.total > 0);
         assert!(t.utilization.mac_utilization > 0.5);
+    }
+}
+
+#[test]
+fn autotuned_pattern_costs_no_more_cycles_than_its_preset() {
+    // `examples/autotune.rs` prints the table for these three masks.
+    let salo = Salo::default_config();
+    let n = 256;
+    let shape = AttentionShape::new(n, 64, 1).unwrap();
+    for (name, preset) in [
+        ("longformer(256, 32, 2)", longformer(n, 32, 2).unwrap()),
+        ("bigbird(256, 16, 2, 2, 7)", bigbird(n, 16, 2, 2, 7).unwrap()),
+        ("sparse_transformer(256, 16, 4)", sparse_transformer(n, 16, 4).unwrap()),
+    ] {
+        let mask = DenseMask::from_pattern(&preset);
+        let baseline = salo.estimate(&salo.compile(&preset, &shape).unwrap());
+        let report = salo.autotune_pattern(&mask, &shape, 0.95, FitConfig::default()).unwrap();
+        let tuned = salo.estimate(&salo.compile(&report.pattern, &shape).unwrap());
+        assert!(
+            tuned.cycles.total <= baseline.cycles.total,
+            "{name}: tuned pattern must not cost more than the preset ({} vs {} cycles)",
+            tuned.cycles.total,
+            baseline.cycles.total
+        );
     }
 }
 
