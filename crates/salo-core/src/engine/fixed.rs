@@ -86,7 +86,7 @@ pub struct LoweredEngine {
 
 /// Maps a simulator step error onto the unified API's error taxonomy, so
 /// the fixed-point engine reports request-level validation failures the
-/// same way [`ReferenceEngine`](crate::ReferenceEngine) does (capacity
+/// same way the `f32` reference engine does (capacity
 /// exhaustion and unprimed sessions are `InvalidRequest`, wrong token
 /// rows are `ShapeMismatch`) — backends stay interchangeable on errors,
 /// not just outputs. Everything else (numeric degeneracy, poisoning)

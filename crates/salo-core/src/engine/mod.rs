@@ -9,14 +9,15 @@
 //!
 //! * [`LoweredEngine`] — the fast allocation-free fixed-point datapath
 //!   (the default; what the serving runtime's workers run);
-//! * [`ReferenceEngine`] — plain `f32` softmax attention, the accuracy
-//!   yardstick the fixed-point engine is measured against.
+//! * the reference engine in `salo-paper`'s `oracle` module — plain `f32`
+//!   softmax attention, the accuracy yardstick the fixed-point engine is
+//!   measured against. It checks requests with this module's validators,
+//!   so both answer a malformed request the same way.
 //!
 //! The event-accurate systolic model is not an engine: it is the oracle
 //! the lowered engine's prefill is checked against, called directly
 //! ([`SpatialAccelerator::execute_systolic`](salo_sim::SpatialAccelerator::execute_systolic))
-//! on the plan the engine compiled. Comparing backends is a one-liner per
-//! engine:
+//! on the plan the engine compiled:
 //!
 //! ```
 //! use salo_core::{AttentionRequest, Engine, Salo};
@@ -30,28 +31,22 @@
 //! let shape = AttentionShape::new(64, 8, 1)?;
 //! let heads = Qkv::random_heads(&shape, 7);
 //!
-//! let mut handles = Vec::new();
-//! let mut outputs = Vec::new();
-//! for mut engine in salo.all_engines() {
-//!     let handle = engine.prepare(&pattern, &shape)?;
-//!     let request =
-//!         AttentionRequest::Prefill { pattern: handle.clone(), shape, heads: heads.clone() };
-//!     outputs.push(engine.execute(request)?.into_prefill()?);
-//!     handles.push(handle);
-//! }
+//! let mut engine = salo.engine();
+//! let handle = engine.prepare(&pattern, &shape)?;
+//! let request =
+//!     AttentionRequest::Prefill { pattern: handle.clone(), shape, heads: heads.clone() };
+//! let out = engine.execute(request)?.into_prefill()?;
 //! // The lowered engine agrees bit for bit with the systolic oracle run on
-//! // the plan its handle carries; the reference is the f32 yardstick.
-//! let plan = handles[0].plan().expect("the lowered engine attaches its plan");
+//! // the plan its handle carries.
+//! let plan = handle.plan().expect("the lowered engine attaches its plan");
 //! let (h, scale) = (&heads[0], SpatialAccelerator::default_scale(shape.head_dim));
 //! let oracle = salo.accelerator().execute_systolic(&plan.plan, &h.q, &h.k, &h.v, scale)?;
-//! assert_eq!(outputs[0].heads[0].raw.as_ref(), Some(&oracle.raw));
-//! assert!(outputs[0].heads[0].output.max_abs_diff(&outputs[1].heads[0].output) < 0.3);
+//! assert_eq!(out.heads[0].raw.as_ref(), Some(&oracle.raw));
 //! # Ok(())
 //! # }
 //! ```
 
 mod fixed;
-mod reference;
 
 use std::fmt;
 use std::sync::Arc;
@@ -64,7 +59,6 @@ use salo_sim::{ExecutionReport, FixedQkv};
 use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
 
 pub use fixed::LoweredEngine;
-pub use reference::ReferenceEngine;
 
 /// Identifier of a decode session held inside an engine.
 pub type SessionId = u64;
@@ -96,7 +90,7 @@ impl TokenQkv {
 /// The handle is what [`AttentionRequest`]s carry instead of raw
 /// patterns: it lets the serving runtime attach the cache's
 /// [`CompiledPlan`] (so engines skip the scheduler pass) while still
-/// giving pattern-level engines like [`ReferenceEngine`] the exact key
+/// giving pattern-level engines like the `f32` reference the exact key
 /// sets. Build one with [`Engine::prepare`] — each engine attaches
 /// whatever it needs — or from parts when the plan is already at hand.
 #[derive(Debug, Clone)]
@@ -141,10 +135,11 @@ impl PatternHandle {
 
     /// The pattern, or an [`SaloError::Unsupported`] naming `engine` —
     /// for engines that cannot work from a compiled plan alone.
-    pub(crate) fn require_pattern(
-        &self,
-        engine: &'static str,
-    ) -> Result<&Arc<HybridPattern>, SaloError> {
+    ///
+    /// # Errors
+    ///
+    /// [`SaloError::Unsupported`] when the handle carries only a plan.
+    pub fn require_pattern(&self, engine: &'static str) -> Result<&Arc<HybridPattern>, SaloError> {
         self.pattern.as_ref().ok_or_else(|| SaloError::Unsupported {
             engine,
             reason: "request handle carries no pattern (plan-only handles need a \
@@ -464,12 +459,13 @@ impl AttentionResponse {
 
 /// An execution backend serving [`AttentionRequest`]s.
 ///
-/// The trait is object-safe, and both backends serve every method of it:
-/// the comparison loop ([`Salo::all_engines`]) and the equivalence tests
-/// drive them as `Box<dyn Engine>`, so a new backend needs no edit outside
-/// this module to run requests through the trait. Serving is not generic
-/// over it: the serving runtime's workers hold the concrete
-/// [`LoweredEngine`], whose K/V page pool they configure and read.
+/// The trait is object-safe, and both backends — [`LoweredEngine`] and
+/// `salo-paper`'s `f32` reference — serve every method of it: the
+/// equivalence tests drive them as `Box<dyn Engine>`, so a new backend
+/// needs no edit outside its own module to run requests through the
+/// trait. Serving is not generic over it: the serving runtime's workers
+/// hold the concrete [`LoweredEngine`], whose K/V page pool they
+/// configure and read.
 /// Engines are single-threaded objects — `Send` but not `Sync` by
 /// contract — mirroring one accelerator instance; run one per worker
 /// thread, as the serving pool does.
@@ -532,24 +528,12 @@ impl Salo {
     pub fn engine_with_parallelism(&self, _parallelism: usize) -> LoweredEngine {
         self.engine()
     }
-
-    /// A fresh [`ReferenceEngine`] (plain `f32` softmax attention).
-    #[must_use]
-    pub fn reference_engine(&self) -> ReferenceEngine {
-        ReferenceEngine::new()
-    }
-
-    /// Both backends, boxed — the comparison loop's starting point
-    /// (lowered, then reference).
-    #[must_use]
-    pub fn all_engines(&self) -> Vec<Box<dyn Engine>> {
-        vec![Box::new(self.engine()), Box::new(self.reference_engine())]
-    }
 }
 
 /// The one wording of decode-capacity exhaustion, shared by every
 /// backend so they stay interchangeable on errors, not just outputs.
-pub(crate) fn capacity_error(n: usize) -> SaloError {
+#[must_use]
+pub fn capacity_error(n: usize) -> SaloError {
     SaloError::InvalidRequest {
         reason: format!("decode session exhausted its capacity of {n} positions"),
     }

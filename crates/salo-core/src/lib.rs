@@ -2,11 +2,12 @@
 //!
 //! The public surface is the unified [`engine`] API: a typed
 //! [`AttentionRequest`] (prefill, or the decode-session trio
-//! open/step/close) executed by either backend implementing the
-//! object-safe [`Engine`] trait — [`LoweredEngine`] (fast fixed point, the
-//! default, what the serving runtime runs) and [`ReferenceEngine`] (`f32`
-//! accuracy yardstick). The event-accurate systolic model is the oracle
-//! the lowered engine is tested against, called directly through
+//! open/step/close) executed by a backend implementing the object-safe
+//! [`Engine`] trait. [`LoweredEngine`] (fast fixed point) is the one this
+//! crate ships and the one the serving runtime runs; the `f32` accuracy
+//! yardstick that implements the same trait lives in `salo-paper`'s
+//! `oracle` module. The event-accurate systolic model is the
+//! oracle the lowered engine is tested against, called directly through
 //! `salo_sim`, not an engine. [`Salo`] is the thin façade over it:
 //! configure an accelerator instance, *compile* a hybrid sparse attention
 //! pattern into an execution plan (the data scheduler), hand out engines,
@@ -42,19 +43,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod decode;
 pub mod engine;
 mod error;
 mod salo;
-mod verify;
 
-pub use decode::DecodeSession;
 pub use engine::{
     AttentionRequest, AttentionResponse, Engine, HeadOutput, HeadStep, LoweredEngine,
-    PatternHandle, PrefillOutput, ReferenceEngine, SessionClosed, SessionId, SessionOpened,
-    StepResult, Telemetry, TokenQkv,
+    PatternHandle, PrefillOutput, SessionClosed, SessionId, SessionOpened, StepResult, Telemetry,
+    TokenQkv,
 };
 pub use error::SaloError;
 pub use salo::{CompiledPlan, MultiHeadRun, Salo};
 pub use salo_sim::FixedQkv;
-pub use verify::{validate, ValidationConfig, ValidationReport};

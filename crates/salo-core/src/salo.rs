@@ -105,8 +105,8 @@ pub(crate) fn compile_with(
 ///
 /// `Salo` is a thin façade over the [`Engine`](crate::Engine) API: it
 /// owns one simulated accelerator instance, compiles patterns into
-/// [`CompiledPlan`]s, and hands out execution backends
-/// ([`engine`](Salo::engine) and friends) that serve typed
+/// [`CompiledPlan`]s, and hands out the execution backend
+/// ([`engine`](Salo::engine)) that serves typed
 /// [`AttentionRequest`](crate::AttentionRequest)s. The
 /// [`Engine`](crate::Engine) trait is the only way to run a request.
 #[derive(Debug, Clone)]
@@ -212,8 +212,8 @@ impl Salo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttentionRequest, Engine, PatternHandle, ReferenceEngine};
-    use salo_kernels::{sparse_attention, Qkv};
+    use crate::{AttentionRequest, Engine, PatternHandle};
+    use salo_kernels::Qkv;
     use salo_patterns::longformer;
     use salo_scheduler::HardwareMeta;
 
@@ -235,38 +235,6 @@ mod tests {
     fn default_delegates_to_the_canonical_config() {
         assert_eq!(Salo::default().config(), &AcceleratorConfig::default());
         assert_eq!(Salo::default_config().config(), Salo::default().config());
-    }
-
-    #[test]
-    fn end_to_end_matches_reference() {
-        let salo = small_salo();
-        let pattern = longformer(48, 9, 1).unwrap();
-        let shape = AttentionShape::new(48, 8, 2).unwrap();
-        let compiled = Arc::new(salo.compile(&pattern, &shape).unwrap());
-        let heads = Qkv::random_heads(&shape, 77);
-        let mut engine = salo.engine();
-        let run = engine
-            .execute(AttentionRequest::Prefill {
-                pattern: PatternHandle::from_plan(Arc::clone(&compiled)),
-                shape,
-                heads: heads.clone(),
-            })
-            .unwrap()
-            .into_prefill()
-            .unwrap();
-        assert_eq!(run.heads.len(), 2);
-
-        let mut reference = ReferenceEngine::new();
-        let handle = reference.prepare(&pattern, &shape).unwrap();
-        let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
-        let reference = reference.execute(request).unwrap().into_prefill().unwrap();
-        for (ours, exact) in run.heads.iter().zip(&reference.heads) {
-            let diff = ours.output.max_abs_diff(&exact.output);
-            assert!(diff < 0.3, "head diff {diff}");
-        }
-        assert!(run.telemetry.sim_time_s.unwrap() > 0.0);
-        assert!(run.telemetry.sim_energy_j.unwrap() > 0.0);
-        assert_eq!(run.telemetry.engine, "lowered");
     }
 
     #[test]
@@ -352,27 +320,5 @@ mod tests {
             salo.autotune_pattern(&mask, &shape, 1.0, FitConfig::default()),
             Err(SaloError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn single_head_consistency_with_sparse_reference() {
-        let salo = small_salo();
-        let pattern = longformer(40, 7, 2).unwrap();
-        let shape = AttentionShape::new(40, 8, 1).unwrap();
-        let mut engine = salo.engine();
-        let handle = engine.prepare(&pattern, &shape).unwrap();
-        let head = Qkv::random(40, 8, 5);
-        let out = engine
-            .execute(AttentionRequest::Prefill {
-                pattern: handle,
-                shape,
-                heads: vec![head.clone()],
-            })
-            .unwrap()
-            .into_prefill()
-            .unwrap();
-        let scale = 1.0 / (8f32).sqrt();
-        let exact = sparse_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
-        assert!(out.heads[0].output.max_abs_diff(&exact) < 0.3);
     }
 }

@@ -951,12 +951,19 @@ mod tests {
             Outgoing::Error(frame) => Some(frame.code),
             _ => None,
         };
-        let (open, tokens) = salo_serve::GenerationTraffic::demo_mix().session_bounded(1, 2);
+        // One 16-wide head over a sink window: an 8-row prompt, two tokens.
+        let pattern = HybridPattern::builder(64)
+            .window(salo_patterns::Window::causal(16).expect("window"))
+            .global_token(0)
+            .build()
+            .expect("pattern");
+        let sequence = Qkv::random(10, 16, 131);
+        let tokens: Vec<_> = (8..10).map(|t| vec![TokenQkv::from_row(&sequence, t)]).collect();
         let open = |num_heads| Incoming::Open {
-            pattern: open.pattern.clone(),
-            head_dim: open.head_dim,
+            pattern: pattern.clone(),
+            head_dim: 16,
             num_heads,
-            prompt: open.prompt.iter().map(FixedQkv::quantize).collect(),
+            prompt: vec![FixedQkv::quantize(&Qkv::random(8, 16, 131))],
         };
 
         // Refused by the session table, then by the server's validation.

@@ -54,9 +54,9 @@
 //!
 //! The protocol is carried bit-exactly (floats travel as IEEE-754 bit
 //! patterns, fixed-point rows as raw `i16`), so a decode session driven
-//! over localhost TCP produces byte-identical outputs to
-//! [`Salo::decode_session`](salo_core::Salo::decode_session) — the
-//! integration tests assert it. No opcode stops the gateway or asks for
+//! over localhost TCP produces byte-identical outputs to a single-head
+//! decode session driven directly on the same pattern — the integration
+//! tests assert it. No opcode stops the gateway or asks for
 //! its report: [`Gateway::shutdown`] is a call in the owning process, and
 //! what a peer can read is the live metrics registry (`Stats`), the
 //! front door's own `gateway.*` counters included.

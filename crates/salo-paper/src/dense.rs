@@ -43,7 +43,8 @@ pub fn dense_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salo_kernels::{gaussian_matrix, sparse_attention};
+    use crate::oracle::sparse_attention;
+    use salo_kernels::gaussian_matrix;
     use salo_patterns::sliding_only;
 
     #[test]

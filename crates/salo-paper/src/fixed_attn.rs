@@ -118,7 +118,8 @@ pub fn fixed_sparse_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salo_kernels::{gaussian_matrix, sparse_attention};
+    use crate::oracle::sparse_attention;
+    use salo_kernels::gaussian_matrix;
     use salo_patterns::{longformer, sliding_only};
 
     fn workload(n: usize, d: usize, seed: u64) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {

@@ -7,6 +7,7 @@
 //! | [`models`] | Longformer / ViL / BERT workload configurations (Table 2) and the numbers the paper reports |
 //! | [`quant`] | the quantization accuracy study (Table 3) |
 //! | [`experiment`] | Fig. 7's protocol: SALO against the CPU/GPU baselines per workload |
+//! | [`oracle`] | the exact `f32` reference and its engine, direct decode sessions, plan validation, and the serving runtime's load generators |
 //! | [`render_table`] and friends | the table formatting the `paper` sections print with |
 //!
 //! and the two reference kernels the evaluation checks against:
@@ -20,7 +21,7 @@
 //! Each module of `src/bin/paper/` regenerates one table or figure of the
 //! paper from this library. See `EXPERIMENTS.md` at the repository root
 //! for the experiment index. Nothing on the serving path depends on this
-//! crate.
+//! crate; the tests and examples reach the served stack's oracles here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,6 +31,7 @@ mod dense;
 pub mod experiment;
 mod fixed_attn;
 pub mod models;
+pub mod oracle;
 pub mod quant;
 mod table;
 

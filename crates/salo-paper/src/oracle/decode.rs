@@ -1,4 +1,4 @@
-//! Streaming decode sessions over the [`Salo`] façade.
+//! Streaming decode sessions driven directly, without an engine.
 //!
 //! A [`DecodeSession`] packages the execution-level decode machinery
 //! (`salo-sim`'s [`DecodePlan`]/[`DecodeState`]) behind the same
@@ -10,17 +10,16 @@
 
 use std::sync::Arc;
 
+use salo_core::{CompiledPlan, Salo, SaloError};
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{DecodePlan, DecodeState, ExecScratch, KvPagePool, SpatialAccelerator, StepOutput};
-
-use crate::{CompiledPlan, Salo, SaloError};
 
 /// One head's autoregressive decode session: a compiled causal plan, the
 /// persistent quantized K/V state and the per-step scratch, bound
 /// together.
 ///
-/// Obtained from [`Salo::decode_session`]. The session holds a clone of
+/// Opened with [`DecodeSession::new`]. The session holds a clone of
 /// the accelerator (clones share the exponential/reciprocal lookup tables
 /// behind `Arc`), so it is self-contained and can outlive the `Salo` it
 /// came from.
@@ -30,6 +29,7 @@ use crate::{CompiledPlan, Salo, SaloError};
 /// ```
 /// use salo_core::Salo;
 /// use salo_kernels::Qkv;
+/// use salo_paper::oracle::DecodeSession;
 /// use salo_patterns::{HybridPattern, Window};
 ///
 /// # fn main() -> Result<(), salo_core::SaloError> {
@@ -38,7 +38,7 @@ use crate::{CompiledPlan, Salo, SaloError};
 ///     .global_token(0)
 ///     .build()?;
 /// let salo = Salo::default_config();
-/// let mut session = salo.decode_session(&pattern, 16)?;
+/// let mut session = DecodeSession::new(&salo, &pattern, 16)?;
 ///
 /// let qkv = Qkv::random(32, 16, 7);
 /// session.prime_rows(&qkv, 0..session.min_step())?;
@@ -61,40 +61,32 @@ pub struct DecodeSession {
     scale: f32,
 }
 
-impl Salo {
-    /// Opens a single-head streaming decode session for `pattern` with
-    /// head dimension `head_dim`.
+impl DecodeSession {
+    /// Opens a single-head streaming decode session on `salo` for
+    /// `pattern` with head dimension `head_dim`.
     ///
     /// The pattern is causally clipped first
     /// ([`HybridPattern::decode_view`]), then compiled and lowered once;
     /// the session's capacity is the pattern's sequence length (prompt
     /// plus generated tokens). Multi-head decoding runs one session per
-    /// head, all sharing one compiled plan: compile (or take the first
-    /// session's [`shared_plan`](DecodeSession::shared_plan)) once, then
-    /// open the rest with [`DecodeSession::open`] — the serving runtime
-    /// does exactly that with a cached plan.
+    /// head, all sharing one compiled plan: take the first session's
+    /// [`shared_plan`](Self::shared_plan) and open the rest with
+    /// [`DecodeSession::open`].
     ///
     /// # Errors
     ///
     /// Returns a pattern error if nothing survives causal clipping, or a
     /// scheduler error if the clipped pattern yields no work for this
     /// instance.
-    pub fn decode_session(
-        &self,
-        pattern: &HybridPattern,
-        head_dim: usize,
-    ) -> Result<DecodeSession, SaloError> {
+    pub fn new(salo: &Salo, pattern: &HybridPattern, head_dim: usize) -> Result<Self, SaloError> {
         let view = pattern.decode_view()?;
         let shape = AttentionShape::new(pattern.n(), head_dim, 1)?;
-        let compiled = Arc::new(self.compile(view.causal_pattern(), &shape)?);
-        DecodeSession::open(self.accelerator().clone(), compiled)
+        let compiled = Arc::new(salo.compile(view.causal_pattern(), &shape)?);
+        Self::open(salo.accelerator().clone(), compiled)
     }
-}
 
-impl DecodeSession {
-    /// Opens a session over an already-compiled **causal** plan — the
-    /// serving runtime's entry point, where the plan comes from the
-    /// shared cache.
+    /// Opens a session over an already-compiled **causal** plan, sharing
+    /// it with every other session opened on it.
     ///
     /// # Errors
     ///
@@ -294,7 +286,7 @@ mod tests {
         let n = 48;
         let d = 8;
         let pattern = sink_pattern(n);
-        let mut session = salo.decode_session(&pattern, d).unwrap();
+        let mut session = DecodeSession::new(&salo, &pattern, d).unwrap();
         assert_eq!(session.capacity(), n);
         assert_eq!(session.min_step(), 1);
 
@@ -333,7 +325,7 @@ mod tests {
     fn reset_starts_an_identical_generation() {
         let salo = small_salo();
         let pattern = sink_pattern(24);
-        let mut session = salo.decode_session(&pattern, 4).unwrap();
+        let mut session = DecodeSession::new(&salo, &pattern, 4).unwrap();
         let qkv = Qkv::random(24, 4, 3);
 
         let run = |s: &mut DecodeSession| {
@@ -351,7 +343,7 @@ mod tests {
     fn shared_plan_sessions_decode_identically_without_recompiling() {
         let salo = small_salo();
         let pattern = sink_pattern(24);
-        let mut first = salo.decode_session(&pattern, 4).unwrap();
+        let mut first = DecodeSession::new(&salo, &pattern, 4).unwrap();
         let plan = first.shared_plan();
         let mut second =
             DecodeSession::open(salo.accelerator().clone(), Arc::clone(&plan)).unwrap();
@@ -371,7 +363,7 @@ mod tests {
     fn session_rejects_unprimed_and_overflow() {
         let salo = small_salo();
         let pattern = sink_pattern(12);
-        let mut session = salo.decode_session(&pattern, 4).unwrap();
+        let mut session = DecodeSession::new(&salo, &pattern, 4).unwrap();
         let row = [0.25f32; 4];
         assert!(session.step(&row, &row, &row).is_err(), "global not primed yet");
         session.prime_token(&row, &row, &row).unwrap();

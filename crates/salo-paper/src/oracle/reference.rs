@@ -9,25 +9,25 @@
 
 use std::collections::HashMap;
 
-use salo_fixed::softmax_f64;
-use salo_kernels::sparse_attention;
+use salo_core::engine::{
+    capacity_error, check_open_prompt, check_pattern_len, check_prefill_heads, check_token,
+};
+use salo_core::{
+    AttentionRequest, AttentionResponse, Engine, HeadOutput, HeadStep, PatternHandle,
+    PrefillOutput, SaloError, SessionClosed, SessionId, SessionOpened, StepResult, Telemetry,
+};
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::SpatialAccelerator;
 
-use crate::engine::{
-    check_open_prompt, check_pattern_len, check_prefill_heads, check_token, AttentionRequest,
-    AttentionResponse, Engine, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
-    SessionId, SessionOpened, StepResult, Telemetry,
-};
-use crate::SaloError;
+use super::sparse::{attend_row, sparse_attention};
 
 /// One head's float decode state: the growing K/V history.
 #[derive(Debug, Clone, Default)]
 struct RefHeadState {
-    /// Key rows ingested so far, position-major.
-    k: Vec<Vec<f32>>,
-    /// Value rows ingested so far, position-major.
-    v: Vec<Vec<f32>>,
+    /// Key rows ingested so far, row-major.
+    k: Vec<f32>,
+    /// Value rows ingested so far, row-major.
+    v: Vec<f32>,
 }
 
 /// A float decode session: the causal pattern plus per-head histories.
@@ -72,35 +72,6 @@ impl ReferenceEngine {
             stages: None,
         }
     }
-}
-
-/// One attention row in f64: softmax over `keys` of `q . k[j] * scale`,
-/// then the weighted sum of value rows — the same arithmetic as
-/// [`sparse_attention`], factored for the decode path's history-backed
-/// K/V rows.
-fn reference_row(
-    q: &[f32],
-    keys: &[usize],
-    k: &[Vec<f32>],
-    v: &[Vec<f32>],
-    d: usize,
-    scale: f32,
-) -> Vec<f32> {
-    let scores: Vec<f64> = keys
-        .iter()
-        .map(|&j| {
-            let dot: f64 = q.iter().zip(&k[j]).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
-            dot * f64::from(scale)
-        })
-        .collect();
-    let probs = softmax_f64(&scores);
-    let mut out = vec![0.0f32; d];
-    for (&j, &p) in keys.iter().zip(&probs) {
-        for (o, &ve) in out.iter_mut().zip(&v[j]) {
-            *o += (p * f64::from(ve)) as f32;
-        }
-    }
-    out
 }
 
 impl Engine for ReferenceEngine {
@@ -151,8 +122,8 @@ impl Engine for ReferenceEngine {
                 let heads = prompt
                     .iter()
                     .map(|h| RefHeadState {
-                        k: (0..prompt_len).map(|t| h.k.row(t).to_vec()).collect(),
-                        v: (0..prompt_len).map(|t| h.v.row(t).to_vec()).collect(),
+                        k: h.k.as_slice().to_vec(),
+                        v: h.v.as_slice().to_vec(),
                     })
                     .collect();
                 let opened =
@@ -180,7 +151,7 @@ impl Engine for ReferenceEngine {
                 check_token(state.heads.len(), state.head_dim, &token)?;
                 let t = state.position;
                 if t >= state.causal.n() {
-                    return Err(crate::engine::capacity_error(state.causal.n()));
+                    return Err(capacity_error(state.causal.n()));
                 }
                 // No unprimed-step check: `check_open_prompt` pins the
                 // prompt at >= min_step and `position` only grows, so
@@ -198,9 +169,10 @@ impl Engine for ReferenceEngine {
                 let scale = state.scale;
                 let mut heads_out = Vec::with_capacity(token.len());
                 for (head, tok) in state.heads.iter_mut().zip(&token) {
-                    head.k.push(tok.k.clone());
-                    head.v.push(tok.v.clone());
-                    let out = reference_row(&tok.q, &keys, &head.k, &head.v, d, scale);
+                    head.k.extend_from_slice(&tok.k);
+                    head.v.extend_from_slice(&tok.v);
+                    let mut out = vec![0.0f32; d];
+                    attend_row(&tok.q, &keys, &head.k, &head.v, scale, &mut out);
                     heads_out.push(HeadStep {
                         output: out,
                         raw: None,
@@ -254,7 +226,8 @@ impl Engine for ReferenceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salo_kernels::Qkv;
+    use salo_core::TokenQkv;
+    use salo_kernels::{Matrix, Qkv};
     use salo_patterns::longformer;
 
     /// A layer's reference output is each head's own `sparse_attention` at
@@ -275,6 +248,38 @@ mod tests {
             let solo = sparse_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
             let bits = |m: &salo_kernels::Matrix<f32>| m.map(f32::to_bits);
             assert_eq!(bits(&ours.output), bits(&solo));
+        }
+    }
+
+    /// A decode step is the same row of an `f32` prefill over the causal
+    /// pattern, bit for bit: both run one row kernel.
+    #[test]
+    fn decode_steps_are_causal_prefill_rows() {
+        let (n, d, prompt_len) = (12, 4, 3);
+        let pattern = longformer(n, 4, 1).unwrap();
+        let full = Qkv::random(n, d, 5);
+        let causal = pattern.decode_view().unwrap().into_causal_pattern();
+        let scale = SpatialAccelerator::default_scale(d);
+        let prefill = sparse_attention(&causal, &full.q, &full.k, &full.v, scale).unwrap();
+
+        let mut engine = ReferenceEngine::new();
+        let handle = engine.prepare(&pattern, &AttentionShape::new(n, d, 1).unwrap()).unwrap();
+        let rows = |m: &Matrix<f32>| Matrix::from_fn(prompt_len, d, |r, c| m.get(r, c));
+        let prompt = vec![Qkv::new(rows(&full.q), rows(&full.k), rows(&full.v)).unwrap()];
+        let open = AttentionRequest::DecodeOpen {
+            session: 1,
+            pattern: handle,
+            head_dim: d,
+            num_heads: 1,
+            prompt,
+        };
+        engine.execute(open).unwrap().into_opened().unwrap();
+        for t in prompt_len..n {
+            let token = vec![TokenQkv::from_row(&full, t)];
+            let request = AttentionRequest::DecodeStep { session: 1, token };
+            let step = engine.execute(request).unwrap().into_step().unwrap();
+            let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&step.heads[0].output), bits(prefill.row(t)), "row {t}");
         }
     }
 }

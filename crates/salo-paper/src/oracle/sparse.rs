@@ -1,9 +1,8 @@
 //! Exact sparse attention restricted to a hybrid pattern.
 
 use salo_fixed::softmax_f64;
+use salo_kernels::{KernelError, Matrix, Qkv};
 use salo_patterns::HybridPattern;
-
-use crate::{KernelError, Matrix, Qkv};
 
 /// Computes exact sparse attention: for each query `i`, softmax over only
 /// the keys the pattern keeps, then the weighted sum of the corresponding
@@ -24,40 +23,51 @@ pub fn sparse_attention(
     scale: f32,
 ) -> Result<Matrix<f32>, KernelError> {
     Qkv::check_shapes(q, k, v)?;
-    let (n, d) = q.shape();
+    let n = q.rows();
     if pattern.n() != n {
         return Err(KernelError::PatternLengthMismatch { pattern_n: pattern.n(), rows: n });
     }
-    let mut out = Matrix::zeros(n, d);
+    let mut out = Matrix::zeros(n, q.cols());
     for i in 0..n {
         let keys = pattern.row_keys(i);
-        if keys.is_empty() {
-            continue;
-        }
-        let qi = q.row(i);
-        let scores: Vec<f64> = keys
-            .iter()
-            .map(|&j| {
-                let kj = k.row(j);
-                let dot: f64 = qi.iter().zip(kj).map(|(&a, &b)| a as f64 * b as f64).sum();
-                dot * scale as f64
-            })
-            .collect();
-        let probs = softmax_f64(&scores);
-        let out_row = out.row_mut(i);
-        for (&j, &p) in keys.iter().zip(&probs) {
-            for (o, &ve) in out_row.iter_mut().zip(v.row(j)) {
-                *o += (p * ve as f64) as f32;
-            }
-        }
+        attend_row(q.row(i), &keys, k.as_slice(), v.as_slice(), scale, out.row_mut(i));
     }
     Ok(out)
+}
+
+/// One query row of exact sparse attention, added into `out`: softmax over
+/// `keys` of `q . k[j] * scale` in f64, then `out += p * v[j]` per key, in
+/// key order. `k` and `v` are row-major with `out.len()` columns; the
+/// reference engine's prefill and decode step both run this row.
+pub(crate) fn attend_row(
+    q: &[f32],
+    keys: &[usize],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) {
+    let d = out.len();
+    let scores: Vec<f64> = keys
+        .iter()
+        .map(|&j| {
+            let kj = &k[j * d..(j + 1) * d];
+            let dot: f64 = q.iter().zip(kj).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
+            dot * f64::from(scale)
+        })
+        .collect();
+    let probs = softmax_f64(&scores);
+    for (&j, &p) in keys.iter().zip(&probs) {
+        for (o, &ve) in out.iter_mut().zip(&v[j * d..(j + 1) * d]) {
+            *o += (p * f64::from(ve)) as f32;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gaussian_matrix;
+    use salo_kernels::gaussian_matrix;
     use salo_patterns::{longformer, sliding_only, HybridPattern, Window};
 
     #[test]

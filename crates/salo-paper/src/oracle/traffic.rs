@@ -10,9 +10,7 @@
 use salo_core::engine::{check_pattern_len, check_prompt_rows};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{bigbird, longformer, vil_stage, AttentionShape, HybridPattern, Window};
-
-use crate::session::{SessionRequest, TokenQkv};
-use crate::{ServeError, ServeRequest};
+use salo_serve::{ServeError, ServeRequest, SessionRequest, TokenQkv};
 
 /// A deterministic round-robin generator over attention layers.
 #[derive(Debug, Clone)]

@@ -8,12 +8,13 @@
 //! instance's buffers). [`validate`] runs all three and returns a single
 //! report; `examples/custom_pattern.rs` shows the workflow.
 
-use salo_kernels::{sparse_attention, Qkv};
-use salo_scheduler::verify_coverage;
-use salo_sim::BufferAnalysis;
-
-use crate::{CompiledPlan, Salo, SaloError};
+use salo_core::{CompiledPlan, Salo, SaloError};
+use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
+use salo_scheduler::verify_coverage;
+use salo_sim::{BufferAnalysis, SpatialAccelerator};
+
+use super::sparse_attention;
 
 /// The outcome of validating a compiled plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +78,7 @@ pub fn validate(
 
     // 2. Numerical probe (one head).
     let head = Qkv::random(compiled.shape.seq_len, compiled.shape.head_dim, config.seed);
-    let scale = 1.0 / (compiled.shape.head_dim.max(1) as f32).sqrt();
+    let scale = SpatialAccelerator::default_scale(compiled.shape.head_dim);
     let out = salo.accelerator().execute_lowered(
         &compiled.lowered,
         &head.q,

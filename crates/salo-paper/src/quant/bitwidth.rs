@@ -10,8 +10,10 @@
 //! rest of the datapath. The resulting curve peaks at 4–5 fraction bits
 //! for unit-normal inputs, which is the paper's Q.4 (§6.4).
 
-use salo_kernels::{sparse_attention, KernelError, Matrix, Qkv};
+use salo_kernels::{KernelError, Matrix, Qkv};
 use salo_patterns::HybridPattern;
+
+use crate::oracle::sparse_attention;
 
 /// One point of the fraction-bit sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]

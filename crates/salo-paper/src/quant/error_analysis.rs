@@ -1,8 +1,8 @@
 //! Raw attention-output error between `f32` and fixed-point kernels.
 
-use salo_kernels::{sparse_attention, KernelError, Qkv};
+use salo_kernels::{KernelError, Qkv};
 
-use crate::{fixed_sparse_attention, FixedAttention};
+use crate::{fixed_sparse_attention, oracle::sparse_attention, FixedAttention};
 use salo_patterns::HybridPattern;
 
 /// Error metrics of the fixed-point attention against the `f32` reference.

@@ -10,11 +10,11 @@
 //! any accuracy gap is *caused by quantization alone*, which is exactly
 //! the quantity Table 3 reports.
 
-use salo_kernels::{sparse_attention, Matrix, Qkv};
+use salo_kernels::{Matrix, Qkv};
 use salo_patterns::HybridPattern;
 
 use super::LogisticHead;
-use crate::{fixed_sparse_attention, FixedAttention};
+use crate::{fixed_sparse_attention, oracle::sparse_attention, FixedAttention};
 
 /// Configuration of one synthetic task instance.
 #[derive(Debug, Clone)]

@@ -37,7 +37,7 @@
 //!   [`SaloServer::step_session`]): whole autoregressive generations with
 //!   per-session K/V state pinned to one worker, compiled causal plans
 //!   shared through the cache, and step outputs delivered on per-session
-//!   event channels ([`GenerationTraffic`] generates the workload).
+//!   event channels.
 //!
 //! Served execution is bit-identical to a one-shot engine: workers run
 //! each request's heads back to back through the same fixed-point
@@ -48,7 +48,9 @@
 //! # Example
 //!
 //! ```
-//! use salo_serve::{SaloServer, ServeOptions, TrafficMix};
+//! use salo_kernels::Qkv;
+//! use salo_patterns::{longformer, AttentionShape};
+//! use salo_serve::{SaloServer, ServeOptions, ServeRequest};
 //! use salo_sim::AcceleratorConfig;
 //!
 //! # fn main() -> Result<(), salo_serve::ServeError> {
@@ -56,9 +58,10 @@
 //!     workers: 2,
 //!     ..Default::default()
 //! });
-//! let mix = TrafficMix::demo_mix();
+//! let pattern = longformer(256, 32, 1).expect("valid pattern");
+//! let shape = AttentionShape::new(256, 64, 1).expect("valid shape");
 //! for i in 0..6 {
-//!     server.submit(mix.request(i))?;
+//!     server.submit(ServeRequest::new(pattern.clone(), shape, Qkv::random_heads(&shape, i))?)?;
 //! }
 //! for i in 0..6 {
 //!     let response = server.recv()?;
@@ -67,7 +70,7 @@
 //! }
 //! let report = server.shutdown();
 //! assert_eq!(report.requests, 6);
-//! assert!(report.cache.hit_rate() > 0.0, "3 layers, 6 requests: hits");
+//! assert!(report.cache.hit_rate() > 0.0, "one layer, 6 requests: hits");
 //! # Ok(())
 //! # }
 //! ```
@@ -81,7 +84,6 @@ mod metrics;
 mod request;
 mod server;
 mod session;
-mod traffic;
 mod worker;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
@@ -93,7 +95,6 @@ pub use server::{SaloServer, ServeOptions};
 pub use session::{
     DecodeSessionHandle, DecodeStep, EventSink, ServeEvent, SessionInfo, SessionRequest, TokenQkv,
 };
-pub use traffic::{GenerationShape, GenerationTraffic, TrafficMix};
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
-//! Property tests: the simulator agrees with the reference kernels on
-//! random patterns, data and array geometries, and the lowered fast path
-//! is bit-identical to the event-accurate systolic oracle.
+//! Property tests: on random patterns, data and array geometries the
+//! lowered fast path is bit-identical to the event-accurate systolic
+//! oracle, and estimates are monotone in work. The comparison against the
+//! exact `f32` reference is the root `scheduler_sim` suite's.
 
 use proptest::prelude::*;
-use salo_kernels::{sparse_attention, Qkv};
+use salo_kernels::Qkv;
 use salo_patterns::{HybridPattern, Window};
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
 use salo_sim::{AcceleratorConfig, ExecScratch, LoweredPlan, SpatialAccelerator};
@@ -27,26 +28,6 @@ fn arb_hw() -> impl Strategy<Value = HardwareMeta> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Functional execution tracks the exact f32 reference within the
-    /// quantization budget, for random patterns/geometries/data.
-    #[test]
-    fn simulator_tracks_reference(pattern in arb_pattern(), hw in arb_hw(), seed in 0u64..1000) {
-        let d = 8usize;
-        let plan = match ExecutionPlan::build(&pattern, hw) {
-            Ok(p) => p,
-            Err(_) => return Ok(()), // degenerate (empty) pattern
-        };
-        let config = AcceleratorConfig { hw, ..Default::default() };
-        let sim = SpatialAccelerator::new(config);
-        let qkv = Qkv::random(pattern.n(), d, seed);
-        let scale = SpatialAccelerator::default_scale(d);
-        let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).expect("execute");
-        let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).expect("reference");
-        let diff = out.output.max_abs_diff(&exact);
-        prop_assert!(diff < 0.4, "diff {diff}");
-        prop_assert_eq!(out.report.saturation_events, 0);
-    }
 
     /// The event-accurate systolic path is bit-identical to the lowered
     /// fast path on random inputs — outputs, weights and saturation

@@ -8,7 +8,7 @@
 //! K/V state), and the serving runtime's pinned decode sessions driving a
 //! generation traffic mix through the worker pool.
 
-use salo::core::Salo;
+use salo::core::{DecodeSession, Salo};
 use salo::kernels::Qkv;
 use salo::patterns::{HybridPattern, Window};
 use salo::serve::{GenerationTraffic, SaloServer, ServeOptions};
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d = 64;
     let pattern = HybridPattern::builder(n).window(Window::causal(128)?).global_token(0).build()?;
     let salo = Salo::default_config();
-    let mut session = salo.decode_session(&pattern, d)?;
+    let mut session = DecodeSession::new(&salo, &pattern, d)?;
     println!(
         "decode session: capacity {}, first decodable step {}, {} global row(s)",
         session.capacity(),

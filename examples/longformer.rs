@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example longformer`
 
 use salo::baselines::{cpu_xeon_e5_2630_v3, gtx_1080ti};
-use salo::core::{AttentionRequest, Engine, Salo};
+use salo::core::{AttentionRequest, Engine, ReferenceEngine, Salo};
 use salo::models::{longformer_base_4096, longformer_layer};
 use salo_paper::compare_workload;
 
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let heads = scaled.qkv_heads(7);
     let request = AttentionRequest::Prefill { pattern: handle, shape: scaled.shape, heads };
     let run = engine.execute(request.clone())?.into_prefill()?;
-    let reference = salo.reference_engine().execute(request)?.into_prefill()?;
+    let reference = ReferenceEngine::new().execute(request)?.into_prefill()?;
     let mut worst = 0.0f32;
     for (ours, exact) in run.heads.iter().zip(&reference.heads) {
         worst = worst.max(ours.output.max_abs_diff(&exact.output));

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use salo::core::{AttentionRequest, Engine, Salo};
+use salo::core::{AttentionRequest, Engine, ReferenceEngine, Salo};
 use salo::kernels::Qkv;
 use salo::patterns::{AttentionShape, HybridPattern, Window};
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run the *same request* through the `f32` reference backend and
     //    compare — backend comparison is a one-liner per engine.
-    let exact = salo.reference_engine().execute(request)?.into_prefill()?;
+    let exact = ReferenceEngine::new().execute(request)?.into_prefill()?;
     let diff = out.heads[0].output.max_abs_diff(&exact.heads[0].output);
     println!("max |fixed - f32| = {diff:.4} (quantization error only)");
     assert!(diff < 0.3, "fixed-point output should track the reference");

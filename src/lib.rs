@@ -4,20 +4,22 @@
 //! *SALO: An Efficient Spatial Accelerator Enabling Hybrid Sparse Attention
 //! Mechanisms for Long Sequences* (DAC 2022). It re-exports the workspace
 //! sub-crates; [`baselines`], [`models`] and [`quant`] are modules of
-//! [`salo_paper`], the paper's evaluation:
+//! [`salo_paper`], the paper's evaluation, and the oracles and load
+//! generators that [`kernels`], [`core`] and [`serve`] also export are its
+//! [`oracle`](salo_paper::oracle) module's:
 //!
 //! | module | contents |
 //! |---|---|
 //! | [`patterns`] | hybrid sparse attention patterns (windows + globals) |
 //! | [`fixed`] | the accelerator's fixed-point arithmetic |
-//! | [`kernels`] | matrices, seeded Q/K/V and the exact sparse reference kernel, plus the paper's dense and fixed-point golden kernels |
+//! | [`kernels`] | matrices and seeded Q/K/V, plus the exact sparse reference and the paper's dense and fixed-point golden kernels |
 //! | [`scheduler`] | the data scheduler (splitting, reordering, Eq. 2 merge) |
 //! | [`sim`] | the cycle-level spatial accelerator simulator |
 //! | [`baselines`] | CPU / GPU / Sanger performance and energy models |
 //! | [`models`] | Longformer / ViL / BERT workload configurations |
 //! | [`quant`] | the quantization accuracy study (Table 3) |
-//! | [`core`] | the unified engine API (`AttentionRequest` over pluggable `Engine` backends) plus the `Salo` façade and streaming decode sessions |
-//! | [`serve`] | concurrent serving runtime: plan cache, one-hop routing, a worker pool of engines consuming typed requests, pinned decode sessions |
+//! | [`core`] | the unified engine API (`AttentionRequest` over pluggable `Engine` backends) and the `Salo` façade, plus the `f32` reference engine, direct decode sessions and plan validation |
+//! | [`serve`] | concurrent serving runtime: plan cache, one-hop routing, a worker pool of engines consuming typed requests, pinned decode sessions; plus the prefill and decode-session load generators |
 //! | [`gateway`] | the network front door: length-prefixed binary wire protocol over TCP, per-tenant admission control and deficit-round-robin fairness, graceful drain |
 //! | [`trace`] | zero-dependency observability: spans with Perfetto (Chrome trace JSON) export, mergeable metrics, stage-level kernel profiling |
 //!
@@ -52,10 +54,12 @@ pub mod fixed {
     pub use salo_fixed::*;
 }
 
-/// Reference attention kernels. See [`salo_kernels`]; the dense baseline
-/// and the fixed-point golden model are [`salo_paper`]'s.
+/// Matrices, inputs and the reference attention kernels. See
+/// [`salo_kernels`]; the exact sparse reference, the dense baseline and the
+/// fixed-point golden model are [`salo_paper`]'s.
 pub mod kernels {
     pub use salo_kernels::*;
+    pub use salo_paper::oracle::sparse_attention;
     pub use salo_paper::{
         dense_attention, fixed_sparse_attention, FixedAttention, FixedAttentionOutput,
     };
@@ -86,13 +90,20 @@ pub mod quant {
     pub use salo_paper::quant::*;
 }
 
-/// The top-level accelerator API. See [`salo_core`].
+/// The top-level accelerator API. See [`salo_core`]; the reference
+/// engine, direct decode sessions and plan validation are
+/// [`salo_paper::oracle`]'s.
 pub mod core {
     pub use salo_core::*;
+    pub use salo_paper::oracle::{
+        validate, DecodeSession, ReferenceEngine, ValidationConfig, ValidationReport,
+    };
 }
 
-/// The concurrent serving runtime. See [`salo_serve`].
+/// The concurrent serving runtime. See [`salo_serve`]; the load
+/// generators are [`salo_paper::oracle`]'s.
 pub mod serve {
+    pub use salo_paper::oracle::{GenerationShape, GenerationTraffic, TrafficMix};
     pub use salo_serve::*;
 }
 

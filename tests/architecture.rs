@@ -5,14 +5,15 @@
 //! type, a second thread, a second path), matched as literal substrings
 //! over every file under the row's scope, the way `git grep -F -- <scope>`
 //! reads it: any file, not only `.rs`; `target/` is skipped, and this file,
-//! which names every pattern, is outside every scope. Two rules are not
-//! text: which packages `salo-gateway` links, and what `salo-kernels`
-//! exports. Those rows check the manifests and the export list directly.
+//! which names every pattern, is outside every scope. Three rules are not
+//! text: which packages `salo-gateway` links, what `salo-kernels` exports,
+//! and which workspace members a plain `cargo test` runs. Those rows check
+//! the manifests and the export list directly.
 //!
 //! A failure names the broken rule and every `file:line` that breaks it.
 //! The other tests hold the guards themselves to account: every scope still
-//! names a file, every pattern is found when it is planted, and the two
-//! direct checks fail on one planted extra edge or export.
+//! names a file, every pattern is found when it is planted, and the three
+//! direct checks fail on one planted extra edge, export or missing member.
 //!
 //! "src" is a file up to the first line holding `#[cfg(test)]`, and
 //! `src_and_test_lines_per_crate` prints each crate's src / test line
@@ -55,6 +56,9 @@ enum Check {
         allowed: &'static [&'static str],
         absent: &'static [&'static str],
     },
+    /// Every `members` entry of `manifest` under `crates/` is named by one
+    /// of its `default-members`, read as pathspecs.
+    DefaultMembers { manifest: &'static str },
 }
 
 struct Grep {
@@ -293,7 +297,7 @@ const GUARDS: &[Guard] = &[
         },
     },
     Guard {
-        reason: "salo-kernels holds Matrix, Qkv, sparse_attention, KernelError and the RNG: the \
+        reason: "salo-kernels holds Matrix, Qkv, KernelError and the RNG: the exact sparse, \
                  dense and golden kernels are salo-paper's",
         check: Check::Exports {
             file: "crates/salo-kernels/src/lib.rs",
@@ -302,10 +306,47 @@ const GUARDS: &[Guard] = &[
                 "pub use matrix::Matrix;",
                 "pub use qkv::Qkv;",
                 "pub use rng::{gaussian_matrix, gaussian_vec, NormalSampler};",
-                "pub use sparse::sparse_attention;",
             ],
-            absent: &["dense.rs", "fixed_attn.rs"],
+            absent: &["dense.rs", "fixed_attn.rs", "sparse.rs"],
         },
+    },
+    Guard {
+        // Whole words, so DecodeSessionHandle and SessionRequest::validate
+        // stay; src only, so a crate's own tests may name them in prose.
+        reason: "a served crate carries no oracle and no load generator: the f32 reference, its \
+                 engine, direct decode sessions, plan validation and the traffic mixes are \
+                 salo-paper's",
+        check: Check::Absent(&[Grep {
+            src_only: true,
+            whole_word: true,
+            ..grep(
+                &[
+                    "ReferenceEngine",
+                    "sparse_attention",
+                    "DecodeSession",
+                    "ValidationReport",
+                    "TrafficMix",
+                    "GenerationTraffic",
+                    "GenerationShape",
+                ],
+                &[
+                    "crates/salo-patterns/src",
+                    "crates/salo-fixed/src",
+                    "crates/salo-kernels/src",
+                    "crates/salo-scheduler/src",
+                    "crates/salo-sim/src",
+                    "crates/salo-core/src",
+                    "crates/salo-serve/src",
+                    "crates/salo-gateway/src",
+                    "crates/salo-trace/src",
+                ],
+            )
+        }]),
+    },
+    Guard {
+        reason: "a plain `cargo test` runs every crate's tests: each workspace member under \
+                 crates/ is a default member",
+        check: Check::DefaultMembers { manifest: "Cargo.toml" },
     },
 ];
 
@@ -369,6 +410,23 @@ fn package_field(value: &str) -> Option<String> {
     Some(rest.trim_start().strip_prefix('=')?.split('"').nth(1)?.to_string())
 }
 
+/// The quoted strings of the array `key = [...]` in `manifest`, which may
+/// span lines; empty when `manifest` has no such key.
+fn string_array(manifest: &str, key: &str) -> Vec<String> {
+    let mut lines = manifest.lines().map(|line| line.split('#').next().unwrap_or(""));
+    let Some(first) = lines.find(|line| line.split_once('=').is_some_and(|(k, _)| k.trim() == key))
+    else {
+        return Vec::new();
+    };
+    let mut text = first.to_string();
+    while !text.contains(']') {
+        let Some(line) = lines.next() else { break };
+        text.push_str(line);
+    }
+    let array = text.split_once('[').map_or("", |(_, rest)| rest.split(']').next().unwrap_or(""));
+    array.split('"').skip(1).step_by(2).map(String::from).collect()
+}
+
 /// The package a manifest declares, and the packages its normal
 /// dependencies name (`[dependencies]`, `[dependencies.<name>]` and
 /// `[target.<cfg>.dependencies]`, through a `package = "…"` rename; not
@@ -412,6 +470,7 @@ impl Check {
             }
             Check::Unreachable { manifests, .. } => manifests.to_vec(),
             Check::Exports { file, .. } => vec![*file],
+            Check::DefaultMembers { manifest } => vec![*manifest],
         }
     }
 
@@ -468,6 +527,16 @@ impl Check {
                 extra_files
                     .map(|path| format!("{path}: exists"))
                     .chain(extra_exports.map(|(i, line)| format!("{file}:{}: {line}", i + 1)))
+                    .collect()
+            }
+            Check::DefaultMembers { manifest } => {
+                let text = tree.get(*manifest).map_or("", String::as_str);
+                let defaults = string_array(text, "default-members");
+                string_array(text, "members")
+                    .into_iter()
+                    .filter(|member| names("crates", member))
+                    .filter(|member| !defaults.iter().any(|spec| names(spec, member)))
+                    .map(|member| format!("{manifest}: `{member}` is not a default member"))
                     .collect()
             }
         }
@@ -595,7 +664,11 @@ fn a_src_only_guard_stops_at_the_first_test_module() {
         _ => None,
     });
     let src_only: Vec<&Grep> = parts.flatten().filter(|part| part.src_only).collect();
-    assert_eq!(src_only.len(), 3, "read_frame in gateway.rs, the worker's Qkv, max_batch");
+    assert_eq!(
+        src_only.len(),
+        4,
+        "read_frame in gateway.rs, the worker's Qkv, max_batch, the served crates' oracles"
+    );
     for part in src_only {
         let path = planted_path(part);
         let pattern = part.patterns[0];
@@ -669,6 +742,27 @@ fn the_export_guard_fails_on_one_planted_export_or_file() {
         tree.insert(planted.to_string(), String::new());
         assert_eq!(guard.check.violations(&tree), [format!("{planted}: exists")]);
     }
+}
+
+#[test]
+fn the_default_members_guard_fails_on_one_missing_crate() {
+    let guard = guard_by_reason("a plain `cargo test` runs every crate's tests");
+    let Check::DefaultMembers { manifest } = guard.check else {
+        panic!("the default-members guard reads a manifest")
+    };
+    let text = &repo()[manifest];
+    let crates: Vec<String> =
+        string_array(text, "members").into_iter().filter(|m| names("crates", m)).collect();
+    assert!(crates.len() > 1, "the workspace lists its crates");
+    let (left_out, kept) = crates.split_last().expect("a crate");
+    let listed: Vec<String> = kept.iter().map(|member| format!("{member:?}")).collect();
+    let mut tree = repo().clone();
+    let text = tree.get_mut(manifest).expect("manifest read");
+    *text = text.replacen("\"crates/*\"", &listed.join(", "), 1);
+    assert_eq!(
+        guard.check.violations(&tree),
+        [format!("{manifest}: `{left_out}` is not a default member")]
+    );
 }
 
 /// src = each `.rs` file under `crates/<c>/src` up to its first

@@ -90,7 +90,7 @@ fn random_pattern(rng: &mut ParamRng) -> HybridPattern {
 /// Runs one full decode generation and asserts bit-identity against the
 /// causal-prefill rows: raw outputs, weights, global rows, saturation.
 fn assert_decode_matches_prefill(salo: &Salo, pattern: &HybridPattern, d: usize, seed: u64) {
-    let mut session = salo.decode_session(pattern, d).unwrap();
+    let mut session = DecodeSession::new(salo, pattern, d).unwrap();
     let n = session.capacity();
     let qkv = Qkv::random(n, d, seed);
     let prefill = prefill_oracle(salo, session.shared_plan(), &qkv);
@@ -264,7 +264,7 @@ fn decode_matches_prefill_under_saturation() {
         .global_token(0)
         .build()
         .unwrap();
-    let mut session = salo.decode_session(&pattern, 8).unwrap();
+    let mut session = DecodeSession::new(&salo, &pattern, 8).unwrap();
     let qkv = Qkv::random(24, 8, 77);
     // Blow up the magnitudes far past the Q.4 grid.
     let boom = |m: &salo::kernels::Matrix<f32>| m.map(|x| x * 1e6);
@@ -298,7 +298,7 @@ fn longer_prompts_skip_rows_but_keep_later_steps_identical() {
         .global_token(0)
         .build()
         .unwrap();
-    let mut session = salo.decode_session(&pattern, 8).unwrap();
+    let mut session = DecodeSession::new(&salo, &pattern, 8).unwrap();
     let qkv = Qkv::random(32, 8, 11);
     let prefill = prefill_oracle(&salo, session.shared_plan(), &qkv);
 
@@ -336,7 +336,7 @@ fn interleaved_sessions_do_not_leak_state() {
     let qkv_b = Qkv::random(22, 4, 2);
 
     let run_isolated = |pattern: &HybridPattern, qkv: &Qkv, d: usize| {
-        let mut s = salo.decode_session(pattern, d).unwrap();
+        let mut s = DecodeSession::new(&salo, pattern, d).unwrap();
         s.prime_rows(qkv, 0..s.min_step()).unwrap();
         (s.min_step()..s.capacity())
             .map(|t| s.step(qkv.q.row(t), qkv.k.row(t), qkv.v.row(t)).unwrap())
@@ -345,8 +345,8 @@ fn interleaved_sessions_do_not_leak_state() {
     let solo_a = run_isolated(&pat_a, &qkv_a, 8);
     let solo_b = run_isolated(&pat_b, &qkv_b, 4);
 
-    let mut sa = salo.decode_session(&pat_a, 8).unwrap();
-    let mut sb = salo.decode_session(&pat_b, 4).unwrap();
+    let mut sa = DecodeSession::new(&salo, &pat_a, 8).unwrap();
+    let mut sb = DecodeSession::new(&salo, &pat_b, 4).unwrap();
     sa.prime_rows(&qkv_a, 0..sa.min_step()).unwrap();
     sb.prime_rows(&qkv_b, 0..sb.min_step()).unwrap();
     let mut ia = 0;
@@ -420,7 +420,7 @@ fn serve_sessions_match_core_sessions_and_amortize_plans() {
         // The oracle: one core decode session per head over the same
         // inputs.
         for h in 0..shape.num_heads {
-            let mut core = salo.decode_session(&shape.pattern, shape.head_dim).unwrap();
+            let mut core = DecodeSession::new(&salo, &shape.pattern, shape.head_dim).unwrap();
             core.prime_rows(&request.prompt[h], 0..shape.prompt_len).unwrap();
             for (s, token) in steps.iter().enumerate() {
                 let expect = core.step(&token[h].q, &token[h].k, &token[h].v).unwrap();
@@ -992,18 +992,16 @@ fn pinned_worker_switches_sessions_without_stale_state() {
 
     let mut core_a: Vec<DecodeSession> = (0..req_a.num_heads)
         .map(|h| {
-            let mut s = salo
-                .decode_session(&traffic.shapes()[0].pattern, traffic.shapes()[0].head_dim)
-                .unwrap();
+            let shape = &traffic.shapes()[0];
+            let mut s = DecodeSession::new(&salo, &shape.pattern, shape.head_dim).unwrap();
             s.prime_rows(&req_a.prompt[h], 0..traffic.shapes()[0].prompt_len).unwrap();
             s
         })
         .collect();
     let mut core_b: Vec<DecodeSession> = (0..req_b.num_heads)
         .map(|h| {
-            let mut s = salo
-                .decode_session(&traffic.shapes()[1].pattern, traffic.shapes()[1].head_dim)
-                .unwrap();
+            let shape = &traffic.shapes()[1];
+            let mut s = DecodeSession::new(&salo, &shape.pattern, shape.head_dim).unwrap();
             s.prime_rows(&req_b.prompt[h], 0..traffic.shapes()[1].prompt_len).unwrap();
             s
         })

@@ -1,7 +1,9 @@
 //! End-to-end integration: pattern -> scheduler -> simulator vs the exact
 //! reference kernels, across every preset pattern family.
 
-use salo::core::{AttentionRequest, Engine, Salo};
+use std::sync::Arc;
+
+use salo::core::{AttentionRequest, Engine, PatternHandle, ReferenceEngine, Salo};
 use salo::kernels::{sparse_attention, Qkv};
 use salo::patterns::{
     bigbird, grid_2d, longformer, sparse_transformer, star_transformer, AttentionShape, DenseMask,
@@ -75,7 +77,7 @@ fn multi_head_layer_matches_reference() {
     let heads = Qkv::random_heads(&shape, 33);
     let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
     let run = engine.execute(request.clone()).unwrap().into_prefill().unwrap();
-    let reference = salo.reference_engine().execute(request).unwrap().into_prefill().unwrap();
+    let reference = ReferenceEngine::new().execute(request).unwrap().into_prefill().unwrap();
     for (h, (ours, exact)) in run.heads.iter().zip(&reference.heads).enumerate() {
         let diff = ours.output.max_abs_diff(&exact.output);
         assert!(diff < 0.35, "head {h} diff {diff}");
@@ -83,6 +85,56 @@ fn multi_head_layer_matches_reference() {
     // Layer latency = sum of head latencies; energy likewise.
     let per_head: f64 = run.heads.iter().map(|h| h.report.as_ref().unwrap().timing.time_s).sum();
     assert!((run.telemetry.sim_time_s.unwrap() - per_head).abs() < 1e-12);
+}
+
+#[test]
+fn end_to_end_matches_reference() {
+    let salo = small_salo();
+    let pattern = longformer(48, 9, 1).unwrap();
+    let shape = AttentionShape::new(48, 8, 2).unwrap();
+    let compiled = Arc::new(salo.compile(&pattern, &shape).unwrap());
+    let heads = Qkv::random_heads(&shape, 77);
+    let mut engine = salo.engine();
+    let run = engine
+        .execute(AttentionRequest::Prefill {
+            pattern: PatternHandle::from_plan(Arc::clone(&compiled)),
+            shape,
+            heads: heads.clone(),
+        })
+        .unwrap()
+        .into_prefill()
+        .unwrap();
+    assert_eq!(run.heads.len(), 2);
+
+    let mut reference = ReferenceEngine::new();
+    let handle = reference.prepare(&pattern, &shape).unwrap();
+    let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
+    let reference = reference.execute(request).unwrap().into_prefill().unwrap();
+    for (ours, exact) in run.heads.iter().zip(&reference.heads) {
+        let diff = ours.output.max_abs_diff(&exact.output);
+        assert!(diff < 0.3, "head diff {diff}");
+    }
+    assert!(run.telemetry.sim_time_s.unwrap() > 0.0);
+    assert!(run.telemetry.sim_energy_j.unwrap() > 0.0);
+    assert_eq!(run.telemetry.engine, "lowered");
+}
+
+#[test]
+fn single_head_consistency_with_sparse_reference() {
+    let salo = small_salo();
+    let pattern = longformer(40, 7, 2).unwrap();
+    let shape = AttentionShape::new(40, 8, 1).unwrap();
+    let mut engine = salo.engine();
+    let handle = engine.prepare(&pattern, &shape).unwrap();
+    let head = Qkv::random(40, 8, 5);
+    let out = engine
+        .execute(AttentionRequest::Prefill { pattern: handle, shape, heads: vec![head.clone()] })
+        .unwrap()
+        .into_prefill()
+        .unwrap();
+    let scale = 1.0 / (8f32).sqrt();
+    let exact = sparse_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
+    assert!(out.heads[0].output.max_abs_diff(&exact) < 0.3);
 }
 
 #[test]

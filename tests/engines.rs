@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use salo::core::{
-    AttentionRequest, Engine, HeadStep, LoweredEngine, PatternHandle, PrefillOutput, Salo,
-    SaloError, StepResult, TokenQkv,
+    AttentionRequest, Engine, HeadStep, LoweredEngine, PatternHandle, PrefillOutput,
+    ReferenceEngine, Salo, SaloError, StepResult, TokenQkv,
 };
 use salo::kernels::{Matrix, Qkv};
 use salo::patterns::{AttentionShape, HybridPattern, Window};
@@ -63,7 +63,7 @@ fn systolic_on(salo: &Salo, handle: &PatternHandle, heads: &[Qkv]) -> Vec<Execut
 /// The decode comparison's engines: two independent lowered engines,
 /// then the reference.
 fn decode_engines(salo: &Salo) -> [Box<dyn Engine>; 3] {
-    [Box::new(salo.engine()), Box::new(salo.engine()), Box::new(salo.reference_engine())]
+    [Box::new(salo.engine()), Box::new(salo.engine()), Box::new(ReferenceEngine::new())]
 }
 
 /// The first `rows` rows of a full-sequence head.
@@ -147,7 +147,8 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
     let heads = Qkv::random_heads(&shape, 4242);
 
     // --- Prefill. ---
-    let mut engines = salo.all_engines();
+    let mut engines: Vec<Box<dyn Engine>> =
+        vec![Box::new(salo.engine()), Box::new(ReferenceEngine::new())];
     assert_eq!(engines.len(), 2);
     let outs: Vec<(PatternHandle, PrefillOutput)> =
         engines.iter_mut().map(|e| prefill_on(e.as_mut(), &pattern, shape, &heads)).collect();
@@ -511,7 +512,8 @@ proptest! {
         let d = 8usize;
         let shape = AttentionShape::new(pattern.n(), d, 1).unwrap();
         let heads = Qkv::random_heads(&shape, seed);
-        let mut engines = salo.all_engines();
+        let mut engines: Vec<Box<dyn Engine>> =
+        vec![Box::new(salo.engine()), Box::new(ReferenceEngine::new())];
         let outs: Vec<(PatternHandle, PrefillOutput)> = engines
             .iter_mut()
             .map(|e| prefill_on(e.as_mut(), &pattern, shape, &heads))

@@ -21,7 +21,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use salo::core::Salo;
+use salo::core::{DecodeSession, Salo};
 use salo::gateway::wire::{
     self, encode_request, ErrorCode, Header, PrefillHead, Request, Response, WireError,
     WireHeadStep,
@@ -103,7 +103,7 @@ fn one_worker() -> GatewayOptions {
 }
 
 /// A session driven over TCP — open, step-by-step decode, close — must
-/// reproduce [`Salo::decode_session`] on the same pattern byte for byte:
+/// reproduce a [`DecodeSession`] on the same pattern byte for byte:
 /// raw `i16` rows, Q.16 softmax weights, `f32` output bits, positions.
 /// A wire prefill must likewise reproduce the engine's prefill output.
 #[test]
@@ -121,11 +121,11 @@ fn socket_decode_is_bit_identical_to_in_process_session() {
     assert_matches_engine(&heads, &workload, vec![qkv]);
 
     // Decode: open -> step xN -> close against the core session. Shape 1
-    // of the demo mix is single-head, matching `decode_session`.
+    // of the demo mix is single-head, matching `DecodeSession`.
     let steps = 12;
     let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(1, steps);
     let salo = Salo::new(AcceleratorConfig::default());
-    let mut oracle = salo.decode_session(&request.pattern, request.head_dim).expect("oracle");
+    let mut oracle = DecodeSession::new(&salo, &request.pattern, request.head_dim).expect("oracle");
     oracle.prime_rows(&request.prompt[0], 0..request.prompt[0].seq_len()).expect("oracle prime");
 
     let opened = client
@@ -158,7 +158,7 @@ fn a_short_row_step_is_invalid_and_the_session_decodes_on() {
     let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
     let (request, tokens) = GenerationTraffic::demo_mix().session_bounded(1, 3);
     let salo = Salo::new(AcceleratorConfig::default());
-    let mut twin = salo.decode_session(&request.pattern, request.head_dim).expect("twin");
+    let mut twin = DecodeSession::new(&salo, &request.pattern, request.head_dim).expect("twin");
     twin.prime_rows(&request.prompt[0], 0..request.prompt[0].seq_len()).expect("twin prime");
     let opened = client
         .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)
@@ -535,7 +535,7 @@ fn drain_with_many_live_sessions_delivers_every_reply_and_terminal_closed_frame(
 struct Mirrored {
     wire: u64,
     tokens: Vec<Vec<salo::serve::TokenQkv>>,
-    oracle: salo::core::DecodeSession,
+    oracle: DecodeSession,
     /// Steps answered so far; the next reply must be for `tokens[done]`.
     done: usize,
 }
@@ -558,11 +558,11 @@ fn pipelined_sessions_fuse_behind_the_socket_and_stay_bit_identical() {
 
     let mut sessions: Vec<Mirrored> = (0..SESSIONS)
         .map(|i| {
-            // Odd indices are the single-head shape `decode_session` mirrors.
+            // Odd indices are the single-head shape `DecodeSession` mirrors.
             let (request, tokens) =
                 GenerationTraffic::demo_mix().session_bounded(2 * i + 1, ROUNDS + 2);
             let mut oracle =
-                salo.decode_session(&request.pattern, request.head_dim).expect("oracle");
+                DecodeSession::new(&salo, &request.pattern, request.head_dim).expect("oracle");
             oracle.prime_rows(&request.prompt[0], 0..request.prompt[0].seq_len()).expect("prime");
             let opened = client
                 .open_session(request.pattern, request.head_dim, request.num_heads, request.prompt)

@@ -1,9 +1,10 @@
 //! Integration of the scheduler with the simulator: coverage audits,
-//! window-splitting equivalence, and the reordering path.
+//! window-splitting equivalence, the reordering path, and the simulator
+//! against the exact `f32` reference.
 
 use salo::fixed::{merge_partials, PartialRow, RecipUnit};
-use salo::kernels::{fixed_sparse_attention, FixedAttention, Qkv};
-use salo::patterns::{longformer, sliding_only, HybridPattern, Window};
+use salo::kernels::{fixed_sparse_attention, sparse_attention, FixedAttention, Qkv};
+use salo::patterns::{longformer, sliding_only, sparse_transformer, HybridPattern, Window};
 use salo::scheduler::{verify_coverage, ExecutionPlan, HardwareMeta, Permutation};
 use salo::sim::{AcceleratorConfig, SpatialAccelerator};
 
@@ -146,6 +147,106 @@ fn close_to_golden_under_window_splitting() {
         fixed_sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, &FixedAttention::new(d)).unwrap();
     let diff = out.output.max_abs_diff(&golden.to_f32());
     assert!(diff < 0.05, "split-vs-monolithic diff {diff}");
+}
+
+#[test]
+fn matches_f32_reference_with_globals() {
+    let n = 32;
+    let d = 8;
+    let pattern = longformer(n, 9, 2).unwrap();
+    let qkv = Qkv::random(n, d, 11);
+    let plan = ExecutionPlan::build(&pattern, HardwareMeta::new(8, 8, 1, 1).unwrap()).unwrap();
+    let sim = accel(8, 8);
+    let scale = SpatialAccelerator::default_scale(d);
+    let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let diff = out.output.max_abs_diff(&exact);
+    assert!(diff < 0.3, "diff vs f32 reference {diff}");
+    assert_eq!(out.report.saturation_events, 0);
+}
+
+#[test]
+fn dilated_pattern_executes_correctly() {
+    let n = 36;
+    let d = 4;
+    let pattern = HybridPattern::builder(n)
+        .window(Window::dilated(-9, 9, 3).unwrap())
+        .global_token(0)
+        .build()
+        .unwrap();
+    let qkv = Qkv::random(n, d, 23);
+    let plan = ExecutionPlan::build(&pattern, HardwareMeta::new(4, 4, 1, 1).unwrap()).unwrap();
+    let sim = accel(4, 4);
+    let scale = SpatialAccelerator::default_scale(d);
+    let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    assert!(out.output.max_abs_diff(&exact) < 0.3);
+}
+
+#[test]
+fn strided_preset_end_to_end() {
+    let n = 30;
+    let d = 6;
+    let pattern = sparse_transformer(n, 3, 4).unwrap();
+    let qkv = Qkv::random(n, d, 5);
+    let plan = ExecutionPlan::build(&pattern, HardwareMeta::new(6, 6, 1, 1).unwrap()).unwrap();
+    let sim = accel(6, 6);
+    let scale = SpatialAccelerator::default_scale(d);
+    let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    assert!(out.output.max_abs_diff(&exact) < 0.3);
+}
+
+mod simulator_vs_reference {
+    //! The simulator tracks the exact `f32` reference within the
+    //! quantization budget on random patterns, data and array geometries.
+
+    use proptest::prelude::*;
+    use salo::kernels::{sparse_attention, Qkv};
+    use salo::patterns::{HybridPattern, Window};
+    use salo::scheduler::{ExecutionPlan, HardwareMeta};
+    use salo::sim::{AcceleratorConfig, SpatialAccelerator};
+
+    fn arb_pattern() -> impl Strategy<Value = HybridPattern> {
+        (12usize..40, -6i64..0, 1usize..8, 1usize..4, prop::collection::vec(0usize..12, 0..3))
+            .prop_filter_map("valid pattern", |(n, lo, width, dil, globals)| {
+                let hi = lo + (width as i64) * dil as i64;
+                let w = Window::dilated(lo, hi, dil).ok()?;
+                HybridPattern::builder(n)
+                    .window(w)
+                    .global_tokens(globals.into_iter().filter(move |&g| g < n))
+                    .build()
+                    .ok()
+            })
+    }
+
+    fn arb_hw() -> impl Strategy<Value = HardwareMeta> {
+        (2usize..9, 2usize..9).prop_map(|(r, c)| HardwareMeta::new(r, c, 1, 1).expect("hw"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Functional execution tracks the exact f32 reference within the
+        /// quantization budget, for random patterns/geometries/data.
+        #[test]
+        fn simulator_tracks_reference(pattern in arb_pattern(), hw in arb_hw(), seed in 0u64..1000) {
+            let d = 8usize;
+            let plan = match ExecutionPlan::build(&pattern, hw) {
+                Ok(p) => p,
+                Err(_) => return Ok(()), // degenerate (empty) pattern
+            };
+            let config = AcceleratorConfig { hw, ..Default::default() };
+            let sim = SpatialAccelerator::new(config);
+            let qkv = Qkv::random(pattern.n(), d, seed);
+            let scale = SpatialAccelerator::default_scale(d);
+            let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).expect("execute");
+            let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).expect("reference");
+            let diff = out.output.max_abs_diff(&exact);
+            prop_assert!(diff < 0.4, "diff {diff}");
+            prop_assert_eq!(out.report.saturation_events, 0);
+        }
+    }
 }
 
 #[test]
