@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{
-    BatchStep, DecodePlan, DecodeState, ExecScratch, ExecutionOutput, FixedQkv, KvPagePool,
+    DecodePlan, DecodeState, ExecScratch, ExecutionOutput, FixedQkv, FixedStep, KvPagePool,
     KvPoolStats, SimError, SpatialAccelerator, StepOutput, DEFAULT_PAGE_ROWS,
 };
 
 use crate::engine::{
     check_open_prompt, check_prefill_heads, check_token, AttentionRequest, AttentionResponse,
-    Engine, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed, SessionId,
-    SessionOpened, StepResult, Telemetry, TokenQkv,
+    Engine, FixedToken, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
+    SessionId, SessionOpened, StepResult, Telemetry, TokenQkv,
 };
 use crate::{salo::compile_with, CompiledPlan, SaloError};
 
@@ -34,7 +34,6 @@ const NAME: &str = "lowered";
 struct FixedSession {
     decode: Arc<DecodePlan>,
     states: Vec<DecodeState>,
-    scale: f32,
 }
 
 impl FixedSession {
@@ -205,7 +204,6 @@ impl LoweredEngine {
         let decode = self.resolve_decode_plan(handle)?;
         let prompt_len =
             check_open_prompt(decode.n(), decode.min_step(), head_dim, num_heads, prompt)?;
-        let scale = SpatialAccelerator::default_scale(head_dim);
         let mut states: Vec<DecodeState> =
             (0..num_heads).map(|_| DecodeState::new(&decode, head_dim)).collect();
         let mut prime_err = None;
@@ -239,13 +237,13 @@ impl LoweredEngine {
             position: prompt_len,
             capacity: decode.n(),
         };
-        self.sessions.insert(session, FixedSession { decode, states, scale });
+        self.sessions.insert(session, FixedSession { decode, states });
         Ok(opened)
     }
 
     /// The one way a decode step runs: execute one pending step from each
     /// listed session, grouping maximal runs that share a decode-plan
-    /// fingerprint into single [`SpatialAccelerator::execute_steps`]
+    /// fingerprint into single [`SpatialAccelerator::execute_fixed_steps`]
     /// passes (one scratch, one pool, per-dispatch overhead paid once).
     /// [`AttentionRequest::DecodeStep`] is the width-1 case. Results are
     /// per entry, in request order; grouping preserves it (each group is
@@ -253,7 +251,7 @@ impl LoweredEngine {
     /// per-session step ordering is exactly the one-at-a-time order.
     fn step_batch(
         &mut self,
-        steps: Vec<(SessionId, Vec<TokenQkv>)>,
+        steps: Vec<(SessionId, Vec<FixedToken>)>,
     ) -> Vec<(SessionId, Result<StepResult, SaloError>)> {
         let mut results = Vec::with_capacity(steps.len());
         let mut iter = steps.into_iter().peekable();
@@ -292,13 +290,13 @@ impl LoweredEngine {
     /// released; anything else is reinserted as it was.
     fn run_step_group(
         &mut self,
-        group: Vec<(SessionId, Vec<TokenQkv>)>,
+        group: Vec<(SessionId, Vec<FixedToken>)>,
         results: &mut Vec<(SessionId, Result<StepResult, SaloError>)>,
     ) {
         // One entry per grouped session: taken out of the map (for
         // simultaneous `&mut` access), its pending token, its pre-step
         // position, and any pre-validation error.
-        type GroupEntry = (SessionId, FixedSession, Vec<TokenQkv>, usize, Option<SaloError>);
+        type GroupEntry = (SessionId, FixedSession, Vec<FixedToken>, usize, Option<SaloError>);
         let mut entries: Vec<GroupEntry> = group
             .into_iter()
             .map(|(sid, token)| {
@@ -316,20 +314,22 @@ impl LoweredEngine {
 
         let profiling = salo_trace::enabled();
         self.scratch.set_profiling(profiling);
-        let mut batch: Vec<BatchStep<'_>> = Vec::new();
+        let mut batch: Vec<FixedStep<'_>> = Vec::new();
         for (_, sess, token, _, err) in &mut entries {
             if err.is_some() {
                 continue;
             }
-            let scale = sess.scale;
             for (state, tok) in sess.states.iter_mut().zip(token.iter()) {
-                batch.push(BatchStep { state, q_t: &tok.q, k_t: &tok.k, v_t: &tok.v, scale });
+                batch.push(FixedStep { state, q_t: &tok.q, k_t: &tok.k, v_t: &tok.v });
             }
         }
         let mut outputs = match &decode {
-            Some(decode) => {
-                self.accel.execute_steps(decode, &mut batch, &mut self.kv_pool, &mut self.scratch)
-            }
+            Some(decode) => self.accel.execute_fixed_steps(
+                decode,
+                &mut batch,
+                &mut self.kv_pool,
+                &mut self.scratch,
+            ),
             None => Vec::new(),
         }
         .into_iter();
@@ -410,6 +410,12 @@ impl LoweredEngine {
     }
 }
 
+/// A step's `f32` token, quantized head by head as a served step is
+/// where it arrives ([`FixedToken::quantize`]).
+fn quantize_token(token: &[TokenQkv]) -> Vec<FixedToken> {
+    token.iter().map(FixedToken::quantize).collect()
+}
+
 /// Converts a simulator [`ExecutionOutput`] into the backend-neutral
 /// [`HeadOutput`] (every fixed-point artifact present).
 fn fixed_head_output(out: ExecutionOutput) -> HeadOutput {
@@ -452,10 +458,15 @@ impl Engine for LoweredEngine {
         let tracer = salo_trace::Tracer::global();
         match request {
             AttentionRequest::Prefill { pattern, shape, heads } => {
+                // Quantized as the serving runtime's heads are where they
+                // arrive, then run the one way.
+                let heads = heads.iter().map(FixedQkv::quantize).collect();
+                self.execute(AttentionRequest::PrefillFixed { pattern, shape, heads })
+            }
+            AttentionRequest::PrefillFixed { pattern, shape, heads } => {
                 let _span = tracer.span_with("engine.prefill", "engine", heads.len() as u64);
                 check_prefill_heads(&shape, &heads)?;
                 let plan = self.resolve_prefill_plan(&pattern, &shape)?;
-                let scale = SpatialAccelerator::default_scale(shape.head_dim);
                 // Stage profiling follows the tracer switch: one relaxed
                 // load per request, zero per-op cost when off.
                 self.scratch.set_profiling(tracer.enabled());
@@ -463,10 +474,7 @@ impl Engine for LoweredEngine {
                 // array runs a layer's passes in order.
                 let outputs = heads
                     .iter()
-                    .map(|h| {
-                        let scratch = &mut self.scratch;
-                        self.accel.execute_lowered(&plan.lowered, &h.q, &h.k, &h.v, scale, scratch)
-                    })
+                    .map(|h| self.accel.execute_lowered_fixed(&plan.lowered, h, &mut self.scratch))
                     .collect::<Result<Vec<_>, _>>()?;
                 let telemetry = Self::prefill_telemetry(&outputs);
                 Ok(AttentionResponse::Prefill(PrefillOutput {
@@ -497,12 +505,17 @@ impl Engine for LoweredEngine {
                 // A step is a batch of one: same validation order, same
                 // retirement rule, same telemetry as any fused entry.
                 let (_, result) = self
-                    .step_batch(vec![(session, token)])
+                    .step_batch(vec![(session, quantize_token(&token))])
                     .pop()
                     .expect("one result per submitted step");
                 Ok(AttentionResponse::DecodeStep(result?))
             }
             AttentionRequest::DecodeStepBatch { steps } => {
+                let steps =
+                    steps.iter().map(|(sid, token)| (*sid, quantize_token(token))).collect();
+                self.execute(AttentionRequest::DecodeStepBatchFixed { steps })
+            }
+            AttentionRequest::DecodeStepBatchFixed { steps } => {
                 let _span =
                     tracer.span_with("engine.decode_step_batch", "engine", steps.len() as u64);
                 Ok(AttentionResponse::DecodeStepBatch(self.step_batch(steps)))

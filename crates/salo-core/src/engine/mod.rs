@@ -51,10 +51,10 @@ mod fixed;
 use std::fmt;
 use std::sync::Arc;
 
-use salo_fixed::Fix16x8;
+use salo_fixed::{quantize_iter, Fix16x8, Fix8x4};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_sim::{ExecutionReport, FixedQkv};
+use salo_sim::{ExecutionReport, FixedQkv, SpatialAccelerator};
 
 use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
 
@@ -81,6 +81,40 @@ impl TokenQkv {
     #[must_use]
     pub fn from_row(qkv: &Qkv, t: usize) -> Self {
         Self { q: qkv.q.row(t).to_vec(), k: qkv.k.row(t).to_vec(), v: qkv.v.row(t).to_vec() }
+    }
+}
+
+/// A [`TokenQkv`] quantized as the datapath ingests it: `q` with the
+/// attention scale [`default_scale`](SpatialAccelerator::default_scale) of
+/// its length folded in, `k` and `v` as they are — a token row's
+/// [`FixedQkv`]. What a served step carries from the moment its frame is
+/// decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedToken {
+    /// Query row, scale folded in.
+    pub q: Vec<Fix8x4>,
+    /// Key row.
+    pub k: Vec<Fix8x4>,
+    /// Value row.
+    pub v: Vec<Fix8x4>,
+}
+
+impl FixedToken {
+    /// Quantizes one `f32` token through the datapath's one rounding
+    /// ([`quantize_iter`]). A row of the session's dimension gets the
+    /// session's scale; a row of another length is refused by
+    /// [`check_token`] whatever its scale.
+    #[must_use]
+    pub fn quantize(token: &TokenQkv) -> Self {
+        let scale = SpatialAccelerator::default_scale(token.q.len());
+        let fixed = |row: &[f32], scale| quantize_iter(row, scale).collect();
+        Self { q: fixed(&token.q, scale), k: fixed(&token.k, 1.0), v: fixed(&token.v, 1.0) }
+    }
+}
+
+impl From<TokenQkv> for FixedToken {
+    fn from(token: TokenQkv) -> Self {
+        Self::quantize(&token)
     }
 }
 
@@ -164,8 +198,22 @@ pub enum AttentionRequest {
         /// Sequence/head dimensions; `heads.len()` must equal
         /// `shape.num_heads`.
         shape: AttentionShape,
-        /// Per-head Q/K/V inputs.
+        /// Per-head Q/K/V inputs. The fixed-point engine quantizes them
+        /// ([`FixedQkv::quantize`]) and runs them as
+        /// [`PrefillFixed`](Self::PrefillFixed) does.
         heads: Vec<Qkv>,
+    },
+    /// [`Prefill`](Self::Prefill) with the heads already quantized — how
+    /// the serving runtime prefills, its inputs quantized where they
+    /// arrived. Only the fixed-point engine serves it, as
+    /// [`DecodeOpenFixed`](Self::DecodeOpenFixed).
+    PrefillFixed {
+        /// As in [`Prefill`](Self::Prefill).
+        pattern: PatternHandle,
+        /// As in [`Prefill`](Self::Prefill).
+        shape: AttentionShape,
+        /// Per-head inputs, quantized.
+        heads: Vec<FixedQkv>,
     },
     /// Open a streaming decode session and ingest its prompt.
     DecodeOpen {
@@ -220,8 +268,18 @@ pub enum AttentionRequest {
     /// left desynced is retired, any other stays live where it was.
     DecodeStepBatch {
         /// One `(session, per-head token)` entry per session to advance,
-        /// in execution order.
+        /// in execution order. The fixed-point engine quantizes every
+        /// token ([`FixedToken::quantize`]) and runs them as
+        /// [`DecodeStepBatchFixed`](Self::DecodeStepBatchFixed) does.
         steps: Vec<(SessionId, Vec<TokenQkv>)>,
+    },
+    /// [`DecodeStepBatch`](Self::DecodeStepBatch) with every token already
+    /// quantized — how the serving runtime's workers step. Only the
+    /// fixed-point engine serves it, as
+    /// [`DecodeOpenFixed`](Self::DecodeOpenFixed).
+    DecodeStepBatchFixed {
+        /// As in [`DecodeStepBatch`](Self::DecodeStepBatch), quantized.
+        steps: Vec<(SessionId, Vec<FixedToken>)>,
     },
     /// Close a session, dropping its state.
     DecodeClose {
@@ -367,14 +425,16 @@ pub struct SessionClosed {
 /// one-to-one.
 #[derive(Debug, Clone)]
 pub enum AttentionResponse {
-    /// Response to [`AttentionRequest::Prefill`].
+    /// Response to [`AttentionRequest::Prefill`] and
+    /// [`AttentionRequest::PrefillFixed`].
     Prefill(PrefillOutput),
     /// Response to [`AttentionRequest::DecodeOpen`].
     DecodeOpened(SessionOpened),
     /// Response to [`AttentionRequest::DecodeStep`].
     DecodeStep(StepResult),
-    /// Response to [`AttentionRequest::DecodeStepBatch`]: one entry per
-    /// requested step, in request order.
+    /// Response to [`AttentionRequest::DecodeStepBatch`] and
+    /// [`AttentionRequest::DecodeStepBatchFixed`]: one entry per requested
+    /// step, in request order.
     DecodeStepBatch(Vec<(SessionId, Result<StepResult, SaloError>)>),
     /// Response to [`AttentionRequest::DecodeClose`].
     DecodeClosed(SessionClosed),
@@ -576,19 +636,18 @@ pub fn check_pattern_len(n: usize, shape: &AttentionShape) -> Result<(), SaloErr
 /// # Errors
 ///
 /// [`SaloError::HeadCountMismatch`] or [`SaloError::ShapeMismatch`].
-pub fn check_prefill_heads(shape: &AttentionShape, heads: &[Qkv]) -> Result<(), SaloError> {
+pub fn check_prefill_heads(
+    shape: &AttentionShape,
+    heads: &[impl PromptHead],
+) -> Result<(), SaloError> {
     if heads.len() != shape.num_heads {
         return Err(SaloError::HeadCountMismatch { expected: shape.num_heads, got: heads.len() });
     }
-    for h in heads {
-        if h.seq_len() != shape.seq_len || h.head_dim() != shape.head_dim {
-            return Err(SaloError::ShapeMismatch {
-                expected: (shape.seq_len, shape.head_dim),
-                got: (h.seq_len(), h.head_dim()),
-            });
-        }
+    let expected = (shape.seq_len, shape.head_dim);
+    match heads.iter().map(PromptHead::shape).find(|&got| got != expected) {
+        Some(got) => Err(SaloError::ShapeMismatch { expected, got }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// A prompt of `rows` rows fits a session over `n` positions whose first
@@ -612,9 +671,10 @@ pub fn check_prompt_rows(n: usize, min_step: usize, rows: usize) -> Result<(), S
     Ok(())
 }
 
-/// One head of a decode open's prompt, as the open rules see it: a
-/// `rows x dim` shape. `f32` rows ([`Qkv`]) and rows quantized where they
-/// arrived ([`FixedQkv`]) answer to the same rules.
+/// One head of a prefill's inputs or of a decode open's prompt, as the
+/// request rules see it: a `rows x dim` shape. `f32` rows ([`Qkv`]) and
+/// rows quantized where they arrived ([`FixedQkv`]) answer to the same
+/// rules.
 pub trait PromptHead {
     /// `(rows, dim)`.
     fn shape(&self) -> (usize, usize);
@@ -672,12 +732,36 @@ pub fn check_open_prompt(
 ///
 /// [`SaloError::HeadCountMismatch`], or [`SaloError::ShapeMismatch`]
 /// naming the first row of the wrong length.
-pub fn check_token(num_heads: usize, head_dim: usize, token: &[TokenQkv]) -> Result<(), SaloError> {
+pub fn check_token(
+    num_heads: usize,
+    head_dim: usize,
+    token: &[impl TokenHead],
+) -> Result<(), SaloError> {
     if token.len() != num_heads {
         return Err(SaloError::HeadCountMismatch { expected: num_heads, got: token.len() });
     }
-    match token.iter().flat_map(|t| [&t.q, &t.k, &t.v]).find(|row| row.len() != head_dim) {
-        Some(row) => Err(SaloError::ShapeMismatch { expected: (1, head_dim), got: (1, row.len()) }),
+    match token.iter().flat_map(TokenHead::row_lens).find(|&len| len != head_dim) {
+        Some(len) => Err(SaloError::ShapeMismatch { expected: (1, head_dim), got: (1, len) }),
         None => Ok(()),
+    }
+}
+
+/// One head of a decode step's token, as the step rule sees it: the
+/// lengths of its q, k and v rows. `f32` rows ([`TokenQkv`]) and rows
+/// quantized where they arrived ([`FixedToken`]) answer to the same rule.
+pub trait TokenHead {
+    /// `[q, k, v]` row lengths.
+    fn row_lens(&self) -> [usize; 3];
+}
+
+impl TokenHead for TokenQkv {
+    fn row_lens(&self) -> [usize; 3] {
+        [self.q.len(), self.k.len(), self.v.len()]
+    }
+}
+
+impl TokenHead for FixedToken {
+    fn row_lens(&self) -> [usize; 3] {
+        [self.q.len(), self.k.len(), self.v.len()]
     }
 }

@@ -48,7 +48,7 @@ mod error;
 mod salo;
 
 pub use engine::{
-    AttentionRequest, AttentionResponse, Engine, HeadOutput, HeadStep, LoweredEngine,
+    AttentionRequest, AttentionResponse, Engine, FixedToken, HeadOutput, HeadStep, LoweredEngine,
     PatternHandle, PrefillOutput, SessionClosed, SessionId, SessionOpened, StepResult, Telemetry,
     TokenQkv,
 };

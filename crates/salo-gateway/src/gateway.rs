@@ -10,9 +10,10 @@
 //!   *as it arrives* ([`wire::read_incoming`]) — out of the connection's
 //!   one 64 KiB read buffer straight into the request, so a request's
 //!   bytes are never resident beside the request, and the frame's length
-//!   is known before anything is allocated for it; an `Open`'s prompt is
-//!   quantized head by head as it is decoded, so it is never resident as
-//!   `f32` — and *admits* the request. The `gateway.read_frame` span therefore covers the wait for
+//!   is known before anything is allocated for it; q, k and v are read as
+//!   the 8-bit rows the sender quantized them into, so nothing is
+//!   quantized here and no request is ever resident as `f32` — and
+//!   *admits* the request. The `gateway.read_frame` span therefore covers the wait for
 //!   a frame, its read and its decode, which interleave. A malformed
 //!   payload costs one typed `BadFrame` reply, under the request id its
 //!   header named; a framing violation, EOF or a read deadline — also one
@@ -727,14 +728,14 @@ mod tests {
     use std::io::Write;
     use std::sync::Condvar;
 
-    use salo_core::FixedQkv;
+    use salo_core::{FixedQkv, FixedToken};
     use salo_kernels::Qkv;
     use salo_patterns::{AttentionShape, HybridPattern};
-    use salo_serve::{ServeError, ServeRequest, TokenQkv};
+    use salo_serve::{ServeError, TokenQkv};
 
     use crate::client::{GatewayClient, GatewayError};
     use crate::state::tests::{admit, layer, open, opened, pending, sink_conn, Script, BYTES};
-    use crate::state::{Open, WINDOW_ROUNDS};
+    use crate::state::{Layer, Open, WINDOW_ROUNDS};
     use crate::wire::{PrefillHead, Request, Response};
 
     /// Gateways bound by these tests run one at a time: the churn test
@@ -825,7 +826,7 @@ mod tests {
     }
 
     impl Backend for Holding {
-        fn submit_into(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
+        fn submit_into(&self, tenant: u64, request: Layer) -> Result<u64, ServeError> {
             let mut held = self.hold.lock();
             let id = self.served.submit_into(tenant, request)?;
             if tenant == self.hold.tenant {
@@ -839,7 +840,7 @@ mod tests {
             self.served.open_session_into(tenant, request)
         }
 
-        fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
+        fn step_session(&self, session: u64, token: Vec<FixedToken>) -> Result<(), ServeError> {
             self.served.step_session(session, token)
         }
 
@@ -958,7 +959,8 @@ mod tests {
             .build()
             .expect("pattern");
         let sequence = Qkv::random(10, 16, 131);
-        let tokens: Vec<_> = (8..10).map(|t| vec![TokenQkv::from_row(&sequence, t)]).collect();
+        let token = |t| vec![FixedToken::quantize(&TokenQkv::from_row(&sequence, t))];
+        let tokens: Vec<_> = (8..10).map(token).collect();
         let open = |num_heads| Incoming::Open {
             pattern: pattern.clone(),
             head_dim: 16,
@@ -981,7 +983,7 @@ mod tests {
         let layer = || Incoming::Prefill {
             pattern: salo_patterns::longformer(8, 2, 1).expect("pattern"),
             shape,
-            heads: Qkv::random_heads(&shape, 1),
+            heads: Qkv::random_heads(&shape, 1).iter().map(FixedQkv::quantize).collect(),
         };
         let full = round * WINDOW_ROUNDS;
         for _ in 0..round {

@@ -15,9 +15,10 @@
 //!   sessions and stats. A frame is a stream in both directions:
 //!   [`wire::read_request`] decodes it as it arrives, so a request is
 //!   never resident beside its bytes, and a frame is encoded once, at its
-//!   exact size. The gateway's reader decodes with
-//!   [`wire::read_incoming`], which quantizes an `Open`'s prompt head by
-//!   head as it goes: a prompt is fixed-point from the door. Every decode path is
+//!   exact size. Q, K and V travel as the datapath's 8-bit rows, quantized
+//!   by the sender, and replies as its 16-bit rows. The gateway's reader
+//!   decodes with [`wire::read_incoming`], straight into those rows: a
+//!   request is fixed-point from the door. Every decode path is
 //!   allocation-guarded and returns typed [`wire::WireError`]s — never
 //!   panics — under proptest-driven malformed-input tests.
 //! * **[`Gateway`]** — accepts connections, decodes frames, and maps

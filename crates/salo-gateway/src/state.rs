@@ -38,25 +38,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use salo_serve::{
-    EventSink, ServeError, ServeEvent, ServeOptions, ServeRequest, SessionRequest, TokenQkv,
-};
+use salo_core::{FixedQkv, FixedToken};
+use salo_serve::{EventSink, ServeError, ServeEvent, ServeOptions, ServeRequest, SessionRequest};
 use salo_trace::{Counter, Gauge, LogHistogram};
 
 use crate::wire::{ErrorCode, ErrorFrame, Header, Incoming, Outgoing};
 use crate::GatewayOptions;
 
-/// An `Open` as it reaches the backend: its prompt quantized at the door.
-pub(crate) type Open = SessionRequest<salo_core::FixedQkv>;
+/// A prefill as it reaches the backend: its heads as the frame's 8-bit rows.
+pub(crate) type Layer = ServeRequest<FixedQkv>;
+
+/// An `Open` as it reaches the backend: its prompt as the frame's 8-bit rows.
+pub(crate) type Open = SessionRequest<FixedQkv>;
 
 /// The four calls [`State`] makes on the server, none of which waits for
 /// the work: its results arrive on the channel the completion thread reads.
 /// A submission names its tenant, which the server does not read: the
 /// test backends hold and record work by it.
 pub(crate) trait Backend: Send {
-    fn submit_into(&self, tenant: u64, request: ServeRequest) -> Result<u64, ServeError>;
+    fn submit_into(&self, tenant: u64, request: Layer) -> Result<u64, ServeError>;
     fn open_session_into(&self, tenant: u64, request: Open) -> Result<u64, ServeError>;
-    fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError>;
+    fn step_session(&self, session: u64, token: Vec<FixedToken>) -> Result<(), ServeError>;
     fn close_session(&self, session: u64) -> Result<(), ServeError>;
 }
 
@@ -68,7 +70,7 @@ pub(crate) struct Served {
 }
 
 impl Backend for Served {
-    fn submit_into(&self, _: u64, request: ServeRequest) -> Result<u64, ServeError> {
+    fn submit_into(&self, _: u64, request: Layer) -> Result<u64, ServeError> {
         self.server.submit_into(request, self.events.clone())
     }
 
@@ -76,7 +78,7 @@ impl Backend for Served {
         self.server.open_session_into(request, self.events.clone())
     }
 
-    fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
+    fn step_session(&self, session: u64, token: Vec<FixedToken>) -> Result<(), ServeError> {
         self.server.step_session(session, token)
     }
 
@@ -721,7 +723,7 @@ pub(crate) mod tests {
     }
 
     impl Backend for Arc<Script> {
-        fn submit_into(&self, tenant: u64, _: ServeRequest) -> Result<u64, ServeError> {
+        fn submit_into(&self, tenant: u64, _: Layer) -> Result<u64, ServeError> {
             self.call("submit_into", tenant)?;
             Ok(self.next.fetch_add(1, Ordering::Relaxed))
         }
@@ -731,7 +733,7 @@ pub(crate) mod tests {
             Ok(self.next.fetch_add(1, Ordering::Relaxed))
         }
 
-        fn step_session(&self, session: u64, _: Vec<TokenQkv>) -> Result<(), ServeError> {
+        fn step_session(&self, session: u64, _: Vec<FixedToken>) -> Result<(), ServeError> {
             self.call("step_session", session)
         }
 

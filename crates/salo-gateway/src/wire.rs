@@ -10,12 +10,26 @@
 //!
 //! Everything is hand-rolled little-endian primitives — no serde, no
 //! bincode — because the decode side faces the network: every malformed
-//! input maps to a typed [`WireError`], never a panic. `f32`/`f64` travel
-//! as their IEEE-754 bit patterns, so a round trip is bit-exact — the
-//! property the socket-vs-in-process decode identity tests rely on. Each
-//! type's wire form is written once — a private `Wire` impl, or a field
-//! list handed to `wire!` — and that one definition both encodes and
-//! decodes.
+//! input maps to a typed [`WireError`], never a panic. Each type's wire
+//! form is written once — a private `Wire` impl, or a field list handed to
+//! `wire!` — and that one definition both encodes and decodes.
+//!
+//! **The wire carries the datapath's numbers (version 2).** The PE array
+//! reads q, k and v only as 8-bit `Fix8x4` rows and writes 16-bit `Fix16x8`
+//! ones, so that is what travels. A request's rows are one byte an element:
+//! the client's encoder quantizes them through the datapath's one rounding
+//! (`quantize_iter`, q with the head's attention scale folded in) — the
+//! rounding an in-process run's load applies, so a socket run and an
+//! in-process run from the same `f32` rows agree bit for bit.
+//! [`decode_request`] hands back the on-grid
+//! `f32` request the bytes stand for (`Fix8x4::to_f32`, q divided by the
+//! scale), which encodes to the same bytes again. A reply's rows are two
+//! bytes an element: a head whose `f32` output is bit for bit its raw
+//! `Fix16x8` rows dequantized — every head the fixed-point engine answers
+//! — sends only the raw rows and the Q.16 weights, and the decoder rebuilds
+//! the output from them; any other head sends its `f32` output behind a
+//! tag, as IEEE-754 bit patterns. So every [`Response`] round-trips
+//! exactly, and a request round-trips to its on-grid value.
 //!
 //! **A frame is consumed as a stream.** The one decoder reads from a
 //! `BufRead` bounded by the length prefix — [`read_request`] /
@@ -28,17 +42,16 @@
 //! declares is checked against the bytes the frame **still owes** — its
 //! prefix, itself bounded by [`MAX_FRAME_LEN`], less what has been
 //! consumed — before anything is allocated for it, so a frame can make the
-//! decoder hold at most its own length in values, and only a peer that
-//! goes on to send those bytes gets them kept.
+//! decoder hold at most a small multiple of its own length in values (four
+//! `f32` bytes for each row byte, in [`Request`]; one, in [`Incoming`]),
+//! and only a peer that goes on to send those bytes gets them kept.
 //!
-//! **An `Open` is quantized as it is decoded.** The gateway's reader
-//! decodes with [`read_incoming`] into [`Incoming`], [`Request`]'s twin
-//! from the same `wire!` list: each head of an `Open`'s prompt is read as
-//! the `f32` [`Qkv`] the frame carries, turned at once into the
-//! [`FixedQkv`] rows a decode session ingests — the datapath's one
-//! rounding, q with the attention scale folded in — and its `f32` rows
-//! dropped before the next head is read. A whole prompt is never resident
-//! as `f32` at the server: one head of it at most, at any moment.
+//! **The server reads rows as the datapath holds them.** The gateway's
+//! reader decodes with [`read_incoming`] into [`Incoming`], [`Request`]'s
+//! twin from the same `wire!` list: a prefill's heads and an `Open`'s
+//! prompt arrive as [`FixedQkv`], a step's token as [`FixedToken`], each
+//! read straight from the frame's bytes. No `f32` row of a request is ever
+//! resident at the server, and nothing is quantized there.
 //!
 //! **A frame is encoded once, at its size.** A counting pass over the same
 //! `Wire` impls sizes the buffer exactly, then the writing pass fills it:
@@ -54,18 +67,20 @@
 
 use std::io::{BufRead, ErrorKind, Read, Write};
 
-use salo_core::{FixedQkv, HeadStep, TokenQkv};
-use salo_fixed::{Fix16x8, Fix8x4};
+use salo_core::{FixedQkv, FixedToken, HeadStep, TokenQkv};
+use salo_fixed::{quantize_iter, Fix16x8, Fix8x4};
 use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, BlockLayout, HybridPattern, PatternTerm, SupportRuns, Window};
 use salo_sim::SpatialAccelerator;
 
-/// Protocol version carried in every frame header.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version carried in every frame header. Version 2 carries q, k
+/// and v as 8-bit rows and replies as 16-bit rows; a version-1 frame is
+/// refused with [`WireError::BadVersion`].
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a frame's payload length. Frames claiming more are
 /// refused before any allocation happens.
-pub const MAX_FRAME_LEN: usize = 64 << 20;
+pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Fixed header bytes after the length prefix: version, opcode, tenant,
 /// request id.
@@ -219,21 +234,20 @@ pub enum Request {
 }
 
 /// A [`Request`] as the gateway's reader takes it off the socket
-/// ([`read_incoming`]): the same frames, one `wire!` list for both, but an
-/// `Open`'s prompt is quantized head by head as it is decoded — each
-/// head's `f32` rows are read, turned into the [`FixedQkv`] a session
-/// ingests, and dropped before the next head is read. No more than one
-/// `f32` head of a prompt is ever resident.
+/// ([`read_incoming`]): the same frames, one `wire!` list for both, but
+/// every q, k and v row is decoded into the quantized rows the datapath
+/// ingests, straight from the frame's bytes. No `f32` row is ever
+/// resident.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Incoming {
-    /// As [`Request::Prefill`].
+    /// As [`Request::Prefill`], the heads quantized.
     Prefill {
         /// The hybrid sparsity pattern.
         pattern: HybridPattern,
         /// Sequence/head dimensions.
         shape: AttentionShape,
-        /// Per-head inputs.
-        heads: Vec<Qkv>,
+        /// Per-head inputs, quantized.
+        heads: Vec<FixedQkv>,
     },
     /// As [`Request::Open`], the prompt quantized.
     Open {
@@ -243,15 +257,15 @@ pub enum Incoming {
         head_dim: usize,
         /// Number of heads.
         num_heads: usize,
-        /// Per-head prompt rows, quantized ([`FixedQkv::quantize`]).
+        /// Per-head prompt rows, quantized.
         prompt: Vec<FixedQkv>,
     },
-    /// As [`Request::Step`].
+    /// As [`Request::Step`], the token quantized.
     Step {
         /// The wire session id from [`Response::Opened`].
         session: u64,
-        /// The new position's per-head `(q, k, v)` rows.
-        token: Vec<TokenQkv>,
+        /// The new position's per-head `(q, k, v)` rows, quantized.
+        token: Vec<FixedToken>,
     },
     /// As [`Request::Close`].
     Close {
@@ -265,7 +279,7 @@ pub enum Incoming {
 /// One head of a [`Response::PrefillDone`], in accelerator-exact form:
 /// the dequantized output plus the 16-bit raw rows and Q.16 softmax
 /// weights, so a client can assert bit-identity against an in-process
-/// run.
+/// run. The output travels only when it is not the raw rows dequantized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefillHead {
     /// The attention output, dequantized to `f32`.
@@ -428,6 +442,16 @@ impl Enc<'_> {
         }
     }
 
+    /// `values` as the datapath loads them, a byte each: quantized through
+    /// its one rounding ([`quantize_iter`], `scale` folded in). The
+    /// counting pass only adds up the length.
+    fn quantized(&mut self, values: &[f32], scale: f32) {
+        self.len += values.len();
+        if let Some(out) = &mut self.out {
+            out.extend(quantize_iter(values, scale).map(|x| x.raw() as u8));
+        }
+    }
+
     /// A counted sequence: `u32` length, then the elements.
     fn seq<T: Wire>(&mut self, v: &[T]) {
         self.u32(v.len() as u32);
@@ -472,6 +496,36 @@ impl Le for Fix16x8 {
     }
     fn get(src: &[u8]) -> Self {
         Fix16x8::from_raw(i16::get(src))
+    }
+}
+
+/// `Fix8x4` is `repr(transparent)` over its raw `i8`: a q, k or v element
+/// is one byte on the wire.
+impl Le for Fix8x4 {
+    const WIDTH: usize = 1;
+    fn put(self, dst: &mut [u8]) {
+        dst[0] = self.raw() as u8;
+    }
+    fn get(src: &[u8]) -> Self {
+        Fix8x4::from_raw(src[0] as i8)
+    }
+}
+
+/// An element of a 16-bit output row — the client's `i16`, the engine's
+/// [`Fix16x8`], the same two bytes either way — and the `f32` it stands for.
+trait Raw16: Le {
+    fn dequantized(self) -> f32;
+}
+
+impl Raw16 for i16 {
+    fn dequantized(self) -> f32 {
+        Fix16x8::from_raw(self).to_f32()
+    }
+}
+
+impl Raw16 for Fix16x8 {
+    fn dequantized(self) -> f32 {
+        self.to_f32()
     }
 }
 
@@ -573,6 +627,12 @@ impl<R: BufRead> Dec<R> {
     /// then converted a bufferful at a time straight into the vector they
     /// stay in. The bytes are never resident beside the values.
     fn vec<T: Le>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
+        self.vec_map(n, |x| x)
+    }
+
+    /// [`vec`](Self::vec), each element passed through `f` on its way
+    /// into the vector.
+    fn vec_map<T: Le, U>(&mut self, n: usize, f: impl Fn(T) -> U) -> Result<Vec<U>, WireError> {
         self.owe(n.saturating_mul(T::WIDTH))?;
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
@@ -580,10 +640,10 @@ impl<R: BufRead> Dec<R> {
             let whole = buffered - buffered % T::WIDTH;
             if whole == 0 {
                 // An element straddles the buffer's end, or the stream is over.
-                out.push(self.next()?);
+                out.push(f(self.next()?));
                 continue;
             }
-            out.extend(self.r.fill_buf()?[..whole].chunks_exact(T::WIDTH).map(T::get));
+            out.extend(self.r.fill_buf()?[..whole].chunks_exact(T::WIDTH).map(T::get).map(&f));
             self.r.consume(whole);
         }
         Ok(out)
@@ -682,7 +742,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// A tag byte (`0` = `None`), then the value.
+/// A tag byte (`0` = `None`, `1` = `Some`, anything else refused), then
+/// the value.
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, e: &mut Enc<'_>) {
         match self {
@@ -697,7 +758,8 @@ impl<T: Wire> Wire for Option<T> {
     fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
         Ok(match d.u8()? {
             0 => None,
-            _ => Some(T::decode(d)?),
+            1 => Some(T::decode(d)?),
+            tag => return Err(bad(format_args!("option tag {tag}"))),
         })
     }
 }
@@ -737,9 +799,9 @@ impl Wire for String {
 ///   `unknown(tag)`. `wire!(Type as Wire, …)` also makes the type
 ///   [`Wire`], as the tag byte and then the fields.
 /// * `wire!(Type | Twin, …)` — two types of the same shape whose fields
-///   differ only in representation (the client's `i16` rows, the engine's
-///   `Fix16x8`; a client's `f32` prompt, the door's [`FixedQkv`]) share
-///   the list, and therefore the frame.
+///   differ only in representation (the client's `f32` rows, the
+///   server's [`FixedQkv`] and [`FixedToken`]; the client's `i16` rows,
+///   the engine's `Fix16x8`) share the list, and therefore the frame.
 macro_rules! wire {
     ($ty:ident | $twin:ident $($form:tt)*) => {
         wire!($ty $($form)*);
@@ -818,52 +880,98 @@ impl<T: Le> Wire for Matrix<T> {
     }
 
     fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-        let rows = d.u32()? as usize;
-        let cols = d.u32()? as usize;
-        let needed = rows.saturating_mul(cols).saturating_mul(T::WIDTH);
-        if needed > d.owed {
-            return Err(WireError::Truncated { needed, have: d.owed });
-        }
-        Matrix::from_vec(rows, cols, d.vec(rows * cols)?).map_err(bad)
+        decode_matrix(d, |_| |x| x)
     }
 }
 
+/// A matrix's wire form — `u32` rows, `u32` cols, the elements — each
+/// element read as a `T` and passed through the function `f` makes of the
+/// column count.
+fn decode_matrix<R: BufRead, T: Le, U: Copy, F: Fn(T) -> U>(
+    d: &mut Dec<R>,
+    f: impl FnOnce(usize) -> F,
+) -> Result<Matrix<U>, WireError> {
+    let rows = d.u32()? as usize;
+    let cols = d.u32()? as usize;
+    let needed = rows.saturating_mul(cols).saturating_mul(T::WIDTH);
+    if needed > d.owed {
+        return Err(WireError::Truncated { needed, have: d.owed });
+    }
+    Matrix::from_vec(rows, cols, d.vec_map(rows * cols, f(cols))?).map_err(bad)
+}
+
+/// What a quantized element stands for at the client: the `f32` it
+/// dequantizes to, divided by the scale folded into it — an on-grid input
+/// that quantizes to the same element again (`Fix8x4` is exact in `f32`,
+/// and dividing the scale out and multiplying it back in lands within a
+/// rounding of where it was, far inside the half step `Fix8x4::from_f32`
+/// rounds over).
+fn on_grid(scale: f32) -> impl Fn(Fix8x4) -> f32 {
+    move |x| x.to_f32() / scale
+}
+
+/// A head travels as the 8-bit rows the datapath loads: three matrices,
+/// q quantized with the attention scale of its dimension folded in, k and
+/// v as they are (the datapath's one rounding, [`quantize_iter`], applied
+/// at the sender: what the rows a server holds are made with). Decoded, it
+/// is the on-grid head that encodes to the same bytes.
 impl Wire for Qkv {
     const MIN: usize = 24; // three empty matrix headers
 
     fn encode(&self, e: &mut Enc<'_>) {
-        self.q.encode(e);
-        self.k.encode(e);
-        self.v.encode(e);
-    }
-
-    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-        let (q, k, v) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
-        Qkv::new(q, k, v).map_err(bad)
-    }
-}
-
-/// A prompt head travels as the `f32` [`Qkv`] it was quantized from, and
-/// is quantized the moment it is decoded. Written back, it is the `f32`
-/// head that quantizes to the same rows: a `Fix8x4` is exact in `f32`, and
-/// the scale divided back out of `q` is within a rounding of where it was,
-/// far inside the half step [`Fix8x4::from_f32`] rounds over.
-impl Wire for FixedQkv {
-    const MIN: usize = Qkv::MIN;
-
-    fn encode(&self, e: &mut Enc<'_>) {
         let scale = SpatialAccelerator::default_scale(self.head_dim());
-        for (rows, scale) in [(self.q(), scale), (self.k(), 1.0), (self.v(), 1.0)] {
-            e.u32(rows.rows() as u32);
-            e.u32(rows.cols() as u32);
-            for &x in rows.as_slice() {
-                (Fix8x4::to_f32(x) / scale).encode(e);
-            }
+        for (m, scale) in [(&self.q, scale), (&self.k, 1.0), (&self.v, 1.0)] {
+            e.u32(m.rows() as u32);
+            e.u32(m.cols() as u32);
+            e.quantized(m.as_slice(), scale);
         }
     }
 
     fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-        Ok(FixedQkv::quantize(&Qkv::decode(d)?))
+        let q = decode_matrix(d, |dim| on_grid(SpatialAccelerator::default_scale(dim)))?;
+        let (k, v) = (decode_matrix(d, |_| on_grid(1.0))?, decode_matrix(d, |_| on_grid(1.0))?);
+        Qkv::new(q, k, v).map_err(bad)
+    }
+}
+
+/// [`Qkv`]'s wire form, read into the rows a session or a prefill ingests
+/// as they are.
+impl Wire for FixedQkv {
+    const MIN: usize = Qkv::MIN;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        self.q().encode(e);
+        self.k().encode(e);
+        self.v().encode(e);
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let (q, k, v) = (Wire::decode(d)?, Wire::decode(d)?, Wire::decode(d)?);
+        FixedQkv::from_rows(q, k, v).map_err(bad)
+    }
+}
+
+/// A token travels as [`Qkv`] does, a row at a time: three counted rows of
+/// one byte an element, q with the attention scale of its length folded in
+/// ([`quantize_iter`] at the sender, as for a head).
+impl Wire for TokenQkv {
+    const MIN: usize = 12;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        let scale = SpatialAccelerator::default_scale(self.q.len());
+        for (row, scale) in [(&self.q, scale), (&self.k, 1.0), (&self.v, 1.0)] {
+            e.u32(row.len() as u32);
+            e.quantized(row, scale);
+        }
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let mut row = |scale_of: fn(usize) -> f32| {
+            let n = d.count(Fix8x4::WIDTH)?;
+            d.vec_map(n, on_grid(scale_of(n)))
+        };
+        let q = row(SpatialAccelerator::default_scale)?;
+        Ok(TokenQkv { q, k: row(|_| 1.0)?, v: row(|_| 1.0)? })
     }
 }
 
@@ -936,10 +1044,123 @@ impl Wire for AttentionShape {
     }
 }
 
-wire!(TokenQkv, 12 { q, k, v });
-// Two matrix headers and a weight count.
-wire!(PrefillHead | EngineHead, 20 { output, raw, weights_q16 });
-wire!(WireHeadStep | HeadStep, 10 { output, raw, weight_q16, saturation_events });
+wire!(FixedToken, 12 { q, k, v });
+
+/// `output`, unless it is `raw` dequantized bit for bit — what the
+/// fixed-point engine answers with — in which case the wire leaves it out
+/// and the decoder rebuilds it. On the wire it is an `Option`: `None` is
+/// "the raw rows, dequantized".
+fn explicit_output<'a, T: Raw16>(output: &'a [f32], raw: Option<&[T]>) -> Option<&'a [f32]> {
+    let derived = raw.is_some_and(|raw| {
+        raw.len() == output.len()
+            && raw
+                .iter()
+                .zip(output)
+                .fold(true, |same, (&r, o)| same & (r.dequantized().to_bits() == o.to_bits()))
+    });
+    (!derived).then_some(output)
+}
+
+/// A prefill head: raw rows, weights, then its output as an `Option` —
+/// `None` when it is the raw rows dequantized ([`explicit_output`]).
+fn encode_head<T: Raw16>(output: &Matrix<f32>, raw: &Matrix<T>, weights: &[i64], e: &mut Enc<'_>) {
+    raw.encode(e);
+    e.seq(weights);
+    let same_shape = raw.shape() == output.shape();
+    match explicit_output(output.as_slice(), same_shape.then_some(raw.as_slice())) {
+        None => e.u8(0),
+        Some(_) => {
+            e.u8(1);
+            output.encode(e);
+        }
+    }
+}
+
+type Head<T> = (Matrix<f32>, Matrix<T>, Vec<i64>);
+
+fn decode_head<R: BufRead, T: Raw16>(d: &mut Dec<R>) -> Result<Head<T>, WireError> {
+    let raw: Matrix<T> = Wire::decode(d)?;
+    let weights = Wire::decode(d)?;
+    let output = match Wire::decode(d)? {
+        Some(output) => output,
+        None => raw.map(Raw16::dequantized),
+    };
+    Ok((output, raw, weights))
+}
+
+/// A step's head: raw row, weight, saturation count, then its output as
+/// an `Option` — `None` when it is the raw row dequantized.
+fn encode_step<T: Raw16>(
+    output: &[f32],
+    raw: &Option<Vec<T>>,
+    weight_q16: &Option<i64>,
+    saturation_events: u64,
+    e: &mut Enc<'_>,
+) {
+    raw.encode(e);
+    weight_q16.encode(e);
+    saturation_events.encode(e);
+    match explicit_output(output, raw.as_deref()) {
+        None => e.u8(0),
+        Some(output) => {
+            e.u8(1);
+            e.seq(output);
+        }
+    }
+}
+
+type Step<T> = (Vec<f32>, Option<Vec<T>>, Option<i64>, u64);
+
+fn decode_step<R: BufRead, T: Raw16>(d: &mut Dec<R>) -> Result<Step<T>, WireError> {
+    let raw: Option<Vec<T>> = Wire::decode(d)?;
+    let (weight_q16, saturation_events) = (Wire::decode(d)?, Wire::decode(d)?);
+    let output = match (Wire::decode(d)?, &raw) {
+        (Some(output), _) => output,
+        (None, Some(raw)) => raw.iter().map(|&r| r.dequantized()).collect(),
+        (None, None) => return Err(bad("output rows derived from absent raw rows")),
+    };
+    Ok((output, raw, weight_q16, saturation_events))
+}
+
+/// The client's and the engine's heads, one wire form each for both.
+macro_rules! head_wire {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            // A matrix header, a weight count and an output tag.
+            const MIN: usize = 13;
+
+            fn encode(&self, e: &mut Enc<'_>) {
+                encode_head(&self.output, &self.raw, &self.weights_q16, e);
+            }
+
+            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+                let (output, raw, weights_q16) = decode_head(d)?;
+                Ok($ty { output, raw, weights_q16 })
+            }
+        }
+    )*};
+}
+head_wire!(PrefillHead, EngineHead);
+
+macro_rules! step_wire {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            // Two option tags, the saturation count and an output tag.
+            const MIN: usize = 11;
+
+            fn encode(&self, e: &mut Enc<'_>) {
+                let $ty { output, raw, weight_q16, saturation_events } = self;
+                encode_step(output, raw, weight_q16, *saturation_events, e);
+            }
+
+            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+                let (output, raw, weight_q16, saturation_events) = decode_step(d)?;
+                Ok($ty { output, raw, weight_q16, saturation_events })
+            }
+        }
+    )*};
+}
+step_wire!(WireHeadStep, HeadStep);
 wire!(ErrorFrame { code, message, retry_after_ms });
 
 wire!(ErrorCode as Wire, |t| bad(format_args!("error code {t}"));
@@ -990,9 +1211,18 @@ wire!(Response | Outgoing, WireError::UnknownOpcode;
 /// which grows once, by the frame's exact length: a counting pass over the
 /// fields sizes it before the writing pass fills it.
 fn frame_into<T: Tagged>(out: &mut Vec<u8>, header: Header, message: &T) {
+    frame_of_len_into(out, header, message, payload_len(message));
+}
+
+/// `message`'s payload length, header included: the counting pass.
+fn payload_len<T: Tagged>(message: &T) -> usize {
     let mut counted = Enc { out: None, len: 0 };
     message.encode_fields(&mut counted);
-    let len = HEADER_LEN + counted.len;
+    HEADER_LEN + counted.len
+}
+
+/// As [`frame_into`], the payload length `len` already counted.
+fn frame_of_len_into<T: Tagged>(out: &mut Vec<u8>, header: Header, message: &T, len: usize) {
     out.reserve(4 + len);
     let mut e = Enc { out: Some(out), len: 0 };
     e.u32(len as u32);
@@ -1025,8 +1255,22 @@ pub fn encode_response(header: Header, resp: &Response) -> Vec<u8> {
 /// Appends a reply's complete frame, still in the engine's types, to
 /// `out`: a run of replies to one connection is gathered in one buffer,
 /// with no `Vec` per reply.
+///
+/// A reply longer than [`MAX_FRAME_LEN`] — which a client's reader would
+/// refuse as [`WireError::OversizedFrame`] — is answered with an
+/// [`ErrorCode::Invalid`] frame instead. A reply row can outgrow its
+/// request row: `2d + 8` bytes against `3d`, more for small `d`.
 pub(crate) fn encode_outgoing_into(out: &mut Vec<u8>, header: Header, resp: &Outgoing) {
-    frame_into(out, header, resp);
+    let len = payload_len(resp);
+    if len > MAX_FRAME_LEN {
+        let refusal = Outgoing::Error(ErrorFrame {
+            code: ErrorCode::Invalid,
+            message: format!("the {len}-byte reply exceeds the {MAX_FRAME_LEN}-byte frame bound"),
+            retry_after_ms: None,
+        });
+        return frame_into(out, header, &refusal);
+    }
+    frame_of_len_into(out, header, resp, len);
 }
 
 /// Decodes the frame `d` is bounded by. The header lands in `header` as
@@ -1135,9 +1379,9 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Frame<Request>, WireError> 
     read_message(r)
 }
 
-/// Reads one request frame from `r` as [`read_request`] does, an `Open`'s
-/// prompt quantized head by head as it is decoded ([`Incoming`]): what the
-/// gateway's reader calls.
+/// Reads one request frame from `r` as [`read_request`] does, every q, k
+/// and v row read as the quantized rows the datapath ingests
+/// ([`Incoming`]): what the gateway's reader calls.
 ///
 /// # Errors
 ///
@@ -1186,28 +1430,42 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), WireError> {
 mod tests {
     use super::*;
 
-    fn roundtrip_request(req: Request) {
+    /// Encodes `req` and decodes the frame: what comes back is a request
+    /// that encodes to the same frame, byte for byte.
+    fn roundtrip_request(req: &Request) -> Request {
         let header = Header { tenant: 7, request_id: 42 };
-        let frame = encode_request(header, &req);
+        let frame = encode_request(header, req);
         let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
         assert_eq!(len, frame.len() - 4, "length prefix covers the payload");
         let (h, decoded) = decode_request(&frame[4..]).expect("decodes");
         assert_eq!(h, header);
-        assert_eq!(decoded, req);
+        assert_eq!(encode_request(header, &decoded), frame, "re-encodes byte for byte");
+        decoded
+    }
+
+    /// `x` as the wire hands it back with `scale` folded in on the way.
+    fn grid(x: f32, scale: f32) -> f32 {
+        Fix8x4::from_f32(x * scale).to_f32() / scale
     }
 
     #[test]
     fn simple_requests_roundtrip() {
-        roundtrip_request(Request::Close { session: 9 });
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Step {
-            session: 3,
-            token: vec![TokenQkv {
-                q: vec![1.0, -2.5],
-                k: vec![0.0, f32::MIN_POSITIVE],
-                v: vec![3.25, 4.0],
-            }],
-        });
+        for req in [Request::Close { session: 9 }, Request::Stats] {
+            assert_eq!(roundtrip_request(&req), req);
+        }
+        // Decoded, a step is its on-grid token: q with the scale of its
+        // length divided back out, k and v on the `Fix8x4` grid.
+        let token =
+            TokenQkv { q: vec![1.0, -2.5], k: vec![0.0, f32::MIN_POSITIVE], v: vec![3.25, 4.0] };
+        let step = Request::Step { session: 3, token: vec![token.clone()] };
+        let scale = SpatialAccelerator::default_scale(2);
+        let grid = TokenQkv {
+            q: token.q.iter().map(|&x| grid(x, scale)).collect(),
+            k: vec![0.0, 0.0],
+            v: vec![3.25, 4.0],
+        };
+        assert_ne!(grid.q, token.q, "the query's scale does not round-trip off the grid");
+        assert_eq!(roundtrip_request(&step), Request::Step { session: 3, token: vec![grid] });
     }
 
     #[test]
@@ -1220,13 +1478,92 @@ mod tests {
         assert_eq!(banded.nnz(), 64 * 64, "the radius wrapped");
         for pattern in [salo_patterns::longformer(64, 8, 2).unwrap(), banded] {
             let shape = AttentionShape::new(64, 8, 1).unwrap();
-            let heads = vec![Qkv::random(64, 8, 1)];
-            let req = Request::Prefill { pattern: pattern.clone(), shape, heads };
-            let frame = encode_request(Header::default(), &req);
-            let (_, decoded) = decode_request(&frame[4..]).unwrap();
+            let head = Qkv::random(64, 8, 1);
+            let req =
+                Request::Prefill { pattern: pattern.clone(), shape, heads: vec![head.clone()] };
+            let decoded = roundtrip_request(&req);
             let Request::Prefill { pattern: p2, .. } = &decoded else { panic!("wrong variant") };
             assert_eq!(p2.fingerprint(), pattern.fingerprint());
-            assert_eq!(decoded, req);
+            let scale = SpatialAccelerator::default_scale(8);
+            let rows = |m: &Matrix<f32>, scale| m.map(|x| grid(x, scale));
+            let head =
+                Qkv::new(rows(&head.q, scale), rows(&head.k, 1.0), rows(&head.v, 1.0)).unwrap();
+            assert_eq!(decoded, Request::Prefill { pattern, shape, heads: vec![head] });
+        }
+    }
+
+    /// Whatever the head dimension, every one of the 256 elements decodes
+    /// to an `f32` that quantizes back to it with the scale folded in: a
+    /// decoded request re-encodes to its own bytes.
+    #[test]
+    fn every_element_decodes_to_a_value_that_quantizes_back_to_it() {
+        for dim in 1..=4096 {
+            let scale = SpatialAccelerator::default_scale(dim);
+            for raw in i8::MIN..=i8::MAX {
+                let x = Fix8x4::from_raw(raw);
+                assert_eq!(Fix8x4::from_f32(on_grid(scale)(x) * scale), x, "d = {dim}");
+            }
+        }
+    }
+
+    /// The datapath's numbers are what travels: a request element is one
+    /// byte for each of q, k and v, a reply element two bytes, and a reply
+    /// row one 8-byte weight besides — once the output rows are the raw
+    /// rows dequantized, as the fixed-point engine's always are.
+    #[test]
+    fn an_element_costs_three_bytes_in_and_two_out() {
+        let header = Header::default();
+        let pattern = salo_patterns::longformer(64, 8, 2).unwrap();
+        let prefill = |n: usize, d: usize| {
+            let shape = AttentionShape::new(n, d, 1).unwrap();
+            let heads = vec![Qkv::random(n, d, 1)];
+            encode_request(header, &Request::Prefill { pattern: pattern.clone(), shape, heads })
+                .len()
+        };
+        assert_eq!(prefill(64, 128) - prefill(64, 64), 3 * 64 * 64);
+        let step = |d: usize| {
+            let token = vec![TokenQkv { q: vec![0.5; d], k: vec![0.5; d], v: vec![0.5; d] }; 2];
+            encode_request(header, &Request::Step { session: 1, token }).len()
+        };
+        assert_eq!(step(128) - step(64), 2 * 3 * 64);
+
+        let done = |n: usize, d: usize| {
+            let raw = Matrix::from_fn(n, d, |i, j| (i * d + j) as i16);
+            let output = raw.map(|r| Fix16x8::from_raw(r).to_f32());
+            let heads = vec![PrefillHead { output, raw, weights_q16: vec![1 << 16; n] }];
+            let reply = Response::PrefillDone { heads, sim_time_s: 1.0, sim_energy_j: 1.0 };
+            encode_response(header, &reply).len()
+        };
+        assert_eq!(done(64, 128) - done(64, 64), 2 * 64 * 64, "two bytes an output element");
+        assert_eq!(done(128, 64) - done(64, 64), 64 * (2 * 64 + 8), "and a weight a row");
+        let stepped = |d: usize| {
+            let raw: Vec<i16> = (0..d as i16).collect();
+            let output = raw.iter().map(|&r| Fix16x8::from_raw(r).to_f32()).collect();
+            let heads = vec![WireHeadStep {
+                output,
+                raw: Some(raw),
+                weight_q16: Some(1 << 16),
+                saturation_events: 0,
+            }];
+            encode_response(header, &Response::Stepped { session: 1, position: 9, heads }).len()
+        };
+        assert_eq!(stepped(128) - stepped(64), 2 * 64);
+    }
+
+    /// An `Option`'s tag is `0` or `1`; any other byte is refused, not
+    /// read as `Some`.
+    #[test]
+    fn an_option_tag_other_than_0_or_1_is_refused() {
+        let closed = Response::Closed { session: 9, position: Some(16) };
+        let frame = encode_response(Header::default(), &closed);
+        // payload = header (18) | session: u64 | position tag | position
+        let tag_at = HEADER_LEN + 8;
+        assert_eq!(frame[4 + tag_at], 1);
+        for tag in [2, 0x80, 0xff] {
+            let mut payload = frame[4..].to_vec();
+            payload[tag_at] = tag;
+            let refused = WireError::BadValue(format!("option tag {tag}"));
+            assert_eq!(decode_response(&payload), Err(refused));
         }
     }
 
@@ -1311,11 +1648,34 @@ mod tests {
         assert_eq!(gathered, expected);
     }
 
-    /// At the door an `Open`'s prompt decodes into the rows a session
-    /// ingests — `Fix8x4::from_f32(x * scale)` for q, `from_f32(x)` for k
-    /// and v, element for element, saturating, NaN and half-step inputs
-    /// included — and the twin writes them back as a frame of the same
-    /// length that decodes to the same rows: one field list, both ways.
+    /// At `d = 2` a reply row costs 12 bytes against its request row's 6:
+    /// a prefill whose request fits the frame bound can be owed a reply
+    /// that does not. It is answered with a typed error a client can read.
+    #[test]
+    fn a_reply_past_the_frame_bound_is_answered_with_an_error() {
+        let (rows, dim) = (MAX_FRAME_LEN / 12 + 1, 2);
+        assert!(3 * dim * rows < MAX_FRAME_LEN, "the request's rows fit");
+        let head = EngineHead {
+            output: Matrix::zeros(rows, dim),
+            raw: Matrix::from_vec(rows, dim, vec![Fix16x8::from_raw(0); rows * dim]).unwrap(),
+            weights_q16: vec![1 << 16; rows],
+        };
+        let reply = Outgoing::PrefillDone { heads: vec![head], sim_time_s: 0.0, sim_energy_j: 0.0 };
+        let header = Header { tenant: 3, request_id: 4 };
+        let mut frame = Vec::new();
+        encode_outgoing_into(&mut frame, header, &reply);
+        let read = read_response(&mut frame.as_slice()).expect("a frame within the bound");
+        assert_eq!(read.header, header);
+        let Ok(Response::Error(refusal)) = read.message else { panic!("{:?}", read.message) };
+        assert_eq!(refusal.code, ErrorCode::Invalid);
+        assert!(refusal.message.contains("frame bound"), "{}", refusal.message);
+    }
+
+    /// An `Open`'s `f32` prompt, quantized by the sender, decodes at the
+    /// door into the rows a session ingests — `Fix8x4::from_f32(x * scale)`
+    /// for q, `from_f32(x)` for k and v, element for element, saturating,
+    /// NaN and half-step inputs included — and the twin writes them back
+    /// as the same frame: one field list, both ways.
     #[test]
     fn an_open_decodes_at_the_door_into_the_rows_a_session_ingests() {
         let header = Header { tenant: 1, request_id: 9 };
@@ -1360,7 +1720,7 @@ mod tests {
             let incoming = read.message.unwrap();
             let mut again = Vec::new();
             frame_into(&mut again, header, &incoming);
-            assert_eq!(again.len(), frame.len());
+            assert_eq!(again, frame);
             assert_eq!(read_incoming(&mut again.as_slice()).unwrap().message, Ok(incoming));
         }
     }

@@ -3,8 +3,9 @@
 //! stream peaks at the decoded request plus small change — not the
 //! request plus its frame — and an encoded frame is allocated once, at its
 //! exact length — not grown by doubling from 64 bytes. At the gateway's
-//! door an `Open`'s prompt is never resident as `f32` at all: each head is
-//! quantized as soon as it is read.
+//! door a prefill's heads and an `Open`'s prompt are never resident as
+//! `f32` at all: they are read straight into the 8-bit rows the frame
+//! carries.
 //!
 //! Its own binary, one test: the counting allocator is the process's
 //! global allocator. It counts only the calls made on the thread that armed
@@ -12,11 +13,14 @@
 //! while the test runs, is not charged to it. Every section here runs on
 //! the test's own thread.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
+use common::on_grid;
 use salo_core::FixedQkv;
 use salo_gateway::wire::{
     encode_request, encode_response, read_incoming, read_request, Header, Incoming, PrefillHead,
@@ -103,18 +107,22 @@ const KIB: usize = 1024;
 
 #[test]
 fn a_request_is_never_resident_twice() {
-    // An `Open` with a 6 MiB prompt: 4 heads of 2048 x 64 q, k and v.
-    let (rows, dim, num_heads) = (2048, 64, 4);
+    // An `Open` with a 4.5 MiB frame: 12 heads of 2048 x 64 q, k and v, a
+    // byte an element on the wire, four in `f32`.
+    let (rows, dim, num_heads) = (2048, 64, 12);
+    let heads = || (0..num_heads as u64).map(|h| Qkv::random(rows, dim, h));
     let open = Request::Open {
         pattern: salo_patterns::longformer(4096, 64, 1).expect("pattern"),
         head_dim: dim,
         num_heads,
-        prompt: (0..num_heads as u64).map(|h| Qkv::random(rows, dim, h)).collect(),
+        prompt: heads().collect(),
     };
     let header = Header { tenant: 1, request_id: 1 };
+    let fixed_rows = num_heads * rows * dim * 3;
 
     // (b) Encoding: the frame is allocated at its length and never grown,
-    // and it is the only allocation — the pattern's terms are lent.
+    // and it is the only allocation — the pattern's terms are lent, and
+    // the rows are quantized straight into the frame.
     let (frame, peak, _, allocations) = measured(|| encode_request(header, &open));
     assert!(frame.len() >= 4096 * KIB, "a {}-byte frame is too small to tell", frame.len());
     assert_eq!(frame.capacity(), frame.len());
@@ -136,36 +144,49 @@ fn a_request_is_never_resident_twice() {
     assert_eq!((reply.capacity(), peak, allocations), (reply.len(), reply.len(), 1));
 
     // (a) Decoding off a stream, through a buffer the size of the
-    // gateway's: what is live at the peak is the request being built and
-    // the pattern's scratch, not a copy of the frame beside it.
+    // gateway's: what is live at the peak is the request being built — its
+    // `f32` rows, four bytes for each byte of the frame's — and the
+    // pattern's scratch, not a copy of the frame beside it.
     let mut stream = BufReader::with_capacity(64 * KIB, frame.as_slice());
     let (read, peak, resident, _) = measured(|| read_request(&mut stream).expect("sound frame"));
     assert_eq!((read.len, read.header), (frame.len(), header));
+    let f32_rows = fixed_rows * std::mem::size_of::<f32>();
     assert!(
-        resident <= frame.len() + 64 * KIB,
-        "the decoded request holds {resident} bytes for a {}-byte frame",
-        frame.len()
+        resident <= f32_rows + 64 * KIB,
+        "the decoded request holds {resident} bytes for {f32_rows} bytes of f32 rows"
     );
     assert!(
         peak <= resident + 256 * KIB,
         "decoding peaked at {peak} bytes for a request of {resident}: the frame was resident too"
     );
-    assert_eq!(read.message, Ok(open));
+    assert_eq!(read.message, Ok(on_grid(&open)), "the on-grid request");
 
-    // (c) At the door, decoded as the gateway's reader decodes it: each
-    // head is quantized as soon as its `f32` rows are read, so what is
-    // live at the peak is the quantized prompt (a byte an element), one
-    // `f32` head and small change — never the `f32` prompt.
-    let fixed_prompt = num_heads * rows * dim * 3;
-    let f32_head = rows * dim * 3 * std::mem::size_of::<f32>();
-    let mut stream = BufReader::with_capacity(64 * KIB, frame.as_slice());
-    let (read, peak, _, _) = measured(|| read_incoming(&mut stream).expect("sound frame"));
-    assert!(
-        peak <= fixed_prompt + f32_head + 64 * KIB,
-        "decoding at the door peaked at {peak} bytes: a {fixed_prompt}-byte quantized prompt \
-         and a {f32_head}-byte f32 head leave 64 KiB of change"
-    );
-    let Ok(Incoming::Open { prompt, .. }) = read.message else { panic!("{:?}", read.message) };
-    let quantized = (0..num_heads as u64).map(|h| FixedQkv::quantize(&Qkv::random(rows, dim, h)));
-    assert!(prompt.into_iter().eq(quantized), "the door quantized a head differently");
+    // (c) At the door, decoded as the gateway's reader decodes it: the
+    // prompt is read straight into its quantized rows (a byte an element),
+    // so what is live at the peak is those rows and small change — no
+    // `f32` head, not even one.
+    let door = |frame: &[u8]| {
+        let mut stream = BufReader::with_capacity(64 * KIB, frame);
+        let (read, peak, _, _) = measured(|| read_incoming(&mut stream).expect("sound frame"));
+        assert!(
+            peak <= fixed_rows + 256 * KIB,
+            "decoding at the door peaked at {peak} bytes for {fixed_rows} bytes of rows"
+        );
+        read.message
+    };
+    let Ok(Incoming::Open { prompt, .. }) = door(&frame) else { panic!("not an open") };
+    let quantized = heads().map(|head| FixedQkv::quantize(&head));
+    assert!(prompt.into_iter().eq(quantized), "the door holds other rows than the sender's");
+
+    // A prefill's heads, the same.
+    let shape = salo_patterns::AttentionShape::new(rows, dim, num_heads).expect("shape");
+    let prefill = Request::Prefill {
+        pattern: salo_patterns::longformer(rows, 64, 1).expect("pattern"),
+        shape,
+        heads: heads().collect(),
+    };
+    let frame = encode_request(header, &prefill);
+    let Ok(Incoming::Prefill { heads: fixed, .. }) = door(&frame) else { panic!("not a prefill") };
+    let quantized = heads().map(|head| FixedQkv::quantize(&head));
+    assert!(fixed.into_iter().eq(quantized), "the door holds other rows than the sender's");
 }

@@ -1,10 +1,13 @@
 //! Golden wire frames: the bytes `encode_request` / `encode_response`
 //! produce for a fixed corpus — every opcode, every pattern-term and
-//! block-layout tag the encoder can emit, both arms of every `Option` —
-//! pinned as FNV-1a digests recorded at the commit *before* the codecs
-//! were folded into one definition per type. A digest that moves means the
-//! protocol moved: do not re-record it without a reason a reviewer would
-//! accept.
+//! block-layout tag the encoder can emit, both arms of every `Option`
+//! (a reply's output rows included: sent, or rebuilt from the raw rows) —
+//! pinned as FNV-1a digests. The table was re-recorded once, for protocol
+//! version 2 (8-bit request rows, 16-bit reply rows); the version-1 frames
+//! of the same corpus are kept as bytes (`v1_frames.hex`), each held to
+//! the digest version 1 recorded for it and refused by this decoder. A
+//! digest that moves means the protocol moved: re-record it only together
+//! with the protocol change that moved it, and say which.
 //!
 //! Each entry pins a second digest over what the *decoder* answers to
 //! damaged input: every strict prefix of the payload and, for messages
@@ -15,6 +18,10 @@
 //! reaches `HybridPattern::from_terms`, whose cost on absurd parameters is
 //! the hostile-peers roadmap item's business, not this file's.)
 
+mod common;
+
+use common::on_grid;
+use salo_fixed::Fix16x8;
 use salo_gateway::wire::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, ErrorFrame,
     Header, PrefillHead, Request, Response, WireError, WireHeadStep,
@@ -199,25 +206,82 @@ fn corpus() -> Vec<(&'static str, Message)> {
                 retry_after_ms: Some(12),
             })),
         ),
+        // The fixed-point engine's replies: every output is its raw rows
+        // dequantized, so the output rows stay off the wire.
+        (
+            "prefill_done_derived",
+            Resp(Response::PrefillDone {
+                heads: (0..2u64)
+                    .map(|h| {
+                        let raw = Matrix::from_fn(5, dim, |i, j| value(50 + h, i * dim + j) as i16);
+                        PrefillHead {
+                            output: raw.map(|r| Fix16x8::from_raw(r).to_f32()),
+                            raw,
+                            weights_q16: (0..5)
+                                .map(|i| value(52 + h, i) as i64 % (1 << 40))
+                                .collect(),
+                        }
+                    })
+                    .collect(),
+                sim_time_s: 1.25e-4,
+                sim_energy_j: 3.5e-7,
+            }),
+        ),
+        (
+            "stepped_derived",
+            Resp(Response::Stepped {
+                session: 9,
+                position: 7,
+                heads: vec![WireHeadStep {
+                    output: [128, -7, i16::MIN, i16::MAX]
+                        .map(|r| Fix16x8::from_raw(r).to_f32())
+                        .to_vec(),
+                    raw: Some(vec![128, -7, i16::MIN, i16::MAX]),
+                    weight_q16: Some(1 << 16),
+                    saturation_events: 2,
+                }],
+            }),
+        ),
     ]
 }
 
-/// `(name, frame digest, damaged-input digest)`, recorded at the parent
-/// commit (hand-written `put_*` / `get_*` codecs).
+/// `(name, frame digest, damaged-input digest)` of protocol version 2.
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("prefill", 0xbd9143f4ab1f10df, 0x729b72166e32d001),
-    ("open", 0xd59da4408c0a3c8d, 0x99b56fde941ea37d),
-    ("step", 0x0befa89e03f495b1, 0x1868ca2277f3bc43),
-    ("close", 0x9e24e16b09b29493, 0xacc7888cf953af7b),
-    ("stats", 0xd354ea53cd946855, 0xdc623f6345317e6d),
-    ("prefill_done", 0xd7ff9151878d16f2, 0x23f08d1360257d2a),
-    ("opened", 0x7701a98370bce2e9, 0xcf3e21dd02e1b7b2),
-    ("stepped", 0x8bd56fad423193a7, 0xded54e979c7c58b3),
-    ("closed_none", 0x7951fcafe45d00e6, 0xd90f2f7a04d6087b),
-    ("closed_some", 0x00cc16b44500d691, 0x3f2d70648000e1b3),
-    ("stats_reply", 0x95de03b1a41b5968, 0xf63a3d54227bdd96),
-    ("error_plain", 0xc67d26158e76096a, 0x0ab25237c7046628),
-    ("error_retry", 0xe7857820eb311e57, 0x8378a421be571400),
+    ("prefill", 0x7b71bb822fbebdef, 0x00898b4d769f436f),
+    ("open", 0xcf475cc52cf8cd45, 0x9d2cb1f6a617ce31),
+    ("step", 0xfccc23ff58d8875b, 0xaec9971db06e1433),
+    ("close", 0x592a3091b94311d4, 0xe69c9acfc56304e0),
+    ("stats", 0x160c6572ce81d2ee, 0x36120ae2845dae10),
+    ("prefill_done", 0x2a750c3a86dd4903, 0xcba6db7978a2d1dc),
+    ("opened", 0x7496468f6149a93e, 0xd98dd8f03e29b661),
+    ("stepped", 0x403a9e12c30b84e6, 0x360fd2ad5b0d5168),
+    ("closed_none", 0x7b1aadb594256a1b, 0x1305e260e598e06d),
+    ("closed_some", 0x859b97becbd239c0, 0x7ef56aed08949810),
+    ("stats_reply", 0x1ec1d5e4bb2f87e5, 0x8303ff038a3524d1),
+    ("error_plain", 0x08c91da777a45c31, 0xe65c5be5ed65f2b6),
+    ("error_retry", 0x494e6fda62dcc73a, 0x40e8db401e3c2b10),
+    ("prefill_done_derived", 0x9278d16c8a67057f, 0xd90e5cccd05a752a),
+    ("stepped_derived", 0xf2fc195c6803632d, 0x7ab61689600f2267),
+];
+
+/// `(name, frame digest)` of protocol version 1, recorded at the commit
+/// before the codecs became one definition per type (hand-written
+/// `put_*` / `get_*` codecs). The frames are kept as bytes in
+/// `v1_frames.hex`.
+const GOLDEN_V1: &[(&str, u64)] = &[
+    ("prefill", 0xbd9143f4ab1f10df),
+    ("open", 0xd59da4408c0a3c8d),
+    ("step", 0x0befa89e03f495b1),
+    ("close", 0x9e24e16b09b29493),
+    ("stats", 0xd354ea53cd946855),
+    ("prefill_done", 0xd7ff9151878d16f2),
+    ("opened", 0x7701a98370bce2e9),
+    ("stepped", 0x8bd56fad423193a7),
+    ("closed_none", 0x7951fcafe45d00e6),
+    ("closed_some", 0x00cc16b44500d691),
+    ("stats_reply", 0x95de03b1a41b5968),
+    ("error_plain", 0xc67d26158e76096a),
+    ("error_retry", 0xe7857820eb311e57),
 ];
 
 /// Encodes `message`, checks the exact round trip, and returns the frame
@@ -235,7 +299,12 @@ fn digests(message: &Message) -> (u64, u64) {
     };
     let has_pattern = match message {
         Message::Request(req) => {
-            assert_eq!(decode_request(payload), Ok((HEADER, req.clone())), "exact round trip");
+            // A request decodes to its on-grid value, which re-encodes to
+            // the same bytes.
+            let decoded = decode_request(payload);
+            assert_eq!(decoded, Ok((HEADER, on_grid(req))), "the on-grid request");
+            let (_, decoded) = decoded.expect("decodes");
+            assert_eq!(encode_request(HEADER, &decoded), frame, "re-encodes byte for byte");
             matches!(req, Request::Prefill { .. } | Request::Open { .. })
         }
         Message::Response(resp) => {
@@ -277,6 +346,31 @@ fn every_corpus_frame_matches_its_parent_commit_digest() {
     assert_eq!(actual, GOLDEN, "wire bytes or decode errors moved; actual digests:\n{listing}");
 }
 
+/// Every version-1 frame of the corpus, as the version-1 encoder wrote it,
+/// still hashes to the digest recorded for it — and this decoder refuses
+/// it by its version byte, before reading anything else.
+#[test]
+fn version_1_frames_are_refused_by_their_version() {
+    let fixture: Vec<(&str, Vec<u8>)> = include_str!("v1_frames.hex")
+        .lines()
+        .map(|line| {
+            let (name, hex) = line.split_once(' ').expect("name and hex");
+            let byte = |i: usize| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex");
+            (name, (0..hex.len()).step_by(2).map(byte).collect())
+        })
+        .collect();
+    assert_eq!(fixture.len(), GOLDEN_V1.len());
+    for ((name, frame), &(golden_name, golden_frame)) in fixture.iter().zip(GOLDEN_V1) {
+        assert_eq!(*name, golden_name);
+        let mut digest = FNV_OFFSET;
+        fnv1a(&mut digest, frame);
+        assert_eq!(digest, golden_frame, "{name}: the fixture is not the recorded version-1 frame");
+        assert_eq!(frame[4], 1, "{name}: version byte");
+        assert_eq!(decode_request(&frame[4..]), Err(WireError::BadVersion(1)), "{name}");
+        assert_eq!(decode_response(&frame[4..]), Err(WireError::BadVersion(1)), "{name}");
+    }
+}
+
 #[test]
 fn strided_tag_decodes_though_the_encoder_never_emits_it() {
     // Tag 2 is reachable only from a peer's bytes: splice a strided term
@@ -301,10 +395,8 @@ fn strided_tag_decodes_though_the_encoder_never_emits_it() {
     spliced.extend_from_slice(&frame[term_at + 1 + 24..]);
     let strided = HybridPattern::from_terms(n, vec![PatternTerm::Strided { stride: 4, local: 2 }])
         .expect("valid pattern");
-    assert_eq!(
-        decode_request(&spliced),
-        Ok((HEADER, Request::Prefill { pattern: strided, shape, heads }))
-    );
+    let prefill = Request::Prefill { pattern: strided, shape, heads };
+    assert_eq!(decode_request(&spliced), Ok((HEADER, on_grid(&prefill))));
     // And an unknown tag in the same place is a typed error.
     spliced[term_at - 4] = 9;
     assert_eq!(decode_request(&spliced), Err(WireError::BadValue("pattern term tag 9".into())));

@@ -1,13 +1,17 @@
-//! Property tests for the wire protocol: encode/decode is an exact
-//! round trip over arbitrary messages, and the decoder treats arbitrary
+//! Property tests for the wire protocol: a response round-trips exactly
+//! and a request to its on-grid value, which encodes to the same bytes
+//! again, over arbitrary messages; and the decoder treats arbitrary
 //! bytes — truncations, corruptions, garbage — as typed errors, never
 //! panics or runaway allocations. The streaming entry points
 //! (`read_request` / `read_response`) are held to the slice decoder as
 //! their oracle: the same values from a reader that dribbles bytes, the
 //! same typed errors from damaged frames, and the stream left in sync.
 
+mod common;
+
 use std::io::{BufRead, ErrorKind, Read};
 
+use common::on_grid;
 use proptest::prelude::*;
 use salo_gateway::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, read_request,
@@ -295,6 +299,10 @@ fn assert_stays_in_sync<T: Clone + PartialEq + std::fmt::Debug>(
 }
 
 proptest! {
+    /// A request's q, k and v travel as 8-bit rows: decoded, it is the
+    /// on-grid request — every element quantized with its scale folded in
+    /// and dequantized with it divided back out — and that re-encodes to
+    /// the same frame, byte for byte.
     #[test]
     fn requests_roundtrip_exactly(
         variant in 0u8..5,
@@ -307,7 +315,8 @@ proptest! {
         let frame = encode_request(header, &request);
         let (decoded_header, decoded) = decode_request(&frame[4..]).expect("valid encoding");
         prop_assert_eq!(decoded_header, header);
-        prop_assert_eq!(decoded, request);
+        prop_assert_eq!(&decoded, &on_grid(&request));
+        prop_assert_eq!(encode_request(header, &decoded), frame);
     }
 
     #[test]

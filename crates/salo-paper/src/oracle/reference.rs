@@ -140,10 +140,11 @@ impl Engine for ReferenceEngine {
                 );
                 Ok(AttentionResponse::DecodeOpened(opened))
             }
-            AttentionRequest::DecodeOpenFixed { .. } => Err(SaloError::Unsupported {
+            AttentionRequest::PrefillFixed { .. }
+            | AttentionRequest::DecodeOpenFixed { .. }
+            | AttentionRequest::DecodeStepBatchFixed { .. } => Err(SaloError::Unsupported {
                 engine: self.name(),
-                reason: "a float engine opens from f32 rows; quantized rows cannot be undone"
-                    .into(),
+                reason: "a float engine runs on f32 rows; quantized rows cannot be undone".into(),
             }),
             AttentionRequest::DecodeStep { session, token } => {
                 let state =

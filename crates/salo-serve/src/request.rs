@@ -1,25 +1,29 @@
 //! Request and response types of the serving runtime.
 
-use salo_core::engine::{check_pattern_len, check_prefill_heads};
-use salo_core::MultiHeadRun;
+use salo_core::engine::{check_pattern_len, check_prefill_heads, PromptHead};
+use salo_core::{FixedQkv, MultiHeadRun};
 use salo_kernels::Qkv;
 use salo_patterns::{AttentionShape, HybridPattern};
 
 use crate::ServeError;
 
 /// One attention-layer inference request: a hybrid pattern, its shape and
-/// the per-head Q/K/V inputs.
+/// the per-head Q/K/V inputs — as `f32` rows ([`Qkv`], the default), or
+/// already quantized where they arrived ([`FixedQkv`] — how the gateway
+/// hands a prefill over, and the only form that reaches a worker:
+/// [`SaloServer`](crate::SaloServer) quantizes `f32` heads on the caller's
+/// thread).
 #[derive(Debug, Clone)]
-pub struct ServeRequest {
+pub struct ServeRequest<H = Qkv> {
     /// The hybrid sparse attention pattern (shared by all heads).
     pub pattern: HybridPattern,
     /// Sequence/head dimensions.
     pub shape: AttentionShape,
     /// Per-head inputs; length must equal `shape.num_heads`.
-    pub heads: Vec<Qkv>,
+    pub heads: Vec<H>,
 }
 
-impl ServeRequest {
+impl<H: PromptHead> ServeRequest<H> {
     /// Builds a request, validating it by the engines' own rules
     /// ([`check_pattern_len`], [`check_prefill_heads`]): the pattern's
     /// length is the shape's sequence length, and the heads agree with
@@ -32,11 +36,21 @@ impl ServeRequest {
     pub fn new(
         pattern: HybridPattern,
         shape: AttentionShape,
-        heads: Vec<Qkv>,
+        heads: Vec<H>,
     ) -> Result<Self, ServeError> {
         check_pattern_len(pattern.n(), &shape)?;
         check_prefill_heads(&shape, &heads)?;
         Ok(Self { pattern, shape, heads })
+    }
+}
+
+impl From<ServeRequest> for ServeRequest<FixedQkv> {
+    /// Quantizes the heads one by one ([`FixedQkv::quantize`]), each `f32`
+    /// head dropped as soon as it is converted.
+    fn from(request: ServeRequest) -> Self {
+        let ServeRequest { pattern, shape, heads } = request;
+        let heads = heads.into_iter().map(|head| FixedQkv::quantize(&head)).collect();
+        ServeRequest { pattern, shape, heads }
     }
 }
 

@@ -44,14 +44,13 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use salo_core::{FixedQkv, Salo};
+use salo_core::{FixedQkv, FixedToken, Salo};
 use salo_sim::AcceleratorConfig;
 use salo_trace::MetricsRegistry;
 
 use crate::metrics::ServeReport;
 use crate::session::{
     DecodeSessionHandle, EventSink, LiveSession, ServeEvent, SessionRegistry, SessionRequest,
-    TokenQkv,
 };
 use crate::worker::{Job, LayerTicket, ServeMetrics, StepJob, WorkerPool};
 use crate::{PlanCache, ServeError, ServeRequest, ServeResponse};
@@ -207,7 +206,7 @@ impl SaloServer {
     /// Returns [`ServeError::InvalidRequest`] if the request is internally
     /// inconsistent. A request whose worker's thread is gone is accepted
     /// and answered with [`ServeError::WorkerLost`].
-    pub fn submit(&self, request: ServeRequest) -> Result<u64, ServeError> {
+    pub fn submit(&self, request: impl Into<ServeRequest<FixedQkv>>) -> Result<u64, ServeError> {
         // Submitted under the lock, so own ids queue in increasing order
         // whoever else is submitting.
         let mut own_ids = self.own_ids.lock().expect("own ids poisoned");
@@ -223,7 +222,11 @@ impl SaloServer {
     /// # Errors
     ///
     /// As [`submit`](Self::submit).
-    pub fn submit_for(&self, _tenant: u64, request: ServeRequest) -> Result<u64, ServeError> {
+    pub fn submit_for(
+        &self,
+        _tenant: u64,
+        request: impl Into<ServeRequest<FixedQkv>>,
+    ) -> Result<u64, ServeError> {
         self.submit(request)
     }
 
@@ -236,17 +239,23 @@ impl SaloServer {
     /// order, not submission order, and never through
     /// [`recv`](Self::recv). A layer is always a message of its own.
     ///
+    /// The heads reach the worker quantized: `f32` heads are quantized
+    /// here, on the calling thread, and heads already in [`FixedQkv`] rows
+    /// (the gateway's, decoded so off its frame) are passed on as they
+    /// are.
+    ///
     /// # Errors
     ///
     /// As [`submit`](Self::submit).
     pub fn submit_into(
         &self,
-        request: ServeRequest,
+        request: impl Into<ServeRequest<FixedQkv>>,
         events: impl Into<EventSink>,
     ) -> Result<u64, ServeError> {
         let events = events.into();
         // Re-validate: the fields are public, so the request may not have
         // come through `ServeRequest::new`.
+        let request = request.into();
         let request = ServeRequest::new(request.pattern, request.shape, request.heads)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = salo_trace::span_with("serve.admission", "serve", id);
@@ -312,7 +321,7 @@ impl SaloServer {
     ///
     /// The prompt reaches the worker quantized: an `f32` request is
     /// quantized here, on the calling thread, and a request already in
-    /// [`FixedQkv`] rows (the gateway's, quantized as its frame was read)
+    /// [`FixedQkv`] rows (the gateway's, decoded so off its frame)
     /// is passed on as it is.
     ///
     /// # Errors
@@ -346,8 +355,10 @@ impl SaloServer {
     }
 
     /// Submits one decode step: `token` carries the new position's
-    /// `(q, k, v)` rows for every head. The result arrives on the
-    /// session handle's event channel.
+    /// `(q, k, v)` rows for every head — `f32` rows ([`TokenQkv`](crate::TokenQkv)), which
+    /// are quantized here on the calling thread, or rows already quantized
+    /// where they arrived ([`FixedToken`], the gateway's). The result
+    /// arrives on the session handle's event channel.
     ///
     /// # Errors
     ///
@@ -356,7 +367,11 @@ impl SaloServer {
     /// poisoning step failure, or failed to open. Execution failures
     /// arrive in the step event; [`ServeEvent::Step`] says which of them
     /// retire the session, and that every accepted step gets exactly one.
-    pub fn step_session(&self, session: u64, token: Vec<TokenQkv>) -> Result<(), ServeError> {
+    pub fn step_session(
+        &self,
+        session: u64,
+        token: Vec<impl Into<FixedToken>>,
+    ) -> Result<(), ServeError> {
         // The front gate and the route in one lookup. No second liveness
         // check follows: a step accepted here executes if its session is
         // still in the worker's engine when it gets there, and reports
@@ -368,6 +383,7 @@ impl SaloServer {
         };
         let _span = salo_trace::span_with("serve.session_step", "serve", session);
         self.counts.depth.add(1);
+        let token = token.into_iter().map(Into::into).collect();
         let job = Job::Step(StepJob { session, token, submitted: Instant::now(), events });
         if let Err(job) = self.pool.send(worker, job) {
             // The pinned worker's thread is gone, taking the session

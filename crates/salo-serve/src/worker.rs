@@ -32,7 +32,7 @@
 //! arrival order. Every maximal contiguous run of decode steps for
 //! *distinct* sessions — at most one pending step per ready session, by
 //! construction — becomes a single
-//! [`AttentionRequest::DecodeStepBatch`], executed as one multi-session
+//! [`AttentionRequest::DecodeStepBatchFixed`], executed as one multi-session
 //! pass over the engine's shared scratch. A second step for a session
 //! already in the run ends the run and opens the next one, so
 //! per-session step order is untouched. A run of one is the same pass at
@@ -57,15 +57,15 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use salo_core::{
-    AttentionRequest, CompiledPlan, Engine, FixedQkv, LoweredEngine, MultiHeadRun, PatternHandle,
-    PrefillOutput, Salo,
+    AttentionRequest, CompiledPlan, Engine, FixedQkv, FixedToken, LoweredEngine, MultiHeadRun,
+    PatternHandle, PrefillOutput, Salo,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
 use crate::session::{
-    DecodeStep, EventSink, ServeEvent, SessionInfo, SessionRegistry, SessionRequest, TokenQkv,
+    DecodeStep, EventSink, ServeEvent, SessionInfo, SessionRegistry, SessionRequest,
 };
 use crate::{PlanCache, PlanKey, ServeError, ServeOptions, ServeRequest, ServeResponse};
 
@@ -79,7 +79,7 @@ const TICK_DRAIN_JOBS: usize = 64;
 /// owed on.
 pub(crate) enum Job {
     /// A layer request: answered with [`ServeEvent::Layer`].
-    Layer { ticket: LayerTicket, request: ServeRequest },
+    Layer { ticket: LayerTicket, request: ServeRequest<FixedQkv> },
     /// A decode-session open: answered with [`ServeEvent::Opened`].
     Open { session: u64, request: SessionRequest<FixedQkv>, submitted: Instant, events: EventSink },
     /// One decode step, gathered into a run by the scheduler tick.
@@ -117,7 +117,7 @@ impl Job {
 /// plus the reply route.
 pub(crate) struct StepJob {
     pub session: u64,
-    pub token: Vec<TokenQkv>,
+    pub token: Vec<FixedToken>,
     pub submitted: Instant,
     pub events: EventSink,
 }
@@ -550,7 +550,7 @@ impl Worker {
     }
 
     /// Executes a run of distinct-session decode steps — one or many — as
-    /// one [`AttentionRequest::DecodeStepBatch`] pass, then completes the
+    /// one [`AttentionRequest::DecodeStepBatchFixed`] pass, then completes the
     /// run, one message per sink: queue-wait recorded at dequeue, every
     /// entry's retirement settled and load released before the first
     /// message.
@@ -576,7 +576,7 @@ impl Worker {
             batch.push((step.session, step.token));
         }
         let executed = engine
-            .execute(AttentionRequest::DecodeStepBatch { steps: batch })
+            .execute(AttentionRequest::DecodeStepBatchFixed { steps: batch })
             .and_then(|r| r.into_step_batch());
         let results = match executed {
             Ok(list) => {
@@ -648,7 +648,7 @@ impl Worker {
 
     /// Resolves and executes one layer, and completes it on the sender it
     /// came in with.
-    fn run_layer(&mut self, ticket: LayerTicket, request: ServeRequest) {
+    fn run_layer(&mut self, ticket: LayerTicket, request: ServeRequest<FixedQkv>) {
         let tracer = salo_trace::Tracer::global();
         // Queue wait: submission to this worker's dequeue.
         tracer.record_since("serve.queue_wait", "serve", ticket.submitted, ticket.id);
@@ -659,7 +659,7 @@ impl Worker {
         let result = resolved.and_then(|(plan, _)| {
             let pattern = PatternHandle::new(Arc::new(pattern), plan);
             self.engine
-                .execute(AttentionRequest::Prefill { pattern, shape, heads })
+                .execute(AttentionRequest::PrefillFixed { pattern, shape, heads })
                 .and_then(|r| r.into_prefill())
                 .and_then(PrefillOutput::into_multi_head_run)
                 .map_err(ServeError::from)
@@ -824,8 +824,8 @@ mod tests {
         assert_eq!(opened.count(), 4, "every session opened");
 
         let token = |session: u64| {
-            let row = TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
-            vec![row; heads(session)]
+            let row = crate::TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
+            vec![FixedToken::quantize(&row); heads(session)]
         };
         let mut run: Vec<Job> = [0, 3, 1, 2]
             .into_iter()

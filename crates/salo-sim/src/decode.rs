@@ -55,7 +55,7 @@
 //! plans.
 
 use salo_fixed::{quantize_iter, ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
-use salo_kernels::{Matrix, Qkv};
+use salo_kernels::{KernelError, Matrix, Qkv};
 use salo_scheduler::ExecutionPlan;
 use std::fmt;
 use std::sync::Arc;
@@ -800,8 +800,8 @@ impl DecodeState {
 /// the `f32` row — `q` with the attention scale
 /// [`default_scale`](SpatialAccelerator::default_scale) of the head's
 /// dimension folded in, `k` and `v` as they are. A quarter of the `f32`
-/// head's bytes, and what a served `Open` holds from the moment each head
-/// of its frame is decoded.
+/// head's bytes, and the form a served prefill or `Open` is decoded into
+/// straight off its frame's 8-bit rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedQkv {
     q: Matrix<Fix8x4>,
@@ -820,6 +820,28 @@ impl FixedQkv {
         };
         let scale = SpatialAccelerator::default_scale(head.head_dim());
         Self { q: fixed(&head.q, scale), k: fixed(&head.k, 1.0), v: fixed(&head.v, 1.0) }
+    }
+
+    /// Bundles rows quantized elsewhere — `q` with the scale already
+    /// folded in — validating that they share one shape, as
+    /// [`Qkv::new`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`Qkv::new`]'s dimension error on a shape mismatch.
+    pub fn from_rows(
+        q: Matrix<Fix8x4>,
+        k: Matrix<Fix8x4>,
+        v: Matrix<Fix8x4>,
+    ) -> Result<Self, KernelError> {
+        if q.shape() != k.shape() || q.shape() != v.shape() {
+            return Err(KernelError::DimMismatch {
+                context: "qkv bundle",
+                left: q.shape(),
+                right: if q.shape() != k.shape() { k.shape() } else { v.shape() },
+            });
+        }
+        Ok(Self { q, k, v })
     }
 
     /// Prompt rows.
@@ -883,6 +905,20 @@ pub struct BatchStep<'a> {
     pub v_t: &'a [f32],
     /// Attention scale, folded into the query quantization.
     pub scale: f32,
+}
+
+/// A [`BatchStep`] whose rows are already quantized — `q_t` with the scale
+/// folded in: what [`execute_fixed_steps`](SpatialAccelerator::execute_fixed_steps)
+/// takes.
+pub struct FixedStep<'a> {
+    /// The session's persistent state.
+    pub state: &'a mut DecodeState,
+    /// The new position's quantized, scale-folded query row.
+    pub q_t: &'a [Fix8x4],
+    /// The new position's quantized key row.
+    pub k_t: &'a [Fix8x4],
+    /// The new position's quantized value row.
+    pub v_t: &'a [Fix8x4],
 }
 
 impl SpatialAccelerator {
@@ -1007,6 +1043,29 @@ impl SpatialAccelerator {
                     self.advance(plan, step.state, token, pool, scratch, true)
                 })
                 .map(|out| out.expect("compute=true always yields a step output"))
+            })
+            .collect()
+    }
+
+    /// [`execute_steps`](Self::execute_steps) over rows already quantized:
+    /// each step goes to the ingest as it is. Bit-identical to
+    /// `execute_steps` on the `f32` rows the steps were quantized from
+    /// ([`quantize_iter`], the scale folded into `q`).
+    pub fn execute_fixed_steps(
+        &self,
+        plan: &DecodePlan,
+        batch: &mut [FixedStep<'_>],
+        pool: &mut KvPagePool,
+        scratch: &mut ExecScratch,
+    ) -> Vec<Result<StepOutput, SimError>> {
+        let _span =
+            salo_trace::Tracer::global().span_with("sim.execute_steps", "sim", batch.len() as u64);
+        batch
+            .iter_mut()
+            .map(|step| {
+                let token = [step.q_t, step.k_t, step.v_t];
+                self.advance(plan, step.state, token, pool, scratch, true)
+                    .map(|out| out.expect("compute=true always yields a step output"))
             })
             .collect()
     }

@@ -47,9 +47,18 @@ use std::sync::Arc;
 
 use crate::systolic::SystolicArray;
 use crate::{
-    AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, LoweredOp, LoweredOpKind,
-    LoweredPlan, OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
+    AcceleratorConfig, CycleModel, EnergyModel, ExecutionReport, FixedQkv, LoweredOp,
+    LoweredOpKind, LoweredPlan, OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
 };
+
+/// One head's inputs on their way into the arenas: `f32` rows, quantized
+/// as they are loaded ([`quantize_iter`], the scale folded into `q`), or
+/// rows quantized before they got here, copied in as they are.
+#[derive(Clone, Copy)]
+enum HeadRows<'a> {
+    F32 { q: &'a Matrix<f32>, k: &'a Matrix<f32>, v: &'a Matrix<f32>, scale: f32 },
+    Fixed(&'a FixedQkv),
+}
 
 /// The simulated SALO accelerator instance.
 ///
@@ -208,19 +217,29 @@ impl ExecScratch {
         }
     }
 
-    /// Quantizes one head's inputs into the arenas and resets the
-    /// accumulators for an `n x d` execution.
-    fn load(&mut self, q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>, scale: f32, d: usize) {
-        // Load-time quantization (scale folded into Q).
-        self.qq.clear();
-        self.qq.extend(quantize_iter(q.as_slice(), scale));
-        self.kq.clear();
-        self.kq.extend(quantize_iter(k.as_slice(), 1.0));
-        self.vq.clear();
-        self.vq.extend(quantize_iter(v.as_slice(), 1.0));
+    /// Loads one head's inputs into the arenas — the one ingest of a
+    /// prefill — and resets the accumulators for an `n x d` execution.
+    fn load(&mut self, rows: HeadRows<'_>, n: usize, d: usize) {
+        let arenas = [&mut self.qq, &mut self.kq, &mut self.vq];
+        match rows {
+            // Load-time quantization (scale folded into Q).
+            HeadRows::F32 { q, k, v, scale } => {
+                for (arena, (m, scale)) in arenas.into_iter().zip([(q, scale), (k, 1.0), (v, 1.0)])
+                {
+                    arena.clear();
+                    arena.extend(quantize_iter(m.as_slice(), scale));
+                }
+            }
+            HeadRows::Fixed(head) => {
+                for (arena, m) in arenas.into_iter().zip([head.q(), head.k(), head.v()]) {
+                    arena.clear();
+                    arena.extend_from_slice(m.as_slice());
+                }
+            }
+        }
 
         // Zeroed accumulators, reusing row allocations of the right `d`.
-        let (acc, n) = (&mut self.acc, q.rows());
+        let acc = &mut self.acc;
         acc.truncate(n);
         for row in acc.iter_mut() {
             row.weight_q16 = 0;
@@ -395,12 +414,38 @@ impl SpatialAccelerator {
         scale: f32,
         scratch: &mut ExecScratch,
     ) -> Result<ExecutionOutput, SimError> {
+        self.execute_loaded(lowered, HeadRows::F32 { q, k, v, scale }, scratch)
+    }
+
+    /// [`execute_lowered`](Self::execute_lowered) for a head already
+    /// quantized — `q` with the scale folded in — whose rows are copied
+    /// into the arenas as they are. Bit-identical to `execute_lowered` on
+    /// the `f32` head [`FixedQkv::quantize`] made them from.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute_lowered`](Self::execute_lowered).
+    pub fn execute_lowered_fixed(
+        &self,
+        lowered: &LoweredPlan,
+        head: &FixedQkv,
+        scratch: &mut ExecScratch,
+    ) -> Result<ExecutionOutput, SimError> {
+        self.execute_loaded(lowered, HeadRows::Fixed(head), scratch)
+    }
+
+    fn execute_loaded(
+        &self,
+        lowered: &LoweredPlan,
+        rows: HeadRows<'_>,
+        scratch: &mut ExecScratch,
+    ) -> Result<ExecutionOutput, SimError> {
         let tracer = Tracer::global();
         let _span = tracer.span_with("sim.execute_lowered", "sim", lowered.n() as u64);
         if scratch.op.profiling {
             scratch.op.profile = StageProfile::default();
         }
-        let d = self.prepare(lowered, q, k, v, scale, scratch)?;
+        let d = self.prepare(lowered, rows, scratch)?;
         let mut sat = MacSaturation::default();
         self.run_ops(lowered, 0..lowered.ops().len(), d, scratch, &mut sat)?;
         let mut out = self.drain(lowered, d, scratch, sat);
@@ -434,7 +479,7 @@ impl SpatialAccelerator {
     ) -> Result<ExecutionOutput, SimError> {
         let lowered = LoweredPlan::lower(plan);
         let scratch = &mut ExecScratch::new();
-        let d = self.prepare(&lowered, q, k, v, scale, scratch)?;
+        let d = self.prepare(&lowered, HeadRows::F32 { q, k, v, scale }, scratch)?;
         let mut sat = MacSaturation::default();
         for (i, pass) in plan.passes().iter().enumerate() {
             self.array_pass_systolic(plan, pass, d, scratch, &mut sat)?;
@@ -448,20 +493,19 @@ impl SpatialAccelerator {
     fn prepare(
         &self,
         lowered: &LoweredPlan,
-        q: &Matrix<f32>,
-        k: &Matrix<f32>,
-        v: &Matrix<f32>,
-        scale: f32,
+        rows: HeadRows<'_>,
         scratch: &mut ExecScratch,
     ) -> Result<usize, SimError> {
         let n = lowered.n();
-        for m in [q, k, v] {
-            if m.rows() != n || m.shape() != q.shape() {
-                return Err(SimError::ShapeMismatch { plan_n: n, got: m.shape() });
-            }
+        let shapes = match rows {
+            HeadRows::F32 { q, k, v, .. } => [q.shape(), k.shape(), v.shape()],
+            HeadRows::Fixed(head) => [head.q().shape(), head.k().shape(), head.v().shape()],
+        };
+        if let Some(&got) = shapes.iter().find(|got| got.0 != n || **got != shapes[0]) {
+            return Err(SimError::ShapeMismatch { plan_n: n, got });
         }
-        let d = q.cols();
-        scratch.load(q, k, v, scale, d);
+        let d = shapes[0].1;
+        scratch.load(rows, n, d);
         // Pre-size the per-op buffers to the program's high-water mark so
         // the first ops never reallocate mid-pass.
         scratch.op.prepare(d, lowered.max_row_keys());

@@ -63,8 +63,8 @@ pub use buffers::BufferAnalysis;
 pub use config::{AcceleratorConfig, BufferConfig, TimingParams};
 pub use cycles::{CycleBreakdown, CycleModel};
 pub use decode::{
-    BatchStep, DecodePlan, DecodeState, FixedQkv, KvPage, KvPagePool, KvPoolStats, StepOutput,
-    DEFAULT_PAGE_ROWS,
+    BatchStep, DecodePlan, DecodeState, FixedQkv, FixedStep, KvPage, KvPagePool, KvPoolStats,
+    StepOutput, DEFAULT_PAGE_ROWS,
 };
 pub use energy::EnergyModel;
 pub use error::SimError;

@@ -192,6 +192,15 @@ const GUARDS: &[Guard] = &[
         }]),
     },
     Guard {
+        // The unit tests may quantize an f32 head to build an Incoming.
+        reason: "the door quantizes nothing: q, k and v arrive as the 8-bit rows their sender \
+                 quantized, and are read as they are",
+        check: Check::Absent(&[Grep {
+            src_only: true,
+            ..grep(&["FixedQkv::quantize", "FixedToken::quantize"], &["crates/salo-gateway/src"])
+        }]),
+    },
+    Guard {
         reason: "one record per fact: a session keeps its serve id on the wire, the DRR round \
                  is what is queued, one map of tenant counters, no parallelism variable",
         check: Check::Absent(&[grep(
@@ -666,8 +675,9 @@ fn a_src_only_guard_stops_at_the_first_test_module() {
     let src_only: Vec<&Grep> = parts.flatten().filter(|part| part.src_only).collect();
     assert_eq!(
         src_only.len(),
-        4,
-        "read_frame in gateway.rs, the worker's Qkv, max_batch, the served crates' oracles"
+        5,
+        "read_frame in gateway.rs, the worker's Qkv, the door's quantize, max_batch, the served \
+         crates' oracles"
     );
     for part in src_only {
         let path = planted_path(part);

@@ -1,10 +1,13 @@
-//! An `Open` is quantized at the gateway's door, head by head as its frame
-//! is decoded. A session opened that way is bit-identical, step for step,
-//! to one opened in-process from the same `f32` prompt through
-//! `AttentionRequest::DecodeOpen` — also where the quantizer is at its
-//! edges: saturating inputs (|x| >= 8), NaN, infinities and inputs on a
-//! half-step tie, at a head dimension whose attention scale is not a power
-//! of two (48) and at one whose is (64). (A prompt's queries reach a step
+//! A request's q, k and v rows are quantized by the sender and travel as
+//! the 8-bit rows the gateway's door decodes them into. A session opened
+//! and stepped that way is bit-identical, step for step, to one opened and
+//! stepped in-process from the same `f32` rows through
+//! `AttentionRequest::DecodeOpen` and `DecodeStep`, and a prefill sent
+//! that way to one run in-process through `AttentionRequest::Prefill` —
+//! also where the quantizer is at its edges: saturating inputs
+//! (|x| >= 8), NaN, infinities and inputs on a half-step tie, at a head
+//! dimension whose attention scale is not a power of two (48) and at one
+//! whose is (64). (A prompt's queries reach a step
 //! only through its global rows' duties, which a step reports as
 //! saturation events and not as rows; `wire`'s own tests hold the door's
 //! query rows to `Fix8x4::from_f32(x * scale)` element by element.) A
@@ -17,7 +20,7 @@ use salo::core::{AttentionRequest, Engine, PatternHandle, Salo, TokenQkv};
 use salo::gateway::wire::{ErrorCode, Request, Response};
 use salo::gateway::{Gateway, GatewayClient, GatewayOptions};
 use salo::kernels::{Matrix, Qkv};
-use salo::patterns::{HybridPattern, Window};
+use salo::patterns::{AttentionShape, HybridPattern, Window};
 use salo::serve::{ServeError, ServeOptions};
 use salo::sim::{AcceleratorConfig, SpatialAccelerator};
 
@@ -141,6 +144,49 @@ fn an_open_quantized_at_the_door_decodes_as_one_opened_in_process() {
     drop(client);
     let report = gateway.shutdown();
     assert_eq!(report.serve.decode_session_errors, 0);
+}
+
+#[test]
+fn a_prefill_quantized_by_its_sender_runs_as_one_run_in_process() {
+    let n = 64;
+    let gateway = gateway();
+    let mut client = GatewayClient::connect(gateway.local_addr(), 1).expect("connect");
+    let mut engine = Salo::new(AcceleratorConfig::default()).engine();
+    for dim in [48, 64] {
+        let pattern = sink_window(n);
+        let shape = AttentionShape::new(n, dim, 2).expect("shape");
+        let heads: Vec<Qkv> = (0..2).map(|h| edge_head(n, dim, 20 + h)).collect();
+        let (wire, _, _) =
+            client.prefill(pattern.clone(), shape, heads.clone()).expect("prefill over the wire");
+        let reference = engine
+            .execute(AttentionRequest::Prefill {
+                pattern: PatternHandle::from_pattern(pattern),
+                shape,
+                heads,
+            })
+            .and_then(|r| r.into_prefill())
+            .expect("prefill in-process");
+        assert_eq!(wire.len(), reference.heads.len());
+        for (h, (wire, reference)) in wire.iter().zip(&reference.heads).enumerate() {
+            let raw = reference.raw.as_ref().expect("raw").map(|x| x.raw());
+            assert_eq!(wire.raw, raw, "d = {dim}, head {h}: raw");
+            assert_eq!(
+                Some(&wire.weights_q16),
+                reference.weights_q16.as_ref(),
+                "d = {dim}: weights"
+            );
+            let bits =
+                |m: &Matrix<f32>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&wire.output),
+                bits(&reference.output),
+                "d = {dim}, head {h}: f32 bits"
+            );
+        }
+    }
+    drop(client);
+    let report = gateway.shutdown();
+    assert_eq!(report.serve.errors, 0);
 }
 
 #[test]
