@@ -19,7 +19,9 @@
 //! * [`ExpLut`] — the piecewise-linear `exp` unit (stage 2);
 //! * [`RecipUnit`] and [`Recip`] — the normalized reciprocal unit (stage 3);
 //! * [`fixed_softmax`] — the full fixed-point softmax a PE row performs;
-//! * [`merge_partials`] — the weighted-sum module's renormalization (Eq. 2);
+//! * [`merge_part_into`] — the weighted-sum module's renormalization
+//!   (Eq. 2) of a stage-5 part into its row's accumulator, and
+//!   [`merge_partials`] the same for two [`PartialRow`]s;
 //! * [`quantize`] / [`dequantize`] and [`QuantizationReport`] — conversion
 //!   between `f32` tensors and the accelerator formats.
 //!
@@ -59,7 +61,7 @@ pub use mac::{
 };
 pub use quantize::{dequantize, quantize, quantize_iter, quantize_with_scale, QuantizationReport};
 pub use recip::{Recip, RecipUnit};
-pub use renorm::{merge_partials, merge_partials_into, merge_weights, PartialRow};
+pub use renorm::{merge_part_into, merge_partials, merge_partials_into, merge_weights, PartialRow};
 pub use softmax::{
     fixed_softmax, fixed_softmax_f64, fixed_softmax_parts, fixed_softmax_parts_into, softmax_f64,
     PROB_FRAC, PROB_ONE,

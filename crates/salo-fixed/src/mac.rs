@@ -15,8 +15,10 @@
 //! The per-element forms are the definition. [`qk_dot`], [`sv_row_mac`] and
 //! [`sv_row_mac_i32`] are their whole-row sweeps, and [`qk_dot_rows`] /
 //! [`sv_rows_mac`] sweep all the keys of one op — what the simulator's
-//! datapath calls, specialised by head dimension; [`sv_rows_mac_add`] is
-//! the stage-5 sweep for an op whose keys come in pieces.
+//! datapath calls, specialised by head dimension; [`sv_rows_mac`] writes
+//! the op's part as the 32-bit row a PE row hands its weighted-sum module,
+//! and [`sv_rows_mac_add`] adds a later piece of an op whose keys come in
+//! pieces.
 
 use crate::format::Fix8x4;
 
@@ -239,17 +241,23 @@ fn qk_dot_rows_at<'a, const D: usize>(
     }
 }
 
-/// Stage 5 over a whole op: `out[e] = Σ_i probs[i] * row(i)[e]`,
-/// overwriting `out` — the `i64` chain of [`sv_row_mac`] over the op's
-/// keys in order, computed as 32-bit chains. One probability per key;
-/// `row` maps a position in the op to that key's row, as in
-/// [`qk_dot_rows`].
+/// Stage 5 over a whole op: `out[e] = Σ_i probs[i] * row(i)[e]`, written
+/// over `out` — the `i64` chain of [`sv_row_mac`] over the op's keys in
+/// order, held as the 32-bit row a PE row hands its weighted-sum module.
+/// One probability per key; `row` maps a position in the op to that key's
+/// row, as in [`qk_dot_rows`].
 ///
 /// Keys are taken [`SV_I32_SAFE_KEYS`] at a time: that many provably fit an
-/// `i32` chain ([`sv_row_mac_i32`]), and the chains are summed in `i64`.
-/// Integer addition is exact and nothing can saturate this far inside the
-/// range, so the regrouping is bit-identical to the one long `i64` chain;
-/// every array-shaped op is a single chain.
+/// `i32` chain ([`sv_row_mac_i32`]) whatever the probabilities, and an op
+/// of more keys sums its chains in `i64` before the row is narrowed.
+/// Integer addition is exact, so the regrouping is bit-identical to the one
+/// long `i64` chain; every array-shaped op is a single chain.
+///
+/// The row itself fits 32 bits whenever the probabilities sum below
+/// `2^24` — `|Σ p v| <= 128 Σ p` — and a softmax row's sum to at most 4/3
+/// of [`PROB_ONE`](crate::PROB_ONE) (the reciprocal unit never overshoots
+/// by more). An op of at most [`SV_I32_SAFE_KEYS`] keys fits whatever the
+/// probabilities.
 ///
 /// The output row is produced in column blocks of `B` lanes whose
 /// accumulator is a local array — vector registers across the chain's
@@ -260,58 +268,99 @@ fn qk_dot_rows_at<'a, const D: usize>(
 ///
 /// # Panics
 ///
-/// Panics if a row is shorter than `out`.
+/// Panics if a row is shorter than `out`, or if an op of more than
+/// [`SV_I32_SAFE_KEYS`] keys sums to a value outside `i32`.
 #[inline]
-pub fn sv_rows_mac<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i64]) {
-    out.fill(0);
-    sv_rows_mac_add(probs, row, out);
+pub fn sv_rows_mac<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i32]) {
+    sv_rows_mac_dim::<false>(probs, row, out);
 }
 
-/// [`sv_rows_mac`] added into `out` instead of overwriting it: `out[e] +=
+/// [`sv_rows_mac`] added into `out` instead of written over it: `out[e] +=
 /// Σ_i probs[i] * row(i)[e]`.
 ///
-/// An op whose keys arrive in pieces (a run across K/V pages) zeroes its
-/// row once and adds one piece at a time. Each piece's 32-bit chains start
-/// from zero and are summed in `i64`, like the chains of one sweep, so the
-/// regrouping is exact and the row is the one sweep's, bit for bit.
+/// An op whose keys arrive in pieces (a run across K/V pages) writes its
+/// first piece and adds each later one. Every prefix of a softmax row sums
+/// inside `i32` for the reason its whole row does, so the regrouping is
+/// exact and the row is the one sweep's, bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if a row is shorter than `out`.
+/// As [`sv_rows_mac`]; a sum past `i32` in `out` is the caller's to rule
+/// out (debug builds check it).
 #[inline]
-pub fn sv_rows_mac_add<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i64]) {
+pub fn sv_rows_mac_add<'a>(probs: &[u16], row: impl Fn(usize) -> &'a [Fix8x4], out: &mut [i32]) {
+    sv_rows_mac_dim::<true>(probs, row, out);
+}
+
+/// The two stage-5 sweeps, by dimension.
+#[inline]
+fn sv_rows_mac_dim<'a, const ADD: bool>(
+    probs: &[u16],
+    row: impl Fn(usize) -> &'a [Fix8x4],
+    out: &mut [i32],
+) {
     match out.len() {
-        32 => sv_rows_mac_at::<32, true>(probs, row, out),
-        64 => sv_rows_mac_at::<64, true>(probs, row, out),
-        128 => sv_rows_mac_at::<128, true>(probs, row, out),
-        _ => sv_rows_mac_at::<32, false>(probs, row, out),
+        32 => sv_rows_mac_at::<32, true, ADD>(probs, row, out),
+        64 => sv_rows_mac_at::<64, true, ADD>(probs, row, out),
+        128 => sv_rows_mac_at::<128, true, ADD>(probs, row, out),
+        _ => sv_rows_mac_at::<32, false, ADD>(probs, row, out),
     }
 }
 
-/// [`sv_rows_mac_add`] in column blocks of `B` lanes; `EXACT` promises
-/// `out.len() == B`.
-fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool>(
+/// Why an op of more than one chain narrows its `i64` sums: the bound its
+/// row rests on.
+const ROW_FITS: &str = "an op's stage-5 row fits i32 (its probabilities sum below 2^24)";
+
+/// Writes (`ADD` false) or adds (`ADD` true) one column block's sums.
+#[inline(always)]
+fn settle<const ADD: bool>(out: &mut [i32], sums: &[i32]) {
+    for (o, &sum) in out.iter_mut().zip(sums) {
+        *o = if ADD { *o + sum } else { sum };
+    }
+}
+
+/// [`settle`] for the `i64` sums of an op of several chains.
+#[inline(always)]
+fn settle_wide<const ADD: bool>(out: &mut [i32], sums: &[i64]) {
+    for (o, &sum) in out.iter_mut().zip(sums) {
+        let sum = if ADD { i64::from(*o) + sum } else { sum };
+        *o = i32::try_from(sum).expect(ROW_FITS);
+    }
+}
+
+/// [`sv_rows_mac`] (`ADD` false) or [`sv_rows_mac_add`] in column blocks
+/// of `B` lanes; `EXACT` promises `out.len() == B`.
+fn sv_rows_mac_at<'a, const B: usize, const EXACT: bool, const ADD: bool>(
     probs: &[u16],
     row: impl Fn(usize) -> &'a [Fix8x4],
-    out: &mut [i64],
+    out: &mut [i32],
 ) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw", target_feature = "avx512vnni"))]
     if EXACT && (B == 64 || B == 128) {
-        return lanes::sv_rows_mac_add(probs, row, out);
+        return lanes::sv_rows_mac::<ADD>(probs, row, out);
     }
     let d = if EXACT { B } else { out.len() };
     for base in (0..d).step_by(B) {
         let width = if EXACT { B } else { B.min(d - base) };
         let out = &mut out[base..base + width];
-        for (c, probs) in probs.chunks(SV_I32_SAFE_KEYS).enumerate() {
+        let chain = |c: usize, probs: &[u16]| {
             let mut chain = [0i32; B];
             for (i, &p) in probs.iter().enumerate() {
                 let v = row(c * SV_I32_SAFE_KEYS + i);
                 sv_row_mac_i32(&mut chain[..width], p, &v[base..base + width]);
             }
-            for (o, &sum) in out.iter_mut().zip(&chain) {
-                *o += i64::from(sum);
+            chain
+        };
+        if probs.len() <= SV_I32_SAFE_KEYS {
+            settle::<ADD>(out, &chain(0, probs));
+        } else {
+            let mut total = [0i64; B];
+            for (c, probs) in probs.chunks(SV_I32_SAFE_KEYS).enumerate() {
+                for (t, &sum) in total.iter_mut().zip(&chain(c, probs)) {
+                    *t += i64::from(sum);
+                }
             }
+            settle_wide::<ADD>(out, &total);
         }
     }
 }
@@ -377,16 +426,16 @@ mod lanes {
     }
 
     #[inline]
-    pub(super) fn sv_rows_mac_add<'a>(
+    pub(super) fn sv_rows_mac<'a, const ADD: bool>(
         probs: &[u16],
         row: impl Fn(usize) -> &'a [Fix8x4],
-        out: &mut [i64],
+        out: &mut [i32],
     ) {
         // SAFETY: as in `qk_dot_rows`.
         unsafe {
             match out.len() / W {
-                1 => mac_rows::<1>(probs, row, out),
-                _ => mac_rows::<2>(probs, row, out),
+                1 => mac_rows::<1, ADD>(probs, row, out),
+                _ => mac_rows::<2, ADD>(probs, row, out),
             }
         }
     }
@@ -477,37 +526,59 @@ mod lanes {
     /// column's four values, and one VNNI instruction per half
     /// accumulates four keys into sixteen columns. The transposition
     /// leaves the columns in a fixed permuted order, undone once per
-    /// chain.
+    /// chain; a one-chain op's row then goes to `out` in whole vectors.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn mac_rows<'a, const N: usize>(
+    fn mac_rows<'a, const N: usize, const ADD: bool>(
         probs: &[u16],
         row: impl Fn(usize) -> &'a [Fix8x4],
-        out: &mut [i64],
+        out: &mut [i32],
     ) {
         /// Keys of an array-shaped op on the default 32-column array.
         const SHORT: usize = 32;
         // Whole quads per chain, so only the op's last quad is ragged.
         const CHAIN: usize = SV_I32_SAFE_KEYS / 4 * 4;
-        if probs.len() <= SHORT {
-            mac_chain::<N, SHORT>(probs, 0, &row, out);
+        let chain = if probs.len() <= SHORT {
+            mac_chain::<N, SHORT>(probs, 0, &row)
+        } else if probs.len() <= CHAIN {
+            mac_chain::<N, CHAIN>(probs, 0, &row)
         } else {
+            // Past one chain: the chains' rows summed in `i64`, then
+            // narrowed. Only ops longer than the array (a global row's
+            // keys) come here.
+            let mut total = [0i64; 2 * W];
             for (c, probs) in probs.chunks(CHAIN).enumerate() {
-                mac_chain::<N, CHAIN>(probs, c * CHAIN, &row, out);
+                let sums = mac_chain::<N, CHAIN>(probs, c * CHAIN, &row);
+                for (total, &v) in total.chunks_exact_mut(16).zip(sums.iter().flatten()) {
+                    for (t, sum) in total.iter_mut().zip(lanes_of(v)) {
+                        *t += i64::from(sum);
+                    }
+                }
+            }
+            return super::settle_wide::<ADD>(out, &total);
+        };
+        for (v, out) in chain.iter().flatten().zip(out.chunks_exact_mut(16)) {
+            let out: &mut [i32; 16] = out.try_into().expect("16 columns");
+            // SAFETY: `out` is sixteen writable `i32`; `loadu` / `storeu`
+            // have no alignment requirement.
+            unsafe {
+                let v =
+                    if ADD { _mm512_add_epi32(_mm512_loadu_epi32(out.as_ptr()), *v) } else { *v };
+                _mm512_storeu_epi32(out.as_mut_ptr(), v);
             }
         }
     }
 
     /// One chain of at most `CAP` keys (a multiple of four) — the op's
-    /// positions from `base` on — added into `out`.
+    /// positions from `base` on: vector `g` of row vector `n` holds
+    /// columns `64n + 16g ..` of the chain's sums, in order.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     fn mac_chain<'a, const N: usize, const CAP: usize>(
         probs: &[u16],
         base: usize,
         row: &impl Fn(usize) -> &'a [Fix8x4],
-        out: &mut [i64],
-    ) {
+    ) -> [[__m512i; 4]; N] {
         // The probabilities' byte halves, one vector sweep each; the tail
         // stays zero, which is what weights a ragged last quad's padding.
         let (mut p_hi, mut p_lo) = ([0u8; CAP], [0u8; CAP]);
@@ -544,17 +615,30 @@ mod lanes {
                 }
             }
         }
+        let mut sums = [[_mm512_setzero_si512(); 4]; N];
         for n in 0..N {
-            for i in 0..4 {
-                let sums = lanes_of(_mm512_add_epi32(_mm512_slli_epi32::<8>(hi[n][i]), lo[n][i]));
-                for g in 0..4 {
-                    let columns = &mut out[W * n + 16 * g + 4 * i..][..4];
-                    for (o, &sum) in columns.iter_mut().zip(&sums[4 * g..]) {
-                        *o += i64::from(sum);
-                    }
-                }
+            let mut s = [_mm512_setzero_si512(); 4];
+            for (s, (&hi, &lo)) in s.iter_mut().zip(hi[n].iter().zip(&lo[n])) {
+                *s = _mm512_add_epi32(_mm512_slli_epi32::<8>(hi), lo);
             }
+            // Group `g` of `s[i]` is columns `16g + 4i ..`: a 4 x 4
+            // transpose of 128-bit groups puts group `i` of vector `g` there.
+            let (a, b) = (
+                _mm512_shuffle_i32x4::<0x44>(s[0], s[1]),
+                _mm512_shuffle_i32x4::<0x44>(s[2], s[3]),
+            );
+            let (c, e) = (
+                _mm512_shuffle_i32x4::<0xEE>(s[0], s[1]),
+                _mm512_shuffle_i32x4::<0xEE>(s[2], s[3]),
+            );
+            sums[n] = [
+                _mm512_shuffle_i32x4::<0x88>(a, b),
+                _mm512_shuffle_i32x4::<0xDD>(a, b),
+                _mm512_shuffle_i32x4::<0x88>(c, e),
+                _mm512_shuffle_i32x4::<0xDD>(c, e),
+            ];
         }
+        sums
     }
 }
 
@@ -771,12 +855,13 @@ mod tests {
                     })
                     .collect();
                 let row = |j: u32| &v[j as usize * d..][..d];
-                let mut out = vec![i64::MIN; d]; // overwritten, not added to
+                let mut out = vec![i32::MIN; d]; // written over, not added to
                 sv_rows_mac(&probs, |i| row(keys[i]), &mut out);
                 let mut chain = vec![0i64; d];
                 for (&p, &j) in probs.iter().zip(&keys) {
                     sv_row_mac(&mut chain, p, row(j));
                 }
+                let out: Vec<i64> = out.into_iter().map(i64::from).collect();
                 assert_eq!(out, chain, "d = {d}, {count} keys");
             }
         }
@@ -791,14 +876,14 @@ mod tests {
             let row = |i: usize| &v[i % 64 * d..][..d];
             for count in KEY_COUNTS {
                 let probs: Vec<u16> = (0..count).map(|i| (i * 7919 % 32769) as u16).collect();
-                let mut whole = vec![0i64; d];
+                let mut whole = vec![0i32; d];
                 sv_rows_mac(&probs, row, &mut whole);
                 for cut in [0, 1, 3, count / 2, count.saturating_sub(1), count] {
                     let (head, tail) = probs.split_at(cut.min(count));
-                    let mut out: Vec<i64> = (0..d as i64).map(|e| e - 3).collect();
+                    let mut out: Vec<i32> = (0..d as i32).map(|e| e - 3).collect();
                     sv_rows_mac_add(head, row, &mut out);
                     sv_rows_mac_add(tail, |i| row(head.len() + i), &mut out);
-                    let expected: Vec<i64> = (0..).zip(&whole).map(|(e, &w)| w + e - 3).collect();
+                    let expected: Vec<i32> = (0..).zip(&whole).map(|(e, &w)| w + e - 3).collect();
                     assert_eq!(out, expected, "d = {d}, {count} keys cut at {}", head.len());
                 }
             }
@@ -807,16 +892,31 @@ mod tests {
 
     #[test]
     fn sv_rows_mac_holds_the_worst_case_chain() {
-        // Every product at its extreme, past the 32-bit bound: the blocks
-        // must neither wrap nor lose anything against the i64 chain.
+        // Every product at its extreme, past the 32-bit chain bound, to a
+        // row at the edge of what 32 bits hold: a full chain at
+        // probability one, then the probabilities up to a sum of 2^24 - 1.
+        // The chains must neither wrap nor lose anything against the i64
+        // chain, and the row sits 128 inside `i32::MIN`.
         for d in [32, 64, 100] {
             let v = vec![Fix8x4::MIN; d];
-            let count = 3 * SV_I32_SAFE_KEYS + 2;
-            let probs = vec![PROB_ONE_TEST; count];
-            let mut out = vec![0i64; d];
+            let mut probs = vec![PROB_ONE_TEST; SV_I32_SAFE_KEYS];
+            probs.extend([PROB_ONE_TEST - 1, 0, 0, 0, 0]);
+            probs.resize(3 * SV_I32_SAFE_KEYS + 2, 0);
+            let mut out = vec![0i32; d];
             sv_rows_mac(&probs, |_| &v[..], &mut out);
-            assert!(out.iter().all(|&o| o == -(count as i64) * (1 << 22)), "d = {d}");
+            assert!(out.iter().all(|&o| o == i32::MIN + 128), "d = {d}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fits i32")]
+    fn sv_rows_mac_refuses_a_row_past_i32() {
+        // Two probability LSBs more than the row above: 128 past `i32::MIN`.
+        let (d, v) = (64, vec![Fix8x4::MIN; 64]);
+        let mut probs = vec![PROB_ONE_TEST; SV_I32_SAFE_KEYS + 1];
+        probs.push(1);
+        probs.resize(2 * SV_I32_SAFE_KEYS, 0);
+        sv_rows_mac(&probs, |_| &v[..], &mut vec![0i32; d]);
     }
 
     #[test]

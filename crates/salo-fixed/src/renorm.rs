@@ -16,14 +16,22 @@
 //! ([`crate::ExpLut`] outputs), outputs in the Q.19 stage-5 accumulator
 //! format.
 //!
-//! The blend itself — `(o_acc · α + o_part · β) >> 15` per output element —
-//! is by definition a 128-bit computation on `i64` elements. Every datapath
-//! output fits 32 bits, so [`merge_partials_into`] tests the whole row once
-//! (an OR-fold, no early exit) and then blends in signed 32 × 32 → 64-bit
-//! products, both operands alike: eight elements a vector in builds that
-//! target AVX-512 (the `lanes` module), a plain loop of the same shape
-//! everywhere else. Rows that fail the test take the 128-bit form and round
-//! identically.
+//! A PE row hands its module each part as the 32-bit row stage 5 writes
+//! ([`sv_rows_mac`](crate::sv_rows_mac)), and [`merge_part_into`] blends
+//! it into the module's `i64` accumulator as it is: the first part of a row
+//! is widened in, and every later one blended. The blend itself —
+//! `(o_acc · α + o_part · β) >> 15` per output element — is by definition a
+//! 128-bit computation. Every datapath output fits 32 bits, so only the
+//! accumulator needs a test (once for the whole row: an OR-fold, no early
+//! exit) before the blend runs in signed 32 × 32 → 64-bit products: eight
+//! elements a vector in builds that target AVX-512 (the `lanes` module), a
+//! plain loop of the same shape everywhere else. An accumulator that fails
+//! the test takes the 128-bit form and rounds identically.
+//!
+//! [`merge_partials_into`] is the same body for a part held as a
+//! [`PartialRow`] — the systolic oracle's and the public API's form: its
+//! `i64` row is tested as the accumulator is, and blends as the 32-bit row
+//! it then is.
 
 use crate::exp::EXP_FRAC;
 use crate::{FixedError, RecipUnit};
@@ -73,75 +81,140 @@ pub fn merge_weights(
     Ok((inv.scale_to_prob(w1_q16, EXP_FRAC), inv.scale_to_prob(w2_q16, EXP_FRAC)))
 }
 
-/// Merges `part` into `acc` per Eq. 2, in place: `acc` becomes the partial
-/// with weight `W_acc + W_part`. Merging an empty partial is the identity
-/// in either direction (the module's initialization behaviour), and the
-/// arithmetic is bit-identical to [`merge_partials`] — the hardware has one
-/// pair of multipliers per weighted-sum module, and this is it.
+/// Merges one op's part — its weight `W_part` (Q.16) and the 32-bit row
+/// stage 5 writes (Q.19) — into `acc` per Eq. 2, in place: `acc` becomes
+/// the partial with weight `W_acc + W_part`. This is the weighted-sum
+/// module: one pair of multipliers and an adder per PE row.
 ///
-/// This is the execution hot path's form: the caller owns the accumulator
-/// and no intermediate row is allocated.
+/// An empty accumulator takes the part, widened — even a zero-weight part,
+/// whose row can be nonzero when a coarse exp LUT clamps to 0 — and an
+/// empty part is then the identity.
 ///
 /// # Errors
 ///
 /// Returns [`FixedError::PartialLengthMismatch`] if the rows have different
-/// dimensions.
+/// dimensions, or [`FixedError::NonPositiveReciprocal`] if a non-empty
+/// accumulator's weight and a nonzero part's sum to zero or less (a
+/// negative weight: no datapath weight is one).
+pub fn merge_part_into(
+    acc: &mut PartialRow,
+    weight_q16: i64,
+    part: &[i32],
+    recip: &RecipUnit,
+) -> Result<(), FixedError> {
+    merge_into(acc, weight_q16, part, recip)
+}
+
+/// Merges `part` into `acc` per Eq. 2, in place, by the same body as
+/// [`merge_part_into`]: a part row whose elements all fit 32 bits — every
+/// part the datapath produces — blends as that 32-bit row would, and any
+/// other takes the 128-bit form, which rounds identically. Bit-identical to
+/// [`merge_partials`], without its allocation.
+///
+/// # Errors
+///
+/// As [`merge_part_into`].
 pub fn merge_partials_into(
     acc: &mut PartialRow,
     part: &PartialRow,
     recip: &RecipUnit,
 ) -> Result<(), FixedError> {
-    if acc.out_q19.len() != part.out_q19.len() {
+    merge_into(acc, part.weight_q16, &part.out_q19, recip)
+}
+
+/// An element of a part row: the `i32` stage 5 writes, or the `i64` of a
+/// [`PartialRow`].
+trait PartElement: Copy + Into<i64> {
+    /// Whether every element of `row` is an `i32` value.
+    fn fits_i32(row: &[Self]) -> bool;
+
+    /// The first eight elements of `chunk` in 64-bit lanes, zero in the
+    /// lanes it lacks.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    fn lanes(chunk: &[Self]) -> std::arch::x86_64::__m512i;
+}
+
+impl PartElement for i32 {
+    fn fits_i32(_: &[i32]) -> bool {
+        true
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[inline]
+    fn lanes(chunk: &[i32]) -> std::arch::x86_64::__m512i {
+        lanes::load_i32(chunk)
+    }
+}
+
+impl PartElement for i64 {
+    fn fits_i32(row: &[i64]) -> bool {
+        fits_i32(row)
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[inline]
+    fn lanes(chunk: &[i64]) -> std::arch::x86_64::__m512i {
+        lanes::load(chunk)
+    }
+}
+
+/// The one body of both merges.
+#[inline]
+fn merge_into<P: PartElement>(
+    acc: &mut PartialRow,
+    weight_q16: i64,
+    part: &[P],
+    recip: &RecipUnit,
+) -> Result<(), FixedError> {
+    if acc.out_q19.len() != part.len() {
         return Err(FixedError::PartialLengthMismatch {
             expected: acc.out_q19.len(),
-            actual: part.out_q19.len(),
+            actual: part.len(),
         });
     }
-    // Precedence matches merge_partials exactly — an empty *accumulator*
-    // takes the part's value (even a zero-weight part, whose output can be
-    // nonzero when a coarse exp LUT clamps to 0), an empty part is then
-    // the identity.
     if acc.is_empty() {
-        acc.weight_q16 = part.weight_q16;
-        acc.out_q19.copy_from_slice(&part.out_q19);
+        acc.weight_q16 = weight_q16;
+        for (o, &p) in acc.out_q19.iter_mut().zip(part) {
+            *o = p.into();
+        }
         return Ok(());
     }
-    if part.is_empty() {
+    if weight_q16 == 0 {
         return Ok(());
     }
-    let (alpha, beta) = merge_weights(acc.weight_q16, part.weight_q16, recip)?;
-    // Every datapath output fits 32 bits (a stage-5 chain of at most 2^22
-    // per key, blended by weights of at most 2^15 that sum to at most
-    // one), so after one test for the whole row the blend is a branch-free
-    // sweep of 32x32 -> 64-bit multiplies — a quarter of the work of a full
-    // 64-bit multiply per lane. The narrow and the wide form compute the
-    // same exact integer (products below 2^46, sum below 2^47), so rows
-    // that do not fit take the 128-bit form and round identically.
-    if fits_i32(&acc.out_q19, &part.out_q19) {
-        blend_narrow(&mut acc.out_q19, &part.out_q19, alpha, beta);
+    let (alpha, beta) = merge_weights(acc.weight_q16, weight_q16, recip)?;
+    // Every datapath part and accumulator fits 32 bits (a stage-5 row of
+    // at most 2^22 magnitude, blended by weights of at most 2^15 that sum
+    // to at most one), so after one test for the whole row the blend is a
+    // branch-free sweep of 32x32 -> 64-bit multiplies — a quarter of the
+    // work of a full 64-bit multiply per lane. The narrow and the wide form
+    // compute the same exact integer (products below 2^46, sum below
+    // 2^47), so rows that do not fit take the 128-bit form and round
+    // identically.
+    if fits_i32(&acc.out_q19) && P::fits_i32(part) {
+        blend_narrow(&mut acc.out_q19, part, alpha, beta);
     } else {
         let (alpha, beta) = (i128::from(alpha), i128::from(beta));
-        for (oa, &ob) in acc.out_q19.iter_mut().zip(&part.out_q19) {
-            *oa = ((i128::from(*oa) * alpha + i128::from(ob) * beta) >> 15) as i64;
+        for (oa, &ob) in acc.out_q19.iter_mut().zip(part) {
+            *oa = ((i128::from(*oa) * alpha + i128::from(ob.into()) * beta) >> 15) as i64;
         }
     }
-    acc.weight_q16 += part.weight_q16;
+    acc.weight_q16 += weight_q16;
     Ok(())
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 use lanes::{blend_narrow, fits_i32};
 
-/// Whether every element of both rows is an `i32` value: the portable body
+/// Whether every element of the row is an `i32` value: the portable body
 /// of the row test. An OR-fold rather than `all` — no early exit, so the
 /// test is itself a vector sweep; the fold is zero iff every value fits.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 #[inline]
-fn fits_i32(a: &[i64], b: &[i64]) -> bool {
-    let beyond_i32 = |o: i64| (o as u64).wrapping_add(1 << 31) >> 32;
+fn fits_i32(row: &[i64]) -> bool {
     let mut beyond = 0;
-    for (&oa, &ob) in a.iter().zip(b) {
-        beyond |= beyond_i32(oa) | beyond_i32(ob);
+    for &o in row {
+        beyond |= (o as u64).wrapping_add(1 << 31) >> 32;
     }
     beyond == 0
 }
@@ -150,17 +223,18 @@ fn fits_i32(a: &[i64], b: &[i64]) -> bool {
 /// values and one length: the portable body of the blend.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 #[inline]
-fn blend_narrow(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+fn blend_narrow<P: PartElement>(acc: &mut [i64], part: &[P], alpha: u16, beta: u16) {
     let (alpha, beta) = (i64::from(alpha), i64::from(beta));
     for (oa, &ob) in acc.iter_mut().zip(part) {
-        *oa = (i64::from(*oa as i32) * alpha + i64::from(ob as i32) * beta) >> 15;
+        *oa = (i64::from(*oa as i32) * alpha + ob.into() * beta) >> 15;
     }
 }
 
 /// The row test and the narrow blend in explicit 512-bit lanes, eight
-/// `i64` elements a vector: `vpmuldq` reads the low 32 bits of each lane as
-/// a signed value, which is the whole element once the row has passed the
-/// test — for *both* operands.
+/// elements a vector: `vpmuldq` reads the low 32 bits of each 64-bit lane
+/// as a signed value, which is the whole element once the row has passed
+/// the test — for both operands, a 32-bit part's elements sign-extended
+/// into their lanes.
 ///
 /// Compiled only when the build itself targets AVX-512, as `mac.rs`'s lanes
 /// are; every other build has the plain loops above and nothing else. What
@@ -169,6 +243,7 @@ fn blend_narrow(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
 /// sign-extends and `vpmullq`s (three micro-ops) the other.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod lanes {
+    use super::PartElement;
     use std::arch::x86_64::*;
 
     /// Elements per vector.
@@ -176,46 +251,52 @@ mod lanes {
 
     /// A lane per element of a chunk of at most `W`.
     #[inline]
-    fn lanes_of(chunk: &[i64]) -> __mmask8 {
+    fn lanes_of<T>(chunk: &[T]) -> __mmask8 {
         ((1u32 << chunk.len().min(W)) - 1) as __mmask8
     }
 
     /// The first `W` elements of `chunk`, zero in the lanes it lacks.
     #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn load(chunk: &[i64]) -> __m512i {
-        // SAFETY: the mask has a lane per element of `chunk` and no more;
-        // masked-off lanes are not read.
+    pub(super) fn load(chunk: &[i64]) -> __m512i {
+        // SAFETY: the module's target features include the intrinsic's
+        // (the `cfg` on the module); the mask has a lane per element of
+        // `chunk` and no more, and masked-off lanes are not read.
         unsafe { _mm512_maskz_loadu_epi64(lanes_of(chunk), chunk.as_ptr()) }
     }
 
-    /// Whether every element of both rows is an `i32` value.
+    /// The first `W` elements of `chunk`, sign-extended to 64-bit lanes,
+    /// zero in the lanes it lacks.
     #[inline]
-    pub(super) fn fits_i32(a: &[i64], b: &[i64]) -> bool {
+    pub(super) fn load_i32(chunk: &[i32]) -> __m512i {
+        // SAFETY: as in `load`.
+        unsafe { _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(lanes_of(chunk), chunk.as_ptr())) }
+    }
+
+    /// Whether every element of the row is an `i32` value.
+    #[inline]
+    pub(super) fn fits_i32(row: &[i64]) -> bool {
         // SAFETY: this module exists only in builds whose target features
         // include the one the callee enables (the `cfg` on the module).
-        unsafe { fits_i32_avx512(a, b) }
+        unsafe { fits_i32_avx512(row) }
     }
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn fits_i32_avx512(a: &[i64], b: &[i64]) -> bool {
+    fn fits_i32_avx512(row: &[i64]) -> bool {
         // `(o + 2^31) >> 32` is zero iff `o` is an `i32` value; OR-folded
-        // over both rows, no early exit. Whole vectors (their mask folds
-        // to a constant), then the ragged tail.
+        // over the row, no early exit. Whole vectors (their mask folds to a
+        // constant), then the ragged tail.
         let bias = _mm512_set1_epi64(1 << 31);
         let mut beyond = _mm512_setzero_si512();
         let mut fold = |chunk: &[i64]| {
             let o = _mm512_add_epi64(load(chunk), bias);
             beyond = _mm512_or_si512(beyond, _mm512_srli_epi64::<32>(o));
         };
-        for row in [a, b] {
-            let whole = row.chunks_exact(W);
-            let ragged = whole.remainder();
-            whole.for_each(&mut fold);
-            if !ragged.is_empty() {
-                fold(ragged);
-            }
+        let whole = row.chunks_exact(W);
+        let ragged = whole.remainder();
+        whole.for_each(&mut fold);
+        if !ragged.is_empty() {
+            fold(ragged);
         }
         _mm512_test_epi64_mask(beyond, beyond) == 0
     }
@@ -223,7 +304,7 @@ mod lanes {
     /// `acc[e] = (acc[e] * alpha + part[e] * beta) >> 15` on rows of `i32`
     /// values and one length.
     #[inline]
-    pub(super) fn blend_narrow(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+    pub(super) fn blend_narrow<P: PartElement>(acc: &mut [i64], part: &[P], alpha: u16, beta: u16) {
         assert_eq!(acc.len(), part.len());
         // SAFETY: as in `fits_i32`.
         unsafe { blend_narrow_avx512(acc, part, alpha, beta) }
@@ -231,13 +312,13 @@ mod lanes {
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn blend_narrow_avx512(acc: &mut [i64], part: &[i64], alpha: u16, beta: u16) {
+    fn blend_narrow_avx512<P: PartElement>(acc: &mut [i64], part: &[P], alpha: u16, beta: u16) {
         let alpha = _mm512_set1_epi64(i64::from(alpha));
         let beta = _mm512_set1_epi64(i64::from(beta));
-        let vector = |acc: &mut [i64], part: &[i64]| {
+        let vector = |acc: &mut [i64], part: &[P]| {
             let sum = _mm512_add_epi64(
                 _mm512_mul_epi32(load(acc), alpha),
-                _mm512_mul_epi32(load(part), beta),
+                _mm512_mul_epi32(P::lanes(part), beta),
             );
             let blend = _mm512_srai_epi64::<15>(sum);
             // SAFETY: the mask has a lane per element of `acc` and no

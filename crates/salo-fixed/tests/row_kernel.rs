@@ -3,7 +3,9 @@
 //!
 //! `fixed_softmax_parts_into` sweeps a row through the LUT's `u32` table
 //! and multiplies by the broadcast reciprocal in 32-bit lanes;
-//! `merge_partials_into` blends in 32 × 32 → 64-bit products. Both have an
+//! `merge_part_into` blends a 32-bit part into an `i64` accumulator in
+//! 32 × 32 → 64-bit products, and `merge_partials_into` is it for a part
+//! held as a `PartialRow`. Both have an
 //! explicit-lane body (builds that target AVX-512) and a portable body
 //! (every other build), and a wide fallback each. The definitions they are
 //! held to here share no sweep with them: `ExpLut::eval_q8` per element
@@ -16,8 +18,8 @@
 
 use proptest::prelude::*;
 use salo_fixed::{
-    fixed_softmax_parts_into, merge_partials_into, merge_weights, ExpLut, FixedError, PartialRow,
-    Recip, RecipUnit, EXP_FRAC, SV_I32_SAFE_KEYS,
+    fixed_softmax_parts_into, merge_part_into, merge_partials_into, merge_weights, ExpLut,
+    FixedError, PartialRow, Recip, RecipUnit, EXP_FRAC, SV_I32_SAFE_KEYS,
 };
 
 /// Stages 2–4 by definition. Also says whether stage 4 would shift right
@@ -376,8 +378,136 @@ fn empty_operands_keep_their_precedence() {
     }
 }
 
+// ------------------------------------------- the 32-bit part's merge
+
+/// One merge by definition: an empty accumulator takes the part, an empty
+/// part is the identity, anything else is the 128-bit blend.
+fn merge_by_definition(
+    acc: &mut PartialRow,
+    weight: i64,
+    part: &[i32],
+    recip: &RecipUnit,
+) -> Result<(), FixedError> {
+    let part: Vec<i64> = part.iter().map(|&p| i64::from(p)).collect();
+    if acc.weight_q16 == 0 {
+        *acc = PartialRow { weight_q16: weight, out_q19: part };
+    } else if weight != 0 {
+        let (alpha, beta) = merge_weights(acc.weight_q16, weight, recip)?;
+        acc.out_q19 = wide_blend(&acc.out_q19, &part, alpha, beta);
+        acc.weight_q16 += weight;
+    }
+    Ok(())
+}
+
+/// Folds `parts` into a copy of `acc` three ways — `merge_part_into` on
+/// the 32-bit row, `merge_partials_into` on the widened row, and the
+/// definition — and holds them to one another after every merge: the same
+/// accumulator, or the same error at the same part.
+fn check_part_merges(acc: &PartialRow, parts: &[(i64, Vec<i32>)], recip: &RecipUnit, what: &str) {
+    let (mut narrow, mut widened, mut defined) = (acc.clone(), acc.clone(), acc.clone());
+    for (i, (weight, part)) in parts.iter().enumerate() {
+        let wide =
+            PartialRow { weight_q16: *weight, out_q19: part.iter().map(|&p| p.into()).collect() };
+        let got = merge_part_into(&mut narrow, *weight, part, recip);
+        assert_eq!(got, merge_partials_into(&mut widened, &wide, recip), "{what}: part {i}");
+        assert_eq!(
+            got,
+            merge_by_definition(&mut defined, *weight, part, recip),
+            "{what}: part {i}"
+        );
+        assert_eq!(narrow, widened, "{what}: part {i}");
+        assert_eq!(narrow, defined, "{what}: part {i}");
+        if got.is_err() {
+            return;
+        }
+    }
+}
+
+/// A 32-bit part row: both signs, up to `2^bits` in magnitude.
+fn part_row(d: usize, salt: i64, bits: u32) -> Vec<i32> {
+    out_row(d, salt).into_iter().map(|o| (o >> (30 - bits)) as i32).collect()
+}
+
+#[test]
+fn a_32_bit_part_merges_as_its_widened_row_in_every_named_case() {
+    let recip = RecipUnit::new(64);
+    for d in DIMS {
+        let what = |case: &str| format!("d {d}, {case}");
+        let full = PartialRow { weight_q16: 7 << 16, out_q19: out_row(d, 5) };
+        let part = part_row(d, 6, 23);
+        // An empty accumulator takes a zero-weight part whose row is not
+        // zero, and keeps taking parts while its weight stays zero.
+        let empty = PartialRow::empty(d);
+        let parts = [(0, part.clone()), (0, part_row(d, 7, 30)), (3 << 16, part.clone())];
+        check_part_merges(&empty, &parts, &recip, &what("empty takes a weightless part"));
+        let mut acc = empty.clone();
+        merge_part_into(&mut acc, 0, &part, &recip).expect("equal lengths");
+        assert_eq!(acc.out_q19, part.iter().map(|&p| i64::from(p)).collect::<Vec<_>>());
+        // A zero-weight part leaves a non-empty accumulator unchanged.
+        check_part_merges(&full, &[(0, part.clone())], &recip, &what("weightless part"));
+        let mut acc = full.clone();
+        merge_part_into(&mut acc, 0, &part, &recip).expect("equal lengths");
+        assert_eq!(acc, full);
+        // Weights that sum to zero fail with the same error at the same
+        // part, whichever merge, and leave the accumulator as it was.
+        let zero_sum = [(2 << 16, part.clone()), (-(9 << 16), part_row(d, 8, 20)), (1, part)];
+        check_part_merges(&full, &zero_sum, &recip, &what("zero sum"));
+        let mut acc = full.clone();
+        merge_part_into(&mut acc, 2 << 16, &zero_sum[0].1, &recip).expect("positive");
+        let before = acc.clone();
+        assert_eq!(
+            merge_part_into(&mut acc, -(9 << 16), &zero_sum[1].1, &recip),
+            Err(FixedError::NonPositiveReciprocal { raw: 0 })
+        );
+        assert_eq!(acc, before, "a refused merge leaves the accumulator alone");
+        // An accumulator outside `i32` takes the 128-bit form.
+        for edge in [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1, 1 << 50, i64::MIN] {
+            let mut beyond = full.clone();
+            beyond.out_q19[d - 1] = edge;
+            let parts = [(5 << 16, part_row(d, 9, 30)), (1 << 16, part_row(d, 10, 22))];
+            check_part_merges(&beyond, &parts, &recip, &what(&format!("accumulator at {edge}")));
+        }
+        // A part of another length is the same typed error.
+        let mut acc = full.clone();
+        assert_eq!(
+            merge_part_into(&mut acc, 1 << 16, &vec![0; d + 1], &recip),
+            Err(FixedError::PartialLengthMismatch { expected: d, actual: d + 1 })
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random 32-bit parts and weights (zero among them) folded into an
+    /// accumulator that starts empty or holds a row of any width: the
+    /// 32-bit part merges as its widened row, and as the definition.
+    #[test]
+    fn a_32_bit_part_merges_as_its_widened_row(
+        start in prop::collection::vec(any::<i64>(), 1..140),
+        start_weight in (0u8..3, 1i64..1 << 40),
+        parts in prop::collection::vec((0u8..3, 1i64..1 << 40, any::<u64>()), 1..6),
+        narrow in 0u32..48,
+    ) {
+        let recip = RecipUnit::new(64);
+        let d = start.len();
+        // One weight in three is zero.
+        let weight = |(zero, w): (u8, i64)| if zero == 0 { 0 } else { w };
+        // `narrow` bits off the top: most accumulators fit 32 bits, some
+        // do not.
+        let acc = PartialRow {
+            weight_q16: weight(start_weight),
+            out_q19: start.iter().map(|&o| o >> (16 + narrow)).collect(),
+        };
+        let parts: Vec<(i64, Vec<i32>)> = parts
+            .iter()
+            .map(|&(zero, w, seed)| {
+                let row = (0..d as u64).map(|e| ((e ^ seed).wrapping_mul(seed | 1) as i32) >> 8);
+                (weight((zero, w)), row.collect())
+            })
+            .collect();
+        check_part_merges(&acc, &parts, &recip, "random");
+    }
 
     /// Random weights, random rows of any width up to 64 bits, any length:
     /// the blend is its 128-bit definition.

@@ -60,7 +60,7 @@ use salo_scheduler::ExecutionPlan;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::exec::{run_ops_grouped, ExecScratch, GroupOp, KvSource};
+use crate::exec::{drain_into, run_ops_grouped, ExecScratch, GroupOp, KvSource, UNREACHED};
 use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, SpatialAccelerator};
 
 /// Default rows per K/V page when the owner does not configure one.
@@ -790,8 +790,9 @@ impl DecodeState {
     /// token, bit for bit.
     #[must_use]
     pub fn global_row_output(&self, i: usize) -> (Vec<Fix16x8>, i64) {
-        let acc = &self.global_acc[i];
-        (acc.out_q19.iter().map(|&o| Fix16x8::from_q19_acc(o)).collect(), acc.weight_q16)
+        let mut raw = Vec::with_capacity(self.d);
+        let weight = drain_into(&self.global_acc[i], &mut raw);
+        (raw, weight)
     }
 }
 
@@ -1161,13 +1162,8 @@ impl SpatialAccelerator {
 
         // The step's own row, in prefill merge order.
         let step = if compute {
-            state.acc.weight_q16 = 0;
-            if state.acc.out_q19.len() == d {
-                state.acc.out_q19.fill(0);
-            } else {
-                state.acc.out_q19.clear();
-                state.acc.out_q19.resize(d, 0);
-            }
+            // Written by the step's first part, like a prefill's rows.
+            state.acc.weight_q16 = UNREACHED;
             let DecodeState { pages, page_rows, q_step, acc, .. } = &mut *state;
             let kv = PagedKv::new(pages, *page_rows);
             run_decode_ops(
@@ -1182,10 +1178,9 @@ impl SpatialAccelerator {
                 acc,
                 &mut sat,
             )?;
-            Some((
-                acc.out_q19.iter().map(|&o| Fix16x8::from_q19_acc(o)).collect::<Vec<_>>(),
-                acc.weight_q16,
-            ))
+            let mut raw = Vec::with_capacity(d);
+            let weight = drain_into(acc, &mut raw);
+            Some((raw, weight))
         } else {
             None
         };

@@ -2,15 +2,19 @@
 //!
 //! The hot path executes a [`LoweredPlan`] — the plan resolved once into
 //! flat pass programs by [`lower`](crate::LoweredPlan::lower) — against
-//! flat quantized-input arenas, with every working buffer owned by a
-//! reusable [`ExecScratch`]. Steady-state execution performs no heap
-//! allocation and no plan-structure queries: it walks the op list, runs
-//! stages 1–5 per op, and merges parts in place
-//! ([`merge_partials_into`]). The event-accurate
-//! [`execute_systolic`](SpatialAccelerator::execute_systolic) path remains
-//! the oracle: it steps the window passes through the cycle-level
-//! [`SystolicArray`] and shares the lowered program for global duties, so
-//! both paths stay bit-identical.
+//! flat row-major quantized inputs: an `f32` head quantized into the
+//! arenas of a reusable [`ExecScratch`] as it is loaded, or a head that
+//! arrived quantized ([`FixedQkv`]) read where it lies. Steady-state
+//! execution performs no heap allocation and no plan-structure queries: it
+//! walks the op list and runs stages 1–5 per op. Stage 5 writes each op's
+//! part as the 32-bit row a PE row hands its weighted-sum module, and the
+//! module blends it into the destination's `i64` accumulator
+//! ([`merge_part_into`]); an accumulator is written by the first part that
+//! reaches it, so nothing is zero-filled per request or per op. The
+//! event-accurate [`execute_systolic`](SpatialAccelerator::execute_systolic)
+//! path remains the oracle: it steps the window passes through the
+//! cycle-level [`SystolicArray`] and shares the lowered program for global
+//! duties, so both paths stay bit-identical.
 //!
 //! # One executor, stage-major over a group of ops
 //!
@@ -37,8 +41,9 @@
 //! measurement (EXPERIMENTS.md, "The kernel's other half"), not a knob.
 
 use salo_fixed::{
-    fixed_softmax_parts_into, merge_partials_into, qk_dot_rows, quantize_iter, sv_rows_mac,
-    sv_rows_mac_add, ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit, PROB_ONE,
+    fixed_softmax_parts_into, merge_part_into, merge_partials_into, qk_dot, qk_dot_rows,
+    quantize_iter, sv_rows_mac, sv_rows_mac_add, ExpLut, Fix16x8, Fix8x4, MacSaturation,
+    PartialRow, RecipUnit, PROB_ONE,
 };
 use salo_kernels::Matrix;
 use salo_scheduler::{ExecutionPlan, Pass, PlanStats};
@@ -51,9 +56,9 @@ use crate::{
     LoweredOpKind, LoweredPlan, OpKeys, SimError, TimingReport, TrafficReport, UtilizationReport,
 };
 
-/// One head's inputs on their way into the arenas: `f32` rows, quantized
-/// as they are loaded ([`quantize_iter`], the scale folded into `q`), or
-/// rows quantized before they got here, copied in as they are.
+/// One head's inputs: `f32` rows, quantized into the arenas as they are
+/// loaded ([`quantize_iter`], the scale folded into `q`), or rows quantized
+/// before they got here, read in place.
 #[derive(Clone, Copy)]
 enum HeadRows<'a> {
     F32 { q: &'a Matrix<f32>, k: &'a Matrix<f32>, v: &'a Matrix<f32>, scale: f32 },
@@ -91,8 +96,8 @@ pub struct ExecutionOutput {
 /// Ops the executor runs side by side, stage by stage. Widths 2 to 16
 /// measure alike and 1 and 32 measure worse (EXPERIMENTS.md, "The kernel's
 /// other half"); 8 keeps a group's buffers — 8 × (32 scores, 32
-/// probabilities, one `d`-element part) at the array's op size — inside
-/// 5 KiB of L1.
+/// probabilities, one `d`-element 32-bit part) at the array's op size —
+/// inside 4 KiB of L1 at d = 64.
 pub(crate) const GROUP: usize = 8;
 
 /// One op's intermediates between the stages of a group.
@@ -100,10 +105,14 @@ pub(crate) const GROUP: usize = 8;
 struct OpSlot {
     /// Stage-1 scores.
     scores: Vec<i32>,
-    /// Stage-4 probabilities.
+    /// Stage-4 probabilities (none for a single-key cell, whose one key is
+    /// at probability one).
     probs: Vec<u16>,
-    /// Stage-5 output: the part this op produces.
-    part: PartialRow,
+    /// The part's weight `W = Σ exp(S)`, Q.16.
+    weight_q16: i64,
+    /// The part's row, Q.19: stage 5's 32-bit sums as they leave the PE
+    /// row, written over each op — no widening, no zero-fill.
+    part: Vec<i32>,
 }
 
 /// The working buffers of one five-stage datapath instance: a slot per op
@@ -136,7 +145,8 @@ impl OpScratch {
             slots: std::array::from_fn(|_| OpSlot {
                 scores: Vec::new(),
                 probs: Vec::new(),
-                part: PartialRow::empty(0),
+                weight_q16: 0,
+                part: Vec::new(),
             }),
             exps: Vec::new(),
             profile: StageProfile::default(),
@@ -149,10 +159,7 @@ impl OpScratch {
     /// included — allocates.
     pub(crate) fn prepare(&mut self, d: usize, max_keys: usize) {
         for slot in &mut self.slots {
-            if slot.part.out_q19.len() != d {
-                slot.part.out_q19.clear();
-                slot.part.out_q19.resize(d, 0);
-            }
+            slot.part.resize(d, 0);
             // Emptied first: `reserve` counts from the length.
             slot.scores.clear();
             slot.scores.reserve(max_keys);
@@ -166,25 +173,32 @@ impl OpScratch {
 
 /// Reusable working memory of the execution datapath.
 ///
-/// Holds the flat quantized-input arenas (row-major, one row stride per
-/// token), the per-op stage buffers (`OpScratch`) and the per-row
+/// Holds the flat quantized-input arenas an `f32` head is loaded into
+/// (row-major, one row stride per token; a quantized head is read in
+/// place), the per-op stage buffers (`OpScratch`) and the per-row
 /// weighted-sum accumulators. Buffers grow to the high-water mark of the
 /// workloads they have seen and are then reused allocation-free across
 /// passes, heads and — when held by a serving worker — requests.
 ///
-/// Reuse is bit-transparent: executing with a fresh scratch and with a
-/// scratch that has already served other shapes produces identical bits.
+/// A request resets only the accumulators' weights, to a mark no part
+/// carries: each row is written by the first part that reaches it, and a
+/// row that none reaches drains as zeros, whatever an earlier request left
+/// in it. Reuse is bit-transparent: executing with a fresh scratch and
+/// with a scratch that has already served other shapes produces identical
+/// bits.
 #[derive(Debug, Clone)]
 pub struct ExecScratch {
-    /// Quantized queries (scale folded in), `n * d` row-major.
+    /// An `f32` head's quantized queries (scale folded in), `n * d`
+    /// row-major.
     qq: Vec<Fix8x4>,
-    /// Quantized keys, `n * d` row-major.
+    /// An `f32` head's quantized keys, `n * d` row-major.
     kq: Vec<Fix8x4>,
-    /// Quantized values, `n * d` row-major.
+    /// An `f32` head's quantized values, `n * d` row-major.
     vq: Vec<Fix8x4>,
     /// The per-op stage buffers.
     pub(crate) op: OpScratch,
-    /// Per-row weighted-sum accumulators (the WSM state).
+    /// Per-row weighted-sum accumulators (the WSM state); a weight of
+    /// [`UNREACHED`] marks a row no part has reached in this request.
     acc: Vec<PartialRow>,
     /// One decode call's ops, copied out of the plan's shared list in step
     /// order: a step's ops lie one per pass across the lowered list, and
@@ -217,40 +231,42 @@ impl ExecScratch {
         }
     }
 
-    /// Loads one head's inputs into the arenas — the one ingest of a
-    /// prefill — and resets the accumulators for an `n x d` execution.
+    /// Loads one head's inputs — the one ingest of a prefill: an `f32`
+    /// head is quantized into the arenas, a quantized one stays where it
+    /// is — and readies the accumulators for an `n x d` execution.
     fn load(&mut self, rows: HeadRows<'_>, n: usize, d: usize) {
-        let arenas = [&mut self.qq, &mut self.kq, &mut self.vq];
-        match rows {
-            // Load-time quantization (scale folded into Q).
-            HeadRows::F32 { q, k, v, scale } => {
-                for (arena, (m, scale)) in arenas.into_iter().zip([(q, scale), (k, 1.0), (v, 1.0)])
-                {
-                    arena.clear();
-                    arena.extend(quantize_iter(m.as_slice(), scale));
-                }
-            }
-            HeadRows::Fixed(head) => {
-                for (arena, m) in arenas.into_iter().zip([head.q(), head.k(), head.v()]) {
-                    arena.clear();
-                    arena.extend_from_slice(m.as_slice());
-                }
+        // Load-time quantization (scale folded into Q).
+        if let HeadRows::F32 { q, k, v, scale } = rows {
+            let arenas = [&mut self.qq, &mut self.kq, &mut self.vq];
+            for (arena, (m, scale)) in arenas.into_iter().zip([(q, scale), (k, 1.0), (v, 1.0)]) {
+                arena.clear();
+                arena.extend(quantize_iter(m.as_slice(), scale));
             }
         }
-
-        // Zeroed accumulators, reusing row allocations of the right `d`.
+        // Weights only: a row's elements are written by its first part.
+        // Rows are resized only when `d` changes.
         let acc = &mut self.acc;
         acc.truncate(n);
         for row in acc.iter_mut() {
-            row.weight_q16 = 0;
-            if row.out_q19.len() == d {
-                row.out_q19.fill(0);
-            } else {
-                row.out_q19.clear();
-                row.out_q19.resize(d, 0);
-            }
+            row.weight_q16 = UNREACHED;
+            row.out_q19.resize(d, 0);
         }
-        acc.resize_with(n, || PartialRow::empty(d));
+        acc.resize_with(n, || PartialRow { weight_q16: UNREACHED, out_q19: vec![0; d] });
+    }
+
+    /// The head's quantized Q, K and V rows — the arenas for an `f32`
+    /// head, the head's own matrices for a quantized one — beside the
+    /// stage buffers and the accumulators, borrowed apart.
+    fn split<'s>(
+        &'s mut self,
+        rows: HeadRows<'s>,
+    ) -> ([&'s [Fix8x4]; 3], &'s mut OpScratch, &'s mut [PartialRow]) {
+        let Self { qq, kq, vq, op, acc, .. } = self;
+        let inputs = match rows {
+            HeadRows::F32 { .. } => [&qq[..], &kq[..], &vq[..]],
+            HeadRows::Fixed(head) => [head.q(), head.k(), head.v()].map(Matrix::as_slice),
+        };
+        (inputs, op, acc)
     }
 
     /// Row `i` of a flat `d`-strided arena.
@@ -447,8 +463,9 @@ impl SpatialAccelerator {
         }
         let d = self.prepare(lowered, rows, scratch)?;
         let mut sat = MacSaturation::default();
-        self.run_ops(lowered, 0..lowered.ops().len(), d, scratch, &mut sat)?;
-        let mut out = self.drain(lowered, d, scratch, sat);
+        let (inputs, ops, acc) = scratch.split(rows);
+        self.run_ops(lowered, 0..lowered.ops().len(), d, inputs, ops, acc, &mut sat)?;
+        let mut out = self.drain(lowered, d, acc, sat);
         if scratch.op.profiling {
             let profile = scratch.op.profile.take();
             emit_stage_spans(tracer, &profile);
@@ -478,18 +495,20 @@ impl SpatialAccelerator {
         scale: f32,
     ) -> Result<ExecutionOutput, SimError> {
         let lowered = LoweredPlan::lower(plan);
+        let rows = HeadRows::F32 { q, k, v, scale };
         let scratch = &mut ExecScratch::new();
-        let d = self.prepare(&lowered, HeadRows::F32 { q, k, v, scale }, scratch)?;
+        let d = self.prepare(&lowered, rows, scratch)?;
         let mut sat = MacSaturation::default();
+        let (inputs, ops, acc) = scratch.split(rows);
         for (i, pass) in plan.passes().iter().enumerate() {
-            self.array_pass_systolic(plan, pass, d, scratch, &mut sat)?;
-            self.run_ops(&lowered, lowered.pass_global_ops(i), d, scratch, &mut sat)?;
+            self.array_pass_systolic(plan, pass, d, inputs, acc, &mut sat)?;
+            self.run_ops(&lowered, lowered.pass_global_ops(i), d, inputs, ops, acc, &mut sat)?;
         }
-        self.run_ops(&lowered, lowered.supplemental_ops(), d, scratch, &mut sat)?;
-        Ok(self.drain(&lowered, d, scratch, sat))
+        self.run_ops(&lowered, lowered.supplemental_ops(), d, inputs, ops, acc, &mut sat)?;
+        Ok(self.drain(&lowered, d, acc, sat))
     }
 
-    /// Shape-checks the inputs and loads them into the scratch arenas.
+    /// Shape-checks the inputs and loads them ([`ExecScratch::load`]).
     fn prepare(
         &self,
         lowered: &LoweredPlan,
@@ -512,18 +531,21 @@ impl SpatialAccelerator {
         Ok(d)
     }
 
-    /// Executes a range of the lowered program through the group executor,
-    /// merged in place into the per-row accumulators. No allocation once
-    /// the scratch has been prepared for the program.
+    /// Executes a range of the lowered program through the group executor
+    /// over the head's quantized rows, merged in place into the per-row
+    /// accumulators. No allocation once the scratch has been prepared for
+    /// the program.
+    #[allow(clippy::too_many_arguments)] // the split scratch, spelled out
     fn run_ops(
         &self,
         lowered: &LoweredPlan,
         range: std::ops::Range<usize>,
         d: usize,
-        scratch: &mut ExecScratch,
+        [qq, kq, vq]: [&[Fix8x4]; 3],
+        bufs: &mut OpScratch,
+        acc: &mut [PartialRow],
         sat: &mut MacSaturation,
     ) -> Result<(), SimError> {
-        let ExecScratch { qq, kq, vq, op: op_scratch, acc, .. } = scratch;
         let resolve = |op: &LoweredOp| GroupOp {
             kind: op.kind,
             keys: lowered.op_keys(op),
@@ -531,7 +553,7 @@ impl SpatialAccelerator {
             slot: op.dest as usize,
         };
         let (tables, kv) = ((&*self.exp, &*self.recip), SliceKv { kq, vq, rows: lowered.n() });
-        run_ops_grouped(tables, &lowered.ops()[range], resolve, &kv, d, op_scratch, acc, sat)
+        run_ops_grouped(tables, &lowered.ops()[range], resolve, &kv, d, bufs, acc, sat)
     }
 
     /// One array pass via the event-accurate systolic model.
@@ -540,7 +562,8 @@ impl SpatialAccelerator {
         plan: &ExecutionPlan,
         pass: &Pass,
         d: usize,
-        scratch: &mut ExecScratch,
+        [qq, kq, vq]: [&[Fix8x4]; 3],
+        acc: &mut [PartialRow],
         sat: &mut MacSaturation,
     ) -> Result<(), SimError> {
         let comp = &plan.components()[pass.component];
@@ -566,7 +589,6 @@ impl SpatialAccelerator {
                 }
             }
         }
-        let ExecScratch { qq, kq, vq, acc, .. } = scratch;
         let queries: Vec<Option<&[Fix8x4]>> =
             row_query.iter().map(|qi| qi.map(|qi| ExecScratch::row(qq, qi, d))).collect();
         let key_of = |u: usize, vv: usize| {
@@ -589,37 +611,38 @@ impl SpatialAccelerator {
             let (Some(qi), Some(part)) = (row_query.get(u).copied().flatten(), part) else {
                 continue;
             };
-            merge_partials_into(&mut acc[qi], &part, &self.recip)?;
+            merge_partials_into(reached(&mut acc[qi]), &part, &self.recip)?;
         }
         Ok(())
     }
 
-    /// Drains the weighted-sum modules into the output buffer and builds
-    /// the report.
+    /// Drains the weighted-sum modules into the output — the 16-bit rows
+    /// and their `f32` values, written in one pass — and builds the report.
     fn drain(
         &self,
         lowered: &LoweredPlan,
         d: usize,
-        scratch: &ExecScratch,
+        acc: &[PartialRow],
         sat: MacSaturation,
     ) -> ExecutionOutput {
         let n = lowered.n();
-        let mut raw = Matrix::filled(n, d, Fix16x8::ZERO);
-        let mut weights = vec![0i64; n];
-        for (i, part) in scratch.acc.iter().enumerate() {
-            weights[i] = part.weight_q16;
-            for (r, &o) in raw.row_mut(i).iter_mut().zip(&part.out_q19) {
-                *r = Fix16x8::from_q19_acc(o);
-            }
+        let (mut raw, mut output) = (Vec::with_capacity(n * d), Vec::with_capacity(n * d));
+        let mut weights = Vec::with_capacity(n);
+        // A row at a time: its `f32` values are read back from L1.
+        for row in acc {
+            weights.push(drain_into(row, &mut raw));
+            output.extend(raw[raw.len() - d..].iter().map(|r| r.to_f32()));
         }
-
-        let timing = self.estimate_lowered(lowered, d, 1);
-        let output = raw.map(Fix16x8::to_f32);
+        const SHAPE: &str = "one row of d per accumulator";
         ExecutionOutput {
-            raw,
-            output,
+            raw: Matrix::from_vec(n, d, raw).expect(SHAPE),
+            output: Matrix::from_vec(n, d, output).expect(SHAPE),
             weights_q16: weights,
-            report: ExecutionReport { timing, saturation_events: sat.events, stages: None },
+            report: ExecutionReport {
+                timing: self.estimate_lowered(lowered, d, 1),
+                saturation_events: sat.events,
+                stages: None,
+            },
         }
     }
 
@@ -701,6 +724,43 @@ fn run_blocks<S: KvSource>(
     })
 }
 
+/// The weight of an accumulator no part has reached since the request
+/// began. No part carries it (a weight is a sum of exponentials), so the
+/// row's elements are whatever an earlier request left there: the first
+/// part writes them ([`reached`]), and a row that none reaches drains as
+/// zeros ([`drain_into`]).
+pub(crate) const UNREACHED: i64 = -1;
+
+/// `acc`, ready for a part: a row no part has reached yet is empty, and
+/// the merge writes it with the part.
+#[inline]
+fn reached(acc: &mut PartialRow) -> &mut PartialRow {
+    if acc.weight_q16 == UNREACHED {
+        acc.weight_q16 = 0;
+    }
+    acc
+}
+
+/// Appends an accumulator's row to `raw` in the 16-bit output format and
+/// returns its weight: zeros and zero for a row no part reached.
+pub(crate) fn drain_into(acc: &PartialRow, raw: &mut Vec<Fix16x8>) -> i64 {
+    if acc.weight_q16 == UNREACHED {
+        raw.extend(std::iter::repeat_n(Fix16x8::ZERO, acc.out_q19.len()));
+        return 0;
+    }
+    raw.extend(acc.out_q19.iter().map(|&o| Fix16x8::from_q19_acc(o)));
+    acc.weight_q16
+}
+
+/// The one key of a single-key op.
+#[inline]
+fn single_key(keys: OpKeys<'_>) -> usize {
+    match keys {
+        OpKeys::Run { first, .. } => first as usize,
+        OpKeys::Gather(keys) => keys[0] as usize,
+    }
+}
+
 /// One lowered op as the executor sees it, resolved by its caller: the
 /// keys, the query row and where the part is merged.
 #[derive(Clone, Copy)]
@@ -717,11 +777,14 @@ pub(crate) struct GroupOp<'a> {
 
 /// Stages 1–5 for a list of lowered ops, each merged into the accumulator
 /// `resolve` names for it: output-stationary dot products, exp/sum/
-/// reciprocal/normalize, weight-stationary value accumulation,
-/// weighted-sum merge — run stage-major over [`GROUP`] ops at a time
-/// (module docs). `ops` is however the caller lists its ops; `resolve`
-/// turns an entry into what the stages need and is called once per stage,
-/// inlined.
+/// reciprocal/normalize, weight-stationary value accumulation into the
+/// op's 32-bit part row, weighted-sum merge of that row into the `i64`
+/// accumulator ([`merge_part_into`]; an accumulator at [`UNREACHED`] is
+/// written by it) — run stage-major over [`GROUP`] ops at a time (module
+/// docs). A single-key global cell is one dot product, its weight, and
+/// `v_g` at probability one, with no chain. `ops` is however the caller
+/// lists its ops; `resolve` turns an entry into what the stages need and
+/// is called once per stage, inlined.
 ///
 /// This is the **single** arithmetic body executed by the prefill pass
 /// (`run_ops`), the systolic path's global duties and the decode step
@@ -759,9 +822,13 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
         // out-of-line call in a key loop spills the sweep's accumulators.)
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
             slot.scores.clear();
-            match op.keys {
+            match (op.kind, op.keys) {
+                // A global cell: one key, one dot product.
+                (LoweredOpKind::SingleKey, keys) => {
+                    slot.scores.push(qk_dot(op.q_row, kv.k_row(single_key(keys), d), sat));
+                }
                 // A run a block at a time; the sweep appends.
-                OpKeys::Run { first, stride, len } => {
+                (LoweredOpKind::Row, OpKeys::Run { first, stride, len }) => {
                     for (k, _, keys) in run_blocks(kv, (first, stride, len), d) {
                         qk_dot_rows(
                             op.q_row,
@@ -773,7 +840,7 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
                         );
                     }
                 }
-                OpKeys::Gather(keys) => qk_dot_rows(
+                (LoweredOpKind::Row, OpKeys::Gather(keys)) => qk_dot_rows(
                     op.q_row,
                     keys.len(),
                     #[inline(always)]
@@ -785,45 +852,59 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
         }
         timer.lap(&mut profile.qk_dot_ns);
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
-            slot.part.weight_q16 = match op.kind {
+            slot.weight_q16 = match op.kind {
                 // Stages 2-4: exp, row sum, reciprocal, normalize.
                 LoweredOpKind::Row => {
                     fixed_softmax_parts_into(&slot.scores, exp, recip, exps, &mut slot.probs)?.0
                 }
-                // A global PE column/row cell: weight `exp(s)`, output
-                // `v_g` at probability one.
-                LoweredOpKind::SingleKey => {
-                    slot.probs.clear();
-                    slot.probs.push(PROB_ONE);
-                    exp.eval_q8(slot.scores[0])
-                }
+                // A global PE column/row cell: weight `exp(s)`, its one key
+                // at probability one.
+                LoweredOpKind::SingleKey => exp.eval_q8(slot.scores[0]),
             };
         }
         timer.lap(&mut profile.exp_lut_ns);
-        // Stage 5: weight-stationary value accumulation.
+        // Stage 5: weight-stationary value accumulation, written over the
+        // slot's 32-bit part row.
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter_mut()) {
-            match op.keys {
-                // A run a block at a time, each block's keys added into the
-                // part: exact integer sums, regrouped (`sv_rows_mac_add`).
-                OpKeys::Run { first, stride, len } => {
-                    slot.part.out_q19.fill(0);
-                    let mut probs = &slot.probs[..];
-                    for (_, v, keys) in run_blocks(kv, (first, stride, len), d) {
-                        let (these, rest) = probs.split_at(keys);
-                        probs = rest;
-                        sv_rows_mac_add(
-                            these,
-                            #[inline(always)]
-                            |i| ExecScratch::row(v, i * stride as usize, d),
-                            &mut slot.part.out_q19,
-                        );
+            match (op.kind, op.keys) {
+                // `v_g` at probability one: the product a chain of one key
+                // would sum, with no chain.
+                (LoweredOpKind::SingleKey, keys) => {
+                    let v = kv.v_row(single_key(keys), d);
+                    for (o, &ve) in slot.part.iter_mut().zip(v) {
+                        *o = i32::from(PROB_ONE) * i32::from(ve.raw());
                     }
                 }
-                OpKeys::Gather(keys) => sv_rows_mac(
+                // A run a block at a time: the first block's keys written,
+                // each later block's added — exact integer sums, regrouped.
+                (LoweredOpKind::Row, OpKeys::Run { first, stride, len }) => {
+                    let mut probs = &slot.probs[..];
+                    for (piece, (_, v, keys)) in run_blocks(kv, (first, stride, len), d).enumerate()
+                    {
+                        let (these, rest) = probs.split_at(keys);
+                        probs = rest;
+                        if piece == 0 {
+                            sv_rows_mac(
+                                these,
+                                #[inline(always)]
+                                |i| ExecScratch::row(v, i * stride as usize, d),
+                                &mut slot.part,
+                            );
+                        } else {
+                            sv_rows_mac_add(
+                                these,
+                                #[inline(always)]
+                                |i| ExecScratch::row(v, i * stride as usize, d),
+                                &mut slot.part,
+                            );
+                        }
+                    }
+                }
+                (LoweredOpKind::Row, OpKeys::Gather(keys)) => sv_rows_mac(
                     &slot.probs,
                     #[inline(always)]
                     |i| kv.v_row(keys[i] as usize, d),
-                    &mut slot.part.out_q19,
+                    &mut slot.part,
                 ),
             }
         }
@@ -831,7 +912,7 @@ pub(crate) fn run_ops_grouped<'a, T, S: KvSource>(
         // The weighted-sum merges, in op order: what a destination
         // receives, and in which order, is what it received op by op.
         for (op, slot) in group.iter().map(&resolve).zip(slots.iter()) {
-            merge_partials_into(&mut accs[op.slot], &slot.part, recip)?;
+            merge_part_into(reached(&mut accs[op.slot]), slot.weight_q16, &slot.part, recip)?;
         }
         timer.lap(&mut profile.renorm_merge_ns);
         if *profiling {
@@ -869,7 +950,7 @@ mod tests {
     use super::*;
     use crate::KeySpan;
     use salo_kernels::Qkv;
-    use salo_patterns::{longformer, sliding_only};
+    use salo_patterns::{longformer, sliding_only, HybridPattern, Window};
     use salo_scheduler::HardwareMeta;
 
     impl SpatialAccelerator {
@@ -929,6 +1010,48 @@ mod tests {
             assert_eq!(reused.weights_q16, fresh.weights_q16);
             assert_eq!(reused.report.saturation_events, fresh.report.saturation_events);
         }
+    }
+
+    #[test]
+    fn rows_no_op_reaches_drain_as_zeros_after_a_larger_request() {
+        // Accumulators are written by their first part and never
+        // zero-filled. A scratch that has just served a larger request of
+        // the same `d` holds that request's rows; a plan whose last three
+        // rows no op reaches (each row attends three to six keys ahead)
+        // must still drain them as zeros, and equal a fresh scratch.
+        let (d, sim) = (8, accel(8, 8));
+        let hw = HardwareMeta::new(8, 8, 1, 1).unwrap();
+        let mut scratch = ExecScratch::new();
+        let big =
+            LoweredPlan::lower(&ExecutionPlan::build(&longformer(64, 11, 2).unwrap(), hw).unwrap());
+        let qkv = Qkv::random(64, d, 17);
+        let scale = SpatialAccelerator::default_scale(d);
+        let out = sim.execute_lowered(&big, &qkv.q, &qkv.k, &qkv.v, scale, &mut scratch).unwrap();
+        assert!(out.weights_q16.iter().all(|&w| w > 0), "the larger request reaches every row");
+
+        let n = 40;
+        let ahead =
+            HybridPattern::builder(n).window(Window::sliding(3, 6).unwrap()).build().unwrap();
+        let plan = ExecutionPlan::build(&ahead, hw).unwrap();
+        let lowered = LoweredPlan::lower(&plan);
+        let unreached = n - 3..n;
+        assert!(lowered.ops().iter().all(|op| !unreached.contains(&(op.dest as usize))));
+        let qkv = Qkv::random(n, d, 18);
+        let fresh = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+        let fixed = FixedQkv::quantize(&qkv);
+        let reused = [
+            sim.execute_lowered(&lowered, &qkv.q, &qkv.k, &qkv.v, scale, &mut scratch).unwrap(),
+            sim.execute_lowered_fixed(&lowered, &fixed, &mut scratch).unwrap(),
+        ];
+        for reused in reused {
+            assert_eq!(reused.raw, fresh.raw);
+            assert_eq!(reused.weights_q16, fresh.weights_q16);
+            for r in unreached.clone() {
+                assert!(reused.raw.row(r).iter().all(|&x| x == Fix16x8::ZERO), "row {r}");
+                assert_eq!(reused.weights_q16[r], 0, "row {r}");
+            }
+        }
+        assert!(fresh.weights_q16[..n - 3].iter().all(|&w| w > 0));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * **A differential suite** at d ∈ {8, 32, 48, 64, 128} — the dimensions
 //!   the kernel is instantiated at, one it is not, and the small one the
 //!   older proptests cover: lowered == systolic == paged decode vs causal
-//!   prefill, on window + global + block-sparse terms, on inputs that
+//!   prefill, on window + global + block-sparse terms and on patterns
+//!   whose ops are mostly single-key global cells, on inputs that
 //!   saturate `Fix8x4`, clamp the exp domain on both sides and drive one
 //!   key to the top of the probability range (32768 itself through the
 //!   single-key global ops). The `SystolicArray` oracle is built from the scalar primitives
@@ -26,7 +27,8 @@ use salo_fixed::{
 };
 use salo_kernels::{gaussian_matrix, Matrix, Qkv};
 use salo_patterns::{
-    bigbird, longformer, vil_stage, BlockLayout, HybridPattern, PatternTerm, Window,
+    bigbird, longformer, star_transformer, vil_stage, BlockLayout, HybridPattern, PatternTerm,
+    Window,
 };
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
 use salo_sim::{
@@ -370,6 +372,43 @@ fn prefill_paths_agree_at_serving_dimensions() {
                 let what = format!("{name} d={d} {kind}");
                 assert_prefill_paths_agree(&sim, pattern, heads, &mut scratch, &what);
             }
+        }
+    }
+}
+
+#[test]
+fn many_global_cells_agree_at_serving_dimensions() {
+    // Star-Transformer's relay beside a trigram window, and a global
+    // token every fourth position: single-key global cells — each one
+    // dot product and `v_g` at probability one, no stage-5 chain — are
+    // most of the ops or a third of them, not a sprinkle.
+    let n = 72;
+    let sim = accel(hw(8, 8));
+    let mut scratch = ExecScratch::new();
+    let every_fourth = HybridPattern::builder(n)
+        .window(Window::symmetric(5).expect("window"))
+        .global_tokens((0..n).step_by(4))
+        .build()
+        .expect("pattern");
+    let patterns =
+        [("star", star_transformer(n).expect("pattern"), 3), ("every 4th", every_fourth, 2)];
+    for (name, pattern, share) in &patterns {
+        let lowered = LoweredPlan::lower(&ExecutionPlan::build(pattern, hw(8, 8)).expect("plan"));
+        let cells = lowered.ops().iter().filter(|op| op.kind == LoweredOpKind::SingleKey).count();
+        assert!(
+            cells * share > lowered.ops().len(),
+            "{name}: {cells} cells of {} ops",
+            lowered.ops().len()
+        );
+        for d in [32, 48, 64, 128] {
+            let heads = [Qkv::random(n, d, 61), spike_qkv(n, d, 62, 4)];
+            assert_prefill_paths_agree(
+                &sim,
+                pattern,
+                &heads,
+                &mut scratch,
+                &format!("{name} d={d}"),
+            );
         }
     }
 }
