@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use salo_fixed::Fix16x8;
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{
     DecodePlan, DecodeState, ExecScratch, ExecutionOutput, FixedQkv, FixedStep, KvPagePool,
@@ -23,7 +24,7 @@ use crate::engine::{
     Engine, FixedToken, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
     SessionId, SessionOpened, StepResult, Telemetry, TokenQkv,
 };
-use crate::{salo::compile_with, CompiledPlan, SaloError};
+use crate::{salo::compile_with, CompiledPlan, MultiHeadRun, SaloError};
 
 /// [`LoweredEngine`]'s [`Engine::name`], in its telemetry and errors.
 const NAME: &str = "lowered";
@@ -188,6 +189,39 @@ impl LoweredEngine {
         let shape = AttentionShape::new(causal.n(), 1, 1)?;
         let compiled = compile_with(self.accel.config().hw, &causal, &shape)?;
         compiled.decode_plan()
+    }
+
+    /// Runs a layer's quantized heads through the lowered datapath, head
+    /// after head on the calling thread, as the one PE array runs a
+    /// layer's passes in order: the prefill every
+    /// [`AttentionRequest::PrefillFixed`] is, and what a serving worker
+    /// calls directly. The heads come back as the datapath's raw rows,
+    /// weights and reports.
+    ///
+    /// # Errors
+    ///
+    /// A head count or head shape that disagrees with `shape`, a plan
+    /// that cannot be resolved for it, or a simulator failure.
+    pub fn prefill(
+        &mut self,
+        pattern: &PatternHandle,
+        shape: &AttentionShape,
+        heads: &[FixedQkv],
+    ) -> Result<MultiHeadRun, SaloError> {
+        let tracer = salo_trace::Tracer::global();
+        let _span = tracer.span_with("engine.prefill", "engine", heads.len() as u64);
+        check_prefill_heads(shape, heads)?;
+        let plan = self.resolve_prefill_plan(pattern, shape)?;
+        // Stage profiling follows the tracer switch: one relaxed load per
+        // request, zero per-op cost when off.
+        self.scratch.set_profiling(tracer.enabled());
+        let heads = heads
+            .iter()
+            .map(|h| self.accel.execute_lowered_fixed(&plan.lowered, h, &mut self.scratch))
+            .collect::<Result<Vec<_>, _>>()?;
+        let total_time_s = heads.iter().map(|h| h.report.timing.time_s).sum();
+        let total_energy_j = heads.iter().map(|h| h.report.timing.energy_j).sum();
+        Ok(MultiHeadRun { heads, total_time_s, total_energy_j })
     }
 
     fn open(
@@ -417,10 +451,11 @@ fn quantize_token(token: &[TokenQkv]) -> Vec<FixedToken> {
 }
 
 /// Converts a simulator [`ExecutionOutput`] into the backend-neutral
-/// [`HeadOutput`] (every fixed-point artifact present).
+/// [`HeadOutput`] (every fixed-point artifact present): the one place a
+/// prefill's raw rows are dequantized to `f32`.
 fn fixed_head_output(out: ExecutionOutput) -> HeadOutput {
     HeadOutput {
-        output: out.output,
+        output: out.raw.map(Fix16x8::to_f32),
         raw: Some(out.raw),
         weights_q16: Some(out.weights_q16),
         report: Some(out.report),
@@ -428,10 +463,10 @@ fn fixed_head_output(out: ExecutionOutput) -> HeadOutput {
 }
 
 /// Converts a simulator [`StepOutput`] into the backend-neutral
-/// [`HeadStep`].
+/// [`HeadStep`]: the one place a step's raw row is dequantized to `f32`.
 fn fixed_head_step(out: StepOutput) -> HeadStep {
     HeadStep {
-        output: out.output,
+        output: out.raw.iter().map(|&r| r.to_f32()).collect(),
         raw: Some(out.raw),
         weight_q16: Some(out.weight_q16),
         saturation_events: out.saturation_events,
@@ -464,22 +499,10 @@ impl Engine for LoweredEngine {
                 self.execute(AttentionRequest::PrefillFixed { pattern, shape, heads })
             }
             AttentionRequest::PrefillFixed { pattern, shape, heads } => {
-                let _span = tracer.span_with("engine.prefill", "engine", heads.len() as u64);
-                check_prefill_heads(&shape, &heads)?;
-                let plan = self.resolve_prefill_plan(&pattern, &shape)?;
-                // Stage profiling follows the tracer switch: one relaxed
-                // load per request, zero per-op cost when off.
-                self.scratch.set_profiling(tracer.enabled());
-                // Head after head on the calling thread, as the one PE
-                // array runs a layer's passes in order.
-                let outputs = heads
-                    .iter()
-                    .map(|h| self.accel.execute_lowered_fixed(&plan.lowered, h, &mut self.scratch))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let telemetry = Self::prefill_telemetry(&outputs);
+                let run = self.prefill(&pattern, &shape, &heads)?;
                 Ok(AttentionResponse::Prefill(PrefillOutput {
-                    heads: outputs.into_iter().map(fixed_head_output).collect(),
-                    telemetry,
+                    telemetry: Self::prefill_telemetry(&run.heads),
+                    heads: run.heads.into_iter().map(fixed_head_output).collect(),
                 }))
             }
             AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {

@@ -56,7 +56,7 @@ use salo_kernels::{Matrix, Qkv};
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{ExecutionReport, FixedQkv, SpatialAccelerator};
 
-use crate::{CompiledPlan, MultiHeadRun, Salo, SaloError};
+use crate::{CompiledPlan, Salo, SaloError};
 
 pub use fixed::LoweredEngine;
 
@@ -318,7 +318,12 @@ pub struct Telemetry {
 /// One head's prefill output in backend-neutral form.
 ///
 /// Every backend fills `output`; the fixed-point artifacts (`raw`,
-/// `weights_q16`, `report`) are `None` on float backends.
+/// `weights_q16`, `report`) are `None` on float backends. On the
+/// fixed-point engine `output` is `raw` dequantized, built here, at the
+/// [`Engine`] view, and nowhere below it: the datapath's own result
+/// ([`MultiHeadRun`](crate::MultiHeadRun), from
+/// [`LoweredEngine::prefill`](crate::LoweredEngine::prefill)) carries the
+/// raw rows only.
 #[derive(Debug, Clone)]
 pub struct HeadOutput {
     /// The attention output, dequantized to `f32` (or computed in float).
@@ -338,37 +343,6 @@ pub struct PrefillOutput {
     pub heads: Vec<HeadOutput>,
     /// Aggregate execution telemetry.
     pub telemetry: Telemetry,
-}
-
-impl PrefillOutput {
-    /// Converts to [`MultiHeadRun`], the fixed-point-only form with no
-    /// `Option` per artifact — the serving runtime's response type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SaloError::Unsupported`] when the producing backend did
-    /// not emit the fixed-point artifacts (`raw`, `weights_q16`,
-    /// `report`) that type requires.
-    pub fn into_multi_head_run(self) -> Result<MultiHeadRun, SaloError> {
-        let engine = self.telemetry.engine;
-        let heads = self
-            .heads
-            .into_iter()
-            .map(|h| match (h.raw, h.weights_q16, h.report) {
-                (Some(raw), Some(weights_q16), Some(report)) => {
-                    Ok(salo_sim::ExecutionOutput { raw, output: h.output, weights_q16, report })
-                }
-                _ => Err(SaloError::Unsupported {
-                    engine,
-                    reason: "backend emits no fixed-point artifacts; MultiHeadRun needs them"
-                        .into(),
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let total_time_s = heads.iter().map(|o| o.report.timing.time_s).sum();
-        let total_energy_j = heads.iter().map(|o| o.report.timing.energy_j).sum();
-        Ok(MultiHeadRun { heads, total_time_s, total_energy_j })
-    }
 }
 
 /// The response to an [`AttentionRequest::DecodeOpen`].

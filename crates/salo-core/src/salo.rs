@@ -72,11 +72,10 @@ impl CompiledPlan {
     }
 }
 
-/// A layer's heads in fixed-point form: every head carries its raw
+/// A layer's heads as the datapath emits them: every head is its raw
 /// 16-bit rows, Q.16 softmax weights and simulator report, with no
-/// `Option` to unwrap. The serving runtime's response type — built from a
-/// fixed-point engine's [`PrefillOutput`](crate::PrefillOutput) by
-/// [`into_multi_head_run`](crate::PrefillOutput::into_multi_head_run).
+/// `Option` to unwrap and no `f32` copy. The serving runtime's response
+/// type, returned by [`LoweredEngine::prefill`](crate::LoweredEngine::prefill).
 #[derive(Debug, Clone)]
 pub struct MultiHeadRun {
     /// Per-head execution outputs.

@@ -661,11 +661,7 @@ fn on_event(inner: &Inner, event: ServeEvent, out: &mut Vec<Reply>) {
                     heads: run
                         .heads
                         .into_iter()
-                        .map(|h| EngineHead {
-                            output: h.output,
-                            raw: h.raw,
-                            weights_q16: h.weights_q16,
-                        })
+                        .map(|h| EngineHead { raw: h.raw, weights_q16: h.weights_q16 })
                         .collect(),
                 },
                 Err(e) => serve_error(&e),

@@ -371,10 +371,10 @@ pub enum Response {
 
 /// One head of an [`Outgoing::PrefillDone`]: a [`PrefillHead`] whose raw
 /// rows are still the engine's [`Fix16x8`] — on the wire the same two
-/// bytes as the `i16` a client decodes them into.
+/// bytes as the `i16` a client decodes them into. Its output is those
+/// rows dequantized, so it carries none and writes output tag 0.
 #[derive(Debug)]
 pub(crate) struct EngineHead {
-    pub output: Matrix<f32>,
     pub raw: Matrix<Fix16x8>,
     pub weights_q16: Vec<i64>,
 }
@@ -1046,10 +1046,10 @@ impl Wire for AttentionShape {
 
 wire!(FixedToken, 12 { q, k, v });
 
-/// `output`, unless it is `raw` dequantized bit for bit — what the
-/// fixed-point engine answers with — in which case the wire leaves it out
+/// `output`, unless it is `raw` dequantized bit for bit — as a step's row
+/// from the fixed-point engine is — in which case the wire leaves it out
 /// and the decoder rebuilds it. On the wire it is an `Option`: `None` is
-/// "the raw rows, dequantized".
+/// "the raw rows, dequantized". An [`EngineHead`] has no output to compare.
 fn explicit_output<'a, T: Raw16>(output: &'a [f32], raw: Option<&[T]>) -> Option<&'a [f32]> {
     let derived = raw.is_some_and(|raw| {
         raw.len() == output.len()
@@ -1122,25 +1122,35 @@ fn decode_step<R: BufRead, T: Raw16>(d: &mut Dec<R>) -> Result<Step<T>, WireErro
     Ok((output, raw, weight_q16, saturation_events))
 }
 
-/// The client's and the engine's heads, one wire form each for both.
-macro_rules! head_wire {
-    ($($ty:ident),*) => {$(
-        impl Wire for $ty {
-            // A matrix header, a weight count and an output tag.
-            const MIN: usize = 13;
+impl Wire for PrefillHead {
+    // A matrix header, a weight count and an output tag.
+    const MIN: usize = 13;
 
-            fn encode(&self, e: &mut Enc<'_>) {
-                encode_head(&self.output, &self.raw, &self.weights_q16, e);
-            }
+    fn encode(&self, e: &mut Enc<'_>) {
+        encode_head(&self.output, &self.raw, &self.weights_q16, e);
+    }
 
-            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-                let (output, raw, weights_q16) = decode_head(d)?;
-                Ok($ty { output, raw, weights_q16 })
-            }
-        }
-    )*};
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let (output, raw, weights_q16) = decode_head(d)?;
+        Ok(PrefillHead { output, raw, weights_q16 })
+    }
 }
-head_wire!(PrefillHead, EngineHead);
+
+/// A [`PrefillHead`]'s form, with the output tag always 0.
+impl Wire for EngineHead {
+    const MIN: usize = PrefillHead::MIN;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        self.raw.encode(e);
+        e.seq(&self.weights_q16);
+        e.u8(0);
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let (_, raw, weights_q16) = decode_head(d)?;
+        Ok(EngineHead { raw, weights_q16 })
+    }
+}
 
 macro_rules! step_wire {
     ($($ty:ident),*) => {$(
@@ -1600,13 +1610,15 @@ mod tests {
 
     /// The gateway's replies are written from the engine's own rows; the
     /// frame is the one the client-side `Response` of the same values
-    /// encodes to, appended where the caller is gathering.
+    /// encodes to, appended where the caller is gathering. An engine head
+    /// is its raw rows: its output is their dequantized values, sent as
+    /// output tag 0.
     #[test]
     fn engine_rows_encode_to_the_frame_their_response_does() {
         let header = Header { tenant: 1, request_id: 2 };
         let raw = [128, -7, i16::MIN, i16::MAX];
         let fixed = raw.map(Fix16x8::from_raw).to_vec();
-        let output = Matrix::from_vec(2, 2, vec![0.5, -0.5, f32::MIN_POSITIVE, 3.25]).unwrap();
+        let output = Matrix::from_vec(2, 2, fixed.iter().map(|r| r.to_f32()).collect()).unwrap();
         let step = HeadStep {
             output: vec![0.5, -0.5],
             raw: Some(fixed.clone()),
@@ -1617,7 +1629,6 @@ mod tests {
             (
                 Outgoing::PrefillDone {
                     heads: vec![EngineHead {
-                        output: output.clone(),
                         raw: Matrix::from_vec(2, 2, fixed).unwrap(),
                         weights_q16: vec![1 << 16, 3],
                     }],
@@ -1646,6 +1657,11 @@ mod tests {
             expected.extend_from_slice(&encode_response(header, response));
         }
         assert_eq!(gathered, expected);
+        // The prefill frame's last head ends in its output tag, then the
+        // two `f64` totals.
+        let mut prefill = Vec::new();
+        encode_outgoing_into(&mut prefill, header, &pairs[0].0);
+        assert_eq!(prefill[prefill.len() - 17], 0, "the engine head's output tag");
     }
 
     /// At `d = 2` a reply row costs 12 bytes against its request row's 6:
@@ -1656,7 +1672,6 @@ mod tests {
         let (rows, dim) = (MAX_FRAME_LEN / 12 + 1, 2);
         assert!(3 * dim * rows < MAX_FRAME_LEN, "the request's rows fit");
         let head = EngineHead {
-            output: Matrix::zeros(rows, dim),
             raw: Matrix::from_vec(rows, dim, vec![Fix16x8::from_raw(0); rows * dim]).unwrap(),
             weights_q16: vec![1 << 16; rows],
         };

@@ -1,6 +1,6 @@
 //! Exact sparse attention restricted to a hybrid pattern.
 
-use salo_fixed::softmax_f64;
+use salo_fixed::{quantize_iter, softmax_f64, Fix8x4};
 use salo_kernels::{KernelError, Matrix, Qkv};
 use salo_patterns::HybridPattern;
 
@@ -33,6 +33,39 @@ pub fn sparse_attention(
         attend_row(q.row(i), &keys, k.as_slice(), v.as_slice(), scale, out.row_mut(i));
     }
     Ok(out)
+}
+
+/// How far the fixed-point datapath's output may stray from
+/// [`on_grid_attention`]: the error of the datapath itself (exponential
+/// and reciprocal LUT steps, Q.19 merges, 16-bit output rows), with the
+/// input format's error taken out. Measured: the largest of the 63
+/// comparisons in the root `scheduler_sim` and `end_to_end` suites
+/// (d = 4 to 16, presets and 48 random patterns) is 0.0239, so 0.05 is a
+/// margin of 2.1×. The `f32`-reference bounds beside them are 0.3 to 0.4.
+pub const ON_GRID_BOUND: f32 = 0.05;
+
+/// [`sparse_attention`] on the inputs as the datapath holds them: `q`
+/// quantized with `scale` folded in, `k` and `v` quantized (the load's
+/// rounding, [`quantize_iter`]), all three dequantized, and scale 1.
+/// Against the datapath it measures the datapath's own error
+/// ([`ON_GRID_BOUND`]); against [`sparse_attention`] on the `f32` inputs,
+/// the input format's.
+///
+/// # Errors
+///
+/// As [`sparse_attention`].
+pub fn on_grid_attention(
+    pattern: &HybridPattern,
+    q: &Matrix<f32>,
+    k: &Matrix<f32>,
+    v: &Matrix<f32>,
+    scale: f32,
+) -> Result<Matrix<f32>, KernelError> {
+    let on_grid = |m: &Matrix<f32>, scale: f32| {
+        let values = quantize_iter(m.as_slice(), scale).map(Fix8x4::to_f32).collect();
+        Matrix::from_vec(m.rows(), m.cols(), values)
+    };
+    sparse_attention(pattern, &on_grid(q, scale)?, &on_grid(k, 1.0)?, &on_grid(v, 1.0)?, 1.0)
 }
 
 /// One query row of exact sparse attention, added into `out`: softmax over

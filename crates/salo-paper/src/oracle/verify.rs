@@ -9,6 +9,7 @@
 //! report; `examples/custom_pattern.rs` shows the workflow.
 
 use salo_core::{CompiledPlan, Salo, SaloError};
+use salo_fixed::Fix16x8;
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
 use salo_scheduler::verify_coverage;
@@ -88,7 +89,7 @@ pub fn validate(
         &mut salo_sim::ExecScratch::new(),
     )?;
     let reference = sparse_attention(pattern, &head.q, &head.k, &head.v, scale)?;
-    let max_abs_error = out.output.max_abs_diff(&reference);
+    let max_abs_error = out.raw.map(Fix16x8::to_f32).max_abs_diff(&reference);
 
     // 3. Physical.
     let buffers = BufferAnalysis::analyze(salo.config(), &compiled.plan, compiled.shape.head_dim);

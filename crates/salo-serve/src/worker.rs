@@ -58,7 +58,7 @@ use std::time::Instant;
 
 use salo_core::{
     AttentionRequest, CompiledPlan, Engine, FixedQkv, FixedToken, LoweredEngine, MultiHeadRun,
-    PatternHandle, PrefillOutput, Salo,
+    PatternHandle, Salo,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
@@ -658,11 +658,7 @@ impl Worker {
         let compiled = compiled_now(&resolved);
         let result = resolved.and_then(|(plan, _)| {
             let pattern = PatternHandle::new(Arc::new(pattern), plan);
-            self.engine
-                .execute(AttentionRequest::PrefillFixed { pattern, shape, heads })
-                .and_then(|r| r.into_prefill())
-                .and_then(PrefillOutput::into_multi_head_run)
-                .map_err(ServeError::from)
+            self.engine.prefill(&pattern, &shape, &heads).map_err(ServeError::from)
         });
         if let Some(plan) = compiled {
             self.metrics.plan_compiled(&plan);

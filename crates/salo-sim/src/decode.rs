@@ -877,15 +877,14 @@ impl FixedQkv {
 }
 
 /// The output of one decode step: position `t`'s attention row in the
-/// same formats the prefill reports per row.
+/// format the prefill reports per row — the 16-bit row and its weight,
+/// nothing derived from them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepOutput {
     /// The position this step produced.
     pub position: usize,
     /// Output row in the 16-bit accelerator format.
     pub raw: Vec<Fix16x8>,
-    /// The row dequantized to `f32`.
-    pub output: Vec<f32>,
     /// The row's softmax weight `W = Σ exp` (Q.16).
     pub weight_q16: i64,
     /// MAC saturation events attributed to this token (its own ops plus
@@ -1222,7 +1221,6 @@ impl SpatialAccelerator {
         state.sat.merge(sat);
         Ok(step.map(|(raw, weight_q16)| StepOutput {
             position: t,
-            output: raw.iter().map(|&r| Fix16x8::to_f32(r)).collect(),
             raw,
             weight_q16,
             saturation_events: sat.events,

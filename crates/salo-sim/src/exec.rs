@@ -79,13 +79,13 @@ pub struct SpatialAccelerator {
     recip: Arc<RecipUnit>,
 }
 
-/// The result of a functional execution.
+/// The result of a functional execution: the rows the weighted-sum
+/// modules emit, in their 16-bit format, and nothing derived from them —
+/// a caller that wants `f32` values dequantizes `raw` itself.
 #[derive(Debug, Clone)]
 pub struct ExecutionOutput {
     /// Attention output in the 16-bit accelerator format.
     pub raw: Matrix<Fix16x8>,
-    /// The output dequantized to `f32`.
-    pub output: Matrix<f32>,
     /// Final per-row softmax weights (Q.16) accumulated by the
     /// weighted-sum modules.
     pub weights_q16: Vec<i64>,
@@ -617,7 +617,7 @@ impl SpatialAccelerator {
     }
 
     /// Drains the weighted-sum modules into the output — the 16-bit rows
-    /// and their `f32` values, written in one pass — and builds the report.
+    /// and their weights — and builds the report.
     fn drain(
         &self,
         lowered: &LoweredPlan,
@@ -626,17 +626,10 @@ impl SpatialAccelerator {
         sat: MacSaturation,
     ) -> ExecutionOutput {
         let n = lowered.n();
-        let (mut raw, mut output) = (Vec::with_capacity(n * d), Vec::with_capacity(n * d));
-        let mut weights = Vec::with_capacity(n);
-        // A row at a time: its `f32` values are read back from L1.
-        for row in acc {
-            weights.push(drain_into(row, &mut raw));
-            output.extend(raw[raw.len() - d..].iter().map(|r| r.to_f32()));
-        }
-        const SHAPE: &str = "one row of d per accumulator";
+        let mut raw = Vec::with_capacity(n * d);
+        let weights = acc.iter().map(|row| drain_into(row, &mut raw)).collect();
         ExecutionOutput {
-            raw: Matrix::from_vec(n, d, raw).expect(SHAPE),
-            output: Matrix::from_vec(n, d, output).expect(SHAPE),
+            raw: Matrix::from_vec(n, d, raw).expect("one row of d per accumulator"),
             weights_q16: weights,
             report: ExecutionReport {
                 timing: self.estimate_lowered(lowered, d, 1),

@@ -74,8 +74,8 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (result, ALLOCATIONS.load(Relaxed) - before)
 }
 
-/// What a call may allocate for its result (the output matrices and
-/// weights of a prefill, the two rows of a step) with room for a trace
+/// What a call may allocate for its result (a prefill's one raw output
+/// matrix and its weights, a step's one raw row) with room for a trace
 /// buffer growing under `SALO_TRACE=1` — and nothing that scales with ops.
 const RESULT_BLOCKS: usize = 8;
 

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "  step {t:>4}: weight {:.2}, out[0] {:+.4}",
                 step.weight_q16 as f64 / 65536.0,
-                step.output[0]
+                step.raw[0].to_f32()
             );
         }
     }

@@ -59,7 +59,7 @@ pub mod fixed {
 /// fixed-point golden model are [`salo_paper`]'s.
 pub mod kernels {
     pub use salo_kernels::*;
-    pub use salo_paper::oracle::sparse_attention;
+    pub use salo_paper::oracle::{on_grid_attention, sparse_attention, ON_GRID_BOUND};
     pub use salo_paper::{
         dense_attention, fixed_sparse_attention, FixedAttention, FixedAttentionOutput,
     };

@@ -239,6 +239,14 @@ const GUARDS: &[Guard] = &[
         }]),
     },
     Guard {
+        reason: "a datapath head is its raw rows: the simulator builds no f32 copy of an output, \
+                 and a served prefill reaches the worker without a conversion",
+        check: Check::Absent(&[
+            Grep { src_only: true, ..grep(&["to_f32"], &["crates/salo-sim/src"]) },
+            grep(&["into_multi_head_run"], SOURCES),
+        ]),
+    },
+    Guard {
         reason: "one request runs on its worker's thread: nothing below a serve worker spawns a \
                  thread",
         check: Check::Absent(&[grep(
@@ -687,9 +695,9 @@ fn a_src_only_guard_stops_at_the_first_test_module() {
     let src_only: Vec<&Grep> = parts.flatten().filter(|part| part.src_only).collect();
     assert_eq!(
         src_only.len(),
-        6,
+        7,
         "read_frame in gateway.rs, the worker's Qkv, the door's quantize, max_batch, the served \
-         crates' oracles, the executor's part rows"
+         crates' oracles, the executor's part rows, the simulator's to_f32"
     );
     for part in src_only {
         let path = planted_path(part);

@@ -16,35 +16,23 @@ fn small_salo() -> Salo {
     Salo::new(config)
 }
 
-/// Causal-prefill oracle through the engine API: executes a compiled
-/// causal plan on one head, returning the simulator-shaped output the
-/// bit-identity assertions compare against. The prefill path streams K/V
-/// from contiguous arenas, so this is also the *contiguous* baseline the
-/// paged decode states are pinned against below.
+/// Causal-prefill oracle through the engine: executes a compiled causal
+/// plan on one head and returns the simulator's output the bit-identity
+/// assertions compare against. The prefill path streams K/V from
+/// contiguous arenas, so this is also the *contiguous* baseline the paged
+/// decode states are pinned against below.
 fn prefill_oracle(
     salo: &Salo,
     compiled: std::sync::Arc<salo::core::CompiledPlan>,
     qkv: &Qkv,
 ) -> salo::sim::ExecutionOutput {
-    use salo::core::{AttentionRequest, Engine, PatternHandle};
+    use salo::core::{FixedQkv, PatternHandle};
     let shape = compiled.shape;
-    let mut engine = salo.engine();
-    let out = engine
-        .execute(AttentionRequest::Prefill {
-            pattern: PatternHandle::from_plan(compiled),
-            shape,
-            heads: vec![qkv.clone()],
-        })
-        .unwrap()
-        .into_prefill()
+    let run = salo
+        .engine()
+        .prefill(&PatternHandle::from_plan(compiled), &shape, &[FixedQkv::quantize(qkv)])
         .unwrap();
-    let h = out.heads.into_iter().next().unwrap();
-    salo::sim::ExecutionOutput {
-        raw: h.raw.unwrap(),
-        output: h.output,
-        weights_q16: h.weights_q16.unwrap(),
-        report: h.report.unwrap(),
-    }
+    run.heads.into_iter().next().unwrap()
 }
 
 /// Deterministic pattern-parameter stream (tiny xorshift; no external

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use salo::core::{AttentionRequest, Engine, PatternHandle, ReferenceEngine, Salo};
-use salo::kernels::{sparse_attention, Qkv};
+use salo::kernels::{on_grid_attention, sparse_attention, Matrix, Qkv, ON_GRID_BOUND};
 use salo::patterns::{
     bigbird, grid_2d, longformer, sparse_transformer, star_transformer, AttentionShape, DenseMask,
     FitConfig, HybridPattern, Window,
@@ -16,6 +16,12 @@ fn small_salo() -> Salo {
     let config =
         AcceleratorConfig { hw: HardwareMeta::new(8, 8, 1, 1).unwrap(), ..Default::default() };
     Salo::new(config)
+}
+
+/// [`on_grid_attention`] on one head at the engine's scale.
+fn on_grid(pattern: &HybridPattern, head: &Qkv) -> Matrix<f32> {
+    let scale = 1.0 / (head.head_dim() as f32).sqrt();
+    on_grid_attention(pattern, &head.q, &head.k, &head.v, scale).expect("on grid")
 }
 
 fn check_pattern(pattern: &HybridPattern, d: usize, seed: u64, tolerance: f32) {
@@ -33,6 +39,9 @@ fn check_pattern(pattern: &HybridPattern, d: usize, seed: u64, tolerance: f32) {
     let exact = sparse_attention(pattern, &head.q, &head.k, &head.v, scale).expect("reference");
     let diff = out.heads[0].output.max_abs_diff(&exact);
     assert!(diff < tolerance, "diff {diff} over tolerance {tolerance}");
+    let on_grid = on_grid_attention(pattern, &head.q, &head.k, &head.v, scale).expect("on grid");
+    let diff = out.heads[0].output.max_abs_diff(&on_grid);
+    assert!(diff < ON_GRID_BOUND, "diff vs on-grid reference {diff}");
     assert_eq!(out.telemetry.saturation_events, 0, "no saturation on unit-normal inputs");
 }
 
@@ -75,12 +84,14 @@ fn multi_head_layer_matches_reference() {
     let mut engine = salo.engine();
     let handle = engine.prepare(&pattern, &shape).unwrap();
     let heads = Qkv::random_heads(&shape, 33);
-    let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
+    let request = AttentionRequest::Prefill { pattern: handle, shape, heads: heads.clone() };
     let run = engine.execute(request.clone()).unwrap().into_prefill().unwrap();
     let reference = ReferenceEngine::new().execute(request).unwrap().into_prefill().unwrap();
     for (h, (ours, exact)) in run.heads.iter().zip(&reference.heads).enumerate() {
         let diff = ours.output.max_abs_diff(&exact.output);
         assert!(diff < 0.35, "head {h} diff {diff}");
+        let diff = ours.output.max_abs_diff(&on_grid(&pattern, &heads[h]));
+        assert!(diff < ON_GRID_BOUND, "head {h} diff vs on-grid reference {diff}");
     }
     // Layer latency = sum of head latencies; energy likewise.
     let per_head: f64 = run.heads.iter().map(|h| h.report.as_ref().unwrap().timing.time_s).sum();
@@ -108,11 +119,13 @@ fn end_to_end_matches_reference() {
 
     let mut reference = ReferenceEngine::new();
     let handle = reference.prepare(&pattern, &shape).unwrap();
-    let request = AttentionRequest::Prefill { pattern: handle, shape, heads };
+    let request = AttentionRequest::Prefill { pattern: handle, shape, heads: heads.clone() };
     let reference = reference.execute(request).unwrap().into_prefill().unwrap();
-    for (ours, exact) in run.heads.iter().zip(&reference.heads) {
+    for ((ours, exact), head) in run.heads.iter().zip(&reference.heads).zip(&heads) {
         let diff = ours.output.max_abs_diff(&exact.output);
         assert!(diff < 0.3, "head diff {diff}");
+        let diff = ours.output.max_abs_diff(&on_grid(&pattern, head));
+        assert!(diff < ON_GRID_BOUND, "head diff vs on-grid reference {diff}");
     }
     assert!(run.telemetry.sim_time_s.unwrap() > 0.0);
     assert!(run.telemetry.sim_energy_j.unwrap() > 0.0);
@@ -135,6 +148,8 @@ fn single_head_consistency_with_sparse_reference() {
     let scale = 1.0 / (8f32).sqrt();
     let exact = sparse_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
     assert!(out.heads[0].output.max_abs_diff(&exact) < 0.3);
+    let on_grid = on_grid_attention(&pattern, &head.q, &head.k, &head.v, scale).unwrap();
+    assert!(out.heads[0].output.max_abs_diff(&on_grid) < ON_GRID_BOUND);
 }
 
 #[test]

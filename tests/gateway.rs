@@ -78,7 +78,7 @@ fn assert_wire_step_is(position: u64, heads: &[WireHeadStep], reference: &StepOu
     assert_eq!(head.raw.as_deref(), Some(raw.as_slice()), "raw row diverged");
     assert_eq!(head.weight_q16, Some(reference.weight_q16), "weight diverged");
     let wire_bits: Vec<u32> = head.output.iter().map(|x| x.to_bits()).collect();
-    let reference_bits: Vec<u32> = reference.output.iter().map(|x| x.to_bits()).collect();
+    let reference_bits: Vec<u32> = reference.raw.iter().map(|r| r.to_f32().to_bits()).collect();
     assert_eq!(wire_bits, reference_bits, "f32 output bits diverged");
 }
 
@@ -602,7 +602,8 @@ fn pipelined_sessions_fuse_behind_the_socket_and_stay_bit_identical() {
             assert_eq!(heads[0].raw.as_deref(), Some(raw.as_slice()), "session {index}: raw row");
             assert_eq!(heads[0].weight_q16, Some(reference.weight_q16), "session {index}: weight");
             let wire_bits: Vec<u32> = heads[0].output.iter().map(|x| x.to_bits()).collect();
-            let reference_bits: Vec<u32> = reference.output.iter().map(|x| x.to_bits()).collect();
+            let reference_bits: Vec<u32> =
+                reference.raw.iter().map(|r| r.to_f32().to_bits()).collect();
             assert_eq!(wire_bits, reference_bits, "session {index}: f32 output bits");
         }
     };

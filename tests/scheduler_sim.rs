@@ -2,8 +2,10 @@
 //! window-splitting equivalence, the reordering path, and the simulator
 //! against the exact `f32` reference.
 
-use salo::fixed::{merge_partials, PartialRow, RecipUnit};
-use salo::kernels::{fixed_sparse_attention, sparse_attention, FixedAttention, Qkv};
+use salo::fixed::{merge_partials, Fix16x8, PartialRow, RecipUnit};
+use salo::kernels::{
+    fixed_sparse_attention, on_grid_attention, sparse_attention, FixedAttention, Qkv, ON_GRID_BOUND,
+};
 use salo::patterns::{longformer, sliding_only, sparse_transformer, HybridPattern, Window};
 use salo::scheduler::{verify_coverage, ExecutionPlan, HardwareMeta, Permutation};
 use salo::sim::{AcceleratorConfig, SpatialAccelerator};
@@ -51,7 +53,7 @@ fn splitting_is_invisible_in_the_output() {
     };
     let wide = run(64); // whole window in one pass
     let narrow = run(8); // five chunks per row
-    let diff = wide.output.max_abs_diff(&narrow.output);
+    let diff = wide.raw.map(Fix16x8::to_f32).max_abs_diff(&narrow.raw.map(Fix16x8::to_f32));
     assert!(diff < 0.05, "split sensitivity {diff}");
     // Total softmax weights agree (sum of exponentials is split-invariant).
     for (a, b) in wide.weights_q16.iter().zip(&narrow.weights_q16) {
@@ -145,7 +147,7 @@ fn close_to_golden_under_window_splitting() {
     let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
     let golden =
         fixed_sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, &FixedAttention::new(d)).unwrap();
-    let diff = out.output.max_abs_diff(&golden.to_f32());
+    let diff = out.raw.map(Fix16x8::to_f32).max_abs_diff(&golden.to_f32());
     assert!(diff < 0.05, "split-vs-monolithic diff {diff}");
 }
 
@@ -160,8 +162,12 @@ fn matches_f32_reference_with_globals() {
     let scale = SpatialAccelerator::default_scale(d);
     let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
     let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
-    let diff = out.output.max_abs_diff(&exact);
+    let output = out.raw.map(Fix16x8::to_f32);
+    let diff = output.max_abs_diff(&exact);
     assert!(diff < 0.3, "diff vs f32 reference {diff}");
+    let on_grid = on_grid_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    let diff = output.max_abs_diff(&on_grid);
+    assert!(diff < ON_GRID_BOUND, "diff vs on-grid reference {diff}");
     assert_eq!(out.report.saturation_events, 0);
 }
 
@@ -180,7 +186,10 @@ fn dilated_pattern_executes_correctly() {
     let scale = SpatialAccelerator::default_scale(d);
     let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
     let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
-    assert!(out.output.max_abs_diff(&exact) < 0.3);
+    let output = out.raw.map(Fix16x8::to_f32);
+    assert!(output.max_abs_diff(&exact) < 0.3);
+    let on_grid = on_grid_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    assert!(output.max_abs_diff(&on_grid) < ON_GRID_BOUND);
 }
 
 #[test]
@@ -194,7 +203,10 @@ fn strided_preset_end_to_end() {
     let scale = SpatialAccelerator::default_scale(d);
     let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
     let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
-    assert!(out.output.max_abs_diff(&exact) < 0.3);
+    let output = out.raw.map(Fix16x8::to_f32);
+    assert!(output.max_abs_diff(&exact) < 0.3);
+    let on_grid = on_grid_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).unwrap();
+    assert!(output.max_abs_diff(&on_grid) < ON_GRID_BOUND);
 }
 
 mod simulator_vs_reference {
@@ -202,7 +214,8 @@ mod simulator_vs_reference {
     //! quantization budget on random patterns, data and array geometries.
 
     use proptest::prelude::*;
-    use salo::kernels::{sparse_attention, Qkv};
+    use salo::fixed::Fix16x8;
+    use salo::kernels::{on_grid_attention, sparse_attention, Qkv, ON_GRID_BOUND};
     use salo::patterns::{HybridPattern, Window};
     use salo::scheduler::{ExecutionPlan, HardwareMeta};
     use salo::sim::{AcceleratorConfig, SpatialAccelerator};
@@ -242,8 +255,12 @@ mod simulator_vs_reference {
             let scale = SpatialAccelerator::default_scale(d);
             let out = sim.execute(&plan, &qkv.q, &qkv.k, &qkv.v, scale).expect("execute");
             let exact = sparse_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).expect("reference");
-            let diff = out.output.max_abs_diff(&exact);
+            let output = out.raw.map(Fix16x8::to_f32);
+            let diff = output.max_abs_diff(&exact);
             prop_assert!(diff < 0.4, "diff {diff}");
+            let on_grid = on_grid_attention(&pattern, &qkv.q, &qkv.k, &qkv.v, scale).expect("on grid");
+            let diff = output.max_abs_diff(&on_grid);
+            prop_assert!(diff < ON_GRID_BOUND, "diff vs on-grid reference {diff}");
             prop_assert_eq!(out.report.saturation_events, 0);
         }
     }
