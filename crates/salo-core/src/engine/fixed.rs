@@ -194,9 +194,9 @@ impl LoweredEngine {
     /// Runs a layer's quantized heads through the lowered datapath, head
     /// after head on the calling thread, as the one PE array runs a
     /// layer's passes in order: the prefill every
-    /// [`AttentionRequest::PrefillFixed`] is, and what a serving worker
-    /// calls directly. The heads come back as the datapath's raw rows,
-    /// weights and reports.
+    /// [`AttentionRequest::Prefill`] runs after quantizing its heads, and
+    /// what a serving worker calls directly. The heads come back as the
+    /// datapath's raw rows, weights and reports.
     ///
     /// # Errors
     ///
@@ -224,7 +224,15 @@ impl LoweredEngine {
         Ok(MultiHeadRun { heads, total_time_s, total_energy_j })
     }
 
-    fn open(
+    /// Opens `session` and primes each head with its quantized prompt:
+    /// what a serving worker calls, and [`AttentionRequest::DecodeOpen`]
+    /// after quantizing.
+    ///
+    /// # Errors
+    ///
+    /// A live session of that id, an unresolvable plan, a prompt
+    /// [`check_open_prompt`] refuses, or a failure while priming.
+    pub fn open(
         &mut self,
         session: SessionId,
         handle: &PatternHandle,
@@ -232,6 +240,7 @@ impl LoweredEngine {
         num_heads: usize,
         prompt: &[FixedQkv],
     ) -> Result<SessionOpened, SaloError> {
+        let _span = salo_trace::span_with("engine.decode_open", "engine", session);
         if self.sessions.contains_key(&session) {
             return Err(SaloError::SessionInUse { session });
         }
@@ -275,18 +284,21 @@ impl LoweredEngine {
         Ok(opened)
     }
 
-    /// The one way a decode step runs: execute one pending step from each
-    /// listed session, grouping maximal runs that share a decode-plan
-    /// fingerprint into single [`SpatialAccelerator::execute_fixed_steps`]
-    /// passes (one scratch, one pool, per-dispatch overhead paid once).
-    /// [`AttentionRequest::DecodeStep`] is the width-1 case. Results are
-    /// per entry, in request order; grouping preserves it (each group is
-    /// a contiguous run) and never spans a duplicate session id, so
-    /// per-session step ordering is exactly the one-at-a-time order.
-    fn step_batch(
+    /// The one way a decode step runs — a serving worker's run of steps,
+    /// and [`AttentionRequest::DecodeStepBatch`] after quantizing: execute
+    /// one pending step from each listed session, grouping maximal runs
+    /// that share a decode-plan fingerprint into single
+    /// [`SpatialAccelerator::execute_fixed_steps`] passes (one scratch, one
+    /// pool, per-dispatch overhead paid once). Results are per entry, in
+    /// request order, each head the datapath's own [`StepOutput`];
+    /// grouping preserves it (each group is a contiguous run) and never
+    /// spans a duplicate session id, so per-session step ordering is
+    /// exactly the one-at-a-time order.
+    pub fn step_batch(
         &mut self,
         steps: Vec<(SessionId, Vec<FixedToken>)>,
-    ) -> Vec<(SessionId, Result<StepResult, SaloError>)> {
+    ) -> Vec<(SessionId, Result<StepResult<StepOutput>, SaloError>)> {
+        let _span = salo_trace::span_with("engine.decode_step_batch", "engine", steps.len() as u64);
         let mut results = Vec::with_capacity(steps.len());
         let mut iter = steps.into_iter().peekable();
         while let Some((session, token)) = iter.next() {
@@ -325,7 +337,7 @@ impl LoweredEngine {
     fn run_step_group(
         &mut self,
         group: Vec<(SessionId, Vec<FixedToken>)>,
-        results: &mut Vec<(SessionId, Result<StepResult, SaloError>)>,
+        results: &mut Vec<(SessionId, Result<StepResult<StepOutput>, SaloError>)>,
     ) {
         // One entry per grouped session: taken out of the map (for
         // simultaneous `&mut` access), its pending token, its pre-step
@@ -398,7 +410,7 @@ impl LoweredEngine {
                     resident_kv_bytes: Some(sess.resident_kv_bytes()),
                     stages: stages.take(),
                 },
-                heads: heads.into_iter().map(fixed_head_step).collect(),
+                heads,
             });
             if result.is_ok() || sess.is_intact(position) {
                 self.sessions.insert(sid, sess);
@@ -413,7 +425,13 @@ impl LoweredEngine {
         }
     }
 
-    fn close(&mut self, session: SessionId) -> Result<SessionClosed, SaloError> {
+    /// Closes `session` and hands its pages back to the pool.
+    ///
+    /// # Errors
+    ///
+    /// [`SaloError::UnknownSession`] when no such session is live.
+    pub fn close(&mut self, session: SessionId) -> Result<SessionClosed, SaloError> {
+        let _span = salo_trace::span_with("engine.decode_close", "engine", session);
         match self.sessions.remove(&session) {
             Some(mut state) => {
                 let position = state.position();
@@ -462,15 +480,18 @@ fn fixed_head_output(out: ExecutionOutput) -> HeadOutput {
     }
 }
 
-/// Converts a simulator [`StepOutput`] into the backend-neutral
-/// [`HeadStep`]: the one place a step's raw row is dequantized to `f32`.
-fn fixed_head_step(out: StepOutput) -> HeadStep {
-    HeadStep {
+/// Converts a step's simulator [`StepOutput`]s into the backend-neutral
+/// [`HeadStep`]s: the one place a step's raw rows are dequantized to `f32`.
+fn fixed_step_result(
+    StepResult { session, position, heads, telemetry }: StepResult<StepOutput>,
+) -> StepResult {
+    let heads = heads.into_iter().map(|out| HeadStep {
         output: out.raw.iter().map(|&r| r.to_f32()).collect(),
         raw: Some(out.raw),
         weight_q16: Some(out.weight_q16),
         saturation_events: out.saturation_events,
-    }
+    });
+    StepResult { session, position, heads: heads.collect(), telemetry }
 }
 
 impl Engine for LoweredEngine {
@@ -490,15 +511,11 @@ impl Engine for LoweredEngine {
     }
 
     fn execute(&mut self, request: AttentionRequest) -> Result<AttentionResponse, SaloError> {
-        let tracer = salo_trace::Tracer::global();
+        // Every request is quantized as the serving runtime's rows are
+        // where they arrive, then run by the typed method a worker calls.
         match request {
             AttentionRequest::Prefill { pattern, shape, heads } => {
-                // Quantized as the serving runtime's heads are where they
-                // arrive, then run the one way.
-                let heads = heads.iter().map(FixedQkv::quantize).collect();
-                self.execute(AttentionRequest::PrefillFixed { pattern, shape, heads })
-            }
-            AttentionRequest::PrefillFixed { pattern, shape, heads } => {
+                let heads: Vec<FixedQkv> = heads.iter().map(FixedQkv::quantize).collect();
                 let run = self.prefill(&pattern, &shape, &heads)?;
                 Ok(AttentionResponse::Prefill(PrefillOutput {
                     telemetry: Self::prefill_telemetry(&run.heads),
@@ -506,45 +523,28 @@ impl Engine for LoweredEngine {
                 }))
             }
             AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {
-                // Quantized as the serving runtime's prompts are where they
-                // arrive, then opened the one way.
-                let prompt = prompt.iter().map(FixedQkv::quantize).collect();
-                let open = AttentionRequest::DecodeOpenFixed {
-                    session,
-                    pattern,
-                    head_dim,
-                    num_heads,
-                    prompt,
-                };
-                self.execute(open)
-            }
-            AttentionRequest::DecodeOpenFixed { session, pattern, head_dim, num_heads, prompt } => {
-                let _span = tracer.span_with("engine.decode_open", "engine", session);
+                let prompt: Vec<FixedQkv> = prompt.iter().map(FixedQkv::quantize).collect();
                 let opened = self.open(session, &pattern, head_dim, num_heads, &prompt)?;
                 Ok(AttentionResponse::DecodeOpened(opened))
             }
             AttentionRequest::DecodeStep { session, token } => {
-                let _span = tracer.span_with("engine.decode_step", "engine", session);
+                let _span = salo_trace::span_with("engine.decode_step", "engine", session);
                 // A step is a batch of one: same validation order, same
                 // retirement rule, same telemetry as any fused entry.
                 let (_, result) = self
                     .step_batch(vec![(session, quantize_token(&token))])
                     .pop()
                     .expect("one result per submitted step");
-                Ok(AttentionResponse::DecodeStep(result?))
+                Ok(AttentionResponse::DecodeStep(fixed_step_result(result?)))
             }
             AttentionRequest::DecodeStepBatch { steps } => {
                 let steps =
                     steps.iter().map(|(sid, token)| (*sid, quantize_token(token))).collect();
-                self.execute(AttentionRequest::DecodeStepBatchFixed { steps })
-            }
-            AttentionRequest::DecodeStepBatchFixed { steps } => {
-                let _span =
-                    tracer.span_with("engine.decode_step_batch", "engine", steps.len() as u64);
-                Ok(AttentionResponse::DecodeStepBatch(self.step_batch(steps)))
+                let results = self.step_batch(steps).into_iter();
+                let results = results.map(|(sid, result)| (sid, result.map(fixed_step_result)));
+                Ok(AttentionResponse::DecodeStepBatch(results.collect()))
             }
             AttentionRequest::DecodeClose { session } => {
-                let _span = tracer.span_with("engine.decode_close", "engine", session);
                 Ok(AttentionResponse::DecodeClosed(self.close(session)?))
             }
         }

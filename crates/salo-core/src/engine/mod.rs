@@ -1,14 +1,12 @@
 //! The unified engine API: typed attention requests over execution
 //! backends.
 //!
-//! Every way of running hybrid sparse attention in this repository —
-//! one-shot prefill, streaming decode, the serving runtime's workers —
-//! speaks one request shape: an [`AttentionRequest`] goes into an
-//! [`Engine`], an [`AttentionResponse`] comes out. Two backends implement
-//! the object-safe [`Engine`] trait:
+//! One-shot prefill and streaming decode speak one request shape: an
+//! [`AttentionRequest`] goes into an [`Engine`], an [`AttentionResponse`]
+//! comes out. Two backends implement the object-safe [`Engine`] trait:
 //!
 //! * [`LoweredEngine`] — the fast allocation-free fixed-point datapath
-//!   (the default; what the serving runtime's workers run);
+//!   (the default), whose typed methods the serving workers call directly;
 //! * the reference engine in `salo-paper`'s `oracle` module — plain `f32`
 //!   softmax attention, the accuracy yardstick the fixed-point engine is
 //!   measured against. It checks requests with this module's validators,
@@ -199,21 +197,9 @@ pub enum AttentionRequest {
         /// `shape.num_heads`.
         shape: AttentionShape,
         /// Per-head Q/K/V inputs. The fixed-point engine quantizes them
-        /// ([`FixedQkv::quantize`]) and runs them as
-        /// [`PrefillFixed`](Self::PrefillFixed) does.
+        /// ([`FixedQkv::quantize`]) and runs them through
+        /// [`LoweredEngine::prefill`].
         heads: Vec<Qkv>,
-    },
-    /// [`Prefill`](Self::Prefill) with the heads already quantized — how
-    /// the serving runtime prefills, its inputs quantized where they
-    /// arrived. Only the fixed-point engine serves it, as
-    /// [`DecodeOpenFixed`](Self::DecodeOpenFixed).
-    PrefillFixed {
-        /// As in [`Prefill`](Self::Prefill).
-        pattern: PatternHandle,
-        /// As in [`Prefill`](Self::Prefill).
-        shape: AttentionShape,
-        /// Per-head inputs, quantized.
-        heads: Vec<FixedQkv>,
     },
     /// Open a streaming decode session and ingest its prompt.
     DecodeOpen {
@@ -229,24 +215,8 @@ pub enum AttentionRequest {
         /// Per-head prompt rows; each head the same length, covering at
         /// least every global token and leaving capacity to decode. The
         /// fixed-point engine quantizes them ([`FixedQkv::quantize`]) and
-        /// open as [`DecodeOpenFixed`](Self::DecodeOpenFixed) does.
+        /// opens through [`LoweredEngine::open`].
         prompt: Vec<Qkv>,
-    },
-    /// [`DecodeOpen`](Self::DecodeOpen) with the prompt already quantized
-    /// — how the serving runtime opens, its prompt quantized where it
-    /// arrived. Only the fixed-point engine serves it: quantized rows
-    /// cannot be turned back into a float engine's inputs.
-    DecodeOpenFixed {
-        /// As in [`DecodeOpen`](Self::DecodeOpen).
-        session: SessionId,
-        /// As in [`DecodeOpen`](Self::DecodeOpen).
-        pattern: PatternHandle,
-        /// As in [`DecodeOpen`](Self::DecodeOpen).
-        head_dim: usize,
-        /// As in [`DecodeOpen`](Self::DecodeOpen).
-        num_heads: usize,
-        /// Per-head prompt rows, quantized.
-        prompt: Vec<FixedQkv>,
     },
     /// Decode one token of an open session (all heads) — a
     /// [`DecodeStepBatch`](Self::DecodeStepBatch) of one, answered
@@ -269,17 +239,9 @@ pub enum AttentionRequest {
     DecodeStepBatch {
         /// One `(session, per-head token)` entry per session to advance,
         /// in execution order. The fixed-point engine quantizes every
-        /// token ([`FixedToken::quantize`]) and runs them as
-        /// [`DecodeStepBatchFixed`](Self::DecodeStepBatchFixed) does.
+        /// token ([`FixedToken::quantize`]) and runs them through
+        /// [`LoweredEngine::step_batch`].
         steps: Vec<(SessionId, Vec<TokenQkv>)>,
-    },
-    /// [`DecodeStepBatch`](Self::DecodeStepBatch) with every token already
-    /// quantized — how the serving runtime's workers step. Only the
-    /// fixed-point engine serves it, as
-    /// [`DecodeOpenFixed`](Self::DecodeOpenFixed).
-    DecodeStepBatchFixed {
-        /// As in [`DecodeStepBatch`](Self::DecodeStepBatch), quantized.
-        steps: Vec<(SessionId, Vec<FixedToken>)>,
     },
     /// Close a session, dropping its state.
     DecodeClose {
@@ -373,15 +335,16 @@ pub struct HeadStep {
 }
 
 /// The response to an [`AttentionRequest::DecodeStep`]: one generated
-/// token across every head of the session.
+/// token across every head of the session ([`LoweredEngine::step_batch`]'s
+/// heads are the datapath's own [`StepOutput`](salo_sim::StepOutput)s).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepResult {
+pub struct StepResult<H = HeadStep> {
     /// The session that advanced.
     pub session: SessionId,
     /// The position this step produced.
     pub position: usize,
     /// Per-head output rows.
-    pub heads: Vec<HeadStep>,
+    pub heads: Vec<H>,
     /// Aggregate execution telemetry.
     pub telemetry: Telemetry,
 }
@@ -399,16 +362,14 @@ pub struct SessionClosed {
 /// one-to-one.
 #[derive(Debug, Clone)]
 pub enum AttentionResponse {
-    /// Response to [`AttentionRequest::Prefill`] and
-    /// [`AttentionRequest::PrefillFixed`].
+    /// Response to [`AttentionRequest::Prefill`].
     Prefill(PrefillOutput),
     /// Response to [`AttentionRequest::DecodeOpen`].
     DecodeOpened(SessionOpened),
     /// Response to [`AttentionRequest::DecodeStep`].
     DecodeStep(StepResult),
-    /// Response to [`AttentionRequest::DecodeStepBatch`] and
-    /// [`AttentionRequest::DecodeStepBatchFixed`]: one entry per requested
-    /// step, in request order.
+    /// Response to [`AttentionRequest::DecodeStepBatch`]: one entry per
+    /// requested step, in request order.
     DecodeStepBatch(Vec<(SessionId, Result<StepResult, SaloError>)>),
     /// Response to [`AttentionRequest::DecodeClose`].
     DecodeClosed(SessionClosed),
@@ -494,12 +455,12 @@ impl AttentionResponse {
 /// An execution backend serving [`AttentionRequest`]s.
 ///
 /// The trait is object-safe, and both backends — [`LoweredEngine`] and
-/// `salo-paper`'s `f32` reference — serve every method of it: the
+/// `salo-paper`'s `f32` reference — serve every request of it: the
 /// equivalence tests drive them as `Box<dyn Engine>`, so a new backend
 /// needs no edit outside its own module to run requests through the
-/// trait. Serving is not generic over it: the serving runtime's workers
-/// hold the concrete [`LoweredEngine`], whose K/V page pool they
-/// configure and read.
+/// trait. Serving does not run requests through it: the serving
+/// runtime's workers hold the concrete [`LoweredEngine`], configure and
+/// read its K/V page pool, and call its typed methods on quantized rows.
 /// Engines are single-threaded objects — `Send` but not `Sync` by
 /// contract — mirroring one accelerator instance; run one per worker
 /// thread, as the serving pool does.

@@ -106,8 +106,8 @@ pub(crate) fn compile_with(
 /// owns one simulated accelerator instance, compiles patterns into
 /// [`CompiledPlan`]s, and hands out the execution backend
 /// ([`engine`](Salo::engine)) that serves typed
-/// [`AttentionRequest`](crate::AttentionRequest)s. The
-/// [`Engine`](crate::Engine) trait is the only way to run a request.
+/// [`AttentionRequest`](crate::AttentionRequest)s, each through one of the
+/// [`LoweredEngine`](crate::LoweredEngine) methods a serving worker calls.
 #[derive(Debug, Clone)]
 pub struct Salo {
     accel: SpatialAccelerator,

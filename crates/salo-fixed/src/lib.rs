@@ -22,8 +22,8 @@
 //! * [`merge_part_into`] — the weighted-sum module's renormalization
 //!   (Eq. 2) of a stage-5 part into its row's accumulator, and
 //!   [`merge_partials`] the same for two [`PartialRow`]s;
-//! * [`quantize`] / [`dequantize`] and [`QuantizationReport`] — conversion
-//!   between `f32` tensors and the accelerator formats.
+//! * [`quantize`](fn@quantize) / [`dequantize`] and [`QuantizationReport`]
+//!   — conversion between `f32` tensors and the accelerator formats.
 //!
 //! # Example
 //!

@@ -42,7 +42,7 @@ use salo_core::{FixedQkv, FixedToken};
 use salo_serve::{EventSink, ServeError, ServeEvent, ServeOptions, ServeRequest, SessionRequest};
 use salo_trace::{Counter, Gauge, LogHistogram};
 
-use crate::wire::{ErrorCode, ErrorFrame, Header, Incoming, Outgoing};
+use crate::wire::{EngineStep, ErrorCode, ErrorFrame, Header, Incoming, Outgoing};
 use crate::GatewayOptions;
 
 /// A prefill as it reaches the backend: its heads as the frame's 8-bit rows.
@@ -518,7 +518,15 @@ impl State {
                     Ok(step) => Outgoing::Stepped {
                         session,
                         position: step.position as u64,
-                        heads: step.heads,
+                        heads: step
+                            .heads
+                            .into_iter()
+                            .map(|h| EngineStep {
+                                raw: h.raw,
+                                weight_q16: h.weight_q16,
+                                saturation_events: h.saturation_events,
+                            })
+                            .collect(),
                     },
                     Err(e) => serve_error(&e),
                 };

@@ -379,6 +379,16 @@ pub(crate) struct EngineHead {
     pub weights_q16: Vec<i64>,
 }
 
+/// One head of an [`Outgoing::Stepped`]: a [`WireHeadStep`] whose raw row is
+/// still the engine's [`Fix16x8`] and whose weight is always present. Its
+/// output is that row dequantized, so it carries none and writes tag 0.
+#[derive(Debug)]
+pub(crate) struct EngineStep {
+    pub raw: Vec<Fix16x8>,
+    pub weight_q16: i64,
+    pub saturation_events: u64,
+}
+
 /// A [`Response`] as the gateway holds it on the way out: the same six
 /// replies, the same bytes, but the rows of `PrefillDone` and `Stepped`
 /// are the engine's own vectors, moved in and written from where they lie
@@ -388,7 +398,7 @@ pub(crate) struct EngineHead {
 pub(crate) enum Outgoing {
     PrefillDone { heads: Vec<EngineHead>, sim_time_s: f64, sim_energy_j: f64 },
     Opened { session: u64, min_step: u64, position: u64, capacity: u64 },
-    Stepped { session: u64, position: u64, heads: Vec<HeadStep> },
+    Stepped { session: u64, position: u64, heads: Vec<EngineStep> },
     Closed { session: u64, position: Option<u64> },
     Stats { json: String },
     Error(ErrorFrame),
@@ -681,7 +691,7 @@ fn bad(reason: impl std::fmt::Display) -> WireError {
 
 /// A type with one wire form. `encode` and `decode` of a type sit side by
 /// side in one impl — or, for plain field lists, are both generated from
-/// one list by [`wire!`] — so the two directions cannot drift apart.
+/// one list by the `wire!` macro — so the two directions cannot drift apart.
 trait Wire: Sized {
     /// The fewest bytes an encoding of `Self` can occupy: what a counted
     /// sequence multiplies its claimed length by, and checks against the
@@ -1049,7 +1059,7 @@ wire!(FixedToken, 12 { q, k, v });
 /// `output`, unless it is `raw` dequantized bit for bit — as a step's row
 /// from the fixed-point engine is — in which case the wire leaves it out
 /// and the decoder rebuilds it. On the wire it is an `Option`: `None` is
-/// "the raw rows, dequantized". An [`EngineHead`] has no output to compare.
+/// "the raw rows, dequantized". Engine heads and steps have no output.
 fn explicit_output<'a, T: Raw16>(output: &'a [f32], raw: Option<&[T]>) -> Option<&'a [f32]> {
     let derived = raw.is_some_and(|raw| {
         raw.len() == output.len()
@@ -1086,27 +1096,6 @@ fn decode_head<R: BufRead, T: Raw16>(d: &mut Dec<R>) -> Result<Head<T>, WireErro
         None => raw.map(Raw16::dequantized),
     };
     Ok((output, raw, weights))
-}
-
-/// A step's head: raw row, weight, saturation count, then its output as
-/// an `Option` — `None` when it is the raw row dequantized.
-fn encode_step<T: Raw16>(
-    output: &[f32],
-    raw: &Option<Vec<T>>,
-    weight_q16: &Option<i64>,
-    saturation_events: u64,
-    e: &mut Enc<'_>,
-) {
-    raw.encode(e);
-    weight_q16.encode(e);
-    saturation_events.encode(e);
-    match explicit_output(output, raw.as_deref()) {
-        None => e.u8(0),
-        Some(output) => {
-            e.u8(1);
-            e.seq(output);
-        }
-    }
 }
 
 type Step<T> = (Vec<f32>, Option<Vec<T>>, Option<i64>, u64);
@@ -1152,25 +1141,53 @@ impl Wire for EngineHead {
     }
 }
 
-macro_rules! step_wire {
-    ($($ty:ident),*) => {$(
-        impl Wire for $ty {
-            // Two option tags, the saturation count and an output tag.
-            const MIN: usize = 11;
+/// A step's head: raw row, weight, saturation count, then its output as
+/// an `Option` — `None` when it is the raw row dequantized.
+impl Wire for WireHeadStep {
+    // Two option tags, the saturation count and an output tag.
+    const MIN: usize = 11;
 
-            fn encode(&self, e: &mut Enc<'_>) {
-                let $ty { output, raw, weight_q16, saturation_events } = self;
-                encode_step(output, raw, weight_q16, *saturation_events, e);
-            }
-
-            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-                let (output, raw, weight_q16, saturation_events) = decode_step(d)?;
-                Ok($ty { output, raw, weight_q16, saturation_events })
+    fn encode(&self, e: &mut Enc<'_>) {
+        self.raw.encode(e);
+        self.weight_q16.encode(e);
+        self.saturation_events.encode(e);
+        match explicit_output(&self.output, self.raw.as_deref()) {
+            None => e.u8(0),
+            Some(output) => {
+                e.u8(1);
+                e.seq(output);
             }
         }
-    )*};
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let (output, raw, weight_q16, saturation_events) = decode_step(d)?;
+        Ok(WireHeadStep { output, raw, weight_q16, saturation_events })
+    }
 }
-step_wire!(WireHeadStep, HeadStep);
+
+/// A [`WireHeadStep`]'s form, raw row and weight always present, output
+/// tag always 0.
+impl Wire for EngineStep {
+    const MIN: usize = WireHeadStep::MIN;
+
+    fn encode(&self, e: &mut Enc<'_>) {
+        e.u8(1);
+        self.raw.encode(e);
+        e.u8(1);
+        self.weight_q16.encode(e);
+        self.saturation_events.encode(e);
+        e.u8(0);
+    }
+
+    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+        let (_, Some(raw), Some(weight_q16), saturation_events) = decode_step(d)? else {
+            return Err(bad("an engine step without its raw row or weight"));
+        };
+        Ok(EngineStep { raw, weight_q16, saturation_events })
+    }
+}
+
 wire!(ErrorFrame { code, message, retry_after_ms });
 
 wire!(ErrorCode as Wire, |t| bad(format_args!("error code {t}"));
@@ -1611,17 +1628,19 @@ mod tests {
     /// The gateway's replies are written from the engine's own rows; the
     /// frame is the one the client-side `Response` of the same values
     /// encodes to, appended where the caller is gathering. An engine head
-    /// is its raw rows: its output is their dequantized values, sent as
-    /// output tag 0.
+    /// or step is its raw rows: its output is their dequantized values,
+    /// sent as output tag 0.
     #[test]
     fn engine_rows_encode_to_the_frame_their_response_does() {
         let header = Header { tenant: 1, request_id: 2 };
         let raw = [128, -7, i16::MIN, i16::MAX];
         let fixed = raw.map(Fix16x8::from_raw).to_vec();
-        let output = Matrix::from_vec(2, 2, fixed.iter().map(|r| r.to_f32()).collect()).unwrap();
-        let step = HeadStep {
-            output: vec![0.5, -0.5],
-            raw: Some(fixed.clone()),
+        let dequantized: Vec<f32> = fixed.iter().map(|r| r.to_f32()).collect();
+        let output = Matrix::from_vec(2, 2, dequantized.clone()).unwrap();
+        let step = EngineStep { raw: fixed.clone(), weight_q16: 1 << 16, saturation_events: 3 };
+        let wire_step = WireHeadStep {
+            output: dequantized,
+            raw: Some(raw.to_vec()),
             weight_q16: Some(1 << 16),
             saturation_events: 3,
         };
@@ -1646,8 +1665,8 @@ mod tests {
                 },
             ),
             (
-                Outgoing::Stepped { session: 5, position: 17, heads: vec![step.clone()] },
-                Response::Stepped { session: 5, position: 17, heads: vec![(&step).into()] },
+                Outgoing::Stepped { session: 5, position: 17, heads: vec![step] },
+                Response::Stepped { session: 5, position: 17, heads: vec![wire_step] },
             ),
         ];
         let mut gathered = Vec::new();
@@ -1658,10 +1677,13 @@ mod tests {
         }
         assert_eq!(gathered, expected);
         // The prefill frame's last head ends in its output tag, then the
-        // two `f64` totals.
+        // two `f64` totals; the step frame ends in its last head's.
         let mut prefill = Vec::new();
         encode_outgoing_into(&mut prefill, header, &pairs[0].0);
         assert_eq!(prefill[prefill.len() - 17], 0, "the engine head's output tag");
+        let mut stepped = Vec::new();
+        encode_outgoing_into(&mut stepped, header, &pairs[1].0);
+        assert_eq!(stepped.last(), Some(&0), "the engine step's output tag");
     }
 
     /// At `d = 2` a reply row costs 12 bytes against its request row's 6:

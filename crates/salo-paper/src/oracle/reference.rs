@@ -140,12 +140,6 @@ impl Engine for ReferenceEngine {
                 );
                 Ok(AttentionResponse::DecodeOpened(opened))
             }
-            AttentionRequest::PrefillFixed { .. }
-            | AttentionRequest::DecodeOpenFixed { .. }
-            | AttentionRequest::DecodeStepBatchFixed { .. } => Err(SaloError::Unsupported {
-                engine: self.name(),
-                reason: "a float engine runs on f32 rows; quantized rows cannot be undone".into(),
-            }),
             AttentionRequest::DecodeStep { session, token } => {
                 let state =
                     self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;

@@ -17,13 +17,12 @@
 //!   scheduler in front of its array: it owns a
 //!   [`LoweredEngine`](salo_core::LoweredEngine), resolves each request's
 //!   plan against the cache (compiling on a miss, which stalls that
-//!   worker and nobody else) and runs it as a typed
-//!   [`AttentionRequest`](salo_core::AttentionRequest) — prefills and
-//!   decode-session traffic travel as one request shape, so swapping the
-//!   backend never requires a serve rewrite. A request reaches its
-//!   worker in one hop: the submitting thread sends it straight to the
-//!   least-loaded worker's queue (a session's steps to its pinned
-//!   worker's). The worker that
+//!   worker and nobody else) and calls the engine's typed method for it
+//!   ([`LoweredEngine::prefill`](salo_core::LoweredEngine::prefill),
+//!   `open`, `step_batch` or `close`) on the rows it holds quantized. A
+//!   request reaches its worker in one hop: the submitting thread sends
+//!   it straight to the least-loaded worker's queue (a session's steps to
+//!   its pinned worker's). The worker that
 //!   finishes a request sends its result straight to the channel the
 //!   request came in with ([`ServeEvent`]) — the steps one fused pass
 //!   completes for sessions sharing an [`EventSink`] as one message — and
@@ -41,9 +40,9 @@
 //!
 //! Served execution is bit-identical to a one-shot engine: workers run
 //! each request's heads back to back through the same fixed-point
-//! datapath, so a response's output equals a direct
-//! [`Engine::execute`](salo_core::Engine::execute) on the same inputs —
-//! asserted in the integration tests.
+//! methods a direct [`Engine::execute`](salo_core::Engine::execute) runs
+//! after quantizing, so a response's raw rows equal that call's on the
+//! same inputs — asserted in the integration tests.
 //!
 //! # Example
 //!

@@ -22,9 +22,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use salo_core::engine::{check_open_prompt, PromptHead};
-use salo_core::{FixedQkv, HeadStep};
+use salo_core::FixedQkv;
 use salo_kernels::Qkv;
 use salo_patterns::HybridPattern;
+use salo_sim::StepOutput;
 
 use crate::{ServeError, ServeResponse};
 
@@ -102,11 +103,10 @@ pub struct SessionInfo {
 pub struct DecodeStep {
     /// The position this step produced.
     pub position: usize,
-    /// Per-head output rows, in the engine API's backend-neutral
-    /// [`HeadStep`] form (the serving workers run the fixed-point
-    /// [`LoweredEngine`](salo_core::LoweredEngine), so `raw` and
-    /// `weight_q16` are always present).
-    pub heads: Vec<HeadStep>,
+    /// Per-head output rows as the datapath wrote them: each head's 16-bit
+    /// row, its Q.16 weight and its saturation count, straight from
+    /// [`LoweredEngine::step_batch`](salo_core::LoweredEngine::step_batch).
+    pub heads: Vec<StepOutput>,
     /// The worker that executed it.
     pub worker: usize,
 }
@@ -276,9 +276,8 @@ impl DecodeSessionHandle {
 /// the pinned worker removes a session the moment it is retired by a
 /// failure (a poisoning step, a failed open) — *before* emitting the
 /// failure event, so a client that has observed the error is guaranteed
-/// further `step_session` calls report
-/// [`ServeError::UnknownSession`](crate::ServeError::UnknownSession), and
-/// the next placement no longer counts it against its worker.
+/// further `step_session` calls report [`ServeError::UnknownSession`],
+/// and the next placement no longer counts it against its worker.
 #[derive(Debug)]
 pub(crate) struct SessionRegistry {
     table: Mutex<Sessions>,

@@ -5,7 +5,9 @@
 //! SALO is a data scheduler in front of its own spatial array, one unit,
 //! and so is a worker: a layer or a session open arrives as the client
 //! sent it, the worker resolves its plan against the shared
-//! [`PlanCache`] — compiling on a miss — and executes it. A cold compile
+//! [`PlanCache`] — compiling on a miss — and executes it by calling the
+//! engine it owns ([`LoweredEngine::prefill`], `open`, `step_batch`,
+//! `close`) on the quantized rows the job carries. A cold compile
 //! therefore stalls the worker it runs on and nobody else. Decode
 //! sessions are *pinned*: their per-head K/V state lives inside the
 //! worker's engine for the whole generation, so steps never cross
@@ -32,8 +34,8 @@
 //! arrival order. Every maximal contiguous run of decode steps for
 //! *distinct* sessions — at most one pending step per ready session, by
 //! construction — becomes a single
-//! [`AttentionRequest::DecodeStepBatchFixed`], executed as one multi-session
-//! pass over the engine's shared scratch. A second step for a session
+//! [`LoweredEngine::step_batch`] call, executed as one multi-session pass
+//! over the engine's shared scratch. A second step for a session
 //! already in the run ends the run and opens the next one, so
 //! per-session step order is untouched. A run of one is the same pass at
 //! width one — there is no other way for a step to execute — so a token
@@ -57,8 +59,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use salo_core::{
-    AttentionRequest, CompiledPlan, Engine, FixedQkv, FixedToken, LoweredEngine, MultiHeadRun,
-    PatternHandle, Salo,
+    CompiledPlan, Engine, FixedQkv, FixedToken, LoweredEngine, MultiHeadRun, PatternHandle, Salo,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
 use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
@@ -537,9 +538,9 @@ impl Worker {
                 }
                 Job::Close { session, events } => {
                     self.run_steps(std::mem::take(&mut run));
-                    let closed = self.engine.execute(AttentionRequest::DecodeClose { session });
+                    let closed = self.engine.close(session);
                     self.load.fetch_sub(1, Ordering::Relaxed);
-                    if let Ok(closed) = closed.and_then(|r| r.into_closed()) {
+                    if let Ok(closed) = closed {
                         events
                             .send(ServeEvent::Closed { session, position: Some(closed.position) });
                     }
@@ -550,8 +551,8 @@ impl Worker {
     }
 
     /// Executes a run of distinct-session decode steps — one or many — as
-    /// one [`AttentionRequest::DecodeStepBatchFixed`] pass, then completes the
-    /// run, one message per sink: queue-wait recorded at dequeue, every
+    /// one [`LoweredEngine::step_batch`] pass, then completes the run, one
+    /// message per sink: queue-wait recorded at dequeue, every
     /// entry's retirement settled and load released before the first
     /// message.
     fn run_steps(&mut self, steps: Vec<StepJob>) {
@@ -575,26 +576,16 @@ impl Worker {
             routes.push((step.session, step.submitted, step.events, known, before));
             batch.push((step.session, step.token));
         }
-        let executed = engine
-            .execute(AttentionRequest::DecodeStepBatchFixed { steps: batch })
-            .and_then(|r| r.into_step_batch());
-        let results = match executed {
-            Ok(list) => {
-                debug_assert!(
-                    list.len() == routes.len()
-                        && list.iter().zip(&routes).all(|((sid, _), (rs, ..))| sid == rs),
-                    "fused results align with the run, in order"
-                );
-                list.into_iter().map(|(_, result)| result).collect::<Vec<_>>()
-            }
-            // `execute` refused the batch, or its response was not a
-            // step batch (`into_step_batch`): every member step failed
-            // identically.
-            Err(e) => routes.iter().map(|_| Err(e.clone())).collect(),
-        };
+        let results = engine.step_batch(batch);
+        debug_assert!(
+            results.len() == routes.len()
+                && results.iter().zip(&routes).all(|((sid, _), (rs, ..))| sid == rs),
+            "fused results align with the run, in order"
+        );
         drop(tick_span);
         let mut run = Vec::with_capacity(routes.len());
-        for ((session, submitted, events, known, before), result) in routes.into_iter().zip(results)
+        for ((session, submitted, events, known, before), (_, result)) in
+            routes.into_iter().zip(results)
         {
             // Bookkeeping (load, registry retirement) strictly precedes
             // the completion: a client that has observed a step's outcome
@@ -703,15 +694,10 @@ impl Worker {
             });
         let compiled = compiled_now(&resolved);
         let opened = resolved.and_then(|(plan, cache_hit)| {
+            let SessionRequest { head_dim, num_heads, prompt, .. } = request;
+            let pattern = PatternHandle::from_plan(plan);
             self.engine
-                .execute(AttentionRequest::DecodeOpenFixed {
-                    session,
-                    pattern: PatternHandle::from_plan(plan),
-                    head_dim: request.head_dim,
-                    num_heads: request.num_heads,
-                    prompt: request.prompt,
-                })
-                .and_then(|r| r.into_opened())
+                .open(session, &pattern, head_dim, num_heads, &prompt)
                 .map(|opened| SessionInfo {
                     worker: self.index,
                     min_step: opened.min_step,

@@ -562,10 +562,9 @@ impl KvPagePool {
     }
 }
 
-/// Page-translated K/V access — the decode-side
-/// [`KvSource`](crate::exec::KvSource): row `j` lives at slot
-/// `j % page_rows` of page `j / page_rows`, and a page is a source's block,
-/// so a run of keys is translated once per page it crosses.
+/// Page-translated K/V access — the decode-side [`KvSource`]: row `j`
+/// lives at slot `j % page_rows` of page `j / page_rows`, and a page is a
+/// source's block, so a run of keys is translated once per page it crosses.
 struct PagedKv<'a> {
     pages: &'a [Option<KvPage>],
     page_rows: usize,

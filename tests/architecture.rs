@@ -192,6 +192,19 @@ const GUARDS: &[Guard] = &[
         }]),
     },
     Guard {
+        reason: "the worker calls the engine it owns, and a served step is its raw rows",
+        check: Check::Absent(&[
+            grep(
+                &["AttentionRequest", "AttentionResponse", "HeadStep"],
+                &["crates/salo-serve/src"],
+            ),
+            grep(
+                &["PrefillFixed", "DecodeOpenFixed", "DecodeStepBatchFixed"],
+                &["crates", "src", "tests", "examples", "README.md"],
+            ),
+        ]),
+    },
+    Guard {
         // The unit tests may quantize an f32 head to build an Incoming.
         reason: "the door quantizes nothing: q, k and v arrive as the 8-bit rows their sender \
                  quantized, and are read as they are",

@@ -413,8 +413,8 @@ fn serve_sessions_match_core_sessions_and_amortize_plans() {
             for (s, token) in steps.iter().enumerate() {
                 let expect = core.step(&token[h].q, &token[h].k, &token[h].v).unwrap();
                 let got = &outputs[s].heads[h];
-                assert_eq!(got.raw.as_ref(), Some(&expect.raw), "session {i} head {h} step {s}");
-                assert_eq!(got.weight_q16, Some(expect.weight_q16));
+                assert_eq!(got.raw, expect.raw, "session {i} head {h} step {s}");
+                assert_eq!(got.weight_q16, expect.weight_q16);
             }
         }
     }
@@ -1002,7 +1002,7 @@ fn pinned_worker_switches_sessions_without_stale_state() {
             let got = ha.next_step().unwrap();
             for (h, core) in core_a.iter_mut().enumerate() {
                 let expect = core.step(&token[h].q, &token[h].k, &token[h].v).unwrap();
-                assert_eq!(got.heads[h].raw.as_ref(), Some(&expect.raw), "A step {s} head {h}");
+                assert_eq!(got.heads[h].raw, expect.raw, "A step {s} head {h}");
             }
         }
         if let Some(token) = steps_b.get(s) {
@@ -1010,7 +1010,7 @@ fn pinned_worker_switches_sessions_without_stale_state() {
             let got = hb.next_step().unwrap();
             for (h, core) in core_b.iter_mut().enumerate() {
                 let expect = core.step(&token[h].q, &token[h].k, &token[h].v).unwrap();
-                assert_eq!(got.heads[h].raw.as_ref(), Some(&expect.raw), "B step {s} head {h}");
+                assert_eq!(got.heads[h].raw, expect.raw, "B step {s} head {h}");
             }
         }
     }

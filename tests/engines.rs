@@ -17,7 +17,7 @@ use salo::core::{
     AttentionRequest, Engine, HeadStep, LoweredEngine, PatternHandle, PrefillOutput,
     ReferenceEngine, Salo, SaloError, StepResult, TokenQkv,
 };
-use salo::kernels::{Matrix, Qkv};
+use salo::kernels::{on_grid_attention, Matrix, Qkv, ON_GRID_BOUND};
 use salo::patterns::{AttentionShape, HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
 use salo::sim::{AcceleratorConfig, ExecutionOutput, KvPoolStats, SimError, SpatialAccelerator};
@@ -44,6 +44,19 @@ fn prefill_on(
         AttentionRequest::Prefill { pattern: handle.clone(), shape, heads: heads.to_vec() };
     let out = engine.execute(request).expect("prefill").into_prefill().expect("prefill response");
     (handle, out)
+}
+
+/// [`on_grid_attention`] of one head at the engine's scale: the datapath's
+/// own error, the input format's taken out, is held to [`ON_GRID_BOUND`].
+fn on_grid(pattern: &HybridPattern, head: &Qkv) -> Matrix<f32> {
+    let scale = SpatialAccelerator::default_scale(head.head_dim());
+    on_grid_attention(pattern, &head.q, &head.k, &head.v, scale).expect("on grid")
+}
+
+/// The largest distance between a decode step's row and row `t` of
+/// `expected`.
+fn row_diff(step: &[f32], expected: &Matrix<f32>, t: usize) -> f32 {
+    step.iter().zip(expected.row(t)).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
 }
 
 /// The systolic oracle's prefill of every head, run on the plan the
@@ -173,6 +186,8 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
         assert!(reference.heads[h].raw.is_none());
         let diff = lowered.heads[h].output.max_abs_diff(&reference.heads[h].output);
         assert!(diff < FIXED_POINT_BOUND, "head {h} prefill diff {diff}");
+        let diff = lowered.heads[h].output.max_abs_diff(&on_grid(&pattern, &heads[h]));
+        assert!(diff < ON_GRID_BOUND, "head {h} prefill diff vs on-grid {diff}");
     }
     assert_eq!(
         lowered.telemetry.saturation_events,
@@ -186,6 +201,10 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
         .map(|e| decode_on(e.as_mut(), &pattern, d, num_heads, &heads))
         .collect();
     assert_eq!(dec[0], dec[1], "two lowered engines decode bit-identically");
+    let view = pattern.decode_view().unwrap();
+    let min_step = view.min_step();
+    let causal = view.into_causal_pattern();
+    let on_grid: Vec<Matrix<f32>> = heads.iter().map(|h| on_grid(&causal, h)).collect();
     for (s, (fixed, float)) in dec[0].iter().zip(&dec[2]).enumerate() {
         for h in 0..num_heads {
             assert!(fixed[h].raw.is_some() && float[h].raw.is_none());
@@ -196,6 +215,8 @@ fn all_three_engines_agree_on_one_random_hybrid_pattern() {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             assert!(diff < FIXED_POINT_BOUND, "step {s} head {h} decode diff {diff}");
+            let diff = row_diff(&fixed[h].output, &on_grid[h], min_step + s);
+            assert!(diff < ON_GRID_BOUND, "step {s} head {h} decode diff vs on-grid {diff}");
         }
     }
 }
@@ -528,6 +549,8 @@ proptest! {
         );
         let diff = lowered.heads[0].output.max_abs_diff(&reference.heads[0].output);
         prop_assert!(diff < FIXED_POINT_BOUND, "diff {}", diff);
+        let diff = lowered.heads[0].output.max_abs_diff(&on_grid(&pattern, &heads[0]));
+        prop_assert!(diff < ON_GRID_BOUND, "diff vs on-grid {}", diff);
     }
 
     /// Decode: two independent lowered engines are bit-identical step for
@@ -543,7 +566,10 @@ proptest! {
             .map(|e| decode_on(e.as_mut(), &pattern, d, 1, &heads))
             .collect();
         prop_assert_eq!(&dec[0], &dec[1], "two lowered engines decode bit-identically");
-        for (fixed, float) in dec[0].iter().zip(&dec[2]) {
+        let view = pattern.decode_view().unwrap();
+        let min_step = view.min_step();
+        let on_grid = on_grid(&view.into_causal_pattern(), &heads[0]);
+        for (s, (fixed, float)) in dec[0].iter().zip(&dec[2]).enumerate() {
             let diff = fixed[0]
                 .output
                 .iter()
@@ -551,6 +577,8 @@ proptest! {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             prop_assert!(diff < FIXED_POINT_BOUND, "decode diff {}", diff);
+            let diff = row_diff(&fixed[0].output, &on_grid, min_step + s);
+            prop_assert!(diff < ON_GRID_BOUND, "step {} decode diff vs on-grid {}", s, diff);
         }
     }
 }
