@@ -22,7 +22,7 @@ use salo_sim::{
 use crate::engine::{
     check_open_prompt, check_prefill_heads, check_token, AttentionRequest, AttentionResponse,
     Engine, FixedToken, HeadOutput, HeadStep, PatternHandle, PrefillOutput, SessionClosed,
-    SessionId, SessionOpened, StepResult, Telemetry, TokenQkv,
+    SessionId, SessionOpened, StepResult, Telemetry,
 };
 use crate::{salo::compile_with, CompiledPlan, MultiHeadRun, SaloError};
 
@@ -285,121 +285,69 @@ impl LoweredEngine {
     }
 
     /// The one way a decode step runs — a serving worker's run of steps,
-    /// and [`AttentionRequest::DecodeStepBatch`] after quantizing: execute
-    /// one pending step from each listed session, grouping maximal runs
-    /// that share a decode-plan fingerprint into single
-    /// [`SpatialAccelerator::execute_fixed_steps`] passes (one scratch, one
-    /// pool, per-dispatch overhead paid once). Results are per entry, in
-    /// request order, each head the datapath's own [`StepOutput`];
-    /// grouping preserves it (each group is a contiguous run) and never
-    /// spans a duplicate session id, so per-session step ordering is
-    /// exactly the one-at-a-time order.
+    /// and [`AttentionRequest::DecodeStep`] as a run of one. The entries
+    /// run one after another in request order, as the one PE array runs
+    /// its passes, and each is settled before the next starts:
+    ///
+    /// * an unknown session, or a token [`check_token`] refuses (head
+    ///   count and every head's row lengths, checked before any head
+    ///   moves), fails the entry and leaves its session where it was;
+    /// * otherwise the session's heads run as one
+    ///   [`SpatialAccelerator::execute_fixed_steps`] call. A failure there
+    ///   that left the heads disagreeing (one advanced or poisoned while
+    ///   another did not) retires the session and hands its pages back to
+    ///   the pool; any other leaves it live where it was.
+    ///
+    /// So an entry's result, its stage profile included, is what the same
+    /// step would get alone after the entries before it: who shares a run
+    /// never changes an outcome. Each head is the datapath's own
+    /// [`StepOutput`].
     pub fn step_batch(
         &mut self,
         steps: Vec<(SessionId, Vec<FixedToken>)>,
     ) -> Vec<(SessionId, Result<StepResult<StepOutput>, SaloError>)> {
         let _span = salo_trace::span_with("engine.decode_step_batch", "engine", steps.len() as u64);
-        let mut results = Vec::with_capacity(steps.len());
-        let mut iter = steps.into_iter().peekable();
-        while let Some((session, token)) = iter.next() {
-            let Some(live) = self.sessions.get(&session) else {
-                results.push((session, Err(SaloError::UnknownSession { session })));
-                continue;
-            };
-            let fingerprint = live.decode.fingerprint();
-            let mut group = vec![(session, token)];
-            while let Some((next, _)) = iter.peek() {
-                if group.iter().any(|(sid, _)| sid == next) {
-                    break; // a second step for a session starts a new group
-                }
-                match self.sessions.get(next) {
-                    Some(s) if s.decode.fingerprint() == fingerprint => {
-                        group.push(iter.next().expect("peeked entry exists"));
-                    }
-                    _ => break,
-                }
-            }
-            self.run_step_group(group, &mut results);
-        }
-        results
-    }
-
-    /// Executes one group (live sessions sharing a plan, one step each)
-    /// and appends the per-session results to `results`.
-    ///
-    /// Validation is pre-mutation and per entry: head count and every
-    /// head's row lengths are checked before any head moves, so a
-    /// malformed token fails its own entry and leaves its session live at
-    /// the same position. A failure inside the pass is judged afterwards:
-    /// a session whose heads no longer agree
-    /// ([`is_intact`](FixedSession::is_intact)) is retired and its pages
-    /// released; anything else is reinserted as it was.
-    fn run_step_group(
-        &mut self,
-        group: Vec<(SessionId, Vec<FixedToken>)>,
-        results: &mut Vec<(SessionId, Result<StepResult<StepOutput>, SaloError>)>,
-    ) {
-        // One entry per grouped session: taken out of the map (for
-        // simultaneous `&mut` access), its pending token, its pre-step
-        // position, and any pre-validation error.
-        type GroupEntry = (SessionId, FixedSession, Vec<FixedToken>, usize, Option<SaloError>);
-        let mut entries: Vec<GroupEntry> = group
-            .into_iter()
-            .map(|(sid, token)| {
-                let sess = self.sessions.remove(&sid).expect("grouped sessions are live");
-                let position = sess.position();
-                let d = sess.states.first().map_or(0, DecodeState::head_dim);
-                let err = check_token(sess.states.len(), d, &token).err();
-                (sid, sess, token, position, err)
-            })
-            .collect();
-        let decode = entries
-            .iter()
-            .find(|(_, _, _, _, err)| err.is_none())
-            .map(|(_, sess, ..)| Arc::clone(&sess.decode));
-
         let profiling = salo_trace::enabled();
         self.scratch.set_profiling(profiling);
-        let mut batch: Vec<FixedStep<'_>> = Vec::new();
-        for (_, sess, token, _, err) in &mut entries {
-            if err.is_some() {
-                continue;
-            }
-            for (state, tok) in sess.states.iter_mut().zip(token.iter()) {
-                batch.push(FixedStep { state, q_t: &tok.q, k_t: &tok.k, v_t: &tok.v });
-            }
-        }
-        let mut outputs = match &decode {
-            Some(decode) => self.accel.execute_fixed_steps(
-                decode,
-                &mut batch,
-                &mut self.kv_pool,
-                &mut self.scratch,
-            ),
-            None => Vec::new(),
-        }
-        .into_iter();
-        drop(batch);
-        // The group shares one scratch, so its stage profile is one
-        // aggregate: it rides on the first successful entry, and summing
-        // over a group's entries gives its total.
-        let mut stages = profiling.then(|| self.scratch.take_profile());
+        let step = |(session, token): (SessionId, Vec<FixedToken>)| {
+            (session, self.step(session, &token, profiling))
+        };
+        steps.into_iter().map(step).collect()
+    }
 
-        for (sid, mut sess, _token, position, err) in entries {
-            let heads = match err {
-                Some(e) => Err(e),
-                None => {
-                    // Every head of the entry ran, whatever its siblings
-                    // did: report the first failure, skip the rest of the
-                    // entry's outputs so the next entry reads its own.
-                    let mut own = outputs.by_ref().take(sess.states.len());
-                    let heads: Result<Vec<StepOutput>, SimError> = own.by_ref().collect();
-                    own.for_each(drop);
-                    heads.map_err(normalize_step_error)
-                }
-            };
-            let result = heads.map(|heads| StepResult {
-                session: sid,
+    /// One entry of [`step_batch`](Self::step_batch): checks `token`
+    /// against `session`, runs its heads and settles the session.
+    fn step(
+        &mut self,
+        session: SessionId,
+        token: &[FixedToken],
+        profiling: bool,
+    ) -> Result<StepResult<StepOutput>, SaloError> {
+        let live = self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;
+        let position = live.position();
+        let d = live.states.first().map_or(0, DecodeState::head_dim);
+        check_token(live.states.len(), d, token)?;
+        let mut batch: Vec<FixedStep<'_>> = live
+            .states
+            .iter_mut()
+            .zip(token)
+            .map(|(state, tok)| FixedStep { state, q_t: &tok.q, k_t: &tok.k, v_t: &tok.v })
+            .collect();
+        let heads = self.accel.execute_fixed_steps(
+            &live.decode,
+            &mut batch,
+            &mut self.kv_pool,
+            &mut self.scratch,
+        );
+        drop(batch);
+        // Taken whatever the outcome, so a failed entry's partial profile
+        // never rides on the next one.
+        let stages = profiling.then(|| self.scratch.take_profile());
+        // Every head ran, whatever its siblings did: the first failure is
+        // the entry's.
+        match heads.into_iter().collect::<Result<Vec<StepOutput>, SimError>>() {
+            Ok(heads) => Ok(StepResult {
+                session,
                 position,
                 telemetry: Telemetry {
                     engine: NAME,
@@ -407,21 +355,22 @@ impl LoweredEngine {
                     sim_time_s: None,
                     sim_energy_j: None,
                     saturation_events: heads.iter().map(|h| h.saturation_events).sum(),
-                    resident_kv_bytes: Some(sess.resident_kv_bytes()),
-                    stages: stages.take(),
+                    resident_kv_bytes: Some(live.resident_kv_bytes()),
+                    stages,
                 },
                 heads,
-            });
-            if result.is_ok() || sess.is_intact(position) {
-                self.sessions.insert(sid, sess);
-            } else {
-                // A head advanced or poisoned while another did not: the
-                // heads are desynced, so the session is retired and later
-                // steps report `UnknownSession` instead of silently wrong
-                // outputs.
-                sess.release_pages(&mut self.kv_pool);
+            }),
+            Err(e) => {
+                if !live.is_intact(position) {
+                    // A head advanced or poisoned while another did not:
+                    // the heads are desynced, so the session is retired
+                    // and later steps report `UnknownSession` instead of
+                    // silently wrong outputs.
+                    let mut retired = self.sessions.remove(&session).expect("the session is live");
+                    retired.release_pages(&mut self.kv_pool);
+                }
+                Err(normalize_step_error(e))
             }
-            results.push((sid, result));
         }
     }
 
@@ -460,12 +409,6 @@ impl LoweredEngine {
             stages,
         }
     }
-}
-
-/// A step's `f32` token, quantized head by head as a served step is
-/// where it arrives ([`FixedToken::quantize`]).
-fn quantize_token(token: &[TokenQkv]) -> Vec<FixedToken> {
-    token.iter().map(FixedToken::quantize).collect()
 }
 
 /// Converts a simulator [`ExecutionOutput`] into the backend-neutral
@@ -529,20 +472,13 @@ impl Engine for LoweredEngine {
             }
             AttentionRequest::DecodeStep { session, token } => {
                 let _span = salo_trace::span_with("engine.decode_step", "engine", session);
-                // A step is a batch of one: same validation order, same
-                // retirement rule, same telemetry as any fused entry.
+                // A step is a run of one: same validation order, same
+                // retirement rule, same telemetry as any entry of a run.
                 let (_, result) = self
-                    .step_batch(vec![(session, quantize_token(&token))])
+                    .step_batch(vec![(session, token.iter().map(FixedToken::quantize).collect())])
                     .pop()
                     .expect("one result per submitted step");
                 Ok(AttentionResponse::DecodeStep(fixed_step_result(result?)))
-            }
-            AttentionRequest::DecodeStepBatch { steps } => {
-                let steps =
-                    steps.iter().map(|(sid, token)| (*sid, quantize_token(token))).collect();
-                let results = self.step_batch(steps).into_iter();
-                let results = results.map(|(sid, result)| (sid, result.map(fixed_step_result)));
-                Ok(AttentionResponse::DecodeStepBatch(results.collect()))
             }
             AttentionRequest::DecodeClose { session } => {
                 Ok(AttentionResponse::DecodeClosed(self.close(session)?))

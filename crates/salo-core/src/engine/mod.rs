@@ -218,30 +218,17 @@ pub enum AttentionRequest {
         /// opens through [`LoweredEngine::open`].
         prompt: Vec<Qkv>,
     },
-    /// Decode one token of an open session (all heads) — a
-    /// [`DecodeStepBatch`](Self::DecodeStepBatch) of one, answered
-    /// unwrapped.
+    /// Decode one token of an open session (all heads). The fixed-point
+    /// engine quantizes the token ([`FixedToken::quantize`]) and runs it
+    /// as a [`LoweredEngine::step_batch`] of one — the entry every step of
+    /// a served run is. A token refused before any head moves (wrong head
+    /// count or row length) leaves the session where it was; a failure
+    /// that left the heads desynced retires it.
     DecodeStep {
         /// The session to advance.
         session: SessionId,
         /// One [`TokenQkv`] per head.
         token: Vec<TokenQkv>,
-    },
-    /// Decode one token from each of several open sessions as a single
-    /// fused pass — the iteration-level continuous-batching form, and on
-    /// the fixed-point engine the one routine every step runs through.
-    /// Results are per entry, in request order, and equal to issuing the
-    /// entries as individual [`DecodeStep`](Self::DecodeStep)s: an
-    /// unknown session, a malformed token (head count and every head's
-    /// row lengths are checked before any head moves) or a failure inside
-    /// the pass fails its own entry only; a session whose heads a failure
-    /// left desynced is retired, any other stays live where it was.
-    DecodeStepBatch {
-        /// One `(session, per-head token)` entry per session to advance,
-        /// in execution order. The fixed-point engine quantizes every
-        /// token ([`FixedToken::quantize`]) and runs them through
-        /// [`LoweredEngine::step_batch`].
-        steps: Vec<(SessionId, Vec<TokenQkv>)>,
     },
     /// Close a session, dropping its state.
     DecodeClose {
@@ -272,8 +259,7 @@ pub struct Telemetry {
     /// Host-measured per-stage datapath cost, present on fixed-point
     /// backends when stage profiling is enabled (`SALO_TRACE=1` or
     /// [`salo_trace::set_enabled`]). Summed across the request's heads;
-    /// decode steps that ran as one group share one profile, carried by
-    /// the group's first successful entry.
+    /// a decode step's is its own, alone or in a run of steps.
     pub stages: Option<salo_sim::StageProfile>,
 }
 
@@ -368,9 +354,6 @@ pub enum AttentionResponse {
     DecodeOpened(SessionOpened),
     /// Response to [`AttentionRequest::DecodeStep`].
     DecodeStep(StepResult),
-    /// Response to [`AttentionRequest::DecodeStepBatch`]: one entry per
-    /// requested step, in request order.
-    DecodeStepBatch(Vec<(SessionId, Result<StepResult, SaloError>)>),
     /// Response to [`AttentionRequest::DecodeClose`].
     DecodeClosed(SessionClosed),
 }
@@ -412,21 +395,6 @@ impl AttentionResponse {
         }
     }
 
-    /// Unwraps a fused decode-step-batch response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SaloError::ResponseMismatch`] on any other variant.
-    #[allow(clippy::type_complexity)] // the per-entry result list IS the shape
-    pub fn into_step_batch(
-        self,
-    ) -> Result<Vec<(SessionId, Result<StepResult, SaloError>)>, SaloError> {
-        match self {
-            AttentionResponse::DecodeStepBatch(out) => Ok(out),
-            other => Err(SaloError::ResponseMismatch { got: other.variant_name() }),
-        }
-    }
-
     /// Unwraps a decode-close response.
     ///
     /// # Errors
@@ -446,7 +414,6 @@ impl AttentionResponse {
             AttentionResponse::Prefill(_) => "Prefill",
             AttentionResponse::DecodeOpened(_) => "DecodeOpened",
             AttentionResponse::DecodeStep(_) => "DecodeStep",
-            AttentionResponse::DecodeStepBatch(_) => "DecodeStepBatch",
             AttentionResponse::DecodeClosed(_) => "DecodeClosed",
         }
     }

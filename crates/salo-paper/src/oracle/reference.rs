@@ -183,22 +183,6 @@ impl Engine for ReferenceEngine {
                     telemetry: Self::telemetry(),
                 }))
             }
-            AttentionRequest::DecodeStepBatch { steps } => {
-                // Float sessions have no fused kernel to gain from; the
-                // batch is the same steps run in order, which is also
-                // exactly the fused path's semantics (per-entry results,
-                // request order preserved).
-                let results = steps
-                    .into_iter()
-                    .map(|(session, token)| {
-                        let result = self
-                            .execute(AttentionRequest::DecodeStep { session, token })
-                            .and_then(AttentionResponse::into_step);
-                        (session, result)
-                    })
-                    .collect();
-                Ok(AttentionResponse::DecodeStepBatch(results))
-            }
             AttentionRequest::DecodeClose { session } => match self.sessions.remove(&session) {
                 Some(state) => Ok(AttentionResponse::DecodeClosed(SessionClosed {
                     session,

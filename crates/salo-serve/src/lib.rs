@@ -24,7 +24,7 @@
 //!   it straight to the least-loaded worker's queue (a session's steps to
 //!   its pinned worker's). The worker that
 //!   finishes a request sends its result straight to the channel the
-//!   request came in with ([`ServeEvent`]) — the steps one fused pass
+//!   request came in with ([`ServeEvent`]) — the steps one run of steps
 //!   completes for sessions sharing an [`EventSink`] as one message — and
 //!   [`SaloServer::recv`] restores submission order for the server's own
 //!   [`submit`](SaloServer::submit) traffic;

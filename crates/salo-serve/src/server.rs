@@ -15,7 +15,7 @@
 //!   client ◀─────────────────────────────┴──────────┴──────────┘
 //!     one send, by the worker that finished the request, on the sink it
 //!     came in with: Layer / Opened / Step / Closed — or, for the steps of
-//!     one fused pass owed to one shared sink, one Steps
+//!     one run of steps owed to one shared sink, one Steps
 //! ```
 //!
 //! There is one way in: the submitting thread picks the worker — the

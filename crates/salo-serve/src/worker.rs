@@ -34,20 +34,24 @@
 //! arrival order. Every maximal contiguous run of decode steps for
 //! *distinct* sessions — at most one pending step per ready session, by
 //! construction — becomes a single
-//! [`LoweredEngine::step_batch`] call, executed as one multi-session pass
-//! over the engine's shared scratch. A second step for a session
-//! already in the run ends the run and opens the next one, so
-//! per-session step order is untouched. A run of one is the same pass at
-//! width one — there is no other way for a step to execute — so a token
-//! gets the same outcome whether or not a neighbour happened to share
-//! its tick: outputs, per-entry errors and retirement are decided by the
-//! one engine routine (pinned alone-vs-fused by the root `engines` and
-//! `decode` suites).
+//! [`LoweredEngine::step_batch`] call over the engine's shared scratch,
+//! which runs the steps one after another and settles each — retirement
+//! and the pages it frees included — before the next starts. A second
+//! step for a session already in the run ends the run and opens the next
+//! one, so per-session step order is untouched. A run of one is the same
+//! call at width one — there is no other way for a step to execute — so
+//! a token gets the same outcome whether or not a neighbour happened to
+//! share its tick: outputs, per-entry errors, retirement and pool
+//! refusals are what the same steps get issued one at a time (pinned by
+//! the root `engines` suite's
+//! `fused_steps_equal_the_same_steps_issued_one_at_a_time`, whose bounded
+//! pool refuses a session right before another that needs a page, and by
+//! the `decode` suite).
 //!
-//! The array gets a whole pass, and so does the front end: once a run has
-//! executed, the steps owed to one sink leave as one message, in run
-//! order — a [`ServeEvent::Steps`] when the run held two or more of them,
-//! the step's own events when it held one. A front end that reads every
+//! The front end gets the whole run: once it has executed, the steps
+//! owed to one sink leave as one message, in run order — a
+//! [`ServeEvent::Steps`] when the run held two or more of them, the
+//! step's own events when it held one. A front end that reads every
 //! session from one receiver is woken once per run, not once per token;
 //! a session's own channel never holds two steps of one run, so it sees
 //! plain events.
@@ -73,7 +77,7 @@ use crate::{PlanCache, PlanKey, ServeError, ServeOptions, ServeRequest, ServeRes
 /// Bound on the extra jobs one scheduler tick may drain beyond the
 /// blocking `recv` that opened it. Keeps a firehose of submissions from
 /// starving the tick's first job while still giving concurrently
-/// submitted steps a window to land in the same fused pass.
+/// submitted steps a window to land in the same run.
 const TICK_DRAIN_JOBS: usize = 64;
 
 /// One unit of work travelling to a worker, with the sink its outcome is
@@ -175,9 +179,9 @@ pub(crate) struct ServeMetrics {
     epoch: Instant,
     first_submit_ns: Arc<AtomicU64>,
     last_finish_ns: Arc<AtomicU64>,
-    /// Scheduler ticks that fused (>= 2 steps in one pass).
+    /// Scheduler ticks that fused (>= 2 steps in one run).
     ticks: Arc<Counter>,
-    /// Steps executed through fused passes (`fused_steps / ticks` is the
+    /// Steps executed in fused runs (`fused_steps / ticks` is the
     /// mean fusion width).
     fused_steps: Arc<Counter>,
     /// MAC saturation events over every successful step: clipping is
@@ -551,7 +555,7 @@ impl Worker {
     }
 
     /// Executes a run of distinct-session decode steps — one or many — as
-    /// one [`LoweredEngine::step_batch`] pass, then completes the run, one
+    /// one [`LoweredEngine::step_batch`] call, then completes the run, one
     /// message per sink: queue-wait recorded at dequeue, every
     /// entry's retirement settled and load released before the first
     /// message.

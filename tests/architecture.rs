@@ -85,7 +85,7 @@ const GUARDS: &[Guard] = &[
         check: Check::Absent(&[grep(&["#[deprecated", "allow(deprecated)"], SOURCES)]),
     },
     Guard {
-        reason: "the worker runs steps one way: a run of any width is one DecodeStepBatch",
+        reason: "the worker runs steps one way: a run of any width is one step_batch call",
         check: Check::Absent(&[grep(
             &["AttentionRequest::DecodeStep {"],
             &["crates/salo-serve/src"],
@@ -203,6 +203,14 @@ const GUARDS: &[Guard] = &[
                 &["crates", "src", "tests", "examples", "README.md"],
             ),
         ]),
+    },
+    Guard {
+        reason: "a step batch is its entries, each settled before the next: no fused request, \
+                 no grouped pass",
+        check: Check::Absent(&[grep(
+            &["DecodeStepBatch", "into_step_batch", "run_step_group"],
+            &["crates", "src", "tests", "examples", "README.md"],
+        )]),
     },
     Guard {
         // The unit tests may quantize an f32 head to build an Incoming.

@@ -14,13 +14,15 @@
 
 use proptest::prelude::*;
 use salo::core::{
-    AttentionRequest, Engine, HeadStep, LoweredEngine, PatternHandle, PrefillOutput,
+    AttentionRequest, Engine, FixedToken, HeadStep, LoweredEngine, PatternHandle, PrefillOutput,
     ReferenceEngine, Salo, SaloError, StepResult, TokenQkv,
 };
 use salo::kernels::{on_grid_attention, Matrix, Qkv, ON_GRID_BOUND};
 use salo::patterns::{AttentionShape, HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
-use salo::sim::{AcceleratorConfig, ExecutionOutput, KvPoolStats, SimError, SpatialAccelerator};
+use salo::sim::{
+    AcceleratorConfig, ExecutionOutput, KvPoolStats, SimError, SpatialAccelerator, StepOutput,
+};
 
 /// The documented fixed-point-vs-float bound for unit-normal inputs.
 const FIXED_POINT_BOUND: f32 = 0.4;
@@ -327,29 +329,53 @@ fn engine_sessions_validate_and_retire_like_the_serving_runtime() {
 }
 
 /// What an engine looks like after a script of decode steps: every
-/// step's outcome in order (raw bits, Q.16 weights, saturation counts and
+/// step's outcome in order (raw rows, Q.16 weights, saturation counts and
 /// telemetry inside `StepResult`; typed errors otherwise), where each
 /// session stands afterwards (`None` = not live), and the page pool.
 #[derive(Debug, PartialEq)]
 struct StepTrace {
-    results: Vec<(u64, Result<StepResult, SaloError>)>,
+    results: Vec<(u64, Result<StepResult<StepOutput>, SaloError>)>,
     positions: Vec<Option<usize>>,
     pool: KvPoolStats,
 }
 
 /// A step's result without its host-measured stage timings — the one
 /// part of a `StepResult` that is wall-clock rather than arithmetic.
-fn untimed(result: Result<StepResult, SaloError>) -> Result<StepResult, SaloError> {
+fn untimed<H>(result: Result<StepResult<H>, SaloError>) -> Result<StepResult<H>, SaloError> {
     result.map(|mut step| {
         step.telemetry.stages = None;
         step
     })
 }
 
+/// A `DecodeStep` answer as the datapath's rows, the form
+/// [`LoweredEngine::step_batch`] answers in: each head's raw row, Q.16
+/// weight and saturation count (its `f32` output is the raw row
+/// dequantized).
+fn as_rows(step: StepResult) -> StepResult<StepOutput> {
+    let StepResult { session, position, heads, telemetry } = step;
+    let heads = heads.into_iter().map(|head| StepOutput {
+        position,
+        raw: head.raw.expect("a lowered step carries its raw row"),
+        weight_q16: head.weight_q16.expect("a lowered step carries its weight"),
+        saturation_events: head.saturation_events,
+    });
+    StepResult { session, position, heads: heads.collect(), telemetry }
+}
+
+/// A run of `f32` steps quantized as a served run is where it arrives.
+fn quantized(steps: Vec<(u64, Vec<TokenQkv>)>) -> Vec<(u64, Vec<FixedToken>)> {
+    steps
+        .into_iter()
+        .map(|(s, token)| (s, token.iter().map(FixedToken::quantize).collect()))
+        .collect()
+}
+
 /// Runs the differential's script on a fresh engine whose pool holds
 /// `capacity` one-row pages: three rounds of five good steps, then one
 /// round with every irregularity at once. `fused` issues each round as
-/// one `DecodeStepBatch`; otherwise every entry is its own `DecodeStep`.
+/// one [`LoweredEngine::step_batch`]; otherwise every entry is its own
+/// `DecodeStep`.
 fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTrace {
     let d = 4;
     let plans = [
@@ -391,19 +417,19 @@ fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTra
 
     let mut rounds: Vec<Vec<(u64, Vec<TokenQkv>)>> =
         (2..5).map(|t| (0..5).map(|s| (sessions[s].0, token(s, t))).collect()).collect();
-    // The irregular round, at t = 5: sessions 5 and 1 step; session 2's
-    // token has a short row on head 1 (its own entry fails, the group
-    // goes on); session 4 steps — the one a bounded pool refuses; 99 was
-    // never opened; session 3 runs another plan (a new group); session 1
-    // again (a duplicate id splits the group, and must see its first
-    // step); session 2 again, well-formed this time.
+    // The irregular round, at t = 5: session 1 steps; session 2's token
+    // has a short row on head 1 (its own entry fails); session 4 steps —
+    // the one a bounded pool refuses — and session 5, live, on the same
+    // plan and needing a page, steps right behind it; 99 was never
+    // opened; session 3 runs another plan; session 1 again (it must see
+    // its first step); session 2 again, well-formed this time.
     let mut malformed = token(1, 5);
     malformed[1].k.truncate(2);
     rounds.push(vec![
-        (5, token(4, 5)),
         (1, token(0, 5)),
         (2, malformed),
         (4, token(3, 5)),
+        (5, token(4, 5)),
         (99, token(3, 5)),
         (3, token(2, 5)),
         (1, token(0, 6)),
@@ -413,17 +439,14 @@ fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTra
     let mut results = Vec::new();
     for round in rounds {
         if fused {
-            let batch = engine
-                .execute(AttentionRequest::DecodeStepBatch { steps: round })
-                .and_then(|r| r.into_step_batch())
-                .unwrap();
+            let batch = engine.step_batch(quantized(round));
             results.extend(batch.into_iter().map(|(session, result)| (session, untimed(result))));
         } else {
             for (session, token) in round {
                 let result = engine
                     .execute(AttentionRequest::DecodeStep { session, token })
                     .and_then(|r| r.into_step());
-                results.push((session, untimed(result)));
+                results.push((session, untimed(result.map(as_rows))));
             }
         }
     }
@@ -434,9 +457,10 @@ fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTra
     }
 }
 
-/// The fused pass is the only way a step runs, so a `DecodeStepBatch`
-/// over many sessions must equal the same steps issued one `DecodeStep`
-/// at a time — including everything that can go wrong inside a group.
+/// A run of steps is its entries one after another, each settled before
+/// the next, so [`LoweredEngine::step_batch`] over many sessions must
+/// equal the same steps issued one `DecodeStep` at a time — including
+/// everything that can go wrong inside a run.
 #[test]
 fn fused_steps_equal_the_same_steps_issued_one_at_a_time() {
     let salo = small_salo();
@@ -448,24 +472,26 @@ fn fused_steps_equal_the_same_steps_issued_one_at_a_time() {
     // malformed entry and the unknown id fail; every session is live, at
     // the position its good steps took it to.
     let alone = run_step_script(&salo, None, false);
-    assert_eq!(failed(&alone), [17, 19]);
-    assert!(matches!(alone.results[17].1, Err(SaloError::ShapeMismatch { .. })));
+    assert_eq!(failed(&alone), [16, 19]);
+    assert!(matches!(alone.results[16].1, Err(SaloError::ShapeMismatch { .. })));
     assert!(matches!(alone.results[19].1, Err(SaloError::UnknownSession { session: 99 })));
     assert_eq!(alone.positions, [Some(7), Some(6), Some(6), Some(6), Some(6)]);
     assert_eq!(run_step_script(&salo, None, true), alone);
 
     // Bounded pool, sized so that the allocation refused is session 4's
     // *second head* in the irregular round: head 0 took the last page,
-    // the heads desync, the session is retired at the end of its group
-    // and its pages return to the pool for the groups after it. The
-    // capacity is searched for (downwards from the unbounded peak) rather
-    // than derived, so the test does not restate the reclamation horizon.
+    // the heads desync, the session is retired and its pages return to
+    // the pool before session 5, right behind it, asks for one — so
+    // session 5 steps, in the run as alone. The capacity is searched for
+    // (downwards from the unbounded peak) rather than derived, so the
+    // test does not restate the reclamation horizon.
     let (capacity, alone) = (1..alone.pool.high_water)
         .rev()
         .map(|capacity| (capacity, run_step_script(&salo, Some(capacity), false)))
-        .find(|(_, trace)| failed(trace) == [17, 18, 19] && trace.positions[3].is_none())
+        .find(|(_, trace)| failed(trace) == [16, 17, 19] && trace.positions[3].is_none())
         .expect("some capacity hands the last page to head 0 of a two-head step");
-    assert!(matches!(alone.results[18].1, Err(SaloError::Sim(SimError::PagePoolExhausted { .. }))));
+    assert!(matches!(alone.results[17].1, Err(SaloError::Sim(SimError::PagePoolExhausted { .. }))));
+    assert_eq!(alone.results[18].1.as_ref().map(|step| step.position), Ok(5));
     assert_eq!(alone.positions, [Some(7), Some(6), Some(6), None, Some(6)]);
     assert_eq!(alone.pool.exhausted, 1);
     assert_eq!(run_step_script(&salo, Some(capacity), true), alone);
@@ -491,14 +517,13 @@ fn fused_steps_equal_the_same_steps_issued_one_at_a_time() {
     let token: Vec<TokenQkv> = heads.iter().map(|h| TokenQkv::from_row(h, 1)).collect();
     let single = engines[0]
         .execute(AttentionRequest::DecodeStep { session: 1, token: token.clone() })
-        .and_then(|r| r.into_step());
-    let batch_of_one = engines[1]
-        .execute(AttentionRequest::DecodeStepBatch { steps: vec![(1, token)] })
-        .and_then(|r| r.into_step_batch())
-        .unwrap();
+        .and_then(|r| r.into_step())
+        .map(as_rows);
+    let batch_of_one = engines[1].step_batch(quantized(vec![(1, token)]));
     // Stage profiling follows the tracer switch at every width.
-    let profiled =
-        |r: &Result<StepResult, SaloError>| r.as_ref().unwrap().telemetry.stages.is_some();
+    let profiled = |r: &Result<StepResult<StepOutput>, SaloError>| {
+        r.as_ref().unwrap().telemetry.stages.is_some()
+    };
     assert_eq!(profiled(&single), salo::trace::enabled());
     assert_eq!(profiled(&batch_of_one[0].1), salo::trace::enabled());
     let batch_of_one: Vec<_> = batch_of_one.into_iter().map(|(s, r)| (s, untimed(r))).collect();
