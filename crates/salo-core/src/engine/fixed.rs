@@ -284,45 +284,30 @@ impl LoweredEngine {
         Ok(opened)
     }
 
-    /// The one way a decode step runs — a serving worker's run of steps,
-    /// and [`AttentionRequest::DecodeStep`] as a run of one. The entries
-    /// run one after another in request order, as the one PE array runs
-    /// its passes, and each is settled before the next starts:
+    /// The one way a decode step runs — a serving worker's step, and
+    /// [`AttentionRequest::DecodeStep`] after quantizing. Each step is
+    /// settled before the call returns, as the one PE array runs its
+    /// passes one after another, so who shares a worker's tick never
+    /// changes an outcome:
     ///
     /// * an unknown session, or a token [`check_token`] refuses (head
     ///   count and every head's row lengths, checked before any head
-    ///   moves), fails the entry and leaves its session where it was;
+    ///   moves), fails the step and leaves its session where it was;
     /// * otherwise the session's heads run as one
     ///   [`SpatialAccelerator::execute_fixed_steps`] call. A failure there
     ///   that left the heads disagreeing (one advanced or poisoned while
     ///   another did not) retires the session and hands its pages back to
     ///   the pool; any other leaves it live where it was.
     ///
-    /// So an entry's result, its stage profile included, is what the same
-    /// step would get alone after the entries before it: who shares a run
-    /// never changes an outcome. Each head is the datapath's own
-    /// [`StepOutput`].
-    pub fn step_batch(
-        &mut self,
-        steps: Vec<(SessionId, Vec<FixedToken>)>,
-    ) -> Vec<(SessionId, Result<StepResult<StepOutput>, SaloError>)> {
-        let _span = salo_trace::span_with("engine.decode_step_batch", "engine", steps.len() as u64);
-        let profiling = salo_trace::enabled();
-        self.scratch.set_profiling(profiling);
-        let step = |(session, token): (SessionId, Vec<FixedToken>)| {
-            (session, self.step(session, &token, profiling))
-        };
-        steps.into_iter().map(step).collect()
-    }
-
-    /// One entry of [`step_batch`](Self::step_batch): checks `token`
-    /// against `session`, runs its heads and settles the session.
-    fn step(
+    /// Each head is the datapath's own [`StepOutput`]; the stage profile
+    /// is there when the tracer is on.
+    pub fn step(
         &mut self,
         session: SessionId,
         token: &[FixedToken],
-        profiling: bool,
     ) -> Result<StepResult<StepOutput>, SaloError> {
+        let profiling = salo_trace::enabled();
+        self.scratch.set_profiling(profiling);
         let live = self.sessions.get_mut(&session).ok_or(SaloError::UnknownSession { session })?;
         let position = live.position();
         let d = live.states.first().map_or(0, DecodeState::head_dim);
@@ -472,13 +457,8 @@ impl Engine for LoweredEngine {
             }
             AttentionRequest::DecodeStep { session, token } => {
                 let _span = salo_trace::span_with("engine.decode_step", "engine", session);
-                // A step is a run of one: same validation order, same
-                // retirement rule, same telemetry as any entry of a run.
-                let (_, result) = self
-                    .step_batch(vec![(session, token.iter().map(FixedToken::quantize).collect())])
-                    .pop()
-                    .expect("one result per submitted step");
-                Ok(AttentionResponse::DecodeStep(fixed_step_result(result?)))
+                let token: Vec<FixedToken> = token.iter().map(FixedToken::quantize).collect();
+                Ok(AttentionResponse::DecodeStep(fixed_step_result(self.step(session, &token)?)))
             }
             AttentionRequest::DecodeClose { session } => {
                 Ok(AttentionResponse::DecodeClosed(self.close(session)?))

@@ -220,10 +220,10 @@ pub enum AttentionRequest {
     },
     /// Decode one token of an open session (all heads). The fixed-point
     /// engine quantizes the token ([`FixedToken::quantize`]) and runs it
-    /// as a [`LoweredEngine::step_batch`] of one — the entry every step of
-    /// a served run is. A token refused before any head moves (wrong head
-    /// count or row length) leaves the session where it was; a failure
-    /// that left the heads desynced retires it.
+    /// through [`LoweredEngine::step`], the call every served step is. A
+    /// token refused before any head moves (wrong head count or row
+    /// length) leaves the session where it was; a failure that left the
+    /// heads desynced retires it.
     DecodeStep {
         /// The session to advance.
         session: SessionId,
@@ -321,8 +321,8 @@ pub struct HeadStep {
 }
 
 /// The response to an [`AttentionRequest::DecodeStep`]: one generated
-/// token across every head of the session ([`LoweredEngine::step_batch`]'s
-/// heads are the datapath's own [`StepOutput`](salo_sim::StepOutput)s).
+/// token across every head of the session ([`LoweredEngine::step`]'s heads
+/// are the datapath's own [`StepOutput`](salo_sim::StepOutput)s).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepResult<H = HeadStep> {
     /// The session that advanced.

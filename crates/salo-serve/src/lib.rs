@@ -19,7 +19,7 @@
 //!   plan against the cache (compiling on a miss, which stalls that
 //!   worker and nobody else) and calls the engine's typed method for it
 //!   ([`LoweredEngine::prefill`](salo_core::LoweredEngine::prefill),
-//!   `open`, `step_batch` or `close`) on the rows it holds quantized. A
+//!   `open`, `step` or `close`) on the rows it holds quantized. A
 //!   request reaches its worker in one hop: the submitting thread sends
 //!   it straight to the least-loaded worker's queue (a session's steps to
 //!   its pinned worker's). The worker that

@@ -313,9 +313,9 @@ impl SaloServer {
     /// multiplexing many sessions hands every open a clone of one
     /// [`EventSink`] and reads all their events — each carries its session
     /// id — from the single receiver, instead of blocking on a handle per
-    /// session. The steps one worker pass completes for sessions on that
-    /// sink arrive as one [`ServeEvent::Steps`], in the order the pass ran
-    /// them, so the receiver wakes once per pass rather than once per
+    /// session. The steps one worker run completes for sessions on that
+    /// sink arrive as one [`ServeEvent::Steps`], in the order the run ran
+    /// them, so the receiver wakes once per run rather than once per
     /// token. A plain `Sender<ServeEvent>` is a sink of its own and sees
     /// each event on its own, as a session handle does.
     ///

@@ -105,7 +105,7 @@ pub struct DecodeStep {
     pub position: usize,
     /// Per-head output rows as the datapath wrote them: each head's 16-bit
     /// row, its Q.16 weight and its saturation count, straight from
-    /// [`LoweredEngine::step_batch`](salo_core::LoweredEngine::step_batch).
+    /// [`LoweredEngine::step`](salo_core::LoweredEngine::step).
     pub heads: Vec<StepOutput>,
     /// The worker that executed it.
     pub worker: usize,
@@ -196,11 +196,11 @@ pub enum ServeEvent {
         /// the pinned worker died and took the count with it.
         position: Option<usize>,
     },
-    /// The steps one worker pass completed for sessions sharing one
-    /// [`EventSink`], in the order the pass ran them: each step's
+    /// The steps one worker run completed for sessions sharing one
+    /// [`EventSink`], in the order the run ran them: each step's
     /// [`Step`](Self::Step), followed by its session's
     /// [`Closed`](Self::Closed) when the step retired it. Sent only when
-    /// the pass ran two or more steps owed to the sink; a step alone on its
+    /// the run held two or more steps owed to the sink; a step alone on its
     /// sink — always so on a session's own channel — arrives as its plain
     /// events. Holds nothing else, and never another `Steps`.
     Steps(Vec<ServeEvent>),

@@ -6,8 +6,8 @@
 //! and so is a worker: a layer or a session open arrives as the client
 //! sent it, the worker resolves its plan against the shared
 //! [`PlanCache`] — compiling on a miss — and executes it by calling the
-//! engine it owns ([`LoweredEngine::prefill`], `open`, `step_batch`,
-//! `close`) on the quantized rows the job carries. A cold compile
+//! engine it owns ([`LoweredEngine::prefill`], `open`, `step`, `close`)
+//! on the quantized rows the job carries. A cold compile
 //! therefore stalls the worker it runs on and nobody else. Decode
 //! sessions are *pinned*: their per-head K/V state lives inside the
 //! worker's engine for the whole generation, so steps never cross
@@ -29,32 +29,25 @@
 //! # The scheduler tick
 //!
 //! Each `recv` on the job channel opens one *scheduler tick*: the worker
-//! opportunistically drains whatever else is already queued (bounded by
-//! [`TICK_DRAIN_JOBS`]), then walks the tick's jobs strictly in
-//! arrival order. Every maximal contiguous run of decode steps for
-//! *distinct* sessions — at most one pending step per ready session, by
-//! construction — becomes a single
-//! [`LoweredEngine::step_batch`] call over the engine's shared scratch,
-//! which runs the steps one after another and settles each — retirement
-//! and the pages it frees included — before the next starts. A second
-//! step for a session already in the run ends the run and opens the next
-//! one, so per-session step order is untouched. A run of one is the same
-//! call at width one — there is no other way for a step to execute — so
-//! a token gets the same outcome whether or not a neighbour happened to
-//! share its tick: outputs, per-entry errors, retirement and pool
-//! refusals are what the same steps get issued one at a time (pinned by
-//! the root `engines` suite's
-//! `fused_steps_equal_the_same_steps_issued_one_at_a_time`, whose bounded
-//! pool refuses a session right before another that needs a page, and by
-//! the `decode` suite).
+//! drains whatever else is already queued (at most [`TICK_DRAIN_JOBS`]
+//! more) and walks the tick's jobs strictly in arrival order. A decode
+//! step is one [`LoweredEngine::step`] call, run when its job is reached
+//! and settled — retirement and the pages it frees included — before the
+//! next job starts, as the one PE array runs its passes one after
+//! another. So a token gets the same outcome whoever shares its tick:
+//! outputs, errors, retirement and pool refusals are what the same jobs
+//! get one tick each (pinned by `a_tick_of_steps_equals_one_job_per_tick`
+//! below, whose bounded pool refuses a session right before another that
+//! needs a page, and by the `decode` suite).
 //!
-//! The front end gets the whole run: once it has executed, the steps
-//! owed to one sink leave as one message, in run order — a
-//! [`ServeEvent::Steps`] when the run held two or more of them, the
-//! step's own events when it held one. A front end that reads every
-//! session from one receiver is woken once per run, not once per token;
-//! a session's own channel never holds two steps of one run, so it sees
-//! plain events.
+//! Outcomes wait in a *run* of steps for distinct sessions, which
+//! completes at the next job that is not a step, at a second step for a
+//! session already in it (which opens the next run), and at the end of
+//! the tick. The steps a run owes one sink leave as one message, in run
+//! order — a [`ServeEvent::Steps`] when it owes two or more, the step's
+//! own events when it owes one. A front end that reads every session from
+//! one receiver is woken once per run, not once per token; a session's
+//! own channel never holds two steps of one run, so it sees plain events.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -507,9 +500,9 @@ impl Worker {
         self.energy_j
     }
 
-    /// Processes one scheduler tick's jobs strictly in arrival order,
-    /// running each maximal contiguous run of distinct-session decode
-    /// steps as one batched engine pass.
+    /// Processes one scheduler tick's jobs strictly in arrival order. A
+    /// step runs as its job is reached; its outcome waits in the run of
+    /// distinct-session steps it belongs to, which completes as a whole.
     fn run_tick(&mut self, jobs: &mut Vec<Job>) {
         // The layers of one tick run back to back on this worker: that
         // count is what `serve.batches` / `serve.batched_requests`
@@ -519,29 +512,29 @@ impl Worker {
             self.metrics.batches.inc();
             self.metrics.batched_requests.add(layers as u64);
         }
-        let mut run: Vec<StepJob> = Vec::new();
+        // The run's settled steps, and when its first step began.
+        let mut run: Vec<StepDone> = Vec::new();
+        let mut began = Instant::now();
         for job in jobs.drain(..) {
+            // A run ends at a job that is not a step, and at a second step
+            // for a session already in it, which opens the next run: a
+            // session's own channel then never holds two steps of one
+            // `Steps` message.
+            if !matches!(&job, Job::Step(step) if run.iter().all(|s| s.session != step.session)) {
+                self.complete_run(std::mem::take(&mut run), began);
+            }
             match job {
                 Job::Step(step) => {
-                    if run.iter().any(|s| s.session == step.session) {
-                        // A second step for a session already in the run:
-                        // it must observe the first step's state, so the
-                        // run ends here and this step opens the next one —
-                        // per-session order is preserved by construction.
-                        self.run_steps(std::mem::take(&mut run));
+                    if run.is_empty() {
+                        began = Instant::now();
                     }
-                    run.push(step);
+                    run.push(self.run_step(step));
                 }
-                Job::Layer { ticket, request } => {
-                    self.run_steps(std::mem::take(&mut run));
-                    self.run_layer(ticket, request);
-                }
+                Job::Layer { ticket, request } => self.run_layer(ticket, request),
                 Job::Open { session, request, submitted, events } => {
-                    self.run_steps(std::mem::take(&mut run));
                     self.run_open(session, request, submitted, &events);
                 }
                 Job::Close { session, events } => {
-                    self.run_steps(std::mem::take(&mut run));
                     let closed = self.engine.close(session);
                     self.load.fetch_sub(1, Ordering::Relaxed);
                     if let Ok(closed) = closed {
@@ -551,79 +544,61 @@ impl Worker {
                 }
             }
         }
-        self.run_steps(run);
+        self.complete_run(run, began);
     }
 
-    /// Executes a run of distinct-session decode steps — one or many — as
-    /// one [`LoweredEngine::step_batch`] call, then completes the run, one
-    /// message per sink: queue-wait recorded at dequeue, every
-    /// entry's retirement settled and load released before the first
-    /// message.
-    fn run_steps(&mut self, steps: Vec<StepJob>) {
-        if steps.is_empty() {
+    /// Runs one decode step — one [`LoweredEngine::step`] call — and
+    /// settles it before the next job runs: queue wait recorded at
+    /// dequeue, a retired session removed from the registry, load
+    /// released. Settling precedes the completion, so a client that has
+    /// seen the outcome finds a retired session refusing further steps and
+    /// a placement load this step no longer inflates.
+    fn run_step(&mut self, step: StepJob) -> StepDone {
+        let StepJob { session, token, submitted, events } = step;
+        salo_trace::record_since("serve.decode.queue_wait", "serve", submitted, session);
+        // The tokens ingested before the step: what a retired session's
+        // `Closed` reports, the failing token's partial ingest having died
+        // with the session state.
+        let before = self.engine.session_position(session);
+        let result = self.engine.step(session, &token);
+        // A failure that desynced the heads made the engine retire the
+        // session; propagate that runtime-wide. A token refused before any
+        // head moved leaves it live, and a session this engine did not
+        // hold was retired long ago.
+        let retired = (before.is_some() && !self.engine.has_session(session)).then_some(before);
+        if retired.is_some() {
+            self.registry.lock().remove(session);
+        }
+        self.load.fetch_sub(1, Ordering::Relaxed);
+        if let Ok(step) = &result {
+            let metrics = &self.metrics;
+            metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
+            metrics.decode_saturation_events.add(step.telemetry.saturation_events);
+        }
+        let result = result
+            .map(|step| DecodeStep {
+                position: step.position,
+                heads: step.heads,
+                worker: self.index,
+            })
+            .map_err(ServeError::from);
+        StepDone { events, session, submitted, result, retired }
+    }
+
+    /// Completes a run of settled steps that began at `began`, one message
+    /// per sink.
+    fn complete_run(&self, run: Vec<StepDone>, began: Instant) {
+        if run.is_empty() {
             return;
         }
-        let Self { index, engine, load, registry, metrics, .. } = self;
         let tracer = salo_trace::Tracer::global();
-        let tick_span = tracer.span_with("serve.decode.tick", "serve", steps.len() as u64);
-        if steps.len() >= 2 {
-            metrics.ticks.inc();
-            metrics.fused_steps.add(steps.len() as u64);
-        }
-        let mut routes = Vec::with_capacity(steps.len());
-        let mut batch = Vec::with_capacity(steps.len());
-        for step in steps {
-            tracer.record_since("serve.decode.queue_wait", "serve", step.submitted, step.session);
-            // Liveness and position snapshots *before* the pass, per entry.
-            let known = engine.has_session(step.session);
-            let before = engine.session_position(step.session);
-            routes.push((step.session, step.submitted, step.events, known, before));
-            batch.push((step.session, step.token));
-        }
-        let results = engine.step_batch(batch);
-        debug_assert!(
-            results.len() == routes.len()
-                && results.iter().zip(&routes).all(|((sid, _), (rs, ..))| sid == rs),
-            "fused results align with the run, in order"
-        );
-        drop(tick_span);
-        let mut run = Vec::with_capacity(routes.len());
-        for ((session, submitted, events, known, before), (_, result)) in
-            routes.into_iter().zip(results)
-        {
-            // Bookkeeping (load, registry retirement) strictly precedes
-            // the completion: a client that has observed a step's outcome
-            // must see the worker's state already settled — retired
-            // sessions reject further steps, and session placement reads
-            // a load this step no longer inflates. A failure that desynced
-            // the per-head states made the engine retire the session;
-            // propagate that runtime-wide. Pre-mutation validation
-            // failures leave it live (and decodable), and steps for
-            // sessions this engine never held were retired long ago.
-            let poisoned = known && !engine.has_session(session);
-            if poisoned {
-                registry.lock().remove(session);
-            }
-            load.fetch_sub(1, Ordering::Relaxed);
-            if let Ok(step) = &result {
-                metrics.resident_kv_byte_steps.add(step.telemetry.resident_kv_bytes.unwrap_or(0));
-                metrics.decode_saturation_events.add(step.telemetry.saturation_events);
-            }
-            let result = result
-                .map(|step| DecodeStep {
-                    position: step.position,
-                    heads: step.heads,
-                    worker: *index,
-                })
-                .map_err(ServeError::from);
-            // `before` is the tokens known ingested when a poisoning step
-            // began; the failing token's partial ingest died with the
-            // session state.
-            let retired = poisoned.then_some(before);
-            run.push(StepDone { events, session, submitted, result, retired });
+        tracer.record_since("serve.decode.tick", "serve", began, run.len() as u64);
+        if run.len() >= 2 {
+            self.metrics.ticks.inc();
+            self.metrics.fused_steps.add(run.len() as u64);
         }
         let _reply_span = tracer.span_with("serve.reply", "serve", run.len() as u64);
-        metrics.complete_steps(run);
+        self.metrics.complete_steps(run);
     }
 
     /// Looks the plan for `(pattern, shape)` up in the shared cache,
@@ -737,51 +712,63 @@ fn compiled_now(
 mod tests {
     use std::sync::mpsc::{channel, TryRecvError};
 
-    use salo_kernels::Qkv;
+    use salo_core::SaloError;
+    use salo_kernels::{Matrix, Qkv};
     use salo_patterns::Window;
-    use salo_sim::AcceleratorConfig;
+    use salo_scheduler::HardwareMeta;
+    use salo_sim::{AcceleratorConfig, KvPoolStats, SimError};
 
     use super::*;
     use crate::session::LiveSession;
+    use crate::TokenQkv;
 
-    /// One tick, driven on this thread: sessions 0, 1 and 2 report into
-    /// one shared sink, session 3 into a channel of its own, and the run is
-    /// `[0, 3, 1, 2]`. Session 2 has two heads and its step is refused a
-    /// page for the second one, which retires it. The shared sink gets one
-    /// message for its three steps, in run order, with the retired
-    /// session's `Closed` right behind its `Step`; the private channel
-    /// gets its step as a plain event.
-    #[test]
-    fn a_run_leaves_as_one_message_per_sink_in_run_order() {
-        let registry = MetricsRegistry::new();
-        let sessions = Arc::new(SessionRegistry::new(1));
-        let salo = Salo::new(AcceleratorConfig::default());
+    /// A worker to drive on this thread, its engine's pool `pool_pages`
+    /// one-row pages (`None`: unbounded).
+    fn worker(salo: &Salo, pool_pages: Option<usize>) -> Worker {
         let mut engine = salo.engine();
-        // One-row pages: the prompts take 2 rows × 5 heads = 10 pages, the
-        // run's first three steps one each, and session 2's head 0 the
-        // last one; its head 1 is refused after head 0 moved.
-        engine.configure_kv_pool(1, Some(14));
-        let mut worker = Worker {
+        engine.configure_kv_pool(1, pool_pages);
+        Worker {
             index: 0,
             engine,
             compiler: salo.clone(),
             config_fp: salo.config().fingerprint(),
             cache: Arc::new(PlanCache::new(4, 1)),
             load: Arc::new(AtomicUsize::new(0)),
-            registry: Arc::clone(&sessions),
-            metrics: ServeMetrics::new(&registry, 1),
+            registry: Arc::new(SessionRegistry::new(1)),
+            metrics: ServeMetrics::new(&MetricsRegistry::new(), 1),
             energy_j: 0.0,
-        };
+        }
+    }
+
+    /// One tick of `jobs`, entered into the queue depth and the load as
+    /// the front end enters them.
+    fn tick(worker: &mut Worker, mut jobs: Vec<Job>) {
+        worker.metrics.depth.add(jobs.len() as i64);
+        worker.load.fetch_add(jobs.len(), Ordering::Relaxed);
+        worker.run_tick(&mut jobs);
+    }
+
+    /// One tick, driven in this thread: sessions 0, 1 and 2 report into
+    /// one shared sink, session 3 into a channel of its own, and the tick
+    /// is `[0, 3, 1, 2, 0]`. Session 2 has two heads and its step is
+    /// refused a page for the second one, which retires it. The first run
+    /// is `[0, 3, 1, 2]`: the shared sink gets one message for its three
+    /// steps, in run order, with the retired session's `Closed` right
+    /// behind its `Step`, and the private channel gets its step as a
+    /// plain event. Session 0's second step opens the next run, alone, so
+    /// the shared sink gets it as a plain event after that message.
+    #[test]
+    fn a_run_leaves_as_one_message_per_sink_in_run_order() {
+        let salo = Salo::new(AcceleratorConfig::default());
+        // One-row pages: the prompts take 2 rows × 5 heads = 10 pages, the
+        // run's first three steps one each, and session 2's head 0 the
+        // last one; its head 1 is refused after head 0 moved.
+        let mut worker = worker(&salo, Some(14));
         let (shared_tx, shared) = channel();
         let (private_tx, private) = channel();
         let (shared_tx, private_tx) = (EventSink::from(shared_tx), EventSink::from(private_tx));
         let sink = |session: u64| if session == 3 { &private_tx } else { &shared_tx }.clone();
         let heads = |session: u64| if session == 2 { 2 } else { 1 };
-        // What the front end does before a job reaches the worker.
-        let enqueue = |worker: &Worker, jobs: usize| {
-            worker.metrics.depth.add(jobs as i64);
-            worker.load.fetch_add(jobs, Ordering::Relaxed);
-        };
 
         let pattern =
             HybridPattern::builder(16).window(Window::causal(4).unwrap()).build().unwrap();
@@ -795,7 +782,10 @@ mod tests {
                 num_heads,
                 prompt: prompt.collect(),
             };
-            sessions.lock().insert(session, LiveSession { worker: 0, events: sink(session) });
+            worker
+                .registry
+                .lock()
+                .insert(session, LiveSession { worker: 0, events: sink(session) });
             opens.push(Job::Open {
                 session,
                 request: request.into(),
@@ -803,27 +793,22 @@ mod tests {
                 events: sink(session),
             });
         }
-        enqueue(&worker, opens.len());
-        worker.run_tick(&mut opens);
+        tick(&mut worker, opens);
         let opened = shared.try_iter().chain(private.try_iter());
         let opened = opened.filter(|e| matches!(e, ServeEvent::Opened { result: Ok(_), .. }));
         assert_eq!(opened.count(), 4, "every session opened");
 
         let token = |session: u64| {
-            let row = crate::TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
+            let row = TokenQkv { q: vec![0.1; 4], k: vec![0.1; 4], v: vec![0.1; 4] };
             vec![FixedToken::quantize(&row); heads(session)]
         };
-        let mut run: Vec<Job> = [0, 3, 1, 2]
-            .into_iter()
-            .map(|session| {
-                let (submitted, events) = (Instant::now(), sink(session));
-                Job::Step(StepJob { session, token: token(session), submitted, events })
-            })
-            .collect();
-        enqueue(&worker, run.len());
-        worker.run_tick(&mut run);
-        assert_eq!(registry.counter("serve.decode.ticks").get(), 1, "one fused run");
-        assert_eq!(registry.counter("serve.decode.fused_steps").get(), 4);
+        let steps = [0, 3, 1, 2, 0].into_iter().map(|session| {
+            let (submitted, events) = (Instant::now(), sink(session));
+            Job::Step(StepJob { session, token: token(session), submitted, events })
+        });
+        tick(&mut worker, steps.collect());
+        assert_eq!(worker.metrics.ticks.get(), 1, "one fused run");
+        assert_eq!(worker.metrics.fused_steps.get(), 4);
 
         // (session, step outcome or `None` for a close) of each event.
         let outcome = |event: ServeEvent| match event {
@@ -835,16 +820,222 @@ mod tests {
             other => panic!("not a step or a close: {other:?}"),
         };
         let Ok(ServeEvent::Steps(message)) = shared.try_recv() else {
-            panic!("the shared sink's steps are one message")
+            panic!("the shared sink's steps in the first run are one message")
         };
         let seen: Vec<_> = message.into_iter().map(outcome).collect();
         assert_eq!(seen, [(0, Some(true)), (1, Some(true)), (2, Some(false)), (2, None)]);
-        assert_eq!(shared.try_recv().unwrap_err(), TryRecvError::Empty, "and only one");
+        let second = shared.try_recv().map(outcome);
+        assert_eq!(second, Ok((0, Some(true))), "session 0's second step, plain");
+        assert_eq!(shared.try_recv().unwrap_err(), TryRecvError::Empty, "and nothing else");
         assert_eq!(private.try_iter().map(outcome).collect::<Vec<_>>(), [(3, Some(true))]);
 
         assert_eq!(worker.metrics.depth.get(), 0, "every step exited the queue depth");
         assert_eq!(worker.load.load(Ordering::Relaxed), 0);
-        assert!(sessions.lock().get(2).is_none(), "the poisoned session is retired");
-        assert_eq!(sessions.lock().len(), 3);
+        assert!(worker.registry.lock().get(2).is_none(), "the poisoned session is retired");
+        assert_eq!(worker.registry.lock().len(), 3);
+    }
+
+    /// A step or close event, its latency left out.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Step(u64, Result<DecodeStep, ServeError>),
+        Closed(u64, Option<usize>),
+    }
+
+    /// An event as the outcomes it carries, a `Steps` message flattened.
+    fn outcomes(event: ServeEvent) -> Vec<Outcome> {
+        match event {
+            ServeEvent::Step { session, result, .. } => vec![Outcome::Step(session, result)],
+            ServeEvent::Closed { session, position } => vec![Outcome::Closed(session, position)],
+            ServeEvent::Steps(events) => events.into_iter().flat_map(outcomes).collect(),
+            other => panic!("not a step or a close: {other:?}"),
+        }
+    }
+
+    /// What a worker looks like after the script: every outcome its one
+    /// shared sink received, in order; which sessions the registry holds;
+    /// where each stands in the engine (`None` = not live); the page pool.
+    #[derive(Debug, PartialEq)]
+    struct StepTrace {
+        outcomes: Vec<Outcome>,
+        registered: Vec<bool>,
+        positions: Vec<Option<usize>>,
+        pool: KvPoolStats,
+    }
+
+    impl StepTrace {
+        /// Each step's result, closes left out.
+        fn steps(&self) -> Vec<&Result<DecodeStep, ServeError>> {
+            self.outcomes
+                .iter()
+                .filter_map(|o| match o {
+                    Outcome::Step(_, result) => Some(result),
+                    Outcome::Closed(..) => None,
+                })
+                .collect()
+        }
+
+        /// The indices of the steps that failed.
+        fn failed(&self) -> Vec<usize> {
+            let steps = self.steps();
+            (0..steps.len()).filter(|&i| steps[i].is_err()).collect()
+        }
+    }
+
+    /// The rows `0..rows` of every matrix of `full`.
+    fn prompt_of(full: &Qkv, rows: usize) -> Qkv {
+        let d = full.head_dim();
+        let first = |m: &Matrix<f32>| Matrix::from_fn(rows, d, |i, j| m.get(i, j));
+        Qkv::new(first(&full.q), first(&full.k), first(&full.v)).expect("prompt rows")
+    }
+
+    /// Runs the differential's script on a fresh worker whose pool holds
+    /// `capacity` one-row pages: five sessions open, three rounds of five
+    /// good steps, then one round with every irregularity at once.
+    /// `one_tick` hands the worker each round as one tick; otherwise
+    /// every job is a tick of its own.
+    fn run_step_script(capacity: Option<usize>, one_tick: bool) -> StepTrace {
+        let hw = HardwareMeta::new(8, 8, 1, 1).unwrap();
+        let mut worker =
+            worker(&Salo::new(AcceleratorConfig { hw, ..Default::default() }), capacity);
+        let (tx, rx) = channel();
+        let sink = EventSink::from(tx);
+        let d = 4;
+        let plans = [
+            HybridPattern::builder(24)
+                .window(Window::causal(12).unwrap())
+                .global_token(0)
+                .build()
+                .unwrap(),
+            HybridPattern::builder(24).window(Window::dilated(-12, 0, 2).unwrap()).build().unwrap(),
+        ];
+        // (id, plan, heads): 1, 2, 4 and 5 share one plan, 3 runs the other;
+        // 5 has one head, the rest two.
+        let sessions = [(1u64, 0usize, 2usize), (2, 0, 2), (3, 1, 2), (4, 0, 2), (5, 0, 1)];
+        let data: Vec<Vec<Qkv>> = sessions
+            .iter()
+            .map(|&(sid, _, heads)| {
+                Qkv::random_heads(&AttentionShape::new(24, d, heads).unwrap(), 100 + sid)
+            })
+            .collect();
+        let mut opens = Vec::new();
+        for (&(session, plan, num_heads), full) in sessions.iter().zip(&data) {
+            let prompt = full.iter().map(|h| prompt_of(h, 2)).collect();
+            let request =
+                SessionRequest { pattern: plans[plan].clone(), head_dim: d, num_heads, prompt };
+            worker.registry.lock().insert(session, LiveSession { worker: 0, events: sink.clone() });
+            let (submitted, events) = (Instant::now(), sink.clone());
+            opens.push(Job::Open { session, request: request.into(), submitted, events });
+        }
+        tick(&mut worker, opens);
+        let opened =
+            rx.try_iter().filter(|e| matches!(e, ServeEvent::Opened { result: Ok(_), .. }));
+        assert_eq!(opened.count(), 5, "every capacity tried has room for the opens");
+        let token = |s: usize, t: usize| -> Vec<TokenQkv> {
+            data[s].iter().map(|h| TokenQkv::from_row(h, t)).collect()
+        };
+
+        let mut rounds: Vec<Vec<(u64, Vec<TokenQkv>)>> =
+            (2..5).map(|t| (0..5).map(|s| (sessions[s].0, token(s, t))).collect()).collect();
+        // The irregular round, at t = 5: session 1 steps; session 2's token
+        // has a short row on head 1 (its own step fails); session 4 steps —
+        // the one a bounded pool refuses — and session 5, live, on the same
+        // plan and needing a page, steps right behind it; 99 was never
+        // opened; session 3 runs another plan; session 1 again (it must see
+        // its first step, so it opens a second run); session 2 again,
+        // well-formed this time.
+        let mut malformed = token(1, 5);
+        malformed[1].k.truncate(2);
+        rounds.push(vec![
+            (1, token(0, 5)),
+            (2, malformed),
+            (4, token(3, 5)),
+            (5, token(4, 5)),
+            (99, token(3, 5)),
+            (3, token(2, 5)),
+            (1, token(0, 6)),
+            (2, token(1, 5)),
+        ]);
+        for round in rounds {
+            let jobs = round.into_iter().map(|(session, token)| {
+                // Quantized where it arrives, as the front end does.
+                let token = token.iter().map(FixedToken::quantize).collect();
+                Job::Step(StepJob {
+                    session,
+                    token,
+                    submitted: Instant::now(),
+                    events: sink.clone(),
+                })
+            });
+            if one_tick {
+                tick(&mut worker, jobs.collect());
+            } else {
+                jobs.for_each(|job| tick(&mut worker, vec![job]));
+            }
+        }
+        // Three rounds of five, then the irregular round's two runs.
+        let (ticks, fused_steps) = if one_tick { (5, 23) } else { (0, 0) };
+        assert_eq!(
+            (worker.metrics.ticks.get(), worker.metrics.fused_steps.get()),
+            (ticks, fused_steps)
+        );
+        assert_eq!(worker.metrics.depth.get(), 0);
+        assert_eq!(worker.load.load(Ordering::Relaxed), 0);
+        let live =
+            |&(session, ..): &(u64, usize, usize)| worker.registry.lock().get(session).is_some();
+        StepTrace {
+            outcomes: rx.try_iter().flat_map(outcomes).collect(),
+            registered: sessions.iter().map(live).collect(),
+            positions: sessions.iter().map(|&(s, ..)| worker.engine.session_position(s)).collect(),
+            pool: worker.engine.kv_pool_stats(),
+        }
+    }
+
+    /// A step's outcome does not depend on who shared its tick: each
+    /// round of the script as one tick equals every job as its own tick —
+    /// every step's position, rows and weights or error, every `Closed`
+    /// and its position, the registry, the engine's sessions and the pool
+    /// — including everything that can go wrong inside a run.
+    #[test]
+    fn a_tick_of_steps_equals_one_job_per_tick() {
+        // Unbounded pool: of the irregular round (steps 15..) only the
+        // malformed token and the unknown id fail; every session is live,
+        // at the position its good steps took it to.
+        let alone = run_step_script(None, false);
+        assert_eq!(alone.failed(), [16, 19]);
+        assert!(matches!(alone.steps()[16], Err(ServeError::InvalidRequest { .. })));
+        assert!(matches!(alone.steps()[19], Err(ServeError::UnknownSession { session: 99 })));
+        assert_eq!(alone.positions, [Some(7), Some(6), Some(6), Some(6), Some(6)]);
+        assert_eq!(alone.registered, [true; 5]);
+        assert_eq!(run_step_script(None, true), alone);
+
+        // Bounded pool, sized so that the allocation refused is session 4's
+        // *second head* in the irregular round: head 0 took the last page,
+        // the heads desync, the session is retired and its pages return to
+        // the pool before session 5, right behind it, asks for one — so
+        // session 5 steps, in a shared tick as alone. The capacity is
+        // searched for (downwards from the unbounded peak) rather than
+        // derived, so the test does not restate the reclamation horizon.
+        let (capacity, alone) = (1..alone.pool.high_water)
+            .rev()
+            .map(|capacity| (capacity, run_step_script(Some(capacity), false)))
+            .find(|(_, trace)| trace.failed() == [16, 17, 19] && trace.positions[3].is_none())
+            .expect("some capacity hands the last page to head 0 of a two-head step");
+        let exhausted = |r: &Result<DecodeStep, ServeError>| {
+            matches!(r, Err(ServeError::Salo(SaloError::Sim(SimError::PagePoolExhausted { .. }))))
+        };
+        assert!(exhausted(alone.steps()[17]));
+        assert_eq!(alone.steps()[18].as_ref().map(|step| step.position), Ok(5));
+        assert_eq!(alone.positions, [Some(7), Some(6), Some(6), None, Some(6)]);
+        assert_eq!(alone.registered, [true, true, true, false, true]);
+        // The retired session's terminal `Closed` follows its step and
+        // reports the tokens it had before it.
+        let closed = alone.outcomes.iter().position(|o| *o == Outcome::Closed(4, Some(5)));
+        assert!(matches!(
+            alone.outcomes[closed.expect("session 4 closed") - 1],
+            Outcome::Step(4, _)
+        ));
+        assert_eq!(alone.pool.exhausted, 1);
+        assert_eq!(run_step_script(Some(capacity), true), alone);
     }
 }

@@ -85,7 +85,7 @@ const GUARDS: &[Guard] = &[
         check: Check::Absent(&[grep(&["#[deprecated", "allow(deprecated)"], SOURCES)]),
     },
     Guard {
-        reason: "the worker runs steps one way: a run of any width is one step_batch call",
+        reason: "the worker runs steps one way: a step is one LoweredEngine::step call",
         check: Check::Absent(&[grep(
             &["AttentionRequest::DecodeStep {"],
             &["crates/salo-serve/src"],
@@ -205,10 +205,10 @@ const GUARDS: &[Guard] = &[
         ]),
     },
     Guard {
-        reason: "a step batch is its entries, each settled before the next: no fused request, \
-                 no grouped pass",
+        reason: "a decode step is one engine call: no step batch, no fused request, no grouped \
+                 pass",
         check: Check::Absent(&[grep(
-            &["DecodeStepBatch", "into_step_batch", "run_step_group"],
+            &["DecodeStepBatch", "into_step_batch", "run_step_group", "step_batch"],
             &["crates", "src", "tests", "examples", "README.md"],
         )]),
     },

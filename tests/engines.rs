@@ -20,9 +20,7 @@ use salo::core::{
 use salo::kernels::{on_grid_attention, Matrix, Qkv, ON_GRID_BOUND};
 use salo::patterns::{AttentionShape, HybridPattern, Window};
 use salo::scheduler::HardwareMeta;
-use salo::sim::{
-    AcceleratorConfig, ExecutionOutput, KvPoolStats, SimError, SpatialAccelerator, StepOutput,
-};
+use salo::sim::{AcceleratorConfig, ExecutionOutput, SimError, SpatialAccelerator, StepOutput};
 
 /// The documented fixed-point-vs-float bound for unit-normal inputs.
 const FIXED_POINT_BOUND: f32 = 0.4;
@@ -328,17 +326,6 @@ fn engine_sessions_validate_and_retire_like_the_serving_runtime() {
     ));
 }
 
-/// What an engine looks like after a script of decode steps: every
-/// step's outcome in order (raw rows, Q.16 weights, saturation counts and
-/// telemetry inside `StepResult`; typed errors otherwise), where each
-/// session stands afterwards (`None` = not live), and the page pool.
-#[derive(Debug, PartialEq)]
-struct StepTrace {
-    results: Vec<(u64, Result<StepResult<StepOutput>, SaloError>)>,
-    positions: Vec<Option<usize>>,
-    pool: KvPoolStats,
-}
-
 /// A step's result without its host-measured stage timings — the one
 /// part of a `StepResult` that is wall-clock rather than arithmetic.
 fn untimed<H>(result: Result<StepResult<H>, SaloError>) -> Result<StepResult<H>, SaloError> {
@@ -349,9 +336,8 @@ fn untimed<H>(result: Result<StepResult<H>, SaloError>) -> Result<StepResult<H>,
 }
 
 /// A `DecodeStep` answer as the datapath's rows, the form
-/// [`LoweredEngine::step_batch`] answers in: each head's raw row, Q.16
-/// weight and saturation count (its `f32` output is the raw row
-/// dequantized).
+/// [`LoweredEngine::step`] answers in: each head's raw row, Q.16 weight
+/// and saturation count (its `f32` output is the raw row dequantized).
 fn as_rows(step: StepResult) -> StepResult<StepOutput> {
     let StepResult { session, position, heads, telemetry } = step;
     let heads = heads.into_iter().map(|head| StepOutput {
@@ -363,140 +349,14 @@ fn as_rows(step: StepResult) -> StepResult<StepOutput> {
     StepResult { session, position, heads: heads.collect(), telemetry }
 }
 
-/// A run of `f32` steps quantized as a served run is where it arrives.
-fn quantized(steps: Vec<(u64, Vec<TokenQkv>)>) -> Vec<(u64, Vec<FixedToken>)> {
-    steps
-        .into_iter()
-        .map(|(s, token)| (s, token.iter().map(FixedToken::quantize).collect()))
-        .collect()
-}
-
-/// Runs the differential's script on a fresh engine whose pool holds
-/// `capacity` one-row pages: three rounds of five good steps, then one
-/// round with every irregularity at once. `fused` issues each round as
-/// one [`LoweredEngine::step_batch`]; otherwise every entry is its own
-/// `DecodeStep`.
-fn run_step_script(salo: &Salo, capacity: Option<usize>, fused: bool) -> StepTrace {
-    let d = 4;
-    let plans = [
-        HybridPattern::builder(24)
-            .window(Window::causal(12).unwrap())
-            .global_token(0)
-            .build()
-            .unwrap(),
-        HybridPattern::builder(24).window(Window::dilated(-12, 0, 2).unwrap()).build().unwrap(),
-    ];
-    // (id, plan, heads): 1, 2, 4 and 5 share one plan, 3 runs the other;
-    // 5 has one head, the rest two.
-    let sessions = [(1u64, 0usize, 2usize), (2, 0, 2), (3, 1, 2), (4, 0, 2), (5, 0, 1)];
-    let mut engine = salo.engine();
-    engine.configure_kv_pool(1, capacity);
-    let data: Vec<Vec<Qkv>> = sessions
-        .iter()
-        .map(|&(sid, _, heads)| {
-            Qkv::random_heads(&AttentionShape::new(24, d, heads).unwrap(), 100 + sid)
-        })
-        .collect();
-    for (&(session, plan, num_heads), full) in sessions.iter().zip(&data) {
-        let shape = AttentionShape::new(24, d, num_heads).unwrap();
-        let pattern = engine.prepare(&plans[plan], &shape).unwrap();
-        let prompt = full.iter().map(|h| prompt_of(h, 2)).collect();
-        engine
-            .execute(AttentionRequest::DecodeOpen {
-                session,
-                pattern,
-                head_dim: d,
-                num_heads,
-                prompt,
-            })
-            .expect("every capacity tried has room for the opens");
-    }
-    let token = |s: usize, t: usize| -> Vec<TokenQkv> {
-        data[s].iter().map(|h| TokenQkv::from_row(h, t)).collect()
-    };
-
-    let mut rounds: Vec<Vec<(u64, Vec<TokenQkv>)>> =
-        (2..5).map(|t| (0..5).map(|s| (sessions[s].0, token(s, t))).collect()).collect();
-    // The irregular round, at t = 5: session 1 steps; session 2's token
-    // has a short row on head 1 (its own entry fails); session 4 steps —
-    // the one a bounded pool refuses — and session 5, live, on the same
-    // plan and needing a page, steps right behind it; 99 was never
-    // opened; session 3 runs another plan; session 1 again (it must see
-    // its first step); session 2 again, well-formed this time.
-    let mut malformed = token(1, 5);
-    malformed[1].k.truncate(2);
-    rounds.push(vec![
-        (1, token(0, 5)),
-        (2, malformed),
-        (4, token(3, 5)),
-        (5, token(4, 5)),
-        (99, token(3, 5)),
-        (3, token(2, 5)),
-        (1, token(0, 6)),
-        (2, token(1, 5)),
-    ]);
-
-    let mut results = Vec::new();
-    for round in rounds {
-        if fused {
-            let batch = engine.step_batch(quantized(round));
-            results.extend(batch.into_iter().map(|(session, result)| (session, untimed(result))));
-        } else {
-            for (session, token) in round {
-                let result = engine
-                    .execute(AttentionRequest::DecodeStep { session, token })
-                    .and_then(|r| r.into_step());
-                results.push((session, untimed(result.map(as_rows))));
-            }
-        }
-    }
-    StepTrace {
-        results,
-        positions: sessions.iter().map(|&(s, ..)| engine.session_position(s)).collect(),
-        pool: engine.kv_pool_stats(),
-    }
-}
-
-/// A run of steps is its entries one after another, each settled before
-/// the next, so [`LoweredEngine::step_batch`] over many sessions must
-/// equal the same steps issued one `DecodeStep` at a time — including
-/// everything that can go wrong inside a run.
+/// A `DecodeStep` request is [`LoweredEngine::step`] on the quantized
+/// token: the same rows, weights and telemetry, the session left at the
+/// same position, and a stage profile exactly when the tracer is on. (That
+/// a step's outcome does not depend on who shares its tick is the serve
+/// worker's `a_tick_of_steps_equals_one_job_per_tick`.)
 #[test]
-fn fused_steps_equal_the_same_steps_issued_one_at_a_time() {
+fn a_decode_step_request_is_one_step_call() {
     let salo = small_salo();
-    let failed = |trace: &StepTrace| -> Vec<usize> {
-        (0..trace.results.len()).filter(|&i| trace.results[i].1.is_err()).collect()
-    };
-
-    // Unbounded pool: of the irregular round (entries 15..) only the
-    // malformed entry and the unknown id fail; every session is live, at
-    // the position its good steps took it to.
-    let alone = run_step_script(&salo, None, false);
-    assert_eq!(failed(&alone), [16, 19]);
-    assert!(matches!(alone.results[16].1, Err(SaloError::ShapeMismatch { .. })));
-    assert!(matches!(alone.results[19].1, Err(SaloError::UnknownSession { session: 99 })));
-    assert_eq!(alone.positions, [Some(7), Some(6), Some(6), Some(6), Some(6)]);
-    assert_eq!(run_step_script(&salo, None, true), alone);
-
-    // Bounded pool, sized so that the allocation refused is session 4's
-    // *second head* in the irregular round: head 0 took the last page,
-    // the heads desync, the session is retired and its pages return to
-    // the pool before session 5, right behind it, asks for one — so
-    // session 5 steps, in the run as alone. The capacity is searched for
-    // (downwards from the unbounded peak) rather than derived, so the
-    // test does not restate the reclamation horizon.
-    let (capacity, alone) = (1..alone.pool.high_water)
-        .rev()
-        .map(|capacity| (capacity, run_step_script(&salo, Some(capacity), false)))
-        .find(|(_, trace)| failed(trace) == [16, 17, 19] && trace.positions[3].is_none())
-        .expect("some capacity hands the last page to head 0 of a two-head step");
-    assert!(matches!(alone.results[17].1, Err(SaloError::Sim(SimError::PagePoolExhausted { .. }))));
-    assert_eq!(alone.results[18].1.as_ref().map(|step| step.position), Ok(5));
-    assert_eq!(alone.positions, [Some(7), Some(6), Some(6), None, Some(6)]);
-    assert_eq!(alone.pool.exhausted, 1);
-    assert_eq!(run_step_script(&salo, Some(capacity), true), alone);
-
-    // A step alone and the same step as a batch of one are one request.
     let mut engines = [salo.engine(), salo.engine()];
     let pattern = HybridPattern::builder(16).window(Window::causal(4).unwrap()).build().unwrap();
     let shape = AttentionShape::new(16, 4, 2).unwrap();
@@ -515,19 +375,18 @@ fn fused_steps_equal_the_same_steps_issued_one_at_a_time() {
             .unwrap();
     }
     let token: Vec<TokenQkv> = heads.iter().map(|h| TokenQkv::from_row(h, 1)).collect();
-    let single = engines[0]
+    let request = engines[0]
         .execute(AttentionRequest::DecodeStep { session: 1, token: token.clone() })
         .and_then(|r| r.into_step())
         .map(as_rows);
-    let batch_of_one = engines[1].step_batch(quantized(vec![(1, token)]));
-    // Stage profiling follows the tracer switch at every width.
+    let quantized: Vec<FixedToken> = token.iter().map(FixedToken::quantize).collect();
+    let call = engines[1].step(1, &quantized);
     let profiled = |r: &Result<StepResult<StepOutput>, SaloError>| {
         r.as_ref().unwrap().telemetry.stages.is_some()
     };
-    assert_eq!(profiled(&single), salo::trace::enabled());
-    assert_eq!(profiled(&batch_of_one[0].1), salo::trace::enabled());
-    let batch_of_one: Vec<_> = batch_of_one.into_iter().map(|(s, r)| (s, untimed(r))).collect();
-    assert_eq!(batch_of_one, [(1, untimed(single))]);
+    assert_eq!(profiled(&request), salo::trace::enabled());
+    assert_eq!(profiled(&call), salo::trace::enabled());
+    assert_eq!(untimed(call), untimed(request));
     assert_eq!(engines[0].session_position(1), engines[1].session_position(1));
 }
 

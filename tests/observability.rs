@@ -105,12 +105,12 @@ fn traced_burst_covers_all_layers() {
         "serve.queue_wait",
         "serve.decode.queue_wait",
         "serve.reply",
+        "serve.decode.tick",
         "serve.session_open",
         "serve.session_step",
         // engine
         "engine.prefill",
         "engine.decode_open",
-        "engine.decode_step_batch",
         "engine.decode_close",
         // simulator
         "sim.execute_lowered",
