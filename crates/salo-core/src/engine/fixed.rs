@@ -224,18 +224,19 @@ impl LoweredEngine {
         Ok(MultiHeadRun { heads, total_time_s, total_energy_j })
     }
 
-    /// Opens `session` and primes each head with its quantized prompt:
-    /// what a serving worker calls, and [`AttentionRequest::DecodeOpen`]
-    /// after quantizing.
+    /// Opens `session` on the step program `decode` and primes each head
+    /// with its quantized prompt: what a serving worker calls with the
+    /// program its plan cache holds, and [`AttentionRequest::DecodeOpen`]
+    /// after quantizing and resolving its handle.
     ///
     /// # Errors
     ///
-    /// A live session of that id, an unresolvable plan, a prompt
-    /// [`check_open_prompt`] refuses, or a failure while priming.
+    /// A live session of that id, a prompt [`check_open_prompt`] refuses,
+    /// or a failure while priming.
     pub fn open(
         &mut self,
         session: SessionId,
-        handle: &PatternHandle,
+        decode: Arc<DecodePlan>,
         head_dim: usize,
         num_heads: usize,
         prompt: &[FixedQkv],
@@ -244,7 +245,6 @@ impl LoweredEngine {
         if self.sessions.contains_key(&session) {
             return Err(SaloError::SessionInUse { session });
         }
-        let decode = self.resolve_decode_plan(handle)?;
         let prompt_len =
             check_open_prompt(decode.n(), decode.min_step(), head_dim, num_heads, prompt)?;
         let mut states: Vec<DecodeState> =
@@ -442,8 +442,11 @@ impl Engine for LoweredEngine {
         // Every request is quantized as the serving runtime's rows are
         // where they arrive, then run by the typed method a worker calls.
         match request {
+            // Each `f32` head or token row is dropped as soon as it is
+            // quantized, so none is held through a compile or a run.
             AttentionRequest::Prefill { pattern, shape, heads } => {
-                let heads: Vec<FixedQkv> = heads.iter().map(FixedQkv::quantize).collect();
+                let heads: Vec<FixedQkv> =
+                    heads.into_iter().map(|h| FixedQkv::quantize(&h)).collect();
                 let run = self.prefill(&pattern, &shape, &heads)?;
                 Ok(AttentionResponse::Prefill(PrefillOutput {
                     telemetry: Self::prefill_telemetry(&run.heads),
@@ -451,13 +454,20 @@ impl Engine for LoweredEngine {
                 }))
             }
             AttentionRequest::DecodeOpen { session, pattern, head_dim, num_heads, prompt } => {
-                let prompt: Vec<FixedQkv> = prompt.iter().map(FixedQkv::quantize).collect();
-                let opened = self.open(session, &pattern, head_dim, num_heads, &prompt)?;
+                let prompt: Vec<FixedQkv> =
+                    prompt.into_iter().map(|h| FixedQkv::quantize(&h)).collect();
+                // Refused as `open` refuses it, before paying for a compile.
+                if self.sessions.contains_key(&session) {
+                    return Err(SaloError::SessionInUse { session });
+                }
+                let decode = self.resolve_decode_plan(&pattern)?;
+                let opened = self.open(session, decode, head_dim, num_heads, &prompt)?;
                 Ok(AttentionResponse::DecodeOpened(opened))
             }
             AttentionRequest::DecodeStep { session, token } => {
                 let _span = salo_trace::span_with("engine.decode_step", "engine", session);
-                let token: Vec<FixedToken> = token.iter().map(FixedToken::quantize).collect();
+                let token: Vec<FixedToken> =
+                    token.into_iter().map(|t| FixedToken::quantize(&t)).collect();
                 Ok(AttentionResponse::DecodeStep(fixed_step_result(self.step(session, &token)?)))
             }
             AttentionRequest::DecodeClose { session } => {

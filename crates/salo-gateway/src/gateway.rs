@@ -31,8 +31,8 @@
 //!   into — the serve workers send there directly — and routes a layer
 //!   response by its serve request id, a session event by its session id:
 //!   a session's replies leave in step order because its waiters form a
-//!   FIFO, and a `Close` is answered by the `Closed` event. The steps one
-//!   worker pass completed arrive as one `ServeEvent::Steps` message and
+//!   FIFO, and a `Close` is answered by the `Closed` event. The steps of
+//!   one worker's run arrive as one `ServeEvent::Steps` message and
 //!   are routed under one acquisition of the state lock; their replies
 //!   queue in run order, and each run of them to one connection leaves in
 //!   one write. A decode tick wakes this thread once, not once per token.
@@ -603,16 +603,16 @@ fn admit(
 
 /// Blocks on the one channel everything the gateway submits reports into,
 /// until the earliest deadline. Messages that are already waiting are
-/// routed in one pass, and the session replies among them written
+/// routed on the same wake, and the session replies among them written
 /// together.
 ///
 /// Nothing wakes it for an admission: a deadline is at least
 /// `service_timeout` after its admission and the wait is never longer than
 /// that, so none comes due unseen.
 fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
-    // One window of messages per pass: each settle refills the window,
+    // One window of messages per wake: each settle refills the window,
     // and the replies must not wait on that. A message is one event or
-    // the steps of one worker pass — at most a tick's run.
+    // the steps of one worker's run — at most a tick's jobs.
     let burst = in_flight_window(&inner.options.serve);
     let mut out = Vec::new();
     let timeout = inner.options.service_timeout;
@@ -638,7 +638,7 @@ fn completion_loop(inner: &Inner, events: &Receiver<ServeEvent>) {
 
 /// Routes one message to whoever is owed its replies, under one
 /// acquisition of the state lock: a layer response to the waiter under its
-/// serve request id, a session event — or each of a worker pass's
+/// serve request id, a session event — or each of a worker run's
 /// `Steps`, in order — to the waiter at the head of its session's FIFO.
 /// Events of requests and sessions the tables no longer know are
 /// dropped. Session replies are gathered in `out`; a layer reply —
@@ -1061,13 +1061,13 @@ mod tests {
         assert_eq!((report.decode_sessions, report.decode_steps), (2, 2));
     }
 
-    /// The steps of one worker pass arrive as one message. It covers
+    /// The steps of one worker's run arrive as one message. It covers
     /// sessions 0 and 1 on one connection and session 2 on another, plus
     /// session 3, whose step the deadline already answered. Every live
     /// waiter gets one reply, the answered one is dropped silently, the
     /// tables and the request bytes empty, and the replies are written.
     #[test]
-    fn a_pass_of_steps_is_routed_as_one_message_and_answered_once() {
+    fn a_run_of_steps_is_routed_as_one_message_and_answered_once() {
         let script = Box::new(Arc::new(Script::default()));
         let inner = Inner::new(GatewayOptions::default(), &MetricsRegistry::new(), script);
         let (a, b) = (sink_conn(1), sink_conn(2));

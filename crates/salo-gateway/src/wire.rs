@@ -715,14 +715,34 @@ trait Wire: Sized {
     }
 }
 
+/// A type only the gateway writes and nobody reads back: the engine's
+/// rows inside an [`Outgoing`], whose bytes a client decodes as the
+/// [`Response`] they equal. One direction, so one method.
+trait Emit {
+    fn encode(&self, e: &mut Enc<'_>);
+}
+
+/// A counted sequence, as [`Enc::seq`] writes one.
+impl<T: Emit> Emit for Vec<T> {
+    fn encode(&self, e: &mut Enc<'_>) {
+        e.u32(self.len() as u32);
+        self.iter().for_each(|item| item.encode(e));
+    }
+}
+
 /// An enum on the wire: a tag byte, and behind it the fields of the
 /// variant the tag names. Where the tag sits is the caller's business —
 /// the frame header for a message, the byte before the fields otherwise.
-trait Tagged: Sized {
+/// This is the writing half; [`FromTagged`] is the reading one.
+trait Tagged {
     fn tag(&self) -> u8;
 
     fn encode_fields(&self, e: &mut Enc<'_>);
+}
 
+/// The reading half of [`Tagged`]: the variant a tag names, its fields
+/// decoded.
+trait FromTagged: Sized {
     fn decode_fields<R: BufRead>(tag: u8, d: &mut Dec<R>) -> Result<Self, WireError>;
 }
 
@@ -805,17 +825,20 @@ impl Wire for String {
 ///   `..`, so a field added to the struct and not to the wire does not
 ///   compile.
 /// * `wire!(Type, unknown; tag => Variant { a, b }, tag => Variant(x), …)`
-///   — an enum is [`Tagged`]; a tag outside the list decodes to
-///   `unknown(tag)`. `wire!(Type as Wire, …)` also makes the type
-///   [`Wire`], as the tag byte and then the fields.
-/// * `wire!(Type | Twin, …)` — two types of the same shape whose fields
-///   differ only in representation (the client's `f32` rows, the
-///   server's [`FixedQkv`] and [`FixedToken`]; the client's `i16` rows,
-///   the engine's `Fix16x8`) share the list, and therefore the frame.
+///   — an enum is [`Tagged`] and [`FromTagged`]; a tag outside the list
+///   decodes to `unknown(tag)`. `wire!(Type as Wire, …)` also makes the
+///   type [`Wire`], as the tag byte and then the fields.
+/// * `wire!(Type | decode Twin, …)`, `wire!(Type | encode Twin, …)` — two
+///   enums of the same shape whose fields differ only in representation
+///   (the client's `f32` rows, the server's [`FixedQkv`] and
+///   [`FixedToken`]; the client's `i16` rows, the engine's `Fix16x8`)
+///   share the list, and therefore the frame. `Type` travels both ways;
+///   the twin only the way it is named for — the gateway reads its
+///   requests and writes its replies, and never the reverse.
 macro_rules! wire {
-    ($ty:ident | $twin:ident $($form:tt)*) => {
-        wire!($ty $($form)*);
-        wire!($twin $($form)*);
+    ($ty:ident | $way:ident $twin:ident, $unknown:expr; $($list:tt)+) => {
+        wire!($ty, $unknown; $($list)+);
+        wire!(@$way $twin, $unknown; $($list)+);
     };
     ($ty:ident $(, $min:literal)? { $($f:ident),* $(,)? }) => {
         impl Wire for $ty {
@@ -831,7 +854,23 @@ macro_rules! wire {
             }
         }
     };
-    ($ty:ident $(as $wire:ident)?, $unknown:expr;
+    ($ty:ident $(as $wire:ident)?, $unknown:expr; $($list:tt)+) => {
+        wire!(@encode $ty, $unknown; $($list)+);
+        wire!(@decode $ty, $unknown; $($list)+);
+
+        $(impl $wire for $ty {
+            fn encode(&self, e: &mut Enc<'_>) {
+                e.u8(self.tag());
+                self.encode_fields(e);
+            }
+
+            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
+                let tag = d.u8()?;
+                Self::decode_fields(tag, d)
+            }
+        })?
+    };
+    (@encode $ty:ident, $unknown:expr;
      $($tag:tt => $v:ident $(($t:ident))? $({ $($f:ident),* })?),+ $(,)?) => {
         impl Tagged for $ty {
             fn tag(&self) -> u8 {
@@ -849,7 +888,11 @@ macro_rules! wire {
                     })+
                 }
             }
-
+        }
+    };
+    (@decode $ty:ident, $unknown:expr;
+     $($tag:tt => $v:ident $(($t:ident))? $({ $($f:ident),* })?),+ $(,)?) => {
+        impl FromTagged for $ty {
             #[allow(unused_variables)]
             fn decode_fields<R: BufRead>(tag: u8, d: &mut Dec<R>) -> Result<Self, WireError> {
                 Ok(match tag {
@@ -861,18 +904,6 @@ macro_rules! wire {
                 })
             }
         }
-
-        $(impl $wire for $ty {
-            fn encode(&self, e: &mut Enc<'_>) {
-                e.u8(self.tag());
-                self.encode_fields(e);
-            }
-
-            fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-                let tag = d.u8()?;
-                Self::decode_fields(tag, d)
-            }
-        })?
     };
 }
 
@@ -1126,18 +1157,11 @@ impl Wire for PrefillHead {
 }
 
 /// A [`PrefillHead`]'s form, with the output tag always 0.
-impl Wire for EngineHead {
-    const MIN: usize = PrefillHead::MIN;
-
+impl Emit for EngineHead {
     fn encode(&self, e: &mut Enc<'_>) {
         self.raw.encode(e);
         e.seq(&self.weights_q16);
         e.u8(0);
-    }
-
-    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-        let (_, raw, weights_q16) = decode_head(d)?;
-        Ok(EngineHead { raw, weights_q16 })
     }
 }
 
@@ -1168,9 +1192,7 @@ impl Wire for WireHeadStep {
 
 /// A [`WireHeadStep`]'s form, raw row and weight always present, output
 /// tag always 0.
-impl Wire for EngineStep {
-    const MIN: usize = WireHeadStep::MIN;
-
+impl Emit for EngineStep {
     fn encode(&self, e: &mut Enc<'_>) {
         e.u8(1);
         self.raw.encode(e);
@@ -1178,13 +1200,6 @@ impl Wire for EngineStep {
         self.weight_q16.encode(e);
         self.saturation_events.encode(e);
         e.u8(0);
-    }
-
-    fn decode<R: BufRead>(d: &mut Dec<R>) -> Result<Self, WireError> {
-        let (_, Some(raw), Some(weight_q16), saturation_events) = decode_step(d)? else {
-            return Err(bad("an engine step without its raw row or weight"));
-        };
-        Ok(EngineStep { raw, weight_q16, saturation_events })
     }
 }
 
@@ -1217,7 +1232,7 @@ const OP_STATS_REPLY: u8 = 0x85;
 const OP_ERROR: u8 = 0xC0;
 
 // The tag of a request or a response is the header's opcode byte.
-wire!(Request | Incoming, WireError::UnknownOpcode;
+wire!(Request | decode Incoming, WireError::UnknownOpcode;
     OP_PREFILL => Prefill { pattern, shape, heads },
     OP_OPEN => Open { pattern, head_dim, num_heads, prompt },
     OP_STEP => Step { session, token },
@@ -1225,7 +1240,7 @@ wire!(Request | Incoming, WireError::UnknownOpcode;
     OP_STATS => Stats,
 );
 
-wire!(Response | Outgoing, WireError::UnknownOpcode;
+wire!(Response | encode Outgoing, WireError::UnknownOpcode;
     OP_PREFILL_DONE => PrefillDone { heads, sim_time_s, sim_energy_j },
     OP_OPENED => Opened { session, min_step, position, capacity },
     OP_STEPPED => Stepped { session, position, heads },
@@ -1302,7 +1317,7 @@ pub(crate) fn encode_outgoing_into(out: &mut Vec<u8>, header: Header, resp: &Out
 
 /// Decodes the frame `d` is bounded by. The header lands in `header` as
 /// soon as it has decoded, whatever becomes of the body.
-fn decode_message<R: BufRead, T: Tagged>(
+fn decode_message<R: BufRead, T: FromTagged>(
     d: &mut Dec<R>,
     header: &mut Header,
 ) -> Result<T, WireError> {
@@ -1317,7 +1332,7 @@ fn decode_message<R: BufRead, T: Tagged>(
     Ok(message)
 }
 
-fn decode_payload<T: Tagged>(payload: &[u8]) -> Result<(Header, T), WireError> {
+fn decode_payload<T: FromTagged>(payload: &[u8]) -> Result<(Header, T), WireError> {
     let mut header = Header::default();
     let message = decode_message(&mut Dec { r: payload, owed: payload.len() }, &mut header)?;
     Ok((header, message))
@@ -1373,7 +1388,7 @@ fn read_len<R: Read>(r: &mut R) -> Result<usize, WireError> {
     Ok(len)
 }
 
-fn read_message<R: BufRead, T: Tagged>(r: &mut R) -> Result<Frame<T>, WireError> {
+fn read_message<R: BufRead, T: FromTagged>(r: &mut R) -> Result<Frame<T>, WireError> {
     let len = read_len(r)?;
     let mut d = Dec { r, owed: len };
     let mut header = Header::default();
@@ -1711,8 +1726,9 @@ mod tests {
     /// An `Open`'s `f32` prompt, quantized by the sender, decodes at the
     /// door into the rows a session ingests — `Fix8x4::from_f32(x * scale)`
     /// for q, `from_f32(x)` for k and v, element for element, saturating,
-    /// NaN and half-step inputs included — and the twin writes them back
-    /// as the same frame: one field list, both ways.
+    /// NaN and half-step inputs included — and the client's reader of the
+    /// same frame gets the on-grid rows that quantize to them: one field
+    /// list, both readers.
     #[test]
     fn an_open_decodes_at_the_door_into_the_rows_a_session_ingests() {
         let header = Header { tenant: 1, request_id: 9 };
@@ -1754,11 +1770,9 @@ mod tests {
             assert_eq!(prompt[0].k().as_slice(), fixed(&head.k, &Fix8x4::from_f32), "d = {dim}: k");
             assert_eq!(prompt[0].v().as_slice(), fixed(&head.v, &Fix8x4::from_f32), "d = {dim}: v");
 
-            let incoming = read.message.unwrap();
-            let mut again = Vec::new();
-            frame_into(&mut again, header, &incoming);
-            assert_eq!(again, frame);
-            assert_eq!(read_incoming(&mut again.as_slice()).unwrap().message, Ok(incoming));
+            let client = read_request(&mut frame.as_slice()).unwrap().message;
+            let Ok(Request::Open { prompt: on_grid, .. }) = &client else { panic!("{client:?}") };
+            assert_eq!(prompt[0], FixedQkv::quantize(&on_grid[0]), "d = {dim}: the two readers");
         }
     }
 

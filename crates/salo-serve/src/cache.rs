@@ -5,22 +5,27 @@
 //! only on the pattern and the array geometry, never on the Q/K/V data.
 //! The serving runtime therefore caches [`CompiledPlan`]s keyed by
 //! [`PlanKey`] — `(pattern fingerprint, shape, accelerator fingerprint)` —
-//! so repeated requests skip the scheduler pass entirely.
+//! so repeated requests skip the scheduler pass entirely. A decode
+//! session's entry is its step program alone ([`DecodePlan`]): once the
+//! program is lowered, the scheduler's plan and the prefill's op list it
+//! was built from are dropped, and a prefill of the same pattern and shape
+//! is a different entry.
 //!
 //! The cache is one map under one lock, shared by every worker. It holds
-//! at most its capacity in plans, and a full cache evicts the least
-//! recently used plan of all of them. The workers look their plans up
-//! themselves, so a cold key can be asked for by several threads at once:
-//! [`PlanCache::get_or_compile`] is single-flight — one asker compiles,
-//! the others wait for that compile — and it is the one way a plan
-//! enters the cache.
+//! at most its capacity in entries of either kind, and a full cache evicts
+//! the least recently used of all of them. The workers look their plans
+//! up themselves, so a cold key can be asked for by several threads at
+//! once: [`PlanCache::get_or_compile`] and
+//! [`PlanCache::get_or_lower_decode`] are single-flight — one asker
+//! compiles, the others wait for that compile — and they are the one way
+//! an entry enters the cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use salo_core::CompiledPlan;
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_sim::AcceleratorConfig;
+use salo_sim::{AcceleratorConfig, DecodePlan};
 
 /// The cache key of a compiled plan.
 ///
@@ -80,13 +85,47 @@ impl CacheStats {
     }
 }
 
+/// A [`PlanKey`] as the map holds it: a decode session's program and a
+/// prefill's plan of one pattern and shape are two entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Slot {
+    key: PlanKey,
+    decode: bool,
+}
+
+/// What an entry holds: a prefill's compiled plan, or a decode session's
+/// step program alone.
+#[derive(Clone)]
+enum Plan {
+    Compiled(Arc<CompiledPlan>),
+    Decode(Arc<DecodePlan>),
+}
+
+impl Plan {
+    /// The compiled plan, which a prefill slot holds.
+    fn compiled(self) -> Arc<CompiledPlan> {
+        match self {
+            Plan::Compiled(plan) => plan,
+            Plan::Decode(_) => unreachable!("a prefill slot holds a compiled plan"),
+        }
+    }
+
+    /// The step program, which a decode slot holds.
+    fn decode(self) -> Arc<DecodePlan> {
+        match self {
+            Plan::Decode(program) => program,
+            Plan::Compiled(_) => unreachable!("a decode slot holds a step program"),
+        }
+    }
+}
+
 struct Entry {
     /// The exact pattern the plan was compiled from, compared on every
     /// hit to rule out fingerprint collisions.
     pattern: HybridPattern,
     /// The exact configuration, compared for the same reason.
     config: AcceleratorConfig,
-    plan: Arc<CompiledPlan>,
+    plan: Plan,
     last_used: u64,
 }
 
@@ -99,10 +138,10 @@ impl Entry {
 /// Everything the cache's one lock guards.
 #[derive(Default)]
 struct State {
-    plans: HashMap<PlanKey, Entry>,
-    /// Keys some [`PlanCache::get_or_compile`] caller is compiling right
-    /// now; whoever else asks for one of them waits on `compiled`.
-    compiling: Vec<PlanKey>,
+    plans: HashMap<Slot, Entry>,
+    /// Slots some caller is compiling right now; whoever else asks for
+    /// one of them waits on `compiled`.
+    compiling: Vec<Slot>,
     /// Monotone use clock: an entry's `last_used` is the tick of its
     /// insert or its latest hit.
     tick: u64,
@@ -117,19 +156,19 @@ impl State {
         self.tick
     }
 
-    /// The uncounted lookup behind [`PlanCache::get`] and
-    /// [`PlanCache::get_or_compile`]: the entry under `key` if it was
-    /// compiled from these very inputs, its recency bumped.
+    /// The uncounted lookup behind every [`PlanCache`] lookup: the entry
+    /// in `slot` if it was compiled from these very inputs, its recency
+    /// bumped.
     fn lookup(
         &mut self,
-        key: &PlanKey,
+        slot: &Slot,
         pattern: &HybridPattern,
         config: &AcceleratorConfig,
-    ) -> Option<Arc<CompiledPlan>> {
+    ) -> Option<Plan> {
         let tick = self.next_tick();
-        let entry = self.plans.get_mut(key).filter(|entry| entry.matches(pattern, config))?;
+        let entry = self.plans.get_mut(slot).filter(|entry| entry.matches(pattern, config))?;
         entry.last_used = tick;
-        Some(Arc::clone(&entry.plan))
+        Some(entry.plan.clone())
     }
 
     /// Counts one lookup as a hit or a miss.
@@ -142,13 +181,13 @@ impl State {
     }
 }
 
-/// Marks `key` as being compiled for as long as it lives. Dropping it —
+/// Marks `slot` as being compiled for as long as it lives. Dropping it —
 /// after the insert, on a compile error, or on an unwinding compile —
-/// clears the mark and wakes the key's waiters, so none of them is left
+/// clears the mark and wakes the slot's waiters, so none of them is left
 /// waiting on a compile that is no longer running.
 struct Compiling<'a> {
     cache: &'a PlanCache,
-    key: PlanKey,
+    slot: Slot,
 }
 
 impl Drop for Compiling<'_> {
@@ -156,14 +195,14 @@ impl Drop for Compiling<'_> {
         // `Drop` must not panic: a poisoned cache is left as it is (every
         // later lookup reports the poison).
         if let Ok(mut state) = self.cache.state.lock() {
-            state.compiling.retain(|key| *key != self.key);
+            state.compiling.retain(|slot| *slot != self.slot);
         }
         self.cache.compiled.notify_all();
     }
 }
 
-/// An LRU-evicting cache of compiled execution plans: one map under one
-/// lock.
+/// An LRU-evicting cache of compiled execution plans and decode programs:
+/// one map under one lock.
 ///
 /// Thread safe: the scheduler pass for a miss runs *outside* the lock, so
 /// a slow compile never blocks lookups of other keys. A cold key is
@@ -186,7 +225,7 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    /// Creates a cache that holds at most `capacity` plans (clamped to at
+    /// Creates a cache that holds at most `capacity` entries (clamped to at
     /// least 1); a full cache evicts the least recently used of them.
     ///
     /// `_shards` is not read: the cache is one map under one lock. It is
@@ -202,7 +241,7 @@ impl PlanCache {
         self.state.lock().expect("plan cache poisoned")
     }
 
-    /// Looks up a plan, bumping its recency on a hit.
+    /// Looks up a prefill's plan, bumping its recency on a hit.
     ///
     /// A key match alone is not a hit: the stored pattern and
     /// configuration are compared to the caller's, so a 64-bit
@@ -216,42 +255,27 @@ impl PlanCache {
         config: &AcceleratorConfig,
     ) -> Option<Arc<CompiledPlan>> {
         let mut state = self.lock();
-        let found = state.lookup(key, pattern, config);
+        let found = state.lookup(&Slot { key: *key, decode: false }, pattern, config);
         state.count(found.is_some());
-        found
+        found.map(Plan::compiled)
     }
 
-    /// Caches a freshly compiled plan. An entry under the same key holds
+    /// Caches a freshly compiled entry. An entry in the same slot holds
     /// other inputs (a fingerprint collision — single-flight rules out the
     /// same inputs) and is replaced in place; otherwise a full cache first
-    /// evicts its least recently used plan.
-    fn insert(
-        &self,
-        key: PlanKey,
-        pattern: &HybridPattern,
-        config: &AcceleratorConfig,
-        plan: CompiledPlan,
-    ) -> Arc<CompiledPlan> {
+    /// evicts its least recently used entry.
+    fn insert(&self, slot: Slot, pattern: &HybridPattern, config: &AcceleratorConfig, plan: Plan) {
         let mut state = self.lock();
-        if !state.plans.contains_key(&key) && state.plans.len() >= self.capacity {
-            if let Some(lru) = state.plans.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
+        if !state.plans.contains_key(&slot) && state.plans.len() >= self.capacity {
+            if let Some(lru) = state.plans.iter().min_by_key(|(_, e)| e.last_used).map(|(s, _)| *s)
             {
                 state.plans.remove(&lru);
                 state.evictions += 1;
             }
         }
-        let plan = Arc::new(plan);
         let last_used = state.next_tick();
-        state.plans.insert(
-            key,
-            Entry {
-                pattern: pattern.clone(),
-                config: config.clone(),
-                plan: Arc::clone(&plan),
-                last_used,
-            },
-        );
-        plan
+        let entry = Entry { pattern: pattern.clone(), config: config.clone(), plan, last_used };
+        state.plans.insert(slot, entry);
     }
 
     /// Looks up `key`, compiling and caching on a miss.
@@ -276,25 +300,61 @@ impl PlanCache {
         config: &AcceleratorConfig,
         compile: impl FnOnce() -> Result<CompiledPlan, E>,
     ) -> Result<(Arc<CompiledPlan>, bool), E> {
+        let slot = Slot { key, decode: false };
+        let compile = || compile().map(|plan| Plan::Compiled(Arc::new(plan)));
+        let (plan, hit) = self.resolve(slot, pattern, config, compile)?;
+        Ok((plan.compiled(), hit))
+    }
+
+    /// [`get_or_compile`](Self::get_or_compile) for a decode session: its
+    /// entry is the step program `lower` returns, and nothing else of the
+    /// compile it was lowered from. A prefill under the same `key` is a
+    /// different entry, and so is this one to it.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_or_compile`](Self::get_or_compile), with `lower`'s error.
+    pub fn get_or_lower_decode<E>(
+        &self,
+        key: PlanKey,
+        pattern: &HybridPattern,
+        config: &AcceleratorConfig,
+        lower: impl FnOnce() -> Result<Arc<DecodePlan>, E>,
+    ) -> Result<(Arc<DecodePlan>, bool), E> {
+        let slot = Slot { key, decode: true };
+        let (program, hit) = self.resolve(slot, pattern, config, || lower().map(Plan::Decode))?;
+        Ok((program.decode(), hit))
+    }
+
+    /// The single-flight lookup behind both: the entry in `slot`, or what
+    /// `make` builds for it, cached.
+    fn resolve<E>(
+        &self,
+        slot: Slot,
+        pattern: &HybridPattern,
+        config: &AcceleratorConfig,
+        make: impl FnOnce() -> Result<Plan, E>,
+    ) -> Result<(Plan, bool), E> {
         let mut state = self.lock();
         loop {
-            if let Some(plan) = state.lookup(&key, pattern, config) {
+            if let Some(plan) = state.lookup(&slot, pattern, config) {
                 state.count(true);
                 return Ok((plan, true));
             }
-            if !state.compiling.contains(&key) {
+            if !state.compiling.contains(&slot) {
                 break;
             }
             state = self.compiled.wait(state).expect("plan cache poisoned");
         }
-        state.compiling.push(key);
+        state.compiling.push(slot);
         state.count(false);
         drop(state);
         // Declared before the compile so that it outlives the insert: a
         // waiter woken by its drop finds the entry.
-        let _compiling = Compiling { cache: self, key };
-        let plan = compile()?;
-        Ok((self.insert(key, pattern, config, plan), false))
+        let _compiling = Compiling { cache: self, slot };
+        let plan = make()?;
+        self.insert(slot, pattern, config, plan.clone());
+        Ok((plan, false))
     }
 
     /// Number of live entries.

@@ -57,9 +57,10 @@ use std::time::Instant;
 
 use salo_core::{
     CompiledPlan, Engine, FixedQkv, FixedToken, LoweredEngine, MultiHeadRun, PatternHandle, Salo,
+    SaloError,
 };
 use salo_patterns::{AttentionShape, HybridPattern};
-use salo_sim::{KeySpan, DEFAULT_PAGE_ROWS};
+use salo_sim::{DecodePlan, KeySpan, LoweredPlan, DEFAULT_PAGE_ROWS};
 use salo_trace::{Counter, Gauge, LogHistogram, MetricsRegistry};
 
 use crate::session::{
@@ -193,8 +194,10 @@ pub(crate) struct ServeMetrics {
     /// Allocations refused by a bounded pool at capacity.
     pool_exhausted: Arc<Counter>,
     /// What each plan-cache miss left resident
-    /// ([`CompiledPlan::resident_bytes`]), and how its lowered program
-    /// names its keys: ops that are runs, keys that had to be listed.
+    /// ([`CompiledPlan::resident_bytes`], or [`DecodePlan::resident_bytes`]
+    /// for a decode session's entry), and how the lowered program it was
+    /// compiled from names its keys: ops that are runs, keys that had to
+    /// be listed.
     plan_bytes: Arc<LogHistogram>,
     plan_run_ops: Arc<Counter>,
     plan_gather_keys: Arc<Counter>,
@@ -236,14 +239,14 @@ impl ServeMetrics {
         }
     }
 
-    /// Records the cost of a plan this worker just compiled, once the
-    /// request that missed has run (an `Open` has lowered the decode
-    /// program by then, so it is in the bytes).
-    fn plan_compiled(&self, plan: &CompiledPlan) {
-        self.plan_bytes.record(plan.resident_bytes() as u64);
-        let runs = plan.lowered.ops().iter().filter(|op| matches!(op.keys, KeySpan::Run { .. }));
+    /// Records the cost of an entry this worker just compiled: the
+    /// `bytes` the cache keeps of it, and the key split of the program
+    /// `lowered` it was compiled through.
+    fn plan_compiled(&self, bytes: usize, lowered: &LoweredPlan) {
+        self.plan_bytes.record(bytes as u64);
+        let runs = lowered.ops().iter().filter(|op| matches!(op.keys, KeySpan::Run { .. }));
         self.plan_run_ops.add(runs.count() as u64);
-        self.plan_gather_keys.add(plan.lowered.gather_keys().len() as u64);
+        self.plan_gather_keys.add(lowered.gather_keys().len() as u64);
     }
 
     /// The one clock read of a completion: the wall span takes it, and
@@ -612,8 +615,32 @@ impl Worker {
     ) -> Result<(Arc<CompiledPlan>, bool), ServeError> {
         let key = PlanKey { pattern_fp: pattern.fingerprint(), shape, config_fp: self.config_fp };
         let _lookup = salo_trace::span_with("serve.plan_lookup", "serve", id);
-        let compile = || self.compiler.compile(pattern, &shape);
+        let compile = || {
+            let plan = self.compiler.compile(pattern, &shape)?;
+            self.metrics.plan_compiled(plan.resident_bytes(), &plan.lowered);
+            Ok::<_, SaloError>(plan)
+        };
         Ok(self.cache.get_or_compile(key, pattern, self.compiler.config(), compile)?)
+    }
+
+    /// [`resolve`](Self::resolve) for a session over the causal clip
+    /// `causal`: its entry is the step program alone, lowered here from a
+    /// compile that is dropped once it has been.
+    fn resolve_decode(
+        &self,
+        session: u64,
+        causal: &HybridPattern,
+        shape: AttentionShape,
+    ) -> Result<(Arc<DecodePlan>, bool), ServeError> {
+        let key = PlanKey { pattern_fp: causal.fingerprint(), shape, config_fp: self.config_fp };
+        let _lookup = salo_trace::span_with("serve.plan_lookup", "serve", session);
+        let lower = || {
+            let compiled = self.compiler.compile(causal, &shape)?;
+            let program = compiled.decode_plan()?;
+            self.metrics.plan_compiled(program.resident_bytes(), &compiled.lowered);
+            Ok::<_, SaloError>(program)
+        };
+        Ok(self.cache.get_or_lower_decode(key, causal, self.compiler.config(), lower)?)
     }
 
     /// Resolves and executes one layer, and completes it on the sender it
@@ -625,14 +652,10 @@ impl Worker {
         let ServeRequest { pattern, shape, heads } = request;
         let resolved = self.resolve(ticket.id, &pattern, shape);
         let cache_hit = matches!(resolved, Ok((_, true)));
-        let compiled = compiled_now(&resolved);
         let result = resolved.and_then(|(plan, _)| {
             let pattern = PatternHandle::new(Arc::new(pattern), plan);
             self.engine.prefill(&pattern, &shape, &heads).map_err(ServeError::from)
         });
-        if let Some(plan) = compiled {
-            self.metrics.plan_compiled(&plan);
-        }
         self.load.fetch_sub(1, Ordering::Relaxed);
         if let Ok(run) = &result {
             self.energy_j += run.total_energy_j;
@@ -641,8 +664,8 @@ impl Worker {
         self.metrics.complete_layer(ticket, cache_hit, result, Some(self.index));
     }
 
-    /// Clips a session's pattern, resolves its plan, opens it on the
-    /// worker's engine and completes the handshake.
+    /// Clips a session's pattern, resolves its step program, opens it on
+    /// the worker's engine and completes the handshake.
     fn run_open(
         &mut self,
         session: u64,
@@ -655,12 +678,12 @@ impl Worker {
         // here — once, on the worker, off every front-end lock. A clip
         // that fails (nothing causal in the pattern) is the client's
         // malformed request. The clip's fingerprint keys the cache, so
-        // every generation of the same pattern reuses one compiled plan.
-        // The compiled program depends only on the pattern and the
-        // hardware — per-head K/V state and row dimensions live in the
-        // session — so the key uses a canonical single-head, unit-dim
-        // shape: sessions differing only in head count or head dimension
-        // share one entry instead of double-caching identical programs.
+        // every generation of the same pattern reuses one step program.
+        // The program depends only on the pattern and the hardware —
+        // per-head K/V state and row dimensions live in the session — so
+        // the key uses a canonical single-head, unit-dim shape: sessions
+        // differing only in head count or head dimension share one entry
+        // instead of double-caching identical programs.
         let resolved = request
             .pattern
             .decode_view()
@@ -669,14 +692,12 @@ impl Worker {
                 let causal = view.into_causal_pattern();
                 let shape = AttentionShape::new(causal.n(), 1, 1)
                     .map_err(|e| ServeError::InvalidRequest { reason: format!("shape: {e}") })?;
-                self.resolve(session, &causal, shape)
+                self.resolve_decode(session, &causal, shape)
             });
-        let compiled = compiled_now(&resolved);
-        let opened = resolved.and_then(|(plan, cache_hit)| {
+        let opened = resolved.and_then(|(program, cache_hit)| {
             let SessionRequest { head_dim, num_heads, prompt, .. } = request;
-            let pattern = PatternHandle::from_plan(plan);
             self.engine
-                .open(session, &pattern, head_dim, num_heads, &prompt)
+                .open(session, program, head_dim, num_heads, &prompt)
                 .map(|opened| SessionInfo {
                     worker: self.index,
                     min_step: opened.min_step,
@@ -686,9 +707,6 @@ impl Worker {
                 })
                 .map_err(ServeError::from)
         });
-        if let Some(plan) = compiled {
-            self.metrics.plan_compiled(&plan);
-        }
         self.load.fetch_sub(1, Ordering::Relaxed);
         if opened.is_err() {
             // Deregister before reporting: once the client has observed
@@ -699,13 +717,6 @@ impl Worker {
         }
         self.metrics.complete_open(events, session, submitted, opened);
     }
-}
-
-/// The plan a lookup had to compile, if it did (a cache miss).
-fn compiled_now(
-    resolved: &Result<(Arc<CompiledPlan>, bool), ServeError>,
-) -> Option<Arc<CompiledPlan>> {
-    resolved.as_ref().ok().and_then(|(plan, hit)| (!hit).then(|| Arc::clone(plan)))
 }
 
 #[cfg(test)]
@@ -833,6 +844,92 @@ mod tests {
         assert_eq!(worker.load.load(Ordering::Relaxed), 0);
         assert!(worker.registry.lock().get(2).is_none(), "the poisoned session is retired");
         assert_eq!(worker.registry.lock().len(), 3);
+    }
+
+    /// The causal clip of a sink window, the sequence length and the
+    /// canonical shape a decode session's entry is keyed by.
+    fn sink_clip() -> (HybridPattern, AttentionShape) {
+        let pattern = HybridPattern::builder(48)
+            .window(Window::causal(20).unwrap())
+            .global_token(0)
+            .build()
+            .unwrap();
+        let causal = pattern.decode_view().unwrap().into_causal_pattern();
+        (causal, AttentionShape::new(48, 1, 1).unwrap())
+    }
+
+    /// One open of `pattern` on `worker`, answered on a channel of its own:
+    /// whether its entry came from the cache.
+    fn open_on(worker: &mut Worker, session: u64, pattern: &HybridPattern) -> bool {
+        let (tx, rx) = channel();
+        let events = EventSink::from(tx);
+        let prompt = vec![Qkv::random(1, 4, session)];
+        let request =
+            SessionRequest { pattern: pattern.clone(), head_dim: 4, num_heads: 1, prompt };
+        worker.registry.lock().insert(session, LiveSession { worker: 0, events: events.clone() });
+        let submitted = Instant::now();
+        tick(worker, vec![Job::Open { session, request: request.into(), submitted, events }]);
+        match rx.try_recv() {
+            Ok(ServeEvent::Opened { result: Ok(info), .. }) => info.cache_hit,
+            other => panic!("session {session} did not open: {other:?}"),
+        }
+    }
+
+    /// One prefill of `pattern` at `shape` on `worker`: whether its plan
+    /// came from the cache.
+    fn prefill_on(worker: &mut Worker, pattern: &HybridPattern, shape: AttentionShape) -> bool {
+        let (tx, rx) = channel();
+        let heads = Qkv::random_heads(&shape, 9);
+        let request = ServeRequest::new(pattern.clone(), shape, heads).unwrap().into();
+        let ticket = LayerTicket { id: 0, submitted: Instant::now(), events: EventSink::from(tx) };
+        tick(worker, vec![Job::Layer { ticket, request }]);
+        match rx.try_recv() {
+            Ok(ServeEvent::Layer(response)) => {
+                assert!(response.result.is_ok(), "{:?}", response.result.err());
+                response.cache_hit
+            }
+            other => panic!("the prefill was not answered: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_decode_open_caches_its_program_alone_and_counts_its_bytes() {
+        let salo = Salo::new(AcceleratorConfig::default());
+        let mut worker = worker(&salo, None);
+        let (causal, shape) = sink_clip();
+        assert!(!open_on(&mut worker, 0, &causal));
+        // The program the open lowered, built the same way beside it: the
+        // entry's bytes are its bytes, not the compile's it came from.
+        let compiled = salo.compile(&causal, &shape).unwrap();
+        let program = compiled.decode_plan().unwrap().resident_bytes();
+        assert!(program < compiled.resident_bytes());
+        let bytes = worker.metrics.plan_bytes.snapshot();
+        assert_eq!((bytes.count, bytes.sum), (1, program as u64));
+        assert!(open_on(&mut worker, 1, &causal), "the second open hits the program");
+        assert_eq!(worker.metrics.plan_bytes.snapshot().count, 1, "a hit records nothing");
+    }
+
+    #[test]
+    fn a_prefill_and_a_decode_of_one_clip_are_two_entries() {
+        // The causal clip prefilled at the canonical decode shape has the
+        // decode entry's key; neither is served the other's entry, in
+        // either order, and each then hits its own.
+        let salo = Salo::new(AcceleratorConfig::default());
+        let (causal, shape) = sink_clip();
+        for decode_first in [true, false] {
+            let mut worker = worker(&salo, None);
+            if decode_first {
+                assert!(!open_on(&mut worker, 0, &causal));
+                assert!(!prefill_on(&mut worker, &causal, shape));
+            } else {
+                assert!(!prefill_on(&mut worker, &causal, shape));
+                assert!(!open_on(&mut worker, 0, &causal));
+            }
+            assert!(open_on(&mut worker, 1, &causal));
+            assert!(prefill_on(&mut worker, &causal, shape));
+            let stats = worker.cache.stats();
+            assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2), "{decode_first}");
+        }
     }
 
     /// A step or close event, its latency left out.

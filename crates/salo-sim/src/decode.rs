@@ -10,21 +10,29 @@
 //! position per call against paged K/V state that persists across the
 //! whole generation:
 //!
-//! * [`DecodePlan::lower`] orders the lowered op list by destination row,
-//!   preserving the prefill's per-row op order — window-row softmax parts
+//! * [`DecodePlan::lower`] reads the lowered op list one destination row at
+//!   a time and keeps each distinct **row program** once. SALO's data
+//!   scheduler addresses a sliding window as diagonal arithmetic, and a
+//!   row program does too: a window part is a run of keys that starts a
+//!   fixed distance back from the row it serves, so one program — shifted
+//!   to a row, clipped to the sequence, global keys trimmed off its runs'
+//!   ends — serves every row the window slides over. Global cells, global
+//!   rows' parts and gathers name their keys outright. Each position
+//!   records which program it runs, and the plan keeps no copy of, and no
+//!   index into, the lowered op list. Every row's expansion is checked
+//!   against the lowered row when the plan is built, and a row that no
+//!   kept program reproduces becomes a program of its own, so executing
+//!   row `t` performs the *same fixed-point operations in the same order*
+//!   as the full prefill does for that row — window-row softmax parts
 //!   first-chunk-to-last, global-column cells interleaved exactly where
-//!   the prefill merges them. The order is an index per op into the
-//!   lowered plan's own list, which the decode program shares, so it holds
-//!   no second copy of the ops. Executing row `t`'s ops therefore
-//!   performs the *same fixed-point operations in the same order* as the
-//!   full prefill does for that row, which is what makes decode
-//!   bit-identical to the causal-prefill oracle (outputs, `weights_q16`
-//!   and saturation counts — asserted by `tests/decode.rs`). Lowering
-//!   also precomputes the **live horizon** of every step — the smallest
-//!   non-global key any current-or-future op can still read — which is
-//!   what drives page reclamation. All of it is O(ops): an op that names
-//!   its keys as a run gives its largest and smallest key by its ends,
-//!   and only listed (gather) ops are scanned.
+//!   the prefill merges them. That is what makes decode bit-identical to
+//!   the causal-prefill oracle (outputs, `weights_q16` and saturation
+//!   counts — asserted by `tests/decode.rs`). Lowering also precomputes
+//!   the **live horizon** of every step — the smallest non-global key any
+//!   current-or-future op can still read — which is what drives page
+//!   reclamation. All of it is O(ops): an op that names its keys as a run
+//!   gives its largest and smallest key by its ends, and only listed
+//!   (gather) ops are scanned.
 //! * [`KvPagePool`] owns the physical pages: fixed-size K/V blocks of
 //!   `page_rows` token rows each, recycled through a freelist and shared
 //!   by every session of one owner (a serving worker, a bench harness).
@@ -39,11 +47,11 @@
 //!   O(history). Pages holding global tokens are pinned for the session's
 //!   lifetime (global K/V rows are re-read by every future step).
 //! * [`SpatialAccelerator::execute_step`] runs one token: quantize and
-//!   append K/V into the current page, execute the step's ops through the
-//!   stage 1–5 fixed-point kernels (reusing the caller's [`ExecScratch`]
-//!   buffers), advance the global-duty partials, reclaim dead pages, and
-//!   return the new position's output row.
-//!   [`SpatialAccelerator::execute_steps`] is the fused multi-session
+//!   append K/V into the current page, expand the step's row program and
+//!   execute its ops through the stage 1–5 fixed-point kernels (reusing
+//!   the caller's [`ExecScratch`] buffers), advance the global-duty
+//!   partials, reclaim dead pages, and return the new position's output
+//!   row. [`SpatialAccelerator::execute_steps`] is the fused multi-session
 //!   form: one step from each of many ready sessions sharing a plan,
 //!   executed back to back over one scratch — bit-identical to stepping
 //!   the sessions individually.
@@ -57,8 +65,9 @@
 use salo_fixed::{quantize_iter, ExpLut, Fix16x8, Fix8x4, MacSaturation, PartialRow, RecipUnit};
 use salo_kernels::{KernelError, Matrix, Qkv};
 use salo_scheduler::ExecutionPlan;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 use crate::exec::{drain_into, run_ops_grouped, ExecScratch, GroupOp, KvSource, UNREACHED};
 use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, SpatialAccelerator};
@@ -73,14 +82,109 @@ use crate::{KeySpan, LoweredOp, LoweredOpKind, LoweredPlan, OpKeys, SimError, Sp
 /// has the sweep).
 pub const DEFAULT_PAGE_ROWS: usize = 256;
 
+/// How one op of a row program names its keys.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ProgramKeys {
+    /// A window part: the run `row - back, row - back + stride, …`,
+    /// shifted to whichever row the program runs for.
+    Window { back: u32, stride: u16 },
+    /// Keys named outright — a global cell, a part of a global row, a
+    /// slice of the gather arena — whichever row the program runs for.
+    Fixed(KeySpan),
+}
+
+/// One op of a row program: a [`LoweredOp`] without its destination.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct ProgramOp {
+    kind: LoweredOpKind,
+    keys: ProgramKeys,
+    key_len: u32,
+}
+
+impl ProgramOp {
+    /// `op` of row `row`, a window part read back from the row. Only a
+    /// causal row part is one: its keys end at or before the row.
+    fn relative(op: &LoweredOp, row: u32) -> Self {
+        let keys = match op.keys {
+            KeySpan::Run { first, stride } if op.kind == LoweredOpKind::Row && first <= row => {
+                ProgramKeys::Window { back: row - first, stride }
+            }
+            keys => ProgramKeys::Fixed(keys),
+        };
+        Self { kind: op.kind, keys, key_len: op.key_len }
+    }
+
+    /// `op` as it is, whatever row it runs for.
+    fn literal(op: &LoweredOp) -> Self {
+        Self { kind: op.kind, keys: ProgramKeys::Fixed(op.keys), key_len: op.key_len }
+    }
+}
+
+/// Appends row `row`'s ops — `program` expanded for it — to `out`:
+///
+/// * a window part is shifted to the row and clipped to the sequence (its
+///   keys end at or before the row, so only the start can fall off), then
+///   global keys are trimmed off its ends, as the lowering filters them;
+///   what is left is emitted, and an empty part is dropped;
+/// * an op that names its keys outright is emitted where it stands —
+///   unless the window part before it fell wholly off the sequence: then
+///   it waits for the next part that does not, as the prefill merges a
+///   global cell in the first pass its row takes part in.
+fn expand(program: &[ProgramOp], row: u32, globals: &[u32], out: &mut Vec<LoweredOp>) {
+    let is_global = |key: u32| globals.binary_search(&key).is_ok();
+    let emit = |op: &ProgramOp, out: &mut Vec<LoweredOp>| {
+        let ProgramKeys::Fixed(keys) = op.keys else { return };
+        out.push(LoweredOp { kind: op.kind, dest: row, keys, key_len: op.key_len });
+    };
+    // The first op waiting for a window part that reaches the sequence.
+    let mut waiting = None;
+    for (i, op) in program.iter().enumerate() {
+        let ProgramKeys::Window { back, stride } = op.keys else {
+            if waiting.is_none() {
+                emit(op, out);
+            }
+            continue;
+        };
+        let step = u32::from(stride);
+        // Keys before 0: the first `skip` of the run (none, and no
+        // division, once the row is past the window).
+        let skip = if back > row { (back - row).div_ceil(step) } else { 0 };
+        if skip >= op.key_len {
+            waiting = waiting.or(Some(i + 1));
+            continue;
+        }
+        let (mut first, mut len) = (row + skip * step - back, op.key_len - skip);
+        let mut trimmed = false;
+        while len > 0 && is_global(first) {
+            (first, len, trimmed) = (first + step, len - 1, true);
+        }
+        while len > 0 && is_global(first + (len - 1) * step) {
+            (len, trimmed) = (len - 1, true);
+        }
+        if len > 0 {
+            // A part the lowering had to filter is listed, and one key
+            // listed is a run of stride 1.
+            let stride = if trimmed && len == 1 { 1 } else { stride };
+            let keys = KeySpan::Run { first, stride };
+            out.push(LoweredOp { kind: op.kind, dest: row, keys, key_len: len });
+        }
+        if let Some(from) = waiting.take() {
+            program[from..i].iter().for_each(|op| emit(op, out));
+        }
+    }
+    if let Some(from) = waiting {
+        program[from..].iter().for_each(|op| emit(op, out));
+    }
+}
+
 /// One global token's incremental row program: the prefill's ops for that
 /// destination, in prefill order, plus the gating key that tells the
 /// session when each op's inputs exist.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 struct GlobalRowProgram {
     /// The global token (sequence position).
     token: u32,
-    /// Range in the owning plan's op order.
+    /// Its ops: a range of the plan's `program_ops`, each named outright.
     start: u32,
     end: u32,
     /// Per op (parallel to the range): the largest key it reads. The op
@@ -94,30 +198,30 @@ struct GlobalRowProgram {
     pending_suffix_min: Vec<u32>,
 }
 
-/// A [`LoweredPlan`] compiled for token-by-token execution.
+/// A [`LoweredPlan`] compiled for token-by-token execution: the distinct
+/// row programs, which one each position runs, the global rows' ops, and
+/// the horizon tables that drive page reclamation.
 ///
 /// Produced once per compiled plan and shared across every decode session
 /// of that pattern/shape (it is immutable; serving pins one behind an
-/// `Arc` per session).
+/// `Arc` per session). It owns everything it reads — nothing of the
+/// [`LoweredPlan`] it was built from is kept alive by it — so a serving
+/// runtime can drop the prefill plan once the program is built.
 #[derive(Clone, PartialEq)]
 pub struct DecodePlan {
     n: usize,
     min_step: usize,
     globals: Vec<u32>,
-    /// The lowered plan's op list, shared, in prefill order.
-    ops: Arc<Vec<LoweredOp>>,
-    /// The decode program: indices into `ops`, contiguous per destination
-    /// row, prefill order within each row. Four bytes an op where a copy
-    /// of the op would be twenty.
-    order: Vec<u32>,
-    /// The gather arena the listed (non-run) ops slice into: the lowered
-    /// plan's own, shared — each op keeps the keys it was lowered with, so
-    /// there is nothing to copy.
-    gather_keys: Arc<Vec<u32>>,
-    /// Position `t`'s ops are `order[step_bounds[t]..step_bounds[t + 1]]`
-    /// (`len = n + 1`; empty for global rows, whose work lives in
-    /// `global_rows`).
-    step_bounds: Vec<u32>,
+    /// The row programs' ops back to back, then the global rows' ops.
+    program_ops: Vec<ProgramOp>,
+    /// Row program `p` is `program_ops[programs[p]..programs[p + 1]]`.
+    programs: Vec<u32>,
+    /// The row program position `t` runs (`len = n`; an empty one for
+    /// global rows, whose work lives in `global_rows`).
+    row_program: Vec<u32>,
+    /// The lowered plan's gather arena, which listed (non-run) ops slice
+    /// at the offsets the lowering gave them.
+    gather_keys: Vec<u32>,
     global_rows: Vec<GlobalRowProgram>,
     max_row_keys: usize,
     /// Suffix minima over the steps' smallest non-global keys
@@ -135,7 +239,12 @@ impl DecodePlan {
     ///
     /// `plan` supplies the global-token set; `lowered` must be the
     /// lowering of that same plan (as stored side by side in
-    /// `CompiledPlan`).
+    /// `CompiledPlan`). The rows are read last to first, so the widest
+    /// row program is kept first and the rows the window is clipped on
+    /// are tried against it: a row runs the program of the row after it
+    /// or the first program kept if either reproduces it, else a kept
+    /// program equal to its own, else its own — its window parts read
+    /// back from it, or, should that not reproduce it, every op as it is.
     ///
     /// # Errors
     ///
@@ -146,8 +255,8 @@ impl DecodePlan {
         let n = lowered.n();
         let globals: Vec<u32> = plan.globals().iter().map(|&g| g as u32).collect();
         let min_step = plan.globals().iter().max().map_or(0, |&g| g + 1);
-        let ops = Arc::clone(&lowered.ops);
-        let gather_keys = Arc::clone(&lowered.gather_keys);
+        let ops = lowered.ops();
+        let gather_keys = lowered.gather_keys().to_vec();
 
         // Order the lowered ops by destination — the step rows in sequence
         // order, then the global rows — preserving prefill order within
@@ -155,11 +264,12 @@ impl DecodePlan {
         // merges that row's parts in. A counting sort of op indices:
         // `slots[r]..slots[r + 1]` are the positions in `order` of
         // destination rank `r`. A rank is recomputed on the second pass
-        // rather than kept, so the only array per op is `order` itself.
+        // rather than kept, so the only array per op is `order` itself,
+        // and it lives only as long as this call.
         let rank =
             |op: &LoweredOp| globals.binary_search(&op.dest).map_or(op.dest as usize, |gi| n + gi);
         let mut slots = vec![0u32; n + globals.len() + 1];
-        for op in ops.iter() {
+        for op in ops {
             let rank = rank(op);
             // Window ops must be causal; global-column cells (SingleKey)
             // are gated by `min_step` instead.
@@ -182,6 +292,7 @@ impl DecodePlan {
             order[*slot as usize] = i as u32;
             *slot += 1;
         }
+        drop(next);
         let ordered = |range: std::ops::Range<u32>| {
             order[range.start as usize..range.end as usize].iter().map(|&i| &ops[i as usize])
         };
@@ -211,21 +322,73 @@ impl DecodePlan {
             suffix
         };
         let step_suffix_min = suffix_minima(&slots[..=n]);
+
+        // The row programs, rows read last to first.
+        let mut program_ops: Vec<ProgramOp> = Vec::new();
+        let mut programs = vec![0u32];
+        let mut row_program = vec![0u32; n];
+        // Kept programs by the hash of their ops, to find a row's own.
+        let mut kept: HashMap<u64, u32> = HashMap::new();
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        let (mut expanded, mut own) = (Vec::new(), Vec::new());
+        let mut after = None;
+        for t in (0..n).rev() {
+            let row = || ordered(slots[t]..slots[t + 1]);
+            let t32 = t as u32;
+            let mut reproduces = |program: &[ProgramOp]| {
+                expanded.clear();
+                expand(program, t32, &globals, &mut expanded);
+                expanded.iter().eq(row())
+            };
+            let get = |p: u32| program(&program_ops, &programs, p);
+            let tried = [after, Some(0).filter(|_| programs.len() > 1 && after != Some(0))];
+            let reused = tried.into_iter().flatten().find(|&p| reproduces(get(p)));
+            let p = match reused {
+                Some(p) => p,
+                None => {
+                    own.clear();
+                    own.extend(row().map(|op| ProgramOp::relative(op, t32)));
+                    if !reproduces(&own) {
+                        own.clear();
+                        own.extend(row().map(ProgramOp::literal));
+                    }
+                    let hash = hasher.hash_one(&own);
+                    match kept.get(&hash) {
+                        Some(&p) if get(p) == own.as_slice() => p,
+                        _ => {
+                            let p = (programs.len() - 1) as u32;
+                            program_ops.extend_from_slice(&own);
+                            programs.push(program_ops.len() as u32);
+                            kept.insert(hash, p);
+                            p
+                        }
+                    }
+                }
+            };
+            row_program[t] = p;
+            after = Some(p);
+        }
+        drop(kept);
+
+        // The global rows' ops, named outright, after the row programs.
         let global_rows: Vec<GlobalRowProgram> = globals
             .iter()
             .zip(slots[n..].windows(2))
-            .map(|(&token, w)| GlobalRowProgram {
-                token,
-                start: w[0],
-                end: w[1],
-                max_keys: ordered(w[0]..w[1])
-                    .map(|op| op.keys_in(&gather_keys).max().unwrap_or(0))
-                    .collect(),
-                pending_suffix_min: suffix_minima(&(w[0]..=w[1]).collect::<Vec<_>>()),
+            .map(|(&token, w)| {
+                let start = program_ops.len() as u32;
+                program_ops.extend(ordered(w[0]..w[1]).map(ProgramOp::literal));
+                GlobalRowProgram {
+                    token,
+                    start,
+                    end: program_ops.len() as u32,
+                    max_keys: ordered(w[0]..w[1])
+                        .map(|op| op.keys_in(&gather_keys).max().unwrap_or(0))
+                        .collect(),
+                    pending_suffix_min: suffix_minima(&(w[0]..=w[1]).collect::<Vec<_>>()),
+                }
             })
             .collect();
-        let mut step_bounds = slots;
-        step_bounds.truncate(n + 1);
+        program_ops.shrink_to_fit();
 
         // Hash the complete program: two plans that differ anywhere in
         // their ops or gather arenas fingerprint apart, so a state reset
@@ -233,6 +396,8 @@ impl DecodePlan {
         // capacity and global count included). An in-process guard, paid
         // once per lowering: a word at a time, two words per op, where the
         // byte-wise stable hasher would spend eight multiplies per field.
+        // The ops are the lowered ones in step order — what the program
+        // expands to, row by row.
         let mut state = 0u64;
         let mut mix = |word: u64| {
             state = (state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
@@ -252,7 +417,7 @@ impl DecodePlan {
             mix(u64::from(op.dest) << 32 | u64::from(op.key_len));
             mix(single << 48 | u64::from(stride) << 32 | u64::from(at));
         }
-        for &key in gather_keys.iter() {
+        for &key in &gather_keys {
             mix(key.into());
         }
         mix((order.len() as u64) << 32 | gather_keys.len() as u64);
@@ -262,10 +427,10 @@ impl DecodePlan {
             n,
             min_step,
             globals,
-            ops,
-            order,
+            program_ops,
+            programs,
+            row_program,
             gather_keys,
-            step_bounds,
             global_rows,
             max_row_keys: lowered.max_row_keys(),
             step_suffix_min,
@@ -302,23 +467,18 @@ impl DecodePlan {
     }
 
     /// The ops computing position `t`'s output row, in prefill merge
-    /// order. Empty for global positions (their rows accumulate via the
+    /// order: its row program expanded for `t`, the lowered plan's ops of
+    /// that row. Empty for global positions (their rows accumulate via the
     /// running global-duty partials) and for rows with no active keys.
-    pub fn step_ops(&self, t: usize) -> impl ExactSizeIterator<Item = &LoweredOp> + Clone {
-        self.in_order(self.step_order(t))
+    pub fn step_ops(&self, t: usize) -> impl ExactSizeIterator<Item = LoweredOp> + Clone {
+        let mut ops = Vec::new();
+        expand(self.step_program(t), t as u32, &self.globals, &mut ops);
+        ops.into_iter()
     }
 
-    /// Position `t`'s ops as indices into the shared op list.
-    fn step_order(&self, t: usize) -> &[u32] {
-        &self.order[self.step_bounds[t] as usize..self.step_bounds[t + 1] as usize]
-    }
-
-    /// The ops a slice of `order` names.
-    fn in_order<'a>(
-        &'a self,
-        order: &'a [u32],
-    ) -> impl ExactSizeIterator<Item = &'a LoweredOp> + Clone {
-        order.iter().map(|&i| &self.ops[i as usize])
+    /// The row program position `t` runs.
+    fn step_program(&self, t: usize) -> &[ProgramOp] {
+        program(&self.program_ops, &self.programs, self.row_program[t])
     }
 
     /// Keys of one op.
@@ -327,16 +487,19 @@ impl DecodePlan {
         op.keys_in(&self.gather_keys)
     }
 
-    /// Heap bytes the step program holds beyond the op list and gather
-    /// arena it shares with its [`LoweredPlan`]: the op order, its
-    /// per-position bounds and the horizon tables.
+    /// Heap bytes the step program holds: its row programs and which one
+    /// each position runs, the global rows' ops, the gather arena and the
+    /// horizon tables. It shares nothing with the [`LoweredPlan`] it was
+    /// built from.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let rows = self.global_rows.iter();
-        size_of_val(&self.order[..])
+        size_of_val(&self.program_ops[..])
+            + size_of_val(&self.programs[..])
+            + size_of_val(&self.row_program[..])
             + size_of_val(&self.globals[..])
-            + size_of_val(&self.step_bounds[..])
+            + size_of_val(&self.gather_keys[..])
             + size_of_val(&self.step_suffix_min[..])
             + size_of_val(&self.global_rows[..])
             + rows.map(|g| 4 * (g.max_keys.len() + g.pending_suffix_min.len())).sum::<usize>()
@@ -367,14 +530,44 @@ impl DecodePlan {
     }
 }
 
-/// Prints the program a session runs: `ops` is the ops in step order, not
-/// their indices, and `step_ranges` each position's `(start, end)` in it,
-/// so a plan reads the same however it holds them.
+/// Program `p` of those `bounds` delimits in `ops`.
+fn program<'a>(ops: &'a [ProgramOp], bounds: &[u32], p: u32) -> &'a [ProgramOp] {
+    &ops[bounds[p as usize] as usize..bounds[p as usize + 1] as usize]
+}
+
+/// Prints the program a session runs as the lowering emitted it: `ops` is
+/// every step row's expansion in position order, then the global rows'
+/// ops, and `step_ranges` each position's `(start, end)` in that list, so
+/// a plan reads the same however it holds them.
 impl fmt::Debug for DecodePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ops = fmt::from_fn(|f| f.debug_list().entries(self.in_order(&self.order)).finish());
-        let ranges = self.step_bounds.windows(2).map(|w| (w[0], w[1]));
-        let step_ranges = fmt::from_fn(|f| f.debug_list().entries(ranges.clone()).finish());
+        let mut ops = Vec::new();
+        let mut step_ranges = Vec::with_capacity(self.n);
+        for t in 0..self.n {
+            let start = ops.len() as u32;
+            expand(self.step_program(t), t as u32, &self.globals, &mut ops);
+            step_ranges.push((start, ops.len() as u32));
+        }
+        // Global row ops sit right after the row programs' in
+        // `program_ops`, and right after the step rows' in `ops`.
+        let (arena, steps) = (self.programs[self.programs.len() - 1], ops.len() as u32);
+        let shift = move |at: u32| at - arena + steps;
+        for g in &self.global_rows {
+            let program = &self.program_ops[g.start as usize..g.end as usize];
+            expand(program, g.token, &self.globals, &mut ops);
+        }
+        let global_rows = self.global_rows.iter().map(|g| {
+            fmt::from_fn(move |f| {
+                f.debug_struct("GlobalRowProgram")
+                    .field("token", &g.token)
+                    .field("start", &shift(g.start))
+                    .field("end", &shift(g.end))
+                    .field("max_keys", &g.max_keys)
+                    .field("pending_suffix_min", &g.pending_suffix_min)
+                    .finish()
+            })
+        });
+        let global_rows = fmt::from_fn(|f| f.debug_list().entries(global_rows.clone()).finish());
         f.debug_struct("DecodePlan")
             .field("n", &self.n)
             .field("min_step", &self.min_step)
@@ -382,7 +575,7 @@ impl fmt::Debug for DecodePlan {
             .field("ops", &ops)
             .field("gather_keys", &self.gather_keys)
             .field("step_ranges", &step_ranges)
-            .field("global_rows", &self.global_rows)
+            .field("global_rows", &global_rows)
             .field("max_row_keys", &self.max_row_keys)
             .field("step_suffix_min", &self.step_suffix_min)
             .field("fingerprint", &self.fingerprint)
@@ -1168,7 +1361,7 @@ impl SpatialAccelerator {
                 exp,
                 recip,
                 plan,
-                plan.step_order(t),
+                (plan.step_program(t), t),
                 q_step,
                 &kv,
                 d,
@@ -1193,7 +1386,7 @@ impl SpatialAccelerator {
             }
             // The pending ops up to the first that still waits for a key,
             // as one list.
-            let ops = &plan.order[program.start as usize..program.end as usize];
+            let ops = &plan.program_ops[program.start as usize..program.end as usize];
             let cursor = state.global_cursor[gi];
             let runnable =
                 program.max_keys[cursor..].iter().take_while(|&&key| key as usize <= t).count();
@@ -1206,7 +1399,7 @@ impl SpatialAccelerator {
                 exp,
                 recip,
                 plan,
-                &ops[cursor..cursor + runnable],
+                (&ops[cursor..cursor + runnable], program.token as usize),
                 &global_q[gi],
                 &kv,
                 d,
@@ -1278,17 +1471,18 @@ fn reclaim_dead_pages(plan: &DecodePlan, state: &mut DecodeState, pool: &mut KvP
     state.reclaim_floor = limit_pages;
 }
 
-/// Stages 1–5 for a slice of the plan's op order, merged into `acc` in
-/// that order — literally the prefill's executor ([`run_ops_grouped`]),
-/// fed K/V through the session's page table instead of a full-sequence
-/// load, so decode-vs-prefill bit-identity holds by construction (one
-/// shared kernel body).
+/// Stages 1–5 for a row program expanded for its row — the lowered
+/// plan's ops of that row, in order — merged into `acc` in that order:
+/// literally the prefill's executor ([`run_ops_grouped`]), fed K/V through
+/// the session's page table instead of a full-sequence load, so
+/// decode-vs-prefill bit-identity holds by construction (one shared kernel
+/// body).
 #[allow(clippy::too_many_arguments)]
 fn run_decode_ops(
     exp: &ExpLut,
     recip: &RecipUnit,
     plan: &DecodePlan,
-    order: &[u32],
+    (program, row): (&[ProgramOp], usize),
     q_row: &[Fix8x4],
     kv: &PagedKv<'_>,
     d: usize,
@@ -1298,7 +1492,7 @@ fn run_decode_ops(
 ) -> Result<(), SimError> {
     let ExecScratch { op: bufs, picked, .. } = scratch;
     picked.clear();
-    picked.extend(order.iter().map(|&i| plan.ops[i as usize]));
+    expand(program, row as u32, &plan.globals, picked);
     let resolve =
         |op: &LoweredOp| GroupOp { kind: op.kind, keys: plan.op_keys(op), q_row, slot: 0 };
     let accs = std::slice::from_mut(acc);
@@ -1723,10 +1917,10 @@ mod tests {
     }
 
     #[test]
-    fn the_decode_program_orders_the_lowered_ops_it_shares() {
+    fn every_row_expands_to_its_lowered_ops() {
         // A step's ops are the lowered ops with its destination, in lowered
-        // (prefill merge) order; so are a global row's. The plan names them
-        // by index into the lowered plan's own op list and gather arena.
+        // (prefill merge) order; so are a global row's. The plan holds them
+        // as row programs, and expands them for the row.
         let sink = HybridPattern::builder(300)
             .window(Window::causal(64).unwrap())
             .global_tokens([0, 5])
@@ -1740,20 +1934,51 @@ mod tests {
             let plan = ExecutionPlan::build(pattern, sim.config().hw).unwrap();
             let lowered = LoweredPlan::lower(&plan);
             let decode = DecodePlan::lower(&plan, &lowered).unwrap();
-            assert!(Arc::ptr_eq(&decode.ops, &lowered.ops));
-            assert!(Arc::ptr_eq(&decode.gather_keys, &lowered.gather_keys));
+            assert_eq!(decode.gather_keys, lowered.gather_keys());
             let with_dest = |t: u32| lowered.ops().iter().filter(move |op| op.dest == t);
+            let mut expanded = 0;
             for t in 0..pattern.n() as u32 {
-                let program = decode.global_rows.iter().find(|g| g.token == t);
-                let got: Vec<_> = match program {
+                let got: Vec<_> = match decode.global_rows.iter().find(|g| g.token == t) {
                     Some(g) => {
-                        decode.in_order(&decode.order[g.start as usize..g.end as usize]).collect()
+                        let mut ops = Vec::new();
+                        let program = &decode.program_ops[g.start as usize..g.end as usize];
+                        expand(program, t, decode.globals(), &mut ops);
+                        ops
                     }
                     None => decode.step_ops(t as usize).collect(),
                 };
-                assert_eq!(got, with_dest(t).collect::<Vec<_>>(), "row {t}");
+                assert_eq!(got, with_dest(t).copied().collect::<Vec<_>>(), "row {t}");
+                expanded += got.len();
             }
-            assert_eq!(decode.order.len(), lowered.ops().len());
+            assert_eq!(expanded, lowered.ops().len());
+        }
+    }
+
+    #[test]
+    fn a_window_slides_one_row_program_over_every_step() {
+        // Every step row of a sink window runs the last row's program:
+        // shifted, clipped at the sequence start, the sink's key trimmed
+        // off, and the sink's cell held back until a part reaches the
+        // sequence. The only other program is the sink's own empty step.
+        // On an 8 × 8 array, and at the `decode_long` shape on the
+        // default one (33 ops a row).
+        for (n, w, sim, ops) in
+            [(300, 64, accel(8, 8), 9), (8192, 1024, SpatialAccelerator::default_instance(), 33)]
+        {
+            let pattern = HybridPattern::builder(n)
+                .window(Window::causal(w).unwrap())
+                .global_token(0)
+                .build()
+                .unwrap();
+            let (_, decode) = compile(&pattern, &sim);
+            assert_eq!(decode.programs.len() - 1, 2, "one program for the steps, one empty");
+            let last = decode.row_program[n - 1];
+            assert!((1..n).all(|t| decode.row_program[t] == last));
+            assert!(decode.step_program(0).is_empty());
+            assert_eq!(decode.step_program(n - 1).len(), ops);
+            let global_ops = decode.global_rows.iter().map(|g| (g.end - g.start) as usize);
+            let held = ops + global_ops.sum::<usize>();
+            assert_eq!(decode.program_ops.len(), held, "no row but the last is kept");
         }
     }
 

@@ -200,10 +200,8 @@ pub struct ExecScratch {
     /// Per-row weighted-sum accumulators (the WSM state); a weight of
     /// [`UNREACHED`] marks a row no part has reached in this request.
     acc: Vec<PartialRow>,
-    /// One decode call's ops, copied out of the plan's shared list in step
-    /// order: a step's ops lie one per pass across the lowered list, and
-    /// fetching them in one loop overlaps the misses the executor would
-    /// otherwise take one op at a time.
+    /// One decode call's ops: its row program expanded for its row, in
+    /// step order, before the executor walks them.
     pub(crate) picked: Vec<LoweredOp>,
     /// An `f32` decode token's q, k and v rows, quantised on their way to
     /// the ingest.

@@ -29,10 +29,9 @@
 //! itself — stay bit-identical (asserted by the simulator's proptests).
 
 use salo_scheduler::{ComponentKind, ExecutionPlan, PlanStats, SupplementalKind};
-use std::sync::Arc;
 
 /// What one lowered operation computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoweredOpKind {
     /// A full PE-row part: stages 1–5 (scores, softmax, value
     /// accumulation) over the op's key list, merged into the destination
@@ -44,7 +43,7 @@ pub enum LoweredOpKind {
 }
 
 /// Where a [`LoweredOp`]'s keys are: computed, or listed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeySpan {
     /// The progression `first, first + stride, …` of `key_len` terms.
     /// Every op whose keys form one (at a stride the field holds) is a run.
@@ -215,14 +214,10 @@ struct PassBounds {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoweredPlan {
     n: usize,
-    /// The program, in execution order. Behind an `Arc`, like the gather
-    /// arena, so the decode program of the same plan
-    /// ([`DecodePlan`](crate::DecodePlan)) orders these ops by index
-    /// instead of holding a second copy of them.
-    pub(crate) ops: Arc<Vec<LoweredOp>>,
-    /// The keys of the ops that are not runs, back to back. Shared the same
-    /// way: the decode program slices this arena.
-    pub(crate) gather_keys: Arc<Vec<u32>>,
+    /// The program, in execution order.
+    ops: Vec<LoweredOp>,
+    /// The keys of the ops that are not runs, back to back.
+    gather_keys: Vec<u32>,
     pass_bounds: Vec<PassBounds>,
     /// First supplemental op (everything from here to the end runs after
     /// the main passes).
@@ -342,8 +337,8 @@ impl LoweredPlan {
         Self {
             n: plan.n(),
             stats: plan.stats(),
-            ops: Arc::new(ops),
-            gather_keys: Arc::new(gather_keys),
+            ops,
+            gather_keys,
             pass_bounds,
             sup_start,
             q_loads: plan.passes().iter().map(|p| p.tile_len as u64).sum(),

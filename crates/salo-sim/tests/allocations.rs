@@ -19,7 +19,7 @@ use salo_kernels::Qkv;
 use salo_patterns::{longformer, HybridPattern, Window};
 use salo_scheduler::{ExecutionPlan, HardwareMeta};
 use salo_sim::{
-    AcceleratorConfig, DecodePlan, DecodeState, ExecScratch, KvPagePool, LoweredPlan,
+    AcceleratorConfig, DecodePlan, DecodeState, ExecScratch, KvPagePool, LoweredOp, LoweredPlan,
     SpatialAccelerator, DEFAULT_PAGE_ROWS,
 };
 
@@ -141,8 +141,8 @@ fn a_warm_executor_allocates_nothing_per_op() {
     const { assert!(!1101usize.is_multiple_of(DEFAULT_PAGE_ROWS)) };
     assert!(decode.step_ops(1101).len() > 32);
     let page = |key: u32| key as usize / DEFAULT_PAGE_ROWS;
-    let crosses = |op| {
-        let keys = decode.op_keys(op).iter();
+    let crosses = |op: LoweredOp| {
+        let keys = decode.op_keys(&op).iter();
         keys.clone().min().map(page) != keys.max().map(page)
     };
     assert!(decode.step_ops(1101).any(crosses), "no run of step 1101 crosses a page");

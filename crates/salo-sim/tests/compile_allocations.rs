@@ -4,9 +4,11 @@
 //! `HybridPattern::from_terms` expands its residual into one arena, so the
 //! blocks it asks for do not depend on `n`; `ExecutionPlan::build` and
 //! `LoweredPlan::lower` allocate per component, per pass and per global
-//! duty, never per row or per key. `DecodePlan::lower` orders the lowered
-//! ops by index: at its peak it holds four bytes an op and a few words a
-//! row, never a second copy of the op list.
+//! duty, never per row or per key. `DecodePlan::lower` reads the lowered
+//! ops a destination row at a time through an index of four bytes an op,
+//! dropped before it returns: at its peak it holds that index and a few
+//! words a row, never a second copy of the op list, and what it keeps is
+//! each distinct row program once and which one every row runs.
 //!
 //! Its own binary, one test: the counting allocator is the process's
 //! global allocator. It counts only the calls made on the thread that armed
@@ -164,8 +166,9 @@ fn a_cold_compile_allocates_per_duty_not_per_row() {
     assert_eq!(short.2.blocks, long.2.blocks, "lower: {short:?} vs {long:?}");
 
     // The decode program at the `decode_long` window (w = 1024, a sink
-    // token, here at n = 2 048): up to 33 ops a row, four bytes of order
-    // each. A copy of the op list would be twenty bytes an op more.
+    // token, here at n = 2 048): up to 33 ops a row, four bytes of index
+    // each while it is lowered, and one 33-op row program kept for every
+    // step row. A copy of the op list would be twenty bytes an op more.
     let window = Window::causal(1024).expect("window");
     let pattern = HybridPattern::builder(2048).window(window).global_token(0).build();
     let plan = ExecutionPlan::build(&pattern.expect("pattern"), hw).expect("plan");

@@ -302,12 +302,17 @@ const GUARDS: &[Guard] = &[
         ]),
     },
     Guard {
-        reason: "one op list: a decode plan orders the lowered plan's ops by index, it does not \
-                 copy them",
+        reason: "one op list: a decode plan keeps row programs, not a copy of the lowered plan's \
+                 ops",
         check: Check::Absent(&[grep(
             &["ops().to_vec()", ": Vec<LoweredOp>"],
             &["crates/salo-sim/src/decode.rs"],
         )]),
+    },
+    Guard {
+        reason: "a decode plan is its own program: it holds no share of the lowered plan's op \
+                 list, so a cached step program keeps none of the prefill's ops alive",
+        check: Check::Absent(&[grep(&["Arc<Vec<LoweredOp>>"], &["crates/salo-sim/src/decode.rs"])]),
     },
     Guard {
         reason: "one fixed-point engine: the systolic model is the oracle tests call, not an \
